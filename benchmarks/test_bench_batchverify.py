@@ -10,7 +10,13 @@ same way ``test_bench_hotpaths.py`` pins the PR-4 scalar hot paths:
   workload with deferred batch verification enabled, comparable 1:1 with
   ``test_bench_tx_ingest`` (scalar) and ``test_bench_parallel_ingest``.
 
-Both run the engine inline (``verify_workers=0``): worker processes add
+A third, ungated case -- ``test_default_vs_batch_ingest`` -- times the
+default scalar path against the batch engine on the BENCH_PR10 workload and
+prints both: since the default ``verify_signature`` keeps its own per-sender
+table, that comparison is the evidence ROADMAP item 2(a) needs to keep or
+delete the engine (recorded in docs/performance.md).
+
+All run the engine inline (``verify_workers=0``): worker processes add
 fork/IPC noise CI runners amplify, and the arithmetic -- comb tables,
 Montgomery inversion, the Straus multi-exponentiation -- is what the gate
 must keep honest.  Everything derives from fixed labels, so two runs
@@ -19,7 +25,7 @@ measure the identical work.
 
 from repro.batchverify import BatchVerifier, BatchVerifyConfig
 from repro.chain import KeyPair
-from repro.loadgen.driver import presigned_transfers
+from repro.loadgen.driver import measure_tx_ingest, presigned_transfers
 from repro.utils.hashing import keccak256
 
 from .conftest import print_table
@@ -28,6 +34,9 @@ BATCH_SIZE = 64
 BATCH_SENDERS = 8
 INGEST_TXS = 200
 INGEST_SENDERS = 10
+#: The BENCH_PR10.json workload (seed 7 fixes the sender labels).
+COMPARE_TXS = 1500
+COMPARE_SENDERS = 20
 
 
 def _batch_items():
@@ -90,4 +99,28 @@ def test_bench_batch_ingest(benchmark):
         "batch-verified tx-ingest throughput",
         [(f"{INGEST_TXS} transfers, {INGEST_SENDERS} senders", f"{tps:,.0f} tx/s")],
         ["workload", "throughput"],
+    )
+
+
+def test_default_vs_batch_ingest():
+    """Default ingest against ``batch_verify=0`` ingest, same 1500 tx.
+
+    One cold round each (fresh node, fresh signatures) through
+    ``measure_tx_ingest``, the function BENCH_PR10.json was recorded with.
+    Not gated and not a pytest-benchmark case: it reports a ratio between
+    two paths of one process, which needs no machine-speed calibration.
+    """
+    default = measure_tx_ingest(COMPARE_TXS, COMPARE_SENDERS, seed=7)
+    batch = measure_tx_ingest(COMPARE_TXS, COMPARE_SENDERS, seed=7,
+                              batch_verify=0)
+    assert default["txs"] == batch["txs"] == COMPARE_TXS
+    print_table(
+        "default scalar verify vs deferred batch verify (ingest)",
+        [("default (per-sender table in verify_signature)",
+          f"{default['tps']:,.0f} tx/s", "1.00x"),
+         ("batch_verify=0 (RLC batch engine, inline)",
+          f"{batch['tps']:,.0f} tx/s",
+          f"{batch['tps'] / default['tps']:.2f}x")],
+        [f"{COMPARE_TXS} transfers, {COMPARE_SENDERS} senders", "throughput",
+         "vs default"],
     )

@@ -179,16 +179,18 @@ class TransactionExecutor:
         tx: Transaction,
         state: WorldState,
         block: Optional[BlockContext] = None,
+        check_signature: bool = True,
     ) -> TransactionReceipt:
         """Execute ``tx`` against ``state`` and return its receipt.
 
         The receipt's ``status`` is ``False`` when execution reverted or ran
         out of gas; in that case all state changes made by the execution are
         rolled back but the fee for the gas consumed is still charged, as on
-        Ethereum.
+        Ethereum.  ``check_signature=False`` is for :meth:`estimate_gas`
+        only: nothing it applies survives the call.
         """
         block = block or BlockContext(gas_price=tx.gas_price)
-        self.validate(tx, state)
+        self.validate(tx, state, check_signature=check_signature)
 
         # Charge the maximum fee up front and bump the nonce; these survive
         # even if execution later fails.
@@ -385,11 +387,14 @@ class TransactionExecutor:
 
         The transaction is executed against a snapshot which is then fully
         reverted (including nonce and balance changes), mirroring
-        ``eth_estimateGas``.
+        ``eth_estimateGas``.  As there, the probe need not be signed: gas
+        does not depend on the signature, so an unsigned probe skips the
+        Schnorr verify; a probe that does carry a signature must verify.
         """
         snapshot_id = state.snapshot()
         try:
-            receipt = self.apply(tx, state, block)
+            receipt = self.apply(tx, state, block,
+                                 check_signature=tx.signature is not None)
         finally:
             state.revert(snapshot_id)
         estimated = int(receipt.gas_used * (1.0 + safety_margin))

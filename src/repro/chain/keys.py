@@ -17,8 +17,9 @@ test vectors are stable.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import InvalidSignatureError
 from repro.utils.cache import LRUCache
@@ -214,6 +215,129 @@ def prime_inverses(public_keys: Iterable[int]) -> None:
         _INVERSE_CACHE.put(fresh[index], inverse)
 
 
+class _LimLeeComb:
+    """Single-table Lim-Lee comb: ``base^e`` for ``0 <= e < 2^256``.
+
+    The 256-bit exponent is laid out as 8 teeth of 32 columns.  One table of
+    255 entries holds the product of ``base^(2^(32*i))`` over every non-empty
+    subset of teeth, so a power walks the 32 columns once: one squaring and
+    at most one table multiplication per column, instead of the ~256
+    squarings and ~50 multiplications of the builtin sliding window.  The
+    whole table is 255 group elements (~77 kB) where a 4-bit
+    :class:`_FixedBaseComb` over the same range holds 960 (~288 kB) for the
+    same speed -- the difference that keeps one table per hot sender cheap.
+
+    Exponents outside the range go to the builtin, so :meth:`pow` is total
+    and bit-identical to ``pow(base, e, modulus)``.
+    """
+
+    TEETH = 8
+    COLUMNS = 32
+    EXPONENT_BITS = TEETH * COLUMNS
+    _BITS_FORMAT = f"0{EXPONENT_BITS}b"
+
+    __slots__ = ("base", "modulus", "_table")
+
+    def __init__(self, base: int, modulus: int) -> None:
+        self.base = base
+        self.modulus = modulus
+        #: ``_table[m]`` = product of ``base^(2^(COLUMNS*i))`` over set bits
+        #: ``i`` of ``m``: each entry is its highest tooth times the entry
+        #: without that tooth.
+        table = [1] * (1 << self.TEETH)
+        tooth = base % modulus
+        for index in range(self.TEETH):
+            bit = 1 << index
+            table[bit] = tooth
+            for rest in range(1, bit):
+                table[bit | rest] = tooth * table[rest] % modulus
+            if index + 1 < self.TEETH:
+                for _ in range(self.COLUMNS):
+                    tooth = tooth * tooth % modulus
+        self._table = table
+
+    def pow(self, exponent: int) -> int:
+        """``base ** exponent mod modulus``, bit-identical to ``pow``."""
+        if exponent < 0 or exponent >> self.EXPONENT_BITS:
+            return pow(self.base, exponent, self.modulus)
+        # MSB-first binary text: the stride slice ``bits[k::COLUMNS]`` reads
+        # one bit from each tooth (highest tooth first) at column
+        # ``COLUMNS - 1 - k``, i.e. exactly that column's table index.
+        bits = format(exponent, self._BITS_FORMAT)
+        table = self._table
+        modulus = self.modulus
+        columns = self.COLUMNS
+        result = 1
+        for k in range(columns):
+            result = result * result % modulus
+            index = int(bits[k::columns], 2)
+            if index:
+                result = result * table[index] % modulus
+        return result
+
+
+#: A public key's ``(y^-1)^e`` table is built on this sighting.  One-shot
+#: (often hostile) keys stay on the builtin ``pow`` -- a table costs about
+#: two builtin powers to build -- while real senders, who repeat, go
+#: table-fast from their second signature on.
+_KEY_COMB_PROMOTION_SIGHTINGS = 2
+
+#: Distinct senders whose sighting count or table is kept (LRU): ~77 kB per
+#: warm table bounds the cache at ~7 MB.  A key evicted before it repeats
+#: starts counting again, so a stream of more distinct senders than this
+#: never builds a table at all rather than building and discarding them.
+_KEY_COMB_CAPACITY = 96
+
+
+class _KeyCombCache(LRUCache):
+    """public key -> sightings so far (``int``) or its :class:`_LimLeeComb`."""
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity)
+        #: Tables built since process start.
+        self.builds = 0
+        #: Makes count-then-promote one step, so a key is built exactly once
+        #: however many threads verify its signatures.
+        self._promotion_lock = threading.Lock()
+
+    def comb_for(self, public_key: int) -> Optional[_LimLeeComb]:
+        """Count one sighting; the key's table once it has repeated."""
+        with self._promotion_lock:
+            entry = self.get(public_key, 0)
+            if isinstance(entry, _LimLeeComb):
+                return entry
+            if entry + 1 < _KEY_COMB_PROMOTION_SIGHTINGS:
+                self.put(public_key, entry + 1)
+                return None
+            comb = _LimLeeComb(_inverse_of(public_key), GROUP_PRIME)
+            self.builds += 1
+            self.put(public_key, comb)
+            return comb
+
+    def snapshot(self) -> Dict[str, Any]:
+        return {**super().snapshot(), "builds": self.builds}
+
+
+_KEY_COMBS = _KeyCombCache(_KEY_COMB_CAPACITY)
+
+
+def key_comb_cache() -> LRUCache:
+    """The per-public-key table cache (for obs cache-stats registration)."""
+    return _KEY_COMBS
+
+
+def _inverse_power(public_key: int, exponent: int) -> int:
+    """``(public_key^-1)^exponent mod GROUP_PRIME``, bit-identical to ``pow``.
+
+    Through the key's fixed-base table once the key has been seen before,
+    through the builtin until then.
+    """
+    comb = _KEY_COMBS.comb_for(public_key)
+    if comb is None:
+        return pow(_inverse_of(public_key), exponent, GROUP_PRIME)
+    return comb.pow(exponent)
+
+
 @dataclass(frozen=True)
 class Signature:
     """A Schnorr signature ``(commitment e, response s)`` plus the public key.
@@ -336,13 +460,19 @@ def verify_signature(signature: Signature, message_hash: bytes, address: Optiona
     y = signature.public_key
     if not (1 < y < GROUP_PRIME):
         return False
+    if not (0 <= signature.e < GROUP_ORDER):
+        # The carried challenge is compared against a hash reduced mod
+        # GROUP_ORDER below: out of range it can never match, so a hostile
+        # megabit exponent is turned away before any arithmetic.
+        return False
     # g^s = g^(k + x*e) = r * y^e  =>  r = g^s * (y^-1)^e.  The generator
-    # exponentiation runs through the shared comb table and the inverse is
-    # memoized per public key; the group element is identical to the naive
+    # exponentiation runs through the shared comb table, the inverse is
+    # memoized per public key and its power goes through the key's own table
+    # once the key repeats; the group element is identical to the naive
     # pow-based computation.
     gs = _GENERATOR_COMB.pow(signature.s)
     try:
-        r = gs * pow(_inverse_of(y), signature.e, GROUP_PRIME) % GROUP_PRIME
+        r = gs * _inverse_power(y, signature.e) % GROUP_PRIME
     except ValueError:
         return False
     expected_challenge = _hash_to_int(_int_to_bytes(r), message_hash)

@@ -101,25 +101,26 @@ class Observability:
 
             self.registry.register_collector(collect)
 
-    def instrument_node(self, node: Any, label: Optional[str] = None) -> None:
-        """Hook a single-node :class:`EthereumNode` (chain + address cache)."""
+    def _register_process_caches(self) -> None:
+        """The process-wide chain caches every instrumented stack shares."""
         from repro.chain.account import checksum_cache
-        from repro.chain.keys import inverse_cache
+        from repro.chain.keys import inverse_cache, key_comb_cache
 
-        self.attach_chain(node.chain, label)
         self.register_cache("address_checksum", checksum_cache())
         self.register_cache("schnorr_inverse", inverse_cache())
+        self.register_cache("schnorr_key_comb", key_comb_cache())
+
+    def instrument_node(self, node: Any, label: Optional[str] = None) -> None:
+        """Hook a single-node :class:`EthereumNode` (chain + address cache)."""
+        self.attach_chain(node.chain, label)
+        self._register_process_caches()
 
     def instrument_cluster(self, cluster: Any) -> None:
         """Hook every replica, the gossip layer and cluster chaos events."""
-        from repro.chain.account import checksum_cache
-        from repro.chain.keys import inverse_cache
-
         cluster.obs = self
         cluster.gossip.obs = self
         adapters.register_gossip(self.registry, cluster.gossip)
-        self.register_cache("address_checksum", checksum_cache())
-        self.register_cache("schnorr_inverse", inverse_cache())
+        self._register_process_caches()
         for replica in cluster.replicas:
             replica.obs = self
             self.attach_chain(replica.chain, replica.name)

@@ -1,14 +1,16 @@
 """Out-of-process Schnorr signature verification for the parallel executor.
 
-Signature checks are pure CPU (scalar math on secp256k1) and touch no chain
-state, so they are the one phase that genuinely benefits from *processes*
-rather than threads.  The pool pipelines with state application: the
-executor submits every cold (not-yet-memoized) signature as soon as a block
-is planned, lets the scoped wave execution overlap with the verifies, and
-joins the results just before the first shared-state side effect.  Any
-failed verify aborts the parallel attempt before anything was committed, so
-the serial path (which raises ``InvalidSignatureError`` at the offending
-position) stays observably identical.
+Signature checks are pure CPU (modular exponentiation in the 2048-bit RFC
+3526 group, see ``repro.chain.keys``) and touch no chain state, so they are
+the one phase that genuinely benefits from *processes* rather than threads.
+Each worker process keeps its own per-sender tables.  The pool pipelines
+with state application: the executor submits every cold (not-yet-memoized)
+signature as soon as a block is planned, lets the scoped wave execution
+overlap with the verifies, and joins the results just before the first
+shared-state side effect.  Any failed verify aborts the parallel attempt
+before anything was committed, so the serial path (which raises
+``InvalidSignatureError`` at the offending position) stays observably
+identical.
 
 Verification results are stamped back onto the transaction's memo fields
 (``_verified_signature`` / ``_verified_ok``) exactly as

@@ -150,7 +150,6 @@ class MetaMaskWallet:
                 data: bytes = b"", gas_limit: int = 3_000_000) -> TransactionPreview:
         """Estimate gas and build the confirmation-screen preview."""
         tx = self._build_transaction(to, value, data, gas_limit)
-        tx.sign(self.keypair)
         estimated = self.rpc.eth.estimate_gas(tx)
         return TransactionPreview(
             description=description,

@@ -208,6 +208,26 @@ class TestStaticCallAndEstimate:
         assert state.nonce_of(ALICE.address) == nonce_before
         assert state.balance_of(ALICE.address) == balance_before
 
+    def test_estimate_gas_accepts_an_unsigned_probe(self, executor, state):
+        # eth_estimateGas takes a call object, not a signed transaction: gas
+        # does not depend on the signature, so the estimate must match the
+        # signed probe's and must not need a Schnorr verify to get there.
+        signed = signed_transfer(100)
+        unsigned = Transaction.from_dict({**signed.to_dict(), "signature": None})
+        assert unsigned.signature is None
+        assert executor.estimate_gas(unsigned, state) == \
+            executor.estimate_gas(signed, state)
+        assert state.nonce_of(ALICE.address) == 0
+        # Only estimation waives the check: applying for real still refuses.
+        with pytest.raises(InvalidSignatureError):
+            executor.apply(unsigned, state)
+
+    def test_estimate_gas_still_verifies_a_signed_probe(self, executor, state):
+        forged = signed_transfer(100)
+        forged.signature = BOB.sign(forged.hash)  # not the sender's key
+        with pytest.raises(InvalidSignatureError):
+            executor.estimate_gas(forged, state)
+
 
 class TestMidApplyErrors:
     """Calls that blow up *after* the fee debit must leave no partial writes.

@@ -5,6 +5,9 @@ cached hashes, mempool indexes) must be behaviour-preserving: these tests
 pin the equivalences and the cache-invalidation edges that keep them safe.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.chain import EthereumNode, Faucet, KeyPair
@@ -14,7 +17,10 @@ from repro.chain.keys import (
     GROUP_ORDER,
     GROUP_PRIME,
     _GENERATOR_COMB,
+    _KEY_COMB_CAPACITY,
+    _LimLeeComb,
     Signature,
+    key_comb_cache,
     verify_signature,
 )
 from repro.chain.mempool import Mempool
@@ -86,6 +92,98 @@ class TestFixedBaseComb:
                            public_key=signature.public_key)
         assert not verify_signature(forged, message)
         assert not verify_signature(signature, keccak256(b"other payload"))
+
+
+class TestKeyCombPromotion:
+    """The default verify's per-sender table: built late, once, and kept.
+
+    A table costs about two builtin powers to build, so the discipline *is*
+    the optimization: a key that never repeats must never pay for one, a key
+    that repeats pays once, and more repeating senders than the cache holds
+    must degrade to the builtin rather than build and discard tables.  The
+    cache is process-wide, so every test uses labels of its own and reads
+    counter deltas.
+    """
+
+    @staticmethod
+    def signed(label, count=1):
+        keypair = KeyPair.from_label(label)
+        messages = [keccak256(b"%s-%d" % (label.encode(), i))
+                    for i in range(count)]
+        return keypair, [(keypair.sign(m), m) for m in messages]
+
+    def test_one_shot_keys_never_build(self):
+        cache = key_comb_cache()
+        builds = cache.builds
+        for index in range(6):
+            keypair, [(signature, message)] = self.signed(f"kc-one-shot-{index}")
+            assert verify_signature(signature, message, keypair.address)
+            assert cache.peek(keypair.public_key) == 1  # a count, not a table
+        assert cache.builds == builds
+
+    def test_a_repeating_key_builds_once_and_reuses_the_table(self):
+        cache = key_comb_cache()
+        builds, hits = cache.builds, cache.hits
+        keypair, items = self.signed("kc-repeat", count=8)
+        table = None
+        for index, (signature, message) in enumerate(items):
+            assert verify_signature(signature, message, keypair.address)
+            if index == 0:
+                continue  # first sighting: only the count is stored
+            # The second sighting builds; from then on every verify finds
+            # the very same table object.
+            assert table is None or cache.peek(keypair.public_key) is table
+            table = cache.peek(keypair.public_key)
+            assert isinstance(table, _LimLeeComb)
+        assert cache.builds == builds + 1
+        assert cache.hits == hits + 7
+        assert cache.stats()["builds"] == cache.builds
+
+    def test_more_senders_than_the_cache_holds_never_build_thrash(self):
+        # One more sender than the cap, in round-robin: by the time a sender
+        # comes round again its sighting count was evicted, so it reads as
+        # new -- zero tables built, zero discarded, verdicts all still right.
+        cache = key_comb_cache()
+        senders = [self.signed(f"kc-round-robin-{index}")
+                   for index in range(_KEY_COMB_CAPACITY + 1)]
+        builds, evictions = cache.builds, cache.evictions
+        for _ in range(2):
+            for keypair, [(signature, message)] in senders:
+                assert verify_signature(signature, message, keypair.address)
+        assert cache.builds == builds
+        assert cache.evictions >= evictions + len(senders)
+        assert len(cache) <= _KEY_COMB_CAPACITY
+
+    def test_concurrent_verifies_build_each_key_exactly_once(self):
+        # More threads than cores, all verifying the same three fresh
+        # senders: count-then-promote is one locked step, so a lost update
+        # (two threads both seeing "second sighting") would show as an extra
+        # build.
+        cache = key_comb_cache()
+        senders = [self.signed(f"kc-threads-{index}", count=4)
+                   for index in range(3)]
+        builds = cache.builds
+        failures = []
+
+        def worker():
+            for keypair, items in senders:
+                for signature, message in items:
+                    if not verify_signature(signature, message, keypair.address):
+                        failures.append((keypair.address, message))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert cache.builds == builds + len(senders)
 
 
 class TestTransactionCaches:

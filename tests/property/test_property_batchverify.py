@@ -79,16 +79,19 @@ message_idx = st.integers(min_value=0, max_value=11)
 
 #: One verify item, possibly sabotaged.  Every mutation the scalar path can
 #: encounter on the wire: honest items, bit-flipped s / e, a swapped public
-#: key, the challenge forced to 0 / GROUP_ORDER - 1 / GROUP_ORDER / beyond,
-#: a negated response, an out-of-group key, and a wrong claimed address.
+#: key, the challenge forced to 0 / GROUP_ORDER - 1 / GROUP_ORDER / beyond /
+#: below zero, a negated response, a bit-flipped or out-of-group key, and a
+#: wrong claimed address.  ``test_property_verify`` runs the same items
+#: through the scalar path against a builtin-``pow`` reference.
 ITEM_SPECS = st.lists(
     st.tuples(
         sender_idx,
         message_idx,
         st.sampled_from([
             "valid", "flip_s", "flip_e", "swap_key", "e_zero", "e_order_m1",
-            "e_order", "e_above_order", "s_zero", "s_order", "s_negative",
-            "y_one", "y_prime", "wrong_address",
+            "e_order", "e_above_order", "e_negative", "s_zero", "s_order",
+            "s_negative", "flip_y", "y_zero", "y_one", "y_prime",
+            "y_above_prime", "y_negative", "wrong_address",
         ]),
     ),
     min_size=1,
@@ -115,16 +118,26 @@ def build_item(spec: Tuple[int, int, str]):
         e = GROUP_ORDER
     elif mutation == "e_above_order":
         e = 2 * GROUP_ORDER + 1 + e
+    elif mutation == "e_negative":
+        e = -e - 1
     elif mutation == "s_zero":
         s = 0
     elif mutation == "s_order":
         s = s + GROUP_ORDER  # same group element: must still verify
     elif mutation == "s_negative":
         s = s - GROUP_ORDER  # ditto, via the negative representative
+    elif mutation == "flip_y":
+        y ^= 1 << (message % 64)
+    elif mutation == "y_zero":
+        y = 0
     elif mutation == "y_one":
         y = 1
     elif mutation == "y_prime":
         y = GROUP_PRIME
+    elif mutation == "y_above_prime":
+        y += GROUP_PRIME
+    elif mutation == "y_negative":
+        y = -y
     elif mutation == "wrong_address":
         address = SENDERS[(sender + 1) % N_SENDERS].address
     return (Signature(e=e, s=s, public_key=y), _message(message), address)

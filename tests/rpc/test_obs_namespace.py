@@ -11,7 +11,7 @@ import pytest
 
 from repro.chain import EthereumNode, Faucet, KeyPair
 from repro.chain.account import address_cache_stats, checksum_cache
-from repro.chain.keys import inverse_cache
+from repro.chain.keys import inverse_cache, key_comb_cache
 from repro.contracts import default_registry
 from repro.obs import Observability
 from repro.rpc import INVALID_PARAMS, JsonRpcError, JsonRpcGateway
@@ -100,10 +100,14 @@ class TestUnifiedCacheStats:
     def test_obs_cache_stats_is_the_one_spelling(self, observed_gateway):
         gateway, _, engine = observed_gateway
         stats = gateway.call("obs_cacheStats")
-        assert set(stats) == {"address_checksum", "schnorr_inverse", "storage"}
+        assert set(stats) == {"address_checksum", "schnorr_inverse",
+                              "schnorr_key_comb", "storage"}
         assert stats["storage"] == engine.cache.stats()
         assert stats["address_checksum"] == checksum_cache().stats()
         assert stats["schnorr_inverse"] == inverse_cache().stats()
+        assert stats["schnorr_key_comb"] == key_comb_cache().stats()
+        assert {"hits", "misses", "evictions", "builds"} <= \
+            set(stats["schnorr_key_comb"])
 
     def test_storage_cache_stats_shim_matches(self, observed_gateway):
         gateway, _, _ = observed_gateway

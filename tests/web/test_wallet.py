@@ -40,6 +40,26 @@ class TestPreview:
         assert wallet.balance_wei() == balance_before
         assert node.block_number == 0  # nothing mined
 
+    def test_send_verifies_one_signature_not_two(self, env, monkeypatch):
+        # The draft behind the gas estimate is never broadcast, so it is not
+        # signed and costs no Schnorr verify: only the transaction that is
+        # sent gets one (block production then hits its memo).
+        from repro.chain import keys
+
+        calls = []
+        real = keys.verify_signature
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(keys, "verify_signature", counting)
+        _, wallet = env
+        wallet.preview("Send ETH", BOB.address, value=1000)
+        assert calls == []
+        assert wallet.send_ether(BOB.address, 1000).status
+        assert len(calls) == 1
+
     def test_preview_to_dict_has_confirmation_fields(self, env):
         _, wallet = env
         info = wallet.preview("Send ETH", BOB.address, value=1000).to_dict()
