@@ -98,8 +98,18 @@ class Contract:
     # -- introspection ----------------------------------------------------------
 
     @classmethod
-    def abi(cls) -> Dict[str, Dict[str, Any]]:
-        """Describe the contract's externally callable methods."""
+    def _memoised(cls, attribute: str, build: Callable[[], Any]) -> Any:
+        """``build()`` once per class; a class body does not change at run time.
+
+        The value lives in the class's own ``__dict__`` so a subclass (whose
+        body differs) never reads its parent's.
+        """
+        if attribute not in cls.__dict__:
+            setattr(cls, attribute, build())
+        return cls.__dict__[attribute]
+
+    @classmethod
+    def _build_abi(cls) -> Dict[str, Dict[str, Any]]:
         entries: Dict[str, Dict[str, Any]] = {}
         for name, member in inspect.getmembers(cls, predicate=inspect.isfunction):
             kind = getattr(member, _ABI_ATTR, None)
@@ -116,6 +126,25 @@ class Contract:
         return entries
 
     @classmethod
+    def abi(cls) -> Dict[str, Dict[str, Any]]:
+        """Describe the contract's externally callable methods.
+
+        Every call returns fresh dicts, so a caller may edit what it gets.
+        """
+        entries = cls._memoised("_abi_entries", cls._build_abi)
+        return {
+            name: {**entry, "inputs": list(entry["inputs"])} for name, entry in entries.items()
+        }
+
+    @classmethod
+    def _source_size(cls) -> int:
+        try:
+            source = inspect.getsource(cls)
+        except (OSError, TypeError):
+            source = cls.__name__ * 64
+        return len(source.encode("utf-8"))
+
+    @classmethod
     def code_size(cls) -> int:
         """Byte size of the contract "code" used for deployment gas.
 
@@ -123,11 +152,7 @@ class Contract:
         bytecode size, so richer contracts cost proportionally more to deploy
         -- the property Fig. 5 depends on.
         """
-        try:
-            source = inspect.getsource(cls)
-        except (OSError, TypeError):
-            source = cls.__name__ * 64
-        return len(source.encode("utf-8"))
+        return cls._memoised("_code_size", cls._source_size)
 
 
 class ContractRegistry:

@@ -78,23 +78,30 @@ def _match_cost_matrix(
     plus a penalty that grows as more neurons already exist, mirroring the
     IBP prior's preference for reusing popular atoms).
     """
-    num_client, dim = client_neurons.shape
+    num_client = client_neurons.shape[0]
     num_global = global_neurons.shape[0]
     sigma_sq = config.sigma**2
     sigma0_sq = config.sigma0**2
+    client_sq = np.sum(client_neurons**2, axis=1)
 
     columns: List[np.ndarray] = []
     if num_global:
         # Posterior precision of a global atom matched `count` times grows with
         # count, making well-supported atoms cheaper to match.
         counts = global_counts.reshape(1, num_global)
-        means = global_neurons
-        diff = client_neurons[:, None, :] - means[None, :, :]
-        squared = np.sum(diff**2, axis=2)
+        # |c - m|^2 = |c|^2 + |m|^2 - 2 c.m: one (J x D)(D x L) product, never
+        # the J x L x D difference tensor.  Rounding can leave a distance of
+        # ~0 a hair below it, hence the clip.
+        global_sq = np.sum(global_neurons**2, axis=1)
+        squared = client_neurons @ global_neurons.T
+        squared *= -2.0
+        squared += client_sq.reshape(num_client, 1)
+        squared += global_sq.reshape(1, num_global)
+        np.maximum(squared, 0.0, out=squared)
         match_cost = squared / (2.0 * sigma_sq) - np.log(counts + config.gamma)
         columns.append(match_cost)
     if allow_new:
-        self_cost = np.sum(client_neurons**2, axis=1) / (2.0 * (sigma_sq + sigma0_sq))
+        self_cost = client_sq / (2.0 * (sigma_sq + sigma0_sq))
         new_penalty = self_cost - np.log(config.gamma / (num_global + 1.0))
         new_block = np.tile(new_penalty.reshape(num_client, 1), (1, allow_new))
         # Make "new neuron" columns usable at most once each by adding a tiny
@@ -134,33 +141,34 @@ def _fold_in_client(
         allow_padded = False
 
     rows, cols = linear_sum_assignment(cost)
-    updated_neurons = global_neurons.copy()
-    updated_counts = global_counts.copy()
+    # One buffer with room for every atom this client may open, sliced to the
+    # rows actually used on return.
+    updated_neurons = np.empty((num_global + allow_new, client_neurons.shape[1]))
+    updated_neurons[:num_global] = global_neurons
+    updated_counts = np.empty(num_global + allow_new)
+    updated_counts[:num_global] = global_counts
+    width = num_global
     assignment = np.zeros(num_client, dtype=np.int64)
 
     for row, col in zip(rows, cols):
         if col < num_global:
-            # Running weighted mean of the matched atom.
-            count = updated_counts[col]
-            updated_neurons[col] = (updated_neurons[col] * count + client_neurons[row]) / (count + 1.0)
-            updated_counts[col] = count + 1.0
-            assignment[row] = col
+            target = col
+        elif allow_padded and col >= num_global + allow_new:
+            # Width cap reached: fold into the nearest existing atom.
+            distances = np.sum((updated_neurons[:width] - client_neurons[row]) ** 2, axis=1)
+            target = int(np.argmin(distances))
         else:
-            if allow_padded and col >= num_global + allow_new:
-                # Width cap reached: fold into the nearest existing atom.
-                distances = np.sum((updated_neurons - client_neurons[row]) ** 2, axis=1)
-                nearest = int(np.argmin(distances))
-                count = updated_counts[nearest]
-                updated_neurons[nearest] = (
-                    updated_neurons[nearest] * count + client_neurons[row]
-                ) / (count + 1.0)
-                updated_counts[nearest] = count + 1.0
-                assignment[row] = nearest
-            else:
-                updated_neurons = np.vstack([updated_neurons, client_neurons[row]])
-                updated_counts = np.append(updated_counts, 1.0)
-                assignment[row] = updated_neurons.shape[0] - 1
-    return updated_neurons, updated_counts, assignment
+            updated_neurons[width] = client_neurons[row]
+            updated_counts[width] = 1.0
+            assignment[row] = width
+            width += 1
+            continue
+        # Running weighted mean of the matched atom.
+        count = updated_counts[target]
+        updated_neurons[target] = (updated_neurons[target] * count + client_neurons[row]) / (count + 1.0)
+        updated_counts[target] = count + 1.0
+        assignment[row] = target
+    return updated_neurons[:width], updated_counts[:width], assignment
 
 
 class PFNMAggregator(OneShotAggregator):

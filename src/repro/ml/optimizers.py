@@ -78,14 +78,14 @@ class Adam(Optimizer):
         self._step_count += 1
         for index, layer in enumerate(layers):
             grads = layer.get_gradients()
-            m_state = self._first_moment.setdefault(
-                index,
-                {"weights": np.zeros_like(layer.weights), "biases": np.zeros_like(layer.biases)},
-            )
-            v_state = self._second_moment.setdefault(
-                index,
-                {"weights": np.zeros_like(layer.weights), "biases": np.zeros_like(layer.biases)},
-            )
+            if index not in self._first_moment:
+                for moments in (self._first_moment, self._second_moment):
+                    moments[index] = {
+                        "weights": np.zeros_like(layer.weights),
+                        "biases": np.zeros_like(layer.biases),
+                    }
+            m_state = self._first_moment[index]
+            v_state = self._second_moment[index]
             for key, param in (("weights", layer.weights), ("biases", layer.biases)):
                 grad = grads[key]
                 m_state[key] = self.beta1 * m_state[key] + (1 - self.beta1) * grad

@@ -8,6 +8,7 @@ from repro.chain.executor import BlockContext, CallContext
 from repro.chain.gas import GasMeter, GasSchedule
 from repro.chain.keys import KeyPair
 from repro.chain.state import WorldState
+from repro.contracts import framework
 from repro.contracts.framework import Contract, ContractRegistry, external, payable, view
 
 CALLER = Address(KeyPair.from_label("caller").address)
@@ -81,6 +82,42 @@ class TestAbi:
 
     def test_code_size_positive_and_stable(self):
         assert Counter.code_size() == Counter.code_size() > 0
+
+    def test_abi_and_code_size_inspect_a_class_once(self, monkeypatch):
+        class Fresh(Counter):
+            @external
+            def reset(self, ctx):
+                self.sstore(ctx, "count", 0)
+
+        first_abi, first_size = Fresh.abi(), Fresh.code_size()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the class was inspected again")
+
+        for name in ("getmembers", "signature", "getsource"):
+            monkeypatch.setattr(framework.inspect, name, refuse)
+        assert Fresh.abi() == first_abi
+        assert Fresh.code_size() == first_size
+
+    def test_memo_is_per_class_not_inherited(self):
+        class Wider(Counter):
+            @view
+            def owner(self, ctx):
+                return self.sload(ctx, "owner")
+
+        assert "owner" not in Counter.abi()
+        assert set(Wider.abi()) == set(Counter.abi()) | {"owner"}
+        assert Wider.code_size() != Counter.code_size()
+
+    def test_callers_cannot_edit_the_memoised_abi(self):
+        abi = Counter.abi()
+        abi["increment"]["payable"] = True
+        abi["increment"]["inputs"].append("extra")
+        del abi["count"]
+        fresh = Counter.abi()
+        assert fresh["increment"]["payable"] is False
+        assert fresh["increment"]["inputs"] == ["amount"]
+        assert "count" in fresh
 
 
 class TestRegistry:

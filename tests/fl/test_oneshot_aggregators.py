@@ -1,5 +1,8 @@
 """Tests for the one-shot aggregators (mean, PFNM, ensemble, FedOV)."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,10 @@ from repro.fl.oneshot import make_aggregator
 from repro.fl.oneshot.ensemble import EnsembleAggregator, EnsemblePredictor
 from repro.fl.oneshot.fedov import FedOVAggregator, generate_outliers
 from repro.fl.oneshot.mean import MeanAggregator
-from repro.fl.oneshot.pfnm import PFNMAggregator, PFNMConfig
+from repro.fl.oneshot.pfnm import PFNMAggregator, PFNMConfig, _fold_in_client
 from repro.ml import MLP
+from repro.system import paper_config, quick_config
+from repro.system.orchestrator import build_environment, run_marketplace
 
 
 class TestMakeAggregator:
@@ -134,6 +139,62 @@ class TestPFNM:
     def test_empty_updates_rejected(self):
         with pytest.raises(AggregationError):
             PFNMAggregator().aggregate([])
+
+
+def parameters_md5(parameters) -> str:
+    """md5 over every layer's shape and float64 bytes, weights then biases."""
+    digest = hashlib.md5()
+    for layer in parameters:
+        for key in ("weights", "biases"):
+            array = np.ascontiguousarray(layer[key], dtype=np.float64)
+            digest.update(str(array.shape).encode())
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+class TestPFNMPins:
+    """The aggregated model of the presets, frozen byte for byte.
+
+    Taken on the commit *before* the cost matrix moved to the GEMM form (PR 13),
+    so they say that change -- and any later one -- left every assignment and
+    every averaged atom where it was.  They cover local training too (Adam).
+    """
+
+    @pytest.mark.parametrize(
+        "config, width, expected",
+        [
+            (quick_config(seed=7), 400, "8e5c7e1b3a5d6e84c01642fe3707203d"),
+            (quick_config(seed=8), 400, "da9a877d44abb3db122851ead278a229"),
+            (quick_config(seed=9), 400, "8a067267ee726ddfeb2be14ebbf41be2"),
+            (paper_config(seed=7), 800, "30fcd7e107603e2a7f4fd4dc863ec51c"),
+        ],
+        ids=["quick-7", "quick-8", "quick-9", "paper-7"],
+    )
+    def test_aggregated_parameters_md5(self, config, width, expected):
+        env = build_environment(config)
+        report = run_marketplace(environment=env)
+        aggregation = env.buyer.backend.tasks[report.workflow_result.task_address].aggregation
+        assert aggregation.details["global_hidden_width"] == width
+        assert parameters_md5(aggregation.predictor.get_parameters()) == expected
+
+
+class TestPFNMMemory:
+    def test_fold_never_builds_the_distance_tensor(self):
+        # One fold of the paper's shapes: 100 client neurons of 784 + 1 + 10
+        # numbers against 400 atoms.  The J x L x D difference tensor alone is
+        # 254 MB; the buffers a fold really needs are about 7 MB.
+        rng = np.random.default_rng(0)
+        client = rng.normal(size=(100, 795))
+        atoms = rng.normal(size=(400, 795))
+        counts = np.ones(400)
+        tracemalloc.start()
+        try:
+            neurons, _, _ = _fold_in_client(client, atoms, counts, PFNMConfig(), 800)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert neurons.shape == (500, 795)
+        assert peak < 16 * 2**20
 
 
 class TestEnsemble:

@@ -48,6 +48,54 @@ class TestOptimizers:
     def test_adam_reduces_loss(self):
         assert self._loss_after(Adam(learning_rate=0.01)) < 0.3
 
+    def test_adam_allocates_moment_buffers_once_per_layer(self, monkeypatch):
+        from repro.ml import optimizers
+
+        allocations = []
+
+        class CountingNumpy:
+            """numpy as the optimizers module sees it, with ``zeros_like`` counted."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def zeros_like(self, array):
+                allocations.append(array.shape)
+                return np.zeros_like(array)
+
+        monkeypatch.setattr(optimizers, "np", CountingNumpy())
+        self._loss_after(Adam(learning_rate=0.01), steps=5)
+        # Two moments x (weights, biases) for each of the two layers, on the
+        # first step only.
+        assert sorted(allocations) == sorted([(6, 8), (8,), (8, 2), (2,)] * 2)
+
+    def test_adam_matches_the_textbook_update_bit_for_bit(self):
+        x, y = tiny_problem()
+        model = MLP((6, 8, 2), seed=0)
+        reference = [
+            {"weights": layer.weights.copy(), "biases": layer.biases.copy()}
+            for layer in model.layers
+        ]
+        first = [{key: np.zeros_like(value) for key, value in layer.items()} for layer in reference]
+        second = [{key: np.zeros_like(value) for key, value in layer.items()} for layer in reference]
+        optimizer = Adam(learning_rate=0.01)
+        for step in range(1, 8):
+            logits = model.forward(x)
+            _, grad = cross_entropy_with_softmax(logits, y)
+            model.backward(grad)
+            gradients = [layer.get_gradients() for layer in model.layers]
+            optimizer.step(model.layers)
+            for params, m, v, grads in zip(reference, first, second, gradients):
+                for key in ("weights", "biases"):
+                    m[key] = 0.9 * m[key] + (1 - 0.9) * grads[key]
+                    v[key] = 0.999 * v[key] + (1 - 0.999) * grads[key] ** 2
+                    m_hat = m[key] / (1 - 0.9**step)
+                    v_hat = v[key] / (1 - 0.999**step)
+                    params[key] -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for layer, params in zip(model.layers, reference):
+            assert np.array_equal(layer.weights, params["weights"])
+            assert np.array_equal(layer.biases, params["biases"])
+
     def test_weight_decay_shrinks_weights(self):
         x, y = tiny_problem()
         decayed = MLP((6, 8, 2), seed=0)
