@@ -41,7 +41,6 @@ DEFAULT_GATED = (
     "test_bench_mempool_select",
     "test_bench_rpc_reads",
     "test_bench_signature_verify",
-    "test_bench_batch_verify",
     "test_bench_batch_ingest",
 )
 

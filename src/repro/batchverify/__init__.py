@@ -1,37 +1,18 @@
-"""Batch Schnorr verification and the pipelined block producer's engine.
+"""Deferred signature verification and the pipelined block producer's engine.
 
-Three layers, innermost first:
-
-* :mod:`repro.batchverify.multiexp` -- Shamir/Straus simultaneous
-  multi-exponentiation, the shared squaring chain under the batch check;
-* :mod:`repro.batchverify.batch` -- :class:`BatchVerifier`: per-sender comb
-  tables, Montgomery-primed inverses, the random-linear-combination
-  integrity gate and its deterministic bisection fallback.  Per-signature
-  verdicts are byte-identical to the scalar ``verify_signature``;
-* :mod:`repro.batchverify.engine` -- :class:`BatchVerifyEngine`: deferred
-  admission, per-block batch settling with mempool eviction, and the
-  execute/verify pipeline over the signature worker pool.
+:class:`BatchVerifyEngine` (:mod:`repro.batchverify.engine`) moves Schnorr
+verification from submission to the top of block production -- structural
+checks at admission, one settle per block with mempool eviction -- and
+overlaps the next block's verifies with this block's execution on the
+signature worker pool (:mod:`repro.parallel.verify`).  It adds no
+arithmetic of its own: every verdict is the default
+``repro.chain.keys.verify_signature``'s.
 
 Enabled per-chain via ``Blockchain.enable_batch_verify`` (CLI:
-``--batch-verify``); with it off, none of this imports and the scalar path
+``--batch-verify``); with it off, none of this imports and the default path
 is untouched.
 """
 
-from repro.batchverify.batch import (
-    BatchVerifier,
-    VerifierStats,
-    batch_verify_signatures,
-    default_verifier,
-)
-from repro.batchverify.engine import BatchVerifyConfig, BatchVerifyEngine
-from repro.batchverify.multiexp import simultaneous_multiexp
+from repro.batchverify.engine import BatchVerifyEngine
 
-__all__ = [
-    "BatchVerifier",
-    "BatchVerifyConfig",
-    "BatchVerifyEngine",
-    "VerifierStats",
-    "batch_verify_signatures",
-    "default_verifier",
-    "simultaneous_multiexp",
-]
+__all__ = ["BatchVerifyEngine"]

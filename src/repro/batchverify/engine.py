@@ -1,34 +1,35 @@
-"""Chain-side engine: deferred admission, batch settle, pipelined kicks.
+"""Chain-side engine: deferred admission, settle, pipelined kicks.
 
-The scalar ingest path verifies every signature at submission time, inside
+The default ingest path verifies every signature at submission time, inside
 the caller's thread, before the transaction may enter the mempool.  With
-batch verification enabled the chain defers that work: submission performs
-only the *structural* checks (a signature is present, its public key is in
-range and hashes to the claimed sender -- anything else raises the exact
-``InvalidSignatureError`` the scalar path would), and the Schnorr math for
-everything admitted settles at the top of block production as **one batch**
-per block, optionally farmed out to the verify worker pool.
+this engine enabled the chain defers that work: submission performs only
+the *structural* checks (a signature is present, its public key is in range
+and hashes to the claimed sender -- anything else raises the exact
+``InvalidSignatureError`` the default path would), and the Schnorr check of
+everything admitted settles at the top of block production.
 
 Settling happens *before* mempool selection and evicts every transaction
 whose deferred verdict came back ``False``.  Selection therefore sees
-exactly the set of valid transactions the scalar path would have admitted,
-in the same arrival order -- which is what makes batch-produced blocks
+exactly the set of valid transactions the default path would have admitted,
+in the same arrival order -- which is what makes these blocks
 fingerprint-identical to serial ones.
 
-The **pipeline** overlaps the next block's verification with the current
-block's execution and persistence: right after selection the engine kicks
-an asynchronous batch verify of the still-cold pending transactions (the
+There is one signature arithmetic: every verdict, in a worker process or
+inline, is ``repro.chain.keys.verify_signature``'s.  What the engine adds
+is *when* and *where* it runs.  The **pipeline** overlaps the next block's
+verification with the current block's execution and persistence: right
+after selection the engine kicks the still-cold pending transactions (the
 ones selection left behind, i.e. next block's candidates) onto the worker
-pool, and joins it at the next block's settle.  Every stage is wrapped in
-the fallback ladder: any failure abandons the batch attempt and re-verifies
-on the scalar path before a single shared-state write, so a crashing worker
-degrades throughput, never correctness.
+pool, and joins them at the next block's settle.  The pool has one
+fallback: if it fails -- a dead worker, a failed fork -- the engine counts
+the failure by its exception class and the settle verifies inline, before a
+single shared-state write, so a crashing worker degrades throughput, never
+correctness.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.chain.account import Address
@@ -36,69 +37,58 @@ from repro.chain.keys import GROUP_PRIME, address_from_public_key
 from repro.chain.transaction import Transaction
 from repro.errors import InvalidSignatureError
 from repro.parallel.verify import (
-    BatchVerifyHandle,
     SignatureVerifyPool,
+    VerifyHandle,
     _memoized_verdict,
 )
 
-from repro.batchverify.batch import VerifierStats
 
+def zero_stats() -> Dict[str, Any]:
+    """:attr:`BatchVerifyEngine.stats` of an engine that has done nothing.
 
-@dataclass(frozen=True)
-class BatchVerifyConfig:
-    """Knobs for deferred batch verification and the production pipeline.
-
-    Attributes
-    ----------
-    verify_workers:
-        Processes in the signature-verify pool.  ``0`` settles batches
-        inline on the coordinator thread (no pipeline overlap, but still
-        the batched arithmetic); the CLI default is 4.
-    pipeline:
-        Whether to kick next-block verification during execute/persist of
-        the current block.  Requires ``verify_workers > 0`` to overlap.
-    chunk_size:
-        Target transactions per worker chunk.  Chunks are packed from
-        whole per-sender groups, so a prolific sender may exceed this.
+    What a chain with the engine off reports, without building an engine
+    and its pool to read zeroes.
     """
-
-    verify_workers: int = 0
-    pipeline: bool = True
-    chunk_size: int = 64
-
-    def __post_init__(self) -> None:
-        if self.verify_workers < 0:
-            raise ValueError(
-                f"verify_workers must be >= 0, got {self.verify_workers}")
-        if self.chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be >= 1, got {self.chunk_size}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "verify_workers": self.verify_workers,
-            "pipeline": bool(self.pipeline),
-            "chunk_size": self.chunk_size,
-        }
+    return {
+        "verify_workers": 0,
+        "blocks_settled": 0,
+        "deferred_admissions": 0,
+        "deferred_rejections": 0,
+        "pipeline_kicks": 0,
+        "pipeline_joins": 0,
+        "pipeline_fallbacks": 0,
+        "fallback_reasons": {},
+        "verify_jobs_offloaded": 0,
+        "overlap_seconds": 0.0,
+        "join_wait_seconds": 0.0,
+    }
 
 
 class BatchVerifyEngine:
-    """Owns the deferred-verification lifecycle for one chain."""
+    """Owns the deferred-verification lifecycle for one chain.
 
-    def __init__(self, config: BatchVerifyConfig) -> None:
-        self.config = config
-        self._pool = SignatureVerifyPool(config.verify_workers)
-        self._inflight: Optional[BatchVerifyHandle] = None
+    ``verify_workers`` is the size of the signature-verify pool.  ``0``
+    settles inline on the coordinator thread: deferred admission without
+    the pipeline.
+    """
+
+    def __init__(self, verify_workers: int = 0) -> None:
+        if verify_workers < 0:
+            raise ValueError(
+                f"verify_workers must be >= 0, got {verify_workers}")
+        self.verify_workers = verify_workers
+        self._pool = SignatureVerifyPool(verify_workers)
+        self._inflight: Optional[VerifyHandle] = None
         self._kick_started: float = 0.0
-        #: Aggregated verifier counters: coordinator-side inline batches
-        #: plus every worker-side delta merged at join time.
-        self.verifier_stats = VerifierStats()
         self.blocks_settled = 0
         self.deferred_admissions = 0
         self.deferred_rejections = 0
         self.pipeline_kicks = 0
         self.pipeline_joins = 0
+        #: Pool failures answered by verifying inline, in total and by the
+        #: class name of the exception that caused each.
         self.pipeline_fallbacks = 0
+        self.fallback_reasons: Dict[str, int] = {}
         self.verify_jobs_offloaded = 0
         #: Wall-clock the pipeline verified *while* the chain executed and
         #: persisted (kick -> join-start); the overlap the pipeline exists
@@ -137,27 +127,20 @@ class BatchVerifyEngine:
     def settle(self, pending: Sequence[Transaction]) -> List[Transaction]:
         """Resolve every deferred verdict; return the transactions to evict.
 
-        Joins the previous block's pipelined kick, batch-verifies whatever
-        is still cold (new arrivals since the kick), and hands back the
-        transactions whose signatures failed.  Any failure anywhere drops
-        to the scalar path -- the fallback ladder -- before the caller
-        touches shared state, so the returned eviction set is always
-        authoritative.
+        Joins the previous block's pipelined kick, sends whatever is still
+        cold (new arrivals since the kick) through the pool, and hands back
+        the transactions whose signatures failed.  A pool failure is
+        counted and leaves memos cold; the closing ``verify_signature`` pass
+        then verifies those inline, so the returned eviction set is always
+        authoritative and the caller has touched no shared state yet.
         """
         try:
             self._join_inflight()
-            cold = [tx for tx in pending if _memoized_verdict(tx) is None]
-            if cold:
-                handle = self._pool.batch_prewarm_async(
-                    cold, chunk_size=self.config.chunk_size)
-                handle.join()
-                self.verify_jobs_offloaded += handle.jobs_submitted
-                self.verifier_stats.merge(handle.stats_delta)
-        except Exception:
-            self.pipeline_fallbacks += 1
-            self._inflight = None
-            for tx in pending:
-                tx.verify_signature()
+            handle = self._pool.batch_prewarm_async(pending)
+            handle.join()
+            self.verify_jobs_offloaded += handle.jobs_submitted
+        except Exception as exc:
+            self._count_fallback(exc)
         invalid = [tx for tx in pending if not tx.verify_signature()]
         self.deferred_rejections += len(invalid)
         self.blocks_settled += 1
@@ -167,23 +150,19 @@ class BatchVerifyEngine:
         """Start verifying next block's candidates while this one executes.
 
         Called right after selection with the pending transactions that
-        were *not* selected.  No-ops (returns ``False``) when pipelining is
-        off, there are no workers to overlap with, or nothing is cold.
+        were *not* selected.  No-ops (returns ``False``) when there are no
+        workers to overlap with or nothing is cold.
         """
-        if not self.config.pipeline or self.config.verify_workers == 0:
-            return False
-        cold = [
-            tx for tx in transactions if _memoized_verdict(tx) is None
-        ]
-        if not cold:
+        if self.verify_workers == 0:
             return False
         try:
-            self._inflight = self._pool.batch_prewarm_async(
-                cold, chunk_size=self.config.chunk_size)
-        except Exception:
-            self.pipeline_fallbacks += 1
-            self._inflight = None
+            handle = self._pool.batch_prewarm_async(transactions)
+        except Exception as exc:
+            self._count_fallback(exc)
             return False
+        if not handle.jobs_submitted:
+            return False
+        self._inflight = handle
         self._kick_started = time.monotonic()
         self.pipeline_kicks += 1
         return True
@@ -197,8 +176,12 @@ class BatchVerifyEngine:
         handle.join()
         self.join_wait_seconds += time.monotonic() - wait_started
         self.verify_jobs_offloaded += handle.jobs_submitted
-        self.verifier_stats.merge(handle.stats_delta)
         self.pipeline_joins += 1
+
+    def _count_fallback(self, exc: Exception) -> None:
+        reason = type(exc).__name__
+        self.pipeline_fallbacks += 1
+        self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
 
     def close(self) -> None:
         """Tear down the verify pool (abandoning any in-flight kick)."""
@@ -211,15 +194,15 @@ class BatchVerifyEngine:
     def stats(self) -> Dict[str, Any]:
         """Counters for RPC / obs export (see ``parallel_status``)."""
         return {
-            "config": self.config.to_dict(),
+            "verify_workers": self.verify_workers,
             "blocks_settled": self.blocks_settled,
             "deferred_admissions": self.deferred_admissions,
             "deferred_rejections": self.deferred_rejections,
             "pipeline_kicks": self.pipeline_kicks,
             "pipeline_joins": self.pipeline_joins,
             "pipeline_fallbacks": self.pipeline_fallbacks,
+            "fallback_reasons": dict(sorted(self.fallback_reasons.items())),
             "verify_jobs_offloaded": self.verify_jobs_offloaded,
             "overlap_seconds": round(self.overlap_seconds, 6),
             "join_wait_seconds": round(self.join_wait_seconds, 6),
-            "verifier": self.verifier_stats.to_dict(),
         }

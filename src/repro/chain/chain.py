@@ -129,7 +129,7 @@ class Blockchain:
         genesis_timestamp: Optional[float] = None,
         store: Optional["ChainStoreHooks"] = None,
         parallel_execution: Optional[Any] = None,
-        batch_verify: Optional[Any] = None,
+        batch_verify: Optional[int] = None,
     ) -> None:
         self.config = config or ChainConfig()
         self.clock = clock or SimulatedClock()
@@ -178,10 +178,10 @@ class Blockchain:
         #: serial loop, gated by the same single-attribute idiom as ``store``
         #: / ``_fork`` / ``obs`` above.  See :meth:`enable_parallel_execution`.
         self.parallel: Optional[Any] = None
-        #: Optional deferred batch signature verification
-        #: (``repro.batchverify``).  ``None`` -- the seed default -- verifies
-        #: every signature scalar-fashion at submission; same gating idiom
-        #: as the attributes above.  See :meth:`enable_batch_verify`.
+        #: Optional deferred signature verification (``repro.batchverify``).
+        #: ``None`` -- the seed default -- verifies every signature at
+        #: submission; same gating idiom as the attributes above.  See
+        #: :meth:`enable_batch_verify`.
         self.batchverify: Optional[Any] = None
         if parallel_execution is not None:
             self.enable_parallel_execution(parallel_execution)
@@ -481,8 +481,8 @@ class Blockchain:
         Runs *before* mempool selection, so selection sees exactly the
         valid set the scalar path would have admitted (in arrival order) --
         the step that keeps batch-produced blocks fingerprint-identical to
-        serial ones.  The engine's fallback ladder guarantees the verdicts
-        are authoritative even when the batch path itself failed.
+        serial ones.  The engine verifies inline whatever its worker pool
+        failed to, so the verdicts are authoritative either way.
         """
         pending = self.mempool.pending()
         if not pending:
@@ -761,34 +761,30 @@ class Blockchain:
             return ParallelStats().to_dict()
         return self.parallel.stats.to_dict()
 
-    def enable_batch_verify(self, config: Any = None) -> None:
-        """Turn on deferred batch signature verification (``repro.batchverify``).
+    def enable_batch_verify(self, verify_workers: int = 0) -> None:
+        """Turn on deferred signature verification (``repro.batchverify``).
 
-        ``config`` is a :class:`~repro.batchverify.BatchVerifyConfig`, a
-        verify-worker count (int), or ``None`` for the defaults.  Idempotent
-        (a second call replaces the engine).  Only *submission and
-        production* change: replay, import and reorg re-execution verify
-        scalar-fashion, so a follower re-checks a batch-produced block on
+        ``verify_workers`` sizes the pool that verifies the next block's
+        signatures while this one executes; ``0`` settles inline.
+        Idempotent (a second call replaces the engine).  Only *submission
+        and production* change: replay, import and reorg re-execution
+        verify as they always do, so a follower re-checks such a block on
         the authoritative path.
         """
         # Imported lazily: repro.batchverify imports the chain package, so
         # the chain must not import it at module load (same as parallel).
-        from repro.batchverify import BatchVerifyConfig, BatchVerifyEngine
+        from repro.batchverify import BatchVerifyEngine
 
-        if isinstance(config, int):
-            config = BatchVerifyConfig(verify_workers=config)
-        elif config is None:
-            config = BatchVerifyConfig()
         if self.batchverify is not None:
             self.batchverify.close()
-        self.batchverify = BatchVerifyEngine(config)
+        self.batchverify = BatchVerifyEngine(verify_workers)
 
     def batchverify_stats(self) -> Dict[str, Any]:
-        """Batch/pipeline counters (config + zeroes when disabled)."""
+        """Deferred-verify/pipeline counters (all zeroes when disabled)."""
         if self.batchverify is None:
-            from repro.batchverify import BatchVerifyConfig, BatchVerifyEngine
+            from repro.batchverify.engine import zero_stats
 
-            return BatchVerifyEngine(BatchVerifyConfig()).stats
+            return zero_stats()
         return self.batchverify.stats
 
     def knows_block(self, block_hash: str) -> bool:

@@ -149,9 +149,9 @@ class TransactionExecutor:
         """Raise if ``tx`` cannot be included against ``state``.
 
         ``check_signature=False`` skips the Schnorr verify (the most
-        expensive step): deferred batch verification (``repro.batchverify``)
-        has already structurally vetted the transaction at submission and
-        settles the real verdict as one batch at block production.
+        expensive step): deferred verification (``repro.batchverify``) has
+        already structurally vetted the transaction at submission and
+        settles the real verdict at block production.
         """
         if check_signature and (tx.signature is None or not tx.verify_signature()):
             raise InvalidSignatureError(f"transaction {tx.hash_hex} is not properly signed")

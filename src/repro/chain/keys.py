@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import InvalidSignatureError
 from repro.utils.cache import LRUCache
@@ -58,44 +58,41 @@ def _hash_to_int(*parts: bytes) -> int:
 
 
 class _FixedBaseComb:
-    """Fixed-base windowed exponentiation for one base (the group generator).
+    """Fixed-base exponentiation for the group generator, 4-bit windows.
 
     ``pow(g, exp, P)`` performs ~``bits(exp)`` squarings every call even
-    though ``g`` never changes.  Precomputing ``g^(d * 2^(w*i))`` for every
-    window position ``i`` and digit ``d`` replaces the whole squaring chain
-    with one table multiplication per ``w``-bit window, which makes signing
-    and verification several times faster on the transaction hot path.
+    though ``g`` never changes.  Precomputing ``g^(d * 16^i)`` for every
+    nibble position ``i`` and digit ``d`` replaces the whole squaring chain
+    with one table multiplication per nibble, which makes signing and
+    verification several times faster on the transaction hot path.
 
-    Window rows are built lazily: honest signatures have ~512-bit exponents
-    (a 256-bit nonce plus a 256*256-bit product), so only the first dozen or
-    so rows are ever materialized unless a hostile signature carries a huge
+    Rows are built lazily: honest signatures have ~512-bit exponents (a
+    256-bit nonce plus a 256*256-bit product), so only the first 128 or so
+    rows are ever materialized unless a hostile signature carries a huge
     exponent.  The table is exact -- results are bit-identical to ``pow``.
     """
 
-    def __init__(self, base: int, modulus: int, window_bits: int = 5,
-                 base_order: Optional[int] = None) -> None:
+    def __init__(self, base: int, modulus: int, base_order: int) -> None:
         self.base = base
         self.modulus = modulus
-        self.window_bits = window_bits
-        #: Multiplicative order of ``base`` (i.e. ``base^order == 1``), when
-        #: known.  Exponents are reduced modulo it, which both preserves the
-        #: result exactly and *bounds the table*: without the reduction an
+        #: Multiplicative order of ``base`` (i.e. ``base^order == 1``).
+        #: Exponents are reduced modulo it, which both preserves the result
+        #: exactly and *bounds the table*: without the reduction an
         #: attacker-supplied signature with a megabytes-long ``s`` would
-        #: force one comb row per 5 exponent bits into this process-global
-        #: table, a memory-exhaustion hazard the old constant-memory ``pow``
+        #: force one comb row per 4 exponent bits into this process-global
+        #: table, a memory-exhaustion hazard the constant-memory ``pow``
         #: path never had.
         self.base_order = base_order
-        self._digit_count = (1 << window_bits) - 1
-        #: ``_rows[i][d-1] == base^(d * 2^(w*i)) mod P`` for digits d >= 1.
+        #: ``_rows[i][d-1] == base^(d * 16^i) mod P`` for digits 1..15.
         self._rows: list = []
-        #: ``base^(2^(w * len(_rows)))`` -- the generator of the next row.
+        #: ``base^(16^len(_rows))`` -- the generator of the next row.
         self._next_row_base = base % modulus
 
     def _extend_to(self, row_index: int) -> None:
         while len(self._rows) <= row_index:
             cur = self._next_row_base
             row = [cur]
-            for _ in range(self._digit_count - 1):
+            for _ in range(14):
                 row.append(row[-1] * cur % self.modulus)
             self._rows.append(row)
             self._next_row_base = row[-1] * cur % self.modulus
@@ -104,43 +101,28 @@ class _FixedBaseComb:
         """``base ** exponent mod modulus``, bit-identical to ``pow``."""
         if exponent < 0:
             return pow(self.base, exponent, self.modulus)
-        if self.base_order is not None and exponent >= self.base_order:
+        if exponent >= self.base_order:
             exponent %= self.base_order
-        elif self.base_order is None and exponent.bit_length() > self.modulus.bit_length():
-            # Unknown order and an oversized exponent: keep the table bounded
-            # by the modulus size and let the builtin handle the outlier.
-            return pow(self.base, exponent, self.modulus)
-        if exponent and self.window_bits == 4:
-            # Fast path for 4-bit windows: walk two nibble digits per byte of
-            # an immutable bytes snapshot.  The generic loop below shifts the
-            # whole multi-kilobit exponent once per window -- an O(bits)
-            # copy each time -- which the one-time ``to_bytes`` avoids.
-            data = exponent.to_bytes((exponent.bit_length() + 7) // 8, "big")
-            top = 2 * len(data) - (1 if data[0] >= 16 else 2)
-            self._extend_to(top)
-            rows = self._rows
-            modulus = self.modulus
-            result = 1
-            row_index = 0
-            for byte in reversed(data):
-                low = byte & 15
-                if low:
-                    result = result * rows[row_index][low - 1] % modulus
-                high = byte >> 4
-                if high:
-                    result = result * rows[row_index + 1][high - 1] % modulus
-                row_index += 2
-            return result
+        if not exponent:
+            return 1
+        # Walk two nibble digits per byte of an immutable bytes snapshot:
+        # shifting the multi-kilobit exponent once per window would copy
+        # O(bits) each time, which the one-time ``to_bytes`` avoids.
+        data = exponent.to_bytes((exponent.bit_length() + 7) // 8, "big")
+        top = 2 * len(data) - (1 if data[0] >= 16 else 2)
+        self._extend_to(top)
+        rows = self._rows
+        modulus = self.modulus
         result = 1
         row_index = 0
-        mask = self._digit_count
-        while exponent:
-            digit = exponent & mask
-            if digit:
-                self._extend_to(row_index)
-                result = result * self._rows[row_index][digit - 1] % self.modulus
-            exponent >>= self.window_bits
-            row_index += 1
+        for byte in reversed(data):
+            low = byte & 15
+            if low:
+                result = result * rows[row_index][low - 1] % modulus
+            high = byte >> 4
+            if high:
+                result = result * rows[row_index + 1][high - 1] % modulus
+            row_index += 2
         return result
 
 
@@ -150,9 +132,8 @@ class _FixedBaseComb:
 #: generator is a quadratic residue of the safe prime, and
 #: ``pow(GENERATOR, GROUP_ORDER, GROUP_PRIME) == 1`` (pinned by
 #: ``tests/chain/test_hotpaths.py``) -- so exponent reduction is exact and
-#: the table never exceeds ``GROUP_ORDER.bit_length() / window_bits`` rows.
-_GENERATOR_COMB = _FixedBaseComb(GENERATOR, GROUP_PRIME, window_bits=4,
-                                 base_order=GROUP_ORDER)
+#: the table never exceeds ``GROUP_ORDER.bit_length() / 4`` rows.
+_GENERATOR_COMB = _FixedBaseComb(GENERATOR, GROUP_PRIME, GROUP_ORDER)
 
 #: Cache of ``y^-1 mod P`` per public key: verification needs the inverse on
 #: every call, senders repeat across transactions, and the inverse of a
@@ -175,44 +156,6 @@ def _inverse_of(public_key: int) -> int:
         cached = pow(public_key, -1, GROUP_PRIME)
         _INVERSE_CACHE.put(public_key, cached)
     return cached
-
-
-def prime_inverses(public_keys: Iterable[int]) -> None:
-    """Batch-fill the inverse cache via Montgomery's trick.
-
-    Inverting N group elements individually costs N extended-gcd runs
-    (~0.4 ms each); the batch trick computes the running product, inverts it
-    *once*, and unrolls the prefix products -- one inversion plus 3(N-1)
-    multiplications for the whole batch.  Used by ``repro.batchverify`` so a
-    block full of first-seen senders pays one inversion, not hundreds.
-
-    Results are identical to :func:`_inverse_of` (both compute the unique
-    inverse mod ``GROUP_PRIME``).  Non-invertible or already-cached keys are
-    simply skipped; verification rejects out-of-range keys separately.
-    """
-    fresh: List[int] = []
-    seen = set()
-    for key in public_keys:
-        if key in seen or not (1 < key < GROUP_PRIME):
-            continue
-        seen.add(key)
-        if _INVERSE_CACHE.get(key) is None:
-            fresh.append(key)
-    if not fresh:
-        return
-    prefix: List[int] = []
-    running = 1
-    for key in fresh:
-        running = running * key % GROUP_PRIME
-        prefix.append(running)
-    inverse_running = pow(running, -1, GROUP_PRIME)
-    for index in range(len(fresh) - 1, -1, -1):
-        if index == 0:
-            inverse = inverse_running
-        else:
-            inverse = inverse_running * prefix[index - 1] % GROUP_PRIME
-        inverse_running = inverse_running * fresh[index] % GROUP_PRIME
-        _INVERSE_CACHE.put(fresh[index], inverse)
 
 
 class _LimLeeComb:

@@ -41,7 +41,7 @@ class EthereumNode:
         storage: Optional[Any] = None,
         chain: Optional[Blockchain] = None,
         parallel_execution: Optional[Any] = None,
-        batch_verify: Optional[Any] = None,
+        batch_verify: Optional[int] = None,
     ) -> None:
         #: Optional ``repro.storage`` engine (or config) persisting this
         #: node's chain: every mint/transaction/block is write-ahead logged
@@ -76,9 +76,8 @@ class EthereumNode:
         #: too (crash recovery re-enables it on the replayed chain).
         if parallel_execution is not None:
             self.chain.enable_parallel_execution(parallel_execution)
-        #: Deferred batch signature verification (``repro.batchverify``): a
-        #: verify-worker count or :class:`~repro.batchverify.
-        #: BatchVerifyConfig`; ``None`` (the seed default) keeps the scalar
+        #: Deferred signature verification (``repro.batchverify``): a
+        #: verify-worker count; ``None`` (the seed default) keeps the
         #: verify-at-submission path.  Applied to pre-built chains too.
         if batch_verify is not None:
             self.chain.enable_batch_verify(batch_verify)

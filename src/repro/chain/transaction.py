@@ -201,10 +201,10 @@ class Transaction:
     def verify_job(self) -> tuple:
         """Picklable ``(signature dict, tx hash, sender)`` verify job.
 
-        The wire format shared by the out-of-process verifiers
-        (``repro.parallel.verify``, ``repro.batchverify``): a worker that
-        rebuilds the signature and checks it against the hash and sender
-        reproduces :meth:`verify_signature` exactly.  Raises when unsigned
+        The wire format of the out-of-process verify pool
+        (``repro.parallel.verify``): a worker that rebuilds the signature
+        and checks it against the hash and sender reproduces
+        :meth:`verify_signature` exactly.  Raises when unsigned
         -- an unsigned transaction has no job to farm out.
         """
         if self.signature is None:

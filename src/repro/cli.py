@@ -164,12 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
                                   "serial block loop")
     load_parser.add_argument("--batch-verify", type=int, nargs="?", const=4,
                              default=None, metavar="W",
-                             help="batch Schnorr verification with pipelined "
-                                  "block production (repro.batchverify): "
-                                  "defer signature checks to one RLC-gated "
-                                  "batch per block on W verify workers "
-                                  "(default W: 4; 0 = inline batches); "
-                                  "default: scalar verify at submission")
+                             help="deferred Schnorr verification with "
+                                  "pipelined block production "
+                                  "(repro.batchverify): verify each block's "
+                                  "signatures at production, the next "
+                                  "block's meanwhile on W verify workers "
+                                  "(default W: 4; 0 = inline, no pipeline); "
+                                  "default: verify at submission")
     load_parser.add_argument("--seed", type=int, default=7,
                              help="deterministic seed for arrivals and skew")
     load_parser.add_argument("--sweep", default=None, metavar="RATES",
@@ -221,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "wave-parallel execution")
     serve_parser.add_argument("--batch-verify", type=int, nargs="?", const=4,
                               default=None, metavar="W",
-                              help="batch Schnorr verification with W verify "
-                                   "workers (default W: 4; 0 = inline "
-                                   "batches)")
+                              help="deferred Schnorr verification with W "
+                                   "verify workers (default W: 4; 0 = "
+                                   "inline, no pipeline)")
     serve_parser.add_argument("--store", default=None, metavar="DIR",
                               help="persist the chain (WAL + snapshots) "
                                    "under DIR (single node only)")

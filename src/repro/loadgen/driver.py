@@ -102,10 +102,9 @@ class LoadGenConfig:
     serially.  ``None`` -- the default -- keeps the serial block loop."""
 
     batch_verify: Optional[int] = None
-    """Verify-worker count for deferred batch Schnorr verification with
-    pipelined block production (``repro.batchverify``); ``0`` settles
-    batches inline on the coordinator.  ``None`` -- the default -- verifies
-    scalar-fashion at submission."""
+    """Verify-worker count for deferred Schnorr verification with pipelined
+    block production (``repro.batchverify``); ``0`` settles inline on the
+    coordinator.  ``None`` -- the default -- verifies at submission."""
 
     max_events: int = 2_000_000
     receipt_timeout_polls: int = 1_000

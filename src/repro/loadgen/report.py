@@ -50,8 +50,8 @@ class LoadReport:
     #: ``wave_apply_seconds`` is wall-clock.
     parallel_stats: Optional[Dict[str, Any]] = None
     #: ``chain.batchverify_stats()`` when the driven node deferred signature
-    #: checks to per-block batches; ``None`` keeps saved reports
-    #: byte-identical to scalar-verify runs.
+    #: checks to block production; ``None`` keeps saved reports
+    #: byte-identical to verify-at-submission runs.
     batchverify_stats: Optional[Dict[str, Any]] = None
 
     # -- derived -----------------------------------------------------------------
@@ -189,15 +189,20 @@ class LoadReport:
                 f"conflict ratio avg {stats.get('conflict_ratio_avg', 0.0):.2f}")
         if self.batchverify_stats is not None:
             stats = self.batchverify_stats
-            verifier = stats.get("verifier", {})
-            workers = stats.get("config", {}).get("verify_workers")
-            lines.append(
-                f"batch verify: {workers} workers, "
-                f"{verifier.get('signatures', 0)} signatures in "
-                f"{verifier.get('batches', 0)} batches "
-                f"({stats.get('deferred_rejections', 0)} evicted, "
+            detail = (
+                f"{stats.get('deferred_rejections', 0)} evicted, "
                 f"{stats.get('pipeline_kicks', 0)} pipeline kicks, "
-                f"{stats.get('overlap_seconds', 0.0):.2f}s overlapped)")
+                f"{stats.get('overlap_seconds', 0.0):.2f}s overlapped")
+            if stats.get("pipeline_fallbacks"):
+                reasons = ", ".join(
+                    f"{count} {reason}" for reason, count
+                    in stats.get("fallback_reasons", {}).items())
+                detail += (f", {stats['pipeline_fallbacks']} fallbacks: "
+                           f"{reasons}")
+            lines.append(
+                f"batch verify: {stats.get('verify_workers')} workers, "
+                f"{stats.get('deferred_admissions', 0)} signatures deferred "
+                f"over {stats.get('blocks_settled', 0)} settles ({detail})")
         lines.append(f"blocks produced: {self.blocks_produced}")
         return "\n".join(lines)
 

@@ -164,27 +164,20 @@ def collect_chain(reg: MetricsRegistry, chain: Any,
                       stats.conflict_ratio_last)
     batchverify = getattr(chain, "batchverify", None)
     if batchverify is not None:
-        reg.counter("repro_batchverify_signatures_total",
-                    "Signatures settled through the batch verifier.",
-                    ("replica",)).labels(**labels).set_total(
-                        batchverify.verifier_stats.signatures)
         reg.counter("repro_batchverify_rejections_total",
                     "Deferred admissions evicted at settle (failed "
                     "signatures).", ("replica",)).labels(**labels).set_total(
                         batchverify.deferred_rejections)
-        reg.counter("repro_batchverify_rlc_failures_total",
-                    "Random-linear-combination checks that failed and "
-                    "triggered bisection.", ("replica",)).labels(
-                        **labels).set_total(
-                            batchverify.verifier_stats.rlc_failures)
         reg.counter("repro_batchverify_pipeline_kicks_total",
-                    "Next-block verify batches kicked during execution.",
+                    "Next-block verifies kicked during execution.",
                     ("replica",)).labels(**labels).set_total(
                         batchverify.pipeline_kicks)
-        reg.counter("repro_batchverify_fallbacks_total",
-                    "Batch attempts that dropped to the scalar path.",
-                    ("replica",)).labels(**labels).set_total(
-                        batchverify.pipeline_fallbacks)
+        fallbacks = reg.counter(
+            "repro_batchverify_fallbacks_total",
+            "Verify-pool failures answered by verifying inline, by the "
+            "exception class that caused them.", ("replica", "reason"))
+        for reason, count in batchverify.fallback_reasons.items():
+            fallbacks.labels(reason=reason, **labels).set_total(count)
         # Pipeline occupancy: of the wall-clock spent around in-flight
         # kicks, the fraction that overlapped useful chain work (1 = the
         # pipeline always finished before the settle needed it).

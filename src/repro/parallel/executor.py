@@ -115,6 +115,10 @@ class ParallelStats:
     wave_width_counts: Dict[int, int] = field(default_factory=dict)
     trimmed_txs_total: int = 0
     verify_jobs_offloaded: int = 0
+    #: Blocks whose verify pool failed (a dead worker, a failed fork) and
+    #: which the serial loop verified instead; also counted in
+    #: ``blocks_serial_fallback``.
+    verify_pool_failures: int = 0
     wave_apply_seconds: float = 0.0
     conflict_ratio_last: float = 0.0
     _conflict_ratio_sum: float = 0.0
@@ -153,6 +157,7 @@ class ParallelStats:
             },
             "trimmed_txs_total": self.trimmed_txs_total,
             "verify_jobs_offloaded": self.verify_jobs_offloaded,
+            "verify_pool_failures": self.verify_pool_failures,
             "wave_apply_seconds": round(self.wave_apply_seconds, 6),
             "conflict_ratio_last": round(self.conflict_ratio_last, 4),
             "conflict_ratio_avg": round(self.conflict_ratio_avg, 4),
@@ -299,15 +304,29 @@ class ParallelExecutor:
 
         # Pipeline: Schnorr verifies run in worker processes while the
         # scoped wave execution proceeds; joined before the first commit.
-        handle = self.verify_pool.prewarm_async(kept)
+        # A pool that fails at either end (a dead worker, a failed fork)
+        # leaves nothing committed, so the serial loop takes the block and
+        # verifies it inline.
+        try:
+            handle = self.verify_pool.prewarm_async(kept)
+        except Exception:
+            self.stats.verify_pool_failures += 1
+            self.stats.blocks_serial_fallback += 1
+            self.stats.txs_serial_fallback += len(kept)
+            return None
         self.stats.verify_jobs_offloaded += handle.jobs_submitted
         verified: Optional[bool] = None
 
         def signatures_ok() -> bool:
             nonlocal verified
             if verified is None:
-                handle.join()
-                verified = all(tx.verify_signature() for tx in kept)
+                try:
+                    handle.join()
+                except Exception:
+                    self.stats.verify_pool_failures += 1
+                    verified = False
+                else:
+                    verified = all(tx.verify_signature() for tx in kept)
             return verified
 
         ordered: List[Tuple[int, TransactionReceipt]] = []

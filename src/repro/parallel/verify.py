@@ -3,7 +3,8 @@
 Signature checks are pure CPU (modular exponentiation in the 2048-bit RFC
 3526 group, see ``repro.chain.keys``) and touch no chain state, so they are
 the one phase that genuinely benefits from *processes* rather than threads.
-Each worker process keeps its own per-sender tables.  The pool pipelines
+Every worker runs the one authoritative check, :func:`_verify_job` ->
+``verify_signature``, and keeps its own per-sender tables.  The pool pipelines
 with state application: the executor submits every cold (not-yet-memoized)
 signature as soon as a block is planned, lets the scoped wave execution
 overlap with the verifies, and joins the results just before the first
@@ -19,15 +20,21 @@ apply hits the memo and never re-verifies.
 
 The pool is created lazily (the first block that needs it) and prefers the
 ``fork`` start method -- cheap on Linux, no import re-execution -- falling
-back to the default context elsewhere.  ``verify_workers=0`` disables the
-pool entirely: verifies run inline on the coordinator thread, which is the
-right choice under pytest and on single-CPU hosts where process churn costs
-more than it saves.
+back to the default context elsewhere.  It is a
+``concurrent.futures.ProcessPoolExecutor`` because that notices a dead
+worker: a killed process fails every in-flight future with
+``BrokenProcessPool`` instead of leaving the join waiting forever, and the
+pool is then dropped and rebuilt on the next use.  ``verify_workers=0``
+disables the pool entirely: verifies run inline on the coordinator thread,
+which is the right choice under pytest and on single-CPU hosts where process
+churn costs more than it saves.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.chain.account import Address
@@ -37,28 +44,6 @@ from repro.errors import InvalidSignatureError
 
 #: One verify job: (signature dict, transaction hash bytes, sender address).
 VerifyJob = Tuple[Dict[str, Any], bytes, str]
-
-
-def _batch_verify_jobs(
-        jobs: Sequence[VerifyJob]) -> Tuple[List[bool], Dict[str, int]]:
-    """Worker-side batch verify: one RLC-checked batch per chunk (picklable).
-
-    Runs the chunk through the process-wide :class:`~repro.batchverify.
-    batch.BatchVerifier`, whose per-sender comb tables stay warm across
-    blocks because the pool's worker processes persist.  Returns the per-job
-    verdicts -- byte-identical to mapping :func:`_verify_job` -- plus the
-    verifier's counter delta so the coordinator can aggregate stats that
-    live in other processes.
-    """
-    # Imported lazily: repro.batchverify imports this module for the pool,
-    # so the module level must not import it back.
-    from repro.batchverify.batch import default_verifier
-
-    verifier = default_verifier()
-    before = verifier.stats.to_dict()
-    verdicts = verifier.verify_transactions(jobs)
-    after = verifier.stats.to_dict()
-    return verdicts, {key: after[key] - before[key] for key in after}
 
 
 def _verify_job(job: VerifyJob) -> bool:
@@ -76,6 +61,11 @@ def _verify_job(job: VerifyJob) -> bool:
     except InvalidSignatureError:
         return False
     return Address(recovered) == Address(sender)
+
+
+def _verify_jobs(jobs: Sequence[VerifyJob]) -> List[bool]:
+    """One chunk of :func:`_verify_job` verdicts: what a worker is sent."""
+    return [_verify_job(job) for job in jobs]
 
 
 def _stamp(tx: Transaction, verdict: bool) -> None:
@@ -99,20 +89,30 @@ def _memoized_verdict(tx: Transaction) -> Optional[bool]:
     return None
 
 
+def _cold(transactions: Sequence[Transaction]) -> List[Transaction]:
+    return [tx for tx in transactions if _memoized_verdict(tx) is None]
+
+
+#: Most transactions packed into one per-sender chunk; a single sender's
+#: group is never split, so a prolific sender may exceed it.
+SENDER_CHUNK_TARGET = 64
+
+
 class SignatureVerifyPool:
-    """Lazily-started multiprocessing pool for batch signature verification."""
+    """Lazily-started process pool for Schnorr signature verification."""
 
     def __init__(self, workers: int) -> None:
         self.workers = max(0, int(workers))
-        self._pool: Optional[multiprocessing.pool.Pool] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
 
-    def _ensure_pool(self) -> "multiprocessing.pool.Pool":
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             try:
                 context = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX hosts
                 context = multiprocessing.get_context()
-            self._pool = context.Pool(processes=self.workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, mp_context=context)
         return self._pool
 
     def prewarm_async(self, transactions: Sequence[Transaction]) -> "VerifyHandle":
@@ -120,131 +120,101 @@ class SignatureVerifyPool:
 
         Transactions whose memo is already warm (the mempool verifies at
         admission, so in steady state that is *all* of them) are skipped --
-        the handle then joins instantly.
+        the handle then joins instantly.  The cold ones go out in block
+        order, cut into equal chunks, four per worker.
         """
-        cold: List[Transaction] = [
-            tx for tx in transactions if _memoized_verdict(tx) is None
-        ]
-        if not cold:
-            return VerifyHandle(cold=[], result=None)
-        jobs: List[VerifyJob] = [tx.verify_job() for tx in cold]
-        if self.workers == 0:
-            verdicts = [_verify_job(job) for job in jobs]
-            for tx, verdict in zip(cold, verdicts):
-                _stamp(tx, verdict)
-            return VerifyHandle(cold=[], result=None, all_ok=all(verdicts))
-        result = self._ensure_pool().map_async(_verify_job, jobs)
-        return VerifyHandle(cold=cold, result=result)
+        cold = _cold(transactions)
+        size = max(1, -(-len(cold) // max(1, 4 * self.workers)))
+        return self._dispatch(
+            [cold[start:start + size] for start in range(0, len(cold), size)])
 
     def batch_prewarm_async(
-        self,
-        transactions: Sequence[Transaction],
-        chunk_size: int = 64,
-    ) -> "BatchVerifyHandle":
-        """Kick off *batch* verifies for every cold-memo transaction.
+            self, transactions: Sequence[Transaction]) -> "VerifyHandle":
+        """Like :meth:`prewarm_async`, with chunks packed by sender.
 
-        Like :meth:`prewarm_async`, but each worker receives a whole chunk
-        and settles it with one random-linear-combination check
-        (``repro.batchverify``) instead of N scalar verifies.  Chunks are
-        grouped by sender (first-seen order) so a sender's signatures land
-        on the same worker and hit the same warm comb table; groups are
-        packed up to ``chunk_size`` but never split.
+        A sender's signatures (senders in first-seen order) land in one
+        chunk, hence on one worker, so the sender's 77 kB fixed-base table
+        (``repro.chain.keys._LimLeeComb``) is built once per pool instead
+        of once per worker.  Groups are packed up to
+        :data:`SENDER_CHUNK_TARGET` but never split.
         """
-        cold: List[Transaction] = [
-            tx for tx in transactions if _memoized_verdict(tx) is None
-        ]
-        if not cold:
-            return BatchVerifyHandle(chunks=[], result=None)
-        if self.workers == 0:
-            jobs = [tx.verify_job() for tx in cold]
-            verdicts, stats = _batch_verify_jobs(jobs)
-            for tx, verdict in zip(cold, verdicts):
-                _stamp(tx, verdict)
-            return BatchVerifyHandle(
-                chunks=[], result=None, all_ok=all(verdicts),
-                stats_delta=stats,
-            )
         grouped: Dict[str, List[Transaction]] = {}
-        for tx in cold:
+        for tx in _cold(transactions):
             grouped.setdefault(str(tx.sender), []).append(tx)
         chunks: List[List[Transaction]] = []
         current: List[Transaction] = []
         for group in grouped.values():
-            if current and len(current) + len(group) > chunk_size:
+            if current and len(current) + len(group) > SENDER_CHUNK_TARGET:
                 chunks.append(current)
                 current = []
             current.extend(group)
         if current:
             chunks.append(current)
-        job_chunks = [[tx.verify_job() for tx in chunk] for chunk in chunks]
-        result = self._ensure_pool().map_async(_batch_verify_jobs, job_chunks)
-        return BatchVerifyHandle(chunks=chunks, result=result)
+        return self._dispatch(chunks)
+
+    def _dispatch(self, chunks: List[List[Transaction]]) -> "VerifyHandle":
+        """One future per chunk; with no workers, verify here and now."""
+        if self.workers == 0 or not chunks:
+            # A list, not a generator: every memo is stamped even after the
+            # first invalid signature.
+            verdicts = [tx.verify_signature() for chunk in chunks for tx in chunk]
+            return VerifyHandle(self, [], [], all_ok=all(verdicts))
+        pool = self._ensure_pool()
+        try:
+            futures = [
+                pool.submit(_verify_jobs, [tx.verify_job() for tx in chunk])
+                for chunk in chunks
+            ]
+        except BrokenProcessPool:
+            self.close()
+            raise
+        return VerifyHandle(self, chunks, futures)
 
     def close(self) -> None:
-        """Tear the worker processes down (no-op when never started)."""
+        """Tear the worker processes down (no-op when never started).
+
+        Chunks not yet started are cancelled.  The next dispatch starts a
+        fresh pool, which is also how one broken by a dead worker is
+        replaced.
+        """
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+            pool, self._pool = self._pool, None
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 class VerifyHandle:
-    """Join point for one block's in-flight signature verifies."""
+    """Join point for one dispatch's in-flight signature verifies."""
 
     def __init__(
         self,
-        cold: List[Transaction],
-        result: Optional["multiprocessing.pool.MapResult"],
-        all_ok: bool = True,
-    ) -> None:
-        self._cold = cold
-        self._result = result
-        self._all_ok = all_ok
-        self._joined = result is None
-        #: Verifies actually farmed out to worker processes (stats export).
-        self.jobs_submitted = len(cold)
-
-    def join(self) -> bool:
-        """Block until every verify lands; stamp memos; ``True`` if all valid."""
-        if not self._joined:
-            verdicts = self._result.get()
-            for tx, verdict in zip(self._cold, verdicts):
-                _stamp(tx, verdict)
-            self._all_ok = all(verdicts)
-            self._joined = True
-        return self._all_ok
-
-
-class BatchVerifyHandle:
-    """Join point for one pipeline kick's in-flight *batch* verifies."""
-
-    def __init__(
-        self,
+        pool: SignatureVerifyPool,
         chunks: List[List[Transaction]],
-        result: Optional["multiprocessing.pool.MapResult"],
+        futures: List[Future],
         all_ok: bool = True,
-        stats_delta: Optional[Dict[str, int]] = None,
     ) -> None:
+        self._pool = pool
         self._chunks = chunks
-        self._result = result
+        self._futures = futures
         self._all_ok = all_ok
-        self._joined = result is None
-        #: Aggregated worker-side verifier counter deltas (merged on join).
-        self.stats_delta: Dict[str, int] = dict(stats_delta or {})
         #: Verifies actually farmed out to worker processes (stats export).
         self.jobs_submitted = sum(len(chunk) for chunk in chunks)
 
     def join(self) -> bool:
-        """Block until every chunk settles; stamp memos; ``True`` if all valid."""
-        if not self._joined:
-            all_ok = True
-            for chunk, (verdicts, delta) in zip(self._chunks,
-                                                self._result.get()):
+        """Block until every verify lands; stamp memos; ``True`` if all valid.
+
+        Raises ``BrokenProcessPool`` when a worker died under the dispatch.
+        The broken pool is dropped first, so the owner's next dispatch
+        starts a fresh one; the caller verifies this dispatch itself.
+        """
+        if self._futures:
+            try:
+                results = [future.result() for future in self._futures]
+            except BrokenProcessPool:
+                self._pool.close()
+                raise
+            self._futures = []
+            for chunk, verdicts in zip(self._chunks, results):
                 for tx, verdict in zip(chunk, verdicts):
                     _stamp(tx, verdict)
-                all_ok = all_ok and all(verdicts)
-                for key, value in delta.items():
-                    self.stats_delta[key] = self.stats_delta.get(key, 0) + value
-            self._all_ok = all_ok
-            self._joined = True
+                self._all_ok = self._all_ok and all(verdicts)
         return self._all_ok

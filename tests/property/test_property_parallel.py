@@ -15,192 +15,25 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-from typing import Dict
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.chain.account import Address
-from repro.chain.chain import Blockchain, ChainConfig
-from repro.chain.executor import contract_address_for
-from repro.chain.keys import KeyPair
 from repro.chain.node import EthereumNode
-from repro.chain.transaction import Transaction, encode_call, encode_create
 from repro.contracts.registry import default_registry
 from repro.storage import StorageConfig, recover_node, state_digest
 from repro.utils.clock import SimulatedClock
-from repro.utils.units import ether_to_wei, gwei_to_wei
 
-N_SENDERS = 6
-SENDERS = [KeyPair.from_label(f"par-prop-{i}") for i in range(N_SENDERS)]
-DEPLOYER = KeyPair.from_label("par-prop-deployer")
-VALIDATOR = Address(KeyPair.from_label("par-prop-val").address)
-RIVAL_VALIDATOR = Address(KeyPair.from_label("par-prop-rival").address)
-GAS_PRICE = gwei_to_wei(1)
-
-#: The shared CidStorage every example's calls target; its address is a
-#: pure function of (deployer, nonce 0), identical on every chain.
-SHARED_CONTRACT = contract_address_for(Address(DEPLOYER.address), 0)
-
-#: Signed-transaction memo shared across the serial and parallel runs of
-#: one example (and across examples): signing dominates example cost, and
-#: handing *the same object* to both chains also means both see identical
-#: bytes by construction, not by re-derivation.
-_tx_memo: Dict[tuple, Transaction] = {}
-
-
-# -- workload vocabulary ----------------------------------------------------
-
-sender_idx = st.integers(min_value=0, max_value=N_SENDERS - 1)
-
-OPS = st.lists(
-    st.one_of(
-        # Plain transfer: random pair, so conflicting senders/recipients,
-        # nonce chains and self-payments all occur.
-        st.tuples(st.just("transfer"), sender_idx, sender_idx,
-                  st.integers(min_value=1, max_value=10**15)),
-        # Shared-contract write: every upload conflicts on the contract.
-        st.tuples(st.just("upload"), sender_idx,
-                  st.text(alphabet="abcdef", min_size=1, max_size=6)),
-        # Read-only call (never blocks other reads).
-        st.tuples(st.just("view"), sender_idx),
-        # Failing call: getCid(10_000) reverts, exercising the
-        # fee-charged/state-reverted path inside a wave.
-        st.tuples(st.just("fail"), sender_idx),
-        # Contract creation: an exclusive barrier transaction.
-        st.tuples(st.just("deploy"), sender_idx),
-        # Faucet mint between blocks (not a transaction at all).
-        st.tuples(st.just("mint"), sender_idx,
-                  st.integers(min_value=1, max_value=10**15)),
-        # Explicit block boundary mid-workload.
-        st.tuples(st.just("block")),
-    ),
-    min_size=1,
-    max_size=14,
+from ._workload import (
+    OPS,
+    RIVAL_VALIDATOR,
+    VALIDATOR,
+    apply_op,
+    fingerprint,
+    fresh_chain,
+    replay_mints,
+    run_workload,
+    seed_workload,
 )
-
-
-def _signed(kind: str, sender: KeyPair, nonce: int, **fields) -> Transaction:
-    key = (kind, sender.address, nonce, tuple(sorted(fields.items())))
-    tx = _tx_memo.get(key)
-    if tx is None:
-        tx = Transaction(
-            sender=Address(sender.address),
-            nonce=nonce,
-            gas_price=GAS_PRICE,
-            **fields,
-        ).sign(sender)
-        _tx_memo[key] = tx
-    return tx
-
-
-def run_workload(ops, parallel=None) -> Blockchain:
-    """Execute ``ops`` on a fresh chain; ``parallel`` is a worker count."""
-    chain = Blockchain(
-        config=ChainConfig(),
-        backend=default_registry(),
-        clock=SimulatedClock(start_time=0.0),
-        validators=[VALIDATOR],
-        genesis_timestamp=0.0,
-        parallel_execution=parallel,
-    )
-    seed_workload(chain)
-    for op in ops:
-        apply_op(chain, op)
-    chain.produce_blocks_until_empty()
-    if chain.parallel is not None:
-        chain.parallel.close()
-    return chain
-
-
-def fund_all(chain: Blockchain) -> None:
-    for keypair in SENDERS:
-        chain.mint(keypair.address, ether_to_wei(50))
-    chain.mint(DEPLOYER.address, ether_to_wei(50))
-
-
-def replay_mints(chain: Blockchain, ops) -> None:
-    """Re-apply a workload's mints to a follower that only sees blocks.
-
-    Mints are not transactions, so a chain that replays the leader's blocks
-    must replay its mints separately.  Applying them all up front (instead
-    of interleaved) is sound here: every op value is tiny against the 50
-    ether seed, so no execution path depends on a mid-workload credit, and
-    final balances are order-independent sums.
-    """
-    fund_all(chain)
-    for op in ops:
-        if op[0] == "mint":
-            chain.mint(SENDERS[op[1]].address, op[2])
-
-
-def seed_workload(chain: Blockchain) -> None:
-    """Fund every sender and deploy the shared contract (block 1)."""
-    fund_all(chain)
-    chain.submit_transaction(_signed(
-        "create", DEPLOYER, 0,
-        to=None, data=encode_create("CidStorage", []), gas_limit=3_000_000))
-    chain.produce_block()
-    assert chain.state.get_account(SHARED_CONTRACT).is_contract
-
-
-def apply_op(chain: Blockchain, op) -> None:
-    def nonce(kp: KeyPair) -> int:
-        return (chain.state.nonce_of(kp.address)
-                + chain.mempool.pending_count(Address(kp.address).lower))
-    kind = op[0]
-    if kind == "transfer":
-        _, src, dst, value = op
-        sender = SENDERS[src]
-        chain.submit_transaction(_signed(
-            "transfer", sender, nonce(sender),
-            to=Address(SENDERS[dst].address), value=value, gas_limit=21_000))
-    elif kind == "upload":
-        _, src, cid = op
-        sender = SENDERS[src]
-        chain.submit_transaction(_signed(
-            "upload", sender, nonce(sender), to=SHARED_CONTRACT,
-            data=encode_call("uploadCid", [cid]), gas_limit=300_000))
-    elif kind == "view":
-        _, src = op
-        sender = SENDERS[src]
-        chain.submit_transaction(_signed(
-            "view", sender, nonce(sender), to=SHARED_CONTRACT,
-            data=encode_call("cidCount", []), gas_limit=100_000))
-    elif kind == "fail":
-        _, src = op
-        sender = SENDERS[src]
-        chain.submit_transaction(_signed(
-            "fail", sender, nonce(sender), to=SHARED_CONTRACT,
-            data=encode_call("getCid", [10_000]), gas_limit=100_000))
-    elif kind == "deploy":
-        _, src = op
-        sender = SENDERS[src]
-        chain.submit_transaction(_signed(
-            "deploy", sender, nonce(sender),
-            to=None, data=encode_create("CidStorage", []),
-            gas_limit=3_000_000))
-    elif kind == "mint":
-        _, src, amount = op
-        chain.mint(SENDERS[src].address, amount)
-    elif kind == "block":
-        chain.produce_block()
-
-
-def fingerprint(chain: Blockchain) -> dict:
-    """Everything equivalence promises: blocks, state, receipts, logs, gas."""
-    return {
-        "digest": state_digest(chain.state),
-        "blocks": [chain.get_block(i).hash for i in range(chain.height + 1)],
-        "receipts": {
-            tx_hash: receipt.to_dict()
-            for tx_hash, receipt in sorted(chain._receipts.items())
-        },
-        "logs": [log.to_dict() for log in chain.iter_logs()],
-        "gas": [chain.get_block(i).header.gas_used
-                for i in range(chain.height + 1)],
-    }
-
 
 # -- the properties ---------------------------------------------------------
 
@@ -236,13 +69,7 @@ class TestEquivalenceAcrossReorg:
         # rollback snapshots were taken around blocks built by the wave
         # executor.
         leader = run_workload(ops, parallel=4)
-        follower = Blockchain(
-            config=ChainConfig(),
-            backend=default_registry(),
-            clock=SimulatedClock(start_time=0.0),
-            validators=[VALIDATOR],
-            genesis_timestamp=0.0,
-        )
+        follower = fresh_chain()
         follower.enable_fork_choice(default_registry(), snapshot_interval=2)
         replay_mints(follower, ops)
         for number in range(1, leader.height + 1):
@@ -252,13 +79,8 @@ class TestEquivalenceAcrossReorg:
 
         # The rival shares every leader block but the last, then outgrows
         # the leader with two empty blocks of its own.
-        rival = Blockchain(
-            config=ChainConfig(),
-            backend=default_registry(),
-            clock=SimulatedClock(start_time=leader.latest_block.timestamp),
-            validators=[RIVAL_VALIDATOR],
-            genesis_timestamp=0.0,
-        )
+        rival = fresh_chain(RIVAL_VALIDATOR,
+                            start_time=leader.latest_block.timestamp)
         rival.enable_fork_choice(default_registry(), snapshot_interval=2)
         replay_mints(rival, ops)
         for number in range(1, leader.height):

@@ -5,7 +5,7 @@ between the builtin ``pow`` and a per-sender Lim-Lee table for
 ``(y^-1)^e``.  Whichever it chooses, the verdict must equal a reference
 that knows nothing of tables, caches or range shortcuts: two builtin
 ``pow`` calls and the challenge hash.  Hypothesis drives the adversarial
-items of the batch suite (honest, forged, tampered ``e`` / ``s`` / key,
+items of ``_workload`` (honest, forged, tampered ``e`` / ``s`` / key,
 out-of-range and negative values, keys outside ``(1, P)``) through keys
 that are cold, already promoted, and promoted-then-evicted; running several
 items per example walks each key through count -> build -> reuse.
@@ -31,7 +31,7 @@ from repro.chain.keys import (
 )
 from repro.utils.hashing import keccak256
 
-from .test_property_batchverify import ITEM_SPECS, SENDERS, build_item
+from ._workload import ITEM_SPECS, SENDERS, build_item
 
 
 def reference_verify(signature: Signature, message_hash: bytes,

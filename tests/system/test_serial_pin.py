@@ -52,9 +52,9 @@ def _signed(sender: KeyPair, nonce: int, **fields) -> Transaction:
 def run_ideal_scenario(batch_verify=None) -> Blockchain:
     """The frozen workload; every input is a constant.
 
-    ``batch_verify`` (a :class:`repro.batchverify.BatchVerifyConfig`) runs
-    the identical workload under deferred batch verification -- the pin
-    then asserts the produced bytes did not move.
+    ``batch_verify`` (a verify-worker count) runs the identical workload
+    under deferred signature verification -- the pin then asserts the
+    produced bytes did not move.
     """
     chain = Blockchain(
         config=ChainConfig(),
@@ -131,17 +131,14 @@ class TestSerialPathPin:
         assert ideal_scenario_digest() == IDEAL_SCENARIO_MD5
 
     def test_batch_verify_with_pipeline_stays_pinned(self):
-        # Batch Schnorr verification + pipelined production must be
+        # Deferred Schnorr verification + pipelined production must be
         # byte-identical to the frozen serial scenario: same block hashes,
         # receipts, logs and state, down to the md5.  Runs both the inline
         # settle path and the worker-pool pipeline.
-        from repro.batchverify import BatchVerifyConfig
-
-        for config in (BatchVerifyConfig(verify_workers=0),
-                       BatchVerifyConfig(verify_workers=2, pipeline=True)):
-            chain = run_ideal_scenario(batch_verify=config)
+        for verify_workers in (0, 2):
+            chain = run_ideal_scenario(batch_verify=verify_workers)
             digest = hashlib.md5(canonical_dump(chain).encode()).hexdigest()
-            assert digest == IDEAL_SCENARIO_MD5, config
+            assert digest == IDEAL_SCENARIO_MD5, verify_workers
             assert chain.batchverify.pipeline_fallbacks == 0
             chain.batchverify.close()
 
