@@ -37,7 +37,6 @@ CALIBRATION = "test_bench_calibration"
 #: Benchmarks the CI gate enforces (short pytest names).
 DEFAULT_GATED = (
     "test_bench_tx_ingest",
-    "test_bench_parallel_ingest",
     "test_bench_mempool_select",
     "test_bench_rpc_reads",
     "test_bench_signature_verify",

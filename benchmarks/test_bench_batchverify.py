@@ -2,11 +2,11 @@
 
 * ``test_bench_batch_ingest`` (gated by the CI perf job) -- the shared
   ``presigned_transfers`` ingest workload with deferred verification
-  enabled, comparable 1:1 with ``test_bench_tx_ingest`` (default path) and
-  ``test_bench_parallel_ingest``.  It runs the engine inline
-  (``verify_workers=0``): worker processes add fork/IPC noise CI runners
-  amplify, and inline is the configuration that must cost nothing over the
-  default path, since both run the same ``verify_signature``.
+  enabled, comparable 1:1 with ``test_bench_tx_ingest`` (default path).
+  It runs the engine inline (``verify_workers=0``): worker processes add
+  fork/IPC noise CI runners amplify, and inline is the configuration that
+  must cost nothing over the default path, since both run the same
+  ``verify_signature``.
 * ``test_default_vs_batch_ingest`` (ungated) -- the default path against
   the engine inline and on two workers, on the 1500-transfer workload
   docs/performance.md records ("Does the batch engine still pay rent?").

@@ -75,42 +75,6 @@ def test_bench_tx_ingest(benchmark):
     )
 
 
-def test_bench_parallel_ingest(benchmark):
-    """The same ingest workload through the wave-parallel block producer.
-
-    Gated alongside ``test_bench_tx_ingest`` so a regression in the
-    conflict-graph scheduler, the scoped-state machinery or the commit fold
-    shows up in CI even though the single-CPU runner cannot show a wall-clock
-    *speedup* (the parallel win is capacity -- see BENCH_PR8.json -- not
-    latency).  This pins the coordination overhead instead.
-    """
-
-    def setup():
-        payload = presigned_transfers(INGEST_TXS, INGEST_SENDERS,
-                                      "bench-par-ingest")
-        payload[0].chain.enable_parallel_execution(4)
-        return (payload,), {}
-
-    def ingest(payload):
-        node, transactions = payload
-        for tx in transactions:
-            node.chain.submit_transaction(tx)
-        node.chain.produce_blocks_until_empty(max_blocks=1 + INGEST_TXS // 100)
-        assert len(node.chain.mempool) == 0
-        stats = node.chain.parallel_stats()
-        assert stats["blocks_parallel"] >= 1
-        node.chain.parallel.close()
-
-    benchmark.pedantic(ingest, setup=setup, rounds=5, iterations=1,
-                       warmup_rounds=1)
-    tps = INGEST_TXS / benchmark.stats.stats.mean
-    print_table(
-        "parallel tx-ingest throughput",
-        [(f"{INGEST_TXS} transfers, 4 workers", f"{tps:,.0f} tx/s")],
-        ["workload", "throughput"],
-    )
-
-
 def test_bench_mempool_select(benchmark):
     """Fee-priority block selection over a deep pending pool."""
     node, transactions = presigned_transfers(

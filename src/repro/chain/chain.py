@@ -128,7 +128,6 @@ class Blockchain:
         validators: Optional[List[Address]] = None,
         genesis_timestamp: Optional[float] = None,
         store: Optional["ChainStoreHooks"] = None,
-        parallel_execution: Optional[Any] = None,
         batch_verify: Optional[int] = None,
     ) -> None:
         self.config = config or ChainConfig()
@@ -173,18 +172,11 @@ class Blockchain:
         #: scan path; attached via ``repro.analytics.attach_analytics``, which
         #: routes ``logs``/``logs_page`` (and the explorer) to the replica.
         self.analytics: Optional[Any] = None
-        #: Optional wave-parallel block executor (``repro.parallel``).
-        #: ``None`` -- the seed default -- keeps block production on the
-        #: serial loop, gated by the same single-attribute idiom as ``store``
-        #: / ``_fork`` / ``obs`` above.  See :meth:`enable_parallel_execution`.
-        self.parallel: Optional[Any] = None
         #: Optional deferred signature verification (``repro.batchverify``).
         #: ``None`` -- the seed default -- verifies every signature at
         #: submission; same gating idiom as the attributes above.  See
         #: :meth:`enable_batch_verify`.
         self.batchverify: Optional[Any] = None
-        if parallel_execution is not None:
-            self.enable_parallel_execution(parallel_execution)
         if batch_verify is not None:
             self.enable_batch_verify(batch_verify)
 
@@ -432,13 +424,8 @@ class Blockchain:
 
         if self.batchverify is not None:
             self._settle_deferred_verifies()
-        if self.parallel is not None:
-            candidates = self.mempool.select_for_block(
-                self.state, self.config.block_gas_limit,
-                max_count=self.parallel.config.effective_max_select)
-        else:
-            candidates = self.mempool.select_for_block(
-                self.state, self.config.block_gas_limit)
+        candidates = self.mempool.select_for_block(
+            self.state, self.config.block_gas_limit)
         block_ctx = BlockContext(
             number=self.height + 1,
             timestamp=timestamp,
@@ -454,12 +441,8 @@ class Blockchain:
                 tx for tx in self.mempool.pending()
                 if tx.hash_hex not in selected
             ])
-        if self.parallel is not None:
-            included, receipts, cumulative_gas = (
-                self._execute_transactions_parallel(candidates, block_ctx))
-        else:
-            included, receipts, cumulative_gas = self._execute_transactions(
-                candidates, block_ctx)
+        included, receipts, cumulative_gas = self._execute_transactions(
+            candidates, block_ctx)
 
         header = BlockHeader(
             number=self.height + 1,
@@ -549,35 +532,6 @@ class Blockchain:
             span.annotate("gas_used", receipt.gas_used)
             obs.end(span,
                     status="ok" if getattr(receipt, "status", 1) else "reverted")
-        return included, receipts, cumulative_gas
-
-    def _execute_transactions_parallel(self, transactions,
-                                       block_ctx: BlockContext):
-        """Wave-parallel variant of the state-transition loop (leader only).
-
-        Delegates the heavy lifting to :class:`repro.parallel.executor.
-        ParallelExecutor`; this wrapper owns what the serial loop owns --
-        cumulative gas, receipt indices, mempool removal -- so both paths
-        emit structurally identical blocks.  When the planner declines
-        (hazard, precheck failure, bad signature) it falls back to the
-        serial loop over the *serial-cap prefix* of the candidate list:
-        mempool selection is greedy, so the first ``slot_budget`` picks of
-        the enlarged parallel selection are exactly the serial selection.
-        """
-        self.parallel.obs = self.obs
-        result = self.parallel.execute_block(
-            transactions, self.state, block_ctx)
-        if result is None:
-            serial_cap = self.parallel.config.slot_budget
-            return self._execute_transactions(
-                transactions[:serial_cap], block_ctx)
-        included, receipts = result
-        cumulative_gas = 0
-        for index, (tx, receipt) in enumerate(zip(included, receipts)):
-            cumulative_gas += receipt.gas_used
-            receipt.cumulative_gas_used = cumulative_gas
-            receipt.transaction_index = index
-            self.mempool.remove(tx.hash_hex)
         return included, receipts, cumulative_gas
 
     # -- persistence and recovery (repro.storage) -----------------------------
@@ -732,35 +686,6 @@ class Blockchain:
                     "side_blocks_seen": 0, "side_blocks_held": 0}
         return self._fork.to_dict()
 
-    def enable_parallel_execution(self, config: Any = None) -> None:
-        """Turn on wave-parallel block production (``repro.parallel``).
-
-        ``config`` is a :class:`~repro.parallel.ParallelConfig`, a worker
-        count (int), or ``None`` for the defaults.  Idempotent (a second call
-        replaces the executor).  Only *production* runs in waves: block
-        replay, import and reorg re-execution stay on the serial loop, which
-        is how a follower re-verifies a leader's parallel block -- the
-        header hash check in :meth:`replay_block` is the agreement proof.
-        """
-        # Imported lazily: repro.parallel imports the chain package, so the
-        # chain must not import it at module load (same reason as storage).
-        from repro.parallel import ParallelConfig, ParallelExecutor
-
-        if isinstance(config, int):
-            config = ParallelConfig(workers=config)
-        if self.parallel is not None:
-            self.parallel.close()
-        self.parallel = ParallelExecutor(
-            self.executor, config=config, obs=self.obs)
-
-    def parallel_stats(self) -> Dict[str, Any]:
-        """Wave/fallback counters (all zeroes when parallel is disabled)."""
-        if self.parallel is None:
-            from repro.parallel import ParallelStats
-
-            return ParallelStats().to_dict()
-        return self.parallel.stats.to_dict()
-
     def enable_batch_verify(self, verify_workers: int = 0) -> None:
         """Turn on deferred signature verification (``repro.batchverify``).
 
@@ -772,7 +697,7 @@ class Blockchain:
         the authoritative path.
         """
         # Imported lazily: repro.batchverify imports the chain package, so
-        # the chain must not import it at module load (same as parallel).
+        # the chain must not import it at module load (same as storage).
         from repro.batchverify import BatchVerifyEngine
 
         if self.batchverify is not None:

@@ -40,7 +40,6 @@ class EthereumNode:
         network: Optional["NetworkModel"] = None,
         storage: Optional[Any] = None,
         chain: Optional[Blockchain] = None,
-        parallel_execution: Optional[Any] = None,
         batch_verify: Optional[int] = None,
     ) -> None:
         #: Optional ``repro.storage`` engine (or config) persisting this
@@ -70,12 +69,6 @@ class EthereumNode:
             store = self.storage.chain_store() if self.storage is not None else None
             self.chain = Blockchain(config=config, backend=backend, clock=self.clock,
                                     validators=validators, store=store)
-        #: Wave-parallel block production (``repro.parallel``): a worker
-        #: count or :class:`~repro.parallel.ParallelConfig`; ``None`` (the
-        #: seed default) keeps the serial loop.  Applied to pre-built chains
-        #: too (crash recovery re-enables it on the replayed chain).
-        if parallel_execution is not None:
-            self.chain.enable_parallel_execution(parallel_execution)
         #: Deferred signature verification (``repro.batchverify``): a
         #: verify-worker count; ``None`` (the seed default) keeps the
         #: verify-at-submission path.  Applied to pre-built chains too.

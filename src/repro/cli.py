@@ -158,10 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="drive an N-replica replication cluster "
                                   "instead of one node (sweeps then measure "
                                   "replicated ingest)")
-    load_parser.add_argument("--parallel", type=int, default=None, metavar="W",
-                             help="produce blocks with W-worker wave-parallel "
-                                  "execution (repro.parallel); default: the "
-                                  "serial block loop")
     load_parser.add_argument("--batch-verify", type=int, nargs="?", const=4,
                              default=None, metavar="W",
                              help="deferred Schnorr verification with "
@@ -217,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--cluster", type=int, default=None, metavar="N",
                               help="serve an N-replica replication cluster "
                                    "instead of one node")
-    serve_parser.add_argument("--parallel", type=int, default=None, metavar="W",
-                              help="produce blocks with W-worker "
-                                   "wave-parallel execution")
     serve_parser.add_argument("--batch-verify", type=int, nargs="?", const=4,
                               default=None, metavar="W",
                               help="deferred Schnorr verification with W "
@@ -520,7 +513,6 @@ def _command_loadgen(args: argparse.Namespace) -> int:
             zipf_exponent=args.zipf,
             rate_limit=args.rate_limit,
             cluster=args.cluster,
-            parallel=args.parallel,
             batch_verify=args.batch_verify,
             seed=args.seed,
             **({"mix": mix} if mix is not None else {}),
@@ -610,7 +602,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         server = build_serve_stack(
             config,
             cluster=args.cluster,
-            parallel=args.parallel,
             batch_verify=args.batch_verify,
             store=args.store,
             obs=args.obs,

@@ -109,7 +109,6 @@ class ChainCluster:
                 genesis_timestamp=genesis_timestamp,
                 chain_config=self.chain_config,
                 fork_snapshot_interval=config.fork_snapshot_interval,
-                parallel_workers=config.parallel_execution,
             )
             for index in range(config.replicas)
         ]

@@ -57,13 +57,6 @@ class ClusterConfig:
     seed: int = 0
     """Seed for the gossip network model's jitter/drop draws."""
 
-    parallel_execution: Optional[int] = None
-    """Worker count for wave-parallel block production on each replica's
-    *own* blocks (``repro.parallel``).  Followers always re-verify gossiped
-    blocks through the serial replay path, so agreement with a wave-executing
-    leader is checked structurally on every block.  ``None`` -- the default
-    -- keeps every replica on the serial loop."""
-
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ClusterError(
@@ -79,10 +72,6 @@ class ClusterConfig:
         if self.finality_depth < 1:
             raise ClusterError(
                 f"finality_depth must be positive, got {self.finality_depth}")
-        if self.parallel_execution is not None and self.parallel_execution < 1:
-            raise ClusterError(
-                f"parallel_execution needs at least 1 worker, "
-                f"got {self.parallel_execution}")
 
     def with_overrides(self, **kwargs: Any) -> "ClusterConfig":
         """A copy of this config with the given fields replaced."""
@@ -98,5 +87,4 @@ class ClusterConfig:
             "fork_snapshot_interval": self.fork_snapshot_interval,
             "finality_depth": self.finality_depth,
             "seed": self.seed,
-            "parallel_execution": self.parallel_execution,
         }

@@ -46,7 +46,6 @@ class Replica:
         genesis_timestamp: float,
         chain_config: Optional[ChainConfig] = None,
         fork_snapshot_interval: int = 8,
-        parallel_workers: Optional[int] = None,
     ) -> None:
         self.index = int(index)
         self.name = f"replica-{index}"
@@ -73,11 +72,6 @@ class Replica:
         #: across crash/recover/resync: every chain replacement point
         #: re-attaches a fresh feeder, which backfills from the archive.
         self.analytics_enabled = False
-        #: Wave-parallel production workers (``repro.parallel``); ``None``
-        #: (the seed default) keeps the serial loop.  Sticky like analytics:
-        #: every chain replacement point re-enables it, so a recovered or
-        #: resynced replica produces its next leader block the same way.
-        self.parallel_workers = parallel_workers
         self.chain = self._fresh_chain()
 
     def _reattach_obs(self) -> None:
@@ -118,8 +112,6 @@ class Replica:
         )
         chain.enable_fork_choice(self.registry,
                                  snapshot_interval=self.fork_snapshot_interval)
-        if self.parallel_workers is not None:
-            chain.enable_parallel_execution(self.parallel_workers)
         return chain
 
     # -- status -----------------------------------------------------------------
@@ -183,8 +175,6 @@ class Replica:
                               clock=self.clock)
         chain.enable_fork_choice(self.registry,
                                  snapshot_interval=self.fork_snapshot_interval)
-        if self.parallel_workers is not None:
-            chain.enable_parallel_execution(self.parallel_workers)
         self.chain = chain
         self._reattach_obs()
         self._reattach_analytics()
@@ -230,8 +220,6 @@ class Replica:
         # the mint journal correctly restarts empty.
         chain.enable_fork_choice(self.registry,
                                  snapshot_interval=self.fork_snapshot_interval)
-        if self.parallel_workers is not None:
-            chain.enable_parallel_execution(self.parallel_workers)
         self.chain = chain
         self._reattach_obs()
         self._reattach_analytics()

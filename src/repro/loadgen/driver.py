@@ -96,11 +96,6 @@ class LoadGenConfig:
     caught-up replicas, and sweeps measure *replicated* ingest.  ``None`` --
     the default -- keeps the single-node stack."""
 
-    parallel: Optional[int] = None
-    """Worker count for wave-parallel block production (``repro.parallel``);
-    under a cluster the *leader* executes in waves and followers re-verify
-    serially.  ``None`` -- the default -- keeps the serial block loop."""
-
     batch_verify: Optional[int] = None
     """Verify-worker count for deferred Schnorr verification with pipelined
     block production (``repro.batchverify``); ``0`` settles inline on the
@@ -136,9 +131,6 @@ class LoadGenConfig:
         if self.cluster is not None and self.cluster < 2:
             raise SimulationError(
                 f"cluster needs at least 2 replicas, got {self.cluster}")
-        if self.parallel is not None and self.parallel < 1:
-            raise SimulationError(
-                f"parallel needs at least 1 worker, got {self.parallel}")
         if self.batch_verify is not None and self.batch_verify < 0:
             raise SimulationError(
                 f"batch_verify needs >= 0 workers, got {self.batch_verify}")
@@ -166,7 +158,6 @@ class LoadGenConfig:
             "seed": self.seed,
             "rate_limit": self.rate_limit,
             "cluster": self.cluster,
-            "parallel": self.parallel,
             "batch_verify": self.batch_verify,
         }
 
@@ -216,11 +207,6 @@ class LoadGenerator:
                 "cluster is a standalone-stack knob; an attached load "
                 "generator drives the scenario's own node or cluster -- set "
                 "ScenarioSpec.cluster instead")
-        if attached and config.parallel is not None:
-            raise SimulationError(
-                "parallel is a standalone-stack knob; an attached load "
-                "generator drives the scenario's own node -- enable it there "
-                "via EthereumNode(parallel_execution=...) instead")
         if attached and config.batch_verify is not None:
             raise SimulationError(
                 "batch_verify is a standalone-stack knob; an attached load "
@@ -235,14 +221,12 @@ class LoadGenerator:
 
                 self._cluster = ChainCluster(
                     ClusterConfig(replicas=config.cluster,
-                                  seed=derive_seed(config.seed, "cluster"),
-                                  parallel_execution=config.parallel),
+                                  seed=derive_seed(config.seed, "cluster")),
                     clock=clock, registry=default_registry())
                 node = ClusterNode(self._cluster)
             else:
                 node = EthereumNode(config=ChainConfig(),
                                     backend=default_registry(), clock=clock,
-                                    parallel_execution=config.parallel,
                                     batch_verify=config.batch_verify)
             faucet = Faucet(node)
             swarm = Swarm(clock=clock)
@@ -618,20 +602,9 @@ class LoadGenerator:
             mempool_max_depth=self._mempool_peak,
             rpc_stats=metrics.snapshot(include_latency=False) if metrics else None,
             obs_stats=self.obs.stats_dict() if self.obs is not None else None,
-            parallel_stats=self._parallel_stats(),
             batchverify_stats=self._batchverify_stats(),
         )
         return report
-
-    def _parallel_stats(self) -> Optional[Dict[str, Any]]:
-        """Executor config + counters when the driven chain runs in waves."""
-        chain = getattr(self.node, "chain", None)
-        if chain is None or getattr(chain, "parallel", None) is None:
-            return None
-        return {
-            "config": chain.parallel.config.to_dict(),
-            "stats": chain.parallel_stats(),
-        }
 
     def _batchverify_stats(self) -> Optional[Dict[str, Any]]:
         """Batch/pipeline counters when the chain deferred verification."""
@@ -646,9 +619,15 @@ class LoadGenerator:
             raise SimulationError(
                 "run() is for standalone generators; attached generators are "
                 "driven by their scenario's scheduler")
-        self.install()
-        self.scheduler.run(max_events=self.config.max_events)
-        return self.finalize()
+        try:
+            self.install()
+            self.scheduler.run(max_events=self.config.max_events)
+            return self.finalize()
+        finally:
+            # The standalone stack is this generator's own: stop the verify
+            # workers its chain started (the engine restarts them on demand).
+            if self.config.batch_verify is not None:
+                self.node.chain.batchverify.close()
 
 
 # -- sweeps and wall-clock ingest ------------------------------------------------
@@ -694,7 +673,6 @@ def presigned_transfers(num_txs: int, num_senders: int, label: str,
 def measure_tx_ingest(num_txs: int = 500, num_senders: int = 20,
                       seed: int = 7,
                       cluster: Optional[int] = None,
-                      parallel: Optional[int] = None,
                       batch_verify: Optional[int] = None) -> Dict[str, Any]:
     """Wall-clock tx-ingest throughput: submit pre-signed transfers, mine all.
 
@@ -711,29 +689,30 @@ def measure_tx_ingest(num_txs: int = 500, num_senders: int = 20,
         from repro.cluster import ChainCluster, ClusterConfig, ClusterNode
 
         cluster_obj = ChainCluster(
-            ClusterConfig(replicas=cluster, seed=derive_seed(seed, "ingest"),
-                          parallel_execution=parallel),
+            ClusterConfig(replicas=cluster, seed=derive_seed(seed, "ingest")),
             registry=default_registry())
         node = ClusterNode(cluster_obj)
     node, transactions = presigned_transfers(num_txs, num_senders,
                                              f"ingest-{seed}", node=node)
-    if parallel is not None and cluster_obj is None:
-        node.chain.enable_parallel_execution(parallel)
     if batch_verify is not None and cluster_obj is None:
         node.chain.enable_batch_verify(batch_verify)
     started = time.perf_counter()
-    if cluster_obj is not None:
-        for tx in transactions:
-            node.send_transaction(tx)
-        for _ in range(1 + num_txs // 10):
-            if len(node.chain.mempool) == 0:
-                break
-            cluster_obj.tick()
-    else:
-        for tx in transactions:
-            node.chain.submit_transaction(tx)
-        node.chain.produce_blocks_until_empty(max_blocks=1 + num_txs // 10)
-    elapsed = time.perf_counter() - started
+    try:
+        if cluster_obj is not None:
+            for tx in transactions:
+                node.send_transaction(tx)
+            for _ in range(1 + num_txs // 10):
+                if len(node.chain.mempool) == 0:
+                    break
+                cluster_obj.tick()
+        else:
+            for tx in transactions:
+                node.chain.submit_transaction(tx)
+            node.chain.produce_blocks_until_empty(max_blocks=1 + num_txs // 10)
+        elapsed = time.perf_counter() - started
+    finally:
+        if batch_verify is not None and cluster_obj is None:
+            node.chain.batchverify.close()
     if len(node.chain.mempool) != 0:
         raise SimulationError("ingest measurement did not drain the mempool")
     result = {
@@ -746,11 +725,8 @@ def measure_tx_ingest(num_txs: int = 500, num_senders: int = 20,
         cluster_obj.converge()
         result["cluster"] = cluster
         result["replicated"] = cluster_obj.heads_identical()
-    if parallel is not None:
-        result["parallel"] = parallel
     if batch_verify is not None and cluster_obj is None:
         result["batch_verify"] = batch_verify
-        node.chain.batchverify.close()
     return result
 
 
@@ -779,7 +755,6 @@ def run_sweep(
             float(rate), float(rate) * transfer_weight, report))
     ingest = measure_tx_ingest(num_txs=ingest_txs, seed=config.seed,
                                cluster=config.cluster,
-                               parallel=config.parallel,
                                batch_verify=config.batch_verify)
     return SweepReport(points=points, ingest=ingest,
                        seed_ingest_tps=seed_ingest_tps)

@@ -44,11 +44,6 @@ class LoadReport:
     #: ``None`` (the default) keeps saved reports byte-identical to pre-obs
     #: runs -- same conditional-key contract as ``rpc_stats``.
     obs_stats: Optional[Dict[str, Any]] = None
-    #: ``chain.parallel_stats()`` (plus the executor config) when the driven
-    #: node ran wave-parallel block production; ``None`` keeps saved reports
-    #: byte-identical to serial runs.  Lives outside ``sim_dict`` because
-    #: ``wave_apply_seconds`` is wall-clock.
-    parallel_stats: Optional[Dict[str, Any]] = None
     #: ``chain.batchverify_stats()`` when the driven node deferred signature
     #: checks to block production; ``None`` keeps saved reports
     #: byte-identical to verify-at-submission runs.
@@ -141,8 +136,6 @@ class LoadReport:
             payload["rpc_stats"] = dict(self.rpc_stats)
         if self.obs_stats is not None:
             payload["obs"] = self.obs_stats
-        if self.parallel_stats is not None:
-            payload["parallel"] = dict(self.parallel_stats)
         if self.batchverify_stats is not None:
             payload["batch_verify"] = dict(self.batchverify_stats)
         return payload
@@ -179,14 +172,6 @@ class LoadReport:
                 f"obs: {self.obs_stats.get('spans_total', 0)} spans over "
                 f"{self.obs_stats.get('traces_total', 0)} traces, "
                 f"{self.obs_stats.get('events_total', 0)} structured events")
-        if self.parallel_stats is not None:
-            stats = self.parallel_stats.get("stats", {})
-            workers = self.parallel_stats.get("config", {}).get("workers")
-            lines.append(
-                f"parallel: {workers} workers, "
-                f"{stats.get('blocks_parallel', 0)} blocks in waves "
-                f"({stats.get('blocks_serial_fallback', 0)} serial fallbacks), "
-                f"conflict ratio avg {stats.get('conflict_ratio_avg', 0.0):.2f}")
         if self.batchverify_stats is not None:
             stats = self.batchverify_stats
             detail = (

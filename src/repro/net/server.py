@@ -731,7 +731,6 @@ def build_serve_stack(
     config: Optional[NetConfig] = None,
     *,
     cluster: Optional[int] = None,
-    parallel: Optional[int] = None,
     batch_verify: Optional[int] = None,
     store: Optional[str] = None,
     obs: bool = False,
@@ -770,14 +769,12 @@ def build_serve_stack(
         from repro.cluster import ChainCluster, ClusterConfig, ClusterNode
 
         cluster_obj = ChainCluster(
-            ClusterConfig(replicas=cluster, seed=derive_seed(seed, "serve"),
-                          parallel_execution=parallel),
+            ClusterConfig(replicas=cluster, seed=derive_seed(seed, "serve")),
             clock=clock, registry=default_registry())
         node: Any = ClusterNode(cluster_obj)
     else:
         node = EthereumNode(config=ChainConfig(), backend=default_registry(),
                             clock=clock, storage=engine,
-                            parallel_execution=parallel,
                             batch_verify=batch_verify)
     swarm = Swarm(clock=clock)
     ipfs = IpfsNode("serve-ipfs", swarm=swarm)

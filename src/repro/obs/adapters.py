@@ -120,48 +120,6 @@ def collect_chain(reg: MetricsRegistry, chain: Any,
                     "Side-chain blocks ingested without a reorg.",
                     ("replica",)).labels(**labels).set_total(
                         fork.side_blocks_seen)
-    parallel = getattr(chain, "parallel", None)
-    if parallel is not None:
-        stats = parallel.stats
-        reg.counter("repro_parallel_blocks_total",
-                    "Blocks produced, by execution path (waves vs serial "
-                    "fallback).", ("replica", "path")).labels(
-                        path="waves", **labels).set_total(
-                            stats.blocks_parallel)
-        reg.counter("repro_parallel_blocks_total",
-                    "Blocks produced, by execution path (waves vs serial "
-                    "fallback).", ("replica", "path")).labels(
-                        path="serial_fallback", **labels).set_total(
-                            stats.blocks_serial_fallback)
-        waves = reg.counter(
-            "repro_parallel_waves_total",
-            "Execution waves scheduled, by wave width (the width "
-            "histogram of the conflict-graph scheduler).",
-            ("replica", "width"))
-        for width, count in sorted(stats.wave_width_counts.items()):
-            waves.labels(width=str(width), **labels).set_total(count)
-        reg.counter("repro_parallel_txs_total",
-                    "Transactions executed, by lane (scoped wave, exclusive "
-                    "barrier, or serial fallback).",
-                    ("replica", "lane")).labels(
-                        lane="wave", **labels).set_total(stats.txs_parallel)
-        reg.counter("repro_parallel_txs_total",
-                    "Transactions executed, by lane (scoped wave, exclusive "
-                    "barrier, or serial fallback).",
-                    ("replica", "lane")).labels(
-                        lane="exclusive", **labels).set_total(
-                            stats.txs_exclusive)
-        reg.counter("repro_parallel_txs_total",
-                    "Transactions executed, by lane (scoped wave, exclusive "
-                    "barrier, or serial fallback).",
-                    ("replica", "lane")).labels(
-                        lane="serial_fallback", **labels).set_total(
-                            stats.txs_serial_fallback)
-        reg.gauge("repro_parallel_conflict_ratio",
-                  "Conflict ratio of the last wave-executed block "
-                  "(0 = fully parallel, 1 = fully serialized).",
-                  ("replica",)).labels(**labels).set(
-                      stats.conflict_ratio_last)
     batchverify = getattr(chain, "batchverify", None)
     if batchverify is not None:
         reg.counter("repro_batchverify_rejections_total",

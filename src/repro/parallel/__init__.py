@@ -1,38 +1,10 @@
-"""repro.parallel -- conflict-graph parallel transaction execution.
+"""repro.parallel -- the out-of-process signature verify pool.
 
-Wave-parallel block production behind ``Blockchain(parallel_execution=...)``:
-a read/write-set extractor (:mod:`repro.parallel.access`), a deterministic
-wave scheduler (:mod:`repro.parallel.scheduler`), an out-of-process
-signature verify pool (:mod:`repro.parallel.verify`) and the coordinating
-executor with its serial-order commit fold
-(:mod:`repro.parallel.executor`).  Off by default; the serial path is
-bit-for-bit untouched.  See ``docs/parallel.md`` for the design and its
-equivalence guarantees.
+:class:`~repro.parallel.verify.SignatureVerifyPool` runs the default
+``verify_signature`` in worker processes for ``repro.batchverify``, which
+is its only caller.  See ``docs/parallel.md``.
 """
 
-from repro.parallel.access import AccessSet, extract_access
-from repro.parallel.executor import (
-    ParallelConfig,
-    ParallelExecutor,
-    ParallelStats,
-)
-from repro.parallel.scheduler import (
-    Schedule,
-    Wave,
-    build_schedule,
-    trim_to_budget,
-)
 from repro.parallel.verify import SignatureVerifyPool
 
-__all__ = [
-    "AccessSet",
-    "extract_access",
-    "ParallelConfig",
-    "ParallelExecutor",
-    "ParallelStats",
-    "Schedule",
-    "Wave",
-    "build_schedule",
-    "trim_to_budget",
-    "SignatureVerifyPool",
-]
+__all__ = ["SignatureVerifyPool"]

@@ -1,30 +1,26 @@
-"""Out-of-process Schnorr signature verification for the parallel executor.
+"""Out-of-process Schnorr signature verification.
 
 Signature checks are pure CPU (modular exponentiation in the 2048-bit RFC
 3526 group, see ``repro.chain.keys``) and touch no chain state, so they are
 the one phase that genuinely benefits from *processes* rather than threads.
 Every worker runs the one authoritative check, :func:`_verify_job` ->
-``verify_signature``, and keeps its own per-sender tables.  The pool pipelines
-with state application: the executor submits every cold (not-yet-memoized)
-signature as soon as a block is planned, lets the scoped wave execution
-overlap with the verifies, and joins the results just before the first
-shared-state side effect.  Any failed verify aborts the parallel attempt
-before anything was committed, so the serial path (which raises
-``InvalidSignatureError`` at the offending position) stays observably
-identical.
+``verify_signature``, and keeps its own per-sender tables.  The owner
+(``repro.batchverify``) dispatches every cold (not-yet-memoized) signature
+and joins the handle before it evicts anything, so a failed verify is
+decided before any shared-state write.
 
 Verification results are stamped back onto the transaction's memo fields
 (``_verified_signature`` / ``_verified_ok``) exactly as
 :meth:`Transaction.verify_signature` would, so the eventual serial-order
 apply hits the memo and never re-verifies.
 
-The pool is created lazily (the first block that needs it) and prefers the
+The pool is created lazily (the first dispatch that needs it) and prefers the
 ``fork`` start method -- cheap on Linux, no import re-execution -- falling
 back to the default context elsewhere.  It is a
 ``concurrent.futures.ProcessPoolExecutor`` because that notices a dead
 worker: a killed process fails every in-flight future with
 ``BrokenProcessPool`` instead of leaving the join waiting forever, and the
-pool is then dropped and rebuilt on the next use.  ``verify_workers=0``
+pool is then dropped and rebuilt on the next use.  ``workers=0``
 disables the pool entirely: verifies run inline on the coordinator thread,
 which is the right choice under pytest and on single-CPU hosts where process
 churn costs more than it saves.

@@ -537,37 +537,29 @@ class AnalyticsNamespace:
 
 
 class ParallelNamespace:
-    """``parallel_*`` methods over one node's chain (``repro.parallel``).
+    """``parallel_*`` methods over one node's chain (``repro.batchverify``).
 
     Mounted unconditionally by :meth:`JsonRpcGateway.serve_node` -- like
-    ``eth_*`` -- so operators can always ask whether wave-parallel block
-    production is on; when it is off, ``parallel_status`` reports
-    ``enabled: false`` with all-zero counters.
+    ``eth_*`` -- so operators can always ask whether deferred signature
+    verification is on; when it is off, ``parallel_status`` reports
+    ``batch_verify.enabled: false`` and no counters.
     """
 
     def __init__(self, node: Any) -> None:
         self.node = node
 
     def status(self) -> Dict[str, Any]:
-        """Parallel-execution configuration and cumulative wave counters.
+        """Deferred signature verification: enabled flag and counters.
 
-        Reports whether wave execution is enabled, the worker configuration,
-        and the :class:`~repro.parallel.ParallelStats` counters: blocks
-        executed in waves vs serial fallbacks, wave width distribution,
-        conflict ratios and trim/verify totals.  Zeroes when disabled.
+        The ``batch_verify`` block carries the engine's deferred-admission,
+        settle, pipeline and verify-pool fallback counters
+        (:attr:`BatchVerifyEngine.stats`); only ``enabled: false`` when off.
         """
-        chain = self.node.chain
-        parallel = getattr(chain, "parallel", None)
-        payload: Dict[str, Any] = {"enabled": parallel is not None}
-        if parallel is not None:
-            payload["config"] = parallel.config.to_dict()
-        payload["stats"] = chain.parallel_stats()
-        batchverify = getattr(chain, "batchverify", None)
-        payload["batch_verify"] = {
+        batchverify = getattr(self.node.chain, "batchverify", None)
+        return {"batch_verify": {
             "enabled": batchverify is not None,
             **(batchverify.stats if batchverify is not None else {}),
-        }
-        return payload
+        }}
 
     def methods(self) -> MethodTable:
         """The method table this namespace contributes."""

@@ -174,7 +174,6 @@ def build_environment(
     behaviors: Optional[List[Any]] = None,
     storage: Optional[Any] = None,
     cluster: Optional[int] = None,
-    parallel: Optional[int] = None,
 ) -> MarketplaceEnvironment:
     """Construct (but do not run) the full marketplace environment.
 
@@ -203,19 +202,10 @@ def build_environment(
     becomes a :class:`~repro.cluster.ClusterNode` gateway that load-balances
     caught-up reads across replicas and routes every write to the current
     rotation leader, and ``env.cluster`` exposes the cluster control plane.
-
-    ``parallel=W`` turns on wave-parallel block production with W worker
-    threads (``repro.parallel``) -- on the single node, or on every replica
-    of a ``cluster=N`` deployment (followers still re-verify serially).
-    ``None`` keeps the seed's serial block loop.
     """
     config = config or OFLW3Config()
     if cluster is not None and node is not None:
         raise ValueError("pass either a pre-built node or cluster=N, not both")
-    if parallel is not None and node is not None:
-        raise ValueError(
-            "pass either a pre-built node or parallel=W, not both; enable it "
-            "on the node via EthereumNode(parallel_execution=W) instead")
     if storage is not None:
         engine = ensure_engine(storage)
     elif node is not None and getattr(node, "storage", None) is not None:
@@ -227,8 +217,7 @@ def build_environment(
         from repro.cluster import ChainCluster, ClusterConfig, ClusterNode
 
         chain_cluster = ChainCluster(
-            ClusterConfig(replicas=cluster, seed=config.seed,
-                          parallel_execution=parallel),
+            ClusterConfig(replicas=cluster, seed=config.seed),
             clock=SimulatedClock(),
             registry=default_registry(),
             storage=engine,
@@ -237,8 +226,7 @@ def build_environment(
     if node is None:
         clock = SimulatedClock()
         node = EthereumNode(config=ChainConfig(), backend=default_registry(),
-                            clock=clock, storage=engine,
-                            parallel_execution=parallel)
+                            clock=clock, storage=engine)
     faucet = faucet or Faucet(node)
     latency = LatencyModel()
     if behaviors is not None and len(behaviors) != config.num_owners:

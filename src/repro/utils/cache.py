@@ -24,8 +24,8 @@ from repro.errors import StorageError
 class LRUCache:
     """Least-recently-used cache with entry-count capacity and stats.
 
-    Thread-safe: the chain's address-interning cache is shared with the
-    parallel block executor's worker threads, and the check-then-act
+    Thread-safe: the chain's address-interning cache is shared between the
+    socket gateway's loop thread and its caller, and the check-then-act
     sequences below (hit test + ``move_to_end``, capacity test + eviction)
     would otherwise race.  A single lock keeps every operation atomic; the
     cost is nanoseconds against the lookups it fronts.

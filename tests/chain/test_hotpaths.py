@@ -406,9 +406,8 @@ class TestSelectionEdgeCases:
         assert valid.hash_hex in pool
 
     def test_selection_prefix_stability(self):
-        # The parallel path's serial fallback executes the first
-        # ``slot_budget`` picks of an oversized selection; greedy selection
-        # must therefore be prefix-stable in ``max_count``.
+        # Greedy selection is prefix-stable in ``max_count``: a smaller cap
+        # picks the first transactions of a larger one.
         state = WorldState()
         txs = [signed_transfer(f"prefix-{i}", nonce=0,
                                gas_price=(10 - i % 3) * 10**9)

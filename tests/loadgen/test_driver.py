@@ -1,6 +1,8 @@
 """Load-driver behaviour: determinism, saturation, rate limits, modes, and
 the >= 1000-client sweep on the simulated clock."""
 
+import multiprocessing
+
 import pytest
 
 from repro.errors import SimulationError
@@ -198,6 +200,18 @@ class TestThousandClientSweep:
         # ingest_speedup is rounded to 3 places in the report.
         assert payload["ingest_speedup"] == pytest.approx(
             payload["ingest"]["tps"] / 100.0, abs=5e-4)
+
+
+    def test_sweep_stops_the_verify_workers_it_started(self):
+        # Each point's generator and the closing ingest measurement own a
+        # chain with a 2-worker verify pool; none may outlive the sweep.
+        before = set(multiprocessing.active_children())
+        report = run_sweep(small_config(duration_seconds=36.0, batch_verify=2),
+                           rates=[4.0, 8.0], seed_ingest_tps=None,
+                           ingest_txs=30)
+        assert all(point.tx_submitted > 0 for point in report.points)
+        assert report.ingest["batch_verify"] == 2
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestIngestMeasurement:

@@ -14,6 +14,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.chain.account import Address
 from repro.chain.keys import KeyPair, Signature
 from repro.chain.transaction import Transaction
 from repro.parallel.verify import (
@@ -23,19 +24,31 @@ from repro.parallel.verify import (
     _verify_jobs,
 )
 
-from .test_executor import (
-    RECIPIENTS,
-    SENDERS,
-    block_ctx,
-    fresh_state,
-    make_parallel,
-    mixed_block,
-    run_serial,
-    transfer,
-)
+SENDERS = [KeyPair.from_label(f"par-exec-{i}") for i in range(6)]
+RECIPIENTS = [KeyPair.from_label(f"par-recv-{i}") for i in range(6)]
 
 #: Bound on every wait for a pool: a hang must fail the test, not stall it.
 JOIN_TIMEOUT = 60
+
+
+def transfer(sender: KeyPair, to: KeyPair, nonce: int = 0,
+             value: int = 1000) -> Transaction:
+    return Transaction(
+        sender=Address(sender.address),
+        to=Address(to.address),
+        value=value,
+        nonce=nonce,
+        gas_limit=21_000,
+        gas_price=10**9,
+    ).sign(sender)
+
+
+def mixed_block():
+    """Disjoint pairs plus one same-sender nonce chain."""
+    txs = [transfer(SENDERS[i], RECIPIENTS[i]) for i in range(4)]
+    txs.append(transfer(SENDERS[4], RECIPIENTS[4], nonce=0))
+    txs.append(transfer(SENDERS[4], RECIPIENTS[5], nonce=1))
+    return txs
 
 
 def forged(sender: KeyPair, nonce: int = 0) -> Transaction:
@@ -105,10 +118,14 @@ class TestDispatch:
         # Called here, in process, exactly as a worker calls it.
         grafted = transfer(SENDERS[0], RECIPIENTS[0])
         grafted.signature = transfer(SENDERS[1], RECIPIENTS[0]).signature
-        txs = mixed_block() + [forged(SENDERS[5]), grafted]
+        # The sender's own signature, lifted from a different payload.
+        replayed = transfer(SENDERS[0], RECIPIENTS[0], value=1)
+        replayed.signature = transfer(SENDERS[0], RECIPIENTS[0],
+                                      value=999).signature
+        txs = mixed_block() + [forged(SENDERS[5]), grafted, replayed]
         assert _verify_jobs([tx.verify_job() for tx in txs]) == \
             [tx.verify_signature() for tx in txs] == \
-            [True] * (len(txs) - 2) + [False, False]
+            [True] * (len(txs) - 3) + [False] * 3
 
     def test_nothing_cold_never_starts_a_process(self, pool):
         txs = mixed_block()
@@ -187,56 +204,3 @@ class TestDeadWorker:
             within_timeout(dispatch_and_join)
         assert pool._pool is None
         assert within_timeout(dispatch_and_join) is True
-
-
-class TestExecutorSurvivesItsPool:
-    def run_block_with(self, sabotage):
-        txs = mixed_block()
-        serial_state, _ = run_serial(mixed_block())
-        coordinator = make_parallel(workers=2, verify_workers=2)
-        try:
-            sabotage(coordinator)
-            state = fresh_state()
-            before = state.to_dict()
-            # The wave attempt is abandoned before any commit...
-            assert within_timeout(lambda: coordinator.execute_block(
-                txs, state, block_ctx())) is None
-            assert state.to_dict() == before
-            assert coordinator.stats.verify_pool_failures == 1
-            assert coordinator.stats.blocks_serial_fallback == 1
-            # ...and the next block gets a working pool again.
-            again = mixed_block()
-            assert within_timeout(lambda: coordinator.execute_block(
-                again, state, block_ctx())) is not None
-            assert coordinator.stats.verify_pool_failures == 1
-        finally:
-            coordinator.close()
-        assert state.to_dict() == serial_state.to_dict()
-
-    def test_worker_killed_before_the_join(self):
-        def sabotage(coordinator):
-            pool = coordinator.verify_pool
-            real = pool.prewarm_async
-
-            def prewarm_then_kill(transactions):
-                handle = real(transactions)
-                kill_workers(pool)
-                pool.prewarm_async = real
-                return handle
-
-            pool.prewarm_async = prewarm_then_kill
-
-        self.run_block_with(sabotage)
-
-    def test_pool_that_cannot_dispatch(self):
-        def sabotage(coordinator):
-            pool = coordinator.verify_pool
-            real = pool.prewarm_async
-
-            def refuse(transactions):
-                pool.prewarm_async = real
-                raise OSError("cannot fork")
-
-            pool.prewarm_async = refuse
-
-        self.run_block_with(sabotage)

@@ -1,9 +1,8 @@
-"""The one workload generator and fingerprint of the equivalence suites.
+"""The one workload generator and fingerprint of the equivalence suite.
 
-``test_property_parallel`` (serial == wave-parallel) and
-``test_property_batchverify`` (serial == deferred/pipelined verify) execute
+``test_property_batchverify`` (serial == deferred/pipelined verify) executes
 the *identical* submitted workload on a reference chain and on a chain with
-a flag turned on, and compare :func:`fingerprint`.  This module is that
+the flag turned on, and compares :func:`fingerprint`.  This module is that
 workload: the actors, the operation vocabulary (:data:`OPS`), how an
 operation is applied, and what "identical" means.  It also holds the
 adversarial signature items (:data:`ITEM_SPECS`, :func:`build_item`) that
@@ -149,9 +148,9 @@ OPS = st.lists(
         # Read-only call (never blocks other reads).
         st.tuples(st.just("view"), sender_idx),
         # Failing call: getCid(10_000) reverts, exercising the
-        # fee-charged/state-reverted path inside a wave.
+        # fee-charged/state-reverted path.
         st.tuples(st.just("fail"), sender_idx),
-        # Contract creation: an exclusive barrier transaction.
+        # Contract creation.
         st.tuples(st.just("deploy"), sender_idx),
         # A forged submission: valid public key, corrupted response.  The
         # default path raises at submit; deferred admission admits and must
@@ -288,19 +287,15 @@ def apply_op(chain: Blockchain, op) -> None:
 
 
 def close_accelerators(chain: Blockchain) -> None:
-    """Release worker threads/processes; no pool failure may have occurred."""
-    if chain.parallel is not None:
-        assert chain.parallel.stats.verify_pool_failures == 0
-        chain.parallel.close()
+    """Release worker processes; no pool failure may have occurred."""
     if chain.batchverify is not None:
         assert chain.batchverify.pipeline_fallbacks == 0
         chain.batchverify.close()
 
 
-def run_workload(ops, parallel=None, batch_verify=None) -> Blockchain:
-    """Execute ``ops`` on a fresh chain; both flags are worker counts."""
-    chain = fresh_chain(parallel_execution=parallel,
-                        batch_verify=batch_verify)
+def run_workload(ops, batch_verify=None) -> Blockchain:
+    """Execute ``ops`` on a fresh chain; ``batch_verify`` is a worker count."""
+    chain = fresh_chain(batch_verify=batch_verify)
     seed_workload(chain)
     for op in ops:
         apply_op(chain, op)

@@ -229,6 +229,24 @@ class TestEthNamespace:
         assert pages >= 3
 
 
+class TestParallelStatus:
+    def test_default_node_reports_disabled_and_no_counters(self, gateway):
+        assert gateway.call("parallel_status") == {
+            "batch_verify": {"enabled": False}}
+
+    def test_deferred_verify_counters_move_after_one_block(self, gateway):
+        gateway.eth.node.chain.enable_batch_verify(0)
+        before = gateway.call("parallel_status")["batch_verify"]
+        assert before["enabled"] is True
+        assert (before["deferred_admissions"], before["blocks_settled"]) == (0, 0)
+        gateway.call("eth_sendRawTransaction",
+                     signed_transfer(gateway).serialize_raw())
+        gateway.call("evm_mine", 1)
+        after = gateway.call("parallel_status")["batch_verify"]
+        assert (after["deferred_admissions"], after["blocks_settled"]) == (1, 1)
+        assert after["deferred_rejections"] == 0
+
+
 class TestNodeLevelPagination:
     """The satellite: EthereumNode.get_logs / Explorer pagination."""
 

@@ -3,12 +3,12 @@
 One fully deterministic "ideal" workload -- funded accounts, a contract
 deployment, uploads, a view call, a failing call, transfers, several
 blocks -- runs on a *seed-default* chain (no storage, no fork choice, no
-obs, no parallel execution) and the md5 of a canonical JSON dump of every
+obs, no deferred verification) and the md5 of a canonical JSON dump of every
 block hash, receipt, log and account must equal a recorded constant.
 
-This is the contract the parallel executor (and every future optimisation)
-is held to: if the serial path's bytes move, this fails first, separating
-"the optimisation diverged" from "the baseline itself drifted".  When a
+This is the contract every optimisation is held to: if the serial path's
+bytes move, this fails first, separating "the optimisation diverged" from
+"the baseline itself drifted".  When a
 *deliberate* consensus change lands, re-record the constant with:
 
     PYTHONPATH=src python -c "from tests.system.test_serial_pin import \
