@@ -1,4 +1,4 @@
-"""Scan vs replica: the PR-7 HTAP benchmark (BENCH_PR7.json).
+"""Scan vs replica: the PR-7 HTAP benchmark.
 
 Builds a long chain of contract interactions (one ``CidUploaded`` log per
 block), then measures the same analytical queries twice -- once through the
@@ -19,8 +19,9 @@ Scale is environment-driven so the tier-1 suite stays fast:
 * the acceptance run: ``ANALYTICS_BENCH_BLOCKS=10000`` -- the >= 10x
   historical-log speedup of the ISSUE is asserted (the CI perf job runs
   this and uploads the JSON);
-* ``ANALYTICS_BENCH_JSON=<path>`` additionally writes the BENCH_PR7.json
-  record (schema ``oflw3-bench-pr7/v1``).
+* ``ANALYTICS_BENCH_JSON=<path>`` additionally writes the result record
+  (schema ``oflw3-bench-pr7/v1``; CI uploads it as
+  ``bench-analytics-results.json``).
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ _RESULTS = {}
 
 
 def _record(name, scan_seconds, replica_seconds, speedup):
-    """Accumulate results; write BENCH_PR7.json when the env asks for it."""
+    """Accumulate results; write the JSON record when the env asks for it."""
     _RESULTS[name] = {
         "scan_seconds": round(scan_seconds, 9),
         "replica_seconds": round(replica_seconds, 9),
@@ -188,9 +189,8 @@ def _record(name, scan_seconds, replica_seconds, speedup):
         "gate": (
             "CI 'perf' job: ANALYTICS_BENCH_BLOCKS=10000 pytest "
             "benchmarks/test_bench_analytics.py; the historical-log speedup "
-            "must be >= 10x. Tx ingest stays on the PR-4 gated benchmark "
-            "(benchmarks/compare.py, threshold 0.25) since the no-replica "
-            "write path is untouched."
+            "must be >= 10x. The no-replica write path is untouched; its "
+            "number is bench/run.py --workload ingest."
         ),
         "workload": {"blocks": BLOCKS, "senders": SENDERS,
                      "window_blocks": WINDOW, "windows": QUERY_ROUNDS},

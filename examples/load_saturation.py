@@ -41,7 +41,7 @@ def saturation_sweep() -> None:
     print("=" * 78)
     config = LoadGenConfig(clients=300, duration_seconds=120.0, rate=10.0,
                            seed=7)
-    report = run_sweep(config, rates=[20.0, 80.0, 160.0], ingest_txs=200)
+    report = run_sweep(config, rates=[20.0, 80.0, 160.0])
     print(report.summary())
     print()
 

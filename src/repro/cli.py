@@ -14,7 +14,7 @@ Subcommands
     Drive an open-/closed-loop workload (``repro.loadgen``) at the JSON-RPC
     gateway: thousands of simulated clients, Zipf-skewed and bursty request
     mixes, latency percentiles and error rates -- or sweep offered rates to
-    find the saturation knee and measure wall-clock tx-ingest throughput.
+    find the saturation knee.
 ``serve``
     Serve the JSON-RPC gateway over real sockets (``repro.net``): HTTP
     single/batch POST, a WebSocket endpoint with ``eth_subscribe`` push,
@@ -156,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "simulated second)")
     load_parser.add_argument("--cluster", type=int, default=None, metavar="N",
                              help="drive an N-replica replication cluster "
-                                  "instead of one node (sweeps then measure "
-                                  "replicated ingest)")
+                                  "instead of one node")
     load_parser.add_argument("--batch-verify", type=int, nargs="?", const=4,
                              default=None, metavar="W",
                              help="deferred Schnorr verification with "
@@ -171,37 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
                              help="deterministic seed for arrivals and skew")
     load_parser.add_argument("--sweep", default=None, metavar="RATES",
                              help="comma-separated offered rates (e.g. 10,40,80,160) "
-                                  "or 'auto'; runs a saturation sweep and the "
-                                  "wall-clock tx-ingest measurement")
+                                  "or 'auto'; runs a saturation sweep")
     load_parser.add_argument("--obs", action="store_true",
                              help="enable the repro.obs observability layer "
                                   "for a single run (the saved report gains "
                                   "an 'obs' section)")
     load_parser.add_argument("--save", default=None, metavar="PATH",
                              help="save the load/sweep report to a JSON file")
-    load_parser.add_argument("--transport", choices=["inprocess", "http"],
-                             default="inprocess",
-                             help="inprocess: simulated clients straight at "
-                                  "the gateway (default); http: worker "
-                                  "processes over real sockets against a "
-                                  "live server (repro.net)")
-    load_parser.add_argument("--url", default=None, metavar="URL",
-                             help="http transport: server to drive (e.g. "
-                                  "http://127.0.0.1:8545/); default: "
-                                  "self-host a fresh serve stack on an "
-                                  "ephemeral port")
-    load_parser.add_argument("--workers", type=int, default=2, metavar="N",
-                             help="http transport: worker processes "
-                                  "(default: 2)")
-    load_parser.add_argument("--txs", type=int, default=64, metavar="N",
-                             help="http transport: pre-signed transfers to "
-                                  "submit (default: 64)")
-    load_parser.add_argument("--reads", type=int, default=128, metavar="N",
-                             help="http transport: read calls interleaved "
-                                  "with the transfers (default: 128)")
-    load_parser.add_argument("--senders", type=int, default=8, metavar="N",
-                             help="http transport: funded sender accounts "
-                                  "(default: 8)")
 
     serve_parser = subparsers.add_parser(
         "serve", help="serve the JSON-RPC gateway over HTTP/WebSocket (repro.net)")
@@ -498,8 +473,6 @@ def _command_loadgen(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
     from repro.loadgen import LoadGenConfig, LoadGenerator, RequestMix, run_sweep
 
-    if args.transport == "http":
-        return _command_loadgen_http(args)
     try:
         mix = (RequestMix.parse(args.mix).to_dict() if args.mix is not None
                else None)
@@ -535,38 +508,6 @@ def _command_loadgen(args: argparse.Namespace) -> int:
                   f"{config.mode} loop at {config.rate}/s ({config.arrival}), "
                   f"{config.duration_seconds:.0f}s simulated, seed {config.seed}...")
             report = LoadGenerator(config, observability=args.obs).run()
-    except (ReproError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print()
-    print(report.summary())
-    if args.save:
-        from repro.system.artifacts import save_json
-
-        target = save_json(report.to_dict(), args.save)
-        print(f"\nload report saved to {target}")
-    return 0
-
-
-def _command_loadgen_http(args: argparse.Namespace) -> int:
-    """The ``loadgen --transport http`` path: real sockets, worker processes."""
-    from repro.errors import ReproError
-    from repro.net import HttpLoadConfig, run_http_load
-
-    try:
-        config = HttpLoadConfig(
-            url=args.url,
-            num_txs=args.txs,
-            num_reads=args.reads,
-            workers=args.workers,
-            senders=args.senders,
-            seed=args.seed,
-        )
-        target = args.url or "a self-hosted server on an ephemeral port"
-        print(f"driving {target} with {config.workers} worker process(es): "
-              f"{config.num_txs} transfers + {config.num_reads} reads "
-              f"across {config.senders} senders (seed {config.seed})...")
-        report = run_http_load(config)
     except (ReproError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

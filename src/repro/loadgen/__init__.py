@@ -19,19 +19,12 @@ from repro.loadgen.arrivals import (
     make_arrivals,
 )
 from repro.loadgen.driver import (
-    SEED_TX_INGEST_TPS,
     LoadGenConfig,
     LoadGenerator,
-    measure_tx_ingest,
     presigned_transfers,
     run_sweep,
 )
-from repro.loadgen.report import (
-    HttpLoadReport,
-    LoadReport,
-    SweepPoint,
-    SweepReport,
-)
+from repro.loadgen.report import LoadReport, SweepPoint, SweepReport
 from repro.loadgen.stats import LatencyStats, OpStats, percentile
 from repro.loadgen.workload import DEFAULT_MIX, ClientPool, RequestMix
 
@@ -40,7 +33,6 @@ __all__ = [
     "ClientPool",
     "DEFAULT_MIX",
     "FlashCrowdArrivals",
-    "HttpLoadReport",
     "LatencyStats",
     "LoadGenConfig",
     "LoadGenerator",
@@ -49,13 +41,11 @@ __all__ = [
     "PoissonArrivals",
     "RampArrivals",
     "RequestMix",
-    "SEED_TX_INGEST_TPS",
     "SweepPoint",
     "SweepReport",
     "UniformArrivals",
     "ZipfSelector",
     "make_arrivals",
-    "measure_tx_ingest",
     "percentile",
     "presigned_transfers",
     "run_sweep",

@@ -5,7 +5,7 @@ inter-arrival times follow a Poisson process (with ramps and flash crowds on
 top), and the popularity of senders/content follows a Zipfian distribution.
 Every process here draws from a seeded NumPy generator, so two runs with the
 same seed produce the identical arrival schedule -- which is what makes load
-reports comparable run over run and CI perf gates stable.
+reports comparable run over run.
 """
 
 from __future__ import annotations

@@ -50,13 +50,6 @@ from repro.utils.units import ether_to_wei
 #: How often pollers re-check for receipts (half a Sepolia slot).
 RECEIPT_POLL_SECONDS = 6.0
 
-#: The wall-clock tx-ingest throughput of the seed (pre-optimization) build,
-#: measured with :func:`measure_tx_ingest` (500 transfers, 20 senders) on the
-#: reference machine before the PR-4 hot-path work landed.  The sweep report
-#: compares the current build against it; BENCH_PR4.json records the full
-#: before/after experiment.
-SEED_TX_INGEST_TPS = 34.4
-
 #: Gas-price tiers (wei) sampled per transfer so fee-priority ordering in the
 #: mempool is actually exercised under load.
 GAS_PRICE_TIERS = (10**9, 2 * 10**9, 5 * 10**9)
@@ -92,9 +85,9 @@ class LoadGenConfig:
 
     cluster: Optional[int] = None
     """Drive an N-replica replication cluster (``repro.cluster``) instead of
-    one node: writes route to the rotation leader, reads load-balance across
-    caught-up replicas, and sweeps measure *replicated* ingest.  ``None`` --
-    the default -- keeps the single-node stack."""
+    one node: writes route to the rotation leader and reads load-balance
+    across caught-up replicas.  ``None`` -- the default -- keeps the
+    single-node stack."""
 
     batch_verify: Optional[int] = None
     """Verify-worker count for deferred Schnorr verification with pipelined
@@ -630,7 +623,7 @@ class LoadGenerator:
                 self.node.chain.batchverify.close()
 
 
-# -- sweeps and wall-clock ingest ------------------------------------------------
+# -- sweeps and the shared transfer fixture -------------------------------------
 
 
 def presigned_transfers(num_txs: int, num_senders: int, label: str,
@@ -638,13 +631,9 @@ def presigned_transfers(num_txs: int, num_senders: int, label: str,
                         node: Optional[EthereumNode] = None):
     """A funded node plus ``num_txs`` signed transfers, ready to submit.
 
-    The ONE ingest-workload fixture: :func:`measure_tx_ingest` (the sweep's
-    wall-clock number) and the gated ``test_bench_tx_ingest`` /
-    ``test_bench_mempool_select`` benchmarks all build their workload here,
-    so the "tx-ingest" metric in ``BENCH_PR4.json`` and the CI baseline is
-    one measurement, not two drifting re-implementations.  Pass ``node`` to
-    fund and target an existing stack (e.g. a cluster facade) instead of a
-    fresh single node.
+    The ingest-workload fixture of ``bench/run.py``'s ``ingest`` and
+    ``wire_mixed`` workloads.  Pass ``node`` to fund and target an existing
+    stack (e.g. a cluster facade) instead of a fresh single node.
     """
     if num_txs <= 0 or num_senders <= 0:
         raise SimulationError("num_txs and num_senders must be positive")
@@ -670,72 +659,7 @@ def presigned_transfers(num_txs: int, num_senders: int, label: str,
     return node, transactions
 
 
-def measure_tx_ingest(num_txs: int = 500, num_senders: int = 20,
-                      seed: int = 7,
-                      cluster: Optional[int] = None,
-                      batch_verify: Optional[int] = None) -> Dict[str, Any]:
-    """Wall-clock tx-ingest throughput: submit pre-signed transfers, mine all.
-
-    Signing happens before the clock starts (it is client-side work); the
-    measured window covers validation, mempool admission, block selection and
-    execution -- the server-side ingest path the hot-path optimizations
-    target.  With ``cluster=N`` the measured path is *replicated* ingest:
-    every transfer is flooded to N replicas, blocks come from the rotation
-    leaders and every replica re-executes them.
-    """
-    cluster_obj = None
-    node = None
-    if cluster is not None:
-        from repro.cluster import ChainCluster, ClusterConfig, ClusterNode
-
-        cluster_obj = ChainCluster(
-            ClusterConfig(replicas=cluster, seed=derive_seed(seed, "ingest")),
-            registry=default_registry())
-        node = ClusterNode(cluster_obj)
-    node, transactions = presigned_transfers(num_txs, num_senders,
-                                             f"ingest-{seed}", node=node)
-    if batch_verify is not None and cluster_obj is None:
-        node.chain.enable_batch_verify(batch_verify)
-    started = time.perf_counter()
-    try:
-        if cluster_obj is not None:
-            for tx in transactions:
-                node.send_transaction(tx)
-            for _ in range(1 + num_txs // 10):
-                if len(node.chain.mempool) == 0:
-                    break
-                cluster_obj.tick()
-        else:
-            for tx in transactions:
-                node.chain.submit_transaction(tx)
-            node.chain.produce_blocks_until_empty(max_blocks=1 + num_txs // 10)
-        elapsed = time.perf_counter() - started
-    finally:
-        if batch_verify is not None and cluster_obj is None:
-            node.chain.batchverify.close()
-    if len(node.chain.mempool) != 0:
-        raise SimulationError("ingest measurement did not drain the mempool")
-    result = {
-        "txs": len(transactions),
-        "senders": num_senders,
-        "seconds": round(elapsed, 4),
-        "tps": round(len(transactions) / elapsed, 2),
-    }
-    if cluster_obj is not None:
-        cluster_obj.converge()
-        result["cluster"] = cluster
-        result["replicated"] = cluster_obj.heads_identical()
-    if batch_verify is not None and cluster_obj is None:
-        result["batch_verify"] = batch_verify
-    return result
-
-
-def run_sweep(
-    config: LoadGenConfig,
-    rates: List[float],
-    seed_ingest_tps: Optional[float] = SEED_TX_INGEST_TPS,
-    ingest_txs: int = 500,
-) -> SweepReport:
+def run_sweep(config: LoadGenConfig, rates: List[float]) -> SweepReport:
     """Run the same workload at each offered rate; find the saturation knee."""
     if not rates:
         raise SimulationError("a sweep needs at least one offered rate")
@@ -753,8 +677,4 @@ def run_sweep(
         report = generator.run()
         points.append(SweepPoint.from_report(
             float(rate), float(rate) * transfer_weight, report))
-    ingest = measure_tx_ingest(num_txs=ingest_txs, seed=config.seed,
-                               cluster=config.cluster,
-                               batch_verify=config.batch_verify)
-    return SweepReport(points=points, ingest=ingest,
-                       seed_ingest_tps=seed_ingest_tps)
+    return SweepReport(points=points)

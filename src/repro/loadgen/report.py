@@ -206,7 +206,6 @@ class SweepPoint:
     confirmation_p99: float
     error_rate: float
     mempool_max_depth: int
-    wall_rps: float
 
     @classmethod
     def from_report(cls, offered_rate: float, offered_tx_rate: float,
@@ -223,7 +222,6 @@ class SweepPoint:
             confirmation_p99=conf.get("p99", 0.0),
             error_rate=report.error_rate,
             mempool_max_depth=report.mempool_max_depth,
-            wall_rps=report.wall_rps,
         )
 
     @property
@@ -248,19 +246,15 @@ class SweepPoint:
             "error_rate": round(self.error_rate, 6),
             "mempool_max_depth": self.mempool_max_depth,
             "saturated": self.saturated,
-            "wall_rps": round(self.wall_rps, 3),
         }
 
 
 @dataclass
 class SweepReport:
-    """A saturation sweep plus the wall-clock ingest measurement."""
+    """A saturation sweep: simulated-clock metrics only, so ``to_dict()`` is
+    a pure function of the config and the offered rates."""
 
     points: List[SweepPoint] = field(default_factory=list)
-    #: Wall-clock tx-ingest measurement: {"txs", "seconds", "tps"}.
-    ingest: Dict[str, Any] = field(default_factory=dict)
-    #: The recorded seed (pre-optimization) ingest TPS this build compares to.
-    seed_ingest_tps: Optional[float] = None
 
     @property
     def saturation_rate(self) -> Optional[float]:
@@ -270,21 +264,11 @@ class SweepReport:
                 return point.offered_rate
         return None
 
-    @property
-    def ingest_speedup(self) -> Optional[float]:
-        if not self.ingest or not self.seed_ingest_tps:
-            return None
-        return self.ingest["tps"] / self.seed_ingest_tps
-
     def to_dict(self) -> dict:
         return {
-            "schema": "oflw3-load-sweep/v1",
+            "schema": "oflw3-load-sweep/v2",
             "points": [point.to_dict() for point in self.points],
             "saturation_rate": self.saturation_rate,
-            "ingest": dict(self.ingest),
-            "seed_ingest_tps": self.seed_ingest_tps,
-            "ingest_speedup": (round(self.ingest_speedup, 3)
-                               if self.ingest_speedup is not None else None),
         }
 
     def summary(self) -> str:
@@ -308,119 +292,4 @@ class SweepReport:
             + (f"{knee:.1f} offered req/s" if knee is not None
                else "not reached in this sweep")
         )
-        if self.ingest:
-            speedup = self.ingest_speedup
-            lines.append(
-                f"wall-clock tx ingest: {self.ingest['tps']:,.1f} tx/s "
-                f"({self.ingest['txs']} txs in {self.ingest['seconds']:.2f}s)"
-                + (f" -- {speedup:.1f}x the recorded seed baseline "
-                   f"of {self.seed_ingest_tps:.1f} tx/s"
-                   if speedup is not None else "")
-            )
-        return "\n".join(lines)
-
-
-@dataclass
-class HttpLoadReport:
-    """One multi-process HTTP load run against a live server.
-
-    Unlike :class:`LoadReport` there is no simulated side here: every number
-    is wall-clock, measured over real sockets -- requests serialized, sent,
-    parsed, transactions actually mined by the server's producer.  This is
-    the end-to-end wire throughput the in-process benchmarks cannot see.
-    """
-
-    config: Dict[str, Any]
-    #: Wall-clock seconds the workers spent firing requests.
-    wall_seconds: float = 0.0
-    #: Wall-clock seconds the parent then waited for every transfer to mine.
-    drain_seconds: float = 0.0
-    requests_total: int = 0
-    errors_total: int = 0
-    #: Per-method wire latency (seconds): LatencyStats.to_dict() shapes.
-    ops: Dict[str, dict] = field(default_factory=dict)
-    workers: int = 0
-    tx_submitted: int = 0
-    tx_mined: int = 0
-    blocks_produced: int = 0
-    #: Sum of ``repro_rpc_requests_total`` scraped from the server's
-    #: ``GET /metrics`` after the run; ``None`` when scraping failed.
-    server_rpc_requests_total: Optional[int] = None
-    #: In-process ingest comparison (``measure_tx_ingest``) when the run
-    #: self-hosted its server; ``None`` keeps remote-run reports stable.
-    inprocess_ingest: Optional[Dict[str, Any]] = None
-
-    @property
-    def wire_rps(self) -> float:
-        """Requests per wall-clock second over the wire."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.requests_total / self.wall_seconds
-
-    @property
-    def wire_tx_tps(self) -> float:
-        """Transfers mined per wall-clock second, submission through drain."""
-        total = self.wall_seconds + self.drain_seconds
-        if total <= 0:
-            return 0.0
-        return self.tx_mined / total
-
-    @property
-    def error_rate(self) -> float:
-        if self.requests_total == 0:
-            return 0.0
-        return self.errors_total / self.requests_total
-
-    def to_dict(self) -> dict:
-        payload = {
-            "schema": "oflw3-http-load/v1",
-            "config": dict(self.config),
-            "wall_seconds": round(self.wall_seconds, 3),
-            "drain_seconds": round(self.drain_seconds, 3),
-            "requests_total": self.requests_total,
-            "errors_total": self.errors_total,
-            "error_rate": round(self.error_rate, 6),
-            "wire_rps": round(self.wire_rps, 3),
-            "wire_tx_tps": round(self.wire_tx_tps, 3),
-            "ops": {name: dict(op) for name, op in sorted(self.ops.items())},
-            "workers": self.workers,
-            "tx_submitted": self.tx_submitted,
-            "tx_mined": self.tx_mined,
-            "blocks_produced": self.blocks_produced,
-            "server_rpc_requests_total": self.server_rpc_requests_total,
-        }
-        if self.inprocess_ingest is not None:
-            payload["inprocess_ingest"] = dict(self.inprocess_ingest)
-        return payload
-
-    def summary(self) -> str:
-        """Human-readable multi-line summary for the CLI (and the CI grep)."""
-        lines = [
-            f"wire throughput: {self.wire_rps:,.0f} req/s over "
-            f"{self.workers} worker process(es) "
-            f"({self.requests_total} requests in {self.wall_seconds:.2f}s wall)",
-            f"errors: {self.errors_total}/{self.requests_total} "
-            f"({100 * self.error_rate:.2f}%)",
-        ]
-        for name, op in sorted(self.ops.items()):
-            lines.append(
-                f"  {name:<24} {op['count']:>6} reqs  wire p50/p95/p99 "
-                f"{op['p50'] * 1000:.2f}/{op['p95'] * 1000:.2f}/"
-                f"{op['p99'] * 1000:.2f} ms")
-        if self.tx_submitted:
-            lines.append(
-                f"transfers: {self.tx_mined}/{self.tx_submitted} mined in "
-                f"{self.blocks_produced} blocks, {self.wire_tx_tps:.1f} tx/s "
-                f"wire (drain {self.drain_seconds:.2f}s)")
-        if self.server_rpc_requests_total is not None:
-            lines.append(
-                f"server metrics: repro_rpc_requests_total="
-                f"{self.server_rpc_requests_total}")
-        if self.inprocess_ingest is not None:
-            wire = self.wire_tx_tps
-            inproc = self.inprocess_ingest.get("tps", 0.0)
-            ratio = (wire / inproc) if inproc else 0.0
-            lines.append(
-                f"in-process ingest comparison: {inproc:,.1f} tx/s without "
-                f"the wire ({100 * ratio:.1f}% retained over HTTP)")
         return "\n".join(lines)

@@ -3,12 +3,10 @@
 Everything below is standard library only (asyncio + sockets): an HTTP/1.1
 server with WebSocket upgrade (:mod:`repro.net.server`), push
 subscriptions sharing the polling filters' cursor logic
-(:mod:`repro.net.subscriptions`), the RFC 6455 codec plus a blocking test
-client (:mod:`repro.net.websocket`), and a multi-process HTTP load driver
-(:mod:`repro.net.loadgen`) that measures the stack over real sockets.
+(:mod:`repro.net.subscriptions`), and the RFC 6455 codec plus a blocking
+test client (:mod:`repro.net.websocket`).
 """
 
-from repro.net.loadgen import HttpLoadConfig, run_http_load
 from repro.net.server import (
     DevNamespace,
     NetConfig,
@@ -21,7 +19,6 @@ from repro.net.websocket import WebSocketClient
 
 __all__ = [
     "DevNamespace",
-    "HttpLoadConfig",
     "NetConfig",
     "RpcHttpServer",
     "SUBSCRIPTION_KINDS",
@@ -29,5 +26,4 @@ __all__ = [
     "SubscriptionManager",
     "WebSocketClient",
     "build_serve_stack",
-    "run_http_load",
 ]

@@ -145,6 +145,21 @@ class TestSettle:
         assert engine.verify_jobs_offloaded == \
             (len(pending) if engine.verify_workers else 0)
 
+    def test_an_honest_ingest_defers_every_signature_once(self):
+        # The shared ingest workload, inline: each cold transfer is deferred
+        # exactly once and neither the eviction nor the fallback path runs.
+        node, txs = presigned_transfers(40, 4, "bv-engine-ingest")
+        chain = node.chain
+        chain.enable_batch_verify(0)
+        for tx in txs:
+            chain.submit_transaction(tx)
+        chain.produce_blocks_until_empty()
+        assert len(chain.mempool) == 0
+        stats = chain.batchverify_stats()
+        assert stats["deferred_admissions"] == len(txs)
+        assert stats["deferred_rejections"] == 0
+        assert stats["pipeline_fallbacks"] == 0
+
     def test_a_signature_the_wire_cannot_carry_settles_inline(self):
         # s - q is the same group element as s, so the signature is valid,
         # but Signature.to_dict has no encoding for a negative integer: the

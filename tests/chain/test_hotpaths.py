@@ -405,6 +405,14 @@ class TestSelectionEdgeCases:
         assert stale.hash_hex not in pool
         assert valid.hash_hex in pool
 
+    def test_default_cap_is_500_transactions_a_block(self):
+        # A pool deeper than a block with gas to spare: the default
+        # ``max_count`` is what bounds the selection.
+        pool = self.make_pool_with(*[
+            signed_transfer(f"cap-{i % 3}", nonce=i // 3) for i in range(501)])
+        selected = pool.select_for_block(WorldState(), gas_limit=30_000_000)
+        assert len(selected) == 500
+
     def test_selection_prefix_stability(self):
         # Greedy selection is prefix-stable in ``max_count``: a smaller cap
         # picks the first transactions of a larger one.

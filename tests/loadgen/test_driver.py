@@ -6,13 +6,7 @@ import multiprocessing
 import pytest
 
 from repro.errors import SimulationError
-from repro.loadgen import (
-    LoadGenConfig,
-    LoadGenerator,
-    RequestMix,
-    measure_tx_ingest,
-    run_sweep,
-)
+from repro.loadgen import LoadGenConfig, LoadGenerator, RequestMix, run_sweep
 
 
 # The 1000-client saturation sweep runs tens of simulated minutes; give it
@@ -170,8 +164,7 @@ class TestThousandClientSweep:
         # one below the ~41 tx/s block capacity, one well above it.
         config = LoadGenConfig(clients=1000, duration_seconds=45.0, rate=10.0,
                                seed=5)
-        report = run_sweep(config, rates=[20.0, 120.0], seed_ingest_tps=None,
-                           ingest_txs=60)
+        report = run_sweep(config, rates=[20.0, 120.0])
         assert len(report.points) == 2
         below, above = report.points
         assert below.tx_submitted > 0
@@ -180,7 +173,6 @@ class TestThousandClientSweep:
         assert above.mempool_max_depth > below.mempool_max_depth
         assert above.confirmation_p99 > below.confirmation_p99
         assert report.saturation_rate == 120.0
-        assert report.ingest["tps"] > 0
 
     def test_sweep_rejects_closed_loop(self):
         # The offered rate only drives the open-loop arrival process; a
@@ -191,36 +183,30 @@ class TestThousandClientSweep:
 
     def test_sweep_dict_shape(self):
         config = small_config(duration_seconds=48.0)
-        report = run_sweep(config, rates=[8.0], seed_ingest_tps=100.0,
-                           ingest_txs=30)
-        payload = report.to_dict()
-        assert payload["schema"] == "oflw3-load-sweep/v1"
+        payload = run_sweep(config, rates=[8.0]).to_dict()
+        assert sorted(payload) == ["points", "saturation_rate", "schema"]
+        assert payload["schema"] == "oflw3-load-sweep/v2"
         assert payload["points"][0]["offered_rate"] == 8.0
-        assert payload["ingest"]["txs"] == 30
-        # ingest_speedup is rounded to 3 places in the report.
-        assert payload["ingest_speedup"] == pytest.approx(
-            payload["ingest"]["tps"] / 100.0, abs=5e-4)
+        assert payload["saturation_rate"] is None
 
+    def test_sweep_dict_is_deterministic(self):
+        # No wall-clock field survives in a sweep: the same seed gives the
+        # same dict, byte for byte.
+        config = small_config(duration_seconds=36.0)
+        first = run_sweep(config, rates=[8.0]).to_dict()
+        assert run_sweep(config, rates=[8.0]).to_dict() == first
 
     def test_sweep_stops_the_verify_workers_it_started(self):
-        # Each point's generator and the closing ingest measurement own a
-        # chain with a 2-worker verify pool; none may outlive the sweep.
+        # Each point's generator owns a chain with a 2-worker verify pool;
+        # none may outlive the sweep.
         before = set(multiprocessing.active_children())
         report = run_sweep(small_config(duration_seconds=36.0, batch_verify=2),
-                           rates=[4.0, 8.0], seed_ingest_tps=None,
-                           ingest_txs=30)
+                           rates=[4.0, 8.0])
         assert all(point.tx_submitted > 0 for point in report.points)
-        assert report.ingest["batch_verify"] == 2
         assert set(multiprocessing.active_children()) <= before
 
 
-class TestIngestMeasurement:
-    def test_measure_tx_ingest_drains(self):
-        result = measure_tx_ingest(num_txs=40, num_senders=4, seed=3)
-        assert result["txs"] == 40
-        assert result["tps"] > 0
-        assert result["seconds"] > 0
-
+class TestAttachedMode:
     def test_attached_mode_requires_stack(self):
         with pytest.raises(SimulationError):
             LoadGenerator(small_config(), scheduler=object())  # missing accessors

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -158,6 +159,37 @@ class TestRoutes:
         assert document["draining"] is False
         assert document["config"]["max_batch"] == 100
         assert document["stats"]["connections_total"] >= 1
+
+
+class TestMalformedRequests:
+    """Hostile bytes on the hand-rolled parser: a typed 400, then a close."""
+
+    @pytest.mark.parametrize("raw, reason", [
+        pytest.param(b"NONSENSE\r\n\r\n", b"malformed HTTP request line",
+                     id="request-line"),
+        pytest.param(b"POST / HTTP/1.1\r\nno-colon-here\r\n\r\n",
+                     b"malformed HTTP header", id="header"),
+        pytest.param(b"POST / HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+                     b"bad content-length", id="content-length"),
+        pytest.param(b"POST / HT", b"truncated HTTP request head",
+                     id="truncated-head"),
+        pytest.param(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+                     b"connection closed mid-body", id="short-body"),
+    ])
+    def test_bad_bytes_get_a_counted_400(self, raw, reason):
+        server = make_server()
+        with ServerThread(server):
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=10) as sock:
+                sock.sendall(raw)
+                sock.shutdown(socket.SHUT_WR)
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+        assert reason in reply
+        assert server.stats.rejections == {"protocol": 1}
 
 
 class TestLimitsAndDrain:

@@ -40,6 +40,18 @@ class TestRequestMetrics:
         assert snapshot["by_method"]["eth_blockNumber"] == 2
         assert snapshot["errors_by_code"]["-32601"] == 1
 
+    def test_stacked_middleware_counts_every_call(self):
+        gateway = make_gateway(middleware=[
+            TokenBucketRateLimiter(rate=10_000_000.0),
+            MethodAllowlist(["eth_*"]),
+        ])
+        client = MarketplaceClient(gateway)
+        for _ in range(5):
+            client.eth.get_balance(ALICE.address)
+        snapshot = gateway.metrics.snapshot()
+        assert snapshot["errors_total"] == 0
+        assert snapshot["by_method"]["eth_getBalance"] == 5
+
     def test_latency_histogram_observes_every_request(self):
         gateway = make_gateway()
         for _ in range(5):

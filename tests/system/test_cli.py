@@ -311,20 +311,31 @@ class TestLoadgenCommand:
         assert payload["schema"] == "oflw3-load-report/v1"
         assert payload["tx_mined"] == payload["tx_submitted"] > 0
 
-    def test_loadgen_sweep_reports_knee_and_ingest(self, tmp_path, capsys):
+    def test_loadgen_sweep_reports_knee(self, tmp_path, capsys):
         report_path = tmp_path / "sweep.json"
         exit_code = main([
-            "loadgen", "--clients", "40", "--rate", "8", "--duration", "36",
-            "--sweep", "8,90", "--seed", "3", "--save", str(report_path),
+            "loadgen", "--clients", "40", "--rate", "8", "--duration", "24",
+            "--mix", "transfer=1", "--sweep", "8,90", "--seed", "3",
+            "--save", str(report_path),
         ])
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "saturation sweep" in output
-        assert "wall-clock tx ingest" in output
-        assert "seed baseline" in output
+        assert "saturation knee: 90.0 offered req/s" in output
+        assert "wall-clock" not in output
         payload = json.loads(report_path.read_text())
-        assert payload["schema"] == "oflw3-load-sweep/v1"
-        assert payload["ingest"]["tps"] > 0
+        assert payload["schema"] == "oflw3-load-sweep/v2"
+        assert [point["saturated"] for point in payload["points"]] == [
+            False, True]
+        assert payload["saturation_rate"] == 90.0
+
+    def test_loadgen_http_transport_flag_is_gone(self, capsys):
+        # Wire measurements live in bench/run.py --workload wire_*; the flag
+        # is rejected by argparse, not silently ignored.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["loadgen", "--transport", "http"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --transport" in capsys.readouterr().err
 
     def test_loadgen_rejects_bad_mix(self, capsys):
         assert main(["loadgen", "--mix", "warp=1"]) == 2
