@@ -1,9 +1,8 @@
-"""Deferred signature verification and the pipelined block producer's engine.
+"""Deferred signature verification: the block producer's settle engine.
 
 :class:`BatchVerifyEngine` (:mod:`repro.batchverify.engine`) moves Schnorr
 verification from submission to the top of block production -- structural
-checks at admission, one settle per block with mempool eviction -- and
-overlaps the next block's verifies with this block's execution on the
+checks at admission, one settle per block with mempool eviction -- on the
 signature worker pool (:mod:`repro.parallel.verify`).  It adds no
 arithmetic of its own: every verdict is the default
 ``repro.chain.keys.verify_signature``'s.

@@ -432,15 +432,6 @@ class Blockchain:
             coinbase=proposer,
             gas_price=0,
         )
-        if self.batchverify is not None:
-            # Pipeline: verify next block's candidates (everything pending
-            # but not selected) on the worker pool while this block
-            # executes and persists below.  Joined at the next settle.
-            selected = {tx.hash_hex for tx in candidates}
-            self.batchverify.kick([
-                tx for tx in self.mempool.pending()
-                if tx.hash_hex not in selected
-            ])
         included, receipts, cumulative_gas = self._execute_transactions(
             candidates, block_ctx)
 
@@ -705,7 +696,7 @@ class Blockchain:
         self.batchverify = BatchVerifyEngine(verify_workers)
 
     def batchverify_stats(self) -> Dict[str, Any]:
-        """Deferred-verify/pipeline counters (all zeroes when disabled)."""
+        """Deferred-verify counters (all zeroes when disabled)."""
         if self.batchverify is None:
             from repro.batchverify.engine import zero_stats
 

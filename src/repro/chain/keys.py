@@ -58,81 +58,80 @@ def _hash_to_int(*parts: bytes) -> int:
 
 
 class _FixedBaseComb:
-    """Fixed-base exponentiation for the group generator, 4-bit windows.
+    """Fixed-base exponentiation for the group generator, 8-bit windows.
 
     ``pow(g, exp, P)`` performs ~``bits(exp)`` squarings every call even
-    though ``g`` never changes.  Precomputing ``g^(d * 16^i)`` for every
-    nibble position ``i`` and digit ``d`` replaces the whole squaring chain
-    with one table multiplication per nibble, which makes signing and
-    verification several times faster on the transaction hot path.
+    though ``g`` never changes.  Row ``i`` of the table holds
+    ``g^(d * 256^i)`` for every byte value ``d = 1..255``, so a power is one
+    table multiplication per non-zero byte of the exponent and no squaring
+    at all.
 
-    Rows are built lazily: honest signatures have ~512-bit exponents (a
-    256-bit nonce plus a 256*256-bit product), so only the first 128 or so
-    rows are ever materialized unless a hostile signature carries a huge
-    exponent.  The table is exact -- results are bit-identical to ``pow``.
+    The table is fixed at :attr:`ROWS` rows, i.e. exponents below ``2^512``:
+    an honest ``s = k + e*x`` with ``k, e, x < 2^256`` is always in range,
+    and so is every key-pair and nonce power.  Anything still larger after
+    the reduction modulo the base's order goes to the builtin ``pow``, so a
+    hostile signature can neither grow the table past 64 * 255 entries
+    (~4.3 MB) nor change a result: :meth:`pow` is total and bit-identical
+    to ``pow``.  Rows are built lazily, on first touch and never at import
+    (~3 ms a row, ~0.2 s for all 64): a process that never verifies builds
+    nothing, one that only derives key pairs builds 32.
     """
+
+    ROWS = 64
 
     def __init__(self, base: int, modulus: int, base_order: int) -> None:
         self.base = base
         self.modulus = modulus
         #: Multiplicative order of ``base`` (i.e. ``base^order == 1``).
-        #: Exponents are reduced modulo it, which both preserves the result
-        #: exactly and *bounds the table*: without the reduction an
-        #: attacker-supplied signature with a megabytes-long ``s`` would
-        #: force one comb row per 4 exponent bits into this process-global
-        #: table, a memory-exhaustion hazard the constant-memory ``pow``
-        #: path never had.
+        #: Reducing modulo it preserves the result exactly and brings an
+        #: honest-sized exponent that merely had a multiple of the order
+        #: added back into the table's range.
         self.base_order = base_order
-        #: ``_rows[i][d-1] == base^(d * 16^i) mod P`` for digits 1..15.
+        #: ``_rows[i][d-1] == base^(d * 256^i) mod P`` for digits 1..255.
         self._rows: list = []
-        #: ``base^(16^len(_rows))`` -- the generator of the next row.
+        #: ``base^(256^len(_rows))`` -- the generator of the next row.
         self._next_row_base = base % modulus
+        #: Rows are appended under this lock, so two threads on first use
+        #: build each row once; readers only check ``len(_rows)``.
+        self._build_lock = threading.Lock()
 
-    def _extend_to(self, row_index: int) -> None:
-        while len(self._rows) <= row_index:
-            cur = self._next_row_base
-            row = [cur]
-            for _ in range(14):
-                row.append(row[-1] * cur % self.modulus)
-            self._rows.append(row)
-            self._next_row_base = row[-1] * cur % self.modulus
+    def _extend_to(self, row_count: int) -> None:
+        modulus = self.modulus
+        with self._build_lock:
+            while len(self._rows) < row_count:
+                cur = self._next_row_base
+                row = [cur]
+                for _ in range(254):
+                    row.append(row[-1] * cur % modulus)
+                self._next_row_base = row[-1] * cur % modulus
+                self._rows.append(row)
 
     def pow(self, exponent: int) -> int:
         """``base ** exponent mod modulus``, bit-identical to ``pow``."""
-        if exponent < 0:
-            return pow(self.base, exponent, self.modulus)
         if exponent >= self.base_order:
             exponent %= self.base_order
-        if not exponent:
-            return 1
-        # Walk two nibble digits per byte of an immutable bytes snapshot:
-        # shifting the multi-kilobit exponent once per window would copy
-        # O(bits) each time, which the one-time ``to_bytes`` avoids.
-        data = exponent.to_bytes((exponent.bit_length() + 7) // 8, "big")
-        top = 2 * len(data) - (1 if data[0] >= 16 else 2)
-        self._extend_to(top)
-        rows = self._rows
+        if exponent < 0 or exponent >> (8 * self.ROWS):
+            return pow(self.base, exponent, self.modulus)
+        # One immutable little-endian snapshot: byte i selects from row i.
+        data = exponent.to_bytes((exponent.bit_length() + 7) // 8, "little")
+        if len(self._rows) < len(data):
+            self._extend_to(len(data))
         modulus = self.modulus
         result = 1
-        row_index = 0
-        for byte in reversed(data):
-            low = byte & 15
-            if low:
-                result = result * rows[row_index][low - 1] % modulus
-            high = byte >> 4
-            if high:
-                result = result * rows[row_index + 1][high - 1] % modulus
-            row_index += 2
+        for row, byte in zip(self._rows, data):
+            if byte:
+                result = result * row[byte - 1] % modulus
         return result
 
 
 #: Shared comb table for the group generator (every signature and key pair
-#: exponentiates the same base, so one process-wide table serves them all).
+#: exponentiates the same base, so one process-wide table serves them all;
+#: a verify worker forked before the first verify builds its own copy).
 #: ``GENERATOR``'s multiplicative order divides ``GROUP_ORDER`` -- the
 #: generator is a quadratic residue of the safe prime, and
 #: ``pow(GENERATOR, GROUP_ORDER, GROUP_PRIME) == 1`` (pinned by
-#: ``tests/chain/test_hotpaths.py``) -- so exponent reduction is exact and
-#: the table never exceeds ``GROUP_ORDER.bit_length() / 4`` rows.
+#: ``tests/chain/test_hotpaths.py``) -- so exponent reduction is exact.
+#: Empty until the first power is taken.
 _GENERATOR_COMB = _FixedBaseComb(GENERATOR, GROUP_PRIME, GROUP_ORDER)
 
 #: Cache of ``y^-1 mod P`` per public key: verification needs the inverse on
@@ -166,9 +165,10 @@ class _LimLeeComb:
     subset of teeth, so a power walks the 32 columns once: one squaring and
     at most one table multiplication per column, instead of the ~256
     squarings and ~50 multiplications of the builtin sliding window.  The
-    whole table is 255 group elements (~77 kB) where a 4-bit
-    :class:`_FixedBaseComb` over the same range holds 960 (~288 kB) for the
-    same speed -- the difference that keeps one table per hot sender cheap.
+    whole table is 255 group elements (~77 kB); the generator's byte-window
+    :class:`_FixedBaseComb` needs no squarings and is about twice as fast,
+    but over the same range it holds 8 160 (~2.1 MB) -- affordable once for
+    the generator, not once per hot sender.
 
     Exponents outside the range go to the builtin, so :meth:`pow` is total
     and bit-identical to ``pow(base, e, modulus)``.

@@ -159,12 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
                                   "instead of one node")
     load_parser.add_argument("--batch-verify", type=int, nargs="?", const=4,
                              default=None, metavar="W",
-                             help="deferred Schnorr verification with "
-                                  "pipelined block production "
+                             help="deferred Schnorr verification "
                                   "(repro.batchverify): verify each block's "
-                                  "signatures at production, the next "
-                                  "block's meanwhile on W verify workers "
-                                  "(default W: 4; 0 = inline, no pipeline); "
+                                  "signatures at production on W verify "
+                                  "workers (default W: 4; 0 = inline); "
                                   "default: verify at submission")
     load_parser.add_argument("--seed", type=int, default=7,
                              help="deterministic seed for arrivals and skew")
@@ -192,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
                               default=None, metavar="W",
                               help="deferred Schnorr verification with W "
                                    "verify workers (default W: 4; 0 = "
-                                   "inline, no pipeline)")
+                                   "inline)")
     serve_parser.add_argument("--store", default=None, metavar="DIR",
                               help="persist the chain (WAL + snapshots) "
                                    "under DIR (single node only)")

@@ -90,8 +90,8 @@ class LoadGenConfig:
     single-node stack."""
 
     batch_verify: Optional[int] = None
-    """Verify-worker count for deferred Schnorr verification with pipelined
-    block production (``repro.batchverify``); ``0`` settles inline on the
+    """Verify-worker count for deferred Schnorr verification at block
+    production (``repro.batchverify``); ``0`` settles inline on the
     coordinator.  ``None`` -- the default -- verifies at submission."""
 
     max_events: int = 2_000_000
@@ -600,7 +600,7 @@ class LoadGenerator:
         return report
 
     def _batchverify_stats(self) -> Optional[Dict[str, Any]]:
-        """Batch/pipeline counters when the chain deferred verification."""
+        """Deferred-verify counters when the chain deferred verification."""
         chain = getattr(self.node, "chain", None)
         if chain is None or getattr(chain, "batchverify", None) is None:
             return None

@@ -174,10 +174,7 @@ class LoadReport:
                 f"{self.obs_stats.get('events_total', 0)} structured events")
         if self.batchverify_stats is not None:
             stats = self.batchverify_stats
-            detail = (
-                f"{stats.get('deferred_rejections', 0)} evicted, "
-                f"{stats.get('pipeline_kicks', 0)} pipeline kicks, "
-                f"{stats.get('overlap_seconds', 0.0):.2f}s overlapped")
+            detail = f"{stats.get('deferred_rejections', 0)} evicted"
             if stats.get("pipeline_fallbacks"):
                 reasons = ", ".join(
                     f"{count} {reason}" for reason, count

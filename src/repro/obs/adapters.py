@@ -126,25 +126,12 @@ def collect_chain(reg: MetricsRegistry, chain: Any,
                     "Deferred admissions evicted at settle (failed "
                     "signatures).", ("replica",)).labels(**labels).set_total(
                         batchverify.deferred_rejections)
-        reg.counter("repro_batchverify_pipeline_kicks_total",
-                    "Next-block verifies kicked during execution.",
-                    ("replica",)).labels(**labels).set_total(
-                        batchverify.pipeline_kicks)
         fallbacks = reg.counter(
             "repro_batchverify_fallbacks_total",
             "Verify-pool failures answered by verifying inline, by the "
             "exception class that caused them.", ("replica", "reason"))
         for reason, count in batchverify.fallback_reasons.items():
             fallbacks.labels(reason=reason, **labels).set_total(count)
-        # Pipeline occupancy: of the wall-clock spent around in-flight
-        # kicks, the fraction that overlapped useful chain work (1 = the
-        # pipeline always finished before the settle needed it).
-        busy = batchverify.overlap_seconds + batchverify.join_wait_seconds
-        reg.gauge("repro_batchverify_pipeline_occupancy",
-                  "Fraction of in-flight verify time overlapped with block "
-                  "execution (1 = joins never waited).",
-                  ("replica",)).labels(**labels).set(
-                      batchverify.overlap_seconds / busy if busy else 0.0)
 
 
 def register_gossip(registry: MetricsRegistry, gossip: Any) -> None:

@@ -552,7 +552,7 @@ class ParallelNamespace:
         """Deferred signature verification: enabled flag and counters.
 
         The ``batch_verify`` block carries the engine's deferred-admission,
-        settle, pipeline and verify-pool fallback counters
+        settle and verify-pool fallback counters
         (:attr:`BatchVerifyEngine.stats`); only ``enabled: false`` when off.
         """
         batchverify = getattr(self.node.chain, "batchverify", None)

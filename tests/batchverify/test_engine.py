@@ -1,4 +1,4 @@
-"""BatchVerifyEngine unit tests: admission, settle, kick, and the one fallback.
+"""BatchVerifyEngine unit tests: admission, settle, and the one fallback.
 
 The engine adds no arithmetic, so every expectation here is phrased against
 the default path: the same exception at admission, the same eviction set at
@@ -175,38 +175,14 @@ class TestSettle:
         finally:
             subject.close()
 
-
-class TestKick:
-    def test_no_workers_is_a_no_op(self):
-        subject = BatchVerifyEngine(0)
-        cold = [transfer(), transfer(nonce=1)]
-        assert subject.kick(cold) is False
-        assert subject.pipeline_kicks == 0
-        assert all(tx._verified_signature is None for tx in cold)
-
-    def test_a_warm_mempool_is_a_no_op_and_starts_no_process(self):
+    def test_a_warm_mempool_starts_no_process(self):
         subject = BatchVerifyEngine(2)
         warm = [transfer(), transfer(nonce=1)]
         assert all(tx.verify_signature() for tx in warm)
-        assert subject.kick(warm) is False
-        assert subject.kick([]) is False
-        assert subject.pipeline_kicks == 0
+        assert subject.settle(warm) == []
+        assert subject.settle([]) == []
+        assert subject.verify_jobs_offloaded == 0
         assert subject._pool._pool is None
-
-    def test_a_cold_kick_is_joined_by_the_next_settle(self):
-        subject = BatchVerifyEngine(2)
-        try:
-            cold = [transfer(), transfer(nonce=1, e=0)]
-            assert subject.kick(cold) is True
-            assert subject.pipeline_kicks == 1
-            late = transfer(BOB)
-            evicted = subject.settle(cold + [late])
-            assert [tx.hash_hex for tx in evicted] == [cold[1].hash_hex]
-            assert subject.pipeline_joins == 1
-            assert subject.verify_jobs_offloaded == 3
-            assert subject.pipeline_fallbacks == 0
-        finally:
-            subject.close()
 
     def test_negative_worker_count_is_refused(self):
         with pytest.raises(ValueError):
@@ -235,29 +211,33 @@ class RaisingHandle:
         raise ConnectionResetError("worker pipe closed")
 
 
+class RaisingJoinPool:
+    """A verify pool whose every dispatch succeeds and every join fails."""
+
+    def batch_prewarm_async(self, transactions):
+        return RaisingHandle()
+
+
 class TestFallback:
     def test_a_raising_pool_gives_scalar_verdicts_and_a_counted_reason(self):
         subject = BatchVerifyEngine(2)
         subject._pool = RaisingPool(RuntimeError("boom"))
         pending = TestSettle().pending()
         expected = [tx.hash_hex for tx in scalar_invalid(pending)]
-        assert subject.kick(pending) is False
         assert [tx.hash_hex for tx in subject.settle(pending)] == expected
-        assert subject.pipeline_fallbacks == 2
-        assert subject.pipeline_kicks == 0
-        assert subject.stats["fallback_reasons"] == {"RuntimeError": 2}
+        assert subject.pipeline_fallbacks == 1
+        assert subject.stats["fallback_reasons"] == {"RuntimeError": 1}
 
     def test_a_failing_join_gives_scalar_verdicts_and_a_counted_reason(self):
         subject = BatchVerifyEngine(0)
-        subject._inflight = RaisingHandle()
+        subject._pool = RaisingJoinPool()
         pending = TestSettle().pending()
         expected = [tx.hash_hex for tx in scalar_invalid(pending)]
         assert [tx.hash_hex for tx in subject.settle(pending)] == expected
         assert subject.fallback_reasons == {"ConnectionResetError": 1}
-        assert subject._inflight is None
-        # The next settle has nothing left to join and nothing to count.
-        assert subject.settle(pending) != []
         assert subject.pipeline_fallbacks == 1
+        # Jobs whose join failed were verified here, not offloaded.
+        assert subject.verify_jobs_offloaded == 0
 
     def test_reasons_reach_the_metric_label_and_the_report_line(self):
         chain = funded_chain(batch_verify=1)
@@ -287,7 +267,7 @@ class TestFallback:
         settles = chain.batchverify.blocks_settled
         assert lines == [
             f"batch verify: 0 workers, 1 signatures deferred over {settles} "
-            "settles (0 evicted, 0 pipeline kicks, 0.00s overlapped)"]
+            "settles (0 evicted)"]
 
 
 class TestZeroStats:
@@ -322,7 +302,7 @@ class TestKilledWorker:
                                       public_key=good.public_key)
         return node.chain, txs
 
-    def test_sigkill_mid_kick_completes_with_serial_blocks(self):
+    def test_sigkill_mid_settle_completes_with_serial_blocks(self):
         reference, txs = self.workload(self.node())
         for tx in txs[:-1]:
             reference.submit_transaction(tx)
@@ -335,9 +315,20 @@ class TestKilledWorker:
         try:
             for tx in txs:
                 chain.submit_transaction(tx)
-            assert engine.kick(chain.mempool.pending()) is True
-            for pid in list(engine._pool._pool._processes):
-                os.kill(pid, signal.SIGKILL)
+            pool = engine._pool
+            dispatch = pool.batch_prewarm_async
+
+            def dispatch_then_kill(transactions):
+                # The first settle's chunks are in flight on live workers
+                # when they die; the join that follows must not hang.
+                pool.batch_prewarm_async = dispatch
+                handle = dispatch(transactions)
+                assert handle.jobs_submitted == len(txs)
+                for pid in list(pool._pool._processes):
+                    os.kill(pid, signal.SIGKILL)
+                return handle
+
+            pool.batch_prewarm_async = dispatch_then_kill
 
             producer = threading.Thread(
                 target=chain.produce_blocks_until_empty, daemon=True)
@@ -355,10 +346,11 @@ class TestKilledWorker:
             assert state_digest(chain.state) == state_digest(reference.state)
             assert txs[-1].hash_hex not in chain._receipts
 
-            # The broken pool was replaced: the pipeline works again.
+            # The broken pool was replaced: the next settle offloads again.
             more = [transfer(), transfer(BOB)]
-            assert engine.kick(more) is True
+            offloaded = engine.verify_jobs_offloaded
             assert engine.settle(more) == []
+            assert engine.verify_jobs_offloaded == offloaded + len(more)
             assert engine.pipeline_fallbacks == 1
         finally:
             engine.close()

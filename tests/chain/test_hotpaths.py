@@ -16,6 +16,7 @@ from repro.chain.keys import (
     GENERATOR,
     GROUP_ORDER,
     GROUP_PRIME,
+    _FixedBaseComb,
     _GENERATOR_COMB,
     _KEY_COMB_CAPACITY,
     _LimLeeComb,
@@ -44,10 +45,26 @@ def signed_transfer(label, nonce=0, gas_price=10**9, to_label="sink", value=1):
     return tx
 
 
+def run_threads(worker, count, switch_interval):
+    """Run ``worker`` on ``count`` threads under a short GIL switch interval."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(switch_interval)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 class TestFixedBaseComb:
     @pytest.mark.parametrize("exponent", [
         0, 1, 2, 31, 32, (1 << 255) - 19, GROUP_ORDER - 1, GROUP_ORDER,
         123456789012345678901234567890,
+        255, 256, 2**256 - 1, 2**512 - 1, 2**512, 2**512 + 1,
     ])
     def test_matches_builtin_pow(self, exponent):
         assert _GENERATOR_COMB.pow(exponent) == pow(GENERATOR, exponent, GROUP_PRIME)
@@ -69,20 +86,47 @@ class TestFixedBaseComb:
 
     def test_huge_hostile_exponent_stays_bounded(self):
         # A wire signature can carry an arbitrarily large 's'.  The comb
-        # must neither grow its table past the order size nor change the
+        # must neither grow its table past its 64 fixed rows nor change the
         # result.
         keypair = KeyPair.from_label("comb-huge")
         message = keccak256(b"huge")
         signature = keypair.sign(message)
         huge_s = signature.s + GROUP_ORDER * (1 << 4096)
         forged = Signature(e=signature.e, s=huge_s, public_key=signature.public_key)
-        rows_cap = GROUP_ORDER.bit_length() // 4 + 1  # one row per nibble
         # g^(s + k*order) == g^s: the forged signature still *verifies* (it
         # is the same group element), which is standard for Schnorr -- the
         # point here is the bounded table and the exact result.
         assert verify_signature(forged, message, keypair.address)
-        assert len(_GENERATOR_COMB._rows) <= rows_cap
+        assert len(_GENERATOR_COMB._rows) == 64
         assert _GENERATOR_COMB.pow(huge_s) == pow(GENERATOR, huge_s, GROUP_PRIME)
+        # Still out of range after the reduction: the builtin answers and
+        # the table grows nothing.
+        for hostile in (GROUP_ORDER - 1, (1 << 1_000_000) + 12345):
+            assert _GENERATOR_COMB.pow(hostile) == \
+                pow(GENERATOR, hostile, GROUP_PRIME)
+            assert len(_GENERATOR_COMB._rows) == 64
+
+    def test_concurrent_first_use_builds_each_row_exactly_once(self):
+        # Row building is check-then-append on a shared list: unlocked, two
+        # threads on first use both append row i and every later row sits
+        # one place off, so every later power in the process is wrong.
+        comb = _FixedBaseComb(GENERATOR, GROUP_PRIME, GROUP_ORDER)
+        exponent = (1 << 512) - 1
+        expected = pow(GENERATOR, exponent, GROUP_PRIME)
+        barrier = threading.Barrier(8)
+        results = []
+
+        def worker():
+            barrier.wait(timeout=60)
+            results.append(comb.pow(exponent))
+
+        run_threads(worker, 8, 1e-6)
+        assert len(comb._rows) == 64
+        for i in (0, 1, 31, 32, 63):
+            for d in (1, 2, 128, 255):
+                assert comb._rows[i][d - 1] == \
+                    pow(GENERATOR, d << (8 * i), GROUP_PRIME)
+        assert results == [expected] * 8
 
     def test_tampered_signature_still_rejected(self):
         keypair = KeyPair.from_label("comb-tamper")
@@ -171,17 +215,7 @@ class TestKeyCombPromotion:
                     if not verify_signature(signature, message, keypair.address):
                         failures.append((keypair.address, message))
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=worker) for _ in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        run_threads(worker, 6, 1e-5)
         assert failures == []
         assert cache.builds == builds + len(senders)
 

@@ -85,6 +85,12 @@ class TestSignatures:
         with pytest.raises(ValueError):
             keys.sign(b"too short")
 
+    def test_verify_requires_32_byte_hash(self):
+        keys = KeyPair.from_label("signer")
+        signature = keys.sign(keccak256(b"m"))
+        with pytest.raises(ValueError):
+            verify_signature(signature, b"too short")
+
     def test_signature_dict_roundtrip(self):
         keys = KeyPair.from_label("signer")
         signature = keys.sign(keccak256(b"m"))

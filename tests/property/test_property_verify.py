@@ -23,6 +23,7 @@ from repro.chain.keys import (
     GROUP_ORDER,
     GROUP_PRIME,
     Signature,
+    _GENERATOR_COMB,
     _LimLeeComb,
     address_from_public_key,
     key_comb_cache,
@@ -119,3 +120,14 @@ class TestTableExactness:
     def test_power_is_bit_identical_to_builtin_pow(self, which, exponent):
         assert TABLES[which].pow(exponent) == \
             pow(BASES[which], exponent, GROUP_PRIME)
+
+    @given(exponent=st.sampled_from([1, 8, 256, 510, 512, 513, 2047, 4100])
+           .flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
+           .flatmap(lambda value: st.sampled_from([value, -value])))
+    @settings(max_examples=80, deadline=None)
+    def test_generator_power_is_bit_identical_to_builtin_pow(self, exponent):
+        # Either side of every edge of the 8-bit generator comb: one byte,
+        # the honest sizes, the 2^512 table range, the group order, beyond.
+        assert _GENERATOR_COMB.pow(exponent) == \
+            pow(GENERATOR, exponent, GROUP_PRIME)
+        assert len(_GENERATOR_COMB._rows) <= 64
