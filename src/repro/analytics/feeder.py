@@ -37,6 +37,7 @@ from repro.analytics.store import AnalyticsStore
 from repro.chain.block import Block, block_from_record
 from repro.chain.events import EventLog, LogFilter, LogPage
 from repro.errors import AnalyticsError
+from repro.obs import NULL_OBSERVABILITY
 
 
 class AnalyticsFeeder:
@@ -52,10 +53,10 @@ class AnalyticsFeeder:
                  obs: Optional[Any] = None) -> None:
         self.wal = wal
         self.store = store if store is not None else AnalyticsStore()
-        #: Optional :class:`repro.obs.Observability`; ``None`` (the default)
-        #: keeps every feeder path free of instrumentation, the same gating
-        #: idiom as ``chain.obs``.
-        self.obs = obs
+        #: A :class:`repro.obs.Observability`, or (``None``, the default)
+        #: the no-op facade -- the same always-an-object idiom as
+        #: ``chain.obs``.
+        self.obs = NULL_OBSERVABILITY if obs is None else obs
         #: Last WAL sequence number applied to (or reconciled into) the store.
         self.applied_seq = -1
         #: WAL compaction epoch the feeder last reconciled against.  ``None``
@@ -159,12 +160,11 @@ class AnalyticsFeeder:
             return
         removed = self.store.rollback_to(fork_height)
         self.rollbacks += 1
-        if self.obs is not None:
-            self.obs.event(
-                "analytics.rollback", fork_height=fork_height,
-                removed_blocks=removed["blocks"],
-                removed_transactions=removed["transactions"],
-                removed_logs=removed["logs"])
+        self.obs.event(
+            "analytics.rollback", fork_height=fork_height,
+            removed_blocks=removed["blocks"],
+            removed_transactions=removed["transactions"],
+            removed_logs=removed["logs"])
 
     def _apply_block_record(self, payload: Dict[str, Any]) -> int:
         """Apply one WAL ``block`` payload (a :meth:`Block.to_record` dict)."""

@@ -38,26 +38,9 @@ def checksum_cache() -> LRUCache:
     """The address-interning cache itself, for observability registration.
 
     ``repro.obs`` samples it through the canonical :meth:`LRUCache.stats`
-    spelling (the same one the storage engine's cache uses), unifying what
-    used to be three different cache-stat shapes.
+    spelling (the same one the storage engine's cache uses).
     """
     return _checksum_cache
-
-
-def address_cache_stats() -> Dict[str, int]:
-    """Hit/miss/eviction counters of the address-interning cache.
-
-    Legacy shape kept for existing callers (``size`` instead of the
-    canonical ``entries``); new code should register :func:`checksum_cache`
-    with an ``Observability`` and read ``repro_cache_*`` series instead.
-    """
-    stats = _checksum_cache.stats()
-    return {
-        "size": stats["entries"],
-        "hits": stats["hits"],
-        "misses": stats["misses"],
-        "evictions": stats["evictions"],
-    }
 
 
 class Address:

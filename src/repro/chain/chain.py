@@ -29,6 +29,7 @@ from repro.chain.mempool import Mempool
 from repro.chain.receipts import TransactionReceipt
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
+from repro.obs import NULL_OBSERVABILITY
 from repro.utils.clock import SimulatedClock
 
 
@@ -160,11 +161,10 @@ class Blockchain:
         #: Fork-choice bookkeeping; ``None`` (the seed default) disables every
         #: replication hook.  See :meth:`enable_fork_choice`.
         self._fork: Optional[_ForkState] = None
-        #: Optional observability hooks (``repro.obs``).  ``None`` -- the seed
-        #: default -- keeps every hot path to a single attribute check, the
-        #: same gating idiom as ``store`` and ``_fork`` above; attached via
-        #: ``Observability.attach_chain``.
-        self.obs: Optional[Any] = None
+        #: Observability hooks (``repro.obs``): the no-op facade until
+        #: ``Observability.attach_chain`` overwrites it, so the write path
+        #: below has one body whether or not a run is observed.
+        self.obs: Any = NULL_OBSERVABILITY
         #: Replica label stamped on this chain's spans (``None`` single-node).
         self.obs_label: Optional[str] = None
         #: Optional analytics replica (``repro.analytics``).  ``None`` -- the
@@ -297,64 +297,28 @@ class Blockchain:
     # -- transaction intake --------------------------------------------------
 
     def submit_transaction(self, tx: Transaction) -> str:
-        """Validate and queue a signed transaction; returns its hash."""
-        if self.batchverify is not None:
-            return self._submit_transaction_deferred(tx)
-        if self.obs is not None:
-            return self._submit_transaction_observed(tx)
-        self.executor.validate(tx, self.state, check_nonce=False)
-        tx_hash = self.mempool.add(tx)
-        if self.store is not None:
-            self.store.record_transaction(tx)
-        return tx_hash
+        """Validate and queue a signed transaction; returns its hash.
 
-    def _submit_transaction_deferred(self, tx: Transaction) -> str:
-        """Batch-verify submission: structural checks now, Schnorr at settle.
-
-        The engine's :meth:`~repro.batchverify.BatchVerifyEngine.
-        admission_check` raises the scalar path's exact
-        ``InvalidSignatureError`` for anything decidable without the
-        expensive exponentiation; transactions that pass are queued
-        unverified and settled (or evicted) as one batch at the top of the
-        next block production.  Funds/gas validation is unchanged.
+        With deferred verification (:meth:`enable_batch_verify`) the
+        engine's :meth:`~repro.batchverify.BatchVerifyEngine.admission_check`
+        raises the scalar path's exact ``InvalidSignatureError`` for anything
+        decidable without the expensive exponentiation; what passes is
+        queued unverified and settled (or evicted) as one batch at the top
+        of the next block production.  Funds/gas validation is unchanged.
         """
         obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.tx_span("tx.submit", tx.hash_hex,
-                               replica=self.obs_label)
-        try:
-            self.batchverify.admission_check(tx)
-            self.executor.validate(tx, self.state, check_nonce=False,
-                                   check_signature=False)
-            tx_hash = self.mempool.add(tx, verify=False)
-            if self.store is not None:
-                self.store.record_transaction(tx)
-        except ReproError:
-            if span is not None:
-                obs.end(span, status="rejected")
-            raise
-        if span is not None:
-            obs.end(span)
-        return tx_hash
-
-    def _submit_transaction_observed(self, tx: Transaction) -> str:
-        """Traced/profiled variant of :meth:`submit_transaction`.
-
-        Identical effects (validate, mempool admission, WAL record); it only
-        adds the ``tx.submit`` / ``tx.mempool`` spans and the ``chain.verify``
-        / ``chain.persist`` phase timers.  Kept separate so the seed hot path
-        above stays branch-free beyond the one ``obs`` check.
-        """
-        obs = self.obs
+        deferred = self.batchverify is not None
         span = obs.tx_span("tx.submit", tx.hash_hex, replica=self.obs_label)
         try:
             with obs.phase("chain.verify"):
-                self.executor.validate(tx, self.state, check_nonce=False)
+                if deferred:
+                    self.batchverify.admission_check(tx)
+                self.executor.validate(tx, self.state, check_nonce=False,
+                                       check_signature=not deferred)
             mempool_span = obs.tx_span("tx.mempool", tx.hash_hex,
                                        replica=self.obs_label, link=False)
             try:
-                tx_hash = self.mempool.add(tx)
+                tx_hash = self.mempool.add(tx, verify=not deferred)
             finally:
                 obs.end(mempool_span.annotate("depth", len(self.mempool)))
             if self.store is not None:
@@ -388,15 +352,9 @@ class Blockchain:
         When ``advance_clock`` is true the simulated clock first advances to
         the next slot boundary, reproducing the ~12 s inclusion latency.
         """
-        if self.obs is not None:
-            return self._produce_block_observed(advance_clock)
-        return self._produce_block_impl(advance_clock)
-
-    def _produce_block_observed(self, advance_clock: bool) -> Block:
-        """Production wrapped in a ``block.produce`` span and wall timers."""
         obs = self.obs
-        trace_id = f"block-{self.height + 1}"
-        span = obs.tx_span("block.produce", trace_id, replica=self.obs_label)
+        span = obs.tx_span("block.produce", f"block-{self.height + 1}",
+                           replica=self.obs_label)
         start = time.perf_counter()
         try:
             with obs.phase("chain.produce_block"):
@@ -407,14 +365,11 @@ class Blockchain:
         span.annotate("height", block.number)
         span.annotate("txs", len(block.transactions))
         obs.end(span)
-        obs.registry.histogram(
-            "repro_block_production_seconds",
-            "Wall-clock cost of producing one block.").child.observe(
-                time.perf_counter() - start)
+        obs.observe_block_production(time.perf_counter() - start)
         return block
 
     def _produce_block_impl(self, advance_clock: bool) -> Block:
-        """The production body shared by the plain and observed entry points."""
+        """Slot, settle, select, execute, seal and append one block."""
         if advance_clock:
             timestamp = self.consensus.advance_to_next_block(self.clock)
         else:
@@ -462,10 +417,7 @@ class Blockchain:
         if not pending:
             self.batchverify.settle(pending)
             return
-        if self.obs is not None:
-            with self.obs.phase("chain.batch_verify"):
-                invalid = self.batchverify.settle(pending)
-        else:
+        with self.obs.phase("chain.batch_verify"):
             invalid = self.batchverify.settle(pending)
         for tx in invalid:
             self.mempool.remove(tx.hash_hex)
@@ -476,32 +428,8 @@ class Blockchain:
         The ONE state-transition loop: block production and write-ahead-log
         replay (:meth:`replay_block`) both run through it, which is what
         makes "a replayed block hashes identically" a structural guarantee
-        rather than two hand-synchronized code paths.
-        """
-        if self.obs is not None:
-            return self._execute_transactions_observed(transactions, block_ctx)
-        included: List[Transaction] = []
-        receipts: List[TransactionReceipt] = []
-        cumulative_gas = 0
-        for tx in transactions:
-            block_ctx.gas_price = tx.gas_price
-            receipt = self.executor.apply(tx, self.state, block_ctx)
-            cumulative_gas += receipt.gas_used
-            receipt.cumulative_gas_used = cumulative_gas
-            receipt.transaction_index = len(included)
-            included.append(tx)
-            receipts.append(receipt)
-            self.mempool.remove(tx.hash_hex)
-        return included, receipts, cumulative_gas
-
-    def _execute_transactions_observed(self, transactions,
-                                       block_ctx: BlockContext):
-        """Traced variant of the state-transition loop.
-
-        Same effects as :meth:`_execute_transactions` (it is dispatched from
-        there when ``obs`` is attached); adds one ``tx.execute`` span per
-        transaction and the ``chain.execute`` phase timer.  Block replay runs
-        through here too, which is what attributes execution spans to every
+        rather than two hand-synchronized code paths.  Replay running
+        through here is also what attributes a ``tx.execute`` span to every
         replica that re-executed a gossiped block.
         """
         obs = self.obs
@@ -521,8 +449,7 @@ class Blockchain:
             receipts.append(receipt)
             self.mempool.remove(tx.hash_hex)
             span.annotate("gas_used", receipt.gas_used)
-            obs.end(span,
-                    status="ok" if getattr(receipt, "status", 1) else "reverted")
+            obs.end(span, status="ok" if receipt.status else "reverted")
         return included, receipts, cumulative_gas
 
     # -- persistence and recovery (repro.storage) -----------------------------
@@ -612,6 +539,7 @@ class Blockchain:
             raise BlockValidationError("block timestamp precedes its parent")
         self._blocks.append(block)
         self._blocks_by_hash[block.hash] = block
+        obs = self.obs
         for tx, receipt in zip(block.transactions, block.receipts):
             receipt.block_number = block.number
             receipt.block_hash = block.hash
@@ -627,26 +555,15 @@ class Blockchain:
                     log_index=index,
                 )
                 self._logs.append(positioned)
-        if self.obs is not None:
-            self._observe_append(block)
+            obs.end(obs.tx_span("tx.receipt", tx.hash_hex,
+                                replica=self.obs_label, block=block.number),
+                    status="ok" if receipt.status else "reverted")
         if self.store is not None:
-            if self.obs is not None:
-                with self.obs.phase("chain.persist"):
-                    self.store.record_block(block)
-            else:
+            with obs.phase("chain.persist"):
                 self.store.record_block(block)
         if self._fork is not None and \
                 block.number % self._fork.snapshot_interval == 0:
             self._write_fork_snapshot()
-
-    def _observe_append(self, block: Block) -> None:
-        """Record one ``tx.receipt`` span per transaction of a canonical block."""
-        obs = self.obs
-        for tx, receipt in zip(block.transactions, block.receipts):
-            span = obs.tx_span("tx.receipt", tx.hash_hex,
-                               replica=self.obs_label, block=block.number)
-            obs.end(span,
-                    status="ok" if getattr(receipt, "status", 1) else "reverted")
 
     # -- fork choice and reorgs (repro.cluster) --------------------------------
 
@@ -855,15 +772,14 @@ class Blockchain:
 
         fork.reorgs += 1
         fork.max_reorg_depth = max(fork.max_reorg_depth, len(abandoned))
-        if self.obs is not None:
-            self.obs.event(
-                "chain.reorg",
-                abandoned=len(abandoned),
-                adopted=len(path),
-                fork_height=fork_height,
-                new_head=head_hash,
-                replica=self.obs_label,
-            )
+        self.obs.event(
+            "chain.reorg",
+            abandoned=len(abandoned),
+            adopted=len(path),
+            fork_height=fork_height,
+            new_head=head_hash,
+            replica=self.obs_label,
+        )
         if self.store is not None:
             # The WAL now holds abandoned-branch entries that a linear replay
             # could not recover through; snapshotting at the new head compacts

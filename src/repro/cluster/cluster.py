@@ -37,6 +37,7 @@ from repro.cluster.config import (
 )
 from repro.cluster.gossip import GossipLayer
 from repro.cluster.replica import Replica
+from repro.obs import NULL_OBSERVABILITY
 from repro.utils.clock import SimulatedClock
 from repro.utils.rng import derive_seed
 
@@ -113,10 +114,10 @@ class ChainCluster:
             for index in range(config.replicas)
         ]
         self.gossip = GossipLayer(self.replicas, self.network, self.clock)
-        #: Optional observability hooks (``repro.obs``); ``None`` -- the seed
-        #: default -- emits no structured chaos events.  Attached via
-        #: ``Observability.instrument_cluster``.
-        self.obs: Optional[Any] = None
+        #: Observability hooks (``repro.obs``); the no-op facade until
+        #: ``Observability.instrument_cluster`` attaches one that records
+        #: the structured chaos events below.
+        self.obs: Any = NULL_OBSERVABILITY
         self.partitions_started = 0
         self.heals = 0
         #: Cached connected components; topology only changes through
@@ -179,10 +180,9 @@ class ChainCluster:
             [[self.replicas[i].name for i in group] for group in groups])
         self.partitions_started += 1
         self._invalidate_topology()
-        if self.obs is not None:
-            self.obs.event("cluster.partition",
-                           groups=[sorted(int(i) for i in group)
-                                   for group in groups])
+        self.obs.event("cluster.partition",
+                       groups=[sorted(int(i) for i in group)
+                               for group in groups])
 
     def heal(self) -> None:
         """Remove the partition (gossip resumes; convergence follows)."""
@@ -190,8 +190,7 @@ class ChainCluster:
             self.network.heal()
         self.heals += 1
         self._invalidate_topology()
-        if self.obs is not None:
-            self.obs.event("cluster.heal")
+        self.obs.event("cluster.heal")
 
     # -- leadership ---------------------------------------------------------------
 
@@ -348,8 +347,7 @@ class ChainCluster:
         replica = self.replicas[index]
         replica.crash()
         self._invalidate_topology()
-        if self.obs is not None:
-            self.obs.event("cluster.crash", replica=replica.name)
+        self.obs.event("cluster.crash", replica=replica.name)
         return replica
 
     def recover_replica(self, index: int) -> Replica:
@@ -357,9 +355,8 @@ class ChainCluster:
         replica = self.replicas[index]
         replica.recover()
         self._invalidate_topology()
-        if self.obs is not None:
-            self.obs.event("cluster.recover", replica=replica.name,
-                           height=replica.height)
+        self.obs.event("cluster.recover", replica=replica.name,
+                       height=replica.height)
         peers = [other for other in self.alive_replicas()
                  if other is not replica
                  and self.gossip.reachable(replica.index, other.index)]

@@ -29,6 +29,7 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import BlockValidationError, ClusterError, ReproError
+from repro.obs import NULL_OBSERVABILITY, NULL_SPAN
 
 #: Safety cap on ancestors fetched per announcement (a replica further behind
 #: than this resyncs from the peer's snapshot instead of walking the chain).
@@ -80,11 +81,11 @@ class GossipLayer:
         self.network = network
         self.clock = clock
         self.stats = GossipStats()
-        #: Optional observability hooks (``repro.obs``); ``None`` -- the seed
-        #: default -- keeps send/deliver free of any tracing work.  When set,
-        #: flooded tx messages carry a ``"trace"`` context dict so delivery
-        #: spans on receiving replicas parent onto the sender's span.
-        self.obs: Optional[Any] = None
+        #: Observability hooks (``repro.obs``); the no-op facade by default.
+        #: Under a real one, flooded tx messages carry a ``"trace"`` context
+        #: dict so delivery spans on receiving replicas parent onto the
+        #: sender's span.
+        self.obs: Any = NULL_OBSERVABILITY
         self._seq = 0
         #: Per-replica inbox: a heap of ``(deliver_at, seq, message)``.
         self._inboxes: List[List[Tuple[float, int, Dict[str, Any]]]] = [
@@ -128,15 +129,14 @@ class GossipLayer:
                 continue
             self.stats.tx_floods += 1
             message: Dict[str, Any] = {"kind": "tx", "tx": payload}
-            if self.obs is not None:
-                # One send span per target; ``link=False`` so its children
-                # live on the *receiving* replica, not the origin's chain.
-                span = self.obs.tx_span(
-                    "gossip.send", tx.hash_hex, link=False,
-                    replica=self.replicas[origin_index].name,
-                    target=self.replicas[target].name)
-                message["trace"] = self.obs.span_context(span)
-                self.obs.end(span)
+            # One send span per target; ``link=False`` so its children
+            # live on the *receiving* replica, not the origin's chain.
+            span = self.obs.tx_span(
+                "gossip.send", tx.hash_hex, link=False,
+                replica=self.replicas[origin_index].name,
+                target=self.replicas[target].name)
+            message["trace"] = self.obs.span_context(span)
+            self.obs.end(span)
             self._deliver_later(origin_index, target, message, wire_bytes)
 
     def announce_block(self, origin_index: int, head_hash: str,
@@ -182,9 +182,9 @@ class GossipLayer:
         if message["kind"] == "tx":
             from repro.chain.transaction import Transaction
 
-            span = None
+            span = NULL_SPAN
             ctx = message.get("trace")
-            if self.obs is not None and ctx is not None:
+            if ctx is not None:  # None: the sender's span was not recorded
                 span = self.obs.tx_span(
                     "gossip.deliver", ctx["trace_id"],
                     parent_id=ctx.get("parent"), replica=replica.name)
@@ -192,14 +192,12 @@ class GossipLayer:
                 replica.chain.submit_transaction(
                     Transaction.from_dict(message["tx"]))
                 self.stats.tx_delivered += 1
-                if span is not None:
-                    self.obs.end(span.annotate("accepted", True))
+                self.obs.end(span.annotate("accepted", True))
             except ReproError:
                 # Duplicate, already mined here, or invalid against this
                 # replica's state -- all normal in a gossip mesh.
                 self.stats.tx_rejected += 1
-                if span is not None:
-                    self.obs.end(span.annotate("accepted", False))
+                self.obs.end(span.annotate("accepted", False))
             return
         if message["kind"] == "announce":
             origin = self.replicas[message["origin"]]

@@ -26,6 +26,7 @@ from repro.errors import ClusterError
 from repro.chain.account import Address
 from repro.chain.chain import Blockchain, ChainConfig
 from repro.chain.keys import KeyPair
+from repro.obs import NULL_OBSERVABILITY
 
 
 def proposer_address(index: int) -> Address:
@@ -63,10 +64,10 @@ class Replica:
         #: Faucet mints performed cluster-wide while this replica was down,
         #: re-applied on :meth:`recover` so balances converge again.
         self.missed_mints: List[Tuple[str, int]] = []
-        #: Optional observability hooks (``repro.obs``); ``None`` -- the seed
-        #: default.  Recover/resync replace the chain object, so every
-        #: replacement point re-attaches via :meth:`_reattach_obs`.
-        self.obs: Optional[Any] = None
+        #: Observability hooks (``repro.obs``); the no-op facade by default.
+        #: Recover/resync replace the chain object, so every replacement
+        #: point re-attaches via :meth:`_reattach_obs`.
+        self.obs: Any = NULL_OBSERVABILITY
         #: Whether this replica serves analytical reads from a columnar
         #: analytics replica over its own WAL (``repro.analytics``).  Sticky
         #: across crash/recover/resync: every chain replacement point
@@ -76,8 +77,7 @@ class Replica:
 
     def _reattach_obs(self) -> None:
         """Point the observability hooks at the (possibly new) chain object."""
-        if self.obs is not None:
-            self.obs.attach_chain(self.chain, self.name)
+        self.obs.attach_chain(self.chain, self.name)
 
     def attach_analytics(self) -> Any:
         """Serve this replica's reads from a columnar analytics replica.
@@ -224,6 +224,5 @@ class Replica:
         self._reattach_obs()
         self._reattach_analytics()
         self.resyncs += 1
-        if self.obs is not None:
-            self.obs.event("cluster.resync", replica=self.name,
-                           origin=origin.name, height=self.chain.height)
+        self.obs.event("cluster.resync", replica=self.name,
+                       origin=origin.name, height=self.chain.height)

@@ -287,3 +287,8 @@ class NetworkError(ReproError):
 class ProtocolViolationError(NetworkError):
     """The peer broke the HTTP/1.1 or RFC 6455 framing rules (unmasked
     client frame, oversized payload, truncated handshake)."""
+
+
+class PayloadTooLargeError(ProtocolViolationError):
+    """An HTTP request head or body exceeds the server's byte cap (the
+    violation answered ``413`` rather than ``400``)."""

@@ -13,7 +13,7 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.errors import ProtocolViolationError
+from repro.errors import PayloadTooLargeError, ProtocolViolationError
 
 #: Response reason phrases for the status codes the server actually emits.
 REASONS = {
@@ -63,8 +63,9 @@ async def read_request(reader: asyncio.StreamReader, *,
     ``header_timeout`` bounds the wait for the request head (for keep-alive
     connections this doubles as the idle timeout); ``body_timeout`` bounds
     the body read once a request is in flight, which is what defuses a
-    slow-loris body.  Raises :class:`ProtocolViolationError` on malformed or
-    oversized traffic and :class:`asyncio.TimeoutError` on a stalled peer.
+    slow-loris body.  Raises :class:`ProtocolViolationError` on malformed
+    traffic (its subclass :class:`PayloadTooLargeError` on oversized) and
+    :class:`asyncio.TimeoutError` on a stalled peer.
     """
     try:
         head = await asyncio.wait_for(
@@ -74,10 +75,10 @@ async def read_request(reader: asyncio.StreamReader, *,
             return None  # clean EOF between requests
         raise ProtocolViolationError("truncated HTTP request head") from None
     except asyncio.LimitOverrunError:
-        raise ProtocolViolationError(
+        raise PayloadTooLargeError(
             f"request head exceeds the {max_bytes}-byte cap") from None
     if len(head) > max_bytes:
-        raise ProtocolViolationError(
+        raise PayloadTooLargeError(
             f"request head exceeds the {max_bytes}-byte cap")
     try:
         text = head.decode("latin-1")
@@ -102,7 +103,7 @@ async def read_request(reader: asyncio.StreamReader, *,
             raise ProtocolViolationError(
                 f"bad content-length {length_text!r}") from None
         if length < 0 or length > max_bytes:
-            raise ProtocolViolationError(
+            raise PayloadTooLargeError(
                 f"request body of {length} bytes exceeds the {max_bytes}-byte cap")
         if length:
             try:

@@ -30,7 +30,11 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Set
 
-from repro.errors import NetworkError, ProtocolViolationError
+from repro.errors import (
+    NetworkError,
+    PayloadTooLargeError,
+    ProtocolViolationError,
+)
 from repro.net.http import HttpRequest, format_response, read_request
 from repro.net.subscriptions import SubscriptionManager
 from repro.net.websocket import (
@@ -426,15 +430,13 @@ class RpcHttpServer:
                     body_timeout=self.config.read_timeout_seconds)
             except ProtocolViolationError as exc:
                 self.stats.count_rejection("protocol")
-                if "cap" in str(exc):
+                status = 400
+                if isinstance(exc, PayloadTooLargeError):
                     self.stats.count_rejection("too_large")
-                    writer.write(format_response(
-                        413, json.dumps({"error": str(exc)}).encode(),
-                        keep_alive=False))
-                else:
-                    writer.write(format_response(
-                        400, json.dumps({"error": str(exc)}).encode(),
-                        keep_alive=False))
+                    status = 413
+                writer.write(format_response(
+                    status, json.dumps({"error": str(exc)}).encode(),
+                    keep_alive=False))
                 await writer.drain()
                 return
             except asyncio.TimeoutError:

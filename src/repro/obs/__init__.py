@@ -3,12 +3,17 @@
 See :mod:`repro.obs.facade` for the attachable :class:`Observability`
 object and ``docs/observability.md`` for the metric catalog and trace
 anatomy.  Everything here is off by default: no component builds an
-``Observability`` unless asked, and instrumented hot paths gate every hook
-on a ``None`` check.
+``Observability`` unless asked; until then every ``.obs`` is the no-op
+``NULL_OBSERVABILITY``.
 """
 
 from repro.obs.events import ObsEventLog
-from repro.obs.facade import Observability, ensure_observability
+from repro.obs.facade import (
+    NULL_OBSERVABILITY,
+    NullObservability,
+    Observability,
+    ensure_observability,
+)
 from repro.obs.profiling import PhaseProfiler
 from repro.obs.registry import (
     DEFAULT_SECONDS_BUCKETS,
@@ -21,7 +26,9 @@ __all__ = [
     "DEFAULT_SECONDS_BUCKETS",
     "METRIC_NAME_RE",
     "MetricsRegistry",
+    "NULL_OBSERVABILITY",
     "NULL_SPAN",
+    "NullObservability",
     "ObsEventLog",
     "Observability",
     "PhaseProfiler",

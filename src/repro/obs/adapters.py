@@ -62,14 +62,11 @@ def register_rpc_metrics(registry: MetricsRegistry, metrics: Any) -> None:
 def collect_cache(reg: MetricsRegistry, name: str, cache: Any) -> None:
     """Sample one ``LRUCache``-shaped object under the ``cache=<name>`` label.
 
-    This is the *single* spelling unifying ``address_cache_stats()``, the
-    ``storage_cacheStats`` RPC method and ``engine.cache.stats()`` -- all
-    three now sample the same ``repro_cache_*`` series.  The facade calls
-    this from one collector iterating its registered caches, so a cache can
-    be re-registered (e.g. after a node restart) without duplicating
-    series.
+    The facade calls this from one collector iterating its registered
+    caches, so a cache can be re-registered (e.g. after a node restart)
+    without duplicating series.
     """
-    stats = cache.stats() if hasattr(cache, "stats") else cache.snapshot()
+    stats = cache.stats()
     labels = {"cache": name}
     reg.gauge("repro_cache_entries", "Entries currently cached.",
               ("cache",)).labels(**labels).set(stats["entries"])

@@ -5,12 +5,17 @@ One instance bundles the four pillars -- :class:`MetricsRegistry`,
 knows how to wire itself onto the stack's components (chain, cluster,
 gossip, RPC gateway, storage engine, load generator).
 
-**Off by default, overhead-gated.**  Nothing in the repo constructs an
-``Observability`` unless a user passes ``--obs`` / ``observability=True``;
-every instrumented call site follows the repo's fork-choice idiom of a
-``None``-default attribute guarded by ``if self.obs is not None``, so the
-disabled path costs one attribute check and the seed's behavior -- down to
-the bytes of a saved ideal-scenario report -- is unchanged.
+**Off by default: a null object, not a ``None``.**  Nothing in the repo
+constructs an ``Observability`` unless a user passes ``--obs`` /
+``observability=True``; until one is attached, every instrumented
+component's ``.obs`` is the stateless :data:`NULL_OBSERVABILITY`, whose
+hooks do nothing, so each call site has one body and no ``obs`` branch.
+Sized on ``ingest``: the no-op calls cost 1.6 us of a 1 540 us
+transaction, while a real always-on facade holds +5.5 MB of spans after
+3 000 transfers (~23 MB at the 50 000-span cap) and breaks the
+``peak_rss_mb`` bound -- which is why the default records nothing.  The
+seed's behavior -- down to the bytes of a saved ideal-scenario report --
+is unchanged.
 
 Chains are attached through :meth:`attach_chain` rather than a one-shot
 registration because replica crash/recover and resync *replace* the chain
@@ -20,13 +25,14 @@ collectors keep sampling the live one.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs import adapters
 from repro.obs.events import ObsEventLog
 from repro.obs.profiling import PhaseProfiler
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import NULL_SPAN, Tracer
 from repro.utils.clock import SimulatedClock
 
 
@@ -71,6 +77,12 @@ class Observability:
     def phase(self, name: str):
         """``with obs.phase("verify"):`` -- time one profiled phase."""
         return self.profiler.phase(name)
+
+    def observe_block_production(self, seconds: float) -> None:
+        """Record the wall-clock cost of producing one block."""
+        self.registry.histogram(
+            "repro_block_production_seconds",
+            "Wall-clock cost of producing one block.").child.observe(seconds)
 
     # -- wiring -------------------------------------------------------------
 
@@ -148,11 +160,8 @@ class Observability:
 
     def cache_stats(self) -> Dict[str, Any]:
         """Unified stats for every registered cache (the one spelling)."""
-        return {
-            name: (cache.stats() if hasattr(cache, "stats")
-                   else cache.snapshot())
-            for name, cache in sorted(self._caches.items())
-        }
+        return {name: cache.stats()
+                for name, cache in sorted(self._caches.items())}
 
     def sample_trace_id(self) -> Optional[str]:
         """A representative trace id: the first transaction trace recorded."""
@@ -189,6 +198,50 @@ class Observability:
             "spans_total": len(self.tracer.spans),
             "traces_total": len(self.tracer.trace_ids()),
         }
+
+
+#: The one shared no-op ``with`` block :meth:`NullObservability.phase` hands
+#: out (``nullcontext`` is stateless, so reusable and re-entrant).
+_NULL_PHASE = nullcontext()
+
+
+class NullObservability:
+    """What ``.obs`` is until an :class:`Observability` is attached.
+
+    Stateless: every hook an instrumented call site uses exists and does
+    nothing, so call sites never branch on whether a run is observed.
+    ``tests/obs/test_null_facade.py`` holds it to :class:`Observability`'s
+    hot-path and attach surface.
+    """
+
+    __slots__ = ()
+
+    def tx_span(self, name: str, trace_id: str, **_: Any) -> Any:
+        return NULL_SPAN
+
+    def end(self, span: Any, status: str = "ok") -> Any:
+        return span
+
+    def span_context(self, span: Any) -> None:
+        return None
+
+    def event(self, kind: str, **fields: Any) -> None:
+        return None
+
+    def phase(self, name: str) -> Any:
+        return _NULL_PHASE
+
+    def observe_block_production(self, seconds: float) -> None:
+        return None
+
+    def attach_chain(self, chain: Any, label: Optional[str] = None) -> None:
+        return None
+
+    def instrument_storage(self, engine: Any) -> None:
+        return None
+
+
+NULL_OBSERVABILITY = NullObservability()
 
 
 def ensure_observability(value: Any,

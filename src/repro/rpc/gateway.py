@@ -21,6 +21,7 @@ from repro.errors import ReproError
 from repro.chain.node import EthereumNode
 from repro.ipfs.node import IpfsNode
 from repro.ipfs.swarm import Swarm
+from repro.obs import NULL_OBSERVABILITY
 from repro.rpc.middleware import RequestMetrics
 from repro.rpc.namespaces import (
     AnalyticsNamespace,
@@ -55,14 +56,6 @@ def _describe_storage(engine: Any) -> Callable[[], Dict[str, Any]]:
     return storage_stats
 
 
-def _cache_stats(engine: Any) -> Callable[[], Dict[str, Any]]:
-    def storage_cache_stats() -> Dict[str, Any]:
-        """Hit/miss/eviction counters of the storage cache (deprecated alias of obs_cacheStats)."""
-        return engine.cache.stats()
-
-    return storage_cache_stats
-
-
 class JsonRpcGateway:
     """Versioned JSON-RPC 2.0 gateway over the chain/IPFS/backend stack."""
 
@@ -87,9 +80,9 @@ class JsonRpcGateway:
         self.ipfs = IpfsNamespace(swarm=swarm)
         self.oflw3 = Oflw3Namespace()
         self.storage: Optional[Any] = None
-        #: Optional observability facade (``repro.obs``); mounted lazily via
-        #: :meth:`attach_obs`, ``None`` by default.
-        self.obs: Optional[Any] = None
+        #: Observability facade (``repro.obs``); the no-op one until
+        #: :meth:`attach_obs` mounts a real one.
+        self.obs: Any = NULL_OBSERVABILITY
         #: Optional analytics replica feeder (``repro.analytics``); mounted
         #: lazily via :meth:`attach_analytics`, ``None`` by default.
         self.analytics: Optional[Any] = None
@@ -138,17 +131,14 @@ class JsonRpcGateway:
 
         Installs the engine's LRU read-cache statistics as a gauge on the
         :class:`RequestMetrics` middleware (so scenario reports show cache
-        hits/misses next to request counts) and serves two ``storage_*``
-        methods: ``storage_stats`` (full engine inspection) and
-        ``storage_cacheStats`` (just the cache counters).
+        hits/misses next to request counts) and serves ``storage_stats``
+        (full engine inspection, cache counters under ``cache``).
         """
         self.storage = engine
         if self.metrics is not None:
             self.metrics.attach_gauge("storage_cache", engine.cache.snapshot)
-        if self.obs is not None:
-            self.obs.instrument_storage(engine)
+        self.obs.instrument_storage(engine)
         self.register("storage_stats", _describe_storage(engine))
-        self.register("storage_cacheStats", _cache_stats(engine))
         return self
 
     def attach_obs(self, obs: Any) -> "JsonRpcGateway":
@@ -157,8 +147,6 @@ class JsonRpcGateway:
         Adapts the gateway's :class:`RequestMetrics` into the unified
         registry and, when a storage engine is (or later gets) attached,
         registers its cache under the unified ``repro_cache_*`` series.
-        ``storage_cacheStats`` keeps working as a deprecated alias of
-        ``obs_cacheStats``'s ``storage`` entry.
         """
         self.obs = obs
         obs.instrument_gateway(self)

@@ -171,8 +171,8 @@ class ScenarioRunner:
 
         # Observability is strictly opt-in (``observability=True`` or an
         # existing facade): when off -- the default -- nothing below is
-        # constructed and every subsystem keeps its ``obs = None`` fast
-        # path, so reports stay byte-identical to the uninstrumented seed.
+        # constructed and every subsystem keeps its no-op ``obs``, so
+        # reports stay byte-identical to the uninstrumented seed.
         self.obs = ensure_observability(observability, clock=self.clock)
         if self.obs is not None:
             if self.cluster is not None:

@@ -94,9 +94,7 @@ class LRUCache:
     def stats(self) -> Dict[str, Any]:
         """Canonical statistics spelling (alias of :meth:`snapshot`).
 
-        ``repro.obs`` samples every registered cache through this one name,
-        unifying the historical trio of ``address_cache_stats()``, the
-        ``storage_cacheStats`` RPC method and ``cache.snapshot()``.
+        ``repro.obs`` samples every registered cache through this one name.
         """
         return self.snapshot()
 

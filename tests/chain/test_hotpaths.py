@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.chain import EthereumNode, Faucet, KeyPair
-from repro.chain.account import Address, address_cache_stats
+from repro.chain.account import Address, checksum_cache
 from repro.chain.keys import (
     GENERATOR,
     GROUP_ORDER,
@@ -275,9 +275,9 @@ class TestAddressInterning:
     def test_lowercase_and_checksummed_forms_share_a_slot(self):
         keypair = KeyPair.from_label("intern-fold")
         checksummed = Address(keypair.address)
-        misses_after_first = address_cache_stats()["misses"]
+        misses_after_first = checksum_cache().stats()["misses"]
         lowered = Address(keypair.address.lower())
-        stats = address_cache_stats()
+        stats = checksum_cache().stats()
         assert stats["misses"] == misses_after_first  # second form was a hit
         assert lowered == checksummed
 
@@ -292,9 +292,9 @@ class TestAddressInterning:
     def test_cache_accumulates_hits(self):
         keypair = KeyPair.from_label("intern-hits")
         Address(keypair.address)
-        before = address_cache_stats()["hits"]
+        before = checksum_cache().stats()["hits"]
         Address(keypair.address)
-        assert address_cache_stats()["hits"] > before
+        assert checksum_cache().stats()["hits"] > before
 
 
 class TestMempoolIndexes:

@@ -123,6 +123,19 @@ class TestRoutes:
             finally:
                 conn.close()
 
+    @pytest.mark.parametrize("pad", [3000, 8000],
+                             ids=["past-the-cap", "past-the-stream-limit"])
+    def test_oversized_head_is_413(self, pad):
+        server = make_server(max_request_bytes=2048)
+        with ServerThread(server):
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=10) as sock:
+                sock.sendall(b"POST / HTTP/1.1\r\nx-pad: " + b"a" * pad
+                             + b"\r\n\r\n")
+                reply = sock.recv(4096)
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert server.stats.rejections == {"protocol": 1, "too_large": 1}
+
     def test_keep_alive_serves_many_requests_on_one_socket(self, port):
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
         try:
@@ -169,6 +182,11 @@ class TestMalformedRequests:
                      id="request-line"),
         pytest.param(b"POST / HTTP/1.1\r\nno-colon-here\r\n\r\n",
                      b"malformed HTTP header", id="header"),
+        # Classified by type, not text: "cap" in the echoed header once
+        # turned this 400 into a 413 with a second ``too_large`` count.
+        pytest.param(b"POST / HTTP/1.1\r\nhost: x\r\n"
+                     b"x-capability-without-colon\r\n\r\n",
+                     b"malformed HTTP header", id="header-mentioning-cap"),
         pytest.param(b"POST / HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
                      b"bad content-length", id="content-length"),
         pytest.param(b"POST / HT", b"truncated HTTP request head",

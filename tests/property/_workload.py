@@ -1,8 +1,9 @@
 """The one workload generator and fingerprint of the equivalence suite.
 
-``test_property_batchverify`` (serial == deferred/pipelined verify) executes
-the *identical* submitted workload on a reference chain and on a chain with
-the flag turned on, and compares :func:`fingerprint`.  This module is that
+``test_property_batchverify`` (serial == deferred/pipelined verify) and
+``test_property_observed`` (observed == unobserved) execute the *identical*
+submitted workload on a reference chain and on a chain with the flag turned
+on, and compare :func:`fingerprint`.  This module is that
 workload: the actors, the operation vocabulary (:data:`OPS`), how an
 operation is applied, and what "identical" means.  It also holds the
 adversarial signature items (:data:`ITEM_SPECS`, :func:`build_item`) that
@@ -22,6 +23,7 @@ from repro.chain.keys import GROUP_ORDER, GROUP_PRIME, KeyPair, Signature
 from repro.chain.transaction import Transaction, encode_call, encode_create
 from repro.contracts.registry import default_registry
 from repro.errors import InvalidSignatureError
+from repro.obs import Observability
 from repro.storage import state_digest
 from repro.utils.clock import SimulatedClock
 from repro.utils.hashing import keccak256
@@ -293,9 +295,15 @@ def close_accelerators(chain: Blockchain) -> None:
         chain.batchverify.close()
 
 
-def run_workload(ops, batch_verify=None) -> Blockchain:
-    """Execute ``ops`` on a fresh chain; ``batch_verify`` is a worker count."""
+def run_workload(ops, batch_verify=None, observed=False) -> Blockchain:
+    """Execute ``ops`` on a fresh chain; ``batch_verify`` is a worker count.
+
+    ``observed`` attaches a real ``Observability`` (left on ``chain.obs``)
+    before the first operation.
+    """
     chain = fresh_chain(batch_verify=batch_verify)
+    if observed:
+        Observability(clock=chain.clock).attach_chain(chain)
     seed_workload(chain)
     for op in ops:
         apply_op(chain, op)

@@ -1,8 +1,7 @@
 """The ``obs_*`` RPC namespace and the unified cache-stat spelling.
 
 Satellite coverage: ``obs_cacheStats`` is *the* cache-stat spelling;
-``storage_cacheStats`` and ``address_cache_stats()`` keep working as
-deprecated shims over the same counters.
+``storage_stats`` carries the storage cache's same counters under ``cache``.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chain import EthereumNode, Faucet, KeyPair
-from repro.chain.account import address_cache_stats, checksum_cache
+from repro.chain.account import checksum_cache
 from repro.chain.keys import inverse_cache, key_comb_cache
 from repro.contracts import default_registry
 from repro.obs import Observability
@@ -109,19 +108,11 @@ class TestUnifiedCacheStats:
         assert {"hits", "misses", "evictions", "builds"} <= \
             set(stats["schnorr_key_comb"])
 
-    def test_storage_cache_stats_shim_matches(self, observed_gateway):
+    def test_storage_stats_has_the_same_cache_counters(self, observed_gateway):
         gateway, _, _ = observed_gateway
-        assert gateway.call("storage_cacheStats") == \
+        assert "storage_cacheStats" not in gateway.methods()
+        assert gateway.call("storage_stats")["cache"] == \
             gateway.call("obs_cacheStats")["storage"]
-
-    def test_address_cache_stats_shim_derives_from_the_canonical_stats(self):
-        stats = checksum_cache().stats()
-        legacy = address_cache_stats()
-        assert set(legacy) == {"size", "hits", "misses", "evictions"}
-        assert legacy["size"] == stats["entries"]
-        assert legacy["hits"] == stats["hits"]
-        assert legacy["misses"] == stats["misses"]
-        assert legacy["evictions"] == stats["evictions"]
 
 
 def _walk(nodes):

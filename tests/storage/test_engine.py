@@ -154,12 +154,10 @@ class TestGatewayIntegration:
         gateway = JsonRpcGateway(node=node)
         gateway.attach_storage(engine)
         assert "storage_stats" in gateway.methods()
-        assert "storage_cacheStats" in gateway.methods()
 
         stats = gateway.call("storage_stats")
         assert stats["config"]["backend"] == "memory"
-        cache = gateway.call("storage_cacheStats")
-        assert cache["capacity"] == engine.cache.capacity
+        assert stats["cache"]["capacity"] == engine.cache.capacity
 
         snapshot = gateway.metrics.snapshot(include_latency=False)
         assert snapshot["storage_cache"]["capacity"] == engine.cache.capacity
