@@ -185,12 +185,27 @@ class ChainCluster:
                                for group in groups])
 
     def heal(self) -> None:
-        """Remove the partition (gossip resumes; convergence follows)."""
+        """Remove the partition (gossip resumes; convergence follows).
+
+        A flood sent into the partition was dropped, not queued, so every
+        replica re-floods what it still has pending to the peers it could
+        not reach -- otherwise a transaction admitted on one side stays
+        unknown to the next leader until it is mined.
+        """
+        alive = self.alive_replicas()
+        cut_off = {
+            replica.index: [other.index for other in alive
+                            if not self.gossip.reachable(replica.index, other.index)]
+            for replica in alive
+        }
         if self.network is not None:
             self.network.heal()
         self.heals += 1
         self._invalidate_topology()
         self.obs.event("cluster.heal")
+        for replica in alive:
+            for tx in replica.chain.mempool.pending():
+                self.gossip.flood_tx(replica.index, tx, cut_off[replica.index])
 
     # -- leadership ---------------------------------------------------------------
 

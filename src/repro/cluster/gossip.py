@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import BlockValidationError, ClusterError, ReproError
 from repro.obs import NULL_OBSERVABILITY, NULL_SPAN
@@ -120,11 +120,13 @@ class GossipLayer:
 
     # -- send side --------------------------------------------------------------
 
-    def flood_tx(self, origin_index: int, tx: Any) -> None:
-        """Broadcast an accepted transaction to every other replica."""
+    def flood_tx(self, origin_index: int, tx: Any,
+                 targets: Optional[Sequence[int]] = None) -> None:
+        """Broadcast an accepted transaction to every other replica (or to
+        ``targets`` only: the peers a healed partition had cut off)."""
         payload = tx.to_dict()
         wire_bytes = len(json.dumps(payload))
-        for target, replica in enumerate(self.replicas):
+        for target in range(len(self.replicas)) if targets is None else targets:
             if target == origin_index:
                 continue
             self.stats.tx_floods += 1

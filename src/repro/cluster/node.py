@@ -142,14 +142,21 @@ class ClusterNode(EthereumNode):
 
         The leader is where the next submission will be validated and
         queued, so its pending set -- not a load-balanced read replica's,
-        which may not have received the flood yet -- is the authority.
+        which may not have received the flood yet -- is the authority.  It
+        is the first nonce the leader neither executed nor holds: a count
+        of its pending transactions would hand out a nonce already pending
+        whenever a lost flood left a gap below them.
         """
         from repro.chain.account import Address
 
         self.cluster.pump()
         chain = self.cluster.leader_replica().chain
         addr = Address(address)
-        return chain.state.nonce_of(addr) + chain.mempool.pending_count(addr.lower)
+        nonce = chain.state.nonce_of(addr)
+        pending = set(chain.mempool.pending_nonces(addr.lower))
+        while nonce in pending:
+            nonce += 1
+        return nonce
 
     # -- mints (faucet fan-out) ------------------------------------------------------
 

@@ -28,6 +28,7 @@ from repro.utils.rng import derive_seed, make_rng
 
 IMAGE_SIDE = 28
 NUM_PIXELS = IMAGE_SIDE * IMAGE_SIDE
+_BLOCK_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,13 @@ def generate_synthetic_mnist(config: Optional[SyntheticMnistConfig] = None) -> D
     noise = sample_rng.normal(0.0, config.noise_scale, size=(config.num_samples, config.num_features))
 
     features = prototypes[labels]
-    features = features + np.einsum("nr,nrf->nf", coefficients, variation_bases[labels]) + noise
-    features = np.clip(features, 0.0, 1.0)
+    # Block by block: gathering every sample's basis at once is a
+    # (samples, rank, features) tensor, 3 GB at the paper's size.
+    for start in range(0, config.num_samples, _BLOCK_SAMPLES):
+        rows = slice(start, start + _BLOCK_SAMPLES)
+        features[rows] += np.einsum("nr,nrf->nf", coefficients[rows], variation_bases[labels[rows]])
+    features += noise
+    np.clip(features, 0.0, 1.0, out=features)
 
     if config.label_noise > 0.0:
         # Flip a fraction of labels uniformly at random, putting an intrinsic

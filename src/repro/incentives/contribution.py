@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import IncentiveError
 from repro.utils.rng import make_rng
@@ -78,11 +78,22 @@ def _validate(num_owners: int) -> None:
         raise IncentiveError(f"need at least one owner, got {num_owners}")
 
 
-def leave_one_out(num_owners: int, value_fn: ValueFunction) -> ContributionReport:
-    """Leave-one-out contributions: ``v(N) - v(N without i)`` for each owner."""
+def leave_one_out(
+    num_owners: int, value_fn: ValueFunction, full_value: Optional[float] = None
+) -> ContributionReport:
+    """Leave-one-out contributions: ``v(N) - v(N without i)`` for each owner.
+
+    A caller that has already evaluated the grand coalition passes ``v(N)`` as
+    ``full_value`` and ``value_fn`` is then asked for the ``N`` drops only.
+    """
     _validate(num_owners)
     cached = _CachedValue(value_fn)
     everyone = tuple(range(num_owners))
+    if full_value is not None:
+        # Evaluated by the caller: still one of the N + 1 evaluations the
+        # Fig. 7 timing model is fed.
+        cached._cache[everyone] = float(full_value)
+        cached.calls += 1
     full_value = cached(everyone)
     scores: Dict[int, float] = {}
     drop_values: Dict[int, float] = {}

@@ -23,15 +23,30 @@ class DenseLayer:
             raise ShapeError(
                 f"layer dimensions must be positive, got ({in_features}, {out_features})"
             )
-        self.in_features = in_features
-        self.out_features = out_features
-        generator = make_rng(rng)
         limit = np.sqrt(6.0 / in_features)
-        self.weights = generator.uniform(-limit, limit, size=(in_features, out_features)).astype(np.float64)
-        self.biases = np.zeros(out_features, dtype=np.float64)
+        weights = make_rng(rng).uniform(-limit, limit, size=(in_features, out_features))
+        self._adopt(weights.astype(np.float64), np.zeros(out_features, dtype=np.float64))
+
+    @classmethod
+    def from_parameters(cls, parameters: Dict[str, np.ndarray]) -> "DenseLayer":
+        """A layer holding copies of ``parameters``; draws no random number."""
+        weights = np.array(parameters["weights"], dtype=np.float64)
+        biases = np.array(parameters["biases"], dtype=np.float64)
+        if weights.ndim != 2 or 0 in weights.shape or biases.shape != weights.shape[1:]:
+            raise ShapeError(
+                f"parameter shape mismatch: weights {weights.shape} with biases {biases.shape}"
+            )
+        layer = cls.__new__(cls)
+        layer._adopt(weights, biases)
+        return layer
+
+    def _adopt(self, weights: np.ndarray, biases: np.ndarray) -> None:
+        self.in_features, self.out_features = weights.shape
+        self.weights = weights
+        self.biases = biases
         self._last_input: Optional[np.ndarray] = None
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_biases = np.zeros_like(self.biases)
+        self.grad_weights = np.zeros_like(weights)
+        self.grad_biases = np.zeros_like(biases)
 
     # -- forward / backward ------------------------------------------------------
 
@@ -45,8 +60,8 @@ class DenseLayer:
         self._last_input = inputs
         return inputs @ self.weights + self.biases
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients and return the input gradient."""
+    def accumulate_gradients(self, grad_output: np.ndarray) -> np.ndarray:
+        """Store the parameter gradients; returns the validated ``grad_output``."""
         if self._last_input is None:
             raise ShapeError("backward called before forward")
         grad_output = np.asarray(grad_output, dtype=np.float64)
@@ -57,7 +72,11 @@ class DenseLayer:
             )
         self.grad_weights = self._last_input.T @ grad_output
         self.grad_biases = grad_output.sum(axis=0)
-        return grad_output @ self.weights.T
+        return grad_output
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        """Accumulate parameter gradients and return the input gradient."""
+        return self.accumulate_gradients(grad_output) @ self.weights.T
 
     # -- parameter access -----------------------------------------------------------
 

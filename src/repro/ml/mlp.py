@@ -29,12 +29,16 @@ class MLP:
             raise ShapeError(f"an MLP needs at least two layer sizes, got {sizes}")
         if any(s <= 0 for s in sizes):
             raise ShapeError(f"layer sizes must be positive, got {sizes}")
-        self.layer_sizes = tuple(sizes)
-        self.seed = seed
-        self.layers: List[DenseLayer] = []
+        layers: List[DenseLayer] = []
         for index, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             layer_seed = None if seed is None else derive_seed(seed, f"layer-{index}")
-            self.layers.append(DenseLayer(fan_in, fan_out, rng=make_rng(layer_seed)))
+            layers.append(DenseLayer(fan_in, fan_out, rng=make_rng(layer_seed)))
+        self._adopt(layers, seed)
+
+    def _adopt(self, layers: List[DenseLayer], seed: Optional[int]) -> None:
+        self.layers = layers
+        self.layer_sizes = (layers[0].in_features, *(layer.out_features for layer in layers))
+        self.seed = seed
         self._hidden_pre_activations: List[np.ndarray] = []
 
     # -- forward -------------------------------------------------------------------
@@ -69,10 +73,11 @@ class MLP:
         if len(self._hidden_pre_activations) != len(self.layers) - 1:
             raise ShapeError("backward called before forward")
         grad = np.asarray(grad_logits, dtype=np.float64)
-        for index in range(len(self.layers) - 1, -1, -1):
+        for index in range(len(self.layers) - 1, 0, -1):
             grad = self.layers[index].backward(grad)
-            if index > 0:
-                grad = grad * relu_grad(self._hidden_pre_activations[index - 1])
+            grad = grad * relu_grad(self._hidden_pre_activations[index - 1])
+        # Nothing reads the gradient with respect to the network's input.
+        self.layers[0].accumulate_gradients(grad)
 
     # -- parameters ----------------------------------------------------------------
 
@@ -96,20 +101,27 @@ class MLP:
 
     def copy(self) -> "MLP":
         """A deep copy with identical parameters."""
-        clone = MLP(self.layer_sizes, seed=self.seed)
-        clone.set_parameters(self.get_parameters())
+        clone = MLP.from_parameters(self.get_parameters())
+        clone.seed = self.seed
         return clone
 
     @classmethod
     def from_parameters(cls, parameters: List[Dict[str, np.ndarray]]) -> "MLP":
-        """Build an MLP whose architecture is inferred from a parameter list."""
+        """Build an MLP whose architecture is inferred from a parameter list.
+
+        The layers hold copies of ``parameters``; no weight is drawn.
+        """
         if not parameters:
             raise ShapeError("cannot build an MLP from an empty parameter list")
-        sizes = [parameters[0]["weights"].shape[0]]
-        for params in parameters:
-            sizes.append(params["weights"].shape[1])
-        model = cls(sizes)
-        model.set_parameters(parameters)
+        layers = [DenseLayer.from_parameters(params) for params in parameters]
+        for index, (before, after) in enumerate(zip(layers, layers[1:])):
+            if before.out_features != after.in_features:
+                raise ShapeError(
+                    f"layer {index} has {before.out_features} outputs but layer {index + 1} "
+                    f"takes {after.in_features} inputs"
+                )
+        model = cls.__new__(cls)
+        model._adopt(layers, None)
         return model
 
     def __repr__(self) -> str:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -70,26 +70,39 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.epsilon = epsilon
         self._step_count = 0
-        self._first_moment: Dict[int, Dict[str, np.ndarray]] = {}
-        self._second_moment: Dict[int, Dict[str, np.ndarray]] = {}
+        #: Per layer: (first moment, second moment, two scratch buffers) for
+        #: the weights and for the biases, allocated on the first step.
+        self._state: Dict[int, List[Tuple[np.ndarray, ...]]] = {}
 
     def step(self, layers: List[DenseLayer]) -> None:
-        """Apply one Adam update to every layer."""
+        """Apply one Adam update to every layer: the textbook update, operation
+        for operation, written into two scratch buffers instead of temporaries."""
         self._step_count += 1
         for index, layer in enumerate(layers):
+            params = (layer.weights, layer.biases)
+            if index not in self._state:
+                self._state[index] = [
+                    (np.zeros_like(p), np.zeros_like(p), np.empty_like(p), np.empty_like(p))
+                    for p in params
+                ]
             grads = layer.get_gradients()
-            if index not in self._first_moment:
-                for moments in (self._first_moment, self._second_moment):
-                    moments[index] = {
-                        "weights": np.zeros_like(layer.weights),
-                        "biases": np.zeros_like(layer.biases),
-                    }
-            m_state = self._first_moment[index]
-            v_state = self._second_moment[index]
-            for key, param in (("weights", layer.weights), ("biases", layer.biases)):
-                grad = grads[key]
-                m_state[key] = self.beta1 * m_state[key] + (1 - self.beta1) * grad
-                v_state[key] = self.beta2 * v_state[key] + (1 - self.beta2) * grad**2
-                m_hat = m_state[key] / (1 - self.beta1**self._step_count)
-                v_hat = v_state[key] / (1 - self.beta2**self._step_count)
-                param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            for (m, v, update, scratch), grad, param in zip(
+                self._state[index], (grads["weights"], grads["biases"]), params
+            ):
+                # m = beta1 * m + (1 - beta1) * grad
+                m *= self.beta1
+                np.multiply(grad, 1 - self.beta1, out=scratch)
+                m += scratch
+                # v = beta2 * v + (1 - beta2) * grad**2
+                v *= self.beta2
+                np.square(grad, out=scratch)
+                scratch *= 1 - self.beta2
+                v += scratch
+                # param -= learning_rate * m_hat / (sqrt(v_hat) + epsilon)
+                np.divide(m, 1 - self.beta1**self._step_count, out=update)
+                update *= self.learning_rate
+                np.divide(v, 1 - self.beta2**self._step_count, out=scratch)
+                np.sqrt(scratch, out=scratch)
+                scratch += self.epsilon
+                update /= scratch
+                param -= update

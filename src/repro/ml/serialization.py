@@ -73,7 +73,7 @@ def deserialize_model(payload: bytes) -> MLP:
         raise SerializationError(
             f"parameter buffer has {len(body)} bytes, expected {expected_values * dtype.itemsize}"
         )
-    values = np.frombuffer(body, dtype=dtype).astype(np.float64)
+    values = np.frombuffer(body, dtype=dtype)  # MLP.from_parameters makes the float64 copy
 
     parameters = []
     cursor = 0
@@ -83,9 +83,7 @@ def deserialize_model(payload: bytes) -> MLP:
         biases = values[cursor:cursor + fan_out]
         cursor += fan_out
         parameters.append({"weights": weights, "biases": biases})
-    model = MLP(layer_sizes)
-    model.set_parameters(parameters)
-    return model
+    return MLP.from_parameters(parameters)
 
 
 def model_payload_size(layer_sizes: Sequence[int]) -> int:

@@ -48,11 +48,10 @@ class TrainingConfig:
 
 @dataclass
 class EpochRecord:
-    """Loss/accuracy after one training epoch."""
+    """Mean minibatch loss of one training epoch."""
 
     epoch: int
     loss: float
-    train_accuracy: float
 
 
 @dataclass
@@ -60,16 +59,13 @@ class TrainingHistory:
     """Per-epoch records of a training run."""
 
     epochs: List[EpochRecord] = field(default_factory=list)
+    #: Training accuracy after the last epoch.
+    final_accuracy: float = float("nan")
 
     @property
     def final_loss(self) -> float:
         """Training loss after the last epoch."""
         return self.epochs[-1].loss if self.epochs else float("nan")
-
-    @property
-    def final_accuracy(self) -> float:
-        """Training accuracy after the last epoch."""
-        return self.epochs[-1].train_accuracy if self.epochs else float("nan")
 
     @property
     def losses(self) -> List[float]:
@@ -108,14 +104,14 @@ class Trainer:
                 self.model.backward(grad)
                 self.optimizer.step(self.model.layers)
                 epoch_losses.append(loss)
-            train_accuracy = accuracy(self.model.predict(features), labels)
             history.epochs.append(
                 EpochRecord(
                     epoch=epoch,
                     loss=float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
-                    train_accuracy=train_accuracy,
                 )
             )
+        if history.epochs:
+            history.final_accuracy = accuracy(self.model.predict(features), labels)
         return history
 
     def evaluate(self, features: np.ndarray, labels: np.ndarray) -> EvalResult:

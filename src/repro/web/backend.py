@@ -51,6 +51,8 @@ class TaskState:
     updates: List[ModelUpdate] = field(default_factory=list)
     uploaders: List[str] = field(default_factory=list)
     aggregation: Optional[AggregationResult] = None
+    #: Test accuracy of ``aggregation`` (the grand coalition's value).
+    aggregate_accuracy: Optional[float] = None
     contribution: Optional[ContributionReport] = None
     payments: Dict[str, int] = field(default_factory=dict)
 
@@ -179,6 +181,8 @@ class BuyerBackend:
         cids = self._read_contract(contract, "getAllCids")
         task.updates = []
         task.uploaders = []
+        # What was computed from the previous retrieval is no longer the task's.
+        task.aggregation = task.aggregate_accuracy = task.contribution = None
         sizes = []
         for index, cid in enumerate(cids):
             uploader = self._read_contract(contract, "getUploader", [index])
@@ -212,7 +216,7 @@ class BuyerBackend:
         name = (request.json_body or {}).get("algorithm")
         aggregator = self._make_aggregator(name)
         task.aggregation = aggregator.aggregate(task.updates)
-        test_accuracy = task.aggregation.evaluate(self.test_dataset)
+        task.aggregate_accuracy = task.aggregation.evaluate(self.test_dataset)
         local_accuracies = {
             update.client_id: evaluate_model(
                 update.to_model(), self.test_dataset.features, self.test_dataset.labels
@@ -223,7 +227,7 @@ class BuyerBackend:
             {
                 "algorithm": task.aggregation.algorithm,
                 "num_updates": task.aggregation.num_updates,
-                "aggregate_accuracy": test_accuracy,
+                "aggregate_accuracy": task.aggregate_accuracy,
                 "local_accuracies": local_accuracies,
             }
         )
@@ -244,7 +248,12 @@ class BuyerBackend:
             return result.evaluate(self.test_dataset)
 
         if method == "leave_one_out":
-            task.contribution = leave_one_out(len(task.updates), value_fn)
+            # The same algorithm over the same updates: v(N) is already known.
+            reuse = task.aggregation is not None and task.aggregation.algorithm == aggregator.name
+            task.contribution = leave_one_out(
+                len(task.updates), value_fn,
+                full_value=task.aggregate_accuracy if reuse else None,
+            )
         elif method == "shapley_monte_carlo":
             task.contribution = shapley_monte_carlo(
                 len(task.updates), value_fn,
@@ -292,15 +301,12 @@ class BuyerBackend:
     def _report(self, request: HttpRequest) -> HttpResponse:
         """Consolidated view of a task (used by the DApp's results screen)."""
         task = self._get_task(request)
-        aggregate_accuracy = (
-            task.aggregation.evaluate(self.test_dataset) if task.aggregation else None
-        )
         return HttpResponse.json_ok(
             {
                 "contract_address": task.contract_address,
                 "spec": task.spec,
                 "num_models": len(task.updates),
-                "aggregate_accuracy": aggregate_accuracy,
+                "aggregate_accuracy": task.aggregate_accuracy,
                 "contribution": task.contribution.to_dict() if task.contribution else None,
                 "payments_eth": {
                     owner: format_ether(amount) for owner, amount in task.payments.items()

@@ -221,6 +221,30 @@ class TestClusterNodeFacade:
         node.sign_and_send(keys[0], to=sink, value=1)
         assert node.pending_nonce(keys[0].address) == 2
 
+    def test_pending_nonce_never_names_a_nonce_the_leader_holds(self):
+        # A lost flood leaves a gap: the leader holds nonce 1 but not nonce 0.
+        cluster = make_cluster(3)
+        node, keys = funded_node(cluster)
+        sink = KeyPair.from_label("gap-sink").address
+        leader = cluster.leader_replica()
+        leader.chain.submit_transaction(_signed_transfer(keys[0], sink, 1))
+        assert node.pending_nonce(keys[0].address) == 0
+        leader.chain.submit_transaction(_signed_transfer(keys[0], sink, 0))
+        assert node.pending_nonce(keys[0].address) == 2
+
+    def test_pending_transactions_cross_a_healed_link(self):
+        cluster = make_cluster(3)
+        node, keys = funded_node(cluster)
+        sink = KeyPair.from_label("heal-sink").address
+        cluster.partition([[0], [1, 2]])
+        tx_hash = node.sign_and_send(keys[0], to=sink, value=1)
+        floods = cluster.gossip.stats.tx_floods
+        cluster.heal()
+        cluster.gossip.drain()
+        assert all(tx_hash in replica.chain.mempool for replica in cluster.replicas)
+        # Only the lone replica had anything pending, and it had two peers cut off.
+        assert cluster.gossip.stats.tx_floods == floods + 2
+
     def test_status_document_shape(self):
         cluster = make_cluster(3)
         status = cluster.status()

@@ -1,11 +1,14 @@
 """Tests for repro.data.dataset and repro.data.synthetic_mnist."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import ShapeError
 from repro.data.dataset import Dataset, train_test_split
 from repro.data.synthetic_mnist import SyntheticMnistConfig, generate_synthetic_mnist
+from repro.system.config import paper_config, quick_config
 
 
 def small_dataset(n=50, num_classes=5, seed=0):
@@ -142,3 +145,70 @@ class TestSyntheticMnist:
     def test_non_square_feature_count_supported(self):
         ds = generate_synthetic_mnist(SyntheticMnistConfig(num_samples=50, num_features=100, seed=1))
         assert ds.num_features == 100
+
+
+def _sha256(dataset) -> str:
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(dataset.features).tobytes())
+    digest.update(np.ascontiguousarray(dataset.labels).tobytes())
+    return digest.hexdigest()
+
+
+def _marketplace_dataset_config(config) -> SyntheticMnistConfig:
+    """The generator config ``build_environment`` derives from a run config."""
+    return SyntheticMnistConfig(
+        num_samples=config.num_samples, class_similarity=config.class_similarity,
+        noise_scale=config.noise_scale, variation_scale=config.variation_scale,
+        variation_rank=config.variation_rank, label_noise=config.label_noise,
+        seed=config.seed,
+    )
+
+
+class TestSyntheticMnistBytes:
+    """The generator contracts each sample's basis block by block; every byte
+    must equal what the one-gather einsum it replaced produced."""
+
+    # sha256(features || labels), computed on the commit before the block-wise
+    # rewrite (a1f357b).
+    @pytest.mark.parametrize("config, expected", [
+        (_marketplace_dataset_config(quick_config(seed=7)),
+         "25acc898bd710098cca69fe4d949e5f5aa6b1d3d01db87dd34ecc1177b9e558b"),
+        (_marketplace_dataset_config(paper_config(seed=7)),
+         "dd5962948c25e8d81ee75b882d3bc016ce533465cea207f2a82d5d0bf7b5c052"),
+        (SyntheticMnistConfig(num_samples=700, label_noise=0.2, seed=3),
+         "8656b6de4eecf4557d9638019be2dd2aa0269866dd6fc8d4f797fa88d59235c4"),
+        # One sample past a block boundary, non-square features, odd rank.
+        (SyntheticMnistConfig(num_samples=257, num_features=50, variation_rank=3, seed=11),
+         "796ba45e0ab743baf078f2ccff8f694c1ce1e9cc112a9871dd46f492c7724318"),
+    ], ids=["quick", "paper", "label-noise", "block-boundary"])
+    def test_pinned_sha256(self, config, expected):
+        assert _sha256(generate_synthetic_mnist(config)) == expected
+
+    def test_equals_the_one_gather_reference(self):
+        from repro.data.synthetic_mnist import _class_prototype
+        from repro.utils.rng import derive_seed, make_rng
+
+        config = SyntheticMnistConfig(num_samples=600, variation_rank=5, class_similarity=0.3,
+                                      seed=9)
+        prototype_rng = make_rng(derive_seed(config.seed, "prototypes"))
+        prototypes = np.stack(
+            [_class_prototype(prototype_rng, config) for _ in range(config.num_classes)])
+        shared = _class_prototype(prototype_rng, config)
+        prototypes = (config.class_similarity * shared[None, :]
+                      + (1.0 - config.class_similarity) * prototypes)
+        bases = make_rng(derive_seed(config.seed, "variation")).normal(
+            0.0, 1.0, size=(config.num_classes, config.variation_rank, config.num_features))
+        bases /= np.linalg.norm(bases, axis=2, keepdims=True) + 1e-12
+        sample_rng = make_rng(derive_seed(config.seed, "samples"))
+        labels = sample_rng.integers(0, config.num_classes, size=config.num_samples)
+        coefficients = sample_rng.normal(
+            0.0, config.variation_scale, size=(config.num_samples, config.variation_rank))
+        noise = sample_rng.normal(
+            0.0, config.noise_scale, size=(config.num_samples, config.num_features))
+        reference = np.clip(
+            prototypes[labels] + np.einsum("nr,nrf->nf", coefficients, bases[labels]) + noise,
+            0.0, 1.0)
+
+        generated = generate_synthetic_mnist(config)
+        assert np.array_equal(generated.labels, labels)
+        assert np.array_equal(generated.features, reference)

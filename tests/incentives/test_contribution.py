@@ -43,6 +43,20 @@ class TestLeaveOneOut:
         # One full evaluation plus one per owner (cache removes duplicates).
         assert report.num_evaluations == 6
 
+    def test_a_known_full_value_is_not_evaluated_again(self):
+        weights = [0.1, 0.3, 0.05, 0.2]
+        asked = []
+
+        def value_fn(subset):
+            asked.append(subset)
+            return additive_value(weights)(subset)
+
+        plain = leave_one_out(4, additive_value(weights))
+        seeded = leave_one_out(4, value_fn, full_value=plain.full_value)
+        assert seeded == plain  # field for field, num_evaluations == 5 included
+        assert seeded.num_evaluations == 5
+        assert sorted(asked) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
     def test_redundant_owner_gets_zero(self):
         # Value saturates at 1.0 once any two owners participate.
         def value_fn(subset):

@@ -105,6 +105,89 @@ class TestMLP:
         x = np.random.default_rng(0).normal(size=(2, 6))
         assert np.allclose(rebuilt.forward(x), model.forward(x))
 
+    @pytest.fixture()
+    def no_random_draws(self, monkeypatch):
+        """Building a model from known parameters must not draw (and then
+        overwrite) He-uniform weights: ``make_rng`` raises while this is on."""
+        from repro.ml import layers, mlp
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a random generator was built for known parameters")
+
+        monkeypatch.setattr(layers, "make_rng", refuse)
+        monkeypatch.setattr(mlp, "make_rng", refuse)
+
+    def test_building_from_known_parameters_draws_no_random_number(self, no_random_draws):
+        from repro.ml.serialization import deserialize_model, serialize_model
+
+        with pytest.raises(AssertionError):
+            MLP((6, 4, 3), seed=0)  # the fixture bites where weights are drawn
+        layers = [DenseLayer.from_parameters({"weights": np.full((6, 4), 0.5), "biases": np.ones(4)}),
+                  DenseLayer.from_parameters({"weights": np.full((4, 3), -2.0), "biases": np.zeros(3)})]
+        parameters = [layer.get_parameters() for layer in layers]
+        rebuilt = MLP.from_parameters(parameters)
+        clone = rebuilt.copy()
+        restored = deserialize_model(serialize_model(rebuilt))
+        for model in (rebuilt, clone, restored):
+            assert model.layer_sizes == (6, 4, 3)
+            assert model.num_parameters == 6 * 4 + 4 + 4 * 3 + 3
+            for layer, params in zip(model.layers, parameters):
+                assert np.array_equal(layer.weights, params["weights"])
+                assert np.array_equal(layer.biases, params["biases"])
+                assert layer.weights.dtype == layer.biases.dtype == np.float64
+                assert not np.shares_memory(layer.weights, params["weights"])
+
+    def test_a_model_built_from_parameters_trains(self, no_random_draws):
+        model = MLP.from_parameters([
+            {"weights": np.linspace(-1, 1, 20).reshape(5, 4), "biases": np.zeros(4)},
+            {"weights": np.linspace(1, -1, 12).reshape(4, 3), "biases": np.zeros(3)},
+        ])
+        x = np.random.default_rng(0).normal(size=(6, 5))
+        _, grad = cross_entropy_with_softmax(model.forward(x), np.array([0, 1, 2, 0, 1, 2]))
+        model.backward(grad)
+        assert all(np.any(layer.grad_weights != 0) for layer in model.layers)
+
+    def test_copy_keeps_the_seed(self):
+        assert MLP((4, 3, 2), seed=11).copy().seed == 11
+
+    @pytest.mark.parametrize("parameters", [
+        [],
+        # layer 0 has 4 outputs, layer 1 takes 5 inputs
+        [{"weights": np.ones((6, 4)), "biases": np.ones(4)},
+         {"weights": np.ones((5, 3)), "biases": np.ones(3)}],
+        # biases do not match the layer's width
+        [{"weights": np.ones((6, 4)), "biases": np.ones(3)}],
+        [{"weights": np.ones((6, 4)), "biases": np.ones((4, 1))}],
+        # weights are not a matrix, or an empty one
+        [{"weights": np.ones(6), "biases": np.ones(6)}],
+        [{"weights": np.ones((0, 4)), "biases": np.ones(4)}],
+    ], ids=["empty", "chain", "bias-width", "bias-rank", "weight-rank", "zero-width"])
+    def test_from_parameters_rejects_mismatched_shapes(self, parameters):
+        with pytest.raises(ShapeError):
+            MLP.from_parameters(parameters)
+
+    def test_first_layer_input_gradient_is_not_computed(self):
+        model = MLP((5, 4, 3), seed=1)
+        products = []
+        first, second = model.layers
+
+        def counted(layer):
+            backward = layer.backward
+
+            def wrapper(grad):
+                products.append(layer)
+                return backward(grad)
+
+            return wrapper
+
+        first.backward, second.backward = counted(first), counted(second)
+        x = np.random.default_rng(0).normal(size=(6, 5))
+        _, grad = cross_entropy_with_softmax(model.forward(x), np.array([0, 1, 2, 0, 1, 2]))
+        model.backward(grad)
+        assert products == [second]
+        assert np.allclose(first.grad_weights, x.T @ (
+            (grad @ second.weights.T) * (first.forward(x) > 0)))
+
     def test_set_parameters_wrong_layer_count(self):
         model = MLP((4, 3, 2))
         with pytest.raises(ShapeError):

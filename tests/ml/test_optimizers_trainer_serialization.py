@@ -54,20 +54,46 @@ class TestOptimizers:
         allocations = []
 
         class CountingNumpy:
-            """numpy as the optimizers module sees it, with ``zeros_like`` counted."""
+            """numpy as the optimizers module sees it, with the two
+            allocators the optimizer uses counted."""
 
             def __getattr__(self, name):
                 return getattr(np, name)
 
             def zeros_like(self, array):
-                allocations.append(array.shape)
+                allocations.append(("moment", array.shape))
                 return np.zeros_like(array)
+
+            def empty_like(self, array):
+                allocations.append(("scratch", array.shape))
+                return np.empty_like(array)
 
         monkeypatch.setattr(optimizers, "np", CountingNumpy())
         self._loss_after(Adam(learning_rate=0.01), steps=5)
-        # Two moments x (weights, biases) for each of the two layers, on the
-        # first step only.
-        assert sorted(allocations) == sorted([(6, 8), (8,), (8, 2), (2,)] * 2)
+        # Two moments and two scratch buffers x (weights, biases) for each of
+        # the two layers, on the first step only.
+        shapes = [(6, 8), (8,), (8, 2), (2,)]
+        assert sorted(allocations) == sorted(
+            [(kind, shape) for kind in ("moment", "scratch") for shape in shapes] * 2)
+
+    def test_adam_step_allocates_nothing_after_the_first(self):
+        import tracemalloc
+
+        x, y = tiny_problem()
+        model = MLP((6, 64, 2), seed=0)
+        optimizer = Adam(learning_rate=0.01)
+        _, grad = cross_entropy_with_softmax(model.forward(x), y)
+        model.backward(grad)
+        optimizer.step(model.layers)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            optimizer.step(model.layers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One temporary the size of the smaller weight matrix would be 1 kB.
+        assert peak - before < 64 * 2 * 8
 
     def test_adam_matches_the_textbook_update_bit_for_bit(self):
         x, y = tiny_problem()
@@ -172,6 +198,59 @@ class TestTrainer:
         assert len(history.epochs) == 5
         assert history.losses[-1] < history.losses[0]
         assert history.final_accuracy > 0.9
+
+    def test_final_accuracy_is_the_trained_models_accuracy_on_the_training_set(self):
+        x, y = tiny_problem(n=200)
+        model = MLP((6, 10, 2), seed=0)
+        trainer = Trainer(model, TrainingConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=0))
+        history = trainer.train(x, y)
+        assert history.final_accuracy == evaluate_model(model, x, y).accuracy
+        assert history.final_loss == history.losses[-1]
+
+    def test_weights_equal_a_reference_loop_with_every_gradient_and_fresh_temporaries(self):
+        """The trainer skips the first layer's input gradient and updates in
+        place; neither may move a bit of any weight."""
+        from repro.ml.activations import relu, relu_grad
+        from repro.utils.rng import make_rng
+
+        x, y = tiny_problem(n=150)
+        config = TrainingConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=4)
+        model = MLP((6, 9, 5, 2), seed=2)
+        weights = [layer.weights.copy() for layer in model.layers]
+        biases = [layer.biases.copy() for layer in model.layers]
+        Trainer(model, config).train(x, y)
+
+        params = [p for pair in zip(weights, biases) for p in pair]
+        first = [np.zeros_like(p) for p in params]
+        second = [np.zeros_like(p) for p in params]
+        rng = make_rng(config.seed, "trainer-shuffle")
+        step = 0
+        for _ in range(config.epochs):
+            for batch_x, batch_y in batch_iterator(x, y, config.batch_size, shuffle=True, rng=rng):
+                inputs, pre_activations = [batch_x], []
+                for index, (w, b) in enumerate(zip(weights, biases)):
+                    pre_activations.append(inputs[-1] @ w + b)
+                    if index < len(weights) - 1:
+                        inputs.append(relu(pre_activations[-1]))
+                _, grad = cross_entropy_with_softmax(pre_activations[-1], batch_y)
+                grads = [None] * len(params)
+                for index in range(len(weights) - 1, -1, -1):
+                    grads[2 * index] = inputs[index].T @ grad
+                    grads[2 * index + 1] = grad.sum(axis=0)
+                    grad = grad @ weights[index].T  # computed for layer 0 too
+                    if index > 0:
+                        grad = grad * relu_grad(pre_activations[index - 1])
+                step += 1
+                for i, (param, g) in enumerate(zip(params, grads)):
+                    first[i] = 0.9 * first[i] + (1 - 0.9) * g
+                    second[i] = 0.999 * second[i] + (1 - 0.999) * g**2
+                    m_hat = first[i] / (1 - 0.9**step)
+                    v_hat = second[i] / (1 - 0.999**step)
+                    param -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert step > 20
+        for layer, w, b in zip(model.layers, weights, biases):
+            assert np.array_equal(layer.weights, w)
+            assert np.array_equal(layer.biases, b)
 
     def test_evaluate(self):
         x, y = tiny_problem(n=100)

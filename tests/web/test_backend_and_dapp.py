@@ -40,6 +40,18 @@ def marketplace(tiny_client_datasets, tiny_split):
     return buyer, owners, tiny_client_datasets
 
 
+def _deploy_and_submit(buyer, owners, datasets):
+    """Steps 1-4: the buyer deploys the task, every owner trains and submits."""
+    deployment = buyer.deploy_task(SPEC, BUDGET)
+    for index, owner in enumerate(owners):
+        owner.find_task(deployment["contract_address"])
+        owner.register()
+        owner.train_local_model(datasets[index], config=TrainingConfig(epochs=1, seed=index),
+                                seed=index)
+        owner.upload_model()
+        owner.submit_cid()
+
+
 class TestBackendHealth:
     def test_health_route(self, marketplace):
         buyer, _, _ = marketplace
@@ -114,15 +126,7 @@ class TestOwnerFlow:
 class TestFullExchange:
     def test_end_to_end_buyer_and_owners(self, marketplace):
         buyer, owners, datasets = marketplace
-        deployment = buyer.deploy_task(SPEC, BUDGET)
-
-        for index, owner in enumerate(owners):
-            owner.find_task(deployment["contract_address"])
-            owner.register()
-            owner.train_local_model(datasets[index], config=TrainingConfig(epochs=1, seed=index),
-                                    seed=index)
-            owner.upload_model()
-            owner.submit_cid()
+        _deploy_and_submit(buyer, owners, datasets)
 
         listing = buyer.download_cids()
         assert len(listing["cids"]) == 2
@@ -161,3 +165,79 @@ class TestFullExchange:
             f"/api/task/{buyer.task_address}/pay", {}
         )
         assert response.status == 400
+
+
+@pytest.fixture()
+def retrieved(marketplace):
+    """The buyer DApp after both owners submitted and the models were fetched."""
+    buyer, owners, datasets = marketplace
+    _deploy_and_submit(buyer, owners, datasets)
+    assert buyer.retrieve_models()["retrieved"] == len(owners)
+    return buyer
+
+
+@pytest.fixture()
+def aggregations(monkeypatch):
+    """Every ``aggregate`` the backend runs, as ``(algorithm, num_updates)``."""
+    from repro.web import backend as backend_module
+
+    calls = []
+    make_aggregator = backend_module.make_aggregator
+
+    def counting(name, **kwargs):
+        aggregator = make_aggregator(name, **kwargs)
+        fuse = aggregator.aggregate
+
+        def aggregate(updates):
+            calls.append((aggregator.name, len(updates)))
+            return fuse(updates)
+
+        aggregator.aggregate = aggregate
+        return aggregator
+
+    monkeypatch.setattr(backend_module, "make_aggregator", counting)
+    return calls
+
+
+class TestGrandCoalitionIsAggregatedOnce:
+    """``aggregate`` already computed v(N); ``incentives`` reuses it only
+    while it still describes the task's models and the same algorithm."""
+
+    def test_normal_flow_aggregates_n_plus_one_times(self, retrieved, aggregations):
+        aggregation = retrieved.aggregate()
+        incentives = retrieved.compute_incentives("leave_one_out")
+        assert aggregations == [("mean", 2), ("mean", 1), ("mean", 1)]
+        assert incentives["full_value"] == aggregation["aggregate_accuracy"]
+        # The timing model is fed the evaluations done, wherever they ran.
+        assert incentives["num_evaluations"] == 3
+
+    def test_no_reuse_after_a_second_retrieve(self, retrieved, aggregations):
+        first = retrieved.aggregate()
+        retrieved.retrieve_models()
+        del aggregations[:]
+        incentives = retrieved.compute_incentives("leave_one_out")
+        assert aggregations == [("mean", 2), ("mean", 1), ("mean", 1)]
+        assert incentives["num_evaluations"] == 3
+        assert incentives["full_value"] == first["aggregate_accuracy"]
+
+    def test_no_reuse_across_algorithms(self, retrieved, aggregations):
+        retrieved.aggregate()
+        del aggregations[:]
+        incentives = retrieved.compute_incentives("leave_one_out", algorithm="ensemble")
+        assert aggregations == [("ensemble", 2), ("ensemble", 1), ("ensemble", 1)]
+        assert incentives["num_evaluations"] == 3
+
+    def test_incentives_without_an_aggregate_evaluate_everything(self, retrieved, aggregations):
+        incentives = retrieved.compute_incentives("leave_one_out")
+        assert len(aggregations) == incentives["num_evaluations"] == 3
+
+    def test_a_second_retrieve_forgets_what_was_computed_from_the_first(self, retrieved):
+        retrieved.aggregate()
+        retrieved.compute_incentives("leave_one_out")
+        before = retrieved.results()
+        assert before["aggregate_accuracy"] is not None and before["contribution"] is not None
+        retrieved.retrieve_models()
+        after = retrieved.results()
+        assert after["num_models"] == 2
+        assert after["aggregate_accuracy"] is None
+        assert after["contribution"] is None
