@@ -374,8 +374,8 @@ def _command_run(args: argparse.Namespace) -> int:
     finally:
         # A failed run must still flush what it persisted (blob indexes are
         # lazy) so the store is post-mortem inspectable.
-        if environment is not None and environment.storage is not None:
-            environment.storage.backend.sync()
+        if environment is not None:
+            environment.stack.close()
 
     print(f"\naggregate accuracy ({report.aggregate_algorithm}): {report.aggregate_accuracy:.4f}")
     print(f"local accuracies: {[round(a, 3) for a in report.local_accuracies]}")
@@ -388,7 +388,7 @@ def _command_run(args: argparse.Namespace) -> int:
     if args.save:
         target = save_report(report, args.save)
         print(f"full report saved to {target}")
-    if environment is not None and environment.storage is not None:
+    if environment is not None:
         engine = environment.storage
         # Snapshot the final head so a later recovery restores instead of
         # re-executing the whole run.
@@ -628,11 +628,6 @@ def _command_rpc(args: argparse.Namespace) -> int:
     """Implement the ``rpc`` subcommand."""
     import json
 
-    from repro.chain import EthereumNode
-    from repro.contracts import default_registry
-    from repro.ipfs import Swarm
-    from repro.rpc import JsonRpcGateway
-
     if args.demo:
         from repro.system import quick_config, run_marketplace
         from repro.system.orchestrator import build_environment
@@ -645,8 +640,9 @@ def _command_rpc(args: argparse.Namespace) -> int:
         run_marketplace(environment=environment)
         gateway = environment.gateway
     else:
-        gateway = JsonRpcGateway(
-            node=EthereumNode(backend=default_registry()), swarm=Swarm())
+        from repro.system.stack import build_stack
+
+        gateway = build_stack().gateway
 
     if args.list_methods:
         if args.markdown:
@@ -909,10 +905,9 @@ def _command_cluster(args: argparse.Namespace) -> int:
     import json
 
     from repro.errors import ReproError
-    from repro.chain.faucet import Faucet
     from repro.chain.keys import KeyPair
-    from repro.cluster import ChainCluster, ClusterConfig, ClusterNode
-    from repro.contracts.registry import default_registry
+    from repro.cluster import ClusterConfig
+    from repro.system.stack import build_stack
     from repro.utils.units import ether_to_wei
 
     try:
@@ -922,9 +917,8 @@ def _command_cluster(args: argparse.Namespace) -> int:
             regions=tuple(range(args.replicas)) if args.geo else None,
             seed=args.seed,
         )
-        cluster = ChainCluster(config, registry=default_registry())
-        node = ClusterNode(cluster)
-        faucet = Faucet(node)
+        stack = build_stack(cluster=config)
+        cluster, node, faucet = stack.cluster, stack.node, stack.faucet
         senders = [KeyPair.from_label(f"cluster-cli-{index}")
                    for index in range(min(4, max(1, args.txs)))]
         for keypair in senders:

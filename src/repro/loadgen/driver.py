@@ -11,18 +11,19 @@ JSON-RPC gateway on the simulated clock:
   mined, and repeats: classic benchmark-harness behaviour, useful to bound
   concurrency.
 
-The driver can build its own single-node stack (CLI, benchmarks) or attach
-to an existing one (the simnet scenario runner injects background load into
-a running marketplace scenario this way).  All request traffic crosses the
-gateway through :class:`~repro.rpc.client.MarketplaceClient`, so middleware
-metrics and rate limits apply exactly as they would to any other client.
+The driver runs on a :class:`~repro.system.stack.Stack`: one it builds for
+itself (CLI, sweeps) or one it is handed (the simnet scenario runner injects
+background load into a running marketplace scenario this way).  All request
+traffic crosses the stack's gateway through
+:class:`~repro.rpc.client.MarketplaceClient`, so middleware metrics and rate
+limits apply exactly as they would to any other client.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional
 
 from repro.errors import ReproError, SimulationError
 from repro.chain.account import Address
@@ -33,17 +34,12 @@ from repro.chain.node import EthereumNode
 from repro.chain.transaction import Transaction
 from repro.contracts.registry import default_registry
 from repro.ipfs.node import IpfsNode
-from repro.ipfs.swarm import Swarm
 from repro.loadgen.arrivals import ArrivalProcess, ZipfSelector, make_arrivals
 from repro.loadgen.report import LoadReport, SweepPoint, SweepReport
 from repro.loadgen.stats import LatencyStats, OpStats
 from repro.loadgen.workload import DEFAULT_MIX, ClientPool, RequestMix
-from repro.obs import ensure_observability
-from repro.rpc.client import MarketplaceClient
-from repro.rpc.gateway import JsonRpcGateway
-from repro.rpc.middleware import TokenBucketRateLimiter
 from repro.simnet.events import EventScheduler
-from repro.utils.clock import SimulatedClock
+from repro.system.stack import Stack, build_stack
 from repro.utils.rng import derive_seed, make_rng
 from repro.utils.units import ether_to_wei
 
@@ -124,14 +120,6 @@ class LoadGenConfig:
         if self.cluster is not None and self.cluster < 2:
             raise SimulationError(
                 f"cluster needs at least 2 replicas, got {self.cluster}")
-        if self.batch_verify is not None and self.batch_verify < 0:
-            raise SimulationError(
-                f"batch_verify needs >= 0 workers, got {self.batch_verify}")
-        if self.batch_verify is not None and self.cluster is not None:
-            raise SimulationError(
-                "batch_verify is a single-node knob; replicas re-verify "
-                "blocks on the scalar path, so combine it with cluster "
-                "once replicated deferred admission lands")
 
     def with_overrides(self, **kwargs) -> "LoadGenConfig":
         return replace(self, **kwargs)
@@ -158,24 +146,22 @@ class LoadGenConfig:
 class LoadGenerator:
     """Drives one load-generation run against a marketplace stack.
 
-    Standalone use builds a fresh single-node stack::
+    With no ``stack`` it builds one from the config's ``cluster`` /
+    ``batch_verify`` / ``rate_limit`` and drives it with :meth:`run`::
 
         report = LoadGenerator(LoadGenConfig(clients=1000, rate=50)).run()
 
-    Attached use (the simnet runner) passes ``scheduler`` plus accessors for
-    the shared infrastructure and calls :meth:`install` / :meth:`finalize`
-    around the scenario's own event loop.
+    The simnet runner passes its shared ``stack`` and ``scheduler`` instead
+    and calls :meth:`install` / :meth:`finalize` around the scenario's own
+    event loop.
     """
 
     def __init__(
         self,
         config: LoadGenConfig,
         *,
+        stack: Optional[Stack] = None,
         scheduler: Optional[EventScheduler] = None,
-        node_fn: Optional[Callable[[], EthereumNode]] = None,
-        rpc: Optional[MarketplaceClient] = None,
-        faucet: Optional[Faucet] = None,
-        swarm: Optional[Swarm] = None,
         manage_blocks: bool = True,
         label_prefix: str = "loadgen",
         oflw3_backend_key: Optional[str] = None,
@@ -183,80 +169,45 @@ class LoadGenerator:
     ) -> None:
         self.config = config
         self.label_prefix = label_prefix
-        attached = scheduler is not None
-        if attached and (node_fn is None or rpc is None or faucet is None
-                         or swarm is None):
+        if (stack is None) != (scheduler is None):
             raise SimulationError(
-                "attached mode needs scheduler, node_fn, rpc, faucet and swarm")
-        if attached and config.rate_limit is not None:
-            raise SimulationError(
-                "rate_limit is a standalone-stack knob; an attached load "
-                "generator shares the scenario's gateway -- throttle it with "
-                "ScenarioSpec.rpc_rate_limit instead")
-        self.attached = attached
-
-        if attached and config.cluster is not None:
-            raise SimulationError(
-                "cluster is a standalone-stack knob; an attached load "
-                "generator drives the scenario's own node or cluster -- set "
-                "ScenarioSpec.cluster instead")
-        if attached and config.batch_verify is not None:
-            raise SimulationError(
-                "batch_verify is a standalone-stack knob; an attached load "
-                "generator drives the scenario's own node -- enable it there "
-                "via EthereumNode(batch_verify=...) instead")
-        self._cluster = None
-        if not attached:
-            clock = SimulatedClock()
-            scheduler = EventScheduler(clock)
+                "pass a stack together with the scheduler on its clock, or "
+                "neither (the generator then builds and drives its own)")
+        #: Whether this generator built (so drives and closes) its stack.
+        self._owns_stack = stack is None
+        if stack is None:
+            cluster_config = None
             if config.cluster is not None:
-                from repro.cluster import ChainCluster, ClusterConfig, ClusterNode
+                from repro.cluster import ClusterConfig
 
-                self._cluster = ChainCluster(
-                    ClusterConfig(replicas=config.cluster,
-                                  seed=derive_seed(config.seed, "cluster")),
-                    clock=clock, registry=default_registry())
-                node = ClusterNode(self._cluster)
-            else:
-                node = EthereumNode(config=ChainConfig(),
-                                    backend=default_registry(), clock=clock,
-                                    batch_verify=config.batch_verify)
-            faucet = Faucet(node)
-            swarm = Swarm(clock=clock)
-            middleware = []
-            self.rate_limiter: Optional[TokenBucketRateLimiter] = None
-            if config.rate_limit is not None:
-                self.rate_limiter = TokenBucketRateLimiter(
-                    rate=config.rate_limit, time_fn=lambda: clock.now)
-                middleware.append(self.rate_limiter)
-            gateway = JsonRpcGateway(node=node, swarm=swarm, middleware=middleware)
-            rpc = MarketplaceClient(gateway)
-            node_fn = lambda: node  # noqa: E731 - the closure IS the accessor
-        else:
-            self.rate_limiter = None
-
-        self.scheduler = scheduler
-        self.clock = scheduler.clock
-        self._node_fn = node_fn
-        self.rpc = rpc
-        self.faucet = faucet
-        self.swarm = swarm
+                cluster_config = ClusterConfig(
+                    replicas=config.cluster,
+                    seed=derive_seed(config.seed, "cluster"))
+            stack = build_stack(
+                cluster=cluster_config, batch_verify=config.batch_verify,
+                rate_limit=config.rate_limit, observability=observability)
+        elif (config.rate_limit, config.cluster, config.batch_verify) != (None,) * 3:
+            raise SimulationError(
+                "rate_limit, cluster and batch_verify configure the stack a "
+                "generator builds for itself; this one was handed a stack -- "
+                "set ScenarioSpec.rpc_rate_limit / ScenarioSpec.cluster, or "
+                "build_stack(batch_verify=...), where that stack is built")
+        self.stack = stack
+        self.scheduler = scheduler or EventScheduler(stack.clock)
+        self.clock = stack.clock
+        self.rpc = stack.rpc
         self.manage_blocks = manage_blocks
         self.oflw3_backend_key = oflw3_backend_key
+        # Known hazard, kept so no scenario's bytes move (ROADMAP item 5):
+        # on a cluster stack it was handed, the producer below mints on the
+        # freshest replica's chain instead of through leader rotation.
+        self._cluster = stack.cluster if self._owns_stack else None
 
-        #: Optional ``repro.obs`` facade; ``False``/``None`` (the default)
-        #: keeps the run observation-free.  Standalone runs build and wire
-        #: their own facade; attached runs receive the scenario's facade --
-        #: already wired to the shared stack -- and only add this
-        #: generator's saturation sampler.
-        self.obs = ensure_observability(observability, clock=self.clock)
+        #: The stack's ``repro.obs`` facade (``observability`` configures only
+        #: a stack built here); ``None``, the default, keeps the run
+        #: observation-free.  The generator adds its own saturation sampler.
+        self.obs = stack.obs
         if self.obs is not None:
-            if not self.attached:
-                if self._cluster is not None:
-                    self.obs.instrument_cluster(self._cluster)
-                else:
-                    self.obs.instrument_node(self.node)
-                self.rpc.gateway.attach_obs(self.obs)
             self.obs.instrument_loadgen(self._obs_sample)
 
         seed = config.seed
@@ -303,7 +254,7 @@ class LoadGenerator:
     @property
     def node(self) -> EthereumNode:
         """The (possibly replaced-after-restart) chain node."""
-        return self._node_fn()
+        return self.stack.node
 
     def _op(self, name: str) -> OpStats:
         stats = self.ops.get(name)
@@ -312,8 +263,8 @@ class LoadGenerator:
         return stats
 
     def _setup_population(self) -> None:
-        self.clients.fund(self.faucet, self.config.fund_wei)
-        ipfs = IpfsNode(f"{self.label_prefix}-ipfs", swarm=self.swarm)
+        self.clients.fund(self.stack.faucet, self.config.fund_wei)
+        ipfs = IpfsNode(f"{self.label_prefix}-ipfs", swarm=self.stack.swarm)
         self.rpc.gateway.serve_ipfs_node(ipfs)
         self._ipfs_node_name = ipfs.name
         rng = make_rng(derive_seed(self.config.seed, "objects-content"))
@@ -547,7 +498,7 @@ class LoadGenerator:
     # -- execution ----------------------------------------------------------------
 
     def install(self, *, delay: float = 0.0) -> None:
-        """Spawn the load processes on the scheduler (attached mode)."""
+        """Spawn the load processes on the scheduler."""
         if self._installed:
             raise SimulationError("a LoadGenerator installs exactly once")
         self._installed = True
@@ -601,26 +552,21 @@ class LoadGenerator:
 
     def _batchverify_stats(self) -> Optional[Dict[str, Any]]:
         """Deferred-verify counters when the chain deferred verification."""
-        chain = getattr(self.node, "chain", None)
-        if chain is None or getattr(chain, "batchverify", None) is None:
-            return None
-        return chain.batchverify_stats()
+        chain = self.node.chain
+        return chain.batchverify_stats() if chain.batchverify is not None else None
 
     def run(self) -> LoadReport:
-        """Standalone: install, drain the event queue, report."""
-        if self.attached:
+        """Install, drain the event queue, report, and close the stack."""
+        if not self._owns_stack:
             raise SimulationError(
-                "run() is for standalone generators; attached generators are "
-                "driven by their scenario's scheduler")
+                "run() drives a generator's own stack; one handed a stack "
+                "is driven by that stack's scheduler")
         try:
             self.install()
             self.scheduler.run(max_events=self.config.max_events)
             return self.finalize()
         finally:
-            # The standalone stack is this generator's own: stop the verify
-            # workers its chain started (the engine restarts them on demand).
-            if self.config.batch_verify is not None:
-                self.node.chain.batchverify.close()
+            self.stack.close()
 
 
 # -- sweeps and the shared transfer fixture -------------------------------------

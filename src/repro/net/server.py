@@ -238,20 +238,19 @@ class RpcHttpServer:
         gateway: Any,
         config: Optional[NetConfig] = None,
         *,
-        node: Optional[Any] = None,
-        cluster: Optional[Any] = None,
-        obs: Optional[Any] = None,
-        registry: Optional[Any] = None,
+        stack: Optional[Any] = None,
         logger: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.gateway = gateway
         self.config = config or NetConfig()
-        self.node = node if node is not None else (
-            gateway.eth.node if gateway.eth is not None else None)
-        if self.node is None:
+        if gateway.eth is None:
             raise NetworkError("RpcHttpServer needs a gateway serving a chain node")
-        self.cluster = cluster
-        self.obs = obs
+        self.node = gateway.eth.node
+        #: The ``repro.system.stack.Stack`` behind ``gateway``: its cluster
+        #: drives production, its facade feeds ``/metrics``, shutdown closes it.
+        self.stack = stack
+        self.cluster = stack.cluster if stack is not None else None
+        obs = stack.obs if stack is not None else None
         self.stats = ServerStats()
         self._log = logger or (lambda message: None)
         self._server: Optional[asyncio.base_events.Server] = None
@@ -264,9 +263,7 @@ class RpcHttpServer:
         # /metrics always works, observability enabled or not: without a
         # facade the server owns a plain registry fed by the gateway's
         # RequestMetrics; with one, it renders the full unified registry.
-        if registry is not None:
-            self.registry = registry
-        elif obs is not None:
+        if obs is not None:
             self.registry = obs.registry
         else:
             from repro.obs.adapters import register_rpc_metrics
@@ -339,9 +336,8 @@ class RpcHttpServer:
             if pending:
                 self._log(f"force-closed {len(pending)} connection(s) "
                           f"after the {self.config.drain_timeout_seconds}s drain budget")
-        storage = getattr(self.gateway, "storage", None)
-        if storage is not None and hasattr(storage, "flush"):
-            storage.flush()
+        if self.stack is not None:
+            self.stack.close()
         self._log("graceful shutdown complete")
 
     async def run(self, stop: asyncio.Event) -> None:
@@ -702,11 +698,8 @@ class DevNamespace:
     are documented in ``docs/networking.md`` instead).
     """
 
-    def __init__(self, node: Any) -> None:
-        from repro.chain.faucet import Faucet
-
-        self.node = node
-        self.faucet = Faucet(node)
+    def __init__(self, stack: Any) -> None:
+        self.faucet = stack.faucet
         self.server: Optional[RpcHttpServer] = None
 
     def fund_account(self, address: str, amount_wei: Optional[int] = None) -> str:
@@ -714,7 +707,7 @@ class DevNamespace:
         from repro.rpc.protocol import to_quantity
 
         self.faucet.drip(address, amount_wei)
-        return to_quantity(self.node.get_balance(address))
+        return to_quantity(self.faucet.node.get_balance(address))
 
     def server_status(self) -> Dict[str, Any]:
         """Server introspection: config, connection stats, subscriptions."""
@@ -741,61 +734,33 @@ def build_serve_stack(
 ) -> RpcHttpServer:
     """A fully wired server: chain (or cluster) + IPFS + gateway + dev RPC.
 
-    This is what ``repro serve`` boots and what the self-hosted HTTP load
-    driver embeds -- one builder, so the CLI and the benchmarks measure the
-    same stack.
+    What ``repro serve`` boots and ``bench/`` embeds: a stack from
+    :func:`repro.system.stack.build_stack` plus what only a server needs -- a
+    log-backed engine for ``store``, one ``serve-ipfs`` daemon so ``ipfs_add``
+    works out of the box, the :class:`DevNamespace`, and the server.
     """
-    from repro.chain.chain import ChainConfig
-    from repro.chain.node import EthereumNode
-    from repro.contracts.registry import default_registry
     from repro.ipfs.node import IpfsNode
-    from repro.ipfs.swarm import Swarm
-    from repro.rpc.gateway import JsonRpcGateway
-    from repro.utils.clock import SimulatedClock
-    from repro.utils.rng import derive_seed
+    from repro.system.stack import build_stack
 
     if cluster is not None and store is not None:
         raise NetworkError("--store is a single-node knob; a cluster's "
                            "replicas own their engines")
-    if cluster is not None and batch_verify is not None:
-        raise NetworkError("--batch-verify is a single-node knob; replicas "
-                           "re-verify blocks on the scalar path")
-    clock = SimulatedClock()
-    engine = None
+    storage = cluster_config = None
     if store is not None:
-        from repro.storage.engine import StorageConfig, StorageEngine
+        from repro.storage.engine import StorageConfig
 
-        engine = StorageEngine(StorageConfig(backend="log", directory=store))
-    cluster_obj = None
+        storage = StorageConfig(backend="log", directory=store)
     if cluster is not None:
-        from repro.cluster import ChainCluster, ClusterConfig, ClusterNode
+        from repro.cluster import ClusterConfig
+        from repro.utils.rng import derive_seed
 
-        cluster_obj = ChainCluster(
-            ClusterConfig(replicas=cluster, seed=derive_seed(seed, "serve")),
-            clock=clock, registry=default_registry())
-        node: Any = ClusterNode(cluster_obj)
-    else:
-        node = EthereumNode(config=ChainConfig(), backend=default_registry(),
-                            clock=clock, storage=engine,
-                            batch_verify=batch_verify)
-    swarm = Swarm(clock=clock)
-    ipfs = IpfsNode("serve-ipfs", swarm=swarm)
-    gateway = JsonRpcGateway(node=node, swarm=swarm, ipfs=ipfs)
-    if engine is not None:
-        gateway.attach_storage(engine)
-    obs_facade = None
-    if obs:
-        from repro.obs import Observability
-
-        obs_facade = Observability(clock=clock)
-        if cluster_obj is not None:
-            obs_facade.instrument_cluster(cluster_obj)
-        else:
-            obs_facade.instrument_node(node)
-        gateway.attach_obs(obs_facade)
-    dev = DevNamespace(node)
-    gateway.register_namespace(dev.methods())
-    server = RpcHttpServer(gateway, config, node=node, cluster=cluster_obj,
-                           obs=obs_facade, logger=logger)
+        cluster_config = ClusterConfig(replicas=cluster,
+                                       seed=derive_seed(seed, "serve"))
+    stack = build_stack(storage=storage, cluster=cluster_config,
+                        batch_verify=batch_verify, observability=obs)
+    stack.gateway.serve_ipfs_node(IpfsNode("serve-ipfs", swarm=stack.swarm))
+    dev = DevNamespace(stack)
+    stack.gateway.register_namespace(dev.methods())
+    server = RpcHttpServer(stack.gateway, config, stack=stack, logger=logger)
     dev.server = server
     return server

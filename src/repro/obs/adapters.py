@@ -163,8 +163,9 @@ def register_storage(registry: MetricsRegistry, engine: Any) -> None:
     registry.register_collector(collect)
 
 
-def register_analytics(registry: MetricsRegistry, feeder: Any) -> None:
-    """Sample an analytics feeder's freshness and replica-size gauges.
+def register_analytics(registry: MetricsRegistry,
+                       feeder_fn: Callable[[], Any]) -> None:
+    """Sample the current analytics feeder's freshness and replica-size gauges.
 
     ``applied_seq`` / ``lag_entries`` are the HTAP freshness pair: how far
     the columnar replica trails the WAL between queries (queries drain
@@ -173,7 +174,7 @@ def register_analytics(registry: MetricsRegistry, feeder: Any) -> None:
     """
 
     def collect(reg: MetricsRegistry) -> None:
-        status = feeder.status()
+        status = feeder_fn().status()
         reg.gauge("repro_analytics_applied_seq",
                   "Last WAL sequence number applied to the analytics replica."
                   ).child.set(status["applied_seq"])

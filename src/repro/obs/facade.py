@@ -48,6 +48,7 @@ class Observability:
         self.profiler = PhaseProfiler()
         self._chains: Dict[str, Any] = {}
         self._caches: Dict[str, Any] = {}
+        self._analytics: Optional[Any] = None
         self._chain_collector_registered = False
         self._cache_collector_registered = False
 
@@ -152,9 +153,15 @@ class Observability:
         adapters.register_loadgen(self.registry, sample)
 
     def instrument_analytics(self, feeder: Any) -> None:
-        """Hook an analytics feeder's freshness gauges and rollback events."""
+        """Hook an analytics feeder's freshness gauges and rollback events.
+
+        Re-attachable like :meth:`attach_chain`: a node restart replaces the
+        feeder, and the one collector samples whichever is current.
+        """
         feeder.obs = self
-        adapters.register_analytics(self.registry, feeder)
+        if self._analytics is None:
+            adapters.register_analytics(self.registry, lambda: self._analytics)
+        self._analytics = feeder
 
     # -- reporting ----------------------------------------------------------
 

@@ -55,35 +55,28 @@ _NAMESPACE_BLURBS = {
 def build_reference_gateway() -> Any:
     """A gateway with every namespace mounted (the documented surface).
 
-    Mirrors what ``build_environment`` wires at runtime: a chain node, an
-    IPFS swarm with one registered daemon, a buyer backend, a storage
-    engine and an analytics replica over the engine's WAL.
+    The fullest stack ``build_stack`` assembles -- chain node, IPFS swarm,
+    storage engine, observability, an analytics replica over the engine's
+    WAL -- plus what ``build_environment`` adds at runtime: one registered
+    IPFS daemon and a buyer backend.
     """
-    from repro.analytics import attach_analytics
     from repro.chain.keys import KeyPair
-    from repro.chain.node import EthereumNode
-    from repro.contracts.registry import default_registry
     from repro.data.synthetic_mnist import SyntheticMnistConfig, generate_synthetic_mnist
     from repro.ipfs.node import IpfsNode
-    from repro.ipfs.swarm import Swarm
-    from repro.obs import Observability
-    from repro.rpc.gateway import JsonRpcGateway
     from repro.storage.engine import StorageEngine
+    from repro.system.stack import build_stack
     from repro.web.backend import BuyerBackend
     from repro.web.wallet import MetaMaskWallet
 
-    engine = StorageEngine()
-    node = EthereumNode(backend=default_registry(), storage=engine)
-    swarm = Swarm()
-    ipfs = IpfsNode("docs", swarm)
-    gateway = JsonRpcGateway(node=node, swarm=swarm, ipfs=ipfs)
-    wallet = MetaMaskWallet(KeyPair.from_label("docs-buyer"), node)
+    stack = build_stack(storage=StorageEngine(), observability=True,
+                        analytics=True)
+    ipfs = IpfsNode("docs", stack.swarm)
+    stack.gateway.serve_ipfs_node(ipfs)
+    wallet = MetaMaskWallet(KeyPair.from_label("docs-buyer"), stack.node)
     dataset = generate_synthetic_mnist(SyntheticMnistConfig(num_samples=40, seed=1))
-    gateway.serve_backend(BuyerBackend(wallet=wallet, ipfs=ipfs, test_dataset=dataset))
-    gateway.attach_storage(engine)
-    gateway.attach_obs(Observability(clock=node.chain.clock))
-    gateway.attach_analytics(attach_analytics(node.chain))
-    return gateway
+    stack.gateway.serve_backend(
+        BuyerBackend(wallet=wallet, ipfs=ipfs, test_dataset=dataset))
+    return stack.gateway
 
 
 def _signature_markdown(handler: Any) -> str:

@@ -35,18 +35,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.chain.account import Address
-from repro.chain.chain import ChainConfig
 from repro.chain.explorer import Explorer
-from repro.chain.faucet import Faucet
 from repro.chain.node import EthereumNode
 from repro.chain.transaction import Transaction, encode_call
 from repro.contracts.registry import default_registry
 from repro.errors import ReproError, SimulationError
-from repro.ipfs.swarm import Swarm
-from repro.obs import ensure_observability
-from repro.rpc.client import MarketplaceClient
-from repro.rpc.gateway import JsonRpcGateway
-from repro.rpc.middleware import TokenBucketRateLimiter
 from repro.storage.engine import StorageEngine, ensure_engine, recover_node
 from repro.simnet.behaviors import (
     OwnerBehavior,
@@ -67,6 +60,7 @@ from repro.system.orchestrator import (
     default_task_spec,
 )
 from repro.system.roles import ModelOwner
+from repro.system.stack import build_stack
 from repro.utils.clock import SimulatedClock
 from repro.utils.rng import derive_seed
 from repro.web.wallet import WalletActivity
@@ -111,95 +105,58 @@ class ScenarioRunner:
         self.base_config = base
         self.seed = base.seed
 
-        # Shared infrastructure -------------------------------------------------
+        # Shared infrastructure: one stack (``repro.system.stack``) and one
+        # storage engine under every task.  The chain write-ahead logs through
+        # the engine and every IPFS node's blocks live in its blob spaces; the
+        # in-memory default stands in for a disk that survives the simulated
+        # crash of a restart scenario.  Tasks' wallets and facades -- and the
+        # runner's own async submitters / receipt pollers -- cross the one
+        # gateway, so its metrics see the whole scenario's request traffic.
         self.clock = SimulatedClock()
         self.scheduler = EventScheduler(self.clock)
         self.chain_network = make_network(
             self.spec.network_profile, seed=derive_seed(self.seed, "chain-net"))
         self.ipfs_network = make_network(
             self.spec.network_profile, seed=derive_seed(self.seed, "ipfs-net"))
-        # One storage engine for the whole scenario: the shared chain node
-        # write-ahead logs through it and every IPFS node's blocks live in
-        # its blob spaces.  The in-memory default stands in for a disk that
-        # survives the simulated node crash of a restart scenario.
         self.storage = ensure_engine(storage) or StorageEngine()
-        # Cluster scenarios replace the single node with an N-replica
-        # replication cluster whose facade routes writes to the rotation
-        # leader and load-balances caught-up reads (``repro.cluster``).
-        self.cluster = None
-        self.cluster_events: List[Dict[str, Any]] = []
+        cluster_config = None
         if self.spec.cluster is not None:
-            from repro.cluster import ChainCluster, ClusterConfig, ClusterNode
+            from repro.cluster import ClusterConfig
 
+            # The spec's network_profile still governs the *client* links
+            # (wallet -> cluster RPC), exactly as it does for a single node;
+            # the cluster_profile governs the inter-replica gossip links.
             cluster_config = ClusterConfig(
                 replicas=self.spec.cluster,
                 network_profile=self.spec.cluster_profile,
                 regions=self.spec.cluster_regions,
                 seed=derive_seed(self.seed, "cluster"),
             )
-            self.cluster = ChainCluster(
-                cluster_config, clock=self.clock, registry=default_registry(),
-                storage=self.storage)
-            # The spec's network_profile still governs the *client* links
-            # (wallet -> cluster RPC), exactly as it does for a single node;
-            # the cluster_profile governs the inter-replica gossip links.
-            self.node = ClusterNode(self.cluster, network=self.chain_network)
-        else:
-            self.node = EthereumNode(
-                config=ChainConfig(), backend=default_registry(),
-                clock=self.clock, network=self.chain_network, storage=self.storage)
-        self.faucet = Faucet(self.node)
-        self.swarm = Swarm(network=self.ipfs_network, clock=self.clock)
+        # Observability and analytics are strictly opt-in: off -- the default
+        # -- nothing is constructed for them and reports stay byte-identical
+        # to the uninstrumented seed.  An analytics replica lives on a
+        # follower of a cluster (the HTAP pattern: ingest stays on the leader)
+        # or on the one chain; mounted on the gateway it also serves the
+        # background load generator's ``analytics`` ops.
+        self.stack = build_stack(
+            clock=self.clock, storage=self.storage, cluster=cluster_config,
+            chain_network=self.chain_network, ipfs_network=self.ipfs_network,
+            rate_limit=self.spec.rpc_rate_limit,
+            rate_burst=self.spec.rpc_rate_burst,
+            observability=observability,
+            analytics=self.spec.analytics is not None)
+        self.cluster = self.stack.cluster
+        self.cluster_events: List[Dict[str, Any]] = []
+        self.rpc = self.stack.rpc
+        self.obs = self.stack.obs
         self.node_restarts = 0
-
-        # One shared JSON-RPC gateway: every task's wallets and facades --
-        # and the runner's own async submitters / receipt pollers -- cross
-        # it, so its metrics see the whole scenario's request traffic.
-        middleware = []
-        self.rate_limiter: Optional[TokenBucketRateLimiter] = None
-        if self.spec.rpc_rate_limit is not None:
-            self.rate_limiter = TokenBucketRateLimiter(
-                rate=self.spec.rpc_rate_limit,
-                capacity=self.spec.rpc_rate_burst,
-                time_fn=lambda: self.clock.now,
-            )
-            middleware.append(self.rate_limiter)
-        self.gateway = JsonRpcGateway(
-            node=self.node, swarm=self.swarm, middleware=middleware)
-        self.gateway.attach_storage(self.storage)
-        self.rpc = MarketplaceClient(self.gateway)
-
-        # Observability is strictly opt-in (``observability=True`` or an
-        # existing facade): when off -- the default -- nothing below is
-        # constructed and every subsystem keeps its no-op ``obs``, so
-        # reports stay byte-identical to the uninstrumented seed.
-        self.obs = ensure_observability(observability, clock=self.clock)
-        if self.obs is not None:
-            if self.cluster is not None:
-                self.obs.instrument_cluster(self.cluster)
-            else:
-                self.obs.instrument_node(self.node)
-            self.gateway.attach_obs(self.obs)
-
-        # Analytics scenarios attach a columnar replica (``repro.analytics``)
-        # over the shared WAL: on a cluster it lives on a follower (the HTAP
-        # pattern -- ingest stays on the leader), single-node runs attach it
-        # to the one chain.  Mounting the feeder on the gateway additionally
-        # serves the ``analytics_*`` namespace to every client, including
-        # the background load generator's ``analytics`` ops.
         self.analytics_replica = None
         self._analytics_counts: Dict[str, int] = {}
         if self.spec.analytics is not None:
             if self.cluster is not None:
-                feeder = self.cluster.attach_follower_analytics()
                 self.analytics_replica = next(
                     replica for replica in self.cluster.replicas
                     if replica.analytics_enabled)
-            else:
-                from repro.analytics import attach_analytics
-
-                feeder = attach_analytics(self.node.chain, obs=self.obs)
-            self.gateway.attach_analytics(feeder)
             self._analytics_counts = {
                 kind: 0 for kind in self._ANALYTICS_QUERY_KINDS}
 
@@ -207,6 +164,11 @@ class ScenarioRunner:
         self._active_tasks = 0
         self._mempool_series: List[Tuple[float, int]] = []
         self._loadgen = None  # built in run() when the spec asks for load
+
+    @property
+    def node(self) -> EthereumNode:
+        """The stack's chain node (replaced by a restart scenario)."""
+        return self.stack.node
 
     # -- construction -----------------------------------------------------------
 
@@ -228,10 +190,7 @@ class ScenarioRunner:
         label_prefix = "" if index == 0 else f"t{index}-"
         env = build_environment(
             config,
-            node=self.node,
-            faucet=self.faucet,
-            swarm=self.swarm,
-            gateway=self.gateway,
+            stack=self.stack,
             label_prefix=label_prefix,
             behaviors=behaviors,
         )
@@ -519,28 +478,10 @@ class ScenarioRunner:
         recovered.chain.mempool.total_added = dead.chain.mempool.total_added
         recovered.chain.mempool.max_depth = max(
             recovered.chain.mempool.max_depth, dead.chain.mempool.max_depth)
-        self.node = recovered
-        self.gateway.serve_node(recovered)
-        self.faucet.node = recovered
-        for task in self.tasks:
-            task.env.node = recovered
-            task.env.faucet = self.faucet
+        self.stack.replace_node(recovered)
         self.node_restarts += 1
         if self.obs is not None:
-            # The chain object changed; re-point the hooks at the live one.
-            self.obs.instrument_node(recovered)
             self.obs.event("node.restart", height=recovered.chain.height)
-        old_feeder = dead.chain.analytics
-        if old_feeder is not None:
-            # The replica died with the node's process memory; a fresh
-            # feeder backfills from the recovered WAL + archive, and the
-            # lifetime counters carry over like the mempool's do.
-            from repro.analytics import attach_analytics
-
-            feeder = attach_analytics(recovered.chain, obs=self.obs)
-            feeder.queries = old_feeder.queries
-            feeder.rollbacks += old_feeder.rollbacks
-            self.gateway.attach_analytics(feeder)
 
     def _block_producer(self) -> Generator:
         """Mine on the slot cadence while any task is still active."""
@@ -595,15 +536,8 @@ class ScenarioRunner:
                 f"bad background_load overrides ({exc}); valid keys are "
                 f"{valid} plus 'delay'") from exc
         self._loadgen = LoadGenerator(
-            config,
-            scheduler=self.scheduler,
-            node_fn=lambda: self.node,
-            rpc=self.rpc,
-            faucet=self.faucet,
-            swarm=self.swarm,
-            label_prefix="bg",
-            observability=self.obs,
-        )
+            config, stack=self.stack, scheduler=self.scheduler,
+            label_prefix="bg")
         self._loadgen.install(delay=delay)
 
     def _fail(self, task: _TaskRuntime, reason: str) -> None:
@@ -699,10 +633,11 @@ class ScenarioRunner:
                 for key, value in model.stats.to_dict().items():
                     network_stats[key] = round(network_stats[key] + value, 3)
 
-        rpc_stats = (self.gateway.metrics.snapshot(include_latency=False)
-                     if self.gateway.metrics else None)
-        if rpc_stats is not None and self.rate_limiter is not None:
-            rpc_stats["rate_limited_total"] = self.rate_limiter.rejected_total
+        rpc_stats = (self.stack.gateway.metrics.snapshot(include_latency=False)
+                     if self.stack.gateway.metrics else None)
+        limiter = self.stack.rate_limiter
+        if rpc_stats is not None and limiter is not None:
+            rpc_stats["rate_limited_total"] = limiter.rejected_total
 
         cluster_stats = None
         if self.cluster is not None:
@@ -722,10 +657,10 @@ class ScenarioRunner:
             gas_by_category=gas_report.to_dict(),
             total_gas_fee_wei=sum(
                 int(row.total_fee_wei) for row in gas_report.rows.values()),
-            ipfs_bytes_transferred=self.swarm.total_bytes_transferred(),
+            ipfs_bytes_transferred=self.stack.swarm.total_bytes_transferred(),
             network_stats=network_stats,
             dropped_submissions=self.node.dropped_submissions,
-            failed_fetch_attempts=self.swarm.failed_fetch_attempts,
+            failed_fetch_attempts=self.stack.swarm.failed_fetch_attempts,
             rpc_stats=rpc_stats,
             node_restarts=self.node_restarts,
             storage_stats=self.storage.describe(),

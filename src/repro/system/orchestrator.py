@@ -17,10 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.chain.chain import ChainConfig
-from repro.chain.faucet import Faucet
 from repro.chain.node import EthereumNode
-from repro.contracts.registry import default_registry
 from repro.data.dataset import Dataset, train_test_split
 from repro.data.partition import partition_dataset
 from repro.data.synthetic_mnist import SyntheticMnistConfig, generate_synthetic_mnist
@@ -30,13 +27,13 @@ from repro.ipfs.swarm import Swarm
 from repro.ml.trainer import TrainingConfig
 from repro.rpc.client import MarketplaceClient
 from repro.rpc.gateway import JsonRpcGateway
-from repro.storage.engine import StorageConfig, StorageEngine, ensure_engine
+from repro.storage.engine import StorageEngine
+from repro.system.stack import Stack, build_stack
 from repro.system.config import OFLW3Config
 from repro.system.costs import GasCostReport, build_gas_cost_report
 from repro.system.roles import ModelBuyer, ModelOwner
 from repro.system.timing import LatencyModel, TimeBreakdown, merge_breakdowns
 from repro.system.workflow import OFLW3Workflow, WorkflowResult
-from repro.utils.clock import SimulatedClock
 from repro.utils.rng import derive_seed
 from repro.utils.units import format_ether
 from repro.web.wallet import MetaMaskWallet
@@ -48,19 +45,35 @@ class MarketplaceEnvironment:
     """Every live object of one marketplace run (useful for inspection/tests)."""
 
     config: OFLW3Config
-    node: EthereumNode
-    faucet: Faucet
-    swarm: Swarm
+    #: The serving stack underneath; the properties below read through it, so
+    #: a node a restart swaps in is the node every environment on it sees.
+    stack: Stack
     buyer: ModelBuyer
     owners: List[ModelOwner]
     train_dataset: Dataset
     test_dataset: Dataset
     workflow: OFLW3Workflow
-    gateway: Optional[JsonRpcGateway] = None
-    storage: Optional[StorageEngine] = None
-    #: The replication cluster behind ``node`` when the environment was built
-    #: with ``cluster=N`` (``repro.cluster``); ``None`` for a single node.
-    cluster: Optional[Any] = None
+
+    @property
+    def node(self) -> EthereumNode:
+        return self.stack.node
+
+    @property
+    def swarm(self) -> Swarm:
+        return self.stack.swarm
+
+    @property
+    def gateway(self) -> JsonRpcGateway:
+        return self.stack.gateway
+
+    @property
+    def storage(self) -> StorageEngine:
+        return self.stack.engine
+
+    @property
+    def cluster(self) -> Optional[Any]:
+        """The replication cluster behind ``node`` (``cluster=N``), else ``None``."""
+        return self.stack.cluster
 
 
 @dataclass
@@ -166,10 +179,7 @@ class MarketplaceReport:
 def build_environment(
     config: Optional[OFLW3Config] = None,
     *,
-    node: Optional[EthereumNode] = None,
-    faucet: Optional[Faucet] = None,
-    swarm: Optional[Swarm] = None,
-    gateway: Optional[JsonRpcGateway] = None,
+    stack: Optional[Stack] = None,
     label_prefix: str = "",
     behaviors: Optional[List[Any]] = None,
     storage: Optional[Any] = None,
@@ -177,18 +187,18 @@ def build_environment(
 ) -> MarketplaceEnvironment:
     """Construct (but do not run) the full marketplace environment.
 
-    With no keyword arguments this builds the seed's single-task world: its
-    own chain node, faucet and fully-meshed swarm.  The discrete-event
-    scenario runner (``repro.simnet``) instead passes shared infrastructure
-    (one node/faucet/swarm -- and one JSON-RPC ``gateway`` -- for many
-    concurrent tasks), a ``label_prefix`` that keeps wallet key labels and
-    IPFS node names collision-free across tasks, and per-owner ``behaviors``
-    (archetypes from ``repro.simnet.behaviors``; ``None`` entries are honest
-    owners).
+    With no keyword arguments this builds the seed's single-task world on a
+    stack of its own (``repro.system.stack.build_stack``): chain node,
+    faucet, fully-meshed swarm, gateway.  The discrete-event scenario runner
+    (``repro.simnet``) instead passes the one shared ``stack`` many
+    concurrent tasks run on, a ``label_prefix`` that keeps wallet key labels
+    and IPFS node names collision-free across tasks, and per-owner
+    ``behaviors`` (archetypes from ``repro.simnet.behaviors``; ``None``
+    entries are honest owners).
 
     Every wallet and facade in the environment routes its chain/IPFS/backend
-    access through the one gateway, so all marketplace traffic crosses a
-    single meterable JSON-RPC boundary.
+    access through the stack's one gateway, so all marketplace traffic
+    crosses a single meterable JSON-RPC boundary.
 
     ``storage`` is a :class:`~repro.storage.StorageConfig` or
     :class:`~repro.storage.StorageEngine`.  The default is an in-memory
@@ -204,30 +214,21 @@ def build_environment(
     rotation leader, and ``env.cluster`` exposes the cluster control plane.
     """
     config = config or OFLW3Config()
-    if cluster is not None and node is not None:
-        raise ValueError("pass either a pre-built node or cluster=N, not both")
-    if storage is not None:
-        engine = ensure_engine(storage)
-    elif node is not None and getattr(node, "storage", None) is not None:
-        engine = node.storage  # the caller's node already persists; share it
-    else:
-        engine = StorageEngine(StorageConfig())
-    chain_cluster = None
-    if cluster is not None:
-        from repro.cluster import ChainCluster, ClusterConfig, ClusterNode
+    if stack is None:
+        cluster_config = None
+        if cluster is not None:
+            from repro.cluster import ClusterConfig
 
-        chain_cluster = ChainCluster(
-            ClusterConfig(replicas=cluster, seed=config.seed),
-            clock=SimulatedClock(),
-            registry=default_registry(),
-            storage=engine,
-        )
-        node = ClusterNode(chain_cluster)
-    if node is None:
-        clock = SimulatedClock()
-        node = EthereumNode(config=ChainConfig(), backend=default_registry(),
-                            clock=clock, storage=engine)
-    faucet = faucet or Faucet(node)
+            cluster_config = ClusterConfig(replicas=cluster, seed=config.seed)
+        stack = build_stack(
+            storage=storage if storage is not None else StorageEngine(),
+            cluster=cluster_config)
+    elif storage is not None or cluster is not None or stack.engine is None:
+        raise ValueError(
+            "a pre-built stack brings its own cluster and engine (pass them to "
+            "build_stack), and needs an engine: IPFS blocks live on it")
+    engine, node, faucet, swarm, gateway = (
+        stack.engine, stack.node, stack.faucet, stack.swarm, stack.gateway)
     latency = LatencyModel()
     if behaviors is not None and len(behaviors) != config.num_owners:
         raise ValueError(
@@ -265,8 +266,6 @@ def build_environment(
     # IPFS swarm: one node for the buyer, one per owner, fully meshed (LAN).
     # Each node's block store sits on its own blob namespace of the storage
     # engine, fronted by the engine's shared LRU read cache.
-    swarm = swarm if swarm is not None else Swarm()
-
     def _ipfs_node(name: str) -> IpfsNode:
         return IpfsNode(
             name, swarm,
@@ -279,14 +278,8 @@ def build_environment(
     ]
     swarm.connect_all()
 
-    # The one JSON-RPC door to the stack; every wallet/facade gets a client
-    # bound to it (the scenario runner passes one shared gateway instead).
-    if gateway is None:
-        gateway = JsonRpcGateway(node=node, swarm=swarm)
-    if gateway.storage is None:
-        gateway.attach_storage(engine)
-
-    # Wallets, funded by the faucet.
+    # Wallets, funded by the faucet; each gets a client bound to the stack's
+    # one JSON-RPC door.
     buyer_keys = KeyPair.from_label(f"{label_prefix}buyer-{config.seed}")
     buyer_wallet = MetaMaskWallet(
         buyer_keys, node, gas_price_wei=config.gas_price_wei,
@@ -333,17 +326,12 @@ def build_environment(
     workflow = OFLW3Workflow(buyer=buyer, owners=owners)
     return MarketplaceEnvironment(
         config=config,
-        node=node,
-        faucet=faucet,
-        swarm=swarm,
+        stack=stack,
         buyer=buyer,
         owners=owners,
         train_dataset=train_dataset,
         test_dataset=test_dataset,
         workflow=workflow,
-        gateway=gateway,
-        storage=engine,
-        cluster=chain_cluster,
     )
 
 

@@ -276,6 +276,55 @@ class TestLimitsAndDrain:
             assert receipt, "producer never mined the pending transfer"
 
 
+class TestShutdownClosesTheStack:
+    """``shutdown`` releases what the stack holds (``Stack.close``)."""
+
+    def test_no_verify_worker_outlives_a_batch_verify_server(self):
+        import multiprocessing
+
+        from repro.chain.account import Address
+        from repro.chain.keys import KeyPair
+        from repro.chain.transaction import Transaction
+
+        server = build_serve_stack(
+            NetConfig(port=0, block_interval_seconds=0), batch_verify=2)
+        with ServerThread(server):
+            calls = []
+            for index in range(4):
+                keypair = KeyPair.from_label(f"net-close-{index}")
+                calls.append({"jsonrpc": "2.0", "id": len(calls),
+                              "method": "dev_fundAccount",
+                              "params": [keypair.address]})
+                for nonce in range(10):
+                    tx = Transaction(
+                        sender=Address(keypair.address),
+                        to=Address("0x" + "44" * 20), value=1, nonce=nonce,
+                        gas_limit=21_000, gas_price=10**9).sign(keypair)
+                    calls.append({"jsonrpc": "2.0", "id": len(calls),
+                                  "method": "eth_sendRawTransaction",
+                                  "params": [tx.serialize_raw()]})
+            _, replies = post(server.port, calls)
+            assert all("result" in reply for reply in replies)
+            _, mined = post(server.port, {"jsonrpc": "2.0", "id": 1,
+                                          "method": "evm_mine", "params": []})
+            assert "result" in mined
+            stats = server.node.chain.batchverify_stats()
+            assert stats["deferred_admissions"] == 40
+            assert stats["verify_jobs_offloaded"] > 0  # the pool was started
+        assert multiprocessing.active_children() == []
+
+    def test_a_store_server_flushes_its_blob_indexes(self, tmp_path):
+        server = build_serve_stack(
+            NetConfig(port=0, block_interval_seconds=0), store=str(tmp_path))
+        index = tmp_path / "blobs" / "models.idx.json"
+        with ServerThread(server):
+            post(server.port, {"jsonrpc": "2.0", "id": 1,
+                               "method": "eth_blockNumber", "params": []})
+            server.gateway.storage.blob_space("models").put("update-0", b"weights")
+            assert not index.exists()  # indexes flush lazily
+        assert "update-0" in json.loads(index.read_text())
+
+
 class TestServeStack:
     def test_store_with_cluster_is_rejected(self, tmp_path):
         with pytest.raises(NetworkError):

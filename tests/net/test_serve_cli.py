@@ -75,3 +75,16 @@ class TestServeCli:
         output, _ = process.communicate(timeout=30)
         assert process.returncode == 0
         assert "graceful shutdown complete" in output
+
+    @pytest.mark.parametrize("flags", [
+        ["--batch-verify", "-1"],
+        ["--batch-verify", "0", "--cluster", "2"],
+    ])
+    def test_a_stack_the_builder_refuses_exits_2_with_one_line(self, flags, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--port", "0", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: batch_verify")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.out + captured.err

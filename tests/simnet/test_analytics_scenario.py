@@ -56,13 +56,37 @@ class TestSpec:
 
 
 class TestAnalyticsStormRun:
-    @pytest.fixture(scope="class")
-    def report(self):
-        spec = build_scenario(
+    @staticmethod
+    def spec():
+        return build_scenario(
             "analytics_storm", num_tasks=1, task_stagger_seconds=0.0,
             analytics={"interval_seconds": 10.0},
             background_load=small_load())
-        return ScenarioRunner(spec, config=tiny_config()).run()
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return ScenarioRunner(self.spec(), config=tiny_config()).run()
+
+    def test_an_observed_run_exports_the_replica_freshness_series(self, report):
+        """How far the analytical replica trails the transactional side is
+        the number an HTAP design is judged by: ``--obs`` must export it."""
+        runner = ScenarioRunner(self.spec(), config=tiny_config(),
+                                observability=True)
+        observed = runner.run()
+        exposition = runner.obs.registry.render_prometheus()
+        for name in ("repro_analytics_lag_entries", "repro_analytics_applied_seq",
+                     "repro_analytics_rollbacks_total"):
+            assert f"\n{name} " in exposition
+        metrics = observed.obs_stats["metrics"]
+        status = observed.analytics_stats["status"]
+        assert (metrics["repro_analytics_applied_seq"]["series"][0]["value"]
+                == status["applied_seq"] > 0)
+        assert {row["labels"]["table"]: row["value"]
+                for row in metrics["repro_analytics_rows"]["series"]} == {
+            "logs": status["logs"], "transactions": status["transactions"]}
+        # Observing changes nothing it observes.
+        assert observed.analytics_stats == report.analytics_stats
+        assert observed.load_stats == report.load_stats
 
     def test_tasks_complete_with_the_replica_attached(self, report):
         assert report.tasks_completed == 1

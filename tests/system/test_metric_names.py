@@ -14,10 +14,10 @@ import re
 
 import pytest
 
-from repro.chain import Faucet, KeyPair
-from repro.cluster import ChainCluster, ClusterConfig, ClusterNode
-from repro.contracts import default_registry
+from repro.chain import KeyPair
+from repro.cluster import ClusterConfig
 from repro.loadgen import LoadGenConfig, LoadGenerator
+from repro.system.stack import build_stack
 from repro.utils.units import ether_to_wei
 
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
@@ -26,7 +26,7 @@ LABEL_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 @pytest.fixture(scope="module")
 def workload_registry():
-    """A registry populated by loadgen + RPC + storage + cluster traffic."""
+    """A registry populated by loadgen + RPC + cluster + analytics traffic."""
     generator = LoadGenerator(
         LoadGenConfig(clients=10, rate=5.0, duration_seconds=30.0, seed=7),
         observability=True,
@@ -34,16 +34,15 @@ def workload_registry():
     generator.run()
     obs = generator.obs
 
-    # Cover the gossip/cluster families too: a tiny replicated burst.
-    cluster = ChainCluster(ClusterConfig(replicas=3, seed=7),
-                           registry=default_registry())
-    obs.instrument_cluster(cluster)
-    node = ClusterNode(cluster)
+    # Cover the gossip/cluster and analytics families too: a tiny replicated
+    # burst with a columnar replica on a follower.
+    stack = build_stack(cluster=ClusterConfig(replicas=3, seed=7),
+                        observability=obs, analytics=True)
     keys = KeyPair.from_label("metric-names")
-    Faucet(node).drip(keys.address, ether_to_wei(1))
-    node.sign_and_send(keys, to="0x" + "55" * 20, value=1_000)
-    cluster.tick(force=True)
-    cluster.converge()
+    stack.faucet.drip(keys.address, ether_to_wei(1))
+    stack.node.sign_and_send(keys, to="0x" + "55" * 20, value=1_000)
+    stack.cluster.tick(force=True)
+    stack.cluster.converge()
     return obs.registry
 
 
@@ -53,7 +52,8 @@ class TestMetricNames:
         assert {"repro_rpc_requests_total", "repro_loadgen_offered_total",
                 "repro_mempool_depth", "repro_block_production_seconds",
                 "repro_cache_hits_total", "repro_gossip_events_total",
-                "repro_chain_height"} <= names
+                "repro_chain_height", "repro_analytics_lag_entries",
+                "repro_analytics_rollbacks_total"} <= names
 
     def test_every_name_is_snake_case_and_repro_prefixed(self, workload_registry):
         for name, family in workload_registry.snapshot().items():

@@ -1,0 +1,246 @@
+"""``repro.system.stack``: one construction site, one teardown.
+
+Three pins.  (1) The construction matrix -- every combination of what a
+caller may hang off a node either builds a stack that serves, mines to the
+same head as the bare stack of its row and leaves no process behind, or is
+refused with the one error.  This is the construction site of ROADMAP item
+5's flag-lattice harness.  (2) ``replace_node`` re-points everything that
+held the dead node.  (3) Nothing else under ``src/repro`` wires a stack.
+"""
+
+from __future__ import annotations
+
+import itertools
+import multiprocessing
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.chain.account import Address
+from repro.chain.keys import KeyPair
+from repro.chain.transaction import Transaction
+from repro.cluster import ClusterConfig
+from repro.contracts.registry import default_registry
+from repro.errors import ConfigError
+from repro.storage import StorageConfig, StorageEngine, recover_node
+from repro.system.stack import build_stack
+from repro.utils.units import ether_to_wei
+
+SENDERS = [KeyPair.from_label(f"stack-matrix-{index}") for index in range(2)]
+SINK = Address("0x" + "66" * 20)
+
+
+def transfers():
+    """Two transfers from each of the two senders, freshly signed."""
+    return [Transaction(sender=Address(keypair.address), to=SINK, value=1,
+                        nonce=nonce, gas_limit=21_000,
+                        gas_price=10**9).sign(keypair)
+            for keypair in SENDERS for nonce in range(2)]
+
+
+def build_cell(tmp_path, *, cluster, storage, batch_verify, obs, analytics):
+    return build_stack(
+        cluster=ClusterConfig(replicas=3, seed=7) if cluster else None,
+        storage={"none": None, "memory": StorageEngine(),
+                 "log": StorageConfig(backend="log", directory=str(tmp_path))
+                 }[storage],
+        batch_verify=batch_verify, observability=obs, analytics=analytics)
+
+
+def drive(stack):
+    """Fund, submit and mine over the stack's own gateway; the head hash."""
+    assert stack.rpc.eth.block_number == 0
+    for keypair in SENDERS:
+        stack.faucet.drip(keypair.address, ether_to_wei(1))
+    hashes = [stack.rpc.eth.send_transaction(tx) for tx in transfers()]
+    stack.rpc.call("evm_mine")
+    if stack.cluster is not None:
+        stack.cluster.converge()
+    chain = stack.node.chain
+    assert all(chain.get_receipt(tx_hash).status == 1 for tx_hash in hashes)
+    return chain.latest_block.hash
+
+
+def is_legal(cluster, storage, batch_verify, analytics):
+    if cluster:
+        return batch_verify is None
+    return not (analytics and storage == "none")
+
+
+CELLS = list(itertools.product(
+    (False, True), ("none", "memory", "log"), (None, 0), (False, True),
+    (False, True)))
+
+
+class TestConstructionMatrix:
+    @pytest.fixture(scope="class")
+    def bare_heads(self, tmp_path_factory):
+        """The head each row reaches with nothing attached."""
+        heads = {}
+        for cluster in (False, True):
+            stack = build_cell(tmp_path_factory.mktemp("bare"), cluster=cluster,
+                               storage="none", batch_verify=None, obs=False,
+                               analytics=False)
+            heads[cluster] = drive(stack)
+            stack.close()
+        return heads
+
+    @pytest.mark.parametrize("cluster,storage,batch_verify,obs,analytics", CELLS)
+    def test_every_cell_serves_or_is_refused(self, tmp_path, bare_heads, cluster,
+                                             storage, batch_verify, obs,
+                                             analytics):
+        cell = dict(cluster=cluster, storage=storage, batch_verify=batch_verify,
+                    obs=obs, analytics=analytics)
+        if not is_legal(cluster, storage, batch_verify, analytics):
+            with pytest.raises(ConfigError):
+                build_cell(tmp_path, **cell)
+            return
+        stack = build_cell(tmp_path, **cell)
+        try:
+            assert drive(stack) == bare_heads[cluster]
+            methods = set(stack.gateway.methods())
+            assert ("storage_stats" in methods) == (storage != "none")
+            assert (stack.engine is not None) == (storage != "none")
+            assert any(name.startswith("obs_") for name in methods) == obs
+            assert ("analytics_status" in methods) == analytics
+            assert (stack.obs is not None) == obs
+            if analytics:
+                assert stack.gateway.analytics is stack.analytics
+                assert stack.rpc.call("analytics_status")["transactions"] == 4
+            if obs and analytics:
+                snapshot = stack.obs.registry.snapshot()
+                assert snapshot["repro_analytics_lag_entries"]["series"][0][
+                    "value"] == 0
+            if batch_verify is not None:
+                assert stack.node.chain.batchverify_stats()[
+                    "deferred_admissions"] == 4
+        finally:
+            stack.close()
+        assert multiprocessing.active_children() == []
+        if storage == "log":
+            # close() made the store durable: a second engine recovers it.
+            recovered = recover_node(
+                StorageConfig(backend="log", directory=str(tmp_path)),
+                backend=default_registry())
+            assert recovered.chain.latest_block.hash == bare_heads[cluster]
+
+    def test_negative_worker_count_is_the_same_error(self):
+        with pytest.raises(ConfigError, match="batch_verify"):
+            build_stack(batch_verify=-1)
+
+    def test_close_stops_a_started_verify_pool_and_is_idempotent(self):
+        stack = build_stack(batch_verify=2)
+        keypairs = [KeyPair.from_label(f"stack-pool-{index}")
+                    for index in range(4)]
+        for keypair in keypairs:
+            stack.faucet.drip(keypair.address, ether_to_wei(1))
+            for nonce in range(10):
+                stack.rpc.eth.send_transaction(Transaction(
+                    sender=Address(keypair.address), to=SINK, value=1,
+                    nonce=nonce, gas_limit=21_000,
+                    gas_price=10**9).sign(keypair))
+        stack.rpc.call("evm_mine")
+        assert stack.node.chain.batchverify_stats()["verify_jobs_offloaded"] > 0
+        assert multiprocessing.active_children()
+        stack.close()
+        stack.close()
+        assert multiprocessing.active_children() == []
+
+
+class TestReplaceNode:
+    def test_everything_that_held_the_dead_node_is_repointed(self):
+        stack = build_stack(storage=StorageEngine(), observability=True,
+                            analytics=True)
+        drive(stack)
+        dead_feeder = stack.analytics
+        dead_feeder.logs()
+        dead_feeder.chain_statistics()
+        assert dead_feeder.queries == 2
+        balance = stack.rpc.eth.get_balance(SENDERS[0].address)
+
+        recovered = recover_node(stack.engine, backend=default_registry(),
+                                 clock=stack.clock)
+        stack.replace_node(recovered)
+
+        assert stack.node is recovered
+        assert stack.gateway.eth.node is recovered
+        assert stack.rpc.eth.get_balance(SENDERS[0].address) == balance
+        fresh = KeyPair.from_label("stack-after-restart").address
+        stack.faucet.drip(fresh, ether_to_wei(2))
+        assert recovered.get_balance(fresh) == ether_to_wei(2)
+        # The facade samples the live chain, not the dead one.
+        recovered.mine(3)
+        heights = stack.obs.registry.snapshot()["repro_chain_height"]["series"]
+        assert [row["value"] for row in heights] == [recovered.block_number]
+        # A fresh feeder over the recovered WAL, lifetime counters carried.
+        feeder = stack.analytics
+        assert feeder is not dead_feeder
+        assert recovered.chain.analytics is feeder
+        assert stack.gateway.analytics is feeder
+        assert feeder.obs is stack.obs
+        assert feeder.queries == 2
+        assert stack.rpc.call("analytics_status")["height"] == recovered.block_number
+        queries = stack.obs.registry.snapshot()["repro_analytics_queries_total"]
+        assert queries["series"][0]["value"] == feeder.queries
+
+    def test_a_bare_stack_swaps_with_nothing_else_attached(self):
+        stack = build_stack(storage=StorageEngine())
+        head = drive(stack)
+        recovered = recover_node(stack.engine, backend=default_registry(),
+                                 clock=stack.clock)
+        stack.replace_node(recovered)
+        assert stack.analytics is None and stack.obs is None
+        assert stack.rpc.eth.block_number == 1
+        assert stack.node.chain.latest_block.hash == head
+
+
+#: What only ``system/stack.py`` may do.  Leading dots keep the patterns on
+#: *calls*: ``def attach_obs(`` in the defining module does not match.
+WIRING = re.compile(
+    r"JsonRpcGateway\(|ChainCluster\(|ClusterNode\(|TokenBucketRateLimiter\("
+    r"|\.attach_obs\(|\.attach_storage\(|\.attach_analytics\("
+    r"|\.instrument_node\(|\.instrument_cluster\(")
+
+#: The builder, ``MarketplaceClient.for_node`` / ``for_stack`` (a bare
+#: gateway over parts the caller already holds) and the cluster package's
+#: internals (a follower attaching its own replica, ``class ClusterNode(``).
+MAY_WIRE = {"system/stack.py", "rpc/client.py"}
+
+
+def test_one_construction_site():
+    src = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        relative = path.relative_to(src).as_posix()
+        if relative in MAY_WIRE or relative.startswith("cluster/"):
+            continue
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            if WIRING.search(line):
+                offenders.append(f"{relative}:{number}: {line.strip()}")
+    assert not offenders, "stack wiring outside system/stack.py:\n" + "\n".join(
+        offenders)
+    # Guard the guard: the builder itself trips every pattern family.
+    assert len(set(WIRING.findall((src / "system/stack.py").read_text()))) == 9
+
+
+def test_a_server_process_does_not_import_the_marketplace():
+    """``repro serve`` boots through ``repro.system.stack``; ``repro.system``
+    resolves its exports lazily so that costs no ``ml`` / ``fl`` / scipy
+    (+0.65 s to boot and +42 MB resident, against a 10% RSS bound)."""
+    import os
+    import subprocess
+    import sys
+
+    probe = ("import sys; from repro.net import NetConfig, build_serve_stack; "
+             "build_serve_stack(NetConfig(port=0)); "
+             "print(sorted(m for m in ('repro.ml', 'repro.fl', 'repro.web', "
+             "'repro.storage', 'repro.cluster', 'repro.analytics', 'scipy') "
+             "if m in sys.modules)); "
+             "from repro.system import run_marketplace, quick_config")
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
