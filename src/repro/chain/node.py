@@ -296,3 +296,16 @@ class EthereumNode:
     def mine(self, blocks: int = 1) -> List[Block]:
         """Explicitly produce ``blocks`` blocks (advancing the clock each slot)."""
         return self.chain.produce_blocks(count=blocks)
+
+    def produce_pending(self, advance_clock: bool) -> int:
+        """Mine one production round if the mempool has work; blocks made.
+
+        The one door of the cadence producers (a server's wall-clock tick
+        advances the simulated clock a slot, the load generator's process
+        mines at the current time), so a cluster facade can answer with its
+        rotation instead of a single chain.
+        """
+        if len(self.chain.mempool) == 0:
+            return 0
+        self.chain.produce_block(advance_clock=advance_clock)
+        return 1

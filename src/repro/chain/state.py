@@ -30,10 +30,6 @@ class WorldState:
             self._accounts[key] = Account(address=addr)
         return self._accounts[key]
 
-    def has_account(self, address: Address | str) -> bool:
-        """Whether an account record exists (possibly with zero balance)."""
-        return Address(address).lower in self._accounts
-
     def accounts(self) -> Iterator[Account]:
         """Iterate over all known accounts."""
         return iter(list(self._accounts.values()))

@@ -184,3 +184,15 @@ class ClusterNode(EthereumNode):
         for _ in range(blocks):
             produced.extend(self.cluster.tick(force=True))
         return produced
+
+    def produce_pending(self, advance_clock: bool) -> int:
+        """One cluster round if the freshest mempool has work; blocks made.
+
+        Through leader rotation and gossip either way: :meth:`ChainCluster.tick`
+        when the caller wants the clock moved a slot,
+        :meth:`ChainCluster.produce_now` at the current time.
+        """
+        if len(self.chain.mempool) == 0:
+            return 0
+        return len(self.cluster.tick() if advance_clock
+                   else self.cluster.produce_now())

@@ -58,12 +58,6 @@ class Swarm:
         """All registered nodes."""
         return list(self._nodes.values())
 
-    def get_node(self, peer_id: str) -> "IpfsNode":
-        """Look up a node by peer id."""
-        if peer_id not in self._nodes:
-            raise KeyError(f"unknown peer {peer_id}")
-        return self._nodes[peer_id]
-
     # -- connections ------------------------------------------------------------
 
     def connect(self, a: "IpfsNode | str", b: "IpfsNode | str") -> None:

@@ -38,6 +38,7 @@ from repro.loadgen.arrivals import ArrivalProcess, ZipfSelector, make_arrivals
 from repro.loadgen.report import LoadReport, SweepPoint, SweepReport
 from repro.loadgen.stats import LatencyStats, OpStats
 from repro.loadgen.workload import DEFAULT_MIX, ClientPool, RequestMix
+from repro.obs.adapters import collect_loadgen
 from repro.simnet.events import EventScheduler
 from repro.system.stack import Stack, build_stack
 from repro.utils.rng import derive_seed, make_rng
@@ -198,17 +199,13 @@ class LoadGenerator:
         self.rpc = stack.rpc
         self.manage_blocks = manage_blocks
         self.oflw3_backend_key = oflw3_backend_key
-        # Known hazard, kept so no scenario's bytes move (ROADMAP item 5):
-        # on a cluster stack it was handed, the producer below mints on the
-        # freshest replica's chain instead of through leader rotation.
-        self._cluster = stack.cluster if self._owns_stack else None
 
         #: The stack's ``repro.obs`` facade (``observability`` configures only
         #: a stack built here); ``None``, the default, keeps the run
-        #: observation-free.  The generator adds its own saturation sampler.
+        #: observation-free.
         self.obs = stack.obs
-        if self.obs is not None:
-            self.obs.instrument_loadgen(self._obs_sample)
+        stack.registry.register_collector(
+            lambda reg: collect_loadgen(reg, self._obs_sample()))
 
         seed = config.seed
         self.mix = RequestMix(config.mix, seed=derive_seed(seed, "mix"))
@@ -281,7 +278,7 @@ class LoadGenerator:
     def _dispatch(self, kind: str, client_index: int) -> None:
         if kind == "oflw3" and self.oflw3_backend_key is None:
             kind = "read"
-        if kind == "analytics" and getattr(self.rpc.gateway, "analytics", None) is None:
+        if kind == "analytics" and self.rpc.gateway.analytics is None:
             kind = "read"
         handler = {
             "transfer": self._do_transfer,
@@ -473,27 +470,21 @@ class LoadGenerator:
             if gap <= 1e-9:
                 gap = slot
             yield gap
-            chain = self.node.chain
-            if len(chain.mempool) == 0:
-                continue
             # One block per slot, shared with any co-resident producer: in
             # attached mode the scenario's own block producer mines while
             # tasks are active, and minting a second block into the same
             # slot would double the modeled Sepolia cadence.  This producer
             # only fills slots nobody else has -- which standalone is every
             # slot, and attached is the post-task drain tail.
+            chain = self.node.chain
             tip = chain.latest_block
             if tip.number > 0 and (chain.consensus.slot_at(tip.timestamp)
                                    == chain.consensus.slot_at(self.clock.now)):
                 continue
             self._note_mempool_depth()
-            if self._cluster is not None:
-                # Cluster mode: production goes through leader rotation and
-                # gossip, so every slot's block comes from whichever replica
-                # the schedule elects (the cluster has its own slot guard).
-                self._cluster.produce_now()
-            else:
-                chain.produce_block(advance_clock=False)
+            # On a cluster this is leader rotation and gossip, so every
+            # slot's block comes from whichever replica the schedule elects.
+            self.node.produce_pending(advance_clock=False)
 
     # -- execution ----------------------------------------------------------------
 
@@ -524,7 +515,6 @@ class LoadGenerator:
         """Assemble the report after the scheduler has drained."""
         node = self.node
         self._note_mempool_depth()
-        metrics = self.rpc.gateway.metrics
         # Read, never create: _op() would side-effect a zero-count entry
         # into the ops snapshot and make finalize() non-idempotent.
         transfer_stats = self.ops.get("transfer")
@@ -544,7 +534,7 @@ class LoadGenerator:
                              if len(self.confirmation) else {}),
             blocks_produced=node.block_number - self._start_height,
             mempool_max_depth=self._mempool_peak,
-            rpc_stats=metrics.snapshot(include_latency=False) if metrics else None,
+            rpc_stats=self.rpc.gateway.metrics.snapshot(include_latency=False),
             obs_stats=self.obs.stats_dict() if self.obs is not None else None,
             batchverify_stats=self._batchverify_stats(),
         )

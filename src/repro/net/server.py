@@ -46,6 +46,7 @@ from repro.net.websocket import (
     encode_frame,
     read_frame,
 )
+from repro.obs.adapters import collect_net_server
 from repro.rpc.protocol import (
     INVALID_PARAMS,
     INVALID_REQUEST,
@@ -231,26 +232,21 @@ class _WsSession:
 
 
 class RpcHttpServer:
-    """Serves one JSON-RPC gateway over HTTP and WebSocket."""
+    """Serves one stack's JSON-RPC gateway over HTTP and WebSocket."""
 
     def __init__(
         self,
-        gateway: Any,
+        stack: Any,
         config: Optional[NetConfig] = None,
         *,
-        stack: Optional[Any] = None,
         logger: Optional[Callable[[str], None]] = None,
     ) -> None:
-        self.gateway = gateway
-        self.config = config or NetConfig()
-        if gateway.eth is None:
-            raise NetworkError("RpcHttpServer needs a gateway serving a chain node")
-        self.node = gateway.eth.node
-        #: The ``repro.system.stack.Stack`` behind ``gateway``: its cluster
-        #: drives production, its facade feeds ``/metrics``, shutdown closes it.
+        #: The ``repro.system.stack.Stack`` being served: its node drives
+        #: production, its registry is ``/metrics``, shutdown closes it.
         self.stack = stack
-        self.cluster = stack.cluster if stack is not None else None
-        obs = stack.obs if stack is not None else None
+        self.gateway = stack.gateway
+        self.node = stack.node
+        self.config = config or NetConfig()
         self.stats = ServerStats()
         self._log = logger or (lambda message: None)
         self._server: Optional[asyncio.base_events.Server] = None
@@ -259,22 +255,8 @@ class RpcHttpServer:
         self._producer_task: Optional[asyncio.Task] = None
         self._draining = False
         self.port = self.config.port
-
-        # /metrics always works, observability enabled or not: without a
-        # facade the server owns a plain registry fed by the gateway's
-        # RequestMetrics; with one, it renders the full unified registry.
-        if obs is not None:
-            self.registry = obs.registry
-        else:
-            from repro.obs.adapters import register_rpc_metrics
-            from repro.obs.registry import MetricsRegistry
-
-            self.registry = MetricsRegistry()
-            if gateway.metrics is not None:
-                register_rpc_metrics(self.registry, gateway.metrics)
-        from repro.obs.adapters import register_net_server
-
-        register_net_server(self.registry, self)
+        stack.registry.register_collector(
+            lambda reg: collect_net_server(reg, self))
 
     # -- introspection -------------------------------------------------------
 
@@ -336,8 +318,7 @@ class RpcHttpServer:
             if pending:
                 self._log(f"force-closed {len(pending)} connection(s) "
                           f"after the {self.config.drain_timeout_seconds}s drain budget")
-        if self.stack is not None:
-            self.stack.close()
+        self.stack.close()
         self._log("graceful shutdown complete")
 
     async def run(self, stop: asyncio.Event) -> None:
@@ -348,21 +329,11 @@ class RpcHttpServer:
 
     # -- block production ----------------------------------------------------
 
-    def _produce_pending(self) -> int:
-        """Mine one production round if the mempool has work; blocks made."""
-        chain = self.node.chain
-        if len(chain.mempool) == 0:
-            return 0
-        if self.cluster is not None:
-            return len(self.cluster.tick())
-        chain.produce_block(advance_clock=True)
-        return 1
-
     async def _producer_loop(self) -> None:
         while True:
             await asyncio.sleep(self.config.block_interval_seconds)
             try:
-                if self._produce_pending():
+                if self.node.produce_pending(advance_clock=True):
                     self.pump_subscriptions()
             except Exception as exc:  # noqa: BLE001 - production must not kill serving
                 self._log(f"producer error: {exc}")
@@ -464,7 +435,7 @@ class RpcHttpServer:
             return format_response(200, body, keep_alive=keep_alive)
         if method == "GET" and path == "/metrics":
             self.stats.count_request("metrics")
-            text = self.registry.render_prometheus().encode("utf-8")
+            text = self.stack.registry.render_prometheus().encode("utf-8")
             return format_response(
                 200, text, content_type="text/plain; version=0.0.4",
                 keep_alive=keep_alive)
@@ -761,6 +732,6 @@ def build_serve_stack(
     stack.gateway.serve_ipfs_node(IpfsNode("serve-ipfs", swarm=stack.swarm))
     dev = DevNamespace(stack)
     stack.gateway.register_namespace(dev.methods())
-    server = RpcHttpServer(stack.gateway, config, stack=stack, logger=logger)
+    server = RpcHttpServer(stack, config, logger=logger)
     dev.server = server
     return server

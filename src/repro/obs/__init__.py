@@ -2,8 +2,10 @@
 
 See :mod:`repro.obs.facade` for the attachable :class:`Observability`
 object and ``docs/observability.md`` for the metric catalog and trace
-anatomy.  Everything here is off by default: no component builds an
-``Observability`` unless asked; until then every ``.obs`` is the no-op
+anatomy.  The metrics registry is always on -- every stack owns one, fed
+by pull collectors that cost nothing until scraped; tracing, events and
+profiling are off by default: no component builds an ``Observability``
+unless asked, and until then every ``.obs`` is the no-op
 ``NULL_OBSERVABILITY``.
 """
 

@@ -1,9 +1,11 @@
 """The :class:`Observability` facade every subsystem hooks into.
 
-One instance bundles the four pillars -- :class:`MetricsRegistry`,
-:class:`Tracer`, :class:`ObsEventLog` and :class:`PhaseProfiler` -- and
-knows how to wire itself onto the stack's components (chain, cluster,
-gossip, RPC gateway, storage engine, load generator).
+One instance is what ``--obs`` adds to a stack: a :class:`Tracer`, an
+:class:`ObsEventLog` and a :class:`PhaseProfiler`, hooked onto the chain,
+cluster, gossip layer, replicas and analytics feeder as their ``.obs``.  The
+:class:`MetricsRegistry` is not its own: every stack has one
+(``Stack.registry``, fed by one collector that samples the live stack), and
+the facade records its push metrics into that.
 
 **Off by default: a null object, not a ``None``.**  Nothing in the repo
 constructs an ``Observability`` unless a user passes ``--obs`` /
@@ -16,19 +18,13 @@ transaction, while a real always-on facade holds +5.5 MB of spans after
 ``peak_rss_mb`` bound -- which is why the default records nothing.  The
 seed's behavior -- down to the bytes of a saved ideal-scenario report --
 is unchanged.
-
-Chains are attached through :meth:`attach_chain` rather than a one-shot
-registration because replica crash/recover and resync *replace* the chain
-object; the facade tracks the current instance per label so metric
-collectors keep sampling the live one.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.obs import adapters
 from repro.obs.events import ObsEventLog
 from repro.obs.profiling import PhaseProfiler
 from repro.obs.registry import MetricsRegistry
@@ -37,20 +33,16 @@ from repro.utils.clock import SimulatedClock
 
 
 class Observability:
-    """Metrics + tracing + events + profiling behind one attachable object."""
+    """Tracing + events + profiling over a stack's registry, as one ``.obs``."""
 
-    def __init__(self, clock: Optional[SimulatedClock] = None, *,
+    def __init__(self, registry: MetricsRegistry,
+                 clock: Optional[SimulatedClock] = None, *,
                  max_spans: int = 50_000, max_events: int = 100_000) -> None:
         self.clock = clock
-        self.registry = MetricsRegistry()
+        self.registry = registry
         self.tracer = Tracer(clock=clock, max_spans=max_spans)
         self.event_log = ObsEventLog(clock=clock, max_events=max_events)
         self.profiler = PhaseProfiler()
-        self._chains: Dict[str, Any] = {}
-        self._caches: Dict[str, Any] = {}
-        self._analytics: Optional[Any] = None
-        self._chain_collector_registered = False
-        self._cache_collector_registered = False
 
     # -- hot-path helpers (what instrumented call sites use) ----------------
 
@@ -88,87 +80,19 @@ class Observability:
     # -- wiring -------------------------------------------------------------
 
     def attach_chain(self, chain: Any, label: Optional[str] = None) -> None:
-        """Hook one :class:`Blockchain` (re-attachable after recover/resync)."""
+        """Hook one :class:`Blockchain` (again after recover/resync replace it)."""
         chain.obs = self
         chain.obs_label = label
-        self._chains[label or "node"] = chain
-        if not self._chain_collector_registered:
-            self._chain_collector_registered = True
-
-            def collect(reg: MetricsRegistry) -> None:
-                for name in sorted(self._chains):
-                    adapters.collect_chain(reg, self._chains[name], name)
-
-            self.registry.register_collector(collect)
-
-    def register_cache(self, name: str, cache: Any) -> None:
-        """Register an ``LRUCache``-shaped stat source under one label."""
-        self._caches[name] = cache
-        if not self._cache_collector_registered:
-            self._cache_collector_registered = True
-
-            def collect(reg: MetricsRegistry) -> None:
-                for cache_name in sorted(self._caches):
-                    adapters.collect_cache(reg, cache_name,
-                                           self._caches[cache_name])
-
-            self.registry.register_collector(collect)
-
-    def _register_process_caches(self) -> None:
-        """The process-wide chain caches every instrumented stack shares."""
-        from repro.chain.account import checksum_cache
-        from repro.chain.keys import inverse_cache, key_comb_cache
-
-        self.register_cache("address_checksum", checksum_cache())
-        self.register_cache("schnorr_inverse", inverse_cache())
-        self.register_cache("schnorr_key_comb", key_comb_cache())
-
-    def instrument_node(self, node: Any, label: Optional[str] = None) -> None:
-        """Hook a single-node :class:`EthereumNode` (chain + address cache)."""
-        self.attach_chain(node.chain, label)
-        self._register_process_caches()
 
     def instrument_cluster(self, cluster: Any) -> None:
         """Hook every replica, the gossip layer and cluster chaos events."""
         cluster.obs = self
         cluster.gossip.obs = self
-        adapters.register_gossip(self.registry, cluster.gossip)
-        self._register_process_caches()
         for replica in cluster.replicas:
             replica.obs = self
             self.attach_chain(replica.chain, replica.name)
 
-    def instrument_gateway(self, gateway: Any) -> None:
-        """Adapt the gateway's ``RequestMetrics`` into the registry."""
-        if gateway.metrics is not None:
-            adapters.register_rpc_metrics(self.registry, gateway.metrics)
-
-    def instrument_storage(self, engine: Any) -> None:
-        """Hook a storage engine's cache and WAL counters."""
-        self.register_cache("storage", engine.cache)
-        adapters.register_storage(self.registry, engine)
-
-    def instrument_loadgen(self, sample: Callable[[], dict]) -> None:
-        """Hook a load generator's saturation sampler."""
-        adapters.register_loadgen(self.registry, sample)
-
-    def instrument_analytics(self, feeder: Any) -> None:
-        """Hook an analytics feeder's freshness gauges and rollback events.
-
-        Re-attachable like :meth:`attach_chain`: a node restart replaces the
-        feeder, and the one collector samples whichever is current.
-        """
-        feeder.obs = self
-        if self._analytics is None:
-            adapters.register_analytics(self.registry, lambda: self._analytics)
-        self._analytics = feeder
-
     # -- reporting ----------------------------------------------------------
-
-    def cache_stats(self) -> Dict[str, Any]:
-        """Unified stats for every registered cache (the one spelling)."""
-        return {name: cache.stats()
-                for name, cache in sorted(self._caches.items())}
 
     def sample_trace_id(self) -> Optional[str]:
         """A representative trace id: the first transaction trace recorded."""
@@ -177,13 +101,6 @@ class Observability:
                 return trace_id
         ids = self.tracer.trace_ids()
         return ids[0] if ids else None
-
-    def sample_trace(self, include_wall: bool = False) -> List[Dict[str, Any]]:
-        """The sampled trace as a span tree (empty when nothing traced)."""
-        trace_id = self.sample_trace_id()
-        if trace_id is None:
-            return []
-        return self.tracer.tree(trace_id, include_wall=include_wall)
 
     def stats_dict(self) -> Dict[str, Any]:
         """Deterministic summary embedded in scenario / load reports.
@@ -244,22 +161,20 @@ class NullObservability:
     def attach_chain(self, chain: Any, label: Optional[str] = None) -> None:
         return None
 
-    def instrument_storage(self, engine: Any) -> None:
-        return None
-
 
 NULL_OBSERVABILITY = NullObservability()
 
 
-def ensure_observability(value: Any,
+def ensure_observability(value: Any, registry: MetricsRegistry,
                          clock: Optional[SimulatedClock] = None
                          ) -> Optional[Observability]:
     """Normalize an ``observability`` argument.
 
     ``None``/``False`` -> ``None`` (disabled); ``True`` -> a fresh
-    :class:`Observability` on ``clock``; an existing instance passes
-    through (its clock is rebound to ``clock`` when one is given, so a
-    caller-built facade still tracks the runner's simulated time).
+    :class:`Observability` over ``registry`` on ``clock``; an existing
+    instance passes through with the registry it was built over (its clock
+    is rebound to ``clock`` when one is given, so a caller-built facade
+    still tracks the runner's simulated time).
     """
     if not value:
         return None
@@ -269,4 +184,4 @@ def ensure_observability(value: Any,
             value.tracer.clock = clock
             value.event_log.clock = clock
         return value
-    return Observability(clock=clock)
+    return Observability(registry, clock=clock)

@@ -65,14 +65,11 @@ class JsonRpcGateway:
         swarm: Optional[Swarm] = None,
         ipfs: Optional[IpfsNode] = None,
         middleware: Optional[Iterable[Middleware]] = None,
-        metrics: bool = True,
     ) -> None:
         self._methods: Dict[str, Callable[..., Any]] = {}
         self._signatures: Dict[str, inspect.Signature] = {}
-        self.metrics: Optional[RequestMetrics] = RequestMetrics() if metrics else None
-        self._middleware: List[Middleware] = (
-            [self.metrics] if self.metrics is not None else []
-        ) + list(middleware or [])
+        self.metrics = RequestMetrics()
+        self._middleware: List[Middleware] = [self.metrics, *(middleware or [])]
         #: Lazily composed middleware pipeline (rebuilt from _middleware once).
         self._pipeline: Optional[Callable[[RpcRequest], Any]] = None
 
@@ -83,9 +80,9 @@ class JsonRpcGateway:
         #: Observability facade (``repro.obs``); the no-op one until
         #: :meth:`attach_obs` mounts a real one.
         self.obs: Any = NULL_OBSERVABILITY
-        #: Optional analytics replica feeder (``repro.analytics``); mounted
-        #: lazily via :meth:`attach_analytics`, ``None`` by default.
-        self.analytics: Optional[Any] = None
+        #: Resolves the analytics feeder behind ``analytics_*`` at call time
+        #: (see :meth:`attach_analytics`); nothing is mounted by default.
+        self._current_analytics: Callable[[], Optional[Any]] = lambda: None
         if node is not None:
             self.serve_node(node)
         if swarm is not None:
@@ -135,37 +132,41 @@ class JsonRpcGateway:
         (full engine inspection, cache counters under ``cache``).
         """
         self.storage = engine
-        if self.metrics is not None:
-            self.metrics.attach_gauge("storage_cache", engine.cache.snapshot)
-        self.obs.instrument_storage(engine)
+        self.metrics.attach_gauge("storage_cache", engine.cache.snapshot)
         self.register("storage_stats", _describe_storage(engine))
         return self
 
-    def attach_obs(self, obs: Any) -> "JsonRpcGateway":
-        """Mount a ``repro.obs`` facade: ``obs_*`` methods + metric adapters.
+    def attach_obs(self, obs: Any,
+                   caches: Callable[[], Dict[str, Any]]) -> "JsonRpcGateway":
+        """Mount a ``repro.obs`` facade under ``obs_*``.
 
-        Adapts the gateway's :class:`RequestMetrics` into the unified
-        registry and, when a storage engine is (or later gets) attached,
-        registers its cache under the unified ``repro_cache_*`` series.
+        ``caches`` names the stack's live caches (``Stack.caches``): what
+        ``obs_cacheStats`` reports is what ``repro_cache_*`` samples.
         """
         self.obs = obs
-        obs.instrument_gateway(self)
-        if self.storage is not None:
-            obs.instrument_storage(self.storage)
-        self.register_namespace(ObsNamespace(obs).methods())
+        self.register_namespace(ObsNamespace(obs, caches).methods())
         return self
 
-    def attach_analytics(self, feeder: Any) -> "JsonRpcGateway":
-        """Mount an analytics replica feeder under ``analytics_*``.
+    def attach_analytics(self, current: Callable[[], Optional[Any]]
+                         ) -> "JsonRpcGateway":
+        """Mount the analytics replica under ``analytics_*``.
 
+        ``current`` returns the feeder the chain holds *now* -- a restart or
+        a follower's recovery replaces it, and a namespace that held the
+        first one would keep answering from a replica that no longer exists.
         The feeder keeps serving the transparently routed reads
         (``eth_getLogs`` through the chain); this additionally exposes the
         replica's own surface -- freshness status, explicit columnar
         queries and the pre-aggregated rollups/leaderboards.
         """
-        self.analytics = feeder
-        self.register_namespace(AnalyticsNamespace(feeder).methods())
+        self._current_analytics = current
+        self.register_namespace(AnalyticsNamespace(current).methods())
         return self
+
+    @property
+    def analytics(self) -> Optional[Any]:
+        """The feeder behind ``analytics_*`` right now; ``None`` unmounted."""
+        return self._current_analytics()
 
     def methods(self) -> List[str]:
         """Sorted names of every registered method."""

@@ -464,22 +464,29 @@ class Oflw3Namespace:
 
 
 class AnalyticsNamespace:
-    """``analytics_*`` methods over one :class:`repro.analytics.AnalyticsFeeder`.
+    """``analytics_*`` methods over the current :class:`repro.analytics.AnalyticsFeeder`.
 
-    Mounted by :meth:`JsonRpcGateway.attach_analytics`; every handler
+    Mounted by :meth:`JsonRpcGateway.attach_analytics` with a resolver, not
+    a feeder: a node restart or a follower's recovery replaces the feeder,
+    and each call must reach the live one.  Every handler
     answers from the columnar replica (draining the WAL first, so results
     are read-your-writes fresh) -- the HTAP read side of the stack.
     ``analytics_query`` takes the same criteria object as ``eth_getLogs``
     and is parity-identical to it at equal chain height.
     """
 
-    def __init__(self, feeder: Any) -> None:
-        self.feeder = feeder
+    def __init__(self, current: Callable[[], Any]) -> None:
+        self._current = current
+
+    @property
+    def feeder(self) -> Any:
+        return self._current()
 
     def status(self) -> Dict[str, Any]:
         """Replica freshness (``applied_seq``, lag) and per-table row counts."""
-        self.feeder.drain()
-        return self.feeder.status()
+        feeder = self.feeder
+        feeder.drain()
+        return feeder.status()
 
     def query(self, criteria: Optional[Dict[str, Any]] = None) -> Any:
         """Log query served from the replica columns (``eth_getLogs`` shape).
@@ -577,8 +584,9 @@ class ObsNamespace:
     answers "where did this transaction's time go".
     """
 
-    def __init__(self, obs: Any) -> None:
+    def __init__(self, obs: Any, caches: Callable[[], Dict[str, Any]]) -> None:
         self.obs = obs
+        self._caches = caches
 
     def metrics(self) -> str:
         """The unified metrics registry in Prometheus text exposition format."""
@@ -626,7 +634,8 @@ class ObsNamespace:
 
     def cache_stats(self) -> Dict[str, Any]:
         """Unified statistics for every registered cache (the one spelling)."""
-        return self.obs.cache_stats()
+        return {name: cache.stats()
+                for name, cache in sorted(self._caches().items())}
 
     def methods(self) -> MethodTable:
         """The method table this namespace contributes."""

@@ -21,7 +21,7 @@ introduces the standard discrete-event loop:
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 from repro.errors import SchedulerError
 from repro.utils.clock import SimulatedClock
@@ -230,16 +230,3 @@ class EventScheduler:
             self.step()
             executed += 1
         return executed
-
-    def run_all_processes(self, processes: Iterable[SimProcess],
-                          max_events: int = 1_000_000) -> None:
-        """Run until every listed process has finished."""
-        pending = list(processes)
-        executed = 0
-        while any(not process.done for process in pending):
-            if self.step() is None:
-                stuck = [p.name for p in pending if not p.done]
-                raise SchedulerError(f"deadlock: queue empty but processes pending: {stuck}")
-            executed += 1
-            if executed > max_events:
-                raise SchedulerError(f"event budget exhausted after {max_events} events")

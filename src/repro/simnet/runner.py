@@ -633,10 +633,9 @@ class ScenarioRunner:
                 for key, value in model.stats.to_dict().items():
                     network_stats[key] = round(network_stats[key] + value, 3)
 
-        rpc_stats = (self.stack.gateway.metrics.snapshot(include_latency=False)
-                     if self.stack.gateway.metrics else None)
+        rpc_stats = self.stack.gateway.metrics.snapshot(include_latency=False)
         limiter = self.stack.rate_limiter
-        if rpc_stats is not None and limiter is not None:
+        if limiter is not None:
             rpc_stats["rate_limited_total"] = limiter.rejected_total
 
         cluster_stats = None

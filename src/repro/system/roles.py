@@ -190,13 +190,6 @@ class ModelOwner:
         """Fraction of this owner's time spent on blockchain interaction."""
         return self.breakdown.blockchain_fraction(OWNER_BLOCKCHAIN_PHASES)
 
-    def payment_received_wei(self) -> int:
-        """Payment recorded for this owner on the task contract."""
-        if self.dapp.session.task_address is None:
-            return 0
-        payments = self.wallet.read_contract(self.dapp.session.task_address, "payments")
-        return int(payments.get(self.address, 0))
-
 
 class ModelBuyer:
     """The party that funds the task, aggregates the models and pays owners."""

@@ -6,7 +6,15 @@ deployment (Fig. 2).  :func:`build_stack` owns *what hangs off a node and in
 what order*::
 
     clock -> engine? -> cluster | node(batch_verify) -> faucet -> swarm
-          -> rate limiter? -> gateway -> attach_storage? -> obs? -> analytics?
+          -> rate limiter? -> gateway -> attach_storage? -> registry
+          -> obs? -> analytics?
+
+The registry is always there and is the only one: :func:`build_stack`
+registers one collector on it, :meth:`Stack.collect_metrics`, which samples
+whatever the stack holds *when scraped*.  A restarted node, a recovered
+replica or a replaced analytics feeder is therefore no metrics concern, and a
+default stack exports chain, mempool, cache and WAL series with no flag;
+``observability`` adds the tracer, event log and profiler on top.
 
 Callers choose the subset by what they pass and nothing is inferred: an
 engine exists, and ``storage_stats`` is mounted, exactly when ``storage`` is
@@ -18,15 +26,17 @@ are imported only when asked for: ``repro serve`` boots through here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Dict, Optional
 
+from repro.chain.account import checksum_cache
 from repro.chain.chain import ChainConfig
 from repro.chain.faucet import Faucet
+from repro.chain.keys import inverse_cache, key_comb_cache
 from repro.chain.node import EthereumNode
 from repro.contracts.registry import default_registry
 from repro.errors import ConfigError
 from repro.ipfs.swarm import Swarm
-from repro.obs import Observability, ensure_observability
+from repro.obs import MetricsRegistry, Observability, adapters, ensure_observability
 from repro.rpc.client import MarketplaceClient
 from repro.rpc.gateway import JsonRpcGateway
 from repro.rpc.middleware import TokenBucketRateLimiter
@@ -43,6 +53,8 @@ class Stack:
     swarm: Swarm
     gateway: JsonRpcGateway
     rpc: MarketplaceClient
+    #: The deployment's one metrics registry (``/metrics``, ``obs_metrics``).
+    registry: MetricsRegistry
     #: The storage engine the caller passed (``None``: the chain keeps no WAL,
     #: or -- on a cluster -- each replica keeps a private in-memory one).
     engine: Optional[Any] = None
@@ -50,40 +62,75 @@ class Stack:
     cluster: Optional[Any] = None
     obs: Optional[Observability] = None
     rate_limiter: Optional[TokenBucketRateLimiter] = None
-    #: The analytics feeder mounted on the gateway, if any.
-    analytics: Optional[Any] = None
 
-    def _attach_analytics(self) -> None:
-        """Attach a columnar replica (follower-side on a cluster) and mount it."""
-        if self.cluster is not None:
-            self.analytics = self.cluster.attach_follower_analytics()
+    # -- what the stack holds right now ------------------------------------------
+
+    def caches(self) -> Dict[str, Any]:
+        """Every ``LRUCache`` by its ``cache=`` label: the three process-wide
+        chain caches and the engine's read cache."""
+        caches = {"address_checksum": checksum_cache(),
+                  "schnorr_inverse": inverse_cache(),
+                  "schnorr_key_comb": key_comb_cache()}
+        if self.engine is not None:
+            caches["storage"] = self.engine.cache
+        return caches
+
+    @property
+    def analytics(self) -> Optional[Any]:
+        """The analytics feeder serving ``analytics_*`` now, if one is attached.
+
+        Resolved through the chain that holds it -- the analytics follower's
+        on a cluster -- because a restart or a replica's recovery replaces
+        the feeder along with the chain.
+        """
+        if self.cluster is None:
+            return self.node.chain.analytics
+        return next((replica.chain.analytics for replica in self.cluster.replicas
+                     if replica.analytics_enabled), None)
+
+    def collect_metrics(self, reg: MetricsRegistry) -> None:
+        """The registry's one collector: sample every live part into ``reg``."""
+        adapters.collect_rpc(reg, self.gateway.metrics)
+        if self.cluster is None:
+            adapters.collect_chain(reg, self.node.chain, "node")
         else:
-            from repro.analytics import attach_analytics
+            # Each replica's own chain (recover and resync replace it), not
+            # ``ClusterNode.chain``: reading that pumps gossip.
+            for replica in self.cluster.replicas:
+                adapters.collect_chain(reg, replica.chain, replica.name)
+            adapters.collect_gossip(reg, self.cluster.gossip)
+        for name, cache in self.caches().items():
+            adapters.collect_cache(reg, name, cache)
+        if self.engine is not None:
+            adapters.collect_storage(reg, self.engine)
+        feeder = self.analytics
+        if feeder is not None:
+            adapters.collect_analytics(reg, feeder)
 
-            self.analytics = attach_analytics(self.node.chain, obs=self.obs)
-        self.gateway.attach_analytics(self.analytics)
-        if self.obs is not None:
-            self.obs.instrument_analytics(self.analytics)
+    # -- lifecycle -----------------------------------------------------------------
 
     def replace_node(self, recovered: EthereumNode) -> None:
         """Swap in a node recovered from storage (the simulated ``kill -9``).
 
-        Everything that held the dead node is re-pointed: the gateway's
-        ``eth_*`` namespace, the faucet, the facade's chain hooks, and the
-        analytics replica -- which died with the node's memory, so a fresh
+        What held the dead node is re-pointed -- the gateway's ``eth_*``
+        namespace, the faucet, the facade's chain hooks -- and the analytics
+        replica, which died with the node's memory, is rebuilt: a fresh
         feeder backfills from the recovered WAL and inherits the lifetime
-        counters.
+        counters.  Metrics and ``analytics_*`` read through the stack, so
+        they follow without being told.
         """
+        dead = self.analytics
         self.node = recovered
         self.gateway.serve_node(recovered)
         self.faucet.node = recovered
         if self.obs is not None:
-            self.obs.instrument_node(recovered)
-        if self.analytics is not None:
-            dead = self.analytics
-            self._attach_analytics()
-            self.analytics.queries = dead.queries
-            self.analytics.rollbacks += dead.rollbacks
+            self.obs.attach_chain(recovered.chain)
+        if dead is not None:
+            from repro.analytics import attach_analytics
+
+            feeder = attach_analytics(recovered.chain, obs=self.obs)
+            feeder.queries = dead.queries
+            feeder.rollbacks += dead.rollbacks
 
     def close(self) -> None:
         """Stop the chain's verify workers and ``sync()`` a persistent engine.
@@ -120,8 +167,9 @@ def build_stack(
     only: replicas re-verify blocks on the scalar path); ``chain_network`` /
     ``ipfs_network`` simnet link models for the client->node and bitswap
     links; ``rate_limit`` / ``rate_burst`` a gateway token bucket on the
-    simulated clock; ``observability`` ``True`` or an ``Observability``;
-    ``analytics`` a columnar replica over the WAL.
+    simulated clock; ``observability`` ``True`` or an ``Observability`` (whose
+    registry the stack then shares); ``analytics`` a columnar replica over the
+    WAL.
     """
     if batch_verify is not None and batch_verify < 0:
         raise ConfigError(f"batch_verify needs >= 0 workers, got {batch_verify}")
@@ -159,16 +207,26 @@ def build_stack(
         middleware=[rate_limiter] if rate_limiter is not None else [])
     if engine is not None:
         gateway.attach_storage(engine)
+    registry = (observability.registry
+                if isinstance(observability, Observability) else MetricsRegistry())
     stack = Stack(clock=clock, node=node, faucet=Faucet(node), swarm=swarm,
-                  gateway=gateway, rpc=MarketplaceClient(gateway), engine=engine,
-                  cluster=chain_cluster, rate_limiter=rate_limiter,
-                  obs=ensure_observability(observability, clock=clock))
+                  gateway=gateway, rpc=MarketplaceClient(gateway),
+                  registry=registry, engine=engine, cluster=chain_cluster,
+                  rate_limiter=rate_limiter,
+                  obs=ensure_observability(observability, registry, clock=clock))
+    registry.register_collector(stack.collect_metrics)
     if stack.obs is not None:
         if chain_cluster is not None:
             stack.obs.instrument_cluster(chain_cluster)
         else:
-            stack.obs.instrument_node(node)
-        gateway.attach_obs(stack.obs)
+            stack.obs.attach_chain(node.chain)
+        gateway.attach_obs(stack.obs, stack.caches)
     if analytics:
-        stack._attach_analytics()
+        if chain_cluster is not None:
+            chain_cluster.attach_follower_analytics()
+        else:
+            from repro.analytics import attach_analytics
+
+            attach_analytics(node.chain, obs=stack.obs)
+        gateway.attach_analytics(lambda: stack.analytics)
     return stack

@@ -15,7 +15,7 @@ from repro.chain.explorer import Explorer
 from repro.chain.transaction import Transaction
 from repro.contracts import default_registry
 from repro.errors import AnalyticsError
-from repro.obs import Observability
+from repro.obs import MetricsRegistry, Observability
 from repro.storage import StorageConfig, StorageEngine, recover_node
 from repro.utils.clock import SimulatedClock
 from repro.utils.units import ether_to_wei, gwei_to_wei
@@ -200,7 +200,7 @@ class TestReorgRollback:
             a.analytics = feeder
 
     def test_rollback_emits_an_obs_event(self):
-        obs = Observability(clock=SimulatedClock())
+        obs = Observability(MetricsRegistry(), clock=SimulatedClock())
         _, _, feeder, _ = self._reorged_pair(obs=obs)
         events = obs.event_log.events(kind="analytics.rollback")
         assert len(events) == 1

@@ -72,7 +72,8 @@ class TestRpcRouting:
     def gateway(self, marketplace_node):
         node, _ = marketplace_node
         gateway = JsonRpcGateway(node=node)
-        gateway.attach_analytics(attach_analytics(node.chain))
+        attach_analytics(node.chain)
+        gateway.attach_analytics(lambda: node.chain.analytics)
         return gateway
 
     def test_attach_mounts_the_namespace(self, gateway):

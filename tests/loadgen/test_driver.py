@@ -226,3 +226,33 @@ class TestAttachedMode:
                                       num_samples=400))
         with pytest.raises(SimulationError, match="rpc_rate_limit"):
             runner.run()
+
+    def test_a_handed_cluster_stack_mints_through_leader_rotation(self):
+        """The drain tail after the tasks end is this generator's to mine.
+        Minted with ``chain.produce_block`` on the freshest replica, those
+        blocks were never gossiped (heights ``[23, 14, 14]``) and only the
+        run's closing anti-entropy round made the report say converged."""
+        from repro.simnet import ScenarioRunner, build_scenario
+        from repro.system import quick_config
+
+        spec = build_scenario(
+            "leader_crash", num_tasks=1,
+            background_load={"clients": 10, "rate": 1.0,
+                             "duration_seconds": 260.0,
+                             "mix": {"transfer": 1.0}})
+        runner = ScenarioRunner(
+            spec, config=quick_config(num_owners=2, local_epochs=1,
+                                      num_samples=400, seed=7))
+        cluster = runner.cluster
+        converge, before = cluster.converge, {}
+
+        def spy(*args, **kwargs):
+            before["heights"] = [replica.height for replica in cluster.replicas]
+            before["identical"] = cluster.heads_identical()
+            return converge(*args, **kwargs)
+
+        cluster.converge = spy
+        report = runner.run()
+        assert before["identical"], before["heights"]
+        assert len(set(before["heights"])) == 1 and before["heights"][0] > 14
+        assert report.cluster_stats["converged"]

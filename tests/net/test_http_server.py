@@ -341,8 +341,13 @@ class TestServeStack:
         assert status == 200
         assert reply["result"] == "0x0"
 
-    def test_gateway_without_a_node_is_rejected(self):
-        from repro.rpc.gateway import JsonRpcGateway
+    def test_a_server_is_built_over_a_stack_not_a_gateway(self):
+        """There is no node-less gateway to refuse any more: the one
+        argument is the stack, and the server serves what it holds."""
+        from repro.system.stack import build_stack
 
-        with pytest.raises(NetworkError):
-            RpcHttpServer(JsonRpcGateway())
+        stack = build_stack()
+        server = RpcHttpServer(stack, NetConfig(port=0))
+        assert server.gateway is stack.gateway and server.node is stack.node
+        with pytest.raises(TypeError):
+            RpcHttpServer()

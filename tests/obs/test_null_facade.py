@@ -17,7 +17,13 @@ import repro
 from repro.analytics import AnalyticsFeeder
 from repro.chain.chain import Blockchain
 from repro.cluster import ChainCluster
-from repro.obs import NULL_OBSERVABILITY, NULL_SPAN, NullObservability, Observability
+from repro.obs import (
+    NULL_OBSERVABILITY,
+    NULL_SPAN,
+    MetricsRegistry,
+    NullObservability,
+    Observability,
+)
 from repro.rpc import JsonRpcGateway
 from repro.storage import StorageEngine
 
@@ -34,7 +40,6 @@ HOOKS = {
     "phase": (("chain.verify",), {}),
     "observe_block_production": ((0.001,), {}),
     "attach_chain": ((Blockchain(), "replica-0"), {}),
-    "instrument_storage": ((StorageEngine(),), {}),
 }
 
 #: Where ``.obs`` is reached, and how each file spells the receiver
@@ -52,7 +57,7 @@ CALL_SITES = {
 @pytest.mark.parametrize("hook", sorted(HOOKS))
 def test_both_facades_take_the_call_sites_arguments(hook):
     args, kwargs = HOOKS[hook]
-    getattr(Observability(), hook)(*args, **kwargs)
+    getattr(Observability(MetricsRegistry()), hook)(*args, **kwargs)
     result = getattr(NULL_OBSERVABILITY, hook)(*args, **kwargs)
     if hook == "phase":
         with result:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs import DEFAULT_SECONDS_BUCKETS, MetricsRegistry
-from repro.obs.adapters import collect_cache, register_rpc_metrics
+from repro.obs.adapters import collect_cache, collect_rpc
 from repro.rpc.middleware import LATENCY_BUCKETS_MS, RequestMetrics
 from repro.utils.cache import LRUCache
 
@@ -154,7 +154,7 @@ class TestCollectors:
         metrics.latency_bucket_counts[1] = 3  # the 0.5 ms bucket
         metrics.latency_total_ms = 1.2
         reg = MetricsRegistry()
-        register_rpc_metrics(reg, metrics)
+        collect_rpc(reg, metrics)
         snap = reg.snapshot()
         series = {s["labels"]["method"]: s["value"]
                   for s in snap["repro_rpc_requests_total"]["series"]}

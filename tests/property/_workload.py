@@ -23,7 +23,7 @@ from repro.chain.keys import GROUP_ORDER, GROUP_PRIME, KeyPair, Signature
 from repro.chain.transaction import Transaction, encode_call, encode_create
 from repro.contracts.registry import default_registry
 from repro.errors import InvalidSignatureError
-from repro.obs import Observability
+from repro.obs import MetricsRegistry, Observability
 from repro.storage import state_digest
 from repro.utils.clock import SimulatedClock
 from repro.utils.hashing import keccak256
@@ -303,7 +303,7 @@ def run_workload(ops, batch_verify=None, observed=False) -> Blockchain:
     """
     chain = fresh_chain(batch_verify=batch_verify)
     if observed:
-        Observability(clock=chain.clock).attach_chain(chain)
+        Observability(MetricsRegistry(), clock=chain.clock).attach_chain(chain)
     seed_workload(chain)
     for op in ops:
         apply_op(chain, op)

@@ -10,7 +10,7 @@ import pytest
 from repro.chain import EthereumNode
 from repro.contracts import default_registry
 from repro.obs import MetricsRegistry
-from repro.obs.adapters import register_rpc_metrics
+from repro.obs.adapters import collect_rpc
 from repro.rpc import JsonRpcGateway, make_request
 
 
@@ -22,7 +22,8 @@ class TestSnapshotAtomicity:
     def test_snapshot_races_dispatch_without_errors(self):
         gateway = make_gateway()
         registry = MetricsRegistry()
-        register_rpc_metrics(registry, gateway.metrics)
+        registry.register_collector(
+            lambda reg: collect_rpc(reg, gateway.metrics))
         errors = []
         stop = threading.Event()
 

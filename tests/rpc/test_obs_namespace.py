@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chain import EthereumNode, Faucet, KeyPair
+from repro.chain import KeyPair
 from repro.chain.account import checksum_cache
 from repro.chain.keys import inverse_cache, key_comb_cache
-from repro.contracts import default_registry
-from repro.obs import Observability
-from repro.rpc import INVALID_PARAMS, JsonRpcError, JsonRpcGateway
+from repro.rpc import INVALID_PARAMS, JsonRpcError
 from repro.storage import StorageEngine
+from repro.system.stack import build_stack
 from repro.utils.units import ether_to_wei
 
 KEYS = KeyPair.from_label("rpc-obs-alice")
@@ -22,17 +21,11 @@ KEYS = KeyPair.from_label("rpc-obs-alice")
 
 @pytest.fixture()
 def observed_gateway():
-    engine = StorageEngine()
-    node = EthereumNode(backend=default_registry(), storage=engine)
-    Faucet(node).drip(KEYS.address, ether_to_wei(2))
-    obs = Observability(clock=node.chain.clock)
-    gateway = JsonRpcGateway(node=node)
-    gateway.attach_storage(engine)
-    gateway.attach_obs(obs)
-    obs.instrument_node(node)
-    node.wait_for_receipt(
-        node.sign_and_send(KEYS, to="0x" + "77" * 20, value=1))
-    return gateway, obs, engine
+    stack = build_stack(storage=StorageEngine(), observability=True)
+    stack.faucet.drip(KEYS.address, ether_to_wei(2))
+    stack.node.wait_for_receipt(
+        stack.node.sign_and_send(KEYS, to="0x" + "77" * 20, value=1))
+    return stack.gateway, stack.obs, stack.engine
 
 
 class TestObsMethods:

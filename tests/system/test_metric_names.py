@@ -43,7 +43,7 @@ def workload_registry():
     stack.node.sign_and_send(keys, to="0x" + "55" * 20, value=1_000)
     stack.cluster.tick(force=True)
     stack.cluster.converge()
-    return obs.registry
+    return stack.registry
 
 
 class TestMetricNames:

@@ -1,11 +1,13 @@
 """``repro.system.stack``: one construction site, one teardown.
 
-Three pins.  (1) The construction matrix -- every combination of what a
+Four pins.  (1) The construction matrix -- every combination of what a
 caller may hang off a node either builds a stack that serves, mines to the
 same head as the bare stack of its row and leaves no process behind, or is
 refused with the one error.  This is the construction site of ROADMAP item
 5's flag-lattice harness.  (2) ``replace_node`` re-points everything that
 held the dead node.  (3) Nothing else under ``src/repro`` wires a stack.
+(4) Every stack owns the one metrics registry, and what it samples is what
+the stack holds when scraped -- not what it held when built.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class TestConstructionMatrix:
                 assert stack.gateway.analytics is stack.analytics
                 assert stack.rpc.call("analytics_status")["transactions"] == 4
             if obs and analytics:
-                snapshot = stack.obs.registry.snapshot()
+                snapshot = stack.registry.snapshot()
                 assert snapshot["repro_analytics_lag_entries"]["series"][0][
                     "value"] == 0
             if batch_verify is not None:
@@ -162,17 +164,20 @@ class TestReplaceNode:
 
         recovered = recover_node(stack.engine, backend=default_registry(),
                                  clock=stack.clock)
+        collectors = list(stack.registry._collectors)
         stack.replace_node(recovered)
 
+        # Metrics read through the stack: a restart registers nothing.
+        assert stack.registry._collectors == collectors
         assert stack.node is recovered
         assert stack.gateway.eth.node is recovered
         assert stack.rpc.eth.get_balance(SENDERS[0].address) == balance
         fresh = KeyPair.from_label("stack-after-restart").address
         stack.faucet.drip(fresh, ether_to_wei(2))
         assert recovered.get_balance(fresh) == ether_to_wei(2)
-        # The facade samples the live chain, not the dead one.
+        # The registry samples the live chain, not the dead one.
         recovered.mine(3)
-        heights = stack.obs.registry.snapshot()["repro_chain_height"]["series"]
+        heights = stack.registry.snapshot()["repro_chain_height"]["series"]
         assert [row["value"] for row in heights] == [recovered.block_number]
         # A fresh feeder over the recovered WAL, lifetime counters carried.
         feeder = stack.analytics
@@ -182,7 +187,7 @@ class TestReplaceNode:
         assert feeder.obs is stack.obs
         assert feeder.queries == 2
         assert stack.rpc.call("analytics_status")["height"] == recovered.block_number
-        queries = stack.obs.registry.snapshot()["repro_analytics_queries_total"]
+        queries = stack.registry.snapshot()["repro_analytics_queries_total"]
         assert queries["series"][0]["value"] == feeder.queries
 
     def test_a_bare_stack_swaps_with_nothing_else_attached(self):
@@ -196,12 +201,103 @@ class TestReplaceNode:
         assert stack.node.chain.latest_block.hash == head
 
 
+def value_of(registry, name, **labels):
+    """The one series of ``name`` carrying ``labels`` in a fresh snapshot."""
+    [row] = [row for row in registry.snapshot()[name]["series"]
+             if row["labels"] == labels]
+    return row["value"]
+
+
+class TestTheOneRegistry:
+    DEFAULT_SERIES = {"repro_chain_height", "repro_mempool_depth",
+                      "repro_cache_hits_total", "repro_rpc_requests_total"}
+
+    def test_a_default_stack_exports_chain_mempool_cache_and_rpc_series(self):
+        stack = build_stack()
+        assert stack.obs is None
+        stack.rpc.eth.block_number
+        snapshot = stack.registry.snapshot()
+        assert self.DEFAULT_SERIES <= set(snapshot)
+        assert "repro_storage_wal_records_total" not in snapshot
+        assert value_of(stack.registry, "repro_chain_height", replica="node") == 0
+        assert value_of(stack.registry, "repro_rpc_requests_total",
+                        method="eth_blockNumber") == 1
+        value_of(stack.registry, "repro_cache_hits_total",
+                 cache="schnorr_key_comb")
+
+    def test_a_stack_with_storage_also_exports_its_wal_and_read_cache(self):
+        stack = build_stack(storage=StorageEngine())
+        drive(stack)
+        assert stack.obs is None
+        assert value_of(stack.registry, "repro_storage_wal_records_total",
+                        kind="block") == 1
+        assert value_of(stack.registry, "repro_cache_capacity",
+                        cache="storage") == stack.engine.cache.stats()["capacity"]
+        assert value_of(stack.registry, "repro_mempool_added_total",
+                        replica="node") == 4
+
+    def test_a_default_serve_stack_answers_metrics_with_no_flag(self):
+        from repro.net import NetConfig, build_serve_stack
+
+        server = build_serve_stack(NetConfig(port=0))
+        assert server.stack.obs is None
+        text = server.stack.registry.render_prometheus()
+        for line in ('repro_chain_height{replica="node"} 0',
+                     'repro_mempool_depth{replica="node"} 0',
+                     'repro_cache_hits_total{cache="schnorr_key_comb"}',
+                     "# TYPE repro_rpc_requests_total counter",
+                     "repro_net_open_connections 0"):
+            assert line in text
+
+    def test_a_facade_is_built_over_the_stacks_registry(self):
+        stack = build_stack(observability=True)
+        assert stack.obs.registry is stack.registry
+        shared = build_stack(observability=stack.obs)
+        assert shared.obs is stack.obs and shared.registry is stack.registry
+
+    def test_a_recovered_analytics_follower_is_the_one_that_is_read(self):
+        """A follower's recovery replaces its chain and feeder; the
+        ``analytics_*`` namespace and the ``repro_analytics_*`` series held
+        the first feeder until both learned to ask the stack."""
+        stack = build_stack(cluster=ClusterConfig(replicas=3, seed=7),
+                            observability=True, analytics=True)
+        drive(stack)
+        follower = next(replica for replica in stack.cluster.replicas
+                        if replica.analytics_enabled)
+        dead = stack.analytics
+        assert dead is follower.chain.analytics
+        collectors = list(stack.registry._collectors)
+
+        stack.cluster.crash_replica(follower.index)
+        stack.cluster.recover_replica(follower.index)
+        for keypair in SENDERS:
+            stack.rpc.eth.send_transaction(Transaction(
+                sender=Address(keypair.address), to=SINK, value=1, nonce=2,
+                gas_limit=21_000, gas_price=10**9).sign(keypair))
+        stack.rpc.call("evm_mine")
+        stack.cluster.converge()
+
+        fresh = stack.analytics
+        assert fresh is follower.chain.analytics and fresh is not dead
+        assert stack.gateway.analytics is fresh
+        assert stack.registry._collectors == collectors
+        status = stack.rpc.call("analytics_status")
+        assert status == fresh.status() != dead.status()
+        assert status["transactions"] == 6 and status["lag_entries"] == 0
+        assert status["height"] == follower.chain.height
+        assert value_of(stack.registry, "repro_analytics_applied_seq") == \
+            status["applied_seq"]
+        assert value_of(stack.registry, "repro_analytics_lag_entries") == 0
+        assert value_of(stack.registry, "repro_chain_height",
+                        replica=follower.name) == follower.chain.height
+
+
 #: What only ``system/stack.py`` may do.  Leading dots keep the patterns on
 #: *calls*: ``def attach_obs(`` in the defining module does not match.
 WIRING = re.compile(
     r"JsonRpcGateway\(|ChainCluster\(|ClusterNode\(|TokenBucketRateLimiter\("
     r"|\.attach_obs\(|\.attach_storage\(|\.attach_analytics\("
-    r"|\.instrument_node\(|\.instrument_cluster\(")
+    r"|\.instrument_cluster\(")
 
 #: The builder, ``MarketplaceClient.for_node`` / ``for_stack`` (a bare
 #: gateway over parts the caller already holds) and the cluster package's
@@ -209,20 +305,33 @@ WIRING = re.compile(
 MAY_WIRE = {"system/stack.py", "rpc/client.py"}
 
 
+#: Metrics wiring: one registry, built by the builder, and one collector on
+#: it -- plus the one line each by which a server and a load generator add
+#: the series only they have.
+METRICS_WIRING = re.compile(r"MetricsRegistry\(|\.register_collector\(")
+MAY_REGISTER = {"system/stack.py": 2, "net/server.py": 1, "loadgen/driver.py": 1}
+
+
 def test_one_construction_site():
     src = Path(repro.__file__).parent
     offenders = []
+    metrics_wiring = {}
     for path in sorted(src.rglob("*.py")):
         relative = path.relative_to(src).as_posix()
+        text = path.read_text()
+        hits = len(METRICS_WIRING.findall(text))
+        if hits and relative != "obs/registry.py":  # where both are defined
+            metrics_wiring[relative] = hits
         if relative in MAY_WIRE or relative.startswith("cluster/"):
             continue
-        for number, line in enumerate(path.read_text().splitlines(), start=1):
+        for number, line in enumerate(text.splitlines(), start=1):
             if WIRING.search(line):
                 offenders.append(f"{relative}:{number}: {line.strip()}")
     assert not offenders, "stack wiring outside system/stack.py:\n" + "\n".join(
         offenders)
+    assert metrics_wiring == MAY_REGISTER
     # Guard the guard: the builder itself trips every pattern family.
-    assert len(set(WIRING.findall((src / "system/stack.py").read_text()))) == 9
+    assert len(set(WIRING.findall((src / "system/stack.py").read_text()))) == 8
 
 
 def test_a_server_process_does_not_import_the_marketplace():
