@@ -1,17 +1,17 @@
 """Minimal HTTP/1.1 primitives for the asyncio gateway server.
 
-Only what the JSON-RPC door needs: request parsing off an asyncio
-``StreamReader`` with hard size caps and read timeouts, and response
-formatting with keep-alive semantics.  No dependency beyond the standard
-library -- the container image ships no aiohttp, and the surface here is
-four routes, so a hand-rolled parser is smaller than a framework shim.
+Only what the JSON-RPC door needs: a synchronous request-head parser with
+hard size caps and strict framing (the connection owns the buffer and the
+deadlines), and response formatting with keep-alive semantics.  No
+dependency beyond the standard library -- the container image ships no
+aiohttp, and the surface here is four routes, so a hand-rolled parser is
+smaller than a framework shim.
 """
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.errors import PayloadTooLargeError, ProtocolViolationError
 
@@ -54,66 +54,48 @@ class HttpRequest:
                 and "upgrade" in self.headers.get("connection", "").lower())
 
 
-async def read_request(reader: asyncio.StreamReader, *,
-                       max_bytes: int,
-                       header_timeout: float,
-                       body_timeout: float) -> Optional[HttpRequest]:
-    """Parse one request off the stream; ``None`` on clean EOF (client left).
+def parse_head(data: Union[bytes, bytearray], max_bytes: int,
+               scan_from: int = 0) -> Optional[Tuple[HttpRequest, int, int]]:
+    """Parse one request head off the front of ``data``, synchronously.
 
-    ``header_timeout`` bounds the wait for the request head (for keep-alive
-    connections this doubles as the idle timeout); ``body_timeout`` bounds
-    the body read once a request is in flight, which is what defuses a
-    slow-loris body.  Raises :class:`ProtocolViolationError` on malformed
-    traffic (its subclass :class:`PayloadTooLargeError` on oversized) and
-    :class:`asyncio.TimeoutError` on a stalled peer.
+    ``None`` while the blank line has not arrived (``scan_from`` skips bytes
+    an earlier call searched); else the request, body still empty, and the
+    offsets in ``data`` where its declared body starts and ends.  Framing is
+    strict: ``Content-Length`` is ASCII digits only, duplicates must agree,
+    any ``Transfer-Encoding`` is refused.  Raises :class:`ProtocolViolationError`
+    on malformed bytes, :class:`PayloadTooLargeError` past ``max_bytes``.
     """
-    try:
-        head = await asyncio.wait_for(
-            reader.readuntil(b"\r\n\r\n"), timeout=header_timeout)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between requests
-        raise ProtocolViolationError("truncated HTTP request head") from None
-    except asyncio.LimitOverrunError:
-        raise PayloadTooLargeError(
-            f"request head exceeds the {max_bytes}-byte cap") from None
-    if len(head) > max_bytes:
+    end = data.find(b"\r\n\r\n", scan_from)
+    if end > max_bytes - 4 or (end < 0 and len(data) > max_bytes):
         raise PayloadTooLargeError(
             f"request head exceeds the {max_bytes}-byte cap")
+    if end < 0:
+        return None
     try:
-        text = head.decode("latin-1")
-        request_line, *header_lines = text.split("\r\n")
+        request_line, *header_lines = data[:end].decode("latin-1").split("\r\n")
         method, target, _version = request_line.split(" ", 2)
     except ValueError:
         raise ProtocolViolationError("malformed HTTP request line") from None
     headers: Dict[str, str] = {}
     for line in header_lines:
-        if not line:
-            continue
-        name, _, value = line.partition(":")
-        if not _:
+        name, colon, value = line.partition(":")
+        if not colon:
             raise ProtocolViolationError(f"malformed HTTP header {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    body = b""
-    length_text = headers.get("content-length")
-    if length_text is not None:
-        try:
-            length = int(length_text)
-        except ValueError:
-            raise ProtocolViolationError(
-                f"bad content-length {length_text!r}") from None
-        if length < 0 or length > max_bytes:
-            raise PayloadTooLargeError(
-                f"request body of {length} bytes exceeds the {max_bytes}-byte cap")
-        if length:
-            try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), timeout=body_timeout)
-            except asyncio.IncompleteReadError:
-                raise ProtocolViolationError(
-                    "connection closed mid-body") from None
-    return HttpRequest(method=method.upper(), target=target,
-                       headers=headers, body=body)
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise ProtocolViolationError("conflicting content-length headers")
+        headers[name] = value
+    if "transfer-encoding" in headers:
+        raise ProtocolViolationError(
+            "transfer-encoding is not supported; send content-length")
+    length_text = headers.get("content-length", "0")
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise ProtocolViolationError(f"bad content-length {length_text!r}")
+    if len(length_text) > 18 or int(length_text) > max_bytes:
+        raise PayloadTooLargeError(
+            f"request body of {length_text} bytes exceeds the {max_bytes}-byte cap")
+    return (HttpRequest(method=method.upper(), target=target, headers=headers),
+            end + 4, end + 4 + int(length_text))
 
 
 def format_response(status: int, body: bytes = b"",

@@ -27,15 +27,15 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import (
     NetworkError,
     PayloadTooLargeError,
     ProtocolViolationError,
 )
-from repro.net.http import HttpRequest, format_response, read_request
+from repro.net.http import HttpRequest, format_response, parse_head
 from repro.net.subscriptions import SubscriptionManager
 from repro.net.websocket import (
     OP_CLOSE,
@@ -111,18 +111,7 @@ class NetConfig:
                 f"got {self.block_interval_seconds}")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "host": self.host,
-            "port": self.port,
-            "max_connections": self.max_connections,
-            "max_request_bytes": self.max_request_bytes,
-            "max_batch": self.max_batch,
-            "read_timeout_seconds": self.read_timeout_seconds,
-            "keepalive_timeout_seconds": self.keepalive_timeout_seconds,
-            "send_queue_frames": self.send_queue_frames,
-            "block_interval_seconds": self.block_interval_seconds,
-            "drain_timeout_seconds": self.drain_timeout_seconds,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -147,18 +136,9 @@ class ServerStats:
         self.rejections[reason] = self.rejections.get(reason, 0) + 1
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "connections_total": self.connections_total,
-            "open_connections": self.open_connections,
-            "ws_connections_total": self.ws_connections_total,
-            "open_ws_connections": self.open_ws_connections,
-            "http_requests": dict(sorted(self.http_requests.items())),
-            "ws_messages_total": self.ws_messages_total,
-            "notifications_total": self.notifications_total,
-            "rejections": dict(sorted(self.rejections.items())),
-            "slow_consumer_disconnects_total": self.slow_consumer_disconnects_total,
-            "dropped_subscriptions_total": self.dropped_subscriptions_total,
-        }
+        return {**asdict(self),
+                "http_requests": dict(sorted(self.http_requests.items())),
+                "rejections": dict(sorted(self.rejections.items()))}
 
 
 class _WsSession:
@@ -231,6 +211,171 @@ class _WsSession:
             pass
 
 
+class _Connection(asyncio.StreamReaderProtocol):
+    """One accepted socket: HTTP answered in the loop turn its bytes arrive.
+
+    One buffer, one timer, no task: every complete request in the buffer is
+    parsed, dispatched and written back synchronously.  The timer is the
+    current deadline -- ``read_timeout_seconds`` for a head, again for its
+    body (408), ``keepalive_timeout_seconds`` between requests (silent
+    close).  A peer that stops reading pauses processing and the read side
+    until the write buffer drains.  Only a ``GET /ws`` upgrade hands the socket
+    to the base class's reader, for the coroutine WebSocket session.
+    """
+
+    def __init__(self, server: "RpcHttpServer") -> None:
+        self.reader = asyncio.StreamReader(
+            limit=server.config.max_request_bytes + 4096)
+        super().__init__(self.reader)
+        self.server = server
+        self.loop = asyncio.get_running_loop()
+        self.transport: Any = None
+        self.buffer = bytearray()
+        #: A parsed head waiting for its body: (request, body start, body end).
+        self.pending: Optional[Tuple[HttpRequest, int, int]] = None
+        self.idle = False  # between requests: the deadline is the keep-alive one
+        self.write_paused = False
+        self.timer: Optional[asyncio.TimerHandle] = None
+        self.ws_task: Optional[asyncio.Task] = None
+
+    def connection_made(self, transport: Any) -> None:
+        super().connection_made(transport)
+        self.transport = transport
+        server = self.server
+        server.stats.connections_total += 1
+        if (server.stats.open_connections >= server.config.max_connections
+                or server._draining):
+            reason = "draining" if server._draining else "connection_limit"
+            server.stats.count_rejection(reason)
+            self._refuse(503, f"server {reason.replace('_', ' ')}")
+            return
+        server.stats.open_connections += 1
+        server._connections.add(self)
+        self._arm(server.config.read_timeout_seconds)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._arm(None)
+        if self in self.server._connections:
+            self.server._connections.discard(self)
+            self.server.stats.open_connections -= 1
+        super().connection_lost(exc)
+
+    def data_received(self, data: bytes) -> None:
+        if self.ws_task is not None:
+            super().data_received(data)
+            return
+        scan_from = max(len(self.buffer) - 3, 0)
+        self.buffer += data
+        if self.pending is None or len(self.buffer) >= self.pending[2]:
+            self._process(scan_from)
+
+    def eof_received(self) -> Optional[bool]:
+        if self.ws_task is not None:
+            return super().eof_received()
+        if self.buffer:
+            self._reject(ProtocolViolationError(
+                "connection closed mid-body" if self.pending is not None
+                else "truncated HTTP request head"))
+        return None  # the transport flushes what is queued, then closes
+
+    def pause_writing(self) -> None:
+        super().pause_writing()
+        if self.ws_task is None:
+            self.write_paused = True
+            self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        super().resume_writing()
+        if self.write_paused:
+            self.write_paused = False
+            if not self.transport.is_closing():
+                self.transport.resume_reading()
+                self._process()
+
+    def _process(self, scan_from: int = 0) -> None:
+        """Answer every complete request in the buffer, then set the deadline."""
+        server, config, buffer = self.server, self.server.config, self.buffer
+        while not self.write_paused and not self.transport.is_closing():
+            pending = self.pending
+            if pending is None:
+                try:
+                    pending = parse_head(buffer, config.max_request_bytes, scan_from)
+                except ProtocolViolationError as exc:
+                    self._reject(exc)
+                    return
+                scan_from = 0
+                if pending is None:
+                    break
+            request, start, total = pending
+            if len(buffer) < total:
+                if self.pending is None:  # the head is in: the body's budget starts
+                    self.pending = pending
+                    self.idle = False
+                    self._arm(config.read_timeout_seconds)
+                return
+            self.pending = None
+            with memoryview(buffer) as view:
+                request.body = bytes(view[start:total])
+            del buffer[:total]
+            if request.method == "GET" and request.path == "/ws":
+                self._arm(None)
+                # Frames that shared a segment with the handshake go first.
+                self.reader.feed_data(bytes(buffer))
+                buffer.clear()
+                self.ws_task = self.loop.create_task(self._run_websocket(request))
+                return
+            keep_alive = request.wants_keep_alive() and not server._draining
+            self.transport.write(server._respond_http(request, keep_alive))
+            if not keep_alive:
+                self.transport.close()
+                return
+            self.idle = True
+        if self.write_paused:
+            self._arm(None)  # the peer owes reads, not bytes: no deadline
+        elif not buffer:
+            self._arm(config.keepalive_timeout_seconds)
+        elif self.idle:  # the first bytes of the next request
+            self.idle = False
+            self._arm(config.read_timeout_seconds)
+
+    async def _run_websocket(self, request: HttpRequest) -> None:
+        """The upgraded session, on the base class's reader and a writer."""
+        writer = asyncio.StreamWriter(self.transport, self, self.reader, self.loop)
+        try:
+            await self.server._serve_websocket(request, self.reader, writer)
+        except (ConnectionError, ProtocolViolationError):
+            pass
+        finally:
+            self.transport.close()
+
+    def _arm(self, seconds: Optional[float]) -> None:
+        """Re-arm the connection's one timer (``None``: no deadline)."""
+        if self.timer is not None:
+            self.timer.cancel()
+        self.timer = (None if seconds is None
+                      else self.loop.call_later(seconds, self._on_deadline))
+
+    def _on_deadline(self) -> None:
+        if self.idle or self.transport.is_closing():
+            self.transport.close()  # keep-alive expiry: just close
+            return
+        self.server.stats.count_rejection("read_timeout")
+        self._refuse(408, "read timeout")
+
+    def _reject(self, exc: ProtocolViolationError) -> None:
+        """Hostile or broken bytes: a typed, counted 400 (413 when too large)."""
+        too_large = isinstance(exc, PayloadTooLargeError)
+        self.server.stats.count_rejection("protocol")
+        if too_large:
+            self.server.stats.count_rejection("too_large")
+        self._refuse(413 if too_large else 400, str(exc))
+
+    def _refuse(self, status: int, message: str) -> None:
+        self.transport.write(format_response(
+            status, json.dumps({"error": message}).encode(), keep_alive=False))
+        self.transport.close()
+
+
 class RpcHttpServer:
     """Serves one stack's JSON-RPC gateway over HTTP and WebSocket."""
 
@@ -250,7 +395,7 @@ class RpcHttpServer:
         self.stats = ServerStats()
         self._log = logger or (lambda message: None)
         self._server: Optional[asyncio.base_events.Server] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
+        self._connections: Set[_Connection] = set()
         self._ws_sessions: Set[_WsSession] = set()
         self._producer_task: Optional[asyncio.Task] = None
         self._draining = False
@@ -287,9 +432,8 @@ class RpcHttpServer:
 
     async def start(self) -> None:
         """Bind the listening socket and start the block producer."""
-        self._server = await asyncio.start_server(
-            self._on_connection, self.config.host, self.config.port,
-            limit=self.config.max_request_bytes + 4096)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
         if self.config.block_interval_seconds > 0:
             self._producer_task = asyncio.ensure_future(self._producer_loop())
@@ -301,7 +445,6 @@ class RpcHttpServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         if self._producer_task is not None:
             self._producer_task.cancel()
             try:
@@ -310,14 +453,20 @@ class RpcHttpServer:
                 pass
         for session in list(self._ws_sessions):
             session.close_gracefully()
-        if self._conn_tasks:
-            done, pending = await asyncio.wait(
-                set(self._conn_tasks), timeout=self.config.drain_timeout_seconds)
-            for task in pending:
-                task.cancel()
-            if pending:
-                self._log(f"force-closed {len(pending)} connection(s) "
-                          f"after the {self.config.drain_timeout_seconds}s drain budget")
+        for connection in list(self._connections):
+            if connection.ws_task is None and not connection.buffer:
+                connection.transport.close()  # holds no part of a request
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.config.drain_timeout_seconds
+        while self._connections and loop.time() < deadline:
+            await asyncio.sleep(0.005)
+        if self._connections:
+            self._log(f"force-closed {len(self._connections)} connection(s) "
+                      f"after the {self.config.drain_timeout_seconds}s drain budget")
+            for connection in list(self._connections):
+                connection.transport.abort()
+        if self._server is not None:
+            await self._server.wait_closed()
         self.stack.close()
         self._log("graceful shutdown complete")
 
@@ -355,84 +504,14 @@ class RpcHttpServer:
 
     # -- connection handling -------------------------------------------------
 
-    def _on_connection(self, reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter) -> None:
-        task = asyncio.ensure_future(self._handle_connection(reader, writer))
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self.stats.connections_total += 1
-        if (self.stats.open_connections >= self.config.max_connections
-                or self._draining):
-            reason = "draining" if self._draining else "connection_limit"
-            self.stats.count_rejection(reason)
-            body = json.dumps({"error": f"server {reason.replace('_', ' ')}"}).encode()
-            writer.write(format_response(503, body, keep_alive=False))
-            await self._close_writer(writer)
-            return
-        self.stats.open_connections += 1
-        try:
-            await self._serve_connection(reader, writer)
-        except (ConnectionError, asyncio.TimeoutError, asyncio.CancelledError):
-            pass
-        except ProtocolViolationError:
-            pass
-        finally:
-            self.stats.open_connections -= 1
-            await self._close_writer(writer)
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        first = True
-        while not self._draining:
-            header_timeout = (self.config.read_timeout_seconds if first
-                              else self.config.keepalive_timeout_seconds)
-            try:
-                request = await read_request(
-                    reader,
-                    max_bytes=self.config.max_request_bytes,
-                    header_timeout=header_timeout,
-                    body_timeout=self.config.read_timeout_seconds)
-            except ProtocolViolationError as exc:
-                self.stats.count_rejection("protocol")
-                status = 400
-                if isinstance(exc, PayloadTooLargeError):
-                    self.stats.count_rejection("too_large")
-                    status = 413
-                writer.write(format_response(
-                    status, json.dumps({"error": str(exc)}).encode(),
-                    keep_alive=False))
-                await writer.drain()
-                return
-            except asyncio.TimeoutError:
-                if not first:
-                    return  # idle keep-alive expiry: just close
-                self.stats.count_rejection("read_timeout")
-                writer.write(format_response(408, b'{"error": "read timeout"}',
-                                             keep_alive=False))
-                await writer.drain()
-                return
-            if request is None:
-                return  # clean EOF
-            first = False
-            if request.path == "/ws" and request.method == "GET":
-                await self._serve_websocket(request, reader, writer)
-                return
-            keep_alive = request.wants_keep_alive()
-            writer.write(self._respond_http(request, keep_alive))
-            await writer.drain()
-            if not keep_alive:
-                return
-
     def _respond_http(self, request: HttpRequest, keep_alive: bool) -> bytes:
         path, method = request.path, request.method
         if method == "POST" and path in ("/", "/rpc"):
             self.stats.count_request("rpc")
-            body = self._handle_rpc_body(request.body)
+            reply = self.gateway.handle_raw(request.body, self._admit_batch)
             self.pump_subscriptions()
-            return format_response(200, body, keep_alive=keep_alive)
+            # A notification-only payload has no reply; HTTP still needs a body.
+            return format_response(200, reply.encode("utf-8"), keep_alive=keep_alive)
         if method == "GET" and path == "/metrics":
             self.stats.count_request("metrics")
             text = self.stack.registry.render_prometheus().encode("utf-8")
@@ -454,32 +533,13 @@ class RpcHttpServer:
         return format_response(404, b'{"error": "not found"}',
                                keep_alive=keep_alive)
 
-    def _handle_rpc_body(self, body: bytes) -> bytes:
-        """Dispatch one POST body through the gateway (batch cap enforced)."""
-        text = body.decode("utf-8", errors="replace")
-        oversized = self._batch_too_large(text)
-        if oversized is not None:
-            return oversized
-        reply = self.gateway.handle_raw(text)
-        # A notification-only payload has no reply; HTTP still needs a body.
-        return reply.encode("utf-8") if reply else b""
-
-    def _batch_too_large(self, text: str) -> Optional[bytes]:
-        """An error envelope when the payload is a too-large batch."""
-        stripped = text.lstrip()
-        if not stripped.startswith("["):
-            return None
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            return None  # the gateway renders the parse error itself
+    def _admit_batch(self, payload: Any) -> None:
+        """The gateway's pre-dispatch check: a counted error past ``max_batch``."""
         if isinstance(payload, list) and len(payload) > self.config.max_batch:
             self.stats.count_rejection("batch_too_large")
-            return json.dumps(error_response(
-                None, INVALID_REQUEST,
-                f"batch of {len(payload)} exceeds the "
-                f"{self.config.max_batch}-request cap")).encode("utf-8")
-        return None
+            raise JsonRpcError(
+                INVALID_REQUEST, f"batch of {len(payload)} exceeds the "
+                                 f"{self.config.max_batch}-request cap")
 
     # -- websocket -----------------------------------------------------------
 
@@ -561,8 +621,7 @@ class RpcHttpServer:
                 "eth_subscribe", "eth_unsubscribe"):
             return json.dumps(self._handle_subscription_call(session, payload),
                               default=str)
-        reply = self.gateway.handle_raw(text)
-        return reply
+        return self.gateway.handle_raw(text)
 
     def _handle_subscription_call(self, session: _WsSession,
                                   payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -585,17 +644,6 @@ class RpcHttpServer:
         except JsonRpcError as exc:
             return error_response(request_id, exc.code, exc.message, exc.data)
         return success_response(request_id, result)
-
-    # -- plumbing ------------------------------------------------------------
-
-    @staticmethod
-    async def _close_writer(writer: asyncio.StreamWriter) -> None:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
 
 class ServerThread:
     """Host an :class:`RpcHttpServer` on a dedicated event-loop thread.

@@ -134,7 +134,7 @@ def collect_storage(reg: MetricsRegistry, engine: Any) -> None:
     """Sample a storage engine's WAL record counts and snapshot presence."""
     wal = reg.counter("repro_storage_wal_records_total",
                       "WAL records appended, by record kind.", ("kind",))
-    for kind, count in engine.wal.counts_by_kind().items():
+    for kind, count in engine.wal.appended.items():
         wal.labels(kind=kind).set_total(count)
     reg.gauge("repro_storage_archived_blocks",
               "Block records archived out of the live WAL.").child.set(

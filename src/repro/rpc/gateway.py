@@ -6,9 +6,9 @@ notifications, and runs every request through a middleware chain (metrics
 first, then whatever the caller installed: rate limiters, allowlists...).
 
 The gateway is transport-agnostic: :meth:`handle` consumes/produces plain
-dicts (what an in-process client uses), :meth:`handle_raw` consumes/produces
-JSON text (what a socket transport would use).  Both speak identical
-envelopes, so everything above the gateway is already wire-shaped.
+dicts (what an in-process client uses), :meth:`handle_raw` consumes a JSON
+body and produces JSON text (what the socket transport uses).  Both speak
+identical envelopes, so everything above the gateway is already wire-shaped.
 """
 
 from __future__ import annotations
@@ -44,8 +44,24 @@ from repro.rpc.protocol import (
     parse_request,
     success_response,
 )
+from repro.utils.encoding import HexString
 
 Middleware = Callable[[RpcRequest, Callable[[RpcRequest], Any]], Any]
+
+#: What ``json.dumps(response, default=str)`` builds anew on every call.
+_ENCODER = json.JSONEncoder(default=str)
+
+
+def _encode_envelope(response: Dict[str, Any]) -> str:
+    """One envelope, byte for byte what ``_ENCODER`` makes of it; a
+    :class:`HexString` result (``ipfs_cat``: 636 kB a model update) is spliced
+    between the encoded head and ``"}``, not scanned for escapes it cannot
+    hold.  ``success_response`` puts ``result`` last: the head is a prefix."""
+    result = response.get("result")
+    if type(result) is not HexString:
+        return _ENCODER.encode(response)
+    head = _ENCODER.encode({**response, "result": ""})
+    return f'{head[:-2]}{result}"}}'
 
 
 def _describe_storage(engine: Any) -> Callable[[], Dict[str, Any]]:
@@ -244,16 +260,30 @@ class JsonRpcGateway:
             return responses or None
         return self._handle_one(payload)
 
-    def handle_raw(self, text: str) -> str:
-        """Text transport: JSON string in, JSON string out ("" for no reply)."""
+    def handle_raw(self, body: Union[bytes, str],
+                   admit: Optional[Callable[[Any], None]] = None) -> str:
+        """Wire transport: one JSON body in, JSON text out ("" for no reply).
+
+        ``body`` is parsed once (undecodable bytes are a parse error);
+        ``admit`` sees the payload before dispatch and the :class:`JsonRpcError`
+        it raises is the whole reply -- a transport's batch cap, no second parse.
+        """
         try:
-            payload = json.loads(text)
-        except (TypeError, ValueError) as exc:
-            return json.dumps(error_response(None, PARSE_ERROR, f"parse error: {exc}"))
+            payload = json.loads(body)
+            if admit is not None:
+                admit(payload)
+        except JsonRpcError as exc:
+            return _ENCODER.encode(error_response(None, exc.code, exc.message, exc.data))
+        except (TypeError, ValueError, RecursionError) as exc:
+            return _ENCODER.encode(error_response(None, PARSE_ERROR, f"parse error: {exc}"))
         response = self.handle(payload)
         if response is None:
             return ""
-        return json.dumps(response, default=str)
+        if isinstance(response, dict):
+            return _encode_envelope(response)
+        if any(type(entry.get("result")) is HexString for entry in response):
+            return "[" + ", ".join(map(_encode_envelope, response)) + "]"
+        return _ENCODER.encode(response)
 
     # -- convenience -------------------------------------------------------------
 

@@ -37,7 +37,7 @@ from repro.rpc.protocol import (
     SERVER_ERROR,
     to_quantity,
 )
-from repro.utils.encoding import from_hex, to_hex
+from repro.utils.encoding import HexString, from_hex
 
 MethodTable = Dict[str, Callable[..., Any]]
 
@@ -316,7 +316,7 @@ class IpfsNamespace:
 
     def cat(self, cid: str, node: Optional[str] = None) -> str:
         """Return the hex-encoded payload behind ``cid``."""
-        return to_hex(self._resolve(node).cat(cid))
+        return HexString(self._resolve(node).cat(cid))
 
     def pin(self, cid: str, node: Optional[str] = None) -> Dict[str, Any]:
         """Pin ``cid`` on the node (fetching it from peers if needed)."""

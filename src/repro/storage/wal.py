@@ -55,6 +55,9 @@ class WriteAheadLog:
         #: readers (the analytics feeder) know entries may have moved into
         #: the block archive since their last read and can reconcile.
         self.compactions = 0
+        #: Entries appended per kind, seeded by what the log holds when opened:
+        #: never falls at a compaction and costs a ``/metrics`` scrape no replay.
+        self.appended = self.counts_by_kind()
 
     # -- writing ---------------------------------------------------------------
 
@@ -62,7 +65,9 @@ class WriteAheadLog:
         """Append one entry; returns its sequence number."""
         if kind not in ENTRY_KINDS:
             raise StorageError(f"unknown WAL entry kind {kind!r}")
-        return self.backend.append(self.topic, {"kind": kind, "payload": payload})
+        seq = self.backend.append(self.topic, {"kind": kind, "payload": payload})
+        self.appended[kind] += 1
+        return seq
 
     # -- reading ---------------------------------------------------------------
 

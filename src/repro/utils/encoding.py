@@ -27,6 +27,17 @@ def to_hex(data: bytes, prefix: bool = True) -> str:
     return "0x" + hexstr if prefix else hexstr
 
 
+class HexString(str):
+    """``0x`` + ``bytes.hex()``, typed: text that holds no character JSON
+    escapes, so an encoder may copy it between quotes without scanning it.
+    Only bytes can fill one -- arbitrary text raises ``TypeError``."""
+
+    __slots__ = ()
+
+    def __new__(cls, data: bytes) -> "HexString":
+        return super().__new__(cls, to_hex(data))
+
+
 def from_hex(text: str) -> bytes:
     """Decode a hex string (with or without ``0x`` prefix) into bytes."""
     if not isinstance(text, str):

@@ -89,8 +89,10 @@ class TestRoutes:
                      for index in range(4)]
             status, reply = post(server.port, batch)
         assert status == 200
-        assert reply["error"]["code"] == -32600
-        assert "cap" in reply["error"]["message"]
+        assert reply == {"jsonrpc": "2.0", "id": None, "error": {
+            "code": -32600, "message": "batch of 4 exceeds the 3-request cap"}}
+        assert server.stats.rejections == {"batch_too_large": 1}
+        assert server.gateway.metrics.requests_total == 0
 
     def test_healthz_reports_height(self, port):
         status, body = get(port, "/healthz")
@@ -193,6 +195,25 @@ class TestMalformedRequests:
                      id="truncated-head"),
         pytest.param(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
                      b"connection closed mid-body", id="short-body"),
+        # Strict framing: what ``int()`` would take is not what a proxy in
+        # front of this server would, and a second reading is a smuggled
+        # request.  Each was accepted before parse_head.
+        pytest.param(b"POST / HTTP/1.1\r\nContent-Length: 4_7\r\n\r\n" + b"x" * 47,
+                     b"bad content-length", id="content-length-underscore"),
+        pytest.param(b"POST / HTTP/1.1\r\nContent-Length: +47\r\n\r\n" + b"x" * 47,
+                     b"bad content-length", id="content-length-sign"),
+        pytest.param(b"POST / HTTP/1.1\r\nContent-Length: \xb2\r\n\r\nxx",
+                     b"bad content-length", id="content-length-non-ascii-digit"),
+        pytest.param(b"POST / HTTP/1.1\r\nContent-Length: 2\r\n"
+                     b"Content-Length: 47\r\n\r\n" + b"x" * 47,
+                     b"conflicting content-length", id="content-length-conflict"),
+        pytest.param(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                     b"2f\r\n" + b"x" * 47 + b"\r\n0\r\n\r\n",
+                     b"transfer-encoding is not supported", id="chunked"),
+        pytest.param(b"POST / HTTP/1.1\r\nTransfer-Encoding: gzip\r\n"
+                     b"Content-Length: 47\r\n\r\n" + b"x" * 47,
+                     b"transfer-encoding is not supported",
+                     id="transfer-encoding-beside-a-length"),
     ])
     def test_bad_bytes_get_a_counted_400(self, raw, reason):
         server = make_server()
@@ -205,9 +226,61 @@ class TestMalformedRequests:
                 while chunk := sock.recv(4096):
                     reply += chunk
         assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.count(b"HTTP/1.1 ") == 1  # one refusal, nothing dispatched
         assert b"Connection: close" in reply
         assert reason in reply
         assert server.stats.rejections == {"protocol": 1}
+        assert server.stats.http_requests == {}
+
+    def test_agreeing_duplicate_lengths_and_leading_zeros_are_served(self):
+        server = make_server()
+        body = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "eth_chainId",
+                           "params": []}).encode()
+        length = b"%04d" % len(body)
+        with ServerThread(server):
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=10) as sock:
+                sock.sendall(b"POST / HTTP/1.1\r\nContent-Length: " + length
+                             + b"\r\nContent-Length: " + length
+                             + b"\r\nConnection: close\r\n\r\n" + body)
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+        assert reply.startswith(b"HTTP/1.1 200 ") and b'"0xaa36a7"' in reply
+
+    def test_undecodable_body_is_a_parse_error_not_a_dispatch(self):
+        """Invalid UTF-8 inside a JSON string used to become U+FFFD -- valid
+        JSON -- and the call ran; ``json.loads(bytes)`` refuses it."""
+        server = make_server()
+        body = (b'{"jsonrpc": "2.0", "id": 1, "method": "eth_chainId", '
+                b'"params": [], "note": "\xff"}')
+        with ServerThread(server):
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+            try:
+                conn.request("POST", "/", body=body)
+                response = conn.getresponse()
+                status, reply = response.status, json.loads(response.read())
+            finally:
+                conn.close()
+        assert status == 200
+        assert reply["id"] is None and reply["error"]["code"] == -32700
+        assert server.gateway.metrics.requests_total == 0
+
+    def test_a_body_nested_past_the_recursion_limit_is_a_parse_error(self):
+        """``json.loads`` raises RecursionError, not ValueError, on 200 000
+        open brackets: it used to kill the connection with no reply."""
+        server = make_server()
+        with ServerThread(server):
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+            try:
+                conn.request("POST", "/", body=b"[" * 200_000)
+                response = conn.getresponse()
+                status, reply = response.status, json.loads(response.read())
+                conn.request("GET", "/healthz")  # the socket is still served
+                assert conn.getresponse().status == 200
+            finally:
+                conn.close()
+        assert status == 200 and reply["error"]["code"] == -32700
 
 
 class TestLimitsAndDrain:
@@ -242,6 +315,86 @@ class TestLimitsAndDrain:
                            "method": "eth_blockNumber", "params": []})
         thread.stop()
         assert any("graceful shutdown complete" in line for line in lines)
+
+    def test_an_idle_keep_alive_socket_does_not_cost_the_drain_budget(self):
+        """Nothing is in flight on a kept-alive socket between requests:
+        shutdown closes it at once (it used to wait the whole 5 s budget and
+        log a force-close)."""
+        import time
+
+        lines = []
+        server = build_serve_stack(
+            NetConfig(port=0, block_interval_seconds=0), logger=lines.append)
+        thread = ServerThread(server)
+        thread.start()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            conn.request("POST", "/", body=json.dumps(
+                {"jsonrpc": "2.0", "id": 1, "method": "eth_blockNumber",
+                 "params": []}))
+            conn.getresponse().read()
+            began = time.perf_counter()
+            thread.stop()
+            elapsed = time.perf_counter() - began
+        finally:
+            conn.close()
+        assert elapsed < 1.0
+        assert not any("force-closed" in line for line in lines)
+        assert any("graceful shutdown complete" in line for line in lines)
+        assert server.stats.open_connections == 0
+
+    def test_a_connection_mid_request_gets_the_drain_budget(self):
+        import time
+
+        lines = []
+        server = build_serve_stack(
+            NetConfig(port=0, block_interval_seconds=0,
+                      drain_timeout_seconds=0.4), logger=lines.append)
+        thread = ServerThread(server)
+        thread.start()
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                         + b"x" * 50)
+            deadline = time.time() + 5
+            while not server.stats.open_connections and time.time() < deadline:
+                time.sleep(0.01)
+            began = time.perf_counter()
+            thread.stop()
+            elapsed = time.perf_counter() - began
+        assert 0.4 <= elapsed < 3.0
+        assert any("force-closed 1 connection(s) after the 0.4s drain budget"
+                   in line for line in lines)
+        assert server.stats.open_connections == 0
+
+    def test_a_request_finished_during_the_drain_is_answered_then_closed(self):
+        import threading
+        import time
+
+        server = make_server(drain_timeout_seconds=5.0)
+        thread = ServerThread(server)
+        thread.start()
+        body = json.dumps({"jsonrpc": "2.0", "id": 9, "method": "eth_chainId",
+                           "params": []}).encode()
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                         % len(body) + body[:10])
+            deadline = time.time() + 5
+            while not server.stats.open_connections and time.time() < deadline:
+                time.sleep(0.01)
+            stopper = threading.Thread(target=thread.stop)
+            stopper.start()
+            while not server._draining and time.time() < deadline:
+                time.sleep(0.01)
+            sock.sendall(body[10:])
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+            stopper.join(timeout=10)
+        assert not stopper.is_alive()
+        assert reply.startswith(b"HTTP/1.1 200 ") and b'"id": 9' in reply
+        assert b"Connection: close" in reply
 
     def test_producer_mines_pending_transactions(self):
         server = make_server(block_interval_seconds=0.02)

@@ -92,3 +92,52 @@ class TestCompaction:
         wal.compact(wal.last_seq(), is_pending_tx=lambda p: True)
         assert wal.archived_block_numbers() == [1, 2]
         assert len(wal) == 0
+
+
+class TestAppendedCounter:
+    """``repro_storage_wal_records_total`` is "records appended": it is
+    counted at ``append``, not re-read from the live log on every scrape,
+    so it costs the loop thread nothing and never falls at a compaction."""
+
+    @staticmethod
+    def scrape(engine):
+        from repro.obs.adapters import collect_storage
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        collect_storage(registry, engine)
+        return {row["labels"]["kind"]: row["value"] for row in
+                registry.snapshot()["repro_storage_wal_records_total"]["series"]}
+
+    def test_a_scrape_reads_no_log_and_the_counter_never_falls(self, tmp_path,
+                                                                 monkeypatch):
+        from repro.storage import StorageConfig, StorageEngine
+
+        config = StorageConfig(backend="log", directory=str(tmp_path))
+        first = StorageEngine(config)
+        first.wal.append("mint", {"address": "0x1", "amount_wei": 1})
+        first.wal.append("block", _block_payload(1))
+        first.close()
+
+        engine = StorageEngine(config)  # opened with entries in it: one pass
+        assert self.scrape(engine) == {"mint": 1, "tx": 0, "block": 1}
+        reads = []
+        records = engine.backend.records
+        monkeypatch.setattr(
+            engine.backend, "records",
+            lambda *args, **kwargs: reads.append(args) or records(*args, **kwargs))
+        for number in (2, 3, 4):
+            engine.wal.append("tx", {"hash": f"0x{number}", "transaction": {}})
+            engine.wal.append("block", _block_payload(number))
+        before = self.scrape(engine)
+        assert before == {"mint": 1, "tx": 3, "block": 4}
+        assert reads == []
+
+        engine.wal.compact(engine.wal.last_seq(), is_pending_tx=lambda p: False)
+        reads.clear()
+        after = self.scrape(engine)
+        assert reads == [], "the collector replayed the WAL"
+        assert after == before  # appended, not live: live is all zeros now
+        assert engine.wal.counts_by_kind() == {"mint": 0, "tx": 0, "block": 0}
+        assert engine.describe()["wal"] == {"mint": 0, "tx": 0, "block": 0}
+        engine.close()
