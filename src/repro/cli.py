@@ -91,8 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "with 'repro storage'")
 
     # Choices come from the simnet registries, so new scenarios/profiles are
-    # CLI-reachable without touching this file.  scenario.py is import-light;
-    # profiles.py pulls numpy, which every subcommand needs anyway.
+    # CLI-reachable without touching this file.  Both modules are
+    # import-light (no numpy): every subcommand, ``serve`` included, builds
+    # this parser.
     from repro.simnet.profiles import NETWORK_PROFILES
     from repro.simnet.scenario import SCENARIOS
 

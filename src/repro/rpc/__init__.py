@@ -11,51 +11,34 @@ facades, backend, CLI, simnet) routes its stack access through.
 
 Having one metered door is the architectural seam that future sharding,
 caching and async work plugs into.
+
+The names below resolve on first use, as in :mod:`repro.system`: a server
+reaches this package through :mod:`repro.rpc.filters` and never runs the
+client SDK.
 """
 
-from repro.rpc.client import BatchCall, EthClient, IpfsClient, MarketplaceClient, Oflw3Client, RpcBatch
-from repro.rpc.filters import FilterManager
-from repro.rpc.gateway import JsonRpcGateway
-from repro.rpc.middleware import MethodAllowlist, RequestMetrics, TokenBucketRateLimiter
-from repro.rpc.protocol import (
-    INTERNAL_ERROR,
-    INVALID_PARAMS,
-    INVALID_REQUEST,
-    JsonRpcError,
-    METHOD_NOT_ALLOWED,
-    METHOD_NOT_FOUND,
-    PARSE_ERROR,
-    RATE_LIMITED,
-    SERVER_ERROR,
-    RpcRequest,
-    from_quantity,
-    make_request,
-    to_quantity,
-)
+from importlib import import_module
 
-__all__ = [
-    "BatchCall",
-    "EthClient",
-    "FilterManager",
-    "IpfsClient",
-    "JsonRpcError",
-    "JsonRpcGateway",
-    "MarketplaceClient",
-    "MethodAllowlist",
-    "Oflw3Client",
-    "RequestMetrics",
-    "RpcBatch",
-    "RpcRequest",
-    "TokenBucketRateLimiter",
-    "from_quantity",
-    "make_request",
-    "to_quantity",
-    "PARSE_ERROR",
-    "INVALID_REQUEST",
-    "METHOD_NOT_FOUND",
-    "INVALID_PARAMS",
-    "INTERNAL_ERROR",
-    "SERVER_ERROR",
-    "METHOD_NOT_ALLOWED",
-    "RATE_LIMITED",
-]
+_HOME = {
+    "BatchCall": "client", "EthClient": "client", "IpfsClient": "client",
+    "MarketplaceClient": "client", "Oflw3Client": "client", "RpcBatch": "client",
+    "FilterManager": "filters",
+    "JsonRpcGateway": "gateway",
+    "MethodAllowlist": "middleware", "RequestMetrics": "middleware",
+    "TokenBucketRateLimiter": "middleware",
+    "INTERNAL_ERROR": "protocol", "INVALID_PARAMS": "protocol",
+    "INVALID_REQUEST": "protocol", "JsonRpcError": "protocol",
+    "METHOD_NOT_ALLOWED": "protocol", "METHOD_NOT_FOUND": "protocol",
+    "PARSE_ERROR": "protocol", "RATE_LIMITED": "protocol",
+    "SERVER_ERROR": "protocol", "RpcRequest": "protocol",
+    "from_quantity": "protocol", "make_request": "protocol",
+    "to_quantity": "protocol",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)

@@ -23,48 +23,36 @@ subsystem turns that demo into a load/fault laboratory:
 
 Under the default "ideal" scenario (one task, all honest, no network model)
 the runner reproduces the seed's Fig. 4-7 numbers exactly.
+
+The names below resolve on first use, as in :mod:`repro.system`: the parser
+of every ``repro`` command reads ``SCENARIOS`` and ``NETWORK_PROFILES``, and
+loading the runner and behaviors beside them would pull ``fl`` / ``ml`` /
+scipy and the orchestrator into ``repro serve`` and every other command that
+never simulates.
 """
 
-from repro.simnet.behaviors import (
-    BEHAVIOR_ARCHETYPES,
-    DropoutBehavior,
-    FreeRiderBehavior,
-    HonestBehavior,
-    LabelFlipPoisonerBehavior,
-    OwnerBehavior,
-    StragglerBehavior,
-    assign_behaviors,
-    make_behavior,
-)
-from repro.simnet.events import EventScheduler, ScheduledEvent, SimProcess
-from repro.simnet.netmodel import LinkProfile, NetworkModel
-from repro.simnet.profiles import NETWORK_PROFILES, make_network
-from repro.simnet.report import ScenarioReport, TaskOutcome
-from repro.simnet.runner import ScenarioRunner, run_scenario
-from repro.simnet.scenario import SCENARIOS, ScenarioSpec, build_scenario
+from importlib import import_module
 
-__all__ = [
-    "BEHAVIOR_ARCHETYPES",
-    "DropoutBehavior",
-    "EventScheduler",
-    "FreeRiderBehavior",
-    "HonestBehavior",
-    "LabelFlipPoisonerBehavior",
-    "LinkProfile",
-    "NETWORK_PROFILES",
-    "NetworkModel",
-    "OwnerBehavior",
-    "SCENARIOS",
-    "ScenarioReport",
-    "ScenarioRunner",
-    "ScenarioSpec",
-    "ScheduledEvent",
-    "SimProcess",
-    "StragglerBehavior",
-    "TaskOutcome",
-    "assign_behaviors",
-    "build_scenario",
-    "make_behavior",
-    "make_network",
-    "run_scenario",
-]
+_HOME = {
+    "BEHAVIOR_ARCHETYPES": "behaviors", "DropoutBehavior": "behaviors",
+    "FreeRiderBehavior": "behaviors", "HonestBehavior": "behaviors",
+    "LabelFlipPoisonerBehavior": "behaviors", "OwnerBehavior": "behaviors",
+    "StragglerBehavior": "behaviors", "assign_behaviors": "behaviors",
+    "make_behavior": "behaviors",
+    "EventScheduler": "events", "ScheduledEvent": "events",
+    "SimProcess": "events",
+    "LinkProfile": "netmodel", "NetworkModel": "netmodel",
+    "NETWORK_PROFILES": "profiles", "make_network": "profiles",
+    "ScenarioReport": "report", "TaskOutcome": "report",
+    "ScenarioRunner": "runner", "run_scenario": "runner",
+    "SCENARIOS": "scenario", "ScenarioSpec": "scenario",
+    "build_scenario": "scenario",
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)

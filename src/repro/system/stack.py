@@ -26,7 +26,8 @@ are imported only when asked for: ``repro serve`` boots through here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.chain.account import checksum_cache
 from repro.chain.chain import ChainConfig
@@ -37,10 +38,12 @@ from repro.contracts.registry import default_registry
 from repro.errors import ConfigError
 from repro.ipfs.swarm import Swarm
 from repro.obs import MetricsRegistry, Observability, adapters, ensure_observability
-from repro.rpc.client import MarketplaceClient
 from repro.rpc.gateway import JsonRpcGateway
 from repro.rpc.middleware import TokenBucketRateLimiter
 from repro.utils.clock import SimulatedClock
+
+if TYPE_CHECKING:
+    from repro.rpc.client import MarketplaceClient
 
 
 @dataclass
@@ -52,7 +55,6 @@ class Stack:
     faucet: Faucet
     swarm: Swarm
     gateway: JsonRpcGateway
-    rpc: MarketplaceClient
     #: The deployment's one metrics registry (``/metrics``, ``obs_metrics``).
     registry: MetricsRegistry
     #: The storage engine the caller passed (``None``: the chain keeps no WAL,
@@ -64,6 +66,14 @@ class Stack:
     rate_limiter: Optional[TokenBucketRateLimiter] = None
 
     # -- what the stack holds right now ------------------------------------------
+
+    @cached_property
+    def rpc(self) -> MarketplaceClient:
+        """The in-process SDK over ``gateway``, built on first use: a server
+        answers sockets and never loads the client."""
+        from repro.rpc.client import MarketplaceClient
+
+        return MarketplaceClient(self.gateway)
 
     def caches(self) -> Dict[str, Any]:
         """Every ``LRUCache`` by its ``cache=`` label: the three process-wide
@@ -210,9 +220,8 @@ def build_stack(
     registry = (observability.registry
                 if isinstance(observability, Observability) else MetricsRegistry())
     stack = Stack(clock=clock, node=node, faucet=Faucet(node), swarm=swarm,
-                  gateway=gateway, rpc=MarketplaceClient(gateway),
-                  registry=registry, engine=engine, cluster=chain_cluster,
-                  rate_limiter=rate_limiter,
+                  gateway=gateway, registry=registry, engine=engine,
+                  cluster=chain_cluster, rate_limiter=rate_limiter,
                   obs=ensure_observability(observability, registry, clock=clock))
     registry.register_collector(stack.collect_metrics)
     if stack.obs is not None:

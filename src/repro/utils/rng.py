@@ -10,11 +10,12 @@ are reproducible yet components do not share generator state.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-SeedLike = Union[int, np.random.Generator, None]
+SeedLike = Union[int, "np.random.Generator", None]
 
 
 def derive_seed(base_seed: int, label: str) -> int:
@@ -31,8 +32,11 @@ def make_rng(seed: SeedLike = None, label: Optional[str] = None) -> np.random.Ge
     """Build a NumPy Generator from an int seed, an existing Generator or None.
 
     If ``label`` is given together with an integer seed, the child seed is
-    derived with :func:`derive_seed`.
+    derived with :func:`derive_seed`.  NumPy is imported here, on the first
+    draw, so a process that never draws (``repro serve``) never loads it.
     """
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     if seed is None:

@@ -7,14 +7,18 @@ refused with the one error.  This is the construction site of ROADMAP item
 5's flag-lattice harness.  (2) ``replace_node`` re-points everything that
 held the dead node.  (3) Nothing else under ``src/repro`` wires a stack.
 (4) Every stack owns the one metrics registry, and what it samples is what
-the stack holds when scraped -- not what it held when built.
+the stack holds when scraped -- not what it held when built.  (5) A server,
+and every command that neither trains nor draws, imports no numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import re
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -334,22 +338,134 @@ def test_one_construction_site():
     assert len(set(WIRING.findall((src / "system/stack.py").read_text()))) == 8
 
 
-def test_a_server_process_does_not_import_the_marketplace():
-    """``repro serve`` boots through ``repro.system.stack``; ``repro.system``
-    resolves its exports lazily so that costs no ``ml`` / ``fl`` / scipy
-    (+0.65 s to boot and +42 MB resident, against a 10% RSS bound)."""
-    import os
-    import subprocess
-    import sys
+#: What ``repro serve`` never runs: the marketplace and the numeric stack
+#: under it.  A served process that imports any of them pays ~0.5 s to boot
+#: and ~57 MB resident for routes it does not mount.
+NOT_SERVED = ("numpy", "scipy", "repro.ml", "repro.fl", "repro.web",
+              "repro.data", "repro.incentives", "repro.storage",
+              "repro.cluster", "repro.analytics", "repro.system.orchestrator")
 
-    probe = ("import sys; from repro.net import NetConfig, build_serve_stack; "
-             "build_serve_stack(NetConfig(port=0)); "
-             "print(sorted(m for m in ('repro.ml', 'repro.fl', 'repro.web', "
-             "'repro.storage', 'repro.cluster', 'repro.analytics', 'scipy') "
-             "if m in sys.modules)); "
-             "from repro.system import run_marketplace, quick_config")
-    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+
+def imported_from(importtime_log, roots):
+    """The modules under ``roots`` in a ``python -X importtime`` log."""
+    names = {line.rsplit("|", 1)[1].strip()
+             for line in importtime_log.splitlines()
+             if line.startswith("import time:")}
+    return sorted(name for name in names
+                  if any(name == root or name.startswith(root + ".")
+                         for root in roots))
+
+
+def repro_command(*argv):
+    """``python -X importtime -m repro ARGV`` with this checkout's source."""
+    return [sys.executable, "-X", "importtime", "-m", "repro", *argv]
+
+
+REPRO_ENV = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+
+
+def test_a_server_process_does_not_import_the_marketplace(tmp_path):
+    """The real entry point, driven through every door a default server has:
+    a handler that imported on first use would show in the child's log.
+
+    Measured on a 2-CPU box: importing the marketplace beside the server cost
+    ~0.5 s of a ~0.7 s boot and 57 of 85 MB resident before the first
+    request."""
+    import http.client
+    import json
+    import signal
+    import subprocess
+
+    log = tmp_path / "importtime.log"
+    with log.open("w") as stderr:
+        process = subprocess.Popen(
+            repro_command("serve", "--port", "0", "--block-interval", "0.05"),
+            stdout=subprocess.PIPE, stderr=stderr, text=True, env=REPRO_ENV)
+    try:
+        port = None
+        for line in process.stdout:
+            match = re.search(r"listening on http://127\.0\.0\.1:(\d+)", line)
+            if match:
+                port = int(match.group(1))
+                break
+        assert port is not None, log.read_text()[-2000:]
+
+        def request(method, path, body=None):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                conn.request(method, path,
+                             body=None if body is None else json.dumps(body))
+                reply = conn.getresponse()
+                assert reply.status == 200
+                return reply.read()
+            finally:
+                conn.close()
+
+        def call(method, *params):
+            reply = json.loads(request("POST", "/", {
+                "jsonrpc": "2.0", "id": 1, "method": method,
+                "params": list(params)}))
+            assert "result" in reply, reply
+            return reply["result"]
+
+        keypair = SENDERS[0]
+        call("dev_fundAccount", keypair.address)
+        tx_hash = call("eth_sendRawTransaction", transfers()[0].serialize_raw())
+        deadline = time.time() + 10
+        while call("eth_getTransactionReceipt", tx_hash) is None:
+            assert time.time() < deadline, "the producer never mined the transfer"
+            time.sleep(0.05)
+        added = call("ipfs_add", "0x" + "ab" * 4096)
+        assert call("ipfs_cat", added["cid"]) == "0x" + "ab" * 4096
+        assert call("eth_getLogs", {"fromBlock": "0x0", "toBlock": "latest"}) == []
+        assert b"repro_chain_height" in request("GET", "/metrics")
+    finally:
+        process.send_signal(signal.SIGTERM)
+        try:
+            process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+    assert process.returncode == 0
+    assert imported_from(log.read_text(), NOT_SERVED) == []
+
+    # What the server skipped still resolves on first use.
+    from repro.simnet import NETWORK_PROFILES, SCENARIOS, ScenarioRunner
+    from repro.system import quick_config, run_marketplace
+
+    assert callable(run_marketplace) and callable(quick_config)
+    assert callable(ScenarioRunner) and "ideal" in SCENARIOS
+    assert NETWORK_PROFILES["ideal"] is None
+
+
+@pytest.fixture(scope="module")
+def small_store(tmp_path_factory):
+    """A log store holding one funded transfer in one block."""
+    directory = tmp_path_factory.mktemp("small-store")
+    stack = build_stack(storage=StorageConfig(backend="log",
+                                              directory=str(directory)))
+    stack.faucet.drip(SENDERS[0].address, ether_to_wei(1))
+    stack.rpc.eth.send_transaction(transfers()[0])
+    stack.rpc.call("evm_mine")
+    stack.close()
+    stack.engine.close()
+    return str(directory)
+
+
+@pytest.mark.parametrize("argv", [
+    ["info"],
+    ["rpc", "--list"],
+    ["storage", "verify", "STORE"],
+    ["analytics", "status", "STORE"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_a_command_that_neither_trains_nor_draws_imports_no_numpy(argv, small_store):
+    """Every command builds the same parser, so one eager import there reaches
+    them all (``cluster status``, ``run``, ``simulate``, ``loadgen``, ``show``,
+    ``gas-report`` and ``model-quality`` draw or train and are not listed)."""
+    import subprocess
+
+    argv = [small_store if word == "STORE" else word for word in argv]
+    done = subprocess.run(repro_command(*argv), env=REPRO_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert imported_from(done.stderr, ("numpy", "scipy")) == []
