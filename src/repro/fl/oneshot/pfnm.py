@@ -121,54 +121,69 @@ def _fold_in_client(
     """Match one client's neurons into the running global atoms.
 
     Returns the updated ``(global_neurons, global_counts, assignment)`` where
-    ``assignment[j]`` is the global index client neuron ``j`` mapped to.
+    ``assignment[j]`` is the global index client neuron ``j`` mapped to.  New
+    atoms are appended in ascending client-row order.  A non-empty global
+    model must hold at least as many atoms as the client has neurons (the
+    first fold copies a client, and every client has the same width), so the
+    matrix always admits a perfect matching.
+
+    Below the width cap (``allow_new == num_client``) the Hungarian solver
+    sees only the assignments in question.  Let ``last_new[j]`` be row
+    ``j``'s dearest new-atom column.  An existing atom ``g`` with
+    ``cost[j, g] > last_new[j]`` is in no optimal matching: at most
+    ``num_client - 1`` other rows hold new columns, so a new column no dearer
+    than ``last_new[j]`` is free, and moving ``j`` there strictly lowers the
+    total.  So rows left with no atom open new atoms outright, atoms no row
+    can use are dropped, and the remaining rows are solved against the
+    remaining atoms plus the last new columns of the same matrix, one per
+    remaining row: every entry and every 1e-6 offset is the float the full
+    solve would have seen, and the rows opened outright hold the cheaper new
+    columns they would have held there.  At the width cap the full matrix is
+    solved.
     """
     num_client = client_neurons.shape[0]
     if global_neurons is None or global_neurons.shape[0] == 0:
         return client_neurons.copy(), np.ones(num_client), np.arange(num_client)
 
     num_global = global_neurons.shape[0]
+    if num_global < num_client:
+        raise AggregationError(
+            f"cannot fold {num_client} client neurons into {num_global} global atoms"
+        )
     allow_new = max(0, min(num_client, max_global - num_global))
     cost = _match_cost_matrix(client_neurons, global_neurons, global_counts, config, allow_new)
-    if cost.shape[1] < num_client:
-        # Not enough columns for a perfect matching (width cap reached and
-        # fewer global neurons than client neurons): pad with re-usable copies
-        # of the most expensive real column so the assignment stays feasible.
-        padding = np.tile(cost.max(axis=1, keepdims=True), (1, num_client - cost.shape[1]))
-        cost = np.concatenate([cost, padding], axis=1)
-        allow_padded = True
+    if allow_new < num_client:
+        rows, cols = linear_sum_assignment(cost)
     else:
-        allow_padded = False
+        last_new = cost[:, num_global + num_client - 1]
+        useful = cost[:, :num_global] <= last_new.reshape(num_client, 1)
+        rows = np.flatnonzero(useful.any(axis=1))
+        cols = np.empty(0, dtype=np.int64)
+        if rows.size:
+            columns = np.concatenate([
+                np.flatnonzero(useful[rows].any(axis=0)),
+                np.arange(num_global + num_client - rows.size, num_global + num_client),
+            ])
+            picked_rows, picked_cols = linear_sum_assignment(cost[np.ix_(rows, columns)])
+            rows, cols = rows[picked_rows], columns[picked_cols]
 
-    rows, cols = linear_sum_assignment(cost)
-    # One buffer with room for every atom this client may open, sliced to the
-    # rows actually used on return.
-    updated_neurons = np.empty((num_global + allow_new, client_neurons.shape[1]))
+    matched = cols < num_global
+    match_rows, targets = rows[matched], cols[matched]
+    new_rows = np.setdiff1d(np.arange(num_client), match_rows)
+    width = num_global + new_rows.size
+    updated_neurons = np.empty((width, client_neurons.shape[1]))
     updated_neurons[:num_global] = global_neurons
-    updated_counts = np.empty(num_global + allow_new)
+    updated_neurons[num_global:] = client_neurons[new_rows]
+    updated_counts = np.ones(width)
     updated_counts[:num_global] = global_counts
-    width = num_global
-    assignment = np.zeros(num_client, dtype=np.int64)
-
-    for row, col in zip(rows, cols):
-        if col < num_global:
-            target = col
-        elif allow_padded and col >= num_global + allow_new:
-            # Width cap reached: fold into the nearest existing atom.
-            distances = np.sum((updated_neurons[:width] - client_neurons[row]) ** 2, axis=1)
-            target = int(np.argmin(distances))
-        else:
-            updated_neurons[width] = client_neurons[row]
-            updated_counts[width] = 1.0
-            assignment[row] = width
-            width += 1
-            continue
-        # Running weighted mean of the matched atom.
-        count = updated_counts[target]
-        updated_neurons[target] = (updated_neurons[target] * count + client_neurons[row]) / (count + 1.0)
-        updated_counts[target] = count + 1.0
-        assignment[row] = target
-    return updated_neurons[:width], updated_counts[:width], assignment
+    # Running weighted mean of the matched atoms (a matching: targets distinct).
+    count = updated_counts[targets].reshape(-1, 1)
+    updated_neurons[targets] = (updated_neurons[targets] * count + client_neurons[match_rows]) / (count + 1.0)
+    updated_counts[targets] += 1.0
+    assignment = np.empty(num_client, dtype=np.int64)
+    assignment[match_rows] = targets
+    assignment[new_rows] = np.arange(num_global, width)
+    return updated_neurons, updated_counts, assignment
 
 
 class PFNMAggregator(OneShotAggregator):

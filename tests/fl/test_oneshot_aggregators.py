@@ -196,6 +196,24 @@ class TestPFNMMemory:
         assert neurons.shape == (500, 795)
         assert peak < 16 * 2**20
 
+    def test_fold_with_a_reduced_solve_stays_under_the_bound(self):
+        # The same shapes with half the client neurons near-copies of atoms,
+        # so the solver runs on the 50 rows an atom can win.
+        rng = np.random.default_rng(0)
+        atoms = rng.normal(size=(400, 795))
+        client = rng.normal(size=(100, 795))
+        client[:50] = atoms[::8] + rng.normal(size=(50, 795)) * 1e-3
+        counts = np.ones(400)
+        tracemalloc.start()
+        try:
+            neurons, counts_out, _ = _fold_in_client(client, atoms, counts, PFNMConfig(), 800)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert neurons.shape == (450, 795)
+        assert np.count_nonzero(counts_out == 2.0) == 50
+        assert peak < 16 * 2**20
+
 
 class TestEnsemble:
     def test_ensemble_probabilities_normalized(self, trained_updates, tiny_split):
