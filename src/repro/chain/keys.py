@@ -13,13 +13,16 @@ relies on:
 
 Signing is deterministic (the nonce is derived from the key and message), so
 test vectors are stable.
+
+Group powers run on the ``libcrypto`` CPython's ``_hashlib`` loaded, or on the
+builtin ``pow`` if it cannot be bound; :func:`schnorr_backend` says which.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional, Union
 
 from repro.errors import InvalidSignatureError
 from repro.utils.cache import LRUCache
@@ -57,89 +60,119 @@ def _hash_to_int(*parts: bytes) -> int:
     return int.from_bytes(keccak256(b"".join(parts)), "big") % GROUP_ORDER
 
 
-class _FixedBaseComb:
-    """Fixed-base exponentiation for the group generator, 8-bit windows.
-
-    ``pow(g, exp, P)`` performs ~``bits(exp)`` squarings every call even
-    though ``g`` never changes.  Row ``i`` of the table holds
-    ``g^(d * 256^i)`` for every byte value ``d = 1..255``, so a power is one
-    table multiplication per non-zero byte of the exponent and no squaring
-    at all.
-
-    The table is fixed at :attr:`ROWS` rows, i.e. exponents below ``2^512``:
-    an honest ``s = k + e*x`` with ``k, e, x < 2^256`` is always in range,
-    and so is every key-pair and nonce power.  Anything still larger after
-    the reduction modulo the base's order goes to the builtin ``pow``, so a
-    hostile signature can neither grow the table past 64 * 255 entries
-    (~4.3 MB) nor change a result: :meth:`pow` is total and bit-identical
-    to ``pow``.  Rows are built lazily, on first touch and never at import
-    (~3 ms a row, ~0.2 s for all 64): a process that never verifies builds
-    nothing, one that only derives key pairs builds 32.
-    """
-
-    ROWS = 64
-
-    def __init__(self, base: int, modulus: int, base_order: int) -> None:
-        self.base = base
-        self.modulus = modulus
-        #: Multiplicative order of ``base`` (i.e. ``base^order == 1``).
-        #: Reducing modulo it preserves the result exactly and brings an
-        #: honest-sized exponent that merely had a multiple of the order
-        #: added back into the table's range.
-        self.base_order = base_order
-        #: ``_rows[i][d-1] == base^(d * 256^i) mod P`` for digits 1..255.
-        self._rows: list = []
-        #: ``base^(256^len(_rows))`` -- the generator of the next row.
-        self._next_row_base = base % modulus
-        #: Rows are appended under this lock, so two threads on first use
-        #: build each row once; readers only check ``len(_rows)``.
-        self._build_lock = threading.Lock()
-
-    def _extend_to(self, row_count: int) -> None:
-        modulus = self.modulus
-        with self._build_lock:
-            while len(self._rows) < row_count:
-                cur = self._next_row_base
-                row = [cur]
-                for _ in range(254):
-                    row.append(row[-1] * cur % modulus)
-                self._next_row_base = row[-1] * cur % modulus
-                self._rows.append(row)
-
-    def pow(self, exponent: int) -> int:
-        """``base ** exponent mod modulus``, bit-identical to ``pow``."""
-        if exponent >= self.base_order:
-            exponent %= self.base_order
-        if exponent < 0 or exponent >> (8 * self.ROWS):
-            return pow(self.base, exponent, self.modulus)
-        # One immutable little-endian snapshot: byte i selects from row i.
-        data = exponent.to_bytes((exponent.bit_length() + 7) // 8, "little")
-        if len(self._rows) < len(data):
-            self._extend_to(len(data))
-        modulus = self.modulus
-        result = 1
-        for row, byte in zip(self._rows, data):
-            if byte:
-                result = result * row[byte - 1] % modulus
-        return result
+def _checked(result, func, args):
+    """``errcheck`` of the bound calls: NULL or 0 means libcrypto failed."""
+    if not result:
+        raise MemoryError(f"libcrypto {func.__name__} failed")
+    return result
 
 
-#: Shared comb table for the group generator (every signature and key pair
-#: exponentiates the same base, so one process-wide table serves them all;
-#: a verify worker forked before the first verify builds its own copy).
-#: ``GENERATOR``'s multiplicative order divides ``GROUP_ORDER`` -- the
-#: generator is a quadratic residue of the safe prime, and
-#: ``pow(GENERATOR, GROUP_ORDER, GROUP_PRIME) == 1`` (pinned by
-#: ``tests/chain/test_hotpaths.py``) -- so exponent reduction is exact.
-#: Empty until the first power is taken.
-_GENERATOR_COMB = _FixedBaseComb(GENERATOR, GROUP_PRIME, GROUP_ORDER)
+class _Scratch:
+    """One thread's ``BN_CTX``, operand ``BIGNUM`` s and output buffer."""
 
-#: Cache of ``y^-1 mod P`` per public key: verification needs the inverse on
-#: every call, senders repeat across transactions, and the inverse of a
-#: 2048-bit element is ~0.4 ms.  The shared storage ``LRUCache`` evicts the
-#: least-recently-used key instead of the old clear-when-full dict, so a
-#: long loadgen run over many distinct senders keeps its hot keys warm, and
-#: the hit/miss/eviction counters surface through ``obs_cacheStats``.
+    def __init__(self, lib, out) -> None:
+        self._lib, self.out, self.ctx = lib, out, lib.BN_CTX_new()
+        self.result, self.s, self.base, self.e = (lib.BN_new() for _ in range(4))
+
+    def __del__(self) -> None:
+        for bignum in (self.result, self.s, self.base, self.e):
+            self._lib.BN_free(bignum)
+        self._lib.BN_CTX_free(self.ctx)
+
+
+class _BuiltinPow:
+    """The fallback when libcrypto cannot be bound: exact, ~14x slower."""
+
+    def __init__(self, reason: str) -> None:
+        self.name = f"builtin pow ({reason})"
+
+    def generator_power(self, exponent: int) -> int:
+        return pow(GENERATOR, exponent, GROUP_PRIME)
+
+    def two_base_power(self, s: int, base: int, e: int) -> int:
+        return pow(GENERATOR, s, GROUP_PRIME) * pow(base, e, GROUP_PRIME) % GROUP_PRIME
+
+
+class _Libcrypto:
+    """OpenSSL's Montgomery powers mod ``GROUP_PRIME``.  Only the calling
+    thread's :class:`_Scratch` is written after the bind, so ``ctypes`` may
+    release the GIL and a forked child inherits it.  Generator exponents are
+    reduced mod ``GROUP_ORDER`` (exact: ``g``'s order divides it) first."""
+
+    def __init__(self) -> None:
+        import _hashlib
+        import ctypes
+
+        lib = ctypes.CDLL(_hashlib.__file__)  # AttributeError if built in
+        ptr, num, buf = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
+        for name, restype, argtypes in (
+                ("BN_new", ptr, ()), ("BN_CTX_new", ptr, ()), ("BN_MONT_CTX_new", ptr, ()),
+                ("BN_bin2bn", ptr, (buf, num, ptr)), ("BN_bn2binpad", num, (ptr, buf, num)),
+                ("BN_MONT_CTX_set", num, (ptr,) * 3), ("BN_mod_exp2_mont", num, (ptr,) * 8),
+                ("BN_mod_exp_mont_consttime", num, (ptr,) * 6), ("OpenSSL_version", buf, (num,)),
+                ("BN_free", None, (ptr,)), ("BN_CTX_free", None, (ptr,))):
+            func = getattr(lib, name)
+            func.restype, func.argtypes = restype, argtypes
+            if restype is not None:
+                func.errcheck = _checked
+        self._lib, self._local, self._buffer = lib, threading.local(), ctypes.create_string_buffer
+        self.name = f"libcrypto ({lib.OpenSSL_version(0).decode()})"
+        self._modulus, self._generator = self._load(None, GROUP_PRIME), self._load(None, GENERATOR)
+        self._mont, ctx = lib.BN_MONT_CTX_new(), lib.BN_CTX_new()
+        try:
+            lib.BN_MONT_CTX_set(self._mont, self._modulus, ctx)
+        finally:
+            lib.BN_CTX_free(ctx)
+
+    def _load(self, bignum, value: int):
+        data = _int_to_bytes(value)
+        return self._lib.BN_bin2bn(data, len(data), bignum)
+
+    def _power(self, func, *exponents_and_bases: int) -> int:
+        """``func(g, s[, base, e])`` on this thread's scratch, as an int."""
+        if not hasattr(self._local, "scratch"):
+            self._local.scratch = _Scratch(self._lib, self._buffer(GROUP_PRIME.bit_length() // 8))
+        t = self._local.scratch
+        operands = (t.s, t.base, t.e)[:len(exponents_and_bases)]
+        for bignum, value in zip(operands, exponents_and_bases):
+            self._load(bignum, value)
+        func(t.result, self._generator, *operands, self._modulus, t.ctx, self._mont)
+        self._lib.BN_bn2binpad(t.result, t.out, len(t.out))
+        return int.from_bytes(t.out.raw, "big")
+
+    def generator_power(self, exponent: int) -> int:
+        """``g^exponent`` in constant time: the exponent may be secret."""
+        return self._power(self._lib.BN_mod_exp_mont_consttime, exponent % GROUP_ORDER)
+
+    def two_base_power(self, s: int, base: int, e: int) -> int:
+        """``g^s * base^e`` in one call, for public ``s`` and ``base, e >= 0``."""
+        return self._power(self._lib.BN_mod_exp2_mont, s % GROUP_ORDER, base, e)
+
+
+#: ``None`` until the first power, then the kernel every power runs on.
+_backend: Union[None, _Libcrypto, _BuiltinPow] = None
+_BIND_LOCK = threading.Lock()
+
+
+def _kernel() -> Union[_Libcrypto, _BuiltinPow]:
+    """The power kernel, bound on first use."""
+    global _backend
+    if _backend is None:
+        with _BIND_LOCK:
+            try:
+                _backend = _backend or _Libcrypto()
+            except (ImportError, OSError, AttributeError) as exc:
+                _backend = _BuiltinPow(f"{type(exc).__name__}: {exc}")
+    return _backend
+
+
+def schnorr_backend() -> str:
+    """``libcrypto (<OpenSSL version>)``, or ``builtin pow (<why not>)``."""
+    return _kernel().name
+
+
+#: ``y^-1 mod P`` per public key: every verify needs it, senders repeat, and
+#: an inverse is ~0.4 ms.  Its counters surface through ``obs_cacheStats``.
 _INVERSE_CACHE = LRUCache(capacity=16384)
 
 
@@ -155,130 +188,6 @@ def _inverse_of(public_key: int) -> int:
         cached = pow(public_key, -1, GROUP_PRIME)
         _INVERSE_CACHE.put(public_key, cached)
     return cached
-
-
-class _LimLeeComb:
-    """Single-table Lim-Lee comb: ``base^e`` for ``0 <= e < 2^256``.
-
-    The 256-bit exponent is laid out as 8 teeth of 32 columns.  One table of
-    255 entries holds the product of ``base^(2^(32*i))`` over every non-empty
-    subset of teeth, so a power walks the 32 columns once: one squaring and
-    at most one table multiplication per column, instead of the ~256
-    squarings and ~50 multiplications of the builtin sliding window.  The
-    whole table is 255 group elements (~77 kB); the generator's byte-window
-    :class:`_FixedBaseComb` needs no squarings and is about twice as fast,
-    but over the same range it holds 8 160 (~2.1 MB) -- affordable once for
-    the generator, not once per hot sender.
-
-    Exponents outside the range go to the builtin, so :meth:`pow` is total
-    and bit-identical to ``pow(base, e, modulus)``.
-    """
-
-    TEETH = 8
-    COLUMNS = 32
-    EXPONENT_BITS = TEETH * COLUMNS
-    _BITS_FORMAT = f"0{EXPONENT_BITS}b"
-
-    __slots__ = ("base", "modulus", "_table")
-
-    def __init__(self, base: int, modulus: int) -> None:
-        self.base = base
-        self.modulus = modulus
-        #: ``_table[m]`` = product of ``base^(2^(COLUMNS*i))`` over set bits
-        #: ``i`` of ``m``: each entry is its highest tooth times the entry
-        #: without that tooth.
-        table = [1] * (1 << self.TEETH)
-        tooth = base % modulus
-        for index in range(self.TEETH):
-            bit = 1 << index
-            table[bit] = tooth
-            for rest in range(1, bit):
-                table[bit | rest] = tooth * table[rest] % modulus
-            if index + 1 < self.TEETH:
-                for _ in range(self.COLUMNS):
-                    tooth = tooth * tooth % modulus
-        self._table = table
-
-    def pow(self, exponent: int) -> int:
-        """``base ** exponent mod modulus``, bit-identical to ``pow``."""
-        if exponent < 0 or exponent >> self.EXPONENT_BITS:
-            return pow(self.base, exponent, self.modulus)
-        # MSB-first binary text: the stride slice ``bits[k::COLUMNS]`` reads
-        # one bit from each tooth (highest tooth first) at column
-        # ``COLUMNS - 1 - k``, i.e. exactly that column's table index.
-        bits = format(exponent, self._BITS_FORMAT)
-        table = self._table
-        modulus = self.modulus
-        columns = self.COLUMNS
-        result = 1
-        for k in range(columns):
-            result = result * result % modulus
-            index = int(bits[k::columns], 2)
-            if index:
-                result = result * table[index] % modulus
-        return result
-
-
-#: A public key's ``(y^-1)^e`` table is built on this sighting.  One-shot
-#: (often hostile) keys stay on the builtin ``pow`` -- a table costs about
-#: two builtin powers to build -- while real senders, who repeat, go
-#: table-fast from their second signature on.
-_KEY_COMB_PROMOTION_SIGHTINGS = 2
-
-#: Distinct senders whose sighting count or table is kept (LRU): ~77 kB per
-#: warm table bounds the cache at ~7 MB.  A key evicted before it repeats
-#: starts counting again, so a stream of more distinct senders than this
-#: never builds a table at all rather than building and discarding them.
-_KEY_COMB_CAPACITY = 96
-
-
-class _KeyCombCache(LRUCache):
-    """public key -> sightings so far (``int``) or its :class:`_LimLeeComb`."""
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        #: Tables built since process start.
-        self.builds = 0
-        #: Makes count-then-promote one step, so a key is built exactly once
-        #: however many threads verify its signatures.
-        self._promotion_lock = threading.Lock()
-
-    def comb_for(self, public_key: int) -> Optional[_LimLeeComb]:
-        """Count one sighting; the key's table once it has repeated."""
-        with self._promotion_lock:
-            entry = self.get(public_key, 0)
-            if isinstance(entry, _LimLeeComb):
-                return entry
-            if entry + 1 < _KEY_COMB_PROMOTION_SIGHTINGS:
-                self.put(public_key, entry + 1)
-                return None
-            comb = _LimLeeComb(_inverse_of(public_key), GROUP_PRIME)
-            self.builds += 1
-            self.put(public_key, comb)
-            return comb
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {**super().snapshot(), "builds": self.builds}
-
-
-_KEY_COMBS = _KeyCombCache(_KEY_COMB_CAPACITY)
-
-
-def key_comb_cache() -> LRUCache:
-    """The per-public-key table cache (for obs cache-stats registration)."""
-    return _KEY_COMBS
-
-
-def _inverse_power(public_key: int, exponent: int) -> int:
-    """``(public_key^-1)^exponent mod GROUP_PRIME``, bit-identical to ``pow``.
-
-    Through the key's fixed-base table once the key has been seen before,
-    through the builtin until then.
-    """
-    comb = _KEY_COMBS.comb_for(public_key)
-    if comb is None:
-        return pow(_inverse_of(public_key), exponent, GROUP_PRIME)
-    return comb.pow(exponent)
 
 
 @dataclass(frozen=True)
@@ -352,7 +261,7 @@ class KeyPair:
             raise ValueError("private key must be non-empty bytes")
         self._private_seed = bytes(private_key)
         self._x = _hash_to_int(b"oflw3-priv", self._private_seed) or 1
-        self.public_key = _GENERATOR_COMB.pow(self._x)
+        self.public_key = _kernel().generator_power(self._x)
         self.address = address_from_public_key(self.public_key)
 
     # -- construction -------------------------------------------------------
@@ -382,7 +291,7 @@ class KeyPair:
         if len(message_hash) != 32:
             raise ValueError("sign expects a 32-byte message hash")
         nonce = _hash_to_int(b"oflw3-nonce", self._private_seed, message_hash) or 1
-        commitment = _GENERATOR_COMB.pow(nonce)
+        commitment = _kernel().generator_power(nonce)
         challenge = _hash_to_int(_int_to_bytes(commitment), message_hash)
         response = (nonce + challenge * self._x) % GROUP_ORDER
         return Signature(e=challenge, s=response, public_key=self.public_key)
@@ -404,20 +313,10 @@ def verify_signature(signature: Signature, message_hash: bytes, address: Optiona
     if not (1 < y < GROUP_PRIME):
         return False
     if not (0 <= signature.e < GROUP_ORDER):
-        # The carried challenge is compared against a hash reduced mod
-        # GROUP_ORDER below: out of range it can never match, so a hostile
-        # megabit exponent is turned away before any arithmetic.
+        # Never equal to a hash reduced mod GROUP_ORDER: reject before any arithmetic.
         return False
-    # g^s = g^(k + x*e) = r * y^e  =>  r = g^s * (y^-1)^e.  The generator
-    # exponentiation runs through the shared comb table, the inverse is
-    # memoized per public key and its power goes through the key's own table
-    # once the key repeats; the group element is identical to the naive
-    # pow-based computation.
-    gs = _GENERATOR_COMB.pow(signature.s)
-    try:
-        r = gs * _inverse_power(y, signature.e) % GROUP_PRIME
-    except ValueError:
-        return False
+    # g^s = g^(k + x*e) = r * y^e  =>  r = g^s * (y^-1)^e, one two-base power.
+    r = _kernel().two_base_power(signature.s, _inverse_of(y), signature.e)
     expected_challenge = _hash_to_int(_int_to_bytes(r), message_hash)
     if expected_challenge != signature.e:
         return False

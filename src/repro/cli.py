@@ -972,6 +972,8 @@ def _command_show(path: str) -> int:
 
 def _command_info() -> int:
     """Implement the ``info`` subcommand."""
+    from repro.chain.keys import schnorr_backend
+
     print(f"repro {__version__} - OFL-W3 reproduction")
     print("subsystems: chain, contracts, ipfs, ml, data, fl, incentives, web, rpc, "
           "storage, system, simnet, loadgen, cluster, obs, analytics, net")
@@ -982,6 +984,7 @@ def _command_info() -> int:
     print("docs: README.md, docs/architecture.md, docs/rpc.md, docs/simnet.md, "
           "docs/cli.md, docs/performance.md, docs/observability.md, "
           "docs/analytics.md, docs/networking.md")
+    print(f"schnorr: {schnorr_backend()}")
     return 0
 
 

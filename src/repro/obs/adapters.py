@@ -71,13 +71,6 @@ def collect_cache(reg: MetricsRegistry, name: str, cache: Any) -> None:
         reg.counter(f"repro_cache_{field}_total",
                     f"Cache {field} since process start.",
                     ("cache",)).labels(**labels).set_total(stats[field])
-    if "builds" in stats:
-        # Only ``schnorr_key_comb`` builds what it caches (a per-sender
-        # fixed-base table); a rising count under a steady sender set means
-        # tables are being evicted and rebuilt.
-        reg.counter("repro_cache_builds_total",
-                    "Cached values built since process start.",
-                    ("cache",)).labels(**labels).set_total(stats["builds"])
 
 
 def collect_chain(reg: MetricsRegistry, chain: Any,

@@ -129,10 +129,11 @@ class SignatureVerifyPool:
         """Like :meth:`prewarm_async`, with chunks packed by sender.
 
         A sender's signatures (senders in first-seen order) land in one
-        chunk, hence on one worker, so the sender's 77 kB fixed-base table
-        (``repro.chain.keys._LimLeeComb``) is built once per pool instead
-        of once per worker.  Groups are packed up to
-        :data:`SENDER_CHUNK_TARGET` but never split.
+        chunk, hence on one worker, so the sender's memoized ``y^-1``
+        (``repro.chain.keys.inverse_cache``) is computed once per pool
+        instead of once per worker.  The verify itself keeps no per-sender
+        state.  Groups are packed up to :data:`SENDER_CHUNK_TARGET` but
+        never split.
         """
         grouped: Dict[str, List[Transaction]] = {}
         for tx in _cold(transactions):

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 from repro.chain.account import checksum_cache
 from repro.chain.chain import ChainConfig
 from repro.chain.faucet import Faucet
-from repro.chain.keys import inverse_cache, key_comb_cache
+from repro.chain.keys import inverse_cache
 from repro.chain.node import EthereumNode
 from repro.contracts.registry import default_registry
 from repro.errors import ConfigError
@@ -76,11 +76,10 @@ class Stack:
         return MarketplaceClient(self.gateway)
 
     def caches(self) -> Dict[str, Any]:
-        """Every ``LRUCache`` by its ``cache=`` label: the three process-wide
+        """Every ``LRUCache`` by its ``cache=`` label: the two process-wide
         chain caches and the engine's read cache."""
         caches = {"address_checksum": checksum_cache(),
-                  "schnorr_inverse": inverse_cache(),
-                  "schnorr_key_comb": key_comb_cache()}
+                  "schnorr_inverse": inverse_cache()}
         if self.engine is not None:
             caches["storage"] = self.engine.cache
         return caches

@@ -1,27 +1,26 @@
 """Correctness guards for the ingest hot-path optimizations.
 
-The fast paths (fixed-base comb exponentiation, memoized verification,
+The fast paths (libcrypto group arithmetic, memoized verification,
 cached hashes, mempool indexes) must be behaviour-preserving: these tests
 pin the equivalences and the cache-invalidation edges that keep them safe.
 """
 
+import multiprocessing
 import sys
 import threading
+import types
+import weakref
 
 import pytest
 
 from repro.chain import EthereumNode, Faucet, KeyPair
 from repro.chain.account import Address, checksum_cache
+from repro.chain import keys
 from repro.chain.keys import (
     GENERATOR,
     GROUP_ORDER,
     GROUP_PRIME,
-    _FixedBaseComb,
-    _GENERATOR_COMB,
-    _KEY_COMB_CAPACITY,
-    _LimLeeComb,
     Signature,
-    key_comb_cache,
     verify_signature,
 )
 from repro.chain.mempool import Mempool
@@ -60,73 +59,94 @@ def run_threads(worker, count, switch_interval):
     assert not any(thread.is_alive() for thread in threads)
 
 
-class TestFixedBaseComb:
-    @pytest.mark.parametrize("exponent", [
-        0, 1, 2, 31, 32, (1 << 255) - 19, GROUP_ORDER - 1, GROUP_ORDER,
-        123456789012345678901234567890,
-        255, 256, 2**256 - 1, 2**512 - 1, 2**512, 2**512 + 1,
-    ])
-    def test_matches_builtin_pow(self, exponent):
-        assert _GENERATOR_COMB.pow(exponent) == pow(GENERATOR, exponent, GROUP_PRIME)
+#: The signature the pure-Python arithmetic produced for one label and message.
+VECTOR_ADDRESS = "0x109a36E06b3C276e7930e15EAA30001e25F0341B"
+VECTOR_E = 0xd0c2434ba5114d4ea39d2c2740c543692027ef9d6a4ffc58cf15040bb08f977a
+VECTOR_S = int(
+    "27543e1d844e599430fdf390ca5d413ddad59d8f121785dab67b42dd0139e6c6"
+    "0c9570163fd337bc12737dc00c5ae9c5a2a202393eda7ee26b896be0a91e8800", 16)
+
+#: Byte and word edges, the honest sizes, the group order, negatives, and a
+#: hostile ``s`` that had a huge multiple of the order added.
+EXPONENTS = [0, 1, 255, 256, 2**256 - 1, 2**256 + 1, 2**512 - 1, 2**512 + 1,
+             GROUP_ORDER - 1, GROUP_ORDER, GROUP_ORDER + 1, -1, -(2**300 + 7),
+             VECTOR_S + GROUP_ORDER * (1 << 4096)]
+
+
+def generator_power(exponent):
+    return keys._kernel().generator_power(exponent)
+
+
+def two_base_power(s, base, e):
+    return keys._kernel().two_base_power(s, base, e)
+
+
+def _forked_verdict(signature, message, address):
+    """Run in a forked child: was the binding inherited, and the verdict."""
+    inherited = keys._backend is not None
+    return inherited, keys.schnorr_backend(), \
+        verify_signature(signature, message, address)
+
+
+class TestSchnorrKernel:
+    """The libcrypto kernel against the builtin ``pow`` it replaces."""
+
+    def test_the_kernel_is_libcrypto(self):
+        # A silent fallback would still be exact, only slower: name it here.
+        assert keys.schnorr_backend().startswith("libcrypto (OpenSSL")
+
+    @pytest.mark.parametrize("exponent", EXPONENTS)
+    def test_generator_power_matches_builtin_pow(self, exponent):
+        assert generator_power(exponent) == pow(GENERATOR, exponent, GROUP_PRIME)
+
+    @pytest.mark.parametrize("base", ["honest inverse", "outside the subgroup"])
+    @pytest.mark.parametrize("exponent", EXPONENTS)
+    def test_two_base_product_matches_builtin_pow(self, exponent, base):
+        if base == "honest inverse":
+            base = pow(KeyPair.from_label("comb-vector").public_key, -1, GROUP_PRIME)
+        else:
+            base = GROUP_PRIME - 2
+            assert pow(base, GROUP_ORDER, GROUP_PRIME) != 1
+        # verify range-checks ``e`` first, so the kernel takes ``e >= 0``.
+        e = abs(exponent)
+        assert two_base_power(exponent, base, e) == \
+            pow(GENERATOR, exponent, GROUP_PRIME) * pow(base, e, GROUP_PRIME) \
+            % GROUP_PRIME
 
     def test_signature_vectors_unchanged(self):
-        # Signing is deterministic; the comb must not perturb the vectors a
-        # seed-era signer would have produced.
+        # Signing is deterministic; the kernel must not move a vector the
+        # pure-Python arithmetic produced.
         keypair = KeyPair.from_label("comb-vector")
         message = keccak256(b"comb-vector-message")
         signature = keypair.sign(message)
-        commitment_free = pow(GENERATOR, signature.s, GROUP_PRIME)
-        assert _GENERATOR_COMB.pow(signature.s) == commitment_free
+        assert keypair.address == VECTOR_ADDRESS
+        assert (signature.e, signature.s) == (VECTOR_E, VECTOR_S)
+        assert generator_power(signature.s) == \
+            pow(GENERATOR, signature.s, GROUP_PRIME)
         assert verify_signature(signature, message, keypair.address)
 
     def test_generator_order_divides_group_order(self):
-        # The comb reduces exponents mod GROUP_ORDER; that is exact only
-        # because the generator's multiplicative order divides it.
+        # Generator exponents are reduced mod GROUP_ORDER before they reach
+        # libcrypto; that is exact only because the generator's
+        # multiplicative order divides it.
         assert pow(GENERATOR, GROUP_ORDER, GROUP_PRIME) == 1
 
-    def test_huge_hostile_exponent_stays_bounded(self):
-        # A wire signature can carry an arbitrarily large 's'.  The comb
-        # must neither grow its table past its 64 fixed rows nor change the
-        # result.
+    def test_huge_hostile_exponent_is_reduced_exactly(self):
+        # A wire signature can carry an arbitrarily large or negative 's'.
         keypair = KeyPair.from_label("comb-huge")
         message = keccak256(b"huge")
         signature = keypair.sign(message)
-        huge_s = signature.s + GROUP_ORDER * (1 << 4096)
-        forged = Signature(e=signature.e, s=huge_s, public_key=signature.public_key)
-        # g^(s + k*order) == g^s: the forged signature still *verifies* (it
-        # is the same group element), which is standard for Schnorr -- the
-        # point here is the bounded table and the exact result.
-        assert verify_signature(forged, message, keypair.address)
-        assert len(_GENERATOR_COMB._rows) == 64
-        assert _GENERATOR_COMB.pow(huge_s) == pow(GENERATOR, huge_s, GROUP_PRIME)
-        # Still out of range after the reduction: the builtin answers and
-        # the table grows nothing.
-        for hostile in (GROUP_ORDER - 1, (1 << 1_000_000) + 12345):
-            assert _GENERATOR_COMB.pow(hostile) == \
-                pow(GENERATOR, hostile, GROUP_PRIME)
-            assert len(_GENERATOR_COMB._rows) == 64
-
-    def test_concurrent_first_use_builds_each_row_exactly_once(self):
-        # Row building is check-then-append on a shared list: unlocked, two
-        # threads on first use both append row i and every later row sits
-        # one place off, so every later power in the process is wrong.
-        comb = _FixedBaseComb(GENERATOR, GROUP_PRIME, GROUP_ORDER)
-        exponent = (1 << 512) - 1
-        expected = pow(GENERATOR, exponent, GROUP_PRIME)
-        barrier = threading.Barrier(8)
-        results = []
-
-        def worker():
-            barrier.wait(timeout=60)
-            results.append(comb.pow(exponent))
-
-        run_threads(worker, 8, 1e-6)
-        assert len(comb._rows) == 64
-        for i in (0, 1, 31, 32, 63):
-            for d in (1, 2, 128, 255):
-                assert comb._rows[i][d - 1] == \
-                    pow(GENERATOR, d << (8 * i), GROUP_PRIME)
-        assert results == [expected] * 8
+        # g^(s + k*order) == g^s: these still *verify* (the same group
+        # element), which is standard for Schnorr -- the point is the exact
+        # result.
+        for congruent in (signature.s + GROUP_ORDER * (1 << 4096),
+                          signature.s - GROUP_ORDER):
+            forged = Signature(e=signature.e, s=congruent,
+                               public_key=signature.public_key)
+            assert verify_signature(forged, message, keypair.address)
+        hostile = Signature(e=signature.e, s=(1 << 1_000_000) + 12345,
+                            public_key=signature.public_key)
+        assert not verify_signature(hostile, message)
 
     def test_tampered_signature_still_rejected(self):
         keypair = KeyPair.from_label("comb-tamper")
@@ -137,87 +157,84 @@ class TestFixedBaseComb:
         assert not verify_signature(forged, message)
         assert not verify_signature(signature, keccak256(b"other payload"))
 
-
-class TestKeyCombPromotion:
-    """The default verify's per-sender table: built late, once, and kept.
-
-    A table costs about two builtin powers to build, so the discipline *is*
-    the optimization: a key that never repeats must never pay for one, a key
-    that repeats pays once, and more repeating senders than the cache holds
-    must degrade to the builtin rather than build and discard tables.  The
-    cache is process-wide, so every test uses labels of its own and reads
-    counter deltas.
-    """
-
-    @staticmethod
-    def signed(label, count=1):
-        keypair = KeyPair.from_label(label)
-        messages = [keccak256(b"%s-%d" % (label.encode(), i))
-                    for i in range(count)]
-        return keypair, [(keypair.sign(m), m) for m in messages]
-
-    def test_one_shot_keys_never_build(self):
-        cache = key_comb_cache()
-        builds = cache.builds
-        for index in range(6):
-            keypair, [(signature, message)] = self.signed(f"kc-one-shot-{index}")
-            assert verify_signature(signature, message, keypair.address)
-            assert cache.peek(keypair.public_key) == 1  # a count, not a table
-        assert cache.builds == builds
-
-    def test_a_repeating_key_builds_once_and_reuses_the_table(self):
-        cache = key_comb_cache()
-        builds, hits = cache.builds, cache.hits
-        keypair, items = self.signed("kc-repeat", count=8)
-        table = None
-        for index, (signature, message) in enumerate(items):
-            assert verify_signature(signature, message, keypair.address)
-            if index == 0:
-                continue  # first sighting: only the count is stored
-            # The second sighting builds; from then on every verify finds
-            # the very same table object.
-            assert table is None or cache.peek(keypair.public_key) is table
-            table = cache.peek(keypair.public_key)
-            assert isinstance(table, _LimLeeComb)
-        assert cache.builds == builds + 1
-        assert cache.hits == hits + 7
-        assert cache.stats()["builds"] == cache.builds
-
-    def test_more_senders_than_the_cache_holds_never_build_thrash(self):
-        # One more sender than the cap, in round-robin: by the time a sender
-        # comes round again its sighting count was evicted, so it reads as
-        # new -- zero tables built, zero discarded, verdicts all still right.
-        cache = key_comb_cache()
-        senders = [self.signed(f"kc-round-robin-{index}")
-                   for index in range(_KEY_COMB_CAPACITY + 1)]
-        builds, evictions = cache.builds, cache.evictions
-        for _ in range(2):
-            for keypair, [(signature, message)] in senders:
-                assert verify_signature(signature, message, keypair.address)
-        assert cache.builds == builds
-        assert cache.evictions >= evictions + len(senders)
-        assert len(cache) <= _KEY_COMB_CAPACITY
-
-    def test_concurrent_verifies_build_each_key_exactly_once(self):
-        # More threads than cores, all verifying the same three fresh
-        # senders: count-then-promote is one locked step, so a lost update
-        # (two threads both seeing "second sighting") would show as an extra
-        # build.
-        cache = key_comb_cache()
-        senders = [self.signed(f"kc-threads-{index}", count=4)
-                   for index in range(3)]
-        builds = cache.builds
+    def test_concurrent_signing_and_verifying_stay_exact(self):
+        # ctypes releases the GIL inside every libcrypto call: eight threads
+        # derive keys, sign and verify at once, each on its own scratch
+        # BIGNUMs, against answers computed one at a time beforehand.
+        labels = [f"kernel-thread-{index}" for index in range(8)]
+        messages = [keccak256(b"kernel-thread-%d" % index) for index in range(4)]
+        expected = {label: [KeyPair.from_label(label).sign(message)
+                            for message in messages] for label in labels}
+        pending = list(labels)
+        scratches = []
         failures = []
 
         def worker():
-            for keypair, items in senders:
-                for signature, message in items:
-                    if not verify_signature(signature, message, keypair.address):
-                        failures.append((keypair.address, message))
+            label = pending.pop()
+            keypair = KeyPair.from_label(label)
+            for message, want in zip(messages, expected[label]):
+                signature = keypair.sign(message)
+                tampered = Signature(e=want.e, s=want.s + 1,
+                                     public_key=want.public_key)
+                if (signature != want
+                        or not verify_signature(signature, message, keypair.address)
+                        or verify_signature(tampered, message)):
+                    failures.append((label, message))
+            scratches.append(weakref.ref(keys._kernel()._local.scratch))
 
-        run_threads(worker, 6, 1e-5)
+        run_threads(worker, 8, 1e-6)
         assert failures == []
-        assert cache.builds == builds + len(senders)
+        # Each thread's scratch was its own and was freed when it ended.
+        assert len(scratches) == 8
+        assert all(ref() is None for ref in scratches)
+
+    def test_a_forked_child_inherits_the_binding(self):
+        keypair = KeyPair.from_label("kernel-fork")
+        message = keccak256(b"fork")
+        signature = keypair.sign(message)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inherited, backend, verdict = pool.apply(
+                _forked_verdict, (signature, message, keypair.address))
+        assert inherited and verdict
+        assert backend == keys.schnorr_backend()
+
+    def test_forced_fallback_gives_the_same_verdicts(self, monkeypatch):
+        keypair = KeyPair.from_label("kernel-fallback")
+        message = keccak256(b"fallback")
+        signature = keypair.sign(message)
+        forged = Signature(e=signature.e, s=signature.s + 1,
+                           public_key=signature.public_key)
+        monkeypatch.setattr(keys, "_backend", keys._BuiltinPow("unbound for this test"))
+        assert keys.schnorr_backend() == "builtin pow (unbound for this test)"
+        assert KeyPair.from_label("kernel-fallback").public_key == \
+            keypair.public_key
+        assert keypair.sign(message) == signature
+        assert verify_signature(signature, message, keypair.address)
+        assert not verify_signature(forged, message)
+
+    def test_a_hashlib_without_a_file_is_the_named_reason(self, monkeypatch):
+        # An interpreter with ``_hashlib`` built in has no file to open.
+        monkeypatch.setitem(sys.modules, "_hashlib", types.ModuleType("_hashlib"))
+        monkeypatch.setattr(keys, "_backend", None)
+        assert isinstance(keys._kernel(), keys._BuiltinPow)
+        assert keys.schnorr_backend() == ("builtin pow (AttributeError: module "
+                                          "'_hashlib' has no attribute '__file__')")
+
+    def test_an_unresolved_symbol_is_the_named_reason(self, monkeypatch):
+        import ctypes
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
+        monkeypatch.setattr(keys, "_backend", None)
+        assert isinstance(keys._kernel(), keys._BuiltinPow)
+        assert "'BN_new'" in keys.schnorr_backend()
+        assert keys.schnorr_backend().startswith("builtin pow (AttributeError: ")
+        keypair = KeyPair.from_label("kernel-no-symbol")
+        message = keccak256(b"no symbol")
+        assert verify_signature(keypair.sign(message), message, keypair.address)
+
+    def test_a_failed_libcrypto_call_raises(self):
+        with pytest.raises(MemoryError, match="libcrypto BN_new failed"):
+            keys._checked(None, types.SimpleNamespace(__name__="BN_new"), ())
 
 
 class TestTransactionCaches:

@@ -184,14 +184,4 @@ class TestCollectors:
         assert by_name["repro_cache_misses_total"][("storage",)] == 1
         assert by_name["repro_cache_entries"][("storage",)] == 1
         assert by_name["repro_cache_capacity"][("storage",)] == 2
-        # Only a cache that builds what it holds reports builds.
         assert "repro_cache_builds_total" not in by_name
-
-    def test_cache_adapter_exposes_key_comb_builds(self):
-        from repro.chain.keys import key_comb_cache
-
-        reg = MetricsRegistry()
-        collect_cache(reg, "schnorr_key_comb", key_comb_cache())
-        series = reg.snapshot()["repro_cache_builds_total"]["series"]
-        assert series == [{"labels": {"cache": "schnorr_key_comb"},
-                           "value": float(key_comb_cache().builds)}]

@@ -1,32 +1,30 @@
 """Property pin for the default scalar ``verify_signature``.
 
-The default path chooses, per public key and by sighting count alone,
-between the builtin ``pow`` and a per-sender Lim-Lee table for
-``(y^-1)^e``.  Whichever it chooses, the verdict must equal a reference
-that knows nothing of tables, caches or range shortcuts: two builtin
-``pow`` calls and the challenge hash.  Hypothesis drives the adversarial
-items of ``_workload`` (honest, forged, tampered ``e`` / ``s`` / key,
-out-of-range and negative values, keys outside ``(1, P)``) through keys
-that are cold, already promoted, and promoted-then-evicted; running several
-items per example walks each key through count -> build -> reuse.
+The default path computes ``g^s * (y^-1)^e`` in one libcrypto call, after
+reducing ``s`` modulo the group order, with the inverse memoized per key;
+without a binding it computes the same through the builtin ``pow``.  Either
+way the verdict must equal a reference that knows nothing of kernels,
+caches or reductions: two builtin ``pow`` calls and the challenge hash.
+Hypothesis drives the adversarial items of ``_workload`` (honest, forged,
+tampered ``e`` / ``s`` / key, out-of-range and negative values, keys outside
+``(1, P)``) through both.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.chain import keys
 from repro.chain.keys import (
     GENERATOR,
     GROUP_ORDER,
     GROUP_PRIME,
     Signature,
-    _GENERATOR_COMB,
-    _LimLeeComb,
     address_from_public_key,
-    key_comb_cache,
     to_checksum_address,
     verify_signature,
 )
@@ -52,82 +50,58 @@ def reference_verify(signature: Signature, message_hash: bytes,
         address_from_public_key(y) == to_checksum_address(address)
 
 
-def put_keys_in_state(state: str, public_keys) -> None:
-    """Leave each key cold, promoted, or promoted and then evicted."""
-    cache = key_comb_cache()
-    for key in public_keys:
-        if state == "cold":
-            cache.invalidate(key)
-        else:
-            while cache.comb_for(key) is None:
-                pass
-    if state == "evicted":
-        # Real evictions, not invalidations: flood the LRU with sighting
-        # counts under keys no signature can carry into it.
-        for filler in range(cache.capacity):
-            cache.put(-1 - filler, 1)
-        assert not any(key in cache for key in public_keys)
-
-
 class TestScalarVerdictsEqualBuiltinPowReference:
-    @given(specs=ITEM_SPECS,
-           state=st.sampled_from(["cold", "promoted", "evicted"]))
+    @given(specs=ITEM_SPECS)
     @settings(max_examples=40, deadline=None)
-    def test_verdicts_on_cold_promoted_and_evicted_keys(self, specs, state):
+    @pytest.mark.parametrize("backend", ["libcrypto", "builtin pow"])
+    def test_verdicts_equal_the_reference(self, specs, backend):
         items = [build_item(spec) for spec in specs]
-        put_keys_in_state(state, {
-            signature.public_key for signature, _, _ in items
-            if 1 < signature.public_key < GROUP_PRIME})
-        for signature, message, address in items:
-            assert verify_signature(signature, message, address) == \
-                reference_verify(signature, message, address)
+        with pytest.MonkeyPatch.context() as patch:
+            if backend == "builtin pow":
+                patch.setattr(keys, "_backend", keys._BuiltinPow("forced for this test"))
+            for signature, message, address in items:
+                assert verify_signature(signature, message, address) == \
+                    reference_verify(signature, message, address)
 
-    def test_a_promoted_key_still_verifies_and_still_rejects(self):
-        # The property above compares verdicts; this pins that both verdicts
-        # really occur on the table path.
-        cache = key_comb_cache()
-        valid = build_item((0, 0, "valid"))
-        forged = build_item((0, 0, "flip_s"))
-        put_keys_in_state("promoted", [valid[0].public_key])
-        hits = cache.hits
-        assert verify_signature(*valid) is True
-        assert verify_signature(*forged) is False
-        assert cache.hits == hits + 2
-        assert isinstance(cache.peek(valid[0].public_key), _LimLeeComb)
+    def test_both_verdicts_occur(self):
+        # The property above compares verdicts; this pins that both really
+        # occur through the kernel.
+        assert verify_signature(*build_item((0, 0, "valid"))) is True
+        assert verify_signature(*build_item((0, 0, "flip_s"))) is False
 
 
 #: One base inside the prime-order subgroup (an honest key's inverse) and
-#: one outside it -- public keys are attacker-supplied, so the table must be
+#: one outside it -- public keys are attacker-supplied, so the kernel must be
 #: exact without assuming anything about the base's order.
 BASES = [pow(SENDERS[0].public_key, -1, GROUP_PRIME), GROUP_PRIME - 2]
-TABLES = [_LimLeeComb(base, GROUP_PRIME) for base in BASES]
 
 
-class TestTableExactness:
+class TestKernelExactness:
     @given(which=st.integers(0, len(BASES) - 1),
-           exponent=st.one_of(
+           s=st.one_of(st.integers(0, (1 << 512) - 1),
+                       st.integers(-(1 << 64), 1 << 4200)),
+           e=st.one_of(
                st.integers(0, (1 << 256) - 1),
                st.integers(0, 255).map(lambda bit: 1 << bit),
-               st.integers(-(1 << 64), 1 << 300)))
-    @example(which=0, exponent=0)
-    @example(which=0, exponent=1)
-    @example(which=1, exponent=(1 << 256) - 1)
-    @example(which=1, exponent=1 << 256)
-    @example(which=0, exponent=(1 << 256) + 1)
-    @example(which=0, exponent=-1)
-    @example(which=0, exponent=GROUP_ORDER)
+               st.integers(0, 1 << 300)))
+    @example(which=0, s=0, e=0)
+    @example(which=0, s=1, e=1)
+    @example(which=1, s=-1, e=(1 << 256) - 1)
+    @example(which=1, s=GROUP_ORDER, e=1 << 256)
+    @example(which=0, s=GROUP_ORDER + 1, e=(1 << 256) + 1)
+    @example(which=0, s=GROUP_ORDER - 1, e=GROUP_ORDER)
     @settings(max_examples=60, deadline=None)
-    def test_power_is_bit_identical_to_builtin_pow(self, which, exponent):
-        assert TABLES[which].pow(exponent) == \
-            pow(BASES[which], exponent, GROUP_PRIME)
+    def test_two_base_power_is_bit_identical_to_builtin_pow(self, which, s, e):
+        base = BASES[which]
+        assert keys._kernel().two_base_power(s, base, e) == \
+            pow(GENERATOR, s, GROUP_PRIME) * pow(base, e, GROUP_PRIME) % GROUP_PRIME
 
     @given(exponent=st.sampled_from([1, 8, 256, 510, 512, 513, 2047, 4100])
            .flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
            .flatmap(lambda value: st.sampled_from([value, -value])))
     @settings(max_examples=80, deadline=None)
     def test_generator_power_is_bit_identical_to_builtin_pow(self, exponent):
-        # Either side of every edge of the 8-bit generator comb: one byte,
-        # the honest sizes, the 2^512 table range, the group order, beyond.
-        assert _GENERATOR_COMB.pow(exponent) == \
+        # Either side of one byte, the honest sizes, 2^512, the group
+        # order, and beyond, positive and negative.
+        assert keys._kernel().generator_power(exponent) == \
             pow(GENERATOR, exponent, GROUP_PRIME)
-        assert len(_GENERATOR_COMB._rows) <= 64

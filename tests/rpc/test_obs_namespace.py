@@ -10,7 +10,7 @@ import pytest
 
 from repro.chain import KeyPair
 from repro.chain.account import checksum_cache
-from repro.chain.keys import inverse_cache, key_comb_cache
+from repro.chain.keys import inverse_cache
 from repro.rpc import INVALID_PARAMS, JsonRpcError
 from repro.storage import StorageEngine
 from repro.system.stack import build_stack
@@ -92,14 +92,10 @@ class TestUnifiedCacheStats:
     def test_obs_cache_stats_is_the_one_spelling(self, observed_gateway):
         gateway, _, engine = observed_gateway
         stats = gateway.call("obs_cacheStats")
-        assert set(stats) == {"address_checksum", "schnorr_inverse",
-                              "schnorr_key_comb", "storage"}
+        assert set(stats) == {"address_checksum", "schnorr_inverse", "storage"}
         assert stats["storage"] == engine.cache.stats()
         assert stats["address_checksum"] == checksum_cache().stats()
         assert stats["schnorr_inverse"] == inverse_cache().stats()
-        assert stats["schnorr_key_comb"] == key_comb_cache().stats()
-        assert {"hits", "misses", "evictions", "builds"} <= \
-            set(stats["schnorr_key_comb"])
 
     def test_storage_stats_has_the_same_cache_counters(self, observed_gateway):
         gateway, _, _ = observed_gateway

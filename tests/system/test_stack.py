@@ -227,7 +227,7 @@ class TestTheOneRegistry:
         assert value_of(stack.registry, "repro_rpc_requests_total",
                         method="eth_blockNumber") == 1
         value_of(stack.registry, "repro_cache_hits_total",
-                 cache="schnorr_key_comb")
+                 cache="schnorr_inverse")
 
     def test_a_stack_with_storage_also_exports_its_wal_and_read_cache(self):
         stack = build_stack(storage=StorageEngine())
@@ -248,7 +248,7 @@ class TestTheOneRegistry:
         text = server.stack.registry.render_prometheus()
         for line in ('repro_chain_height{replica="node"} 0',
                      'repro_mempool_depth{replica="node"} 0',
-                     'repro_cache_hits_total{cache="schnorr_key_comb"}',
+                     'repro_cache_hits_total{cache="schnorr_inverse"}',
                      "# TYPE repro_rpc_requests_total counter",
                      "repro_net_open_connections 0"):
             assert line in text
