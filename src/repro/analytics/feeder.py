@@ -95,6 +95,13 @@ class AnalyticsFeeder:
             self.applied_seq = last
         return applied
 
+    @property
+    def block_number(self) -> int:
+        """The replica's height once drained: the chain's (a log filter's
+        ``"latest"`` resolves against it)."""
+        self.drain()
+        return self.store.height
+
     def backfill(self) -> Dict[str, int]:
         """Rebuild the replica from scratch: archive first, then the live log.
 

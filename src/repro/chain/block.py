@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, ClassVar, List, Optional
 
 from repro.chain.account import Address
 from repro.chain.receipts import TransactionReceipt
@@ -26,24 +26,33 @@ class BlockHeader:
     receipts_root: str = "0x" + "00" * 32
     extra_data: str = ""
 
+    # Class-level default (ClassVar: not a dataclass field) so the memo exists
+    # before __init__ assigns the fields; instances shadow it.
+    _hash_cache: ClassVar[Optional[str]] = None
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        # Every field is hashed: assigning any of them drops the memo.
+        object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash_cache", None)
+
     @property
     def hash(self) -> str:
-        """Hex block hash over the canonical header fields."""
-        return to_hex(
-            hash_json(
-                {
-                    "number": self.number,
-                    "parent_hash": self.parent_hash,
-                    "timestamp": self.timestamp,
-                    "proposer": str(self.proposer),
-                    "gas_used": self.gas_used,
-                    "gas_limit": self.gas_limit,
-                    "transactions_root": self.transactions_root,
-                    "receipts_root": self.receipts_root,
-                    "extra_data": self.extra_data,
-                }
-            )
-        )
+        """Hex block hash over the canonical header fields (memoised)."""
+        block_hash = self._hash_cache
+        if block_hash is None:
+            block_hash = to_hex(hash_json({
+                "number": self.number,
+                "parent_hash": self.parent_hash,
+                "timestamp": self.timestamp,
+                "proposer": str(self.proposer),
+                "gas_used": self.gas_used,
+                "gas_limit": self.gas_limit,
+                "transactions_root": self.transactions_root,
+                "receipts_root": self.receipts_root,
+                "extra_data": self.extra_data,
+            }))
+            object.__setattr__(self, "_hash_cache", block_hash)
+        return block_hash
 
     def to_dict(self) -> dict:
         """JSON-friendly representation."""

@@ -215,10 +215,12 @@ class _Connection(asyncio.StreamReaderProtocol):
     """One accepted socket: HTTP answered in the loop turn its bytes arrive.
 
     One buffer, one timer, no task: every complete request in the buffer is
-    parsed, dispatched and written back synchronously.  The timer is the
-    current deadline -- ``read_timeout_seconds`` for a head, again for its
-    body (408), ``keepalive_timeout_seconds`` between requests (silent
-    close).  A peer that stops reading pauses processing and the read side
+    parsed, dispatched and written back synchronously.  ``deadline`` is the
+    current one, a loop time -- ``read_timeout_seconds`` for a head, again
+    for its body (408), ``keepalive_timeout_seconds`` between requests
+    (silent close).  Moving it is a store; the timer moves only to an
+    earlier deadline, and a timer that fires before ``deadline`` re-arms
+    there.  A peer that stops reading pauses processing and the read side
     until the write buffer drains.  Only a ``GET /ws`` upgrade hands the socket
     to the base class's reader, for the coroutine WebSocket session.
     """
@@ -235,6 +237,7 @@ class _Connection(asyncio.StreamReaderProtocol):
         self.pending: Optional[Tuple[HttpRequest, int, int]] = None
         self.idle = False  # between requests: the deadline is the keep-alive one
         self.write_paused = False
+        self.deadline = 0.0  # meaningful while ``timer`` is set
         self.timer: Optional[asyncio.TimerHandle] = None
         self.ws_task: Optional[asyncio.Task] = None
 
@@ -349,13 +352,24 @@ class _Connection(asyncio.StreamReaderProtocol):
             self.transport.close()
 
     def _arm(self, seconds: Optional[float]) -> None:
-        """Re-arm the connection's one timer (``None``: no deadline)."""
-        if self.timer is not None:
-            self.timer.cancel()
-        self.timer = (None if seconds is None
-                      else self.loop.call_later(seconds, self._on_deadline))
+        """Set the deadline ``seconds`` from now (``None``: no deadline)."""
+        timer = self.timer
+        if seconds is None:
+            if timer is not None:
+                timer.cancel()
+                self.timer = None
+            return
+        self.deadline = deadline = self.loop.time() + seconds
+        if timer is None or deadline < timer.when():
+            if timer is not None:
+                timer.cancel()
+            self.timer = self.loop.call_at(deadline, self._on_deadline)
 
     def _on_deadline(self) -> None:
+        if self.deadline > self.timer.when():  # moved on since it was set
+            self.timer = self.loop.call_at(self.deadline, self._on_deadline)
+            return
+        self.timer = None
         if self.idle or self.transport.is_closing():
             self.transport.close()  # keep-alive expiry: just close
             return
@@ -637,7 +651,7 @@ class RpcHttpServer:
                 if params[0] == "logs" and len(params) > 1:
                     from repro.rpc.namespaces import _log_filter_from_params
 
-                    criteria = _log_filter_from_params(params[1])
+                    criteria = _log_filter_from_params(self.node, params[1])
                 result: Any = session.subs.subscribe(params[0], criteria)
             else:
                 result = session.subs.unsubscribe(str(params[0]))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import inspect
 import json
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Union
 
 from repro.errors import ReproError
 from repro.chain.node import EthereumNode
@@ -64,6 +64,32 @@ def _encode_envelope(response: Dict[str, Any]) -> str:
     return f'{head[:-2]}{result}"}}'
 
 
+class _Arity(NamedTuple):
+    """What ``Signature.bind`` checks of a handler whose parameters are all
+    plain positional-or-keyword ones, read off the signature once."""
+
+    required: int
+    maximum: int
+    names: FrozenSet[str]
+    required_names: FrozenSet[str]
+
+    def admits(self, params: Union[List[Any], Dict[str, Any], tuple]) -> bool:
+        if isinstance(params, dict):
+            return self.required_names <= params.keys() <= self.names
+        return self.required <= len(params) <= self.maximum
+
+
+def _arity_of(signature: inspect.Signature) -> Optional[_Arity]:
+    """The arity record, or ``None`` for a signature it cannot express
+    (``*args``, ``**kwargs``, keyword-only or positional-only parameters)."""
+    parameters = signature.parameters.values()
+    if any(p.kind is not p.POSITIONAL_OR_KEYWORD for p in parameters):
+        return None
+    required = frozenset(p.name for p in parameters if p.default is p.empty)
+    return _Arity(len(required), len(parameters), frozenset(signature.parameters),
+                  required)
+
+
 def _describe_storage(engine: Any) -> Callable[[], Dict[str, Any]]:
     def storage_stats() -> Dict[str, Any]:
         """Inspect the attached storage engine: backend, WAL, snapshot, cache."""
@@ -84,6 +110,9 @@ class JsonRpcGateway:
     ) -> None:
         self._methods: Dict[str, Callable[..., Any]] = {}
         self._signatures: Dict[str, inspect.Signature] = {}
+        #: Per method, the arity ``_invoke`` checks params against (``None``:
+        #: only ``Signature.bind`` can tell).
+        self._arities: Dict[str, Optional[_Arity]] = {}
         self.metrics = RequestMetrics()
         self._middleware: List[Middleware] = [self.metrics, *(middleware or [])]
         #: Lazily composed middleware pipeline (rebuilt from _middleware once).
@@ -113,7 +142,8 @@ class JsonRpcGateway:
         if not replace and name in self._methods:
             raise ValueError(f"method {name} already registered")
         self._methods[name] = handler
-        self._signatures[name] = inspect.signature(handler)
+        self._signatures[name] = signature = inspect.signature(handler)
+        self._arities[name] = _arity_of(signature)
 
     def register_namespace(self, methods: Dict[str, Callable[..., Any]]) -> None:
         """Register a whole method table."""
@@ -191,20 +221,32 @@ class JsonRpcGateway:
     # -- dispatch ---------------------------------------------------------------
 
     def _invoke(self, request: RpcRequest) -> Any:
-        """Innermost stage: bind params, run the handler, normalize errors."""
-        handler = self._methods.get(request.method)
+        """Innermost stage: check params, run the handler, normalize errors.
+
+        The arity table admits what ``Signature.bind`` would; ``bind`` runs
+        only on a call the table refuses (to word the error) or cannot judge.
+        """
+        method = request.method
+        handler = self._methods.get(method)
         if handler is None:
-            raise JsonRpcError(METHOD_NOT_FOUND, f"method {request.method!r} not found")
-        args = request.positional()
-        kwargs = request.named()
+            raise JsonRpcError(METHOD_NOT_FOUND, f"method {method!r} not found")
+        params = request.params
+        if params is None:
+            params = ()
+        named = isinstance(params, dict)
+        arity = self._arities[method]
+        if arity is None or not arity.admits(params):
+            try:
+                if named:
+                    self._signatures[method].bind(**params)
+                else:
+                    self._signatures[method].bind(*params)
+            except TypeError as exc:
+                raise JsonRpcError(
+                    INVALID_PARAMS, f"invalid params for {method}: {exc}"
+                ) from None
         try:
-            self._signatures[request.method].bind(*args, **kwargs)
-        except TypeError as exc:
-            raise JsonRpcError(
-                INVALID_PARAMS, f"invalid params for {request.method}: {exc}"
-            ) from None
-        try:
-            return handler(*args, **kwargs)
+            return handler(**params) if named else handler(*params)
         except JsonRpcError:
             raise
         except ReproError as exc:

@@ -21,7 +21,7 @@ in-process clients can rehydrate the exact exception.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.chain.account import Address
 from repro.chain.events import LogFilter
@@ -47,32 +47,69 @@ MethodTable = Dict[str, Callable[..., Any]]
 # ---------------------------------------------------------------------------
 
 
-def _parse_block_tag(node: EthereumNode, tag: Union[str, int, None]) -> int:
-    """Resolve ``"latest"``/``"earliest"``/``"pending"``/number/hex to a height."""
-    if tag is None or tag in ("latest", "pending", "safe", "finalized"):
+#: Tags naming the chain head; as a log filter's ``to_block`` one follows it.
+_HEAD_TAGS = ("latest", "pending", "safe", "finalized")
+
+
+def _parse_block_tag(node: Any, tag: Any, field: str = "block") -> int:
+    """Resolve a block parameter to a height against ``node.block_number``.
+
+    Takes a tag (``None`` is ``"latest"``), an integer, an ``0x`` quantity or
+    a decimal number; anything else, a bool included, is a ``-32602`` naming
+    ``field``.
+    """
+    if tag is None or tag in _HEAD_TAGS:
         return node.block_number
     if tag == "earliest":
         return 0
-    if isinstance(tag, int):
+    if isinstance(tag, int) and not isinstance(tag, bool):
         return tag
-    if isinstance(tag, str) and tag.startswith(("0x", "0X")):
-        return int(tag, 16)
-    raise JsonRpcError(INVALID_PARAMS, f"unknown block tag {tag!r}")
+    if isinstance(tag, (str, float)):
+        try:
+            if isinstance(tag, str) and tag.startswith(("0x", "0X")):
+                return int(tag, 16)
+            return int(tag)
+        except (ValueError, OverflowError):
+            pass
+    raise JsonRpcError(INVALID_PARAMS, f"unknown {field} tag {tag!r}")
 
 
-def _log_filter_from_params(criteria: Optional[Dict[str, Any]]) -> Optional[LogFilter]:
-    """Build a :class:`LogFilter` from ``eth_getLogs``-style criteria."""
+def _require_object(value: Any, what: str) -> None:
+    if value is not None and not isinstance(value, dict):
+        raise JsonRpcError(INVALID_PARAMS, f"{what} must be an object")
+
+
+def _log_filter_from_params(node: Any, criteria: Any) -> Optional[LogFilter]:
+    """Build a :class:`LogFilter` from ``eth_getLogs``-style criteria.
+
+    ``from_block`` / ``to_block`` take what :func:`_parse_block_tag` takes;
+    ``None`` leaves that end open, and a head tag as ``to_block`` follows the
+    head (an installed filter keeps matching new blocks).
+    """
+    _require_object(criteria, "log filter criteria")
     if not criteria:
         return None
-    if not isinstance(criteria, dict):
-        raise JsonRpcError(INVALID_PARAMS, "log filter criteria must be an object")
+    from_block, to_block = criteria.get("from_block"), criteria.get("to_block")
+    arg_filters = criteria.get("arg_filters")
+    _require_object(arg_filters, "arg_filters")
     return LogFilter(
         address=Address(criteria["address"]) if criteria.get("address") else None,
         event_name=criteria.get("event"),
-        from_block=int(criteria.get("from_block", 0)),
-        to_block=(int(criteria["to_block"]) if criteria.get("to_block") is not None else None),
-        arg_filters=dict(criteria.get("arg_filters", {})),
+        from_block=(0 if from_block is None
+                    else _parse_block_tag(node, from_block, "from_block")),
+        to_block=(None if to_block is None or to_block in _HEAD_TAGS
+                  else _parse_block_tag(node, to_block, "to_block")),
+        arg_filters=dict(arg_filters or {}),
     )
+
+
+def _log_query(node: Any, criteria: Any) -> Tuple[Optional[LogFilter], Any, Any]:
+    """``eth_getLogs`` criteria split into the filter and paging ``limit`` / ``cursor``."""
+    _require_object(criteria, "log filter criteria")
+    criteria = dict(criteria or {})
+    limit = criteria.pop("limit", None)
+    cursor = criteria.pop("cursor", None)
+    return _log_filter_from_params(node, criteria), limit, cursor
 
 
 class EthNamespace:
@@ -161,10 +198,7 @@ class EthNamespace:
 
     def get_logs(self, criteria: Optional[Dict[str, Any]] = None) -> Any:
         """Log query; with ``limit``/``cursor`` in the criteria it pages."""
-        criteria = dict(criteria or {})
-        limit = criteria.pop("limit", None)
-        cursor = criteria.pop("cursor", None)
-        log_filter = _log_filter_from_params(criteria)
+        log_filter, limit, cursor = _log_query(self.node, criteria)
         if limit is None and cursor is None:
             return [log.to_dict() for log in self.node.get_logs(log_filter)]
         try:
@@ -189,7 +223,7 @@ class EthNamespace:
 
     def new_filter(self, criteria: Optional[Dict[str, Any]] = None) -> str:
         """Install a log filter over ``eth_getLogs``-style criteria."""
-        return self.filters.new_log_filter(_log_filter_from_params(criteria))
+        return self.filters.new_log_filter(_log_filter_from_params(self.node, criteria))
 
     def get_filter_changes(self, filter_id: str) -> List[Any]:
         """Poll a filter: everything new since the previous poll."""
@@ -495,10 +529,7 @@ class AnalyticsNamespace:
         cursor semantics as the scan path; otherwise it returns the full
         match list.
         """
-        criteria = dict(criteria or {})
-        limit = criteria.pop("limit", None)
-        cursor = criteria.pop("cursor", None)
-        log_filter = _log_filter_from_params(criteria)
+        log_filter, limit, cursor = _log_query(self.feeder, criteria)
         if limit is None and cursor is None:
             return [log.to_dict() for log in self.feeder.logs(log_filter)]
         try:

@@ -275,6 +275,49 @@ class TestTransactionCaches:
         assert clone.verify_signature()
 
 
+class TestBlockHeaderHash:
+    NEW_VALUES = {
+        "number": 8,
+        "parent_hash": "0x" + "ab" * 32,
+        "timestamp": 12.5,
+        "proposer": Address("0x" + "42" * 20),
+        "gas_used": 21_000,
+        "gas_limit": 15_000_000,
+        "transactions_root": "0x" + "cd" * 32,
+        "receipts_root": "0x" + "ef" * 32,
+        "extra_data": "re-sealed",
+    }
+
+    @staticmethod
+    def header():
+        from repro.chain.block import BlockHeader
+
+        return BlockHeader(number=7, parent_hash="0x" + "11" * 32, timestamp=3.0,
+                           proposer=Address("0x" + "22" * 20), extra_data="x")
+
+    def test_the_hash_is_memoised(self):
+        header = self.header()
+        assert header.hash is header.hash
+        assert header.to_dict()["hash"] is header.hash
+
+    def test_the_new_values_cover_every_header_field(self):
+        from dataclasses import fields
+
+        assert set(self.NEW_VALUES) == {field.name for field in fields(self.header())}
+
+    @pytest.mark.parametrize("name", sorted(NEW_VALUES))
+    def test_assigning_a_field_after_a_read_rehashes(self, name):
+        from dataclasses import asdict
+
+        from repro.chain.block import BlockHeader
+
+        header = self.header()
+        before = header.hash
+        setattr(header, name, self.NEW_VALUES[name])
+        fresh = BlockHeader(**asdict(header)).hash
+        assert header.hash == fresh != before
+
+
 class TestAddressInterning:
     def test_chain_import_does_not_load_storage(self):
         # The interning cache lives in repro.utils.cache precisely so the

@@ -12,6 +12,7 @@ import json
 import os
 import socket
 import time
+from unittest import mock
 
 import pytest
 
@@ -126,6 +127,102 @@ class TestDeadlines:
                 status, _body = replies.next()
         assert status == 408
         assert server.stats.rejections == {"read_timeout": 1}
+
+
+@pytest.fixture()
+def deadline_timers():
+    """Every timer scheduled for a connection's deadline, by connection
+    (``call_later`` goes through ``call_at``, so both are seen)."""
+    from asyncio import base_events
+
+    from repro.net.server import _Connection
+
+    scheduled = {}
+    call_at = base_events.BaseEventLoop.call_at
+
+    def spy(loop, when, callback, *args, **kwargs):
+        handle = call_at(loop, when, callback, *args, **kwargs)
+        if getattr(callback, "__func__", None) is _Connection._on_deadline:
+            scheduled.setdefault(callback.__self__, []).append(handle)
+        return handle
+
+    with mock.patch.object(base_events.BaseEventLoop, "call_at", spy):
+        yield scheduled
+
+
+def closed_with_no_live_timer(thread, server, handles):
+    """Wait for the server to drop every connection; then none of ``handles``
+    may still be waiting to fire on the loop."""
+    deadline = time.time() + 5
+    while server.stats.open_connections and time.time() < deadline:
+        time.sleep(0.01)
+    waiting = list(thread._loop._scheduled)
+    return server.stats.open_connections == 0 and not any(
+        handle is mine and not handle.cancelled()
+        for handle in waiting for mine in handles)
+
+
+class TestOneTimer:
+    """The deadline moves by a store; its one timer moves only earlier."""
+
+    def test_two_hundred_keep_alive_requests_schedule_one_timer(self, deadline_timers):
+        server = make_server()
+        with ServerThread(server) as thread:
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=10) as sock:
+                replies = Replies(sock)
+                for request_id in range(200):
+                    sock.sendall(frame(call("eth_blockNumber", [], request_id)))
+                    assert replies.next()[0] == 200
+            (handles,) = deadline_timers.values()
+            assert len(handles) == 1
+            assert closed_with_no_live_timer(thread, server, handles)
+        assert server.stats.http_requests == {"rpc": 200}
+
+    def test_a_stalled_head_after_a_long_keep_alive_still_gets_its_408(
+            self, deadline_timers):
+        """The first timer fires early (the keep-alive moved the deadline
+        later) and re-arms; the head's budget then moves it earlier."""
+        server = make_server(read_timeout_seconds=0.3,
+                             keepalive_timeout_seconds=3.0)
+        with ServerThread(server) as thread:
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=10) as sock:
+                replies = Replies(sock)
+                sock.sendall(frame(call("eth_chainId", [])))
+                assert replies.next()[0] == 200
+                time.sleep(0.6)  # past the connection's first read budget
+                sock.sendall(b"POST / HTTP/1.1\r\nHost: te")
+                began = time.perf_counter()
+                status, body = replies.next()
+                waited = time.perf_counter() - began
+            (handles,) = deadline_timers.values()
+            assert len(handles) == 3  # accept, re-arm, the head's earlier one
+            assert closed_with_no_live_timer(thread, server, handles)
+        assert status == 408 and b"read timeout" in body
+        assert 0.2 < waited < 1.5  # the head's 0.3 s, not the keep-alive's 2.4
+        assert server.stats.rejections == {"read_timeout": 1}
+
+    def test_keep_alive_expiry_after_a_re_arm_closes_silently(self, deadline_timers):
+        server = make_server(read_timeout_seconds=0.2,
+                             keepalive_timeout_seconds=0.6)
+        with ServerThread(server) as thread:
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=10) as sock:
+                replies = Replies(sock)
+                sock.sendall(frame(call("eth_chainId", [], 1)))
+                assert replies.next()[0] == 200
+                time.sleep(0.35)  # the first timer fires early and re-arms
+                sock.sendall(frame(call("eth_chainId", [], 2)))
+                assert replies.next()[0] == 200
+                began = time.perf_counter()
+                rest = read_to_eof(sock)
+                waited = time.perf_counter() - began
+            (handles,) = deadline_timers.values()
+            assert len(handles) >= 2
+            assert closed_with_no_live_timer(thread, server, handles)
+        assert rest == b"" and 0.3 < waited < 3.0
+        assert server.stats.rejections == {}
 
 
 class TestSegmentation:

@@ -108,6 +108,13 @@ class TestHandshakeAndSession:
             with pytest.raises(NetworkError, match="unknown subscription"):
                 ws.request("eth_subscribe", ["newSideChains"])
 
+    def test_logs_bounds_take_tags_and_name_a_malformed_one(self, server):
+        with WebSocketClient("127.0.0.1", server.port) as ws:
+            assert ws.request("eth_subscribe", [
+                "logs", {"from_block": "0x0", "to_block": "latest"}]).startswith("0x")
+            with pytest.raises(NetworkError, match="unknown to_block tag '0xzz'"):
+                ws.request("eth_subscribe", ["logs", {"to_block": "0xzz"}])
+
     def test_disconnect_drops_the_sessions_subscriptions(self, server):
         with WebSocketClient("127.0.0.1", server.port) as ws:
             ws.request("eth_subscribe", ["newHeads"])

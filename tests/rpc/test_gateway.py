@@ -229,6 +229,84 @@ class TestEthNamespace:
         assert pages >= 3
 
 
+class TestBlockParams:
+    """Block numbers in ``eth_getBlockByNumber`` and in log criteria: every
+    value that parsed before tags were accepted there parses to the same
+    number; a malformed one is a ``-32602`` naming its field, never a
+    ``-32603``."""
+
+    HEIGHT = 3
+
+    @pytest.fixture()
+    def mined(self, gateway):
+        gateway.call("evm_mine", self.HEIGHT)
+        return gateway
+
+    @pytest.mark.parametrize("field, value, expected", [
+        # What int() made of from_block / to_block before, unchanged:
+        ("from_block", 2, 2), ("from_block", "2", 2), ("from_block", 2.0, 2),
+        ("to_block", 2, 2), ("to_block", "2", 2), ("to_block", None, None),
+        # Newly accepted: quantities and tags.
+        ("from_block", "0x2", 2), ("from_block", "latest", HEIGHT),
+        ("from_block", "earliest", 0), ("from_block", None, 0),
+        ("to_block", "0x2", 2), ("to_block", "earliest", 0),
+        ("to_block", "latest", None), ("to_block", "pending", None),
+    ])
+    def test_a_bound_parses_to_its_height(self, mined, field, value, expected):
+        from repro.rpc.namespaces import _log_filter_from_params
+
+        log_filter = _log_filter_from_params(mined.eth.node, {field: value})
+        assert getattr(log_filter, field) == expected
+
+    @pytest.mark.parametrize("criteria, message", [
+        ({"from_block": "abc"}, "unknown from_block tag 'abc'"),
+        ({"from_block": "0xzz"}, "unknown from_block tag '0xzz'"),
+        ({"from_block": True}, "unknown from_block tag True"),
+        ({"from_block": []}, "unknown from_block tag []"),
+        ({"to_block": "0x"}, "unknown to_block tag '0x'"),
+        ({"to_block": False}, "unknown to_block tag False"),
+        ({"to_block": {}}, "unknown to_block tag {}"),
+        ({"arg_filters": 5}, "arg_filters must be an object"),
+        ({"arg_filters": [["cid", "Qm"]]}, "arg_filters must be an object"),
+        ([["from_block", 1]], "log filter criteria must be an object"),
+        ([], "log filter criteria must be an object"),
+        ("latest", "log filter criteria must be an object"),
+    ])
+    @pytest.mark.parametrize("method", ["eth_getLogs", "eth_newFilter"])
+    def test_malformed_criteria_are_invalid_params(self, mined, method, criteria, message):
+        response = mined.handle(make_request(method, [criteria]))
+        assert response["error"] == {"code": INVALID_PARAMS, "message": message}
+
+    @pytest.mark.parametrize("block, height", [
+        (None, HEIGHT), ("latest", HEIGHT), (2, 2), ("0x2", 2), ("earliest", 0),
+    ])
+    def test_get_block_by_number_reads_the_block_named(self, mined, block, height):
+        assert mined.call("eth_getBlockByNumber", block)["header"]["number"] == height
+
+    @pytest.mark.parametrize("block, message", [
+        ("0xzz", "unknown block tag '0xzz'"),
+        (True, "unknown block tag True"),  # read block 1 before
+        ("head", "unknown block tag 'head'"),
+    ])
+    def test_get_block_by_number_refuses_a_malformed_block(self, mined, block, message):
+        response = mined.handle(make_request("eth_getBlockByNumber", [block]))
+        assert response["error"] == {"code": INVALID_PARAMS, "message": message}
+
+    def test_tagged_bounds_select_the_logs_numbered_ones_do(self):
+        node = EthereumNode(backend=default_registry())
+        Faucet(node).drip(ALICE.address, ether_to_wei(5))
+        contract = str(node.wait_for_receipt(
+            node.deploy_contract(ALICE, "CidStorage", [])).contract_address)
+        for index in range(3):
+            node.wait_for_receipt(
+                node.transact_contract(ALICE, contract, "uploadCid", [f"Qm{index}"]))
+        gateway, head = JsonRpcGateway(node=node), node.block_number
+        every = gateway.call("eth_getLogs", {"from_block": "0x0", "to_block": "latest"})
+        assert [log["args"]["cid"] for log in every] == ["Qm0", "Qm1", "Qm2"]
+        assert every == gateway.call("eth_getLogs", {"from_block": 0, "to_block": head})
+        assert gateway.call("eth_getLogs", {"from_block": "latest"}) == every[-1:]
+
+
 class TestParallelStatus:
     def test_default_node_reports_disabled_and_no_counters(self, gateway):
         assert gateway.call("parallel_status") == {
