@@ -273,7 +273,7 @@ class Transaction:
         """Decode a :meth:`serialize_raw` payload back into a transaction."""
         try:
             payload = canonical_loads(from_hex(raw).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (TypeError, ValueError) as exc:  # messages never echo the input
             raise InvalidTransactionError(f"undecodable raw transaction: {exc}") from exc
         if not isinstance(payload, dict):
             raise InvalidTransactionError("raw transaction must decode to an object")

@@ -1,7 +1,9 @@
 """Local block storage keyed by CID.
 
-The store verifies every insertion (bytes must hash to the claimed CID) and
-can sit on two substrates:
+Nothing unverified enters: :meth:`BlockStore.add` derives the CID from the
+bytes it stores, and :meth:`BlockStore.put` checks a claimed CID (a peer's
+block) against the bytes.  Keys are canonical CID strings.  The store can sit
+on two substrates:
 
 * the default in-process dictionary -- the seed's behaviour, zero I/O;
 * a ``repro.storage`` *blob space* -- a namespaced, cache-fronted view of a
@@ -14,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, Optional
 
 from repro.errors import BlockNotFoundError, InvalidCidError
-from repro.ipfs.cid import CID
+from repro.ipfs.cid import CID, DAG_PB_CODEC
 
 
 class BlockStore:
@@ -45,19 +47,50 @@ class BlockStore:
         cid_obj = cid if isinstance(cid, CID) else CID.parse(cid)
         return cid_obj.encode()
 
+    def _store(self, key: str, block: bytes) -> None:
+        if self._space is not None:
+            self._space.put(key, block)
+        else:
+            self._blocks[key] = block
+
+    def _lookup(self, key: str) -> Optional[bytes]:
+        if self._space is None:
+            return self._blocks.get(key)
+        # ``has`` first: a block a peer must supply is no cache miss.
+        return self._space.get(key) if self._space.has(key) else None
+
+    def add(self, block: bytes, version: int = 0, codec: int = DAG_PB_CODEC) -> CID:
+        """Store ``block`` under the CID its bytes hash to, and return that CID
+        (the block is hashed once, here)."""
+        block = bytes(block)
+        cid = CID.from_bytes_payload(block, version=version, codec=codec)
+        self._store(cid.encode(), block)
+        return cid
+
     def put(self, cid: CID | str, block: bytes) -> CID:
-        """Store ``block`` under ``cid`` after verifying the digest matches."""
+        """Store ``block`` under a claimed ``cid`` after verifying the digest."""
         cid_obj = cid if isinstance(cid, CID) else CID.parse(cid)
-        expected = CID.from_bytes_payload(bytes(block), version=cid_obj.version, codec=cid_obj.codec)
+        block = bytes(block)
+        expected = CID.from_bytes_payload(block, version=cid_obj.version, codec=cid_obj.codec)
         if expected.digest != cid_obj.digest:
             raise InvalidCidError(
                 f"block content does not hash to {cid_obj.encode()}"
             )
-        if self._space is not None:
-            self._space.put(cid_obj.encode(), bytes(block))
-        else:
-            self._blocks[cid_obj.encode()] = bytes(block)
+        self._store(cid_obj.encode(), block)
         return cid_obj
+
+    def find(self, cid: CID | str) -> Optional[bytes]:
+        """The block stored under ``cid``, or ``None``.
+
+        A string that is a stored key is used as it is: keys are canonical,
+        so parsing and re-encoding it would give it back.  Any other string is
+        parsed (:class:`InvalidCidError` if it is no CID).
+        """
+        if isinstance(cid, str):
+            block = self._lookup(cid)
+            if block is not None:
+                return block
+        return self._lookup(self._key(cid))
 
     def get(self, cid: CID | str) -> bytes:
         """Fetch the block stored under ``cid``.
@@ -67,14 +100,10 @@ class BlockStore:
         BlockNotFoundError
             If the block is not present locally.
         """
-        key = self._key(cid)
-        if self._space is not None:
-            if not self._space.has(key):
-                raise BlockNotFoundError(f"block {key} not in local store")
-            return self._space.get(key)
-        if key not in self._blocks:
-            raise BlockNotFoundError(f"block {key} not in local store")
-        return self._blocks[key]
+        block = self.find(cid)
+        if block is None:
+            raise BlockNotFoundError(f"block {self._key(cid)} not in local store")
+        return block
 
     def has(self, cid: CID | str) -> bool:
         """Whether the block is present locally."""

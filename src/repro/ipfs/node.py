@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import BlockNotFoundError
 from repro.ipfs.blockstore import BlockStore
 from repro.ipfs.chunker import DEFAULT_CHUNK_SIZE, chunk_bytes
-from repro.ipfs.cid import CID
-from repro.ipfs.dag import DagLink, DagNode, leaf_cid
+from repro.ipfs.cid import CID, RAW_CODEC
+from repro.ipfs.dag import DagLink, DagNode
 from repro.ipfs.pinning import PinSet
 from repro.ipfs.swarm import Swarm
 from repro.utils.hashing import keccak256
@@ -61,23 +61,16 @@ class IpfsNode:
         chunks = chunk_bytes(payload, self.chunk_size)
         if len(chunks) == 1:
             root = DagNode(data=chunks[0])
-            root_cid = root.cid()
-            self.blockstore.put(root_cid, root.serialize())
-            if pin:
-                self.pins.pin(root_cid)
-            return AddResult(cid=root_cid, size=len(payload), num_blocks=1)
-
-        links: List[DagLink] = []
-        for chunk in chunks:
-            chunk_cid = leaf_cid(chunk)
-            self.blockstore.put(chunk_cid, chunk)
-            links.append(DagLink(cid=chunk_cid.encode(), size=len(chunk)))
-        root = DagNode(data=b"", links=links)
-        root_cid = root.cid()
-        self.blockstore.put(root_cid, root.serialize())
+        else:
+            # Each block is hashed once, by the store that keys it.
+            root = DagNode(data=b"", links=[
+                DagLink(cid=self.blockstore.add(chunk, version=1, codec=RAW_CODEC).encode(),
+                        size=len(chunk))
+                for chunk in chunks])
+        root_cid = self.blockstore.add(root.serialize())
         if pin:
             self.pins.pin(root_cid)
-        return AddResult(cid=root_cid, size=len(payload), num_blocks=len(chunks) + 1)
+        return AddResult(cid=root_cid, size=len(payload), num_blocks=len(root.links) + 1)
 
     def add_text(self, text: str, pin: bool = True) -> AddResult:
         """Convenience wrapper for adding UTF-8 text."""
@@ -87,9 +80,10 @@ class IpfsNode:
 
     def _get_block(self, cid: CID | str) -> bytes:
         """Fetch a block locally or from swarm peers, caching it locally."""
+        block = self.blockstore.find(cid)
+        if block is not None:
+            return block
         cid_obj = cid if isinstance(cid, CID) else CID.parse(cid)
-        if self.blockstore.has(cid_obj):
-            return self.blockstore.get(cid_obj)
         if self.swarm is None:
             raise BlockNotFoundError(
                 f"{cid_obj.encode()} not stored locally and node {self.name} is offline"
@@ -101,13 +95,13 @@ class IpfsNode:
     def cat(self, cid: CID | str) -> bytes:
         """Return the full payload behind ``cid`` (resolving its DAG)."""
         cid_obj = cid if isinstance(cid, CID) else CID.parse(cid)
+        block = self._get_block(cid)  # a string as given: it is likely a stored key
         if cid_obj.codec_name == "raw":
-            return self._get_block(cid_obj)
-        node = DagNode.deserialize(self._get_block(cid_obj))
+            return block
+        node = DagNode.deserialize(block)
         if node.is_leaf:
             return node.data
-        parts = [self._get_block(CID.parse(link.cid)) for link in node.links]
-        return node.data + b"".join(parts)
+        return b"".join([node.data, *(self._get_block(link.cid) for link in node.links)])
 
     def stat(self, cid: CID | str) -> dict:
         """Size / block-count information about a DAG, like ``ipfs object stat``."""

@@ -525,7 +525,7 @@ class RpcHttpServer:
             reply = self.gateway.handle_raw(request.body, self._admit_batch)
             self.pump_subscriptions()
             # A notification-only payload has no reply; HTTP still needs a body.
-            return format_response(200, reply.encode("utf-8"), keep_alive=keep_alive)
+            return format_response(200, reply, keep_alive=keep_alive)
         if method == "GET" and path == "/metrics":
             self.stats.count_request("metrics")
             text = self.stack.registry.render_prometheus().encode("utf-8")
@@ -622,10 +622,10 @@ class RpcHttpServer:
             self.stats.ws_messages_total += 1
             reply = self._dispatch_ws(session, payload.decode("utf-8"))
             if reply:
-                session.enqueue_text(reply)
+                session.enqueue_raw(encode_frame(OP_TEXT, reply))
             self.pump_subscriptions()
 
-    def _dispatch_ws(self, session: _WsSession, text: str) -> str:
+    def _dispatch_ws(self, session: _WsSession, text: str) -> bytes:
         """One WebSocket message: subscription calls local, rest via gateway."""
         try:
             payload = json.loads(text)
@@ -634,7 +634,7 @@ class RpcHttpServer:
         if isinstance(payload, dict) and payload.get("method") in (
                 "eth_subscribe", "eth_unsubscribe"):
             return json.dumps(self._handle_subscription_call(session, payload),
-                              default=str)
+                              default=str).encode()
         return self.gateway.handle_raw(text)
 
     def _handle_subscription_call(self, session: _WsSession,

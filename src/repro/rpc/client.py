@@ -33,7 +33,7 @@ from repro.ipfs.node import IpfsNode
 from repro.ipfs.swarm import Swarm
 from repro.rpc.gateway import JsonRpcGateway
 from repro.rpc.protocol import RATE_LIMITED, from_quantity, make_request
-from repro.utils.encoding import from_hex, to_hex
+from repro.utils.encoding import to_hex
 
 
 def _rehydrate_error(error: Dict[str, Any]) -> ReproError:
@@ -297,7 +297,8 @@ class IpfsClient:
         )
 
     def cat(self, cid: str, node: Optional[str] = None) -> bytes:
-        return from_hex(self._client.call("ipfs_cat", cid, self._node(node)))
+        # In process the result is a HexString: its bytes, never made text.
+        return self._client.call("ipfs_cat", cid, self._node(node)).data
 
     def pin(self, cid: str, node: Optional[str] = None) -> Dict[str, Any]:
         return self._client.call("ipfs_pin", cid, self._node(node))

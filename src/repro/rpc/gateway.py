@@ -7,12 +7,15 @@ first, then whatever the caller installed: rate limiters, allowlists...).
 
 The gateway is transport-agnostic: :meth:`handle` consumes/produces plain
 dicts (what an in-process client uses), :meth:`handle_raw` consumes a JSON
-body and produces JSON text (what the socket transport uses).  Both speak
-identical envelopes, so everything above the gateway is already wire-shaped.
+body and produces the UTF-8 reply bytes (what the socket transport uses).
+Both speak identical envelopes, so everything above the gateway is already
+wire-shaped; a :class:`HexString` result stays bytes in process and becomes
+``0x`` text only in those reply bytes.
 """
 
 from __future__ import annotations
 
+import binascii
 import inspect
 import json
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Union
@@ -52,16 +55,17 @@ Middleware = Callable[[RpcRequest, Callable[[RpcRequest], Any]], Any]
 _ENCODER = json.JSONEncoder(default=str)
 
 
-def _encode_envelope(response: Dict[str, Any]) -> str:
-    """One envelope, byte for byte what ``_ENCODER`` makes of it; a
-    :class:`HexString` result (``ipfs_cat``: 636 kB a model update) is spliced
-    between the encoded head and ``"}``, not scanned for escapes it cannot
-    hold.  ``success_response`` puts ``result`` last: the head is a prefix."""
+def _encode_envelope(response: Dict[str, Any]) -> bytes:
+    """One envelope, byte for byte what ``_ENCODER`` makes of it, as UTF-8;
+    a :class:`HexString` result (``ipfs_cat``: 636 kB a model update) is
+    hexlified straight between the encoded head and ``"}`` -- one pass over
+    the payload, no text made of it.  ``success_response`` puts ``result``
+    last: the head is a prefix."""
     result = response.get("result")
     if type(result) is not HexString:
-        return _ENCODER.encode(response)
+        return _ENCODER.encode(response).encode()
     head = _ENCODER.encode({**response, "result": ""})
-    return f'{head[:-2]}{result}"}}'
+    return b"".join((head[:-2].encode(), b"0x", binascii.hexlify(result.data), b'"}'))
 
 
 class _Arity(NamedTuple):
@@ -303,8 +307,9 @@ class JsonRpcGateway:
         return self._handle_one(payload)
 
     def handle_raw(self, body: Union[bytes, str],
-                   admit: Optional[Callable[[Any], None]] = None) -> str:
-        """Wire transport: one JSON body in, JSON text out ("" for no reply).
+                   admit: Optional[Callable[[Any], None]] = None) -> bytes:
+        """Wire transport: one JSON body in, the UTF-8 reply out (``b""`` for
+        no reply) -- the bytes a transport frames as they are.
 
         ``body`` is parsed once (undecodable bytes are a parse error);
         ``admit`` sees the payload before dispatch and the :class:`JsonRpcError`
@@ -315,17 +320,17 @@ class JsonRpcGateway:
             if admit is not None:
                 admit(payload)
         except JsonRpcError as exc:
-            return _ENCODER.encode(error_response(None, exc.code, exc.message, exc.data))
+            return _encode_envelope(error_response(None, exc.code, exc.message, exc.data))
         except (TypeError, ValueError, RecursionError) as exc:
-            return _ENCODER.encode(error_response(None, PARSE_ERROR, f"parse error: {exc}"))
+            return _encode_envelope(error_response(None, PARSE_ERROR, f"parse error: {exc}"))
         response = self.handle(payload)
         if response is None:
-            return ""
+            return b""
         if isinstance(response, dict):
             return _encode_envelope(response)
         if any(type(entry.get("result")) is HexString for entry in response):
-            return "[" + ", ".join(map(_encode_envelope, response)) + "]"
-        return _ENCODER.encode(response)
+            return b"[" + b", ".join(map(_encode_envelope, response)) + b"]"
+        return _ENCODER.encode(response).encode()
 
     # -- convenience -------------------------------------------------------------
 

@@ -79,6 +79,16 @@ def _require_object(value: Any, what: str) -> None:
         raise JsonRpcError(INVALID_PARAMS, f"{what} must be an object")
 
 
+def _hex_param(method: str, name: str, value: Any) -> bytes:
+    """``from_hex(value)``, or a ``-32602`` naming the param; the message
+    gives the length and the first bad offset, never the text."""
+    try:
+        return from_hex(value)
+    except (TypeError, ValueError) as exc:
+        raise JsonRpcError(INVALID_PARAMS,
+                           f"invalid params for {method}: {name}: {exc}") from None
+
+
 def _log_filter_from_params(node: Any, criteria: Any) -> Optional[LogFilter]:
     """Build a :class:`LogFilter` from ``eth_getLogs``-style criteria.
 
@@ -179,7 +189,8 @@ class EthNamespace:
         if not isinstance(call_object, dict) or not call_object.get("to"):
             raise JsonRpcError(INVALID_PARAMS, 'eth_call needs a call object with "to"')
         _parse_block_tag(self.node, block)
-        payload = decode_payload(from_hex(call_object.get("data") or "0x"))
+        payload = decode_payload(_hex_param("eth_call", "data",
+                                            call_object.get("data") or "0x"))
         method = payload.get("method")
         if not method:
             raise JsonRpcError(INVALID_PARAMS, "eth_call data does not encode a method call")
@@ -341,15 +352,22 @@ class IpfsNamespace:
 
     def add(self, data: str, node: Optional[str] = None, pin: bool = True) -> Dict[str, Any]:
         """Add hex-encoded ``data``; returns the CID plus size accounting."""
-        result = self._resolve(node).add_bytes(from_hex(data), pin=bool(pin))
+        target = self._resolve(node)
+        if not isinstance(pin, bool):
+            raise JsonRpcError(INVALID_PARAMS,
+                               "invalid params for ipfs_add: pin must be true or false")
+        result = target.add_bytes(_hex_param("ipfs_add", "data", data), pin=pin)
         return {
             "cid": result.cid_string,
             "size": result.size,
             "num_blocks": result.num_blocks,
         }
 
-    def cat(self, cid: str, node: Optional[str] = None) -> str:
-        """Return the hex-encoded payload behind ``cid``."""
+    def cat(self, cid: str, node: Optional[str] = None) -> HexString:
+        """Return the hex-encoded payload behind ``cid``.
+
+        In process the result is the payload's bytes; only the wire reply
+        renders them as ``0x`` text (see :class:`HexString`)."""
         return HexString(self._resolve(node).cat(cid))
 
     def pin(self, cid: str, node: Optional[str] = None) -> Dict[str, Any]:

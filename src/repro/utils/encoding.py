@@ -9,6 +9,9 @@ The implementations follow the multibase conventions used by IPFS:
 
 from __future__ import annotations
 
+import binascii
+import re
+
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _B58_INDEX = {c: i for i, c in enumerate(_B58_ALPHABET)}
 
@@ -27,28 +30,44 @@ def to_hex(data: bytes, prefix: bool = True) -> str:
     return "0x" + hexstr if prefix else hexstr
 
 
-class HexString(str):
-    """``0x`` + ``bytes.hex()``, typed: text that holds no character JSON
-    escapes, so an encoder may copy it between quotes without scanning it.
-    Only bytes can fill one -- arbitrary text raises ``TypeError``."""
+class HexString:
+    """Bytes that a reply renders as ``0x`` + lowercase hex.
 
-    __slots__ = ()
+    ``str()`` is that text, so ``json.dumps(..., default=str)`` writes it;
+    the gateway's encoder instead hexlifies :attr:`data` straight into the
+    reply bytes (hex holds no character JSON escapes).  Only bytes can fill
+    one -- anything else raises ``TypeError``."""
 
-    def __new__(cls, data: bytes) -> "HexString":
-        return super().__new__(cls, to_hex(data))
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        if not isinstance(data, bytes):
+            raise TypeError(f"HexString holds bytes, not {type(data).__name__}")
+        self.data = data
+
+    def __str__(self) -> str:
+        return to_hex(self.data)
+
+
+_NON_HEX = re.compile(r"[^0-9a-fA-F]")
 
 
 def from_hex(text: str) -> bytes:
-    """Decode a hex string (with or without ``0x`` prefix) into bytes."""
+    """Decode a hex string (with or without ``0x`` prefix) into bytes.
+
+    Strict: whitespace is a bad digit.  An error gives the length and the
+    first bad offset, never the text -- it may be a 636 kB upload."""
     if not isinstance(text, str):
-        raise TypeError(f"from_hex expects str, got {type(text).__name__}")
-    stripped = text[2:] if text.startswith(("0x", "0X")) else text
-    if len(stripped) % 2 != 0:
-        raise ValueError(f"hex string has odd length: {text!r}")
+        raise TypeError(f"expected a hex string, got {type(text).__name__}")
+    start = 2 if text.startswith(("0x", "0X")) else 0
     try:
-        return bytes.fromhex(stripped)
-    except ValueError as exc:
-        raise ValueError(f"invalid hex string: {text!r}") from exc
+        return binascii.unhexlify(text[start:])
+    except ValueError:
+        bad = _NON_HEX.search(text, start)
+        if bad is None:
+            raise ValueError(f"odd-length hex string ({len(text)} characters)") from None
+        raise ValueError(f"non-hex character at offset {bad.start()} "
+                         f"of {len(text)}") from None
 
 
 # ---------------------------------------------------------------------------

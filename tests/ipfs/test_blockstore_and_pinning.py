@@ -1,11 +1,17 @@
 """Tests for repro.ipfs.blockstore and repro.ipfs.pinning."""
 
+import os
+from unittest import mock
+
 import pytest
 
 from repro.errors import BlockNotFoundError, InvalidCidError, PinError
+from repro.ipfs import multihash
 from repro.ipfs.blockstore import BlockStore
 from repro.ipfs.cid import CID, RAW_CODEC
+from repro.ipfs.node import IpfsNode
 from repro.ipfs.pinning import DIRECT, RECURSIVE, PinSet
+from repro.storage.engine import StorageEngine
 
 
 def cid_of(payload: bytes) -> CID:
@@ -59,6 +65,57 @@ class TestBlockStore:
 
     def test_has_handles_invalid_cid_gracefully(self):
         assert not BlockStore().has("definitely-not-a-cid")
+
+    def test_add_keys_a_block_by_its_own_hash(self):
+        store = BlockStore()
+        assert store.add(b"block", version=1, codec=RAW_CODEC) == cid_of(b"block")
+        assert store.get(cid_of(b"block").encode()) == b"block"
+
+    @pytest.mark.parametrize("substrate", ["memory", "blob space"])
+    def test_a_mismatched_block_never_enters(self, substrate):
+        store = (BlockStore() if substrate == "memory"
+                 else BlockStore(space=StorageEngine().blob_space("ipfs/n")))
+        with pytest.raises(InvalidCidError):
+            store.put(cid_of(b"expected"), b"tampered")
+        with pytest.raises(InvalidCidError):
+            store.put(cid_of(b"expected").encode(), b"tampered")
+        assert len(store) == 0 and store.find(cid_of(b"expected")) is None
+
+    def test_a_non_canonical_cid_string_still_resolves(self):
+        store = BlockStore()
+        canonical = store.add(b"leaf", version=1, codec=RAW_CODEC).encode()
+        shouted = "b" + canonical[1:].upper()
+        assert shouted != canonical
+        assert store.get(shouted) == b"leaf" and store.has(shouted)
+
+
+def counting_hashes():
+    return mock.patch.object(multihash, "sha256", wraps=multihash.sha256)
+
+
+class TestAddHashesEachBlockOnce:
+    @pytest.mark.parametrize("chunks", [1, 2, 5])
+    def test_an_n_chunk_add_hashes_n_plus_one_blocks(self, chunks):
+        node = IpfsNode("n", chunk_size=1_024)
+        payload = os.urandom(1_024 * chunks - 7)
+        with counting_hashes() as sha256:
+            added = node.add_bytes(payload)
+        # One hash a stored block: n leaves and the root (one block for one chunk).
+        assert sha256.call_count == added.num_blocks == (1 if chunks == 1 else chunks + 1)
+        assert node.cat(added.cid) == payload
+
+    def test_cat_parses_only_the_root_cid(self):
+        node = IpfsNode("n", chunk_size=1_024)
+        added = node.add_bytes(os.urandom(5_000))
+        with mock.patch.object(CID, "parse", wraps=CID.parse) as parse:
+            node.cat(added.cid_string)
+        assert parse.call_count == 1
+
+    def test_cat_resolves_a_non_canonical_leaf_cid(self):
+        node = IpfsNode("n", chunk_size=1_024)
+        node.add_bytes(os.urandom(3_000))
+        leaf = next(cid for cid in node.blockstore.cids() if cid.startswith("b"))
+        assert node.cat("b" + leaf[1:].upper()) == node.blockstore.get(leaf)
 
 
 class TestPinSet:

@@ -1,14 +1,14 @@
 """Property pin for the gateway's reply encoder.
 
-``handle_raw`` encodes with one module-level ``JSONEncoder`` and splices a
-:class:`HexString` result (``ipfs_cat``) into the envelope instead of handing
-636 kB to the escape scanner.  Whatever it does, the text must equal
-``json.dumps(gateway.handle(payload), default=str)`` byte for byte -- the
-reference below knows nothing of splicing -- over ids with quotes and
-non-ASCII, nested results, wei-sized integers, values only ``default=str``
-can render, error envelopes, notifications and batches.  The splice is only
-sound because nothing but ``bytes.hex()`` can fill a ``HexString``; that is
-pinned here too.
+``handle_raw`` encodes with one module-level ``JSONEncoder`` and hexlifies a
+:class:`HexString` result (``ipfs_cat``) straight into the reply bytes
+instead of handing 636 kB of text to the escape scanner.  Whatever it does,
+the bytes must equal ``json.dumps(gateway.handle(payload), default=str)``
+encoded -- the reference below knows nothing of splicing -- over ids with
+quotes and non-ASCII, nested results, wei-sized integers, values only
+``default=str`` can render, error envelopes, notifications and batches.  The
+splice is only sound because nothing but bytes can fill a ``HexString`` and
+its text is ``0x`` + lowercase hex; that is pinned here too.
 """
 
 from __future__ import annotations
@@ -90,15 +90,19 @@ def test_handle_raw_equals_json_dumps_byte_for_byte(batch, as_batch, as_bytes):
     body = json.dumps(payload)
     reply = gateway.handle_raw(body.encode("utf-8") if as_bytes else body)
     response = gateway.handle(payload)
-    assert reply == ("" if response is None else json.dumps(response, default=str))
+    assert reply == (b"" if response is None
+                     else json.dumps(response, default=str).encode())
 
 
 @given(data=st.binary(max_size=200))
 def test_only_bytes_fill_a_hex_string(data):
-    text = HexString(data)
-    assert text == "0x" + data.hex() and isinstance(text, str)
+    hex_string = HexString(data)
+    assert hex_string.data is data
+    text = str(hex_string)
+    assert text == "0x" + data.hex()
     assert set(text[2:]) <= set("0123456789abcdef")
-    assert json.dumps(text) == f'"{text}"'  # nothing in it to escape
+    # nothing in it to escape
+    assert json.dumps(hex_string, default=str) == json.dumps(text) == f'"{text}"'
 
 
 @given(text=st.text())

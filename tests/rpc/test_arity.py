@@ -162,4 +162,4 @@ def test_a_refused_call_replies_byte_for_byte_as_before(gateway, method, params,
     message = json.dumps(f"invalid params for {method}: {reason}")
     assert gateway.handle_raw(json.dumps(envelope)) == (
         '{"jsonrpc": "2.0", "id": 7, "error": {"code": -32602, "message": '
-        + message + "}}")
+        + message + "}}").encode()

@@ -124,7 +124,7 @@ class TestBatches:
 
     def test_all_notification_batch_returns_none(self, gateway):
         assert gateway.handle([{"jsonrpc": "2.0", "method": "eth_blockNumber"}]) is None
-        assert gateway.handle_raw('[{"jsonrpc": "2.0", "method": "eth_blockNumber"}]') == ""
+        assert gateway.handle_raw('[{"jsonrpc": "2.0", "method": "eth_blockNumber"}]') == b""
 
     def test_malformed_entry_inside_batch_gets_null_id_error(self, gateway):
         responses = gateway.handle(["garbage", make_request("eth_chainId", request_id=1)])

@@ -37,6 +37,26 @@ class TestHex:
         with pytest.raises(TypeError):
             from_hex(123)
 
+    def test_upper_case_and_prefix_accepted(self):
+        assert from_hex("0XABcd") == b"\xab\xcd"
+        assert from_hex("0x") == from_hex("") == b""
+
+    @pytest.mark.parametrize("text", ["0x ab ", "0xab cd", "ab\ncd", "0x\tab"])
+    def test_whitespace_is_a_bad_digit(self, text):
+        with pytest.raises(ValueError, match="non-hex character at offset"):
+            from_hex(text)
+
+    def test_an_error_names_length_and_offset_not_the_text(self):
+        text = "0x" + "ab" * 500 + "zz"
+        with pytest.raises(ValueError) as caught:
+            from_hex(text)
+        assert str(caught.value) == "non-hex character at offset 1002 of 1004"
+        with pytest.raises(ValueError) as caught:
+            from_hex(text[:-1] + "a" + "b")
+        assert str(caught.value) == "non-hex character at offset 1002 of 1005"
+        with pytest.raises(ValueError, match=r"^odd-length hex string \(5 characters\)$"):
+            from_hex("0xabc")
+
 
 class TestBase58:
     def test_roundtrip(self):
