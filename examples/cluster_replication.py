@@ -64,7 +64,7 @@ def main() -> None:
     cluster.heal()
     cluster.converge()
     print(heads(cluster))
-    reorgs = sum(r.chain.fork_stats()["reorgs"] for r in cluster.replicas)
+    reorgs = sum(r.fork.stats()["reorgs"] for r in cluster.replicas)
     digests = {state_digest(r.chain.state) for r in cluster.replicas}
     print(f"converged: {cluster.heads_identical()} "
           f"({reorgs} reorg(s); {len(digests)} distinct state digest(s))\n")

@@ -20,8 +20,9 @@ faithful prefix of chain history:
   (:data:`~repro.storage.wal.BLOCK_ARCHIVE_NAMESPACE`), so a lagging
   feeder may find its next entries gone from the log -- it reconciles
   against the archive instead;
-* under ``enable_fork_choice`` a reorg rewrites history: the chain calls
-  :meth:`on_reorg`, and the feeder truncates the replica to the fork
+* on a cluster replica a reorg rewrites history: the replica's
+  :class:`~repro.cluster.forkchoice.ForkChoice` calls :meth:`on_reorg`,
+  and the feeder truncates the replica to the fork
   point and replays the new branch from the archive, emitting an
   ``analytics.rollback`` obs event.
 
@@ -118,13 +119,13 @@ class AnalyticsFeeder:
                 "applied_seq": self.applied_seq}
 
     def on_reorg(self, fork_height: int) -> None:
-        """Chain hook: a reorg rewrote history above ``fork_height``.
+        """Fork-choice hook: a reorg rewrote history above ``fork_height``.
 
-        The replica is truncated to the fork point immediately (the chain
-        knows the exact height, so no hash walk is needed); the new branch
-        is replayed from the archive on the next drain -- the chain
-        snapshots and compacts right after reorging, so that is where the
-        new-branch blocks live.
+        The replica is truncated to the fork point immediately (the fork
+        choice knows the exact height, so no hash walk is needed); the new
+        branch is replayed from the archive on the next drain -- the fork
+        choice snapshots the chain's store right after reorging, so that
+        is where the new-branch blocks live.
         """
         self._rollback(fork_height)
         self._needs_reconcile = True

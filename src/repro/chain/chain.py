@@ -65,48 +65,6 @@ class ChainStoreHooks(Protocol):
         """A block was appended to the canonical chain."""
 
 
-class _ForkState:
-    """Bookkeeping for fork-aware replication (cluster replicas only).
-
-    Regular single-node chains never instantiate this: every fork-choice
-    hook in :class:`Blockchain` is gated on ``self._fork is not None``, which
-    keeps the seed's single-node path bit-for-bit identical.
-    """
-
-    def __init__(self, registry: Any, snapshot_interval: int) -> None:
-        # Imported lazily: repro.storage imports the chain for recovery, so
-        # the chain package must not import it at module load.
-        from repro.storage.backend import MemoryBackend
-        from repro.storage.snapshot import SnapshotManager
-
-        self.registry = registry
-        self.snapshot_interval = max(1, int(snapshot_interval))
-        #: Rollback points for :meth:`Blockchain.reorg_to`, kept in a private
-        #: in-memory backend (never the replica's durable store: fork
-        #: snapshots are scratch state, not recovery state).
-        self.snapshots = SnapshotManager(MemoryBackend())
-        #: Snapshot height -> how many mint-journal entries it includes.
-        self.snapshot_mint_seq: Dict[int, int] = {}
-        #: Block records of known side-chain (non-canonical) blocks, by hash.
-        self.side_records: Dict[str, Dict[str, Any]] = {}
-        #: ``(height, address, amount_wei)`` per faucet mint, in order.  Mints
-        #: happen outside blocks, so a state rollback must re-interleave them
-        #: with block re-execution.
-        self.mint_journal: List[List[Any]] = []
-        self.reorgs = 0
-        self.max_reorg_depth = 0
-        self.side_blocks_seen = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Fork-choice counters for cluster status reporting."""
-        return {
-            "reorgs": self.reorgs,
-            "max_reorg_depth": self.max_reorg_depth,
-            "side_blocks_seen": self.side_blocks_seen,
-            "side_blocks_held": len(self.side_records),
-        }
-
-
 class Blockchain:
     """Canonical chain: genesis, state, mempool and block production.
 
@@ -115,10 +73,9 @@ class Blockchain:
     advances the simulated clock to the next slot boundary, drains eligible
     transactions from the mempool, executes them and appends the block.
 
-    With :meth:`enable_fork_choice` (cluster replicas), the chain also
-    tracks competing side chains and can :meth:`reorg_to` a longer branch,
-    rolling state back through snapshots kept by the storage layer's
-    :class:`~repro.storage.snapshot.SnapshotManager`.
+    Cluster replicas drive it through :class:`repro.cluster.forkchoice.ForkChoice`,
+    which owns side blocks and reorgs and reaches the chain only through
+    :meth:`replay_block`, :meth:`rewind` and :meth:`re_execute`.
     """
 
     def __init__(
@@ -158,9 +115,6 @@ class Blockchain:
         self.store = store
         if store is not None:
             store.attach(self)
-        #: Fork-choice bookkeeping; ``None`` (the seed default) disables every
-        #: replication hook.  See :meth:`enable_fork_choice`.
-        self._fork: Optional[_ForkState] = None
         #: Observability hooks (``repro.obs``): the no-op facade until
         #: ``Observability.attach_chain`` overwrites it, so the write path
         #: below has one body whether or not a run is observed.
@@ -340,9 +294,6 @@ class Blockchain:
         self.state.credit(Address(address), amount_wei)
         if self.store is not None:
             self.store.record_mint(str(Address(address)), int(amount_wei))
-        if self._fork is not None:
-            self._fork.mint_journal.append(
-                [self.height, str(Address(address)), int(amount_wei)])
 
     # -- block production ----------------------------------------------------
 
@@ -461,11 +412,6 @@ class Blockchain:
         snapshot already carries the post-block state, so the block record's
         receipts are trusted after the usual linkage validation plus a hash
         check against the recorded header.
-
-        With fork choice enabled (cluster replicas), a record that does
-        *not* extend the canonical tip is no longer an error: it is tracked
-        as a side-chain block, and if its branch becomes the best chain
-        under longest-chain fork choice, :meth:`reorg_to` switches over.
         """
         block = block_from_record(record)
         recorded_hash = record["header"].get("hash")
@@ -474,10 +420,6 @@ class Blockchain:
                 f"archived block {block.number} hashes to {block.hash}, "
                 f"but {recorded_hash} was recorded"
             )
-        if (self._fork is not None
-                and block.header.parent_hash != self.latest_block.hash):
-            self._ingest_nonextending(block.hash, record)
-            return block
         self._append_block(block)
         return block
 
@@ -561,38 +503,44 @@ class Blockchain:
         if self.store is not None:
             with obs.phase("chain.persist"):
                 self.store.record_block(block)
-        if self._fork is not None and \
-                block.number % self._fork.snapshot_interval == 0:
-            self._write_fork_snapshot()
 
-    # -- fork choice and reorgs (repro.cluster) --------------------------------
+    # -- replica primitives (repro.cluster.forkchoice) ------------------------
 
-    @property
-    def fork_choice_enabled(self) -> bool:
-        """Whether this chain tracks side chains and can reorg."""
-        return self._fork is not None
+    def knows_block(self, block_hash: str) -> bool:
+        """Whether ``block_hash`` is a block on the canonical chain."""
+        return block_hash in self._blocks_by_hash
 
-    def enable_fork_choice(self, registry: Any = None,
-                           snapshot_interval: int = 8) -> None:
-        """Turn on side-chain tracking and reorg support (cluster replicas).
+    def rewind(self, height: int, state: WorldState) -> List[Block]:
+        """Cut the canonical chain back to block ``height`` and adopt ``state``.
 
-        ``registry`` must expose ``contract_class(name)`` (the contract
-        registry) so rolled-back states can re-instantiate contract accounts;
-        ``snapshot_interval`` is the cadence (in blocks) of in-memory
-        rollback snapshots.  Idempotent; single-node chains never call this,
-        which keeps the seed path untouched.
+        ``state`` must be the state as of that block.  The blocks above it
+        leave with their receipts, transactions and logs, and are returned
+        oldest first; re-queueing their transactions is the caller's call.
         """
-        if self._fork is not None:
-            return
-        self._fork = _ForkState(registry, snapshot_interval)
-        self._write_fork_snapshot()
+        abandoned = self._blocks[height + 1:]
+        del self._blocks[height + 1:]
+        for block in abandoned:
+            self._blocks_by_hash.pop(block.hash, None)
+            for tx in block.transactions:
+                self._receipts.pop(tx.hash_hex, None)
+                self._transactions.pop(tx.hash_hex, None)
+        self._logs = [log for log in self._logs if log.block_number <= height]
+        self.state = state
+        return abandoned
 
-    def fork_stats(self) -> Dict[str, Any]:
-        """Reorg/side-chain counters (zeroes when fork choice is disabled)."""
-        if self._fork is None:
-            return {"reorgs": 0, "max_reorg_depth": 0,
-                    "side_blocks_seen": 0, "side_blocks_held": 0}
-        return self._fork.to_dict()
+    def re_execute(self, block: Block, state: WorldState) -> None:
+        """Re-run ``block``'s transactions against ``state`` (not the chain's)."""
+        block_ctx = BlockContext(
+            number=block.number,
+            timestamp=block.timestamp,
+            coinbase=block.header.proposer,
+            gas_price=0,
+        )
+        for tx in block.transactions:
+            block_ctx.gas_price = tx.gas_price
+            self.executor.apply(tx, state, block_ctx)
+
+    # -- deferred verification (repro.batchverify) ----------------------------
 
     def enable_batch_verify(self, verify_workers: int = 0) -> None:
         """Turn on deferred signature verification (``repro.batchverify``).
@@ -619,238 +567,6 @@ class Blockchain:
 
             return zero_stats()
         return self.batchverify.stats
-
-    def knows_block(self, block_hash: str) -> bool:
-        """Whether ``block_hash`` is a known canonical *or* side block."""
-        if block_hash in self._blocks_by_hash:
-            return True
-        return self._fork is not None and block_hash in self._fork.side_records
-
-    def block_record(self, block_hash: str) -> Optional[Dict[str, Any]]:
-        """Full persistence record of a known block (canonical or side).
-
-        This is what gossip peers fetch after a block announcement; ``None``
-        for unknown hashes.
-        """
-        block = self._blocks_by_hash.get(block_hash)
-        if block is not None:
-            return block.to_record()
-        if self._fork is not None:
-            return self._fork.side_records.get(block_hash)
-        return None
-
-    def apply_block(self, record: Dict[str, Any]) -> str:
-        """Fork-aware ingestion of a replicated block (the gossip entry point).
-
-        Returns what happened:
-
-        * ``"extended"`` -- the record extended the canonical tip and was
-          re-executed (hash-verified) onto it;
-        * ``"known"`` -- duplicate of a block already held;
-        * ``"side"`` -- tracked as a side-chain block (its branch is not the
-          best chain);
-        * ``"reorged"`` -- its branch became the best chain and the canonical
-          chain switched over (:meth:`reorg_to`);
-        * ``"orphan"`` -- the parent is unknown; the caller should fetch
-          ancestors first.
-        """
-        if self._fork is None:
-            raise BlockValidationError(
-                "apply_block requires fork choice (enable_fork_choice)")
-        header = record["header"]
-        block_hash = header.get("hash")
-        if block_hash is None:
-            block_hash = block_from_record(record).hash
-        if self.knows_block(block_hash):
-            return "known"
-        parent_hash = header["parent_hash"]
-        if parent_hash == self.latest_block.hash and \
-                int(header["number"]) == self.height + 1:
-            self.replay_block(record)
-            return "extended"
-        if not self.knows_block(parent_hash):
-            return "orphan"
-        return self._ingest_nonextending(block_hash, record)
-
-    def _ingest_nonextending(self, block_hash: str,
-                             record: Dict[str, Any]) -> str:
-        """Track a non-tip-extending record; reorg if its branch wins."""
-        fork = self._fork
-        header = record["header"]
-        parent_hash = header["parent_hash"]
-        if not self.knows_block(parent_hash):
-            raise UnknownBlockError(
-                f"side block {block_hash} has unknown parent {parent_hash}")
-        parent_record = self.block_record(parent_hash)
-        if int(header["number"]) != int(parent_record["header"]["number"]) + 1:
-            raise BlockValidationError(
-                f"side block number {header['number']} is not parent "
-                f"number + 1 ({parent_record['header']['number']} + 1)")
-        if block_hash in self._blocks_by_hash or block_hash in fork.side_records:
-            return "known"
-        fork.side_records[block_hash] = record
-        fork.side_blocks_seen += 1
-        height = int(header["number"])
-        # Longest-chain fork choice with a deterministic tie-break: at equal
-        # length the lexicographically smaller head hash wins, so two healed
-        # partition sides always pick the same branch.
-        if height > self.height or (
-                height == self.height and block_hash < self.latest_block.hash):
-            self.reorg_to(block_hash)
-            return "reorged"
-        return "side"
-
-    def reorg_to(self, head_hash: str) -> List[Block]:
-        """Switch the canonical chain to the branch ending at ``head_hash``.
-
-        The branch is traced back through known side blocks to its canonical
-        fork point; state is rolled back to the fork point (snapshot restore
-        plus deterministic re-execution, with faucet mints re-interleaved),
-        the abandoned canonical suffix is demoted to side blocks and its
-        transactions re-queued into the mempool, and the new branch is
-        adopted by hash-verified re-execution.  Returns the abandoned blocks.
-        """
-        if self._fork is None:
-            raise BlockValidationError(
-                "reorg_to requires fork choice (enable_fork_choice)")
-        fork = self._fork
-        path: List[Dict[str, Any]] = []
-        cursor = head_hash
-        while cursor in fork.side_records:
-            record = fork.side_records[cursor]
-            path.append(record)
-            cursor = record["header"]["parent_hash"]
-        if cursor not in self._blocks_by_hash:
-            raise UnknownBlockError(
-                f"reorg target {head_hash} does not connect to the "
-                f"canonical chain")
-        fork_height = self._blocks_by_hash[cursor].number
-        path.reverse()
-        if not path:  # the "branch" is already canonical
-            return []
-
-        rolled_back = self._rollback_state_to(fork_height)
-
-        abandoned = self._blocks[fork_height + 1:]
-        del self._blocks[fork_height + 1:]
-        for block in abandoned:
-            self._blocks_by_hash.pop(block.hash, None)
-            fork.side_records[block.hash] = block.to_record()
-            for tx in block.transactions:
-                self._receipts.pop(tx.hash_hex, None)
-                self._transactions.pop(tx.hash_hex, None)
-        self._logs = [log for log in self._logs
-                      if log.block_number <= fork_height]
-        self.state = rolled_back
-
-        # Snapshots above the fork point describe the abandoned branch.
-        for height in fork.snapshots.heights():
-            if height > fork_height:
-                fork.snapshots.delete_at(height)
-                fork.snapshot_mint_seq.pop(height, None)
-        # Surviving mints recorded during the abandoned suffix conceptually
-        # apply at the fork point now (the rollback already credited them).
-        for entry in fork.mint_journal:
-            if entry[0] > fork_height:
-                entry[0] = fork_height
-
-        # Abandoned transactions go back to the mempool; whatever the new
-        # branch also includes is removed again during its re-execution.
-        for block in abandoned:
-            for tx in block.transactions:
-                try:
-                    self.submit_transaction(tx)
-                except ReproError:
-                    pass  # no longer valid against the rolled-back state
-
-        for record in path:
-            record_hash = record["header"].get("hash")
-            if record_hash is None:
-                record_hash = block_from_record(record).hash
-            fork.side_records.pop(record_hash, None)
-            self.replay_block(record)
-
-        fork.reorgs += 1
-        fork.max_reorg_depth = max(fork.max_reorg_depth, len(abandoned))
-        self.obs.event(
-            "chain.reorg",
-            abandoned=len(abandoned),
-            adopted=len(path),
-            fork_height=fork_height,
-            new_head=head_hash,
-            replica=self.obs_label,
-        )
-        if self.store is not None:
-            # The WAL now holds abandoned-branch entries that a linear replay
-            # could not recover through; snapshotting at the new head compacts
-            # them away, so a replica restart recovers the post-reorg chain.
-            self.store.snapshot()
-        if self.analytics is not None:
-            # The analytics replica truncates to the fork point now and
-            # replays the new branch from the archive on its next drain.
-            self.analytics.on_reorg(fork_height)
-        return abandoned
-
-    #: Rollback snapshots retained per fork-choice chain.  Bounds memory on
-    #: long runs; a reorg below the oldest retained snapshot falls back to
-    #: the cluster's snap-sync path instead of an in-place rollback.
-    FORK_SNAPSHOTS_RETAINED = 8
-
-    def _write_fork_snapshot(self) -> None:
-        """Record a rollback point (state + mint-journal position) at the head."""
-        fork = self._fork
-        fork.snapshot_mint_seq[self.height] = len(fork.mint_journal)
-        fork.snapshots.write(self, wal_seq=None)
-        if len(fork.snapshot_mint_seq) > self.FORK_SNAPSHOTS_RETAINED:
-            fork.snapshots.prune(keep=self.FORK_SNAPSHOTS_RETAINED)
-            retained = set(fork.snapshots.heights())
-            for height in list(fork.snapshot_mint_seq):
-                if height not in retained:
-                    del fork.snapshot_mint_seq[height]
-
-    def _rollback_state_to(self, target_height: int) -> WorldState:
-        """State as of canonical block ``target_height``, plus every later mint.
-
-        Restores the nearest retained snapshot at or below the target, then
-        deterministically re-executes canonical blocks up to the target with
-        faucet mints re-interleaved at their recorded heights.  Mints that
-        happened after the target survive a reorg (they are out-of-band
-        credits, not block contents), so they are re-applied at the end.
-        """
-        from repro.storage.snapshot import restore_state
-
-        fork = self._fork
-        candidates = [h for h in fork.snapshots.heights() if h <= target_height]
-        if not candidates:
-            raise BlockValidationError(
-                f"cannot roll state back to height {target_height}: no fork "
-                f"snapshot at or below it (replica needs a full resync)")
-        base = max(candidates)
-        payload = fork.snapshots.load_at(base)
-        state = restore_state(payload["state"], fork.registry)
-        journal = fork.mint_journal
-        index = fork.snapshot_mint_seq.get(base, 0)
-        for height in range(base, target_height):
-            while index < len(journal) and journal[index][0] <= height:
-                state.credit(Address(journal[index][1]), int(journal[index][2]))
-                index += 1
-            self._re_execute_block(self._blocks[height + 1], state)
-        while index < len(journal):
-            state.credit(Address(journal[index][1]), int(journal[index][2]))
-            index += 1
-        return state
-
-    def _re_execute_block(self, block: Block, state: WorldState) -> None:
-        """Re-run a canonical block's transactions against a rollback state."""
-        block_ctx = BlockContext(
-            number=block.number,
-            timestamp=block.timestamp,
-            coinbase=block.header.proposer,
-            gas_price=0,
-        )
-        for tx in block.transactions:
-            block_ctx.gas_price = tx.gas_price
-            self.executor.apply(tx, state, block_ctx)
 
     def produce_blocks(
         self,

@@ -14,9 +14,9 @@ the evaluation cares about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional
+from typing import Any, Callable, ClassVar, Dict, List, Optional
 
-from repro.errors import InvalidSignatureError, InvalidTransactionError
+from repro.errors import InvalidSignatureError, InvalidTransactionError, ReproError
 from repro.chain.account import Address
 from repro.chain.gas import GasSchedule, SEPOLIA_GAS_SCHEDULE
 from repro.chain.keys import KeyPair, Signature, recover_address
@@ -244,19 +244,30 @@ class Transaction(JsonMemo):
 
         The ``hash`` field is ignored -- the hash is always recomputed from
         the reconstructed fields, so a tampered payload cannot smuggle a
-        mismatched identity.
+        mismatched identity.  A missing ``sender`` or a field that does not
+        parse raises :class:`InvalidTransactionError` naming the field and
+        never echoing its value (calldata may run to megabytes).
         """
+        def field(name: str, parse: Callable[[Any], Any], default: Any = None) -> Any:
+            try:
+                return parse(payload.get(name, default))
+            except (ReproError, TypeError, ValueError, KeyError):
+                raise InvalidTransactionError(
+                    f"transaction field {name!r} is malformed") from None
+
+        if "sender" not in payload:
+            raise InvalidTransactionError("transaction field 'sender' is missing")
         tx = cls(
-            sender=Address(payload["sender"]),
-            to=Address(payload["to"]) if payload.get("to") else None,
-            value=int(payload.get("value", 0)),
-            data=from_hex(payload.get("data") or "0x"),
-            nonce=int(payload.get("nonce", 0)),
-            gas_limit=int(payload.get("gas_limit", 21_000)),
-            gas_price=int(payload.get("gas_price", 10**9)),
+            sender=field("sender", Address),
+            to=field("to", lambda to: Address(to) if to else None),
+            value=field("value", int, 0),
+            data=field("data", lambda data: from_hex(data or "0x")),
+            nonce=field("nonce", int, 0),
+            gas_limit=field("gas_limit", int, 21_000),
+            gas_price=field("gas_price", int, 10**9),
         )
         if payload.get("signature"):
-            tx.signature = Signature.from_dict(payload["signature"])
+            tx.signature = field("signature", Signature.from_dict)
         return tx
 
     def serialize_raw(self) -> str:

@@ -313,7 +313,7 @@ class ChainCluster:
                 continue
             if not force and len(leader.chain.mempool) == 0:
                 continue
-            block = leader.chain.produce_block(advance_clock=False)
+            block = leader.fork.produce_block(advance_clock=False)
             leader.blocks_produced += 1
             self.gossip.announce_block(leader.index, block.hash, block.number)
             produced.append(block)
@@ -351,7 +351,7 @@ class ChainCluster:
         """
         for replica in self.replicas:
             if replica.alive:
-                replica.chain.mint(address, amount_wei)
+                replica.fork.mint(address, amount_wei)
             else:
                 replica.missed_mints.append((str(address), int(amount_wei)))
 

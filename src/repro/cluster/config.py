@@ -46,7 +46,7 @@ class ClusterConfig:
 
     fork_snapshot_interval: int = 8
     """Blocks between in-memory rollback snapshots on each replica (the
-    cost/rollback-depth trade-off of ``Blockchain.reorg_to``)."""
+    cost/rollback-depth trade-off of ``ForkChoice.reorg_to``)."""
 
     finality_depth: int = 12
     """Blocks below the head considered final for reporting purposes.  With

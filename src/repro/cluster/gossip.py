@@ -11,7 +11,7 @@ crosses this layer, which models the wire with a ``repro.simnet``
   new head (hash + height) to every peer.  An announcement is tiny; on
   delivery the peer *fetches* the missing block records from the announcer
   (walking parents until it reaches a block it already knows) and applies
-  them through the chain's fork choice.  This pull-based fetch is what heals
+  them through the replica's fork choice.  This pull-based fetch is what heals
   gaps: a replica that missed ten announcements catches up entirely from the
   next one it hears.
 
@@ -215,7 +215,7 @@ class GossipLayer:
 
         Walks parents back from the target until hitting a block ``replica``
         already knows, then applies the records in forward order through the
-        chain's fork choice.  Falls back to a full resync (state snapshot +
+        replica's fork choice.  Falls back to a full resync (state snapshot +
         verbatim block import) when the rollback a reorg would need is no
         longer possible -- e.g. a replica recovered from its WAL being asked
         to abandon pre-recovery history.  Returns True if the replica's
@@ -223,20 +223,19 @@ class GossipLayer:
         """
         if not replica.alive or not origin.alive:
             return False
-        chain = replica.chain
-        if chain.knows_block(target_hash) and \
-                chain.latest_block.hash == target_hash:
+        fork = replica.fork
+        if replica.head_hash == target_hash:
             return False
         records: List[Dict[str, Any]] = []
         cursor = target_hash
-        while len(records) < MAX_FETCH_DEPTH and not chain.knows_block(cursor):
-            record = origin.chain.block_record(cursor)
+        while len(records) < MAX_FETCH_DEPTH and not fork.knows_block(cursor):
+            record = origin.fork.block_record(cursor)
             if record is None:
                 return False  # the announcer itself reorged away from it
             records.append(record)
             self.stats.blocks_fetched += 1
             cursor = record["header"]["parent_hash"]
-        if not chain.knows_block(cursor):
+        if not fork.knows_block(cursor):
             # Too far behind to walk the chain (the fetch budget ran out
             # before reaching shared history): snap-sync from the peer.
             self.stats.resyncs += 1
@@ -246,7 +245,7 @@ class GossipLayer:
         applied = 0
         try:
             for record in reversed(records):
-                status = chain.apply_block(record)
+                status = fork.apply_block(record)
                 if status == "reorged":
                     self.stats.reorgs_triggered += 1
                 if status in ("extended", "side", "reorged"):

@@ -1,8 +1,9 @@
 """One chain replica: a full chain copy, its durable store, and its lifecycle.
 
-A :class:`Replica` owns a complete :class:`~repro.chain.chain.Blockchain`
-(fork choice enabled), a :class:`~repro.storage.StorageEngine` standing in
-for its local disk, and an identity: a deterministic proposer address that
+A :class:`Replica` owns a complete :class:`~repro.chain.chain.Blockchain`,
+the :class:`~repro.cluster.forkchoice.ForkChoice` over it, a
+:class:`~repro.storage.StorageEngine` standing in for its local disk, and an
+identity: a deterministic proposer address that
 ends up in the headers of every block it produces, which is what makes two
 partition sides' blocks *byte-different* and fork choice observable.
 
@@ -11,8 +12,8 @@ Lifecycle:
 * :meth:`crash` -- the simulated ``kill -9``: the in-memory chain object is
   discarded wholesale; only the storage engine (the "disk") survives;
 * :meth:`recover` -- rebuild the chain from the engine's snapshot + WAL
-  (``repro.storage.recover_chain``), re-enable fork choice, and re-apply any
-  faucet mints the cluster performed while this replica was down;
+  (``repro.storage.recover_chain``), start a fresh fork choice, and
+  re-apply any faucet mints the cluster performed while this replica was down;
 * :meth:`resync_from` -- the snap-sync fallback: copy a peer's state and
   import its blocks verbatim.  Used when a reorg would have to roll back
   below this replica's recovery point (no rollback snapshots exist there).
@@ -26,6 +27,7 @@ from repro.errors import ClusterError
 from repro.chain.account import Address
 from repro.chain.chain import Blockchain, ChainConfig
 from repro.chain.keys import KeyPair
+from repro.cluster.forkchoice import ForkChoice
 from repro.obs import NULL_OBSERVABILITY
 
 
@@ -65,19 +67,27 @@ class Replica:
         #: re-applied on :meth:`recover` so balances converge again.
         self.missed_mints: List[Tuple[str, int]] = []
         #: Observability hooks (``repro.obs``); the no-op facade by default.
-        #: Recover/resync replace the chain object, so every replacement
-        #: point re-attaches via :meth:`_reattach_obs`.
+        #: Recover/resync replace the chain object, and :meth:`_adopt`
+        #: re-attaches the hooks to each replacement.
         self.obs: Any = NULL_OBSERVABILITY
         #: Whether this replica serves analytical reads from a columnar
         #: analytics replica over its own WAL (``repro.analytics``).  Sticky
         #: across crash/recover/resync: every chain replacement point
         #: re-attaches a fresh feeder, which backfills from the archive.
         self.analytics_enabled = False
-        self.chain = self._fresh_chain()
+        self._adopt(self._fresh_chain())
 
-    def _reattach_obs(self) -> None:
-        """Point the observability hooks at the (possibly new) chain object."""
-        self.obs.attach_chain(self.chain, self.name)
+    def _adopt(self, chain: Blockchain) -> None:
+        """Make ``chain`` this replica's chain: fork choice from its head,
+        the observability hooks and (if enabled) a fresh analytics feeder."""
+        self.chain = chain
+        self.fork = ForkChoice(chain, self.registry,
+                               snapshot_interval=self.fork_snapshot_interval)
+        self.obs.attach_chain(chain, self.name)
+        if self.analytics_enabled:
+            from repro.analytics import attach_analytics
+
+            attach_analytics(chain, obs=self.obs)
 
     def attach_analytics(self) -> Any:
         """Serve this replica's reads from a columnar analytics replica.
@@ -93,16 +103,9 @@ class Replica:
         self.analytics_enabled = True
         return attach_analytics(self.chain, obs=self.obs)
 
-    def _reattach_analytics(self) -> None:
-        """Re-attach a fresh analytics feeder after a chain replacement."""
-        if self.analytics_enabled:
-            from repro.analytics import attach_analytics
-
-            attach_analytics(self.chain, obs=self.obs)
-
     def _fresh_chain(self) -> Blockchain:
         """A new empty chain bound to this replica's identity and store."""
-        chain = Blockchain(
+        return Blockchain(
             config=self.chain_config,
             backend=self.registry,
             clock=self.clock,
@@ -110,9 +113,6 @@ class Replica:
             genesis_timestamp=self.genesis_timestamp,
             store=self.engine.chain_store(),
         )
-        chain.enable_fork_choice(self.registry,
-                                 snapshot_interval=self.fork_snapshot_interval)
-        return chain
 
     # -- status -----------------------------------------------------------------
 
@@ -139,7 +139,7 @@ class Replica:
             "crashes": self.crashes,
             "recoveries": self.recoveries,
             "resyncs": self.resyncs,
-            "fork": self.chain.fork_stats(),
+            "fork": self.fork.stats(),
         }
 
     # -- lifecycle ---------------------------------------------------------------
@@ -171,15 +171,10 @@ class Replica:
             raise ClusterError(f"{self.name} is not down")
         from repro.storage.engine import recover_chain
 
-        chain = recover_chain(self.engine, backend=self.registry,
-                              clock=self.clock)
-        chain.enable_fork_choice(self.registry,
-                                 snapshot_interval=self.fork_snapshot_interval)
-        self.chain = chain
-        self._reattach_obs()
-        self._reattach_analytics()
+        self._adopt(recover_chain(self.engine, backend=self.registry,
+                                  clock=self.clock))
         for address, amount in self.missed_mints:
-            self.chain.mint(address, amount)
+            self.fork.mint(address, amount)
         self.missed_mints.clear()
         self.alive = True
         self.recoveries += 1
@@ -197,14 +192,7 @@ class Replica:
         from repro.storage.snapshot import encode_state, restore_state
 
         self.engine = StorageEngine()
-        chain = Blockchain(
-            config=self.chain_config,
-            backend=self.registry,
-            clock=self.clock,
-            validators=[proposer_address(self.index)],
-            genesis_timestamp=self.genesis_timestamp,
-            store=self.engine.chain_store(),
-        )
+        chain = self._fresh_chain()
         for block in origin.chain.iter_blocks():
             if block.number == 0:
                 continue
@@ -216,13 +204,9 @@ class Replica:
         # recovery must restore from this snapshot rather than re-execute.
         chain.store.snapshot()
         # Fork choice starts fresh *after* the state restore: the rollback
-        # snapshot written here already contains every historical mint, so
-        # the mint journal correctly restarts empty.
-        chain.enable_fork_choice(self.registry,
-                                 snapshot_interval=self.fork_snapshot_interval)
-        self.chain = chain
-        self._reattach_obs()
-        self._reattach_analytics()
+        # snapshot it writes already contains every historical mint, so the
+        # mint journal correctly restarts empty.
+        self._adopt(chain)
         self.resyncs += 1
         self.obs.event("cluster.resync", replica=self.name,
                        origin=origin.name, height=self.chain.height)

@@ -75,7 +75,7 @@ def collect_cache(reg: MetricsRegistry, name: str, cache: Any) -> None:
 
 def collect_chain(reg: MetricsRegistry, chain: Any,
                   label: Optional[str] = None) -> None:
-    """Sample one chain's height, mempool depth and fork-choice counters."""
+    """Sample one chain's height and mempool depth."""
     labels = {"replica": label or "node"}
     reg.gauge("repro_chain_height", "Canonical chain height.",
               ("replica",)).labels(**labels).set(chain.height)
@@ -87,15 +87,6 @@ def collect_chain(reg: MetricsRegistry, chain: Any,
     reg.counter("repro_mempool_added_total",
                 "Transactions ever admitted to the mempool.",
                 ("replica",)).labels(**labels).set_total(mempool["total_added"])
-    fork = getattr(chain, "_fork", None)
-    if fork is not None:
-        reg.counter("repro_chain_reorgs_total",
-                    "Fork-choice reorganizations executed.",
-                    ("replica",)).labels(**labels).set_total(fork.reorgs)
-        reg.counter("repro_chain_side_blocks_total",
-                    "Side-chain blocks ingested without a reorg.",
-                    ("replica",)).labels(**labels).set_total(
-                        fork.side_blocks_seen)
     batchverify = getattr(chain, "batchverify", None)
     if batchverify is not None:
         reg.counter("repro_batchverify_rejections_total",
@@ -108,6 +99,17 @@ def collect_chain(reg: MetricsRegistry, chain: Any,
             "exception class that caused them.", ("replica", "reason"))
         for reason, count in batchverify.fallback_reasons.items():
             fallbacks.labels(reason=reason, **labels).set_total(count)
+
+
+def collect_fork(reg: MetricsRegistry, fork: Any, label: str) -> None:
+    """Sample one replica's fork-choice counters."""
+    labels = {"replica": label}
+    reg.counter("repro_chain_reorgs_total",
+                "Fork-choice reorganizations executed.",
+                ("replica",)).labels(**labels).set_total(fork.reorgs)
+    reg.counter("repro_chain_side_blocks_total",
+                "Side-chain blocks ingested without a reorg.",
+                ("replica",)).labels(**labels).set_total(fork.side_blocks_seen)
 
 
 def collect_gossip(reg: MetricsRegistry, gossip: Any) -> None:

@@ -224,10 +224,9 @@ def _encode_line(seq: int, record: Dict[str, Any]) -> str:
     """
     payload = canonical_dumps(record)
     checksum = keccak256(payload.encode("utf-8")).hex()[:16]
-    return json.dumps(
-        {"seq": seq, "checksum": checksum, "record": json.loads(payload)},
-        separators=(",", ":"), sort_keys=True,
-    )
+    # ``json.dumps`` of the wrapper with sorted keys, spelled out: the
+    # payload is already canonical text, so it goes in verbatim.
+    return f'{{"checksum":"{checksum}","record":{payload},"seq":{seq}}}'
 
 
 class LogBackend:

@@ -107,6 +107,7 @@ class Stack:
             # ``ClusterNode.chain``: reading that pumps gossip.
             for replica in self.cluster.replicas:
                 adapters.collect_chain(reg, replica.chain, replica.name)
+                adapters.collect_fork(reg, replica.fork, replica.name)
             adapters.collect_gossip(reg, self.cluster.gossip)
         for name, cache in self.caches().items():
             adapters.collect_cache(reg, name, cache)

@@ -13,6 +13,7 @@ from repro.chain.chain import Blockchain, ChainConfig
 from repro.chain.events import LogFilter
 from repro.chain.explorer import Explorer
 from repro.chain.transaction import Transaction
+from repro.cluster.forkchoice import ForkChoice
 from repro.contracts import default_registry
 from repro.errors import AnalyticsError
 from repro.obs import MetricsRegistry, Observability
@@ -131,7 +132,7 @@ class TestCompactionCatchUp:
 
 
 def make_fork_chain(validator_label, clock):
-    """A fork-choice chain over its own in-memory engine (cluster idiom)."""
+    """Fork choice over a chain with its own in-memory engine (cluster idiom)."""
     engine = StorageEngine()
     chain = Blockchain(
         config=ChainConfig(),
@@ -141,18 +142,17 @@ def make_fork_chain(validator_label, clock):
         genesis_timestamp=0.0,
         store=engine.chain_store(),
     )
-    chain.enable_fork_choice(default_registry(), snapshot_interval=2)
-    return chain
+    return ForkChoice(chain, default_registry(), snapshot_interval=2)
 
 
-def fork_transfer(chain, keypair, nonce):
+def fork_transfer(fork, keypair, nonce):
     tx = Transaction(
         sender=Address(keypair.address),
         to=Address(KeyPair.from_label("an-sink").address),
         value=1_000, nonce=nonce, gas_limit=21_000, gas_price=10**9,
     )
     tx.sign(keypair)
-    return chain.submit_transaction(tx)
+    return fork.chain.submit_transaction(tx)
 
 
 class TestReorgRollback:
@@ -166,7 +166,7 @@ class TestReorgRollback:
             chain.mint(key.address, ether_to_wei(1))
         shared = a.produce_block()
         b.apply_block(shared.to_record())
-        feeder = attach_analytics(a, obs=obs)
+        feeder = attach_analytics(a.chain, obs=obs)
         feeder.drain()
 
         # a mines one block with a tx; b (partitioned) mines two without it.
@@ -180,24 +180,24 @@ class TestReorgRollback:
 
     def test_reorg_truncates_then_replays_the_new_branch(self):
         a, b, feeder, height_before = self._reorged_pair()
-        assert a.fork_stats()["reorgs"] == 1
+        assert a.stats()["reorgs"] == 1
         assert feeder.rollbacks == 1
         feeder.drain()
-        assert feeder.store.height == a.height == height_before + 1
-        assert feeder.store.block_hash_at(a.height) == a.latest_block.hash
-        assert feeder.logs() == list(a.iter_logs())
+        assert feeder.store.height == a.chain.height == height_before + 1
+        assert feeder.store.block_hash_at(a.chain.height) == a.chain.latest_block.hash
+        assert feeder.logs() == list(a.chain.iter_logs())
 
     def test_post_reorg_queries_are_parity_identical(self):
         a, _, feeder, _ = self._reorged_pair()
         replica_summary = feeder.fee_summary_by_kind()
         replica_stats = feeder.chain_statistics()
-        a.analytics = None
+        a.chain.analytics = None
         try:
-            explorer = Explorer(a)
+            explorer = Explorer(a.chain)
             assert replica_summary == explorer.fee_summary_by_kind()
             assert replica_stats == explorer.chain_statistics()
         finally:
-            a.analytics = feeder
+            a.chain.analytics = feeder
 
     def test_rollback_emits_an_obs_event(self):
         obs = Observability(MetricsRegistry(), clock=SimulatedClock())

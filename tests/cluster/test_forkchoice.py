@@ -1,4 +1,4 @@
-"""Fork-aware Blockchain: side-chain tracking, reorgs, state rollback."""
+"""Replica-side fork choice: side-chain tracking, reorgs, state rollback."""
 
 from __future__ import annotations
 
@@ -8,14 +8,16 @@ from repro.chain.account import Address
 from repro.chain.chain import Blockchain, ChainConfig
 from repro.chain.keys import KeyPair
 from repro.chain.transaction import Transaction
+from repro.cluster.forkchoice import ForkChoice
 from repro.contracts.registry import default_registry
 from repro.errors import BlockValidationError
 from repro.storage.snapshot import state_digest
 from repro.utils.clock import SimulatedClock
+from repro.utils.serialization import reply_json
 
 
 def make_chain(validator_label: str = "val-a", clock=None,
-               snapshot_interval: int = 2) -> Blockchain:
+               snapshot_interval: int = 2) -> ForkChoice:
     chain = Blockchain(
         config=ChainConfig(),
         backend=default_registry(),
@@ -23,16 +25,15 @@ def make_chain(validator_label: str = "val-a", clock=None,
         validators=[Address(KeyPair.from_label(validator_label).address)],
         genesis_timestamp=0.0,
     )
-    chain.enable_fork_choice(default_registry(),
-                             snapshot_interval=snapshot_interval)
-    return chain
+    return ForkChoice(chain, default_registry(),
+                      snapshot_interval=snapshot_interval)
 
 
-def fund(chain: Blockchain, keypair: KeyPair, amount: int = 10**18) -> None:
-    chain.mint(keypair.address, amount)
+def fund(fork: ForkChoice, keypair: KeyPair, amount: int = 10**18) -> None:
+    fork.mint(keypair.address, amount)
 
 
-def transfer(chain: Blockchain, keypair: KeyPair, nonce: int,
+def transfer(fork: ForkChoice, keypair: KeyPair, nonce: int,
              value: int = 1_000) -> str:
     tx = Transaction(
         sender=Address(keypair.address),
@@ -40,16 +41,36 @@ def transfer(chain: Blockchain, keypair: KeyPair, nonce: int,
         value=value, nonce=nonce, gas_limit=21_000, gas_price=10**9,
     )
     tx.sign(keypair)
-    return chain.submit_transaction(tx)
+    return fork.chain.submit_transaction(tx)
+
+
+def assert_kept_replies_fresh(chain: Blockchain) -> None:
+    """Every canonical block (both transaction forms), receipt and known
+    transaction keeps reply text equal to a fresh rendering of its dict."""
+    def fresh(obj, *args) -> bytes:
+        return reply_json(obj.to_dict(*args)).encode()
+
+    for block in chain.iter_blocks():
+        for full in (False, True):
+            assert block.json_bytes(full) == fresh(block, full)
+        for tx in block.transactions:
+            receipt = chain.get_receipt(tx.hash_hex)
+            assert receipt.json_bytes() == fresh(receipt)
+            assert tx.json_bytes() == fresh(tx)
+            assert chain.get_transaction(tx.hash_hex).json_bytes() == fresh(tx)
+    for tx in chain.mempool.pending():
+        assert tx.json_bytes() == fresh(tx)
 
 
 class TestForkTracking:
     def test_seed_chains_have_fork_choice_disabled(self):
         chain = Blockchain()
-        assert not chain.fork_choice_enabled
-        assert chain.fork_stats() == {"reorgs": 0, "max_reorg_depth": 0,
-                                      "side_blocks_seen": 0,
-                                      "side_blocks_held": 0}
+        for name in ("fork_choice_enabled", "fork_stats", "apply_block",
+                     "reorg_to", "_fork"):
+            assert not hasattr(chain, name)
+        assert ForkChoice(chain, default_registry()).stats() == {
+            "reorgs": 0, "max_reorg_depth": 0, "side_blocks_seen": 0,
+            "side_blocks_held": 0}
 
     def test_apply_block_extends_the_tip(self):
         a = make_chain("val-a")
@@ -60,8 +81,8 @@ class TestForkTracking:
         transfer(a, key, nonce=0)
         block = a.produce_block()
         assert b.apply_block(block.to_record()) == "extended"
-        assert b.latest_block.hash == a.latest_block.hash
-        assert state_digest(b.state) == state_digest(a.state)
+        assert b.chain.latest_block.hash == a.chain.latest_block.hash
+        assert state_digest(b.chain.state) == state_digest(a.chain.state)
 
     def test_duplicates_and_orphans_are_classified(self):
         a = make_chain("val-a")
@@ -80,8 +101,8 @@ class TestForkTracking:
         a.produce_block()                      # a is at height 3
         fork = b.produce_block()               # b forks at height 2
         assert a.apply_block(fork.to_record()) == "side"
-        assert a.height == 3
-        assert a.fork_stats()["side_blocks_held"] == 1
+        assert a.chain.height == 3
+        assert a.stats()["side_blocks_held"] == 1
 
     def test_longer_branch_triggers_reorg_with_identical_state(self):
         clock = SimulatedClock()
@@ -97,12 +118,14 @@ class TestForkTracking:
         transfer(a, key, nonce=0)
         a.produce_block()
         b_blocks = [b.produce_block() for _ in range(2)]
+        assert_kept_replies_fresh(a.chain)
 
         statuses = [a.apply_block(block.to_record()) for block in b_blocks]
         assert statuses == ["side", "reorged"]
-        assert a.latest_block.hash == b.latest_block.hash
-        assert a.fork_stats()["reorgs"] == 1
-        assert state_digest(a.state) == state_digest(b.state)
+        assert_kept_replies_fresh(a.chain)
+        assert a.chain.latest_block.hash == b.chain.latest_block.hash
+        assert a.stats()["reorgs"] == 1
+        assert state_digest(a.chain.state) == state_digest(b.chain.state)
 
     def test_reorg_requeues_abandoned_transactions(self):
         clock = SimulatedClock()
@@ -113,14 +136,16 @@ class TestForkTracking:
             fund(chain, key)
         tx_hash = transfer(a, key, nonce=0)
         a.produce_block()                      # includes the tx on a only
-        assert a.has_receipt(tx_hash)
+        assert a.chain.has_receipt(tx_hash)
+        assert_kept_replies_fresh(a.chain)
         for block in (b.produce_block(), b.produce_block()):
             a.apply_block(block.to_record())
+        assert_kept_replies_fresh(a.chain)
         # The reorg abandoned the including block: tx is pending again.
-        assert not a.has_receipt(tx_hash)
-        assert tx_hash in a.mempool
+        assert not a.chain.has_receipt(tx_hash)
+        assert tx_hash in a.chain.mempool
         a.produce_block()
-        assert a.has_receipt(tx_hash)
+        assert a.chain.has_receipt(tx_hash)
 
     def test_equal_length_tie_breaks_to_smaller_head_hash(self):
         clock = SimulatedClock()
@@ -131,9 +156,11 @@ class TestForkTracking:
         assert block_a.hash != block_b.hash
         status_a = a.apply_block(block_b.to_record())
         status_b = b.apply_block(block_a.to_record())
+        assert_kept_replies_fresh(a.chain)
+        assert_kept_replies_fresh(b.chain)
         winner = min(block_a.hash, block_b.hash)
-        assert a.latest_block.hash == winner
-        assert b.latest_block.hash == winner
+        assert a.chain.latest_block.hash == winner
+        assert b.chain.latest_block.hash == winner
         # Exactly one side reorged; the other kept its head.
         assert sorted([status_a, status_b]) == ["reorged", "side"]
 
@@ -151,9 +178,10 @@ class TestForkTracking:
         fund(b, key, 777)
         for block in (b.produce_block(), b.produce_block()):
             a.apply_block(block.to_record())
-        assert a.latest_block.hash == b.latest_block.hash
-        assert a.state.balance_of(key.address) == 777
-        assert state_digest(a.state) == state_digest(b.state)
+        assert_kept_replies_fresh(a.chain)
+        assert a.chain.latest_block.hash == b.chain.latest_block.hash
+        assert a.chain.state.balance_of(key.address) == 777
+        assert state_digest(a.chain.state) == state_digest(b.chain.state)
 
     def test_deep_reorg_across_snapshot_boundaries(self):
         clock = SimulatedClock()
@@ -168,13 +196,25 @@ class TestForkTracking:
             transfer(a, key, nonce=nonce)
             a.produce_block()                  # a: height 6, 5 txs applied
         b_blocks = [b.produce_block() for _ in range(7)]  # b: height 8, empty
+        assert_kept_replies_fresh(a.chain)
         for block in b_blocks:
             a.apply_block(block.to_record())
-        assert a.latest_block.hash == b.latest_block.hash
-        assert a.fork_stats()["max_reorg_depth"] == 5
-        assert state_digest(a.state) == state_digest(b.state)
+        assert_kept_replies_fresh(a.chain)
+        assert a.chain.latest_block.hash == b.chain.latest_block.hash
+        assert a.stats()["max_reorg_depth"] == 5
+        assert state_digest(a.chain.state) == state_digest(b.chain.state)
         # The five abandoned transfers are pending again.
-        assert len(a.mempool) == 5
+        assert len(a.chain.mempool) == 5
+
+    def test_rollback_snapshots_follow_the_cadence_and_retention(self):
+        a = make_chain("val-a", snapshot_interval=2)
+        b = make_chain("val-b", snapshot_interval=2)
+        for _ in range(20):
+            b.apply_block(a.produce_block().to_record())
+        retained = list(range(20 - 2 * (ForkChoice.SNAPSHOTS_RETAINED - 1), 21, 2))
+        for fork in (a, b):
+            assert fork.snapshots.heights() == retained
+            assert sorted(fork.snapshot_mint_seq) == retained
 
     def test_import_block_side_routing_needs_known_parent(self):
         a = make_chain("val-a")
@@ -182,10 +222,16 @@ class TestForkTracking:
         b.produce_block()
         far = b.produce_block()
         with pytest.raises(Exception):
-            a.import_block(far.to_record())
+            a.chain.import_block(far.to_record())
 
     def test_apply_block_requires_fork_choice(self):
-        chain = Blockchain()
+        # Side blocks and reorgs live on the replica's fork object only: a
+        # plain chain refuses a record that does not extend its tip.
+        a = make_chain("val-a")
+        b = make_chain("val-b")
+        b.produce_block()
+        side = a.produce_block()
+        assert b.apply_block(side.to_record()) in ("side", "reorged")
         with pytest.raises(BlockValidationError):
-            chain.apply_block({"header": {"hash": "0x00", "parent_hash": "0x00",
-                                          "number": 1}})
+            Blockchain(genesis_timestamp=0.0).import_block(
+                b.produce_block().to_record())

@@ -115,7 +115,7 @@ class TestSingleNodePathUnchanged:
         from repro.system.orchestrator import build_environment
 
         env = build_environment(tiny_config())
-        assert not env.node.chain.fork_choice_enabled
+        assert not hasattr(env.node.chain, "apply_block")
         assert env.cluster is None
 
     def test_cluster_scenarios_are_not_seed_exact(self):

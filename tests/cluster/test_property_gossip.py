@@ -3,13 +3,16 @@
 Hypothesis drives a 3-replica cluster through random interleavings of
 transaction submissions, slot ticks, partitions and heals (with every
 partition healed in fewer blocks than the finality depth -- the regime the
-operator's handbook promises safety for).  Two invariants hold throughout:
+operator's handbook promises safety for).  Three invariants hold throughout:
 
 1. **finalized-prefix agreement** -- any two alive replicas agree on every
    block buried at least ``finality_depth`` below *both* their heads;
 2. **finality is forever** -- once any replica has buried height *h* by
    ``finality_depth`` blocks, the block hash it recorded at *h* never
-   changes again, on any replica, for the rest of the run.
+   changes again, on any replica, for the rest of the run;
+3. **kept replies stay fresh** -- through every reorg, each canonical
+   block, receipt and transaction's memoised reply text equals a fresh
+   rendering of its ``to_dict()``.
 
 After the schedule every partition is healed and anti-entropy must bring
 all replicas to one byte-identical head and state digest.
@@ -28,6 +31,8 @@ from repro.cluster import ChainCluster, ClusterConfig, ClusterNode
 from repro.contracts.registry import default_registry
 from repro.errors import ClusterError
 from repro.storage.snapshot import state_digest
+
+from tests.cluster.test_forkchoice import assert_kept_replies_fresh
 
 REPLICAS = 3
 FINALITY_DEPTH = 4
@@ -128,10 +133,14 @@ def test_random_schedules_never_conflict_on_finalized_prefixes(ops, seed):
             cluster.converge()
             partitioned = False
         _check_finalized_prefixes(cluster, finalized)
+        for replica in cluster.alive_replicas():
+            assert_kept_replies_fresh(replica.chain)
 
     cluster.heal()
     assert cluster.converge(), "post-schedule anti-entropy did not converge"
     _check_finalized_prefixes(cluster, finalized)
+    for replica in cluster.alive_replicas():
+        assert_kept_replies_fresh(replica.chain)
     heads = {r.head_hash for r in cluster.alive_replicas()}
     digests = {state_digest(r.chain.state) for r in cluster.alive_replicas()}
     assert len(heads) == 1 and len(digests) == 1

@@ -11,6 +11,7 @@ from repro.chain.account import Address
 from repro.chain.chain import Blockchain, ChainConfig
 from repro.chain.events import LogFilter
 from repro.chain.transaction import Transaction, encode_call, encode_create
+from repro.cluster.forkchoice import ForkChoice
 from repro.contracts import default_registry
 from repro.net import SubscriptionManager
 from repro.rpc.filters import FilterManager
@@ -38,8 +39,7 @@ def make_fork_chain(validator_label, clock):
         validators=[Address(KeyPair.from_label(validator_label).address)],
         genesis_timestamp=0.0,
     )
-    chain.enable_fork_choice(default_registry(), snapshot_interval=2)
-    return chain
+    return ForkChoice(chain, default_registry(), snapshot_interval=2)
 
 
 def send_transfer(node, nonce):
@@ -131,7 +131,7 @@ class TestReorgParity:
         key = KeyPair.from_label("net-parity-bob")
         for chain in (ours, theirs):
             chain.mint(key.address, 10**18)
-        node = EthereumNode(chain=ours)
+        node = EthereumNode(chain=ours.chain)
 
         filters, subs = FilterManager(node), SubscriptionManager(node)
         filter_id = filters.new_block_filter()
@@ -155,7 +155,7 @@ class TestReorgParity:
         tx = Transaction(sender=Address(key.address),
                          to=Address("0x" + "77" * 20), value=1, nonce=0,
                          gas_limit=21_000, gas_price=10**9).sign(key)
-        ours.submit_transaction(tx)
+        ours.chain.submit_transaction(tx)
         abandoned = ours.produce_block()
         assert poll_both() == [abandoned.hash]
         their_blocks = [theirs.produce_block() for _ in range(2)]
@@ -164,7 +164,7 @@ class TestReorgParity:
                     for block in their_blocks]
         assert statuses == ["side", "reorged"]
         assert node.get_block(node.block_number).hash == \
-            theirs.latest_block.hash
+            theirs.chain.latest_block.hash
 
         # After the reorg BOTH surfaces report the same window -- the new
         # canonical blocks past the cursor -- with byte-identical content.
@@ -182,7 +182,7 @@ class TestReorgParity:
         key = KeyPair.from_label("net-parity-carol")
         for chain in (ours, theirs):
             chain.mint(key.address, 10**18)
-        node = EthereumNode(chain=ours)
+        node = EthereumNode(chain=ours.chain)
 
         filters, subs = FilterManager(node), SubscriptionManager(node)
         filter_id = filters.new_pending_transaction_filter()
@@ -191,14 +191,14 @@ class TestReorgParity:
         tx = Transaction(sender=Address(key.address),
                          to=Address("0x" + "88" * 20), value=1, nonce=0,
                          gas_limit=21_000, gas_price=10**9).sign(key)
-        tx_hash = ours.submit_transaction(tx)
+        tx_hash = ours.chain.submit_transaction(tx)
         assert canonical(pushed(subs)) == \
             canonical(filters.changes(filter_id)) != canonical([])
 
         ours.produce_block()                   # includes the tx on our branch
         for block in (theirs.produce_block(), theirs.produce_block()):
             ours.apply_block(block.to_record())
-        assert tx_hash in ours.mempool         # reorg requeued it
+        assert tx_hash in ours.chain.mempool         # reorg requeued it
 
         # Whatever the requeue journalled, both surfaces must agree on it.
         assert canonical(pushed(subs)) == canonical(filters.changes(filter_id))

@@ -129,7 +129,7 @@ class TestReorgAndRecoveryParity:
             chain.mint(key.address, 10**18)
         shared = a.produce_block()
         b.apply_block(shared.to_record())
-        feeder = attach_analytics(a)
+        feeder = attach_analytics(a.chain)
         fork_transfer(a, key, nonce=0)
         a.produce_block()
         feeder.drain()
@@ -138,12 +138,12 @@ class TestReorgAndRecoveryParity:
         assert feeder.rollbacks == 1
         replica_logs = feeder.logs()
         replica_summary = feeder.fee_summary_by_kind()
-        a.analytics = None
+        a.chain.analytics = None
         try:
-            assert replica_logs == a.logs()
-            assert replica_summary == Explorer(a).fee_summary_by_kind()
+            assert replica_logs == a.chain.logs()
+            assert replica_summary == Explorer(a.chain).fee_summary_by_kind()
         finally:
-            a.analytics = feeder
+            a.chain.analytics = feeder
 
     def test_parity_survives_kill_minus_nine_backfill(self, tmp_path):
         config = StorageConfig(backend="log", directory=str(tmp_path / "s"),

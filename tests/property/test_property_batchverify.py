@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.chain.keys import Signature, verify_signature
 from repro.chain.node import EthereumNode
+from repro.cluster.forkchoice import ForkChoice
 from repro.contracts.registry import default_registry
 from repro.parallel.verify import _verify_jobs
 from repro.storage import StorageConfig, recover_node, state_digest
@@ -118,17 +119,17 @@ class TestBatchEquivalenceAcrossReorg:
         # leader is past genesis, so there is always a tip to abandon.
         ops = [("transfer", 0, 1, 7), ("block",)] + list(ops)
         leader = run_workload(ops, batch_verify=0)
-        follower = fresh_chain()
-        follower.enable_fork_choice(default_registry(), snapshot_interval=2)
+        follower = ForkChoice(fresh_chain(), default_registry(),
+                              snapshot_interval=2)
         replay_mints(follower, ops)
         for number in range(1, leader.height + 1):
             assert follower.apply_block(
                 leader.get_block(number).to_record()) == "extended"
-        assert state_digest(follower.state) == state_digest(leader.state)
+        assert state_digest(follower.chain.state) == state_digest(leader.state)
 
-        rival = fresh_chain(RIVAL_VALIDATOR,
-                            start_time=leader.latest_block.timestamp)
-        rival.enable_fork_choice(default_registry(), snapshot_interval=2)
+        rival = ForkChoice(fresh_chain(RIVAL_VALIDATOR,
+                                       start_time=leader.latest_block.timestamp),
+                           default_registry(), snapshot_interval=2)
         replay_mints(rival, ops)
         for number in range(1, leader.height):
             assert rival.apply_block(
@@ -136,8 +137,8 @@ class TestBatchEquivalenceAcrossReorg:
         statuses = [follower.apply_block(rival.produce_block().to_record())
                     for _ in range(2)]
         assert "reorged" in statuses
-        assert follower.latest_block.hash == rival.latest_block.hash
-        assert state_digest(follower.state) == state_digest(rival.state)
+        assert follower.chain.latest_block.hash == rival.chain.latest_block.hash
+        assert state_digest(follower.chain.state) == state_digest(rival.chain.state)
 
 
 class TestBatchEquivalenceAcrossRecovery:
