@@ -12,6 +12,8 @@ full chain replicas connected by ``repro.simnet`` network links:
   over per-link latency/drop models;
 * :class:`Replica` -- one full chain copy with its own durable store,
   recoverable from its WAL and resyncable from a peer;
+* :class:`ForkChoice` -- a replica's side blocks, rollback snapshots and
+  reorgs, driving its unchanged ``Blockchain`` by composition;
 * :class:`ClusterNode` -- an ``EthereumNode``-shaped facade that routes
   writes to the current leader and load-balances caught-up reads, so the
   JSON-RPC gateway, wallets and the load generator can hold a cluster
@@ -24,6 +26,7 @@ leader crashes and geo latency) lives in ``docs/architecture.md`` under
 
 from repro.cluster.cluster import ChainCluster, build_cluster_network
 from repro.cluster.config import ClusterConfig
+from repro.cluster.forkchoice import ForkChoice
 from repro.cluster.gossip import GossipLayer, GossipStats
 from repro.cluster.node import ClusterNode
 from repro.cluster.replica import Replica, proposer_address
@@ -32,6 +35,7 @@ __all__ = [
     "ChainCluster",
     "ClusterConfig",
     "ClusterNode",
+    "ForkChoice",
     "GossipLayer",
     "GossipStats",
     "Replica",

@@ -22,7 +22,7 @@ from repro.storage.backend import MemoryBackend
 from repro.storage.snapshot import SnapshotManager, restore_state
 
 
-def record_hash(record: Dict[str, Any]) -> str:
+def _record_hash(record: Dict[str, Any]) -> str:
     """The hash a block record claims, or the one it hashes to."""
     recorded = record["header"].get("hash")
     return recorded if recorded is not None else block_from_record(record).hash
@@ -123,7 +123,7 @@ class ForkChoice:
         """
         chain = self.chain
         header = record["header"]
-        block_hash = record_hash(record)
+        block_hash = _record_hash(record)
         if self.knows_block(block_hash):
             return "known"
         parent_hash = header["parent_hash"]
@@ -201,7 +201,7 @@ class ForkChoice:
                     pass  # no longer valid against the rolled-back state
 
         for record in path:
-            self.side_records.pop(record_hash(record), None)
+            self.side_records.pop(_record_hash(record), None)
             chain.replay_block(record)
             self._checkpoint()
 
