@@ -40,8 +40,8 @@ Python/NumPy:
     A discrete-event scenario simulator: concurrent tasks, adversarial
     owner populations, lossy networks, node crash/recovery.
 ``repro.loadgen``
-    An open-/closed-loop workload driver: Zipf-skewed, bursty request
-    mixes, latency percentiles and saturation sweeps at the gateway.
+    The background load ``repro.simnet`` scenarios attach to their stack:
+    Zipf-skewed, bursty request mixes at the gateway on the simulated clock.
 ``repro.cluster``
     Multi-node chain replication: gossip transaction/block dissemination,
     round-robin leader rotation with failover, longest-chain fork choice

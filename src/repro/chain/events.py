@@ -38,6 +38,12 @@ class EventLog:
     transaction_hash: str = ""
     log_index: int = 0
 
+    def __post_init__(self) -> None:
+        # One key order wherever the log was built -- emitted live, or read
+        # back from key-sorted canonical storage -- so a recovered chain
+        # serves the reply bytes the live one did.
+        object.__setattr__(self, "args", dict(sorted(self.args.items())))
+
     @property
     def topic(self) -> str:
         """A stable identifier for the event signature (hash of its name)."""

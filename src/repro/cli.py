@@ -10,11 +10,6 @@ Subcommands
     tasks, adversarial owner populations, lossy networks -- and print the
     scenario report (throughput, mempool depth, gas, accuracy vs adversary
     fraction).
-``loadgen``
-    Drive an open-/closed-loop workload (``repro.loadgen``) at the JSON-RPC
-    gateway: thousands of simulated clients, Zipf-skewed and bursty request
-    mixes, latency percentiles and error rates -- or sweep offered rates to
-    find the saturation knee.
 ``serve``
     Serve the JSON-RPC gateway over real sockets (``repro.net``): HTTP
     single/batch POST, a WebSocket endpoint with ``eth_subscribe`` push,
@@ -39,7 +34,7 @@ Subcommands
     print the per-replica status table (heights, heads, reorgs,
     convergence) -- the quickest way to watch replication work.
 ``obs``
-    Run a short observed workload (a loadgen burst or a named scenario) with
+    Run a named scenario (``flashcrowd`` by default) with
     the unified observability layer (``repro.obs``) enabled and print its
     Prometheus metrics, a transaction's span tree, the per-phase cost table
     or the structured event log.
@@ -132,51 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument("--save", default=None, metavar="PATH",
                             help="save the scenario report to a JSON file")
 
-    load_parser = subparsers.add_parser(
-        "loadgen", help="drive skewed/bursty load at the gateway (repro.loadgen)")
-    load_parser.add_argument("--clients", type=int, default=100,
-                             help="simulated client population (default: 100)")
-    load_parser.add_argument("--rate", type=float, default=20.0,
-                             help="open-loop arrivals per simulated second")
-    load_parser.add_argument("--duration", type=float, default=300.0,
-                             metavar="SECONDS", help="simulated load duration")
-    load_parser.add_argument("--mode", choices=["open", "closed"], default="open",
-                             help="open loop (arrival process) or closed loop "
-                                  "(think/request/wait clients)")
-    load_parser.add_argument("--arrival", default="poisson",
-                             choices=["uniform", "poisson", "ramp", "flashcrowd"],
-                             help="open-loop arrival process (default: poisson)")
-    load_parser.add_argument("--mix", default=None, metavar="SPEC",
-                             help="request mix, e.g. transfer=0.5,read=0.35,ipfs=0.15")
-    load_parser.add_argument("--zipf", type=float, default=1.1, metavar="EXPONENT",
-                             help="sender/content popularity skew (0 = uniform)")
-    load_parser.add_argument("--think", type=float, default=10.0, metavar="SECONDS",
-                             help="closed-loop mean think time")
-    load_parser.add_argument("--rate-limit", type=float, default=None,
-                             help="gateway token-bucket rate (requests per "
-                                  "simulated second)")
-    load_parser.add_argument("--cluster", type=int, default=None, metavar="N",
-                             help="drive an N-replica replication cluster "
-                                  "instead of one node")
-    load_parser.add_argument("--batch-verify", type=int, nargs="?", const=4,
-                             default=None, metavar="W",
-                             help="deferred Schnorr verification "
-                                  "(repro.batchverify): verify each block's "
-                                  "signatures at production on W verify "
-                                  "workers (default W: 4; 0 = inline); "
-                                  "default: verify at submission")
-    load_parser.add_argument("--seed", type=int, default=7,
-                             help="deterministic seed for arrivals and skew")
-    load_parser.add_argument("--sweep", default=None, metavar="RATES",
-                             help="comma-separated offered rates (e.g. 10,40,80,160) "
-                                  "or 'auto'; runs a saturation sweep")
-    load_parser.add_argument("--obs", action="store_true",
-                             help="enable the repro.obs observability layer "
-                                  "for a single run (the saved report gains "
-                                  "an 'obs' section)")
-    load_parser.add_argument("--save", default=None, metavar="PATH",
-                             help="save the load/sweep report to a JSON file")
-
     serve_parser = subparsers.add_parser(
         "serve", help="serve the JSON-RPC gateway over HTTP/WebSocket (repro.net)")
     serve_parser.add_argument("--host", default="127.0.0.1",
@@ -226,15 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "trace: one transaction's span tree; "
                                  "top: per-phase cost table; "
                                  "events: structured JSONL event log")
-    obs_parser.add_argument("--scenario", default=None, choices=sorted(SCENARIOS),
-                            help="observe a named simnet scenario instead of "
-                                 "the default short loadgen burst")
-    obs_parser.add_argument("--clients", type=int, default=20,
-                            help="loadgen burst: client population (default: 20)")
-    obs_parser.add_argument("--rate", type=float, default=10.0,
-                            help="loadgen burst: arrivals per simulated second")
-    obs_parser.add_argument("--duration", type=float, default=60.0, metavar="SECONDS",
-                            help="loadgen burst: simulated duration (default: 60)")
+    obs_parser.add_argument("--scenario", default="flashcrowd",
+                            choices=sorted(SCENARIOS),
+                            help="simnet scenario to observe (default: "
+                                 "flashcrowd)")
     obs_parser.add_argument("--seed", type=int, default=7,
                             help="deterministic seed (default: 7)")
     obs_parser.add_argument("--trace-id", default=None,
@@ -467,59 +412,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
     return 0 if report.tasks_failed == 0 else 3
 
 
-def _command_loadgen(args: argparse.Namespace) -> int:
-    """Implement the ``loadgen`` subcommand."""
-    from repro.errors import ReproError
-    from repro.loadgen import LoadGenConfig, LoadGenerator, RequestMix, run_sweep
-
-    try:
-        mix = (RequestMix.parse(args.mix).to_dict() if args.mix is not None
-               else None)
-        config = LoadGenConfig(
-            clients=args.clients,
-            duration_seconds=args.duration,
-            rate=args.rate,
-            mode=args.mode,
-            arrival=args.arrival,
-            think_time_seconds=args.think,
-            zipf_exponent=args.zipf,
-            rate_limit=args.rate_limit,
-            cluster=args.cluster,
-            batch_verify=args.batch_verify,
-            seed=args.seed,
-            **({"mix": mix} if mix is not None else {}),
-        )
-        if args.sweep is not None:
-            if args.obs:
-                print("error: --obs applies to a single run, not a sweep",
-                      file=sys.stderr)
-                return 2
-            if args.sweep == "auto":
-                rates = [args.rate, args.rate * 2, args.rate * 4, args.rate * 8]
-            else:
-                rates = [float(rate) for rate in args.sweep.split(",") if rate.strip()]
-            print(f"sweeping offered rates {[round(r, 1) for r in sorted(rates)]} "
-                  f"({config.clients} clients, {config.duration_seconds:.0f}s "
-                  f"simulated each, seed {config.seed})...")
-            report = run_sweep(config, rates)
-        else:
-            print(f"generating load: {config.clients} clients, "
-                  f"{config.mode} loop at {config.rate}/s ({config.arrival}), "
-                  f"{config.duration_seconds:.0f}s simulated, seed {config.seed}...")
-            report = LoadGenerator(config, observability=args.obs).run()
-    except (ReproError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print()
-    print(report.summary())
-    if args.save:
-        from repro.system.artifacts import save_json
-
-        target = save_json(report.to_dict(), args.save)
-        print(f"\nload report saved to {target}")
-    return 0
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     """Implement the ``serve`` subcommand: boot, print the port, run until
     SIGTERM/SIGINT, then drain gracefully."""
@@ -576,29 +468,16 @@ def _command_obs(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
 
     try:
-        if args.scenario is not None:
-            from repro.simnet import ScenarioRunner, build_scenario
-            from repro.system import quick_config
+        from repro.simnet import ScenarioRunner, build_scenario
+        from repro.system import quick_config
 
-            spec = build_scenario(args.scenario)
-            print(f"observing scenario {spec.name!r} (seed {args.seed})...",
-                  file=sys.stderr)
-            runner = ScenarioRunner(spec, config=quick_config(seed=args.seed),
-                                    observability=True)
-            runner.run()
-            obs = runner.obs
-        else:
-            from repro.loadgen import LoadGenConfig, LoadGenerator
-
-            config = LoadGenConfig(clients=args.clients,
-                                   duration_seconds=args.duration,
-                                   rate=args.rate, seed=args.seed)
-            print(f"observing a {config.duration_seconds:.0f}s load burst "
-                  f"({config.clients} clients at {config.rate:g}/s, "
-                  f"seed {config.seed})...", file=sys.stderr)
-            generator = LoadGenerator(config, observability=True)
-            generator.run()
-            obs = generator.obs
+        spec = build_scenario(args.scenario)
+        print(f"observing scenario {spec.name!r} (seed {args.seed})...",
+              file=sys.stderr)
+        runner = ScenarioRunner(spec, config=quick_config(seed=args.seed),
+                                observability=True)
+        runner.run()
+        obs = runner.obs
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -999,8 +878,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_run(args)
     if args.command == "simulate":
         return _command_simulate(args)
-    if args.command == "loadgen":
-        return _command_loadgen(args)
     if args.command == "serve":
         return _command_serve(args)
     if args.command == "obs":

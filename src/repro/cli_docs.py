@@ -30,7 +30,7 @@ actually accepts.
 > regenerates it and fails when this file is out of sync with the parser.
 
 See [docs/simnet.md](simnet.md) for what the `simulate` scenarios do,
-[docs/performance.md](performance.md) for `loadgen` workflows, and
+[docs/performance.md](performance.md) for how the stack is measured, and
 [docs/architecture.md](architecture.md) for the subsystem map (including
 the cluster operations the `cluster` subcommand exercises).
 """

@@ -1,30 +1,24 @@
-"""repro.loadgen -- the open-/closed-loop workload driver.
+"""repro.loadgen -- the background load a simnet scenario puts on its stack.
 
-Spawns thousands of simulated clients on the shared simulated clock, firing
-skewed (Zipfian) and bursty (Poisson / ramp / flash-crowd) request mixes at
-the JSON-RPC gateway through :class:`~repro.rpc.client.MarketplaceClient`,
-and accounts latency percentiles, sustained throughput and error rates into
-load and saturation-sweep reports.
+Simulated clients on the shared simulated clock fire skewed (Zipfian) and
+bursty (Poisson / flash-crowd) request mixes at the JSON-RPC gateway through
+:class:`~repro.rpc.client.MarketplaceClient`, while the scenario's
+marketplace tasks run; the scenario report carries the load's deterministic
+metrics under ``load``.  ``presigned_transfers`` is the benchmark's funded
+transfer fixture.
 
-See ``docs/performance.md`` for how to run it and read the reports.
+See ``docs/simnet.md`` for the scenarios that attach it.
 """
 
 from repro.loadgen.arrivals import (
     ArrivalProcess,
     FlashCrowdArrivals,
     PoissonArrivals,
-    RampArrivals,
-    UniformArrivals,
     ZipfSelector,
     make_arrivals,
 )
-from repro.loadgen.driver import (
-    LoadGenConfig,
-    LoadGenerator,
-    presigned_transfers,
-    run_sweep,
-)
-from repro.loadgen.report import LoadReport, SweepPoint, SweepReport
+from repro.loadgen.driver import LoadGenConfig, LoadGenerator, presigned_transfers
+from repro.loadgen.report import LoadReport
 from repro.loadgen.stats import LatencyStats, OpStats, percentile
 from repro.loadgen.workload import DEFAULT_MIX, ClientPool, RequestMix
 
@@ -39,14 +33,9 @@ __all__ = [
     "LoadReport",
     "OpStats",
     "PoissonArrivals",
-    "RampArrivals",
     "RequestMix",
-    "SweepPoint",
-    "SweepReport",
-    "UniformArrivals",
     "ZipfSelector",
     "make_arrivals",
     "percentile",
     "presigned_transfers",
-    "run_sweep",
 ]

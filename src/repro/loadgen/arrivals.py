@@ -1,8 +1,8 @@
 """Deterministic arrival processes and skewed selectors for the load driver.
 
 Realistic load is neither uniform in time nor uniform over keys: request
-inter-arrival times follow a Poisson process (with ramps and flash crowds on
-top), and the popularity of senders/content follows a Zipfian distribution.
+inter-arrival times follow a Poisson process (with flash crowds on top), and
+the popularity of senders/content follows a Zipfian distribution.
 Every process here draws from a seeded NumPy generator, so two runs with the
 same seed produce the identical arrival schedule -- which is what makes load
 reports comparable run over run.
@@ -21,8 +21,8 @@ from repro.utils.rng import SeedLike, make_rng
 class ArrivalProcess:
     """Base class: yields the gap (simulated seconds) to the next arrival.
 
-    ``next_gap(now)`` receives the current simulated time so time-varying
-    processes (ramps, flash crowds) can modulate their instantaneous rate.
+    ``next_gap(now)`` receives the current simulated time so a time-varying
+    process (the flash crowd) can modulate its instantaneous rate.
     """
 
     def next_gap(self, now: float) -> float:
@@ -31,21 +31,6 @@ class ArrivalProcess:
     def describe(self) -> dict:
         """JSON-friendly description for reports."""
         return {"kind": type(self).__name__}
-
-
-class UniformArrivals(ArrivalProcess):
-    """Fixed-gap arrivals at ``rate`` per simulated second."""
-
-    def __init__(self, rate: float) -> None:
-        if rate <= 0:
-            raise SimulationError(f"arrival rate must be positive, got {rate}")
-        self.rate = float(rate)
-
-    def next_gap(self, now: float) -> float:
-        return 1.0 / self.rate
-
-    def describe(self) -> dict:
-        return {"kind": "uniform", "rate": self.rate}
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -62,44 +47,6 @@ class PoissonArrivals(ArrivalProcess):
 
     def describe(self) -> dict:
         return {"kind": "poisson", "rate": self.rate}
-
-
-class RampArrivals(ArrivalProcess):
-    """Poisson arrivals whose rate ramps linearly over ``duration`` seconds.
-
-    The instantaneous rate at time ``t`` (measured from the first call)
-    interpolates from ``start_rate`` to ``end_rate``; past the ramp the rate
-    stays at ``end_rate``.
-    """
-
-    def __init__(self, start_rate: float, end_rate: float, duration: float,
-                 seed: SeedLike = None) -> None:
-        if start_rate <= 0 or end_rate <= 0:
-            raise SimulationError(
-                f"ramp rates must be positive, got {start_rate} -> {end_rate}")
-        if duration <= 0:
-            raise SimulationError(f"ramp duration must be positive, got {duration}")
-        self.start_rate = float(start_rate)
-        self.end_rate = float(end_rate)
-        self.duration = float(duration)
-        self._rng = make_rng(seed, "ramp-arrivals")
-        self._origin: Optional[float] = None
-
-    def rate_at(self, now: float) -> float:
-        """Instantaneous arrival rate at simulated time ``now``."""
-        if self._origin is None:
-            return self.start_rate
-        progress = min(1.0, max(0.0, (now - self._origin) / self.duration))
-        return self.start_rate + (self.end_rate - self.start_rate) * progress
-
-    def next_gap(self, now: float) -> float:
-        if self._origin is None:
-            self._origin = now
-        return float(self._rng.exponential(1.0 / self.rate_at(now)))
-
-    def describe(self) -> dict:
-        return {"kind": "ramp", "start_rate": self.start_rate,
-                "end_rate": self.end_rate, "duration": self.duration}
 
 
 class FlashCrowdArrivals(ArrivalProcess):
@@ -146,31 +93,18 @@ class FlashCrowdArrivals(ArrivalProcess):
                 "spike_duration": self.spike_duration}
 
 
-def make_arrivals(kind: str, rate: float, seed: SeedLike = None,
-                  **kwargs) -> ArrivalProcess:
-    """Build a named arrival process (the CLI's ``--arrival`` values)."""
-    if kind == "uniform":
-        return UniformArrivals(rate)
+def make_arrivals(kind: str, rate: float, *, seed: SeedLike, spike_start: float,
+                  spike_duration: float) -> ArrivalProcess:
+    """Build a named arrival process: ``poisson``, or ``flashcrowd`` spiking
+    to ten times ``rate`` over ``[spike_start, spike_start + spike_duration)``."""
     if kind == "poisson":
         return PoissonArrivals(rate, seed=seed)
-    if kind == "ramp":
-        return RampArrivals(
-            start_rate=kwargs.get("start_rate", rate / 4 if rate > 4 else rate),
-            end_rate=kwargs.get("end_rate", rate),
-            duration=kwargs["duration"],
-            seed=seed,
-        )
     if kind == "flashcrowd":
         return FlashCrowdArrivals(
-            base_rate=rate,
-            spike_rate=kwargs.get("spike_rate", rate * 10.0),
-            spike_start=kwargs["spike_start"],
-            spike_duration=kwargs["spike_duration"],
-            seed=seed,
-        )
+            base_rate=rate, spike_rate=rate * 10.0, spike_start=spike_start,
+            spike_duration=spike_duration, seed=seed)
     raise SimulationError(
-        f"unknown arrival process {kind!r}; "
-        "choose from uniform, poisson, ramp, flashcrowd")
+        f"unknown arrival process {kind!r}; choose from poisson, flashcrowd")
 
 
 class ZipfSelector:

@@ -10,7 +10,7 @@ numbers unambiguous.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.errors import SimulationError
 
@@ -80,15 +80,13 @@ class LatencyStats:
 
 
 class OpStats:
-    """Per-operation accounting: attempts, errors by class, service latency."""
+    """Per-operation accounting: attempts and errors by class."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.attempts = 0
         self.successes = 0
         self.errors_by_class: Dict[str, int] = {}
-        #: Wall-clock service time of the in-process gateway call, in seconds.
-        self.service = LatencyStats(unit="s")
 
     @property
     def errors(self) -> int:
@@ -98,17 +96,14 @@ class OpStats:
     def error_rate(self) -> float:
         return self.errors / self.attempts if self.attempts else 0.0
 
-    def record_success(self, service_seconds: float) -> None:
+    def record_success(self) -> None:
         self.attempts += 1
         self.successes += 1
-        self.service.record(service_seconds)
 
-    def record_error(self, error: BaseException, service_seconds: Optional[float] = None) -> None:
+    def record_error(self, error: BaseException) -> None:
         self.attempts += 1
         name = type(error).__name__
         self.errors_by_class[name] = self.errors_by_class.get(name, 0) + 1
-        if service_seconds is not None:
-            self.service.record(service_seconds)
 
     def to_dict(self) -> dict:
         return {
@@ -117,5 +112,4 @@ class OpStats:
             "errors": self.errors,
             "error_rate": round(self.error_rate, 6),
             "errors_by_class": dict(sorted(self.errors_by_class.items())),
-            "service_seconds": self.service.to_dict(),
         }

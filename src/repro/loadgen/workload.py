@@ -7,8 +7,6 @@ driver knows how to fire against the JSON-RPC gateway:
 transfer   sign a value transfer and broadcast it (``eth_sendRawTransaction``)
 read       a chain read (``eth_getBalance`` / ``eth_blockNumber``)
 ipfs       fetch a pre-seeded object (``ipfs_cat``), Zipf-skewed over CIDs
-oflw3      a marketplace backend route (``oflw3_health`` / ``oflw3_task``);
-           requires a backend on the gateway, otherwise re-drawn as a read
 analytics  an analytical read against the columnar replica
            (``analytics_leaderboard`` / ``analytics_feeSummary`` /
            ``analytics_chainStatistics``); requires an attached replica
@@ -31,7 +29,7 @@ from repro.chain.keys import KeyPair
 from repro.errors import SimulationError
 from repro.utils.rng import SeedLike, make_rng
 
-OP_KINDS = ("transfer", "read", "ipfs", "oflw3", "analytics")
+OP_KINDS = ("transfer", "read", "ipfs", "analytics")
 
 DEFAULT_MIX: Dict[str, float] = {"transfer": 0.5, "read": 0.35, "ipfs": 0.15}
 
@@ -56,46 +54,21 @@ class RequestMix:
         self._cdf = np.cumsum([self.weights[kind] for kind in self._kinds])
         self._rng = make_rng(seed, "request-mix")
 
-    def weight(self, kind: str) -> float:
-        """Normalized weight of ``kind`` (0.0 when absent)."""
-        return self.weights.get(kind, 0.0)
-
     def sample(self) -> str:
         """Draw one operation kind."""
         index = int(np.searchsorted(self._cdf, self._rng.random(), side="right"))
         return self._kinds[min(index, len(self._kinds) - 1)]
 
-    def to_dict(self) -> Dict[str, float]:
-        return {kind: round(weight, 6) for kind, weight in self.weights.items()}
-
-    @classmethod
-    def parse(cls, spec: str, seed: SeedLike = None) -> "RequestMix":
-        """Parse a CLI mix spec like ``transfer=0.5,read=0.3,ipfs=0.2``."""
-        weights: Dict[str, float] = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise SimulationError(
-                    f"mix entries look like kind=weight, got {part!r}")
-            kind, _, raw = part.partition("=")
-            try:
-                weights[kind.strip()] = float(raw)
-            except ValueError as exc:
-                raise SimulationError(f"bad mix weight in {part!r}: {exc}") from exc
-        return cls(weights, seed=seed)
-
 
 class ClientPool:
     """A deterministic population of funded client key pairs.
 
-    Keys derive from labels (``loadgen-client-<i>``) so the same seed and
-    client count reproduce the same addresses -- and with them the same
+    Keys derive from labels (``<label_prefix>-client-<i>``) so the same
+    client count reproduces the same addresses -- and with them the same
     transaction hashes -- across runs.
     """
 
-    def __init__(self, size: int, label_prefix: str = "loadgen") -> None:
+    def __init__(self, size: int, label_prefix: str) -> None:
         if size <= 0:
             raise SimulationError(f"the client pool needs at least one client, got {size}")
         self.size = int(size)

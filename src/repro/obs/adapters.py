@@ -169,12 +169,11 @@ def collect_analytics(reg: MetricsRegistry, feeder: Any) -> None:
 def collect_loadgen(reg: MetricsRegistry, stats: Dict[str, Any]) -> None:
     """Sample a load generator's saturation view.
 
-    ``stats`` is ``{"offered", "submitted", "mined", "timeouts",
-    "outstanding"}`` -- offered vs mined is the saturation signal the
-    sweep's knee detection uses.
+    ``stats`` is ``{"offered", "submitted", "mined", "outstanding"}`` --
+    offered vs mined is the saturation signal.
     """
     reg.counter("repro_loadgen_offered_total",
-                "Operations the open-loop arrival process offered."
+                "Operations the arrival process offered."
                 ).child.set_total(stats["offered"])
     reg.counter("repro_loadgen_tx_submitted_total",
                 "Transfer transactions submitted.").child.set_total(
@@ -182,9 +181,6 @@ def collect_loadgen(reg: MetricsRegistry, stats: Dict[str, Any]) -> None:
     reg.counter("repro_loadgen_tx_mined_total",
                 "Submitted transactions seen mined.").child.set_total(
                     stats["mined"])
-    reg.counter("repro_loadgen_receipt_timeouts_total",
-                "Receipts that never arrived within the polling budget."
-                ).child.set_total(stats["timeouts"])
     reg.gauge("repro_loadgen_outstanding_txs",
               "Transactions submitted but not yet mined.").child.set(
                   stats["outstanding"])

@@ -90,6 +90,18 @@ def _hex_param(method: str, name: str, value: Any) -> bytes:
                            f"invalid params for {method}: {name}: {exc}") from None
 
 
+_TYPE_NAMES = {str: "a string", int: "an integer"}
+
+
+def _typed_param(method: str, name: str, value: Any, kind: type) -> Any:
+    """``value`` when it is a ``kind`` (a bool is no ``int``), or a ``-32602``
+    naming the param and the type it needs, never echoing the value."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise JsonRpcError(INVALID_PARAMS, f"invalid params for {method}: {name} "
+                                       f"must be {_TYPE_NAMES[kind]}")
+
+
 def _log_filter_from_params(node: Any, criteria: Any) -> Optional[LogFilter]:
     """Build a :class:`LogFilter` from ``eth_getLogs``-style criteria.
 
@@ -167,10 +179,12 @@ class EthNamespace:
 
     def get_transaction_by_hash(self, tx_hash: str) -> Dict[str, Any]:
         """A pending or included transaction, as the node API renders it."""
-        return Rendered.of(self.node.get_transaction(tx_hash))
+        return Rendered.of(self.node.get_transaction(
+            _typed_param("eth_getTransactionByHash", "tx_hash", tx_hash, str)))
 
     def get_transaction_receipt(self, tx_hash: str) -> Optional[Dict[str, Any]]:
         """Receipt of an included transaction (``None`` while pending)."""
+        _typed_param("eth_getTransactionReceipt", "tx_hash", tx_hash, str)
         if not self.node.chain.has_receipt(tx_hash):
             return None
         return Rendered.of(self.node.get_receipt(tx_hash))
@@ -236,15 +250,18 @@ class EthNamespace:
 
     def get_filter_changes(self, filter_id: str) -> List[Any]:
         """Poll a filter: everything new since the previous poll."""
-        return self.filters.changes(filter_id)
+        return self.filters.changes(
+            _typed_param("eth_getFilterChanges", "filter_id", filter_id, str))
 
     def get_filter_logs(self, filter_id: str) -> List[Dict[str, Any]]:
         """All logs a log filter matches, from its installation block."""
-        return self.filters.logs(filter_id)
+        return self.filters.logs(
+            _typed_param("eth_getFilterLogs", "filter_id", filter_id, str))
 
     def uninstall_filter(self, filter_id: str) -> bool:
         """Remove a filter; returns whether it existed."""
-        return self.filters.uninstall(filter_id)
+        return self.filters.uninstall(
+            _typed_param("eth_uninstallFilter", "filter_id", filter_id, str))
 
     # -- push subscriptions ------------------------------------------------------
     #
@@ -274,7 +291,8 @@ class EthNamespace:
 
     def evm_mine(self, blocks: int = 1) -> List[str]:
         """Explicitly mine ``blocks`` blocks (anvil/ganache-style helper)."""
-        return [block.hash for block in self.node.mine(int(blocks))]
+        return [block.hash for block in self.node.mine(
+            _typed_param("evm_mine", "blocks", blocks, int))]
 
     def methods(self) -> MethodTable:
         """The method table this namespace contributes."""
@@ -324,8 +342,9 @@ class IpfsNamespace:
         """Expose ``node`` through the namespace (idempotent, by name)."""
         self._nodes[node.name] = node
 
-    def _resolve(self, node: Optional[str]) -> IpfsNode:
+    def _resolve(self, method: str, node: Optional[str]) -> IpfsNode:
         if node is not None:
+            _typed_param(method, "node", node, str)
             if node in self._nodes:
                 return self._nodes[node]
             if self.swarm is not None:
@@ -350,7 +369,7 @@ class IpfsNamespace:
 
     def add(self, data: str, node: Optional[str] = None, pin: bool = True) -> Dict[str, Any]:
         """Add hex-encoded ``data``; returns the CID plus size accounting."""
-        target = self._resolve(node)
+        target = self._resolve("ipfs_add", node)
         if not isinstance(pin, bool):
             raise JsonRpcError(INVALID_PARAMS,
                                "invalid params for ipfs_add: pin must be true or false")
@@ -366,16 +385,16 @@ class IpfsNamespace:
 
         In process the result is the payload's bytes; only the wire reply
         renders them as ``0x`` text (see :class:`HexString`)."""
-        return HexString(self._resolve(node).cat(cid))
+        return HexString(self._resolve("ipfs_cat", node).cat(cid))
 
     def pin(self, cid: str, node: Optional[str] = None) -> Dict[str, Any]:
         """Pin ``cid`` on the node (fetching it from peers if needed)."""
-        self._resolve(node).pin(cid)
+        self._resolve("ipfs_pin", node).pin(cid)
         return {"pinned": cid}
 
     def stat(self, cid: str, node: Optional[str] = None) -> Dict[str, Any]:
         """Size and block-count of a DAG, like ``ipfs object stat``."""
-        return self._resolve(node).stat(cid)
+        return self._resolve("ipfs_stat", node).stat(cid)
 
     def methods(self) -> MethodTable:
         """The method table this namespace contributes."""

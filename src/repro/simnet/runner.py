@@ -536,8 +536,7 @@ class ScenarioRunner:
                 f"bad background_load overrides ({exc}); valid keys are "
                 f"{valid} plus 'delay'") from exc
         self._loadgen = LoadGenerator(
-            config, stack=self.stack, scheduler=self.scheduler,
-            label_prefix="bg")
+            config, stack=self.stack, scheduler=self.scheduler)
         self._loadgen.install(delay=delay)
 
     def _fail(self, task: _TaskRuntime, reason: str) -> None:

@@ -1,6 +1,6 @@
 """The one place a serving stack is assembled, and the one place it is closed.
 
-Every entry point (``repro serve``, ``simulate``, ``loadgen``, ``run``,
+Every entry point (``repro serve``, ``simulate``, ``run``,
 ``cluster status``, the RPC reference) needs some subset of the paper's one
 deployment (Fig. 2).  :func:`build_stack` owns *what hangs off a node and in
 what order*::

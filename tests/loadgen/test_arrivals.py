@@ -12,8 +12,6 @@ from repro.errors import SimulationError
 from repro.loadgen import (
     FlashCrowdArrivals,
     PoissonArrivals,
-    RampArrivals,
-    UniformArrivals,
     ZipfSelector,
     make_arrivals,
 )
@@ -66,29 +64,6 @@ class TestPoisson:
             PoissonArrivals(0.0)
 
 
-class TestUniform:
-    def test_fixed_gap(self):
-        process = UniformArrivals(4.0)
-        assert draw_gaps(process, 10) == [0.25] * 10
-
-
-class TestRamp:
-    def test_rate_interpolates(self):
-        process = RampArrivals(start_rate=2.0, end_rate=10.0, duration=100.0, seed=5)
-        process.next_gap(0.0)  # anchors the ramp origin
-        assert process.rate_at(0.0) == pytest.approx(2.0)
-        assert process.rate_at(50.0) == pytest.approx(6.0)
-        assert process.rate_at(100.0) == pytest.approx(10.0)
-        assert process.rate_at(500.0) == pytest.approx(10.0)  # clamped
-
-    def test_gaps_shrink_along_the_ramp(self):
-        process = RampArrivals(start_rate=1.0, end_rate=50.0, duration=200.0, seed=9)
-        gaps = draw_gaps(process, 3_000)
-        early = gaps[:200]
-        late = gaps[-200:]
-        assert sum(early) / len(early) > sum(late) / len(late)
-
-
 class TestFlashCrowd:
     def test_rate_spikes_in_window(self):
         process = FlashCrowdArrivals(base_rate=2.0, spike_rate=40.0,
@@ -113,19 +88,20 @@ class TestFlashCrowd:
 
 
 class TestMakeArrivals:
+    WINDOW = dict(spike_start=10.0, spike_duration=5.0)
+
     def test_registry_covers_all_kinds(self):
-        assert isinstance(make_arrivals("uniform", 2.0), UniformArrivals)
-        assert isinstance(make_arrivals("poisson", 2.0, seed=1), PoissonArrivals)
-        assert isinstance(
-            make_arrivals("ramp", 8.0, seed=1, duration=100.0), RampArrivals)
-        assert isinstance(
-            make_arrivals("flashcrowd", 2.0, seed=1, spike_start=10.0,
-                          spike_duration=5.0, duration=60.0),
-            FlashCrowdArrivals)
+        assert isinstance(make_arrivals("poisson", 2.0, seed=1, **self.WINDOW),
+                          PoissonArrivals)
+        crowd = make_arrivals("flashcrowd", 2.0, seed=1, **self.WINDOW)
+        assert isinstance(crowd, FlashCrowdArrivals)
+        assert crowd.describe() == {"kind": "flashcrowd", "base_rate": 2.0,
+                                    "spike_rate": 20.0, "spike_start": 10.0,
+                                    "spike_duration": 5.0}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SimulationError):
-            make_arrivals("bursty", 1.0)
+            make_arrivals("bursty", 1.0, seed=1, **self.WINDOW)
 
 
 class TestZipfSelector:

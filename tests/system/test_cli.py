@@ -239,14 +239,6 @@ class TestClusterCommand:
         assert payload["converged"] is True
         assert len(payload["replicas"]) == 2
 
-    def test_loadgen_cluster_flag_runs_replicated(self, capsys):
-        exit_code = main([
-            "loadgen", "--clients", "20", "--rate", "4", "--duration", "36",
-            "--cluster", "2", "--seed", "7",
-        ])
-        assert exit_code == 0
-        assert "blocks produced" in capsys.readouterr().out
-
 
 class TestSaveDeterminism:
     def test_identical_simulate_runs_save_identical_bytes(self, tmp_path, capsys):
@@ -284,59 +276,11 @@ class TestRpcMarkdown:
         assert "| `storage_stats` |" in output
 
 
-class TestLoadgenCommand:
-    def test_loadgen_parser_flags(self):
-        parser = build_parser()
-        args = parser.parse_args([
-            "loadgen", "--clients", "500", "--rate", "25", "--duration", "60",
-            "--mode", "open", "--arrival", "flashcrowd", "--zipf", "1.3",
-            "--mix", "transfer=0.6,read=0.4", "--sweep", "10,20",
-        ])
-        assert args.command == "loadgen"
-        assert args.clients == 500
-        assert args.arrival == "flashcrowd"
-        assert args.sweep == "10,20"
-
-    def test_loadgen_single_run_and_save(self, tmp_path, capsys):
-        report_path = tmp_path / "load.json"
-        exit_code = main([
-            "loadgen", "--clients", "25", "--rate", "6", "--duration", "60",
-            "--seed", "3", "--save", str(report_path),
-        ])
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "transfers:" in output
-        assert "blocks produced" in output
-        payload = json.loads(report_path.read_text())
-        assert payload["schema"] == "oflw3-load-report/v1"
-        assert payload["tx_mined"] == payload["tx_submitted"] > 0
-
-    def test_loadgen_sweep_reports_knee(self, tmp_path, capsys):
-        report_path = tmp_path / "sweep.json"
-        exit_code = main([
-            "loadgen", "--clients", "40", "--rate", "8", "--duration", "24",
-            "--mix", "transfer=1", "--sweep", "8,90", "--seed", "3",
-            "--save", str(report_path),
-        ])
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "saturation sweep" in output
-        assert "saturation knee: 90.0 offered req/s" in output
-        assert "wall-clock" not in output
-        payload = json.loads(report_path.read_text())
-        assert payload["schema"] == "oflw3-load-sweep/v2"
-        assert [point["saturated"] for point in payload["points"]] == [
-            False, True]
-        assert payload["saturation_rate"] == 90.0
-
-    def test_loadgen_http_transport_flag_is_gone(self, capsys):
-        # Wire measurements live in bench/run.py --workload wire_*; the flag
-        # is rejected by argparse, not silently ignored.
+class TestLoadgenCommandIsGone:
+    def test_the_loadgen_subcommand_is_gone(self, capsys):
+        # The background load lives in simnet scenarios (flashcrowd, soak,
+        # analytics_storm); argparse refuses the old front.
         with pytest.raises(SystemExit) as exit_info:
-            main(["loadgen", "--transport", "http"])
+            main(["loadgen", "--clients", "20"])
         assert exit_info.value.code == 2
-        assert "unrecognized arguments: --transport" in capsys.readouterr().err
-
-    def test_loadgen_rejects_bad_mix(self, capsys):
-        assert main(["loadgen", "--mix", "warp=1"]) == 2
-        assert "error" in capsys.readouterr().err
+        assert "invalid choice: 'loadgen'" in capsys.readouterr().err

@@ -17,6 +17,7 @@ import pytest
 from repro.chain import KeyPair
 from repro.cluster import ClusterConfig
 from repro.loadgen import LoadGenConfig, LoadGenerator
+from repro.simnet.events import EventScheduler
 from repro.system.stack import build_stack
 from repro.utils.units import ether_to_wei
 
@@ -27,12 +28,15 @@ LABEL_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 @pytest.fixture(scope="module")
 def workload_registry():
     """A registry populated by loadgen + RPC + cluster + analytics traffic."""
-    generator = LoadGenerator(
+    load_stack = build_stack(observability=True)
+    scheduler = EventScheduler(load_stack.clock)
+    LoadGenerator(
         LoadGenConfig(clients=10, rate=5.0, duration_seconds=30.0, seed=7),
-        observability=True,
-    )
-    generator.run()
-    obs = generator.obs
+        stack=load_stack, scheduler=scheduler,
+    ).install()
+    scheduler.run()
+    load_stack.close()
+    obs = load_stack.obs
 
     # Cover the gossip/cluster and analytics families too: a tiny replicated
     # burst with a columnar replica on a follower.

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import build_parser, main
 from repro.loadgen import LoadGenConfig, LoadGenerator
+from repro.simnet.events import EventScheduler
+from repro.system.stack import build_stack
 
 
 class TestParser:
@@ -22,36 +26,20 @@ class TestParser:
         assert args.action == "trace"
         assert args.scenario == "partition_heal"
 
-    def test_simulate_and_loadgen_grew_an_obs_flag(self):
+    def test_simulate_grew_an_obs_flag(self):
         parser = build_parser()
         assert parser.parse_args(["simulate", "--obs"]).obs is True
         assert parser.parse_args(["simulate"]).obs is False
-        assert parser.parse_args(["loadgen", "--obs"]).obs is True
+
+    def test_obs_observes_the_flashcrowd_scenario_by_default(self, capsys):
+        parser = build_parser()
+        assert parser.parse_args(["obs", "metrics"]).scenario == "flashcrowd"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["obs", "metrics", "--clients", "10"])
+        assert "unrecognized arguments: --clients" in capsys.readouterr().err
 
 
 class TestSaveRoundTrip:
-    def test_loadgen_save_embeds_obs_only_when_enabled(self, tmp_path, capsys):
-        base = ["loadgen", "--clients", "10", "--rate", "5",
-                "--duration", "30", "--seed", "7"]
-        plain, observed = tmp_path / "plain.json", tmp_path / "observed.json"
-        assert main(base + ["--save", str(plain)]) == 0
-        assert main(base + ["--obs", "--save", str(observed)]) == 0
-        capsys.readouterr()
-
-        plain_payload = json.loads(plain.read_text())
-        observed_payload = json.loads(observed.read_text())
-        assert "obs" not in plain_payload
-        obs = observed_payload["obs"]
-        assert obs["spans_total"] > 0
-        assert "repro_loadgen_offered_total" in obs["metrics"]
-        # same report shape apart from the embedding; the simulated-time
-        # workload is identical (wall-clock timings legitimately differ).
-        del observed_payload["obs"]
-        assert set(observed_payload) == set(plain_payload)
-        for key in ("offered_requests", "tx_submitted", "tx_mined",
-                    "blocks_produced", "achieved_tx_tps", "config"):
-            assert observed_payload[key] == plain_payload[key]
-
     def test_simulate_save_embeds_obs_only_when_enabled(self, tmp_path, capsys):
         base = ["simulate", "--scenario", "ideal", "--owners", "2",
                 "--epochs", "1", "--seed", "42"]
@@ -67,17 +55,11 @@ class TestSaveRoundTrip:
         del observed_payload["obs"]
         assert observed_payload == plain_payload
 
-    def test_obs_sweep_combination_is_rejected(self, capsys):
-        assert main(["loadgen", "--clients", "10", "--duration", "30",
-                     "--sweep", "5,10", "--obs"]) == 2
-        assert "single run" in capsys.readouterr().err
-
 
 class TestObsCommand:
     def test_metrics_action_dumps_prometheus_text(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
-        assert main(["obs", "metrics", "--clients", "10", "--rate", "5",
-                     "--duration", "30", "--seed", "7",
+        assert main(["obs", "metrics", "--seed", "7",
                      "--save-events", str(events)]) == 0
         output = capsys.readouterr().out
         assert "# TYPE repro_rpc_requests_total counter" in output
@@ -93,8 +75,7 @@ class TestObsCommand:
         assert "gossip.deliver" in output
 
     def test_top_action_prints_the_cost_table(self, capsys):
-        assert main(["obs", "top", "--clients", "10", "--rate", "5",
-                     "--duration", "30", "--seed", "7"]) == 0
+        assert main(["obs", "top", "--seed", "7"]) == 0
         output = capsys.readouterr().out
         assert "phase" in output.splitlines()[0]
         assert "chain.execute" in output
@@ -103,13 +84,16 @@ class TestObsCommand:
 class TestDeterminism:
     @staticmethod
     def _observed_summary(seed: int) -> dict:
-        generator = LoadGenerator(
+        stack = build_stack(observability=True)
+        scheduler = EventScheduler(stack.clock)
+        LoadGenerator(
             LoadGenConfig(clients=10, rate=5.0, duration_seconds=30.0,
                           seed=seed),
-            observability=True,
-        )
-        report = generator.run()
-        summary = dict(report.obs_stats)
+            stack=stack, scheduler=scheduler,
+        ).install()
+        scheduler.run()
+        stack.close()
+        summary = stack.obs.stats_dict()
         # wall-clock-bearing registry snapshot varies run to run by design
         del summary["metrics"]
         return summary

@@ -460,7 +460,7 @@ def small_store(tmp_path_factory):
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_a_command_that_neither_trains_nor_draws_imports_no_numpy(argv, small_store):
     """Every command builds the same parser, so one eager import there reaches
-    them all (``cluster status``, ``run``, ``simulate``, ``loadgen``, ``show``,
+    them all (``cluster status``, ``run``, ``simulate``, ``show``,
     ``gas-report`` and ``model-quality`` draw or train and are not listed)."""
     import subprocess
 
