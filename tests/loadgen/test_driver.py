@@ -53,6 +53,17 @@ class TestConfig:
         with pytest.raises(SimulationError, match="poisson, flashcrowd"):
             drive(small_config(arrival="uniform"))
 
+    def test_a_generator_installs_exactly_once(self):
+        stack = build_stack()
+        try:
+            generator = LoadGenerator(small_config(), stack=stack,
+                                      scheduler=EventScheduler(stack.clock))
+            generator.install()
+            with pytest.raises(SimulationError, match="exactly once"):
+                generator.install()
+        finally:
+            stack.close()
+
     def test_transferless_report_is_consistent(self, drive):
         config = small_config(mix={"read": 0.7, "ipfs": 0.3},
                               duration_seconds=30.0)
@@ -103,6 +114,55 @@ class TestLoad:
         assert report.in_window_mined_fraction < 0.8
         assert report.mempool_max_depth > 500
         assert report.makespan_seconds > config.duration_seconds
+
+    def test_a_thousand_clients_saturate_only_above_block_capacity(self, drive):
+        # >= 1000 simulated clients on the simulated clock, one rate below
+        # the ~41 tx/s block capacity and one well above it.  The window is
+        # four whole slots, so a transfer below capacity mines inside it.
+        def run(rate):
+            config = LoadGenConfig(clients=1000, duration_seconds=48.0,
+                                   rate=rate, seed=5)
+            return drive(config).finalize()
+
+        below, above = run(20.0), run(120.0)
+        assert below.tx_submitted > 0
+        assert below.in_window_mined_fraction == 1.0
+        assert above.in_window_mined_fraction < 0.8
+        assert above.mempool_max_depth > below.mempool_max_depth
+        assert above.tx_confirmation["p99"] > below.tx_confirmation["p99"]
+
+    def test_a_delayed_install_opens_the_window_late(self):
+        stack = build_stack()
+        try:
+            scheduler = EventScheduler(stack.clock)
+            generator = LoadGenerator(small_config(), stack=stack,
+                                      scheduler=scheduler)
+            start = stack.clock.now
+            generator.install(delay=30.0)
+            scheduler.run(until=start + 29.0)
+            assert generator.offered == 0
+            scheduler.run()
+            report = generator.finalize()
+        finally:
+            stack.close()
+        assert report.offered_requests > 0
+        assert report.tx_mined == report.tx_submitted > 0
+        # The makespan counts from the delayed start, not from install().
+        assert report.makespan_seconds == pytest.approx(
+            stack.clock.now - start - 30.0)
+
+    def test_the_registry_samples_the_saturation_counters(self, drive):
+        generator = drive(small_config())
+        report = generator.finalize()
+        snapshot = generator.stack.registry.snapshot()
+
+        def value(name):
+            return snapshot[name]["series"][0]["value"]
+
+        assert value("repro_loadgen_offered_total") == report.offered_requests
+        assert value("repro_loadgen_tx_submitted_total") == report.tx_submitted
+        assert value("repro_loadgen_tx_mined_total") == report.tx_mined
+        assert value("repro_loadgen_outstanding_txs") == 0
 
     def test_rate_limit_surfaces_as_errors(self, drive):
         report = drive(small_config(rate=40.0), rate_limit=5.0).finalize()

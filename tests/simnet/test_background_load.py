@@ -49,6 +49,16 @@ class TestSpec:
         with pytest.raises(SimulationError, match="valid keys"):
             runner.run()
 
+    @pytest.mark.parametrize("key", ["mode", "rate_limit", "cluster"])
+    def test_a_removed_override_key_fails_cleanly(self, key):
+        # The closed loop, the limiter knob and the self-built cluster went
+        # with the generator's own stack; a spec still naming them is
+        # refused with the valid keys, not run with the key ignored.
+        spec = build_scenario("ideal", background_load={key: 1})
+        runner = ScenarioRunner(spec, config=tiny_config())
+        with pytest.raises(SimulationError, match=f"'{key}'.*valid keys"):
+            runner.run()
+
 
 class TestFlashCrowdScenario:
     @pytest.fixture(scope="class")
