@@ -320,14 +320,12 @@ def attach_analytics(chain: Any, store: Optional[AnalyticsStore] = None,
     live log, is installed as ``chain.analytics`` (flipping ``logs`` /
     ``logs_page`` / explorer routing over to the replica) and is returned.
     """
-    hooks = getattr(chain, "store", None)
-    engine = getattr(hooks, "engine", None)
-    wal = getattr(engine, "wal", None)
-    if wal is None:
+    engine = chain.store.engine
+    if engine is None:
         raise AnalyticsError(
             "chain has no durable store attached; the analytics replica "
             "needs a WriteAheadLog to feed from")
-    feeder = AnalyticsFeeder(wal, store=store, obs=obs)
+    feeder = AnalyticsFeeder(engine.wal, store=store, obs=obs)
     feeder.drain()
     chain.analytics = feeder
     return feeder

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol
+from typing import Any, Dict, List, Optional
 
 from repro.errors import (
     BlockValidationError,
@@ -44,25 +44,36 @@ class ChainConfig:
     schedule: GasSchedule = field(default_factory=GasSchedule)
 
 
-class ChainStoreHooks(Protocol):
-    """What the chain requires of a ``repro.storage`` chain store.
+class NullChainStore:
+    """What ``Blockchain.store`` is when nothing persists the chain.
 
-    The chain package deliberately does not import ``repro.storage`` (the
-    storage package imports the chain for recovery); any object with these
-    methods can observe the chain's durable mutations.
+    Stateless: every hook of :class:`repro.storage.ChainStore` exists and
+    does nothing, so the write path never branches on durability.  It lives
+    here because the chain package never imports ``repro.storage``.
     """
 
-    def attach(self, chain: "Blockchain") -> Any:
-        """Bind the chain and persist its static parameters."""
+    __slots__ = ()
+
+    #: No storage engine behind it (what ``EthereumNode.storage`` reads).
+    engine = None
+
+    def attach(self, chain: "Blockchain") -> None:
+        return None
 
     def record_mint(self, address: str, amount_wei: int) -> None:
-        """A faucet credit took effect."""
+        return None
 
     def record_transaction(self, tx: Transaction) -> None:
-        """A transaction was accepted into the mempool."""
+        return None
 
     def record_block(self, block: Block) -> None:
-        """A block was appended to the canonical chain."""
+        return None
+
+    def snapshot(self, compact: bool = True) -> None:
+        return None
+
+
+NULL_CHAIN_STORE = NullChainStore()
 
 
 class Blockchain:
@@ -85,7 +96,7 @@ class Blockchain:
         clock: Optional[SimulatedClock] = None,
         validators: Optional[List[Address]] = None,
         genesis_timestamp: Optional[float] = None,
-        store: Optional["ChainStoreHooks"] = None,
+        store: Optional[Any] = None,
         batch_verify: Optional[int] = None,
     ) -> None:
         self.config = config or ChainConfig()
@@ -110,11 +121,10 @@ class Blockchain:
         self._receipts: Dict[str, TransactionReceipt] = {}
         self._transactions: Dict[str, Transaction] = {}
         self._logs: List[EventLog] = []
-        #: Optional ``repro.storage`` write hooks (WAL + snapshots).  ``None``
-        #: -- the seed default -- keeps the chain purely in-process.
-        self.store = store
-        if store is not None:
-            store.attach(self)
+        #: Durable write hooks: a ``repro.storage`` ``ChainStore`` (WAL +
+        #: snapshots), or the null store that keeps the chain in-process.
+        self.store = store or NULL_CHAIN_STORE
+        self.store.attach(self)
         #: Observability hooks (``repro.obs``): the no-op facade until
         #: ``Observability.attach_chain`` overwrites it, so the write path
         #: below has one body whether or not a run is observed.
@@ -275,9 +285,7 @@ class Blockchain:
                 tx_hash = self.mempool.add(tx, verify=not deferred)
             finally:
                 obs.end(mempool_span.annotate("depth", len(self.mempool)))
-            if self.store is not None:
-                with obs.phase("chain.persist"):
-                    self.store.record_transaction(tx)
+            self.store.record_transaction(tx)
         except ReproError:
             obs.end(span, status="rejected")
             raise
@@ -292,8 +300,7 @@ class Blockchain:
         chain would be missing every faucet drip.
         """
         self.state.credit(Address(address), amount_wei)
-        if self.store is not None:
-            self.store.record_mint(str(Address(address)), int(amount_wei))
+        self.store.record_mint(str(Address(address)), int(amount_wei))
 
     # -- block production ----------------------------------------------------
 
@@ -500,9 +507,7 @@ class Blockchain:
             obs.end(obs.tx_span("tx.receipt", tx.hash_hex,
                                 replica=self.obs_label, block=block.number),
                     status="ok" if receipt.status else "reverted")
-        if self.store is not None:
-            with obs.phase("chain.persist"):
-                self.store.record_block(block)
+        self.store.record_block(block)
 
     # -- replica primitives (repro.cluster.forkchoice) ------------------------
 

@@ -42,33 +42,31 @@ class EthereumNode:
         chain: Optional[Blockchain] = None,
         batch_verify: Optional[int] = None,
     ) -> None:
-        #: Optional ``repro.storage`` engine (or config) persisting this
-        #: node's chain: every mint/transaction/block is write-ahead logged
-        #: and periodically snapshotted, enabling crash recovery via
-        #: ``repro.storage.recover_node``.  ``None`` keeps the seed's purely
-        #: in-process behaviour.
-        self.storage = None
-        if storage is not None:
-            from repro.storage.engine import ensure_engine
-
-            self.storage = ensure_engine(storage)
         if chain is not None:
             # Wrap an existing chain (crash recovery hands over a replayed
             # one); its clock and store are authoritative, so competing
             # construction arguments are a caller bug, not a preference.
-            if any(arg is not None for arg in (config, backend, clock, validators)):
+            if any(arg is not None for arg in (config, backend, clock, validators, storage)):
                 raise ValueError(
                     "pass either a pre-built chain or config/backend/clock/"
-                    "validators, not both")
+                    "validators/storage, not both")
             self.clock = chain.clock
             self.chain = chain
-            if self.storage is None and chain.store is not None:
-                self.storage = chain.store.engine
         else:
             self.clock = clock or SimulatedClock()
-            store = self.storage.chain_store() if self.storage is not None else None
+            store = None
+            if storage is not None:
+                from repro.storage.engine import ensure_engine
+
+                store = ensure_engine(storage).chain_store()
             self.chain = Blockchain(config=config, backend=backend, clock=self.clock,
                                     validators=validators, store=store)
+        #: The ``repro.storage`` engine persisting this node's chain: every
+        #: mint/transaction/block is write-ahead logged and periodically
+        #: snapshotted, enabling crash recovery via
+        #: ``repro.storage.recover_node``.  ``None`` (the chain holds the null
+        #: store) keeps the seed's purely in-process behaviour.
+        self.storage = self.chain.store.engine
         #: Deferred signature verification (``repro.batchverify``): a
         #: verify-worker count; ``None`` (the seed default) keeps the
         #: verify-at-submission path.  Applied to pre-built chains too.

@@ -215,11 +215,10 @@ class ForkChoice:
             new_head=head_hash,
             replica=chain.obs_label,
         )
-        if chain.store is not None:
-            # The WAL now holds abandoned-branch entries that a linear replay
-            # could not recover through; snapshotting at the new head compacts
-            # them away, so a replica restart recovers the post-reorg chain.
-            chain.store.snapshot()
+        # The WAL now holds abandoned-branch entries that a linear replay
+        # could not recover through; snapshotting at the new head compacts
+        # them away, so a replica restart recovers the post-reorg chain.
+        chain.store.snapshot()
         if chain.analytics is not None:
             # The analytics replica truncates to the fork point now and
             # replays the new branch from the archive on its next drain.

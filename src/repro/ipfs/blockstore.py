@@ -2,10 +2,11 @@
 
 Nothing unverified enters: :meth:`BlockStore.add` derives the CID from the
 bytes it stores, and :meth:`BlockStore.put` checks a claimed CID (a peer's
-block) against the bytes.  Keys are canonical CID strings.  The store can sit
-on two substrates:
+block) against the bytes.  Keys are canonical CID strings.  Every method has
+one body over one substrate, which is either
 
-* the default in-process dictionary -- the seed's behaviour, zero I/O;
+* a :class:`MemorySpace` -- the default in-process dictionary, the seed's
+  behaviour, zero I/O; or
 * a ``repro.storage`` *blob space* -- a namespaced, cache-fronted view of a
   storage backend, which makes the node's blocks durable (``LogBackend``)
   and serves hot blocks from the engine's shared LRU cache.
@@ -13,14 +14,39 @@ on two substrates:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import BlockNotFoundError, InvalidCidError
 from repro.ipfs.cid import CID, DAG_PB_CODEC
 
 
+class MemorySpace:
+    """The in-process substrate: a dictionary behind a blob space's methods."""
+
+    def __init__(self) -> None:
+        self._blobs: Dict[str, bytes] = {}
+
+    def put(self, key: str, data: bytes) -> None:
+        self._blobs[key] = data
+
+    def get(self, key: str) -> bytes:
+        return self._blobs[key]
+
+    def has(self, key: str) -> bool:
+        return key in self._blobs
+
+    def delete(self, key: str) -> bool:
+        return self._blobs.pop(key, None) is not None
+
+    def keys(self) -> List[str]:
+        return list(self._blobs)
+
+    def total_bytes(self) -> int:
+        return sum(len(data) for data in self._blobs.values())
+
+
 class BlockStore:
-    """A mapping from CID to block bytes, in memory or on a blob space.
+    """A mapping from CID to block bytes, over one substrate.
 
     Blocks are verified on insertion: storing bytes under a CID whose digest
     does not match raises :class:`InvalidCidError`, so a corrupted or
@@ -28,16 +54,13 @@ class BlockStore:
     """
 
     def __init__(self, space: Optional[Any] = None) -> None:
-        #: ``None`` -> plain dict (seed path); otherwise a
-        #: :class:`repro.storage.engine.BlobSpace`-shaped object with
-        #: ``put/get/has/delete/keys/total_bytes``.
-        self._space = space
-        self._blocks: Dict[str, bytes] = {}
+        #: Where the bytes go: a :class:`repro.storage.engine.BlobSpace` or
+        #: anything else with ``put/get/has/delete/keys/total_bytes``; by
+        #: default an in-process :class:`MemorySpace`.
+        self._space = space if space is not None else MemorySpace()
 
     def __len__(self) -> int:
-        if self._space is not None:
-            return len(self._space.keys())
-        return len(self._blocks)
+        return len(self._space.keys())
 
     def __contains__(self, cid: CID | str) -> bool:
         return self.has(cid)
@@ -47,15 +70,7 @@ class BlockStore:
         cid_obj = cid if isinstance(cid, CID) else CID.parse(cid)
         return cid_obj.encode()
 
-    def _store(self, key: str, block: bytes) -> None:
-        if self._space is not None:
-            self._space.put(key, block)
-        else:
-            self._blocks[key] = block
-
     def _lookup(self, key: str) -> Optional[bytes]:
-        if self._space is None:
-            return self._blocks.get(key)
         # ``has`` first: a block a peer must supply is no cache miss.
         return self._space.get(key) if self._space.has(key) else None
 
@@ -64,7 +79,7 @@ class BlockStore:
         (the block is hashed once, here)."""
         block = bytes(block)
         cid = CID.from_bytes_payload(block, version=version, codec=codec)
-        self._store(cid.encode(), block)
+        self._space.put(cid.encode(), block)
         return cid
 
     def put(self, cid: CID | str, block: bytes) -> CID:
@@ -76,7 +91,7 @@ class BlockStore:
             raise InvalidCidError(
                 f"block content does not hash to {cid_obj.encode()}"
             )
-        self._store(cid_obj.encode(), block)
+        self._space.put(cid_obj.encode(), block)
         return cid_obj
 
     def find(self, cid: CID | str) -> Optional[bytes]:
@@ -108,28 +123,18 @@ class BlockStore:
     def has(self, cid: CID | str) -> bool:
         """Whether the block is present locally."""
         try:
-            key = self._key(cid)
+            return self._space.has(self._key(cid))
         except InvalidCidError:
             return False
-        if self._space is not None:
-            return self._space.has(key)
-        return key in self._blocks
 
     def delete(self, cid: CID | str) -> bool:
         """Remove a block; returns whether it existed."""
-        key = self._key(cid)
-        if self._space is not None:
-            return self._space.delete(key)
-        return self._blocks.pop(key, None) is not None
+        return self._space.delete(self._key(cid))
 
     def cids(self) -> Iterator[str]:
         """Iterate over the CIDs of all stored blocks."""
-        if self._space is not None:
-            return iter(self._space.keys())
-        return iter(list(self._blocks.keys()))
+        return iter(self._space.keys())
 
     def total_bytes(self) -> int:
         """Total stored payload size in bytes."""
-        if self._space is not None:
-            return self._space.total_bytes()
-        return sum(len(block) for block in self._blocks.values())
+        return self._space.total_bytes()

@@ -92,6 +92,9 @@ def _hex_param(method: str, name: str, value: Any) -> bytes:
 
 _TYPE_NAMES = {str: "a string", int: "an integer"}
 
+#: The most blocks one ``evm_mine`` call mines, all on the serving thread.
+MAX_MINE_BLOCKS = 1_000
+
 
 def _typed_param(method: str, name: str, value: Any, kind: type) -> Any:
     """``value`` when it is a ``kind`` (a bool is no ``int``), or a ``-32602``
@@ -290,9 +293,11 @@ class EthNamespace:
     # -- dev-chain extensions ---------------------------------------------------
 
     def evm_mine(self, blocks: int = 1) -> List[str]:
-        """Explicitly mine ``blocks`` blocks (anvil/ganache-style helper)."""
-        return [block.hash for block in self.node.mine(
-            _typed_param("evm_mine", "blocks", blocks, int))]
+        """Explicitly mine ``blocks`` blocks, 1 to 1000 (anvil/ganache-style helper)."""
+        if not 1 <= _typed_param("evm_mine", "blocks", blocks, int) <= MAX_MINE_BLOCKS:
+            raise JsonRpcError(INVALID_PARAMS, f"invalid params for evm_mine: blocks "
+                                               f"must be 1 to {MAX_MINE_BLOCKS}")
+        return [block.hash for block in self.node.mine(blocks)]
 
     def methods(self) -> MethodTable:
         """The method table this namespace contributes."""
@@ -581,7 +586,8 @@ class AnalyticsNamespace:
         from repro.errors import AnalyticsError
 
         try:
-            return self.feeder.leaderboard(name, int(limit))
+            return self.feeder.leaderboard(
+                name, _typed_param("analytics_leaderboard", "limit", limit, int))
         except (AnalyticsError, ValueError) as exc:
             raise JsonRpcError(INVALID_PARAMS, str(exc)) from None
 
@@ -595,7 +601,8 @@ class AnalyticsNamespace:
 
     def series(self, event: str) -> List[Dict[str, Any]]:
         """The (block, args) time series of one event name."""
-        return self.feeder.series(event)
+        return self.feeder.series(_typed_param("analytics_series", "event",
+                                               event, str))
 
     def methods(self) -> MethodTable:
         """The method table this namespace contributes."""
@@ -664,7 +671,7 @@ class ObsNamespace:
 
     def traces(self, limit: int = 20) -> List[Dict[str, Any]]:
         """Recorded trace ids (oldest first) with their span counts."""
-        if limit <= 0:
+        if _typed_param("obs_traces", "limit", limit, int) <= 0:
             raise JsonRpcError(INVALID_PARAMS,
                                f"limit must be positive, got {limit}")
         ids = self.obs.tracer.trace_ids()[:limit]
@@ -681,11 +688,12 @@ class ObsNamespace:
             trace_id = self.obs.sample_trace_id()
         if trace_id is None:
             return []
-        return self.obs.tracer.tree(trace_id, include_wall=include_wall)
+        return self.obs.tracer.tree(_typed_param("obs_trace", "trace_id", trace_id, str),
+                                    include_wall=include_wall)
 
     def top(self, count: int = 10) -> List[Dict[str, Any]]:
         """The top-``count`` per-phase cost table from the profiling hooks."""
-        if count <= 0:
+        if _typed_param("obs_top", "count", count, int) <= 0:
             raise JsonRpcError(INVALID_PARAMS,
                                f"count must be positive, got {count}")
         return self.obs.profiler.top(count)
@@ -693,7 +701,9 @@ class ObsNamespace:
     def events(self, kind: Optional[str] = None,
                limit: int = 100) -> List[Dict[str, Any]]:
         """Structured events (reorgs, partitions, crashes), newest last."""
-        if limit <= 0:
+        if kind is not None:
+            _typed_param("obs_events", "kind", kind, str)
+        if _typed_param("obs_events", "limit", limit, int) <= 0:
             raise JsonRpcError(INVALID_PARAMS,
                                f"limit must be positive, got {limit}")
         return self.obs.event_log.events(kind=kind, limit=limit)

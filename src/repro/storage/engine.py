@@ -121,13 +121,9 @@ class StorageEngine:
         """A cache-fronted blob namespace (e.g. one IPFS node's blocks)."""
         return BlobSpace(self, namespace)
 
-    def chain_store(self, snapshot_interval: Optional[int] = None) -> "ChainStore":
+    def chain_store(self) -> "ChainStore":
         """The write hooks a :class:`Blockchain` calls (one per chain)."""
-        return ChainStore(
-            self,
-            snapshot_interval=(snapshot_interval if snapshot_interval is not None
-                               else self.config.snapshot_interval_blocks),
-        )
+        return ChainStore(self)
 
     def describe(self) -> Dict[str, Any]:
         """JSON-friendly inspection dump (CLI ``storage inspect``)."""
@@ -169,31 +165,29 @@ class ChainStore:
     """Write hooks between one :class:`Blockchain` and the storage engine.
 
     The chain calls :meth:`record_mint`, :meth:`record_transaction` and
-    :meth:`record_block`; the store appends WAL entries and, every
-    ``snapshot_interval`` blocks, writes a state snapshot and compacts the
-    WAL behind it.  During recovery :attr:`replaying` is set so replayed
-    operations are not logged twice.
+    :meth:`record_block`; the store appends WAL entries (the last two timed as
+    the chain's ``chain.persist`` phase) and, every ``snapshot_interval_blocks``
+    blocks, writes a state snapshot and compacts the WAL behind it.
     """
 
-    def __init__(self, engine: StorageEngine, snapshot_interval: int = 16) -> None:
+    def __init__(self, engine: StorageEngine) -> None:
         self.engine = engine
-        self.snapshot_interval = int(snapshot_interval)
+        self.snapshot_interval = engine.config.snapshot_interval_blocks
         self.chain: Any = None
-        self.replaying = False
 
-    def attach(self, chain: Any) -> "ChainStore":
+    def attach(self, chain: Any) -> None:
         """Bind the chain (called by ``Blockchain.__init__``) and persist its
         static parameters so recovery can rebuild an identical instance.
 
         A *fresh* chain refuses to attach to a store that already holds
         history: appending a new run's genesis-rooted blocks after another
         run's WAL would interleave two incompatible chains and make both
-        unrecoverable.  Recovery (``replaying`` set) is exempt -- it is the
-        one legitimate way to mount existing history.
+        unrecoverable.  Recovery (:func:`recover_chain`) is the one legitimate
+        way to mount existing history; it binds the store without attaching.
         """
-        if (not self.replaying and chain.height == 0
-                and (self.engine.wal.last_seq() >= 0
-                     or self.engine.snapshots.latest_pointer() is not None)):
+        if chain.height == 0 and (
+                self.engine.wal.last_seq() >= 0
+                or self.engine.snapshots.latest_pointer() is not None):
             raise StorageError(
                 "this store already holds chain history; recover it "
                 "(repro.storage.recover_node / `python -m repro storage "
@@ -209,28 +203,23 @@ class ChainStore:
                 "genesis_timestamp": chain.genesis_timestamp,
                 "validators": [str(v) for v in chain.consensus.validators],
             })
-        return self
 
     # -- write hooks ------------------------------------------------------------
 
     def record_mint(self, address: str, amount_wei: int) -> None:
-        if self.replaying:
-            return
         self.engine.wal.append("mint", {"address": str(address),
                                         "amount_wei": int(amount_wei)})
 
     def record_transaction(self, tx: Any) -> None:
-        if self.replaying:
-            return
-        self.engine.wal.append("tx", {"hash": tx.hash_hex,
-                                      "transaction": tx.to_dict()})
+        with self.chain.obs.phase("chain.persist"):
+            self.engine.wal.append("tx", {"hash": tx.hash_hex,
+                                          "transaction": tx.to_dict()})
 
     def record_block(self, block: Any) -> None:
-        if self.replaying:
-            return
-        self.engine.wal.append("block", block.to_record())
-        if self.snapshot_interval and block.number % self.snapshot_interval == 0:
-            self.snapshot()
+        with self.chain.obs.phase("chain.persist"):
+            self.engine.wal.append("block", block.to_record())
+            if block.number % self.snapshot_interval == 0:
+                self.snapshot()
 
     # -- snapshots ---------------------------------------------------------------
 
@@ -242,8 +231,6 @@ class ChainStore:
         (mints, executed blocks) or is a pending transaction that compaction
         deliberately retains for mempool recovery.
         """
-        if self.chain is None:
-            raise StorageError("ChainStore.snapshot called before attach()")
         wal_seq = self.engine.wal.last_seq()
         pointer = self.engine.snapshots.write(self.chain, wal_seq=wal_seq)
         if compact and wal_seq >= 0:
@@ -279,8 +266,9 @@ def recover_chain(
        recomputed block hash against the recorded header, then re-queue any
        still-pending ``tx`` entries into the mempool.
 
-    Returns the recovered chain; its head hash is identical to the chain
-    that wrote the log, or :class:`StorageCorruptionError` is raised.
+    Returns the recovered chain, writing through a new :class:`ChainStore`
+    on the same engine; its head hash is identical to the chain that wrote
+    the log, or :class:`StorageCorruptionError` is raised.
     """
     from repro.chain.chain import Blockchain, ChainConfig
     from repro.chain.account import Address
@@ -304,84 +292,81 @@ def recover_chain(
     if recovered_validators is None and meta.get("validators"):
         recovered_validators = [Address(v) for v in meta["validators"]]
 
-    store = engine.chain_store()
-    store.replaying = True
-    try:
-        chain = Blockchain(
-            config=config,
-            backend=backend,
-            clock=clock,
-            validators=recovered_validators,
-            genesis_timestamp=float(meta["genesis_timestamp"]),
-            store=store,
-        )
+    chain = Blockchain(
+        config=config,
+        backend=backend,
+        clock=clock,
+        validators=recovered_validators,
+        genesis_timestamp=float(meta["genesis_timestamp"]),
+    )
 
-        snapshot = engine.snapshots.load_latest()
-        snapshot_height = 0
-        replay_boundary = -1  # replay every entry with seq > this
-        if snapshot is not None:
-            snapshot_height = int(snapshot["height"])
-            replay_boundary = int(snapshot["wal_seq"])
-            # Archived history first (trusted, no re-execution) ...
-            for number in engine.wal.archived_block_numbers():
-                if number <= snapshot_height:
-                    chain.import_block(engine.wal.archived_block(number))
-            # ... but blocks <= H may still sit un-compacted in the live WAL
-            # when the snapshot was written with compaction disabled.
-            for entry in engine.wal.entries():
-                if entry.kind == "block" and \
-                        int(entry.payload["header"]["number"]) <= snapshot_height and \
-                        chain.height < int(entry.payload["header"]["number"]):
-                    chain.import_block(entry.payload)
-            if chain.height != snapshot_height:
-                raise StorageCorruptionError(
-                    f"block history ends at {chain.height} but the snapshot "
-                    f"is at {snapshot_height}")
-            if chain.latest_block.hash != snapshot["head_hash"]:
-                raise StorageCorruptionError(
-                    f"recovered head {chain.latest_block.hash} does not match "
-                    f"snapshot head {snapshot['head_hash']}")
-            # The contract backend *is* the registry in this stack, so it can
-            # re-instantiate snapshot contract classes directly.
-            chain.state = restore_state(snapshot["state"], backend)
-
-        # Phase 3: re-execute everything past the snapshot boundary, in WAL
-        # order.  Transaction entries are collected regardless of position:
-        # compaction retains exactly the pending ones, and the inclusion
-        # check below filters out any that a later block replay mined.
-        pending: List[Dict[str, Any]] = []
+    snapshot = engine.snapshots.load_latest()
+    snapshot_height = 0
+    replay_boundary = -1  # replay every entry with seq > this
+    if snapshot is not None:
+        snapshot_height = int(snapshot["height"])
+        replay_boundary = int(snapshot["wal_seq"])
+        # Archived history first (trusted, no re-execution) ...
+        for number in engine.wal.archived_block_numbers():
+            if number <= snapshot_height:
+                chain.import_block(engine.wal.archived_block(number))
+        # ... but blocks <= H may still sit un-compacted in the live WAL
+        # when the snapshot was written with compaction disabled.
         for entry in engine.wal.entries():
-            if entry.kind == "tx":
-                pending.append(entry.payload)
-                continue
-            if entry.seq <= replay_boundary:
-                continue
-            if entry.kind == "mint":
-                chain.state.credit(
-                    Address(entry.payload["address"]),
-                    int(entry.payload["amount_wei"]))
-            elif entry.kind == "block":
-                chain.replay_block(entry.payload)
+            if entry.kind == "block" and \
+                    int(entry.payload["header"]["number"]) <= snapshot_height and \
+                    chain.height < int(entry.payload["header"]["number"]):
+                chain.import_block(entry.payload)
+        if chain.height != snapshot_height:
+            raise StorageCorruptionError(
+                f"block history ends at {chain.height} but the snapshot "
+                f"is at {snapshot_height}")
+        if chain.latest_block.hash != snapshot["head_hash"]:
+            raise StorageCorruptionError(
+                f"recovered head {chain.latest_block.hash} does not match "
+                f"snapshot head {snapshot['head_hash']}")
+        # The contract backend *is* the registry in this stack, so it can
+        # re-instantiate snapshot contract classes directly.
+        chain.state = restore_state(snapshot["state"], backend)
 
-        # Pending transactions: whatever never landed in a block goes back
-        # into the mempool, like a node re-reading its txpool journal.  A
-        # pending entry that no longer validates (e.g. a later mined tx
-        # drained the sender's balance) is dropped, not fatal -- an intact
-        # store must always recover.
-        chain.dropped_pending_on_recovery = 0
-        for payload in pending:
-            if not chain.has_receipt(payload["hash"]):
-                try:
-                    chain.submit_transaction(Transaction.from_dict(payload["transaction"]))
-                except ReproError:
-                    chain.dropped_pending_on_recovery += 1
+    # Phase 3: re-execute everything past the snapshot boundary, in WAL
+    # order.  Transaction entries are collected regardless of position:
+    # compaction retains exactly the pending ones, and the inclusion
+    # check below filters out any that a later block replay mined.
+    pending: List[Dict[str, Any]] = []
+    for entry in engine.wal.entries():
+        if entry.kind == "tx":
+            pending.append(entry.payload)
+            continue
+        if entry.seq <= replay_boundary:
+            continue
+        if entry.kind == "mint":
+            chain.state.credit(
+                Address(entry.payload["address"]),
+                int(entry.payload["amount_wei"]))
+        elif entry.kind == "block":
+            chain.replay_block(entry.payload)
 
-        if snapshot is not None:
-            clock.advance_to(float(snapshot["clock_now"]))
-        if chain.height > 0:
-            clock.advance_to(chain.latest_block.timestamp)
-    finally:
-        store.replaying = False
+    # Pending transactions: whatever never landed in a block goes back
+    # into the mempool, like a node re-reading its txpool journal.  A
+    # pending entry that no longer validates (e.g. a later mined tx
+    # drained the sender's balance) is dropped, not fatal -- an intact
+    # store must always recover.
+    chain.dropped_pending_on_recovery = 0
+    for payload in pending:
+        if not chain.has_receipt(payload["hash"]):
+            try:
+                chain.submit_transaction(Transaction.from_dict(payload["transaction"]))
+            except ReproError:
+                chain.dropped_pending_on_recovery += 1
+
+    if snapshot is not None:
+        clock.advance_to(float(snapshot["clock_now"]))
+    if chain.height > 0:
+        clock.advance_to(chain.latest_block.timestamp)
+    # Bound only now, so nothing replayed above is logged twice.
+    chain.store = engine.chain_store()
+    chain.store.chain = chain
     return chain
 
 
@@ -400,12 +385,11 @@ def recover_node(
     """
     from repro.chain.node import EthereumNode
 
-    # Normalize exactly once: the node must share the engine the recovered
-    # chain writes through, not a second engine over the same directory.
-    engine = ensure_engine(storage)
-    chain = recover_chain(engine, backend=backend, clock=clock,
+    # The node reads its engine off the recovered chain's store, so it
+    # shares the engine the chain writes through, never a second one.
+    chain = recover_chain(storage, backend=backend, clock=clock,
                           validators=validators)
-    return EthereumNode(chain=chain, network=network, storage=engine)
+    return EthereumNode(chain=chain, network=network)
 
 
 def verify_store(

@@ -18,71 +18,75 @@ def cid_of(payload: bytes) -> CID:
     return CID.from_bytes_payload(payload, version=1, codec=RAW_CODEC)
 
 
+@pytest.fixture(params=["memory", "blob space"])
+def store(request):
+    """An empty block store on each substrate: every method has one body."""
+    if request.param == "memory":
+        return BlockStore()
+    return BlockStore(space=StorageEngine().blob_space("ipfs/n"))
+
+
 class TestBlockStore:
-    def test_put_and_get(self):
-        store = BlockStore()
+    def test_put_and_get(self, store):
         cid = cid_of(b"block")
         store.put(cid, b"block")
         assert store.get(cid) == b"block"
         assert cid in store
         assert len(store) == 1
 
-    def test_put_verifies_content(self):
-        store = BlockStore()
+    def test_put_verifies_content(self, store):
         with pytest.raises(InvalidCidError):
             store.put(cid_of(b"expected"), b"tampered")
 
-    def test_get_missing_raises(self):
+    def test_get_missing_raises(self, store):
         with pytest.raises(BlockNotFoundError):
-            BlockStore().get(cid_of(b"missing"))
+            store.get(cid_of(b"missing"))
 
-    def test_delete(self):
-        store = BlockStore()
+    def test_delete(self, store):
         cid = cid_of(b"block")
         store.put(cid, b"block")
         assert store.delete(cid)
         assert not store.has(cid)
         assert not store.delete(cid)
 
-    def test_idempotent_put(self):
-        store = BlockStore()
+    def test_idempotent_put(self, store):
         cid = cid_of(b"block")
         store.put(cid, b"block")
         store.put(cid, b"block")
         assert len(store) == 1
 
-    def test_total_bytes(self):
-        store = BlockStore()
+    def test_total_bytes(self, store):
         store.put(cid_of(b"aa"), b"aa")
         store.put(cid_of(b"bbbb"), b"bbbb")
         assert store.total_bytes() == 6
 
-    def test_accepts_string_cids(self):
-        store = BlockStore()
+    def test_cids_and_find(self, store):
+        first, second = store.add(b"one", version=1, codec=RAW_CODEC), \
+            store.add(b"two", version=1, codec=RAW_CODEC)
+        assert sorted(store.cids()) == sorted([first.encode(), second.encode()])
+        assert store.find(first) == b"one" and store.find(second.encode()) == b"two"
+        assert store.find(cid_of(b"missing")) is None
+
+    def test_accepts_string_cids(self, store):
         cid = cid_of(b"block")
         store.put(cid.encode(), b"block")
         assert store.get(cid.encode()) == b"block"
 
-    def test_has_handles_invalid_cid_gracefully(self):
-        assert not BlockStore().has("definitely-not-a-cid")
+    def test_has_handles_invalid_cid_gracefully(self, store):
+        assert not store.has("definitely-not-a-cid")
 
-    def test_add_keys_a_block_by_its_own_hash(self):
-        store = BlockStore()
+    def test_add_keys_a_block_by_its_own_hash(self, store):
         assert store.add(b"block", version=1, codec=RAW_CODEC) == cid_of(b"block")
         assert store.get(cid_of(b"block").encode()) == b"block"
 
-    @pytest.mark.parametrize("substrate", ["memory", "blob space"])
-    def test_a_mismatched_block_never_enters(self, substrate):
-        store = (BlockStore() if substrate == "memory"
-                 else BlockStore(space=StorageEngine().blob_space("ipfs/n")))
+    def test_a_mismatched_block_never_enters(self, store):
         with pytest.raises(InvalidCidError):
             store.put(cid_of(b"expected"), b"tampered")
         with pytest.raises(InvalidCidError):
             store.put(cid_of(b"expected").encode(), b"tampered")
         assert len(store) == 0 and store.find(cid_of(b"expected")) is None
 
-    def test_a_non_canonical_cid_string_still_resolves(self):
-        store = BlockStore()
+    def test_a_non_canonical_cid_string_still_resolves(self, store):
         canonical = store.add(b"leaf", version=1, codec=RAW_CODEC).encode()
         shouted = "b" + canonical[1:].upper()
         assert shouted != canonical

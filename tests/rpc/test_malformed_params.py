@@ -1,9 +1,10 @@
-"""A list or ``null`` where a hash, a filter id, an IPFS node name or a block
-count belongs is the caller's mistake, not a server bug.
+"""A list or ``null`` where a hash, a filter id, an IPFS node name, a block
+count, a limit or an event name belongs is the caller's mistake, not a
+server bug.
 
 Each call below used to answer ``-32603`` (a list is unhashable, ``int(None)``
-raises).  It must come back as a ``-32602`` that names the param and the
-type it needs, without echoing the value.
+raises, ``None <= 0`` is a ``TypeError``).  It must come back as a ``-32602``
+that names the param and the type it needs, without echoing the value.
 """
 
 import json
@@ -11,6 +12,8 @@ import json
 import pytest
 
 from repro.rpc import INVALID_PARAMS, make_request
+from repro.rpc.namespaces import MAX_MINE_BLOCKS
+from repro.storage import StorageEngine
 from repro.system.stack import build_stack
 
 
@@ -38,16 +41,62 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("method, params, name, kind", MALFORMED,
-                         ids=[case[0] for case in MALFORMED])
-def test_a_wrongly_typed_param_is_a_typed_refusal(gateway, method, params,
-                                                  name, kind):
+#: The optional namespaces, mounted on a stack that has both.
+MALFORMED_OPTIONAL = [
+    ("obs_top", [None], "count", "an integer"),
+    ("obs_traces", [[]], "limit", "an integer"),
+    ("obs_trace", [[]], "trace_id", "a string"),
+    ("obs_events", [[], {}], "kind", "a string"),
+    ("analytics_series", [[]], "event", "a string"),
+    ("analytics_leaderboard", [None, []], "limit", "an integer"),
+]
+
+
+@pytest.fixture(scope="module")
+def full_gateway():
+    return build_stack(storage=StorageEngine(), observability=True,
+                       analytics=True).gateway
+
+
+def assert_typed_refusal(gateway, method, params, name, kind):
     reply = gateway.handle_raw(json.dumps(make_request(method, params,
                                                        request_id=1)))
     assert json.loads(reply)["error"] == {
         "code": INVALID_PARAMS,
         "message": f"invalid params for {method}: {name} must be {kind}",
     }
+
+
+@pytest.mark.parametrize("method, params, name, kind", MALFORMED,
+                         ids=[case[0] for case in MALFORMED])
+def test_a_wrongly_typed_param_is_a_typed_refusal(gateway, method, params,
+                                                  name, kind):
+    assert_typed_refusal(gateway, method, params, name, kind)
+
+
+@pytest.mark.parametrize("method, params, name, kind", MALFORMED_OPTIONAL,
+                         ids=[case[0] for case in MALFORMED_OPTIONAL])
+def test_an_optional_namespace_refuses_a_wrongly_typed_param(
+        full_gateway, method, params, name, kind):
+    assert_typed_refusal(full_gateway, method, params, name, kind)
+
+
+@pytest.mark.parametrize("blocks", [MAX_MINE_BLOCKS + 1, 0, -5])
+def test_evm_mine_refuses_a_count_out_of_range(gateway, blocks):
+    reply = json.loads(gateway.handle_raw(json.dumps(
+        make_request("evm_mine", [blocks], request_id=1))))
+    assert reply["error"] == {
+        "code": INVALID_PARAMS,
+        "message": f"invalid params for evm_mine: blocks must be 1 to "
+                   f"{MAX_MINE_BLOCKS}",
+    }
+    assert gateway.handle_raw(json.dumps(
+        make_request("eth_blockNumber", [], request_id=2))).endswith(
+            b'"result": "0x0"}')
+
+
+def test_evm_mine_takes_the_largest_count(gateway):
+    assert len(gateway.call("evm_mine", MAX_MINE_BLOCKS)) == MAX_MINE_BLOCKS
 
 
 @pytest.mark.parametrize("blocks", ["2", 1.5, True])

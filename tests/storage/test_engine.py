@@ -225,6 +225,31 @@ class TestReviewRegressions:
         assert revived.storage.wal.last_seq() == before + 1
         revived.storage.close()
 
+    def test_a_mints_only_store_recovers_and_keeps_writing(self, tmp_path):
+        """Height 0 with history: binding the store after replay must not
+        trip the refusal a fresh chain gets from a used store."""
+        from repro.storage import recover_node
+        directory = str(tmp_path / "s")
+        engine = StorageEngine(StorageConfig(backend="log", directory=directory))
+        node = EthereumNode(backend=default_registry(), storage=engine)
+        keys = KeyPair.from_label("mints-only-owner")
+        Faucet(node).drip(keys.address, ether_to_wei(1))
+        assert node.chain.height == 0 and engine.wal.last_seq() == 0
+        engine.close()
+
+        revived = recover_node(StorageConfig(backend="log", directory=directory),
+                               backend=default_registry())
+        assert revived.chain.height == 0
+        assert revived.get_balance(keys.address) == ether_to_wei(1)
+        Faucet(revived).drip(keys.address, 1)  # post-recovery durable write
+        assert revived.storage.wal.counts_by_kind()["mint"] == 2
+        revived.storage.close()
+
+        again = recover_node(StorageConfig(backend="log", directory=directory),
+                             backend=default_registry())
+        assert again.get_balance(keys.address) == ether_to_wei(1) + 1
+        again.storage.close()
+
     def test_blob_key_ending_in_tmp_does_not_collide(self, tmp_path):
         """A key like 'model.tmp' must survive a write to sibling 'model'."""
         from repro.storage import LogBackend
