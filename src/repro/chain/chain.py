@@ -63,13 +63,13 @@ class NullChainStore:
     def record_mint(self, address: str, amount_wei: int) -> None:
         return None
 
-    def record_transaction(self, tx: Transaction) -> None:
+    def record_transaction(self, chain: "Blockchain", tx: Transaction) -> None:
         return None
 
-    def record_block(self, block: Block) -> None:
+    def record_block(self, chain: "Blockchain", block: Block) -> None:
         return None
 
-    def snapshot(self, compact: bool = True) -> None:
+    def snapshot(self, chain: "Blockchain", compact: bool = True) -> None:
         return None
 
 
@@ -285,7 +285,7 @@ class Blockchain:
                 tx_hash = self.mempool.add(tx, verify=not deferred)
             finally:
                 obs.end(mempool_span.annotate("depth", len(self.mempool)))
-            self.store.record_transaction(tx)
+            self.store.record_transaction(self, tx)
         except ReproError:
             obs.end(span, status="rejected")
             raise
@@ -507,7 +507,7 @@ class Blockchain:
             obs.end(obs.tx_span("tx.receipt", tx.hash_hex,
                                 replica=self.obs_label, block=block.number),
                     status="ok" if receipt.status else "reverted")
-        self.store.record_block(block)
+        self.store.record_block(self, block)
 
     # -- replica primitives (repro.cluster.forkchoice) ------------------------
 

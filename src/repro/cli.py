@@ -338,7 +338,8 @@ def _command_run(args: argparse.Namespace) -> int:
         engine = environment.storage
         # Snapshot the final head so a later recovery restores instead of
         # re-executing the whole run.
-        environment.node.chain.store.snapshot()
+        chain = environment.node.chain
+        chain.store.snapshot(chain)
         pointer = engine.snapshots.latest_pointer()
         print(f"chain persisted to {args.store} "
               f"(snapshot at height {pointer['height']}, "

@@ -218,7 +218,7 @@ class ForkChoice:
         # The WAL now holds abandoned-branch entries that a linear replay
         # could not recover through; snapshotting at the new head compacts
         # them away, so a replica restart recovers the post-reorg chain.
-        chain.store.snapshot()
+        chain.store.snapshot(chain)
         if chain.analytics is not None:
             # The analytics replica truncates to the fork point now and
             # replays the new branch from the archive on its next drain.

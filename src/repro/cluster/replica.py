@@ -202,7 +202,7 @@ class Replica:
         # Snapshot immediately: the fresh WAL holds verbatim blocks but no
         # mint history (mints live inside the copied state), so a later
         # recovery must restore from this snapshot rather than re-execute.
-        chain.store.snapshot()
+        chain.store.snapshot(chain)
         # Fork choice starts fresh *after* the state restore: the rollback
         # snapshot it writes already contains every historical mint, so the
         # mint journal correctly restarts empty.

@@ -31,12 +31,23 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.errors import AggregationError
 from repro.fl.model_update import ModelUpdate, check_compatible
 from repro.fl.oneshot.base import AggregationResult, OneShotAggregator
 from repro.ml.mlp import MLP
+
+
+def linear_sum_assignment(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`scipy.optimize.linear_sum_assignment`, imported on first call.
+
+    Loading ``scipy.optimize`` costs ~50 MB and ~0.7 s, and below the width
+    cap a fold-in often has no row worth solving (see :func:`_fold_in_client`),
+    so a task that never solves never loads it.
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ default) the swarm is the original ideal zero-cost LAN.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, TYPE_CHECKING
+from typing import Dict, Iterable, List, MutableMapping, Optional, Sequence, Set, TYPE_CHECKING
 
 from repro.errors import BlockNotFoundError
 from repro.ipfs.cid import CID
@@ -36,11 +37,16 @@ class TransferStats:
 
 
 class Swarm:
-    """A set of interconnected IPFS nodes."""
+    """A set of interconnected IPFS nodes.
+
+    A node holds its swarm; the swarm lists its members weakly, so a node
+    nobody holds any more has left the swarm (a stopped daemon), and the
+    two form no reference cycle.
+    """
 
     def __init__(self, network: Optional["NetworkModel"] = None,
                  clock: Optional["SimulatedClock"] = None) -> None:
-        self._nodes: Dict[str, "IpfsNode"] = {}
+        self._nodes: MutableMapping[str, "IpfsNode"] = weakref.WeakValueDictionary()
         self._connections: Dict[str, Set[str]] = {}
         self._transfers: Dict[tuple, TransferStats] = {}
         self.network = network
@@ -50,7 +56,7 @@ class Swarm:
     # -- membership -----------------------------------------------------------
 
     def register(self, node: "IpfsNode") -> None:
-        """Add a node to the swarm (by its peer id)."""
+        """Add a node to the swarm (by its peer id) for as long as it lives."""
         self._nodes[node.peer_id] = node
         self._connections.setdefault(node.peer_id, set())
 
@@ -95,8 +101,8 @@ class Swarm:
         """
         cid_obj = cid if isinstance(cid, CID) else CID.parse(cid)
         for peer_id in self.peers_of(requester):
-            provider = self._nodes[peer_id]
-            if not provider.blockstore.has(cid_obj):
+            provider = self._nodes.get(peer_id)
+            if provider is None or not provider.blockstore.has(cid_obj):
                 continue
             block = provider.blockstore.get(cid_obj)
             if self.network is not None:

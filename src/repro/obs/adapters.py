@@ -7,7 +7,7 @@ change their snapshot shapes or touch their hot paths.  These adapters
 therefore *sample* the originals right before a snapshot or a Prometheus
 render -- the sources stay authoritative and unmodified.  Each is a plain
 ``collect_*(reg, source)``; a stack's one registered collector
-(``Stack.collect_metrics``) calls them over whatever the stack holds *when
+(``repro.system.stack._collect_metrics``) calls them over whatever the stack holds *when
 sampled*, so a replaced node, replica or feeder needs no re-registration.
 
 Naming: counters end ``_total``, duration histograms end ``_seconds``

@@ -85,8 +85,8 @@ class BatchCall:
 class RpcBatch:
     """Collects calls and sends them as one JSON-RPC batch envelope."""
 
-    def __init__(self, client: "MarketplaceClient") -> None:
-        self._client = client
+    def __init__(self, gateway: JsonRpcGateway) -> None:
+        self._gateway = gateway
         self._calls: List[BatchCall] = []
         self._envelopes: List[Dict[str, Any]] = []
 
@@ -109,7 +109,7 @@ class RpcBatch:
         """Send the batch; resolve every handle (errors stay lazy)."""
         if not self._calls:
             return []
-        responses = self._client.gateway.handle(list(self._envelopes))
+        responses = self._gateway.handle(list(self._envelopes))
         by_id: Dict[Any, Dict[str, Any]] = {
             response.get("id"): response for response in (responses or [])
         }
@@ -132,46 +132,75 @@ class RpcBatch:
         return False
 
 
+class RpcTransport:
+    """One gateway and the ids of the requests sent through it.
+
+    A :class:`MarketplaceClient` and its typed sub-clients all send through
+    one transport, which points at none of them: the sub-clients hold it
+    rather than the client, so a dropped client is freed by reference
+    counting alone.
+    """
+
+    def __init__(self, gateway: JsonRpcGateway) -> None:
+        self.gateway = gateway
+        self._next_id = 0
+
+    def call(self, method: str, /, *params: Any, **named: Any) -> Any:
+        """Send one JSON-RPC request; return the result or raise."""
+        if params and named:
+            raise ValueError("pass positional or named params, not both")
+        self._next_id += 1
+        envelope = make_request(
+            method, dict(named) if named else list(params), request_id=self._next_id
+        )
+        response = self.gateway.handle(envelope)
+        if response is None:  # pragma: no cover - requests always carry ids
+            raise RpcError(f"no response for {method}")
+        if "error" in response:
+            raise _rehydrate_error(response["error"])
+        return response.get("result")
+
+
 class EthClient:
     """Typed ``eth_*`` sub-client (decodes hex quantities, rebuilds objects)."""
 
-    def __init__(self, client: "MarketplaceClient") -> None:
-        self._client = client
+    def __init__(self, rpc: RpcTransport) -> None:
+        self._rpc = rpc
 
     # -- metadata / accounts -------------------------------------------------
 
     @property
     def chain_id(self) -> int:
-        return from_quantity(self._client.call("eth_chainId"))
+        return from_quantity(self._rpc.call("eth_chainId"))
 
     @property
     def block_number(self) -> int:
-        return from_quantity(self._client.call("eth_blockNumber"))
+        return from_quantity(self._rpc.call("eth_blockNumber"))
 
     def get_balance(self, address: str, block: Union[str, int] = "latest") -> int:
-        return from_quantity(self._client.call("eth_getBalance", address, block))
+        return from_quantity(self._rpc.call("eth_getBalance", address, block))
 
     def get_transaction_count(self, address: str, block: Union[str, int] = "latest") -> int:
-        return from_quantity(self._client.call("eth_getTransactionCount", address, block))
+        return from_quantity(self._rpc.call("eth_getTransactionCount", address, block))
 
     def is_contract(self, address: str) -> bool:
-        return bool(self._client.call("eth_getCode", address))
+        return bool(self._rpc.call("eth_getCode", address))
 
     # -- transactions ---------------------------------------------------------
 
     def send_raw_transaction(self, raw: str) -> str:
-        return self._client.call("eth_sendRawTransaction", raw)
+        return self._rpc.call("eth_sendRawTransaction", raw)
 
     def send_transaction(self, tx: Transaction) -> str:
         """Serialize a signed transaction and broadcast it."""
         return self.send_raw_transaction(tx.serialize_raw())
 
     def get_transaction(self, tx_hash: str) -> Transaction:
-        return Transaction.from_dict(self._client.call("eth_getTransactionByHash", tx_hash))
+        return Transaction.from_dict(self._rpc.call("eth_getTransactionByHash", tx_hash))
 
     def get_receipt(self, tx_hash: str) -> Optional[TransactionReceipt]:
         """The transaction's receipt, or ``None`` while it is unmined."""
-        payload = self._client.call("eth_getTransactionReceipt", tx_hash)
+        payload = self._rpc.call("eth_getTransactionReceipt", tx_hash)
         if payload is None:
             return None
         return TransactionReceipt.from_dict(payload)
@@ -197,7 +226,7 @@ class EthClient:
 
     def mine(self, blocks: int = 1) -> List[str]:
         """Explicitly mine blocks (the ``evm_mine`` dev extension)."""
-        return self._client.call("evm_mine", blocks)
+        return self._rpc.call("evm_mine", blocks)
 
     # -- calls / estimation ----------------------------------------------------
 
@@ -210,16 +239,16 @@ class EthClient:
         }
         if caller is not None:
             call_object["from"] = str(caller)
-        return self._client.call("eth_call", call_object)
+        return self._rpc.call("eth_call", call_object)
 
     def estimate_gas(self, tx: Transaction) -> int:
-        return from_quantity(self._client.call("eth_estimateGas", tx.to_dict()))
+        return from_quantity(self._rpc.call("eth_estimateGas", tx.to_dict()))
 
     # -- blocks / logs -----------------------------------------------------------
 
     def get_block(self, block: Union[str, int] = "latest",
                   full_transactions: bool = False) -> Dict[str, Any]:
-        return self._client.call("eth_getBlockByNumber", block, full_transactions)
+        return self._rpc.call("eth_getBlockByNumber", block, full_transactions)
 
     def get_logs(self, log_filter: Optional[LogFilter] = None,
                  limit: Optional[int] = None,
@@ -227,13 +256,13 @@ class EthClient:
         """Query logs; with ``limit``/``cursor`` returns a :class:`LogPage`."""
         criteria = _criteria_from_filter(log_filter)
         if limit is None and cursor is None:
-            payload = self._client.call("eth_getLogs", criteria)
+            payload = self._rpc.call("eth_getLogs", criteria)
             return [EventLog.from_dict(entry) for entry in payload]
         if limit is not None:
             criteria["limit"] = limit
         if cursor is not None:
             criteria["cursor"] = cursor
-        payload = self._client.call("eth_getLogs", criteria)
+        payload = self._rpc.call("eth_getLogs", criteria)
         return LogPage(
             logs=[EventLog.from_dict(entry) for entry in payload["logs"]],
             next_cursor=payload.get("next_cursor"),
@@ -242,23 +271,23 @@ class EthClient:
     # -- filters -------------------------------------------------------------------
 
     def new_block_filter(self) -> str:
-        return self._client.call("eth_newBlockFilter")
+        return self._rpc.call("eth_newBlockFilter")
 
     def new_pending_transaction_filter(self) -> str:
-        return self._client.call("eth_newPendingTransactionFilter")
+        return self._rpc.call("eth_newPendingTransactionFilter")
 
     def new_log_filter(self, log_filter: Optional[LogFilter] = None) -> str:
-        return self._client.call("eth_newFilter", _criteria_from_filter(log_filter))
+        return self._rpc.call("eth_newFilter", _criteria_from_filter(log_filter))
 
     def get_filter_changes(self, filter_id: str) -> List[Any]:
-        return self._client.call("eth_getFilterChanges", filter_id)
+        return self._rpc.call("eth_getFilterChanges", filter_id)
 
     def get_filter_logs(self, filter_id: str) -> List[EventLog]:
-        payload = self._client.call("eth_getFilterLogs", filter_id)
+        payload = self._rpc.call("eth_getFilterLogs", filter_id)
         return [EventLog.from_dict(entry) for entry in payload]
 
     def uninstall_filter(self, filter_id: str) -> bool:
-        return self._client.call("eth_uninstallFilter", filter_id)
+        return self._rpc.call("eth_uninstallFilter", filter_id)
 
 
 def _criteria_from_filter(log_filter: Optional[LogFilter]) -> Dict[str, Any]:
@@ -282,8 +311,8 @@ def _criteria_from_filter(log_filter: Optional[LogFilter]) -> Dict[str, Any]:
 class IpfsClient:
     """Typed ``ipfs_*`` sub-client bound to a default node."""
 
-    def __init__(self, client: "MarketplaceClient", default_node: Optional[str] = None) -> None:
-        self._client = client
+    def __init__(self, rpc: RpcTransport, default_node: Optional[str] = None) -> None:
+        self._rpc = rpc
         self.default_node = default_node
 
     def _node(self, node: Optional[str]) -> Optional[str]:
@@ -292,33 +321,33 @@ class IpfsClient:
     def add(self, payload: bytes, node: Optional[str] = None,
             pin: bool = True) -> Dict[str, Any]:
         """Add bytes; returns ``{"cid", "size", "num_blocks"}``."""
-        return self._client.call(
+        return self._rpc.call(
             "ipfs_add", to_hex(bytes(payload)), self._node(node), pin
         )
 
     def cat(self, cid: str, node: Optional[str] = None) -> bytes:
         # In process the result is a HexString: its bytes, never made text.
-        return self._client.call("ipfs_cat", cid, self._node(node)).data
+        return self._rpc.call("ipfs_cat", cid, self._node(node)).data
 
     def pin(self, cid: str, node: Optional[str] = None) -> Dict[str, Any]:
-        return self._client.call("ipfs_pin", cid, self._node(node))
+        return self._rpc.call("ipfs_pin", cid, self._node(node))
 
     def stat(self, cid: str, node: Optional[str] = None) -> Dict[str, Any]:
-        return self._client.call("ipfs_stat", cid, self._node(node))
+        return self._rpc.call("ipfs_stat", cid, self._node(node))
 
 
 class Oflw3Client:
     """Typed ``oflw3_*`` sub-client bound to a default buyer backend."""
 
-    def __init__(self, client: "MarketplaceClient",
+    def __init__(self, rpc: RpcTransport,
                  default_backend: Optional[str] = None) -> None:
-        self._client = client
+        self._rpc = rpc
         self.default_backend = default_backend
 
     def _call(self, rpc_method: str, /, **named: Any) -> Any:
         if self.default_backend is not None and "backend" not in named:
             named["backend"] = self.default_backend
-        return self._client.call(rpc_method, **named)
+        return self._rpc.call(rpc_method, **named)
 
     def health(self) -> Dict[str, Any]:
         return self._call("oflw3_health")
@@ -365,10 +394,10 @@ class MarketplaceClient:
         default_backend: Optional[str] = None,
     ) -> None:
         self.gateway = gateway
-        self.eth = EthClient(self)
-        self.ipfs = IpfsClient(self, default_node=default_ipfs_node)
-        self.oflw3 = Oflw3Client(self, default_backend=default_backend)
-        self._next_id = 0
+        self._rpc = RpcTransport(gateway)
+        self.eth = EthClient(self._rpc)
+        self.ipfs = IpfsClient(self._rpc, default_node=default_ipfs_node)
+        self.oflw3 = Oflw3Client(self._rpc, default_backend=default_backend)
 
     # -- construction -----------------------------------------------------------
 
@@ -417,22 +446,11 @@ class MarketplaceClient:
 
     def call(self, method: str, /, *params: Any, **named: Any) -> Any:
         """Send one JSON-RPC request; return the result or raise."""
-        if params and named:
-            raise ValueError("pass positional or named params, not both")
-        self._next_id += 1
-        envelope = make_request(
-            method, dict(named) if named else list(params), request_id=self._next_id
-        )
-        response = self.gateway.handle(envelope)
-        if response is None:  # pragma: no cover - requests always carry ids
-            raise RpcError(f"no response for {method}")
-        if "error" in response:
-            raise _rehydrate_error(response["error"])
-        return response.get("result")
+        return self._rpc.call(method, *params, **named)
 
     def batch(self) -> RpcBatch:
         """Start a batch; use as a context manager or call ``execute()``."""
-        return RpcBatch(self)
+        return RpcBatch(self.gateway)
 
     def methods(self) -> List[str]:
         """Every method the gateway serves (for discovery/CLI)."""

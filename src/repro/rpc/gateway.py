@@ -17,6 +17,7 @@ the reply text its object keeps, and no dict is built for it.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Union
@@ -110,6 +111,46 @@ def _describe_storage(engine: Any) -> Callable[[], Dict[str, Any]]:
     return storage_stats
 
 
+def _invoke(methods: Dict[str, Callable[..., Any]],
+            signatures: Dict[str, inspect.Signature],
+            arities: Dict[str, Optional[_Arity]], request: RpcRequest) -> Any:
+    """The gateway's innermost stage: check params, run the handler,
+    normalize errors.
+
+    The arity table admits what ``Signature.bind`` would; ``bind`` runs
+    only on a call the table refuses (to word the error) or cannot judge.
+    """
+    method = request.method
+    handler = methods.get(method)
+    if handler is None:
+        raise JsonRpcError(METHOD_NOT_FOUND, f"method {method!r} not found")
+    params = request.params
+    if params is None:
+        params = ()
+    named = isinstance(params, dict)
+    arity = arities[method]
+    if arity is None or not arity.admits(params):
+        try:
+            if named:
+                signatures[method].bind(**params)
+            else:
+                signatures[method].bind(*params)
+        except TypeError as exc:
+            raise JsonRpcError(
+                INVALID_PARAMS, f"invalid params for {method}: {exc}"
+            ) from None
+    try:
+        return handler(**params) if named else handler(*params)
+    except JsonRpcError:
+        raise
+    except ReproError as exc:
+        raise JsonRpcError(
+            SERVER_ERROR, str(exc), data={"error_class": type(exc).__name__}
+        ) from exc
+    except Exception as exc:  # noqa: BLE001 - a buggy handler must not kill the gateway
+        raise JsonRpcError(INTERNAL_ERROR, f"internal error: {exc}") from exc
+
+
 class JsonRpcGateway:
     """Versioned JSON-RPC 2.0 gateway over the chain/IPFS/backend stack."""
 
@@ -122,7 +163,7 @@ class JsonRpcGateway:
     ) -> None:
         self._methods: Dict[str, Callable[..., Any]] = {}
         self._signatures: Dict[str, inspect.Signature] = {}
-        #: Per method, the arity ``_invoke`` checks params against (``None``:
+        #: Per method, the arity :func:`_invoke` checks params against (``None``:
         #: only ``Signature.bind`` can tell).
         self._arities: Dict[str, Optional[_Arity]] = {}
         self.metrics = RequestMetrics()
@@ -198,7 +239,7 @@ class JsonRpcGateway:
                    caches: Callable[[], Dict[str, Any]]) -> "JsonRpcGateway":
         """Mount a ``repro.obs`` facade under ``obs_*``.
 
-        ``caches`` names the stack's live caches (``Stack.caches``): what
+        ``caches`` names the stack's live caches (``repro.system.stack._caches``): what
         ``obs_cacheStats`` reports is what ``repro_cache_*`` samples.
         """
         self.obs = obs
@@ -232,51 +273,20 @@ class JsonRpcGateway:
 
     # -- dispatch ---------------------------------------------------------------
 
-    def _invoke(self, request: RpcRequest) -> Any:
-        """Innermost stage: check params, run the handler, normalize errors.
-
-        The arity table admits what ``Signature.bind`` would; ``bind`` runs
-        only on a call the table refuses (to word the error) or cannot judge.
-        """
-        method = request.method
-        handler = self._methods.get(method)
-        if handler is None:
-            raise JsonRpcError(METHOD_NOT_FOUND, f"method {method!r} not found")
-        params = request.params
-        if params is None:
-            params = ()
-        named = isinstance(params, dict)
-        arity = self._arities[method]
-        if arity is None or not arity.admits(params):
-            try:
-                if named:
-                    self._signatures[method].bind(**params)
-                else:
-                    self._signatures[method].bind(*params)
-            except TypeError as exc:
-                raise JsonRpcError(
-                    INVALID_PARAMS, f"invalid params for {method}: {exc}"
-                ) from None
-        try:
-            return handler(**params) if named else handler(*params)
-        except JsonRpcError:
-            raise
-        except ReproError as exc:
-            raise JsonRpcError(
-                SERVER_ERROR, str(exc), data={"error_class": type(exc).__name__}
-            ) from exc
-        except Exception as exc:  # noqa: BLE001 - a buggy handler must not kill the gateway
-            raise JsonRpcError(INTERNAL_ERROR, f"internal error: {exc}") from exc
-
     def _run(self, request: RpcRequest) -> Any:
-        """Run the middleware chain around :meth:`_invoke`."""
+        """Run the middleware chain around :func:`_invoke`.
+
+        The cached chain ends in the method tables, not in a bound method:
+        a pipeline the gateway holds must not point back at the gateway.
+        """
         if self._pipeline is None:
             def bind(mw, nxt) -> Callable[[RpcRequest], Any]:
                 def step(req: RpcRequest) -> Any:
                     return mw(req, nxt)
                 return step
 
-            call_next: Callable[[RpcRequest], Any] = self._invoke
+            call_next: Callable[[RpcRequest], Any] = functools.partial(
+                _invoke, self._methods, self._signatures, self._arities)
             for layer in reversed(self._middleware):
                 call_next = bind(layer, call_next)
             self._pipeline = call_next

@@ -21,7 +21,8 @@ in-process clients can rehydrate the exact exception.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+import weakref
+from typing import Any, Callable, Dict, List, MutableMapping, Optional, Tuple, Union
 
 from repro.chain.account import Address
 from repro.chain.events import LogFilter
@@ -424,10 +425,14 @@ class Oflw3Namespace:
     wallet address.  Non-2xx REST responses become ``-32000`` errors whose
     ``data`` carries the HTTP status and ``error_class: "WebError"`` so SDK
     callers see the same exception the in-process REST client raised.
+
+    A backend is served while its buyer holds it, not kept alive by the
+    gateway: it reaches the gateway through its wallet's client, so a strong
+    mount would tie every finished task to the gateway in a reference cycle.
     """
 
     def __init__(self) -> None:
-        self._backends: Dict[str, Any] = {}
+        self._backends: MutableMapping[str, Any] = weakref.WeakValueDictionary()
 
     def register_backend(self, backend: Any) -> str:
         """Mount ``backend`` (keyed by its buyer address); returns the key."""
@@ -454,7 +459,7 @@ class Oflw3Namespace:
               json_body: Optional[Dict[str, Any]] = None) -> Any:
         from repro.web.client import RestClient
 
-        response = RestClient(self._resolve(backend).router).request(
+        response = RestClient(self._resolve(backend)).request(
             method, path, json_body=json_body
         )
         if not response.ok:
@@ -583,11 +588,16 @@ class AnalyticsNamespace:
 
     def leaderboard(self, name: str = "payments", limit: int = 10) -> Any:
         """A marketplace leaderboard (payments / submissions / fees)."""
+        from repro.analytics.store import LEADERBOARDS
         from repro.errors import AnalyticsError
 
+        limit = _typed_param("analytics_leaderboard", "limit", limit, int)
+        if _typed_param("analytics_leaderboard", "name", name, str) not in LEADERBOARDS:
+            raise JsonRpcError(INVALID_PARAMS,
+                               "invalid params for analytics_leaderboard: name "
+                               f"must be one of {', '.join(LEADERBOARDS)}")
         try:
-            return self.feeder.leaderboard(
-                name, _typed_param("analytics_leaderboard", "limit", limit, int))
+            return self.feeder.leaderboard(name, limit)
         except (AnalyticsError, ValueError) as exc:
             raise JsonRpcError(INVALID_PARAMS, str(exc)) from None
 

@@ -168,16 +168,20 @@ class ChainStore:
     :meth:`record_block`; the store appends WAL entries (the last two timed as
     the chain's ``chain.persist`` phase) and, every ``snapshot_interval_blocks``
     blocks, writes a state snapshot and compacts the WAL behind it.
+
+    The chain owns its store, so the store keeps no pointer back to it: the
+    hooks that read the chain are handed it, and a dropped chain is freed by
+    reference counting alone.
     """
 
     def __init__(self, engine: StorageEngine) -> None:
         self.engine = engine
         self.snapshot_interval = engine.config.snapshot_interval_blocks
-        self.chain: Any = None
 
     def attach(self, chain: Any) -> None:
-        """Bind the chain (called by ``Blockchain.__init__``) and persist its
-        static parameters so recovery can rebuild an identical instance.
+        """Check the chain may write here (called by ``Blockchain.__init__``)
+        and persist its static parameters so recovery can rebuild an
+        identical instance.
 
         A *fresh* chain refuses to attach to a store that already holds
         history: appending a new run's genesis-rooted blocks after another
@@ -192,7 +196,6 @@ class ChainStore:
                 "this store already holds chain history; recover it "
                 "(repro.storage.recover_node / `python -m repro storage "
                 "verify`) or point the new run at an empty directory")
-        self.chain = chain
         if self.engine.backend.get_meta(CHAIN_META_KEY) is None:
             config = chain.config
             self.engine.backend.put_meta(CHAIN_META_KEY, {
@@ -210,21 +213,21 @@ class ChainStore:
         self.engine.wal.append("mint", {"address": str(address),
                                         "amount_wei": int(amount_wei)})
 
-    def record_transaction(self, tx: Any) -> None:
-        with self.chain.obs.phase("chain.persist"):
+    def record_transaction(self, chain: Any, tx: Any) -> None:
+        with chain.obs.phase("chain.persist"):
             self.engine.wal.append("tx", {"hash": tx.hash_hex,
                                           "transaction": tx.to_dict()})
 
-    def record_block(self, block: Any) -> None:
-        with self.chain.obs.phase("chain.persist"):
+    def record_block(self, chain: Any, block: Any) -> None:
+        with chain.obs.phase("chain.persist"):
             self.engine.wal.append("block", block.to_record())
             if block.number % self.snapshot_interval == 0:
-                self.snapshot()
+                self.snapshot(chain)
 
     # -- snapshots ---------------------------------------------------------------
 
-    def snapshot(self, compact: bool = True) -> Dict[str, Any]:
-        """Write a snapshot at the current head; optionally compact the WAL.
+    def snapshot(self, chain: Any, compact: bool = True) -> Dict[str, Any]:
+        """Write a snapshot at ``chain``'s head; optionally compact the WAL.
 
         The snapshot's ``wal_seq`` is the *last appended* WAL sequence: every
         entry at or below it is already reflected in the snapshotted state
@@ -232,11 +235,11 @@ class ChainStore:
         deliberately retains for mempool recovery.
         """
         wal_seq = self.engine.wal.last_seq()
-        pointer = self.engine.snapshots.write(self.chain, wal_seq=wal_seq)
+        pointer = self.engine.snapshots.write(chain, wal_seq=wal_seq)
         if compact and wal_seq >= 0:
             self.engine.wal.compact(
                 wal_seq,
-                is_pending_tx=lambda payload: not self.chain.has_receipt(
+                is_pending_tx=lambda payload: not chain.has_receipt(
                     payload["hash"]),
             )
         self.engine.backend.sync()
@@ -366,7 +369,6 @@ def recover_chain(
         clock.advance_to(chain.latest_block.timestamp)
     # Bound only now, so nothing replayed above is logged twice.
     chain.store = engine.chain_store()
-    chain.store.chain = chain
     return chain
 
 
@@ -418,7 +420,7 @@ def compact_store(
     engine = ensure_engine(storage)
     before = engine.wal.counts_by_kind()
     chain = recover_chain(engine, backend=backend)
-    pointer = chain.store.snapshot(compact=True)
+    pointer = chain.store.snapshot(chain, compact=True)
     engine.snapshots.prune(keep=2)
     return {
         "before": before,

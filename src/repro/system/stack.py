@@ -10,8 +10,9 @@ what order*::
           -> obs? -> analytics?
 
 The registry is always there and is the only one: :func:`build_stack`
-registers one collector on it, :meth:`Stack.collect_metrics`, which samples
-whatever the stack holds *when scraped*.  A restarted node, a recovered
+registers one collector on it, over the stack's parts (never the stack, so
+the two form no reference cycle), which samples whatever the stack holds
+*when scraped*.  A restarted node, a recovered
 replica or a replaced analytics feeder is therefore no metrics concern, and a
 default stack exports chain, mempool, cache and WAL series with no flag;
 ``observability`` adds the tracer, event log and profiler on top.
@@ -26,7 +27,7 @@ are imported only when asked for: ``repro serve`` boots through here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.chain.account import checksum_cache
@@ -75,15 +76,6 @@ class Stack:
 
         return MarketplaceClient(self.gateway)
 
-    def caches(self) -> Dict[str, Any]:
-        """Every ``LRUCache`` by its ``cache=`` label: the two process-wide
-        chain caches and the engine's read cache."""
-        caches = {"address_checksum": checksum_cache(),
-                  "schnorr_inverse": inverse_cache()}
-        if self.engine is not None:
-            caches["storage"] = self.engine.cache
-        return caches
-
     @property
     def analytics(self) -> Optional[Any]:
         """The analytics feeder serving ``analytics_*`` now, if one is attached.
@@ -92,30 +84,7 @@ class Stack:
         on a cluster -- because a restart or a replica's recovery replaces
         the feeder along with the chain.
         """
-        if self.cluster is None:
-            return self.node.chain.analytics
-        return next((replica.chain.analytics for replica in self.cluster.replicas
-                     if replica.analytics_enabled), None)
-
-    def collect_metrics(self, reg: MetricsRegistry) -> None:
-        """The registry's one collector: sample every live part into ``reg``."""
-        adapters.collect_rpc(reg, self.gateway.metrics)
-        if self.cluster is None:
-            adapters.collect_chain(reg, self.node.chain, "node")
-        else:
-            # Each replica's own chain (recover and resync replace it), not
-            # ``ClusterNode.chain``: reading that pumps gossip.
-            for replica in self.cluster.replicas:
-                adapters.collect_chain(reg, replica.chain, replica.name)
-                adapters.collect_fork(reg, replica.fork, replica.name)
-            adapters.collect_gossip(reg, self.cluster.gossip)
-        for name, cache in self.caches().items():
-            adapters.collect_cache(reg, name, cache)
-        if self.engine is not None:
-            adapters.collect_storage(reg, self.engine)
-        feeder = self.analytics
-        if feeder is not None:
-            adapters.collect_analytics(reg, feeder)
+        return _analytics(self.node, self.cluster)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -126,8 +95,8 @@ class Stack:
         namespace, the faucet, the facade's chain hooks -- and the analytics
         replica, which died with the node's memory, is rebuilt: a fresh
         feeder backfills from the recovered WAL and inherits the lifetime
-        counters.  Metrics and ``analytics_*`` read through the stack, so
-        they follow without being told.
+        counters, and ``analytics_*`` is re-pointed at it.  Metrics read the
+        node the gateway serves, so they follow without being told.
         """
         dead = self.analytics
         self.node = recovered
@@ -141,6 +110,7 @@ class Stack:
             feeder = attach_analytics(recovered.chain, obs=self.obs)
             feeder.queries = dead.queries
             feeder.rollbacks += dead.rollbacks
+            self.gateway.attach_analytics(partial(_analytics, recovered, self.cluster))
 
     def close(self) -> None:
         """Stop the chain's verify workers and ``sync()`` a persistent engine.
@@ -154,6 +124,52 @@ class Stack:
             self.node.chain.batchverify.close()
         if self.engine is not None and self.engine.is_persistent:
             self.engine.backend.sync()
+
+
+def _caches(engine: Optional[Any]) -> Dict[str, Any]:
+    """Every ``LRUCache`` by its ``cache=`` label: the two process-wide chain
+    caches and the engine's read cache."""
+    caches = {"address_checksum": checksum_cache(),
+              "schnorr_inverse": inverse_cache()}
+    if engine is not None:
+        caches["storage"] = engine.cache
+    return caches
+
+
+def _analytics(node: EthereumNode, cluster: Optional[Any]) -> Optional[Any]:
+    """The feeder ``node``'s chain holds now, or on a cluster the analytics
+    follower's (see :attr:`Stack.analytics`)."""
+    if cluster is None:
+        return node.chain.analytics
+    return next((replica.chain.analytics for replica in cluster.replicas
+                 if replica.analytics_enabled), None)
+
+
+def _collect_metrics(gateway: JsonRpcGateway, cluster: Optional[Any],
+                     engine: Optional[Any], reg: MetricsRegistry) -> None:
+    """The registry's one collector: sample every live part of a stack into
+    ``reg``.  It is handed the parts, not the stack, so the registry -- the
+    stack's child -- keeps the parts alive for whoever still scrapes it and
+    never points back at the stack.  The chain is the one the gateway
+    serves now (``Stack.replace_node`` re-points it)."""
+    node = gateway.eth.node
+    adapters.collect_rpc(reg, gateway.metrics)
+    if cluster is None:
+        adapters.collect_chain(reg, node.chain, "node")
+    else:
+        # Each replica's own chain (recover and resync replace it), not
+        # ``ClusterNode.chain``: reading that pumps gossip.
+        for replica in cluster.replicas:
+            adapters.collect_chain(reg, replica.chain, replica.name)
+            adapters.collect_fork(reg, replica.fork, replica.name)
+        adapters.collect_gossip(reg, cluster.gossip)
+    for name, cache in _caches(engine).items():
+        adapters.collect_cache(reg, name, cache)
+    if engine is not None:
+        adapters.collect_storage(reg, engine)
+    feeder = _analytics(node, cluster)
+    if feeder is not None:
+        adapters.collect_analytics(reg, feeder)
 
 
 def build_stack(
@@ -223,13 +239,13 @@ def build_stack(
                   gateway=gateway, registry=registry, engine=engine,
                   cluster=chain_cluster, rate_limiter=rate_limiter,
                   obs=ensure_observability(observability, registry, clock=clock))
-    registry.register_collector(stack.collect_metrics)
+    registry.register_collector(partial(_collect_metrics, gateway, chain_cluster, engine))
     if stack.obs is not None:
         if chain_cluster is not None:
             stack.obs.instrument_cluster(chain_cluster)
         else:
             stack.obs.attach_chain(node.chain)
-        gateway.attach_obs(stack.obs, stack.caches)
+        gateway.attach_obs(stack.obs, partial(_caches, engine))
     if analytics:
         if chain_cluster is not None:
             chain_cluster.attach_follower_analytics()
@@ -237,5 +253,5 @@ def build_stack(
             from repro.analytics import attach_analytics
 
             attach_analytics(node.chain, obs=stack.obs)
-        gateway.attach_analytics(lambda: stack.analytics)
+        gateway.attach_analytics(partial(_analytics, node, chain_cluster))
     return stack

@@ -79,27 +79,21 @@ class BuyerBackend:
         self.aggregator_name = aggregator_name
         self.aggregator_kwargs = dict(aggregator_kwargs or {})
         self.tasks: Dict[str, TaskState] = {}
-        self.router = Router()
-        self._register_routes()
 
     def _read_contract(self, contract: str, method: str,
                        args: Optional[list] = None) -> Any:
         """Gas-free contract read (``eth_call``) on the buyer's behalf."""
         return self.rpc.eth.call(contract, method, args or [], caller=self.wallet.address)
 
-    # -- route registration -------------------------------------------------------
+    # -- routing --------------------------------------------------------------------
 
-    def _register_routes(self) -> None:
-        """Wire every REST route to its handler."""
-        self.router.add_route("GET", "/api/health", self._health)
-        self.router.add_route("POST", "/api/task", self._create_task)
-        self.router.add_route("GET", "/api/task/<address>", self._task_info)
-        self.router.add_route("GET", "/api/task/<address>/cids", self._task_cids)
-        self.router.add_route("POST", "/api/task/<address>/retrieve", self._retrieve_models)
-        self.router.add_route("POST", "/api/task/<address>/aggregate", self._aggregate)
-        self.router.add_route("POST", "/api/task/<address>/incentives", self._incentives)
-        self.router.add_route("POST", "/api/task/<address>/pay", self._pay)
-        self.router.add_route("GET", "/api/task/<address>/report", self._report)
+    #: Every REST route, registered once on the class: the router passes the
+    #: backend to the handler, so a backend never holds its own bound methods.
+    routes = Router()
+
+    def dispatch(self, request: HttpRequest) -> HttpResponse:
+        """Serve one REST request (what :class:`~repro.web.client.RestClient` calls)."""
+        return self.routes.dispatch(request, self)
 
     def _get_task(self, request: HttpRequest) -> TaskState:
         """Resolve the task addressed by the request or raise a 400."""
@@ -110,6 +104,7 @@ class BuyerBackend:
 
     # -- handlers -----------------------------------------------------------------
 
+    @routes.route("GET", "/api/health")
     def _health(self, _request: HttpRequest) -> HttpResponse:
         """Liveness probe with a summary of the backend's connections."""
         return HttpResponse.json_ok(
@@ -122,6 +117,7 @@ class BuyerBackend:
             }
         )
 
+    @routes.route("POST", "/api/task")
     def _create_task(self, request: HttpRequest) -> HttpResponse:
         """Step 1: deploy the FLTask contract with an escrowed budget."""
         body = request.json_body or {}
@@ -147,6 +143,7 @@ class BuyerBackend:
             status=201,
         )
 
+    @routes.route("GET", "/api/task/<address>")
     def _task_info(self, request: HttpRequest) -> HttpResponse:
         """Task spec plus live on-chain counters."""
         task = self._get_task(request)
@@ -163,6 +160,7 @@ class BuyerBackend:
             }
         )
 
+    @routes.route("GET", "/api/task/<address>/cids")
     def _task_cids(self, request: HttpRequest) -> HttpResponse:
         """Step 5: download the CIDs from the contract (gas-free)."""
         task = self._get_task(request)
@@ -174,6 +172,7 @@ class BuyerBackend:
         ]
         return HttpResponse.json_ok({"cids": cids, "uploaders": uploaders})
 
+    @routes.route("POST", "/api/task/<address>/retrieve")
     def _retrieve_models(self, request: HttpRequest) -> HttpResponse:
         """Step 6: fetch every submitted model from IPFS and deserialize it."""
         task = self._get_task(request)
@@ -208,6 +207,7 @@ class BuyerBackend:
         """Instantiate the configured aggregator (or an override)."""
         return make_aggregator(name or self.aggregator_name, **self.aggregator_kwargs)
 
+    @routes.route("POST", "/api/task/<address>/aggregate")
     def _aggregate(self, request: HttpRequest) -> HttpResponse:
         """Step 7 (first half): run the one-shot FL aggregation."""
         task = self._get_task(request)
@@ -232,6 +232,7 @@ class BuyerBackend:
             }
         )
 
+    @routes.route("POST", "/api/task/<address>/incentives")
     def _incentives(self, request: HttpRequest) -> HttpResponse:
         """Step 7 (second half): compute per-owner contributions."""
         task = self._get_task(request)
@@ -264,6 +265,7 @@ class BuyerBackend:
             raise WebError(f"unknown incentive method {method!r}")
         return HttpResponse.json_ok(task.contribution.to_dict())
 
+    @routes.route("POST", "/api/task/<address>/pay")
     def _pay(self, request: HttpRequest) -> HttpResponse:
         """Execute the payments on-chain, proportional to contribution."""
         task = self._get_task(request)
@@ -298,6 +300,7 @@ class BuyerBackend:
             )
         return HttpResponse.json_ok({"payments": results, "total_eth": format_ether(plan.total_wei)})
 
+    @routes.route("GET", "/api/task/<address>/report")
     def _report(self, request: HttpRequest) -> HttpResponse:
         """Consolidated view of a task (used by the DApp's results screen)."""
         task = self._get_task(request)

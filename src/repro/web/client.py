@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Protocol
 
 from repro.errors import RouteNotFoundError, WebError
-from repro.web.http import HttpRequest, HttpResponse, Router
+from repro.web.http import HttpRequest, HttpResponse
+
+
+class App(Protocol):
+    """What serves REST requests in process: a :class:`~repro.web.http.Router`
+    or an application such as :class:`~repro.web.backend.BuyerBackend`."""
+
+    def dispatch(self, request: HttpRequest) -> HttpResponse:
+        """Answer one request (raising ``RouteNotFoundError`` for no route)."""
 
 
 class RestClient:
-    """Issues requests against an in-process :class:`Router`."""
+    """Issues requests against an in-process :class:`App`."""
 
-    def __init__(self, router: Router) -> None:
-        self.router = router
+    def __init__(self, app: App) -> None:
+        self.app = app
 
     def request(
         self,
@@ -29,7 +37,7 @@ class RestClient:
             query=dict(query or {}),
         )
         try:
-            return self.router.dispatch(request)
+            return self.app.dispatch(request)
         except RouteNotFoundError as exc:
             return HttpResponse.error(str(exc), status=404)
         except WebError as exc:

@@ -148,7 +148,7 @@ class BuyerDApp:
     def __init__(self, backend: BuyerBackend,
                  rpc: Optional["MarketplaceClient"] = None) -> None:
         self.backend = backend
-        self.client = RestClient(backend.router)
+        self.client = RestClient(backend)
         self.rpc = (rpc or backend.wallet.rpc).bound_to_backend(backend)
         self.task_address: Optional[str] = None
 

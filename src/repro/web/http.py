@@ -73,7 +73,12 @@ class HttpResponse:
 
 
 class Router:
-    """Registers handlers for (method, path-pattern) pairs and dispatches."""
+    """Registers handlers for (method, path-pattern) pairs and dispatches.
+
+    A router may live on a class: its handlers are then the class's plain
+    functions, and :meth:`dispatch` passes the instance that serves the
+    request, so no instance holds its own bound methods.
+    """
 
     def __init__(self) -> None:
         self._routes: List[Tuple[str, List[str], Handler]] = []
@@ -105,8 +110,8 @@ class Router:
                 return None
         return params
 
-    def dispatch(self, request: HttpRequest) -> HttpResponse:
-        """Find the matching handler and invoke it.
+    def dispatch(self, request: HttpRequest, *owner: Any) -> HttpResponse:
+        """Find the matching handler and invoke it as ``handler(*owner, request)``.
 
         Handler exceptions of type :class:`WebError` become 400 responses;
         unexpected exceptions become 500 responses so that a buggy handler
@@ -121,7 +126,7 @@ class Router:
                 continue
             request.path_params = params
             try:
-                return handler(request)
+                return handler(*owner, request)
             except WebError as exc:
                 response = HttpResponse.error(str(exc), status=400)
                 # Carry the concrete class so RPC/SDK layers on top can

@@ -62,7 +62,11 @@ class TestPayloadsStayBytes:
 
         def with_content(*args, **kwargs):
             stack = build_stack(*args, **kwargs)
-            IpfsNode("cli", stack.swarm).add_bytes(PAYLOAD)
+            # Served, so the node runs as long as the gateway: a swarm lists
+            # only the nodes something holds.
+            node = IpfsNode("cli", stack.swarm)
+            stack.gateway.serve_ipfs_node(node)
+            node.add_bytes(PAYLOAD)
             return stack
 
         monkeypatch.setattr(stack_module, "build_stack", with_content)

@@ -107,3 +107,18 @@ def test_evm_mine_takes_a_json_integer_only(gateway, blocks):
     assert gateway.handle_raw(json.dumps(
         make_request("eth_blockNumber", [], request_id=2))).endswith(
             b'"result": "0x0"}')
+
+
+@pytest.mark.parametrize("name, message", [
+    (["payments", "x" * 64], "name must be a string"),
+    ("x" * 64, "name must be one of payments, submissions, fees"),
+], ids=["list", "unknown"])
+def test_analytics_leaderboard_names_the_boards_without_echoing_the_name(
+        full_gateway, name, message):
+    reply = full_gateway.handle_raw(json.dumps(make_request(
+        "analytics_leaderboard", [name, 10], request_id=1)))
+    assert "x" * 64 not in reply.decode()
+    assert json.loads(reply)["error"] == {
+        "code": INVALID_PARAMS,
+        "message": f"invalid params for analytics_leaderboard: {message}",
+    }

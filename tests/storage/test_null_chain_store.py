@@ -37,9 +37,9 @@ def _transfer():
 HOOKS = {
     "attach": ((Blockchain(),), {}),
     "record_mint": ((str(SENDER.address), 5), {}),
-    "record_transaction": ((_transfer(),), {}),
-    "record_block": ((Blockchain().latest_block,), {}),
-    "snapshot": ((), {"compact": True}),
+    "record_transaction": ((Blockchain(), _transfer()), {}),
+    "record_block": ((Blockchain(), Blockchain().latest_block), {}),
+    "snapshot": ((Blockchain(),), {"compact": True}),
 }
 
 #: Where a chain's store is reached, and how each file spells the receiver.

@@ -55,7 +55,7 @@ def _deploy_and_submit(buyer, owners, datasets):
 class TestBackendHealth:
     def test_health_route(self, marketplace):
         buyer, _, _ = marketplace
-        health = RestClient(buyer.backend.router).get_json("/api/health")
+        health = RestClient(buyer.backend).get_json("/api/health")
         assert health["status"] == "ok"
         assert health["chain_id"] == 11155111
 
@@ -76,7 +76,7 @@ class TestBuyerFlow:
 
     def test_unknown_task_address_is_error(self, marketplace):
         buyer, _, _ = marketplace
-        response = RestClient(buyer.backend.router).get("/api/task/0xdeadbeef")
+        response = RestClient(buyer.backend).get("/api/task/0xdeadbeef")
         assert response.status == 400
 
 
@@ -153,7 +153,7 @@ class TestFullExchange:
     def test_aggregate_before_retrieve_is_error(self, marketplace):
         buyer, _, _ = marketplace
         buyer.deploy_task(SPEC, BUDGET)
-        response = RestClient(buyer.backend.router).post(
+        response = RestClient(buyer.backend).post(
             f"/api/task/{buyer.task_address}/aggregate", {}
         )
         assert response.status == 400
@@ -161,7 +161,7 @@ class TestFullExchange:
     def test_pay_before_incentives_is_error(self, marketplace):
         buyer, _, _ = marketplace
         buyer.deploy_task(SPEC, BUDGET)
-        response = RestClient(buyer.backend.router).post(
+        response = RestClient(buyer.backend).post(
             f"/api/task/{buyer.task_address}/pay", {}
         )
         assert response.status == 400
