@@ -13,28 +13,36 @@ label-skew, shards) and :mod:`repro.data.stats` quantifies their
 heterogeneity.
 """
 
-from repro.data.dataset import Dataset, train_test_split
+from repro.data.dataset import Dataset, split_indices, train_test_split
 from repro.data.partition import (
     dirichlet_partition,
     iid_partition,
     label_skew_partition,
     partition_dataset,
+    partition_indices,
     shard_partition,
 )
 from repro.data.stats import label_distribution, label_entropy, partition_summary
-from repro.data.synthetic_mnist import SyntheticMnistConfig, generate_synthetic_mnist
+from repro.data.synthetic_mnist import (
+    SyntheticMnistConfig,
+    generate_synthetic_mnist,
+    synthetic_mnist_labels,
+)
 
 __all__ = [
     "Dataset",
+    "split_indices",
     "train_test_split",
     "dirichlet_partition",
     "iid_partition",
     "label_skew_partition",
     "partition_dataset",
+    "partition_indices",
     "shard_partition",
     "label_distribution",
     "label_entropy",
     "partition_summary",
     "SyntheticMnistConfig",
     "generate_synthetic_mnist",
+    "synthetic_mnist_labels",
 ]

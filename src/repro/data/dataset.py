@@ -56,6 +56,14 @@ class Dataset:
             num_classes=self.num_classes,
         )
 
+    def rows(self, start: int, stop: int) -> "Dataset":
+        """Rows ``start`` to ``stop`` as a view: no sample is copied."""
+        return Dataset(
+            features=self.features[start:stop],
+            labels=self.labels[start:stop],
+            num_classes=self.num_classes,
+        )
+
     def class_counts(self) -> np.ndarray:
         """Number of samples per class (length ``num_classes``)."""
         return np.bincount(self.labels, minlength=self.num_classes)
@@ -67,17 +75,23 @@ class Dataset:
         return self.subset(indices)
 
 
+def split_indices(num_samples: int, test_fraction: float = 0.2,
+                  rng=None) -> Tuple[np.ndarray, np.ndarray]:
+    """The shuffled ``(train, test)`` row indices :func:`train_test_split`
+    cuts a dataset of ``num_samples`` rows into."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    indices = np.arange(num_samples)
+    make_rng(rng).shuffle(indices)
+    test_count = int(round(num_samples * test_fraction))
+    return indices[test_count:], indices[:test_count]
+
+
 def train_test_split(dataset: Dataset, test_fraction: float = 0.2, rng=None) -> Tuple[Dataset, Dataset]:
     """Split a dataset into train and test portions after shuffling.
 
     The split is stratification-free but shuffled, which is sufficient for the
     synthetic dataset's balanced classes.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    indices = np.arange(len(dataset))
-    make_rng(rng).shuffle(indices)
-    test_count = int(round(len(dataset) * test_fraction))
-    test_indices = indices[:test_count]
-    train_indices = indices[test_count:]
+    train_indices, test_indices = split_indices(len(dataset), test_fraction, rng)
     return dataset.subset(train_indices), dataset.subset(test_indices)

@@ -157,6 +157,42 @@ def shard_partition(
     return client_indices
 
 
+_SCHEMES = {
+    "iid": iid_partition,
+    "dirichlet": dirichlet_partition,
+    "label_skew": label_skew_partition,
+    "shard": shard_partition,
+}
+
+
+def partition_indices(
+    labels: np.ndarray,
+    num_classes: int,
+    num_clients: int,
+    scheme: str = "dirichlet",
+    rng=None,
+    **kwargs,
+) -> List[np.ndarray]:
+    """One sorted index array per client into ``labels``, from labels alone.
+
+    ``scheme`` selects one of the index-level partitioners above:
+    ``"iid"``, ``"dirichlet"``, ``"label_skew"`` or ``"shard"``.  The arrays
+    are disjoint (no sample goes to two clients), so the clients' rows can
+    be laid out side by side in one array.
+    """
+    if scheme not in _SCHEMES:
+        raise PartitionError(f"unknown partition scheme {scheme!r}; expected one of {sorted(_SCHEMES)}")
+    labels = np.asarray(labels, dtype=np.int64)
+    # The partitioners read labels only: a zero-width dataset carries them.
+    labels_only = Dataset(features=np.empty((labels.size, 0)), labels=labels,
+                          num_classes=num_classes)
+    indices = _SCHEMES[scheme](labels_only, num_clients, rng=rng, **kwargs)
+    held = np.bincount(np.concatenate(indices), minlength=labels.size)
+    if held.max(initial=0) > 1:
+        raise PartitionError(f"the {scheme!r} partition gave a sample to more than one client")
+    return indices
+
+
 def partition_dataset(
     dataset: Dataset,
     num_clients: int,
@@ -164,18 +200,8 @@ def partition_dataset(
     rng=None,
     **kwargs,
 ) -> List[Dataset]:
-    """Partition and materialize per-client :class:`Dataset` objects.
-
-    ``scheme`` selects one of the index-level partitioners above:
-    ``"iid"``, ``"dirichlet"``, ``"label_skew"`` or ``"shard"``.
-    """
-    schemes = {
-        "iid": iid_partition,
-        "dirichlet": dirichlet_partition,
-        "label_skew": label_skew_partition,
-        "shard": shard_partition,
-    }
-    if scheme not in schemes:
-        raise PartitionError(f"unknown partition scheme {scheme!r}; expected one of {sorted(schemes)}")
-    indices = schemes[scheme](dataset, num_clients, rng=rng, **kwargs)
+    """Partition and materialize per-client :class:`Dataset` objects
+    (see :func:`partition_indices`)."""
+    indices = partition_indices(dataset.labels, dataset.num_classes, num_clients,
+                                scheme=scheme, rng=rng, **kwargs)
     return [dataset.subset(chunk) for chunk in indices]

@@ -19,7 +19,7 @@ The substitution is documented in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.utils.rng import derive_seed, make_rng
 
 IMAGE_SIDE = 28
 NUM_PIXELS = IMAGE_SIDE * IMAGE_SIDE
-_BLOCK_SAMPLES = 256
+_BLOCK_SAMPLES = 32
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,46 @@ def _class_prototype(rng: np.random.Generator, config: SyntheticMnistConfig) -> 
     return np.pad(flat, (0, config.num_features - flat.size))
 
 
-def generate_synthetic_mnist(config: Optional[SyntheticMnistConfig] = None) -> Dataset:
-    """Generate the synthetic dataset described in the module docstring."""
+def _draw_labels(config: SyntheticMnistConfig) -> Tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """The sample stream just past its labels, the class each sample is drawn
+    from, and the label it is published with (after any label noise)."""
+    sample_rng = make_rng(derive_seed(config.seed, "samples"))
+    classes = sample_rng.integers(0, config.num_classes, size=config.num_samples)
+    labels = classes
+    if config.label_noise > 0.0:
+        # Flip a fraction of labels uniformly at random, putting an intrinsic
+        # ceiling on achievable test accuracy (as real MNIST's ambiguity does).
+        noise_rng = make_rng(derive_seed(config.seed, "label-noise"))
+        flip = noise_rng.random(config.num_samples) < config.label_noise
+        labels = classes.copy()
+        labels[flip] = noise_rng.integers(0, config.num_classes, size=int(flip.sum()))
+    return sample_rng, classes, labels
+
+
+def synthetic_mnist_labels(config: Optional[SyntheticMnistConfig] = None) -> np.ndarray:
+    """The labels :func:`generate_synthetic_mnist` gives its samples, in sample
+    order, drawn without generating a row: all a split or a partition needs to
+    place every sample before it exists."""
+    return _draw_labels(config or SyntheticMnistConfig())[2]
+
+
+def generate_synthetic_mnist(
+    config: Optional[SyntheticMnistConfig] = None,
+    order: Optional[np.ndarray] = None,
+) -> Dataset:
+    """Generate the synthetic dataset described in the module docstring.
+
+    ``order`` lays the samples out: row ``i`` of the result is sample
+    ``order[i]`` (default: sample order).  Every sample is drawn from the same
+    streams whatever the order, so its bytes do not depend on where it lands.
+    """
     config = config or SyntheticMnistConfig()
+    count = config.num_samples
+    if order is None:
+        order = np.arange(count)
+    order = np.asarray(order, dtype=np.int64)
+    if order.shape != (count,) or not np.array_equal(np.sort(order), np.arange(count)):
+        raise ValueError(f"order must be a permutation of the {count} samples")
     prototype_rng = make_rng(derive_seed(config.seed, "prototypes"))
     prototypes = np.stack(
         [_class_prototype(prototype_rng, config) for _ in range(config.num_classes)]
@@ -101,28 +138,28 @@ def generate_synthetic_mnist(config: Optional[SyntheticMnistConfig] = None) -> D
     )
     variation_bases /= np.linalg.norm(variation_bases, axis=2, keepdims=True) + 1e-12
 
-    sample_rng = make_rng(derive_seed(config.seed, "samples"))
-    labels = sample_rng.integers(0, config.num_classes, size=config.num_samples)
+    sample_rng, classes, labels = _draw_labels(config)
     coefficients = sample_rng.normal(
-        0.0, config.variation_scale, size=(config.num_samples, config.variation_rank)
+        0.0, config.variation_scale, size=(count, config.variation_rank)
     )
-    noise = sample_rng.normal(0.0, config.noise_scale, size=(config.num_samples, config.num_features))
+    # The one (samples, features) array: each row starts as its class
+    # prototype, already where ``order`` puts it.
+    features = prototypes[classes[order]]
+    row_of_sample = np.empty(count, dtype=np.int64)
+    row_of_sample[order] = np.arange(count)
+    # Then each block of samples is finished where it lies, in sample order:
+    # its variation (gathering every sample's basis at once would be a
+    # (samples, rank, features) tensor, 3 GB at the paper's size), then its
+    # noise -- block by block, ``normal`` yields the same stream as one
+    # (samples, features) draw -- then the clip.
+    for start in range(0, count, _BLOCK_SAMPLES):
+        samples = slice(start, start + _BLOCK_SAMPLES)
+        rows = row_of_sample[samples]
+        block = features[rows]
+        block += np.einsum("nr,nrf->nf", coefficients[samples],
+                           variation_bases[classes[samples]])
+        block += sample_rng.normal(0.0, config.noise_scale, size=block.shape)
+        np.clip(block, 0.0, 1.0, out=block)
+        features[rows] = block
 
-    features = prototypes[labels]
-    # Block by block: gathering every sample's basis at once is a
-    # (samples, rank, features) tensor, 3 GB at the paper's size.
-    for start in range(0, config.num_samples, _BLOCK_SAMPLES):
-        rows = slice(start, start + _BLOCK_SAMPLES)
-        features[rows] += np.einsum("nr,nrf->nf", coefficients[rows], variation_bases[labels[rows]])
-    features += noise
-    np.clip(features, 0.0, 1.0, out=features)
-
-    if config.label_noise > 0.0:
-        # Flip a fraction of labels uniformly at random, putting an intrinsic
-        # ceiling on achievable test accuracy (as real MNIST's ambiguity does).
-        noise_rng = make_rng(derive_seed(config.seed, "label-noise"))
-        flip = noise_rng.random(config.num_samples) < config.label_noise
-        labels = labels.copy()
-        labels[flip] = noise_rng.integers(0, config.num_classes, size=int(flip.sum()))
-
-    return Dataset(features=features, labels=labels, num_classes=config.num_classes)
+    return Dataset(features=features, labels=labels[order], num_classes=config.num_classes)

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.errors import AggregationError
 from repro.ml.mlp import MLP
-from repro.ml.serialization import deserialize_model, serialize_model
+from repro.ml.serialization import deserialize_parameters, serialize_parameters
 
 
 @dataclass
@@ -60,13 +60,13 @@ class ModelUpdate:
 
     def to_payload(self) -> bytes:
         """Serialize to the byte payload uploaded to IPFS."""
-        return serialize_model(self.to_model())
+        return serialize_parameters(self.parameters)
 
     @classmethod
     def from_payload(cls, payload: bytes, num_samples: int, client_id: str = "") -> "ModelUpdate":
         """Rebuild an update from an IPFS payload plus out-of-band metadata."""
-        model = deserialize_model(payload)
-        return cls.from_model(model, num_samples=num_samples, client_id=client_id)
+        return cls(parameters=deserialize_parameters(payload), num_samples=num_samples,
+                   client_id=client_id)
 
 
 def check_compatible(updates: List[ModelUpdate]) -> tuple:

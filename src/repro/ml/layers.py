@@ -45,8 +45,10 @@ class DenseLayer:
         self.weights = weights
         self.biases = biases
         self._last_input: Optional[np.ndarray] = None
-        self.grad_weights = np.zeros_like(weights)
-        self.grad_biases = np.zeros_like(biases)
+        # A layer that never trains (an aggregate, a copy, a downloaded
+        # model) holds no gradients: the first backward sets them.
+        self.grad_weights: Optional[np.ndarray] = None
+        self.grad_biases: Optional[np.ndarray] = None
 
     # -- forward / backward ------------------------------------------------------
 
@@ -103,4 +105,6 @@ class DenseLayer:
 
     def get_gradients(self) -> Dict[str, np.ndarray]:
         """The most recently computed gradients."""
+        if self.grad_weights is None:
+            raise ShapeError("backward called before forward")
         return {"weights": self.grad_weights, "biases": self.grad_biases}

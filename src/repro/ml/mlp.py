@@ -101,7 +101,8 @@ class MLP:
 
     def copy(self) -> "MLP":
         """A deep copy with identical parameters."""
-        clone = MLP.from_parameters(self.get_parameters())
+        clone = MLP.from_parameters(
+            [{"weights": layer.weights, "biases": layer.biases} for layer in self.layers])
         clone.seed = self.seed
         return clone
 

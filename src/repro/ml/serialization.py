@@ -10,41 +10,71 @@ analysis.
 from __future__ import annotations
 
 import json
-from typing import List, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
-from repro.errors import SerializationError
+from repro.errors import SerializationError, ShapeError
 from repro.ml.mlp import MLP
 
 _MAGIC = b"OFLW3MODEL1\n"
 _DTYPE = "<f4"
 
 
-def serialize_model(model: MLP) -> bytes:
-    """Encode a model's architecture and parameters into bytes."""
+def serialize_parameters(parameters: Sequence[Dict[str, np.ndarray]]) -> bytes:
+    """Encode a parameter list (what :meth:`MLP.get_parameters` returns) into
+    the payload :func:`serialize_model` writes for the model holding it."""
+    if not parameters:
+        raise ShapeError("cannot serialize an empty parameter list")
+    layer_sizes = [parameters[0]["weights"].shape[0]]
+    for params in parameters:
+        weights, biases = params["weights"], params["biases"]
+        if (weights.ndim != 2 or 0 in weights.shape or weights.shape[0] != layer_sizes[-1]
+                or biases.shape != weights.shape[1:]):
+            raise ShapeError(
+                f"layer {len(layer_sizes) - 1} does not follow a {layer_sizes[-1]}-wide layer: "
+                f"weights {weights.shape} with biases {biases.shape}"
+            )
+        layer_sizes.append(weights.shape[1])
     header = {
-        "layer_sizes": list(model.layer_sizes),
+        "layer_sizes": layer_sizes,
         "dtype": _DTYPE,
         "format": "dense-layers-v1",
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     buffers: List[bytes] = []
-    for params in model.get_parameters():
+    for params in parameters:
         buffers.append(np.ascontiguousarray(params["weights"], dtype=_DTYPE).tobytes())
         buffers.append(np.ascontiguousarray(params["biases"], dtype=_DTYPE).tobytes())
     return _MAGIC + len(header_bytes).to_bytes(4, "big") + header_bytes + b"".join(buffers)
 
 
-def deserialize_model(payload: bytes) -> MLP:
-    """Rebuild a model from :func:`serialize_model` output.
+def serialize_model(model: MLP) -> bytes:
+    """Encode a model's architecture and parameters into bytes."""
+    return serialize_parameters([
+        {"weights": layer.weights, "biases": layer.biases} for layer in model.layers
+    ])
 
-    Raises
-    ------
-    SerializationError
-        If the payload is truncated, has the wrong magic or the parameter
-        buffer does not match the declared architecture.
-    """
+
+def _layer_sizes(header: Any) -> List[int]:
+    """The header's architecture, or a :class:`SerializationError` naming the
+    field at fault: a payload comes from an owner, so its header is untrusted."""
+    if not isinstance(header, dict):
+        raise SerializationError(
+            f"model header must be a JSON object, got {type(header).__name__}")
+    if header.get("dtype") != _DTYPE:
+        raise SerializationError(f"model header dtype must be {_DTYPE!r}, got {header.get('dtype')!r}")
+    layer_sizes = header.get("layer_sizes")
+    if (not isinstance(layer_sizes, list) or len(layer_sizes) < 2
+            or not all(type(size) is int and size > 0 for size in layer_sizes)):
+        raise SerializationError(
+            f"model header layer_sizes must be a list of at least two positive "
+            f"integers, got {layer_sizes!r}")
+    return layer_sizes
+
+
+def _read_parameters(payload: bytes) -> List[Dict[str, np.ndarray]]:
+    """The parameter list as read-only ``<f4`` views of the payload."""
     payload = bytes(payload)
     if not payload.startswith(_MAGIC):
         raise SerializationError("payload does not start with the model magic header")
@@ -60,20 +90,15 @@ def deserialize_model(payload: bytes) -> MLP:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SerializationError(f"corrupt model header: {exc}") from exc
     offset += header_len
-    layer_sizes = header.get("layer_sizes")
-    if not isinstance(layer_sizes, list) or len(layer_sizes) < 2:
-        raise SerializationError(f"invalid layer sizes in header: {layer_sizes!r}")
+    layer_sizes = _layer_sizes(header)
 
-    dtype = np.dtype(header.get("dtype", _DTYPE))
     body = payload[offset:]
-    expected_values = sum(
-        fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:])
-    )
-    if len(body) != expected_values * dtype.itemsize:
+    expected_bytes = model_payload_size(layer_sizes)
+    if len(body) != expected_bytes:
         raise SerializationError(
-            f"parameter buffer has {len(body)} bytes, expected {expected_values * dtype.itemsize}"
+            f"parameter buffer has {len(body)} bytes, expected {expected_bytes}"
         )
-    values = np.frombuffer(body, dtype=dtype)  # MLP.from_parameters makes the float64 copy
+    values = np.frombuffer(body, dtype=_DTYPE)
 
     parameters = []
     cursor = 0
@@ -83,7 +108,33 @@ def deserialize_model(payload: bytes) -> MLP:
         biases = values[cursor:cursor + fan_out]
         cursor += fan_out
         parameters.append({"weights": weights, "biases": biases})
-    return MLP.from_parameters(parameters)
+    return parameters
+
+
+def deserialize_parameters(payload: bytes) -> List[Dict[str, np.ndarray]]:
+    """The float64 parameter list encoded by :func:`serialize_parameters`.
+
+    Raises
+    ------
+    SerializationError
+        If the payload is truncated or has the wrong magic; if its header is
+        not an object with dtype ``<f4`` and a list of at least two positive
+        integer ``layer_sizes``; or if the parameter buffer does not match
+        that architecture.
+    """
+    return [{key: values.astype(np.float64) for key, values in params.items()}
+            for params in _read_parameters(payload)]
+
+
+def deserialize_model(payload: bytes) -> MLP:
+    """Rebuild a model from :func:`serialize_model` output.
+
+    Raises
+    ------
+    SerializationError
+        As :func:`deserialize_parameters` does.
+    """
+    return MLP.from_parameters(_read_parameters(payload))  # which makes the float64 copy
 
 
 def model_payload_size(layer_sizes: Sequence[int]) -> int:

@@ -17,10 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.chain.node import EthereumNode
-from repro.data.dataset import Dataset, train_test_split
-from repro.data.partition import partition_dataset
-from repro.data.synthetic_mnist import SyntheticMnistConfig, generate_synthetic_mnist
+from repro.data.dataset import Dataset, split_indices
+from repro.data.partition import partition_indices
+from repro.data.synthetic_mnist import (
+    SyntheticMnistConfig,
+    generate_synthetic_mnist,
+    synthetic_mnist_labels,
+)
 from repro.ipfs.blockstore import BlockStore
 from repro.ipfs.node import IpfsNode
 from repro.ipfs.swarm import Swarm
@@ -235,33 +241,48 @@ def build_environment(
             f"behaviors must have one entry per owner "
             f"({config.num_owners}), got {len(behaviors)}")
 
-    # Dataset: synthetic MNIST stand-in, split, then partitioned across owners.
-    dataset = generate_synthetic_mnist(
-        SyntheticMnistConfig(
-            num_samples=config.num_samples,
-            class_similarity=config.class_similarity,
-            noise_scale=config.noise_scale,
-            variation_scale=config.variation_scale,
-            variation_rank=config.variation_rank,
-            label_noise=config.label_noise,
-            seed=config.seed,
-        )
+    # Dataset: synthetic MNIST stand-in, split, then partitioned across owners
+    # -- as row indices, from the labels alone, so that every row is generated
+    # once, straight into one owner-major array:
+    # [owner 0 | ... | owner k-1 | train rows no owner holds | test].
+    # Each owner's dataset, the train set and the test set are views of it.
+    data_config = SyntheticMnistConfig(
+        num_samples=config.num_samples,
+        class_similarity=config.class_similarity,
+        noise_scale=config.noise_scale,
+        variation_scale=config.variation_scale,
+        variation_rank=config.variation_rank,
+        label_noise=config.label_noise,
+        seed=config.seed,
     )
-    train_dataset, test_dataset = train_test_split(
-        dataset, config.test_fraction, rng=derive_seed(config.seed, "split")
+    labels = synthetic_mnist_labels(data_config)
+    train_rows, test_rows = split_indices(
+        len(labels), config.test_fraction, rng=derive_seed(config.seed, "split")
     )
     partition_kwargs: Dict[str, Any] = {}
     if config.partition_scheme == "dirichlet":
         partition_kwargs["alpha"] = config.partition_alpha
     elif config.partition_scheme == "label_skew":
         partition_kwargs["classes_per_client"] = config.classes_per_client
-    client_datasets = partition_dataset(
-        train_dataset,
+    shards = partition_indices(
+        labels[train_rows],
+        data_config.num_classes,
         config.num_owners,
         scheme=config.partition_scheme,
         rng=derive_seed(config.seed, "partition"),
         **partition_kwargs,
     )
+    unheld = np.ones(len(train_rows), dtype=bool)
+    unheld[np.concatenate(shards)] = False
+    dataset = generate_synthetic_mnist(data_config, order=np.concatenate(
+        [train_rows[shard] for shard in shards] + [train_rows[unheld], test_rows]))
+    # Nothing may write a row that others see.
+    dataset.features.flags.writeable = False
+    dataset.labels.flags.writeable = False
+    ends = np.cumsum([len(shard) for shard in shards]).tolist()
+    client_datasets = [dataset.rows(start, end) for start, end in zip([0] + ends, ends)]
+    train_dataset = dataset.rows(0, len(train_rows))
+    test_dataset = dataset.rows(len(train_rows), len(dataset))
 
     # IPFS swarm: one node for the buyer, one per owner, fully meshed (LAN).
     # Each node's block store sits on its own blob namespace of the storage

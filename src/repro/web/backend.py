@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import WebError
+from repro.errors import SerializationError, WebError
 from repro.data.dataset import Dataset
 from repro.fl.model_update import ModelUpdate
 from repro.fl.oneshot import make_aggregator
@@ -191,9 +191,14 @@ class BuyerBackend:
             # unless the caller supplies a mapping in the request body.
             weights = (request.json_body or {}).get("num_samples", {})
             num_samples = int(weights.get(uploader, 1)) if isinstance(weights, dict) else 1
-            task.updates.append(
-                ModelUpdate.from_payload(payload, num_samples=num_samples, client_id=uploader)
-            )
+            try:
+                update = ModelUpdate.from_payload(payload, num_samples=num_samples,
+                                                  client_id=uploader)
+            except SerializationError as exc:
+                # An owner's upload is untrusted input, not a backend fault.
+                raise WebError(f"model {cid} uploaded by {uploader} is not a valid "
+                               f"model payload: {exc}") from exc
+            task.updates.append(update)
             task.uploaders.append(uploader)
         return HttpResponse.json_ok(
             {

@@ -7,7 +7,11 @@ import pytest
 
 from repro.errors import ShapeError
 from repro.data.dataset import Dataset, train_test_split
-from repro.data.synthetic_mnist import SyntheticMnistConfig, generate_synthetic_mnist
+from repro.data.synthetic_mnist import (
+    SyntheticMnistConfig,
+    generate_synthetic_mnist,
+    synthetic_mnist_labels,
+)
 from repro.system.config import paper_config, quick_config
 
 
@@ -212,3 +216,20 @@ class TestSyntheticMnistBytes:
         generated = generate_synthetic_mnist(config)
         assert np.array_equal(generated.labels, labels)
         assert np.array_equal(generated.features, reference)
+
+    @pytest.mark.parametrize("config", [
+        SyntheticMnistConfig(num_samples=257, num_features=50, variation_rank=3, seed=11),
+        SyntheticMnistConfig(num_samples=300, label_noise=0.2, seed=3),
+    ], ids=["block-boundary", "label-noise"])
+    def test_an_order_lays_out_the_same_rows(self, config):
+        order = np.random.default_rng(0).permutation(config.num_samples)
+        plain = generate_synthetic_mnist(config)
+        laid_out = generate_synthetic_mnist(config, order=order)
+        assert np.array_equal(laid_out.features, plain.features[order])
+        assert np.array_equal(laid_out.labels, plain.labels[order])
+        assert np.array_equal(synthetic_mnist_labels(config), plain.labels)
+
+    @pytest.mark.parametrize("order", [[0, 1, 1], [0, 1], [0, 1, 3]])
+    def test_an_order_must_be_a_permutation(self, order):
+        with pytest.raises(ValueError, match="permutation"):
+            generate_synthetic_mnist(SyntheticMnistConfig(num_samples=3, seed=1), order=order)

@@ -1,5 +1,7 @@
 """Tests for repro.web.backend and repro.web.dapp (the full DApp surface)."""
 
+import json
+
 import pytest
 
 from repro.errors import WorkflowError
@@ -7,6 +9,7 @@ from repro.chain import EthereumNode, Faucet, KeyPair
 from repro.contracts import default_registry
 from repro.ipfs import IpfsNode, Swarm
 from repro.ml import TrainingConfig
+from repro.ml.serialization import _MAGIC
 from repro.utils.units import ether_to_wei, gwei_to_wei
 from repro.web import BuyerBackend, BuyerDApp, OwnerDApp, RestClient
 from repro.web.wallet import MetaMaskWallet
@@ -165,6 +168,29 @@ class TestFullExchange:
             f"/api/task/{buyer.task_address}/pay", {}
         )
         assert response.status == 400
+
+
+class TestUntrustedUpload:
+    def test_a_bad_model_payload_is_a_400_naming_the_cid_and_the_uploader(self, marketplace):
+        """An owner's upload is untrusted input: a payload whose header is
+        not an object fails retrieval as the owner's fault, not a 500."""
+        buyer, owners, datasets = marketplace
+        _deploy_and_submit(buyer, owners[:1], datasets)
+        hostile = owners[1]
+        hostile.find_task(buyer.task_address)
+        hostile.register()
+        header = json.dumps([[784, 100, 10], "<f4"]).encode("utf-8")
+        payload = _MAGIC + len(header).to_bytes(4, "big") + header
+        hostile.session.cid = hostile.rpc.ipfs.add(payload)["cid"]
+        hostile.submit_cid()
+
+        response = RestClient(buyer.backend).post(
+            f"/api/task/{buyer.task_address}/retrieve", {})
+        assert response.status == 400
+        assert response.body["error_class"] == "WebError"
+        assert hostile.session.cid in response.body["error"]
+        assert hostile.wallet.address in response.body["error"]
+        assert "JSON object" in response.body["error"]
 
 
 @pytest.fixture()
