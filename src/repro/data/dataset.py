@@ -13,14 +13,18 @@ from repro.utils.rng import make_rng
 
 @dataclass(frozen=True)
 class Dataset:
-    """Features and integer labels, with convenience accessors."""
+    """Float32 features and integer labels, with convenience accessors.
+
+    Features already in float32 are kept as given (a view stays a view);
+    any other input is copied into float32 once.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
 
     def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=np.float64)
+        features = np.asarray(self.features, dtype=np.float32)
         labels = np.asarray(self.labels, dtype=np.int64)
         if features.ndim != 2:
             raise ShapeError(f"features must be 2-D, got shape {features.shape}")

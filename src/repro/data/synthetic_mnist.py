@@ -28,7 +28,10 @@ from repro.utils.rng import derive_seed, make_rng
 
 IMAGE_SIDE = 28
 NUM_PIXELS = IMAGE_SIDE * IMAGE_SIDE
-_BLOCK_SAMPLES = 32
+#: Samples finished per block.  A block's float64 temporaries (chiefly its
+#: (samples, rank, features) basis gather) sit beside the whole float32
+#: dataset at the generator's peak; the bytes do not depend on this size.
+_BLOCK_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -109,9 +112,10 @@ def generate_synthetic_mnist(
 ) -> Dataset:
     """Generate the synthetic dataset described in the module docstring.
 
-    ``order`` lays the samples out: row ``i`` of the result is sample
-    ``order[i]`` (default: sample order).  Every sample is drawn from the same
-    streams whatever the order, so its bytes do not depend on where it lands.
+    The features are one float32 array.  ``order`` lays the samples out:
+    row ``i`` of the result is sample ``order[i]`` (default: sample order).
+    Every sample is drawn from the same streams whatever the order, so its
+    bytes do not depend on where it lands.
     """
     config = config or SyntheticMnistConfig()
     count = config.num_samples
@@ -142,24 +146,23 @@ def generate_synthetic_mnist(
     coefficients = sample_rng.normal(
         0.0, config.variation_scale, size=(count, config.variation_rank)
     )
-    # The one (samples, features) array: each row starts as its class
-    # prototype, already where ``order`` puts it.
-    features = prototypes[classes[order]]
+    # The one (samples, features) float32 array, the precision the model
+    # trains in.  Each block of samples is finished in float64, in sample
+    # order -- its class prototype, its variation (gathering every sample's
+    # basis at once would be a (samples, rank, features) tensor, 3 GB at the
+    # paper's size), its noise (block by block, ``normal`` yields the same
+    # stream as one (samples, features) draw), the clip -- and rounded once
+    # as it is stored where ``order`` puts it.
+    features = np.empty((count, config.num_features), dtype=np.float32)
     row_of_sample = np.empty(count, dtype=np.int64)
     row_of_sample[order] = np.arange(count)
-    # Then each block of samples is finished where it lies, in sample order:
-    # its variation (gathering every sample's basis at once would be a
-    # (samples, rank, features) tensor, 3 GB at the paper's size), then its
-    # noise -- block by block, ``normal`` yields the same stream as one
-    # (samples, features) draw -- then the clip.
     for start in range(0, count, _BLOCK_SAMPLES):
         samples = slice(start, start + _BLOCK_SAMPLES)
-        rows = row_of_sample[samples]
-        block = features[rows]
+        block = prototypes[classes[samples]]
         block += np.einsum("nr,nrf->nf", coefficients[samples],
                            variation_bases[classes[samples]])
         block += sample_rng.normal(0.0, config.noise_scale, size=block.shape)
         np.clip(block, 0.0, 1.0, out=block)
-        features[rows] = block
+        features[row_of_sample[samples]] = block
 
     return Dataset(features=features, labels=labels[order], num_classes=config.num_classes)

@@ -20,6 +20,10 @@ as atoms of a Bayesian-nonparametric model (a Beta-Bernoulli process) and
    unmatched ones are appended as new global neurons;
 4. the output layer is averaged through the same matching.
 
+Matching runs in float64 on the clients' parameters widened once (a
+float32 payload's values exactly), and the fused model comes back in the
+updates' dtype.
+
 This implementation follows the single-hidden-layer formulation used for the
 paper's (784, 100, 10) MLP and extends to deeper MLPs by matching hidden
 layers sequentially (in the spirit of the follow-up FedMA work).
@@ -197,6 +201,18 @@ def _fold_in_client(
     return updated_neurons, updated_counts, assignment
 
 
+def _widened(layer: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """A client layer's parameters in float64, the precision matching runs in."""
+    return {key: np.asarray(values, dtype=np.float64) for key, values in layer.items()}
+
+
+def _in_dtype(parameters: List[Dict[str, np.ndarray]], updates: Sequence[ModelUpdate]) -> MLP:
+    """The fused model, rounded once to the updates' dtype."""
+    dtype = np.result_type(*(update.parameters[0]["weights"] for update in updates))
+    return MLP.from_parameters([{key: values.astype(dtype, copy=False)
+                                 for key, values in layer.items()} for layer in parameters])
+
+
 class PFNMAggregator(OneShotAggregator):
     """One-shot aggregation by probabilistic neuron matching."""
 
@@ -250,8 +266,7 @@ class PFNMAggregator(OneShotAggregator):
         # establish the atoms the rest match against).
         ordered = sorted(updates, key=lambda u: -u.num_samples)
         for update in ordered:
-            hidden = update.parameters[0]
-            output = update.parameters[1]
+            hidden, output = map(_widened, update.parameters)
             # Neuron vector: incoming weights | bias | outgoing weights.
             client_neurons = np.concatenate(
                 [hidden["weights"].T, hidden["biases"].reshape(-1, 1), output["weights"]],
@@ -276,7 +291,7 @@ class PFNMAggregator(OneShotAggregator):
             {"weights": incoming, "biases": biases},
             {"weights": outgoing, "biases": output_bias_sum / total_weight},
         ]
-        return MLP.from_parameters(parameters), global_width
+        return _in_dtype(parameters, updates), global_width
 
     # -- deeper MLPs (layer-wise extension) ------------------------------------------------
 
@@ -307,7 +322,7 @@ class PFNMAggregator(OneShotAggregator):
             global_counts = None
             assignments: Dict[int, np.ndarray] = {}
             for client_index, update in enumerate(ordered):
-                layer = update.parameters[layer_index]
+                layer = _widened(update.parameters[layer_index])
                 incoming = np.zeros((width, prev_global_width))
                 incoming[:, prev_maps[client_index]] = layer["weights"].T
                 client_neurons = np.concatenate(
@@ -336,7 +351,7 @@ class PFNMAggregator(OneShotAggregator):
         bias_sum = np.zeros(output_dim)
         total_weight = 0.0
         for client_index, update in enumerate(ordered):
-            output = update.parameters[-1]
+            output = _widened(update.parameters[-1])
             mapping = prev_maps[client_index]
             weight_sum[mapping] += output["weights"] * update.num_samples
             count_sum[mapping] += update.num_samples
@@ -346,4 +361,4 @@ class PFNMAggregator(OneShotAggregator):
         global_parameters.append(
             {"weights": weight_sum / count_sum, "biases": bias_sum / total_weight}
         )
-        return MLP.from_parameters(global_parameters), last_width
+        return _in_dtype(global_parameters, updates), last_width

@@ -5,8 +5,9 @@ deterministic MLP stack: dense layers, ReLU/softmax activations, cross-entropy
 loss, SGD/momentum/Adam optimizers, a minibatch trainer and model
 (de)serialization.  The paper's model -- a three-layer MLP (784, 100, 10)
 trained with batch size 64, learning rate 0.001 and 10 local epochs -- is
-expressed directly with these pieces, and its serialized float32 payload is
-~317 KB, matching the model size reported in the paper's overhead analysis.
+expressed directly with these pieces.  It trains, aggregates and evaluates in
+float32, the precision of its serialized payload (~317 KB, matching the model
+size reported in the paper's overhead analysis).
 """
 
 from repro.ml.activations import relu, relu_grad, sigmoid, softmax, tanh

@@ -16,8 +16,9 @@ def relu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    out = np.empty_like(x, dtype=np.float64)
+    """Numerically stable logistic sigmoid, in ``x``'s floating dtype."""
+    x = np.asarray(x)
+    out = np.empty(x.shape, dtype=np.result_type(x, np.float32))
     positive = x >= 0
     out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
     exp_x = np.exp(x[~positive])

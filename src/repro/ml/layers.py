@@ -15,7 +15,9 @@ class DenseLayer:
 
     Weights are stored with shape ``(in_features, out_features)`` and
     initialized with He-uniform scaling (appropriate for the ReLU activations
-    used between layers).
+    used between layers).  A layer computes in its weights' dtype: float32
+    when constructed (the precision its IPFS payload ships in), whatever
+    floating dtype it was given when built :meth:`from_parameters`.
     """
 
     def __init__(self, in_features: int, out_features: int, rng=None) -> None:
@@ -24,14 +26,20 @@ class DenseLayer:
                 f"layer dimensions must be positive, got ({in_features}, {out_features})"
             )
         limit = np.sqrt(6.0 / in_features)
+        # Drawn in float64 and rounded once, so every seed's stream is the
+        # one a float64 layer draws.
         weights = make_rng(rng).uniform(-limit, limit, size=(in_features, out_features))
-        self._adopt(weights.astype(np.float64), np.zeros(out_features, dtype=np.float64))
+        self._adopt(weights.astype(np.float32), np.zeros(out_features, dtype=np.float32))
 
     @classmethod
     def from_parameters(cls, parameters: Dict[str, np.ndarray]) -> "DenseLayer":
-        """A layer holding copies of ``parameters``; draws no random number."""
-        weights = np.array(parameters["weights"], dtype=np.float64)
-        biases = np.array(parameters["biases"], dtype=np.float64)
+        """A layer holding copies of ``parameters``, in their floating dtype
+        (at least float32); draws no random number."""
+        weights = np.asarray(parameters["weights"])
+        biases = np.asarray(parameters["biases"])
+        dtype = np.result_type(weights, biases, np.float32)
+        weights = np.array(weights, dtype=dtype)
+        biases = np.array(biases, dtype=dtype)
         if weights.ndim != 2 or 0 in weights.shape or biases.shape != weights.shape[1:]:
             raise ShapeError(
                 f"parameter shape mismatch: weights {weights.shape} with biases {biases.shape}"
@@ -54,7 +62,7 @@ class DenseLayer:
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Compute the affine transform, caching inputs for the backward pass."""
-        inputs = np.asarray(inputs, dtype=np.float64)
+        inputs = np.asarray(inputs, dtype=self.weights.dtype)
         if inputs.ndim != 2 or inputs.shape[1] != self.in_features:
             raise ShapeError(
                 f"expected input of shape (batch, {self.in_features}), got {inputs.shape}"
@@ -66,7 +74,7 @@ class DenseLayer:
         """Store the parameter gradients; returns the validated ``grad_output``."""
         if self._last_input is None:
             raise ShapeError("backward called before forward")
-        grad_output = np.asarray(grad_output, dtype=np.float64)
+        grad_output = np.asarray(grad_output, dtype=self.weights.dtype)
         if grad_output.shape != (self._last_input.shape[0], self.out_features):
             raise ShapeError(
                 f"expected grad of shape ({self._last_input.shape[0]}, {self.out_features}), "
@@ -92,16 +100,16 @@ class DenseLayer:
         return {"weights": self.weights.copy(), "biases": self.biases.copy()}
 
     def set_parameters(self, parameters: Dict[str, np.ndarray]) -> None:
-        """Overwrite parameters (shapes must match)."""
-        weights = np.asarray(parameters["weights"], dtype=np.float64)
-        biases = np.asarray(parameters["biases"], dtype=np.float64)
+        """Overwrite parameters (shapes must match), keeping the layer's dtype."""
+        weights = np.array(parameters["weights"], dtype=self.weights.dtype)
+        biases = np.array(parameters["biases"], dtype=self.weights.dtype)
         if weights.shape != self.weights.shape or biases.shape != self.biases.shape:
             raise ShapeError(
                 f"parameter shape mismatch: expected {self.weights.shape}/{self.biases.shape}, "
                 f"got {weights.shape}/{biases.shape}"
             )
-        self.weights = weights.copy()
-        self.biases = biases.copy()
+        self.weights = weights
+        self.biases = biases
 
     def get_gradients(self) -> Dict[str, np.ndarray]:
         """The most recently computed gradients."""

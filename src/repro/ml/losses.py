@@ -1,4 +1,8 @@
-"""Loss functions."""
+"""Loss functions.
+
+Each computes in its input's dtype: a float32 network's loss and gradient
+are float32.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ _EPS = 1e-12
 
 def cross_entropy_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of integer ``labels`` under ``probabilities``."""
-    probabilities = np.asarray(probabilities, dtype=np.float64)
+    probabilities = np.asarray(probabilities)
     labels = np.asarray(labels, dtype=np.int64)
     if probabilities.ndim != 2:
         raise ShapeError(f"probabilities must be 2-D, got shape {probabilities.shape}")
@@ -32,7 +36,7 @@ def cross_entropy_with_softmax(logits: np.ndarray, labels: np.ndarray) -> Tuple[
     Returns ``(loss, grad)`` where ``grad`` already includes the 1/batch
     normalization, so it can be fed straight into the network's backward pass.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.asarray(logits)
     labels = np.asarray(labels, dtype=np.int64)
     probabilities = softmax(logits)
     loss = cross_entropy_loss(probabilities, labels)
@@ -44,8 +48,9 @@ def cross_entropy_with_softmax(logits: np.ndarray, labels: np.ndarray) -> Tuple[
 
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
     """Mean squared error and its gradient with respect to ``predictions``."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
+    predictions = np.asarray(predictions)
+    predictions = predictions.astype(np.result_type(predictions, np.float32), copy=False)
+    targets = np.asarray(targets, dtype=predictions.dtype)
     if predictions.shape != targets.shape:
         raise ShapeError(f"shape mismatch: {predictions.shape} vs {targets.shape}")
     diff = predictions - targets

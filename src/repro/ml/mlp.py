@@ -21,7 +21,11 @@ DEFAULT_LAYER_SIZES = (784, 100, 10)
 
 
 class MLP:
-    """A feed-forward network of dense layers with ReLU hidden activations."""
+    """A feed-forward network of dense layers with ReLU hidden activations.
+
+    It computes in its layers' dtype: float32 for a constructed network,
+    the parameters' floating dtype for one built :meth:`from_parameters`.
+    """
 
     def __init__(self, layer_sizes: Sequence[int] = DEFAULT_LAYER_SIZES, seed: Optional[int] = None) -> None:
         sizes = [int(s) for s in layer_sizes]
@@ -45,7 +49,7 @@ class MLP:
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Return output logits for a batch of inputs, caching activations."""
-        activations = np.asarray(inputs, dtype=np.float64)
+        activations = np.asarray(inputs)
         if activations.ndim == 1:
             activations = activations.reshape(1, -1)
         self._hidden_pre_activations = []
@@ -72,7 +76,7 @@ class MLP:
         """Backpropagate a gradient with respect to the output logits."""
         if len(self._hidden_pre_activations) != len(self.layers) - 1:
             raise ShapeError("backward called before forward")
-        grad = np.asarray(grad_logits, dtype=np.float64)
+        grad = np.asarray(grad_logits)
         for index in range(len(self.layers) - 1, 0, -1):
             grad = self.layers[index].backward(grad)
             grad = grad * relu_grad(self._hidden_pre_activations[index - 1])
@@ -110,7 +114,8 @@ class MLP:
     def from_parameters(cls, parameters: List[Dict[str, np.ndarray]]) -> "MLP":
         """Build an MLP whose architecture is inferred from a parameter list.
 
-        The layers hold copies of ``parameters``; no weight is drawn.
+        The layers hold copies of ``parameters`` in their dtype (see
+        :meth:`DenseLayer.from_parameters`); no weight is drawn.
         """
         if not parameters:
             raise ShapeError("cannot build an MLP from an empty parameter list")

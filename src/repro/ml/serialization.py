@@ -73,8 +73,18 @@ def _layer_sizes(header: Any) -> List[int]:
     return layer_sizes
 
 
-def _read_parameters(payload: bytes) -> List[Dict[str, np.ndarray]]:
-    """The parameter list as read-only ``<f4`` views of the payload."""
+def deserialize_parameters(payload: bytes) -> List[Dict[str, np.ndarray]]:
+    """The parameter list encoded by :func:`serialize_parameters`, as
+    read-only float32 views of the payload: nothing is copied or widened.
+
+    Raises
+    ------
+    SerializationError
+        If the payload is truncated or has the wrong magic; if its header is
+        not an object with dtype ``<f4`` and a list of at least two positive
+        integer ``layer_sizes``; or if the parameter buffer does not match
+        that architecture.
+    """
     payload = bytes(payload)
     if not payload.startswith(_MAGIC):
         raise SerializationError("payload does not start with the model magic header")
@@ -92,13 +102,12 @@ def _read_parameters(payload: bytes) -> List[Dict[str, np.ndarray]]:
     offset += header_len
     layer_sizes = _layer_sizes(header)
 
-    body = payload[offset:]
     expected_bytes = model_payload_size(layer_sizes)
-    if len(body) != expected_bytes:
+    if len(payload) - offset != expected_bytes:
         raise SerializationError(
-            f"parameter buffer has {len(body)} bytes, expected {expected_bytes}"
+            f"parameter buffer has {len(payload) - offset} bytes, expected {expected_bytes}"
         )
-    values = np.frombuffer(body, dtype=_DTYPE)
+    values = np.frombuffer(payload, dtype=_DTYPE, offset=offset)
 
     parameters = []
     cursor = 0
@@ -111,21 +120,6 @@ def _read_parameters(payload: bytes) -> List[Dict[str, np.ndarray]]:
     return parameters
 
 
-def deserialize_parameters(payload: bytes) -> List[Dict[str, np.ndarray]]:
-    """The float64 parameter list encoded by :func:`serialize_parameters`.
-
-    Raises
-    ------
-    SerializationError
-        If the payload is truncated or has the wrong magic; if its header is
-        not an object with dtype ``<f4`` and a list of at least two positive
-        integer ``layer_sizes``; or if the parameter buffer does not match
-        that architecture.
-    """
-    return [{key: values.astype(np.float64) for key, values in params.items()}
-            for params in _read_parameters(payload)]
-
-
 def deserialize_model(payload: bytes) -> MLP:
     """Rebuild a model from :func:`serialize_model` output.
 
@@ -134,7 +128,7 @@ def deserialize_model(payload: bytes) -> MLP:
     SerializationError
         As :func:`deserialize_parameters` does.
     """
-    return MLP.from_parameters(_read_parameters(payload))  # which makes the float64 copy
+    return MLP.from_parameters(deserialize_parameters(payload))  # the model's own float32 copy
 
 
 def model_payload_size(layer_sizes: Sequence[int]) -> int:

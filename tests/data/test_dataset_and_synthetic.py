@@ -170,20 +170,22 @@ def _marketplace_dataset_config(config) -> SyntheticMnistConfig:
 
 class TestSyntheticMnistBytes:
     """The generator contracts each sample's basis block by block; every byte
-    must equal what the one-gather einsum it replaced produced."""
+    must equal what the one-gather einsum it replaced produced, rounded once
+    to float32."""
 
-    # sha256(features || labels), computed on the commit before the block-wise
-    # rewrite (a1f357b).
+    # sha256(features || labels): the float64 features of the commit before
+    # the block-wise rewrite (a1f357b), rounded once to float32 -- what the
+    # float64 generator's output gives through ``astype(np.float32)``.
     @pytest.mark.parametrize("config, expected", [
         (_marketplace_dataset_config(quick_config(seed=7)),
-         "25acc898bd710098cca69fe4d949e5f5aa6b1d3d01db87dd34ecc1177b9e558b"),
+         "b301f41f645178675d18c677e780444d6b8be210074f85cadfa1207cc74fdc73"),
         (_marketplace_dataset_config(paper_config(seed=7)),
-         "dd5962948c25e8d81ee75b882d3bc016ce533465cea207f2a82d5d0bf7b5c052"),
+         "85d96d28e79e512580dcc1292d1a140be98ee12b29e7c0ba27507cc6e805aca0"),
         (SyntheticMnistConfig(num_samples=700, label_noise=0.2, seed=3),
-         "8656b6de4eecf4557d9638019be2dd2aa0269866dd6fc8d4f797fa88d59235c4"),
+         "6ee2751acbac92912951c06407d7042e5cac951b2a142dd0400838ff20ff6754"),
         # One sample past a block boundary, non-square features, odd rank.
         (SyntheticMnistConfig(num_samples=257, num_features=50, variation_rank=3, seed=11),
-         "796ba45e0ab743baf078f2ccff8f694c1ce1e9cc112a9871dd46f492c7724318"),
+         "bb190a6092653cef1801997ad1120b182a8e303827f0d5902ab4254522249e1e"),
     ], ids=["quick", "paper", "label-noise", "block-boundary"])
     def test_pinned_sha256(self, config, expected):
         assert _sha256(generate_synthetic_mnist(config)) == expected
@@ -211,7 +213,7 @@ class TestSyntheticMnistBytes:
             0.0, config.noise_scale, size=(config.num_samples, config.num_features))
         reference = np.clip(
             prototypes[labels] + np.einsum("nr,nrf->nf", coefficients, bases[labels]) + noise,
-            0.0, 1.0)
+            0.0, 1.0).astype(np.float32)
 
         generated = generate_synthetic_mnist(config)
         assert np.array_equal(generated.labels, labels)

@@ -128,13 +128,16 @@ class TestMLP:
         rebuilt = MLP.from_parameters(parameters)
         clone = rebuilt.copy()
         restored = deserialize_model(serialize_model(rebuilt))
-        for model in (rebuilt, clone, restored):
+        # Built from float64 parameters, a model stays float64; one read back
+        # from its payload holds the payload's float32.
+        for model, dtype in ((rebuilt, np.float64), (clone, np.float64),
+                             (restored, np.float32)):
             assert model.layer_sizes == (6, 4, 3)
             assert model.num_parameters == 6 * 4 + 4 + 4 * 3 + 3
             for layer, params in zip(model.layers, parameters):
                 assert np.array_equal(layer.weights, params["weights"])
                 assert np.array_equal(layer.biases, params["biases"])
-                assert layer.weights.dtype == layer.biases.dtype == np.float64
+                assert layer.weights.dtype == layer.biases.dtype == dtype
                 assert not np.shares_memory(layer.weights, params["weights"])
 
     def test_a_model_built_from_parameters_trains(self, no_random_draws):
@@ -203,7 +206,11 @@ class TestMLP:
 
     def test_full_backward_gradient_check(self):
         rng = np.random.default_rng(3)
-        model = MLP((5, 4, 3), seed=1)
+        # A float64 model: central differences at this epsilon need its
+        # precision (a float32 loss moves in steps of ~1e-7).
+        model = MLP.from_parameters([
+            {key: values.astype(np.float64) for key, values in layer.items()}
+            for layer in MLP((5, 4, 3), seed=1).get_parameters()])
         x = rng.normal(size=(6, 5))
         labels = rng.integers(0, 3, size=6)
 

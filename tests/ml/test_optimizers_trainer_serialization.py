@@ -227,7 +227,8 @@ class TestTrainer:
         step = 0
         for _ in range(config.epochs):
             for batch_x, batch_y in batch_iterator(x, y, config.batch_size, shuffle=True, rng=rng):
-                inputs, pre_activations = [batch_x], []
+                # In the model's dtype, as its first layer takes the batch.
+                inputs, pre_activations = [batch_x.astype(weights[0].dtype)], []
                 for index, (w, b) in enumerate(zip(weights, biases)):
                     pre_activations.append(inputs[-1] @ w + b)
                     if index < len(weights) - 1:

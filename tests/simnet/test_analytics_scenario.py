@@ -147,10 +147,32 @@ class TestAnalyticsAcrossChaos:
                               heal_at_seconds=90.0,
                               analytics={"interval_seconds": 15.0})
         runner = ScenarioRunner(spec, config=tiny_config())
+        cluster, follower = runner.cluster, runner.analytics_replica
+        heal = cluster.heal
+
+        def mine(replica):
+            block = replica.fork.produce_block(advance_clock=False)
+            cluster.gossip.announce_block(replica.index, block.hash, block.number)
+
+        def heal_with_the_follower_behind():
+            # The follower sits on the side that takes no client writes.  It
+            # mines a block of its own there, then the primary side outgrows
+            # that branch, so longest-chain fork choice reorgs the follower at
+            # the heal whatever order the head hashes fall in.
+            primary = cluster.primary_group()
+            assert follower not in primary
+            mine(follower)
+            tip = max(primary, key=lambda replica: replica.height)
+            while tip.height <= follower.height:
+                mine(tip)
+            heal()
+
+        cluster.heal = heal_with_the_follower_behind
         report = runner.run()
-        carriers = [replica for replica in runner.cluster.replicas
+        carriers = [replica for replica in cluster.replicas
                     if replica.analytics_enabled]
-        assert len(carriers) == 1
+        assert carriers == [follower]
+        assert cluster.heals == 1
         stats = report.analytics_stats
         assert stats["parity_ok"] is True
         # The healed partition reorged the follower's branch away: the
