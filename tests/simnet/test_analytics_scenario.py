@@ -162,8 +162,10 @@ class TestAnalyticsAcrossChaos:
             primary = cluster.primary_group()
             assert follower not in primary
             mine(follower)
+            losing = max(replica.height for replica in cluster.alive_replicas()
+                         if replica not in primary)
             tip = max(primary, key=lambda replica: replica.height)
-            while tip.height <= follower.height:
+            while tip.height <= losing:
                 mine(tip)
             heal()
 
