@@ -7,25 +7,28 @@ from repro.fl.oneshot.mean import MeanAggregator
 from repro.fl.oneshot.pfnm import PFNMAggregator, PFNMConfig
 
 
-def make_aggregator(name: str, **kwargs) -> OneShotAggregator:
-    """Build a one-shot aggregator by name.
+#: Every one-shot aggregator by name: ``"pfnm"`` (the paper's default),
+#: ``"mean"``, ``"ensemble"`` and ``"fedov"``.
+AGGREGATORS = {
+    "pfnm": PFNMAggregator,
+    "mean": MeanAggregator,
+    "ensemble": EnsembleAggregator,
+    "fedov": FedOVAggregator,
+}
 
-    Recognized names: ``"pfnm"`` (default algorithm in the paper), ``"mean"``,
-    ``"ensemble"`` and ``"fedov"``.
-    """
-    registry = {
-        "pfnm": PFNMAggregator,
-        "mean": MeanAggregator,
-        "ensemble": EnsembleAggregator,
-        "fedov": FedOVAggregator,
-    }
+
+def make_aggregator(name: str, **kwargs) -> OneShotAggregator:
+    """Build a one-shot aggregator by (case-insensitive) name; see :data:`AGGREGATORS`."""
     key = name.lower()
-    if key not in registry:
-        raise ValueError(f"unknown one-shot aggregator {name!r}; expected one of {sorted(registry)}")
-    return registry[key](**kwargs)
+    if key not in AGGREGATORS:
+        raise ValueError(
+            f"unknown one-shot aggregator {name!r}; expected one of {sorted(AGGREGATORS)}"
+        )
+    return AGGREGATORS[key](**kwargs)
 
 
 __all__ = [
+    "AGGREGATORS",
     "AggregationResult",
     "OneShotAggregator",
     "EnsembleAggregator",

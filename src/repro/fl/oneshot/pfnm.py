@@ -20,9 +20,17 @@ as atoms of a Bayesian-nonparametric model (a Beta-Bernoulli process) and
    unmatched ones are appended as new global neurons;
 4. the output layer is averaged through the same matching.
 
-Matching runs in float64 on the clients' parameters widened once (a
-float32 payload's values exactly), and the fused model comes back in the
+Matching runs in float64 on the clients' parameters widened (a float32
+payload's values exactly), and the fused model is written once, in the
 updates' dtype.
+
+Each atom is stored once (:class:`_Atoms`).  An atom that is still exactly
+one owner's neuron is that owner's (owner, row), read from the owner's own
+parameters; only a merged atom has a float64 row.  A client's products with
+an owner's atoms are one owner-pair block ``C_later @ C_earlier.T``, which
+the aggregator computes once and keeps (:class:`_PairBlocks`): leave-one-out
+aggregates the grand coalition and then every coalition short of one owner,
+and each of those folds reads the grand coalition's blocks.
 
 This implementation follows the single-hidden-layer formulation used for the
 paper's (784, 100, 10) MLP and extends to deeper MLPs by matching hidden
@@ -32,13 +40,15 @@ layers sequentially (in the spirit of the follow-up FedMA work).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import AggregationError
 from repro.fl.model_update import ModelUpdate, check_compatible
 from repro.fl.oneshot.base import AggregationResult, OneShotAggregator
+from repro.ml.layers import DenseLayer
 from repro.ml.mlp import MLP
 
 
@@ -77,46 +87,184 @@ class PFNMConfig:
             raise ValueError("max_global_neurons_factor must be at least 1")
 
 
+def _neurons(parameters: List[Dict[str, np.ndarray]], rows=slice(None)) -> np.ndarray:
+    """Hidden neurons ``rows`` of a (D, H, C) model as float64 vectors:
+    incoming weights | bias | outgoing weights."""
+    hidden, output = parameters
+    return np.concatenate(
+        [hidden["weights"][:, rows].T, hidden["biases"][rows].reshape(-1, 1),
+         output["weights"][rows]],
+        axis=1, dtype=np.float64,
+    )
+
+
+def _inner_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ right.T``: every client-atom product a fold's costs read."""
+    return left @ right.T
+
+
+class _Client:
+    """One client's neurons in float64, their squared norms, and whose they are.
+
+    ``owner`` is the client's position in the aggregation's owner list, or -1
+    when the neurons are no owner's own (a deep layer re-expresses them in
+    the previous layer's global coordinates).
+    """
+
+    def __init__(self, neurons: np.ndarray, owner: int = -1) -> None:
+        self.neurons = neurons
+        self.owner = owner
+        self.sq = np.sum(neurons**2, axis=1)
+
+
+class _Atoms:
+    """The global atoms of one layer's matching, each stored once.
+
+    While ``owner[a] >= 0``, atom ``a`` is still exactly row ``index[a]`` of
+    ``owners[owner[a]]``'s model and is read from that update's parameters.
+    Otherwise it has a float64 row of its own, ``rows[index[a]]``: a merged
+    atom, or any atom of a deep layer.  ``counts`` is how many client
+    neurons each atom holds, ``sq`` its squared norm.
+    """
+
+    def __init__(self, dim: int, owners: Sequence[ModelUpdate] = ()) -> None:
+        self.owners = owners
+        self.owner = np.empty(0, dtype=np.int64)
+        self.index = np.empty(0, dtype=np.int64)
+        self.counts = np.empty(0)
+        self.sq = np.empty(0)
+        self.rows = np.empty((0, dim))
+
+    def __len__(self) -> int:
+        return self.counts.size
+
+    def neurons(self, atoms: np.ndarray) -> np.ndarray:
+        """The float64 vectors of ``atoms`` (atom indices)."""
+        out = np.empty((atoms.size, self.rows.shape[1]))
+        owner = self.owner[atoms]
+        for source in np.unique(owner):
+            picked = owner == source
+            index = self.index[atoms[picked]]
+            out[picked] = (self.rows[index] if source < 0
+                           else _neurons(self.owners[source].parameters, index))
+        return out
+
+    def products(self, client: _Client,
+                 block: Optional[Callable[[ModelUpdate], np.ndarray]]) -> np.ndarray:
+        """``client.neurons @ atom.T`` for every atom.
+
+        An owner's atoms read their columns from ``block(owner)``, the
+        client's block against that owner's whole model; only atoms with a
+        row of their own get a product here.
+        """
+        products = np.empty((client.neurons.shape[0], len(self)))
+        for source in np.unique(self.owner):
+            picked = self.owner == source
+            columns = (_inner_products(client.neurons, self.rows) if source < 0
+                       else block(self.owners[source]))
+            products[:, picked] = columns[:, self.index[picked]]
+        return products
+
+    def append(self, client: _Client, rows: np.ndarray) -> None:
+        """Open one new atom per client row of ``rows``, in order."""
+        if client.owner >= 0:
+            index = rows
+        else:
+            index = self.rows.shape[0] + np.arange(rows.size)
+            self.rows = np.concatenate([self.rows, client.neurons[rows]])
+        self.owner = np.concatenate([self.owner, np.full(rows.size, client.owner)])
+        self.index = np.concatenate([self.index, index])
+        self.counts = np.concatenate([self.counts, np.ones(rows.size)])
+        self.sq = np.concatenate([self.sq, client.sq[rows]])
+
+    def merge(self, client: _Client, rows: np.ndarray, atoms: np.ndarray) -> None:
+        """Fold client ``rows`` into the distinct ``atoms`` by running weighted mean."""
+        count = self.counts[atoms].reshape(-1, 1)
+        merged = (self.neurons(atoms) * count + client.neurons[rows]) / (count + 1.0)
+        owned = self.owner[atoms] < 0
+        self.rows[self.index[atoms[owned]]] = merged[owned]
+        fresh = atoms[~owned]
+        if fresh.size:
+            self.owner[fresh] = -1
+            self.index[fresh] = self.rows.shape[0] + np.arange(fresh.size)
+            self.rows = np.concatenate([self.rows, merged[~owned]])
+        self.counts[atoms] += 1.0
+        self.sq[atoms] = np.sum(merged**2, axis=1)
+
+
+class _PairBlocks:
+    """Owner-pair blocks ``C_later @ C_earlier.T``, each computed once.
+
+    A block is keyed by its two updates, which the memo holds, so no key
+    outlives its update.  A call over owners it already holds (leave-one-out's
+    drops, Shapley's coalitions) reads every block it needs; a call that
+    brings a new owner keeps only the blocks among its own owners.  An update
+    is not edited once aggregated (a retrieved model's arrays are read-only).
+    """
+
+    def __init__(self) -> None:
+        self._owners: List[ModelUpdate] = []
+        self._blocks: Dict[Tuple[int, int], np.ndarray] = {}
+
+    def admit(self, updates: Sequence[ModelUpdate]) -> None:
+        """Make ``updates`` the owners held, unless it brings none new."""
+        held = {id(update) for update in self._owners}
+        if all(id(update) in held for update in updates):
+            return
+        kept = {id(update) for update in updates}
+        self._blocks = {pair: block for pair, block in self._blocks.items()
+                        if kept.issuperset(pair)}
+        self._owners = list(updates)
+
+    def get(self, later: ModelUpdate, later_neurons: np.ndarray,
+            earlier: ModelUpdate) -> np.ndarray:
+        """``later``'s neurons times ``earlier``'s, computed on the first ask."""
+        pair = (id(later), id(earlier))
+        if pair not in self._blocks:
+            self._blocks[pair] = _inner_products(later_neurons, _neurons(earlier.parameters))
+        return self._blocks[pair]
+
+
 def _match_cost_matrix(
-    client_neurons: np.ndarray,
-    global_neurons: np.ndarray,
-    global_counts: np.ndarray,
+    client: _Client,
+    atoms: _Atoms,
+    products: np.ndarray,
     config: PFNMConfig,
     allow_new: int,
 ) -> np.ndarray:
     """Build the assignment cost matrix of shape (J, L + allow_new).
 
-    The first L columns are the costs of matching each client neuron to each
-    existing global neuron (negative log of the posterior match likelihood:
-    squared distance shrunk by the running count).  The trailing ``allow_new``
-    columns are the cost of opening a new global neuron (prior self-distance
-    plus a penalty that grows as more neurons already exist, mirroring the
-    IBP prior's preference for reusing popular atoms).
+    ``products`` is ``client.neurons @ atom.T`` for the L atoms, and becomes
+    the squared distances in place.  The first L columns are the costs of
+    matching each client neuron to each existing global neuron (negative log
+    of the posterior match likelihood: squared distance shrunk by the running
+    count).  The trailing ``allow_new`` columns are the cost of opening a new
+    global neuron (prior self-distance plus a penalty that grows as more
+    neurons already exist, mirroring the IBP prior's preference for reusing
+    popular atoms).
     """
-    num_client = client_neurons.shape[0]
-    num_global = global_neurons.shape[0]
+    num_client = client.neurons.shape[0]
+    num_global = len(atoms)
     sigma_sq = config.sigma**2
     sigma0_sq = config.sigma0**2
-    client_sq = np.sum(client_neurons**2, axis=1)
 
     columns: List[np.ndarray] = []
     if num_global:
         # Posterior precision of a global atom matched `count` times grows with
         # count, making well-supported atoms cheaper to match.
-        counts = global_counts.reshape(1, num_global)
+        counts = atoms.counts.reshape(1, num_global)
         # |c - m|^2 = |c|^2 + |m|^2 - 2 c.m: one (J x D)(D x L) product, never
         # the J x L x D difference tensor.  Rounding can leave a distance of
         # ~0 a hair below it, hence the clip.
-        global_sq = np.sum(global_neurons**2, axis=1)
-        squared = client_neurons @ global_neurons.T
+        squared = products
         squared *= -2.0
-        squared += client_sq.reshape(num_client, 1)
-        squared += global_sq.reshape(1, num_global)
+        squared += client.sq.reshape(num_client, 1)
+        squared += atoms.sq.reshape(1, num_global)
         np.maximum(squared, 0.0, out=squared)
         match_cost = squared / (2.0 * sigma_sq) - np.log(counts + config.gamma)
         columns.append(match_cost)
     if allow_new:
-        self_cost = client_sq / (2.0 * (sigma_sq + sigma0_sq))
+        self_cost = client.sq / (2.0 * (sigma_sq + sigma0_sq))
         new_penalty = self_cost - np.log(config.gamma / (num_global + 1.0))
         new_block = np.tile(new_penalty.reshape(num_client, 1), (1, allow_new))
         # Make "new neuron" columns usable at most once each by adding a tiny
@@ -127,20 +275,21 @@ def _match_cost_matrix(
 
 
 def _fold_in_client(
-    client_neurons: np.ndarray,
-    global_neurons: Optional[np.ndarray],
-    global_counts: Optional[np.ndarray],
+    client: _Client,
+    atoms: _Atoms,
     config: PFNMConfig,
     max_global: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Match one client's neurons into the running global atoms.
+    block: Optional[Callable[[ModelUpdate], np.ndarray]] = None,
+) -> np.ndarray:
+    """Match one client's neurons into the running global ``atoms``, in place.
 
-    Returns the updated ``(global_neurons, global_counts, assignment)`` where
-    ``assignment[j]`` is the global index client neuron ``j`` mapped to.  New
-    atoms are appended in ascending client-row order.  A non-empty global
-    model must hold at least as many atoms as the client has neurons (the
-    first fold copies a client, and every client has the same width), so the
-    matrix always admits a perfect matching.
+    Returns ``assignment``: ``assignment[j]`` is the atom client neuron ``j``
+    mapped to.  New atoms are appended in ascending client-row order.
+    ``block(owner)`` is this client's products with ``owner``'s whole model
+    (see :meth:`_Atoms.products`); a fold with no owner atoms needs none.  A
+    non-empty global model must hold at least as many atoms as the client
+    has neurons (the first fold copies a client, and every client has the
+    same width), so the matrix always admits a perfect matching.
 
     Below the width cap (``allow_new == num_client``) the Hungarian solver
     sees only the assignments in question.  Let ``last_new[j]`` be row
@@ -156,17 +305,18 @@ def _fold_in_client(
     columns they would have held there.  At the width cap the full matrix is
     solved.
     """
-    num_client = client_neurons.shape[0]
-    if global_neurons is None or global_neurons.shape[0] == 0:
-        return client_neurons.copy(), np.ones(num_client), np.arange(num_client)
+    num_client = client.neurons.shape[0]
+    num_global = len(atoms)
+    if num_global == 0:
+        atoms.append(client, np.arange(num_client))
+        return np.arange(num_client)
 
-    num_global = global_neurons.shape[0]
     if num_global < num_client:
         raise AggregationError(
             f"cannot fold {num_client} client neurons into {num_global} global atoms"
         )
     allow_new = max(0, min(num_client, max_global - num_global))
-    cost = _match_cost_matrix(client_neurons, global_neurons, global_counts, config, allow_new)
+    cost = _match_cost_matrix(client, atoms, atoms.products(client, block), config, allow_new)
     if allow_new < num_client:
         rows, cols = linear_sum_assignment(cost)
     else:
@@ -185,41 +335,33 @@ def _fold_in_client(
     matched = cols < num_global
     match_rows, targets = rows[matched], cols[matched]
     new_rows = np.setdiff1d(np.arange(num_client), match_rows)
-    width = num_global + new_rows.size
-    updated_neurons = np.empty((width, client_neurons.shape[1]))
-    updated_neurons[:num_global] = global_neurons
-    updated_neurons[num_global:] = client_neurons[new_rows]
-    updated_counts = np.ones(width)
-    updated_counts[:num_global] = global_counts
-    # Running weighted mean of the matched atoms (a matching: targets distinct).
-    count = updated_counts[targets].reshape(-1, 1)
-    updated_neurons[targets] = (updated_neurons[targets] * count + client_neurons[match_rows]) / (count + 1.0)
-    updated_counts[targets] += 1.0
+    # A matching: the targets are distinct.
+    atoms.merge(client, match_rows, targets)
+    atoms.append(client, new_rows)
     assignment = np.empty(num_client, dtype=np.int64)
     assignment[match_rows] = targets
-    assignment[new_rows] = np.arange(num_global, width)
-    return updated_neurons, updated_counts, assignment
+    assignment[new_rows] = np.arange(num_global, num_global + new_rows.size)
+    return assignment
 
 
-def _widened(layer: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """A client layer's parameters in float64, the precision matching runs in."""
-    return {key: np.asarray(values, dtype=np.float64) for key, values in layer.items()}
-
-
-def _in_dtype(parameters: List[Dict[str, np.ndarray]], updates: Sequence[ModelUpdate]) -> MLP:
-    """The fused model, rounded once to the updates' dtype."""
-    dtype = np.result_type(*(update.parameters[0]["weights"] for update in updates))
-    return MLP.from_parameters([{key: values.astype(dtype, copy=False)
-                                 for key, values in layer.items()} for layer in parameters])
+def _fused_dtype(updates: Sequence[ModelUpdate]) -> np.dtype:
+    """The fused model's dtype: its updates' (at least float32)."""
+    return np.result_type(*(update.parameters[0]["weights"] for update in updates), np.float32)
 
 
 class PFNMAggregator(OneShotAggregator):
-    """One-shot aggregation by probabilistic neuron matching."""
+    """One-shot aggregation by probabilistic neuron matching.
+
+    An aggregator keeps the owner-pair blocks of the updates it last
+    aggregated (:class:`_PairBlocks`), so aggregating subsets of them again
+    -- a task's leave-one-out drops -- reads them instead of recomputing.
+    """
 
     name = "pfnm"
 
     def __init__(self, config: Optional[PFNMConfig] = None) -> None:
         self.config = config or PFNMConfig()
+        self._blocks = _PairBlocks()
 
     # -- public API -----------------------------------------------------------------
 
@@ -257,41 +399,50 @@ class PFNMAggregator(OneShotAggregator):
         input_dim, hidden_dim, output_dim = layer_sizes[0], layer_sizes[1], layer_sizes[-1]
         max_global = int(np.ceil(hidden_dim * self.config.max_global_neurons_factor))
 
-        global_neurons: Optional[np.ndarray] = None
-        global_counts: Optional[np.ndarray] = None
-        output_bias_sum = np.zeros(output_dim)
-        total_weight = 0.0
-
         # Fold clients in descending data-size order (better-supported neurons
         # establish the atoms the rest match against).
         ordered = sorted(updates, key=lambda u: -u.num_samples)
-        for update in ordered:
-            hidden, output = map(_widened, update.parameters)
-            # Neuron vector: incoming weights | bias | outgoing weights.
-            client_neurons = np.concatenate(
-                [hidden["weights"].T, hidden["biases"].reshape(-1, 1), output["weights"]],
-                axis=1,
-            )
-            global_neurons, global_counts, _ = _fold_in_client(
-                client_neurons, global_neurons, global_counts, self.config, max_global
-            )
-            output_bias_sum += output["biases"] * update.num_samples
+        self._blocks.admit(ordered)
+        atoms = _Atoms(input_dim + 1 + output_dim, ordered)
+        output_bias_sum = np.zeros(output_dim)
+        total_weight = 0.0
+        for position, update in enumerate(ordered):
+            client = _Client(_neurons(update.parameters), owner=position)
+            _fold_in_client(client, atoms, self.config, max_global,
+                            partial(self._blocks.get, update, client.neurons))
+            output_biases = np.asarray(update.parameters[1]["biases"], dtype=np.float64)
+            output_bias_sum += output_biases * update.num_samples
             total_weight += update.num_samples
 
-        global_width = global_neurons.shape[0]
-        incoming = global_neurons[:, :input_dim].T
-        biases = global_neurons[:, input_dim]
-        outgoing = global_neurons[:, input_dim + 1:]
+        # Written once, atom by atom, in the fused dtype.  The hidden weights
+        # are filled transposed, so they come out Fortran-ordered (the layout
+        # BLAS picks the evaluation's kernels by).
+        width = len(atoms)
+        dtype = _fused_dtype(updates)
+        incoming = np.empty((width, input_dim), dtype=dtype)
+        biases = np.empty(width, dtype=dtype)
+        outgoing = np.empty((width, output_dim), dtype=dtype)
         # Down-weight the outgoing weights of rarely matched atoms so that
         # neurons seen by few clients do not dominate the logits.
-        support = (global_counts / len(updates)).reshape(-1, 1)
-        outgoing = outgoing * support
-
-        parameters = [
-            {"weights": incoming, "biases": biases},
-            {"weights": outgoing, "biases": output_bias_sum / total_weight},
-        ]
-        return _in_dtype(parameters, updates), global_width
+        support = (atoms.counts / len(updates)).reshape(-1, 1)
+        for source in np.unique(atoms.owner):
+            picked = atoms.owner == source
+            index = atoms.index[picked]
+            if source < 0:
+                rows = atoms.rows[index]
+                incoming[picked] = rows[:, :input_dim]
+                biases[picked] = rows[:, input_dim]
+                outgoing[picked] = rows[:, input_dim + 1:] * support[picked]
+            else:
+                hidden, output = ordered[source].parameters
+                incoming[picked] = hidden["weights"][:, index].T
+                biases[picked] = hidden["biases"][index]
+                outgoing[picked] = output["weights"][index] * support[picked]
+        model = MLP.from_layers([
+            DenseLayer.holding(incoming.T, biases),
+            DenseLayer.holding(outgoing, (output_bias_sum / total_weight).astype(dtype)),
+        ])
+        return model, width
 
     # -- deeper MLPs (layer-wise extension) ------------------------------------------------
 
@@ -302,8 +453,8 @@ class PFNMAggregator(OneShotAggregator):
 
         Hidden layers are matched one at a time, re-expressing each client's
         incoming weights in the global coordinates of the previously matched
-        layer (FedMA-style).  The output layer is averaged through the final
-        matching.
+        layer (FedMA-style), so every atom has a row of its own.  The output
+        layer is averaged through the final matching.
         """
         num_layers = len(layer_sizes) - 1
         ordered = sorted(updates, key=lambda u: -u.num_samples)
@@ -313,26 +464,23 @@ class PFNMAggregator(OneShotAggregator):
         }
         prev_global_width = layer_sizes[0]
         global_parameters: List[Dict[str, np.ndarray]] = []
-        last_width = layer_sizes[0]
 
         for layer_index in range(num_layers - 1):
             width = layer_sizes[layer_index + 1]
             max_global = int(np.ceil(width * self.config.max_global_neurons_factor))
-            global_neurons = None
-            global_counts = None
+            atoms = _Atoms(prev_global_width + 1)
             assignments: Dict[int, np.ndarray] = {}
             for client_index, update in enumerate(ordered):
-                layer = _widened(update.parameters[layer_index])
+                layer = update.parameters[layer_index]
                 incoming = np.zeros((width, prev_global_width))
                 incoming[:, prev_maps[client_index]] = layer["weights"].T
                 client_neurons = np.concatenate(
-                    [incoming, layer["biases"].reshape(-1, 1)], axis=1
+                    [incoming, layer["biases"].reshape(-1, 1)], axis=1, dtype=np.float64
                 )
-                global_neurons, global_counts, assignment = _fold_in_client(
-                    client_neurons, global_neurons, global_counts, self.config, max_global
+                assignments[client_index] = _fold_in_client(
+                    _Client(client_neurons), atoms, self.config, max_global
                 )
-                assignments[client_index] = assignment
-            global_width = global_neurons.shape[0]
+            global_neurons = atoms.neurons(np.arange(len(atoms)))
             global_parameters.append(
                 {
                     "weights": global_neurons[:, :prev_global_width].T,
@@ -340,8 +488,7 @@ class PFNMAggregator(OneShotAggregator):
                 }
             )
             prev_maps = assignments
-            prev_global_width = global_width
-            last_width = global_width
+            prev_global_width = len(atoms)
 
         # Output layer: scatter each client's outgoing weights into global
         # coordinates and average with sample weights.
@@ -351,14 +498,19 @@ class PFNMAggregator(OneShotAggregator):
         bias_sum = np.zeros(output_dim)
         total_weight = 0.0
         for client_index, update in enumerate(ordered):
-            output = _widened(update.parameters[-1])
+            weights, biases = (np.asarray(update.parameters[-1][key], dtype=np.float64)
+                               for key in ("weights", "biases"))
             mapping = prev_maps[client_index]
-            weight_sum[mapping] += output["weights"] * update.num_samples
+            weight_sum[mapping] += weights * update.num_samples
             count_sum[mapping] += update.num_samples
-            bias_sum += output["biases"] * update.num_samples
+            bias_sum += biases * update.num_samples
             total_weight += update.num_samples
         count_sum[count_sum == 0] = 1.0
         global_parameters.append(
             {"weights": weight_sum / count_sum, "biases": bias_sum / total_weight}
         )
-        return _in_dtype(global_parameters, updates), last_width
+        dtype = _fused_dtype(updates)
+        model = MLP.from_parameters([{key: values.astype(dtype, copy=False)
+                                      for key, values in layer.items()}
+                                     for layer in global_parameters])
+        return model, prev_global_width

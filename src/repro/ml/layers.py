@@ -38,8 +38,12 @@ class DenseLayer:
         weights = np.asarray(parameters["weights"])
         biases = np.asarray(parameters["biases"])
         dtype = np.result_type(weights, biases, np.float32)
-        weights = np.array(weights, dtype=dtype)
-        biases = np.array(biases, dtype=dtype)
+        return cls.holding(np.array(weights, dtype=dtype), np.array(biases, dtype=dtype))
+
+    @classmethod
+    def holding(cls, weights: np.ndarray, biases: np.ndarray) -> "DenseLayer":
+        """A layer over ``weights`` and ``biases`` themselves, not copies: for
+        arrays their builder hands over (e.g. an aggregate written in place)."""
         if weights.ndim != 2 or 0 in weights.shape or biases.shape != weights.shape[1:]:
             raise ShapeError(
                 f"parameter shape mismatch: weights {weights.shape} with biases {biases.shape}"

@@ -119,7 +119,11 @@ class MLP:
         """
         if not parameters:
             raise ShapeError("cannot build an MLP from an empty parameter list")
-        layers = [DenseLayer.from_parameters(params) for params in parameters]
+        return cls.from_layers([DenseLayer.from_parameters(params) for params in parameters])
+
+    @classmethod
+    def from_layers(cls, layers: List[DenseLayer]) -> "MLP":
+        """An MLP over ``layers`` themselves, which must chain shape to shape."""
         for index, (before, after) in enumerate(zip(layers, layers[1:])):
             if before.out_features != after.in_features:
                 raise ShapeError(

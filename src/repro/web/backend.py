@@ -21,15 +21,16 @@ Routes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from numbers import Real
+from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import SerializationError, WebError
 from repro.data.dataset import Dataset
 from repro.fl.model_update import ModelUpdate
-from repro.fl.oneshot import make_aggregator
-from repro.fl.oneshot.base import AggregationResult
+from repro.fl.oneshot import AGGREGATORS, make_aggregator
+from repro.fl.oneshot.base import AggregationResult, OneShotAggregator
 from repro.incentives import allocate_budget, leave_one_out, shapley_monte_carlo
 from repro.incentives.contribution import ContributionReport
 from repro.ipfs.node import IpfsNode
@@ -50,11 +51,34 @@ class TaskState:
     spec: Dict[str, Any]
     updates: List[ModelUpdate] = field(default_factory=list)
     uploaders: List[str] = field(default_factory=list)
+    #: The aggregator ``aggregate`` built; ``incentives`` reuses it for the
+    #: same algorithm (PFNM keeps the owner-pair products it computed).
+    aggregator: Optional[OneShotAggregator] = None
     aggregation: Optional[AggregationResult] = None
     #: Test accuracy of ``aggregation`` (the grand coalition's value).
     aggregate_accuracy: Optional[float] = None
     contribution: Optional[ContributionReport] = None
     payments: Dict[str, int] = field(default_factory=dict)
+
+
+def _field(body: Dict[str, Any], name: str, default: Any, kind: Any,
+           valid: Callable[[Any], bool], expected: str) -> Any:
+    """``body[name]`` (``default`` if absent or null), or a 400 naming the field.
+
+    The value must be an instance of ``kind`` for which ``valid`` holds; a
+    bool is no number.
+    """
+    value = body.get(name)
+    if value is None:
+        value = default
+    if isinstance(value, bool) or not isinstance(value, kind) or not valid(value):
+        raise WebError(f"{name!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _is_count(value: Any) -> bool:
+    """Whether ``value`` is a positive integer (and not a bool)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
 
 
 class BuyerBackend:
@@ -176,21 +200,23 @@ class BuyerBackend:
     def _retrieve_models(self, request: HttpRequest) -> HttpResponse:
         """Step 6: fetch every submitted model from IPFS and deserialize it."""
         task = self._get_task(request)
+        # num_samples metadata is not on-chain; default to 1 (equal weight)
+        # unless the caller supplies a mapping in the request body.
+        weights = _field(request.json_body or {}, "num_samples", {}, dict,
+                         lambda mapping: all(map(_is_count, mapping.values())),
+                         "an object of owner address to positive sample count")
         contract = task.contract_address
         cids = self._read_contract(contract, "getAllCids")
         task.updates = []
         task.uploaders = []
         # What was computed from the previous retrieval is no longer the task's.
-        task.aggregation = task.aggregate_accuracy = task.contribution = None
+        task.aggregator = task.aggregation = task.aggregate_accuracy = task.contribution = None
         sizes = []
         for index, cid in enumerate(cids):
             uploader = self._read_contract(contract, "getUploader", [index])
             payload = self.rpc.ipfs.cat(cid)
             sizes.append(len(payload))
-            # num_samples metadata is not on-chain; default to 1 (equal weight)
-            # unless the caller supplies a mapping in the request body.
-            weights = (request.json_body or {}).get("num_samples", {})
-            num_samples = int(weights.get(uploader, 1)) if isinstance(weights, dict) else 1
+            num_samples = weights.get(uploader, 1)
             try:
                 update = ModelUpdate.from_payload(payload, num_samples=num_samples,
                                                   client_id=uploader)
@@ -208,18 +234,26 @@ class BuyerBackend:
             }
         )
 
-    def _make_aggregator(self, name: Optional[str] = None):
-        """Instantiate the configured aggregator (or an override)."""
-        return make_aggregator(name or self.aggregator_name, **self.aggregator_kwargs)
+    def _aggregator_for(self, task: TaskState, body: Dict[str, Any]) -> OneShotAggregator:
+        """The task's aggregator if it runs the requested algorithm, else a new one.
+
+        ``algorithm`` in ``body`` overrides the backend's configured one.
+        """
+        name = _field(body, "algorithm", self.aggregator_name, str,
+                      lambda value: value.lower() in AGGREGATORS,
+                      f"one of {sorted(AGGREGATORS)}").lower()
+        if task.aggregator is not None and task.aggregator.name == name:
+            return task.aggregator
+        return make_aggregator(name, **self.aggregator_kwargs)
 
     @routes.route("POST", "/api/task/<address>/aggregate")
     def _aggregate(self, request: HttpRequest) -> HttpResponse:
         """Step 7 (first half): run the one-shot FL aggregation."""
         task = self._get_task(request)
+        aggregator = self._aggregator_for(task, request.json_body or {})
         if not task.updates:
             raise WebError("no models retrieved yet; POST .../retrieve first")
-        name = (request.json_body or {}).get("algorithm")
-        aggregator = self._make_aggregator(name)
+        task.aggregator = aggregator
         task.aggregation = aggregator.aggregate(task.updates)
         task.aggregate_accuracy = task.aggregation.evaluate(self.test_dataset)
         local_accuracies = {
@@ -241,11 +275,17 @@ class BuyerBackend:
     def _incentives(self, request: HttpRequest) -> HttpResponse:
         """Step 7 (second half): compute per-owner contributions."""
         task = self._get_task(request)
+        body = request.json_body or {}
+        method = _field(body, "method", "leave_one_out", str,
+                        lambda value: value in ("leave_one_out", "shapley_monte_carlo"),
+                        "'leave_one_out' or 'shapley_monte_carlo'")
+        aggregator = self._aggregator_for(task, body)
+        if method == "shapley_monte_carlo":
+            num_permutations = _field(body, "num_permutations", 50, int, _is_count,
+                                      "a positive integer")
+            seed = _field(body, "seed", 0, int, lambda _: True, "an integer")
         if not task.updates:
             raise WebError("no models retrieved yet; POST .../retrieve first")
-        body = request.json_body or {}
-        method = body.get("method", "leave_one_out")
-        aggregator = self._make_aggregator(body.get("algorithm"))
 
         def value_fn(subset):
             if not subset:
@@ -260,31 +300,31 @@ class BuyerBackend:
                 len(task.updates), value_fn,
                 full_value=task.aggregate_accuracy if reuse else None,
             )
-        elif method == "shapley_monte_carlo":
-            task.contribution = shapley_monte_carlo(
-                len(task.updates), value_fn,
-                num_permutations=int(body.get("num_permutations", 50)),
-                rng=body.get("seed", 0),
-            )
         else:
-            raise WebError(f"unknown incentive method {method!r}")
+            task.contribution = shapley_monte_carlo(
+                len(task.updates), value_fn, num_permutations=num_permutations, rng=seed,
+            )
         return HttpResponse.json_ok(task.contribution.to_dict())
 
     @routes.route("POST", "/api/task/<address>/pay")
     def _pay(self, request: HttpRequest) -> HttpResponse:
         """Execute the payments on-chain, proportional to contribution."""
         task = self._get_task(request)
+        body = request.json_body or {}
+        reserve_fraction = _field(body, "reserve_fraction", 0.0, Real,
+                                  lambda value: 0.0 <= value < 1.0, "a number in [0, 1)")
+        min_payment_wei = _field(body, "min_payment_wei", 0, int, lambda value: value >= 0,
+                                 "a non-negative integer")
         if task.contribution is None:
             raise WebError("no contribution report yet; POST .../incentives first")
         contract = task.contract_address
         budget_wei = int(self._read_contract(contract, "budget"))
-        body = request.json_body or {}
         plan = allocate_budget(
             task.contribution,
             owner_ids=[update.client_id for update in task.updates],
             budget_wei=budget_wei,
-            reserve_fraction=float(body.get("reserve_fraction", 0.0)),
-            min_payment_wei=int(body.get("min_payment_wei", 0)),
+            reserve_fraction=float(reserve_fraction),
+            min_payment_wei=min_payment_wei,
         )
         results = []
         for owner, amount in plan.amounts_wei.items():

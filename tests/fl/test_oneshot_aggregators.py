@@ -12,11 +12,13 @@ from repro.fl.model_update import ModelUpdate
 from repro.fl.oneshot import make_aggregator
 from repro.fl.oneshot.ensemble import EnsembleAggregator, EnsemblePredictor
 from repro.fl.oneshot.fedov import FedOVAggregator, generate_outliers
+from repro.fl.oneshot import pfnm
 from repro.fl.oneshot.mean import MeanAggregator
-from repro.fl.oneshot.pfnm import PFNMAggregator, PFNMConfig, _fold_in_client
+from repro.fl.oneshot.pfnm import PFNMAggregator, PFNMConfig
 from repro.ml import MLP
 from repro.system import paper_config, quick_config
 from repro.system.orchestrator import build_environment, run_marketplace
+from tests.property.test_property_pfnm import fold_in_client
 
 
 class TestMakeAggregator:
@@ -192,7 +194,7 @@ class TestPFNMMemory:
         counts = np.ones(400)
         tracemalloc.start()
         try:
-            neurons, _, _ = _fold_in_client(client, atoms, counts, PFNMConfig(), 800)
+            neurons, _, _ = fold_in_client(client, atoms, counts, PFNMConfig(), 800)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -209,13 +211,81 @@ class TestPFNMMemory:
         counts = np.ones(400)
         tracemalloc.start()
         try:
-            neurons, counts_out, _ = _fold_in_client(client, atoms, counts, PFNMConfig(), 800)
+            neurons, counts_out, _ = fold_in_client(client, atoms, counts, PFNMConfig(), 800)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert neurons.shape == (450, 795)
         assert np.count_nonzero(counts_out == 2.0) == 50
         assert peak < 16 * 2**20
+
+
+class TestPFNMWorkPerTask:
+    """A task aggregates the grand coalition and then, for leave-one-out,
+    every coalition short of one owner: each owner pair's products are
+    computed once, and atoms that are still one owner's neuron are read, not
+    copied."""
+
+    @pytest.fixture(scope="class")
+    def quick_updates(self):
+        env = build_environment(quick_config(seed=7))
+        report = run_marketplace(environment=env)
+        return env.buyer.backend.tasks[report.workflow_result.task_address].updates
+
+    def test_step_7_computes_each_owner_pair_block_once(self, monkeypatch):
+        shapes = []
+        inner_products = pfnm._inner_products
+
+        def counting(left, right):
+            shapes.append((left.shape[0], right.shape[0]))
+            return inner_products(left, right)
+
+        monkeypatch.setattr(pfnm, "_inner_products", counting)
+        config = quick_config(seed=7)
+        run_marketplace(environment=build_environment(config))
+        # No atom merges below the width cap, so the only products are the
+        # pairs' 100 x 100 blocks: none against an atom still an owner's neuron.
+        pairs = config.num_owners * (config.num_owners - 1) // 2
+        assert shapes == [(100, 100)] * pairs == [(100, 100)] * 6
+
+    def test_a_call_with_a_new_owner_keeps_only_the_blocks_among_its_owners(
+            self, quick_updates, monkeypatch):
+        aggregator = PFNMAggregator()
+        aggregator.aggregate(quick_updates)
+        computed = []
+        inner_products = pfnm._inner_products
+
+        def counting(left, right):
+            computed.append((left.shape[0], right.shape[0]))
+            return inner_products(left, right)
+
+        monkeypatch.setattr(pfnm, "_inner_products", counting)
+        newcomer = ModelUpdate(quick_updates[0].parameters, num_samples=1, client_id="newcomer")
+        coalition = quick_updates[1:] + [newcomer]
+        got = aggregator.aggregate(coalition).predictor.get_parameters()
+        # Three pairs among the owners kept are read back; the newcomer's three are new.
+        assert computed == [(100, 100)] * 3
+        held = aggregator._blocks._blocks
+        assert len(held) == 6 and id(quick_updates[0]) not in {id_ for pair in held for id_ in pair}
+        want = PFNMAggregator().aggregate(coalition).predictor.get_parameters()
+        assert parameters_md5(got) == parameters_md5(want)
+
+    def test_the_grand_quick_aggregate_stays_under_4_mb(self, quick_updates):
+        # 6.7 MB when each fold copied every atom in float64 beside a
+        # same-size temporary and the model went through a float64 matrix.
+        tracemalloc.start()
+        try:
+            result = PFNMAggregator().aggregate(quick_updates)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.details["global_hidden_width"] == 400
+        assert peak <= 4 * 2**20
+
+    def test_the_fused_model_is_written_once_in_the_layout_it_had(self, quick_updates):
+        hidden, output = PFNMAggregator().aggregate(quick_updates).predictor.layers
+        assert hidden.weights.dtype == output.weights.dtype == np.float32
+        assert hidden.weights.flags.f_contiguous and output.weights.flags.c_contiguous
 
 
 class TestEnsemble:

@@ -1,12 +1,13 @@
 """PFNM's GEMM cost matrix and reduced fold against the broadcast reference.
 
 ``repro.fl.oneshot.pfnm`` computes squared distances as
-``|c|^2 + |m|^2 - 2 c.m``, hands the Hungarian solver only the rows and atoms
-whose assignment is in doubt, and builds the global atoms with array writes.
-The formula it replaced -- the ``J x L x D`` difference tensor, the whole
-matrix solved, one ``vstack`` per new atom -- lives on here only, as the
-oracle.  The arithmetic order changed, so costs are compared within
-``RELATIVE`` of the terms that were added up; the atoms are averaged by
+``|c|^2 + |m|^2 - 2 c.m`` from products it reads off owner-pair blocks or
+computes for merged atoms, hands the Hungarian solver only the rows and atoms
+whose assignment is in doubt, and keeps the global atoms in an atom store
+written in place.  The formula it replaced -- the ``J x L x D`` difference
+tensor, the whole matrix solved, one ``vstack`` per new atom -- lives on here
+only, as the oracle.  The arithmetic order changed, so costs are compared
+within ``RELATIVE`` of the terms that were added up; the atoms are averaged by
 unchanged arithmetic, so they must be *equal* whenever the assignment is.
 """
 
@@ -19,11 +20,32 @@ from scipy.optimize import linear_sum_assignment
 from repro.errors import AggregationError
 from repro.fl.model_update import ModelUpdate
 from repro.fl.oneshot import pfnm
-from repro.fl.oneshot.pfnm import PFNMAggregator, PFNMConfig, _fold_in_client, _match_cost_matrix
+from repro.fl.oneshot.pfnm import PFNMAggregator, PFNMConfig, _Atoms, _Client
 from repro.ml import MLP
 
 #: float64 carries ~1e-16; a few hundred accumulated terms stay far inside this.
 RELATIVE = 1e-9
+
+
+def atoms_of(global_neurons, global_counts):
+    """An atom store holding copies of ``global_neurons`` as rows, with ``global_counts``."""
+    atoms = _Atoms(global_neurons.shape[1])
+    atoms.append(_Client(global_neurons), np.arange(global_neurons.shape[0]))
+    atoms.counts[:] = global_counts
+    return atoms
+
+
+def match_cost_matrix(client_neurons, global_neurons, global_counts, config, allow_new):
+    """``pfnm._match_cost_matrix`` over plain arrays."""
+    client, atoms = _Client(client_neurons), atoms_of(global_neurons, global_counts)
+    return pfnm._match_cost_matrix(client, atoms, atoms.products(client, None), config, allow_new)
+
+
+def fold_in_client(client_neurons, global_neurons, global_counts, config, max_global):
+    """``pfnm._fold_in_client`` over plain arrays: (atoms, counts, assignment)."""
+    atoms = atoms_of(global_neurons, global_counts)
+    assignment = pfnm._fold_in_client(_Client(client_neurons), atoms, config, max_global)
+    return atoms.neurons(np.arange(len(atoms))), atoms.counts, assignment
 
 
 def oracle_cost_matrix(client_neurons, global_neurons, global_counts, config, allow_new):
@@ -66,9 +88,14 @@ def oracle_fold(client_neurons, global_neurons, global_counts, config, max_globa
     return neurons, counts, assignment
 
 
-def check_against_oracle(client_neurons, global_neurons, global_counts, config, allow_new):
-    """The three properties every cost matrix must have; returns the matrix."""
-    cost = _match_cost_matrix(client_neurons, global_neurons, global_counts, config, allow_new)
+def check_against_oracle(client_neurons, global_neurons, global_counts, config, allow_new,
+                         cost=None):
+    """The three properties every cost matrix must have; returns the matrix.
+
+    ``cost`` is the matrix to check (by default, :func:`match_cost_matrix`'s).
+    """
+    if cost is None:
+        cost = match_cost_matrix(client_neurons, global_neurons, global_counts, config, allow_new)
     oracle = oracle_cost_matrix(client_neurons, global_neurons, global_counts, config, allow_new)
     assert cost.shape == oracle.shape
     num_global = global_neurons.shape[0]
@@ -148,7 +175,9 @@ class TestCostMatrixAgainstBroadcastOracle:
 
 
 class TestAggregateCallsAgainstOracle:
-    """Every cost matrix the aggregator really asks for, single-hidden and deep."""
+    """Every cost matrix the aggregator really asks for, single-hidden and deep:
+    the grand coalition's folds, which compute the owner-pair blocks, and then
+    every leave-one-out drop's, which read them back."""
 
     @given(
         st.sampled_from([(9, 5, 3), (7, 6, 4, 3), (6, 4, 5, 4, 2)]),
@@ -170,23 +199,34 @@ class TestAggregateCallsAgainstOracle:
                 ModelUpdate.from_model(model, num_samples=10 + index, client_id=f"c{index}")
             )
         allowed_new = []
+        real_cost_matrix = pfnm._match_cost_matrix
 
-        def checking(client_neurons, global_neurons, global_counts, config, allow_new):
+        def checking(client, atoms, products, config, allow_new):
             allowed_new.append(allow_new)
-            return check_against_oracle(
-                client_neurons, global_neurons, global_counts, config, allow_new
-            )
+            cost = real_cost_matrix(client, atoms, products, config, allow_new)
+            return check_against_oracle(client.neurons, atoms.neurons(np.arange(len(atoms))),
+                                        atoms.counts, config, allow_new, cost=cost)
 
-        aggregator = PFNMAggregator(PFNMConfig(max_global_neurons_factor=factor))
+        config = PFNMConfig(max_global_neurons_factor=factor)
+        aggregator = PFNMAggregator(config)
+        drops = [updates[:index] + updates[index + 1:] for index in range(len(updates))]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pfnm, "_match_cost_matrix", checking)
             result = aggregator.aggregate(updates)
+            dropped = [aggregator.aggregate(drop) for drop in drops]
         hidden_layers = len(layer_sizes) - 2
-        assert len(allowed_new) == hidden_layers * (len(updates) - 1)
+        num = len(updates)
+        assert len(allowed_new) == hidden_layers * ((num - 1) + num * (num - 2))
         if factor == 1.0:
             # Width cap: no fold may open an atom, so the width cannot grow.
             assert set(allowed_new) == {0}
             assert result.predictor.layer_sizes == tuple(layer_sizes)
+        # Read back or computed afresh, the products fuse the same model.
+        for drop, got in zip(drops, dropped):
+            want = PFNMAggregator(config).aggregate(drop).predictor.get_parameters()
+            for got_layer, want_layer in zip(got.predictor.get_parameters(), want):
+                for key in ("weights", "biases"):
+                    assert np.array_equal(got_layer[key], want_layer[key])
 
 
 class TestFoldAgainstVstackOracle:
@@ -211,7 +251,7 @@ class TestFoldAgainstVstackOracle:
         counts = rng.integers(1, 5, size=num_global).astype(float)
         config = PFNMConfig()
         before = atoms.copy(), counts.copy()
-        got = _fold_in_client(client, atoms, counts, config, max_global)
+        got = fold_in_client(client, atoms, counts, config, max_global)
         want = oracle_fold(client, atoms, counts, config, max_global)
         for got_array, want_array in zip(got, want):
             assert got_array.dtype == want_array.dtype
@@ -222,7 +262,7 @@ class TestFoldAgainstVstackOracle:
     def test_fewer_atoms_than_client_neurons_is_refused(self):
         rng = np.random.default_rng(0)
         with pytest.raises(AggregationError, match="5 client neurons into 3 global atoms"):
-            _fold_in_client(
+            fold_in_client(
                 rng.normal(size=(5, 4)), rng.normal(size=(3, 4)), np.ones(3), PFNMConfig(), 100
             )
 
@@ -278,7 +318,7 @@ class TestReducedSolveAgainstFullOracle:
     @settings(max_examples=300, deadline=None)
     def test_same_fold_as_solving_the_whole_matrix(self, fold):
         client, atoms, counts, config, max_global, twins = fold
-        got = _fold_in_client(client, atoms, counts, config, max_global)
+        got = fold_in_client(client, atoms, counts, config, max_global)
         want = oracle_fold(client, atoms, counts, config, max_global)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -305,7 +345,7 @@ class TestReducedSolveAgainstFullOracle:
 
     def check(self, monkeypatch, client, atoms, counts, max_global):
         shapes = spy_on_the_solver(monkeypatch)
-        got = _fold_in_client(client, atoms, counts, PFNMConfig(), max_global)
+        got = fold_in_client(client, atoms, counts, PFNMConfig(), max_global)
         want = oracle_fold(client, atoms, counts, PFNMConfig(), max_global)
         for got_array, want_array in zip(got, want):
             assert np.array_equal(got_array, want_array)
@@ -338,7 +378,7 @@ class TestReducedSolveAgainstFullOracle:
 
         def excess(step):
             client[5] = atoms[2] + step * direction
-            cost = _match_cost_matrix(client, atoms, counts, PFNMConfig(), 6)
+            cost = match_cost_matrix(client, atoms, counts, PFNMConfig(), 6)
             return cost[5, 2] - cost[5, 10]
 
         low, high = 0.0, 1.0

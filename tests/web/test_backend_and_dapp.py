@@ -1,15 +1,20 @@
 """Tests for repro.web.backend and repro.web.dapp (the full DApp surface)."""
 
 import json
+import weakref
 
 import pytest
 
 from repro.errors import WorkflowError
 from repro.chain import EthereumNode, Faucet, KeyPair
 from repro.contracts import default_registry
+from repro.fl.oneshot import make_aggregator
+from repro.fl.oneshot.pfnm import PFNMAggregator
+from repro.incentives import leave_one_out
 from repro.ipfs import IpfsNode, Swarm
 from repro.ml import TrainingConfig
 from repro.ml.serialization import _MAGIC
+from repro.rpc import SERVER_ERROR, make_request
 from repro.utils.units import ether_to_wei, gwei_to_wei
 from repro.web import BuyerBackend, BuyerDApp, OwnerDApp, RestClient
 from repro.web.wallet import MetaMaskWallet
@@ -267,3 +272,95 @@ class TestGrandCoalitionIsAggregatedOnce:
         assert after["num_models"] == 2
         assert after["aggregate_accuracy"] is None
         assert after["contribution"] is None
+
+
+class TestTheTaskKeepsItsAggregator:
+    """``aggregate`` leaves its aggregator on the task; ``incentives`` runs
+    on it for the same algorithm (PFNM reads back its owner-pair blocks) and
+    on a fresh one for another, and a new retrieval drops it."""
+
+    @staticmethod
+    def from_scratch(buyer, algorithm):
+        """Leave-one-out on the task's models, every coalition on a new aggregator."""
+        task = buyer.backend.tasks[buyer.task_address]
+
+        def value(subset):
+            updates = [task.updates[index] for index in subset]
+            return make_aggregator(algorithm).aggregate(updates).evaluate(buyer.backend.test_dataset)
+
+        return leave_one_out(len(task.updates), value).to_dict()
+
+    def test_incentives_run_on_the_aggregate_s_aggregator(self, retrieved):
+        retrieved.aggregate("pfnm")
+        task = retrieved.backend.tasks[retrieved.task_address]
+        aggregator = task.aggregator
+        assert isinstance(aggregator, PFNMAggregator)
+        incentives = retrieved.compute_incentives("leave_one_out", algorithm="pfnm")
+        assert task.aggregator is aggregator
+        expected = self.from_scratch(retrieved, "pfnm")
+        assert incentives["scores"] == expected["scores"]
+        assert incentives["drop_values"] == expected["drop_values"]
+
+    def test_an_algorithm_override_gets_a_fresh_aggregator_and_the_same_numbers(
+            self, retrieved, aggregations):
+        retrieved.aggregate("pfnm")
+        task = retrieved.backend.tasks[retrieved.task_address]
+        kept = task.aggregator
+        del aggregations[:]
+        incentives = retrieved.compute_incentives("leave_one_out")  # the backend's "mean"
+        assert aggregations == [("mean", 2), ("mean", 1), ("mean", 1)]
+        assert task.aggregator is kept
+        expected = self.from_scratch(retrieved, "mean")
+        assert incentives == expected
+
+    def test_a_second_retrieve_drops_the_aggregator_and_its_blocks(self, retrieved):
+        retrieved.aggregate("pfnm")
+        task = retrieved.backend.tasks[retrieved.task_address]
+        dropped = weakref.ref(task.aggregator)
+        retrieved.retrieve_models()
+        assert task.aggregator is None
+        assert dropped() is None
+
+
+@pytest.fixture()
+def priced(retrieved):
+    """The buyer DApp after step 7b: aggregated and contributions computed."""
+    retrieved.aggregate()
+    retrieved.compute_incentives("leave_one_out")
+    return retrieved
+
+
+#: (method, params after the task address, the field the refusal must name);
+#: ``OWNER`` stands for an uploader's address.
+CALLER_MISTAKES = [
+    ("oflw3_aggregate", ["bogus"], "algorithm"),
+    ("oflw3_aggregate", [7], "algorithm"),
+    ("oflw3_computeIncentives", ["leave_one_out", {"algorithm": "nope"}], "algorithm"),
+    ("oflw3_computeIncentives", ["shapley_monte_carlo", {"num_permutations": "x"}],
+     "num_permutations"),
+    ("oflw3_computeIncentives", ["shapley_monte_carlo", {"num_permutations": 0}],
+     "num_permutations"),
+    ("oflw3_payOwners", ["x"], "reserve_fraction"),
+    ("oflw3_payOwners", [2.0], "reserve_fraction"),
+    ("oflw3_payOwners", [0.0, "abc"], "min_payment_wei"),
+    ("oflw3_retrieveModels", [{"OWNER": "x"}], "num_samples"),
+    ("oflw3_retrieveModels", [{"OWNER": -3}], "num_samples"),
+]
+
+
+@pytest.mark.parametrize("method, params, field", CALLER_MISTAKES,
+                         ids=[f"{case[0]}-{case[1]!r}" for case in CALLER_MISTAKES])
+def test_a_caller_mistake_in_steps_6_and_7_is_a_400_naming_the_field(priced, method, params,
+                                                                     field):
+    """Each of these used to answer an "internal error" 500.  A refusal also
+    leaves the task as it was: nothing is fetched, aggregated or paid."""
+    owner = priced.backend.tasks[priced.task_address].uploaders[0]
+    params = [{owner: param["OWNER"]} if isinstance(param, dict) and "OWNER" in param
+              else param for param in params]
+    before = priced.results()
+    request = make_request(method, [priced.task_address, *params], request_id=1)
+    error = json.loads(priced.rpc.gateway.handle_raw(json.dumps(request)))["error"]
+    assert error["code"] == SERVER_ERROR
+    assert error["data"] == {"http_status": 400, "error_class": "WebError"}
+    assert repr(field) in error["message"]
+    assert priced.results() == before
