@@ -286,7 +286,8 @@ class TestTheTaskKeepsItsAggregator:
 
         def value(subset):
             updates = [task.updates[index] for index in subset]
-            return make_aggregator(algorithm).aggregate(updates).evaluate(buyer.backend.test_dataset)
+            result = make_aggregator(algorithm).aggregate(updates)
+            return result.evaluate(buyer.backend.test_dataset)
 
         return leave_one_out(len(task.updates), value).to_dict()
 
