@@ -1,12 +1,14 @@
 """Shared fixtures for the benchmark harness.
 
-The heavyweight artifacts are produced once per session:
+Every figure and ablation reads one full marketplace run at paper scale (ten
+owners, (784, 100, 10) MLP, batch 64, lr 0.001, 10 local epochs, 0.01 ETH
+budget, PFNM aggregation), produced once per session:
 
-* ``paper_report`` -- one full marketplace run at paper scale (ten owners,
-  (784, 100, 10) MLP, batch 64, lr 0.001, 10 local epochs, 0.01 ETH budget,
-  PFNM aggregation).  Figures 4-7 and Table 1 are all read off this run.
-* ``bench_updates`` -- the ten trained local model updates plus the test set,
-  reused by the aggregator and incentive ablations.
+* ``paper_report`` -- that run's report.  Figures 4-7 and Table 1 are all
+  read off it.
+* ``bench_updates`` -- the same run's ten model updates as the buyer
+  retrieved them from IPFS, its local accuracies, the test set and the
+  environment, reused by the aggregator and incentive ablations.
 
 Every benchmark prints the rows/series it regenerates, so running
 ``pytest benchmarks/ --benchmark-only -s`` reproduces the paper's evaluation
@@ -18,9 +20,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fl import FLClient
-from repro.ml import TrainingConfig
-from repro.ml.trainer import evaluate_model
 from repro.system import paper_config, run_marketplace
 from repro.system.orchestrator import build_environment
 
@@ -33,50 +32,29 @@ def bench_config(**overrides):
 
 
 @pytest.fixture(scope="session")
-def paper_report():
-    """One full OFL-W3 marketplace run at paper scale."""
-    return run_marketplace(bench_config())
+def paper_run():
+    """One full OFL-W3 marketplace run at paper scale: (environment, report)."""
+    environment = build_environment(bench_config())
+    return environment, run_marketplace(environment=environment)
 
 
 @pytest.fixture(scope="session")
-def bench_environment():
-    """A built (but not yet run) paper-scale environment, for piecewise benches."""
-    return build_environment(bench_config())
+def paper_report(paper_run):
+    """The paper-scale run's report."""
+    return paper_run[1]
 
 
 @pytest.fixture(scope="session")
-def bench_updates():
-    """Ten trained local updates + (train, test) datasets for the ablations."""
-    config = bench_config()
-    environment = build_environment(config)
-    training_config = TrainingConfig(
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        epochs=config.local_epochs,
-        seed=config.seed,
-    )
-    clients = []
-    updates = []
-    local_accuracies = []
-    test = environment.test_dataset
-    for index, owner in enumerate(environment.owners):
-        client = FLClient(
-            owner.address, owner.dataset, config=training_config, seed=config.seed + index
-        )
-        result = client.train_local()
-        clients.append(client)
-        updates.append(result.update)
-        local_accuracies.append(
-            evaluate_model(client.model, test.features, test.labels).accuracy
-        )
+def bench_updates(paper_run):
+    """The paper-scale run's ten retrieved updates, accuracies and datasets."""
+    environment, report = paper_run
+    task = environment.buyer.backend.tasks[report.workflow_result.task_address]
     return {
-        "config": config,
+        "config": environment.config,
         "environment": environment,
-        "clients": clients,
-        "updates": updates,
-        "local_accuracies": local_accuracies,
-        "train": environment.train_dataset,
-        "test": test,
+        "updates": task.updates,
+        "local_accuracies": report.local_accuracies,
+        "test": environment.test_dataset,
     }
 
 

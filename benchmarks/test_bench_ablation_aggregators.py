@@ -27,7 +27,7 @@ from .conftest import print_table
 pytestmark = pytest.mark.timeout(600)
 
 
-def test_ablation_oneshot_vs_multiround(benchmark, bench_updates):
+def test_ablation_oneshot_vs_multiround(benchmark, bench_updates, paper_report):
     """Compare aggregation strategies on accuracy and on-chain interaction count."""
     updates = bench_updates["updates"]
     test = bench_updates["test"]
@@ -88,3 +88,5 @@ def test_ablation_oneshot_vs_multiround(benchmark, bench_updates):
     assert server.total_client_uploads == num_owners * fedavg_rounds
     # One-shot keeps the on-chain interaction count at one per owner.
     assert num_owners * fedavg_rounds >= 5 * num_owners
+    # The PFNM row is the marketplace's own aggregate.
+    assert pfnm_accuracy == paper_report.aggregate_accuracy

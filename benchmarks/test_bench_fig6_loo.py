@@ -20,7 +20,7 @@ from .conftest import print_table
 pytestmark = pytest.mark.timeout(600)
 
 
-def test_fig6_leave_one_out_accuracies(benchmark, bench_updates):
+def test_fig6_leave_one_out_accuracies(benchmark, bench_updates, paper_report):
     """Regenerate Fig. 6's per-owner drop accuracies and time the LOO sweep."""
     updates = bench_updates["updates"]
     test = bench_updates["test"]
@@ -55,3 +55,5 @@ def test_fig6_leave_one_out_accuracies(benchmark, bench_updates):
     assert report.drop_values[least_useful] == drop_values.max()
     # LOO used exactly n+1 distinct aggregations.
     assert report.num_evaluations == len(updates) + 1
+    # These are the marketplace's own drop accuracies.
+    assert drop_values.tolist() == paper_report.drop_accuracies

@@ -1,12 +1,12 @@
 """The Fig. 4 / Fig. 6 experiment as a standalone script.
 
-Reproduces the paper's model-quality evaluation without the blockchain in
-the loop: partition a synthetic MNIST-like dataset across ten owners with
-PFNM's heterogeneous (Dirichlet) partitioning, train each owner's
-(784, 100, 10) MLP locally (batch 64, lr 0.001, 10 epochs), aggregate with
-PFNM and the baselines, and print
+Runs one marketplace task at the paper's setup -- synthetic MNIST-like data
+split across ten owners with PFNM's heterogeneous (Dirichlet) partitioning,
+each owner's (784, 100, 10) MLP trained locally (batch 64, lr 0.001, 10
+epochs), PFNM aggregation and leave-one-out -- and prints, from that one run,
 
-* each local model's test accuracy vs the aggregated accuracy (Fig. 4), and
+* each local model's test accuracy vs the aggregated accuracy (Fig. 4),
+  beside the mean and ensemble baselines over the same retrieved updates, and
 * the leave-one-out drop accuracies identifying the least useful owner
   (Fig. 6).
 
@@ -19,18 +19,10 @@ from __future__ import annotations
 
 import argparse
 
-from repro.data import (
-    SyntheticMnistConfig,
-    generate_synthetic_mnist,
-    partition_dataset,
-    partition_summary,
-    train_test_split,
-)
-from repro.fl import FLClient, OneShotServer
+from repro.data import partition_summary
 from repro.fl.oneshot import make_aggregator
-from repro.incentives import leave_one_out
-from repro.ml import TrainingConfig
-from repro.ml.trainer import evaluate_model
+from repro.system import paper_config, run_marketplace
+from repro.system.orchestrator import build_environment
 
 
 def parse_args() -> argparse.Namespace:
@@ -47,66 +39,36 @@ def parse_args() -> argparse.Namespace:
 def main() -> None:
     """Run the model-quality experiment and print Fig. 4 / Fig. 6 data."""
     args = parse_args()
-
-    dataset = generate_synthetic_mnist(
-        SyntheticMnistConfig(
-            num_samples=args.samples,
-            class_similarity=0.5,
-            noise_scale=0.4,
-            variation_scale=1.2,
-            variation_rank=24,
-            seed=args.seed,
-        )
-    )
-    train, test = train_test_split(dataset, test_fraction=0.15, rng=args.seed)
-    clients_data = partition_dataset(
-        train, args.owners, scheme="dirichlet", alpha=args.alpha, rng=args.seed
-    )
-    summary = partition_summary(clients_data)
+    environment = build_environment(paper_config(
+        num_owners=args.owners, local_epochs=args.epochs, num_samples=args.samples,
+        partition_alpha=args.alpha, seed=args.seed))
+    summary = partition_summary([owner.dataset for owner in environment.owners])
     print(f"Partitioned {summary['total_samples']} samples across {args.owners} owners "
           f"(sizes {summary['min_size']}-{summary['max_size']}, "
           f"mean label entropy {summary['mean_label_entropy']:.2f} nats)\n")
 
-    # Local training (what each owner does before uploading to IPFS).
-    training_config = TrainingConfig(batch_size=64, learning_rate=0.001,
-                                     epochs=args.epochs, seed=args.seed)
-    server = OneShotServer(aggregator=make_aggregator("pfnm"))
-    local_accuracies = []
-    for index, client_data in enumerate(clients_data):
-        client = FLClient(f"owner-{index}", client_data, config=training_config,
-                          seed=args.seed + index)
-        result = client.train_local()
-        server.submit(result.update)
-        accuracy = evaluate_model(client.model, test.features, test.labels).accuracy
-        local_accuracies.append(accuracy)
-        print(f"owner {index}: {len(client_data):5d} samples, "
+    report = run_marketplace(environment=environment)
+    for index, (owner, accuracy) in enumerate(zip(environment.owners, report.local_accuracies)):
+        print(f"owner {index}: {len(owner.dataset):5d} samples, "
               f"local test accuracy {accuracy:.4f}")
 
-    # Fig. 4: aggregate vs local models, for PFNM and the baselines.
+    # Fig. 4: aggregate vs local models, for PFNM and the baselines, over the
+    # updates the buyer retrieved from IPFS.
+    updates = environment.buyer.backend.tasks[report.workflow_result.task_address].updates
     print("\nOne-shot aggregation (Fig. 4):")
     for name in ("pfnm", "mean", "ensemble"):
-        server.aggregator = make_aggregator(name)
-        result = server.aggregate()
-        accuracy = result.evaluate(test)
+        accuracy = make_aggregator(name).aggregate(updates).evaluate(environment.test_dataset)
         marker = " <- paper's algorithm" if name == "pfnm" else ""
         print(f"  {name:<9} aggregate accuracy {accuracy:.4f}{marker}")
-    print(f"  worst local model: {min(local_accuracies):.4f}   "
-          f"best local model: {max(local_accuracies):.4f}")
+    print(f"  worst local model: {min(report.local_accuracies):.4f}   "
+          f"best local model: {max(report.local_accuracies):.4f}")
 
-    # Fig. 6: leave-one-out drop accuracies.
-    server.aggregator = make_aggregator("pfnm")
-
-    def value_fn(subset):
-        if not subset:
-            return 0.0
-        return server.aggregate(subset=list(subset)).evaluate(test)
-
-    report = leave_one_out(args.owners, value_fn)
+    # Fig. 6: the run's own leave-one-out drop accuracies.
     print("\nLeave-one-out drop accuracies (Fig. 6):")
-    for owner in range(args.owners):
-        print(f"  drop owner {owner}: accuracy {report.drop_values[owner]:.4f} "
-              f"(contribution {report.scores[owner]:+.4f})")
-    print(f"least useful owner: {report.least_useful()}")
+    for index, address in enumerate(report.owner_addresses):
+        print(f"  drop owner {index}: accuracy {report.loo_drop_accuracies[address]:.4f} "
+              f"(contribution {report.contributions[address]:+.4f})")
+    print(f"least useful owner: {report.owner_addresses.index(report.least_useful_owner)}")
 
 
 if __name__ == "__main__":

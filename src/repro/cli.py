@@ -42,8 +42,9 @@ Subcommands
     Replay only the on-chain side of the workflow and print the Fig. 5 fee
     table plus the CID-vs-model storage comparison.
 ``model-quality``
-    Run only the ML side (local training + one-shot aggregation + LOO) and
-    print the Fig. 4 / Fig. 6 series.
+    Run the marketplace at the paper preset (owners, epochs, samples and
+    seed overridable) and print its Fig. 4 / Fig. 6 series: local
+    accuracies, the aggregate, the leave-one-out drops.
 ``show``
     Pretty-print a previously saved report JSON.
 ``info``
@@ -609,44 +610,19 @@ def _run_gas_report(owners: int, gas_price_gwei: float) -> int:
 
 
 def _run_model_quality(owners: int, epochs: int, samples: int, seed: int) -> int:
-    """Print the Fig. 4 / Fig. 6 series (shared by the CLI and tests)."""
-    from repro.data import (SyntheticMnistConfig, generate_synthetic_mnist,
-                            partition_dataset, train_test_split)
-    from repro.fl import FLClient, OneShotServer
-    from repro.fl.oneshot import make_aggregator
-    from repro.incentives import leave_one_out
-    from repro.ml import TrainingConfig
-    from repro.ml.trainer import evaluate_model
+    """Print the Fig. 4 / Fig. 6 series of one paper-preset marketplace run."""
+    from repro.system import paper_config, run_marketplace
 
-    dataset = generate_synthetic_mnist(
-        SyntheticMnistConfig(num_samples=samples, class_similarity=0.5, noise_scale=0.4,
-                             variation_scale=1.2, variation_rank=24, seed=seed)
-    )
-    train, test = train_test_split(dataset, test_fraction=0.15, rng=seed)
-    shards = partition_dataset(train, owners, scheme="dirichlet", alpha=0.35, rng=seed)
-    server = OneShotServer(aggregator=make_aggregator("pfnm"))
-    local_accuracies = []
-    for index, shard in enumerate(shards):
-        client = FLClient(f"owner-{index}", shard,
-                          config=TrainingConfig(epochs=epochs, seed=seed + index),
-                          seed=seed + index)
-        result = client.train_local()
-        server.submit(result.update)
-        accuracy = evaluate_model(client.model, test.features, test.labels).accuracy
-        local_accuracies.append(accuracy)
-        print(f"owner {index}: {len(shard)} samples, local accuracy {accuracy:.4f}")
-    aggregate = server.aggregate()
-    aggregate_accuracy = aggregate.evaluate(test)
-    print(f"aggregate (pfnm): {aggregate_accuracy:.4f} "
-          f"(margin over worst local {aggregate_accuracy - min(local_accuracies):+.4f})")
-
-    def value_fn(subset):
-        return server.aggregate(subset=list(subset)).evaluate(test) if subset else 0.0
-
-    loo = leave_one_out(owners, value_fn)
-    for owner in range(owners):
-        print(f"drop owner {owner}: accuracy {loo.drop_values[owner]:.4f}")
-    print(f"least useful owner: {loo.least_useful()}")
+    report = run_marketplace(paper_config(num_owners=owners, local_epochs=epochs,
+                                          num_samples=samples, seed=seed))
+    for index, accuracy in enumerate(report.local_accuracies):
+        print(f"owner {index}: local accuracy {accuracy:.4f}")
+    print(f"aggregate ({report.aggregate_algorithm}): {report.aggregate_accuracy:.4f} "
+          f"(margin over worst local {report.accuracy_margin_over_worst:+.4f})")
+    for index, accuracy in enumerate(report.drop_accuracies):
+        print(f"drop owner {index}: accuracy {accuracy:.4f}")
+    least_useful = report.least_useful_owner
+    print(f"least useful owner: {report.owner_addresses.index(least_useful)} ({least_useful})")
     return 0
 
 
@@ -875,30 +851,38 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "simulate":
-        return _command_simulate(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "obs":
-        return _command_obs(args)
-    if args.command == "rpc":
-        return _command_rpc(args)
-    if args.command == "storage":
-        return _command_storage(args)
-    if args.command == "analytics":
-        return _command_analytics(args)
-    if args.command == "cluster":
-        return _command_cluster(args)
-    if args.command == "gas-report":
-        return _run_gas_report(args.owners, args.gas_price_gwei)
-    if args.command == "model-quality":
-        return _run_model_quality(args.owners, args.epochs, args.samples, args.seed)
-    if args.command == "show":
-        return _command_show(args.path)
-    if args.command == "info":
-        return _command_info()
+    from repro.errors import ConfigError, PartitionError
+
+    try:
+        if args.command == "run":
+            return _command_run(args)
+        if args.command == "simulate":
+            return _command_simulate(args)
+        if args.command == "serve":
+            return _command_serve(args)
+        if args.command == "obs":
+            return _command_obs(args)
+        if args.command == "rpc":
+            return _command_rpc(args)
+        if args.command == "storage":
+            return _command_storage(args)
+        if args.command == "analytics":
+            return _command_analytics(args)
+        if args.command == "cluster":
+            return _command_cluster(args)
+        if args.command == "gas-report":
+            return _run_gas_report(args.owners, args.gas_price_gwei)
+        if args.command == "model-quality":
+            return _run_model_quality(args.owners, args.epochs, args.samples, args.seed)
+        if args.command == "show":
+            return _command_show(args.path)
+        if args.command == "info":
+            return _command_info()
+    except (ConfigError, PartitionError) as error:
+        # A bad --owners / --epochs / --samples: OFLW3Config and the
+        # partitioner are the only checks, so their message is the CLI's.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     parser.error(f"unknown command {args.command!r}")
     return 2
 

@@ -27,7 +27,6 @@ from repro.fl.oneshot import (
     PFNMAggregator,
     make_aggregator,
 )
-from repro.fl.server import OneShotServer
 
 __all__ = [
     "FLClient",
@@ -42,5 +41,4 @@ __all__ = [
     "OneShotAggregator",
     "PFNMAggregator",
     "make_aggregator",
-    "OneShotServer",
 ]

@@ -1,10 +1,9 @@
-"""Tests for repro.fl.fedavg and repro.fl.server."""
+"""Tests for repro.fl.fedavg."""
 
 import pytest
 
 from repro.errors import AggregationError
-from repro.fl import FedAvgConfig, FedAvgServer, FLClient, OneShotServer
-from repro.fl.oneshot import make_aggregator
+from repro.fl import FedAvgConfig, FedAvgServer, FLClient
 from repro.ml import TrainingConfig
 
 
@@ -52,48 +51,3 @@ class TestFedAvg:
         history = server.run()
         assert len(history) == 1
 
-
-class TestOneShotServer:
-    def test_submit_and_aggregate(self, trained_updates, tiny_split):
-        _, test = tiny_split
-        server = OneShotServer(aggregator=make_aggregator("mean"))
-        for update in trained_updates:
-            server.submit(update)
-        assert server.num_updates == len(trained_updates)
-        result = server.aggregate()
-        assert 0.0 <= result.evaluate(test) <= 1.0
-
-    def test_submit_payload(self, trained_updates):
-        server = OneShotServer()
-        index = server.submit_payload(trained_updates[0].to_payload(), num_samples=10, client_id="o")
-        assert index == 0
-        assert server.updates[0].client_id == "o"
-
-    def test_aggregate_subset(self, trained_updates, tiny_split):
-        _, test = tiny_split
-        server = OneShotServer(aggregator=make_aggregator("mean"))
-        for update in trained_updates:
-            server.submit(update)
-        full = server.aggregate()
-        partial = server.aggregate(subset=[0, 1])
-        assert partial.num_updates == 2
-        assert full.num_updates == len(trained_updates)
-
-    def test_empty_aggregate_rejected(self):
-        with pytest.raises(AggregationError):
-            OneShotServer().aggregate()
-
-    def test_empty_subset_rejected(self, trained_updates):
-        server = OneShotServer()
-        server.submit(trained_updates[0])
-        with pytest.raises(AggregationError):
-            server.aggregate(subset=[])
-
-    def test_evaluate_locals(self, trained_updates, tiny_split):
-        _, test = tiny_split
-        server = OneShotServer()
-        for update in trained_updates:
-            server.submit(update)
-        accuracies = server.evaluate_locals(test)
-        assert len(accuracies) == len(trained_updates)
-        assert all(0.0 <= acc <= 1.0 for acc in accuracies.values())

@@ -115,6 +115,24 @@ class TestModelQualityCommand:
         assert "least useful owner" in output
 
 
+class TestBadMarketplaceFlags:
+    """OFLW3Config and the partitioner are the only checks of these flags;
+    the CLI turns what they raise into one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--owners", "0"],
+        ["run", "--epochs", "0"],
+        ["simulate", "--owners", "0"],
+        ["model-quality", "--owners", "3", "--samples", "10", "--epochs", "1"],
+        ["model-quality", "--owners", "2", "--samples", "400", "--epochs", "0"],
+    ])
+    def test_one_error_line_and_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+
+
 class TestRpcCommand:
     def test_list_methods(self, capsys):
         assert main(["rpc", "--list"]) == 0

@@ -36,7 +36,7 @@ class TestPackage:
         assert repro.contracts.CidStorage
         assert repro.ipfs.IpfsNode
         assert repro.ml.MLP
-        assert repro.fl.OneShotServer
+        assert repro.fl.FLClient
         assert repro.incentives.leave_one_out
         assert repro.web.BuyerDApp
         assert repro.system.run_marketplace
