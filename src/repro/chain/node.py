@@ -299,9 +299,10 @@ class EthereumNode:
         """Mine one production round if the mempool has work; blocks made.
 
         The one door of the cadence producers (a server's wall-clock tick
-        advances the simulated clock a slot, the load generator's process
-        mines at the current time), so a cluster facade can answer with its
-        rotation instead of a single chain.
+        advances the simulated clock a slot; a scenario's
+        :func:`~repro.simnet.runner.slot_producer` mines at the current
+        time), so a cluster facade can answer with its rotation instead of
+        a single chain.
         """
         if len(self.chain.mempool) == 0:
             return 0

@@ -303,9 +303,9 @@ class ChainCluster:
             if leader is None:
                 continue
             # One block per slot per side: when this side's best tip already
-            # sits in the current slot, a second producer (e.g. a synchronous
-            # wait_for_receipt racing the slot-cadence producer process)
-            # would fork the chain for nothing.
+            # sits in the current slot (a wallet's blocking wait_for_receipt
+            # mined it through evm_mine before the slot producer woke), a
+            # second block would fork the chain for nothing.
             best_tip = max((replica.chain.latest_block for replica in group),
                            key=lambda block: block.number)
             if best_tip.number > 0 and \

@@ -189,8 +189,9 @@ class ClusterNode(EthereumNode):
         """One cluster round if the freshest mempool has work; blocks made.
 
         Through leader rotation and gossip either way: :meth:`ChainCluster.tick`
-        when the caller wants the clock moved a slot,
-        :meth:`ChainCluster.produce_now` at the current time.
+        when the caller (a server's tick) wants the clock moved a slot,
+        :meth:`ChainCluster.produce_now` at the current time.  A scenario's
+        slot producer forces ``produce_now`` itself, empty slots included.
         """
         if len(self.chain.mempool) == 0:
             return 0

@@ -12,6 +12,10 @@ scenario runner injects background load into a running marketplace scenario
 this way.  All request traffic crosses the stack's gateway through
 :class:`~repro.rpc.client.MarketplaceClient`, so middleware metrics and rate
 limits apply exactly as they would to any other client.
+
+The generator mines nothing: :func:`repro.simnet.runner.slot_producer`
+mines while :meth:`LoadGenerator.busy` holds, and a standalone generator
+spawns it beside :meth:`LoadGenerator.install`.
 """
 
 from __future__ import annotations
@@ -142,6 +146,7 @@ class LoadGenerator:
         self.ops: Dict[str, OpStats] = {}
         self.confirmation = LatencyStats(unit="s")
         self.offered = 0
+        self.late_arrivals = 0
         self.tx_mined = 0
         #: Transfers whose including block landed before the load window
         #: closed -- the saturation metric (excludes the drain tail).
@@ -153,7 +158,6 @@ class LoadGenerator:
         self._installed = False
         self._start_sim: float = 0.0
         self._start_height: int = 0
-        self._mempool_peak = 0
 
     # -- setup -------------------------------------------------------------------
 
@@ -218,7 +222,6 @@ class LoadGenerator:
         # rejected one retries the same nonce so the sequence never gaps.
         self.clients.next_nonce[client_index] += 1
         self._outstanding[tx_hash] = self.clock.now
-        self._note_mempool_depth()
 
     def _do_read(self, client_index: int) -> None:
         if self._op_rng.integers(2):
@@ -251,28 +254,31 @@ class LoadGenerator:
             "outstanding": len(self._outstanding),
         }
 
-    def _note_mempool_depth(self) -> None:
-        depth = len(self.node.chain.mempool)
-        if depth > self._mempool_peak:
-            self._mempool_peak = depth
-
     # -- processes ----------------------------------------------------------------
 
+    def busy(self) -> bool:
+        """Whether arrivals are still due or submitted transfers unmined."""
+        return not self._load_done or bool(self._outstanding)
+
     def _arrival_loop(self) -> Generator:
-        """Fire arrivals until the configured duration elapses."""
-        end = self.clock.now + self.config.duration_seconds
+        """Fire arrivals on their own timeline until the window closes: one
+        past due (a blocking wallet wait moved the clock) fires late."""
+        due = self._start_sim
+        end = due + self.config.duration_seconds
         while True:
-            gap = self.arrivals.next_gap(self.clock.now)
-            if self.clock.now + gap >= end:
+            due += self.arrivals.next_gap(due)
+            if due >= end:
                 break
-            yield gap
+            yield max(0.0, due - self.clock.now)
+            if self.clock.now - due > 1e-9:
+                self.late_arrivals += 1
             self.offered += 1
             self._fire(self.sender_selector.sample())
         self._load_done = True
 
     def _reaper(self) -> Generator:
         """Match mined receipts back to their submission times."""
-        while not self._load_done or self._outstanding:
+        while self.busy():
             yield RECEIPT_POLL_SECONDS
             if not self._outstanding:
                 continue
@@ -292,39 +298,10 @@ class LoadGenerator:
         if block_timestamp <= self._start_sim + self.config.duration_seconds:
             self.tx_mined_in_window += 1
 
-    def _producer(self) -> Generator:
-        """Mine on the slot cadence while load or outstanding transfers remain.
-
-        Production here never *advances* the shared clock: the process
-        sleeps to the next slot boundary through the scheduler and mines at
-        the current time, so arrival events keep firing on their own
-        schedule and the offered rate stays honest.
-        """
-        slot = self.node.chain.config.slot_seconds
-        while not self._load_done or self._outstanding:
-            gap = slot - (self.clock.now % slot)
-            if gap <= 1e-9:
-                gap = slot
-            yield gap
-            # One block per slot, shared with the scenario's own block
-            # producer, which mines while tasks are active: minting a second
-            # block into the same slot would double the modeled Sepolia
-            # cadence.  This producer only fills slots nobody else has --
-            # the post-task drain tail.
-            chain = self.node.chain
-            tip = chain.latest_block
-            if tip.number > 0 and (chain.consensus.slot_at(tip.timestamp)
-                                   == chain.consensus.slot_at(self.clock.now)):
-                continue
-            self._note_mempool_depth()
-            # On a cluster this is leader rotation and gossip, so every
-            # slot's block comes from whichever replica the schedule elects.
-            self.node.produce_pending(advance_clock=False)
-
     # -- execution ----------------------------------------------------------------
 
     def install(self, *, delay: float = 0.0) -> None:
-        """Spawn the load processes on the scheduler."""
+        """Spawn the arrival and reaper processes on the scheduler."""
         if self._installed:
             raise SimulationError("a LoadGenerator installs exactly once")
         self._installed = True
@@ -335,12 +312,9 @@ class LoadGenerator:
                              name=f"{LABEL_PREFIX}-arrivals")
         self.scheduler.spawn(self._reaper(), delay=delay,
                              name=f"{LABEL_PREFIX}-reaper")
-        self.scheduler.spawn(self._producer(),
-                             name=f"{LABEL_PREFIX}-producer")
 
     def finalize(self) -> LoadReport:
         """Assemble the report after the scheduler has drained."""
-        self._note_mempool_depth()
         # Read, never create: _op() would side-effect a zero-count entry
         # into the ops snapshot and make finalize() non-idempotent.
         transfer_stats = self.ops.get("transfer")
@@ -350,6 +324,7 @@ class LoadGenerator:
             makespan_seconds=max(0.0, self.clock.now - self._start_sim),
             events_executed=self.scheduler.events_executed,
             offered_requests=self.offered,
+            late_arrivals=self.late_arrivals,
             ops={name: stats.to_dict() for name, stats in self.ops.items()},
             tx_submitted=transfer_stats.successes if transfer_stats else 0,
             tx_mined=self.tx_mined,
@@ -357,7 +332,7 @@ class LoadGenerator:
             tx_confirmation=(self.confirmation.to_dict()
                              if len(self.confirmation) else {}),
             blocks_produced=self.node.block_number - self._start_height,
-            mempool_max_depth=self._mempool_peak,
+            mempool_max_depth=self.node.chain.mempool.max_depth,
             rpc_requests_total=self.rpc.gateway.metrics.requests_total,
         )
 

@@ -20,6 +20,8 @@ class LoadReport:
     makespan_seconds: float = 0.0
     events_executed: int = 0
     offered_requests: int = 0
+    #: Arrivals fired after their due time (a blocking wallet wait moved the clock).
+    late_arrivals: int = 0
     ops: Dict[str, dict] = field(default_factory=dict)
     #: Transfer lifecycle on the simulated clock.
     tx_submitted: int = 0
@@ -81,6 +83,7 @@ class LoadReport:
             "makespan_seconds": round(self.makespan_seconds, 6),
             "events_executed": self.events_executed,
             "offered_requests": self.offered_requests,
+            "late_arrivals": self.late_arrivals,
             "requests_total": self.requests_total,
             "errors_total": self.errors_total,
             "error_rate": round(self.error_rate, 6),

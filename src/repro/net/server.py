@@ -411,7 +411,7 @@ class RpcHttpServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: Set[_Connection] = set()
         self._ws_sessions: Set[_WsSession] = set()
-        self._producer_task: Optional[asyncio.Task] = None
+        self._block_tick_task: Optional[asyncio.Task] = None
         self._draining = False
         self.port = self.config.port
         stack.registry.register_collector(
@@ -450,7 +450,7 @@ class RpcHttpServer:
             lambda: _Connection(self), self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
         if self.config.block_interval_seconds > 0:
-            self._producer_task = asyncio.ensure_future(self._producer_loop())
+            self._block_tick_task = asyncio.ensure_future(self._block_tick_loop())
         self._log(f"listening on http://{self.config.host}:{self.port} "
                   f"(POST /, WebSocket /ws, GET /metrics, GET /healthz)")
 
@@ -459,10 +459,10 @@ class RpcHttpServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-        if self._producer_task is not None:
-            self._producer_task.cancel()
+        if self._block_tick_task is not None:
+            self._block_tick_task.cancel()
             try:
-                await self._producer_task
+                await self._block_tick_task
             except asyncio.CancelledError:
                 pass
         for session in list(self._ws_sessions):
@@ -492,7 +492,7 @@ class RpcHttpServer:
 
     # -- block production ----------------------------------------------------
 
-    async def _producer_loop(self) -> None:
+    async def _block_tick_loop(self) -> None:
         while True:
             await asyncio.sleep(self.config.block_interval_seconds)
             try:

@@ -216,7 +216,8 @@ class ScenarioReport:
             conf = self.load_stats.get("tx_confirmation_seconds", {})
             lines.append(
                 f"load:       {self.load_stats.get('requests_total', 0)} background "
-                f"requests ({100 * self.load_stats.get('error_rate', 0.0):.2f}% errors), "
+                f"requests ({100 * self.load_stats.get('error_rate', 0.0):.2f}% errors, "
+                f"{self.load_stats.get('late_arrivals', 0)} late), "
                 f"{self.load_stats.get('tx_mined', 0)}/{self.load_stats.get('tx_submitted', 0)} "
                 f"transfers mined, confirmation p50/p99 "
                 f"{conf.get('p50', 0):.1f}/{conf.get('p99', 0):.1f} s")

@@ -23,16 +23,17 @@ Fig. 4-7 number -- matches a plain ``run_marketplace`` bit for bit.
 Concurrency
 -----------
 With ``async_submissions`` enabled, owners broadcast their CID transactions
-fire-and-forget and poll for inclusion while a dedicated block-producer
-process mines on the slot cadence; transactions from many tasks genuinely
-queue in the one shared mempool, which is where the mempool-depth series and
-fee-priority contention come from.
+fire-and-forget and poll for inclusion while the one block producer,
+:func:`slot_producer`, mines on the slot cadence without moving the clock;
+transactions from many tasks and the background load genuinely queue in the
+one shared mempool, which is where the mempool-depth series and fee-priority
+contention come from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.chain.account import Address
 from repro.chain.explorer import Explorer
@@ -60,13 +61,35 @@ from repro.system.orchestrator import (
     default_task_spec,
 )
 from repro.system.roles import ModelOwner
-from repro.system.stack import build_stack
+from repro.system.stack import Stack, build_stack
 from repro.utils.clock import SimulatedClock
 from repro.utils.rng import derive_seed
 from repro.web.wallet import WalletActivity
 
 #: How often an async submitter polls for its receipt (half a Sepolia slot).
 RECEIPT_POLL_SECONDS = 6.0
+
+
+def slot_producer(stack: Stack, busy: Callable[[], bool]) -> Generator:
+    """Mine at each slot boundary, at the current time, while ``busy()``.
+
+    A slot whose tip is already in it is skipped, so a wallet's blocking
+    ``wait_for_receipt`` (which still mines through ``evm_mine``) cannot
+    double the modeled Sepolia cadence.  A cluster mints by leader rotation
+    every slot, empty blocks included; ``produce_now`` skips per side.
+    """
+    slot = stack.node.chain.config.slot_seconds
+    while busy():
+        gap = slot - (stack.clock.now % slot)
+        yield gap if gap > 1e-9 else slot
+        if stack.cluster is not None:
+            stack.cluster.produce_now(force=True)
+            continue
+        chain = stack.node.chain
+        tip = chain.latest_block
+        if tip.number == 0 or (chain.consensus.slot_at(tip.timestamp)
+                               != chain.consensus.slot_at(stack.clock.now)):
+            stack.node.produce_pending(advance_clock=False)
 
 
 @dataclass
@@ -483,32 +506,6 @@ class ScenarioRunner:
         if self.obs is not None:
             self.obs.event("node.restart", height=recovered.chain.height)
 
-    def _block_producer(self) -> Generator:
-        """Mine on the slot cadence while any task is still active."""
-        slot = self.node.chain.config.slot_seconds
-        while self._active_tasks > 0:
-            if len(self.node.chain.mempool) > 0:
-                self.node.chain.produce_block()
-                yield 0.0
-            else:
-                yield slot
-
-    def _cluster_block_producer(self) -> Generator:
-        """Tick the cluster on the slot cadence while any task is active.
-
-        Each tick lets every reachable partition side's leader produce --
-        with ``force`` so leaders keep minting (empty) blocks on schedule,
-        the way a real PoA chain does.  Continuous production is what makes
-        partition sides *visibly* diverge and keeps gossip flowing.
-        """
-        slot = self.node.chain.config.slot_seconds
-        while self._active_tasks > 0:
-            gap = slot - (self.clock.now % slot)
-            if gap <= 1e-9:
-                gap = slot
-            yield gap
-            self.cluster.produce_now(force=True)
-
     def _install_background_load(self) -> None:
         """Attach a ``repro.loadgen`` driver to this scenario's shared stack.
 
@@ -584,10 +581,10 @@ class ScenarioRunner:
                     delay=task.index * self.spec.task_stagger_seconds,
                     name=task.outcome.label,
                 )
-            if self.spec.async_submissions:
-                self.scheduler.spawn(
-                    self._cluster_block_producer() if self.cluster is not None
-                    else self._block_producer(),
+            if self.spec.async_submissions or self.spec.background_load is not None:
+                self.scheduler.spawn(slot_producer(self.stack, lambda: (
+                    self._active_tasks > 0
+                    or (self._loadgen is not None and self._loadgen.busy()))),
                     name="block-producer")
             if self.spec.node_restart_at_seconds is not None:
                 self.scheduler.spawn(self._chaos_process(), name="chaos-restart")

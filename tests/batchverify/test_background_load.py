@@ -13,6 +13,7 @@ import pytest
 
 from repro.loadgen import LoadGenConfig, LoadGenerator
 from repro.simnet.events import EventScheduler
+from repro.simnet.runner import slot_producer
 from repro.system.stack import build_stack
 
 
@@ -24,6 +25,7 @@ def deferred_run():
         LoadGenConfig(clients=20, rate=8.0, duration_seconds=60.0, seed=7),
         stack=stack, scheduler=scheduler)
     generator.install()
+    scheduler.spawn(slot_producer(stack, generator.busy), name="block-producer")
     scheduler.run()
     stack.close()
     return generator.finalize(), stack

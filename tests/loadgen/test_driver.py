@@ -7,6 +7,7 @@ from repro.cluster import ClusterConfig
 from repro.errors import SimulationError
 from repro.loadgen import LoadGenConfig, LoadGenerator, RequestMix
 from repro.simnet.events import EventScheduler
+from repro.simnet.runner import slot_producer
 from repro.system.stack import build_stack
 
 
@@ -29,6 +30,7 @@ def drive():
         scheduler = EventScheduler(stack.clock)
         generator = LoadGenerator(config, stack=stack, scheduler=scheduler)
         generator.install()
+        scheduler.spawn(slot_producer(stack, generator.busy), name="block-producer")
         scheduler.run()
         return generator
 
@@ -93,6 +95,14 @@ class TestLoad:
         report = drive(config).finalize()
         assert report.offered_requests == pytest.approx(1000, rel=0.1)
 
+    def test_a_standalone_generator_fires_no_arrival_late(self, drive):
+        # Nothing beside a standalone generator moves the clock inline, so
+        # every arrival fires at its due time.
+        report = drive(small_config()).finalize()
+        assert report.offered_requests > 0
+        assert report.late_arrivals == 0
+        assert report.sim_dict()["late_arrivals"] == 0
+
     def test_deterministic_sim_metrics(self, drive):
         config = small_config()
         assert (drive(config).finalize().sim_dict()
@@ -139,6 +149,7 @@ class TestLoad:
                                       scheduler=scheduler)
             start = stack.clock.now
             generator.install(delay=30.0)
+            scheduler.spawn(slot_producer(stack, generator.busy), name="block-producer")
             scheduler.run(until=start + 29.0)
             assert generator.offered == 0
             scheduler.run()

@@ -1,5 +1,7 @@
 """The flashcrowd/soak scenarios: background load woven into a scenario run."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -86,9 +88,16 @@ class TestFlashCrowdScenario:
         assert report.to_dict()["load"]["tx_submitted"] > 0
         assert "background" in report.summary()
 
+    def test_the_load_line_counts_late_arrivals(self, report):
+        # The tasks' blocking wallet waits move the clock inline, so some
+        # arrivals fire late; the summary says how many.
+        late = report.load_stats["late_arrivals"]
+        assert 0 < late <= report.load_stats["offered_requests"]
+        assert f"errors, {late} late)" in report.summary()
+
     def test_one_block_per_slot_under_dual_producers(self):
-        # The scenario's block producer and the loadgen's producer coexist;
-        # the loadgen producer must only fill slots nobody else mined, so
+        # The slot producer and the wallets' blocking waits (evm_mine) both
+        # mine; the producer must only fill slots no wallet wait mined, so
         # the modeled 12s Sepolia cadence holds.
         spec = build_scenario("flashcrowd",
                               background_load=small_load(arrival="flashcrowd",
@@ -96,6 +105,45 @@ class TestFlashCrowdScenario:
         runner = ScenarioRunner(spec, config=tiny_config())
         runner.run()
         chain = runner.node.chain
+        slots = [chain.consensus.slot_at(block.timestamp)
+                 for block in chain.blocks()[1:]]
+        assert len(slots) == len(set(slots))
+
+
+class TestOfferedLoad:
+    """Background arrivals keep their own timeline beside the tasks: the
+    one block producer mines at slot boundaries without moving the clock,
+    so the offered load is what the config asks for, whatever the mix."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        def run(mix):
+            spec = build_scenario(
+                "flashcrowd",
+                background_load={"clients": 30, "rate": 5.0,
+                                 "arrival": "poisson",
+                                 "duration_seconds": 240.0, "mix": mix})
+            runner = ScenarioRunner(spec, config=tiny_config())
+            return runner, runner.run()
+
+        return {"transfer": run({"transfer": 1.0}),
+                "read": run({"read": 1.0})}
+
+    def test_offered_requests_match_rate_times_window(self, runs):
+        # Poisson: 1 200 expected arrivals, standard deviation sqrt(1 200).
+        offered = {mix: report.load_stats["offered_requests"]
+                   for mix, (_, report) in runs.items()}
+        assert abs(offered["transfer"] - 1200) <= 4 * math.sqrt(1200)
+        assert offered["transfer"] == offered["read"]
+
+    def test_every_submitted_transfer_is_mined(self, runs):
+        load = runs["transfer"][1].load_stats
+        assert load["tx_submitted"] > 0
+        assert load["tx_mined"] == load["tx_submitted"]
+
+    @pytest.mark.parametrize("mix", ["transfer", "read"])
+    def test_no_two_blocks_share_a_slot(self, runs, mix):
+        chain = runs[mix][0].node.chain
         slots = [chain.consensus.slot_at(block.timestamp)
                  for block in chain.blocks()[1:]]
         assert len(slots) == len(set(slots))

@@ -18,6 +18,7 @@ from repro.chain import KeyPair
 from repro.cluster import ClusterConfig
 from repro.loadgen import LoadGenConfig, LoadGenerator
 from repro.simnet.events import EventScheduler
+from repro.simnet.runner import slot_producer
 from repro.system.stack import build_stack
 from repro.utils.units import ether_to_wei
 
@@ -30,10 +31,12 @@ def workload_registry():
     """A registry populated by loadgen + RPC + cluster + analytics traffic."""
     load_stack = build_stack(observability=True)
     scheduler = EventScheduler(load_stack.clock)
-    LoadGenerator(
+    generator = LoadGenerator(
         LoadGenConfig(clients=10, rate=5.0, duration_seconds=30.0, seed=7),
         stack=load_stack, scheduler=scheduler,
-    ).install()
+    )
+    generator.install()
+    scheduler.spawn(slot_producer(load_stack, generator.busy), name="block-producer")
     scheduler.run()
     load_stack.close()
     obs = load_stack.obs

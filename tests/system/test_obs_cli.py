@@ -15,6 +15,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.loadgen import LoadGenConfig, LoadGenerator
 from repro.simnet.events import EventScheduler
+from repro.simnet.runner import slot_producer
 from repro.system.stack import build_stack
 
 
@@ -86,11 +87,13 @@ class TestDeterminism:
     def _observed_summary(seed: int) -> dict:
         stack = build_stack(observability=True)
         scheduler = EventScheduler(stack.clock)
-        LoadGenerator(
+        generator = LoadGenerator(
             LoadGenConfig(clients=10, rate=5.0, duration_seconds=30.0,
                           seed=seed),
             stack=stack, scheduler=scheduler,
-        ).install()
+        )
+        generator.install()
+        scheduler.spawn(slot_producer(stack, generator.busy), name="block-producer")
         scheduler.run()
         stack.close()
         summary = stack.obs.stats_dict()
