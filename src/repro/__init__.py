@@ -22,8 +22,8 @@ Python/NumPy:
     partitioners.
 ``repro.fl``
     Federated-learning clients and servers, multi-round FedAvg, and the
-    one-shot aggregators (PFNM neuron matching, ensembles, FedOV-style
-    voting, naive averaging).
+    one-shot aggregators (PFNM neuron matching, ensembles, naive
+    averaging).
 ``repro.incentives``
     Leave-one-out and Shapley contribution measures and payment allocation.
 ``repro.web``

@@ -52,18 +52,6 @@ class ProofOfAuthority:
         boundary = self.slot_timestamp(slot + 1)
         return boundary
 
-    def wait_time_for_inclusion(self, submitted_at: float, confirmations: int = 1) -> float:
-        """Seconds between submission and availability of the receipt.
-
-        ``confirmations`` extra blocks can be waited for (MetaMask shows the
-        transaction as confirmed after one block on testnets).
-        """
-        if confirmations < 1:
-            confirmations = 1
-        inclusion = self.next_block_timestamp(submitted_at)
-        confirmed = inclusion + (confirmations - 1) * self.slot_seconds
-        return confirmed - submitted_at
-
     def advance_to_next_block(self, clock: SimulatedClock) -> float:
         """Advance the simulated clock to the next block boundary."""
         target = self.next_block_timestamp(clock.now)

@@ -9,7 +9,7 @@ drips for auditability in experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.chain.account import Address
 from repro.chain.node import EthereumNode
@@ -40,10 +40,6 @@ class Faucet:
             self.node.chain.mint(Address(address), amount)
         self._history.append((str(Address(address)), amount))
         return amount
-
-    def fund_many(self, addresses, amount_wei: int | None = None) -> Dict[str, int]:
-        """Drip the same amount to every address in ``addresses``."""
-        return {str(Address(addr)): self.drip(addr, amount_wei) for addr in addresses}
 
     @property
     def history(self) -> List[Tuple[str, int]]:

@@ -296,10 +296,6 @@ class KeyPair:
         response = (nonce + challenge * self._x) % GROUP_ORDER
         return Signature(e=challenge, s=response, public_key=self.public_key)
 
-    def export_private_seed(self) -> bytes:
-        """Return the raw private seed (used by wallet import/export flows)."""
-        return self._private_seed
-
 
 def verify_signature(signature: Signature, message_hash: bytes, address: Optional[str] = None) -> bool:
     """Verify a Schnorr signature; optionally also check the sender address.

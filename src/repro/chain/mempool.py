@@ -11,7 +11,7 @@ Two index structures keep the ingest path off linear scans:
   ``pending()`` calls (receipt polling, block selection) sort at most once
   per mutation instead of once per call;
 * a sender -> {nonce -> tx hashes} index, so per-sender queries
-  (``pending_count``, stale-nonce pruning) are dictionary lookups instead
+  (``pending_count``, ``pending_nonces``) are dictionary lookups instead
   of full-pool scans.
 """
 
@@ -173,15 +173,3 @@ class Mempool:
             "max_depth": self.max_depth,
             "total_added": self.total_added,
         }
-
-    def prune_stale(self, state: WorldState) -> int:
-        """Evict transactions whose nonce is already below the account nonce."""
-        stale: List[str] = []
-        for sender_key, by_nonce in self._by_sender.items():
-            account_nonce = state.nonce_of(sender_key)
-            for nonce, hashes in by_nonce.items():
-                if nonce < account_nonce:
-                    stale.extend(hashes)
-        for tx_hash in stale:
-            self.remove(tx_hash)
-        return len(stale)

@@ -12,16 +12,12 @@ Deployed contracts:
   Fig. 2 of the paper: owners upload IPFS CIDs, anyone can read them back.
 * :class:`repro.contracts.fl_task.FLTask` -- the full OFL-W3 task contract:
   task specification, escrowed reward budget, CID registry and payments.
-* :class:`repro.contracts.token.Token` -- a minimal fungible token used by
-  the incentive ablations.
 """
 
 from repro.contracts.cid_storage import CidStorage
 from repro.contracts.fl_task import FLTask
 from repro.contracts.framework import Contract, ContractRegistry, external, payable, view
 from repro.contracts.registry import default_registry
-from repro.contracts.task_registry import TaskRegistry
-from repro.contracts.token import Token
 
 __all__ = [
     "CidStorage",
@@ -32,6 +28,4 @@ __all__ = [
     "payable",
     "view",
     "default_registry",
-    "TaskRegistry",
-    "Token",
 ]

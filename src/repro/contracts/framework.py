@@ -171,10 +171,6 @@ class ContractRegistry:
             raise TypeError("register expects a Contract subclass")
         self._contracts[name or contract_class.__name__] = contract_class
 
-    def known_contracts(self) -> List[str]:
-        """Names of all registered contract classes."""
-        return sorted(self._contracts)
-
     def contract_class(self, name: str) -> Optional[Type[Contract]]:
         """The registered class for ``name`` (``None`` if unknown).
 

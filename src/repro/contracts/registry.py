@@ -5,8 +5,6 @@ from __future__ import annotations
 from repro.contracts.cid_storage import CidStorage
 from repro.contracts.fl_task import FLTask
 from repro.contracts.framework import ContractRegistry
-from repro.contracts.task_registry import TaskRegistry
-from repro.contracts.token import Token
 
 
 def default_registry() -> ContractRegistry:
@@ -14,6 +12,4 @@ def default_registry() -> ContractRegistry:
     registry = ContractRegistry()
     registry.register(CidStorage)
     registry.register(FLTask)
-    registry.register(Token)
-    registry.register(TaskRegistry)
     return registry

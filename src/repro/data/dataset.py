@@ -72,12 +72,6 @@ class Dataset:
         """Number of samples per class (length ``num_classes``)."""
         return np.bincount(self.labels, minlength=self.num_classes)
 
-    def shuffled(self, rng=None) -> "Dataset":
-        """A copy with samples in random order."""
-        indices = np.arange(len(self))
-        make_rng(rng).shuffle(indices)
-        return self.subset(indices)
-
 
 def split_indices(num_samples: int, test_fraction: float = 0.2,
                   rng=None) -> Tuple[np.ndarray, np.ndarray]:

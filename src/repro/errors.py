@@ -111,7 +111,7 @@ class BlockNotFoundError(IpfsError):
 
 
 class PinError(IpfsError):
-    """A pin/unpin operation is invalid (e.g. unpinning a non-pinned CID)."""
+    """A pin lookup is invalid (e.g. the mode of a CID that is not pinned)."""
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,9 @@ Two families of aggregation are provided:
 * **One-shot** -- a single upload per owner, aggregated once by the buyer:
   :class:`repro.fl.oneshot.pfnm.PFNMAggregator` (Bayesian-nonparametric
   neuron matching, the algorithm the paper adopts),
-  :class:`repro.fl.oneshot.mean.MeanAggregator` (naive parameter averaging),
-  :class:`repro.fl.oneshot.ensemble.EnsembleAggregator` (Guha et al. 2019
-  style ensembling with optional distillation) and
-  :class:`repro.fl.oneshot.fedov.FedOVAggregator` (open-set voting for label
-  skew, after Diao et al. 2023).
+  :class:`repro.fl.oneshot.mean.MeanAggregator` (naive parameter averaging)
+  and :class:`repro.fl.oneshot.ensemble.EnsembleAggregator` (Guha et al.
+  2019 style ensembling with optional distillation).
 """
 
 from repro.fl.client import FLClient, LocalTrainingResult
@@ -21,7 +19,6 @@ from repro.fl.fedavg import FedAvgConfig, FedAvgServer, RoundRecord
 from repro.fl.model_update import ModelUpdate
 from repro.fl.oneshot import (
     EnsembleAggregator,
-    FedOVAggregator,
     MeanAggregator,
     OneShotAggregator,
     PFNMAggregator,
@@ -36,7 +33,6 @@ __all__ = [
     "RoundRecord",
     "ModelUpdate",
     "EnsembleAggregator",
-    "FedOVAggregator",
     "MeanAggregator",
     "OneShotAggregator",
     "PFNMAggregator",

@@ -2,18 +2,16 @@
 
 from repro.fl.oneshot.base import AggregationResult, OneShotAggregator
 from repro.fl.oneshot.ensemble import EnsembleAggregator
-from repro.fl.oneshot.fedov import FedOVAggregator
 from repro.fl.oneshot.mean import MeanAggregator
 from repro.fl.oneshot.pfnm import PFNMAggregator, PFNMConfig
 
 
 #: Every one-shot aggregator by name: ``"pfnm"`` (the paper's default),
-#: ``"mean"``, ``"ensemble"`` and ``"fedov"``.
+#: ``"mean"`` and ``"ensemble"``.
 AGGREGATORS = {
     "pfnm": PFNMAggregator,
     "mean": MeanAggregator,
     "ensemble": EnsembleAggregator,
-    "fedov": FedOVAggregator,
 }
 
 
@@ -32,7 +30,6 @@ __all__ = [
     "AggregationResult",
     "OneShotAggregator",
     "EnsembleAggregator",
-    "FedOVAggregator",
     "MeanAggregator",
     "PFNMAggregator",
     "PFNMConfig",

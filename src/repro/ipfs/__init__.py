@@ -9,17 +9,15 @@ system relies on:
 * :mod:`repro.ipfs.chunker` / :mod:`repro.ipfs.dag` -- splitting payloads
   into blocks and linking them into a Merkle DAG;
 * :mod:`repro.ipfs.blockstore` / :mod:`repro.ipfs.pinning` -- local block
-  storage with pin-based garbage-collection protection;
+  storage and the pins a node keeps;
 * :mod:`repro.ipfs.node` / :mod:`repro.ipfs.swarm` -- nodes that exchange
-  blocks bitswap-style over a swarm;
-* :mod:`repro.ipfs.gateway` -- path-style (``/ipfs/<cid>``) read access.
+  blocks bitswap-style over a swarm.
 """
 
 from repro.ipfs.blockstore import BlockStore
 from repro.ipfs.chunker import DEFAULT_CHUNK_SIZE, chunk_bytes
 from repro.ipfs.cid import CID
 from repro.ipfs.dag import DagNode
-from repro.ipfs.gateway import IpfsGateway
 from repro.ipfs.multihash import Multihash
 from repro.ipfs.node import AddResult, IpfsNode
 from repro.ipfs.pinning import PinSet
@@ -31,7 +29,6 @@ __all__ = [
     "chunk_bytes",
     "CID",
     "DagNode",
-    "IpfsGateway",
     "Multihash",
     "AddResult",
     "IpfsNode",

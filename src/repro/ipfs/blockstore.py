@@ -35,9 +35,6 @@ class MemorySpace:
     def has(self, key: str) -> bool:
         return key in self._blobs
 
-    def delete(self, key: str) -> bool:
-        return self._blobs.pop(key, None) is not None
-
     def keys(self) -> List[str]:
         return list(self._blobs)
 
@@ -126,10 +123,6 @@ class BlockStore:
             return self._space.has(self._key(cid))
         except InvalidCidError:
             return False
-
-    def delete(self, cid: CID | str) -> bool:
-        """Remove a block; returns whether it existed."""
-        return self._space.delete(self._key(cid))
 
     def cids(self) -> Iterator[str]:
         """Iterate over the CIDs of all stored blocks."""

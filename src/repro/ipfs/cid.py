@@ -82,12 +82,6 @@ class CID:
         """Return the CIDv1 equivalent (same hash, same codec)."""
         return CID(version=1, codec=self.codec, multihash=self.multihash)
 
-    def to_v0(self) -> "CID":
-        """Return the CIDv0 equivalent (requires the dag-pb codec)."""
-        if self.codec != DAG_PB_CODEC:
-            raise InvalidCidError("only dag-pb CIDs have a v0 form")
-        return CID(version=0, codec=DAG_PB_CODEC, multihash=self.multihash)
-
     @property
     def codec_name(self) -> str:
         """Human-readable codec name."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.ipfs.cid import CID, DAG_PB_CODEC, RAW_CODEC
+from repro.ipfs.cid import CID, DAG_PB_CODEC
 from repro.utils.serialization import canonical_dumps, canonical_loads
 
 
@@ -61,8 +61,3 @@ class DagNode:
     def is_leaf(self) -> bool:
         """Whether this node carries data directly with no children."""
         return not self.links
-
-
-def leaf_cid(chunk: bytes) -> CID:
-    """CID of a raw leaf chunk."""
-    return CID.from_bytes_payload(chunk, version=1, codec=RAW_CODEC)

@@ -72,10 +72,6 @@ class IpfsNode:
             self.pins.pin(root_cid)
         return AddResult(cid=root_cid, size=len(payload), num_blocks=len(root.links) + 1)
 
-    def add_text(self, text: str, pin: bool = True) -> AddResult:
-        """Convenience wrapper for adding UTF-8 text."""
-        return self.add_bytes(text.encode("utf-8"), pin=pin)
-
     # -- retrieving content ---------------------------------------------------------
 
     def _get_block(self, cid: CID | str) -> bytes:
@@ -126,27 +122,6 @@ class IpfsNode:
         """Pin a CID on this node (fetching it first if necessary)."""
         self.cat(cid)
         self.pins.pin(cid)
-
-    def unpin(self, cid: CID | str) -> None:
-        """Remove a pin from this node."""
-        self.pins.unpin(cid)
-
-    def garbage_collect(self) -> int:
-        """Drop every block not reachable from a pinned root; returns count dropped."""
-        keep: set = set()
-        for pinned in self.pins.pins():
-            keep.add(pinned)
-            cid_obj = CID.parse(pinned)
-            if cid_obj.codec_name == "raw" or not self.blockstore.has(cid_obj):
-                continue
-            node = DagNode.deserialize(self.blockstore.get(cid_obj))
-            keep.update(link.cid for link in node.links)
-        dropped = 0
-        for cid_str in list(self.blockstore.cids()):
-            if cid_str not in keep:
-                self.blockstore.delete(cid_str)
-                dropped += 1
-        return dropped
 
     # -- repo statistics -----------------------------------------------------------------
 

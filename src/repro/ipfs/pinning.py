@@ -1,13 +1,14 @@
 """Pin management.
 
-Pinned CIDs are protected from garbage collection.  Model owners pin the
-models they publish so the content stays retrievable until the buyer has
-fetched it.
+A pinned CID is one a node commits to keep (real IPFS's garbage collector
+skips it; this simulation never collects).  Model owners pin the models
+they publish so the content stays retrievable until the buyer has fetched
+it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Set
+from typing import Dict, Set
 
 from repro.errors import PinError
 from repro.ipfs.cid import CID
@@ -36,19 +37,6 @@ class PinSet:
         """Pin a CID (recursive pins protect the whole DAG beneath it)."""
         self._pins[self._key(cid)] = RECURSIVE if recursive else DIRECT
 
-    def unpin(self, cid: CID | str) -> None:
-        """Remove a pin.
-
-        Raises
-        ------
-        PinError
-            If the CID is not pinned.
-        """
-        key = self._key(cid)
-        if key not in self._pins:
-            raise PinError(f"{key} is not pinned")
-        del self._pins[key]
-
     def is_pinned(self, cid: CID | str) -> bool:
         """Whether the CID is pinned (either mode)."""
         try:
@@ -62,10 +50,6 @@ class PinSet:
         if key not in self._pins:
             raise PinError(f"{key} is not pinned")
         return self._pins[key]
-
-    def pins(self) -> Iterator[str]:
-        """Iterate over pinned CID strings."""
-        return iter(list(self._pins.keys()))
 
     def recursive_pins(self) -> Set[str]:
         """The set of recursively pinned CID strings."""

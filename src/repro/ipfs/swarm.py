@@ -123,13 +123,6 @@ class Swarm:
             f"no connected peer of {requester.peer_id} provides {cid_obj.encode()}"
         )
 
-    def providers_of(self, cid: CID | str) -> List[str]:
-        """Peer ids of every node holding the block locally (DHT-provider analogue)."""
-        cid_obj = cid if isinstance(cid, CID) else CID.parse(cid)
-        return [
-            peer_id for peer_id, node in self._nodes.items() if node.blockstore.has(cid_obj)
-        ]
-
     # -- network dynamics -------------------------------------------------------
 
     def partition(self, groups: Sequence[Iterable["IpfsNode | str"]]) -> None:

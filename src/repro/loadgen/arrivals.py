@@ -142,10 +142,3 @@ class ZipfSelector:
         """
         index = int(np.searchsorted(self._cdf, self._rng.random(), side="right"))
         return min(index, self.n - 1)
-
-    def sample_many(self, count: int) -> List[int]:
-        """Draw ``count`` indices (clamped like :meth:`sample`)."""
-        draws = self._rng.random(count)
-        last = self.n - 1
-        return [min(int(i), last)
-                for i in np.searchsorted(self._cdf, draws, side="right")]

@@ -10,11 +10,11 @@ float32, the precision of its serialized payload (~317 KB, matching the model
 size reported in the paper's overhead analysis).
 """
 
-from repro.ml.activations import relu, relu_grad, sigmoid, softmax, tanh
+from repro.ml.activations import relu, relu_grad, softmax
 from repro.ml.dataloader import batch_iterator
 from repro.ml.layers import DenseLayer
-from repro.ml.losses import cross_entropy_loss, cross_entropy_with_softmax, mse_loss
-from repro.ml.metrics import accuracy, confusion_matrix, per_class_accuracy
+from repro.ml.losses import cross_entropy_loss, cross_entropy_with_softmax
+from repro.ml.metrics import accuracy
 from repro.ml.mlp import MLP
 from repro.ml.optimizers import SGD, Adam, Optimizer
 from repro.ml.serialization import deserialize_model, model_payload_size, serialize_model
@@ -23,17 +23,12 @@ from repro.ml.trainer import EvalResult, Trainer, TrainingConfig, TrainingHistor
 __all__ = [
     "relu",
     "relu_grad",
-    "sigmoid",
     "softmax",
-    "tanh",
     "batch_iterator",
     "DenseLayer",
     "cross_entropy_loss",
     "cross_entropy_with_softmax",
-    "mse_loss",
     "accuracy",
-    "confusion_matrix",
-    "per_class_accuracy",
     "MLP",
     "SGD",
     "Adam",

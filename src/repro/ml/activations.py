@@ -15,22 +15,6 @@ def relu_grad(x: np.ndarray) -> np.ndarray:
     return (x > 0.0).astype(x.dtype)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid, in ``x``'s floating dtype."""
-    x = np.asarray(x)
-    out = np.empty(x.shape, dtype=np.result_type(x, np.float32))
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    """Hyperbolic tangent."""
-    return np.tanh(x)
-
-
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``."""
     shifted = logits - np.max(logits, axis=axis, keepdims=True)

@@ -44,16 +44,3 @@ def cross_entropy_with_softmax(logits: np.ndarray, labels: np.ndarray) -> Tuple[
     grad[np.arange(labels.shape[0]), labels] -= 1.0
     grad /= labels.shape[0]
     return loss, grad
-
-
-def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Mean squared error and its gradient with respect to ``predictions``."""
-    predictions = np.asarray(predictions)
-    predictions = predictions.astype(np.result_type(predictions, np.float32), copy=False)
-    targets = np.asarray(targets, dtype=predictions.dtype)
-    if predictions.shape != targets.shape:
-        raise ShapeError(f"shape mismatch: {predictions.shape} vs {targets.shape}")
-    diff = predictions - targets
-    loss = float(np.mean(diff**2))
-    grad = 2.0 * diff / diff.size
-    return loss, grad

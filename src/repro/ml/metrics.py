@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.errors import ShapeError
@@ -18,26 +16,3 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     if predictions.size == 0:
         raise ShapeError("cannot compute accuracy of an empty batch")
     return float(np.mean(predictions == labels))
-
-
-def confusion_matrix(predictions: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """``num_classes x num_classes`` matrix of counts (rows = truth, cols = prediction)."""
-    predictions = np.asarray(predictions, dtype=np.int64).ravel()
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    if predictions.shape != labels.shape:
-        raise ShapeError(f"shape mismatch: {predictions.shape} vs {labels.shape}")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for truth, predicted in zip(labels, predictions):
-        matrix[truth, predicted] += 1
-    return matrix
-
-
-def per_class_accuracy(predictions: np.ndarray, labels: np.ndarray, num_classes: int) -> Dict[int, float]:
-    """Accuracy computed separately for each true class (NaN-free: absent classes omitted)."""
-    matrix = confusion_matrix(predictions, labels, num_classes)
-    result: Dict[int, float] = {}
-    for cls in range(num_classes):
-        total = matrix[cls].sum()
-        if total > 0:
-            result[cls] = float(matrix[cls, cls] / total)
-    return result

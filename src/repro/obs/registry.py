@@ -10,7 +10,7 @@ format.
 
 Two usage styles coexist:
 
-* **push** -- hot paths call ``registry.counter(...).labels(...).inc()``;
+* **push** -- a hot path calls ``registry.histogram(...).child.observe()``;
 * **pull** -- ``register_collector(fn)`` registers an adapter that samples
   an existing stat source (``RequestMetrics``, ``LRUCache.stats()``,
   ``Mempool.stats()``, ``GossipStats``) right before a snapshot or render,
@@ -86,12 +86,6 @@ class CounterChild(_Child):
         super().__init__(labelvalues)
         self.value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Increase the counter (``amount`` must be non-negative)."""
-        if amount < 0:
-            raise ObservabilityError(f"counter increment must be >= 0, got {amount}")
-        self.value += amount
-
     def set_total(self, value: float) -> None:
         """Adapter hook: overwrite the running total from an external source.
 
@@ -114,10 +108,6 @@ class GaugeChild(_Child):
     def set(self, value: float) -> None:
         """Set the gauge to an absolute value."""
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (may be negative) to the gauge."""
-        self.value += amount
 
 
 class HistogramChild(_Child):

@@ -170,10 +170,6 @@ class Tracer:
             self._last[(trace_id, replica)] = span.span_id
         return span
 
-    def end_span(self, span: Any, status: str = "ok") -> Any:
-        """Close ``span`` against this tracer's simulated clock."""
-        return span.end(self.clock, status=status)
-
     def context(self, span: Any) -> Optional[Dict[str, str]]:
         """The propagation dict a message carries across replicas."""
         if span.span_id is None:

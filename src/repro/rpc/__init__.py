@@ -5,7 +5,7 @@ The paper's real deployment talks to Ethereum through a JSON-RPC endpoint
 package makes that boundary explicit and singular: a transport-agnostic
 JSON-RPC 2.0 gateway with namespaced method registries (``eth_*``,
 ``ipfs_*``, ``oflw3_*``), batch requests, polling subscription filters and a
-middleware chain (metrics, rate limiting, allowlists) -- plus the
+middleware chain (metrics, rate limiting) -- plus the
 :class:`MarketplaceClient` SDK that every higher layer (wallet, DApp
 facades, backend, CLI, simnet) routes its stack access through.
 
@@ -24,8 +24,7 @@ _HOME = {
     "MarketplaceClient": "client", "Oflw3Client": "client", "RpcBatch": "client",
     "FilterManager": "filters",
     "JsonRpcGateway": "gateway",
-    "MethodAllowlist": "middleware", "RequestMetrics": "middleware",
-    "TokenBucketRateLimiter": "middleware",
+    "RequestMetrics": "middleware", "TokenBucketRateLimiter": "middleware",
     "INTERNAL_ERROR": "protocol", "INVALID_PARAMS": "protocol",
     "INVALID_REQUEST": "protocol", "JsonRpcError": "protocol",
     "METHOD_NOT_ALLOWED": "protocol", "METHOD_NOT_FOUND": "protocol",

@@ -2,13 +2,13 @@
 
 One client object fronts the whole stack through typed sub-clients::
 
-    client = MarketplaceClient.for_stack(node=node, swarm=swarm, backend=backend)
+    client = MarketplaceClient(gateway, default_ipfs_node=ipfs.name)
     client.eth.get_balance(address)          # -> int
     client.ipfs.add(payload_bytes)           # -> {"cid", "size", "num_blocks"}
     client.oflw3.deploy_task(spec, budget)   # -> backend route response
 
 Every call is a real JSON-RPC envelope through the gateway (so middleware,
-metrics and allowlists all apply); error envelopes are rehydrated back into
+metrics and rate limits all apply); error envelopes are rehydrated back into
 the :class:`~repro.errors.ReproError` subclass named by ``data.error_class``,
 which keeps exception-level compatibility with the direct-call era.  Batches
 amortize dispatch overhead::
@@ -30,7 +30,6 @@ from repro.chain.node import EthereumNode
 from repro.chain.receipts import TransactionReceipt
 from repro.chain.transaction import Transaction, encode_call
 from repro.ipfs.node import IpfsNode
-from repro.ipfs.swarm import Swarm
 from repro.rpc.gateway import JsonRpcGateway
 from repro.rpc.protocol import RATE_LIMITED, from_quantity, make_request
 from repro.utils.encoding import to_hex
@@ -405,24 +404,6 @@ class MarketplaceClient:
     def for_node(cls, node: EthereumNode, **gateway_kwargs: Any) -> "MarketplaceClient":
         """A client over a fresh gateway serving just the chain node."""
         return cls(JsonRpcGateway(node=node, **gateway_kwargs))
-
-    @classmethod
-    def for_stack(
-        cls,
-        node: Optional[EthereumNode] = None,
-        swarm: Optional[Swarm] = None,
-        ipfs: Optional[IpfsNode] = None,
-        backend: Optional[Any] = None,
-        **gateway_kwargs: Any,
-    ) -> "MarketplaceClient":
-        """A client over a fresh gateway serving any subset of the stack."""
-        gateway = JsonRpcGateway(node=node, swarm=swarm, ipfs=ipfs, **gateway_kwargs)
-        default_backend = gateway.serve_backend(backend) if backend is not None else None
-        return cls(
-            gateway,
-            default_ipfs_node=ipfs.name if ipfs is not None else None,
-            default_backend=default_backend,
-        )
 
     def bound_to_ipfs(self, node: IpfsNode) -> "MarketplaceClient":
         """Share this gateway, defaulting IPFS calls to ``node``."""

@@ -3,7 +3,7 @@
 :class:`JsonRpcGateway` dispatches validated requests to namespaced method
 registries (``eth_*``, ``ipfs_*``, ``oflw3_*``), supports batches and
 notifications, and runs every request through a middleware chain (metrics
-first, then whatever the caller installed: rate limiters, allowlists...).
+first, then whatever the caller installed, such as a rate limiter).
 
 The gateway is transport-agnostic: :meth:`handle` consumes/produces plain
 dicts (what an in-process client uses), :meth:`handle_raw` consumes a JSON

@@ -1,4 +1,4 @@
-"""Gateway middleware: request metrics, token-bucket rate limiting, allowlists.
+"""Gateway middleware: request metrics and token-bucket rate limiting.
 
 A middleware is any callable ``(request, call_next) -> result`` where
 ``call_next(request)`` invokes the rest of the chain.  Middleware may raise
@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.rpc.protocol import (
     JsonRpcError,
-    METHOD_NOT_ALLOWED,
     RATE_LIMITED,
     RpcRequest,
 )
@@ -175,32 +174,4 @@ class TokenBucketRateLimiter:
                 data={"method": request.method},
             )
         self._tokens -= 1.0
-        return call_next(request)
-
-
-class MethodAllowlist:
-    """Rejects any method not matching the allowlist.
-
-    Entries are exact method names (``"eth_getBalance"``) or namespace
-    wildcards (``"eth_*"``).
-    """
-
-    def __init__(self, allowed: Iterable[str]) -> None:
-        self._exact = {entry for entry in allowed if not entry.endswith("*")}
-        self._prefixes = tuple(entry[:-1] for entry in allowed if entry.endswith("*"))
-        self.rejected_total = 0
-
-    def permits(self, method: str) -> bool:
-        """Whether ``method`` passes the allowlist."""
-        if method in self._exact:
-            return True
-        return bool(self._prefixes) and method.startswith(self._prefixes)
-
-    def __call__(self, request: RpcRequest, call_next: CallNext) -> Any:
-        if not self.permits(request.method):
-            self.rejected_total += 1
-            raise JsonRpcError(
-                METHOD_NOT_ALLOWED,
-                f"method {request.method} is not allowed on this endpoint",
-            )
         return call_next(request)

@@ -16,7 +16,7 @@ Error codes
 -32000    server error (the repro library rejected the operation; the
           ``data.error_class`` member names the :class:`ReproError` subclass)
 -32001    filter not found (unknown/uninstalled subscription filter id)
--32004    method not allowed (rejected by an allowlist middleware)
+-32004    method not allowed (``eth_subscribe`` on a non-WebSocket transport)
 -32005    rate limited (rejected by a token-bucket middleware)
 ========= ==================================================================
 """

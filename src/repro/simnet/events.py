@@ -85,7 +85,6 @@ class EventScheduler:
         self._queue: List[ScheduledEvent] = []
         self._seq = 0
         self._executed = 0
-        self._observers: List[Callable[["EventScheduler", ScheduledEvent], None]] = []
 
     # -- introspection ---------------------------------------------------------
 
@@ -106,10 +105,6 @@ class EventScheduler:
     def empty(self) -> bool:
         """Whether no live events remain."""
         return len(self) == 0
-
-    def add_observer(self, observer: Callable[["EventScheduler", ScheduledEvent], None]) -> None:
-        """Call ``observer(scheduler, event)`` after every executed event."""
-        self._observers.append(observer)
 
     # -- scheduling ------------------------------------------------------------
 
@@ -203,8 +198,6 @@ class EventScheduler:
             self.clock.advance_to(event.time)
             event.action()
             self._executed += 1
-            for observer in self._observers:
-                observer(self, event)
             return event
         return None
 

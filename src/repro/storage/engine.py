@@ -87,10 +87,6 @@ class BlobSpace:
         return (self.namespace, key) in self.engine.cache or \
             self.engine.backend.has_blob(self.namespace, key)
 
-    def delete(self, key: str) -> bool:
-        self.engine.cache.invalidate((self.namespace, key))
-        return self.engine.backend.delete_blob(self.namespace, key)
-
     def keys(self) -> List[str]:
         return self.engine.backend.blob_keys(self.namespace)
 

@@ -184,12 +184,6 @@ class ModelOwner:
                 result, _submitted = stop.value
                 return result
 
-    # -- reporting ---------------------------------------------------------------------
-
-    def blockchain_time_fraction(self) -> float:
-        """Fraction of this owner's time spent on blockchain interaction."""
-        return self.breakdown.blockchain_fraction(OWNER_BLOCKCHAIN_PHASES)
-
 
 class ModelBuyer:
     """The party that funds the task, aggregates the models and pays owners."""
@@ -292,10 +286,6 @@ class ModelBuyer:
         return result
 
     # -- reporting ---------------------------------------------------------------------
-
-    def blockchain_time_fraction(self) -> float:
-        """Fraction of the buyer's time spent on blockchain interaction."""
-        return self.breakdown.blockchain_fraction(BUYER_BLOCKCHAIN_PHASES)
 
     def results(self) -> Dict[str, Any]:
         """Consolidated results screen from the backend."""

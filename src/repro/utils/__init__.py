@@ -16,7 +16,7 @@ from repro.utils.encoding import (
     from_hex,
     to_hex,
 )
-from repro.utils.hashing import hash_json, keccak256, ripemd160_like, sha256
+from repro.utils.hashing import hash_json, keccak256, sha256
 from repro.utils.rng import derive_seed, make_rng
 from repro.utils.serialization import canonical_dumps, canonical_loads, rlp_encode
 from repro.utils.units import (
@@ -27,7 +27,6 @@ from repro.utils.units import (
     format_ether,
     gwei_to_wei,
     wei_to_ether,
-    wei_to_gwei,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "to_hex",
     "hash_json",
     "keccak256",
-    "ripemd160_like",
     "sha256",
     "derive_seed",
     "make_rng",
@@ -54,5 +52,4 @@ __all__ = [
     "format_ether",
     "gwei_to_wei",
     "wei_to_ether",
-    "wei_to_gwei",
 ]

@@ -75,11 +75,6 @@ class LRUCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns whether it was cached."""
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
     def clear(self) -> None:
         """Drop every entry (statistics are preserved)."""
         with self._lock:

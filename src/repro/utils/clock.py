@@ -11,7 +11,7 @@ experiments reproducible and fast while preserving relative durations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List
 
 
 ClockObserver = Callable[[float, float], None]
@@ -73,44 +73,3 @@ class SimulatedClock:
     def sleep(self, seconds: float) -> None:
         """Alias of :meth:`advance`, mirroring ``time.sleep`` call sites."""
         self.advance(seconds)
-
-
-class Stopwatch:
-    """Accumulates named durations against a :class:`SimulatedClock`.
-
-    Components report how long each phase of the OFL-W3 workflow took; the
-    stopwatch records (label, duration) pairs which the Fig. 7 benchmark then
-    groups into the owner/buyer time breakdown.
-    """
-
-    def __init__(self, clock: Optional[SimulatedClock] = None) -> None:
-        self.clock = clock or SimulatedClock()
-        self._records: List[Tuple[str, float]] = []
-
-    def record(self, label: str, seconds: float) -> None:
-        """Advance the clock by ``seconds`` and remember it under ``label``."""
-        self.clock.advance(seconds)
-        self._records.append((label, float(seconds)))
-
-    def measure(self, label: str, fn: Callable[[], object], seconds: float) -> object:
-        """Run ``fn`` and attribute a simulated duration of ``seconds`` to it."""
-        result = fn()
-        self.record(label, seconds)
-        return result
-
-    @property
-    def records(self) -> List[Tuple[str, float]]:
-        """All recorded (label, seconds) pairs in insertion order."""
-        return list(self._records)
-
-    def totals(self) -> Dict[str, float]:
-        """Total simulated seconds per label."""
-        totals: Dict[str, float] = {}
-        for label, seconds in self._records:
-            totals[label] = totals.get(label, 0.0) + seconds
-        return totals
-
-    @property
-    def total(self) -> float:
-        """Total simulated seconds across all labels."""
-        return sum(seconds for _, seconds in self._records)

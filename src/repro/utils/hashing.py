@@ -33,17 +33,6 @@ def keccak256(data: bytes) -> bytes:
     return hashlib.sha3_256(bytes(data)).digest()
 
 
-def ripemd160_like(data: bytes) -> bytes:
-    """Return a 20-byte digest (used where Bitcoin-style stacks use RIPEMD160).
-
-    ``hashlib.new("ripemd160")`` is not guaranteed to exist on every OpenSSL
-    build, so we derive a 20-byte digest by truncating SHA2-256 of the
-    SHA2-256 of the input.  Only the length and collision resistance matter
-    for the simulation.
-    """
-    return sha256(sha256(data))[:20]
-
-
 def hash_json(obj: Any) -> bytes:
     """Hash an arbitrary JSON-serializable object deterministically.
 

@@ -33,11 +33,6 @@ def wei_to_ether(amount_wei: int) -> Decimal:
     return Decimal(amount_wei) / ETHER
 
 
-def wei_to_gwei(amount_wei: int) -> Decimal:
-    """Convert integer wei into a :class:`~decimal.Decimal` gwei amount."""
-    return Decimal(amount_wei) / GWEI
-
-
 def format_ether(amount_wei: int, places: int = 8) -> str:
     """Format a wei amount as an ether string with ``places`` decimals.
 

@@ -41,11 +41,6 @@ def approve_all(_preview: "TransactionPreview") -> bool:
     return True
 
 
-def reject_all(_preview: "TransactionPreview") -> bool:
-    """Confirmation policy that always clicks "Reject"."""
-    return False
-
-
 @dataclass
 class TransactionPreview:
     """What the MetaMask confirmation screen shows before signing."""
@@ -177,11 +172,6 @@ class MetaMaskWallet:
         return receipt
 
     # -- public operations (what DApp buttons call) -----------------------------------
-
-    def send_ether(self, to: str, value_wei: int,
-                   description: str = "Send ETH") -> TransactionReceipt:
-        """Plain value transfer."""
-        return self._confirm_and_send(description, to, value_wei, b"")
 
     def deploy_contract(self, contract_name: str, args: Optional[List[Any]] = None,
                         value_wei: int = 0,

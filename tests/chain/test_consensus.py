@@ -45,15 +45,6 @@ class TestInclusionLatency:
         assert poa.next_block_timestamp(12.0) == 24.0
         assert poa.next_block_timestamp(13.0) == 24.0
 
-    def test_wait_time_within_one_slot(self):
-        poa = ProofOfAuthority(validators=validators())
-        assert 0 < poa.wait_time_for_inclusion(5.0) <= 12.0
-
-    def test_extra_confirmations_add_slots(self):
-        poa = ProofOfAuthority(validators=validators())
-        base = poa.wait_time_for_inclusion(5.0, confirmations=1)
-        assert poa.wait_time_for_inclusion(5.0, confirmations=3) == base + 24.0
-
     def test_advance_to_next_block_moves_clock(self):
         poa = ProofOfAuthority(validators=validators())
         clock = SimulatedClock(start_time=5.0)

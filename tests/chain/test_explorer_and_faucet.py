@@ -43,10 +43,11 @@ class TestFaucet:
         Faucet(node).drip(ALICE.address)
         assert node.get_balance(ALICE.address) == ether_to_wei(1)
 
-    def test_fund_many_and_history(self):
+    def test_drips_and_history(self):
         node = EthereumNode(backend=default_registry())
         faucet = Faucet(node)
-        faucet.fund_many([ALICE.address, BOB.address], 10)
+        faucet.drip(ALICE.address, 10)
+        faucet.drip(BOB.address, 10)
         assert faucet.total_dripped == 20
         assert len(faucet.history) == 2
 

@@ -408,17 +408,6 @@ class TestMempoolIndexes:
         assert [t.hash_hex for t in selected] == [
             s_low.hash_hex, z_mid.hash_hex, s_high.hash_hex]
 
-    def test_prune_stale_uses_nonce_index(self):
-        stale = signed_transfer("idx-f", nonce=0)
-        fresh = signed_transfer("idx-f", nonce=3)
-        pool = self.make_pool_with(stale, fresh)
-        state = WorldState()
-        account = state.get_account(stale.sender)
-        account.nonce = 3
-        assert pool.prune_stale(state) == 1
-        assert stale.hash_hex not in pool
-        assert fresh.hash_hex in pool
-
 
 class TestBatchedProduction:
     def test_produce_blocks_count_and_until_empty(self):
@@ -493,11 +482,8 @@ class TestSelectionEdgeCases:
         # account), while ``stale`` is skipped without blocking it.
         assert [t.hash_hex for t in selected] == [
             valid.hash_hex, other.hash_hex]
-        # Selection defers, it does not evict; the prune pass owns eviction.
+        # Selection defers, it does not evict.
         assert stale.hash_hex in pool
-        assert pool.prune_stale(state) == 1
-        assert stale.hash_hex not in pool
-        assert valid.hash_hex in pool
 
     def test_default_cap_is_500_transactions_a_block(self):
         # A pool deeper than a block with gas to spare: the default

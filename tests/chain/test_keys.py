@@ -37,11 +37,6 @@ class TestKeyPair:
         with pytest.raises(ValueError):
             KeyPair(b"")
 
-    def test_export_private_seed_roundtrip(self):
-        keys = KeyPair.from_label("carol")
-        restored = KeyPair(keys.export_private_seed())
-        assert restored.address == keys.address
-
 
 class TestSignatures:
     def test_sign_and_verify(self):

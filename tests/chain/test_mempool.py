@@ -92,11 +92,3 @@ class TestOrderingAndSelection:
         pool.add(make_tx(sender=BOB, nonce=0, gas_limit=25_000))
         selected = pool.select_for_block(state, gas_limit=30_000)
         assert len(selected) == 1
-
-    def test_prune_stale_drops_already_used_nonces(self):
-        pool = Mempool()
-        state = WorldState()
-        pool.add(make_tx(nonce=0))
-        state.increment_nonce(ALICE.address)
-        assert pool.prune_stale(state) == 1
-        assert len(pool) == 0

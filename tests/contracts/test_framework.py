@@ -121,8 +121,8 @@ class TestAbi:
 
 
 class TestRegistry:
-    def test_register_and_list(self, registry):
-        assert "Counter" in registry.known_contracts()
+    def test_register_and_look_up(self, registry):
+        assert registry.contract_class("Counter") is Counter
 
     def test_register_rejects_non_contract(self, registry):
         with pytest.raises(TypeError):

@@ -52,11 +52,6 @@ class TestDataset:
         with pytest.raises(ShapeError):
             Dataset(features=np.ones(3), labels=np.zeros(3, dtype=int), num_classes=2)
 
-    def test_shuffled_has_same_multiset_of_labels(self):
-        ds = small_dataset(40)
-        shuffled = ds.shuffled(rng=1)
-        assert sorted(shuffled.labels.tolist()) == sorted(ds.labels.tolist())
-
 
 class TestTrainTestSplit:
     def test_split_sizes(self):

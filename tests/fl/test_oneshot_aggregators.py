@@ -1,4 +1,4 @@
-"""Tests for the one-shot aggregators (mean, PFNM, ensemble, FedOV)."""
+"""Tests for the one-shot aggregators (mean, PFNM, ensemble)."""
 
 import hashlib
 import tracemalloc
@@ -11,7 +11,6 @@ from repro.fl.fedavg import weighted_average_parameters
 from repro.fl.model_update import ModelUpdate
 from repro.fl.oneshot import make_aggregator
 from repro.fl.oneshot.ensemble import EnsembleAggregator, EnsemblePredictor
-from repro.fl.oneshot.fedov import FedOVAggregator, generate_outliers
 from repro.fl.oneshot import pfnm
 from repro.fl.oneshot.mean import MeanAggregator
 from repro.fl.oneshot.pfnm import PFNMAggregator, PFNMConfig
@@ -314,29 +313,3 @@ class TestEnsemble:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(AggregationError):
             EnsemblePredictor(members=[]).predict(np.ones((1, 4)))
-
-
-class TestFedOV:
-    def test_open_set_models_have_extra_class(self, tiny_client_datasets, trained_updates):
-        aggregator = FedOVAggregator(tiny_client_datasets, epochs=1, hidden_width=16, seed=0)
-        result = aggregator.aggregate(trained_updates)
-        for member in result.predictor.members:
-            assert member.layer_sizes[-1] == 11  # 10 classes + unknown
-
-    def test_predictions_are_valid_classes(self, tiny_client_datasets, trained_updates, tiny_split):
-        _, test = tiny_split
-        aggregator = FedOVAggregator(tiny_client_datasets, epochs=1, hidden_width=16, seed=0)
-        result = aggregator.aggregate(trained_updates)
-        predictions = result.predict(test.features[:20])
-        assert predictions.min() >= 0
-        assert predictions.max() < 10
-
-    def test_outlier_generation_shapes(self):
-        rng = np.random.default_rng(0)
-        features = rng.random((40, 784))
-        outliers = generate_outliers(features, rng, fraction=0.5)
-        assert outliers.shape == (20, 784)
-
-    def test_requires_client_datasets(self):
-        with pytest.raises(AggregationError):
-            FedOVAggregator([], epochs=1)

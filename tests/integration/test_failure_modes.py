@@ -14,7 +14,7 @@ from repro.contracts import default_registry
 from repro.ipfs import IpfsNode, Swarm
 from repro.ml import MLP, deserialize_model, serialize_model
 from repro.utils.units import ether_to_wei, gwei_to_wei
-from repro.web.wallet import MetaMaskWallet, reject_all
+from repro.web.wallet import MetaMaskWallet
 
 GAS_PRICE = gwei_to_wei(1)
 
@@ -40,7 +40,7 @@ class TestChainFailures:
         faucet = Faucet(node)
         keys = KeyPair.from_label("hesitant")
         faucet.drip(keys.address, ether_to_wei(1))
-        wallet = MetaMaskWallet(keys, node, confirmation_policy=reject_all)
+        wallet = MetaMaskWallet(keys, node, confirmation_policy=lambda preview: False)
         with pytest.raises(WalletError):
             wallet.deploy_contract("CidStorage", [])
         assert node.block_number == 0

@@ -42,13 +42,6 @@ class TestBlockStore:
         with pytest.raises(BlockNotFoundError):
             store.get(cid_of(b"missing"))
 
-    def test_delete(self, store):
-        cid = cid_of(b"block")
-        store.put(cid, b"block")
-        assert store.delete(cid)
-        assert not store.has(cid)
-        assert not store.delete(cid)
-
     def test_idempotent_put(self, store):
         cid = cid_of(b"block")
         store.put(cid, b"block")
@@ -137,17 +130,6 @@ class TestPinSet:
         pins.pin(cid, recursive=False)
         assert pins.pin_type(cid) == DIRECT
         assert cid.encode() not in pins.recursive_pins()
-
-    def test_unpin(self):
-        pins = PinSet()
-        cid = cid_of(b"model")
-        pins.pin(cid)
-        pins.unpin(cid)
-        assert not pins.is_pinned(cid)
-
-    def test_unpin_missing_raises(self):
-        with pytest.raises(PinError):
-            PinSet().unpin(cid_of(b"missing"))
 
     def test_pin_type_missing_raises(self):
         with pytest.raises(PinError):

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.ipfs.chunker import DEFAULT_CHUNK_SIZE, chunk_bytes, iter_chunks
-from repro.ipfs.dag import DagLink, DagNode, leaf_cid
+from repro.ipfs.cid import CID, RAW_CODEC
+from repro.ipfs.dag import DagLink, DagNode
+
+
+def raw_cid(chunk: bytes) -> str:
+    return CID.from_bytes_payload(chunk, version=1, codec=RAW_CODEC).encode()
 
 
 class TestChunker:
@@ -48,24 +53,21 @@ class TestDag:
         assert DagNode(data=b"a").cid() != DagNode(data=b"b").cid()
 
     def test_cid_changes_with_links(self):
-        link = DagLink(cid=leaf_cid(b"chunk").encode(), size=5)
+        link = DagLink(cid=raw_cid(b"chunk"), size=5)
         assert DagNode(links=[link]).cid() != DagNode(links=[]).cid()
 
     def test_total_size_sums_links_and_data(self):
-        links = [DagLink(cid=leaf_cid(b"aa").encode(), size=2),
-                 DagLink(cid=leaf_cid(b"bbb").encode(), size=3)]
+        links = [DagLink(cid=raw_cid(b"aa"), size=2),
+                 DagLink(cid=raw_cid(b"bbb"), size=3)]
         node = DagNode(data=b"x", links=links)
         assert node.total_size == 6
 
     def test_is_leaf(self):
         assert DagNode(data=b"x").is_leaf
-        assert not DagNode(links=[DagLink(cid=leaf_cid(b"a").encode(), size=1)]).is_leaf
+        assert not DagNode(links=[DagLink(cid=raw_cid(b"a"), size=1)]).is_leaf
 
     def test_link_serialization_roundtrip(self):
-        link = DagLink(cid=leaf_cid(b"chunk").encode(), size=5, name="part-0")
+        link = DagLink(cid=raw_cid(b"chunk"), size=5, name="part-0")
         node = DagNode(data=b"", links=[link])
         restored = DagNode.deserialize(node.serialize())
         assert restored.links == [link]
-
-    def test_leaf_cid_uses_raw_codec(self):
-        assert leaf_cid(b"chunk").codec_name == "raw"

@@ -68,12 +68,6 @@ class TestCid:
     def test_v0_to_v1_conversion_preserves_digest(self):
         cid = CID.from_bytes_payload(b"abc")
         assert cid.to_v1().digest == cid.digest
-        assert cid.to_v1().to_v0() == cid
-
-    def test_raw_codec_has_no_v0_form(self):
-        cid = CID.from_bytes_payload(b"abc", version=1, codec=RAW_CODEC)
-        with pytest.raises(InvalidCidError):
-            cid.to_v0()
 
     def test_equality_with_string(self):
         cid = CID.from_bytes_payload(b"abc")

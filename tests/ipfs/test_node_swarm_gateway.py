@@ -1,9 +1,9 @@
-"""Tests for repro.ipfs.node, repro.ipfs.swarm and repro.ipfs.gateway."""
+"""Tests for repro.ipfs.node and repro.ipfs.swarm."""
 
 import pytest
 
-from repro.errors import BlockNotFoundError, InvalidCidError
-from repro.ipfs import IpfsGateway, IpfsNode, Swarm
+from repro.errors import BlockNotFoundError
+from repro.ipfs import IpfsNode, Swarm
 
 
 @pytest.fixture()
@@ -43,11 +43,6 @@ class TestAdd:
         result = node.add_bytes(b"content")
         assert node.pins.is_pinned(result.cid)
 
-    def test_add_text(self):
-        node = IpfsNode("solo")
-        result = node.add_text("hello")
-        assert node.cat(result.cid) == b"hello"
-
     def test_empty_payload(self):
         node = IpfsNode("solo")
         result = node.add_bytes(b"")
@@ -72,6 +67,13 @@ class TestSwarmRetrieval:
         assert consumer.has_local(result.cid)  # cached after retrieval
         assert swarm.total_bytes_transferred() > 0
 
+    def test_pin_fetches_remote_content_first(self, swarm_pair):
+        _, provider, consumer = swarm_pair
+        result = provider.add_bytes(b"model")
+        consumer.pin(result.cid)
+        assert consumer.pins.is_pinned(result.cid)
+        assert consumer.has_local(result.cid)
+
     def test_offline_node_cannot_fetch(self):
         node = IpfsNode("offline")
         other = IpfsNode("other")
@@ -87,13 +89,6 @@ class TestSwarmRetrieval:
         with pytest.raises(BlockNotFoundError):
             loner.cat(result.cid)
 
-    def test_providers_listing(self, swarm_pair):
-        swarm, provider, consumer = swarm_pair
-        result = provider.add_bytes(b"content")
-        assert swarm.providers_of(result.cid) == [provider.peer_id]
-        consumer.cat(result.cid)
-        assert set(swarm.providers_of(result.cid)) == {provider.peer_id, consumer.peer_id}
-
     def test_connect_all_meshes_every_node(self):
         swarm = Swarm()
         nodes = [IpfsNode(f"n{i}", swarm) for i in range(4)]
@@ -107,27 +102,7 @@ class TestSwarmRetrieval:
         assert len(set(names)) == 5
 
 
-class TestGarbageCollection:
-    def test_unpinned_content_collected(self):
-        node = IpfsNode("solo", chunk_size=512)
-        kept = node.add_bytes(b"a" * 2000, pin=True)
-        dropped = node.add_bytes(b"b" * 2000, pin=False)
-        removed = node.garbage_collect()
-        assert removed > 0
-        assert node.cat(kept.cid) == b"a" * 2000
-        with pytest.raises(BlockNotFoundError):
-            node.cat(dropped.cid)
-
-    def test_pin_after_fetch_protects_content(self):
-        swarm = Swarm()
-        provider = IpfsNode("p", swarm)
-        consumer = IpfsNode("c", swarm)
-        swarm.connect(provider, consumer)
-        result = provider.add_bytes(b"model", pin=True)
-        consumer.pin(result.cid)
-        consumer.garbage_collect()
-        assert consumer.cat(result.cid) == b"model"
-
+class TestRepoStat:
     def test_repo_stat(self):
         node = IpfsNode("solo")
         node.add_bytes(b"content")
@@ -135,39 +110,3 @@ class TestGarbageCollection:
         assert stats["num_blocks"] == 1
         assert stats["num_pins"] == 1
         assert stats["repo_size_bytes"] > 0
-
-
-class TestGateway:
-    def test_fetch_by_path(self):
-        node = IpfsNode("gw")
-        result = node.add_bytes(b"payload")
-        gateway = IpfsGateway(node)
-        status, body = gateway.fetch(f"/ipfs/{result.cid_string}")
-        assert status == 200
-        assert body == b"payload"
-
-    def test_fetch_by_bare_cid(self):
-        node = IpfsNode("gw")
-        result = node.add_bytes(b"payload")
-        assert IpfsGateway(node).fetch(result.cid_string) == (200, b"payload")
-
-    def test_url_for(self):
-        node = IpfsNode("gw")
-        result = node.add_bytes(b"payload")
-        url = IpfsGateway(node, base_url="http://gateway.local:8080").url_for(result.cid)
-        assert url == f"http://gateway.local:8080/ipfs/{result.cid_string}"
-
-    def test_unknown_cid_is_404(self):
-        node = IpfsNode("gw")
-        missing = IpfsNode("other").add_bytes(b"elsewhere")
-        status, _ = IpfsGateway(node).fetch(missing.cid_string)
-        assert status == 404
-
-    def test_invalid_cid_is_400(self):
-        status, _ = IpfsGateway(IpfsNode("gw")).fetch("/ipfs/not-a-cid")
-        assert status == 400
-
-    def test_parse_path_extracts_cid(self):
-        assert IpfsGateway.parse_path("https://host/ipfs/QmABC/file?x=1") == "QmABC"
-        with pytest.raises(InvalidCidError):
-            IpfsGateway.parse_path("/not-ipfs/QmABC")

@@ -14,7 +14,7 @@ from repro.utils.cache import LRUCache
 class TestFamilies:
     def test_counter_gauge_histogram_are_typed(self):
         reg = MetricsRegistry()
-        reg.counter("a_total").child.inc()
+        reg.counter("a_total").child.set_total(1)
         reg.gauge("b").child.set(3)
         reg.histogram("c_seconds").child.observe(0.01)
         snap = reg.snapshot()
@@ -47,18 +47,14 @@ class TestFamilies:
         with pytest.raises(ObservabilityError, match="already registered"):
             reg.counter("x_total", labelnames=["other"])
 
-    def test_counter_rejects_negative_increments(self):
-        with pytest.raises(ObservabilityError):
-            MetricsRegistry().counter("x_total").child.inc(-1)
-
 
 class TestLabels:
     def test_labels_get_or_create_one_series_per_value_set(self):
         reg = MetricsRegistry()
         family = reg.counter("req_total", labelnames=["method"])
-        family.labels(method="a").inc()
-        family.labels(method="a").inc()
-        family.labels(method="b").inc()
+        family.labels(method="a").set_total(2)
+        family.labels(method="b").set_total(1)
+        assert family.labels(method="a") is family.labels(method="a")
         values = {labels: child.value for labels, child in family.children()}
         assert values == {("a",): 2.0, ("b",): 1.0}
 
@@ -112,14 +108,14 @@ class TestExposition:
         family = reg.gauge("zz", labelnames=["k"])
         family.labels(k="b").set(2)
         family.labels(k="a").set(1)
-        reg.counter("aa_total").child.inc()
+        reg.counter("aa_total").child.set_total(1)
         snap = reg.snapshot()
         assert list(snap) == ["aa_total", "zz"]
         assert [s["labels"]["k"] for s in snap["zz"]["series"]] == ["a", "b"]
 
     def test_prometheus_text_has_help_and_type_headers(self):
         reg = MetricsRegistry()
-        reg.counter("hits_total", "Cache hits.").child.inc(3)
+        reg.counter("hits_total", "Cache hits.").child.set_total(3)
         text = reg.render_prometheus()
         assert "# HELP hits_total Cache hits.\n# TYPE hits_total counter\n" in text
         assert "hits_total 3\n" in text

@@ -65,7 +65,7 @@ class TestClocks:
         tracer = Tracer(clock=clock)
         span = tracer.start_span("tx.submit", "t1")
         clock.advance(12.0)
-        tracer.end_span(span)
+        span.end(tracer.clock)
         assert span.start_sim == 0.0
         assert span.sim_seconds == 12.0
         assert span.wall_ms >= 0.0
@@ -73,7 +73,7 @@ class TestClocks:
     def test_to_dict_can_drop_wall_clock_for_determinism(self):
         tracer = Tracer()
         span = tracer.start_span("tx.submit", "t1")
-        tracer.end_span(span)
+        span.end(tracer.clock)
         assert "wall_ms" in span.to_dict()
         assert "wall_ms" not in span.to_dict(include_wall=False)
 

@@ -31,7 +31,8 @@ def stack():
     Faucet(node).drip(ALICE.address, ether_to_wei(5))
     swarm = Swarm()
     ipfs = IpfsNode("sdk-node", swarm)
-    client = MarketplaceClient.for_stack(node=node, swarm=swarm, ipfs=ipfs)
+    client = MarketplaceClient(JsonRpcGateway(node=node, swarm=swarm, ipfs=ipfs),
+                               default_ipfs_node=ipfs.name)
     return node, ipfs, client
 
 
@@ -203,12 +204,11 @@ class TestReviewRegressions:
 
     def test_wallet_error_class_survives_the_oflw3_path(self, stack, tiny_split):
         from repro.errors import WalletError
-        from repro.web.wallet import reject_all
 
         node, ipfs, client = stack
         _, test = tiny_split
         wallet = MetaMaskWallet(ALICE, node, gas_price_wei=gwei_to_wei(1),
-                                rpc=client, confirmation_policy=reject_all)
+                                rpc=client, confirmation_policy=lambda preview: False)
         backend = BuyerBackend(wallet, ipfs, test)
         dapp = BuyerDApp(backend)
         with pytest.raises(WalletError):

@@ -39,7 +39,7 @@ def gateway(ipfs):
 
 class TestPayloadsStayBytes:
     def test_the_client_cat_takes_the_bytes_with_no_hex_round_trip(self, ipfs):
-        client = MarketplaceClient.for_stack(ipfs=ipfs)
+        client = MarketplaceClient(JsonRpcGateway(ipfs=ipfs), default_ipfs_node=ipfs.name)
         cid = client.ipfs.add(PAYLOAD)["cid"]
         with mock.patch.object(HexString, "__str__", side_effect=AssertionError):
             assert client.ipfs.cat(cid) == PAYLOAD

@@ -1,4 +1,4 @@
-"""Tests for gateway middleware (metrics, rate limit, allowlist) and filters."""
+"""Tests for gateway middleware (metrics, rate limit) and filters."""
 
 import pytest
 
@@ -8,11 +8,9 @@ from repro.chain.transaction import Transaction, encode_call, encode_create
 from repro.contracts import default_registry
 from repro.errors import RateLimitError
 from repro.rpc import (
-    METHOD_NOT_ALLOWED,
     RATE_LIMITED,
     JsonRpcGateway,
     MarketplaceClient,
-    MethodAllowlist,
     TokenBucketRateLimiter,
     make_request,
 )
@@ -43,7 +41,7 @@ class TestRequestMetrics:
     def test_stacked_middleware_counts_every_call(self):
         gateway = make_gateway(middleware=[
             TokenBucketRateLimiter(rate=10_000_000.0),
-            MethodAllowlist(["eth_*"]),
+            lambda request, call_next: call_next(request),
         ])
         client = MarketplaceClient(gateway)
         for _ in range(5):
@@ -95,20 +93,6 @@ class TestRateLimiting:
             TokenBucketRateLimiter(rate=0)
         with pytest.raises(ValueError):
             TokenBucketRateLimiter(rate=5, capacity=0.5)
-
-
-class TestAllowlist:
-    def test_exact_and_wildcard_entries(self):
-        allowlist = MethodAllowlist(["eth_blockNumber", "ipfs_*"])
-        assert allowlist.permits("eth_blockNumber")
-        assert allowlist.permits("ipfs_cat")
-        assert not allowlist.permits("eth_sendRawTransaction")
-
-    def test_gateway_rejects_disallowed_methods(self):
-        gateway = make_gateway(middleware=[MethodAllowlist(["eth_blockNumber"])])
-        assert "result" in gateway.handle(make_request("eth_blockNumber"))
-        rejected = gateway.handle(make_request("eth_getBalance", [ALICE.address]))
-        assert rejected["error"]["code"] == METHOD_NOT_ALLOWED
 
 
 class TestFilters:

@@ -231,13 +231,3 @@ class TestClockObservers:
         clock.unsubscribe(observer)
         clock.advance(1.0)
         assert moves == [1.0]
-
-    def test_scheduler_observer_fires_per_event(self):
-        scheduler = EventScheduler()
-        seen = []
-        scheduler.add_observer(lambda sched, event: seen.append(event.time))
-        scheduler.schedule(1.0, lambda: None)
-        scheduler.schedule(2.0, lambda: None)
-        scheduler.run()
-        assert seen == [1.0, 2.0]
-        assert scheduler.events_executed == 2

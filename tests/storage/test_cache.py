@@ -47,11 +47,9 @@ class TestLRUCache:
         assert "a" not in cache
         assert cache.hits == 0 and cache.misses == 0
 
-    def test_invalidate_and_clear(self):
+    def test_clear(self):
         cache = LRUCache(4)
         cache.put("a", 1)
-        assert cache.invalidate("a") is True
-        assert cache.invalidate("a") is False
         cache.put("b", 2)
         cache.clear()
         assert len(cache) == 0

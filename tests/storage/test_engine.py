@@ -64,14 +64,6 @@ class TestBlobSpaces:
         assert engine.blob_space("one").get("k") == b"1"
         assert engine.blob_space("two").get("k") == b"2"
 
-    def test_delete_invalidates_cache(self):
-        engine = StorageEngine()
-        space = engine.blob_space("ns")
-        space.put("k", b"x")
-        assert space.delete("k") is True
-        assert not space.has("k")
-        assert engine.cache.peek(("ns", "k")) is None
-
 
 class TestBlockStoreOnBlobSpace:
     def test_ipfs_node_blocks_live_in_the_engine(self, tmp_path):

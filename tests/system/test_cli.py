@@ -1,5 +1,6 @@
 """Tests for the command-line interface (python -m repro)."""
 
+import argparse
 import json
 
 import pytest
@@ -24,6 +25,17 @@ class TestParser:
     def test_no_command_prints_help_and_fails(self, capsys):
         assert main([]) == 1
         assert "usage" in capsys.readouterr().out.lower()
+
+    def test_run_offers_every_one_shot_aggregator_and_no_other(self):
+        # The CLI lists its choices by hand: importing repro.fl here would
+        # load numpy on every command, ``repro info`` included.
+        from repro.fl.oneshot import AGGREGATORS
+
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        run = subparsers.choices["run"]
+        aggregator = next(action for action in run._actions if action.dest == "aggregator")
+        assert sorted(aggregator.choices) == sorted(AGGREGATORS)
 
 
 class TestInfoCommand:

@@ -303,8 +303,8 @@ WIRING = re.compile(
     r"|\.attach_obs\(|\.attach_storage\(|\.attach_analytics\("
     r"|\.instrument_cluster\(")
 
-#: The builder, ``MarketplaceClient.for_node`` / ``for_stack`` (a bare
-#: gateway over parts the caller already holds) and the cluster package's
+#: The builder, ``MarketplaceClient.for_node`` (a bare gateway over the
+#: node the caller already holds) and the cluster package's
 #: internals (a follower attaching its own replica, ``class ClusterNode(``).
 MAY_WIRE = {"system/stack.py", "rpc/client.py"}
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.clock import SimulatedClock, Stopwatch
+from repro.utils.clock import SimulatedClock
 
 
 class TestSimulatedClock:
@@ -36,31 +36,3 @@ class TestSimulatedClock:
         clock = SimulatedClock()
         clock.sleep(3)
         assert clock.now == 3
-
-
-class TestStopwatch:
-    def test_records_accumulate_per_label(self):
-        watch = Stopwatch()
-        watch.record("train", 10)
-        watch.record("train", 5)
-        watch.record("upload", 2)
-        assert watch.totals() == {"train": 15.0, "upload": 2.0}
-        assert watch.total == 17.0
-
-    def test_records_advance_the_clock(self):
-        clock = SimulatedClock()
-        watch = Stopwatch(clock)
-        watch.record("x", 4)
-        assert clock.now == 4
-
-    def test_measure_runs_function_and_records(self):
-        watch = Stopwatch()
-        result = watch.measure("compute", lambda: 41 + 1, seconds=1.5)
-        assert result == 42
-        assert watch.totals()["compute"] == 1.5
-
-    def test_records_property_preserves_order(self):
-        watch = Stopwatch()
-        watch.record("a", 1)
-        watch.record("b", 2)
-        assert [label for label, _ in watch.records] == ["a", "b"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.hashing import hash_json, keccak256, ripemd160_like, sha256
+from repro.utils.hashing import hash_json, keccak256, sha256
 
 
 class TestSha256:
@@ -36,14 +36,6 @@ class TestKeccak256:
     def test_rejects_string(self):
         with pytest.raises(TypeError):
             keccak256("hello")
-
-
-class TestRipemd160Like:
-    def test_length_is_20_bytes(self):
-        assert len(ripemd160_like(b"payload")) == 20
-
-    def test_deterministic(self):
-        assert ripemd160_like(b"x") == ripemd160_like(b"x")
 
 
 class TestHashJson:

@@ -9,7 +9,6 @@ from repro.utils.units import (
     format_ether,
     gwei_to_wei,
     wei_to_ether,
-    wei_to_gwei,
 )
 
 
@@ -29,9 +28,6 @@ class TestConversions:
 
     def test_wei_to_ether_roundtrip(self):
         assert wei_to_ether(ether_to_wei("1.5")) == Decimal("1.5")
-
-    def test_wei_to_gwei(self):
-        assert wei_to_gwei(3 * GWEI) == Decimal(3)
 
     def test_decimal_input(self):
         assert ether_to_wei(Decimal("2.000000000000000001")) == 2 * ETHER + 1

@@ -336,7 +336,9 @@ def priced(retrieved):
 CALLER_MISTAKES = [
     ("oflw3_aggregate", ["bogus"], "algorithm"),
     ("oflw3_aggregate", [7], "algorithm"),
+    ("oflw3_aggregate", ["fedov"], "algorithm"),
     ("oflw3_computeIncentives", ["leave_one_out", {"algorithm": "nope"}], "algorithm"),
+    ("oflw3_computeIncentives", ["leave_one_out", {"algorithm": "fedov"}], "algorithm"),
     ("oflw3_computeIncentives", ["shapley_monte_carlo", {"num_permutations": "x"}],
      "num_permutations"),
     ("oflw3_computeIncentives", ["shapley_monte_carlo", {"num_permutations": 0}],

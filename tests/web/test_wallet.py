@@ -4,9 +4,10 @@ import pytest
 
 from repro.errors import WalletError
 from repro.chain import EthereumNode, Faucet, KeyPair
+from repro.chain.transaction import encode_create
 from repro.contracts import default_registry
 from repro.utils.units import ether_to_wei, gwei_to_wei
-from repro.web.wallet import MetaMaskWallet, approve_all, reject_all
+from repro.web.wallet import MetaMaskWallet, approve_all
 
 ALICE = KeyPair.from_label("wallet-alice")
 BOB = KeyPair.from_label("wallet-bob")
@@ -55,9 +56,9 @@ class TestPreview:
 
         monkeypatch.setattr(keys, "verify_signature", counting)
         _, wallet = env
-        wallet.preview("Send ETH", BOB.address, value=1000)
+        wallet.preview("Deploy CidStorage", None, data=encode_create("CidStorage", []))
         assert calls == []
-        assert wallet.send_ether(BOB.address, 1000).status
+        assert wallet.deploy_contract("CidStorage").status
         assert len(calls) == 1
 
     def test_preview_to_dict_has_confirmation_fields(self, env):
@@ -67,20 +68,21 @@ class TestPreview:
 
 
 class TestSendFlow:
-    def test_send_ether_updates_balances_and_activity(self, env):
-        node, wallet = env
-        receipt = wallet.send_ether(BOB.address, ether_to_wei("0.5"))
+    def test_send_charges_the_fee_and_records_activity(self, env):
+        _, wallet = env
+        receipt = wallet.deploy_contract("CidStorage")
         assert receipt.status
-        assert node.get_balance(BOB.address) == ether_to_wei("1.5")
+        assert wallet.balance_wei() == ether_to_wei(2) - receipt.fee_wei
         assert len(wallet.activity) == 1
         assert wallet.total_fees_paid_wei() == receipt.fee_wei
 
     def test_rejection_policy_blocks_transaction(self, env):
         node, wallet = env
-        wallet.confirmation_policy = reject_all
+        wallet.confirmation_policy = lambda preview: False
         with pytest.raises(WalletError):
-            wallet.send_ether(BOB.address, 1000)
-        assert node.get_balance(BOB.address) == ether_to_wei(1)
+            wallet.deploy_contract("CidStorage")
+        assert node.block_number == 0
+        assert wallet.activity == []
 
     def test_policy_receives_preview(self, env):
         _, wallet = env
@@ -91,8 +93,8 @@ class TestSendFlow:
             return True
 
         wallet.confirmation_policy = policy
-        wallet.send_ether(BOB.address, 10, description="Pay the owner")
-        assert seen["description"] == "Pay the owner"
+        wallet.deploy_contract("CidStorage", description="Deploy the task")
+        assert seen["description"] == "Deploy the task"
 
     def test_deploy_and_call_contract(self, env):
         node, wallet = env
@@ -105,8 +107,8 @@ class TestSendFlow:
 
     def test_activity_summary_lists_descriptions(self, env):
         _, wallet = env
-        wallet.send_ether(BOB.address, 10, description="first")
-        wallet.send_ether(BOB.address, 10, description="second")
+        wallet.deploy_contract("CidStorage", description="first")
+        wallet.deploy_contract("CidStorage", description="second")
         summary = wallet.activity_summary()
         assert [entry["description"] for entry in summary] == ["first", "second"]
         assert all(entry["status"] for entry in summary)
@@ -120,4 +122,3 @@ class TestSendFlow:
 
     def test_approve_all_policy(self):
         assert approve_all(None) is True
-        assert reject_all(None) is False
