@@ -25,9 +25,7 @@ def _json_default(value: Any) -> Any:
         return asdict(value)
     if isinstance(value, (bytes, bytearray)):
         return "0x" + bytes(value).hex()
-    if hasattr(value, "item"):  # NumPy scalar
-        return value.item()
-    if hasattr(value, "tolist"):  # NumPy array
+    if hasattr(value, "tolist"):  # NumPy scalar or array
         return value.tolist()
     raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.errors import UnknownBlockError, UnknownTransactionError
+from repro.errors import BlockValidationError, UnknownBlockError, UnknownTransactionError
 from repro.chain import EthereumNode, Faucet, KeyPair
+from repro.chain.block import (
+    block_from_record,
+    compute_receipts_root,
+    compute_transactions_root,
+    make_genesis_block,
+)
 from repro.chain.chain import ChainConfig
 from repro.chain.events import LogFilter
 from repro.contracts import default_registry
@@ -149,3 +155,55 @@ class TestChainStatistics:
 
     def test_chain_id_is_sepolia(self, funded_node):
         assert funded_node.chain_id == 11155111
+
+
+def mined_transfer(node):
+    """Send Alice -> Bob one ether and return the block that includes it."""
+    node.sign_and_send(ALICE, BOB.address, value=ether_to_wei(1),
+                       gas_limit=21_000, gas_price=GAS_PRICE)
+    return node.mine(1)[0]
+
+
+class TestBlockRecords:
+    def test_genesis_is_deterministic_in_its_timestamp(self):
+        assert make_genesis_block().hash == make_genesis_block().hash
+        assert make_genesis_block(timestamp=5.0).hash != make_genesis_block().hash
+        assert make_genesis_block().header.parent_hash == "0x" + "00" * 32
+
+    def test_header_roots_commit_to_transactions_and_receipts(self, funded_node):
+        block = mined_transfer(funded_node)
+        assert block.header.transactions_root == compute_transactions_root(block.transactions)
+        assert block.header.receipts_root == compute_receipts_root(block.receipts)
+        assert compute_transactions_root([]) != block.header.transactions_root
+
+    def test_record_round_trips_to_the_same_hash(self, funded_node):
+        block = mined_transfer(funded_node)
+        rebuilt = block_from_record(block.to_record())
+        assert rebuilt.hash == block.hash
+        assert rebuilt.transaction_hashes() == block.transaction_hashes()
+        assert [r.status for r in rebuilt.receipts] == [r.status for r in block.receipts]
+
+    def test_tampered_record_rebuilds_to_another_hash(self, funded_node):
+        record = mined_transfer(funded_node).to_record()
+        record["header"]["gas_used"] += 1
+        assert block_from_record(record).hash != record["header"]["hash"]
+
+    def test_replay_on_a_twin_chain_reproduces_the_block(self, funded_node):
+        twin = EthereumNode(config=ChainConfig(), backend=default_registry())
+        Faucet(twin).drip(ALICE.address, ether_to_wei(5))
+        Faucet(twin).drip(BOB.address, ether_to_wei(5))
+        block = mined_transfer(funded_node)
+        assert not twin.chain.knows_block(block.hash)
+        replayed = twin.chain.replay_block(block.to_record())
+        assert replayed.hash == block.hash
+        assert twin.chain.knows_block(block.hash)
+        assert twin.get_balance(BOB.address) == funded_node.get_balance(BOB.address)
+
+    def test_replay_that_diverges_is_refused(self, funded_node):
+        twin = EthereumNode(config=ChainConfig(), backend=default_registry())
+        Faucet(twin).drip(ALICE.address, ether_to_wei(5))
+        record = mined_transfer(funded_node).to_record()
+        record["header"]["timestamp"] += 1.0  # the recorded hash no longer matches
+        with pytest.raises(BlockValidationError, match="diverged"):
+            twin.chain.replay_block(record)
+        assert twin.block_number == 0

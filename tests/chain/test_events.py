@@ -1,7 +1,9 @@
 """Tests for repro.chain.events."""
 
+import pytest
+
 from repro.chain.account import Address
-from repro.chain.events import EventLog, LogFilter
+from repro.chain.events import EventLog, LogFilter, LogPage, parse_cursor
 from repro.chain.keys import KeyPair
 
 CONTRACT = Address(KeyPair.from_label("contract").address)
@@ -52,3 +54,21 @@ class TestLogFilter:
         logs = [make_log(cid="a", block=1), make_log(cid="a", block=7)]
         filtered = LogFilter(event_name="CidUploaded", from_block=5, arg_filters={"cid": "a"}).apply(logs)
         assert filtered == [logs[1]]
+
+
+class TestPagination:
+    def test_absent_cursor_starts_at_zero(self):
+        assert parse_cursor(None) == 0
+        assert parse_cursor("12") == 12
+
+    @pytest.mark.parametrize("cursor", ["-1", "abc", "1.5", ""])
+    def test_malformed_cursor_names_what_it_paginates(self, cursor):
+        with pytest.raises(ValueError, match="malformed record cursor"):
+            parse_cursor(cursor, what="record")
+
+    def test_page_iterates_and_renders_its_logs(self):
+        logs = [make_log(cid="a"), make_log(cid="b")]
+        page = LogPage(logs, next_cursor="2")
+        assert len(page) == 2
+        assert list(page) == logs
+        assert page.to_dict() == {"logs": [log.to_dict() for log in logs], "next_cursor": "2"}

@@ -121,3 +121,31 @@ class TestPayloadEncoding:
         small = make_tx()
         big = make_tx(data=encode_call("method", ["x" * 500]), gas_limit=100_000)
         assert big.size_bytes > small.size_bytes
+
+
+class TestRawWireForm:
+    def test_signed_transaction_round_trips(self):
+        tx = make_tx(data=encode_call("uploadCid", ["QmABC"]), gas_limit=60_000).sign(ALICE)
+        decoded = Transaction.deserialize_raw(tx.serialize_raw())
+        assert decoded.hash == tx.hash
+        assert decoded.verify_signature()
+        assert decoded.decoded_payload() == {"method": "uploadCid", "args": ["QmABC"]}
+
+    def test_plain_transfer_has_an_empty_payload(self):
+        assert make_tx().decoded_payload() == {}
+
+    def test_undecodable_hex_rejected(self):
+        with pytest.raises(InvalidTransactionError, match="undecodable"):
+            Transaction.deserialize_raw("0xzz")
+
+    def test_non_object_payload_rejected(self):
+        with pytest.raises(InvalidTransactionError, match="object"):
+            Transaction.deserialize_raw("0x" + b"[1, 2]".hex())
+
+    def test_signing_payload_is_cached_until_an_identity_field_changes(self):
+        tx = make_tx()
+        payload = tx.signing_payload()
+        assert tx.signing_payload() is payload
+        tx.nonce = 1
+        assert tx.signing_payload() != payload
+        assert tx.signing_payload() == make_tx(nonce=1).signing_payload()

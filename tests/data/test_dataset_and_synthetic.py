@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.data.dataset import Dataset, train_test_split
+from repro.data.dataset import Dataset, split_indices, train_test_split
 from repro.data.synthetic_mnist import (
     SyntheticMnistConfig,
     generate_synthetic_mnist,
@@ -80,6 +80,24 @@ class TestTrainTestSplit:
         a_train, _ = train_test_split(ds, rng=7)
         b_train, _ = train_test_split(ds, rng=7)
         assert np.array_equal(a_train.features, b_train.features)
+
+    def test_split_indices_partition_the_rows(self):
+        train, test = split_indices(30, test_fraction=0.2, rng=4)
+        assert len(test) == 6
+        assert sorted(np.concatenate([train, test]).tolist()) == list(range(30))
+
+    def test_split_indices_are_the_rows_train_test_split_takes(self):
+        ds = Dataset(features=np.arange(40, dtype=float).reshape(-1, 1),
+                     labels=small_dataset(40).labels, num_classes=5)
+        train_rows, test_rows = split_indices(40, test_fraction=0.25, rng=9)
+        train, test = train_test_split(ds, test_fraction=0.25, rng=9)
+        assert train.features.ravel().tolist() == train_rows.astype(float).tolist()
+        assert test.features.ravel().tolist() == test_rows.astype(float).tolist()
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1])
+    def test_split_indices_reject_fractions_outside_the_open_interval(self, fraction):
+        with pytest.raises(ValueError, match="test_fraction"):
+            split_indices(10, test_fraction=fraction)
 
 
 class TestSyntheticMnist:

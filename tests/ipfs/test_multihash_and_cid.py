@@ -78,6 +78,10 @@ class TestCid:
         with pytest.raises(InvalidCidError):
             CID.parse("not-a-cid")
 
+    def test_codec_names(self):
+        assert CID.from_bytes_payload(b"abc").codec_name == "dag-pb"
+        assert CID.from_bytes_payload(b"abc", version=1, codec=RAW_CODEC).codec_name == "raw"
+
     def test_parse_wrong_type_rejected(self):
         with pytest.raises(InvalidCidError):
             CID.parse(12345)

@@ -1,0 +1,117 @@
+"""Unit tests for repro.net.http: request-head framing and response bytes."""
+
+import pytest
+
+from repro.errors import PayloadTooLargeError, ProtocolViolationError
+from repro.net.http import HttpRequest, format_response, parse_head
+
+CAP = 1024
+
+
+def head(*lines: str) -> bytes:
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+class TestParseHead:
+    def test_incomplete_head_waits_for_more_bytes(self):
+        assert parse_head(b"POST / HTTP/1.1\r\nHost: x\r\n", CAP) is None
+
+    def test_request_line_and_lower_cased_headers(self):
+        data = head("post /rpc?x=1 HTTP/1.1", "Host: node", "Content-Length: 5") + b"hello"
+        request, body_start, body_end = parse_head(data, CAP)
+        assert request.method == "POST"
+        assert request.target == "/rpc?x=1"
+        assert request.path == "/rpc"
+        assert request.headers == {"host": "node", "content-length": "5"}
+        assert request.body == b""
+        assert data[body_start:body_end] == b"hello"
+
+    def test_missing_content_length_means_empty_body(self):
+        data = head("GET / HTTP/1.1", "Host: node")
+        _, body_start, body_end = parse_head(data, CAP)
+        assert body_start == body_end == len(data)
+
+    def test_scan_from_resumes_the_search(self):
+        data = head("GET / HTTP/1.1", "Host: node")
+        request, _, _ = parse_head(data, CAP, scan_from=len(data) - 6)
+        assert request.method == "GET"
+
+    def test_malformed_request_line_rejected(self):
+        with pytest.raises(ProtocolViolationError, match="request line"):
+            parse_head(head("GARBAGE"), CAP)
+
+    def test_header_without_colon_rejected(self):
+        with pytest.raises(ProtocolViolationError, match="header"):
+            parse_head(head("GET / HTTP/1.1", "no colon here"), CAP)
+
+    def test_agreeing_duplicate_content_lengths_accepted(self):
+        data = head("POST / HTTP/1.1", "Content-Length: 2", "Content-Length: 2")
+        _, body_start, body_end = parse_head(data, CAP)
+        assert body_end - body_start == 2
+
+    def test_conflicting_content_lengths_rejected(self):
+        with pytest.raises(ProtocolViolationError, match="conflicting"):
+            parse_head(head("POST / HTTP/1.1", "Content-Length: 2", "Content-Length: 3"), CAP)
+
+    def test_transfer_encoding_refused(self):
+        with pytest.raises(ProtocolViolationError, match="transfer-encoding"):
+            parse_head(head("POST / HTTP/1.1", "Transfer-Encoding: chunked"), CAP)
+
+    @pytest.mark.parametrize("length", ["-1", "+5", "0x10", "five", "1\u00b2"])
+    def test_non_digit_content_length_rejected(self, length):
+        with pytest.raises(ProtocolViolationError, match="bad content-length") as caught:
+            parse_head(head("POST / HTTP/1.1", f"Content-Length: {length}"), CAP)
+        assert not isinstance(caught.value, PayloadTooLargeError)
+
+    def test_body_over_the_cap_is_too_large(self):
+        with pytest.raises(PayloadTooLargeError, match="body"):
+            parse_head(head("POST / HTTP/1.1", f"Content-Length: {CAP + 1}"), CAP)
+
+    def test_absurd_content_length_is_too_large_not_an_overflow(self):
+        with pytest.raises(PayloadTooLargeError):
+            parse_head(head("POST / HTTP/1.1", "Content-Length: " + "9" * 40), 10**30)
+
+    def test_head_over_the_cap_is_too_large_even_before_it_ends(self):
+        with pytest.raises(PayloadTooLargeError, match="head"):
+            parse_head(b"GET / HTTP/1.1\r\nX: " + b"a" * CAP, CAP)
+
+    def test_complete_head_longer_than_the_cap_is_too_large(self):
+        with pytest.raises(PayloadTooLargeError):
+            parse_head(head("GET / HTTP/1.1", "X: " + "a" * CAP), CAP)
+
+
+class TestHttpRequest:
+    @pytest.mark.parametrize("connection, keep_alive", [
+        (None, True), ("keep-alive", True), ("close", False), ("Close", False),
+    ])
+    def test_keep_alive_is_the_default(self, connection, keep_alive):
+        headers = {} if connection is None else {"connection": connection}
+        assert HttpRequest("GET", "/", headers).wants_keep_alive() is keep_alive
+
+    def test_websocket_upgrade_needs_both_headers(self):
+        upgrade = {"upgrade": "WebSocket", "connection": "keep-alive, Upgrade"}
+        assert HttpRequest("GET", "/", upgrade).is_websocket_upgrade()
+        assert not HttpRequest("GET", "/", {"upgrade": "websocket"}).is_websocket_upgrade()
+        assert not HttpRequest("GET", "/", {"connection": "upgrade"}).is_websocket_upgrade()
+
+
+class TestFormatResponse:
+    def test_status_line_headers_and_body(self):
+        response = format_response(200, b'{"ok":1}')
+        head_bytes, body = response.split(b"\r\n\r\n", 1)
+        lines = head_bytes.decode("latin-1").split("\r\n")
+        assert lines[0] == "HTTP/1.1 200 OK"
+        assert "Content-Type: application/json" in lines
+        assert "Content-Length: 8" in lines
+        assert "Connection: keep-alive" in lines
+        assert body == b'{"ok":1}'
+
+    def test_close_and_extra_headers(self):
+        response = format_response(413, keep_alive=False,
+                                   extra_headers=(("Retry-After", "1"),))
+        assert response.startswith(b"HTTP/1.1 413 Payload Too Large\r\n")
+        assert b"Connection: close\r\n" in response
+        assert response.endswith(b"Retry-After: 1\r\n\r\n")
+
+    def test_unknown_status_has_a_placeholder_reason(self):
+        assert format_response(299).startswith(b"HTTP/1.1 299 Unknown\r\n")

@@ -14,6 +14,7 @@ from repro.rpc import (
     TokenBucketRateLimiter,
     make_request,
 )
+from repro.rpc.filters import FilterManager, poll_new_blocks, poll_pending_transactions
 from repro.utils.clock import SimulatedClock
 from repro.utils.units import ether_to_wei
 
@@ -63,6 +64,22 @@ class TestRequestMetrics:
         snapshot = gateway.metrics.snapshot(include_latency=False)
         assert "latency_histogram_ms" not in snapshot
         assert "mean_latency_ms" not in snapshot
+
+    def test_top_methods_rank_by_calls_then_name(self):
+        gateway = make_gateway()
+        for method, calls in [("eth_chainId", 1), ("eth_gasPrice", 2), ("eth_blockNumber", 2)]:
+            for _ in range(calls):
+                gateway.handle(make_request(method))
+        assert gateway.metrics.top_methods(2) == [("eth_blockNumber", 2), ("eth_gasPrice", 2)]
+        assert gateway.metrics.top_methods()[-1] == ("eth_chainId", 1)
+
+    def test_attached_gauge_is_sampled_into_every_snapshot(self):
+        gateway = make_gateway()
+        depth = {"value": 1}
+        gateway.metrics.attach_gauge("queue", lambda: dict(depth))
+        assert gateway.metrics.snapshot(include_latency=False)["queue"] == {"value": 1}
+        depth["value"] = 4
+        assert gateway.metrics.snapshot(include_latency=False)["queue"] == {"value": 4}
 
 
 class TestRateLimiting:
@@ -160,6 +177,30 @@ class TestFilters:
         # get_filter_logs always returns the full history.
         history = client.eth.get_filter_logs(filter_id)
         assert [log.args["cid"] for log in history] == ["QmA", "QmB", "QmC"]
+
+    def test_poll_new_blocks_returns_hashes_past_the_cursor(self):
+        node = make_gateway().eth.node
+        blocks = node.mine(2)
+        hashes, tip = poll_new_blocks(node, 0)
+        assert hashes == [block.hash for block in blocks]
+        assert tip == node.block_number
+        assert poll_new_blocks(node, tip) == ([], tip)
+
+    def test_poll_pending_transactions_reads_the_mempool_journal(self):
+        node = make_gateway().eth.node
+        _, start = poll_pending_transactions(node, 0)
+        tx_hash = node.sign_and_send(ALICE, ALICE.address, value=1, gas_price=10**9)
+        hashes, cursor = poll_pending_transactions(node, start)
+        assert hashes == [tx_hash]
+        assert poll_pending_transactions(node, cursor) == ([], cursor)
+
+    def test_filter_manager_uninstall_reports_whether_it_existed(self):
+        manager = FilterManager(make_gateway().eth.node)
+        filter_id = manager.new_block_filter()
+        assert len(manager) == 1
+        assert manager.uninstall(filter_id) is True
+        assert manager.uninstall(filter_id) is False
+        assert len(manager) == 0
 
     def test_uninstalled_filter_cannot_be_polled(self, client):
         from repro.errors import RpcError

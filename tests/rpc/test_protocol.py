@@ -3,6 +3,7 @@
 import pytest
 
 from repro.rpc.protocol import (
+    FILTER_NOT_FOUND,
     INVALID_REQUEST,
     JsonRpcError,
     RpcRequest,
@@ -74,6 +75,24 @@ class TestEnvelopes:
     def test_request_to_dict_round_trip(self):
         request = RpcRequest(method="m", params=[1, 2], request_id=4)
         assert parse_request(request.to_dict()).positional() == [1, 2]
+
+
+class TestJsonRpcError:
+    def test_message_defaults_to_the_code_name(self):
+        error = JsonRpcError(FILTER_NOT_FOUND)
+        assert error.to_error_object() == {"code": FILTER_NOT_FOUND,
+                                           "message": "Filter not found"}
+        assert str(error) == f"[{FILTER_NOT_FOUND}] Filter not found"
+
+    def test_unknown_code_falls_back_to_server_error(self):
+        assert JsonRpcError(-32099).message == "Server error"
+
+    def test_data_member_only_when_given(self):
+        error = JsonRpcError(INVALID_REQUEST, "bad", data={"field": "id"})
+        assert error.to_error_object() == {"code": INVALID_REQUEST, "message": "bad",
+                                           "data": {"field": "id"}}
+        assert error.to_error_object() == error_response(None, INVALID_REQUEST, "bad",
+                                                         data={"field": "id"})["error"]
 
 
 class TestQuantities:

@@ -39,6 +39,22 @@ class TestScheduling:
         with pytest.raises(SchedulerError):
             EventScheduler().schedule(-1.0, lambda: None)
 
+    def test_sort_key_is_time_priority_insertion(self):
+        scheduler = EventScheduler()
+        later = scheduler.schedule(2.0, lambda: None)
+        urgent = scheduler.schedule(2.0, lambda: None, priority=-1)
+        assert urgent.sort_key == (2.0, -1, 1)
+        assert later.sort_key == (2.0, 0, 0)
+        assert urgent < later
+
+    def test_events_executed_skips_cancelled_events(self):
+        scheduler = EventScheduler()
+        scheduler.schedule(1.0, lambda: None)
+        scheduler.cancel(scheduler.schedule(2.0, lambda: None))
+        scheduler.schedule(3.0, lambda: None)
+        assert scheduler.run() == 2
+        assert scheduler.events_executed == 2
+
     def test_cancelled_events_do_not_fire(self):
         scheduler = EventScheduler()
         fired = []

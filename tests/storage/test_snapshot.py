@@ -8,7 +8,7 @@ from repro.chain import EthereumNode, Faucet, KeyPair
 from repro.contracts import default_registry
 from repro.errors import StorageCorruptionError, StorageError
 from repro.storage import MemoryBackend, SnapshotManager, encode_state, restore_state, state_digest
-from repro.storage.snapshot import LATEST_SNAPSHOT_META
+from repro.storage.snapshot import LATEST_SNAPSHOT_META, SNAPSHOT_NAMESPACE, snapshot_key
 from repro.utils.units import ether_to_wei
 
 
@@ -107,3 +107,41 @@ class TestSnapshotManager:
         removed = manager.prune(keep=2)
         assert removed == 1
         assert manager.heights() == heights[-2:]
+
+
+class TestSnapshotsByHeight:
+    def test_key_is_zero_padded_so_keys_sort_by_height(self):
+        assert snapshot_key(7) == "snapshot-000000000007"
+        assert sorted([snapshot_key(10), snapshot_key(9)]) == [snapshot_key(9), snapshot_key(10)]
+
+    def test_load_at_reads_a_height_the_pointer_has_left(self, populated_node):
+        node, _, _ = populated_node
+        manager = SnapshotManager(MemoryBackend())
+        first = manager.write(node.chain, wal_seq=1)["height"]
+        first_hash = node.chain.latest_block.hash
+        node.mine(1)
+        manager.write(node.chain, wal_seq=2)
+        payload = manager.load_at(first)
+        assert payload["height"] == first
+        assert payload["head_hash"] == first_hash
+        assert manager.load_latest()["height"] == first + 1
+
+    def test_load_at_refuses_a_payload_filed_under_another_height(self, populated_node):
+        node, _, _ = populated_node
+        backend = MemoryBackend()
+        manager = SnapshotManager(backend)
+        height = manager.write(node.chain)["height"]
+        blob = backend.get_blob(SNAPSHOT_NAMESPACE, snapshot_key(height))
+        backend.put_blob(SNAPSHOT_NAMESPACE, snapshot_key(height + 5), blob)
+        with pytest.raises(StorageCorruptionError, match="claims height"):
+            manager.load_at(height + 5)
+
+    def test_delete_at_drops_one_snapshot(self, populated_node):
+        node, _, _ = populated_node
+        manager = SnapshotManager(MemoryBackend())
+        height = manager.write(node.chain)["height"]
+        assert manager.delete_at(height)
+        assert not manager.delete_at(height)
+        assert manager.heights() == []
+        with pytest.raises(StorageError):
+            manager.load_at(height)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.utils.encoding import (
+    HexString,
     b32_decode,
     b32_encode,
     b58_decode,
@@ -100,3 +101,14 @@ class TestBase32:
     def test_single_byte_roundtrip(self):
         for value in (b"\x00", b"\xff", b"\x7f"):
             assert b32_decode(b32_encode(value)) == value
+
+
+class TestHexString:
+    def test_str_and_reply_pieces_agree(self):
+        value = HexString(b"\x00\xab")
+        assert str(value) == "0x00ab"
+        assert b"".join(value.reply_pieces()) == b'"0x00ab"'
+
+    def test_only_bytes_fill_one(self):
+        with pytest.raises(TypeError, match="bytes"):
+            HexString("0x00ab")

@@ -73,6 +73,15 @@ class TestRouter:
     def test_trailing_slash_equivalence(self, router):
         assert router.dispatch(HttpRequest("GET", "/api/items/7/")).ok
 
+    def test_add_route_matches_case_insensitively_by_method(self):
+        router = Router()
+        router.add_route("get", "/tasks/<task>/cids", lambda request: HttpResponse.json_ok(
+            dict(request.path_params)))
+        response = router.dispatch(HttpRequest("GET", "/tasks/t1/cids?page=2"))
+        assert response.json() == {"task": "t1"}
+        with pytest.raises(RouteNotFoundError):
+            router.dispatch(HttpRequest("GET", "/tasks/t1"))
+
     def test_response_text_renders_json(self):
         assert HttpResponse.json_ok({"a": 1}).text() == '{"a": 1}'
 
