@@ -25,7 +25,7 @@ from repro.chain.consensus import ProofOfAuthority
 from repro.chain.events import EventLog, LogFilter, LogPage, parse_cursor
 from repro.chain.executor import BlockContext, ContractBackend, TransactionExecutor
 from repro.chain.gas import GasSchedule
-from repro.chain.mempool import Mempool
+from repro.chain.mempool import Mempool, next_version
 from repro.chain.receipts import TransactionReceipt
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
@@ -125,6 +125,9 @@ class Blockchain:
         #: snapshots), or the null store that keeps the chain in-process.
         self.store = store or NULL_CHAIN_STORE
         self.store.attach(self)
+        #: The version of the last mutation outside the mempool: a mint, an
+        #: appended block or a rewind (see :attr:`version`).
+        self._version = next_version()
         #: Observability hooks (``repro.obs``): the no-op facade until
         #: ``Observability.attach_chain`` overwrites it, so the write path
         #: below has one body whether or not a run is observed.
@@ -145,6 +148,17 @@ class Blockchain:
             self.enable_batch_verify(batch_verify)
 
     # -- chain accessors -----------------------------------------------------
+
+    @property
+    def version(self) -> int:
+        """Changes at every mutation a read can observe, and only then.
+
+        Mints, appended blocks, rewinds and mempool adds and removes each
+        draw a fresh number from one process-wide counter, so the latest of
+        the chain's and the mempool's names this chain's state and no other.
+        The gateway's reply cache keys on it.
+        """
+        return max(self._version, self.mempool.version)
 
     @property
     def height(self) -> int:
@@ -300,6 +314,7 @@ class Blockchain:
         chain would be missing every faucet drip.
         """
         self.state.credit(Address(address), amount_wei)
+        self._version = next_version()
         self.store.record_mint(str(Address(address)), int(amount_wei))
 
     # -- block production ----------------------------------------------------
@@ -507,6 +522,7 @@ class Blockchain:
             obs.end(obs.tx_span("tx.receipt", tx.hash_hex,
                                 replica=self.obs_label, block=block.number),
                     status="ok" if receipt.status else "reverted")
+        self._version = next_version()
         self.store.record_block(self, block)
 
     # -- replica primitives (repro.cluster.forkchoice) ------------------------
@@ -531,6 +547,7 @@ class Blockchain:
                 self._transactions.pop(tx.hash_hex, None)
         self._logs = [log for log in self._logs if log.block_number <= height]
         self.state = state
+        self._version = next_version()
         return abandoned
 
     def re_execute(self, block: Block, state: WorldState) -> None:

@@ -17,11 +17,17 @@ Two index structures keep the ingest path off linear scans:
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional
 
 from repro.errors import MempoolError
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
+
+#: The next mutation version.  One process-wide counter, so no two states of
+#: any two chains share a version -- a recovered or resynced replica's new
+#: chain included -- and a version alone names what a read saw.
+next_version = itertools.count(1).__next__
 
 
 class Mempool:
@@ -43,6 +49,9 @@ class Mempool:
         self._by_sender: Dict[str, Dict[int, List[str]]] = {}
         #: Fee-priority ordering, rebuilt lazily after any add/remove.
         self._order_cache: Optional[List[Transaction]] = None
+        #: Drawn from :func:`next_version` at every add and remove (see
+        #: ``Blockchain.version``).
+        self.version = next_version()
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -79,6 +88,7 @@ class Mempool:
         self._by_sender.setdefault(tx.sender.lower, {}).setdefault(tx.nonce, []).append(tx_hash)
         self._order_cache = None
         self.max_depth = max(self.max_depth, len(self._pending))
+        self.version = next_version()
         return tx_hash
 
     def remove(self, tx_hash: str) -> Optional[Transaction]:
@@ -100,6 +110,7 @@ class Mempool:
                         del by_nonce[tx.nonce]
                 if not by_nonce:
                     del self._by_sender[sender_key]
+            self.version = next_version()
         return tx
 
     def get(self, tx_hash: str) -> Optional[Transaction]:

@@ -91,6 +91,12 @@ class EthereumNode:
         """Height of the latest block."""
         return self.chain.height
 
+    @property
+    def version(self) -> Any:
+        """Changes whenever a read of this node could answer differently:
+        its chain's :attr:`~repro.chain.chain.Blockchain.version`."""
+        return self.chain.version
+
     def get_block(self, number_or_hash) -> Block:
         """Fetch a block by number or hash."""
         return self.chain.get_block(number_or_hash)

@@ -333,6 +333,8 @@ class _Connection(asyncio.StreamReaderProtocol):
                 self.transport.close()
                 return
             self.idle = True
+            if not buffer:
+                break  # nothing more arrived: no head to parse
         if self.write_paused:
             self._arm(None)  # the peer owes reads, not bytes: no deadline
         elif not buffer:

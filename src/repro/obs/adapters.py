@@ -71,6 +71,10 @@ def collect_cache(reg: MetricsRegistry, name: str, cache: Any) -> None:
         reg.counter(f"repro_cache_{field}_total",
                     f"Cache {field} since process start.",
                     ("cache",)).labels(**labels).set_total(stats[field])
+    if "version_clears" in stats:
+        reg.counter("repro_cache_version_clears_total",
+                    "Clears caused by a changed version (not capacity evictions).",
+                    ("cache",)).labels(**labels).set_total(stats["version_clears"])
 
 
 def collect_chain(reg: MetricsRegistry, chain: Any,

@@ -13,6 +13,10 @@ wire-shaped; a :class:`HexString` result stays bytes in process and becomes
 ``0x`` text only in those reply bytes.  A block, receipt or transaction is a
 plain dict in process; under :meth:`handle_raw` it is a :class:`Rendered`,
 the reply text its object keeps, and no dict is built for it.
+
+:meth:`handle_raw` also keeps the reply text of pure ``eth_*`` reads in a
+:class:`ReplyCache` and answers the same call from it until the served
+node's version changes (``docs/networking.md``, "Reply cache").
 """
 
 from __future__ import annotations
@@ -46,17 +50,100 @@ from repro.rpc.protocol import (
     RpcRequest,
     SERVER_ERROR,
     error_response,
+    is_valid_id,
     parse_request,
     success_response,
 )
+from repro.utils.cache import LRUCache
 from repro.utils.encoding import HexString
 from repro.utils.serialization import Rendered, reply_json, replying
 
 Middleware = Callable[[RpcRequest, Callable[[RpcRequest], Any]], Any]
 
+#: The reads whose reply is a function of the call and of the served node's
+#: version alone.  ``eth_call`` and ``eth_estimateGas`` stay out (their block
+#: context reads the simulated clock), and so do filters, subscriptions and
+#: every other namespace.
+CACHED_READS = frozenset({
+    "eth_chainId", "eth_blockNumber", "eth_getBalance", "eth_getTransactionCount",
+    "eth_getCode", "eth_getBlockByNumber", "eth_getTransactionByHash",
+    "eth_getTransactionReceipt", "eth_getLogs",
+})
+#: The reply cache keeps at most this many replies, each at most this many
+#: bytes of reply text and params together: 2 MiB at worst.
+REPLY_CACHE_ENTRIES = 256
+REPLY_CACHE_MAX_BYTES = 8 * 1024
+
+
+class _Kept:
+    """A result as reply text the reply cache holds."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: bytes) -> None:
+        self.text = text
+
+    def reply_pieces(self) -> tuple:
+        return (self.text,)
+
+
 #: Results that arrive with their reply JSON: ``ipfs_cat``'s payload bytes,
-#: and a block, receipt or transaction as the text its object keeps.
-_PRE_RENDERED = (HexString, Rendered)
+#: a block, receipt or transaction as the text its object keeps, and a reply
+#: the reply cache kept.
+_PRE_RENDERED = (HexString, Rendered, _Kept)
+
+
+class ReplyCache(LRUCache):
+    """Reply text of :data:`CACHED_READS` calls, by method and params, all
+    rendered at one :attr:`stamp` of the served node's version.
+
+    Like the chain it answers for, it is used from the one thread that
+    dispatches; a scrape from another thread only reads its counters.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(REPLY_CACHE_ENTRIES)
+        #: The node version every kept reply was rendered at.
+        self.stamp: Any = None
+        #: Clears caused by a changed version, apart from capacity evictions.
+        self.version_clears = 0
+
+    def serve(self, stamp: Any) -> None:
+        """Hold replies rendered at ``stamp``: any other stamp drops them all."""
+        if stamp != self.stamp:
+            if len(self):
+                self.clear()
+                self.version_clears += 1
+            self.stamp = stamp
+
+    def snapshot(self) -> Dict[str, Any]:
+        return {**super().snapshot(), "version_clears": self.version_clears}
+
+
+def _is_cached_read(entry: Any) -> bool:
+    method = entry.get("method") if type(entry) is dict else None
+    return type(method) is str and method in CACHED_READS
+
+
+def _reuse(replies: ReplyCache, invoke: Callable[[RpcRequest], Any],
+           request: RpcRequest) -> Any:
+    """The innermost stage: a stamped call is answered with its kept reply
+    text, or runs and leaves it; any other call just runs."""
+    if request.stamp is None:
+        return invoke(request)
+    try:
+        params = repr(request.params)
+    except RecursionError:  # nested nearly as deep as the parser allows
+        return invoke(request)
+    key = (request.method, params)
+    text = replies.get(key)
+    if text is None:
+        result = invoke(request)
+        text = (b"".join(result.reply_pieces()) if type(result) in _PRE_RENDERED
+                else reply_json(result).encode())
+        if len(params) + len(text) <= REPLY_CACHE_MAX_BYTES:
+            replies.put(key, text)
+    return _Kept(text)
 
 
 #: A success envelope as ``success_response`` lays it out, cut around its id
@@ -167,6 +254,8 @@ class JsonRpcGateway:
         #: only ``Signature.bind`` can tell).
         self._arities: Dict[str, Optional[_Arity]] = {}
         self.metrics = RequestMetrics()
+        #: What :meth:`handle_raw` answers repeated reads from.
+        self.replies = ReplyCache()
         self._middleware: List[Middleware] = [self.metrics, *(middleware or [])]
         #: Lazily composed middleware pipeline (rebuilt from _middleware once).
         self._pipeline: Optional[Callable[[RpcRequest], Any]] = None
@@ -197,6 +286,7 @@ class JsonRpcGateway:
         self._methods[name] = handler
         self._signatures[name] = signature = inspect.signature(handler)
         self._arities[name] = _arity_of(signature)
+        self.replies.clear()  # what a kept reply answered may have changed
 
     def register_namespace(self, methods: Dict[str, Callable[..., Any]]) -> None:
         """Register a whole method table."""
@@ -276,8 +366,9 @@ class JsonRpcGateway:
     def _run(self, request: RpcRequest) -> Any:
         """Run the middleware chain around :func:`_invoke`.
 
-        The cached chain ends in the method tables, not in a bound method:
-        a pipeline the gateway holds must not point back at the gateway.
+        The cached chain ends in the reply cache and the method tables, not
+        in a bound method: a pipeline the gateway holds must not point back at
+        the gateway.
         """
         if self._pipeline is None:
             def bind(mw, nxt) -> Callable[[RpcRequest], Any]:
@@ -286,19 +377,23 @@ class JsonRpcGateway:
                 return step
 
             call_next: Callable[[RpcRequest], Any] = functools.partial(
-                _invoke, self._methods, self._signatures, self._arities)
+                _reuse, self.replies, functools.partial(
+                    _invoke, self._methods, self._signatures, self._arities))
             for layer in reversed(self._middleware):
                 call_next = bind(layer, call_next)
             self._pipeline = call_next
         return self._pipeline(request)
 
-    def _handle_one(self, payload: Any) -> Optional[Dict[str, Any]]:
+    def _handle_one(self, payload: Any, stamp: Any = None) -> Optional[Dict[str, Any]]:
         """Process one envelope; returns None for notifications."""
         try:
             request = parse_request(payload)
         except JsonRpcError as exc:
+            # The id is echoed only when it is one: an invalid id answers null.
             request_id = payload.get("id") if isinstance(payload, dict) else None
-            return error_response(request_id, exc.code, exc.message, exc.data)
+            return error_response(request_id if is_valid_id(request_id) else None,
+                                  exc.code, exc.message, exc.data)
+        request.stamp = stamp
         try:
             result = self._run(request)
         except JsonRpcError as exc:
@@ -309,20 +404,39 @@ class JsonRpcGateway:
             return None
         return success_response(request.request_id, result)
 
-    def handle(self, payload: Any) -> Union[Dict[str, Any], List[Dict[str, Any]], None]:
+    def handle(self, payload: Any, stamp: Any = None
+               ) -> Union[Dict[str, Any], List[Dict[str, Any]], None]:
         """Process a single request or a batch (a list of requests).
 
         Batch semantics follow JSON-RPC 2.0: responses come back in request
         order (minus notifications), an empty batch is an invalid request,
-        and a batch of only notifications yields ``None``.
+        and a batch of only notifications yields ``None``.  ``stamp`` is for
+        :meth:`handle_raw` alone: the node version its calls may be answered
+        from the reply cache at.
         """
         if isinstance(payload, list):
             if not payload:
                 return error_response(None, INVALID_REQUEST, "batch must not be empty")
-            responses = [self._handle_one(entry) for entry in payload]
+            responses = [self._handle_one(entry, stamp) for entry in payload]
             responses = [response for response in responses if response is not None]
             return responses or None
-        return self._handle_one(payload)
+        return self._handle_one(payload, stamp)
+
+    def _stamp(self, payload: Any) -> Any:
+        """The served node's version, read once for a body of cached reads
+        alone; ``None`` for any other body, whose calls all run.  (A write
+        in a batch would leave the reads after it a stale stamp.)"""
+        if self.eth is None:
+            return None
+        if not (all(map(_is_cached_read, payload)) if type(payload) is list
+                else _is_cached_read(payload)):
+            return None
+        try:
+            stamp = self.eth.node.version
+        except ReproError:  # e.g. no replica up: each call answers its own error
+            return None
+        self.replies.serve(stamp)
+        return stamp
 
     def handle_raw(self, body: Union[bytes, str],
                    admit: Optional[Callable[[Any], None]] = None) -> bytes:
@@ -345,7 +459,9 @@ class JsonRpcGateway:
         # its kept text (``Rendered.of``) and no dict is built for it.
         token = replying.set(True)
         try:
-            response = self.handle(payload)
+            # Positional: ``handle`` is traced, and the tracer weighs its
+            # positional arguments.
+            response = self.handle(payload, self._stamp(payload))
         finally:
             replying.reset(token)
         if response is None:

@@ -83,6 +83,9 @@ class RpcRequest:
     params: Union[List[Any], Dict[str, Any], None] = None
     request_id: Any = None
     is_notification: bool = False
+    #: The node version a wire call may be answered from the gateway's reply
+    #: cache at; ``None`` (every in-process call) runs the handler.
+    stamp: Any = None
 
     def positional(self) -> List[Any]:
         """Params as a positional list (empty for omitted params)."""
@@ -117,6 +120,13 @@ def make_request(method: str, params: Union[List[Any], Dict[str, Any], None] = N
     return envelope
 
 
+def is_valid_id(request_id: Any) -> bool:
+    """Whether ``request_id`` may identify a request: a string, a number
+    (never a bool) or null."""
+    return request_id is None or (isinstance(request_id, (str, int, float))
+                                  and not isinstance(request_id, bool))
+
+
 def parse_request(payload: Any) -> RpcRequest:
     """Validate one request envelope.
 
@@ -136,7 +146,7 @@ def parse_request(payload: Any) -> RpcRequest:
     if params is not None and not isinstance(params, (list, dict)):
         raise JsonRpcError(INVALID_REQUEST, "params must be an array or an object")
     request_id = payload.get("id")
-    if request_id is not None and not isinstance(request_id, (str, int, float)):
+    if not is_valid_id(request_id):
         raise JsonRpcError(INVALID_REQUEST, "id must be a string or a number")
     return RpcRequest(
         method=method,

@@ -126,11 +126,12 @@ class Stack:
             self.engine.backend.sync()
 
 
-def _caches(engine: Optional[Any]) -> Dict[str, Any]:
+def _caches(replies: Any, engine: Optional[Any]) -> Dict[str, Any]:
     """Every ``LRUCache`` by its ``cache=`` label: the two process-wide chain
-    caches and the engine's read cache."""
+    caches, the gateway's reply cache and the engine's read cache."""
     caches = {"address_checksum": checksum_cache(),
-              "schnorr_inverse": inverse_cache()}
+              "schnorr_inverse": inverse_cache(),
+              "rpc_reply": replies}
     if engine is not None:
         caches["storage"] = engine.cache
     return caches
@@ -163,7 +164,7 @@ def _collect_metrics(gateway: JsonRpcGateway, cluster: Optional[Any],
             adapters.collect_chain(reg, replica.chain, replica.name)
             adapters.collect_fork(reg, replica.fork, replica.name)
         adapters.collect_gossip(reg, cluster.gossip)
-    for name, cache in _caches(engine).items():
+    for name, cache in _caches(gateway.replies, engine).items():
         adapters.collect_cache(reg, name, cache)
     if engine is not None:
         adapters.collect_storage(reg, engine)
@@ -245,7 +246,7 @@ def build_stack(
             stack.obs.instrument_cluster(chain_cluster)
         else:
             stack.obs.attach_chain(node.chain)
-        gateway.attach_obs(stack.obs, partial(_caches, engine))
+        gateway.attach_obs(stack.obs, partial(_caches, gateway.replies, engine))
     if analytics:
         if chain_cluster is not None:
             chain_cluster.attach_follower_analytics()

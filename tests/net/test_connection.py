@@ -225,6 +225,49 @@ class TestOneTimer:
         assert server.stats.rejections == {}
 
 
+class TestOneHeadParse:
+    """A served request leaves an empty buffer: the loop stops there instead
+    of parsing a head out of nothing."""
+
+    @pytest.fixture()
+    def head_parses(self):
+        from repro.net import server as server_module
+
+        calls = []
+        parse_head = server_module.parse_head
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return parse_head(*args, **kwargs)
+
+        with mock.patch.object(server_module, "parse_head", counting):
+            yield calls
+
+    def test_one_head_parse_per_keep_alive_request(self, head_parses):
+        server = make_server()
+        with ServerThread(server):
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=10) as sock:
+                replies = Replies(sock)
+                for request_id in range(20):
+                    sock.sendall(frame(call("eth_blockNumber", [], request_id)))
+                    assert replies.next()[0] == 200
+        assert server.stats.http_requests == {"rpc": 20}
+        assert len(head_parses) == 20
+        assert 0 not in head_parses
+
+    def test_pipelined_requests_parse_one_head_each(self, head_parses):
+        server = make_server()
+        with ServerThread(server):
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=10) as sock:
+                sock.sendall(b"".join(frame(call("eth_chainId", [], n))
+                                      for n in range(3)))
+                replies = Replies(sock)
+                assert [replies.next()[0] for _ in range(3)] == [200] * 3
+        assert 0 not in head_parses
+
+
 class TestSegmentation:
     @pytest.fixture()
     def server(self):

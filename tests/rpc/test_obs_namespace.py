@@ -92,8 +92,10 @@ class TestUnifiedCacheStats:
     def test_obs_cache_stats_is_the_one_spelling(self, observed_gateway):
         gateway, _, engine = observed_gateway
         stats = gateway.call("obs_cacheStats")
-        assert set(stats) == {"address_checksum", "schnorr_inverse", "storage"}
+        assert set(stats) == {"address_checksum", "schnorr_inverse", "storage",
+                              "rpc_reply"}
         assert stats["storage"] == engine.cache.stats()
+        assert stats["rpc_reply"] == gateway.replies.stats()
         assert stats["address_checksum"] == checksum_cache().stats()
         assert stats["schnorr_inverse"] == inverse_cache().stats()
 

@@ -1,7 +1,10 @@
 """Tests for repro.rpc.protocol (envelope parsing and error codes)."""
 
+import json
+
 import pytest
 
+from repro.rpc.gateway import JsonRpcGateway
 from repro.rpc.protocol import (
     FILTER_NOT_FOUND,
     INVALID_REQUEST,
@@ -49,12 +52,45 @@ class TestParseRequest:
             {"jsonrpc": "2.0", "method": 5},
             {"jsonrpc": "2.0", "method": "m", "params": "scalar"},
             {"jsonrpc": "2.0", "method": "m", "id": {"obj": 1}},
+            {"jsonrpc": "2.0", "method": "m", "id": True},
+            {"jsonrpc": "2.0", "method": "m", "id": False},
+            {"jsonrpc": "2.0", "method": "m", "id": [1]},
         ],
     )
     def test_malformed_envelopes_are_invalid_requests(self, payload):
         with pytest.raises(JsonRpcError) as excinfo:
             parse_request(payload)
         assert excinfo.value.code == INVALID_REQUEST
+
+
+class TestInvalidIds:
+    """An invalid id is refused and answered with a null id (JSON-RPC 2.0
+    section 5), never echoed: it may be any size."""
+
+    @pytest.fixture()
+    def gateway(self):
+        return JsonRpcGateway()
+
+    @pytest.mark.parametrize("bad_id", [True, False, [1], {"id": 1}, ["x" * 10_000]])
+    def test_an_invalid_id_is_answered_with_null(self, gateway, bad_id):
+        body = json.dumps({"jsonrpc": "2.0", "id": bad_id, "method": "eth_chainId"})
+        reply = json.loads(gateway.handle_raw(body))
+        assert reply["id"] is None
+        assert reply["error"]["code"] == INVALID_REQUEST
+        assert reply["error"]["message"] == "id must be a string or a number"
+
+    def test_an_invalid_id_in_a_batch_is_null_beside_valid_ones(self, gateway):
+        replies = gateway.handle([
+            {"jsonrpc": "2.0", "id": True, "method": "m"},
+            {"jsonrpc": "2.0", "id": 7},
+        ])
+        assert [reply["id"] for reply in replies] == [None, 7]
+
+    @pytest.mark.parametrize("good_id", [0, -1, 2.5, "", "abc", None])
+    def test_a_valid_id_is_echoed_in_an_invalid_request(self, gateway, good_id):
+        reply = gateway.handle({"jsonrpc": "1.0", "id": good_id, "method": "m"})
+        assert reply["id"] == good_id
+        assert reply["error"]["code"] == INVALID_REQUEST
 
 
 class TestEnvelopes:

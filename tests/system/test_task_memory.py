@@ -166,6 +166,30 @@ def test_a_closed_stack_with_an_engine_is_freed_by_reference_counting():
         assert_freed_by(drop, watched)
 
 
+def test_a_stack_whose_gateway_kept_replies_is_freed_by_reference_counting():
+    """The reply cache and the pipeline stage that reads it hold no path
+    back to the gateway."""
+    with cyclic_collection_off():
+        stack = build_stack()
+        for _ in range(2):
+            stack.gateway.handle_raw(
+                '{"jsonrpc": "2.0", "id": 1, "method": "eth_getBlockByNumber", '
+                '"params": ["latest", true]}')
+        assert stack.gateway.replies.hits == 1
+        watched = {
+            "stack": weakref.ref(stack),
+            "chain": weakref.ref(stack.node.chain),
+            "gateway": weakref.ref(stack.gateway),
+            "reply cache": weakref.ref(stack.gateway.replies),
+        }
+
+        def drop():
+            nonlocal stack
+            del stack
+
+        assert_freed_by(drop, watched)
+
+
 def test_a_task_below_the_width_cap_never_imports_scipy():
     """The quick preset's fold-ins never reach PFNM's width cap, so no
     assignment is solved and ``scipy.optimize`` stays unloaded.  (A fold-in
