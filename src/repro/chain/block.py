@@ -3,21 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import methodcaller
-from typing import Any, Callable, ClassVar, List, Optional
+from typing import Any, ClassVar, List, Optional
 
 from repro.chain.account import Address
 from repro.chain.receipts import TransactionReceipt
 from repro.chain.transaction import Transaction
 from repro.utils.encoding import to_hex
 from repro.utils.hashing import hash_json
-from repro.utils.serialization import JsonMemo, splice_json
-
-_plain = methodcaller("to_dict")
 
 
 @dataclass
-class BlockHeader(JsonMemo):
+class BlockHeader:
     """Header fields of a block (the part that is hashed and linked)."""
 
     number: int
@@ -35,9 +31,8 @@ class BlockHeader(JsonMemo):
     _hash_cache: ClassVar[Optional[str]] = None
 
     def __setattr__(self, name: str, value: Any) -> None:
-        # Every field is hashed: assigning any of them drops the hash memo
-        # as well as the reply text.
-        super().__setattr__(name, value)
+        # Every field is hashed: assigning any of them drops the hash memo.
+        object.__setattr__(self, name, value)
         object.__setattr__(self, "_hash_cache", None)
 
     @property
@@ -107,24 +102,14 @@ class Block:
         """Hex hashes of the included transactions, in order."""
         return [tx.hash_hex for tx in self.transactions]
 
-    def _members(self, full_transactions: bool, render: Callable[[JsonMemo], Any]) -> dict:
-        """The block's node-API shape, each header, transaction and receipt
-        passed through ``render``: transactions by hash, or in full."""
-        return {
-            "header": render(self.header),
-            "transactions": ([render(tx) for tx in self.transactions]
-                             if full_transactions else self.transaction_hashes()),
-            "receipts": [render(receipt) for receipt in self.receipts],
-        }
-
     def to_dict(self, full_transactions: bool = False) -> dict:
         """JSON-friendly representation: transactions by hash, or in full."""
-        return self._members(full_transactions, _plain)
-
-    def json_bytes(self, full_transactions: bool = False) -> bytes:
-        """``reply_json(self.to_dict(full_transactions))`` as UTF-8, joined
-        from the header's, transactions' and receipts' own memos."""
-        return splice_json(self._members(full_transactions, JsonMemo.json_bytes))
+        return {
+            "header": self.header.to_dict(),
+            "transactions": ([tx.to_dict() for tx in self.transactions]
+                             if full_transactions else self.transaction_hashes()),
+            "receipts": [receipt.to_dict() for receipt in self.receipts],
+        }
 
     def to_record(self) -> dict:
         """Self-contained persistence record: :meth:`to_dict` with *full*

@@ -7,11 +7,10 @@ from typing import Any, List, Optional
 
 from repro.chain.account import Address
 from repro.chain.events import EventLog
-from repro.utils.serialization import JsonMemo
 
 
 @dataclass
-class TransactionReceipt(JsonMemo):
+class TransactionReceipt:
     """Outcome of an executed transaction.
 
     Mirrors the fields MetaMask / Etherscan surface in the paper's Fig. 5:

@@ -22,7 +22,7 @@ from repro.chain.gas import GasSchedule, SEPOLIA_GAS_SCHEDULE
 from repro.chain.keys import KeyPair, Signature, recover_address
 from repro.utils.encoding import from_hex, to_hex
 from repro.utils.hashing import keccak256
-from repro.utils.serialization import JsonMemo, canonical_dumps, canonical_loads, rlp_encode
+from repro.utils.serialization import canonical_dumps, canonical_loads, rlp_encode
 
 
 def encode_call(method: str, args: List[Any]) -> bytes:
@@ -49,7 +49,7 @@ def decode_payload(data: bytes) -> Dict[str, Any]:
 
 
 @dataclass
-class Transaction(JsonMemo):
+class Transaction:
     """A (possibly signed) transaction.
 
     Attributes
@@ -93,7 +93,7 @@ class Transaction(JsonMemo):
     _verified_ok: ClassVar[bool] = False
 
     def __setattr__(self, name: str, value: Any) -> None:
-        super().__setattr__(name, value)  # drops the reply text
+        object.__setattr__(self, name, value)
         if name in Transaction._IDENTITY_FIELDS:
             object.__setattr__(self, "_payload_cache", None)
             object.__setattr__(self, "_hash_cache", None)

@@ -10,9 +10,8 @@ dicts (what an in-process client uses), :meth:`handle_raw` consumes a JSON
 body and produces the UTF-8 reply bytes (what the socket transport uses).
 Both speak identical envelopes, so everything above the gateway is already
 wire-shaped; a :class:`HexString` result stays bytes in process and becomes
-``0x`` text only in those reply bytes.  A block, receipt or transaction is a
-plain dict in process; under :meth:`handle_raw` it is a :class:`Rendered`,
-the reply text its object keeps, and no dict is built for it.
+``0x`` text only in those reply bytes.  Every other result is a plain value
+on both paths.
 
 :meth:`handle_raw` also keeps the reply text of pure ``eth_*`` reads in a
 :class:`ReplyCache` and answers the same call from it until the served
@@ -56,7 +55,7 @@ from repro.rpc.protocol import (
 )
 from repro.utils.cache import LRUCache
 from repro.utils.encoding import HexString
-from repro.utils.serialization import Rendered, reply_json, replying
+from repro.utils.serialization import reply_json
 
 Middleware = Callable[[RpcRequest, Callable[[RpcRequest], Any]], Any]
 
@@ -87,10 +86,9 @@ class _Kept:
         return (self.text,)
 
 
-#: Results that arrive with their reply JSON: ``ipfs_cat``'s payload bytes,
-#: a block, receipt or transaction as the text its object keeps, and a reply
-#: the reply cache kept.
-_PRE_RENDERED = (HexString, Rendered, _Kept)
+#: Results that arrive with their reply JSON: ``ipfs_cat``'s payload bytes
+#: and a reply the reply cache kept.
+_PRE_RENDERED = (HexString, _Kept)
 
 
 class ReplyCache(LRUCache):
@@ -455,15 +453,9 @@ class JsonRpcGateway:
             return _encode_envelope(error_response(None, exc.code, exc.message, exc.data))
         except (TypeError, ValueError, RecursionError) as exc:
             return _encode_envelope(error_response(None, PARSE_ERROR, f"parse error: {exc}"))
-        # Results are written into this reply, so a chain object answers with
-        # its kept text (``Rendered.of``) and no dict is built for it.
-        token = replying.set(True)
-        try:
-            # Positional: ``handle`` is traced, and the tracer weighs its
-            # positional arguments.
-            response = self.handle(payload, self._stamp(payload))
-        finally:
-            replying.reset(token)
+        # Positional: ``handle`` is traced, and the tracer weighs its
+        # positional arguments.
+        response = self.handle(payload, self._stamp(payload))
         if response is None:
             return b""
         if isinstance(response, dict):

@@ -39,7 +39,6 @@ from repro.rpc.protocol import (
     to_quantity,
 )
 from repro.utils.encoding import HexString, from_hex
-from repro.utils.serialization import Rendered
 
 MethodTable = Dict[str, Callable[..., Any]]
 
@@ -91,16 +90,17 @@ def _hex_param(method: str, name: str, value: Any) -> bytes:
                            f"invalid params for {method}: {name}: {exc}") from None
 
 
-_TYPE_NAMES = {str: "a string", int: "an integer"}
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean"}
 
 #: The most blocks one ``evm_mine`` call mines, all on the serving thread.
 MAX_MINE_BLOCKS = 1_000
 
 
 def _typed_param(method: str, name: str, value: Any, kind: type) -> Any:
-    """``value`` when it is a ``kind`` (a bool is no ``int``), or a ``-32602``
-    naming the param and the type it needs, never echoing the value."""
-    if isinstance(value, kind) and not isinstance(value, bool):
+    """``value`` when it is a ``kind`` (a bool is no ``int``, and only a bool
+    is a ``bool``), or a ``-32602`` naming the param and the type it needs,
+    never echoing the value."""
+    if isinstance(value, kind) and isinstance(value, bool) == (kind is bool):
         return value
     raise JsonRpcError(INVALID_PARAMS, f"invalid params for {method}: {name} "
                                        f"must be {_TYPE_NAMES[kind]}")
@@ -179,19 +179,20 @@ class EthNamespace:
                             full_transactions: bool = False) -> Dict[str, Any]:
         """Block by number/tag; transactions as hashes or full objects."""
         resolved = self.node.get_block(_parse_block_tag(self.node, block))
-        return Rendered.of(resolved, bool(full_transactions))
+        return resolved.to_dict(_typed_param("eth_getBlockByNumber", "full_transactions",
+                                             full_transactions, bool))
 
     def get_transaction_by_hash(self, tx_hash: str) -> Dict[str, Any]:
         """A pending or included transaction, as the node API renders it."""
-        return Rendered.of(self.node.get_transaction(
-            _typed_param("eth_getTransactionByHash", "tx_hash", tx_hash, str)))
+        return self.node.get_transaction(
+            _typed_param("eth_getTransactionByHash", "tx_hash", tx_hash, str)).to_dict()
 
     def get_transaction_receipt(self, tx_hash: str) -> Optional[Dict[str, Any]]:
         """Receipt of an included transaction (``None`` while pending)."""
         _typed_param("eth_getTransactionReceipt", "tx_hash", tx_hash, str)
         if not self.node.chain.has_receipt(tx_hash):
             return None
-        return Rendered.of(self.node.get_receipt(tx_hash))
+        return self.node.get_receipt(tx_hash).to_dict()
 
     def send_raw_transaction(self, raw: str) -> str:
         """Broadcast a hex-serialized signed transaction; returns its hash."""

@@ -51,6 +51,10 @@ ERROR_MESSAGES: Dict[int, str] = {
     RATE_LIMITED: "Rate limit exceeded",
 }
 
+#: An error ``message`` keeps at most this many characters (then ``...``), so
+#: a reply never echoes an unbounded method name, tag, address or hash.
+MAX_ERROR_MESSAGE_CHARS = 256
+
 
 class JsonRpcError(Exception):
     """Internal control-flow exception the gateway turns into an error envelope.
@@ -69,7 +73,10 @@ class JsonRpcError(Exception):
 
     def to_error_object(self) -> Dict[str, Any]:
         """The ``error`` member of a JSON-RPC error response."""
-        error: Dict[str, Any] = {"code": self.code, "message": self.message}
+        message = self.message
+        if len(message) > MAX_ERROR_MESSAGE_CHARS:
+            message = message[:MAX_ERROR_MESSAGE_CHARS] + "..."
+        error: Dict[str, Any] = {"code": self.code, "message": message}
         if self.data is not None:
             error["data"] = self.data
         return error

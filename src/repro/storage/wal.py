@@ -55,9 +55,14 @@ class WriteAheadLog:
         #: readers (the analytics feeder) know entries may have moved into
         #: the block archive since their last read and can reconcile.
         self.compactions = 0
+        #: Live entries per kind, from the one scan at open, then kept up by
+        #: :meth:`append` and :meth:`compact`: reading them decodes nothing.
+        self._live = {kind: 0 for kind in ENTRY_KINDS}
+        for entry in self.entries():
+            self._live[entry.kind] += 1
         #: Entries appended per kind, seeded by what the log holds when opened:
         #: never falls at a compaction and costs a ``/metrics`` scrape no replay.
-        self.appended = self.counts_by_kind()
+        self.appended = dict(self._live)
 
     # -- writing ---------------------------------------------------------------
 
@@ -66,6 +71,7 @@ class WriteAheadLog:
         if kind not in ENTRY_KINDS:
             raise StorageError(f"unknown WAL entry kind {kind!r}")
         seq = self.backend.append(self.topic, {"kind": kind, "payload": payload})
+        self._live[kind] += 1
         self.appended[kind] += 1
         return seq
 
@@ -90,10 +96,7 @@ class WriteAheadLog:
 
     def counts_by_kind(self) -> Dict[str, int]:
         """How many live entries of each kind the log currently holds."""
-        counts = {kind: 0 for kind in ENTRY_KINDS}
-        for entry in self.entries():
-            counts[entry.kind] += 1
-        return counts
+        return dict(self._live)
 
     def last_block_entry(self) -> Optional[WalEntry]:
         """The most recent ``block`` entry still in the log, if any."""
@@ -123,6 +126,7 @@ class WriteAheadLog:
         """
         archived = 0
         retained_pending = 0
+        dropped_by_kind = {kind: 0 for kind in ENTRY_KINDS}
 
         def keep(seq: int, record: Dict[str, Any]) -> bool:
             nonlocal archived, retained_pending
@@ -138,9 +142,12 @@ class WriteAheadLog:
             elif entry.kind == "tx" and is_pending_tx(entry.payload):
                 retained_pending += 1
                 return True
+            dropped_by_kind[entry.kind] += 1
             return False
 
         dropped = self.backend.truncate(self.topic, upto_seq, keep)
+        for kind, count in dropped_by_kind.items():
+            self._live[kind] -= count
         self.backend.sync()
         self.compactions += 1
         return {

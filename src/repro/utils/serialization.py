@@ -1,9 +1,6 @@
 """Deterministic serialization helpers.
 
-Three encodings are provided (:func:`reply_json`, the JSON-RPC reply
-encoding, with :class:`JsonMemo` keeping an object's reply text,
-:func:`splice_json` joining such texts and :class:`Rendered` carrying one
-into a reply):
+Three encodings are provided:
 
 * :func:`canonical_dumps` / :func:`canonical_loads` -- canonical JSON
   (sorted keys, fixed separators, UTF-8) used for hashing structured objects
@@ -12,14 +9,15 @@ into a reply):
 * :func:`rlp_encode` -- a recursive-length-prefix encoding in the spirit of
   Ethereum's RLP, used to give transactions and blocks a compact binary wire
   form whose byte length feeds the calldata gas computation.
+* :func:`reply_json` -- the JSON-RPC reply encoding,
+  ``json.dumps(value, default=str)`` with its C encoder built once.
 """
 
 from __future__ import annotations
 
 import json
-from contextvars import ContextVar
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, ClassVar, List, Optional, Sequence, Union
+from typing import Any, List, Sequence, Union
 
 RlpItem = Union[bytes, Sequence["RlpItem"]]
 
@@ -80,72 +78,6 @@ def reply_json(value: Any) -> str:
     if _reply_chunks is None:
         return json.dumps(value, default=str)
     return "".join(_reply_chunks(value, 0))
-
-
-def splice_json(value: Any) -> bytes:
-    """``reply_json(value)`` as UTF-8, where ``bytes`` -- the value itself, a
-    member of a dict (string keys), or every item of a list whose first item
-    is bytes -- are reply text rendered already and go in verbatim."""
-    if type(value) is bytes:
-        return value
-    if type(value) is dict:
-        return b"{%b}" % b", ".join(b"%b: %b" % (encode_basestring_ascii(key).encode(),
-                                                 splice_json(item))
-                                    for key, item in value.items())
-    if type(value) is list and value and type(value[0]) is bytes:
-        return b"[%b]" % b", ".join(value)
-    return reply_json(value).encode()
-
-
-#: True while a handler's result goes straight into reply bytes: set by
-#: ``JsonRpcGateway.handle_raw`` around its dispatch, false for in-process
-#: callers of ``handle()``.
-replying: ContextVar[bool] = ContextVar("replying", default=False)
-
-
-class Rendered:
-    """A reply value as the text its source keeps: ``source.json_bytes(*args)``,
-    the memoised ``json.dumps(source.to_dict(*args), default=str)``."""
-
-    __slots__ = ("source", "args")
-
-    def __init__(self, source: Any, args: tuple = ()) -> None:
-        self.source = source
-        self.args = args
-
-    @classmethod
-    def of(cls, source: Any, *args: Any) -> Union["Rendered", dict]:
-        """What a handler returns for ``source``: its reply text while
-        :data:`replying`, else the plain ``source.to_dict(*args)``."""
-        if replying.get():
-            return cls(source, args)
-        return source.to_dict(*args)
-
-    def reply_pieces(self) -> tuple:
-        """The reply JSON of this value, as bytes to join."""
-        return (self.source.json_bytes(*self.args),)
-
-
-class JsonMemo:
-    """Mixin for a dataclass whose ``to_dict()`` renders every field:
-    :meth:`json_bytes` keeps that dict's :func:`reply_json` text from its
-    first call until any field is assigned."""
-
-    # Class-level default (ClassVar: not a dataclass field) so the memo exists
-    # before __init__ assigns the fields; instances shadow it.
-    _json_cache: ClassVar[Optional[bytes]] = None
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        object.__setattr__(self, name, value)
-        object.__setattr__(self, "_json_cache", None)
-
-    def json_bytes(self) -> bytes:
-        """``reply_json(self.to_dict())`` as UTF-8 (memoised)."""
-        text = self._json_cache
-        if text is None:
-            text = reply_json(self.to_dict()).encode()
-            object.__setattr__(self, "_json_cache", text)
-        return text
 
 
 # ---------------------------------------------------------------------------

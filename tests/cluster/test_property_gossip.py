@@ -32,8 +32,6 @@ from repro.contracts.registry import default_registry
 from repro.errors import ClusterError
 from repro.storage.snapshot import state_digest
 
-from tests.cluster.test_forkchoice import assert_kept_replies_fresh
-
 REPLICAS = 3
 FINALITY_DEPTH = 4
 #: Ticks a partition may stay open: strictly fewer blocks than finality
@@ -133,14 +131,10 @@ def test_random_schedules_never_conflict_on_finalized_prefixes(ops, seed):
             cluster.converge()
             partitioned = False
         _check_finalized_prefixes(cluster, finalized)
-        for replica in cluster.alive_replicas():
-            assert_kept_replies_fresh(replica.chain)
 
     cluster.heal()
     assert cluster.converge(), "post-schedule anti-entropy did not converge"
     _check_finalized_prefixes(cluster, finalized)
-    for replica in cluster.alive_replicas():
-        assert_kept_replies_fresh(replica.chain)
     heads = {r.head_hash for r in cluster.alive_replicas()}
     digests = {state_digest(r.chain.state) for r in cluster.alive_replicas()}
     assert len(heads) == 1 and len(digests) == 1

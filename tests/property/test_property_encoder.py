@@ -10,20 +10,16 @@ quotes and non-ASCII, nested results, wei-sized integers, values only
 splice is only sound because nothing but bytes can fill a ``HexString`` and
 its text is ``0x`` + lowercase hex; that is pinned here too.
 
-Mined blocks, receipts and transactions reach the reply as the text their
-objects memoise (``JsonMemo.json_bytes``), carried by a :class:`Rendered`:
-generated ones -- logs with nested args, reverted receipts with non-ASCII
-reasons, contract creations with return values, float timestamps -- mixed
-into batches with ``HexString``, error and notification entries must give
-the same bytes through ``handle_raw``, ``POST /`` and ``/ws`` as
-``json.dumps`` of what in-process ``handle()`` returns: their plain dicts,
-with nothing rendered.  Assigning any field of a header, receipt or
-transaction re-renders.
+Mined blocks, receipts and transactions reach the reply as their plain
+dicts: generated ones -- logs with nested args, reverted receipts with
+non-ASCII reasons, contract creations with return values, float timestamps --
+mixed into batches with ``HexString``, error and notification entries must
+give the same bytes through ``handle_raw``, ``POST /`` and ``/ws`` as
+``json.dumps`` of what in-process ``handle()`` returns.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import http.client
 import json
 from decimal import Decimal
@@ -43,7 +39,6 @@ from repro.net.websocket import OP_TEXT, encode_frame
 from repro.rpc.gateway import JsonRpcGateway
 from repro.rpc.protocol import INVALID_PARAMS, JsonRpcError
 from repro.utils.encoding import HexString
-from repro.utils.serialization import Rendered, reply_json
 
 json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-2**70, 2**270),
@@ -70,24 +65,15 @@ calls = st.tuples(st.one_of(st.none(), ids),
                   results)
 
 
-class Chain(tuple):
-    """A handler value standing for ``Rendered.of(source, *args)``: what
-    ``eth_getBlockByNumber`` and friends return for a chain object."""
-
-
 def serve_values(gateway, values):
     """Register ``take(i)`` (returns ``values[i]``) and ``refuse(i)``."""
 
     def take(index: int):
-        value = values[index]
-        return Rendered.of(*value) if isinstance(value, Chain) else value
+        return values[index]
 
     def refuse(index: int):
-        value = values[index]
-        if isinstance(value, Chain):
-            value = value[0].to_dict(*value[1:])
         raise JsonRpcError(INVALID_PARAMS, 'no "such" thing: é',
-                           data={"seen": json.loads(json.dumps(value, default=str))})
+                           data={"seen": json.loads(json.dumps(values[index], default=str))})
 
     gateway.register("take", take)
     gateway.register("refuse", refuse)
@@ -147,7 +133,7 @@ def test_text_cannot_fill_a_hex_string(text):
         HexString(text)
 
 
-# -- pre-rendered chain objects ------------------------------------------------
+# -- chain objects ------------------------------------------------------------
 
 addresses = st.binary(min_size=20, max_size=20).map(lambda raw: Address("0x" + raw.hex()))
 hashes = st.binary(min_size=32, max_size=32).map(lambda raw: "0x" + raw.hex())
@@ -179,7 +165,8 @@ headers = st.builds(
     receipts_root=hashes, extra_data=texts)
 blocks = st.builds(Block, header=headers, transactions=st.lists(transactions, max_size=3),
                    receipts=st.lists(receipts, max_size=3))
-#: ("chain", object, full_transactions): a handler returning it pre-rendered.
+#: ("chain", object, full_transactions): a handler returning its dict, as
+#: ``eth_getBlockByNumber`` and friends do.
 chain_values = st.tuples(st.just("chain"), st.one_of(blocks, receipts, transactions),
                          st.booleans())
 mixed_calls = st.tuples(st.one_of(st.none(), ids),
@@ -187,23 +174,15 @@ mixed_calls = st.tuples(st.one_of(st.none(), ids),
                         st.one_of(chain_values, chain_values, results))
 
 
-def memos(source):
-    """The objects whose reply text ``source`` answers with."""
-    if isinstance(source, Block):
-        return [source.header, *source.transactions, *source.receipts]
-    return [source]
-
-
 def materialise(batch):
-    """What each handler serves, and the chain objects among them."""
-    values, sources = [], []
+    """What each handler serves: a chain object as its dict."""
+    values = []
     for _id, _kind, value in batch:
         if isinstance(value, tuple) and value[0] == "chain":
             _tag, source, full = value
-            sources.append(source)
-            value = Chain((source, full) if isinstance(source, Block) else (source,))
+            value = source.to_dict(full) if isinstance(source, Block) else source.to_dict()
         values.append(value)
-    return values, sources
+    return values
 
 
 def payload_of(batch, as_batch):
@@ -216,23 +195,12 @@ def expected_reply(response) -> bytes:
     return b"" if response is None else json.dumps(response, default=str).encode()
 
 
-@given(block=blocks, full=st.booleans())
-def test_a_block_renders_its_dict(block, full):
-    assert block.json_bytes(full) == json.dumps(block.to_dict(full), default=str).encode()
-
-
 @settings(max_examples=150, deadline=None)
 @given(batch=st.lists(mixed_calls, min_size=1, max_size=6), as_batch=st.booleans())
-def test_rendered_chain_objects_splice_byte_for_byte(batch, as_batch):
-    values, sources = materialise(batch)
-    gateway = gateway_serving(values)
+def test_chain_objects_encode_byte_for_byte(batch, as_batch):
+    gateway = gateway_serving(materialise(batch))
     payload = payload_of(batch, as_batch)
-    response = gateway.handle(payload)
-    # In process: plain dicts, and nothing rendered.
-    entries = response if isinstance(response, list) else [response] if response else []
-    assert not any(isinstance(entry.get("result"), Rendered) for entry in entries)
-    assert all(memo._json_cache is None for source in sources for memo in memos(source))
-    assert gateway.handle_raw(json.dumps(payload)) == expected_reply(response)
+    assert gateway.handle_raw(json.dumps(payload)) == expected_reply(gateway.handle(payload))
 
 
 @pytest.fixture(scope="module")
@@ -251,7 +219,7 @@ def served():
 @given(batch=st.lists(mixed_calls, min_size=1, max_size=6), as_batch=st.booleans())
 def test_rendered_replies_over_http_and_ws(served, batch, as_batch):
     port, gateway, values = served
-    values[:], _sources = materialise(batch)
+    values[:] = materialise(batch)
     payload = payload_of(batch, as_batch)
     body = json.dumps(payload).encode()
     expected = expected_reply(gateway.handle(payload))
@@ -266,48 +234,3 @@ def test_rendered_replies_over_http_and_ws(served, batch, as_batch):
         with WebSocketClient("127.0.0.1", port) as ws:
             ws._sock.sendall(encode_frame(OP_TEXT, body, mask=True))
             assert ws._read_frame() == (OP_TEXT, expected)
-
-
-_ADDRESS = Address("0x" + "11" * 20)
-#: A new value for every field, per class: assigning it must re-render.
-REPLACEMENTS = {
-    BlockHeader: {
-        "number": 9, "parent_hash": "0x" + "ab" * 32, "timestamp": 2.5,
-        "proposer": _ADDRESS, "gas_used": 7, "gas_limit": 8,
-        "transactions_root": "0x01", "receipts_root": "0x02", "extra_data": "é"},
-    TransactionReceipt: {
-        "transaction_hash": "0x03", "sender": _ADDRESS, "to": _ADDRESS,
-        "status": False, "gas_used": 5, "gas_price": 6, "block_number": 4,
-        "block_hash": "0x04", "transaction_index": 3, "contract_address": _ADDRESS,
-        "logs": [EventLog(address=_ADDRESS, name="Paid", args={"amount": 1})],
-        "return_value": {"task": [1, "é"]}, "revert_reason": "réverté: \"x\"",
-        "cumulative_gas_used": 99},
-    Transaction: {
-        "sender": _ADDRESS, "to": None, "value": 5, "data": b"\x01\x02", "nonce": 3,
-        "gas_limit": 50_000, "gas_price": 7, "signature": Signature(1, 2, 3)},
-}
-BASES = {
-    BlockHeader: lambda: BlockHeader(number=1, parent_hash="0x00", timestamp=1.0,
-                                     proposer=Address("0x" + "22" * 20)),
-    TransactionReceipt: lambda: TransactionReceipt(
-        transaction_hash="0x01", sender=Address("0x" + "22" * 20), to=None,
-        status=True, gas_used=21_000, gas_price=10**9),
-    Transaction: lambda: Transaction(sender=Address("0x" + "22" * 20),
-                                     to=Address("0x" + "33" * 20), value=1),
-}
-
-
-def test_the_replacement_table_covers_every_field():
-    for cls, table in REPLACEMENTS.items():
-        assert set(table) == {field.name for field in dataclasses.fields(cls)}
-
-
-@pytest.mark.parametrize("cls, name", [(cls, name) for cls, table in REPLACEMENTS.items()
-                                       for name in table])
-def test_assigning_any_field_re_renders(cls, name):
-    source = BASES[cls]()
-    before = source.json_bytes()
-    assert source.json_bytes() is before  # memoised
-    setattr(source, name, REPLACEMENTS[cls][name])
-    after = source.json_bytes()
-    assert after == reply_json(source.to_dict()).encode() != before

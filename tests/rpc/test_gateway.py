@@ -168,23 +168,6 @@ class TestEthNamespace:
         assert reply == json.dumps(
             {"jsonrpc": "2.0", "id": 7, "result": block}, default=str).encode()
 
-    def test_in_process_reads_render_nothing(self, gateway):
-        tx = signed_transfer(gateway)
-        gateway.call("eth_sendRawTransaction", tx.serialize_raw())
-        gateway.call("evm_mine")
-        node = gateway.eth.node
-        block = node.get_block(node.block_number)
-        for full in (False, True):
-            result = gateway.handle(make_request("eth_getBlockByNumber", ["latest", full])
-                                    )["result"]
-            assert type(result) is dict and result == block.to_dict(full)
-        for method in ("eth_getTransactionByHash", "eth_getTransactionReceipt"):
-            assert type(gateway.call(method, tx.hash_hex)) is dict
-        memos = [block.header, *block.transactions, *block.receipts]
-        assert all(memo._json_cache is None for memo in memos)
-        gateway.handle_raw(json.dumps(make_request("eth_getBlockByNumber", ["latest", True])))
-        assert all(memo._json_cache is not None for memo in memos)
-
     def test_estimate_gas_matches_node(self, gateway):
         tx = signed_transfer(gateway)
         estimated = from_quantity(gateway.call("eth_estimateGas", tx.to_dict()))

@@ -5,6 +5,10 @@ server bug.
 Each call below used to answer ``-32603`` (a list is unhashable, ``int(None)``
 raises, ``None <= 0`` is a ``TypeError``).  It must come back as a ``-32602``
 that names the param and the type it needs, without echoing the value.
+
+An error that does quote its input (a method name, a block tag, an address,
+a hash) quotes a bounded prefix of it, and ``eth_getBlockByNumber`` takes its
+``full_transactions`` flag as a JSON boolean only (``"no"`` used to mean yes).
 """
 
 import json
@@ -13,6 +17,7 @@ import pytest
 
 from repro.rpc import INVALID_PARAMS, make_request
 from repro.rpc.namespaces import MAX_MINE_BLOCKS
+from repro.rpc.protocol import MAX_ERROR_MESSAGE_CHARS, METHOD_NOT_FOUND, SERVER_ERROR
 from repro.storage import StorageEngine
 from repro.system.stack import build_stack
 
@@ -122,3 +127,32 @@ def test_analytics_leaderboard_names_the_boards_without_echoing_the_name(
         "code": INVALID_PARAMS,
         "message": f"invalid params for analytics_leaderboard: {message}",
     }
+
+
+LONG = "a" * 100_000
+
+#: (method, params, the error code): each echoed the 100 kB value whole.
+UNBOUNDED = [
+    (LONG, [], METHOD_NOT_FOUND),
+    ("eth_getBlockByNumber", [LONG, False], INVALID_PARAMS),
+    ("eth_getLogs", [{"from_block": LONG}], INVALID_PARAMS),
+    ("eth_getBalance", ["0x" + LONG], SERVER_ERROR),
+    ("eth_getTransactionByHash", ["0x" + LONG], SERVER_ERROR),
+]
+
+
+@pytest.mark.parametrize("method, params, code", UNBOUNDED,
+                         ids=["method", "block_tag", "log_tag", "address", "hash"])
+def test_an_error_echoes_a_bounded_prefix_of_the_input(gateway, method, params, code):
+    reply = gateway.handle_raw(json.dumps(make_request(method, params, request_id=1)))
+    error = json.loads(reply)["error"]
+    assert error["code"] == code
+    assert len(error["message"]) == MAX_ERROR_MESSAGE_CHARS + len("...")
+    assert error["message"].endswith("a...")
+    assert len(reply) < 1024
+
+
+@pytest.mark.parametrize("full", ["no", 1, 0, None, {"x": 1}, [True]])
+def test_full_transactions_takes_a_json_boolean_only(gateway, full):
+    assert_typed_refusal(gateway, "eth_getBlockByNumber", ["latest", full],
+                         "full_transactions", "a boolean")

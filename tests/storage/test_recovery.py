@@ -30,8 +30,8 @@ from repro.storage import (
 from repro.system import build_environment, quick_config, run_marketplace
 from repro.system.artifacts import report_to_dict
 from repro.system.costs import build_gas_cost_report
+from repro.utils.serialization import reply_json
 from repro.utils.units import ether_to_wei
-from tests.cluster.test_forkchoice import assert_kept_replies_fresh
 
 
 def _store_dir(tmp_path: Path, name: str) -> str:
@@ -51,15 +51,20 @@ def _store_dir(tmp_path: Path, name: str) -> str:
 TINY = dict(num_owners=2, num_samples=400, local_epochs=1)
 
 
-def kept_replies(chain):
-    """Kept reply bytes by hash: each canonical block in both transaction
+def served(obj, *args) -> bytes:
+    """The reply text a node serves for a chain object."""
+    return reply_json(obj.to_dict(*args)).encode()
+
+
+def served_replies(chain):
+    """Served reply bytes by hash: each canonical block in both transaction
     forms, and each included transaction with its receipt."""
     replies = {}
     for block in chain.iter_blocks():
-        replies[block.hash] = (block.json_bytes(False), block.json_bytes(True))
+        replies[block.hash] = (served(block, False), served(block, True))
         for tx in block.transactions:
-            replies[tx.hash_hex] = (chain.get_transaction(tx.hash_hex).json_bytes(),
-                                    chain.get_receipt(tx.hash_hex).json_bytes())
+            replies[tx.hash_hex] = (served(chain.get_transaction(tx.hash_hex)),
+                                    served(chain.get_receipt(tx.hash_hex)))
     return replies
 
 
@@ -79,7 +84,7 @@ def persisted_run(tmp_path_factory):
         "gas_rows": {name: (row.count, row.mean_gas, row.total_fee_wei)
                      for name, row in report.gas_report.rows.items()},
         "report": report_to_dict(report),
-        "replies": kept_replies(env.node.chain),
+        "replies": served_replies(env.node.chain),
     }
     env.storage.close()
     return directory, truth
@@ -152,13 +157,12 @@ class TestKillMinusNineRecovery:
         assert node.get_balance("0x" + "42" * 20) == 1234
         node.storage.close()
 
-    def test_kept_replies_are_fresh_and_match_the_pre_crash_bytes(self, recovered):
+    def test_served_replies_match_the_pre_crash_bytes(self, recovered):
         """Snapshot load plus WAL replay rebuilds every block, receipt and
-        transaction; the reply text each keeps is a fresh rendering of its
-        dict, byte for byte the text the dead process served."""
+        transaction; each renders byte for byte the text the dead process
+        served."""
         node, truth = recovered
-        assert_kept_replies_fresh(node.chain)
-        assert kept_replies(node.chain) == truth["replies"]
+        assert served_replies(node.chain) == truth["replies"]
 
     def test_verify_store_matches_ground_truth(self, persisted_run):
         directory, truth = persisted_run
@@ -185,14 +189,13 @@ class TestMempoolRecovery:
         Faucet(node).drip(keys.address, ether_to_wei(1))
         tx_hash = node.sign_and_send(keys, to="0x" + "33" * 20, value=777)
         assert len(node.chain.mempool) == 1  # submitted, never mined
-        served = node.chain.get_transaction(tx_hash).json_bytes()
+        before = served(node.chain.get_transaction(tx_hash))
         engine.close()
 
         revived = recover_node(StorageConfig(backend="log", directory=directory),
                                backend=default_registry())
         assert len(revived.chain.mempool) == 1
-        assert_kept_replies_fresh(revived.chain)
-        assert revived.chain.get_transaction(tx_hash).json_bytes() == served
+        assert served(revived.chain.get_transaction(tx_hash)) == before
         receipt = revived.wait_for_receipt(tx_hash)
         assert receipt.succeeded
         assert revived.get_balance("0x" + "33" * 20) == 777

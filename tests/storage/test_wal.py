@@ -173,3 +173,48 @@ class TestAppendedCounter:
         assert engine.wal.counts_by_kind() == {"mint": 0, "tx": 0, "block": 0}
         assert engine.describe()["wal"] == {"mint": 0, "tx": 0, "block": 0}
         engine.close()
+
+
+class TestLiveCounts:
+    """``counts_by_kind`` (``storage_stats``' ``wal`` row) is kept up at
+    append and compaction, not decoded from the whole log on every call."""
+
+    @staticmethod
+    def scanned(wal):
+        counts = {"mint": 0, "tx": 0, "block": 0}
+        for entry in wal.entries():
+            counts[entry.kind] += 1
+        return counts
+
+    def test_counts_match_a_fresh_scan_through_appends_compaction_and_reopen(
+            self, tmp_path, monkeypatch):
+        from repro.storage import LogBackend
+
+        wal = WriteAheadLog(LogBackend(tmp_path / "s"))
+        for number in (1, 2, 3):
+            wal.append("mint", {"address": "0x1", "amount_wei": number})
+            wal.append("tx", {"hash": f"0x{number}", "transaction": {}})
+            wal.append("block", _block_payload(number))
+        assert wal.counts_by_kind() == self.scanned(wal) == {"mint": 3, "tx": 3, "block": 3}
+
+        reads = []
+        records = wal.backend.records
+        monkeypatch.setattr(wal.backend, "records",
+                            lambda *args, **kwargs: reads.append(args) or records(*args, **kwargs))
+        wal.compact(5, is_pending_tx=lambda payload: payload["hash"] == "0x2")
+        wal.append("tx", {"hash": "0x4", "transaction": {}})
+        counts = wal.counts_by_kind()
+        assert reads == []
+        assert counts == self.scanned(wal) == {"mint": 1, "tx": 3, "block": 1}
+        wal.backend.close()
+
+        reopened = WriteAheadLog(LogBackend(tmp_path / "s"))
+        assert reopened.counts_by_kind() == counts
+        reopened.backend.close()
+
+    def test_a_compaction_that_fails_leaves_the_counts(self, wal):
+        wal.append("tx", {"hash": "0xa", "transaction": {}})
+        wal.backend.append(wal.topic, {"kind": "bogus", "payload": {}})
+        with pytest.raises(StorageError, match="unknown kind"):
+            wal.compact(1, is_pending_tx=lambda payload: False)
+        assert wal.counts_by_kind() == {"mint": 0, "tx": 1, "block": 0}

@@ -2,17 +2,11 @@
 
 import pytest
 
-import json
-
 from repro.utils.serialization import (
-    Rendered,
     canonical_dumps,
     canonical_loads,
-    reply_json,
-    replying,
     rlp_decode,
     rlp_encode,
-    splice_json,
 )
 
 
@@ -78,43 +72,3 @@ class TestRlp:
     def test_trailing_bytes_rejected(self):
         with pytest.raises(ValueError):
             rlp_decode(rlp_encode(b"dog") + b"\x00")
-
-
-class TestSpliceJson:
-    def test_plain_values_render_like_reply_json(self):
-        value = {"a": [1, 2.5, None], "b": "x\u00e9", "c": True}
-        assert splice_json(value) == reply_json(value).encode()
-        assert json.loads(splice_json(value)) == value
-
-    def test_bytes_go_in_verbatim(self):
-        assert splice_json(b'{"pre": 1}') == b'{"pre": 1}'
-        assert splice_json({"k": b"[1]", "n": 2}) == b'{"k": [1], "n": 2}'
-
-    def test_list_of_rendered_items_is_joined(self):
-        assert splice_json([b"1", b'"two"']) == b'[1, "two"]'
-        assert splice_json([]) == b"[]"
-
-    def test_keys_are_escaped(self):
-        assert json.loads(splice_json({'q"uote': b"0"})) == {'q"uote': 0}
-
-
-class _Source:
-    def to_dict(self, full=False):
-        return {"full": full}
-
-    def json_bytes(self, full=False):
-        return reply_json(self.to_dict(full)).encode()
-
-
-class TestRendered:
-    def test_outside_a_reply_the_plain_dict_is_returned(self):
-        assert Rendered.of(_Source(), True) == {"full": True}
-
-    def test_inside_a_reply_the_memoised_text_is_kept(self):
-        token = replying.set(True)
-        try:
-            rendered = Rendered.of(_Source(), True)
-        finally:
-            replying.reset(token)
-        assert isinstance(rendered, Rendered)
-        assert rendered.reply_pieces() == (b'{"full": true}',)
