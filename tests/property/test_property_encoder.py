@@ -15,11 +15,15 @@ dicts: generated ones -- logs with nested args, reverted receipts with
 non-ASCII reasons, contract creations with return values, float timestamps --
 mixed into batches with ``HexString``, error and notification entries must
 give the same bytes through ``handle_raw``, ``POST /`` and ``/ws`` as
-``json.dumps`` of what in-process ``handle()`` returns.
+``json.dumps`` of what in-process ``handle()`` returns.  A header and a
+transaction memoise their hash (and a transaction its payload): assigning any
+field of a header, receipt or transaction re-renders it exactly as a fresh
+object with the same fields renders.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import http.client
 import json
 from decimal import Decimal
@@ -39,6 +43,7 @@ from repro.net.websocket import OP_TEXT, encode_frame
 from repro.rpc.gateway import JsonRpcGateway
 from repro.rpc.protocol import INVALID_PARAMS, JsonRpcError
 from repro.utils.encoding import HexString
+from repro.utils.serialization import reply_json
 
 json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-2**70, 2**270),
@@ -195,6 +200,16 @@ def expected_reply(response) -> bytes:
     return b"" if response is None else json.dumps(response, default=str).encode()
 
 
+@given(block=blocks, full=st.booleans())
+def test_a_block_renders_its_dict(block, full):
+    rendered = block.to_dict(full)
+    assert rendered["header"] == block.header.to_dict()
+    assert rendered["receipts"] == [receipt.to_dict() for receipt in block.receipts]
+    assert rendered["transactions"] == ([tx.to_dict() for tx in block.transactions]
+                                        if full else block.transaction_hashes())
+    assert reply_json(rendered) == json.dumps(rendered, default=str)
+
+
 @settings(max_examples=150, deadline=None)
 @given(batch=st.lists(mixed_calls, min_size=1, max_size=6), as_batch=st.booleans())
 def test_chain_objects_encode_byte_for_byte(batch, as_batch):
@@ -234,3 +249,48 @@ def test_rendered_replies_over_http_and_ws(served, batch, as_batch):
         with WebSocketClient("127.0.0.1", port) as ws:
             ws._sock.sendall(encode_frame(OP_TEXT, body, mask=True))
             assert ws._read_frame() == (OP_TEXT, expected)
+
+
+_ADDRESS = Address("0x" + "11" * 20)
+#: A new value for every field, per class: assigning it must re-render.
+REPLACEMENTS = {
+    BlockHeader: {
+        "number": 9, "parent_hash": "0x" + "ab" * 32, "timestamp": 2.5,
+        "proposer": _ADDRESS, "gas_used": 7, "gas_limit": 8,
+        "transactions_root": "0x01", "receipts_root": "0x02", "extra_data": "é"},
+    TransactionReceipt: {
+        "transaction_hash": "0x03", "sender": _ADDRESS, "to": _ADDRESS,
+        "status": False, "gas_used": 5, "gas_price": 6, "block_number": 4,
+        "block_hash": "0x04", "transaction_index": 3, "contract_address": _ADDRESS,
+        "logs": [EventLog(address=_ADDRESS, name="Paid", args={"amount": 1})],
+        "return_value": {"task": [1, "é"]}, "revert_reason": "réverté: \"x\"",
+        "cumulative_gas_used": 99},
+    Transaction: {
+        "sender": _ADDRESS, "to": None, "value": 5, "data": b"\x01\x02", "nonce": 3,
+        "gas_limit": 50_000, "gas_price": 7, "signature": Signature(1, 2, 3)},
+}
+BASES = {
+    BlockHeader: lambda: BlockHeader(number=1, parent_hash="0x00", timestamp=1.0,
+                                     proposer=Address("0x" + "22" * 20)),
+    TransactionReceipt: lambda: TransactionReceipt(
+        transaction_hash="0x01", sender=Address("0x" + "22" * 20), to=None,
+        status=True, gas_used=21_000, gas_price=10**9),
+    Transaction: lambda: Transaction(sender=Address("0x" + "22" * 20),
+                                     to=Address("0x" + "33" * 20), value=1),
+}
+
+
+def test_the_replacement_table_covers_every_field():
+    for cls, table in REPLACEMENTS.items():
+        assert set(table) == {field.name for field in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("cls, name", [(cls, name) for cls, table in REPLACEMENTS.items()
+                                       for name in table])
+def test_assigning_any_field_re_renders(cls, name):
+    source = BASES[cls]()
+    before = reply_json(source.to_dict())  # fills the hash and payload memos
+    setattr(source, name, REPLACEMENTS[cls][name])
+    after = reply_json(source.to_dict())
+    fresh = dataclasses.replace(BASES[cls](), **{name: REPLACEMENTS[cls][name]})
+    assert after == reply_json(fresh.to_dict()) != before
