@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from repro.errors import InvalidSignatureError
 from repro.utils.cache import LRUCache
@@ -47,6 +47,10 @@ GENERATOR = 2
 
 ADDRESS_BYTES = 20
 
+#: The width of keccak-256, hence of an honest challenge ``e``, nonce and
+#: private key: an honest ``s = k + x*e`` is about twice as wide.
+_HASH_BITS = 256
+
 
 def _int_to_bytes(value: int) -> bytes:
     """Minimal big-endian byte representation of a non-negative integer."""
@@ -68,14 +72,15 @@ def _checked(result, func, args):
 
 
 class _Scratch:
-    """One thread's ``BN_CTX``, operand ``BIGNUM`` s and output buffer."""
+    """One thread's ``BN_CTX``, ``BIGNUM`` s and output buffer."""
 
     def __init__(self, lib, out) -> None:
         self._lib, self.out, self.ctx = lib, out, lib.BN_CTX_new()
-        self.result, self.s, self.base, self.e = (lib.BN_new() for _ in range(4))
+        self.result, self.partial = lib.BN_new(), lib.BN_new()
+        self.operands = tuple(lib.BN_new() for _ in range(6))
 
     def __del__(self) -> None:
-        for bignum in (self.result, self.s, self.base, self.e):
+        for bignum in (self.result, self.partial, *self.operands):
             self._lib.BN_free(bignum)
         self._lib.BN_CTX_free(self.ctx)
 
@@ -89,8 +94,15 @@ class _BuiltinPow:
     def generator_power(self, exponent: int) -> int:
         return pow(GENERATOR, exponent, GROUP_PRIME)
 
-    def two_base_power(self, s: int, base: int, e: int) -> int:
-        return pow(GENERATOR, s, GROUP_PRIME) * pow(base, e, GROUP_PRIME) % GROUP_PRIME
+    def inverse(self, value: int) -> int:
+        return pow(value, -1, GROUP_PRIME)
+
+    def power(self, base: int, exponent: int) -> int:
+        return pow(base, exponent, GROUP_PRIME)
+
+    def commitment(self, s: int, e: int, inverse: int, inverse_high: int) -> int:
+        # Splitting the exponents saves builtin ``pow`` no squaring.
+        return pow(GENERATOR, s, GROUP_PRIME) * pow(inverse, e, GROUP_PRIME) % GROUP_PRIME
 
 
 class _Libcrypto:
@@ -109,6 +121,8 @@ class _Libcrypto:
                 ("BN_new", ptr, ()), ("BN_CTX_new", ptr, ()), ("BN_MONT_CTX_new", ptr, ()),
                 ("BN_bin2bn", ptr, (buf, num, ptr)), ("BN_bn2binpad", num, (ptr, buf, num)),
                 ("BN_MONT_CTX_set", num, (ptr,) * 3), ("BN_mod_exp2_mont", num, (ptr,) * 8),
+                ("BN_mod_exp_mont", num, (ptr,) * 6), ("BN_mod_mul", num, (ptr,) * 5),
+                ("BN_mod_inverse", ptr, (ptr,) * 4),
                 ("BN_mod_exp_mont_consttime", num, (ptr,) * 6), ("OpenSSL_version", buf, (num,)),
                 ("BN_free", None, (ptr,)), ("BN_CTX_free", None, (ptr,))):
             func = getattr(lib, name)
@@ -123,30 +137,61 @@ class _Libcrypto:
             lib.BN_MONT_CTX_set(self._mont, self._modulus, ctx)
         finally:
             lib.BN_CTX_free(ctx)
+        self._generator_high = self._load(None, self.power(GENERATOR, 1 << _HASH_BITS))
 
     def _load(self, bignum, value: int):
         data = _int_to_bytes(value)
         return self._lib.BN_bin2bn(data, len(data), bignum)
 
-    def _power(self, func, *exponents_and_bases: int) -> int:
-        """``func(g, s[, base, e])`` on this thread's scratch, as an int."""
+    def _scratch(self, *values: int) -> _Scratch:
+        """This thread's scratch, its first operands loaded with ``values``."""
         if not hasattr(self._local, "scratch"):
             self._local.scratch = _Scratch(self._lib, self._buffer(GROUP_PRIME.bit_length() // 8))
         t = self._local.scratch
-        operands = (t.s, t.base, t.e)[:len(exponents_and_bases)]
-        for bignum, value in zip(operands, exponents_and_bases):
+        for bignum, value in zip(t.operands, values):
             self._load(bignum, value)
-        func(t.result, self._generator, *operands, self._modulus, t.ctx, self._mont)
+        return t
+
+    def _result(self, t: _Scratch) -> int:
         self._lib.BN_bn2binpad(t.result, t.out, len(t.out))
         return int.from_bytes(t.out.raw, "big")
 
     def generator_power(self, exponent: int) -> int:
         """``g^exponent`` in constant time: the exponent may be secret."""
-        return self._power(self._lib.BN_mod_exp_mont_consttime, exponent % GROUP_ORDER)
+        t = self._scratch(exponent % GROUP_ORDER)
+        self._lib.BN_mod_exp_mont_consttime(
+            t.result, self._generator, t.operands[0], self._modulus, t.ctx, self._mont)
+        return self._result(t)
 
-    def two_base_power(self, s: int, base: int, e: int) -> int:
-        """``g^s * base^e`` in one call, for public ``s`` and ``base, e >= 0``."""
-        return self._power(self._lib.BN_mod_exp2_mont, s % GROUP_ORDER, base, e)
+    def inverse(self, value: int) -> int:
+        """``value^-1`` for a public ``value`` in ``(0, P)``."""
+        t = self._scratch(value)
+        self._lib.BN_mod_inverse(t.result, t.operands[0], self._modulus, t.ctx)
+        return self._result(t)
+
+    def power(self, base: int, exponent: int) -> int:
+        """``base^exponent`` for public ``base, exponent >= 0``."""
+        t = self._scratch(base, exponent)
+        self._lib.BN_mod_exp_mont(t.result, *t.operands[:2], self._modulus, t.ctx, self._mont)
+        return self._result(t)
+
+    def commitment(self, s: int, e: int, inverse: int, inverse_high: int) -> int:
+        """``g^s * inverse^e`` for public ``s`` and ``e >= 0``, given
+        ``inverse_high = inverse^(2^128)``.  ``s mod q`` splits at bit 256
+        over ``g`` and ``g^(2^256)``, ``e`` at bit 128 over the two inverses:
+        two ``BN_mod_exp2_mont`` of 256 and 128 squarings for an honest
+        signature, where one of the whole exponents ran 512."""
+        s %= GROUP_ORDER
+        half = _HASH_BITS // 2
+        t = self._scratch(s & ((1 << _HASH_BITS) - 1), s >> _HASH_BITS, inverse, inverse_high,
+                          e & ((1 << half) - 1), e >> half)
+        s_low, s_high, base, base_high, e_low, e_high = t.operands
+        lib, modulus, ctx, mont = self._lib, self._modulus, t.ctx, self._mont
+        lib.BN_mod_exp2_mont(t.result, self._generator, s_low, self._generator_high, s_high,
+                             modulus, ctx, mont)
+        lib.BN_mod_exp2_mont(t.partial, base, e_low, base_high, e_high, modulus, ctx, mont)
+        lib.BN_mod_mul(t.result, t.result, t.partial, modulus, ctx)
+        return self._result(t)
 
 
 #: ``None`` until the first power, then the kernel every power runs on.
@@ -171,8 +216,17 @@ def schnorr_backend() -> str:
     return _kernel().name
 
 
-#: ``y^-1 mod P`` per public key: every verify needs it, senders repeat, and
-#: an inverse is ~0.4 ms.  Its counters surface through ``obs_cacheStats``.
+class _SenderKey(NamedTuple):
+    """What a verify needs of a public key ``y`` besides ``y`` itself."""
+
+    inverse: int  # y^-1 mod P
+    inverse_high: int  # (y^-1)^(2^128) mod P, the base of e's high 128 bits
+    address: str  # the checksummed address y hashes to
+
+
+#: A :class:`_SenderKey` per public key: every verify needs one, senders
+#: repeat, and one costs ~0.41 ms (the inverse 0.28 ms of it).  Its counters
+#: surface through ``obs_cacheStats`` as ``schnorr_inverse``.
 _INVERSE_CACHE = LRUCache(capacity=16384)
 
 
@@ -181,11 +235,14 @@ def inverse_cache() -> LRUCache:
     return _INVERSE_CACHE
 
 
-def _inverse_of(public_key: int) -> int:
-    """``public_key^-1 mod GROUP_PRIME``, memoized per key."""
+def _sender_key(public_key: int) -> _SenderKey:
+    """``public_key``'s :class:`_SenderKey`, memoized per key."""
     cached = _INVERSE_CACHE.get(public_key)
     if cached is None:
-        cached = pow(public_key, -1, GROUP_PRIME)
+        kernel = _kernel()
+        inverse = kernel.inverse(public_key)
+        cached = _SenderKey(inverse, kernel.power(inverse, 1 << (_HASH_BITS // 2)),
+                            address_from_public_key(public_key))
         _INVERSE_CACHE.put(public_key, cached)
     return cached
 
@@ -305,20 +362,19 @@ def verify_signature(signature: Signature, message_hash: bytes, address: Optiona
     """
     if len(message_hash) != 32:
         raise ValueError("verify expects a 32-byte message hash")
-    y = signature.public_key
+    y, e = signature.public_key, signature.e
     if not (1 < y < GROUP_PRIME):
         return False
-    if not (0 <= signature.e < GROUP_ORDER):
-        # Never equal to a hash reduced mod GROUP_ORDER: reject before any arithmetic.
+    if not (0 <= e < 1 << _HASH_BITS):
+        # Never equal to a keccak-256 digest (< 2^256 < q, so reducing it mod
+        # GROUP_ORDER is a no-op): reject before any arithmetic.
         return False
-    # g^s = g^(k + x*e) = r * y^e  =>  r = g^s * (y^-1)^e, one two-base power.
-    r = _kernel().two_base_power(signature.s, _inverse_of(y), signature.e)
-    expected_challenge = _hash_to_int(_int_to_bytes(r), message_hash)
-    if expected_challenge != signature.e:
+    key = _sender_key(y)
+    # g^s = g^(k + x*e) = r * y^e  =>  r = g^s * (y^-1)^e.
+    r = _kernel().commitment(signature.s, e, key.inverse, key.inverse_high)
+    if _hash_to_int(_int_to_bytes(r), message_hash) != e:
         return False
-    if address is not None and address_from_public_key(y) != to_checksum_address(address):
-        return False
-    return True
+    return address is None or key.address == to_checksum_address(address)
 
 
 def recover_address(signature: Signature, message_hash: bytes) -> str:
@@ -331,4 +387,6 @@ def recover_address(signature: Signature, message_hash: bytes) -> str:
     """
     if not verify_signature(signature, message_hash):
         raise InvalidSignatureError("signature does not verify")
-    return address_from_public_key(signature.public_key)
+    # The entry the verify just read, unless another thread has evicted it.
+    key = _INVERSE_CACHE.peek(signature.public_key)
+    return address_from_public_key(signature.public_key) if key is None else key.address

@@ -4,7 +4,7 @@ Signature checks are pure CPU (modular exponentiation in the 2048-bit RFC
 3526 group, see ``repro.chain.keys``) and touch no chain state, so they are
 the one phase that genuinely benefits from *processes* rather than threads.
 Every worker runs the one authoritative check, :func:`_verify_job` ->
-``verify_signature``, and keeps its own per-sender tables.  The owner
+``verify_signature``, and keeps its own ``schnorr_inverse`` entries.  The owner
 (``repro.batchverify``) dispatches every cold (not-yet-memoized) signature
 and joins the handle before it evicts anything, so a failed verify is
 decided before any shared-state write.
@@ -129,11 +129,10 @@ class SignatureVerifyPool:
         """Like :meth:`prewarm_async`, with chunks packed by sender.
 
         A sender's signatures (senders in first-seen order) land in one
-        chunk, hence on one worker, so the sender's memoized ``y^-1``
-        (``repro.chain.keys.inverse_cache``) is computed once per pool
-        instead of once per worker.  The verify itself keeps no per-sender
-        state.  Groups are packed up to :data:`SENDER_CHUNK_TARGET` but
-        never split.
+        chunk, hence on one worker, so the sender's memoized ``y^-1``,
+        ``(y^-1)^(2^128)`` and address (one ``repro.chain.keys.inverse_cache``
+        entry) are computed once per pool instead of once per worker.
+        Groups are packed up to :data:`SENDER_CHUNK_TARGET` but never split.
         """
         grouped: Dict[str, List[Transaction]] = {}
         for tx in _cold(transactions):

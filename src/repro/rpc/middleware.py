@@ -17,6 +17,7 @@ from repro.rpc.protocol import (
     JsonRpcError,
     RATE_LIMITED,
     RpcRequest,
+    bounded,
 )
 
 CallNext = Callable[[RpcRequest], Any]
@@ -171,7 +172,7 @@ class TokenBucketRateLimiter:
             raise JsonRpcError(
                 RATE_LIMITED,
                 f"rate limit exceeded ({self.rate:g} requests/second)",
-                data={"method": request.method},
+                data={"method": bounded(request.method)},
             )
         self._tokens -= 1.0
         return call_next(request)

@@ -56,6 +56,13 @@ ERROR_MESSAGES: Dict[int, str] = {
 MAX_ERROR_MESSAGE_CHARS = 256
 
 
+def bounded(text: str) -> str:
+    """``text``, or its first :data:`MAX_ERROR_MESSAGE_CHARS` characters and ``...``."""
+    if len(text) > MAX_ERROR_MESSAGE_CHARS:
+        return text[:MAX_ERROR_MESSAGE_CHARS] + "..."
+    return text
+
+
 class JsonRpcError(Exception):
     """Internal control-flow exception the gateway turns into an error envelope.
 
@@ -73,10 +80,7 @@ class JsonRpcError(Exception):
 
     def to_error_object(self) -> Dict[str, Any]:
         """The ``error`` member of a JSON-RPC error response."""
-        message = self.message
-        if len(message) > MAX_ERROR_MESSAGE_CHARS:
-            message = message[:MAX_ERROR_MESSAGE_CHARS] + "..."
-        error: Dict[str, Any] = {"code": self.code, "message": message}
+        error: Dict[str, Any] = {"code": self.code, "message": bounded(self.message)}
         if self.data is not None:
             error["data"] = self.data
         return error

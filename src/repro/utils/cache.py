@@ -59,7 +59,8 @@ class LRUCache:
             return default
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
-        """Look up without touching recency or statistics (for tests/metrics)."""
+        """Look up without touching recency or statistics: re-read an entry
+        a counted lookup just returned."""
         return self._entries.get(key, default)
 
     def put(self, key: Hashable, value: Any) -> None:

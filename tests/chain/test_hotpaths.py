@@ -21,11 +21,13 @@ from repro.chain.keys import (
     GROUP_ORDER,
     GROUP_PRIME,
     Signature,
+    address_from_public_key,
     verify_signature,
 )
 from repro.chain.mempool import Mempool
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
+from repro.errors import InvalidSignatureError
 from repro.utils.hashing import keccak256
 from repro.utils.units import ether_to_wei
 
@@ -66,19 +68,32 @@ VECTOR_S = int(
     "27543e1d844e599430fdf390ca5d413ddad59d8f121785dab67b42dd0139e6c6"
     "0c9570163fd337bc12737dc00c5ae9c5a2a202393eda7ee26b896be0a91e8800", 16)
 
-#: Byte and word edges, the honest sizes, the group order, negatives, and a
+#: Byte and word edges, the honest sizes, the points a verify splits its
+#: exponents at (``e`` at 2^128, ``s mod q`` at 2^256, and 2^512 where the
+#: high half of ``s`` crosses a word), the group order, negatives, and a
 #: hostile ``s`` that had a huge multiple of the order added.
-EXPONENTS = [0, 1, 255, 256, 2**256 - 1, 2**256 + 1, 2**512 - 1, 2**512 + 1,
+EXPONENTS = [0, 1, 255, 256, 2**128 - 1, 2**128, 2**128 + 1,
+             2**256 - 1, 2**256, 2**256 + 1, 2**512 - 1, 2**512, 2**512 + 1,
              GROUP_ORDER - 1, GROUP_ORDER, GROUP_ORDER + 1, -1, -(2**300 + 7),
              VECTOR_S + GROUP_ORDER * (1 << 4096)]
 
+#: The bound kernel, and the builtin-``pow`` fallback forced in its place.
+KERNELS = ["libcrypto", "builtin pow"]
 
-def generator_power(exponent):
-    return keys._kernel().generator_power(exponent)
+
+def kernel_named(name):
+    if name == "libcrypto":
+        return keys._kernel()
+    return keys._BuiltinPow("forced for this test")
 
 
-def two_base_power(s, base, e):
-    return keys._kernel().two_base_power(s, base, e)
+def base_named(name):
+    """An honest key's inverse, or a base outside the order-``q`` subgroup."""
+    if name == "honest inverse":
+        return pow(KeyPair.from_label("comb-vector").public_key, -1, GROUP_PRIME)
+    base = GROUP_PRIME - 2
+    assert pow(base, GROUP_ORDER, GROUP_PRIME) != 1
+    return base
 
 
 def _forked_verdict(signature, message, address):
@@ -97,21 +112,91 @@ class TestSchnorrKernel:
 
     @pytest.mark.parametrize("exponent", EXPONENTS)
     def test_generator_power_matches_builtin_pow(self, exponent):
-        assert generator_power(exponent) == pow(GENERATOR, exponent, GROUP_PRIME)
+        assert keys._kernel().generator_power(exponent) == \
+            pow(GENERATOR, exponent, GROUP_PRIME)
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("value", [2, 3, GROUP_ORDER, GROUP_PRIME - 2, GROUP_PRIME - 1,
+                                       "honest inverse", "outside the subgroup"])
+    def test_inverse_matches_builtin_pow(self, value, kernel):
+        if isinstance(value, str):
+            value = base_named(value)
+        assert kernel_named(kernel).inverse(value) == pow(value, -1, GROUP_PRIME)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("base", ["honest inverse", "outside the subgroup"])
     @pytest.mark.parametrize("exponent", EXPONENTS)
-    def test_two_base_product_matches_builtin_pow(self, exponent, base):
-        if base == "honest inverse":
-            base = pow(KeyPair.from_label("comb-vector").public_key, -1, GROUP_PRIME)
-        else:
-            base = GROUP_PRIME - 2
-            assert pow(base, GROUP_ORDER, GROUP_PRIME) != 1
+    def test_power_matches_builtin_pow(self, exponent, base, kernel):
+        # Public powers (the constant g^(2^256), each key's (y^-1)^(2^128))
+        # take exponents >= 0 only.
+        base, exponent = base_named(base), abs(exponent)
+        assert kernel_named(kernel).power(base, exponent) == \
+            pow(base, exponent, GROUP_PRIME)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("base", ["honest inverse", "outside the subgroup"])
+    @pytest.mark.parametrize("exponent", EXPONENTS)
+    def test_commitment_matches_builtin_pow(self, exponent, base, kernel):
+        base = base_named(base)
         # verify range-checks ``e`` first, so the kernel takes ``e >= 0``.
         e = abs(exponent)
-        assert two_base_power(exponent, base, e) == \
+        assert kernel_named(kernel).commitment(
+            exponent, e, base, pow(base, 2**128, GROUP_PRIME)) == \
             pow(GENERATOR, exponent, GROUP_PRIME) * pow(base, e, GROUP_PRIME) \
             % GROUP_PRIME
+
+    @pytest.mark.parametrize("e", [2**256, GROUP_ORDER - 1])
+    def test_a_challenge_no_hash_can_equal_never_reaches_the_kernel(
+            self, monkeypatch, e):
+        # A keccak-256 digest is below 2^256, and 2^256 < q: both are
+        # rejected before the key's cache entry or any power.
+        keypair = KeyPair.from_label(f"kernel-wide-e-{e.bit_length()}")
+        message = keccak256(b"wide e")
+        signature = Signature(e=e, s=keypair.sign(message).s,
+                              public_key=keypair.public_key)
+        calls = []
+        monkeypatch.setattr(keys, "_kernel", lambda: calls.append("kernel"))
+        assert not verify_signature(signature, message)
+        with pytest.raises(InvalidSignatureError):
+            keys.recover_address(signature, message)
+        assert calls == []
+        assert keys.inverse_cache().peek(keypair.public_key) is None
+
+    def test_a_warm_key_recovers_its_address_without_hashing_the_key(
+            self, monkeypatch):
+        keypair = KeyPair.from_label("kernel-warm-address")
+        message = keccak256(b"warm address")
+        signature = keypair.sign(message)
+        assert keys.recover_address(signature, message) == keypair.address
+        cached = keys.inverse_cache().peek(keypair.public_key)
+        assert cached.address == address_from_public_key(keypair.public_key)
+        hashed = []
+
+        def spy(data):
+            hashed.append(data)
+            return keccak256(data)
+
+        monkeypatch.setattr(keys, "keccak256", spy)
+        assert keys.recover_address(signature, message) == keypair.address
+        assert verify_signature(signature, message)
+        # Only the challenge, ``keccak(r || message)``, is hashed.
+        assert len(hashed) == 2
+        assert all(data.endswith(message) for data in hashed)
+
+    def test_an_entry_evicted_after_its_verify_still_gives_the_address(
+            self, monkeypatch):
+        keypair = KeyPair.from_label("kernel-evicted-address")
+        message = keccak256(b"evicted address")
+        signature = keypair.sign(message)
+        verify = keys.verify_signature
+
+        def verify_then_evict(*args):
+            verdict = verify(*args)
+            keys.inverse_cache().clear()  # as another thread's misses might
+            return verdict
+
+        monkeypatch.setattr(keys, "verify_signature", verify_then_evict)
+        assert keys.recover_address(signature, message) == keypair.address
 
     def test_signature_vectors_unchanged(self):
         # Signing is deterministic; the kernel must not move a vector the
@@ -121,7 +206,7 @@ class TestSchnorrKernel:
         signature = keypair.sign(message)
         assert keypair.address == VECTOR_ADDRESS
         assert (signature.e, signature.s) == (VECTOR_E, VECTOR_S)
-        assert generator_power(signature.s) == \
+        assert keys._kernel().generator_power(signature.s) == \
             pow(GENERATOR, signature.s, GROUP_PRIME)
         assert verify_signature(signature, message, keypair.address)
 

@@ -1,7 +1,8 @@
 """Property pin for the default scalar ``verify_signature``.
 
-The default path computes ``g^s * (y^-1)^e`` in one libcrypto call, after
-reducing ``s`` modulo the group order, with the inverse memoized per key;
+The default path computes ``g^s * (y^-1)^e`` in two libcrypto calls, after
+reducing ``s`` modulo the group order and splitting it at bit 256 and ``e``
+at bit 128, with the inverse and its 2^128-th power memoized per key;
 without a binding it computes the same through the builtin ``pow``.  Either
 way the verdict must equal a reference that knows nothing of kernels,
 caches or reductions: two builtin ``pow`` calls and the challenge hash.
@@ -90,10 +91,18 @@ class TestKernelExactness:
     @example(which=1, s=GROUP_ORDER, e=1 << 256)
     @example(which=0, s=GROUP_ORDER + 1, e=(1 << 256) + 1)
     @example(which=0, s=GROUP_ORDER - 1, e=GROUP_ORDER)
+    # Either side of where ``s mod q`` and ``e`` are split.
+    @example(which=0, s=(1 << 256) - 1, e=(1 << 128) - 1)
+    @example(which=1, s=(1 << 256) + 1, e=(1 << 128) + 1)
+    @example(which=0, s=(1 << 512) - 1, e=(1 << 128) + 1)
+    @example(which=1, s=(1 << 512) + 1, e=(1 << 128) - 1)
     @settings(max_examples=60, deadline=None)
-    def test_two_base_power_is_bit_identical_to_builtin_pow(self, which, s, e):
+    @pytest.mark.parametrize("backend", ["libcrypto", "builtin pow"])
+    def test_commitment_is_bit_identical_to_builtin_pow(self, backend, which, s, e):
         base = BASES[which]
-        assert keys._kernel().two_base_power(s, base, e) == \
+        kernel = keys._kernel() if backend == "libcrypto" else \
+            keys._BuiltinPow("forced for this test")
+        assert kernel.commitment(s, e, base, pow(base, 1 << 128, GROUP_PRIME)) == \
             pow(GENERATOR, s, GROUP_PRIME) * pow(base, e, GROUP_PRIME) % GROUP_PRIME
 
     @given(exponent=st.sampled_from([1, 8, 256, 510, 512, 513, 2047, 4100])

@@ -71,7 +71,6 @@ ALLOWED = {
     "repro/simnet/runner.py::ScenarioRunner.marketplace_reports": "oracle",
     "repro/simnet/scenario.py::ScenarioSpec.is_seed_exact": "oracle",
     "repro/storage/wal.py::WriteAheadLog.last_block_entry": "oracle",
-    "repro/utils/cache.py::LRUCache.peek": "oracle",
     "repro/web/wallet.py::MetaMaskWallet.activity_summary": "oracle",
     # pending: an open ROADMAP item deletes it.
     "repro/chain/chain.py::Blockchain.batchverify_stats": "pending #2",
