@@ -92,7 +92,7 @@ class EthereumNode:
         return self.chain.height
 
     @property
-    def version(self) -> Any:
+    def version(self) -> int:
         """Changes whenever a read of this node could answer differently:
         its chain's :attr:`~repro.chain.chain.Blockchain.version`."""
         return self.chain.version

@@ -135,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--port", type=int, default=8545,
                               help="TCP port; 0 binds an ephemeral port "
                                    "(default: 8545)")
-    serve_parser.add_argument("--cluster", type=int, default=None, metavar="N",
-                              help="serve an N-replica replication cluster "
-                                   "instead of one node")
     serve_parser.add_argument("--batch-verify", type=int, nargs="?", const=4,
                               default=None, metavar="W",
                               help="deferred Schnorr verification with W "
@@ -145,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "inline)")
     serve_parser.add_argument("--store", default=None, metavar="DIR",
                               help="persist the chain (WAL + snapshots) "
-                                   "under DIR (single node only)")
+                                   "under DIR")
     serve_parser.add_argument("--obs", action="store_true",
                               help="enable the repro.obs observability layer "
                                    "(GET /metrics then serves the full "
@@ -167,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="FRAMES",
                               help="bounded per-WebSocket send queue; overflow "
                                    "disconnects the slow consumer (default: 256)")
-    serve_parser.add_argument("--seed", type=int, default=7,
-                              help="seed for the served stack (default: 7)")
 
     obs_parser = subparsers.add_parser(
         "obs", help="run an observed workload and inspect metrics/traces/events")
@@ -435,11 +430,9 @@ def _command_serve(args: argparse.Namespace) -> int:
         )
         server = build_serve_stack(
             config,
-            cluster=args.cluster,
             batch_verify=args.batch_verify,
             store=args.store,
             obs=args.obs,
-            seed=args.seed,
             logger=lambda message: print(f"[serve] {message}", flush=True),
         )
     except ReproError as error:

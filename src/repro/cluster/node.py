@@ -20,7 +20,7 @@ without knowing it.  Routing policy:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import UnknownTransactionError
 from repro.chain.block import Block
@@ -63,18 +63,6 @@ class ClusterNode(EthereumNode):
         """
         self.cluster.pump()
         return self._freshest_replica().chain
-
-    @property
-    def version(self) -> Tuple[int, ...]:
-        """The served chain's version, then every replica's.
-
-        A version names its chain too (``Blockchain.version``), so the first
-        says which replica :attr:`chain` serves; the rest cover the
-        round-robin reads and the leader's pending nonce.
-        """
-        served = self.chain  # delivers due gossip first
-        return (served.version,
-                *(replica.chain.version for replica in self.cluster.replicas))
 
     def _freshest_replica(self):
         """Highest caught-up replica of the cluster's primary side."""

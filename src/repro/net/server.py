@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Optional, Set, Tuple
@@ -91,6 +92,14 @@ class NetConfig:
     """Graceful-shutdown budget for in-flight requests before force-close."""
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise NetworkError(f"port must be 0-65535, got {self.port}")
+        # ``nan`` passes every ``<= 0`` test below; ``inf`` is no budget.
+        for name in ("read_timeout_seconds", "keepalive_timeout_seconds",
+                     "block_interval_seconds", "drain_timeout_seconds"):
+            if not math.isfinite(getattr(self, name)):
+                raise NetworkError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.max_connections <= 0:
             raise NetworkError(
                 f"max_connections must be positive, got {self.max_connections}")
@@ -393,7 +402,7 @@ class _Connection(asyncio.StreamReaderProtocol):
 
 
 class RpcHttpServer:
-    """Serves one stack's JSON-RPC gateway over HTTP and WebSocket."""
+    """Serves one node's stack: its JSON-RPC gateway over HTTP and WebSocket."""
 
     def __init__(
         self,
@@ -402,6 +411,10 @@ class RpcHttpServer:
         *,
         logger: Optional[Callable[[str], None]] = None,
     ) -> None:
+        # The reply cache's one-int stamp is one chain's version; it cannot
+        # cover a cluster's round-robin replica reads.
+        if stack.cluster is not None:
+            raise NetworkError("the server serves one node, not a cluster")
         #: The ``repro.system.stack.Stack`` being served: its node drives
         #: production, its registry is ``/metrics``, shutdown closes it.
         self.stack = stack
@@ -760,14 +773,12 @@ class DevNamespace:
 def build_serve_stack(
     config: Optional[NetConfig] = None,
     *,
-    cluster: Optional[int] = None,
     batch_verify: Optional[int] = None,
     store: Optional[str] = None,
     obs: bool = False,
-    seed: int = 7,
     logger: Optional[Callable[[str], None]] = None,
 ) -> RpcHttpServer:
-    """A fully wired server: chain (or cluster) + IPFS + gateway + dev RPC.
+    """A fully wired server: chain + IPFS + gateway + dev RPC.
 
     What ``repro serve`` boots and ``bench/`` embeds: a stack from
     :func:`repro.system.stack.build_stack` plus what only a server needs -- a
@@ -777,22 +788,13 @@ def build_serve_stack(
     from repro.ipfs.node import IpfsNode
     from repro.system.stack import build_stack
 
-    if cluster is not None and store is not None:
-        raise NetworkError("--store is a single-node knob; a cluster's "
-                           "replicas own their engines")
-    storage = cluster_config = None
+    storage = None
     if store is not None:
         from repro.storage.engine import StorageConfig
 
         storage = StorageConfig(backend="log", directory=store)
-    if cluster is not None:
-        from repro.cluster import ClusterConfig
-        from repro.utils.rng import derive_seed
-
-        cluster_config = ClusterConfig(replicas=cluster,
-                                       seed=derive_seed(seed, "serve"))
-    stack = build_stack(storage=storage, cluster=cluster_config,
-                        batch_verify=batch_verify, observability=obs)
+    stack = build_stack(storage=storage, batch_verify=batch_verify,
+                        observability=obs)
     stack.gateway.serve_ipfs_node(IpfsNode("serve-ipfs", swarm=stack.swarm))
     dev = DevNamespace(stack)
     stack.gateway.register_namespace(dev.methods())

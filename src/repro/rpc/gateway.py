@@ -102,11 +102,11 @@ class ReplyCache(LRUCache):
     def __init__(self) -> None:
         super().__init__(REPLY_CACHE_ENTRIES)
         #: The node version every kept reply was rendered at.
-        self.stamp: Any = None
+        self.stamp: Optional[int] = None
         #: Clears caused by a changed version, apart from capacity evictions.
         self.version_clears = 0
 
-    def serve(self, stamp: Any) -> None:
+    def serve(self, stamp: int) -> None:
         """Hold replies rendered at ``stamp``: any other stamp drops them all."""
         if stamp != self.stamp:
             if len(self):
@@ -382,7 +382,7 @@ class JsonRpcGateway:
             self._pipeline = call_next
         return self._pipeline(request)
 
-    def _handle_one(self, payload: Any, stamp: Any = None) -> Optional[Dict[str, Any]]:
+    def _handle_one(self, payload: Any, stamp: Optional[int] = None) -> Optional[Dict[str, Any]]:
         """Process one envelope; returns None for notifications."""
         try:
             request = parse_request(payload)
@@ -402,7 +402,7 @@ class JsonRpcGateway:
             return None
         return success_response(request.request_id, result)
 
-    def handle(self, payload: Any, stamp: Any = None
+    def handle(self, payload: Any, stamp: Optional[int] = None
                ) -> Union[Dict[str, Any], List[Dict[str, Any]], None]:
         """Process a single request or a batch (a list of requests).
 
@@ -420,7 +420,7 @@ class JsonRpcGateway:
             return responses or None
         return self._handle_one(payload, stamp)
 
-    def _stamp(self, payload: Any) -> Any:
+    def _stamp(self, payload: Any) -> Optional[int]:
         """The served node's version, read once for a body of cached reads
         alone; ``None`` for any other body, whose calls all run.  (A write
         in a batch would leave the reads after it a stale stamp.)"""
@@ -429,10 +429,7 @@ class JsonRpcGateway:
         if not (all(map(_is_cached_read, payload)) if type(payload) is list
                 else _is_cached_read(payload)):
             return None
-        try:
-            stamp = self.eth.node.version
-        except ReproError:  # e.g. no replica up: each call answers its own error
-            return None
+        stamp = self.eth.node.version
         self.replies.serve(stamp)
         return stamp
 

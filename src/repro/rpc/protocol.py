@@ -96,7 +96,7 @@ class RpcRequest:
     is_notification: bool = False
     #: The node version a wire call may be answered from the gateway's reply
     #: cache at; ``None`` (every in-process call) runs the handler.
-    stamp: Any = None
+    stamp: Optional[int] = None
 
     def positional(self) -> List[Any]:
         """Params as a positional list (empty for omitted params)."""

@@ -50,6 +50,12 @@ class TestNetConfig:
         ("read_timeout_seconds", 0),
         ("send_queue_frames", 0),
         ("block_interval_seconds", -1),
+        ("port", 65536),
+        ("port", -1),
+        ("read_timeout_seconds", float("nan")),
+        ("keepalive_timeout_seconds", float("inf")),
+        ("block_interval_seconds", float("nan")),
+        ("drain_timeout_seconds", float("nan")),
     ])
     def test_bad_values_are_rejected(self, field, value):
         with pytest.raises(NetworkError):
@@ -479,20 +485,14 @@ class TestShutdownClosesTheStack:
 
 
 class TestServeStack:
-    def test_store_with_cluster_is_rejected(self, tmp_path):
-        with pytest.raises(NetworkError):
-            build_serve_stack(NetConfig(port=0), cluster=3,
-                              store=str(tmp_path))
+    def test_the_server_refuses_a_cluster_stack(self):
+        """The reply cache's one-int stamp cannot cover a cluster's
+        round-robin replica reads, so no cluster reaches ``handle_raw``."""
+        from repro.cluster import ClusterConfig
+        from repro.system.stack import build_stack
 
-    def test_cluster_stack_serves_rpc(self):
-        server = build_serve_stack(NetConfig(port=0, block_interval_seconds=0),
-                                   cluster=3)
-        with ServerThread(server):
-            status, reply = post(server.port, {
-                "jsonrpc": "2.0", "id": 1,
-                "method": "eth_blockNumber", "params": []})
-        assert status == 200
-        assert reply["result"] == "0x0"
+        with pytest.raises(NetworkError, match="one node"):
+            RpcHttpServer(build_stack(cluster=ClusterConfig(replicas=2)))
 
     def test_a_server_is_built_over_a_stack_not_a_gateway(self):
         """There is no node-less gateway to refuse any more: the one

@@ -78,7 +78,6 @@ class TestServeCli:
 
     @pytest.mark.parametrize("flags", [
         ["--batch-verify", "-1"],
-        ["--batch-verify", "0", "--cluster", "2"],
     ])
     def test_a_stack_the_builder_refuses_exits_2_with_one_line(self, flags, capsys):
         from repro.cli import main
@@ -88,3 +87,20 @@ class TestServeCli:
         assert captured.err.startswith("error: batch_verify")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("flags", [
+        ["--port", "70000"],
+        ["--port", "-5"],
+        ["--port", "0", "--read-timeout", "nan"],
+        ["--port", "0", "--block-interval", "nan"],
+    ])
+    def test_a_bad_net_config_exits_2_with_one_line(self, flags):
+        """A real process: a value that slips past ``NetConfig`` either
+        fails later with a traceback or serves until the timeout kills it."""
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", *flags],
+            capture_output=True, text=True, env=repo_env(), timeout=30)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stdout + result.stderr

@@ -1,8 +1,8 @@
 """The reply cache answers exactly what a cold dispatch would.
 
 A derandomised schedule of writes -- ``eth_sendRawTransaction``,
-``evm_mine``, ``dev_fundAccount`` and, on a cluster whose links can be cut,
-a partition and its heal -- runs through ``JsonRpcGateway.handle_raw``.
+``evm_mine`` and ``dev_fundAccount`` -- runs through
+``JsonRpcGateway.handle_raw``.
 After every step each cacheable read, sent alone and in one batch, must come
 back byte for byte as ``reply_json(gateway.handle(payload))``: the same call
 rendered cold, in process, where the cache never answers.  A missing version
@@ -17,10 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from repro.chain.account import Address
 from repro.chain.keys import KeyPair
 from repro.chain.transaction import Transaction
-from repro.cluster import ClusterConfig
 from repro.net import NetConfig, build_serve_stack
-from repro.net.server import DevNamespace
-from repro.system.stack import build_stack
 from repro.utils.serialization import reply_json
 
 KEYS = [KeyPair.from_label(f"reply-cache-{index}") for index in range(2)]
@@ -32,20 +29,6 @@ WRITES = ["send0", "send1", "mine", "fund0", "fund1"]
 
 def serve_stack():
     return build_serve_stack(NetConfig(port=0)).stack
-
-
-def serve_cluster():
-    return build_serve_stack(NetConfig(port=0), cluster=3).stack
-
-
-def lan_cluster():
-    """A serve-shaped cluster whose gossip links can be cut: the ``ideal``
-    network ``build_serve_stack(cluster=3)`` uses delivers instantly and
-    cannot be partitioned."""
-    stack = build_stack(cluster=ClusterConfig(replicas=3, network_profile="lan",
-                                              fork_snapshot_interval=2, seed=7))
-    stack.gateway.register_namespace(DevNamespace(stack).methods())
-    return stack
 
 
 def call(method, params, request_id=1):
@@ -98,11 +81,6 @@ def write(stack, step, hashes):
         gateway.handle_raw(json.dumps(call("evm_mine", [1])))
     elif step.startswith("fund"):
         gateway.handle_raw(json.dumps(call("dev_fundAccount", [KEYS[int(step[-1])].address])))
-    elif step == "split":
-        stack.cluster.partition([[0], [1, 2]])
-    elif step == "heal":
-        stack.cluster.heal()
-        stack.cluster.converge()
 
 
 def run_schedule(stack, steps):
@@ -127,22 +105,3 @@ SCHEDULES = st.lists(st.sampled_from(WRITES), max_size=8)
 def test_single_node_cached_reads_equal_cold_ones(steps):
     run_schedule(serve_stack(), steps)
 
-
-@SETTINGS
-@given(steps=SCHEDULES)
-@example(steps=["fund0", "send0", "mine", "fund1"])
-def test_cluster_cached_reads_equal_cold_ones(steps):
-    run_schedule(serve_cluster(), steps)
-
-
-def with_partitions(steps):
-    """``steps`` with a partition after the first write and a heal at the
-    end, so each schedule crosses a split and the reorg its heal causes."""
-    return ["fund0", "split", *steps, "mine", "heal"]
-
-
-@SETTINGS
-@given(steps=SCHEDULES)
-@example(steps=["send0", "mine", "mine", "fund1"])
-def test_partition_and_heal_keep_cached_reads_equal_cold_ones(steps):
-    run_schedule(lan_cluster(), with_partitions(steps))

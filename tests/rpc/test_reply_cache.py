@@ -146,18 +146,6 @@ class TestWhatIsKept:
         assert stack.gateway.replies.hits == 1
 
 
-    def test_a_cluster_with_no_replica_up_answers_the_read_s_own_error(self):
-        from repro.cluster import ClusterConfig
-
-        cluster = build_stack(cluster=ClusterConfig(replicas=2))
-        for index in range(2):
-            cluster.cluster.crash_replica(index)
-        payload = call("eth_blockNumber", [])
-        assert cluster.gateway.handle_raw(json.dumps(payload)) == \
-            reply_json(cluster.gateway.handle(payload)).encode()
-        assert raw(cluster.gateway, payload)["error"]["code"] == -32000
-
-
 class TestCounted:
     def test_n_identical_reads_are_n_requests_and_n_minus_one_hits(self, stack):
         for request_id in range(10):

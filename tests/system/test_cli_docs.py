@@ -47,7 +47,7 @@ class TestCliReference:
         assert "Auto-generated" in CLI_DOC.read_text()
 
     def test_cluster_flags_are_documented(self):
-        """The new surface of this PR must appear in the reference."""
+        """``repro cluster`` and its replica count appear in the reference."""
         text = CLI_DOC.read_text()
         assert "## `repro cluster`" in text
-        assert "--cluster" in text  # loadgen's replication flag
+        assert "--replicas" in text
