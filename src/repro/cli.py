@@ -156,14 +156,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--max-connections", type=int, default=64,
                               help="global concurrent-socket cap (default: 64)")
     serve_parser.add_argument("--max-batch", type=int, default=100,
-                              help="envelopes per batch POST (default: 100)")
+                              help="envelopes per batch, POSTed or sent over "
+                                   "/ws (default: 100)")
     serve_parser.add_argument("--read-timeout", type=float, default=10.0,
                               metavar="SECONDS",
                               help="budget for reading one request (default: 10)")
     serve_parser.add_argument("--send-queue", type=int, default=256,
                               metavar="FRAMES",
-                              help="bounded per-WebSocket send queue; overflow "
-                                   "disconnects the slow consumer (default: 256)")
+                              help="frames a WebSocket may have waiting while "
+                                   "its peer does not read; one more "
+                                   "disconnects it (default: 256)")
 
     obs_parser = subparsers.add_parser(
         "obs", help="run an observed workload and inspect metrics/traces/events")

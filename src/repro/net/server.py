@@ -4,18 +4,23 @@
 
 * ``POST /`` (or ``/rpc``) -- single or batch JSON-RPC, the gateway's
   ``handle_raw`` verbatim;
-* ``GET /ws`` -- WebSocket upgrade; JSON-RPC over frames plus
-  ``eth_subscribe`` / ``eth_unsubscribe`` push (newHeads,
-  newPendingTransactions, logs);
+* ``GET /ws`` -- WebSocket upgrade; each text frame goes through
+  ``handle_raw`` like a POST body, and ``eth_subscribe`` /
+  ``eth_unsubscribe`` push (newHeads, newPendingTransactions, logs) down
+  the same socket;
 * ``GET /metrics`` -- the unified registry in Prometheus text format;
 * ``GET /healthz`` -- readiness (status + chain height).
 
 Operational hardening is explicit config, not hope: a global connection
 limit (503 past it), request-head/body/batch size caps, read timeouts on
-in-flight requests, bounded per-socket send queues whose overflow
+in-flight requests, a bounded backlog per WebSocket whose overflow
 disconnects the slow consumer and drops its subscriptions, and a graceful
 drain on shutdown (stop accepting, close WebSockets with a going-away
 frame, bounded wait for in-flight requests, flush storage).
+
+Both protocols run on one :class:`asyncio.Protocol` per socket: bytes land
+in one buffer, and HTTP requests and WebSocket frames alike are decoded off
+it and answered in the loop turn they arrive, with no task per connection.
 
 Everything chain-touching runs on the single event-loop thread, so the
 simulated stack needs no locking of its own; :class:`ServerThread` hosts
@@ -29,7 +34,8 @@ import json
 import math
 import threading
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.errors import (
     NetworkError,
@@ -44,17 +50,11 @@ from repro.net.websocket import (
     OP_PONG,
     OP_TEXT,
     accept_key,
+    decode_frame,
     encode_frame,
-    read_frame,
 )
 from repro.obs.adapters import collect_net_server
-from repro.rpc.protocol import (
-    INVALID_PARAMS,
-    INVALID_REQUEST,
-    JsonRpcError,
-    error_response,
-    success_response,
-)
+from repro.rpc.protocol import INVALID_REQUEST, JsonRpcError
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ class NetConfig:
     """Cap on an HTTP head, an HTTP body and a WebSocket payload alike."""
 
     max_batch: int = 100
-    """Envelopes per batch POST; larger batches get an invalid-request error."""
+    """Envelopes per batch, POSTed or sent as one WebSocket message; larger
+    batches get an invalid-request error."""
 
     read_timeout_seconds: float = 10.0
     """Budget for reading one in-flight request (the slow-loris bound)."""
@@ -81,7 +82,8 @@ class NetConfig:
     """Idle budget between requests on a kept-alive HTTP connection."""
 
     send_queue_frames: int = 256
-    """Bounded per-WebSocket send queue; overflow disconnects the consumer."""
+    """Frames a WebSocket may have waiting while its peer does not read (the
+    transport has paused writing); one more disconnects the consumer."""
 
     block_interval_seconds: float = 0.5
     """Producer cadence: mine pending transactions every interval
@@ -151,37 +153,45 @@ class ServerStats:
 
 
 class _WsSession:
-    """One upgraded WebSocket connection: subscriptions + bounded send queue."""
+    """One upgraded WebSocket connection: its subscriptions and write backlog.
 
-    def __init__(self, server: "RpcHttpServer", writer: asyncio.StreamWriter) -> None:
-        self.server = server
-        self.writer = writer
-        self.subs = SubscriptionManager(server.node)
-        self.queue: asyncio.Queue = asyncio.Queue(
-            maxsize=server.config.send_queue_frames)
-        self.writer_task: Optional[asyncio.Task] = None
+    Frames go straight to the transport.  Only while the transport has paused
+    writing -- the peer is not reading -- do they wait in ``backlog``, at most
+    ``send_queue_frames`` of them; one more kicks the consumer.
+    """
+
+    def __init__(self, connection: "_Connection") -> None:
+        self.server = connection.server
+        self.connection = connection
+        self.transport = connection.transport
+        self.subs = SubscriptionManager(self.server.node)
+        self.backlog: Deque[bytes] = deque()
         self.closed = False
 
-    def enqueue_text(self, text: str) -> bool:
-        """Queue one outbound text frame; False kicks the slow consumer."""
+    def send(self, frame: bytes) -> bool:
+        """Write one frame, or hold it while writing is paused; False kicks
+        the slow consumer."""
         if self.closed:
             return False
-        try:
-            self.queue.put_nowait(encode_frame(OP_TEXT, text.encode("utf-8")))
-        except asyncio.QueueFull:
+        if not self.backlog and not self.connection.write_paused:
+            self.transport.write(frame)
+        elif len(self.backlog) < self.server.config.send_queue_frames:
+            self.backlog.append(frame)
+        else:
             self.kick("slow_consumer")
             return False
         return True
 
-    def enqueue_raw(self, frame: bytes) -> bool:
-        if self.closed:
-            return False
-        try:
-            self.queue.put_nowait(frame)
-        except asyncio.QueueFull:
-            self.kick("slow_consumer")
-            return False
-        return True
+    def flush(self) -> None:
+        """Write the backlog until the transport pauses again; once a close
+        frame has gone, close the transport."""
+        backlog = self.backlog
+        while backlog and not self.connection.write_paused:
+            self.transport.write(backlog.popleft())
+        if self.closed and not backlog:
+            # Next turn: a close inside the transport's own write callback
+            # (``resume_writing``) makes asyncio call ``connection_lost`` twice.
+            self.connection.loop.call_soon(self.transport.close)
 
     def kick(self, reason: str) -> None:
         """Disconnect a misbehaving/slow consumer and drop its subscriptions."""
@@ -192,36 +202,24 @@ class _WsSession:
         stats.slow_consumer_disconnects_total += 1
         stats.dropped_subscriptions_total += self.subs.clear()
         stats.count_rejection(reason)
-        # Abort rather than drain: the consumer is not reading, so a queued
-        # close frame would never flush.
-        self.writer.transport.abort()
+        # Abort rather than drain: the consumer is not reading, so a close
+        # frame would never flush.
+        self.transport.abort()
 
-    def close_gracefully(self) -> None:
-        """Send a going-away close frame (drain path)."""
+    def close(self, payload: bytes) -> None:
+        """Send a close frame after the backlog, then close the transport."""
         if self.closed:
             return
+        if not self.send(encode_frame(OP_CLOSE, payload)):
+            return  # the backlog was full: kicked
         self.closed = True
         self.subs.clear()
-        try:
-            self.queue.put_nowait(encode_frame(OP_CLOSE, b"\x03\xe9"))  # 1001
-        except asyncio.QueueFull:
-            self.writer.transport.abort()
-
-    async def run_writer(self) -> None:
-        """Drain the send queue onto the socket until the close frame goes."""
-        try:
-            while True:
-                frame = await self.queue.get()
-                self.writer.write(frame)
-                await self.writer.drain()
-                if frame[:1] and (frame[0] & 0x0F) == OP_CLOSE:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+        self.flush()
 
 
-class _Connection(asyncio.StreamReaderProtocol):
-    """One accepted socket: HTTP answered in the loop turn its bytes arrive.
+class _Connection(asyncio.Protocol):
+    """One accepted socket: a message answered in the loop turn its bytes
+    arrive.
 
     One buffer, one timer, no task: every complete request in the buffer is
     parsed, dispatched and written back synchronously.  ``deadline`` is the
@@ -230,14 +228,12 @@ class _Connection(asyncio.StreamReaderProtocol):
     (silent close).  Moving it is a store; the timer moves only to an
     earlier deadline, and a timer that fires before ``deadline`` re-arms
     there.  A peer that stops reading pauses processing and the read side
-    until the write buffer drains.  Only a ``GET /ws`` upgrade hands the socket
-    to the base class's reader, for the coroutine WebSocket session.
+    until the write buffer drains.  A ``GET /ws`` upgrade keeps the buffer
+    and the transport: ``ws`` is set, the deadline goes, and frames are
+    decoded off the buffer as they arrive.
     """
 
     def __init__(self, server: "RpcHttpServer") -> None:
-        self.reader = asyncio.StreamReader(
-            limit=server.config.max_request_bytes + 4096)
-        super().__init__(self.reader)
         self.server = server
         self.loop = asyncio.get_running_loop()
         self.transport: Any = None
@@ -248,10 +244,10 @@ class _Connection(asyncio.StreamReaderProtocol):
         self.write_paused = False
         self.deadline = 0.0  # meaningful while ``timer`` is set
         self.timer: Optional[asyncio.TimerHandle] = None
-        self.ws_task: Optional[asyncio.Task] = None
+        #: The WebSocket session, once ``GET /ws`` has upgraded the socket.
+        self.ws: Optional[_WsSession] = None
 
     def connection_made(self, transport: Any) -> None:
-        super().connection_made(transport)
         self.transport = transport
         server = self.server
         server.stats.connections_total += 1
@@ -267,14 +263,22 @@ class _Connection(asyncio.StreamReaderProtocol):
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self._arm(None)
-        if self in self.server._connections:
-            self.server._connections.discard(self)
-            self.server.stats.open_connections -= 1
-        super().connection_lost(exc)
+        server = self.server
+        if self in server._connections:
+            server._connections.discard(self)
+            server.stats.open_connections -= 1
+        session = self.ws
+        if session is not None:
+            server._ws_sessions.discard(session)
+            server.stats.open_ws_connections -= 1
+            session.closed = True
+            session.subs.clear()
 
     def data_received(self, data: bytes) -> None:
-        if self.ws_task is not None:
-            super().data_received(data)
+        if self.ws is not None:
+            if not self.ws.closed:  # a closed session reads nothing more
+                self.buffer += data
+                self._read_frames()
             return
         scan_from = max(len(self.buffer) - 3, 0)
         self.buffer += data
@@ -282,27 +286,26 @@ class _Connection(asyncio.StreamReaderProtocol):
             self._process(scan_from)
 
     def eof_received(self) -> Optional[bool]:
-        if self.ws_task is not None:
-            return super().eof_received()
-        if self.buffer:
+        if self.buffer and self.ws is None:
             self._reject(ProtocolViolationError(
                 "connection closed mid-body" if self.pending is not None
                 else "truncated HTTP request head"))
         return None  # the transport flushes what is queued, then closes
 
     def pause_writing(self) -> None:
-        super().pause_writing()
-        if self.ws_task is None:
-            self.write_paused = True
+        self.write_paused = True
+        if self.ws is None:
             self.transport.pause_reading()
 
     def resume_writing(self) -> None:
-        super().resume_writing()
-        if self.write_paused:
-            self.write_paused = False
-            if not self.transport.is_closing():
-                self.transport.resume_reading()
-                self._process()
+        self.write_paused = False
+        if self.transport.is_closing():
+            return
+        if self.ws is not None:
+            self.ws.flush()
+        else:
+            self.transport.resume_reading()
+            self._process()
 
     def _process(self, scan_from: int = 0) -> None:
         """Answer every complete request in the buffer, then set the deadline."""
@@ -330,11 +333,7 @@ class _Connection(asyncio.StreamReaderProtocol):
                 request.body = bytes(view[start:total])
             del buffer[:total]
             if request.method == "GET" and request.path == "/ws":
-                self._arm(None)
-                # Frames that shared a segment with the handshake go first.
-                self.reader.feed_data(bytes(buffer))
-                buffer.clear()
-                self.ws_task = self.loop.create_task(self._run_websocket(request))
+                self._upgrade(request)
                 return
             keep_alive = request.wants_keep_alive() and not server._draining
             self.transport.write(server._respond_http(request, keep_alive))
@@ -352,15 +351,56 @@ class _Connection(asyncio.StreamReaderProtocol):
             self.idle = False
             self._arm(config.read_timeout_seconds)
 
-    async def _run_websocket(self, request: HttpRequest) -> None:
-        """The upgraded session, on the base class's reader and a writer."""
-        writer = asyncio.StreamWriter(self.transport, self, self.reader, self.loop)
-        try:
-            await self.server._serve_websocket(request, self.reader, writer)
-        except (ConnectionError, ProtocolViolationError):
-            pass
-        finally:
-            self.transport.close()
+    def _upgrade(self, request: HttpRequest) -> None:
+        """Answer ``GET /ws``: a 426 unless it asks to upgrade, else the 101,
+        and the socket speaks WebSocket from the next byte of the buffer."""
+        server, transport = self.server, self.transport
+        key = request.headers.get("sec-websocket-key")
+        if not request.is_websocket_upgrade() or not key:
+            server.stats.count_rejection("bad_upgrade")
+            transport.write(format_response(
+                426, b'{"error": "this endpoint speaks WebSocket"}',
+                keep_alive=False, extra_headers=(("Upgrade", "websocket"),)))
+            transport.close()
+            return
+        self._arm(None)
+        transport.write(
+            b"HTTP/1.1 101 Switching Protocols\r\n"
+            b"Upgrade: websocket\r\n"
+            b"Connection: Upgrade\r\n"
+            b"Sec-WebSocket-Accept: " + accept_key(key).encode("ascii")
+            + b"\r\n\r\n")
+        server.stats.ws_connections_total += 1
+        server.stats.open_ws_connections += 1
+        self.ws = _WsSession(self)
+        server._ws_sessions.add(self.ws)
+        # Keep the transport's own buffer small so a slow consumer shows up
+        # at the *bounded* backlog (where it is counted and kicked) instead
+        # of hiding inside a multi-megabyte write buffer.
+        transport.set_write_buffer_limits(high=16_384)
+        self._read_frames()  # frames that shared a segment with the handshake
+
+    def _read_frames(self) -> None:
+        """Answer every complete frame in the buffer, in order."""
+        session, buffer = self.ws, self.buffer
+        max_bytes = self.server.config.max_request_bytes
+        while not session.closed:
+            try:
+                frame = decode_frame(buffer, max_bytes=max_bytes)
+            except ProtocolViolationError:
+                session.closed = True
+                self.transport.close()
+                return
+            if frame is None:
+                return
+            opcode, payload, length = frame
+            del buffer[:length]
+            if opcode == OP_TEXT:
+                self.server._dispatch_ws(session, payload)
+            elif opcode == OP_PING:
+                session.send(encode_frame(OP_PONG, payload))
+            elif opcode == OP_CLOSE:
+                session.close(payload[:2])
 
     def _arm(self, seconds: Optional[float]) -> None:
         """Set the deadline ``seconds`` from now (``None``: no deadline)."""
@@ -444,7 +484,7 @@ class RpcHttpServer:
 
     def send_queue_depth(self) -> int:
         """The deepest per-socket send queue right now (backpressure gauge)."""
-        return max((session.queue.qsize() for session in self._ws_sessions),
+        return max((len(session.backlog) for session in self._ws_sessions),
                    default=0)
 
     def status(self) -> Dict[str, Any]:
@@ -481,9 +521,9 @@ class RpcHttpServer:
             except asyncio.CancelledError:
                 pass
         for session in list(self._ws_sessions):
-            session.close_gracefully()
+            session.close(b"\x03\xe9")  # 1001: going away
         for connection in list(self._connections):
-            if connection.ws_task is None and not connection.buffer:
+            if connection.ws is None and not connection.buffer:
                 connection.transport.close()  # holds no part of a request
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.drain_timeout_seconds
@@ -527,7 +567,7 @@ class RpcHttpServer:
                     "method": "eth_subscription",
                     "params": {"subscription": sub_id, "result": payload},
                 }, default=str)
-                if not session.enqueue_text(message):
+                if not session.send(encode_frame(OP_TEXT, message.encode("utf-8"))):
                     break
                 self.stats.notifications_total += 1
 
@@ -572,107 +612,21 @@ class RpcHttpServer:
 
     # -- websocket -----------------------------------------------------------
 
-    async def _serve_websocket(self, request: HttpRequest,
-                               reader: asyncio.StreamReader,
-                               writer: asyncio.StreamWriter) -> None:
-        key = request.headers.get("sec-websocket-key")
-        if not request.is_websocket_upgrade() or not key:
-            self.stats.count_rejection("bad_upgrade")
-            writer.write(format_response(
-                426, b'{"error": "this endpoint speaks WebSocket"}',
-                keep_alive=False, extra_headers=(("Upgrade", "websocket"),)))
-            await writer.drain()
-            return
-        writer.write(
-            b"HTTP/1.1 101 Switching Protocols\r\n"
-            b"Upgrade: websocket\r\n"
-            b"Connection: Upgrade\r\n"
-            b"Sec-WebSocket-Accept: " + accept_key(key).encode("ascii")
-            + b"\r\n\r\n")
-        await writer.drain()
-        self.stats.ws_connections_total += 1
-        self.stats.open_ws_connections += 1
-        # Keep the transport's own buffer small so a slow consumer shows up
-        # at the *bounded* send queue (where it is counted and kicked)
-        # instead of hiding inside a multi-megabyte kernel buffer.
+    def _dispatch_ws(self, session: _WsSession, payload: bytes) -> None:
+        """One text message, through the gateway like a POST body, with
+        ``eth_subscribe`` / ``eth_unsubscribe`` bound to this session's
+        subscriptions for the one synchronous call."""
+        self.stats.ws_messages_total += 1
+        eth = self.gateway.eth
+        eth.subscriptions = session.subs
         try:
-            writer.transport.set_write_buffer_limits(high=16_384)
-        except (AttributeError, NotImplementedError):
-            pass
-        session = _WsSession(self, writer)
-        session.writer_task = asyncio.ensure_future(session.run_writer())
-        self._ws_sessions.add(session)
-        try:
-            await self._ws_reader_loop(session, reader)
+            reply = self.gateway.handle_raw(payload, self._admit_batch)
         finally:
-            self.stats.open_ws_connections -= 1
-            self._ws_sessions.discard(session)
-            if not session.closed:
-                session.closed = True
-                session.subs.clear()
-            session.writer_task.cancel()
-            try:
-                await session.writer_task
-            except asyncio.CancelledError:
-                pass
+            eth.subscriptions = None
+        if reply:
+            session.send(encode_frame(OP_TEXT, reply))
+        self.pump_subscriptions()
 
-    async def _ws_reader_loop(self, session: _WsSession,
-                              reader: asyncio.StreamReader) -> None:
-        while not session.closed:
-            try:
-                opcode, payload = await read_frame(
-                    reader, max_bytes=self.config.max_request_bytes)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
-            if opcode == OP_CLOSE:
-                session.enqueue_raw(encode_frame(OP_CLOSE, payload[:2]))
-                return
-            if opcode == OP_PING:
-                session.enqueue_raw(encode_frame(OP_PONG, payload))
-                continue
-            if opcode == OP_PONG:
-                continue
-            if opcode != OP_TEXT:
-                continue
-            self.stats.ws_messages_total += 1
-            reply = self._dispatch_ws(session, payload.decode("utf-8"))
-            if reply:
-                session.enqueue_raw(encode_frame(OP_TEXT, reply))
-            self.pump_subscriptions()
-
-    def _dispatch_ws(self, session: _WsSession, text: str) -> bytes:
-        """One WebSocket message: subscription calls local, rest via gateway."""
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            return self.gateway.handle_raw(text)  # renders the parse error
-        if isinstance(payload, dict) and payload.get("method") in (
-                "eth_subscribe", "eth_unsubscribe"):
-            return json.dumps(self._handle_subscription_call(session, payload),
-                              default=str).encode()
-        return self.gateway.handle_raw(text)
-
-    def _handle_subscription_call(self, session: _WsSession,
-                                  payload: Dict[str, Any]) -> Dict[str, Any]:
-        request_id = payload.get("id")
-        params = payload.get("params") or []
-        try:
-            if not isinstance(params, list) or not params:
-                raise JsonRpcError(
-                    INVALID_PARAMS,
-                    f"{payload.get('method')} takes positional params")
-            if payload.get("method") == "eth_subscribe":
-                criteria = None
-                if params[0] == "logs" and len(params) > 1:
-                    from repro.rpc.namespaces import _log_filter_from_params
-
-                    criteria = _log_filter_from_params(self.node, params[1])
-                result: Any = session.subs.subscribe(params[0], criteria)
-            else:
-                result = session.subs.unsubscribe(str(params[0]))
-        except JsonRpcError as exc:
-            return error_response(request_id, exc.code, exc.message, exc.data)
-        return success_response(request_id, result)
 
 class ServerThread:
     """Host an :class:`RpcHttpServer` on a dedicated event-loop thread.

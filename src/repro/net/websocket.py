@@ -1,23 +1,22 @@
 """RFC 6455 WebSocket framing: server-side codec plus a blocking client.
 
-The server side (handshake accept key, frame encode/decode over asyncio
-streams) backs the gateway's ``/ws`` endpoint; the blocking
-:class:`WebSocketClient` is the reference consumer -- the subscription
-tests and the CI end-to-end smoke drive a live server with it over a plain
-``socket``.  Only single-frame (FIN=1) text/binary messages are supported;
-fragmentation is rejected with a protocol error, which every JSON-RPC
-client this repo ships satisfies.
+The server side (handshake accept key, frame encode, and
+:func:`decode_frame`, which decodes a frame off the front of a byte buffer)
+backs the gateway's ``/ws`` endpoint; the blocking :class:`WebSocketClient`
+is the reference consumer -- the subscription tests and the CI end-to-end
+smoke drive a live server with it over a plain ``socket``, decoding with the
+same :func:`decode_frame`.  Only single-frame (FIN=1) text/binary messages
+are supported; fragmentation is rejected with a protocol error, which every
+JSON-RPC client this repo ships satisfies.
 """
 
 from __future__ import annotations
 
-import asyncio
 import base64
 import hashlib
 import json
 import os
 import socket
-import struct
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError, ProtocolViolationError
@@ -40,57 +39,59 @@ def accept_key(client_key: str) -> str:
 
 def encode_frame(opcode: int, payload: bytes, mask: bool = False) -> bytes:
     """One FIN=1 frame; clients MUST mask, servers MUST NOT (RFC 6455)."""
-    header = bytearray([0x80 | opcode])
     mask_bit = 0x80 if mask else 0x00
     length = len(payload)
     if length < 126:
-        header.append(mask_bit | length)
+        header = bytes([0x80 | opcode, mask_bit | length])
     elif length < 1 << 16:
-        header.append(mask_bit | 126)
-        header += struct.pack("!H", length)
+        header = bytes([0x80 | opcode, mask_bit | 126]) + length.to_bytes(2, "big")
     else:
-        header.append(mask_bit | 127)
-        header += struct.pack("!Q", length)
+        header = bytes([0x80 | opcode, mask_bit | 127]) + length.to_bytes(8, "big")
     if mask:
         key = os.urandom(4)
-        header += key
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    return bytes(header) + payload
+        return header + key + _mask(payload, key)
+    return header + payload
 
 
-def _unmask(payload: bytes, key: bytes) -> bytes:
+def _mask(payload: bytes, key: bytes) -> bytes:
+    """XOR with the 4-byte key, repeated: masking and unmasking alike."""
     return bytes(b ^ key[i % 4] for i, b in enumerate(payload))
 
 
-async def read_frame(reader: asyncio.StreamReader, *,
-                     max_bytes: int,
-                     require_mask: bool = True) -> Tuple[int, bytes]:
-    """Read one frame off an asyncio stream; returns ``(opcode, payload)``.
+def decode_frame(buffer: bytes, *, max_bytes: int, require_mask: bool = True
+                 ) -> Optional[Tuple[int, bytes, int]]:
+    """Decode the frame at the start of ``buffer``.
 
-    Raises :class:`ProtocolViolationError` on fragmentation, an unmasked
-    client frame, or a payload past ``max_bytes``; raises
-    :class:`asyncio.IncompleteReadError` when the peer just vanishes.
+    Returns ``(opcode, payload, length)``, ``length`` being the frame's bytes
+    in ``buffer``, or ``None`` while the frame is incomplete.  Raises
+    :class:`ProtocolViolationError` on fragmentation, an unmasked frame when
+    ``require_mask``, or a payload past ``max_bytes`` -- each as soon as the
+    header shows it, before any of the payload has arrived.
     """
-    first, second = await reader.readexactly(2)
+    if len(buffer) < 2:
+        return None
+    first, second = buffer[0], buffer[1]
     if not first & 0x80:
         raise ProtocolViolationError("fragmented WebSocket frames are not supported")
-    opcode = first & 0x0F
     masked = bool(second & 0x80)
     if require_mask and not masked:
         raise ProtocolViolationError("client frames must be masked (RFC 6455)")
-    length = second & 0x7F
-    if length == 126:
-        (length,) = struct.unpack("!H", await reader.readexactly(2))
-    elif length == 127:
-        (length,) = struct.unpack("!Q", await reader.readexactly(8))
+    length, start = second & 0x7F, 2
+    if length >= 126:
+        start = 4 if length == 126 else 10
+        if len(buffer) < start:
+            return None
+        length = int.from_bytes(buffer[2:start], "big")
     if length > max_bytes:
         raise ProtocolViolationError(
             f"WebSocket payload of {length} bytes exceeds the {max_bytes}-byte cap")
-    key = await reader.readexactly(4) if masked else b""
-    payload = await reader.readexactly(length) if length else b""
+    end = start + (4 if masked else 0) + length
+    if len(buffer) < end:
+        return None
+    payload = bytes(buffer[end - length:end])
     if masked:
-        payload = _unmask(payload, key)
-    return opcode, payload
+        payload = _mask(payload, bytes(buffer[start:start + 4]))
+    return first & 0x0F, payload, end
 
 
 # -- the blocking client ------------------------------------------------------
@@ -109,7 +110,7 @@ class WebSocketClient:
     def __init__(self, host: str, port: int, path: str = "/ws",
                  timeout: float = 10.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._buffer = b""
+        self._buffer = bytearray()
         self._next_id = 1
         self._notifications: List[Dict[str, Any]] = []
         key = base64.b64encode(os.urandom(16)).decode("ascii")
@@ -132,37 +133,28 @@ class WebSocketClient:
 
     # -- socket plumbing -----------------------------------------------------
 
-    def _read_until(self, marker: bytes) -> bytes:
-        while marker not in self._buffer:
-            chunk = self._sock.recv(4096)
-            if not chunk:
-                raise NetworkError("connection closed during WebSocket handshake")
-            self._buffer += chunk
-        head, self._buffer = self._buffer.split(marker, 1)
-        return head + marker
+    def _recv(self, eof_message: str) -> None:
+        chunk = self._sock.recv(65_536)
+        if not chunk:
+            raise NetworkError(eof_message)
+        self._buffer += chunk
 
-    def _read_exact(self, count: int) -> bytes:
-        while len(self._buffer) < count:
-            chunk = self._sock.recv(4096)
-            if not chunk:
-                raise NetworkError("WebSocket connection closed by the server")
-            self._buffer += chunk
-        data, self._buffer = self._buffer[:count], self._buffer[count:]
-        return data
+    def _read_until(self, marker: bytes) -> bytes:
+        while (index := self._buffer.find(marker)) < 0:
+            self._recv("connection closed during WebSocket handshake")
+        head = bytes(self._buffer[:index + len(marker)])
+        del self._buffer[:index + len(marker)]
+        return head
 
     def _read_frame(self) -> Tuple[int, bytes]:
-        first, second = self._read_exact(2)
-        opcode = first & 0x0F
-        masked = bool(second & 0x80)
-        length = second & 0x7F
-        if length == 126:
-            (length,) = struct.unpack("!H", self._read_exact(2))
-        elif length == 127:
-            (length,) = struct.unpack("!Q", self._read_exact(8))
-        key = self._read_exact(4) if masked else b""
-        payload = self._read_exact(length) if length else b""
-        if masked:
-            payload = _unmask(payload, key)
+        """The next frame off the socket: ``(opcode, payload)``."""
+        # Server frames need no mask, and a reply (an ipfs_cat, a batch) has
+        # no size cap.
+        while (frame := decode_frame(self._buffer, max_bytes=1 << 64,
+                                     require_mask=False)) is None:
+            self._recv("WebSocket connection closed by the server")
+        opcode, payload, length = frame
+        del self._buffer[:length]
         return opcode, payload
 
     def _read_message(self) -> Dict[str, Any]:

@@ -145,6 +145,9 @@ class EthNamespace:
     def __init__(self, node: EthereumNode) -> None:
         self.node = node
         self.filters = FilterManager(node)
+        #: The ``repro.net.SubscriptionManager`` of the WebSocket connection
+        #: whose message is being dispatched; ``None`` on any other call.
+        self.subscriptions: Optional[Any] = None
 
     # -- metadata / accounts -------------------------------------------------
 
@@ -270,27 +273,32 @@ class EthNamespace:
 
     # -- push subscriptions ------------------------------------------------------
     #
-    # Real subscriptions need a socket to push down; over plain HTTP these
-    # two are documented stubs that point the caller at the ``/ws`` endpoint.
-    # The WebSocket server intercepts both methods *before* gateway dispatch
-    # and serves them from the connection's SubscriptionManager, so the
-    # stubs only ever fire on a transport that cannot push.
+    # Push needs a connection to write down unprompted.  The WebSocket server
+    # binds its connection's SubscriptionManager to ``subscriptions`` around
+    # the one synchronous ``handle_raw`` of each message; on any other call
+    # (HTTP, in process) these two answer ``-32004`` pointing at ``/ws``.
+
+    def _subscriptions(self, refusal: str) -> Any:
+        if self.subscriptions is None:
+            raise JsonRpcError(METHOD_NOT_ALLOWED, refusal)
+        return self.subscriptions
 
     def subscribe(self, kind: str, criteria: Optional[Dict[str, Any]] = None) -> str:
         """Install a push subscription (``newHeads``, ``newPendingTransactions``
         or ``logs``).  WebSocket connections only -- see ``docs/networking.md``."""
-        raise JsonRpcError(
-            METHOD_NOT_ALLOWED,
+        subscriptions = self._subscriptions(
             "eth_subscribe needs a connection to push notifications down; "
             "connect to the server's /ws WebSocket endpoint")
+        return subscriptions.subscribe(
+            kind, _log_filter_from_params(self.node, criteria) if kind == "logs" else None)
 
     def unsubscribe(self, subscription_id: str) -> bool:
         """Cancel a push subscription installed by ``eth_subscribe``.
         WebSocket connections only -- see ``docs/networking.md``."""
-        raise JsonRpcError(
-            METHOD_NOT_ALLOWED,
+        subscriptions = self._subscriptions(
             "eth_unsubscribe needs the WebSocket connection that installed "
             "the subscription; connect to the server's /ws endpoint")
+        return subscriptions.unsubscribe(str(subscription_id))
 
     # -- dev-chain extensions ---------------------------------------------------
 
