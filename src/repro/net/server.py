@@ -305,6 +305,13 @@ class _Connection(asyncio.Protocol):
             self.ws.flush()
         else:
             self.transport.resume_reading()
+            # Next turn, as in ``_WsSession.flush``: a request answered here
+            # may close the transport, and a close inside its own write
+            # callback makes asyncio call ``connection_lost`` twice.
+            self.loop.call_soon(self._resume_processing)
+
+    def _resume_processing(self) -> None:
+        if not self.transport.is_closing():
             self._process()
 
     def _process(self, scan_from: int = 0) -> None:

@@ -54,8 +54,15 @@ def encode_frame(opcode: int, payload: bytes, mask: bool = False) -> bytes:
 
 
 def _mask(payload: bytes, key: bytes) -> bytes:
-    """XOR with the 4-byte key, repeated: masking and unmasking alike."""
-    return bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+    """XOR with the 4-byte key, repeated: masking and unmasking alike.
+
+    The whole payload is XORed as one integer against the key repeated to
+    its length, so a 636 kB frame costs a few big-integer passes, not a
+    Python step per byte."""
+    length = len(payload)
+    repeated = (key * (length // 4 + 1))[:length]
+    return (int.from_bytes(payload, "big") ^ int.from_bytes(repeated, "big")).to_bytes(
+        length, "big")
 
 
 def decode_frame(buffer: bytes, *, max_bytes: int, require_mask: bool = True

@@ -4,8 +4,8 @@ The paper's real deployment talks to Ethereum through a JSON-RPC endpoint
 (MetaMask/web3 -> node) and to the buyer's Flask service through REST.  This
 package makes that boundary explicit and singular: a transport-agnostic
 JSON-RPC 2.0 gateway with namespaced method registries (``eth_*``,
-``ipfs_*``, ``oflw3_*``), batch requests, polling subscription filters and a
-middleware chain (metrics, rate limiting) -- plus the
+``ipfs_*``, ``oflw3_*``), batch requests, polling subscription filters,
+per-call request metrics and a middleware chain (rate limiting) -- plus the
 :class:`MarketplaceClient` SDK that every higher layer (wallet, DApp
 facades, backend, CLI, simnet) routes its stack access through.
 

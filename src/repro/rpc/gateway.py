@@ -1,13 +1,15 @@
 """The JSON-RPC 2.0 gateway: one metered door to the whole stack.
 
 :class:`JsonRpcGateway` dispatches validated requests to namespaced method
-registries (``eth_*``, ``ipfs_*``, ``oflw3_*``), supports batches and
-notifications, and runs every request through a middleware chain (metrics
-first, then whatever the caller installed, such as a rate limiter).
+registries (``eth_*``, ``ipfs_*``, ``oflw3_*``) and supports batches and
+notifications.  Every call takes one pass: its envelope is validated, the
+middleware the caller installed (such as a rate limiter) runs around it, and
+its method, error code and latency are recorded once in
+:class:`RequestMetrics`.
 
 The gateway is transport-agnostic: :meth:`handle` consumes/produces plain
-dicts (what an in-process client uses), :meth:`handle_raw` consumes a JSON
-body and produces the UTF-8 reply bytes (what the socket transport uses).
+dicts (what an in-process client uses), :meth:`handle_raw` consumes a UTF-8
+JSON body and produces the UTF-8 reply bytes (what the socket transport uses).
 Both speak identical envelopes, so everything above the gateway is already
 wire-shaped; a :class:`HexString` result stays bytes in process and becomes
 ``0x`` text only in those reply bytes.  Every other result is a plain value
@@ -23,6 +25,8 @@ from __future__ import annotations
 import functools
 import inspect
 import json
+from itertools import repeat
+from time import perf_counter
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Union
 
 from repro.errors import ReproError
@@ -32,25 +36,12 @@ from repro.ipfs.swarm import Swarm
 from repro.obs import NULL_OBSERVABILITY
 from repro.rpc.middleware import RequestMetrics
 from repro.rpc.namespaces import (
-    AnalyticsNamespace,
-    EthNamespace,
-    IpfsNamespace,
-    ObsNamespace,
-    Oflw3Namespace,
+    AnalyticsNamespace, EthNamespace, IpfsNamespace, ObsNamespace, Oflw3Namespace,
     ParallelNamespace,
 )
 from repro.rpc.protocol import (
-    INTERNAL_ERROR,
-    INVALID_PARAMS,
-    INVALID_REQUEST,
-    JsonRpcError,
-    METHOD_NOT_FOUND,
-    PARSE_ERROR,
-    RpcRequest,
-    SERVER_ERROR,
-    error_response,
-    is_valid_id,
-    parse_request,
+    INTERNAL_ERROR, INVALID_PARAMS, INVALID_REQUEST, JSONRPC_VERSION, METHOD_NOT_FOUND,
+    PARSE_ERROR, SERVER_ERROR, JsonRpcError, RpcRequest, error_response, make_request,
     success_response,
 )
 from repro.utils.cache import LRUCache
@@ -74,16 +65,11 @@ REPLY_CACHE_ENTRIES = 256
 REPLY_CACHE_MAX_BYTES = 8 * 1024
 
 
-class _Kept:
-    """A result as reply text the reply cache holds."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: bytes) -> None:
-        self.text = text
+class _Kept(bytes):
+    """Reply text the reply cache holds, standing in for a result."""
 
     def reply_pieces(self) -> tuple:
-        return (self.text,)
+        return (self,)
 
 
 #: Results that arrive with their reply JSON: ``ipfs_cat``'s payload bytes
@@ -123,25 +109,21 @@ def _is_cached_read(entry: Any) -> bool:
     return type(method) is str and method in CACHED_READS
 
 
-def _reuse(replies: ReplyCache, invoke: Callable[[RpcRequest], Any],
-           request: RpcRequest) -> Any:
-    """The innermost stage: a stamped call is answered with its kept reply
-    text, or runs and leaves it; any other call just runs."""
-    if request.stamp is None:
-        return invoke(request)
+_DECODER = json.JSONDecoder()
+_SCAN = _DECODER.scan_once
+_WHITESPACE = json.decoder.WHITESPACE.match
+
+
+def _parse(text: str) -> Any:
+    """``json.loads(text)``, in one C scanner pass when ``text`` starts with
+    its value; json's decoder takes (and words the error of) any other."""
     try:
-        params = repr(request.params)
-    except RecursionError:  # nested nearly as deep as the parser allows
-        return invoke(request)
-    key = (request.method, params)
-    text = replies.get(key)
-    if text is None:
-        result = invoke(request)
-        text = (b"".join(result.reply_pieces()) if type(result) in _PRE_RENDERED
-                else reply_json(result).encode())
-        if len(params) + len(text) <= REPLY_CACHE_MAX_BYTES:
-            replies.put(key, text)
-    return _Kept(text)
+        value, end = _SCAN(text, 0)
+    except StopIteration:
+        return _DECODER.decode(text)
+    if end != len(text) and _WHITESPACE(text, end).end() != len(text):
+        raise json.JSONDecodeError("Extra data", text, _WHITESPACE(text, end).end())
+    return value
 
 
 #: A success envelope as ``success_response`` lays it out, cut around its id
@@ -160,6 +142,15 @@ def _encode_envelope(response: Dict[str, Any]) -> bytes:
         return reply_json(response).encode()
     return b"".join((_BEFORE_ID, reply_json(response["id"]).encode(), _BEFORE_RESULT,
                      *result.reply_pieces(), b"}"))
+
+
+def _through(layers: List[Middleware], index: int,
+             innermost: Callable[[RpcRequest], Any], request: RpcRequest) -> Any:
+    """``request`` through ``layers[index:]``, outermost first, then
+    ``innermost``: each layer gets the rest as its ``call_next``."""
+    if index == len(layers):
+        return innermost(request)
+    return layers[index](request, functools.partial(_through, layers, index + 1, innermost))
 
 
 class _Arity(NamedTuple):
@@ -196,46 +187,6 @@ def _describe_storage(engine: Any) -> Callable[[], Dict[str, Any]]:
     return storage_stats
 
 
-def _invoke(methods: Dict[str, Callable[..., Any]],
-            signatures: Dict[str, inspect.Signature],
-            arities: Dict[str, Optional[_Arity]], request: RpcRequest) -> Any:
-    """The gateway's innermost stage: check params, run the handler,
-    normalize errors.
-
-    The arity table admits what ``Signature.bind`` would; ``bind`` runs
-    only on a call the table refuses (to word the error) or cannot judge.
-    """
-    method = request.method
-    handler = methods.get(method)
-    if handler is None:
-        raise JsonRpcError(METHOD_NOT_FOUND, f"method {method!r} not found")
-    params = request.params
-    if params is None:
-        params = ()
-    named = isinstance(params, dict)
-    arity = arities[method]
-    if arity is None or not arity.admits(params):
-        try:
-            if named:
-                signatures[method].bind(**params)
-            else:
-                signatures[method].bind(*params)
-        except TypeError as exc:
-            raise JsonRpcError(
-                INVALID_PARAMS, f"invalid params for {method}: {exc}"
-            ) from None
-    try:
-        return handler(**params) if named else handler(*params)
-    except JsonRpcError:
-        raise
-    except ReproError as exc:
-        raise JsonRpcError(
-            SERVER_ERROR, str(exc), data={"error_class": type(exc).__name__}
-        ) from exc
-    except Exception as exc:  # noqa: BLE001 - a buggy handler must not kill the gateway
-        raise JsonRpcError(INTERNAL_ERROR, f"internal error: {exc}") from exc
-
-
 class JsonRpcGateway:
     """Versioned JSON-RPC 2.0 gateway over the chain/IPFS/backend stack."""
 
@@ -248,15 +199,14 @@ class JsonRpcGateway:
     ) -> None:
         self._methods: Dict[str, Callable[..., Any]] = {}
         self._signatures: Dict[str, inspect.Signature] = {}
-        #: Per method, the arity :func:`_invoke` checks params against (``None``:
-        #: only ``Signature.bind`` can tell).
+        #: Per method, the arity :meth:`_invoke` checks params against
+        #: (``None``: only ``Signature.bind`` can tell).
         self._arities: Dict[str, Optional[_Arity]] = {}
         self.metrics = RequestMetrics()
         #: What :meth:`handle_raw` answers repeated reads from.
         self.replies = ReplyCache()
-        self._middleware: List[Middleware] = [self.metrics, *(middleware or [])]
-        #: Lazily composed middleware pipeline (rebuilt from _middleware once).
-        self._pipeline: Optional[Callable[[RpcRequest], Any]] = None
+        #: Run around every call, outermost first.
+        self._middleware: List[Middleware] = list(middleware or ())
 
         self.eth: Optional[EthNamespace] = None
         self.ipfs = IpfsNamespace(swarm=swarm)
@@ -314,7 +264,7 @@ class JsonRpcGateway:
         """Expose a ``repro.storage`` engine through the gateway.
 
         Installs the engine's LRU read-cache statistics as a gauge on the
-        :class:`RequestMetrics` middleware (so scenario reports show cache
+        gateway's :class:`RequestMetrics` (so scenario reports show cache
         hits/misses next to request counts) and serves ``storage_stats``
         (full engine inspection, cache counters under ``cache``).
         """
@@ -361,46 +311,103 @@ class JsonRpcGateway:
 
     # -- dispatch ---------------------------------------------------------------
 
-    def _run(self, request: RpcRequest) -> Any:
-        """Run the middleware chain around :func:`_invoke`.
+    def _call(self, entry: Any, stamp: Optional[int]) -> Optional[Dict[str, Any]]:
+        """One envelope in one pass: its response, ``None`` for a notification.
 
-        The cached chain ends in the reply cache and the method tables, not
-        in a bound method: a pipeline the gateway holds must not point back at
-        the gateway.
+        An envelope that is not a valid request answers ``-32600`` (its id
+        echoed only when it is one) and is not counted.  A valid call runs
+        through the installed middleware to :meth:`_result`; its method,
+        error code and latency -- which spans middleware, reply cache and
+        handler -- are recorded under one lock acquisition.
         """
-        if self._pipeline is None:
-            def bind(mw, nxt) -> Callable[[RpcRequest], Any]:
-                def step(req: RpcRequest) -> Any:
-                    return mw(req, nxt)
-                return step
-
-            call_next: Callable[[RpcRequest], Any] = functools.partial(
-                _reuse, self.replies, functools.partial(
-                    _invoke, self._methods, self._signatures, self._arities))
-            for layer in reversed(self._middleware):
-                call_next = bind(layer, call_next)
-            self._pipeline = call_next
-        return self._pipeline(request)
-
-    def _handle_one(self, payload: Any, stamp: Optional[int] = None) -> Optional[Dict[str, Any]]:
-        """Process one envelope; returns None for notifications."""
+        if not isinstance(entry, dict):
+            return error_response(None, INVALID_REQUEST, "request must be an object")
+        request_id, method, params = entry.get("id"), entry.get("method"), entry.get("params")
+        valid_id = request_id is None or (isinstance(request_id, (str, int, float))
+                                          and type(request_id) is not bool)
+        if entry.get("jsonrpc") != JSONRPC_VERSION:
+            invalid = 'request must declare "jsonrpc": "2.0"'
+        elif not isinstance(method, str) or not method:
+            invalid = "method must be a non-empty string"
+        elif params is not None and not isinstance(params, (list, dict)):
+            invalid = "params must be an array or an object"
+        elif not valid_id:
+            invalid = "id must be a string or a number"
+        else:
+            invalid = None
+        if invalid is not None:
+            return error_response(request_id if valid_id else None, INVALID_REQUEST, invalid)
+        notification = "id" not in entry
+        error = None
+        started = perf_counter()
         try:
-            request = parse_request(payload)
+            if self._middleware:
+                result = _through(
+                    self._middleware, 0,
+                    lambda request: self._result(request.method, request.params, stamp),
+                    RpcRequest(method, params, request_id, notification))
+            else:
+                result = self._result(method, params, stamp)
         except JsonRpcError as exc:
-            # The id is echoed only when it is one: an invalid id answers null.
-            request_id = payload.get("id") if isinstance(payload, dict) else None
-            return error_response(request_id if is_valid_id(request_id) else None,
-                                  exc.code, exc.message, exc.data)
-        request.stamp = stamp
-        try:
-            result = self._run(request)
-        except JsonRpcError as exc:
-            if request.is_notification:
-                return None
-            return error_response(request.request_id, exc.code, exc.message, exc.data)
-        if request.is_notification:
+            error = exc
+        finally:
+            self.metrics.record(method, None if error is None else error.code,
+                                (perf_counter() - started) * 1000.0)
+        if notification:
             return None
-        return success_response(request.request_id, result)
+        if error is None:
+            return success_response(request_id, result)
+        return {"jsonrpc": JSONRPC_VERSION, "id": request_id, "error": error.to_error_object()}
+
+    def _result(self, method: str, params: Any, stamp: Optional[int]) -> Any:
+        """A call's result: with a ``stamp``, its reply text from the reply
+        cache (a miss runs the handler and keeps the text); else its
+        handler's result."""
+        if stamp is None:
+            return self._invoke(method, params)
+        try:
+            key = (method, repr(params))
+        except RecursionError:  # nested nearly as deep as the parser allows
+            return self._invoke(method, params)
+        kept = self.replies.get(key)
+        if kept is None:
+            result = self._invoke(method, params)
+            kept = _Kept(b"".join(result.reply_pieces()) if type(result) in _PRE_RENDERED
+                         else reply_json(result).encode())
+            if len(key[1]) + len(kept) <= REPLY_CACHE_MAX_BYTES:
+                self.replies.put(key, kept)
+        return kept
+
+    def _invoke(self, method: str, params: Any) -> Any:
+        """Run one call's handler: check params, run it, normalize errors.
+
+        The arity table admits what ``Signature.bind`` would; ``bind`` runs
+        only on a call the table refuses (to word the error) or cannot judge.
+        """
+        handler = self._methods.get(method)
+        if handler is None:
+            raise JsonRpcError(METHOD_NOT_FOUND, f"method {method!r} not found")
+        if params is None:
+            params = ()
+        named = isinstance(params, dict)
+        arity = self._arities[method]
+        if arity is None or not arity.admits(params):
+            try:
+                if named:
+                    self._signatures[method].bind(**params)
+                else:
+                    self._signatures[method].bind(*params)
+            except TypeError as exc:
+                raise JsonRpcError(INVALID_PARAMS, f"invalid params for {method}: {exc}") from None
+        try:
+            return handler(**params) if named else handler(*params)
+        except JsonRpcError:
+            raise
+        except ReproError as exc:
+            raise JsonRpcError(SERVER_ERROR, str(exc),
+                               data={"error_class": type(exc).__name__}) from exc
+        except Exception as exc:  # noqa: BLE001 - a buggy handler must not kill the gateway
+            raise JsonRpcError(INTERNAL_ERROR, f"internal error: {exc}") from exc
 
     def handle(self, payload: Any, stamp: Optional[int] = None
                ) -> Union[Dict[str, Any], List[Dict[str, Any]], None]:
@@ -415,10 +422,10 @@ class JsonRpcGateway:
         if isinstance(payload, list):
             if not payload:
                 return error_response(None, INVALID_REQUEST, "batch must not be empty")
-            responses = [self._handle_one(entry, stamp) for entry in payload]
-            responses = [response for response in responses if response is not None]
+            responses = [response for response in map(self._call, payload, repeat(stamp))
+                         if response is not None]
             return responses or None
-        return self._handle_one(payload, stamp)
+        return self._call(payload, stamp)
 
     def _stamp(self, payload: Any) -> Optional[int]:
         """The served node's version, read once for a body of cached reads
@@ -438,12 +445,16 @@ class JsonRpcGateway:
         """Wire transport: one JSON body in, the UTF-8 reply out (``b""`` for
         no reply) -- the bytes a transport frames as they are.
 
-        ``body`` is parsed once (undecodable bytes are a parse error);
-        ``admit`` sees the payload before dispatch and the :class:`JsonRpcError`
-        it raises is the whole reply -- a transport's batch cap, no second parse.
+        ``body`` is UTF-8 (RFC 8259 section 8.1), parsed once: bytes that do
+        not decode as UTF-8 are a parse error, and a leading byte-order mark
+        is skipped.  ``admit`` sees the payload before dispatch and the
+        :class:`JsonRpcError` it raises is the whole reply -- a transport's
+        batch cap, no second parse.
         """
         try:
-            payload = json.loads(body)
+            # The decoded text is a temporary: a 636 kB body is not held twice.
+            payload = _parse(body if isinstance(body, str)
+                             else str(body, "utf-8", "surrogatepass").removeprefix("\ufeff"))
             if admit is not None:
                 admit(payload)
         except JsonRpcError as exc:
@@ -464,15 +475,15 @@ class JsonRpcGateway:
     def call(self, method: str, /, *params: Any, **named: Any) -> Any:
         """In-process convenience: dispatch one call, returning the raw result.
 
-        Raises :class:`JsonRpcError` on failure -- used by the gateway's own
-        tests; SDK users go through :class:`repro.rpc.client.MarketplaceClient`,
-        which rehydrates library exceptions.
+        Raises :class:`JsonRpcError` with the reply's error member on failure
+        -- used by the gateway's own tests; SDK users go through
+        :class:`repro.rpc.client.MarketplaceClient`, which rehydrates library
+        exceptions.
         """
         if params and named:
             raise ValueError("pass positional or named params, not both")
-        request = RpcRequest(
-            method=method,
-            params=(dict(named) if named else list(params)),
-            request_id=0,
-        )
-        return self._run(request)
+        response = self._call(make_request(method, dict(named) if named else list(params), 0),
+                              None)
+        if "error" in response:
+            raise JsonRpcError(**response["error"])
+        return response["result"]

@@ -1,26 +1,21 @@
-"""Gateway middleware: request metrics and token-bucket rate limiting.
+"""Gateway request metrics and token-bucket rate limiting.
 
 A middleware is any callable ``(request, call_next) -> result`` where
 ``call_next(request)`` invokes the rest of the chain.  Middleware may raise
 :class:`~repro.rpc.protocol.JsonRpcError` to reject a request; the gateway
 renders it as an error envelope.  The chain runs outermost-first in the order
-the gateway was configured with.
+the gateway was configured with.  :class:`RequestMetrics` is not one: the
+gateway records each call into it once, around the whole chain.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.rpc.protocol import (
-    JsonRpcError,
-    RATE_LIMITED,
-    RpcRequest,
-    bounded,
-)
-
-CallNext = Callable[[RpcRequest], Any]
+from repro.rpc.protocol import RATE_LIMITED, JsonRpcError, RpcRequest, bounded
 
 #: Latency histogram bucket upper bounds in milliseconds (last bucket: +inf).
 #: Bounds are ``le``-**inclusive**, matching the Prometheus convention: an
@@ -35,9 +30,9 @@ LATENCY_BUCKETS_MS = (0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0)
 class RequestMetrics:
     """Counts requests per method and error code, and histograms latency.
 
-    Latency is wall-clock handler time (``time.perf_counter``), not simulated
-    time -- it measures the gateway's own cost, which is what the RPC
-    benchmarks track.
+    Latency is wall-clock time (``time.perf_counter``) from a validated call
+    entering the middleware chain to its result, not simulated time -- it
+    measures the gateway's own cost, which is what the RPC benchmarks track.
 
     Counters mutate on whatever thread dispatches requests, while
     ``GET /metrics`` renders snapshots from the registry's collector --
@@ -64,30 +59,22 @@ class RequestMetrics:
         """Register a gauge; its sample appears under ``name`` in snapshots."""
         self._gauges[name] = sample
 
-    def __call__(self, request: RpcRequest, call_next: CallNext) -> Any:
+    def record(self, method: str, code: Optional[int], elapsed_ms: float) -> None:
+        """Count one call: its method, its error code (``None``: it
+        succeeded) and its latency, under one lock acquisition."""
         with self.lock:
             self.requests_total += 1
-            self.by_method[request.method] = self.by_method.get(request.method, 0) + 1
-        started = time.perf_counter()
-        try:
-            return call_next(request)
-        except JsonRpcError as exc:
-            with self.lock:
+            self.by_method[method] = self.by_method.get(method, 0) + 1
+            if code is not None:
                 self.errors_total += 1
-                self.errors_by_code[exc.code] = self.errors_by_code.get(exc.code, 0) + 1
-            raise
-        finally:
-            self._observe((time.perf_counter() - started) * 1000.0)
+                self.errors_by_code[code] = self.errors_by_code.get(code, 0) + 1
+            self._observe(elapsed_ms)
 
     def _observe(self, elapsed_ms: float) -> None:
-        """Record one request duration in its ``le``-inclusive bucket."""
-        with self.lock:
-            self.latency_total_ms += elapsed_ms
-            for index, bound in enumerate(LATENCY_BUCKETS_MS):
-                if elapsed_ms <= bound:
-                    self.latency_bucket_counts[index] += 1
-                    return
-            self.latency_bucket_counts[-1] += 1
+        """Record one duration in its ``le``-inclusive bucket; the caller
+        holds :attr:`lock` when others may read."""
+        self.latency_total_ms += elapsed_ms
+        self.latency_bucket_counts[bisect_left(LATENCY_BUCKETS_MS, elapsed_ms)] += 1
 
     @property
     def mean_latency_ms(self) -> float:
@@ -165,7 +152,7 @@ class TokenBucketRateLimiter:
         self._last_refill = now
         self._tokens = min(self.capacity, self._tokens + elapsed * self.rate)
 
-    def __call__(self, request: RpcRequest, call_next: CallNext) -> Any:
+    def __call__(self, request: RpcRequest, call_next: Callable[[RpcRequest], Any]) -> Any:
         self._refill()
         if self._tokens < 1.0:
             self.rejected_total += 1

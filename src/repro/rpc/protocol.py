@@ -8,7 +8,7 @@ error-code vocabulary the gateway speaks.
 Error codes
 -----------
 ========= ==================================================================
--32700    parse error (invalid JSON reached ``handle_raw``)
+-32700    parse error (``handle_raw`` got a body that is not UTF-8 JSON)
 -32600    invalid request (envelope is not a well-formed request object)
 -32601    method not found
 -32602    invalid params (arity/name mismatch against the handler)
@@ -66,10 +66,9 @@ def bounded(text: str) -> str:
 class JsonRpcError(Exception):
     """Internal control-flow exception the gateway turns into an error envelope.
 
-    Handlers and middleware raise it; :meth:`JsonRpcGateway.handle` catches it
-    at the top of the dispatch pipeline and renders the error response.  It is
-    deliberately *not* a :class:`~repro.errors.ReproError`: it never escapes
-    the gateway.
+    Handlers and middleware raise it; the gateway's one pass per call
+    catches it and renders the error response.  It is deliberately *not* a
+    :class:`~repro.errors.ReproError`: it never escapes the gateway.
     """
 
     def __init__(self, code: int, message: Optional[str] = None, data: Any = None) -> None:
@@ -88,38 +87,12 @@ class JsonRpcError(Exception):
 
 @dataclass
 class RpcRequest:
-    """A validated JSON-RPC request (one entry of a batch, or a single call)."""
+    """One validated call, as installed middleware sees it."""
 
     method: str
     params: Union[List[Any], Dict[str, Any], None] = None
     request_id: Any = None
     is_notification: bool = False
-    #: The node version a wire call may be answered from the gateway's reply
-    #: cache at; ``None`` (every in-process call) runs the handler.
-    stamp: Optional[int] = None
-
-    def positional(self) -> List[Any]:
-        """Params as a positional list (empty for omitted params)."""
-        if self.params is None:
-            return []
-        if isinstance(self.params, list):
-            return list(self.params)
-        return []
-
-    def named(self) -> Dict[str, Any]:
-        """Params as a by-name mapping (empty unless params is an object)."""
-        if isinstance(self.params, dict):
-            return dict(self.params)
-        return {}
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Render back into a request envelope."""
-        envelope: Dict[str, Any] = {"jsonrpc": JSONRPC_VERSION, "method": self.method}
-        if self.params is not None:
-            envelope["params"] = self.params
-        if not self.is_notification:
-            envelope["id"] = self.request_id
-        return envelope
 
 
 def make_request(method: str, params: Union[List[Any], Dict[str, Any], None] = None,
@@ -129,42 +102,6 @@ def make_request(method: str, params: Union[List[Any], Dict[str, Any], None] = N
     if params is not None:
         envelope["params"] = params
     return envelope
-
-
-def is_valid_id(request_id: Any) -> bool:
-    """Whether ``request_id`` may identify a request: a string, a number
-    (never a bool) or null."""
-    return request_id is None or (isinstance(request_id, (str, int, float))
-                                  and not isinstance(request_id, bool))
-
-
-def parse_request(payload: Any) -> RpcRequest:
-    """Validate one request envelope.
-
-    Raises
-    ------
-    JsonRpcError
-        With :data:`INVALID_REQUEST` when the envelope is malformed.
-    """
-    if not isinstance(payload, dict):
-        raise JsonRpcError(INVALID_REQUEST, "request must be an object")
-    if payload.get("jsonrpc") != JSONRPC_VERSION:
-        raise JsonRpcError(INVALID_REQUEST, 'request must declare "jsonrpc": "2.0"')
-    method = payload.get("method")
-    if not isinstance(method, str) or not method:
-        raise JsonRpcError(INVALID_REQUEST, "method must be a non-empty string")
-    params = payload.get("params")
-    if params is not None and not isinstance(params, (list, dict)):
-        raise JsonRpcError(INVALID_REQUEST, "params must be an array or an object")
-    request_id = payload.get("id")
-    if not is_valid_id(request_id):
-        raise JsonRpcError(INVALID_REQUEST, "id must be a string or a number")
-    return RpcRequest(
-        method=method,
-        params=params,
-        request_id=request_id,
-        is_notification="id" not in payload,
-    )
 
 
 def success_response(request_id: Any, result: Any) -> Dict[str, Any]:

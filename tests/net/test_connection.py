@@ -7,6 +7,7 @@ a served one waited out the keep-alive budget there, and the write buffer was
 not reachable from a test), so a rewrite of the door cannot drop them silently.
 """
 
+import asyncio
 import base64
 import json
 import os
@@ -17,6 +18,7 @@ from unittest import mock
 import pytest
 
 from repro.net import ServerThread
+from repro.net.server import _Connection
 from repro.net.websocket import OP_TEXT, accept_key, encode_frame
 
 from .test_http_server import make_server
@@ -392,6 +394,62 @@ class TestWriteBackpressure:
                 sock.close()
         assert ids == [0] * 10 + [1]
         assert server.stats.http_requests == {"rpc": 12}
+
+
+class FakeTransport:
+    """What a connection writes and closes, and whether a close came while
+    ``resume_writing`` -- the transport's own write callback -- ran."""
+
+    def __init__(self):
+        self.written = []
+        self.closing = self.in_resume = self.closed_in_resume = False
+
+    def write(self, data):
+        self.written.append(bytes(data))
+
+    def is_closing(self):
+        return self.closing
+
+    def close(self):
+        self.closed_in_resume |= self.in_resume
+        self.closing = True
+
+    def pause_reading(self):
+        pass
+
+    def resume_reading(self):
+        pass
+
+
+class TestCloseAfterResume:
+    """asyncio calls ``connection_lost`` twice when a transport with nothing
+    left to send is closed inside its own write callback, so the close a
+    request answered on ``resume_writing`` makes waits one loop turn."""
+
+    @pytest.mark.parametrize("request_bytes,status", [
+        pytest.param(frame(call("eth_chainId", [])).replace(
+            b"Host: test", b"Connection: close"), b"200", id="connection-close"),
+        pytest.param(b"NOT HTTP\r\n\r\n", b"400", id="malformed-head"),
+    ])
+    def test_no_close_runs_inside_resume_writing(self, request_bytes, status):
+        async def drive(transport):
+            connection = _Connection(make_server())
+            connection.connection_made(transport)
+            connection.pause_writing()
+            connection.data_received(request_bytes)
+            assert transport.written == []  # held while the peer owes reads
+            transport.in_resume = True
+            connection.resume_writing()
+            transport.in_resume = False
+            assert not transport.closed_in_resume
+            await asyncio.sleep(0)
+            connection.connection_lost(None)
+
+        transport = FakeTransport()
+        asyncio.run(drive(transport))
+        assert transport.closing and not transport.closed_in_resume
+        [reply] = transport.written
+        assert reply.startswith(b"HTTP/1.1 " + status)
 
 
 def ws_handshake():

@@ -10,7 +10,10 @@ transaction and its absent receipt, parse, arity and unknown-method errors,
 ``/ws`` subscriber.  The served chain is deterministic: labelled keys, the
 simulated clock, explicit ``evm_mine``.  Blocks with full transactions
 (``full_blocks``) were recorded after ``eth_getBlockByNumber(n, true)`` stopped
-answering transaction hashes.
+answering transaction hashes.  The undecodable body in ``errors`` is one
+invalid UTF-8 byte, recorded in the same build as the rest of its group; it
+replaced a bare UTF-16 byte-order mark, which is no longer decoded as UTF-16
+(``tests/rpc/test_envelope_pins.py`` pins what such a body answers now).
 """
 
 import hashlib
@@ -37,7 +40,7 @@ DIGESTS = {
     "pushes": "4a6b84d21783be4b29a8d1595d135f519253d5a1ab3f870ed35da209292d8272",
     "singles": "3d45e19d490bc189bc35e3bddd6d7e1e8211be050a9fc9c762d89c07b2fa7f10",
     "batches": "6f3052bb27e4e2fd9998fa8dcad23a0994700ba7d57372a4f09b6e0a208f523a",
-    "errors": "a1ced72bc8cf3478af6633f30d90e98dbc756cc635b15cefe621910f7efb54b3",
+    "errors": "fac82a6d1ed997afcdf6c06713adf91ed0e5b3d7bbfb9b34e5984aab3b4874f2",
     "ipfs": "0101893698fd9421f6df51f9a3e3da328d7455bac560a61711b7ab5f95cab508",
     "full_blocks": "513b7a7828de85d29df3be622e3bdd3f1b4af32b1fc062c95f08a0cd9ecd7530",
 }
@@ -119,7 +122,7 @@ def reply_digests(port):
         groups["full_blocks"].update(rpc(sock, replies, [
             call("eth_getBlockByNumber", [number, True], number) for number in range(height + 1)]))
 
-        for body in (b"{bad json", b"[]", b'"text"', b"\xff\xfe"):
+        for body in (b"{bad json", b"[]", b'"text"', b"\xff"):
             groups["errors"].update(post(sock, replies, body))
         for payload in (call("eth_getBlockByNumber", [1, False, 3], 1),
                         call("eth_getTransactionReceipt", [], 2),

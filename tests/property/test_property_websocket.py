@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolViolationError
-from repro.net.websocket import decode_frame, encode_frame
+from repro.net.websocket import _mask, decode_frame, encode_frame
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -82,6 +82,20 @@ def test_every_opcode_round_trips(size, masked):
         # Bytes after the frame are left where they are.
         assert decode_frame(frame + b"\x81", max_bytes=size,
                             require_mask=masked) == (opcode, payload, len(frame))
+
+
+def byte_loop_mask(payload, key):
+    """RFC 6455 section 5.3 masking one octet at a time: the reference."""
+    return bytes(octet ^ key[index % 4] for index, octet in enumerate(payload))
+
+
+@pytest.mark.parametrize("key", [b"\x00\x7f\x80\xff", b"\xa5\x00\x00\x01"])
+@pytest.mark.parametrize("size", [*range(10), 125, 126, 65_535, 65_536, 636_000])
+def test_masking_matches_the_byte_loop(size, key):
+    payload = pattern(size, seed=size % 251)
+    masked = _mask(payload, key)
+    assert masked == byte_loop_mask(payload, key)
+    assert _mask(masked, key) == payload
 
 
 @settings(SETTINGS, max_examples=40)

@@ -1,6 +1,6 @@
 """The gateway's arity table: it admits exactly what ``Signature.bind`` admits.
 
-``repro.rpc.gateway._invoke`` checks params against a record read off each
+``JsonRpcGateway._invoke`` checks params against a record read off each
 handler's signature at ``register()``; ``Signature.bind`` runs only to word
 the ``-32602`` of a call the table refuses, or for a signature the table
 cannot express.  These tests hold the table to ``bind`` over generated

@@ -1,4 +1,5 @@
-"""Tests for repro.rpc.protocol (envelope parsing and error codes)."""
+"""Tests for repro.rpc.protocol (envelopes and error codes) and for how the
+gateway validates an envelope before a call runs."""
 
 import json
 
@@ -9,36 +10,50 @@ from repro.rpc.protocol import (
     FILTER_NOT_FOUND,
     INVALID_REQUEST,
     JsonRpcError,
-    RpcRequest,
     error_response,
     from_quantity,
     make_request,
-    parse_request,
     success_response,
     to_quantity,
 )
 
 
-class TestParseRequest:
+class Seen:
+    """A gateway whose one middleware keeps every request it is handed."""
+
+    def __init__(self):
+        self.requests = []
+        self.gateway = JsonRpcGateway(middleware=[self.capture])
+        for method in ("m", "eth_getBalance", "eth_call"):
+            self.gateway.register(method, lambda *args, **kwargs: None)
+
+    def capture(self, request, call_next):
+        self.requests.append(request)
+        return call_next(request)
+
+
+class TestRequestValidation:
     def test_valid_request_with_positional_params(self):
-        request = parse_request(
+        seen = Seen()
+        seen.gateway.handle(
             {"jsonrpc": "2.0", "id": 7, "method": "eth_getBalance", "params": ["0xabc"]}
         )
+        [request] = seen.requests
         assert request.method == "eth_getBalance"
-        assert request.positional() == ["0xabc"]
+        assert request.params == ["0xabc"]
         assert request.request_id == 7
         assert not request.is_notification
 
     def test_named_params(self):
-        request = parse_request(
-            {"jsonrpc": "2.0", "id": 1, "method": "m", "params": {"a": 1}}
-        )
-        assert request.named() == {"a": 1}
-        assert request.positional() == []
+        seen = Seen()
+        seen.gateway.handle({"jsonrpc": "2.0", "id": 1, "method": "m", "params": {"a": 1}})
+        assert seen.requests[0].params == {"a": 1}
 
     def test_notification_has_no_id(self):
-        request = parse_request({"jsonrpc": "2.0", "method": "m"})
-        assert request.is_notification
+        seen = Seen()
+        assert seen.gateway.handle({"jsonrpc": "2.0", "method": "m"}) is None
+        assert seen.requests[0].is_notification
+        assert seen.requests[0].request_id is None
 
     @pytest.mark.parametrize(
         "payload",
@@ -58,9 +73,10 @@ class TestParseRequest:
         ],
     )
     def test_malformed_envelopes_are_invalid_requests(self, payload):
-        with pytest.raises(JsonRpcError) as excinfo:
-            parse_request(payload)
-        assert excinfo.value.code == INVALID_REQUEST
+        seen = Seen()
+        assert seen.gateway.handle(payload)["error"]["code"] == INVALID_REQUEST
+        assert seen.requests == []
+        assert seen.gateway.metrics.requests_total == 0
 
 
 class TestInvalidIds:
@@ -102,15 +118,12 @@ class TestEnvelopes:
         assert response["id"] is None
         assert response["error"] == {"code": -32601, "message": "nope", "data": {"x": 1}}
 
-    def test_make_request_round_trips_through_parse(self):
-        envelope = make_request("eth_call", [{"to": "0xabc"}], request_id=9)
-        request = parse_request(envelope)
-        assert request.method == "eth_call"
+    def test_make_request_round_trips_through_the_gateway(self):
+        seen = Seen()
+        seen.gateway.handle(make_request("eth_call", [{"to": "0xabc"}], request_id=9))
+        [request] = seen.requests
+        assert (request.method, request.params) == ("eth_call", [{"to": "0xabc"}])
         assert request.request_id == 9
-
-    def test_request_to_dict_round_trip(self):
-        request = RpcRequest(method="m", params=[1, 2], request_id=4)
-        assert parse_request(request.to_dict()).positional() == [1, 2]
 
 
 class TestJsonRpcError:
