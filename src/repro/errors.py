@@ -198,13 +198,6 @@ class RpcError(ReproError):
         self.data = data
 
 
-class RateLimitError(RpcError):
-    """The gateway's token-bucket rate limiter rejected the request."""
-
-    def __init__(self, message: str, code: int = -32005, data=None) -> None:
-        super().__init__(message, code=code, data=data)
-
-
 # ---------------------------------------------------------------------------
 # System orchestration
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ The generator runs on the :class:`~repro.system.stack.Stack` and the
 :class:`~repro.simnet.events.EventScheduler` it is handed: the simnet
 scenario runner injects background load into a running marketplace scenario
 this way.  All request traffic crosses the stack's gateway through
-:class:`~repro.rpc.client.MarketplaceClient`, so middleware metrics and rate
-limits apply exactly as they would to any other client.
+:class:`~repro.rpc.client.MarketplaceClient`, so the gateway's request
+metrics count it exactly as they would any other client's.
 
 The generator mines nothing: :func:`repro.simnet.runner.slot_producer`
 mines while :meth:`LoadGenerator.busy` holds, and a standalone generator

@@ -325,7 +325,6 @@ class _Connection(asyncio.Protocol):
                 except ProtocolViolationError as exc:
                     self._reject(exc)
                     return
-                scan_from = 0
                 if pending is None:
                     break
             request, start, total = pending
@@ -339,6 +338,7 @@ class _Connection(asyncio.Protocol):
             with memoryview(buffer) as view:
                 request.body = bytes(view[start:total])
             del buffer[:total]
+            scan_from = 0  # it counted bytes of the request just removed
             if request.method == "GET" and request.path == "/ws":
                 self._upgrade(request)
                 return

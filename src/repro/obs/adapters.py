@@ -11,7 +11,7 @@ render -- the sources stay authoritative and unmodified.  Each is a plain
 sampled*, so a replaced node, replica or feeder needs no re-registration.
 
 Naming: counters end ``_total``, duration histograms end ``_seconds``
-(milliseconds from the RPC middleware are converted), everything is
+(milliseconds from the RPC gateway's metrics are converted), everything is
 ``snake_case`` -- the CI naming gate checks the rendered output.
 """
 
@@ -23,14 +23,14 @@ from repro.obs.registry import MetricsRegistry
 
 
 def collect_rpc(reg: MetricsRegistry, metrics: Any) -> None:
-    """Sample a ``repro.rpc.middleware.RequestMetrics``.
+    """Sample a ``repro.rpc.metrics.RequestMetrics``.
 
     Exposes per-method request counters, per-code error counters, and the
-    latency histogram re-bucketed in **seconds** (the middleware keeps
+    latency histogram re-bucketed in **seconds** (``RequestMetrics`` keeps
     milliseconds; bounds divide by 1000, counts carry over verbatim
     because the bucketing is ``le``-inclusive in both).
     """
-    from repro.rpc.middleware import LATENCY_BUCKETS_MS
+    from repro.rpc.metrics import LATENCY_BUCKETS_MS
 
     # Copy under the metrics lock: the gateway mutates these dicts on its
     # dispatch thread while /metrics renders on the server thread.

@@ -33,7 +33,7 @@ from repro.errors import ObservabilityError
 #: gate (tests/system/test_metric_names.py) checks rendered output against.
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
-#: Default histogram buckets in **seconds**; mirrors the RPC middleware's
+#: Default histogram buckets in **seconds**; mirrors the RPC gateway's
 #: millisecond buckets (``LATENCY_BUCKETS_MS``) divided by 1000.
 DEFAULT_SECONDS_BUCKETS: Tuple[float, ...] = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0,
@@ -115,8 +115,8 @@ class HistogramChild(_Child):
 
     An observation equal to a bucket's upper bound lands *in* that bucket
     (Prometheus convention): ``observe(0.5)`` with a ``0.5`` bound counts
-    toward ``le="0.5"``.  The RPC middleware's latency histogram pins the
-    same semantics (see ``repro.rpc.middleware.RequestMetrics._observe``).
+    toward ``le="0.5"``.  The RPC gateway's latency histogram pins the
+    same semantics (see ``repro.rpc.metrics.RequestMetrics._observe``).
     """
 
     __slots__ = ("buckets", "counts", "sum")

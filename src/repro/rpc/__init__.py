@@ -4,10 +4,10 @@ The paper's real deployment talks to Ethereum through a JSON-RPC endpoint
 (MetaMask/web3 -> node) and to the buyer's Flask service through REST.  This
 package makes that boundary explicit and singular: a transport-agnostic
 JSON-RPC 2.0 gateway with namespaced method registries (``eth_*``,
-``ipfs_*``, ``oflw3_*``), batch requests, polling subscription filters,
-per-call request metrics and a middleware chain (rate limiting) -- plus the
-:class:`MarketplaceClient` SDK that every higher layer (wallet, DApp
-facades, backend, CLI, simnet) routes its stack access through.
+``ipfs_*``, ``oflw3_*``), batch requests, polling subscription filters and
+per-call request metrics -- plus the :class:`MarketplaceClient` SDK that
+every higher layer (wallet, DApp facades, backend, CLI, simnet) routes its
+stack access through.
 
 Having one metered door is the architectural seam that future sharding,
 caching and async work plugs into.
@@ -24,12 +24,11 @@ _HOME = {
     "MarketplaceClient": "client", "Oflw3Client": "client", "RpcBatch": "client",
     "FilterManager": "filters",
     "JsonRpcGateway": "gateway",
-    "RequestMetrics": "middleware", "TokenBucketRateLimiter": "middleware",
+    "RequestMetrics": "metrics",
     "INTERNAL_ERROR": "protocol", "INVALID_PARAMS": "protocol",
     "INVALID_REQUEST": "protocol", "JsonRpcError": "protocol",
     "METHOD_NOT_ALLOWED": "protocol", "METHOD_NOT_FOUND": "protocol",
-    "PARSE_ERROR": "protocol", "RATE_LIMITED": "protocol",
-    "SERVER_ERROR": "protocol", "RpcRequest": "protocol",
+    "PARSE_ERROR": "protocol", "SERVER_ERROR": "protocol",
     "from_quantity": "protocol", "make_request": "protocol",
     "to_quantity": "protocol",
 }

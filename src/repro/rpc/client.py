@@ -7,9 +7,9 @@ One client object fronts the whole stack through typed sub-clients::
     client.ipfs.add(payload_bytes)           # -> {"cid", "size", "num_blocks"}
     client.oflw3.deploy_task(spec, budget)   # -> backend route response
 
-Every call is a real JSON-RPC envelope through the gateway (so middleware,
-metrics and rate limits all apply); error envelopes are rehydrated back into
-the :class:`~repro.errors.ReproError` subclass named by ``data.error_class``,
+Every call is a real JSON-RPC envelope through the gateway (so its request
+metrics count it); error envelopes are rehydrated back into the
+:class:`~repro.errors.ReproError` subclass named by ``data.error_class``,
 which keeps exception-level compatibility with the direct-call era.  Batches
 amortize dispatch overhead::
 
@@ -24,14 +24,14 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Union
 
 import repro.errors as repro_errors
-from repro.errors import ReproError, RpcError, RateLimitError, UnknownTransactionError
+from repro.errors import ReproError, RpcError, UnknownTransactionError
 from repro.chain.events import EventLog, LogFilter, LogPage
 from repro.chain.node import EthereumNode
 from repro.chain.receipts import TransactionReceipt
 from repro.chain.transaction import Transaction, encode_call
 from repro.ipfs.node import IpfsNode
 from repro.rpc.gateway import JsonRpcGateway
-from repro.rpc.protocol import RATE_LIMITED, from_quantity, make_request
+from repro.rpc.protocol import from_quantity, make_request
 from repro.utils.encoding import to_hex
 
 
@@ -48,8 +48,6 @@ def _rehydrate_error(error: Dict[str, Any]) -> ReproError:
                 return candidate(message)
             except TypeError:
                 pass  # unusual constructor; fall through to the generic error
-    if code == RATE_LIMITED:
-        return RateLimitError(message, code=code, data=data)
     return RpcError(message, code=code, data=data)
 
 
@@ -401,9 +399,9 @@ class MarketplaceClient:
     # -- construction -----------------------------------------------------------
 
     @classmethod
-    def for_node(cls, node: EthereumNode, **gateway_kwargs: Any) -> "MarketplaceClient":
+    def for_node(cls, node: EthereumNode) -> "MarketplaceClient":
         """A client over a fresh gateway serving just the chain node."""
-        return cls(JsonRpcGateway(node=node, **gateway_kwargs))
+        return cls(JsonRpcGateway(node=node))
 
     def bound_to_ipfs(self, node: IpfsNode) -> "MarketplaceClient":
         """Share this gateway, defaulting IPFS calls to ``node``."""

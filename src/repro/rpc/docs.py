@@ -30,7 +30,7 @@ attached), grouped by namespace.
 
 Envelopes are standard JSON-RPC 2.0 (single requests, notifications,
 batches); `eth_*` quantities are hex strings; errors use the codes listed in
-`README.md` (`-32700` ... `-32005`).
+`README.md` (`-32700` ... `-32004`).
 """
 
 _NAMESPACE_BLURBS = {

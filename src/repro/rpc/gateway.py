@@ -2,10 +2,9 @@
 
 :class:`JsonRpcGateway` dispatches validated requests to namespaced method
 registries (``eth_*``, ``ipfs_*``, ``oflw3_*``) and supports batches and
-notifications.  Every call takes one pass: its envelope is validated, the
-middleware the caller installed (such as a rate limiter) runs around it, and
-its method, error code and latency are recorded once in
-:class:`RequestMetrics`.
+notifications.  Every call takes one pass: its envelope is validated, its
+result is computed, and its method, error code and latency are recorded once
+in :class:`RequestMetrics`.
 
 The gateway is transport-agnostic: :meth:`handle` consumes/produces plain
 dicts (what an in-process client uses), :meth:`handle_raw` consumes a UTF-8
@@ -22,33 +21,29 @@ node's version changes (``docs/networking.md``, "Reply cache").
 
 from __future__ import annotations
 
-import functools
 import inspect
 import json
 from itertools import repeat
 from time import perf_counter
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Union
+from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Union
 
 from repro.errors import ReproError
 from repro.chain.node import EthereumNode
 from repro.ipfs.node import IpfsNode
 from repro.ipfs.swarm import Swarm
 from repro.obs import NULL_OBSERVABILITY
-from repro.rpc.middleware import RequestMetrics
+from repro.rpc.metrics import RequestMetrics
 from repro.rpc.namespaces import (
     AnalyticsNamespace, EthNamespace, IpfsNamespace, ObsNamespace, Oflw3Namespace,
     ParallelNamespace,
 )
 from repro.rpc.protocol import (
     INTERNAL_ERROR, INVALID_PARAMS, INVALID_REQUEST, JSONRPC_VERSION, METHOD_NOT_FOUND,
-    PARSE_ERROR, SERVER_ERROR, JsonRpcError, RpcRequest, error_response, make_request,
-    success_response,
+    PARSE_ERROR, SERVER_ERROR, JsonRpcError, error_response, make_request, success_response,
 )
 from repro.utils.cache import LRUCache
 from repro.utils.encoding import HexString
 from repro.utils.serialization import reply_json
-
-Middleware = Callable[[RpcRequest, Callable[[RpcRequest], Any]], Any]
 
 #: The reads whose reply is a function of the call and of the served node's
 #: version alone.  ``eth_call`` and ``eth_estimateGas`` stay out (their block
@@ -144,15 +139,6 @@ def _encode_envelope(response: Dict[str, Any]) -> bytes:
                      *result.reply_pieces(), b"}"))
 
 
-def _through(layers: List[Middleware], index: int,
-             innermost: Callable[[RpcRequest], Any], request: RpcRequest) -> Any:
-    """``request`` through ``layers[index:]``, outermost first, then
-    ``innermost``: each layer gets the rest as its ``call_next``."""
-    if index == len(layers):
-        return innermost(request)
-    return layers[index](request, functools.partial(_through, layers, index + 1, innermost))
-
-
 class _Arity(NamedTuple):
     """What ``Signature.bind`` checks of a handler whose parameters are all
     plain positional-or-keyword ones, read off the signature once."""
@@ -190,13 +176,8 @@ def _describe_storage(engine: Any) -> Callable[[], Dict[str, Any]]:
 class JsonRpcGateway:
     """Versioned JSON-RPC 2.0 gateway over the chain/IPFS/backend stack."""
 
-    def __init__(
-        self,
-        node: Optional[EthereumNode] = None,
-        swarm: Optional[Swarm] = None,
-        ipfs: Optional[IpfsNode] = None,
-        middleware: Optional[Iterable[Middleware]] = None,
-    ) -> None:
+    def __init__(self, node: Optional[EthereumNode] = None,
+                 swarm: Optional[Swarm] = None) -> None:
         self._methods: Dict[str, Callable[..., Any]] = {}
         self._signatures: Dict[str, inspect.Signature] = {}
         #: Per method, the arity :meth:`_invoke` checks params against
@@ -205,8 +186,6 @@ class JsonRpcGateway:
         self.metrics = RequestMetrics()
         #: What :meth:`handle_raw` answers repeated reads from.
         self.replies = ReplyCache()
-        #: Run around every call, outermost first.
-        self._middleware: List[Middleware] = list(middleware or ())
 
         self.eth: Optional[EthNamespace] = None
         self.ipfs = IpfsNamespace(swarm=swarm)
@@ -222,15 +201,11 @@ class JsonRpcGateway:
             self.serve_node(node)
         if swarm is not None:
             self.register_namespace(self.ipfs.methods())
-        if ipfs is not None:
-            self.serve_ipfs_node(ipfs)
 
     # -- wiring ----------------------------------------------------------------
 
-    def register(self, name: str, handler: Callable[..., Any], replace: bool = True) -> None:
-        """Register one method; later registrations win unless ``replace=False``."""
-        if not replace and name in self._methods:
-            raise ValueError(f"method {name} already registered")
+    def register(self, name: str, handler: Callable[..., Any]) -> None:
+        """Register one method; a later registration of ``name`` wins."""
         self._methods[name] = handler
         self._signatures[name] = signature = inspect.signature(handler)
         self._arities[name] = _arity_of(signature)
@@ -316,9 +291,8 @@ class JsonRpcGateway:
 
         An envelope that is not a valid request answers ``-32600`` (its id
         echoed only when it is one) and is not counted.  A valid call runs
-        through the installed middleware to :meth:`_result`; its method,
-        error code and latency -- which spans middleware, reply cache and
-        handler -- are recorded under one lock acquisition.
+        :meth:`_result`; its method, error code and latency -- which spans
+        reply cache and handler -- are recorded under one lock acquisition.
         """
         if not isinstance(entry, dict):
             return error_response(None, INVALID_REQUEST, "request must be an object")
@@ -341,13 +315,7 @@ class JsonRpcGateway:
         error = None
         started = perf_counter()
         try:
-            if self._middleware:
-                result = _through(
-                    self._middleware, 0,
-                    lambda request: self._result(request.method, request.params, stamp),
-                    RpcRequest(method, params, request_id, notification))
-            else:
-                result = self._result(method, params, stamp)
+            result = self._result(method, params, stamp)
         except JsonRpcError as exc:
             error = exc
         finally:

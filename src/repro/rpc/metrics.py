@@ -1,21 +1,14 @@
-"""Gateway request metrics and token-bucket rate limiting.
+"""Gateway request metrics: counts per method and error code, and latency.
 
-A middleware is any callable ``(request, call_next) -> result`` where
-``call_next(request)`` invokes the rest of the chain.  Middleware may raise
-:class:`~repro.rpc.protocol.JsonRpcError` to reject a request; the gateway
-renders it as an error envelope.  The chain runs outermost-first in the order
-the gateway was configured with.  :class:`RequestMetrics` is not one: the
-gateway records each call into it once, around the whole chain.
+The gateway records each validated call into :class:`RequestMetrics` once,
+after the call is answered.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional
-
-from repro.rpc.protocol import RATE_LIMITED, JsonRpcError, RpcRequest, bounded
 
 #: Latency histogram bucket upper bounds in milliseconds (last bucket: +inf).
 #: Bounds are ``le``-**inclusive**, matching the Prometheus convention: an
@@ -31,8 +24,8 @@ class RequestMetrics:
     """Counts requests per method and error code, and histograms latency.
 
     Latency is wall-clock time (``time.perf_counter``) from a validated call
-    entering the middleware chain to its result, not simulated time -- it
-    measures the gateway's own cost, which is what the RPC benchmarks track.
+    starting to its result, not simulated time -- it measures the gateway's
+    own cost, which is what the RPC benchmarks track.
 
     Counters mutate on whatever thread dispatches requests, while
     ``GET /metrics`` renders snapshots from the registry's collector --
@@ -117,49 +110,3 @@ class RequestMetrics:
         for name, sample in sorted(self._gauges.items()):
             counters[name] = sample()
         return counters
-
-
-class TokenBucketRateLimiter:
-    """Classic token bucket: ``rate`` tokens/second refill up to ``capacity``.
-
-    The time source defaults to ``time.monotonic``; pass the simulated
-    clock's ``now`` (e.g. ``lambda: clock.now``) to rate-limit in simulated
-    time, which keeps scenario runs deterministic.
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        capacity: Optional[float] = None,
-        time_fn: Optional[Callable[[], float]] = None,
-    ) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        self.rate = float(rate)
-        # Sub-1 rates are legal slow-refill limiters; the bucket still needs
-        # room for one whole token or no request could ever pass.
-        self.capacity = float(capacity) if capacity is not None else max(float(rate), 1.0)
-        if self.capacity < 1.0:
-            raise ValueError(f"capacity must allow at least one request, got {self.capacity}")
-        self._time_fn = time_fn or time.monotonic
-        self._tokens = self.capacity
-        self._last_refill = self._time_fn()
-        self.rejected_total = 0
-
-    def _refill(self) -> None:
-        now = self._time_fn()
-        elapsed = max(0.0, now - self._last_refill)
-        self._last_refill = now
-        self._tokens = min(self.capacity, self._tokens + elapsed * self.rate)
-
-    def __call__(self, request: RpcRequest, call_next: Callable[[RpcRequest], Any]) -> Any:
-        self._refill()
-        if self._tokens < 1.0:
-            self.rejected_total += 1
-            raise JsonRpcError(
-                RATE_LIMITED,
-                f"rate limit exceeded ({self.rate:g} requests/second)",
-                data={"method": bounded(request.method)},
-            )
-        self._tokens -= 1.0
-        return call_next(request)

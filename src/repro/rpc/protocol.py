@@ -17,13 +17,11 @@ Error codes
           ``data.error_class`` member names the :class:`ReproError` subclass)
 -32001    filter not found (unknown/uninstalled subscription filter id)
 -32004    method not allowed (``eth_subscribe`` on a non-WebSocket transport)
--32005    rate limited (rejected by a token-bucket middleware)
 ========= ==================================================================
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Union
 
 JSONRPC_VERSION = "2.0"
@@ -36,7 +34,6 @@ INTERNAL_ERROR = -32603
 SERVER_ERROR = -32000
 FILTER_NOT_FOUND = -32001
 METHOD_NOT_ALLOWED = -32004
-RATE_LIMITED = -32005
 
 #: Default human-readable messages per code (the spec's recommended texts).
 ERROR_MESSAGES: Dict[int, str] = {
@@ -48,7 +45,6 @@ ERROR_MESSAGES: Dict[int, str] = {
     SERVER_ERROR: "Server error",
     FILTER_NOT_FOUND: "Filter not found",
     METHOD_NOT_ALLOWED: "Method not allowed",
-    RATE_LIMITED: "Rate limit exceeded",
 }
 
 #: An error ``message`` keeps at most this many characters (then ``...``), so
@@ -66,8 +62,8 @@ def bounded(text: str) -> str:
 class JsonRpcError(Exception):
     """Internal control-flow exception the gateway turns into an error envelope.
 
-    Handlers and middleware raise it; the gateway's one pass per call
-    catches it and renders the error response.  It is deliberately *not* a
+    Handlers raise it; the gateway's one pass per call catches it and
+    renders the error response.  It is deliberately *not* a
     :class:`~repro.errors.ReproError`: it never escapes the gateway.
     """
 
@@ -83,16 +79,6 @@ class JsonRpcError(Exception):
         if self.data is not None:
             error["data"] = self.data
         return error
-
-
-@dataclass
-class RpcRequest:
-    """One validated call, as installed middleware sees it."""
-
-    method: str
-    params: Union[List[Any], Dict[str, Any], None] = None
-    request_id: Any = None
-    is_notification: bool = False
 
 
 def make_request(method: str, params: Union[List[Any], Dict[str, Any], None] = None,

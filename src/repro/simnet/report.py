@@ -256,11 +256,9 @@ class ScenarioReport:
                 for method, count in sorted(
                     self.rpc_stats.get("by_method", {}).items(),
                     key=lambda item: (-item[1], item[0]))[:3])
-            rate_limited = self.rpc_stats.get("rate_limited_total")
             lines.append(
                 f"rpc:        {self.rpc_stats.get('requests_total', 0)} requests "
                 f"through the gateway, {self.rpc_stats.get('errors_total', 0)} errors"
-                + (f", {rate_limited} rate-limited" if rate_limited else "")
                 + (f" (top: {top})" if top else ""))
         lines.append("")
         header = (f"{'task':<10}{'status':<11}{'adversaries':>12}{'submitted':>11}"

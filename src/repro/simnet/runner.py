@@ -164,8 +164,6 @@ class ScenarioRunner:
         self.stack = build_stack(
             clock=self.clock, storage=self.storage, cluster=cluster_config,
             chain_network=self.chain_network, ipfs_network=self.ipfs_network,
-            rate_limit=self.spec.rpc_rate_limit,
-            rate_burst=self.spec.rpc_rate_burst,
             observability=observability,
             analytics=self.spec.analytics is not None)
         self.cluster = self.stack.cluster
@@ -630,9 +628,6 @@ class ScenarioRunner:
                     network_stats[key] = round(network_stats[key] + value, 3)
 
         rpc_stats = self.stack.gateway.metrics.snapshot(include_latency=False)
-        limiter = self.stack.rate_limiter
-        if limiter is not None:
-            rpc_stats["rate_limited_total"] = limiter.rejected_total
 
         cluster_stats = None
         if self.cluster is not None:

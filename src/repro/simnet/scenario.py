@@ -87,14 +87,6 @@ class ScenarioSpec:
     (lets the shared mempool actually queue up); the synchronous default is
     the seed's submit-and-wait MetaMask flow."""
 
-    rpc_rate_limit: Optional[float] = None
-    """Requests per *simulated* second admitted by the shared JSON-RPC
-    gateway's token bucket (``None`` disables rate limiting).  Rejected
-    calls surface as :class:`~repro.errors.RateLimitError` to the caller."""
-
-    rpc_rate_burst: Optional[float] = None
-    """Token-bucket capacity (defaults to one second's worth of tokens)."""
-
     node_restart_at_seconds: Optional[float] = None
     """Simulated time at which the chain node is killed and recovered from
     its WAL + latest snapshot (``repro.storage``).  The crash is abrupt --
@@ -157,17 +149,6 @@ class ScenarioSpec:
         if self.task_stagger_seconds < 0:
             raise SimulationError(
                 f"task_stagger_seconds must be non-negative, got {self.task_stagger_seconds}")
-        if self.rpc_rate_limit is not None and self.rpc_rate_limit <= 0:
-            raise SimulationError(
-                f"rpc_rate_limit must be positive, got {self.rpc_rate_limit}")
-        if self.rpc_rate_burst is not None and self.rpc_rate_burst < 1:
-            raise SimulationError(
-                f"rpc_rate_burst must allow at least one request, "
-                f"got {self.rpc_rate_burst}")
-        if self.rpc_rate_burst is not None and self.rpc_rate_limit is None:
-            raise SimulationError(
-                "rpc_rate_burst requires rpc_rate_limit (no limiter is "
-                "installed without a rate)")
         if self.node_restart_at_seconds is not None and self.node_restart_at_seconds <= 0:
             raise SimulationError(
                 f"node_restart_at_seconds must be positive, "
@@ -244,7 +225,6 @@ class ScenarioSpec:
         """Whether this spec stays on the seed's exact code path."""
         return (self.num_tasks == 1 and not self.behavior_fractions
                 and self.network_profile == "ideal" and not self.async_submissions
-                and self.rpc_rate_limit is None
                 and self.node_restart_at_seconds is None
                 and self.background_load is None
                 and self.cluster is None
@@ -264,8 +244,6 @@ class ScenarioSpec:
             "behavior_fractions": dict(self.behavior_fractions),
             "network_profile": self.network_profile,
             "async_submissions": self.async_submissions,
-            "rpc_rate_limit": self.rpc_rate_limit,
-            "rpc_rate_burst": self.rpc_rate_burst,
             "node_restart_at_seconds": self.node_restart_at_seconds,
             "background_load": (dict(self.background_load)
                                 if self.background_load is not None else None),

@@ -6,7 +6,7 @@ deployment (Fig. 2).  :func:`build_stack` owns *what hangs off a node and in
 what order*::
 
     clock -> engine? -> cluster | node(batch_verify) -> faucet -> swarm
-          -> rate limiter? -> gateway -> attach_storage? -> registry
+          -> gateway -> attach_storage? -> registry
           -> obs? -> analytics?
 
 The registry is always there and is the only one: :func:`build_stack`
@@ -40,7 +40,6 @@ from repro.errors import ConfigError
 from repro.ipfs.swarm import Swarm
 from repro.obs import MetricsRegistry, Observability, adapters, ensure_observability
 from repro.rpc.gateway import JsonRpcGateway
-from repro.rpc.middleware import TokenBucketRateLimiter
 from repro.utils.clock import SimulatedClock
 
 if TYPE_CHECKING:
@@ -64,7 +63,6 @@ class Stack:
     #: The ``ChainCluster`` behind ``node`` when it is a ``ClusterNode``.
     cluster: Optional[Any] = None
     obs: Optional[Observability] = None
-    rate_limiter: Optional[TokenBucketRateLimiter] = None
 
     # -- what the stack holds right now ------------------------------------------
 
@@ -181,8 +179,6 @@ def build_stack(
     batch_verify: Optional[int] = None,
     chain_network: Optional[Any] = None,
     ipfs_network: Optional[Any] = None,
-    rate_limit: Optional[float] = None,
-    rate_burst: Optional[float] = None,
     observability: Any = False,
     analytics: bool = False,
 ) -> Stack:
@@ -193,10 +189,8 @@ def build_stack(
     ``ClusterConfig``; ``batch_verify`` a verify-worker count (single node
     only: replicas re-verify blocks on the scalar path); ``chain_network`` /
     ``ipfs_network`` simnet link models for the client->node and bitswap
-    links; ``rate_limit`` / ``rate_burst`` a gateway token bucket on the
-    simulated clock; ``observability`` ``True`` or an ``Observability`` (whose
-    registry the stack then shares); ``analytics`` a columnar replica over the
-    WAL.
+    links; ``observability`` ``True`` or an ``Observability`` (whose registry
+    the stack then shares); ``analytics`` a columnar replica over the WAL.
     """
     if batch_verify is not None and batch_verify < 0:
         raise ConfigError(f"batch_verify needs >= 0 workers, got {batch_verify}")
@@ -225,21 +219,14 @@ def build_stack(
                             clock=clock, network=chain_network, storage=engine,
                             batch_verify=batch_verify)
     swarm = Swarm(network=ipfs_network, clock=clock)
-    rate_limiter = None
-    if rate_limit is not None:
-        rate_limiter = TokenBucketRateLimiter(
-            rate=rate_limit, capacity=rate_burst, time_fn=lambda: clock.now)
-    gateway = JsonRpcGateway(
-        node=node, swarm=swarm,
-        middleware=[rate_limiter] if rate_limiter is not None else [])
+    gateway = JsonRpcGateway(node=node, swarm=swarm)
     if engine is not None:
         gateway.attach_storage(engine)
     registry = (observability.registry
                 if isinstance(observability, Observability) else MetricsRegistry())
     stack = Stack(clock=clock, node=node, faucet=Faucet(node), swarm=swarm,
                   gateway=gateway, registry=registry, engine=engine,
-                  cluster=chain_cluster, rate_limiter=rate_limiter,
-                  obs=ensure_observability(observability, registry, clock=clock))
+                  cluster=chain_cluster, obs=ensure_observability(observability, registry, clock=clock))
     registry.register_collector(partial(_collect_metrics, gateway, chain_cluster, engine))
     if stack.obs is not None:
         if chain_cluster is not None:

@@ -8,8 +8,9 @@ chain's address-checksum interning, for one -- and the chain package must
 not depend on the storage package (storage imports the chain for recovery).
 The cache never caches *writes* speculatively -- a `put` both stores and
 freshens, mirroring a read-through / write-through cache -- and its
-statistics are exported through the JSON-RPC ``RequestMetrics`` middleware
-so scenario reports show cache effectiveness next to request counts.
+statistics are exported as a gauge of the JSON-RPC gateway's
+``RequestMetrics``, so scenario reports show cache effectiveness next to
+request counts.
 """
 
 from __future__ import annotations

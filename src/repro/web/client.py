@@ -41,9 +41,9 @@ class RestClient:
         except RouteNotFoundError as exc:
             return HttpResponse.error(str(exc), status=404)
         except WebError as exc:
-            # A handler (or route middleware) let a WebError escape the
-            # router's own translation; keep it inside the HTTP abstraction
-            # instead of leaking a raw exception to the caller.
+            # A handler let a WebError escape the router's own translation;
+            # keep it inside the HTTP abstraction instead of leaking a raw
+            # exception to the caller.
             response = HttpResponse.error(str(exc), status=400)
             response.body["error_class"] = type(exc).__name__
             return response

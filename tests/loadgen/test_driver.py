@@ -1,5 +1,5 @@
 """Load-generator behaviour: determinism, an honest offered rate, overload,
-rate limits and replication, each on a stack the generator is handed."""
+refused requests and replication, each on a stack the generator is handed."""
 
 import pytest
 
@@ -175,11 +175,14 @@ class TestLoad:
         assert value("repro_loadgen_tx_mined_total") == report.tx_mined
         assert value("repro_loadgen_outstanding_txs") == 0
 
-    def test_rate_limit_surfaces_as_errors(self, drive):
-        report = drive(small_config(rate=40.0), rate_limit=5.0).finalize()
+    def test_refused_transfers_surface_as_errors(self, drive):
+        # Clients funded with one wei: the node refuses every transfer, and
+        # each refusal comes back through the gateway as its library error.
+        report = drive(small_config(fund_wei=1)).finalize()
         assert report.errors_total > 0
+        assert report.ops["transfer"]["successes"] == 0
         counted = sum(
-            op["errors_by_class"].get("RateLimitError", 0)
+            op["errors_by_class"].get("InsufficientFundsError", 0)
             for op in report.ops.values()
         )
         assert counted == report.errors_total

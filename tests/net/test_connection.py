@@ -452,6 +452,27 @@ class TestCloseAfterResume:
         assert reply.startswith(b"HTTP/1.1 " + status)
 
 
+class TestPipelinedBehindASplitBody:
+    def test_a_request_behind_a_body_that_arrived_in_two_segments_is_answered(self):
+        """The second segment completes one body and carries a whole second
+        request: the second head must be searched for from the start of
+        what is left, not from an offset into the bytes already answered."""
+        first, second = frame(call("eth_chainId", [], 1)), frame(call("eth_chainId", [], 2))
+
+        async def drive(transport):
+            connection = _Connection(make_server())
+            connection.connection_made(transport)
+            connection.data_received(first[:-10])
+            connection.data_received(first[-10:] + second)
+            connection.connection_lost(None)
+
+        transport = FakeTransport()
+        asyncio.run(drive(transport))
+        assert [json.loads(reply.split(b"\r\n\r\n", 1)[1])["id"]
+                for reply in transport.written] == [1, 2]
+        assert not transport.closing
+
+
 def ws_handshake():
     key = base64.b64encode(os.urandom(16)).decode("ascii")
     return key, (

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ObservabilityError
 from repro.obs import DEFAULT_SECONDS_BUCKETS, MetricsRegistry
 from repro.obs.adapters import collect_cache, collect_rpc
-from repro.rpc.middleware import LATENCY_BUCKETS_MS, RequestMetrics
+from repro.rpc.metrics import LATENCY_BUCKETS_MS, RequestMetrics
 from repro.utils.cache import LRUCache
 
 

@@ -10,6 +10,7 @@ costs exactly one dispatch.
 import os
 import signal
 import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -181,6 +182,10 @@ class TestDeadWorker:
             self, pool):
         # An abandoned handle (never joined) leaves the broken pool in
         # place; the next dispatch is refused at submit and must drop it.
+        # One sleep per worker holds every worker, so the abandoned chunks
+        # are still queued when the workers die, however loaded the box.
+        for _ in range(pool.workers):
+            pool._ensure_pool().submit(time.sleep, JOIN_TIMEOUT)
         abandoned = pool.prewarm_async(chain_of(SENDERS[4], 8))
         kill_workers(pool)
         error = abandoned._futures[0].exception(timeout=JOIN_TIMEOUT)

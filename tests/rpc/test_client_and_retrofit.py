@@ -31,8 +31,8 @@ def stack():
     Faucet(node).drip(ALICE.address, ether_to_wei(5))
     swarm = Swarm()
     ipfs = IpfsNode("sdk-node", swarm)
-    client = MarketplaceClient(JsonRpcGateway(node=node, swarm=swarm, ipfs=ipfs),
-                               default_ipfs_node=ipfs.name)
+    gateway = JsonRpcGateway(node=node, swarm=swarm).serve_ipfs_node(ipfs)
+    client = MarketplaceClient(gateway, default_ipfs_node=ipfs.name)
     return node, ipfs, client
 
 
@@ -64,6 +64,43 @@ class TestEthClient:
         with pytest.raises(RpcError) as excinfo:
             client.call("made_up_method")
         assert excinfo.value.code == -32601
+
+    def test_an_error_without_a_class_keeps_its_code_and_data(self, stack):
+        _, _, client = stack
+        from repro.rpc import JsonRpcError
+
+        def refuse():
+            raise JsonRpcError(-32050, "not today", data={"retry": False})
+
+        client.gateway.register("probe_refuse", refuse)
+        with pytest.raises(RpcError) as excinfo:
+            client.call("probe_refuse")
+        assert type(excinfo.value) is RpcError
+        assert (str(excinfo.value), excinfo.value.code, excinfo.value.data) \
+            == ("not today", -32050, {"retry": False})
+
+    def test_an_unknown_error_class_falls_back_to_rpc_error(self, stack):
+        _, _, client = stack
+        from repro.rpc import SERVER_ERROR, JsonRpcError
+
+        def fail():
+            raise JsonRpcError(SERVER_ERROR, "gone", data={"error_class": "NoSuchError"})
+
+        client.gateway.register("probe_fail", fail)
+        with pytest.raises(RpcError) as excinfo:
+            client.call("probe_fail")
+        assert type(excinfo.value) is RpcError
+        assert excinfo.value.code == SERVER_ERROR
+        assert excinfo.value.data == {"error_class": "NoSuchError"}
+
+    def test_for_node_serves_the_chain_alone(self):
+        node = EthereumNode(backend=default_registry())
+        Faucet(node).drip(ALICE.address, ether_to_wei(2))
+        client = MarketplaceClient.for_node(node)
+        assert client.gateway.eth.node is node
+        assert client.eth.get_balance(ALICE.address) == ether_to_wei(2)
+        assert not [name for name in client.methods()
+                    if name.startswith(("ipfs_", "oflw3_"))]
 
 
 class TestIpfsClient:
@@ -200,7 +237,7 @@ class TestMarketplaceEnvironmentGateway:
 
 
 class TestReviewRegressions:
-    """Fixes applied from review: error fidelity, tail cursors, slow buckets."""
+    """Fixes applied from review: error fidelity, tail cursors, params checks."""
 
     def test_wallet_error_class_survives_the_oflw3_path(self, stack, tiny_split):
         from repro.errors import WalletError
@@ -230,22 +267,6 @@ class TestReviewRegressions:
         tail = node.get_logs_page(log_filter, cursor=page.next_cursor)
         assert [log.args["cid"] for log in tail.logs] == ["QmTail1"]
 
-    def test_sub_one_rate_limiter_is_a_valid_slow_bucket(self):
-        from repro.rpc import TokenBucketRateLimiter
-
-        limiter = TokenBucketRateLimiter(rate=0.5, time_fn=lambda: 0.0)
-        assert limiter.capacity == 1.0
-
-    def test_scenario_spec_rejects_sub_one_burst(self):
-        from repro.errors import SimulationError
-        from repro.simnet.scenario import build_scenario
-
-        with pytest.raises(SimulationError):
-            build_scenario("ideal", rpc_rate_limit=5.0, rpc_rate_burst=0.5)
-        spec = build_scenario("ideal", rpc_rate_limit=0.5)
-        assert spec.to_dict()["rpc_rate_limit"] == 0.5
-        assert "rpc_rate_burst" in spec.to_dict()
-
     def test_malformed_getlogs_params_are_invalid_params_not_internal(self, stack):
         _, _, client = stack
         from repro.rpc import INVALID_PARAMS, make_request
@@ -253,13 +274,6 @@ class TestReviewRegressions:
         for criteria in ({"cursor": "xyz"}, {"limit": "abc"}, {"limit": -5}):
             response = client.gateway.handle(make_request("eth_getLogs", [criteria]))
             assert response["error"]["code"] == INVALID_PARAMS, criteria
-
-    def test_burst_without_rate_is_rejected_not_ignored(self):
-        from repro.errors import SimulationError
-        from repro.simnet.scenario import build_scenario
-
-        with pytest.raises(SimulationError):
-            build_scenario("ideal", rpc_rate_burst=2.0)
 
     def test_readme_quickstart_ipfs_default_node_works(self):
         from repro.system import quick_config

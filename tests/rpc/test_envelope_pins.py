@@ -3,11 +3,10 @@
 Every reply below is the exact bytes ``JsonRpcGateway.handle_raw`` -- what
 ``POST /`` and ``/ws`` write verbatim -- returned for the body beside it
 when each call still crossed a composed middleware pipeline (metrics first,
-then the rate limiter, then the reply cache, then the handler).  They were
-recorded then and are kept unedited: validation, notifications, the reply
-cache, a rate-limited read and a pre-rendered ``ipfs_cat`` result must read
-the same after dispatch became one pass per call.  So must the request
-counters those calls leave behind.
+then the reply cache, then the handler).  They were recorded then and are
+kept unedited: validation, notifications, the reply cache and a pre-rendered
+``ipfs_cat`` result must read the same after dispatch became one pass per
+call.  So must the request counters those calls leave behind.
 
 A body that is not UTF-8 (UTF-16 or UTF-32, which ``json.loads(bytes)``
 used to detect and accept) is the one deliberate difference: it is a
@@ -20,10 +19,8 @@ import pytest
 
 from repro.net import NetConfig, build_serve_stack
 from repro.rpc import PARSE_ERROR
-from repro.system.stack import build_stack
 
 ADDRESS = "0x" + "5a" * 20
-LONG = "a" * 300
 
 
 def body(payload) -> bytes:
@@ -69,16 +66,6 @@ SERVED = [
     ("ipfs_add", body(call("ipfs_add", ["0x" + bytes(range(256)).hex()], 12))),
 ]
 
-#: (name, body) sent in order to a gateway whose token bucket holds two.
-LIMITED = [
-    ("limited_first", body(call("eth_blockNumber", [], 1))),
-    ("limited_hit", body(call("eth_blockNumber", [], 2))),
-    ("limited_cached_read", body(call("eth_blockNumber", [], 3))),
-    ("limited_long_method", body(call(LONG, [], 4))),
-    ("limited_batch", body([call("eth_getBalance", [ADDRESS, "latest"], 5),
-                            note("eth_blockNumber")])),
-]
-
 REPLIES = {
     'parse_error': b'{"jsonrpc": "2.0", "id": null, "error": {"code": -32700, "message": "parse error: Expecting \':\' delimiter: line 1 column 37 (char 36)"}}',
     'invalid_utf8': b'{"jsonrpc": "2.0", "id": null, "error": {"code": -32700, "message": "parse error: \'utf-8\' codec can\'t decode byte 0xff in position 50: invalid start byte"}}',
@@ -99,11 +86,6 @@ REPLIES = {
     'too_deep': b'{"jsonrpc": "2.0", "id": null, "error": {"code": -32700, "message": "parse error: maximum recursion depth exceeded while decoding a JSON array from a unicode string"}}',
     'ipfs_add': b'{"jsonrpc": "2.0", "id": 12, "result": {"cid": "QmTYotk7N6YJqg4EYPoFspW3iUbXGiMwJ39Z1yMiMmop4b", "size": 256, "num_blocks": 1}}',
     'ipfs_cat': b'{"jsonrpc": "2.0", "id": 13, "result": "0x000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeff"}',
-    'limited_first': b'{"jsonrpc": "2.0", "id": 1, "result": "0x0"}',
-    'limited_hit': b'{"jsonrpc": "2.0", "id": 2, "result": "0x0"}',
-    'limited_cached_read': b'{"jsonrpc": "2.0", "id": 3, "error": {"code": -32005, "message": "rate limit exceeded (1 requests/second)", "data": {"method": "eth_blockNumber"}}}',
-    'limited_long_method': b'{"jsonrpc": "2.0", "id": 4, "error": {"code": -32005, "message": "rate limit exceeded (1 requests/second)", "data": {"method": "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa..."}}}',
-    'limited_batch': b'[{"jsonrpc": "2.0", "id": 5, "error": {"code": -32005, "message": "rate limit exceeded (1 requests/second)", "data": {"method": "eth_getBalance"}}}]',
 }
 
 SERVED_COUNTERS = {'requests_total': 17,
@@ -115,14 +97,6 @@ SERVED_COUNTERS = {'requests_total': 17,
                'ipfs_add': 1,
                'ipfs_cat': 1},
  'errors_by_code': {'-32602': 1, '-32601': 4}}
-
-LIMITED_COUNTERS = {'requests_total': 6,
- 'errors_total': 4,
- 'by_method': {LONG: 1,
-               'eth_blockNumber': 4,
-               'eth_getBalance': 1},
- 'errors_by_code': {'-32005': 4}}
-
 
 def served_gateway():
     return build_serve_stack(NetConfig(port=0, block_interval_seconds=0)).gateway
@@ -146,15 +120,6 @@ def test_served_replies_and_counters():
     replies = replies_of(gateway, SERVED)
     assert replies == {name: REPLIES[name] for name in replies}
     assert gateway.metrics.snapshot(include_latency=False) == SERVED_COUNTERS
-    assert_histogram_counts_every_request(gateway)
-
-
-def test_rate_limited_replies_and_counters():
-    gateway = build_stack(rate_limit=1.0, rate_burst=2).gateway
-    replies = replies_of(gateway, LIMITED)
-    assert replies == {name: REPLIES[name] for name in replies}
-    assert gateway.metrics.snapshot(include_latency=False) == LIMITED_COUNTERS
-    assert gateway.replies.hits == 1
     assert_histogram_counts_every_request(gateway)
 
 

@@ -10,7 +10,7 @@ sides agree on this semantics -- so this file pins both.
 from __future__ import annotations
 
 from repro.obs import MetricsRegistry
-from repro.rpc.middleware import LATENCY_BUCKETS_MS, RequestMetrics
+from repro.rpc.metrics import LATENCY_BUCKETS_MS, RequestMetrics
 
 
 class TestRequestMetricsBucketing:

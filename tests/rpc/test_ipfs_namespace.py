@@ -34,12 +34,13 @@ def ipfs():
 
 @pytest.fixture()
 def gateway(ipfs):
-    return JsonRpcGateway(node=EthereumNode(backend=default_registry()), ipfs=ipfs)
+    return JsonRpcGateway(node=EthereumNode(backend=default_registry())).serve_ipfs_node(ipfs)
 
 
 class TestPayloadsStayBytes:
     def test_the_client_cat_takes_the_bytes_with_no_hex_round_trip(self, ipfs):
-        client = MarketplaceClient(JsonRpcGateway(ipfs=ipfs), default_ipfs_node=ipfs.name)
+        client = MarketplaceClient(JsonRpcGateway().serve_ipfs_node(ipfs),
+                                   default_ipfs_node=ipfs.name)
         cid = client.ipfs.add(PAYLOAD)["cid"]
         with mock.patch.object(HexString, "__str__", side_effect=AssertionError):
             assert client.ipfs.cat(cid) == PAYLOAD

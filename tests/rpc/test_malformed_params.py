@@ -20,7 +20,6 @@ from repro.rpc.namespaces import MAX_MINE_BLOCKS
 from repro.rpc.protocol import (
     MAX_ERROR_MESSAGE_CHARS,
     METHOD_NOT_FOUND,
-    RATE_LIMITED,
     SERVER_ERROR,
 )
 from repro.storage import StorageEngine
@@ -154,17 +153,6 @@ def test_an_error_echoes_a_bounded_prefix_of_the_input(gateway, method, params, 
     assert error["code"] == code
     assert len(error["message"]) == MAX_ERROR_MESSAGE_CHARS + len("...")
     assert error["message"].endswith("a...")
-    assert len(reply) < 1024
-
-
-def test_a_rate_limited_reply_echoes_a_bounded_prefix_of_the_method():
-    gateway = build_stack(rate_limit=1.0).gateway
-    request = json.dumps(make_request(LONG, [], request_id=1))
-    gateway.handle_raw(request)  # spends the bucket's one token
-    reply = gateway.handle_raw(request)
-    error = json.loads(reply)["error"]
-    assert error["code"] == RATE_LIMITED
-    assert error["data"] == {"method": "a" * MAX_ERROR_MESSAGE_CHARS + "..."}
     assert len(reply) < 1024
 
 

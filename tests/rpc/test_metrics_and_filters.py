@@ -1,4 +1,4 @@
-"""Tests for gateway middleware (metrics, rate limit) and filters."""
+"""Tests for the gateway's request metrics and for filters."""
 
 import pytest
 
@@ -6,25 +6,27 @@ from repro.chain import EthereumNode, Faucet, KeyPair
 from repro.chain.account import Address
 from repro.chain.transaction import Transaction, encode_call, encode_create
 from repro.contracts import default_registry
-from repro.errors import RateLimitError
+from repro.errors import WebError
 from repro.rpc import (
-    RATE_LIMITED,
+    INTERNAL_ERROR,
+    INVALID_REQUEST,
+    METHOD_NOT_FOUND,
+    SERVER_ERROR,
+    JsonRpcError,
     JsonRpcGateway,
     MarketplaceClient,
-    TokenBucketRateLimiter,
     make_request,
 )
 from repro.rpc.filters import FilterManager, poll_new_blocks, poll_pending_transactions
-from repro.utils.clock import SimulatedClock
 from repro.utils.units import ether_to_wei
 
 ALICE = KeyPair.from_label("rpc-mw-alice")
 
 
-def make_gateway(**kwargs):
+def make_gateway():
     node = EthereumNode(backend=default_registry())
     Faucet(node).drip(ALICE.address, ether_to_wei(5))
-    return JsonRpcGateway(node=node, **kwargs)
+    return JsonRpcGateway(node=node)
 
 
 class TestRequestMetrics:
@@ -39,11 +41,8 @@ class TestRequestMetrics:
         assert snapshot["by_method"]["eth_blockNumber"] == 2
         assert snapshot["errors_by_code"]["-32601"] == 1
 
-    def test_stacked_middleware_counts_every_call(self):
-        gateway = make_gateway(middleware=[
-            TokenBucketRateLimiter(rate=10_000_000.0),
-            lambda request, call_next: call_next(request),
-        ])
+    def test_every_client_call_is_counted(self):
+        gateway = make_gateway()
         client = MarketplaceClient(gateway)
         for _ in range(5):
             client.eth.get_balance(ALICE.address)
@@ -81,35 +80,60 @@ class TestRequestMetrics:
         depth["value"] = 4
         assert gateway.metrics.snapshot(include_latency=False)["queue"] == {"value": 4}
 
+    def test_an_invalid_envelope_is_answered_but_not_counted(self):
+        gateway = make_gateway()
+        response = gateway.handle({"jsonrpc": "1.0", "id": 1, "method": "eth_blockNumber"})
+        assert response["error"]["code"] == INVALID_REQUEST
+        assert gateway.handle(["garbage"])[0]["error"]["code"] == INVALID_REQUEST
+        snapshot = gateway.metrics.snapshot()
+        assert (snapshot["requests_total"], snapshot["errors_total"]) == (0, 0)
+        assert sum(snapshot["latency_histogram_ms"].values()) == 0
 
-class TestRateLimiting:
-    def test_bucket_rejects_when_empty_and_refills_with_time(self):
-        clock = SimulatedClock()
-        limiter = TokenBucketRateLimiter(rate=1.0, capacity=3, time_fn=lambda: clock.now)
-        gateway = make_gateway(middleware=[limiter])
+    def test_a_notification_is_counted_without_a_reply(self):
+        gateway = make_gateway()
+        assert gateway.handle({"jsonrpc": "2.0", "method": "eth_blockNumber"}) is None
+        assert gateway.handle({"jsonrpc": "2.0", "method": "eth_noSuchMethod"}) is None
+        snapshot = gateway.metrics.snapshot(include_latency=False)
+        assert snapshot["requests_total"] == 2
+        assert snapshot["errors_by_code"] == {"-32601": 1}
 
-        for _ in range(3):
-            assert "result" in gateway.handle(make_request("eth_blockNumber"))
-        rejected = gateway.handle(make_request("eth_blockNumber"))
-        assert rejected["error"]["code"] == RATE_LIMITED
-        assert limiter.rejected_total == 1
+    def test_a_batch_counts_each_call_under_its_own_code(self):
+        gateway = make_gateway()
+        replies = gateway.handle([make_request("eth_blockNumber", request_id=1),
+                                  make_request("eth_getBalance", request_id=2),
+                                  make_request("eth_noSuchMethod", request_id=3),
+                                  "garbage"])
+        assert len(replies) == 4
+        snapshot = gateway.metrics.snapshot(include_latency=False)
+        assert snapshot["requests_total"] == 3
+        assert snapshot["by_method"] == {"eth_blockNumber": 1, "eth_getBalance": 1,
+                                         "eth_noSuchMethod": 1}
+        assert snapshot["errors_by_code"] == {"-32602": 1, "-32601": 1}
 
-        clock.advance(2.0)  # 2 tokens refill
-        assert "result" in gateway.handle(make_request("eth_blockNumber"))
+    def test_handler_failures_are_counted_under_the_code_they_answer(self):
+        gateway = make_gateway()
 
-    def test_client_raises_rate_limit_error(self):
-        limiter = TokenBucketRateLimiter(rate=1.0, capacity=1,
-                                         time_fn=lambda: 0.0)
-        client = MarketplaceClient(make_gateway(middleware=[limiter]))
-        assert client.eth.block_number == 0
-        with pytest.raises(RateLimitError):
-            client.eth.block_number
+        def refused():
+            raise WebError("refused")
 
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            TokenBucketRateLimiter(rate=0)
-        with pytest.raises(ValueError):
-            TokenBucketRateLimiter(rate=5, capacity=0.5)
+        gateway.register("probe_refused", refused)
+        gateway.register("probe_bug", lambda: 1 / 0)
+        codes = [gateway.handle(make_request(method))["error"]["code"]
+                 for method in ("probe_refused", "probe_bug", "probe_bug")]
+        assert codes == [SERVER_ERROR, INTERNAL_ERROR, INTERNAL_ERROR]
+        snapshot = gateway.metrics.snapshot(include_latency=False)
+        assert snapshot["errors_total"] == 3
+        assert snapshot["errors_by_code"] == {str(INTERNAL_ERROR): 2, str(SERVER_ERROR): 1}
+
+    def test_an_in_process_call_is_counted_like_a_wire_call(self):
+        gateway = make_gateway()
+        assert gateway.call("eth_blockNumber") == "0x0"
+        with pytest.raises(JsonRpcError) as excinfo:
+            gateway.call("eth_noSuchMethod")
+        assert excinfo.value.code == METHOD_NOT_FOUND
+        snapshot = gateway.metrics.snapshot()
+        assert (snapshot["requests_total"], snapshot["errors_total"]) == (2, 1)
+        assert sum(snapshot["latency_histogram_ms"].values()) == 2
 
 
 class TestFilters:

@@ -19,41 +19,41 @@ from repro.rpc.protocol import (
 
 
 class Seen:
-    """A gateway whose one middleware keeps every request it is handed."""
+    """A gateway whose handlers record every call that reaches them as
+    ``(method, positional params, named params)``."""
 
     def __init__(self):
-        self.requests = []
-        self.gateway = JsonRpcGateway(middleware=[self.capture])
+        self.calls = []
+        self.gateway = JsonRpcGateway()
         for method in ("m", "eth_getBalance", "eth_call"):
-            self.gateway.register(method, lambda *args, **kwargs: None)
+            self.gateway.register(method, self.recorder(method))
 
-    def capture(self, request, call_next):
-        self.requests.append(request)
-        return call_next(request)
+    def recorder(self, method):
+        def handler(*args, **kwargs):
+            self.calls.append((method, args, kwargs))
+
+        return handler
 
 
 class TestRequestValidation:
     def test_valid_request_with_positional_params(self):
         seen = Seen()
-        seen.gateway.handle(
+        response = seen.gateway.handle(
             {"jsonrpc": "2.0", "id": 7, "method": "eth_getBalance", "params": ["0xabc"]}
         )
-        [request] = seen.requests
-        assert request.method == "eth_getBalance"
-        assert request.params == ["0xabc"]
-        assert request.request_id == 7
-        assert not request.is_notification
+        assert seen.calls == [("eth_getBalance", ("0xabc",), {})]
+        assert response == {"jsonrpc": "2.0", "id": 7, "result": None}
 
     def test_named_params(self):
         seen = Seen()
         seen.gateway.handle({"jsonrpc": "2.0", "id": 1, "method": "m", "params": {"a": 1}})
-        assert seen.requests[0].params == {"a": 1}
+        assert seen.calls == [("m", (), {"a": 1})]
 
     def test_notification_has_no_id(self):
         seen = Seen()
         assert seen.gateway.handle({"jsonrpc": "2.0", "method": "m"}) is None
-        assert seen.requests[0].is_notification
-        assert seen.requests[0].request_id is None
+        assert seen.calls == [("m", (), {})]
+        assert seen.gateway.metrics.requests_total == 1
 
     @pytest.mark.parametrize(
         "payload",
@@ -75,7 +75,7 @@ class TestRequestValidation:
     def test_malformed_envelopes_are_invalid_requests(self, payload):
         seen = Seen()
         assert seen.gateway.handle(payload)["error"]["code"] == INVALID_REQUEST
-        assert seen.requests == []
+        assert seen.calls == []
         assert seen.gateway.metrics.requests_total == 0
 
 
@@ -120,10 +120,9 @@ class TestEnvelopes:
 
     def test_make_request_round_trips_through_the_gateway(self):
         seen = Seen()
-        seen.gateway.handle(make_request("eth_call", [{"to": "0xabc"}], request_id=9))
-        [request] = seen.requests
-        assert (request.method, request.params) == ("eth_call", [{"to": "0xabc"}])
-        assert request.request_id == 9
+        response = seen.gateway.handle(make_request("eth_call", [{"to": "0xabc"}], request_id=9))
+        assert seen.calls == [("eth_call", ({"to": "0xabc"},), {})]
+        assert response["id"] == 9
 
 
 class TestJsonRpcError:

@@ -1,8 +1,8 @@
 """The gateway's reply cache: what ``handle_raw`` keeps, and how it is counted.
 
 A kept reply is the result text of a cacheable ``eth_*`` read, keyed by
-method and params and valid for one version of the served node.  Hits still
-pass the whole middleware chain, so metrics and rate limits see every call.
+method and params and valid for one version of the served node.  A hit is
+still a call, so the gateway's request metrics count every one.
 (``tests/property/test_property_reply_cache.py`` holds cached replies to the
 cold ones over random write schedules.)
 """
@@ -16,7 +16,6 @@ from repro.chain.keys import KeyPair
 from repro.chain.transaction import Transaction
 from repro.net import NetConfig, build_serve_stack
 from repro.rpc.gateway import CACHED_READS, REPLY_CACHE_ENTRIES, REPLY_CACHE_MAX_BYTES
-from repro.rpc.protocol import RATE_LIMITED
 from repro.system.stack import build_stack
 from repro.utils.serialization import reply_json
 
@@ -172,12 +171,15 @@ class TestCounted:
                         method="eth_getBalance") == 6
         assert value_of(stack.registry, "repro_cache_hits_total", cache="rpc_reply") == 5
 
-    def test_a_rate_limiter_still_sees_every_hit(self):
-        limited = build_stack(rate_limit=1.0, rate_burst=2)
-        codes = [raw(limited.gateway, call("eth_blockNumber", [])).get("error", {}).get("code")
-                 for _ in range(3)]
-        assert codes == [None, None, RATE_LIMITED]
-        assert limited.gateway.replies.hits == 1
+    def test_every_call_and_every_cache_hit_is_counted(self, stack):
+        replies = [raw(stack.gateway, call("eth_blockNumber", [], index))
+                   for index in range(3)]
+        assert [reply["id"] for reply in replies] == [0, 1, 2]
+        assert all("result" in reply for reply in replies)
+        assert stack.gateway.replies.hits == 2
+        counted = stack.gateway.metrics.snapshot(include_latency=False)
+        assert (counted["requests_total"], counted["errors_total"]) == (3, 0)
+        assert counted["by_method"] == {"eth_blockNumber": 3}
 
     def test_obs_cache_stats_reports_it(self):
         observed = build_stack(observability=True)

@@ -198,18 +198,3 @@ class TestRpcGatewayScenarios:
         assert report.rpc_stats is not None
         assert report.rpc_stats["requests_total"] > 0
         assert report.to_dict()["rpc"]["requests_total"] > 0
-
-    def test_rate_limited_gateway_rejects_and_fails_tasks(self):
-        # Clock time barely moves during the buyer's burst of setup calls, so
-        # a tiny bucket empties and the deployment fails loudly.
-        report = run_scenario("ideal", config=tiny_config(),
-                              rpc_rate_limit=0.001, rpc_rate_burst=3.0)
-        assert report.tasks_failed == 1
-        assert report.rpc_stats["rate_limited_total"] > 0
-        assert "-32005" in report.rpc_stats["errors_by_code"]
-
-    def test_generous_rate_limit_is_harmless(self):
-        report = run_scenario("ideal", config=tiny_config(),
-                              rpc_rate_limit=10_000.0)
-        assert report.tasks_completed == 1
-        assert report.rpc_stats["rate_limited_total"] == 0

@@ -299,7 +299,7 @@ class TestTheOneRegistry:
 #: What only ``system/stack.py`` may do.  Leading dots keep the patterns on
 #: *calls*: ``def attach_obs(`` in the defining module does not match.
 WIRING = re.compile(
-    r"JsonRpcGateway\(|ChainCluster\(|ClusterNode\(|TokenBucketRateLimiter\("
+    r"JsonRpcGateway\(|ChainCluster\(|ClusterNode\("
     r"|\.attach_obs\(|\.attach_storage\(|\.attach_analytics\("
     r"|\.instrument_cluster\(")
 
@@ -335,7 +335,7 @@ def test_one_construction_site():
         offenders)
     assert metrics_wiring == MAY_REGISTER
     # Guard the guard: the builder itself trips every pattern family.
-    assert len(set(WIRING.findall((src / "system/stack.py").read_text()))) == 8
+    assert len(set(WIRING.findall((src / "system/stack.py").read_text()))) == 7
 
 
 #: What ``repro serve`` never runs: the marketplace and the numeric stack
