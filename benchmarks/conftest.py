@@ -18,6 +18,8 @@ computational step of each experiment.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.system import paper_config, run_marketplace
@@ -70,3 +72,20 @@ def print_table(title: str, rows, columns) -> None:
     print("-" * len(header))
     for row in rows:
         print("  ".join(str(cell).ljust(width) for cell, width in zip(row, widths)))
+
+
+def mean_seconds(benchmark, target, *, rounds: int, iterations: int = 1, args=()) -> float:
+    """Run ``target`` through ``benchmark.pedantic``; its mean seconds a call.
+
+    Under ``--benchmark-disable`` pytest-benchmark calls ``target`` once and
+    leaves ``benchmark.stats`` at ``None``, so the rounds are then timed here
+    with ``time.perf_counter``.
+    """
+    benchmark.pedantic(target, args=args, rounds=rounds, iterations=iterations)
+    if benchmark.stats is not None:
+        return benchmark.stats.stats.mean
+    calls = rounds * iterations
+    started = time.perf_counter()
+    for _ in range(calls):
+        target(*args)
+    return (time.perf_counter() - started) / calls

@@ -16,7 +16,7 @@ from repro.cluster import ChainCluster, ClusterConfig, ClusterNode
 from repro.contracts import default_registry
 from repro.loadgen.driver import presigned_transfers
 
-from .conftest import print_table
+from .conftest import mean_seconds, print_table
 
 # Five-replica ingest re-executes every block on every replica; close
 # enough to the CI-wide --timeout=120 budget to need headroom.
@@ -50,29 +50,26 @@ def _ingest_cluster(label: str, replicas: int):
     assert cluster.converge()
 
 
-def _tps(benchmark) -> float:
-    return NUM_TXS / benchmark.stats.stats.mean
+def _tps(benchmark, target, *args) -> float:
+    return NUM_TXS / mean_seconds(benchmark, target, args=args, rounds=3, iterations=1)
 
 
 def test_bench_ingest_single_node(benchmark):
     """Baseline: the PR-4 single-node ingest path."""
-    benchmark.pedantic(_ingest_single, args=("bench-cl-single",),
-                       rounds=3, iterations=1)
-    print_table("cluster ingest", [("single-node", f"{_tps(benchmark):,.1f} tx/s")],
+    tps = _tps(benchmark, _ingest_single, "bench-cl-single")
+    print_table("cluster ingest", [("single-node", f"{tps:,.1f} tx/s")],
                 ["stack", "throughput"])
 
 
 def test_bench_ingest_three_replicas(benchmark):
     """Replicated: 3 replicas, flood + rotation + 3x re-execution."""
-    benchmark.pedantic(_ingest_cluster, args=("bench-cl-three", 3),
-                       rounds=3, iterations=1)
-    print_table("cluster ingest", [("3 replicas", f"{_tps(benchmark):,.1f} tx/s")],
+    tps = _tps(benchmark, _ingest_cluster, "bench-cl-three", 3)
+    print_table("cluster ingest", [("3 replicas", f"{tps:,.1f} tx/s")],
                 ["stack", "throughput"])
 
 
 def test_bench_ingest_five_replicas(benchmark):
     """Replicated: 5 replicas -- the replication tax at wider fan-out."""
-    benchmark.pedantic(_ingest_cluster, args=("bench-cl-five", 5),
-                       rounds=3, iterations=1)
-    print_table("cluster ingest", [("5 replicas", f"{_tps(benchmark):,.1f} tx/s")],
+    tps = _tps(benchmark, _ingest_cluster, "bench-cl-five", 5)
+    print_table("cluster ingest", [("5 replicas", f"{tps:,.1f} tx/s")],
                 ["stack", "throughput"])

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+import time
 
 from repro.chain import EthereumNode, Faucet, KeyPair
 from repro.contracts import default_registry
 from repro.storage import StorageConfig, StorageEngine, recover_chain
 from repro.utils.units import ether_to_wei
 
-from .conftest import print_table
+from .conftest import mean_seconds, print_table
 
 TRANSFERS_PER_ROUND = 40
 ACCOUNT = KeyPair.from_label("bench-storage-account")
@@ -43,17 +44,16 @@ def _pump_transfers(node: EthereumNode, count: int = TRANSFERS_PER_ROUND) -> Non
 
 def test_bench_inclusion_without_store(benchmark):
     """Baseline: submit-and-mine throughput with no storage engine."""
-    benchmark.pedantic(lambda: _pump_transfers(_node(None)), rounds=3, iterations=1)
-    rate = TRANSFERS_PER_ROUND / benchmark.stats.stats.mean
+    rate = TRANSFERS_PER_ROUND / mean_seconds(
+        benchmark, lambda: _pump_transfers(_node(None)), rounds=3, iterations=1)
     print_table("inclusion throughput", [("no store", f"{rate:,.0f} tx/s")],
                 ["configuration", "throughput"])
 
 
 def test_bench_inclusion_with_memory_wal(benchmark):
     """The default MemoryBackend WAL on the hot path."""
-    benchmark.pedantic(lambda: _pump_transfers(_node(StorageEngine())),
-                       rounds=3, iterations=1)
-    rate = TRANSFERS_PER_ROUND / benchmark.stats.stats.mean
+    rate = TRANSFERS_PER_ROUND / mean_seconds(
+        benchmark, lambda: _pump_transfers(_node(StorageEngine())), rounds=3, iterations=1)
     print_table("inclusion throughput", [("memory WAL", f"{rate:,.0f} tx/s")],
                 ["configuration", "throughput"])
 
@@ -70,8 +70,7 @@ def test_bench_inclusion_with_log_wal(benchmark):
         finally:
             shutil.rmtree(directory, ignore_errors=True)
 
-    benchmark.pedantic(run, rounds=3, iterations=1)
-    rate = TRANSFERS_PER_ROUND / benchmark.stats.stats.mean
+    rate = TRANSFERS_PER_ROUND / mean_seconds(benchmark, run, rounds=3, iterations=1)
     print_table("inclusion throughput", [("log WAL", f"{rate:,.0f} tx/s")],
                 ["configuration", "throughput"])
 
@@ -84,12 +83,10 @@ def test_bench_recovery_replay_vs_snapshot(benchmark):
     snapshot_engine = StorageEngine(StorageConfig(snapshot_interval_blocks=8))
     _pump_transfers(_node(snapshot_engine))
 
-    benchmark.pedantic(
-        lambda: recover_chain(snapshot_engine, backend=default_registry()),
+    snapshot_mean = mean_seconds(
+        benchmark, lambda: recover_chain(snapshot_engine, backend=default_registry()),
         rounds=3, iterations=1)
-    snapshot_mean = benchmark.stats.stats.mean
 
-    import time
     started = time.perf_counter()
     recover_chain(replay_engine, backend=default_registry())
     replay_elapsed = time.perf_counter() - started
@@ -114,8 +111,7 @@ def test_bench_cache_hot_vs_cold_blob_reads(benchmark):
         for n in range(32):
             space.get(f"blob-{n}")
 
-    benchmark.pedantic(hot_reads, rounds=5, iterations=5)
-    rate = 32 / benchmark.stats.stats.mean
+    rate = 32 / mean_seconds(benchmark, hot_reads, rounds=5, iterations=5)
     print_table(
         "blob reads",
         [("cache-hot", f"{rate:,.0f} reads/s"),

@@ -15,14 +15,17 @@ Signing is deterministic (the nonce is derived from the key and message), so
 test vectors are stable.
 
 Group powers run on the ``libcrypto`` CPython's ``_hashlib`` loaded, or on the
-builtin ``pow`` if it cannot be bound; :func:`schnorr_backend` says which.
+builtin ``pow`` if it cannot be bound; :func:`schnorr_backend` says which.  A
+verify's ``g^s`` is a product of entries of a fixed-base table of ``g``'s
+powers (Brickell-Gordon-McCurley-Wilson), built once per process on the first
+verify; secret exponents (key generation, signing nonces) never index it.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.errors import InvalidSignatureError
 from repro.utils.cache import LRUCache
@@ -51,6 +54,12 @@ ADDRESS_BYTES = 20
 #: private key: an honest ``s = k + x*e`` is about twice as wide.
 _HASH_BITS = 256
 
+#: ``g``'s fixed-base table reads ``s mod q`` in digits of this many bits...
+_WINDOW_BITS = 6
+#: ...over enough windows to cover an honest ``s < 2^513``: 86, so 516 bits.
+_WINDOWS = -(-(2 * _HASH_BITS + 1) // _WINDOW_BITS)
+_TABLE_BITS = _WINDOWS * _WINDOW_BITS
+
 
 def _int_to_bytes(value: int) -> bytes:
     """Minimal big-endian byte representation of a non-negative integer."""
@@ -77,7 +86,7 @@ class _Scratch:
     def __init__(self, lib, out) -> None:
         self._lib, self.out, self.ctx = lib, out, lib.BN_CTX_new()
         self.result, self.partial = lib.BN_new(), lib.BN_new()
-        self.operands = tuple(lib.BN_new() for _ in range(6))
+        self.operands = tuple(lib.BN_new() for _ in range(5))
 
     def __del__(self) -> None:
         for bignum in (self.result, self.partial, *self.operands):
@@ -107,9 +116,11 @@ class _BuiltinPow:
 
 class _Libcrypto:
     """OpenSSL's Montgomery powers mod ``GROUP_PRIME``.  Only the calling
-    thread's :class:`_Scratch` is written after the bind, so ``ctypes`` may
-    release the GIL and a forked child inherits it.  Generator exponents are
-    reduced mod ``GROUP_ORDER`` (exact: ``g``'s order divides it) first."""
+    thread's :class:`_Scratch` is written after the bind, except for the
+    fixed-base table of ``g`` that the first verify builds under a lock and
+    publishes whole, so ``ctypes`` may release the GIL and a forked child
+    inherits both.  Generator exponents are reduced mod ``GROUP_ORDER``
+    (exact: ``g``'s order divides it) first."""
 
     def __init__(self) -> None:
         import _hashlib
@@ -120,8 +131,9 @@ class _Libcrypto:
         for name, restype, argtypes in (
                 ("BN_new", ptr, ()), ("BN_CTX_new", ptr, ()), ("BN_MONT_CTX_new", ptr, ()),
                 ("BN_bin2bn", ptr, (buf, num, ptr)), ("BN_bn2binpad", num, (ptr, buf, num)),
-                ("BN_MONT_CTX_set", num, (ptr,) * 3), ("BN_mod_exp2_mont", num, (ptr,) * 8),
-                ("BN_mod_exp_mont", num, (ptr,) * 6), ("BN_mod_mul", num, (ptr,) * 5),
+                ("BN_copy", ptr, (ptr,) * 2), ("BN_MONT_CTX_set", num, (ptr,) * 3),
+                ("BN_to_montgomery", num, (ptr,) * 4), ("BN_mod_mul_montgomery", num, (ptr,) * 5),
+                ("BN_mod_exp2_mont", num, (ptr,) * 8), ("BN_mod_exp_mont", num, (ptr,) * 6),
                 ("BN_mod_inverse", ptr, (ptr,) * 4),
                 ("BN_mod_exp_mont_consttime", num, (ptr,) * 6), ("OpenSSL_version", buf, (num,)),
                 ("BN_free", None, (ptr,)), ("BN_CTX_free", None, (ptr,))):
@@ -137,7 +149,11 @@ class _Libcrypto:
             lib.BN_MONT_CTX_set(self._mont, self._modulus, ctx)
         finally:
             lib.BN_CTX_free(ctx)
-        self._generator_high = self._load(None, self.power(GENERATOR, 1 << _HASH_BITS))
+        #: ``None`` until the first verify, then :meth:`_build_table`'s entries
+        #: and ``g^(2^_TABLE_BITS)``.
+        self._table: Optional[Sequence[int]] = None
+        self._table_lock = threading.Lock()
+        self._generator_beyond = None
 
     def _load(self, bignum, value: int):
         data = _int_to_bytes(value)
@@ -155,6 +171,28 @@ class _Libcrypto:
     def _result(self, t: _Scratch) -> int:
         self._lib.BN_bn2binpad(t.result, t.out, len(t.out))
         return int.from_bytes(t.out.raw, "big")
+
+    def _build_table(self) -> Tuple[Sequence[int], int]:
+        """``g^(d * 2^(6k))`` in Montgomery form at index ``64k + d`` for each
+        window ``k`` and digit ``d`` in 1..63 (one ``BN_mod_mul_montgomery``
+        apiece) and Montgomery one at index 0; and ``g^(2^516)``, for the bits
+        of ``s`` beyond them."""
+        lib, mont, ctx = self._lib, self._mont, self._lib.BN_CTX_new()
+        digits = 1 << _WINDOW_BITS
+        table = tuple(lib.BN_new() for _ in range(_WINDOWS * digits))
+        try:
+            lib.BN_to_montgomery(table[0], self._load(table[0], 1), mont, ctx)
+            lib.BN_to_montgomery(table[1], self._generator, mont, ctx)
+            for row in range(0, _WINDOWS * digits, digits):
+                if row:  # g^(2^(6k)) = g^(63 * 2^(6k-6)) * g^(2^(6k-6))
+                    lib.BN_mod_mul_montgomery(table[row + 1], table[row - 1],
+                                              table[row - digits + 1], mont, ctx)
+                for index in range(row + 2, row + digits):
+                    lib.BN_mod_mul_montgomery(table[index], table[index - 1], table[row + 1],
+                                              mont, ctx)
+        finally:
+            lib.BN_CTX_free(ctx)
+        return table, self._load(None, self.power(GENERATOR, 1 << _TABLE_BITS))
 
     def generator_power(self, exponent: int) -> int:
         """``g^exponent`` in constant time: the exponent may be secret."""
@@ -177,20 +215,38 @@ class _Libcrypto:
 
     def commitment(self, s: int, e: int, inverse: int, inverse_high: int) -> int:
         """``g^s * inverse^e`` for public ``s`` and ``e >= 0``, given
-        ``inverse_high = inverse^(2^128)``.  ``s mod q`` splits at bit 256
-        over ``g`` and ``g^(2^256)``, ``e`` at bit 128 over the two inverses:
-        two ``BN_mod_exp2_mont`` of 256 and 128 squarings for an honest
-        signature, where one of the whole exponents ran 512."""
+        ``inverse_high = inverse^(2^128)``.  ``g^(s mod q)`` is one Montgomery
+        product per non-zero 6-bit digit of its low 516 bits with the table
+        (times one ``BN_mod_exp_mont`` of ``g^(2^516)`` for the bits above,
+        which no honest signer sets); ``e`` splits at bit 128 over the two
+        inverses into one ``BN_mod_exp2_mont`` of 128 squarings, and one more
+        product joins the halves and leaves Montgomery form."""
+        table = self._table
+        if table is None:
+            with self._table_lock:
+                if self._table is None:
+                    table, self._generator_beyond = self._build_table()
+                    self._table = table  # published last: who sees it sees both
+            table = self._table
         s %= GROUP_ORDER
         half = _HASH_BITS // 2
-        t = self._scratch(s & ((1 << _HASH_BITS) - 1), s >> _HASH_BITS, inverse, inverse_high,
-                          e & ((1 << half) - 1), e >> half)
-        s_low, s_high, base, base_high, e_low, e_high = t.operands
+        t = self._scratch(s >> _TABLE_BITS, inverse, inverse_high, e & ((1 << half) - 1),
+                          e >> half)
+        s_beyond, base, base_high, e_low, e_high = t.operands
         lib, modulus, ctx, mont = self._lib, self._modulus, t.ctx, self._mont
-        lib.BN_mod_exp2_mont(t.result, self._generator, s_low, self._generator_high, s_high,
-                             modulus, ctx, mont)
+        product, digits = lib.BN_mod_mul_montgomery, 1 << _WINDOW_BITS
+        if s >> _TABLE_BITS:
+            lib.BN_mod_exp_mont(t.result, self._generator_beyond, s_beyond, modulus, ctx, mont)
+            lib.BN_to_montgomery(t.result, t.result, mont, ctx)
+        else:
+            lib.BN_copy(t.result, table[0])
+        for row in range(0, _WINDOWS * digits, digits):
+            digit = s & (digits - 1)
+            if digit:
+                product(t.result, t.result, table[row + digit], mont, ctx)
+            s >>= _WINDOW_BITS
         lib.BN_mod_exp2_mont(t.partial, base, e_low, base_high, e_high, modulus, ctx, mont)
-        lib.BN_mod_mul(t.result, t.result, t.partial, modulus, ctx)
+        product(t.result, t.result, t.partial, mont, ctx)
         return self._result(t)
 
 

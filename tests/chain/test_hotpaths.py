@@ -6,8 +6,11 @@ pin the equivalences and the cache-invalidation edges that keep them safe.
 """
 
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
+import time
 import types
 import weakref
 
@@ -30,6 +33,10 @@ from repro.chain.transaction import Transaction
 from repro.errors import InvalidSignatureError
 from repro.utils.hashing import keccak256
 from repro.utils.units import ether_to_wei
+
+
+#: The package's source root, for a child interpreter.
+SRC = os.path.dirname(os.path.dirname(os.path.dirname(keys.__file__)))
 
 
 def signed_transfer(label, nonce=0, gas_price=10**9, to_label="sink", value=1):
@@ -70,12 +77,15 @@ VECTOR_S = int(
 
 #: Byte and word edges, the honest sizes, the points a verify splits its
 #: exponents at (``e`` at 2^128, ``s mod q`` at 2^256, and 2^512 where the
-#: high half of ``s`` crosses a word), the group order, negatives, and a
-#: hostile ``s`` that had a huge multiple of the order added.
+#: high half of ``s`` crosses a word), the group order, negatives, a hostile
+#: ``s`` that had a huge multiple of the order added, and the edges of ``g``'s
+#: fixed-base table: an honest ``s`` is below 2^513, the table covers 516
+#: bits, and the bits above them take a power of ``g^(2^516)``.
 EXPONENTS = [0, 1, 255, 256, 2**128 - 1, 2**128, 2**128 + 1,
              2**256 - 1, 2**256, 2**256 + 1, 2**512 - 1, 2**512, 2**512 + 1,
              GROUP_ORDER - 1, GROUP_ORDER, GROUP_ORDER + 1, -1, -(2**300 + 7),
-             VECTOR_S + GROUP_ORDER * (1 << 4096)]
+             VECTOR_S + GROUP_ORDER * (1 << 4096),
+             2**513 - 1, 2**513 + 1, 2**516 - 1, 2**516, 2**516 + 1, -(2**516)]
 
 #: The bound kernel, and the builtin-``pow`` fallback forced in its place.
 KERNELS = ["libcrypto", "builtin pow"]
@@ -127,7 +137,7 @@ class TestSchnorrKernel:
     @pytest.mark.parametrize("base", ["honest inverse", "outside the subgroup"])
     @pytest.mark.parametrize("exponent", EXPONENTS)
     def test_power_matches_builtin_pow(self, exponent, base, kernel):
-        # Public powers (the constant g^(2^256), each key's (y^-1)^(2^128))
+        # Public powers (the constant g^(2^516), each key's (y^-1)^(2^128))
         # take exponents >= 0 only.
         base, exponent = base_named(base), abs(exponent)
         assert kernel_named(kernel).power(base, exponent) == \
@@ -320,6 +330,163 @@ class TestSchnorrKernel:
     def test_a_failed_libcrypto_call_raises(self):
         with pytest.raises(MemoryError, match="libcrypto BN_new failed"):
             keys._checked(None, types.SimpleNamespace(__name__="BN_new"), ())
+
+
+def _forked_table_verdict(signature, message, address):
+    """Run in a forked child: was a table inherited, did the child build one,
+    and the verdict."""
+    kernel = keys._kernel()
+    inherited = kernel._table
+    built = []
+
+    def build():
+        built.append("table")
+        raise AssertionError("the child built a table")
+
+    kernel._build_table = build
+    verdict = verify_signature(signature, message, address)
+    return inherited is not None, kernel._table is inherited, built, verdict
+
+
+class _UnreadableTable:
+    """A fixed-base table whose every entry read fails."""
+
+    def __getitem__(self, index):
+        raise LookupError(f"the table was read at {index}")
+
+
+class _RecordingLibrary:
+    """A libcrypto handle that names every function called through it."""
+
+    def __init__(self, lib):
+        self._lib, self.names = lib, []
+
+    def __getattr__(self, name):
+        function = getattr(self._lib, name)
+
+        def call(*args):
+            self.names.append(name)
+            return function(*args)
+
+        return call
+
+
+def honest_signature(label):
+    keypair = KeyPair.from_label(label)
+    message = keccak256(label.encode())
+    return keypair, message, keypair.sign(message)
+
+
+class TestFixedBaseTable:
+    """``g^s`` of a verify reads ``g``'s table; nothing secret ever does."""
+
+    def test_secret_exponents_never_read_the_table(self, monkeypatch):
+        keypair, message, signature = honest_signature("table-secret")
+        fresh = KeyPair(b"table-secret-seed").sign(message)
+        kernel = keys._kernel()
+        assert isinstance(kernel, keys._Libcrypto)
+        monkeypatch.setattr(kernel, "_table", _UnreadableTable())
+        # Key generation and signing run with every entry unreadable...
+        assert KeyPair(b"table-secret-seed").sign(message) == fresh
+        assert keypair.sign(message) == signature
+        # ...and a verify is refused at its first read.
+        with pytest.raises(LookupError, match="the table was read"):
+            verify_signature(signature, message)
+
+    def test_secret_powers_stay_constant_time(self, monkeypatch):
+        keypair, message, signature = honest_signature("table-consttime")
+        assert verify_signature(signature, message)  # the key and table are warm
+        kernel = keys._kernel()
+        library = _RecordingLibrary(kernel._lib)
+        monkeypatch.setattr(kernel, "_lib", library)
+        KeyPair.from_label("table-consttime").sign(message)
+        powers = [name for name in library.names if name.startswith("BN_mod")]
+        assert powers == ["BN_mod_exp_mont_consttime"] * 2  # the key, the nonce
+        del library.names[:]
+        assert verify_signature(signature, message)
+        # One product per non-zero 6-bit digit of an honest s, one more to
+        # join the key half; no power of g.
+        digits = sum(1 for shift in range(0, 516, 6) if signature.s >> shift & 63)
+        assert library.names.count("BN_mod_mul_montgomery") == digits + 1
+        assert library.names.count("BN_mod_exp2_mont") == 1
+        assert "BN_mod_exp_mont" not in library.names
+        assert "BN_mod_exp_mont_consttime" not in library.names
+
+    def test_an_s_beyond_the_table_takes_one_more_power(self, monkeypatch):
+        # No honest signer's s reaches 2^516, but a nonce of 1 001 bits
+        # still makes a valid signature.
+        keypair = KeyPair.from_label("table-beyond")
+        message = keccak256(b"table-beyond")
+        nonce = (1 << 1000) + 12345
+        e = keys._hash_to_int(keys._int_to_bytes(pow(GENERATOR, nonce, GROUP_PRIME)), message)
+        wide = Signature(e=e, s=(nonce + e * keypair._x) % GROUP_ORDER,
+                         public_key=keypair.public_key)
+        assert wide.s.bit_length() > 516
+        assert verify_signature(wide, message, keypair.address)  # warm the key
+        kernel = keys._kernel()
+        library = _RecordingLibrary(kernel._lib)
+        monkeypatch.setattr(kernel, "_lib", library)
+        assert verify_signature(wide, message, keypair.address)
+        assert library.names.count("BN_mod_exp_mont") == 1
+        del library.names[:]
+        forged = Signature(e=e, s=wide.s + 1, public_key=keypair.public_key)
+        assert not verify_signature(forged, message)
+        assert library.names.count("BN_mod_exp_mont") == 1
+
+    def test_importing_the_module_binds_nothing(self):
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, repro.chain.keys as keys; "
+             "print('ctypes' in sys.modules, keys._backend)"],
+            env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.PIPE, text=True,
+            timeout=60, check=True)
+        assert done.stdout.split() == ["False", "None"]
+
+    def test_binding_builds_no_table_and_the_first_verify_one(self, monkeypatch):
+        monkeypatch.setattr(keys, "_backend", None)
+        kernel = keys._kernel()
+        assert isinstance(kernel, keys._Libcrypto)
+        assert kernel._table is None
+        keypair, message, signature = honest_signature("table-lazy")
+        assert kernel._table is None  # key generation and signing built none
+        assert verify_signature(signature, message, keypair.address)
+        assert len(kernel._table) == 86 * 64
+
+    def test_two_first_verifies_build_one_table(self, monkeypatch):
+        kernel = keys._Libcrypto()
+        monkeypatch.setattr(keys, "_backend", kernel)
+        signed = [honest_signature(f"table-race-{index}") for index in range(2)]
+        build, built = kernel._build_table, []
+
+        def slow_build():
+            built.append(threading.get_ident())
+            time.sleep(0.05)  # the other thread arrives while this one builds
+            return build()
+
+        kernel._build_table = slow_build
+        barrier = threading.Barrier(len(signed))
+        verdicts = []
+
+        def first_verify(keypair, message, signature):
+            barrier.wait(timeout=30)
+            verdicts.append(verify_signature(signature, message, keypair.address))
+
+        threads = [threading.Thread(target=first_verify, args=item) for item in signed]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert verdicts == [True, True]
+        assert len(built) == 1
+
+    def test_a_forked_child_verifies_with_the_inherited_table(self):
+        keypair, message, signature = honest_signature("table-fork")
+        assert verify_signature(signature, message)
+        assert keys._kernel()._table is not None
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inherited, same, built, verdict = pool.apply(
+                _forked_table_verdict, (signature, message, keypair.address))
+        assert inherited and same and verdict
+        assert built == []
 
 
 class TestTransactionCaches:

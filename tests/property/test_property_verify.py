@@ -1,9 +1,11 @@
 """Property pin for the default scalar ``verify_signature``.
 
-The default path computes ``g^s * (y^-1)^e`` in two libcrypto calls, after
-reducing ``s`` modulo the group order and splitting it at bit 256 and ``e``
-at bit 128, with the inverse and its 2^128-th power memoized per key;
-without a binding it computes the same through the builtin ``pow``.  Either
+The default path computes ``g^s * (y^-1)^e`` in libcrypto, after reducing
+``s`` modulo the group order: ``g^s`` as a product of entries of a fixed-base
+table over 516 bits (and a power of ``g^(2^516)`` for any bits above), and
+``(y^-1)^e`` split at bit 128, with the inverse and its 2^128-th power
+memoized per key; without a binding it computes the same through the builtin
+``pow``.  Either
 way the verdict must equal a reference that knows nothing of kernels,
 caches or reductions: two builtin ``pow`` calls and the challenge hash.
 Hypothesis drives the adversarial items of ``_workload`` (honest, forged,
@@ -96,6 +98,15 @@ class TestKernelExactness:
     @example(which=1, s=(1 << 256) + 1, e=(1 << 128) + 1)
     @example(which=0, s=(1 << 512) - 1, e=(1 << 128) + 1)
     @example(which=1, s=(1 << 512) + 1, e=(1 << 128) - 1)
+    # The edges of g's fixed-base table: an honest s is below 2^513, the
+    # table covers 516 bits, and the bits above take a power of g^(2^516).
+    @example(which=0, s=(1 << 513) - 1, e=(1 << 256) - 1)
+    @example(which=1, s=(1 << 513) + 1, e=(1 << 128))
+    @example(which=0, s=(1 << 516) - 1, e=(1 << 128) - 1)
+    @example(which=1, s=1 << 516, e=0)
+    @example(which=0, s=(1 << 516) + 1, e=1)
+    @example(which=1, s=GROUP_ORDER - 1, e=(1 << 256) - 1)
+    @example(which=0, s=-(1 << 516), e=(1 << 128) + 1)
     @settings(max_examples=60, deadline=None)
     @pytest.mark.parametrize("backend", ["libcrypto", "builtin pow"])
     def test_commitment_is_bit_identical_to_builtin_pow(self, backend, which, s, e):
