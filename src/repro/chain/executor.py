@@ -136,11 +136,9 @@ class TransactionExecutor:
         self,
         backend: Optional[ContractBackend] = None,
         schedule: GasSchedule = SEPOLIA_GAS_SCHEDULE,
-        fee_recipient: Optional[Address] = None,
     ) -> None:
         self.backend = backend
         self.schedule = schedule
-        self.fee_recipient = fee_recipient
 
     # -- validation ---------------------------------------------------------
 
@@ -242,9 +240,8 @@ class TransactionExecutor:
         refund_wei = (tx.gas_limit - gas_used) * tx.gas_price
         state.credit(tx.sender, refund_wei)
         fee_wei = gas_used * tx.gas_price
-        recipient = block.coinbase or self.fee_recipient
-        if recipient is not None and fee_wei > 0:
-            state.credit(recipient, fee_wei)
+        if block.coinbase is not None and fee_wei > 0:
+            state.credit(block.coinbase, fee_wei)
 
         return TransactionReceipt(
             transaction_hash=tx.hash_hex,

@@ -364,9 +364,8 @@ class KeyPair:
     Parameters
     ----------
     private_key:
-        Optional 32-byte private seed.  When omitted, the caller should use
-        :meth:`generate` with an RNG for fresh keys; deterministic tests pass
-        explicit seeds.
+        The private seed bytes; :meth:`from_label` derives one from a
+        human-readable label.
     """
 
     def __init__(self, private_key: bytes) -> None:
@@ -378,15 +377,6 @@ class KeyPair:
         self.address = address_from_public_key(self.public_key)
 
     # -- construction -------------------------------------------------------
-
-    @classmethod
-    def generate(cls, rng=None) -> "KeyPair":
-        """Create a key pair from 32 random bytes drawn from ``rng``."""
-        import numpy as np
-
-        generator = rng or np.random.default_rng()
-        seed = bytes(int(b) for b in generator.integers(0, 256, size=32))
-        return cls(seed)
 
     @classmethod
     def from_label(cls, label: str) -> "KeyPair":
@@ -410,11 +400,11 @@ class KeyPair:
         return Signature(e=challenge, s=response, public_key=self.public_key)
 
 
-def verify_signature(signature: Signature, message_hash: bytes, address: Optional[str] = None) -> bool:
-    """Verify a Schnorr signature; optionally also check the sender address.
+def verify_signature(signature: Signature, message_hash: bytes) -> bool:
+    """Verify a Schnorr signature.
 
     Returns ``True`` when ``g^s == r * y^e`` for the reconstructed commitment
-    ``r`` and, if ``address`` is given, the public key hashes to it.
+    ``r``; :func:`recover_address` names the key's address.
     """
     if len(message_hash) != 32:
         raise ValueError("verify expects a 32-byte message hash")
@@ -428,9 +418,7 @@ def verify_signature(signature: Signature, message_hash: bytes, address: Optiona
     key = _sender_key(y)
     # g^s = g^(k + x*e) = r * y^e  =>  r = g^s * (y^-1)^e.
     r = _kernel().commitment(signature.s, e, key.inverse, key.inverse_high)
-    if _hash_to_int(_int_to_bytes(r), message_hash) != e:
-        return False
-    return address is None or key.address == to_checksum_address(address)
+    return _hash_to_int(_int_to_bytes(r), message_hash) == e
 
 
 def recover_address(signature: Signature, message_hash: bytes) -> str:

@@ -29,6 +29,9 @@ from repro.chain.transaction import Transaction
 #: chain included -- and a version alone names what a read saw.
 next_version = itertools.count(1).__next__
 
+#: Most transactions one block includes, whatever gas remains.
+MAX_BLOCK_TRANSACTIONS = 500
+
 
 class Mempool:
     """Holds signed transactions awaiting inclusion."""
@@ -138,12 +141,12 @@ class Mempool:
         by_nonce = self._by_sender.get(sender_key)
         return sorted(by_nonce) if by_nonce else []
 
-    def select_for_block(self, state: WorldState, gas_limit: int, max_count: int = 500) -> List[Transaction]:
+    def select_for_block(self, state: WorldState, gas_limit: int) -> List[Transaction]:
         """Choose transactions for the next block.
 
-        Greedy fee-priority selection subject to the block gas limit, with
-        per-sender nonce continuity so that a sender's transactions are
-        included in nonce order.
+        Greedy fee-priority selection subject to the block gas limit and
+        :data:`MAX_BLOCK_TRANSACTIONS`, with per-sender nonce continuity so
+        that a sender's transactions are included in nonce order.
         """
         selected: List[Transaction] = []
         gas_budget = gas_limit
@@ -156,11 +159,11 @@ class Mempool:
         # order without re-sorting the pool every pass.
         remaining = self.pending()
         progressed = True
-        while progressed and remaining and len(selected) < max_count:
+        while progressed and remaining and len(selected) < MAX_BLOCK_TRANSACTIONS:
             progressed = False
             deferred: List[Transaction] = []
             for index, tx in enumerate(remaining):
-                if len(selected) >= max_count:
+                if len(selected) >= MAX_BLOCK_TRANSACTIONS:
                     deferred.extend(remaining[index:])
                     break
                 sender_key = tx.sender.lower

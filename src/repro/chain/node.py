@@ -228,7 +228,6 @@ class EthereumNode:
         contract_address: Address | str,
         method: str,
         args: Optional[List[Any]] = None,
-        value: int = 0,
         gas_limit: int = 1_000_000,
         gas_price: int = 10**9,
     ) -> str:
@@ -237,7 +236,6 @@ class EthereumNode:
         return self.sign_and_send(
             keypair,
             to=Address(contract_address),
-            value=value,
             data=data,
             gas_limit=gas_limit,
             gas_price=gas_price,

@@ -4,7 +4,7 @@
 full chain replicas connected by ``repro.simnet`` network links:
 
 * :class:`ClusterConfig` -- declarative topology (replica count, link
-  profile or geo regions, failover policy, rollback-snapshot cadence);
+  profile or geo regions, rollback-snapshot cadence);
 * :class:`ChainCluster` -- the control plane: round-robin leader rotation
   on the simulated slot clock, per-partition-side production, faucet-mint
   fan-out, crash/recover lifecycle and anti-entropy convergence;

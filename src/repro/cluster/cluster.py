@@ -8,7 +8,7 @@
   ``(h - 1) % N`` (round-robin on the simulated slot clock), so exactly one
   replica produces each height while the cluster is healthy.  When the
   designated leader is dead or unreachable, the next alive replica in
-  rotation takes over (configurable: ``ClusterConfig.failover``);
+  rotation takes over;
 * **production** -- :meth:`tick` advances the clock to the next slot
   boundary, pumps gossip, and lets each reachable partition side's leader
   produce a block.  During a partition both sides keep producing, which is
@@ -215,9 +215,8 @@ class ChainCluster:
         """The replica entitled to produce block ``height`` (or its backup).
 
         Round-robin base: replica ``(height - 1) % N``.  If that replica is
-        dead or outside ``group`` and failover is enabled, the next alive
-        in-group replica in rotation takes over; with failover disabled the
-        height has no producer until the designated leader returns.
+        dead or outside ``group``, the next alive in-group replica in
+        rotation takes over.
         """
         members = group if group is not None else self.alive_replicas()
         if not members:
@@ -226,8 +225,6 @@ class ChainCluster:
         base = (int(height) - 1) % count
         by_index = {replica.index: replica for replica in members
                     if replica.alive}
-        if not self.config.failover:
-            return by_index.get(base)
         for offset in range(count):
             candidate = by_index.get((base + offset) % count)
             if candidate is not None:
@@ -256,9 +253,7 @@ class ChainCluster:
         height = max(replica.height for replica in primary)
         leader = self.leader_for_height(height + 1, primary)
         if leader is None:
-            raise ClusterError(
-                "the primary side has no eligible leader (failover is off "
-                "and the designated leader is down)")
+            raise ClusterError("the primary side has no alive replica to lead")
         return leader
 
     def attach_follower_analytics(self) -> Any:

@@ -4,8 +4,7 @@ A :class:`ClusterConfig` describes one chain-replication cluster the way a
 :class:`~repro.simnet.scenario.ScenarioSpec` describes one experiment: how
 many replicas run, what the inter-replica links look like (a named
 ``repro.simnet`` network profile, or per-replica *regions* for a geo
-topology), how leader failover behaves, and how often replicas snapshot
-their state for reorg rollback.
+topology), and how often replicas snapshot their state for reorg rollback.
 """
 
 from __future__ import annotations
@@ -38,11 +37,6 @@ class ClusterConfig:
     """Optional region id per replica (geo topology): intra-region links are
     LAN-fast, inter-region links pay :data:`GEO_INTER_REGION_LATENCY_SECONDS`.
     Overrides ``network_profile`` when set."""
-
-    failover: bool = True
-    """Whether a dead or unreachable leader's slot is handed to the next
-    replica in rotation.  With ``False`` the height simply stalls until the
-    designated leader returns -- useful to study availability loss."""
 
     fork_snapshot_interval: int = 8
     """Blocks between in-memory rollback snapshots on each replica (the
@@ -83,7 +77,6 @@ class ClusterConfig:
             "replicas": self.replicas,
             "network_profile": self.network_profile,
             "regions": list(self.regions) if self.regions is not None else None,
-            "failover": self.failover,
             "fork_snapshot_interval": self.fork_snapshot_interval,
             "finality_depth": self.finality_depth,
             "seed": self.seed,

@@ -10,10 +10,10 @@ owners.  Four schemes are provided:
 * :func:`label_skew_partition` -- each client holds only ``classes_per_client``
   classes (the "#C=k" pathological split);
 * :func:`shard_partition` -- the original FedAvg shard scheme (sort by label,
-  deal out shards).
+  deal out two shards per client).
 
 All functions return a list of index arrays into the given dataset, one per
-client, and guarantee every client receives at least ``min_samples`` samples.
+client.
 """
 
 from __future__ import annotations
@@ -25,6 +25,12 @@ import numpy as np
 from repro.errors import PartitionError
 from repro.data.dataset import Dataset
 from repro.utils.rng import make_rng
+
+#: Fewest samples a Dirichlet draw may leave any client; fewer redraws.
+DIRICHLET_MIN_SAMPLES = 10
+
+#: Shards each client is dealt by :func:`shard_partition`, as in FedAvg.
+SHARDS_PER_CLIENT = 2
 
 
 def _validate(dataset: Dataset, num_clients: int) -> None:
@@ -49,14 +55,13 @@ def dirichlet_partition(
     dataset: Dataset,
     num_clients: int,
     alpha: float = 0.5,
-    min_samples: int = 10,
     rng=None,
     max_retries: int = 100,
 ) -> List[np.ndarray]:
     """Split by per-class Dirichlet(alpha) proportions (PFNM's scheme).
 
     Smaller ``alpha`` produces stronger label skew.  The draw is retried until
-    every client holds at least ``min_samples`` samples.
+    every client holds at least :data:`DIRICHLET_MIN_SAMPLES` samples.
     """
     _validate(dataset, num_clients)
     if alpha <= 0:
@@ -75,10 +80,10 @@ def dirichlet_partition(
             for client, chunk in enumerate(np.split(class_indices, cut_points)):
                 client_indices[client].extend(chunk.tolist())
         sizes = [len(chunk) for chunk in client_indices]
-        if min(sizes) >= min_samples:
+        if min(sizes) >= DIRICHLET_MIN_SAMPLES:
             return [np.sort(np.asarray(chunk, dtype=np.int64)) for chunk in client_indices]
     raise PartitionError(
-        f"could not satisfy min_samples={min_samples} for {num_clients} clients "
+        f"could not give every one of {num_clients} clients {DIRICHLET_MIN_SAMPLES} samples "
         f"with alpha={alpha} after {max_retries} draws"
     )
 
@@ -133,14 +138,11 @@ def label_skew_partition(
 def shard_partition(
     dataset: Dataset,
     num_clients: int,
-    shards_per_client: int = 2,
     rng=None,
 ) -> List[np.ndarray]:
     """The FedAvg shard scheme: sort by label, cut into shards, deal them out."""
     _validate(dataset, num_clients)
-    if shards_per_client <= 0:
-        raise PartitionError(f"shards_per_client must be positive, got {shards_per_client}")
-    num_shards = num_clients * shards_per_client
+    num_shards = num_clients * SHARDS_PER_CLIENT
     if num_shards > len(dataset):
         raise PartitionError(
             f"{num_shards} shards requested but the dataset has only {len(dataset)} samples"
@@ -150,8 +152,8 @@ def shard_partition(
     order = np.arange(num_shards)
     make_rng(rng).shuffle(order)
     client_indices = [
-        np.sort(np.concatenate([shards[order[client * shards_per_client + s]]
-                                for s in range(shards_per_client)]))
+        np.sort(np.concatenate([shards[order[client * SHARDS_PER_CLIENT + s]]
+                                for s in range(SHARDS_PER_CLIENT)]))
         for client in range(num_clients)
     ]
     return client_indices

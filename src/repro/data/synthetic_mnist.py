@@ -28,6 +28,7 @@ from repro.utils.rng import derive_seed, make_rng
 
 IMAGE_SIDE = 28
 NUM_PIXELS = IMAGE_SIDE * IMAGE_SIDE
+NUM_CLASSES = 10
 #: Samples finished per block.  A block's float64 temporaries (chiefly its
 #: (samples, rank, features) basis gather) sit beside the whole float32
 #: dataset at the generator's peak; the bytes do not depend on this size.
@@ -39,7 +40,6 @@ class SyntheticMnistConfig:
     """Parameters of the synthetic dataset generator."""
 
     num_samples: int = 10_000
-    num_classes: int = 10
     num_features: int = NUM_PIXELS
     strokes_per_class: int = 6
     variation_rank: int = 8
@@ -52,8 +52,6 @@ class SyntheticMnistConfig:
     def __post_init__(self) -> None:
         if self.num_samples <= 0:
             raise ValueError(f"num_samples must be positive, got {self.num_samples}")
-        if self.num_classes <= 1:
-            raise ValueError(f"num_classes must be at least 2, got {self.num_classes}")
         if self.num_features <= 0:
             raise ValueError(f"num_features must be positive, got {self.num_features}")
         if not 0.0 <= self.class_similarity < 1.0:
@@ -87,7 +85,7 @@ def _draw_labels(config: SyntheticMnistConfig) -> Tuple[np.random.Generator, np.
     """The sample stream just past its labels, the class each sample is drawn
     from, and the label it is published with (after any label noise)."""
     sample_rng = make_rng(derive_seed(config.seed, "samples"))
-    classes = sample_rng.integers(0, config.num_classes, size=config.num_samples)
+    classes = sample_rng.integers(0, NUM_CLASSES, size=config.num_samples)
     labels = classes
     if config.label_noise > 0.0:
         # Flip a fraction of labels uniformly at random, putting an intrinsic
@@ -95,7 +93,7 @@ def _draw_labels(config: SyntheticMnistConfig) -> Tuple[np.random.Generator, np.
         noise_rng = make_rng(derive_seed(config.seed, "label-noise"))
         flip = noise_rng.random(config.num_samples) < config.label_noise
         labels = classes.copy()
-        labels[flip] = noise_rng.integers(0, config.num_classes, size=int(flip.sum()))
+        labels[flip] = noise_rng.integers(0, NUM_CLASSES, size=int(flip.sum()))
     return sample_rng, classes, labels
 
 
@@ -126,7 +124,7 @@ def generate_synthetic_mnist(
         raise ValueError(f"order must be a permutation of the {count} samples")
     prototype_rng = make_rng(derive_seed(config.seed, "prototypes"))
     prototypes = np.stack(
-        [_class_prototype(prototype_rng, config) for _ in range(config.num_classes)]
+        [_class_prototype(prototype_rng, config) for _ in range(NUM_CLASSES)]
     )
     if config.class_similarity > 0.0:
         # Blend every class prototype toward a shared "background" so that
@@ -138,7 +136,7 @@ def generate_synthetic_mnist(
         )
     variation_rng = make_rng(derive_seed(config.seed, "variation"))
     variation_bases = variation_rng.normal(
-        0.0, 1.0, size=(config.num_classes, config.variation_rank, config.num_features)
+        0.0, 1.0, size=(NUM_CLASSES, config.variation_rank, config.num_features)
     )
     variation_bases /= np.linalg.norm(variation_bases, axis=2, keepdims=True) + 1e-12
 
@@ -165,4 +163,4 @@ def generate_synthetic_mnist(
         np.clip(block, 0.0, 1.0, out=block)
         features[row_of_sample[samples]] = block
 
-    return Dataset(features=features, labels=labels[order], num_classes=config.num_classes)
+    return Dataset(features=features, labels=labels[order], num_classes=NUM_CLASSES)

@@ -110,10 +110,6 @@ class BlockNotFoundError(IpfsError):
     """A block (by CID) is not present locally nor retrievable from peers."""
 
 
-class PinError(IpfsError):
-    """A pin lookup is invalid (e.g. the mode of a CID that is not pinned)."""
-
-
 # ---------------------------------------------------------------------------
 # ML substrate
 # ---------------------------------------------------------------------------
@@ -172,10 +168,6 @@ class WebError(ReproError):
 
 class RouteNotFoundError(WebError):
     """No route matches the requested method + path."""
-
-
-class WalletError(WebError):
-    """The wallet refused to sign or the user rejected the confirmation."""
 
 
 # ---------------------------------------------------------------------------

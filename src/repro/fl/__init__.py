@@ -11,7 +11,7 @@ Two families of aggregation are provided:
   neuron matching, the algorithm the paper adopts),
   :class:`repro.fl.oneshot.mean.MeanAggregator` (naive parameter averaging)
   and :class:`repro.fl.oneshot.ensemble.EnsembleAggregator` (Guha et al.
-  2019 style ensembling with optional distillation).
+  2019 style ensembling).
 """
 
 from repro.fl.client import FLClient, LocalTrainingResult

@@ -20,7 +20,6 @@ from repro.fl.client import FLClient
 from repro.fl.model_update import ModelUpdate, check_compatible
 from repro.ml.mlp import MLP
 from repro.ml.trainer import TrainingConfig, evaluate_model
-from repro.utils.rng import make_rng
 
 
 def weighted_average_parameters(updates: Sequence[ModelUpdate]) -> List[Dict[str, np.ndarray]]:
@@ -49,7 +48,6 @@ class FedAvgConfig:
     """Hyperparameters of the multi-round loop."""
 
     num_rounds: int = 100
-    clients_per_round: Optional[int] = None
     local_epochs: int = 1
     batch_size: int = 64
     learning_rate: float = 0.001
@@ -79,17 +77,9 @@ class FedAvgServer:
         self.global_model = MLP(self.layer_sizes, seed=self.config.seed)
         self.history: List[RoundRecord] = []
 
-    def _select_clients(self, rng) -> List[FLClient]:
-        """Sample the per-round participant set."""
-        count = self.config.clients_per_round
-        if count is None or count >= len(self.clients):
-            return list(self.clients)
-        indices = rng.choice(len(self.clients), size=count, replace=False)
-        return [self.clients[i] for i in indices]
-
     def run(self, test_dataset: Optional[Dataset] = None) -> List[RoundRecord]:
-        """Run the configured number of rounds; returns per-round records."""
-        rng = make_rng(self.config.seed, "fedavg-selection")
+        """Run the configured number of rounds, every client in each; returns
+        per-round records."""
         local_config = TrainingConfig(
             batch_size=self.config.batch_size,
             learning_rate=self.config.learning_rate,
@@ -97,10 +87,9 @@ class FedAvgServer:
             seed=self.config.seed,
         )
         for round_index in range(self.config.num_rounds):
-            participants = self._select_clients(rng)
             updates: List[ModelUpdate] = []
             global_parameters = self.global_model.get_parameters()
-            for client in participants:
+            for client in self.clients:
                 client.config = local_config
                 result = client.train_local(initial_parameters=global_parameters)
                 updates.append(result.update)
@@ -109,7 +98,7 @@ class FedAvgServer:
                 round_index=round_index,
                 test_accuracy=float("nan"),
                 test_loss=float("nan"),
-                participating_clients=[client.client_id for client in participants],
+                participating_clients=[client.client_id for client in self.clients],
             )
             if test_dataset is not None:
                 evaluation = evaluate_model(

@@ -1,28 +1,20 @@
-"""One-shot ensembling with optional knowledge distillation (Guha et al., 2019).
+"""One-shot ensembling (Guha et al., 2019).
 
 The first one-shot FL proposal: keep every client model and average their
-predicted probabilities.  Optionally, the ensemble's soft labels on an
-unlabeled public dataset are distilled into a single student MLP, which is
-what a buyer would deploy if it cannot afford to run every local model at
-inference time.
+predicted probabilities, each weighted by the client's sample count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.data.dataset import Dataset
 from repro.errors import AggregationError
 from repro.fl.model_update import ModelUpdate, check_compatible
 from repro.fl.oneshot.base import AggregationResult, OneShotAggregator
-from repro.ml.dataloader import batch_iterator
-from repro.ml.losses import cross_entropy_with_softmax
 from repro.ml.mlp import MLP
-from repro.ml.optimizers import Adam
-from repro.utils.rng import make_rng
 
 
 @dataclass
@@ -30,16 +22,13 @@ class EnsemblePredictor:
     """Averages class probabilities over member models."""
 
     members: List[MLP]
-    weights: Optional[np.ndarray] = None
+    weights: np.ndarray
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Weighted mean of the members' class probabilities."""
         if not self.members:
             raise AggregationError("ensemble has no members")
-        weights = self.weights
-        if weights is None:
-            weights = np.ones(len(self.members))
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = np.asarray(self.weights, dtype=np.float64)
         weights = weights / weights.sum()
         stacked = np.stack([member.predict_proba(features) for member in self.members])
         return np.tensordot(weights, stacked, axes=1)
@@ -50,65 +39,19 @@ class EnsemblePredictor:
 
 
 class EnsembleAggregator(OneShotAggregator):
-    """Probability-averaging ensemble, optionally distilled into one MLP."""
+    """Sample-count weighted probability-averaging ensemble."""
 
     name = "ensemble"
 
-    def __init__(
-        self,
-        weight_by_samples: bool = True,
-        distill_dataset: Optional[Dataset] = None,
-        distill_epochs: int = 5,
-        distill_learning_rate: float = 0.001,
-        distill_batch_size: int = 64,
-        seed: Optional[int] = 0,
-    ) -> None:
-        self.weight_by_samples = weight_by_samples
-        self.distill_dataset = distill_dataset
-        self.distill_epochs = distill_epochs
-        self.distill_learning_rate = distill_learning_rate
-        self.distill_batch_size = distill_batch_size
-        self.seed = seed
-
     def aggregate(self, updates: Sequence[ModelUpdate]) -> AggregationResult:
-        """Build the ensemble (and optionally distill it)."""
+        """Build the ensemble of every update's model."""
         updates = list(updates)
-        layer_sizes = check_compatible(updates)
+        check_compatible(updates)
         members = [update.to_model() for update in updates]
-        weights = (
-            np.array([update.num_samples for update in updates], dtype=np.float64)
-            if self.weight_by_samples
-            else None
-        )
-        ensemble = EnsemblePredictor(members=members, weights=weights)
-        details = {"distilled": False, "num_members": len(members)}
-
-        predictor = ensemble
-        if self.distill_dataset is not None:
-            student = self._distill(ensemble, layer_sizes)
-            predictor = student
-            details["distilled"] = True
+        weights = np.array([update.num_samples for update in updates], dtype=np.float64)
         return AggregationResult(
-            predictor=predictor,
+            predictor=EnsemblePredictor(members=members, weights=weights),
             algorithm=self.name,
             num_updates=len(updates),
-            details=details,
+            details={"num_members": len(members)},
         )
-
-    def _distill(self, ensemble: EnsemblePredictor, layer_sizes) -> MLP:
-        """Train a student MLP on the ensemble's soft labels."""
-        features = self.distill_dataset.features
-        soft_labels = ensemble.predict_proba(features)
-        hard_labels = np.argmax(soft_labels, axis=1)
-        student = MLP(layer_sizes, seed=self.seed)
-        optimizer = Adam(learning_rate=self.distill_learning_rate)
-        rng = make_rng(self.seed, "distill-shuffle")
-        for _ in range(self.distill_epochs):
-            for batch_x, batch_y in batch_iterator(
-                features, hard_labels, self.distill_batch_size, shuffle=True, rng=rng
-            ):
-                logits = student.forward(batch_x)
-                _, grad = cross_entropy_with_softmax(logits, batch_y)
-                student.backward(grad)
-                optimizer.step(student.layers)
-        return student

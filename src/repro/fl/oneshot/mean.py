@@ -22,22 +22,12 @@ class MeanAggregator(OneShotAggregator):
 
     name = "mean"
 
-    def __init__(self, weighted: bool = True) -> None:
-        self.weighted = weighted
-
     def aggregate(self, updates: Sequence[ModelUpdate]) -> AggregationResult:
         """Average all updates into a single model."""
         updates = list(updates)
-        if not self.weighted:
-            updates = [
-                ModelUpdate(parameters=u.parameters, num_samples=1, client_id=u.client_id)
-                for u in updates
-            ]
-        parameters = weighted_average_parameters(updates)
-        model = MLP.from_parameters(parameters)
+        model = MLP.from_parameters(weighted_average_parameters(updates))
         return AggregationResult(
             predictor=model,
             algorithm=self.name,
             num_updates=len(updates),
-            details={"weighted": self.weighted},
         )

@@ -16,13 +16,11 @@ def batch_iterator(
     batch_size: int,
     shuffle: bool = True,
     rng=None,
-    drop_last: bool = False,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(features, labels)`` minibatches.
+    """Yield ``(features, labels)`` minibatches; the last may be partial.
 
     Parameters mirror a typical deep-learning ``DataLoader``: optional
-    shuffling with an explicit RNG for reproducibility, and an option to drop
-    a trailing partial batch.
+    shuffling with an explicit RNG for reproducibility.
     """
     features = np.asarray(features)
     labels = np.asarray(labels)
@@ -38,6 +36,4 @@ def batch_iterator(
         make_rng(rng).shuffle(indices)
     for start in range(0, count, batch_size):
         batch = indices[start:start + batch_size]
-        if drop_last and batch.shape[0] < batch_size:
-            break
         yield features[batch], labels[batch]

@@ -99,6 +99,10 @@ def deserialize_parameters(payload: bytes) -> List[Dict[str, np.ndarray]]:
         header = json.loads(payload[offset:offset + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SerializationError(f"corrupt model header: {exc}") from exc
+    except RecursionError as exc:
+        # json nests one Python frame per '[' or '{': a hostile header
+        # exhausts the stack before it fails to parse.
+        raise SerializationError("corrupt model header: nested too deeply") from exc
     offset += header_len
     layer_sizes = _layer_sizes(header)
 

@@ -14,7 +14,7 @@ Regenerate with::
 from __future__ import annotations
 
 import inspect
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 HEADER = """\
 # JSON-RPC method reference
@@ -103,9 +103,9 @@ def _summary(handler: Any) -> str:
     return first
 
 
-def rpc_reference_markdown(gateway: Optional[Any] = None) -> str:
+def rpc_reference_markdown() -> str:
     """The full method reference as markdown (the contents of docs/rpc.md)."""
-    gateway = gateway or build_reference_gateway()
+    gateway = build_reference_gateway()
     by_namespace: Dict[str, List[str]] = {}
     for name in gateway.methods():
         namespace = name.split("_", 1)[0]

@@ -31,10 +31,6 @@ from repro.fl.model_update import ModelUpdate
 from repro.ml.mlp import MLP
 from repro.utils.rng import make_rng
 
-#: Workflow phases an owner can vanish before, in execution order.
-DROPPABLE_PHASES = ("train", "upload", "submit")
-
-
 class OwnerBehavior:
     """Base archetype: the honest happy path (every hook is a no-op)."""
 
@@ -71,36 +67,26 @@ class StragglerBehavior(OwnerBehavior):
 
     archetype = "straggler"
 
-    def __init__(self, mean_delay_seconds: float = 300.0, spread: float = 0.5) -> None:
+    def __init__(self, mean_delay_seconds: float = 300.0) -> None:
         if mean_delay_seconds < 0:
             raise SimulationError(f"mean_delay_seconds must be >= 0, got {mean_delay_seconds}")
-        if not 0.0 <= spread <= 1.0:
-            raise SimulationError(f"spread must be in [0, 1], got {spread}")
         self.mean_delay_seconds = float(mean_delay_seconds)
-        self.spread = float(spread)
 
     def extra_upload_delay(self, rng: np.random.Generator) -> float:
-        """A uniform draw around the mean delay, added before the upload."""
-        low = self.mean_delay_seconds * (1.0 - self.spread)
-        high = self.mean_delay_seconds * (1.0 + self.spread)
-        return float(rng.uniform(low, high))
+        """A uniform draw within 50% of the mean delay, added before the upload."""
+        return float(rng.uniform(0.5 * self.mean_delay_seconds, 1.5 * self.mean_delay_seconds))
 
 
 class DropoutBehavior(OwnerBehavior):
-    """Registers, then churns out before a given phase (never paid)."""
+    """Registers, trains and uploads, then churns out before submitting its
+    CID (never paid)."""
 
     archetype = "dropout"
-
-    def __init__(self, phase: str = "submit") -> None:
-        if phase not in DROPPABLE_PHASES:
-            raise SimulationError(
-                f"dropout phase must be one of {DROPPABLE_PHASES}, got {phase!r}")
-        self._phase = phase
 
     @property
     def drop_phase(self) -> Optional[str]:
         """The workflow phase this owner churns out before."""
-        return self._phase
+        return "submit"
 
 
 class FreeRiderBehavior(OwnerBehavior):

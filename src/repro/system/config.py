@@ -65,7 +65,8 @@ class OFLW3Config:
     # Reproducibility
     seed: int = 7
 
-    # Back-compat alias used by a few call sites / examples
+    # Set by no caller.  It stays because asdict() writes it into every saved
+    # report, so removing it re-pins tests/system/test_report_pin.py.
     samples_per_owner: Optional[int] = None
 
     def __post_init__(self) -> None:

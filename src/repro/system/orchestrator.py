@@ -23,6 +23,7 @@ from repro.chain.node import EthereumNode
 from repro.data.dataset import Dataset, split_indices
 from repro.data.partition import partition_indices
 from repro.data.synthetic_mnist import (
+    NUM_CLASSES,
     SyntheticMnistConfig,
     generate_synthetic_mnist,
     synthetic_mnist_labels,
@@ -266,7 +267,7 @@ def build_environment(
         partition_kwargs["classes_per_client"] = config.classes_per_client
     shards = partition_indices(
         labels[train_rows],
-        data_config.num_classes,
+        NUM_CLASSES,
         config.num_owners,
         scheme=config.partition_scheme,
         rng=derive_seed(config.seed, "partition"),

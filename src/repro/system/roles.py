@@ -148,12 +148,8 @@ class ModelOwner:
         """
         self.join_task(contract_address)
         yield 0.0
-        if self.drops_out_before("train"):
-            return self.dropped_result("train"), False
         training = self.train()
         yield 0.0
-        if self.drops_out_before("upload"):
-            return self.dropped_result("upload", training=training), False
         upload = self.upload_model()
         yield 0.0
         if self.drops_out_before("submit"):

@@ -24,10 +24,9 @@ _B32_INDEX = {c: i for i, c in enumerate(_B32_ALPHABET)}
 # ---------------------------------------------------------------------------
 
 
-def to_hex(data: bytes, prefix: bool = True) -> str:
-    """Encode bytes as lowercase hex, with a ``0x`` prefix by default."""
-    hexstr = bytes(data).hex()
-    return "0x" + hexstr if prefix else hexstr
+def to_hex(data: bytes) -> str:
+    """Encode bytes as ``0x``-prefixed lowercase hex."""
+    return "0x" + bytes(data).hex()
 
 
 class HexString:

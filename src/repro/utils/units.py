@@ -33,10 +33,10 @@ def wei_to_ether(amount_wei: int) -> Decimal:
     return Decimal(amount_wei) / ETHER
 
 
-def format_ether(amount_wei: int, places: int = 8) -> str:
-    """Format a wei amount as an ether string with ``places`` decimals.
+def format_ether(amount_wei: int) -> str:
+    """Format a wei amount as an ether string with eight decimals.
 
     Used by the payment-table report, matching the paper's ``0.00162366``
     style of presentation.
     """
-    return f"{wei_to_ether(amount_wei):.{places}f}"
+    return f"{wei_to_ether(amount_wei):.8f}"

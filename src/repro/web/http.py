@@ -130,7 +130,7 @@ class Router:
             except WebError as exc:
                 response = HttpResponse.error(str(exc), status=400)
                 # Carry the concrete class so RPC/SDK layers on top can
-                # rehydrate the original exception (e.g. WalletError).
+                # rehydrate the original exception.
                 response.body["error_class"] = type(exc).__name__
                 return response
             except Exception as exc:  # noqa: BLE001 - surface as a 500 response

@@ -9,10 +9,8 @@ transaction is broadcast.  :class:`MetaMaskWallet` reproduces that flow:
   a :class:`~repro.rpc.client.MarketplaceClient` (the JSON-RPC boundary a
   real MetaMask crosses on every operation);
 * :meth:`preview` estimates gas and renders the "confirmation screen" data
-  (Fig. 5a of the paper);
-* a configurable *confirmation policy* stands in for the human clicking
-  "Confirm" or "Reject";
-* approved transactions are signed, serialized and broadcast with
+  (Fig. 5a of the paper), which the simulated user always confirms;
+* confirmed transactions are signed, serialized and broadcast with
   ``eth_sendRawTransaction``, then awaited by polling
   ``eth_getTransactionReceipt``.
 """
@@ -20,9 +18,8 @@ transaction is broadcast.  :class:`MetaMaskWallet` reproduces that flow:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, TYPE_CHECKING
+from typing import Any, List, Optional, TYPE_CHECKING
 
-from repro.errors import WalletError
 from repro.chain.account import Address
 from repro.chain.keys import KeyPair
 from repro.chain.node import EthereumNode
@@ -32,14 +29,6 @@ from repro.utils.units import format_ether, gwei_to_wei
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.rpc.client import MarketplaceClient
-
-ConfirmationPolicy = Callable[["TransactionPreview"], bool]
-
-
-def approve_all(_preview: "TransactionPreview") -> bool:
-    """Confirmation policy that always clicks "Confirm"."""
-    return True
-
 
 @dataclass
 class TransactionPreview:
@@ -93,7 +82,6 @@ class MetaMaskWallet:
         keypair: KeyPair,
         node: EthereumNode,
         gas_price_wei: Optional[int] = None,
-        confirmation_policy: ConfirmationPolicy = approve_all,
         rpc: Optional["MarketplaceClient"] = None,
     ) -> None:
         self.keypair = keypair
@@ -108,7 +96,6 @@ class MetaMaskWallet:
             rpc = MarketplaceClient.for_node(node)
         self.rpc = rpc
         self.gas_price_wei = gas_price_wei if gas_price_wei is not None else gwei_to_wei(1)
-        self.confirmation_policy = confirmation_policy
         self.activity: List[WalletActivity] = []
 
     # -- account info -----------------------------------------------------------
@@ -159,8 +146,6 @@ class MetaMaskWallet:
                           data: bytes) -> TransactionReceipt:
         """Run the preview -> confirm -> sign -> broadcast -> wait pipeline."""
         preview = self.preview(description, to, value, data)
-        if not self.confirmation_policy(preview):
-            raise WalletError(f"user rejected the transaction: {description}")
         gas_limit = max(int(preview.estimated_gas * 1.2), 21_000)
         tx = self._build_transaction(to, value, data, gas_limit)
         tx.sign(self.keypair)

@@ -106,11 +106,11 @@ def base_named(name):
     return base
 
 
-def _forked_verdict(signature, message, address):
+def _forked_verdict(signature, message):
     """Run in a forked child: was the binding inherited, and the verdict."""
     inherited = keys._backend is not None
     return inherited, keys.schnorr_backend(), \
-        verify_signature(signature, message, address)
+        verify_signature(signature, message)
 
 
 class TestSchnorrKernel:
@@ -218,7 +218,7 @@ class TestSchnorrKernel:
         assert (signature.e, signature.s) == (VECTOR_E, VECTOR_S)
         assert keys._kernel().generator_power(signature.s) == \
             pow(GENERATOR, signature.s, GROUP_PRIME)
-        assert verify_signature(signature, message, keypair.address)
+        assert verify_signature(signature, message)
 
     def test_generator_order_divides_group_order(self):
         # Generator exponents are reduced mod GROUP_ORDER before they reach
@@ -238,7 +238,7 @@ class TestSchnorrKernel:
                           signature.s - GROUP_ORDER):
             forged = Signature(e=signature.e, s=congruent,
                                public_key=signature.public_key)
-            assert verify_signature(forged, message, keypair.address)
+            assert verify_signature(forged, message)
         hostile = Signature(e=signature.e, s=(1 << 1_000_000) + 12345,
                             public_key=signature.public_key)
         assert not verify_signature(hostile, message)
@@ -272,7 +272,7 @@ class TestSchnorrKernel:
                 tampered = Signature(e=want.e, s=want.s + 1,
                                      public_key=want.public_key)
                 if (signature != want
-                        or not verify_signature(signature, message, keypair.address)
+                        or not verify_signature(signature, message)
                         or verify_signature(tampered, message)):
                     failures.append((label, message))
             scratches.append(weakref.ref(keys._kernel()._local.scratch))
@@ -289,7 +289,7 @@ class TestSchnorrKernel:
         signature = keypair.sign(message)
         with multiprocessing.get_context("fork").Pool(1) as pool:
             inherited, backend, verdict = pool.apply(
-                _forked_verdict, (signature, message, keypair.address))
+                _forked_verdict, (signature, message))
         assert inherited and verdict
         assert backend == keys.schnorr_backend()
 
@@ -304,7 +304,7 @@ class TestSchnorrKernel:
         assert KeyPair.from_label("kernel-fallback").public_key == \
             keypair.public_key
         assert keypair.sign(message) == signature
-        assert verify_signature(signature, message, keypair.address)
+        assert verify_signature(signature, message)
         assert not verify_signature(forged, message)
 
     def test_a_hashlib_without_a_file_is_the_named_reason(self, monkeypatch):
@@ -325,14 +325,14 @@ class TestSchnorrKernel:
         assert keys.schnorr_backend().startswith("builtin pow (AttributeError: ")
         keypair = KeyPair.from_label("kernel-no-symbol")
         message = keccak256(b"no symbol")
-        assert verify_signature(keypair.sign(message), message, keypair.address)
+        assert verify_signature(keypair.sign(message), message)
 
     def test_a_failed_libcrypto_call_raises(self):
         with pytest.raises(MemoryError, match="libcrypto BN_new failed"):
             keys._checked(None, types.SimpleNamespace(__name__="BN_new"), ())
 
 
-def _forked_table_verdict(signature, message, address):
+def _forked_table_verdict(signature, message):
     """Run in a forked child: was a table inherited, did the child build one,
     and the verdict."""
     kernel = keys._kernel()
@@ -344,7 +344,7 @@ def _forked_table_verdict(signature, message, address):
         raise AssertionError("the child built a table")
 
     kernel._build_table = build
-    verdict = verify_signature(signature, message, address)
+    verdict = verify_signature(signature, message)
     return inherited is not None, kernel._table is inherited, built, verdict
 
 
@@ -422,11 +422,11 @@ class TestFixedBaseTable:
         wide = Signature(e=e, s=(nonce + e * keypair._x) % GROUP_ORDER,
                          public_key=keypair.public_key)
         assert wide.s.bit_length() > 516
-        assert verify_signature(wide, message, keypair.address)  # warm the key
+        assert verify_signature(wide, message)  # warm the key
         kernel = keys._kernel()
         library = _RecordingLibrary(kernel._lib)
         monkeypatch.setattr(kernel, "_lib", library)
-        assert verify_signature(wide, message, keypair.address)
+        assert verify_signature(wide, message)
         assert library.names.count("BN_mod_exp_mont") == 1
         del library.names[:]
         forged = Signature(e=e, s=wide.s + 1, public_key=keypair.public_key)
@@ -448,7 +448,7 @@ class TestFixedBaseTable:
         assert kernel._table is None
         keypair, message, signature = honest_signature("table-lazy")
         assert kernel._table is None  # key generation and signing built none
-        assert verify_signature(signature, message, keypair.address)
+        assert verify_signature(signature, message)
         assert len(kernel._table) == 86 * 64
 
     def test_two_first_verifies_build_one_table(self, monkeypatch):
@@ -468,7 +468,7 @@ class TestFixedBaseTable:
 
         def first_verify(keypair, message, signature):
             barrier.wait(timeout=30)
-            verdicts.append(verify_signature(signature, message, keypair.address))
+            verdicts.append(verify_signature(signature, message))
 
         threads = [threading.Thread(target=first_verify, args=item) for item in signed]
         for thread in threads:
@@ -484,7 +484,7 @@ class TestFixedBaseTable:
         assert keys._kernel()._table is not None
         with multiprocessing.get_context("fork").Pool(1) as pool:
             inherited, same, built, verdict = pool.apply(
-                _forked_table_verdict, (signature, message, keypair.address))
+                _forked_table_verdict, (signature, message))
         assert inherited and same and verdict
         assert built == []
 
@@ -738,24 +738,10 @@ class TestSelectionEdgeCases:
         assert stale.hash_hex in pool
 
     def test_default_cap_is_500_transactions_a_block(self):
-        # A pool deeper than a block with gas to spare: the default
-        # ``max_count`` is what bounds the selection.
+        # A pool deeper than a block with gas to spare:
+        # ``MAX_BLOCK_TRANSACTIONS`` is what bounds the selection.
         pool = self.make_pool_with(*[
             signed_transfer(f"cap-{i % 3}", nonce=i // 3) for i in range(501)])
         selected = pool.select_for_block(WorldState(), gas_limit=30_000_000)
         assert len(selected) == 500
 
-    def test_selection_prefix_stability(self):
-        # Greedy selection is prefix-stable in ``max_count``: a smaller cap
-        # picks the first transactions of a larger one.
-        state = WorldState()
-        txs = [signed_transfer(f"prefix-{i}", nonce=0,
-                               gas_price=(10 - i % 3) * 10**9)
-               for i in range(12)]
-        pool = self.make_pool_with(*txs)
-        wide = pool.select_for_block(state, gas_limit=30_000_000,
-                                     max_count=12)
-        narrow = pool.select_for_block(state, gas_limit=30_000_000,
-                                       max_count=5)
-        assert [t.hash_hex for t in wide[:5]] == \
-            [t.hash_hex for t in narrow]

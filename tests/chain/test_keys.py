@@ -1,6 +1,5 @@
 """Tests for repro.chain.keys (key pairs, addresses, Schnorr signatures)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import InvalidSignatureError
@@ -27,12 +26,6 @@ class TestKeyPair:
     def test_different_labels_different_addresses(self):
         assert KeyPair.from_label("alice").address != KeyPair.from_label("bob").address
 
-    def test_generate_uses_rng(self):
-        rng = np.random.default_rng(0)
-        a = KeyPair.generate(rng)
-        b = KeyPair.generate(rng)
-        assert a.address != b.address
-
     def test_empty_private_key_rejected(self):
         with pytest.raises(ValueError):
             KeyPair(b"")
@@ -49,7 +42,7 @@ class TestSignatures:
         keys = KeyPair.from_label("signer")
         digest = keccak256(b"message")
         signature = keys.sign(digest)
-        assert verify_signature(signature, digest, address=keys.address)
+        assert recover_address(signature, digest) == keys.address
 
     def test_wrong_message_fails(self):
         keys = KeyPair.from_label("signer")
@@ -61,7 +54,7 @@ class TestSignatures:
         other = KeyPair.from_label("other")
         digest = keccak256(b"message")
         signature = keys.sign(digest)
-        assert not verify_signature(signature, digest, address=other.address)
+        assert recover_address(signature, digest) != other.address
 
     def test_tampered_signature_fails(self):
         keys = KeyPair.from_label("signer")

@@ -88,21 +88,6 @@ class TestLeaderRotation:
                         if r.blocks_produced == 1)
         assert producer.index != designated.index
 
-    def test_failover_disabled_stalls_the_height(self):
-        cluster = make_cluster(3, failover=False)
-        node, keys = funded_node(cluster)
-        sink = KeyPair.from_label("stall-sink").address
-        node.sign_and_send(keys[0], to=sink, value=1)
-        designated = cluster.leader_for_height(1)
-        cluster.crash_replica(designated.index)
-        # The pending transaction cannot be mined: the height stalls...
-        assert cluster.tick(force=True) == []
-        assert all(r.height == 0 for r in cluster.alive_replicas())
-        # ...and new writes are refused outright (no eligible leader).
-        with pytest.raises(ClusterError):
-            node.send_transaction(  # any signed tx would do
-                _signed_transfer(keys[1], sink, nonce=0))
-
 
 class TestReplication:
     def test_transactions_flood_to_every_replica(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.chain import EthereumNode, Faucet, KeyPair
+from repro.chain.transaction import encode_call
 from repro.contracts import default_registry
 from repro.utils.units import ether_to_wei, gwei_to_wei
 
@@ -28,9 +29,9 @@ def env():
     return node, str(receipt.contract_address)
 
 
-def transact(node, keys, address, method, args=None, value=0):
+def transact(node, keys, address, method, args=None):
     return node.wait_for_receipt(
-        node.transact_contract(keys, address, method, args or [], value=value, gas_price=GAS_PRICE)
+        node.transact_contract(keys, address, method, args or [], gas_price=GAS_PRICE)
     )
 
 
@@ -134,7 +135,9 @@ class TestPayments:
     def test_deposit_increases_budget(self, env):
         node, address = env
         extra = ether_to_wei("0.005")
-        transact(node, BUYER, address, "deposit", [], value=extra)
+        node.wait_for_receipt(node.sign_and_send(
+            BUYER, to=address, value=extra, data=encode_call("deposit", []),
+            gas_limit=1_000_000, gas_price=GAS_PRICE))
         assert node.call(address, "budget") == BUDGET + extra
 
     def test_finalize_refunds_unspent_budget(self, env):

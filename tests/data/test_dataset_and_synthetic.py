@@ -153,8 +153,6 @@ class TestSyntheticMnist:
         with pytest.raises(ValueError):
             SyntheticMnistConfig(num_samples=0)
         with pytest.raises(ValueError):
-            SyntheticMnistConfig(num_classes=1)
-        with pytest.raises(ValueError):
             SyntheticMnistConfig(class_similarity=1.0)
         with pytest.raises(ValueError):
             SyntheticMnistConfig(label_noise=-0.1)
@@ -204,22 +202,22 @@ class TestSyntheticMnistBytes:
         assert _sha256(generate_synthetic_mnist(config)) == expected
 
     def test_equals_the_one_gather_reference(self):
-        from repro.data.synthetic_mnist import _class_prototype
+        from repro.data.synthetic_mnist import NUM_CLASSES, _class_prototype
         from repro.utils.rng import derive_seed, make_rng
 
         config = SyntheticMnistConfig(num_samples=600, variation_rank=5, class_similarity=0.3,
                                       seed=9)
         prototype_rng = make_rng(derive_seed(config.seed, "prototypes"))
         prototypes = np.stack(
-            [_class_prototype(prototype_rng, config) for _ in range(config.num_classes)])
+            [_class_prototype(prototype_rng, config) for _ in range(NUM_CLASSES)])
         shared = _class_prototype(prototype_rng, config)
         prototypes = (config.class_similarity * shared[None, :]
                       + (1.0 - config.class_similarity) * prototypes)
         bases = make_rng(derive_seed(config.seed, "variation")).normal(
-            0.0, 1.0, size=(config.num_classes, config.variation_rank, config.num_features))
+            0.0, 1.0, size=(NUM_CLASSES, config.variation_rank, config.num_features))
         bases /= np.linalg.norm(bases, axis=2, keepdims=True) + 1e-12
         sample_rng = make_rng(derive_seed(config.seed, "samples"))
-        labels = sample_rng.integers(0, config.num_classes, size=config.num_samples)
+        labels = sample_rng.integers(0, NUM_CLASSES, size=config.num_samples)
         coefficients = sample_rng.normal(
             0.0, config.variation_scale, size=(config.num_samples, config.variation_rank))
         noise = sample_rng.normal(

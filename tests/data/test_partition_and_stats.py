@@ -6,6 +6,7 @@ import pytest
 from repro.errors import PartitionError
 from repro.data.dataset import Dataset
 from repro.data.partition import (
+    DIRICHLET_MIN_SAMPLES,
     dirichlet_partition,
     iid_partition,
     label_skew_partition,
@@ -66,8 +67,8 @@ class TestDirichlet:
         )
 
     def test_min_samples_respected(self, dataset):
-        parts = dirichlet_partition(dataset, 5, alpha=0.5, min_samples=30, rng=4)
-        assert min(len(p) for p in parts) >= 30
+        parts = dirichlet_partition(dataset, 20, alpha=0.1, rng=4)
+        assert min(len(p) for p in parts) >= DIRICHLET_MIN_SAMPLES
 
     def test_invalid_alpha_rejected(self, dataset):
         with pytest.raises(PartitionError):
@@ -101,17 +102,17 @@ class TestLabelSkew:
 
 class TestShard:
     def test_partition_is_valid(self, dataset):
-        parts = shard_partition(dataset, 10, shards_per_client=2, rng=6)
+        parts = shard_partition(dataset, 10, rng=6)
         assert_valid_partition(parts, dataset, 10)
 
     def test_clients_see_few_classes(self, dataset):
-        parts = shard_partition(dataset, 10, shards_per_client=2, rng=6)
+        parts = shard_partition(dataset, 10, rng=6)
         classes = [np.count_nonzero(dataset.subset(p).class_counts()) for p in parts]
         assert np.mean(classes) <= 4
 
     def test_too_many_shards_rejected(self, dataset):
         with pytest.raises(PartitionError):
-            shard_partition(dataset, 600, shards_per_client=2)
+            shard_partition(dataset, 600)
 
 
 class TestPartitionDataset:

@@ -35,13 +35,6 @@ class TestFedAvg:
         assert history[-1].test_accuracy >= history[0].test_accuracy - 0.05
         assert history[-1].test_accuracy > 0.3
 
-    def test_client_sampling(self, clients, tiny_split):
-        _, test = tiny_split
-        config = FedAvgConfig(num_rounds=2, clients_per_round=2, local_epochs=1, seed=0)
-        server = FedAvgServer(clients, config)
-        history = server.run(test)
-        assert all(len(record.participating_clients) == 2 for record in history)
-
     def test_needs_clients(self):
         with pytest.raises(AggregationError):
             FedAvgServer([], FedAvgConfig(num_rounds=1))

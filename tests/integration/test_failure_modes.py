@@ -7,14 +7,12 @@ from repro.errors import (
     ContractRevert,
     InsufficientFundsError,
     SerializationError,
-    WalletError,
 )
 from repro.chain import EthereumNode, Faucet, KeyPair
 from repro.contracts import default_registry
 from repro.ipfs import IpfsNode, Swarm
 from repro.ml import MLP, deserialize_model, serialize_model
 from repro.utils.units import ether_to_wei, gwei_to_wei
-from repro.web.wallet import MetaMaskWallet
 
 GAS_PRICE = gwei_to_wei(1)
 
@@ -34,16 +32,6 @@ class TestChainFailures:
             node.transact_contract(
                 broke, deployment.contract_address, "uploadCid", ["QmX"], gas_price=GAS_PRICE
             )
-
-    def test_user_rejecting_metamask_prompt_halts_flow(self):
-        node = EthereumNode(backend=default_registry())
-        faucet = Faucet(node)
-        keys = KeyPair.from_label("hesitant")
-        faucet.drip(keys.address, ether_to_wei(1))
-        wallet = MetaMaskWallet(keys, node, confirmation_policy=lambda preview: False)
-        with pytest.raises(WalletError):
-            wallet.deploy_contract("CidStorage", [])
-        assert node.block_number == 0
 
     def test_failed_transaction_does_not_poison_later_ones(self):
         node = EthereumNode(backend=default_registry())

@@ -5,12 +5,12 @@ from unittest import mock
 
 import pytest
 
-from repro.errors import BlockNotFoundError, InvalidCidError, PinError
+from repro.errors import BlockNotFoundError, InvalidCidError
 from repro.ipfs import multihash
 from repro.ipfs.blockstore import BlockStore
 from repro.ipfs.cid import CID, RAW_CODEC
 from repro.ipfs.node import IpfsNode
-from repro.ipfs.pinning import DIRECT, RECURSIVE, PinSet
+from repro.ipfs.pinning import PinSet
 from repro.storage.engine import StorageEngine
 
 
@@ -122,18 +122,7 @@ class TestPinSet:
         pins.pin(cid)
         assert pins.is_pinned(cid)
         assert cid in pins
-        assert pins.pin_type(cid) == RECURSIVE
-
-    def test_direct_pin(self):
-        pins = PinSet()
-        cid = cid_of(b"model")
-        pins.pin(cid, recursive=False)
-        assert pins.pin_type(cid) == DIRECT
-        assert cid.encode() not in pins.recursive_pins()
-
-    def test_pin_type_missing_raises(self):
-        with pytest.raises(PinError):
-            PinSet().pin_type(cid_of(b"missing"))
+        assert not pins.is_pinned(cid_of(b"missing"))
 
     def test_len_counts_pins(self):
         pins = PinSet()

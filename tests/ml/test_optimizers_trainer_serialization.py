@@ -154,13 +154,6 @@ class TestBatchIterator:
         seen = sum(len(by) for _, by in batch_iterator(x, y, batch_size=3, shuffle=False))
         assert seen == 10
 
-    def test_drop_last(self):
-        x = np.arange(20).reshape(10, 2)
-        y = np.arange(10)
-        batches = list(batch_iterator(x, y, batch_size=3, shuffle=False, drop_last=True))
-        assert all(len(by) == 3 for _, by in batches)
-        assert len(batches) == 3
-
     def test_shuffle_is_seeded(self):
         x = np.arange(20).reshape(10, 2)
         y = np.arange(10)

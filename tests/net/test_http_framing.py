@@ -1,9 +1,16 @@
 """Unit tests for repro.net.http: request-head framing and response bytes."""
 
+import asyncio
+import json
+
 import pytest
 
 from repro.errors import PayloadTooLargeError, ProtocolViolationError
 from repro.net.http import HttpRequest, format_response, parse_head
+from repro.net.server import _Connection
+
+from .test_connection import FakeTransport, call
+from .test_http_server import make_server
 
 CAP = 1024
 
@@ -115,3 +122,68 @@ class TestFormatResponse:
 
     def test_unknown_status_has_a_placeholder_reason(self):
         assert format_response(299).startswith(b"HTTP/1.1 299 Unknown\r\n")
+
+
+def padded_head(size: int) -> bytes:
+    """A complete GET head of exactly ``size`` bytes, terminator included."""
+    start = b"GET / HTTP/1.1\r\nX-Pad: "
+    return start + b"a" * (size - len(start) - 4) + b"\r\n\r\n"
+
+
+def padded_post(length: int) -> bytes:
+    """One ``eth_chainId`` call whose body is ``length`` bytes (JSON padded
+    with whitespace)."""
+    body = json.dumps(call("eth_chainId", [], 1)).encode()
+    body += b" " * (length - len(body))
+    return b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body
+
+
+def feed(server, data: bytes):
+    """What one connection handed ``data`` writes."""
+    async def drive():
+        connection = _Connection(server)
+        connection.connection_made(transport)
+        connection.data_received(data)
+        connection.connection_lost(None)
+
+    transport = FakeTransport()
+    asyncio.run(drive())
+    return transport.written
+
+
+class TestEveryCapIsInclusive:
+    """Exactly the cap is served; one byte more is refused."""
+
+    def test_a_head_of_exactly_the_cap_parses(self):
+        assert len(padded_head(CAP)) == CAP
+        request, start, end = parse_head(padded_head(CAP), CAP)
+        assert (request.method, start, end) == ("GET", CAP, CAP)
+
+    def test_a_head_one_byte_over_the_cap_is_too_large(self):
+        with pytest.raises(PayloadTooLargeError, match="head"):
+            parse_head(padded_head(CAP + 1), CAP)
+
+    def test_an_unterminated_buffer_of_exactly_the_cap_waits(self):
+        assert parse_head(padded_head(CAP + 4)[:CAP], CAP) is None
+
+    def test_an_unterminated_buffer_one_byte_over_the_cap_is_too_large(self):
+        with pytest.raises(PayloadTooLargeError, match="head"):
+            parse_head(padded_head(CAP + 5)[:CAP + 1], CAP)
+
+    def test_a_body_of_exactly_max_request_bytes_is_served(self, capped_server):
+        (reply,) = feed(capped_server, padded_post(CAP))
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+
+    def test_a_body_one_byte_over_max_request_bytes_is_a_413(self, capped_server):
+        (reply,) = feed(capped_server, padded_post(CAP + 1))
+        assert reply.startswith(b"HTTP/1.1 413 Payload Too Large\r\n")
+
+
+def test_a_malformed_request_is_answered_400_bad_request(capped_server):
+    (reply,) = feed(capped_server, b"NONSENSE\r\n\r\n")
+    assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+
+
+@pytest.fixture(scope="module")
+def capped_server():
+    return make_server(max_request_bytes=CAP)

@@ -19,7 +19,15 @@ from hypothesis import strategies as st
 from repro.chain.account import Address
 from repro.chain.chain import Blockchain, ChainConfig
 from repro.chain.executor import contract_address_for
-from repro.chain.keys import GROUP_ORDER, GROUP_PRIME, KeyPair, Signature
+from repro.chain.keys import (
+    GROUP_ORDER,
+    GROUP_PRIME,
+    KeyPair,
+    Signature,
+    address_from_public_key,
+    to_checksum_address,
+    verify_signature,
+)
 from repro.chain.transaction import Transaction, encode_call, encode_create
 from repro.contracts.registry import default_registry
 from repro.errors import InvalidSignatureError
@@ -89,6 +97,13 @@ ITEM_SPECS = st.lists(
     min_size=1,
     max_size=8,
 )
+
+
+def sender_verdict(signature: Signature, message: bytes, address: str) -> bool:
+    """A valid signature whose key hashes to ``address``: what a
+    transaction's sender check accepts."""
+    return verify_signature(signature, message) and \
+        address_from_public_key(signature.public_key) == to_checksum_address(address)
 
 
 def build_item(spec: Tuple[int, int, str]):

@@ -20,7 +20,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain.keys import Signature, verify_signature
+from repro.chain.keys import Signature
 from repro.chain.node import EthereumNode
 from repro.cluster.forkchoice import ForkChoice
 from repro.contracts.registry import default_registry
@@ -35,6 +35,7 @@ from ._workload import (
     VALIDATOR,
     apply_op,
     build_item,
+    sender_verdict,
     fingerprint,
     fresh_chain,
     replay_mints,
@@ -70,7 +71,7 @@ class TestBatchScalarVerdictEquivalence:
         if duplicate and items:
             items.append(items[0])
         assert worker_verdicts(items) == [
-            verify_signature(signature, message, address)
+            sender_verdict(signature, message, address)
             for signature, message, address in items
         ]
 

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.account import Address
-from repro.chain.executor import TransactionExecutor
+from repro.chain.executor import BlockContext, TransactionExecutor
 from repro.chain.gas import GasSchedule
-from repro.chain.keys import KeyPair, verify_signature
+from repro.chain.keys import KeyPair, recover_address, verify_signature
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
 from repro.utils.hashing import keccak256
@@ -23,7 +23,7 @@ class TestSignatureProperties:
     def test_any_message_signed_by_any_key_verifies(self, message, label):
         keys = KeyPair.from_label(label)
         digest = keccak256(message)
-        assert verify_signature(keys.sign(digest), digest, address=keys.address)
+        assert recover_address(keys.sign(digest), digest) == keys.address
 
     @given(st.binary(min_size=1, max_size=64))
     @settings(max_examples=20)
@@ -56,7 +56,7 @@ class TestTransferProperties:
         state = WorldState()
         state.credit(SENDER.address, funding)
         coinbase = Address(KeyPair.from_label("prop-coinbase").address)
-        executor = TransactionExecutor(fee_recipient=coinbase)
+        executor = TransactionExecutor()
         tx = Transaction(
             sender=Address(SENDER.address),
             to=Address(RECIPIENT.address),
@@ -68,7 +68,7 @@ class TestTransferProperties:
 
         total_before = state.total_supply()
         try:
-            executor.apply(tx, state)
+            executor.apply(tx, state, BlockContext(coinbase=coinbase))
         except Exception:
             # Validation failures leave the state untouched.
             assert state.total_supply() == total_before

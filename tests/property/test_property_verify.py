@@ -29,11 +29,10 @@ from repro.chain.keys import (
     Signature,
     address_from_public_key,
     to_checksum_address,
-    verify_signature,
 )
 from repro.utils.hashing import keccak256
 
-from ._workload import ITEM_SPECS, SENDERS, build_item
+from ._workload import ITEM_SPECS, SENDERS, build_item, sender_verdict
 
 
 def reference_verify(signature: Signature, message_hash: bytes,
@@ -63,14 +62,14 @@ class TestScalarVerdictsEqualBuiltinPowReference:
             if backend == "builtin pow":
                 patch.setattr(keys, "_backend", keys._BuiltinPow("forced for this test"))
             for signature, message, address in items:
-                assert verify_signature(signature, message, address) == \
+                assert sender_verdict(signature, message, address) == \
                     reference_verify(signature, message, address)
 
     def test_both_verdicts_occur(self):
         # The property above compares verdicts; this pins that both really
         # occur through the kernel.
-        assert verify_signature(*build_item((0, 0, "valid"))) is True
-        assert verify_signature(*build_item((0, 0, "flip_s"))) is False
+        assert sender_verdict(*build_item((0, 0, "valid"))) is True
+        assert sender_verdict(*build_item((0, 0, "flip_s"))) is False
 
 
 #: One base inside the prime-order subgroup (an honest key's inverse) and

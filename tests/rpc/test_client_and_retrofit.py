@@ -239,16 +239,20 @@ class TestMarketplaceEnvironmentGateway:
 class TestReviewRegressions:
     """Fixes applied from review: error fidelity, tail cursors, params checks."""
 
-    def test_wallet_error_class_survives_the_oflw3_path(self, stack, tiny_split):
-        from repro.errors import WalletError
+    def test_a_web_error_class_survives_the_oflw3_path(self, stack, tiny_split, monkeypatch):
+        from repro.errors import RouteNotFoundError
 
         node, ipfs, client = stack
         _, test = tiny_split
-        wallet = MetaMaskWallet(ALICE, node, gas_price_wei=gwei_to_wei(1),
-                                rpc=client, confirmation_policy=lambda preview: False)
+        wallet = MetaMaskWallet(ALICE, node, gas_price_wei=gwei_to_wei(1), rpc=client)
+
+        def refuse(*args, **kwargs):
+            raise RouteNotFoundError("refused under the backend")
+
+        monkeypatch.setattr(wallet, "deploy_contract", refuse)
         backend = BuyerBackend(wallet, ipfs, test)
         dapp = BuyerDApp(backend)
-        with pytest.raises(WalletError):
+        with pytest.raises(RouteNotFoundError, match="refused under the backend"):
             dapp.deploy_task({"task": "t", "model": [784, 100, 10]},
                              ether_to_wei("0.001"))
 

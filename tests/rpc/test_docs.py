@@ -23,8 +23,8 @@ def reference_gateway():
 
 
 class TestRpcReference:
-    def test_docs_file_matches_generated_reference(self, reference_gateway):
-        generated = rpc_reference_markdown(reference_gateway)
+    def test_docs_file_matches_generated_reference(self):
+        generated = rpc_reference_markdown()
         assert DOCS_PATH.exists(), REGEN_HINT
         assert DOCS_PATH.read_text() == generated, REGEN_HINT
 

@@ -66,7 +66,7 @@ class TestArchetypes:
         assert flipped == 50
 
     def test_straggler_delay_is_bounded_and_deterministic(self):
-        behavior = StragglerBehavior(mean_delay_seconds=100.0, spread=0.5)
+        behavior = StragglerBehavior(mean_delay_seconds=100.0)
         first = behavior.extra_upload_delay(make_rng(7))
         second = behavior.extra_upload_delay(make_rng(7))
         assert first == second
@@ -86,11 +86,6 @@ class TestArchetypes:
         assert any(
             not np.array_equal(a["weights"], b["weights"])
             for a, b in zip(stale.parameters, update.parameters))
-
-    def test_dropout_phase_validation(self):
-        assert DropoutBehavior("upload").drop_phase == "upload"
-        with pytest.raises(SimulationError):
-            DropoutBehavior("aggregate")
 
     def test_make_behavior_registry(self):
         assert make_behavior("poisoner", flip_fraction=0.4).flip_fraction == 0.4
@@ -146,7 +141,7 @@ class TestModelOwnerIntegration:
         return owner, str(receipt.contract_address)
 
     def test_dropout_owner_never_submits(self):
-        owner, task_address = self._owner(DropoutBehavior("submit"))
+        owner, task_address = self._owner(DropoutBehavior())
         result = owner.run_full_flow(task_address)
         assert result["dropped_out"] is True
         assert result["dropped_before"] == "submit"
@@ -156,10 +151,10 @@ class TestModelOwnerIntegration:
 
     def test_straggler_advances_clock_and_breakdown(self):
         owner, task_address = self._owner(
-            StragglerBehavior(mean_delay_seconds=100.0, spread=0.0))
+            StragglerBehavior(mean_delay_seconds=100.0))
         result = owner.run_full_flow(task_address)
         assert result["dropped_out"] is False
-        assert owner.breakdown.phases["straggle_wait"] == pytest.approx(100.0)
+        assert 50.0 <= owner.breakdown.phases["straggle_wait"] <= 150.0
 
     def test_free_rider_uploads_zero_model(self):
         owner, task_address = self._owner(FreeRiderBehavior(mode="zero"))

@@ -23,7 +23,46 @@ The symbols that are reached only from tests and stay are in
 - ``api``: documented as public API in README.md or ``docs/``.
 
 An entry that gains a caller, or whose symbol is gone, fails too, so the
-list cannot rot.  CI runs this file as its own step.
+list cannot rot.
+
+The option pass applies the same rule to options: every defaulted
+parameter (positional or keyword-only) of a public function, a public
+method or a public class's ``__init__``, and every defaulted field of a
+public ``@dataclass``.  An option is set by
+
+- a call whose callee is the function's or method's name, or the class's
+  name for ``__init__`` and fields (``cls`` inside the class,
+  ``__init__`` from a subclass), that passes it by keyword or by
+  position;
+- for a field, a ``replace`` or ``with_overrides`` call that passes it by
+  keyword, or an attribute store ``obj.field = ...``;
+- a call through a dispatch table (``AGGREGATORS[name](...)``) that passes
+  it by keyword, for each callable the table's dict literal holds;
+- a ``*``/``**`` splat into such a callee, which sets every option of it
+  unless the splat's keys can be read: a dict the enclosing function
+  builds from literal keys sets those keys, and a function's own
+  ``**kwargs`` splatted on makes the function's callers the callee's
+  callers (``quick_config(seed=...)`` sets ``OFLW3Config.seed``).  An
+  unread splat into ``replace``, ``with_overrides`` or a dispatch table
+  sets nothing: each serves many callables, so it says nothing about one.
+
+Like the symbol pass it matches by name, so it errs towards keeping.  An
+option that ``tests/`` sets and nothing in ``src/``, ``bench/``,
+``benchmarks/`` or ``examples/`` sets keeps a code path alive for tests
+only.  Each one that stays is in :data:`ALLOWED_OPTIONS` with one of three
+reasons:
+
+- ``api``: README.md or a hand-written ``docs/`` page names the option
+  (an auto-generated page such as docs/cli.md does not count);
+- ``pending #N``: open ROADMAP item N deletes it;
+- ``scale <tests/...py>``: a limit the named test file passes a small
+  value for, so the limit's path runs in milliseconds; the file must name
+  the keyword.
+
+An entry whose option is gone, or that something outside ``tests/`` now
+sets, fails as for symbols.  Options that nothing sets at all are out of
+scope (most are JSON-RPC params the wire sets by name).  CI runs this file
+as its own step.
 """
 
 from __future__ import annotations
@@ -36,7 +75,6 @@ from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
-SRC = ROOT / "src"
 SCANNED = ("src", "bench", "benchmarks", "examples")
 
 ALLOWED = {
@@ -62,8 +100,6 @@ ALLOWED = {
     "repro/chain/transaction.py::Transaction.size_bytes": "oracle",
     "repro/ipfs/multihash.py::Multihash.function_name": "oracle",
     "repro/ipfs/node.py::IpfsNode.has_local": "oracle",
-    "repro/ipfs/pinning.py::PinSet.pin_type": "oracle",
-    "repro/ipfs/pinning.py::PinSet.recursive_pins": "oracle",
     "repro/ml/trainer.py::TrainingHistory.losses": "oracle",
     "repro/obs/tracing.py::Span.sim_seconds": "oracle",
     "repro/obs/tracing.py::Tracer.replicas_for": "oracle",
@@ -85,9 +121,38 @@ ALLOWED = {
     "repro/net/websocket.py::WebSocketClient.next_notification": "api",
 }
 
+ALLOWED_OPTIONS = {
+    # api: named in README.md or a hand-written docs/ page.
+    "repro/chain/node.py::EthereumNode(validators)": "api",
+    "repro/cluster/config.py::ClusterConfig(finality_depth)": "api",
+    "repro/fl/oneshot/pfnm.py::PFNMAggregator(config)": "api",
+    "repro/fl/oneshot/pfnm.py::PFNMConfig(max_global_neurons_factor)": "api",
+    "repro/fl/oneshot/pfnm.py::PFNMConfig(sigma)": "api",
+    "repro/net/server.py::NetConfig(drain_timeout_seconds)": "api",
+    "repro/net/server.py::NetConfig(keepalive_timeout_seconds)": "api",
+    "repro/net/server.py::NetConfig(max_request_bytes)": "api",
+    "repro/net/websocket.py::WebSocketClient(timeout)": "api",
+    "repro/simnet/behaviors.py::FreeRiderBehavior(mode)": "api",
+    "repro/simnet/behaviors.py::LabelFlipPoisonerBehavior(flip_fraction)": "api",
+    "repro/simnet/behaviors.py::StragglerBehavior(mean_delay_seconds)": "api",
+    # pending: an open ROADMAP item deletes it.
+    "repro/chain/chain.py::Blockchain(batch_verify)": "pending #2",
+    "repro/web/client.py::RestClient.post_json(json_body)": "pending #17",
+    "repro/web/http.py::HttpRequest.param(default)": "pending #17",
+    # scale: the named test shrinks the limit so its path runs in milliseconds.
+    "repro/chain/mempool.py::Mempool(max_size)": "scale tests/chain/test_mempool.py",
+    "repro/data/synthetic_mnist.py::SyntheticMnistConfig(num_features)":
+        "scale tests/data/test_dataset_and_synthetic.py",
+    "repro/ipfs/node.py::IpfsNode(chunk_size)": "scale tests/ipfs/test_node_swarm_gateway.py",
+    "repro/simnet/runner.py::ScenarioRunner(storage)": "scale tests/simnet/test_restart.py",
+}
+
 REASON = re.compile(r"^(dispatch|oracle|api|pending #(\d+))$")
+OPTION_REASON = re.compile(r"^(api|pending #(\d+)|scale (tests/\S+\.py))$")
 WORD = re.compile(r"[A-Za-z_]\w*")
 NOT_CALLERS = {"__all__", "_HOME"}
+FIELD_UPDATERS = ("replace", "with_overrides")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def names_in(tree: ast.Module, init: bool):
@@ -129,23 +194,26 @@ def public_definitions(tree: ast.Module):
 
 
 @lru_cache(maxsize=None)
-def census():
+def parsed(root: Path, top: str):
+    """``{path: module}`` for every ``.py`` file under ``root/top``."""
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((root / top).rglob("*.py"))}
+
+
+@lru_cache(maxsize=None)
+def census(root: Path = ROOT):
     """``(defined, caller_less)``: every public symbol, and those nothing names."""
     uses = Counter()
     lines_of = defaultdict(lambda: defaultdict(list))
-    trees = {}
     for top in SCANNED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            if top == "src":
-                trees[path] = tree
+        for path, tree in parsed(root, top).items():
             for line, word in names_in(tree, path.name == "__init__.py"):
                 uses[word] += 1
                 lines_of[path][word].append(line)
     defined, caller_less = set(), set()
-    for path, tree in trees.items():
+    for path, tree in parsed(root, "src").items():
         for qualname, node in public_definitions(tree):
-            key = f"{path.relative_to(SRC).as_posix()}::{qualname}"
+            key = f"{path.relative_to(root / 'src').as_posix()}::{qualname}"
             defined.add(key)
             own = sorted(lines_of[path][node.name])
             inside = (bisect.bisect_right(own, node.end_lineno)
@@ -153,6 +221,227 @@ def census():
             if uses[node.name] == inside:
                 caller_less.add(key)
     return frozenset(defined), frozenset(caller_less)
+
+
+# -- the option pass -----------------------------------------------------------
+
+
+def defaulted(args: ast.arguments, skip: int):
+    """Yield ``(name, index)`` per defaulted parameter; ``index`` is its place
+    among positional arguments after ``skip`` (``self``), or None."""
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield arg.arg, index - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def decorated(node, name: str) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "attr", getattr(target, "id", None)) == name:
+            return True
+    return False
+
+
+def dataclass_fields(node: ast.ClassDef):
+    """Yield ``(name, index)`` per defaulted field; ``index`` is its place
+    among ``__init__``'s arguments, or None for ``field(init=False)``."""
+    index = 0
+    for member in node.body:
+        if not (isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(member.annotation):
+            continue
+        init = not (isinstance(member.value, ast.Call) and any(
+            keyword.arg == "init" and getattr(keyword.value, "value", True) is False
+            for keyword in member.value.keywords))
+        if member.value is not None:
+            yield member.target.id, index if init else None
+        index += init
+
+
+def public_options(tree: ast.Module):
+    """Yield ``(qualname, option, callees, index, field)`` per public option."""
+    for qualname, node in public_definitions(tree):
+        if isinstance(node, FUNCTIONS):
+            skip = 1 if "." in qualname and not decorated(node, "staticmethod") else 0
+            for option, index in defaulted(node.args, skip):
+                yield qualname, option, (node.name,), index, False
+            continue
+        for member in node.body:
+            if isinstance(member, FUNCTIONS) and member.name == "__init__":
+                for option, index in defaulted(member.args, 1):
+                    yield qualname, option, (node.name, "__init__"), index, False
+        if decorated(node, "dataclass"):
+            for option, index in dataclass_fields(node):
+                yield qualname, option, (node.name,), index, True
+
+
+def splat_keys(function, name: str):
+    """The keys a dict ``name`` that ``function`` builds can hold, and the
+    ``**kwargs`` it forwards; ``(None, ...)`` when the keys are unknown."""
+    if function is None or name in {arg.arg for arg in ast.walk(function.args)
+                                    if isinstance(arg, ast.arg)}:
+        return None, False
+    keys, forwards, built = set(), False, False
+    own = function.args.kwarg.arg if function.args.kwarg else None
+    for node in ast.walk(function):
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and any(
+                isinstance(target, ast.Name) and target.id == name for target in targets):
+            value, built = node.value, True
+            if isinstance(value, ast.Dict) and all(
+                    isinstance(key, ast.Constant) for key in value.keys):
+                keys.update(key.value for key in value.keys)
+            elif (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict"
+                  and not value.args and all(keyword.arg for keyword in value.keywords)):
+                keys.update(keyword.arg for keyword in value.keywords)
+            else:
+                return None, False
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and getattr(
+                node.value, "id", None) == name:
+            if not isinstance(node.slice, ast.Constant):
+                return None, False
+            keys.add(node.slice.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and getattr(node.func.value, "id", None) == name
+              and node.func.attr in ("update", "setdefault")):
+            if node.func.attr == "setdefault":
+                keys.add(getattr(node.args[0], "value", None))
+                continue
+            for arg in node.args:
+                if getattr(arg, "id", None) != own:
+                    return None, False
+                forwards = True
+            keys.update(keyword.arg for keyword in node.keywords if keyword.arg)
+    return (keys, forwards) if built else (None, False)
+
+
+def setters_in(tree: ast.Module, sets, forwarders, tables):
+    """Record each option setter of the module's code.
+
+    ``sets[callee]`` collects the keywords passed to ``callee``, each count
+    of positional arguments (an int) and ``"*"`` for an unread splat;
+    ``sets["="]`` the attributes stored.  ``forwarders[callee]`` collects the
+    functions that pass their own ``**kwargs`` on to ``callee``.  A call
+    through a dispatch table (``AGGREGATORS[name](...)``) is recorded under
+    ``"[AGGREGATORS]"``, and ``tables["AGGREGATORS"]`` collects the names of
+    the callables a dict literal assigned to it holds.
+    """
+    def visit(node, owner, function):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, FUNCTIONS):
+            function = node
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                sets["="].update(store.attr for store in ast.walk(target)
+                                 if isinstance(store, ast.Attribute))
+                if isinstance(target, ast.Name) and isinstance(node.value, ast.Dict) and all(
+                        isinstance(value, ast.Name) for value in node.value.values):
+                    tables[target.id].update(value.id for value in node.value.values)
+        elif isinstance(node, ast.Call):
+            callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if isinstance(node.func, ast.Subscript) and isinstance(node.func.value, ast.Name):
+                callee = f"[{node.func.value.id}]"
+            if callee == "cls" and owner:
+                callee = owner
+            if callee is not None:
+                record(node, callee, function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, function)
+
+    def record(call: ast.Call, callee: str, function):
+        own = function and function.args
+        positional = 0
+        for arg in call.args:
+            if isinstance(arg, ast.Starred):
+                if not (own and own.vararg and getattr(arg.value, "id", None) == own.vararg.arg):
+                    sets[callee].add("*")
+                break
+            positional += 1
+        sets[callee].add(positional)
+        for keyword in call.keywords:
+            if keyword.arg:
+                sets[callee].add(keyword.arg)
+                continue
+            name = getattr(keyword.value, "id", None)
+            if own and own.kwarg and name == own.kwarg.arg:
+                forwarders[callee].add(function.name)
+                continue
+            keys, forwards = splat_keys(function, name)
+            sets[callee].update({"*"} if keys is None else keys)
+            if forwards:
+                forwarders[callee].add(function.name)
+
+    visit(tree, None, None)
+
+
+def reaches(callees, forwarders):
+    """``callees`` and every function that forwards its ``**kwargs`` to one."""
+    seen, todo = set(callees), list(callees)
+    while todo:
+        for caller in forwarders.get(todo.pop(), ()):
+            if caller not in seen:
+                seen.add(caller)
+                todo.append(caller)
+    return seen
+
+
+def is_set(sets, forwarders, option, callees, index, field, generic):
+    """Whether ``sets`` holds a setter of ``option``.
+
+    ``generic`` names the callees that serve more than this one callable
+    (``replace``, a dispatch table): only their keywords are read, since an
+    unread splat into one says nothing about this callable's options.
+    """
+    if field and option in sets.get("=", ()):
+        return True
+    if any(option in sets.get(callee, ()) or "*" in sets.get(callee, ())
+           for callee in reaches(callees, forwarders)):
+        return True
+    if any(option in sets.get(callee, ()) for callee in reaches(generic, forwarders)):
+        return True
+    return index is not None and any(
+        isinstance(count, int) and count > index for count in sets.get(callees[0], ()))
+
+
+@lru_cache(maxsize=None)
+def option_census(root: Path = ROOT):
+    """``(defined, test_only, unset)``: every public option, those only
+    ``tests/`` sets, and those nothing sets."""
+    outside, inside = defaultdict(set), defaultdict(set)
+    forwarders, tables = defaultdict(set), defaultdict(set)
+    for top in (*SCANNED, "tests"):
+        for tree in parsed(root, top).values():
+            setters_in(tree, inside if top == "tests" else outside, forwarders, tables)
+    defined, test_only, unset = set(), set(), set()
+    for path, tree in parsed(root, "src").items():
+        for qualname, option, callees, index, field in public_options(tree):
+            key = f"{path.relative_to(root / 'src').as_posix()}::{qualname}({option})"
+            defined.add(key)
+            generic = {f"[{table}]" for table, entries in tables.items() if callees[0] in entries}
+            generic.update(FIELD_UPDATERS if field else ())
+            if is_set(outside, forwarders, option, callees, index, field, generic):
+                continue
+            if is_set(inside, forwarders, option, callees, index, field, generic):
+                test_only.add(key)
+            else:
+                unset.add(key)
+    return frozenset(defined), frozenset(test_only), frozenset(unset)
+
+
+def stale_options(allowed, root: Path = ROOT):
+    """``(gone, reached)``: entries naming no option, and entries whose option
+    is no longer set by tests alone."""
+    defined, test_only, _ = option_census(root)
+    return sorted(set(allowed) - defined), sorted(set(allowed) & (defined - test_only))
+
+
+# -- the checks ----------------------------------------------------------------
 
 
 def test_every_public_symbol_has_a_caller_or_a_reason():
@@ -171,15 +460,34 @@ def test_every_allowlisted_symbol_exists_and_is_still_caller_less():
     assert not reached, f"these now have a caller; drop their ALLOWED entries: {reached}"
 
 
+def test_every_test_only_option_has_a_reason():
+    _, test_only, _ = option_census()
+    unexplained = sorted(test_only - set(ALLOWED_OPTIONS))
+    assert not unexplained, (
+        "only tests set these options; delete each with its branch, or give "
+        f"it an ALLOWED_OPTIONS entry with a reason: {unexplained}")
+
+
+def test_every_allowlisted_option_exists_and_is_still_test_only():
+    gone, reached = stale_options(ALLOWED_OPTIONS)
+    assert not gone, f"these ALLOWED_OPTIONS entries name no option: {gone}"
+    assert not reached, f"code outside tests/ sets these; drop their entries: {reached}"
+
+
 def open_roadmap_items():
     text = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
     open_items = text.split("## Open items", 1)[1].split("\n## ", 1)[0]
     return {int(number) for number in re.findall(r"^(\d+)\. ", open_items, re.M)}
 
 
+def hand_written_documents():
+    pages = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+    texts = (page.read_text(encoding="utf-8") for page in pages)
+    return "\n".join(text for text in texts if "**Auto-generated**" not in text)
+
+
 def test_every_reason_is_one_of_four_and_holds():
-    documents = "\n".join(path.read_text(encoding="utf-8") for path in
-                          [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))])
+    documents = hand_written_documents()
     items = open_roadmap_items()
     for key, reason in ALLOWED.items():
         match = REASON.match(reason)
@@ -189,3 +497,46 @@ def test_every_reason_is_one_of_four_and_holds():
             assert int(match.group(2)) in items, f"{key}: ROADMAP item {match.group(2)} is not open"
         if reason == "api":
             assert re.search(rf"\b{name}\b", documents), f"{key}: README.md and docs/ never name it"
+
+
+def test_every_option_reason_is_one_of_three_and_holds():
+    documents = hand_written_documents()
+    items = open_roadmap_items()
+    for key, reason in ALLOWED_OPTIONS.items():
+        match = OPTION_REASON.match(reason)
+        assert match, f"{key}: {reason!r} is not api, pending #N or scale <tests/...py>"
+        option = key.rsplit("(", 1)[1].rstrip(")")
+        if match.group(2):
+            assert int(match.group(2)) in items, f"{key}: ROADMAP item {match.group(2)} is not open"
+        if reason == "api":
+            assert re.search(rf"\b{option}\b", documents), (
+                f"{key}: README.md and hand-written docs/ never name {option}")
+        if match.group(3):
+            test_file = ROOT / match.group(3)
+            assert test_file.is_file(), f"{key}: {match.group(3)} does not exist"
+            assert re.search(rf"\b{option}\s*=", test_file.read_text(encoding="utf-8")), (
+                f"{key}: {match.group(3)} never passes {option}=")
+
+
+def test_the_option_pass_flags_a_test_only_keyword_until_code_sets_it(tmp_path):
+    module = tmp_path / "src" / "pkg" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("def scale(values, factor=2):\n    return [v * factor for v in values]\n\n\n"
+                      "def run():\n    return scale([1])\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from pkg.mod import scale\n\n\ndef test_scale():\n    assert scale([1], factor=3) == [3]\n")
+    key = "pkg/mod.py::scale(factor)"
+    assert option_census(tmp_path)[1] == {key}
+    assert stale_options({key: "api"}, tmp_path) == ([], [])
+
+    cleared = tmp_path / "cleared"
+    (cleared / "examples").mkdir(parents=True)
+    for top in ("src", "tests"):
+        (cleared / top).symlink_to(tmp_path / top)
+    (cleared / "examples" / "demo.py").write_text(
+        "from pkg.mod import scale\n\nprint(scale([2], factor=5))\n")
+    assert option_census(cleared)[1] == set()
+    assert stale_options({key: "api"}, cleared) == ([], [key])
+    assert stale_options({"pkg/mod.py::scale(gone)": "api"}, cleared) == (
+        ["pkg/mod.py::scale(gone)"], [])

@@ -69,7 +69,6 @@ class TestErrorHierarchy:
         assert issubclass(errors.ShapeError, errors.MLError)
         assert issubclass(errors.AggregationError, errors.FLError)
         assert issubclass(errors.BudgetError, errors.IncentiveError)
-        assert issubclass(errors.WalletError, errors.WebError)
         assert issubclass(errors.StorageCorruptionError, errors.StorageError)
 
     def test_contract_revert_carries_reason(self):

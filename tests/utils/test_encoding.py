@@ -17,11 +17,8 @@ class TestHex:
     def test_roundtrip(self):
         assert from_hex(to_hex(b"\x00\x01\xff")) == b"\x00\x01\xff"
 
-    def test_prefix_present_by_default(self):
-        assert to_hex(b"\xab").startswith("0x")
-
-    def test_prefix_can_be_omitted(self):
-        assert to_hex(b"\xab", prefix=False) == "ab"
+    def test_prefix_present(self):
+        assert to_hex(b"\xab") == "0xab"
 
     def test_from_hex_accepts_unprefixed(self):
         assert from_hex("abcd") == b"\xab\xcd"

@@ -40,6 +40,3 @@ class TestFormatting:
 
     def test_format_zero(self):
         assert format_ether(0) == "0.00000000"
-
-    def test_format_custom_precision(self):
-        assert format_ether(ETHER, places=2) == "1.00"

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from repro.errors import WorkflowError
+from repro.errors import WebError, WorkflowError
 from repro.chain import EthereumNode, Faucet, KeyPair
 from repro.contracts import default_registry
 from repro.fl.oneshot import make_aggregator
@@ -175,19 +175,35 @@ class TestFullExchange:
         assert response.status == 400
 
 
+def _submit_hostile_header(buyer, owners, datasets, header: bytes):
+    """One honest submission, then one whose payload carries ``header``;
+    returns the hostile owner."""
+    _deploy_and_submit(buyer, owners[:1], datasets)
+    hostile = owners[1]
+    hostile.find_task(buyer.task_address)
+    hostile.register()
+    payload = _MAGIC + len(header).to_bytes(4, "big") + header
+    hostile.session.cid = hostile.rpc.ipfs.add(payload)["cid"]
+    hostile.submit_cid()
+    return hostile
+
+
+#: A header that is not an object, and one nested past the interpreter's
+#: recursion limit (json parses it one frame per ``[``).
+HOSTILE_HEADERS = [
+    (json.dumps([[784, 100, 10], "<f4"]).encode("utf-8"), "JSON object"),
+    (b"[" * 100_000, "nested too deeply"),
+]
+
+
 class TestUntrustedUpload:
-    def test_a_bad_model_payload_is_a_400_naming_the_cid_and_the_uploader(self, marketplace):
+    @pytest.mark.parametrize("header, reason", HOSTILE_HEADERS, ids=["list", "deep"])
+    def test_a_bad_model_payload_is_a_400_naming_the_cid_and_the_uploader(
+            self, marketplace, header, reason):
         """An owner's upload is untrusted input: a payload whose header is
-        not an object fails retrieval as the owner's fault, not a 500."""
+        not a model header fails retrieval as the owner's fault, not a 500."""
         buyer, owners, datasets = marketplace
-        _deploy_and_submit(buyer, owners[:1], datasets)
-        hostile = owners[1]
-        hostile.find_task(buyer.task_address)
-        hostile.register()
-        header = json.dumps([[784, 100, 10], "<f4"]).encode("utf-8")
-        payload = _MAGIC + len(header).to_bytes(4, "big") + header
-        hostile.session.cid = hostile.rpc.ipfs.add(payload)["cid"]
-        hostile.submit_cid()
+        hostile = _submit_hostile_header(buyer, owners, datasets, header)
 
         response = RestClient(buyer.backend).post(
             f"/api/task/{buyer.task_address}/retrieve", {})
@@ -195,7 +211,17 @@ class TestUntrustedUpload:
         assert response.body["error_class"] == "WebError"
         assert hostile.session.cid in response.body["error"]
         assert hostile.wallet.address in response.body["error"]
-        assert "JSON object" in response.body["error"]
+        assert reason in response.body["error"]
+
+    def test_a_deeply_nested_header_is_refused_over_oflw3_retrieve_models(self, marketplace):
+        buyer, owners, datasets = marketplace
+        hostile = _submit_hostile_header(buyer, owners, datasets, b"[" * 100_000)
+        with pytest.raises(WebError) as refusal:
+            buyer.retrieve_models()
+        assert type(refusal.value) is WebError
+        assert hostile.session.cid in str(refusal.value)
+        assert hostile.wallet.address in str(refusal.value)
+        assert "nested too deeply" in str(refusal.value)
 
 
 @pytest.fixture()

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.errors import WalletError
 from repro.chain import EthereumNode, Faucet, KeyPair
 from repro.chain.transaction import encode_create
 from repro.contracts import default_registry
 from repro.utils.units import ether_to_wei, gwei_to_wei
-from repro.web.wallet import MetaMaskWallet, approve_all
+from repro.web.wallet import MetaMaskWallet
 
 ALICE = KeyPair.from_label("wallet-alice")
 BOB = KeyPair.from_label("wallet-bob")
@@ -76,26 +75,6 @@ class TestSendFlow:
         assert len(wallet.activity) == 1
         assert wallet.total_fees_paid_wei() == receipt.fee_wei
 
-    def test_rejection_policy_blocks_transaction(self, env):
-        node, wallet = env
-        wallet.confirmation_policy = lambda preview: False
-        with pytest.raises(WalletError):
-            wallet.deploy_contract("CidStorage")
-        assert node.block_number == 0
-        assert wallet.activity == []
-
-    def test_policy_receives_preview(self, env):
-        _, wallet = env
-        seen = {}
-
-        def policy(preview):
-            seen["description"] = preview.description
-            return True
-
-        wallet.confirmation_policy = policy
-        wallet.deploy_contract("CidStorage", description="Deploy the task")
-        assert seen["description"] == "Deploy the task"
-
     def test_deploy_and_call_contract(self, env):
         node, wallet = env
         deployment = wallet.deploy_contract("CidStorage", [])
@@ -119,6 +98,3 @@ class TestSendFlow:
         balance_before = wallet.balance_wei()
         wallet.read_contract(str(deployment.contract_address), "cidCount")
         assert wallet.balance_wei() == balance_before
-
-    def test_approve_all_policy(self):
-        assert approve_all(None) is True
