@@ -35,6 +35,13 @@ class TestFedAvg:
         assert history[-1].test_accuracy >= history[0].test_accuracy - 0.05
         assert history[-1].test_accuracy > 0.3
 
+    def test_every_client_participates_in_every_round(self, clients, tiny_split):
+        _, test = tiny_split
+        server = FedAvgServer(clients, FedAvgConfig(num_rounds=2, local_epochs=1, seed=0))
+        history = server.run(test)
+        everyone = [client.client_id for client in clients]
+        assert [record.participating_clients for record in history] == [everyone, everyone]
+
     def test_needs_clients(self):
         with pytest.raises(AggregationError):
             FedAvgServer([], FedAvgConfig(num_rounds=1))

@@ -129,3 +129,21 @@ class TestPinSet:
         pins.pin(cid_of(b"a"))
         pins.pin(cid_of(b"b"))
         assert len(pins) == 2
+
+    def test_a_pin_is_keyed_by_the_canonical_cid(self):
+        # The same CID as an object, its string and a non-canonical
+        # (upper-case base32) spelling is one pin, not three.
+        pins = PinSet()
+        cid = cid_of(b"model")
+        text = cid.encode()
+        pins.pin(cid)
+        pins.pin(text)
+        pins.pin("b" + text[1:].upper())
+        assert len(pins) == 1
+        assert pins.is_pinned("b" + text[1:].upper())
+
+    def test_a_malformed_cid_is_not_pinned(self):
+        pins = PinSet()
+        pins.pin(cid_of(b"model"))
+        assert not pins.is_pinned("not-a-cid")
+        assert "not-a-cid" not in pins
