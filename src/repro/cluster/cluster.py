@@ -251,10 +251,7 @@ class ChainCluster:
         """
         primary = self.primary_group()
         height = max(replica.height for replica in primary)
-        leader = self.leader_for_height(height + 1, primary)
-        if leader is None:
-            raise ClusterError("the primary side has no alive replica to lead")
-        return leader
+        return self.leader_for_height(height + 1, primary)
 
     def attach_follower_analytics(self) -> Any:
         """Attach a columnar analytics replica to a *follower* replica.
@@ -295,8 +292,6 @@ class ChainCluster:
         for group in self.reachable_groups():
             height = max(replica.height for replica in group)
             leader = self.leader_for_height(height + 1, group)
-            if leader is None:
-                continue
             # One block per slot per side: when this side's best tip already
             # sits in the current slot (a wallet's blocking wait_for_receipt
             # mined it through evm_mine before the slot producer woke), a

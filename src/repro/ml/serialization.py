@@ -97,7 +97,9 @@ def deserialize_parameters(payload: bytes) -> List[Dict[str, np.ndarray]]:
         raise SerializationError("payload truncated inside the JSON header")
     try:
         header = json.loads(payload[offset:offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, ValueError) as exc:
+        # ValueError covers JSONDecodeError and an integer literal past the
+        # interpreter's int-digit limit, which json reports as a bare ValueError.
         raise SerializationError(f"corrupt model header: {exc}") from exc
     except RecursionError as exc:
         # json nests one Python frame per '[' or '{': a hostile header

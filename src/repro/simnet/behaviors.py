@@ -15,8 +15,8 @@ Hooks (all deterministic given the owner's seeded generator):
   the IPFS upload (free-rider's zero/stale model);
 * ``extra_upload_delay``-- simulated seconds the owner dawdles before
   uploading (straggler);
-* ``drop_phase``        -- the workflow phase before which the owner silently
-  disappears (churner), or ``None``.
+* ``drops_out``         -- whether the owner silently disappears before
+  submitting its CID (churner).
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ class OwnerBehavior:
 
     archetype: str = "honest"
     is_adversarial: bool = False
+    #: Whether the owner churns out before submitting its CID.
+    drops_out: bool = False
 
     def prepare_dataset(self, dataset: Dataset, rng: np.random.Generator) -> Dataset:
         """Return the dataset the owner will actually train on."""
@@ -48,11 +50,6 @@ class OwnerBehavior:
     def extra_upload_delay(self, rng: np.random.Generator) -> float:
         """Simulated seconds of dawdling before the IPFS upload."""
         return 0.0
-
-    @property
-    def drop_phase(self) -> Optional[str]:
-        """Phase before which the owner churns out (None = never)."""
-        return None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(archetype={self.archetype!r})"
@@ -82,11 +79,7 @@ class DropoutBehavior(OwnerBehavior):
     CID (never paid)."""
 
     archetype = "dropout"
-
-    @property
-    def drop_phase(self) -> Optional[str]:
-        """The workflow phase this owner churns out before."""
-        return "submit"
+    drops_out = True
 
 
 class FreeRiderBehavior(OwnerBehavior):

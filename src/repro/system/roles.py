@@ -118,12 +118,6 @@ class ModelOwner:
         """Behavior archetype name ("honest" when no behavior is attached)."""
         return self.behavior.archetype if self.behavior is not None else "honest"
 
-    def drops_out_before(self, phase: str) -> bool:
-        """Whether this owner's behavior churns out before ``phase``."""
-        if self.behavior is None:
-            return False
-        return self.behavior.drop_phase == phase
-
     def dropped_result(self, phase: str, **partial: Any) -> Dict[str, Any]:
         """Result dict for an owner that churned out before ``phase``."""
         return {
@@ -152,7 +146,7 @@ class ModelOwner:
         yield 0.0
         upload = self.upload_model()
         yield 0.0
-        if self.drops_out_before("submit"):
+        if self.behavior is not None and self.behavior.drops_out:
             return self.dropped_result("submit", training=training, upload=upload), False
         submission = self.submit_cid() if submit is None else (yield from submit())
         return {

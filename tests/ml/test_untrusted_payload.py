@@ -54,9 +54,12 @@ WIDE_BODY = bytes(VALUES * 8)
     (crafted([SIZES, "<f4"], F4_BODY), "JSON object"),
     # json parses one Python frame per '[': this exhausts the stack.
     (raw(b"[" * 100_000, F4_BODY), "nested too deeply"),
+    # An integer literal past the int-digit limit: json raises a bare ValueError.
+    (raw(b'{"dtype":"<f4","layer_sizes":[' + b"1" * 5000 + b",2]}", F4_BODY),
+     "corrupt model header"),
 ], ids=["dtype-object", "dtype-unicode", "dtype-nonsense", "dtype-big-endian-f8",
         "size-string", "size-float", "size-bool", "sizes-zero", "header-list",
-        "header-nested-too-deeply"])
+        "header-nested-too-deeply", "header-integer-too-long"])
 def test_a_bad_header_is_a_serialization_error_naming_the_field(payload, field):
     with pytest.raises(SerializationError, match=field):
         deserialize_model(payload)
@@ -99,6 +102,7 @@ PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
 ))
 @example(payload=raw(b"[" * 100_000))
 @example(payload=raw(b"{\"a\":" * 50_000))
+@example(payload=raw(b"1" * 5000))
 @example(payload=VALID[:-1])
 def test_any_payload_gives_parameters_or_a_serialization_error(payload):
     try:

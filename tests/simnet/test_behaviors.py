@@ -44,7 +44,7 @@ class TestArchetypes:
         rng = make_rng(0)
         assert behavior.prepare_dataset(dataset, rng) is dataset
         assert behavior.extra_upload_delay(rng) == 0.0
-        assert behavior.drop_phase is None
+        assert not behavior.drops_out
         assert not behavior.is_adversarial
 
     def test_poisoner_flips_labels(self):
@@ -154,7 +154,12 @@ class TestModelOwnerIntegration:
             StragglerBehavior(mean_delay_seconds=100.0))
         result = owner.run_full_flow(task_address)
         assert result["dropped_out"] is False
-        assert 50.0 <= owner.breakdown.phases["straggle_wait"] <= 150.0
+        # The owner draws its delay from its own behavior generator, which
+        # no other straggler hook reads: the wait is exactly that one draw.
+        expected = StragglerBehavior(mean_delay_seconds=100.0).extra_upload_delay(
+            make_rng(1, "behavior-owner-0"))
+        assert 50.0 <= expected <= 150.0
+        assert owner.breakdown.phases["straggle_wait"] == pytest.approx(expected)
 
     def test_free_rider_uploads_zero_model(self):
         owner, task_address = self._owner(FreeRiderBehavior(mode="zero"))

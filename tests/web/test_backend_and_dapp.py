@@ -188,16 +188,18 @@ def _submit_hostile_header(buyer, owners, datasets, header: bytes):
     return hostile
 
 
-#: A header that is not an object, and one nested past the interpreter's
-#: recursion limit (json parses it one frame per ``[``).
+#: A header that is not an object, one nested past the interpreter's
+#: recursion limit (json parses it one frame per ``[``), and one whose
+#: integer literal is past the int-digit limit (json raises a bare ValueError).
 HOSTILE_HEADERS = [
     (json.dumps([[784, 100, 10], "<f4"]).encode("utf-8"), "JSON object"),
     (b"[" * 100_000, "nested too deeply"),
+    (b"1" * 5000, "corrupt model header"),
 ]
 
 
 class TestUntrustedUpload:
-    @pytest.mark.parametrize("header, reason", HOSTILE_HEADERS, ids=["list", "deep"])
+    @pytest.mark.parametrize("header, reason", HOSTILE_HEADERS, ids=["list", "deep", "digits"])
     def test_a_bad_model_payload_is_a_400_naming_the_cid_and_the_uploader(
             self, marketplace, header, reason):
         """An owner's upload is untrusted input: a payload whose header is
