@@ -23,7 +23,7 @@ from .conftest import print_table
 pytestmark = pytest.mark.timeout(600)
 
 
-def test_ablation_cid_vs_model_on_chain(benchmark, paper_report):
+def test_ablation_cid_vs_model_on_chain(paper_report):
     """Quantify the gas blow-up of on-chain model storage."""
     chain = None
     node = EthereumNode(backend=default_registry())
@@ -33,10 +33,7 @@ def test_ablation_cid_vs_model_on_chain(benchmark, paper_report):
     chain = node.chain
 
     model_bytes = paper_report.model_payload_bytes
-    estimate = benchmark.pedantic(
-        lambda: estimate_onchain_model_storage_gas(chain, model_bytes),
-        rounds=10, iterations=1, warmup_rounds=0,
-    )
+    estimate = estimate_onchain_model_storage_gas(chain, model_bytes)
 
     gas_price = gwei_to_wei(1)
     cid_fee_eth = float(wei_to_ether(estimate["cid_storage_gas"] * gas_price))

@@ -4,7 +4,7 @@ The buyer re-aggregates the models with each owner excluded in turn; the
 accuracy of the "drop owner i" aggregate measures how dispensable owner i is
 (high drop accuracy = low contribution; the paper finds model 7 contributes
 least).  The bench prints the drop-accuracy series, checks it against the
-full aggregate, and times the complete LOO computation.
+full aggregate and with the marketplace's own drop accuracies.
 """
 
 import numpy as np
@@ -20,8 +20,8 @@ from .conftest import print_table
 pytestmark = pytest.mark.timeout(600)
 
 
-def test_fig6_leave_one_out_accuracies(benchmark, bench_updates, paper_report):
-    """Regenerate Fig. 6's per-owner drop accuracies and time the LOO sweep."""
+def test_fig6_leave_one_out_accuracies(bench_updates, paper_report):
+    """Regenerate Fig. 6's per-owner drop accuracies."""
     updates = bench_updates["updates"]
     test = bench_updates["test"]
     aggregator = make_aggregator("pfnm")
@@ -31,9 +31,7 @@ def test_fig6_leave_one_out_accuracies(benchmark, bench_updates, paper_report):
             return 0.0
         return aggregator.aggregate([updates[i] for i in subset]).evaluate(test)
 
-    report = benchmark.pedantic(
-        lambda: leave_one_out(len(updates), value_fn), rounds=1, iterations=1, warmup_rounds=0
-    )
+    report = leave_one_out(len(updates), value_fn)
 
     rows = [
         (f"drop model {owner}", f"{report.drop_values[owner]:.4f}", f"{report.scores[owner]:+.4f}")

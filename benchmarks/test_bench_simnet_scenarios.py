@@ -8,9 +8,6 @@ scale and report what that setting hides:
   (tasks/hour, mempool high-water mark) against sequential execution;
 * aggregate accuracy as the adversary fraction grows (label-flipping
   poisoners), the robustness curve one-shot aggregation lacks.
-
-pytest-benchmark times the scenario runs themselves, which is the cost of
-using the simulator as a load generator for future scaling work.
 """
 
 from repro.simnet import run_scenario
@@ -28,13 +25,10 @@ def small_config(**overrides):
     return quick_config(**base)
 
 
-def test_bench_concurrent_throughput(benchmark):
+def test_bench_concurrent_throughput():
     """Five concurrent tasks on one chain: throughput + mempool pressure."""
-    report = benchmark.pedantic(
-        lambda: run_scenario("concurrent", config=small_config(),
-                             num_tasks=5, task_stagger_seconds=30.0),
-        rounds=1, iterations=1, warmup_rounds=0,
-    )
+    report = run_scenario("concurrent", config=small_config(),
+                          num_tasks=5, task_stagger_seconds=30.0)
 
     rows = [
         (task.label, task.status, f"{task.duration_seconds:8.0f}",
@@ -56,22 +50,18 @@ def test_bench_concurrent_throughput(benchmark):
     assert report.mempool_max_depth >= 2
 
 
-def test_bench_accuracy_vs_adversary_fraction(benchmark):
+def test_bench_accuracy_vs_adversary_fraction():
     """The robustness curve: aggregate accuracy as poisoners take over."""
     fractions = (0.0, 0.34, 0.67)
     config = small_config(num_owners=3, num_samples=900)
 
-    def sweep():
-        results = []
-        for fraction in fractions:
-            report = run_scenario(
-                "adversarial", config=config,
-                behavior_fractions=({"poisoner": fraction} if fraction else {}))
-            task = report.tasks[0]
-            results.append((task.adversary_fraction, task.aggregate_accuracy))
-        return results
-
-    curve = benchmark.pedantic(sweep, rounds=1, iterations=1, warmup_rounds=0)
+    curve = []
+    for fraction in fractions:
+        report = run_scenario(
+            "adversarial", config=config,
+            behavior_fractions=({"poisoner": fraction} if fraction else {}))
+        task = report.tasks[0]
+        curve.append((task.adversary_fraction, task.aggregate_accuracy))
     print_table(
         "aggregate accuracy vs adversary fraction (label-flipping poisoners)",
         [(f"{fraction:.0%}", f"{accuracy:.4f}") for fraction, accuracy in curve],

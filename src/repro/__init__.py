@@ -11,7 +11,7 @@ Python/NumPy:
     explorer.
 ``repro.contracts``
     A gas-metered smart-contract execution framework and the contracts the
-    paper deploys (CID storage, FL-task escrow, a fungible token).
+    paper deploys (CID storage, FL-task escrow).
 ``repro.ipfs``
     A content-addressed storage network (chunking, Merkle DAG, CIDs,
     multi-node swarm, pinning, gateway).
@@ -21,9 +21,8 @@ Python/NumPy:
     A synthetic MNIST-like dataset plus IID / Dirichlet / label-skew
     partitioners.
 ``repro.fl``
-    Federated-learning clients and servers, multi-round FedAvg, and the
-    one-shot aggregators (PFNM neuron matching, ensembles, naive
-    averaging).
+    The federated-learning client and the one-shot aggregators (PFNM
+    neuron matching, ensembles, naive averaging).
 ``repro.incentives``
     Leave-one-out and Shapley contribution measures and payment allocation.
 ``repro.web``

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.data.dataset import Dataset
 from repro.ml.mlp import MLP
@@ -52,15 +50,13 @@ class FLClient:
             return None
         return derive_seed(self.seed, f"client-model-{self.client_id}")
 
-    def train_local(self, initial_parameters: Optional[List[Dict[str, np.ndarray]]] = None) -> LocalTrainingResult:
-        """Train a fresh local model (optionally from given initial weights).
+    def train_local(self) -> LocalTrainingResult:
+        """Train a fresh local model.
 
         This is the expensive step the owner performs before Step 2 of the
         workflow (uploading to IPFS).
         """
         model = MLP(self.layer_sizes, seed=self._model_seed())
-        if initial_parameters is not None:
-            model.set_parameters(initial_parameters)
         trainer = Trainer(model, self.config)
         history = trainer.train(self.dataset.features, self.dataset.labels)
         self.model = model

@@ -340,24 +340,21 @@ class LoadGenerator:
 # -- the shared transfer fixture ------------------------------------------------
 
 
-def presigned_transfers(num_txs: int, num_senders: int, label: str,
-                        fund_wei: Optional[int] = None,
-                        node: Optional[EthereumNode] = None):
-    """A funded node plus ``num_txs`` signed transfers, ready to submit.
+def presigned_transfers(num_txs: int, num_senders: int, label: str):
+    """A fresh node, its senders funded with 5 ETH each, plus ``num_txs``
+    signed transfers, ready to submit.
 
     The ingest-workload fixture of ``bench/run.py``'s ``ingest`` and
-    ``wire_mixed`` workloads.  Pass ``node`` to fund and target an existing
-    stack (e.g. a cluster facade) instead of a fresh single node.
+    ``wire_mixed`` workloads.
     """
     if num_txs <= 0 or num_senders <= 0:
         raise SimulationError("num_txs and num_senders must be positive")
-    if node is None:
-        node = EthereumNode(config=ChainConfig(), backend=default_registry())
+    node = EthereumNode(config=ChainConfig(), backend=default_registry())
     faucet = Faucet(node)
     keypairs = [KeyPair.from_label(f"{label}-{index}")
                 for index in range(num_senders)]
     for keypair in keypairs:
-        faucet.drip(keypair.address, fund_wei or ether_to_wei(5))
+        faucet.drip(keypair.address, ether_to_wei(5))
     sink = Address(KeyPair.from_label(f"{label}-sink").address)
     transactions = []
     per_sender = (num_txs + num_senders - 1) // num_senders

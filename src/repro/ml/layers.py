@@ -103,18 +103,6 @@ class DenseLayer:
         """Copies of the layer parameters."""
         return {"weights": self.weights.copy(), "biases": self.biases.copy()}
 
-    def set_parameters(self, parameters: Dict[str, np.ndarray]) -> None:
-        """Overwrite parameters (shapes must match), keeping the layer's dtype."""
-        weights = np.array(parameters["weights"], dtype=self.weights.dtype)
-        biases = np.array(parameters["biases"], dtype=self.weights.dtype)
-        if weights.shape != self.weights.shape or biases.shape != self.biases.shape:
-            raise ShapeError(
-                f"parameter shape mismatch: expected {self.weights.shape}/{self.biases.shape}, "
-                f"got {weights.shape}/{biases.shape}"
-            )
-        self.weights = weights
-        self.biases = biases
-
     def get_gradients(self) -> Dict[str, np.ndarray]:
         """The most recently computed gradients."""
         if self.grad_weights is None:

@@ -94,15 +94,6 @@ class MLP:
         """Copies of every layer's parameters, input to output order."""
         return [layer.get_parameters() for layer in self.layers]
 
-    def set_parameters(self, parameters: List[Dict[str, np.ndarray]]) -> None:
-        """Overwrite every layer's parameters."""
-        if len(parameters) != len(self.layers):
-            raise ShapeError(
-                f"expected parameters for {len(self.layers)} layers, got {len(parameters)}"
-            )
-        for layer, params in zip(self.layers, parameters):
-            layer.set_parameters(params)
-
     def copy(self) -> "MLP":
         """A deep copy with identical parameters."""
         clone = MLP.from_parameters(

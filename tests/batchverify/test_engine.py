@@ -15,7 +15,7 @@ import pytest
 
 from repro.batchverify import BatchVerifyEngine
 from repro.batchverify.engine import zero_stats
-from repro.chain import EthereumNode
+from repro.chain import EthereumNode, Faucet
 from repro.chain.account import Address
 from repro.chain.chain import Blockchain, ChainConfig
 from repro.chain.keys import GROUP_ORDER, GROUP_PRIME, KeyPair, Signature
@@ -280,8 +280,10 @@ class TestKilledWorker:
 
     def workload(self, node: EthereumNode):
         """Presigned transfers plus one forgery, deterministic per label."""
-        node, txs = presigned_transfers(self.TXS, 6, "bv-engine-kill",
-                                        node=node)
+        _, txs = presigned_transfers(self.TXS, 6, "bv-engine-kill")
+        faucet = Faucet(node)
+        for sender in dict.fromkeys(tx.sender for tx in txs):
+            faucet.drip(sender, ether_to_wei(5))
         good = txs[-1].signature
         txs[-1].signature = Signature(e=good.e, s=good.s ^ 1,
                                       public_key=good.public_key)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import BlockValidationError, UnknownBlockError, UnknownTransactionError
 from repro.chain import EthereumNode, Faucet, KeyPair
+from repro.chain.account import Address
 from repro.chain.block import (
     block_from_record,
     compute_receipts_root,
@@ -12,6 +13,7 @@ from repro.chain.block import (
 )
 from repro.chain.chain import ChainConfig
 from repro.chain.events import LogFilter
+from repro.chain.transaction import Transaction
 from repro.contracts import default_registry
 from repro.utils.units import ether_to_wei, gwei_to_wei
 
@@ -77,6 +79,16 @@ class TestTransactionLifecycle:
     def test_unknown_receipt_raises(self, funded_node):
         with pytest.raises(UnknownTransactionError):
             funded_node.get_receipt("0x" + "00" * 32)
+
+    def test_wait_for_receipt_gives_up_after_max_blocks(self, funded_node):
+        """A nonce gap is never mined: the wait mines its 25 blocks, then raises."""
+        tx = Transaction(sender=Address(ALICE.address), to=Address(BOB.address), value=1,
+                         nonce=1, gas_limit=21_000, gas_price=GAS_PRICE).sign(ALICE)
+        tx_hash = funded_node.send_transaction(tx)
+        with pytest.raises(UnknownTransactionError, match="not included after 25 blocks"):
+            funded_node.wait_for_receipt(tx_hash)
+        assert funded_node.block_number == 25
+        assert funded_node.get_transaction(tx_hash).nonce == 1
 
     def test_pending_nonce_accounts_for_queued_transactions(self, funded_node):
         funded_node.sign_and_send(ALICE, BOB.address, value=1, gas_price=GAS_PRICE)

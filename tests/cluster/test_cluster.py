@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chain.events import LogFilter
 from repro.chain.faucet import Faucet
 from repro.chain.keys import KeyPair
 from repro.cluster import ChainCluster, ClusterConfig, ClusterNode
 from repro.contracts.registry import default_registry
-from repro.errors import ClusterError
+from repro.errors import ClusterError, UnknownTransactionError
+from repro.loadgen.driver import presigned_transfers
 from repro.storage.snapshot import state_digest
 from repro.utils.units import ether_to_wei
 
@@ -130,6 +132,58 @@ class TestReplication:
         node.mint(target, 12345)
         balances = {r.chain.state.balance_of(target) for r in cluster.replicas}
         assert balances == {12345}
+
+
+class TestFacadeReads:
+    def test_logs_read_whole_or_by_page(self):
+        cluster = make_cluster(3)
+        node, keys = funded_node(cluster)
+        receipt = node.wait_for_receipt(node.deploy_contract(keys[0], "CidStorage", []))
+        contract = receipt.contract_address
+        for cid in ("QmClusterOne", "QmClusterTwo", "QmClusterThree"):
+            node.wait_for_receipt(node.transact_contract(keys[0], contract, "uploadCid", [cid]))
+        criteria = LogFilter(event_name="CidUploaded")
+        assert [log.args["cid"] for log in node.get_logs(criteria)] == \
+            ["QmClusterOne", "QmClusterTwo", "QmClusterThree"]
+        assert [log.args["cid"] for log in node.get_logs(criteria, limit=2)] == \
+            ["QmClusterOne", "QmClusterTwo"]
+        assert [log.args["cid"] for log in node.get_logs(criteria, cursor="2")] == \
+            ["QmClusterThree"]
+
+    def test_wait_for_receipt_gives_up_after_max_blocks(self):
+        cluster = make_cluster(3)
+        node, keys = funded_node(cluster)
+        sink = KeyPair.from_label("gap-sink").address
+        tx_hash = node.send_transaction(_signed_transfer(keys[0], sink, nonce=1))
+        with pytest.raises(UnknownTransactionError, match="not included after 25 blocks"):
+            node.wait_for_receipt(tx_hash)
+        assert cluster.converge()
+        assert node.chain.height == 25
+
+
+class TestPresignedIngest:
+    """The ingest workload's 200 presigned transfers through a cluster."""
+
+    NUM_TXS = 200
+    NUM_SENDERS = 10
+
+    @pytest.mark.parametrize("replicas", [3, 5])
+    def test_the_workload_drains_and_the_replicas_converge(self, replicas):
+        cluster = make_cluster(replicas)
+        node = ClusterNode(cluster)
+        _, transactions = presigned_transfers(
+            self.NUM_TXS, self.NUM_SENDERS, f"cl-ingest-{replicas}")
+        faucet = Faucet(node)
+        for sender in dict.fromkeys(tx.sender for tx in transactions):
+            faucet.drip(sender, ether_to_wei(5))
+        for tx in transactions:
+            node.send_transaction(tx)
+        for _ in range(1 + self.NUM_TXS // 10):
+            if len(node.chain.mempool) == 0:
+                break
+            cluster.tick()
+        assert len(node.chain.mempool) == 0
+        assert cluster.converge()
 
 
 class TestCrashRecovery:

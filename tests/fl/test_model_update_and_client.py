@@ -75,18 +75,6 @@ class TestFLClient:
         result = client.train_local()
         assert result.train_accuracy > baseline
 
-    def test_initial_parameters_used_as_warm_start(self, tiny_client_datasets):
-        dataset = tiny_client_datasets[0]
-        start = MLP((784, 100, 10), seed=42)
-        client = FLClient(
-            "owner-0", dataset, config=TrainingConfig(epochs=1, seed=0, learning_rate=1e-9), seed=0
-        )
-        result = client.train_local(initial_parameters=start.get_parameters())
-        # With a negligible learning rate the trained model stays at the warm start.
-        assert np.allclose(
-            result.update.parameters[0]["weights"], start.get_parameters()[0]["weights"], atol=1e-4
-        )
-
     def test_evaluate_requires_training_first(self, tiny_client_datasets):
         client = FLClient("owner-0", tiny_client_datasets[0])
         with pytest.raises(RuntimeError):

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from repro.errors import AggregationError
-from repro.fl.fedavg import weighted_average_parameters
 from repro.fl.model_update import ModelUpdate
 from repro.fl.oneshot import make_aggregator
 from repro.fl.oneshot.ensemble import EnsembleAggregator, EnsemblePredictor
 from repro.fl.oneshot import pfnm
-from repro.fl.oneshot.mean import MeanAggregator
+from repro.fl.oneshot.mean import MeanAggregator, weighted_average_parameters
 from repro.fl.oneshot.pfnm import PFNMAggregator, PFNMConfig
 from repro.ml import MLP
 from repro.system import paper_config, quick_config

@@ -5,10 +5,11 @@ import pytest
 
 from repro.cluster import ClusterConfig
 from repro.errors import SimulationError
-from repro.loadgen import LoadGenConfig, LoadGenerator, RequestMix
+from repro.loadgen import LoadGenConfig, LoadGenerator, RequestMix, presigned_transfers
 from repro.simnet.events import EventScheduler
 from repro.simnet.runner import slot_producer
 from repro.system.stack import build_stack
+from repro.utils.units import ether_to_wei
 
 
 def small_config(**overrides):
@@ -228,3 +229,42 @@ class TestCluster:
         proposers = {str(chain.get_block(number).header.proposer)
                      for number in range(1, chain.height + 1)}
         assert len(proposers) == 3
+
+
+class TestPresignedTransfers:
+    """The ingest workload's fixture: a fresh funded node and signed transfers."""
+
+    @pytest.mark.parametrize("num_txs, num_senders", [(0, 1), (1, 0)])
+    def test_a_non_positive_count_is_refused(self, num_txs, num_senders):
+        with pytest.raises(SimulationError, match="must be positive"):
+            presigned_transfers(num_txs, num_senders, "presigned-refused")
+
+    def test_each_sender_holds_five_ether_on_a_fresh_node(self):
+        node, transactions = presigned_transfers(6, 3, "presigned-funded")
+        senders = list(dict.fromkeys(tx.sender for tx in transactions))
+        assert len(senders) == 3
+        assert [node.get_balance(sender) for sender in senders] == [ether_to_wei(5)] * 3
+        assert node.chain.height == 0
+
+    def test_senders_fill_in_turn_with_consecutive_nonces(self):
+        _, transactions = presigned_transfers(7, 3, "presigned-order")
+        senders = list(dict.fromkeys(tx.sender for tx in transactions))
+        assert [(senders.index(tx.sender), tx.nonce) for tx in transactions] == [
+            (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0)]
+        assert len({tx.to for tx in transactions}) == 1
+        assert {tx.value for tx in transactions} == {1}
+
+    def test_a_label_names_one_set_of_signed_transfers(self):
+        def hashes(label):
+            return [tx.hash_hex for tx in presigned_transfers(4, 2, label)[1]]
+
+        assert hashes("presigned-same") == hashes("presigned-same")
+        assert not set(hashes("presigned-same")) & set(hashes("presigned-other"))
+
+    def test_every_transfer_is_mined_on_its_node(self):
+        node, transactions = presigned_transfers(12, 4, "presigned-mined")
+        for tx in transactions:
+            node.chain.submit_transaction(tx)
+        node.chain.produce_blocks_until_empty()
+        assert all(node.chain.get_receipt(tx.hash_hex).status for tx in transactions)
+        assert node.get_balance(transactions[0].to) == 12

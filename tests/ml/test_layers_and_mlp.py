@@ -41,19 +41,6 @@ class TestDenseLayer:
         layer.backward(np.ones((4, 2)))
         assert np.allclose(layer.grad_weights, x.T @ np.ones((4, 2)))
 
-    def test_parameter_roundtrip(self):
-        layer = DenseLayer(3, 2, rng=np.random.default_rng(0))
-        params = layer.get_parameters()
-        other = DenseLayer(3, 2, rng=np.random.default_rng(99))
-        other.set_parameters(params)
-        assert np.allclose(other.weights, layer.weights)
-        assert np.allclose(other.biases, layer.biases)
-
-    def test_set_parameters_shape_mismatch(self):
-        layer = DenseLayer(3, 2)
-        with pytest.raises(ShapeError):
-            layer.set_parameters({"weights": np.ones((2, 3)), "biases": np.ones(2)})
-
     def test_num_parameters(self):
         assert DenseLayer(784, 100).num_parameters == 784 * 100 + 100
 
@@ -190,11 +177,6 @@ class TestMLP:
         assert products == [second]
         assert np.allclose(first.grad_weights, x.T @ (
             (grad @ second.weights.T) * (first.forward(x) > 0)))
-
-    def test_set_parameters_wrong_layer_count(self):
-        model = MLP((4, 3, 2))
-        with pytest.raises(ShapeError):
-            model.set_parameters(model.get_parameters()[:1])
 
     def test_too_few_layer_sizes_rejected(self):
         with pytest.raises(ShapeError):

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fl.fedavg import weighted_average_parameters
+from repro.fl.oneshot.mean import weighted_average_parameters
 from repro.fl.model_update import ModelUpdate
 from repro.incentives import allocate_budget, leave_one_out, shapley_exact
 from repro.ml import MLP, deserialize_model, serialize_model

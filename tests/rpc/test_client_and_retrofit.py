@@ -13,8 +13,11 @@ The load-bearing claims:
 import pytest
 
 from repro.chain import EthereumNode, Faucet, KeyPair
+from repro.chain.account import Address
+from repro.chain.events import LogFilter, LogPage
+from repro.chain.transaction import Transaction
 from repro.contracts import default_registry
-from repro.errors import ContractNotFoundError, RpcError, WebError
+from repro.errors import ContractNotFoundError, RpcError, UnknownTransactionError, WebError
 from repro.ipfs import IpfsNode, Swarm
 from repro.ml import TrainingConfig
 from repro.rpc import JsonRpcGateway, MarketplaceClient
@@ -101,6 +104,46 @@ class TestEthClient:
         assert client.eth.get_balance(ALICE.address) == ether_to_wei(2)
         assert not [name for name in client.methods()
                     if name.startswith(("ipfs_", "oflw3_"))]
+
+
+class TestEthClientReads:
+    """``get_logs`` in both forms, and a receipt that never comes."""
+
+    @pytest.fixture()
+    def uploads(self, stack):
+        node, _, client = stack
+        wallet = MetaMaskWallet(ALICE, node, gas_price_wei=gwei_to_wei(1), rpc=client)
+        contract = str(wallet.deploy_contract("CidStorage", []).contract_address)
+        for cid in ("QmLogOne", "QmLogTwo", "QmLogThree"):
+            wallet.call_contract(contract, "uploadCid", [cid])
+        return client, contract
+
+    def test_get_logs_decodes_every_matching_log(self, uploads):
+        client, contract = uploads
+        logs = client.eth.get_logs(LogFilter(address=Address(contract),
+                                             event_name="CidUploaded"))
+        assert [log.args["cid"] for log in logs] == ["QmLogOne", "QmLogTwo", "QmLogThree"]
+        assert {str(log.address) for log in logs} == {contract}
+        assert client.eth.get_logs(LogFilter(event_name="NoSuchEvent")) == []
+
+    def test_get_logs_with_a_limit_pages_by_cursor(self, uploads):
+        client, _ = uploads
+        criteria = LogFilter(event_name="CidUploaded")
+        first = client.eth.get_logs(criteria, limit=2)
+        assert isinstance(first, LogPage) and first.next_cursor is not None
+        second = client.eth.get_logs(criteria, limit=2, cursor=first.next_cursor)
+        assert [log.args["cid"] for log in [*first, *second]] == \
+            ["QmLogOne", "QmLogTwo", "QmLogThree"]
+        assert second.next_cursor is None
+
+    def test_wait_for_receipt_gives_up_after_max_blocks(self, stack):
+        node, _, client = stack
+        gap = Transaction(sender=Address(ALICE.address), to=Address("0x" + "22" * 20),
+                          value=1, nonce=1, gas_limit=21_000, gas_price=10**9).sign(ALICE)
+        tx_hash = client.eth.send_transaction(gap)
+        with pytest.raises(UnknownTransactionError, match="not included after 25 blocks"):
+            client.eth.wait_for_receipt(tx_hash)
+        assert client.eth.block_number == 25
 
 
 class TestIpfsClient:

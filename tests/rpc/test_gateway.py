@@ -5,7 +5,9 @@ envelopes (-32700 / -32600), unknown methods (-32601), bad params (-32602),
 batches with mixed success/failure, and notifications.
 """
 
+import gc
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -406,3 +408,39 @@ class TestNodeLevelPagination:
         assert page and all(
             str(record.transaction.to) == contract for record in page
         )
+
+
+class _Backend:
+    """Just enough of a buyer backend to be mounted: its wallet's address."""
+
+    def __init__(self, address):
+        self.wallet = SimpleNamespace(address=address)
+
+
+class TestBackendChoice:
+    """Which backend an ``oflw3_*`` call lands on, and the errors when none fits."""
+
+    def error_of(self, gateway, params):
+        return gateway.handle(make_request("oflw3_health", params))["error"]
+
+    def test_an_unknown_backend_is_invalid_params(self, gateway):
+        held = _Backend("0x" + "a1" * 20)
+        gateway.serve_backend(held)
+        error = self.error_of(gateway, {"backend": "0x" + "b2" * 20})
+        assert (error["code"], error["message"]) == \
+            (INVALID_PARAMS, f"unknown backend '0x{'b2' * 20}'")
+
+    def test_two_backends_need_the_backend_param(self, gateway):
+        held = [_Backend("0x" + "a1" * 20), _Backend("0x" + "c3" * 20)]
+        for backend in held:
+            gateway.serve_backend(backend)
+        error = self.error_of(gateway, {})
+        assert error["code"] == INVALID_PARAMS
+        assert f"one of ['0x{'a1' * 20}', '0x{'c3' * 20}']" in error["message"]
+
+    def test_a_backend_its_buyer_dropped_is_served_no_more(self, gateway):
+        gateway.serve_backend(_Backend("0x" + "a1" * 20))
+        gc.collect()
+        error = self.error_of(gateway, {})
+        assert (error["code"], error["message"]) == \
+            (SERVER_ERROR, "no buyer backend attached to this gateway")

@@ -18,7 +18,7 @@ import pytest
 from repro.chain import EthereumNode
 from repro.cli import main
 from repro.contracts import default_registry
-from repro.ipfs import IpfsNode
+from repro.ipfs import IpfsNode, Swarm
 from repro.rpc import INVALID_PARAMS, JsonRpcGateway, MarketplaceClient, make_request
 from repro.rpc.protocol import SERVER_ERROR
 from repro.utils.encoding import HexString
@@ -124,3 +124,32 @@ class TestPin:
         reply = gateway.handle(make_request("ipfs_add", ["0xabcd", None, "false"]))
         assert reply["error"]["code"] == INVALID_PARAMS
         assert len(ipfs.blockstore) == 0 and len(ipfs.pins) == 0
+
+
+class TestNodeChoice:
+    """Which node an ``ipfs_*`` call lands on, and the errors when none fits."""
+
+    def test_a_swarm_member_is_found_by_name_or_peer_id(self):
+        swarm = Swarm()
+        first, second = IpfsNode("first", swarm), IpfsNode("second", swarm)
+        gateway = JsonRpcGateway(swarm=swarm)
+        gateway.call("ipfs_add", "0xabcd", "second")
+        gateway.call("ipfs_add", "0xabcdef", second.peer_id)
+        assert len(first.blockstore) == 0 and len(second.blockstore) == 2
+
+    def test_an_unknown_node_is_invalid_params(self, gateway):
+        error = gateway.handle(make_request("ipfs_add", ["0xabcd", "nowhere"]))["error"]
+        assert (error["code"], error["message"]) == \
+            (INVALID_PARAMS, "unknown IPFS node 'nowhere'")
+
+    def test_a_gateway_without_a_node_is_a_server_error(self):
+        gateway = JsonRpcGateway(swarm=Swarm())
+        error = gateway.handle(make_request("ipfs_add", ["0xabcd"]))["error"]
+        assert (error["code"], error["message"]) == \
+            (SERVER_ERROR, "no IPFS node attached to this gateway")
+
+    def test_two_served_nodes_need_the_node_param(self, gateway):
+        gateway.serve_ipfs_node(IpfsNode("duo"))
+        error = gateway.handle(make_request("ipfs_add", ["0xabcd"]))["error"]
+        assert error["code"] == INVALID_PARAMS
+        assert "pass \"node\" (one of ['duo', 'solo'])" in error["message"]

@@ -7,12 +7,13 @@ still a call, so the gateway's request metrics count every one.
 cold ones over random write schedules.)
 """
 
+import copy
 import json
 
 import pytest
 
 from repro.chain.account import Address
-from repro.chain.keys import KeyPair
+from repro.chain.keys import KeyPair, Signature
 from repro.chain.transaction import Transaction
 from repro.net import NetConfig, build_serve_stack
 from repro.rpc.gateway import CACHED_READS, REPLY_CACHE_ENTRIES, REPLY_CACHE_MAX_BYTES
@@ -143,6 +144,37 @@ class TestWhatIsKept:
         assert stack.gateway.handle_raw(json.dumps(block)) == first \
             == reply_json(stack.gateway.handle(block)).encode()
         assert stack.gateway.replies.hits == 1
+
+
+class TestEveryMutationIsSeen:
+    """Mutations that draw a version with no block or add after them."""
+
+    def test_a_rewind_drops_the_kept_head_and_receipt(self, stack):
+        chain = stack.node.chain
+        height, state = chain.height, copy.deepcopy(chain.state)
+        tx_hash = raw(stack.gateway, transfer(stack, 0))["result"]
+        stack.node.mine(1)
+        head = call("eth_blockNumber", [])
+        receipt = call("eth_getTransactionReceipt", [tx_hash])
+        assert int(raw(stack.gateway, head)["result"], 16) == height + 1
+        assert raw(stack.gateway, receipt)["result"]["status"] == 1
+        chain.rewind(height, state)
+        assert int(raw(stack.gateway, head)["result"], 16) == height
+        assert raw(stack.gateway, receipt)["result"] is None
+
+    def test_an_eviction_without_a_block_drops_the_kept_pending_transaction(self):
+        stack = build_stack(batch_verify=0)
+        stack.faucet.drip(KEYS.address, 10**18)
+        forged = Transaction(sender=Address(KEYS.address), to=Address(SINK), value=1,
+                             nonce=0, gas_limit=21_000, gas_price=10**9).sign(KEYS)
+        good = forged.signature
+        forged.signature = Signature(e=good.e, s=good.s ^ 1, public_key=good.public_key)
+        chain = stack.node.chain
+        chain.submit_transaction(forged)
+        lookup = call("eth_getTransactionByHash", [forged.hash_hex])
+        assert raw(stack.gateway, lookup)["result"]["hash"] == forged.hash_hex
+        assert chain.produce_blocks_until_empty() == []
+        assert raw(stack.gateway, lookup)["error"]["code"] == -32000
 
 
 class TestCounted:

@@ -145,6 +145,7 @@ ALLOWED_OPTIONS = {
         "scale tests/data/test_dataset_and_synthetic.py",
     "repro/ipfs/node.py::IpfsNode(chunk_size)": "scale tests/ipfs/test_node_swarm_gateway.py",
     "repro/simnet/runner.py::ScenarioRunner(storage)": "scale tests/simnet/test_restart.py",
+    "repro/storage/engine.py::StorageConfig(cache_capacity)": "scale tests/storage/test_engine.py",
 }
 
 REASON = re.compile(r"^(dispatch|oracle|api|pending #(\d+))$")
