@@ -11,10 +11,9 @@ submission transaction.
 
 import pytest
 
-from repro.chain import EthereumNode, Faucet, KeyPair
-from repro.contracts import default_registry
+from repro.chain import ChainConfig
 from repro.system.costs import estimate_onchain_model_storage_gas
-from repro.utils.units import ether_to_wei, gwei_to_wei, wei_to_ether
+from repro.utils.units import gwei_to_wei, wei_to_ether
 
 from .conftest import print_table
 
@@ -25,15 +24,8 @@ pytestmark = pytest.mark.timeout(600)
 
 def test_ablation_cid_vs_model_on_chain(paper_report):
     """Quantify the gas blow-up of on-chain model storage."""
-    chain = None
-    node = EthereumNode(backend=default_registry())
-    faucet = Faucet(node)
-    owner = KeyPair.from_label("bench-storage-owner")
-    faucet.drip(owner.address, ether_to_wei(2))
-    chain = node.chain
-
     model_bytes = paper_report.model_payload_bytes
-    estimate = estimate_onchain_model_storage_gas(chain, model_bytes)
+    estimate = estimate_onchain_model_storage_gas(model_bytes)
 
     gas_price = gwei_to_wei(1)
     cid_fee_eth = float(wei_to_ether(estimate["cid_storage_gas"] * gas_price))
@@ -59,6 +51,6 @@ def test_ablation_cid_vs_model_on_chain(paper_report):
 
     assert estimate["gas_ratio"] > 1_000
     # A single block (30M gas) cannot even hold the model write.
-    assert estimate["model_storage_gas"] > chain.config.block_gas_limit
+    assert estimate["model_storage_gas"] > ChainConfig().block_gas_limit
     # The CID write fits comfortably in a cheap transaction.
     assert estimate["cid_storage_gas"] < 100_000

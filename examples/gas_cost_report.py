@@ -88,7 +88,7 @@ def main() -> None:
     print(f"\nordering check (deployment heaviest, CID ~ payment): {report.ordering_holds()}")
 
     # Step 4 ablation: CID vs whole model on-chain.
-    estimate = estimate_onchain_model_storage_gas(node.chain, MODEL_PAYLOAD_BYTES)
+    estimate = estimate_onchain_model_storage_gas(MODEL_PAYLOAD_BYTES)
     cid_fee = format_ether(estimate["cid_storage_gas"] * gas_price)
     model_fee = format_ether(estimate["model_storage_gas"] * gas_price)
     print(f"\nStoring one 32-byte CID on-chain:   {estimate['cid_storage_gas']:>12,} gas "

@@ -19,7 +19,7 @@ from repro.chain.consensus import ProofOfAuthority
 from repro.chain.events import EventLog, LogFilter
 from repro.chain.explorer import Explorer
 from repro.chain.faucet import Faucet
-from repro.chain.gas import GasMeter, GasSchedule
+from repro.chain.gas import GasMeter
 from repro.chain.keys import KeyPair, Signature
 from repro.chain.mempool import Mempool
 from repro.chain.node import EthereumNode
@@ -40,7 +40,6 @@ __all__ = [
     "Explorer",
     "Faucet",
     "GasMeter",
-    "GasSchedule",
     "KeyPair",
     "Signature",
     "Mempool",

@@ -37,7 +37,7 @@ def _interned_checksum(body: str) -> str:
 def checksum_cache() -> LRUCache:
     """The address-interning cache itself, for observability registration.
 
-    ``repro.obs`` samples it through the canonical :meth:`LRUCache.stats`
+    ``repro.obs`` samples it through the canonical :meth:`LRUCache.snapshot`
     spelling (the same one the storage engine's cache uses).
     """
     return _checksum_cache

@@ -155,13 +155,13 @@ def block_from_record(record: dict) -> Block:
     )
 
 
-def make_genesis_block(proposer: Optional[Address] = None, timestamp: float = 0.0) -> Block:
-    """Create the genesis block (height 0, zero parent hash)."""
+def make_genesis_block(timestamp: float = 0.0) -> Block:
+    """Create the genesis block (height 0, zero parent hash, zero proposer)."""
     header = BlockHeader(
         number=0,
         parent_hash="0x" + "00" * 32,
         timestamp=timestamp,
-        proposer=proposer or Address("0x" + "00" * 20),
+        proposer=Address("0x" + "00" * 20),
         extra_data="oflw3-simulated-sepolia-genesis",
     )
     return Block(header=header)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import (
@@ -24,7 +24,6 @@ from repro.chain.block import (
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.events import EventLog, LogFilter, LogPage, parse_cursor
 from repro.chain.executor import BlockContext, ContractBackend, TransactionExecutor
-from repro.chain.gas import GasSchedule
 from repro.chain.mempool import Mempool, next_version
 from repro.chain.receipts import TransactionReceipt
 from repro.chain.state import WorldState
@@ -41,7 +40,6 @@ class ChainConfig:
     name: str = "simulated-sepolia"
     block_gas_limit: int = 30_000_000
     slot_seconds: float = 12.0
-    schedule: GasSchedule = field(default_factory=GasSchedule)
 
 
 class NullChainStore:
@@ -114,7 +112,7 @@ class Blockchain:
             slot_seconds=self.config.slot_seconds,
             genesis_timestamp=self.genesis_timestamp,
         )
-        self.executor = TransactionExecutor(backend=backend, schedule=self.config.schedule)
+        self.executor = TransactionExecutor(backend=backend)
         genesis = make_genesis_block(timestamp=self.genesis_timestamp)
         self._blocks: List[Block] = [genesis]
         self._blocks_by_hash: Dict[str, Block] = {genesis.hash: genesis}
@@ -222,17 +220,13 @@ class Blockchain:
             return list(self._logs)
         return log_filter.apply(self._logs)
 
-    def iter_logs(self, log_filter: Optional[LogFilter] = None):
-        """Iterate matching logs without materializing a list copy.
+    def iter_logs(self):
+        """Iterate the canonical logs without materializing a list copy.
 
-        The iterator variant of :meth:`logs` for internal scan sites; it
-        always walks the OLTP log stream (never the analytics replica), so
-        the replica's own backfill and the parity tests can use it as the
-        ground truth.
+        It always walks the OLTP log stream (never the analytics replica),
+        so the parity tests can use it as the ground truth.
         """
-        if log_filter is None:
-            return iter(self._logs)
-        return (log for log in self._logs if log_filter.matches(log))
+        return iter(self._logs)
 
     @property
     def log_count(self) -> int:
@@ -595,7 +589,6 @@ class Blockchain:
         count: Optional[int] = None,
         until_empty: bool = False,
         max_blocks: int = 100,
-        advance_clock: bool = True,
     ) -> List[Block]:
         """The ONE batched block-production loop.
 
@@ -622,7 +615,7 @@ class Blockchain:
                 break
             if count is None and not until_empty:
                 break
-            produced.append(self.produce_block(advance_clock=advance_clock))
+            produced.append(self.produce_block())
         return produced
 
     def produce_blocks_until_empty(self, max_blocks: int = 100) -> List[Block]:

@@ -25,12 +25,20 @@ from repro.errors import (
 )
 from repro.chain.account import Address
 from repro.chain.events import EventLog
-from repro.chain.gas import GasMeter, GasSchedule, SEPOLIA_GAS_SCHEDULE
+from repro.chain import gas
+from repro.chain.gas import GasMeter
 from repro.chain.receipts import TransactionReceipt
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
 from repro.utils.hashing import keccak256
 from repro.utils.serialization import rlp_encode
+
+
+#: Gas a read-only ``eth_call`` may burn before it is cut off.
+STATIC_CALL_GAS_LIMIT = 10_000_000
+
+#: Head-room :meth:`TransactionExecutor.estimate_gas` adds to a probe's gas.
+ESTIMATE_SAFETY_MARGIN = 0.10
 
 
 @dataclass
@@ -60,8 +68,7 @@ class CallContext:
     contract_address: Address
     value: int
     block: BlockContext
-    schedule: GasSchedule
-    logs: List[EventLog] = field(default_factory=list)
+    logs: List[EventLog] = field(default_factory=list, init=False)
 
     @property
     def storage(self) -> dict:
@@ -72,7 +79,7 @@ class CallContext:
         """Emit an event log, charging log gas."""
         data_size = len(str(args))
         self.meter.consume(
-            self.schedule.log_gas(num_topics=1, data_size=data_size),
+            gas.log_gas(num_topics=1, data_size=data_size),
             reason=f"LOG {event_name}",
         )
         log = EventLog(address=self.contract_address, name=event_name, args=dict(args))
@@ -81,16 +88,11 @@ class CallContext:
 
     def transfer_out(self, recipient: Address | str, amount_wei: int) -> None:
         """Send wei from the contract's balance to ``recipient``."""
-        self.meter.consume(self.schedule.call_value_transfer, reason="CALL value transfer")
+        self.meter.consume(gas.CALL_VALUE_TRANSFER, reason="CALL value transfer")
         try:
             self.state.transfer(self.contract_address, Address(recipient), amount_wei)
         except InsufficientFundsError as exc:
             raise ContractRevert(f"insufficient contract balance: {exc}") from exc
-
-    def balance_of(self, address: Address | str) -> int:
-        """Read any account balance (charged as a cold storage read)."""
-        self.meter.consume(self.schedule.sload, reason="BALANCE")
-        return self.state.balance_of(address)
 
     def self_balance(self) -> int:
         """Balance of the executing contract."""
@@ -103,7 +105,6 @@ class CreateResult:
 
     contract: Any
     code_size: int
-    return_value: Any = None
 
 
 class ContractBackend(Protocol):
@@ -132,13 +133,8 @@ def contract_address_for(sender: Address, nonce: int) -> Address:
 class TransactionExecutor:
     """Applies transactions to a :class:`WorldState`."""
 
-    def __init__(
-        self,
-        backend: Optional[ContractBackend] = None,
-        schedule: GasSchedule = SEPOLIA_GAS_SCHEDULE,
-    ) -> None:
+    def __init__(self, backend: Optional[ContractBackend] = None) -> None:
         self.backend = backend
-        self.schedule = schedule
 
     # -- validation ---------------------------------------------------------
 
@@ -165,9 +161,9 @@ class TransactionExecutor:
             raise InsufficientFundsError(
                 f"{tx.sender} holds {balance} wei but needs {required} wei"
             )
-        if tx.intrinsic_gas(self.schedule) > tx.gas_limit:
+        if tx.intrinsic_gas() > tx.gas_limit:
             raise InvalidTransactionError(
-                f"gas limit {tx.gas_limit} below intrinsic gas {tx.intrinsic_gas(self.schedule)}"
+                f"gas limit {tx.gas_limit} below intrinsic gas {tx.intrinsic_gas()}"
             )
 
     # -- execution ----------------------------------------------------------
@@ -195,7 +191,7 @@ class TransactionExecutor:
         state.debit(tx.sender, tx.max_fee())
         state.increment_nonce(tx.sender)
 
-        meter = GasMeter(tx.gas_limit, self.schedule)
+        meter = GasMeter(tx.gas_limit)
         snapshot_id = state.snapshot()
         logs: List[EventLog] = []
         status = True
@@ -205,7 +201,7 @@ class TransactionExecutor:
 
         out_of_gas = False
         try:
-            meter.consume(tx.intrinsic_gas(self.schedule), reason="intrinsic")
+            meter.consume(tx.intrinsic_gas(), reason="intrinsic")
             return_value, contract_address, logs = self._execute_payload(tx, state, meter, block)
         except ContractRevert as exc:
             status = False
@@ -265,10 +261,6 @@ class TransactionExecutor:
         block: BlockContext,
     ):
         """Run the value-transfer / creation / call described by ``tx``."""
-        logs: List[EventLog] = []
-        contract_address: Optional[Address] = None
-        return_value: Any = None
-
         if tx.is_create:
             if self.backend is None:
                 raise ContractRevert("no contract backend configured")
@@ -281,15 +273,11 @@ class TransactionExecutor:
             if tx.value:
                 state.transfer(tx.sender, contract_address, tx.value)
             result = self.backend.create(name, payload.get("args", []), ctx)
-            meter.consume(
-                self.schedule.code_deposit_gas(result.code_size), reason="code deposit"
-            )
+            meter.consume(gas.code_deposit_gas(result.code_size), reason="code deposit")
             account = state.get_account(contract_address)
             account.contract = result.contract
             account.code_size = result.code_size
-            return_value = result.return_value
-            logs = ctx.logs
-            return return_value, contract_address, logs
+            return None, contract_address, ctx.logs
 
         destination = state.get_account(tx.to)
         if destination.is_contract:
@@ -303,13 +291,12 @@ class TransactionExecutor:
             if tx.value:
                 state.transfer(tx.sender, tx.to, tx.value)
             return_value = self.backend.call(destination.contract, method, payload.get("args", []), ctx)
-            logs = ctx.logs
-            return return_value, None, logs
+            return return_value, None, ctx.logs
 
         # Plain value transfer to an externally-owned account.
         if tx.value:
             state.transfer(tx.sender, tx.to, tx.value)
-        return None, None, logs
+        return None, None, []
 
     def _make_context(
         self,
@@ -328,7 +315,6 @@ class TransactionExecutor:
             contract_address=contract_address,
             value=tx.value,
             block=block,
-            schedule=self.schedule,
         )
 
     # -- read-only calls and estimation --------------------------------------
@@ -341,7 +327,6 @@ class TransactionExecutor:
         method: str,
         args: List[Any],
         block: Optional[BlockContext] = None,
-        gas_limit: int = 10_000_000,
     ) -> Any:
         """Execute a read-only contract call without mutating state.
 
@@ -357,7 +342,7 @@ class TransactionExecutor:
             raise ContractNotFoundError("no contract backend configured")
         block = block or BlockContext()
         snapshot_id = state.snapshot()
-        meter = GasMeter(gas_limit, self.schedule)
+        meter = GasMeter(STATIC_CALL_GAS_LIMIT)
         ctx = CallContext(
             state=state,
             meter=meter,
@@ -366,7 +351,6 @@ class TransactionExecutor:
             contract_address=Address(contract_address),
             value=0,
             block=block,
-            schedule=self.schedule,
         )
         try:
             return self.backend.call(account.contract, method, args, ctx)
@@ -378,7 +362,6 @@ class TransactionExecutor:
         tx: Transaction,
         state: WorldState,
         block: Optional[BlockContext] = None,
-        safety_margin: float = 0.10,
     ) -> int:
         """Estimate the gas a transaction will use, with a safety margin.
 
@@ -394,5 +377,5 @@ class TransactionExecutor:
                                  check_signature=tx.signature is not None)
         finally:
             state.revert(snapshot_id)
-        estimated = int(receipt.gas_used * (1.0 + safety_margin))
-        return max(estimated, tx.intrinsic_gas(self.schedule))
+        estimated = int(receipt.gas_used * (1.0 + ESTIMATE_SAFETY_MARGIN))
+        return max(estimated, tx.intrinsic_gas())

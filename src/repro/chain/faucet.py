@@ -16,28 +16,26 @@ from repro.chain.node import EthereumNode
 from repro.utils.units import ether_to_wei
 
 
+#: What :meth:`Faucet.drip` credits when the caller names no amount: one ether.
+DRIP_WEI = ether_to_wei("1")
+
+
 @dataclass
 class Faucet:
     """Credits test ETH to accounts on the simulated chain."""
 
     node: EthereumNode
-    default_drip_wei: int = field(default_factory=lambda: ether_to_wei("1"))
-    _history: List[Tuple[str, int]] = field(default_factory=list)
+    _history: List[Tuple[str, int]] = field(default_factory=list, init=False)
 
     def drip(self, address: Address | str, amount_wei: int | None = None) -> int:
         """Credit ``amount_wei`` (default one ether) to ``address``."""
-        amount = self.default_drip_wei if amount_wei is None else int(amount_wei)
+        amount = DRIP_WEI if amount_wei is None else int(amount_wei)
         if amount <= 0:
             raise ValueError(f"drip amount must be positive, got {amount}")
-        # Mint through the chain (not the raw state) so the credit lands in
-        # the write-ahead log and survives a crash/recovery cycle.  A node
-        # that replicates mints itself (the cluster facade fans them out to
-        # every replica) takes precedence over the single-chain path.
-        minter = getattr(self.node, "mint", None)
-        if minter is not None:
-            minter(Address(address), amount)
-        else:
-            self.node.chain.mint(Address(address), amount)
+        # The node mints through its chain (not the raw state), so the credit
+        # lands in the write-ahead log and survives a crash/recovery cycle; a
+        # cluster facade fans the mint out to every replica.
+        self.node.mint(Address(address), amount)
         self._history.append((str(Address(address)), amount))
         return amount
 

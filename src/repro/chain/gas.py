@@ -11,87 +11,79 @@ magnitude at typical gas prices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import OutOfGasError
 
 
-@dataclass(frozen=True)
-class GasSchedule:
-    """Gas cost constants (defaults mirror Ethereum mainnet post-EIP-2929)."""
+# Gas cost constants: Ethereum mainnet post-EIP-2929, which Sepolia shares.
 
-    tx_base: int = 21_000
-    """Intrinsic gas of every transaction."""
+TX_BASE = 21_000
+"""Intrinsic gas of every transaction."""
 
-    tx_create: int = 32_000
-    """Extra intrinsic gas for contract-creation transactions."""
+TX_CREATE = 32_000
+"""Extra intrinsic gas for contract-creation transactions."""
 
-    calldata_zero_byte: int = 4
-    """Gas per zero byte of transaction calldata."""
+CALLDATA_ZERO_BYTE = 4
+"""Gas per zero byte of transaction calldata."""
 
-    calldata_nonzero_byte: int = 16
-    """Gas per non-zero byte of transaction calldata (EIP-2028)."""
+CALLDATA_NONZERO_BYTE = 16
+"""Gas per non-zero byte of transaction calldata (EIP-2028)."""
 
-    code_deposit_byte: int = 200
-    """Gas per byte of deployed contract code."""
+CODE_DEPOSIT_BYTE = 200
+"""Gas per byte of deployed contract code."""
 
-    sstore_set: int = 22_100
-    """Writing a storage slot from zero to non-zero (cold access included)."""
+SSTORE_SET = 22_100
+"""Writing a storage slot from zero to non-zero (cold access included)."""
 
-    sstore_update: int = 5_000
-    """Overwriting an existing non-zero storage slot."""
+SSTORE_UPDATE = 5_000
+"""Overwriting an existing non-zero storage slot."""
 
-    sstore_clear_refund: int = 4_800
-    """Refund for clearing a storage slot to zero."""
+SSTORE_CLEAR_REFUND = 4_800
+"""Refund for clearing a storage slot to zero."""
 
-    sload: int = 2_100
-    """Reading a storage slot (cold access)."""
+SLOAD = 2_100
+"""Reading a storage slot (cold access)."""
 
-    log_base: int = 375
-    """Base cost of emitting an event log."""
+LOG_BASE = 375
+"""Base cost of emitting an event log."""
 
-    log_topic: int = 375
-    """Cost per indexed topic of an event log."""
+LOG_TOPIC = 375
+"""Cost per indexed topic of an event log."""
 
-    log_data_byte: int = 8
-    """Cost per byte of un-indexed event data."""
+LOG_DATA_BYTE = 8
+"""Cost per byte of un-indexed event data."""
 
-    call_value_transfer: int = 9_000
-    """Extra cost of a message call that transfers value."""
+CALL_VALUE_TRANSFER = 9_000
+"""Extra cost of a message call that transfers value."""
 
-    compute_step: int = 3
-    """Cost charged per abstract computation step inside contract methods."""
+COMPUTE_STEP = 3
+"""Cost charged per abstract computation step inside contract methods."""
 
-    memory_byte: int = 3
-    """Cost per byte of transient memory a contract method touches."""
-
-    max_refund_quotient: int = 5
-    """At most 1/quotient of gas used may be refunded (EIP-3529)."""
-
-    def calldata_gas(self, data: bytes) -> int:
-        """Gas charged for transaction calldata, byte by byte."""
-        zeros = data.count(0)
-        nonzeros = len(data) - zeros
-        return zeros * self.calldata_zero_byte + nonzeros * self.calldata_nonzero_byte
-
-    def intrinsic_gas(self, data: bytes, is_create: bool) -> int:
-        """Intrinsic (pre-execution) gas of a transaction."""
-        gas = self.tx_base + self.calldata_gas(data)
-        if is_create:
-            gas += self.tx_create
-        return gas
-
-    def code_deposit_gas(self, code_size: int) -> int:
-        """Gas charged for depositing ``code_size`` bytes of contract code."""
-        return code_size * self.code_deposit_byte
-
-    def log_gas(self, num_topics: int, data_size: int) -> int:
-        """Gas charged for emitting an event with the given shape."""
-        return self.log_base + num_topics * self.log_topic + data_size * self.log_data_byte
+MAX_REFUND_QUOTIENT = 5
+"""At most 1/quotient of gas used may be refunded (EIP-3529)."""
 
 
-SEPOLIA_GAS_SCHEDULE = GasSchedule()
-"""Default schedule; Sepolia uses mainnet gas semantics."""
+def calldata_gas(data: bytes) -> int:
+    """Gas charged for transaction calldata, byte by byte."""
+    zeros = data.count(0)
+    return zeros * CALLDATA_ZERO_BYTE + (len(data) - zeros) * CALLDATA_NONZERO_BYTE
+
+
+def intrinsic_gas(data: bytes, is_create: bool) -> int:
+    """Intrinsic (pre-execution) gas of a transaction."""
+    gas = TX_BASE + calldata_gas(data)
+    if is_create:
+        gas += TX_CREATE
+    return gas
+
+
+def code_deposit_gas(code_size: int) -> int:
+    """Gas charged for depositing ``code_size`` bytes of contract code."""
+    return code_size * CODE_DEPOSIT_BYTE
+
+
+def log_gas(num_topics: int, data_size: int) -> int:
+    """Gas charged for emitting an event with the given shape."""
+    return LOG_BASE + num_topics * LOG_TOPIC + data_size * LOG_DATA_BYTE
 
 
 class GasMeter:
@@ -103,11 +95,10 @@ class GasMeter:
     the executor turns into a failed receipt that still consumes the limit.
     """
 
-    def __init__(self, gas_limit: int, schedule: GasSchedule | None = None) -> None:
+    def __init__(self, gas_limit: int) -> None:
         if gas_limit <= 0:
             raise ValueError(f"gas limit must be positive, got {gas_limit}")
         self.gas_limit = int(gas_limit)
-        self.schedule = schedule or SEPOLIA_GAS_SCHEDULE
         self._used = 0
         self._refund = 0
 
@@ -146,5 +137,5 @@ class GasMeter:
 
     def settle(self) -> int:
         """Return the final gas used after applying the capped refund."""
-        max_refund = self._used // self.schedule.max_refund_quotient
+        max_refund = self._used // MAX_REFUND_QUOTIENT
         return self._used - min(self._refund, max_refund)

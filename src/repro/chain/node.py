@@ -28,6 +28,17 @@ from repro.chain.transaction import Transaction, encode_call, encode_create
 from repro.utils.clock import SimulatedClock
 
 
+#: Gas limit of a transaction whose sender names none, contract creation included.
+GAS_LIMIT = 3_000_000
+
+#: Gas limit of a state-changing contract call.
+CALL_GAS_LIMIT = 1_000_000
+
+#: Blocks :meth:`EthereumNode.wait_for_receipt` (and its RPC and cluster
+#: twins) produce before giving up on a transaction.
+RECEIPT_WAIT_BLOCKS = 25
+
+
 class EthereumNode:
     """Facade over the simulated chain, mirroring a web3 provider."""
 
@@ -167,7 +178,7 @@ class EthereumNode:
             value=value,
             data=data,
             nonce=self.pending_nonce(sender),
-            gas_limit=gas_limit if gas_limit is not None else 3_000_000,
+            gas_limit=gas_limit if gas_limit is not None else GAS_LIMIT,
             gas_price=gas_price,
         )
         tx.sign(keypair)
@@ -181,20 +192,20 @@ class EthereumNode:
         # whole fee-ordered pool; the count is identical.
         return base + self.chain.mempool.pending_count(addr.lower)
 
-    def wait_for_receipt(self, tx_hash: str, max_blocks: int = 25) -> TransactionReceipt:
+    def wait_for_receipt(self, tx_hash: str) -> TransactionReceipt:
         """Produce blocks until ``tx_hash`` is included; return its receipt.
 
         Advances the simulated clock by one slot per produced block, which is
         the latency the Fig. 7 breakdown attributes to blockchain interaction.
         """
-        for _ in range(max_blocks):
+        for _ in range(RECEIPT_WAIT_BLOCKS):
             if self.chain.has_receipt(tx_hash):
                 return self.chain.get_receipt(tx_hash)
             self.chain.produce_block()
         if self.chain.has_receipt(tx_hash):
             return self.chain.get_receipt(tx_hash)
         raise UnknownTransactionError(
-            f"transaction {tx_hash} not included after {max_blocks} blocks"
+            f"transaction {tx_hash} not included after {RECEIPT_WAIT_BLOCKS} blocks"
         )
 
     def get_receipt(self, tx_hash: str) -> TransactionReceipt:
@@ -205,6 +216,11 @@ class EthereumNode:
         """Look up a transaction (pending or included)."""
         return self.chain.get_transaction(tx_hash)
 
+    def mint(self, address: Address | str, amount_wei: int) -> None:
+        """Credit ``address`` with new wei through the chain, so the credit is
+        write-ahead logged (see :meth:`Blockchain.mint`)."""
+        self.chain.mint(Address(address), amount_wei)
+
     # -- contract interaction --------------------------------------------------
 
     def deploy_contract(
@@ -213,14 +229,11 @@ class EthereumNode:
         contract_name: str,
         args: Optional[List[Any]] = None,
         value: int = 0,
-        gas_limit: int = 3_000_000,
         gas_price: int = 10**9,
     ) -> str:
         """Send a contract-creation transaction; returns the tx hash."""
         data = encode_create(contract_name, args or [])
-        return self.sign_and_send(
-            keypair, to=None, value=value, data=data, gas_limit=gas_limit, gas_price=gas_price
-        )
+        return self.sign_and_send(keypair, to=None, value=value, data=data, gas_price=gas_price)
 
     def transact_contract(
         self,
@@ -228,7 +241,6 @@ class EthereumNode:
         contract_address: Address | str,
         method: str,
         args: Optional[List[Any]] = None,
-        gas_limit: int = 1_000_000,
         gas_price: int = 10**9,
     ) -> str:
         """Send a state-changing contract call; returns the tx hash."""
@@ -237,7 +249,7 @@ class EthereumNode:
             keypair,
             to=Address(contract_address),
             data=data,
-            gas_limit=gas_limit,
+            gas_limit=CALL_GAS_LIMIT,
             gas_price=gas_price,
         )
 
@@ -300,13 +312,11 @@ class EthereumNode:
         return self.chain.produce_blocks(count=blocks)
 
     def produce_pending(self, advance_clock: bool) -> int:
-        """Mine one production round if the mempool has work; blocks made.
+        """Mine one block if the mempool has work; blocks made.
 
-        The one door of the cadence producers (a server's wall-clock tick
+        The one door of the cadence producers: a server's wall-clock tick
         advances the simulated clock a slot; a scenario's
-        :func:`~repro.simnet.runner.slot_producer` mines at the current
-        time), so a cluster facade can answer with its rotation instead of
-        a single chain.
+        :func:`~repro.simnet.runner.slot_producer` mines at the current time.
         """
         if len(self.chain.mempool) == 0:
             return 0

@@ -18,7 +18,7 @@ from typing import Any, Callable, ClassVar, Dict, List, Optional
 
 from repro.errors import InvalidSignatureError, InvalidTransactionError, ReproError
 from repro.chain.account import Address
-from repro.chain.gas import GasSchedule, SEPOLIA_GAS_SCHEDULE
+from repro.chain import gas
 from repro.chain.keys import KeyPair, Signature, recover_address
 from repro.utils.encoding import from_hex, to_hex
 from repro.utils.hashing import keccak256
@@ -214,9 +214,9 @@ class Transaction:
 
     # -- gas ----------------------------------------------------------------
 
-    def intrinsic_gas(self, schedule: GasSchedule = SEPOLIA_GAS_SCHEDULE) -> int:
+    def intrinsic_gas(self) -> int:
         """Intrinsic gas charged before any execution."""
-        return schedule.intrinsic_gas(self.data, self.is_create)
+        return gas.intrinsic_gas(self.data, self.is_create)
 
     def max_fee(self) -> int:
         """Upper bound on the fee in wei (``gas_limit * gas_price``)."""

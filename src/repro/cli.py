@@ -595,7 +595,7 @@ def _run_gas_report(owners: int, gas_price_gwei: float) -> int:
     print(f"{'category':<26}{'count':>6}{'mean gas':>14}{'mean fee (ETH)':>18}")
     for name, row in sorted(report.rows.items(), key=lambda kv: -kv[1].mean_fee_wei):
         print(f"{name:<26}{row.count:>6}{row.mean_gas:>14,.0f}{row.mean_fee_eth:>18}")
-    estimate = estimate_onchain_model_storage_gas(node.chain, 318_132)
+    estimate = estimate_onchain_model_storage_gas(318_132)
     print(f"\nCID on-chain: {estimate['cid_storage_gas']:,} gas "
           f"({format_ether(estimate['cid_storage_gas'] * gas_price)} ETH); "
           f"whole model on-chain: {estimate['model_storage_gas']:,} gas "

@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ClusterError
-from repro.chain.chain import ChainConfig
 from repro.cluster.config import (
     GEO_INTER_REGION_LATENCY_SECONDS,
     GEO_INTRA_REGION_LATENCY_SECONDS,
@@ -74,6 +73,10 @@ def build_cluster_network(config: ClusterConfig) -> Optional[Any]:
     return network
 
 
+#: Anti-entropy rounds :meth:`ChainCluster.converge` runs at most.
+CONVERGE_MAX_ROUNDS = 16
+
+
 class ChainCluster:
     """N replicated chain nodes behind one leader-routing control plane."""
 
@@ -83,8 +86,6 @@ class ChainCluster:
         *,
         clock: Optional[SimulatedClock] = None,
         registry: Any = None,
-        chain_config: Optional[ChainConfig] = None,
-        network: Optional[Any] = None,
         storage: Optional[Any] = None,
     ) -> None:
         if isinstance(config, int):
@@ -92,9 +93,7 @@ class ChainCluster:
         self.config = config
         self.clock = clock or SimulatedClock()
         self.registry = registry
-        self.chain_config = chain_config or ChainConfig()
-        self.network = network if network is not None else \
-            build_cluster_network(config)
+        self.network = build_cluster_network(config)
         genesis_timestamp = self.clock.now
 
         from repro.storage.engine import StorageEngine, ensure_engine
@@ -108,7 +107,6 @@ class ChainCluster:
                 registry=registry,
                 engine=engines[index],
                 genesis_timestamp=genesis_timestamp,
-                chain_config=self.chain_config,
                 fork_snapshot_interval=config.fork_snapshot_interval,
             )
             for index in range(config.replicas)
@@ -378,16 +376,16 @@ class ChainCluster:
                  for replica in self.alive_replicas()}
         return len(heads) <= 1
 
-    def converge(self, max_rounds: int = 16) -> bool:
+    def converge(self) -> bool:
         """Anti-entropy until stable: pairwise head pulls over reachable links.
 
         Returns whether all alive replicas ended on one head.  Bounded by
-        ``max_rounds`` defensively; one round per divergent branch suffices
+        :data:`CONVERGE_MAX_ROUNDS` defensively; one round per divergent branch suffices
         in practice because fork choice is deterministic (longest chain,
         lexicographic tie-break), so the loop cannot flap.
         """
         self.gossip.drain()
-        for _ in range(max_rounds):
+        for _ in range(CONVERGE_MAX_ROUNDS):
             changed = False
             for target in self.alive_replicas():
                 for source in self.alive_replicas():

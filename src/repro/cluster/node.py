@@ -26,7 +26,7 @@ from repro.errors import UnknownTransactionError
 from repro.chain.block import Block
 from repro.chain.chain import Blockchain
 from repro.chain.events import EventLog, LogFilter, LogPage
-from repro.chain.node import EthereumNode
+from repro.chain.node import RECEIPT_WAIT_BLOCKS, EthereumNode
 from repro.chain.receipts import TransactionReceipt
 from repro.chain.transaction import Transaction
 from repro.cluster.cluster import ChainCluster
@@ -166,17 +166,16 @@ class ClusterNode(EthereumNode):
 
     # -- block production ------------------------------------------------------------
 
-    def wait_for_receipt(self, tx_hash: str,
-                         max_blocks: int = 25) -> TransactionReceipt:
+    def wait_for_receipt(self, tx_hash: str) -> TransactionReceipt:
         """Tick the cluster until ``tx_hash`` is included on the leader side."""
-        for _ in range(max_blocks):
+        for _ in range(RECEIPT_WAIT_BLOCKS):
             if self.chain.has_receipt(tx_hash):
                 return self.chain.get_receipt(tx_hash)
             self.cluster.tick(force=True)
         if self.chain.has_receipt(tx_hash):
             return self.chain.get_receipt(tx_hash)
         raise UnknownTransactionError(
-            f"transaction {tx_hash} not included after {max_blocks} blocks")
+            f"transaction {tx_hash} not included after {RECEIPT_WAIT_BLOCKS} blocks")
 
     def mine(self, blocks: int = 1) -> List[Block]:
         """Produce ``blocks`` cluster ticks (empty blocks included)."""
@@ -185,15 +184,3 @@ class ClusterNode(EthereumNode):
             produced.extend(self.cluster.tick(force=True))
         return produced
 
-    def produce_pending(self, advance_clock: bool) -> int:
-        """One cluster round if the freshest mempool has work; blocks made.
-
-        Through leader rotation and gossip either way: :meth:`ChainCluster.tick`
-        when the caller (a server's tick) wants the clock moved a slot,
-        :meth:`ChainCluster.produce_now` at the current time.  A scenario's
-        slot producer forces ``produce_now`` itself, empty slots included.
-        """
-        if len(self.chain.mempool) == 0:
-            return 0
-        return len(self.cluster.tick() if advance_clock
-                   else self.cluster.produce_now())

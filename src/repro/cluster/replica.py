@@ -21,11 +21,11 @@ Lifecycle:
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.errors import ClusterError
 from repro.chain.account import Address
-from repro.chain.chain import Blockchain, ChainConfig
+from repro.chain.chain import Blockchain
 from repro.chain.keys import KeyPair
 from repro.cluster.forkchoice import ForkChoice
 from repro.obs import NULL_OBSERVABILITY
@@ -47,7 +47,6 @@ class Replica:
         registry: Any,
         engine: Any,
         genesis_timestamp: float,
-        chain_config: Optional[ChainConfig] = None,
         fork_snapshot_interval: int = 8,
     ) -> None:
         self.index = int(index)
@@ -56,7 +55,6 @@ class Replica:
         self.registry = registry
         self.engine = engine
         self.genesis_timestamp = float(genesis_timestamp)
-        self.chain_config = chain_config or ChainConfig()
         self.fork_snapshot_interval = int(fork_snapshot_interval)
         self.alive = True
         self.blocks_produced = 0
@@ -106,7 +104,6 @@ class Replica:
     def _fresh_chain(self) -> Blockchain:
         """A new empty chain bound to this replica's identity and store."""
         return Blockchain(
-            config=self.chain_config,
             backend=self.registry,
             clock=self.clock,
             validators=[proposer_address(self.index)],

@@ -22,6 +22,7 @@ import inspect
 from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.errors import AbiError, ContractRevert
+from repro.chain import gas
 from repro.chain.executor import CallContext, CreateResult
 
 _ABI_ATTR = "_contract_abi_kind"
@@ -59,23 +60,22 @@ class Contract:
     def sstore(self, ctx: CallContext, key: str, value: Any) -> None:
         """Write ``value`` to storage slot ``key``, charging SSTORE gas."""
         storage = ctx.storage
-        schedule = ctx.schedule
         exists = key in storage and storage[key] is not None
         if value is None:
             if exists:
-                ctx.meter.consume(schedule.sstore_update, reason=f"SSTORE clear {key}")
-                ctx.meter.add_refund(schedule.sstore_clear_refund)
+                ctx.meter.consume(gas.SSTORE_UPDATE, reason=f"SSTORE clear {key}")
+                ctx.meter.add_refund(gas.SSTORE_CLEAR_REFUND)
                 del storage[key]
             return
         if exists:
-            ctx.meter.consume(schedule.sstore_update, reason=f"SSTORE update {key}")
+            ctx.meter.consume(gas.SSTORE_UPDATE, reason=f"SSTORE update {key}")
         else:
-            ctx.meter.consume(schedule.sstore_set, reason=f"SSTORE set {key}")
+            ctx.meter.consume(gas.SSTORE_SET, reason=f"SSTORE set {key}")
         storage[key] = value
 
     def sload(self, ctx: CallContext, key: str, default: Any = None) -> Any:
         """Read storage slot ``key``, charging SLOAD gas."""
-        ctx.meter.consume(ctx.schedule.sload, reason=f"SLOAD {key}")
+        ctx.meter.consume(gas.SLOAD, reason=f"SLOAD {key}")
         return ctx.storage.get(key, default)
 
     # -- Solidity-style helpers ------------------------------------------------
@@ -162,8 +162,8 @@ class ContractRegistry:
     instance can serve any number of nodes.
     """
 
-    def __init__(self, contracts: Optional[Dict[str, Type[Contract]]] = None) -> None:
-        self._contracts: Dict[str, Type[Contract]] = dict(contracts or {})
+    def __init__(self) -> None:
+        self._contracts: Dict[str, Type[Contract]] = {}
 
     def register(self, contract_class: Type[Contract], name: Optional[str] = None) -> None:
         """Register ``contract_class`` under ``name`` (default: class name)."""
@@ -205,9 +205,7 @@ class ContractRegistry:
         bound = getattr(contract, method)
         # Charge a small per-call compute cost proportional to argument size,
         # standing in for the EVM's per-opcode execution gas.
-        ctx.meter.consume(
-            ctx.schedule.compute_step * (8 + len(str(args))), reason=f"compute {method}"
-        )
+        ctx.meter.consume(gas.COMPUTE_STEP * (8 + len(str(args))), reason=f"compute {method}")
         if entry["view"]:
             return self._call_view(bound, args, ctx)
         try:

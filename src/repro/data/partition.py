@@ -29,6 +29,9 @@ from repro.utils.rng import make_rng
 #: Fewest samples a Dirichlet draw may leave any client; fewer redraws.
 DIRICHLET_MIN_SAMPLES = 10
 
+#: Draws :func:`dirichlet_partition` makes before it gives up.
+DIRICHLET_MAX_DRAWS = 100
+
 #: Shards each client is dealt by :func:`shard_partition`, as in FedAvg.
 SHARDS_PER_CLIENT = 2
 
@@ -56,7 +59,6 @@ def dirichlet_partition(
     num_clients: int,
     alpha: float = 0.5,
     rng=None,
-    max_retries: int = 100,
 ) -> List[np.ndarray]:
     """Split by per-class Dirichlet(alpha) proportions (PFNM's scheme).
 
@@ -68,7 +70,7 @@ def dirichlet_partition(
         raise PartitionError(f"alpha must be positive, got {alpha}")
     generator = make_rng(rng)
     labels = dataset.labels
-    for _ in range(max_retries):
+    for _ in range(DIRICHLET_MAX_DRAWS):
         client_indices: List[List[int]] = [[] for _ in range(num_clients)]
         for cls in range(dataset.num_classes):
             class_indices = np.where(labels == cls)[0]
@@ -84,7 +86,7 @@ def dirichlet_partition(
             return [np.sort(np.asarray(chunk, dtype=np.int64)) for chunk in client_indices]
     raise PartitionError(
         f"could not give every one of {num_clients} clients {DIRICHLET_MIN_SAMPLES} samples "
-        f"with alpha={alpha} after {max_retries} draws"
+        f"with alpha={alpha} after {DIRICHLET_MAX_DRAWS} draws"
     )
 
 

@@ -33,6 +33,8 @@ NUM_CLASSES = 10
 #: (samples, rank, features) basis gather) sit beside the whole float32
 #: dataset at the generator's peak; the bytes do not depend on this size.
 _BLOCK_SAMPLES = 16
+#: Random Gaussian strokes summed into each class prototype.
+STROKES_PER_CLASS = 6
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,6 @@ class SyntheticMnistConfig:
 
     num_samples: int = 10_000
     num_features: int = NUM_PIXELS
-    strokes_per_class: int = 6
     variation_rank: int = 8
     variation_scale: float = 0.35
     noise_scale: float = 0.10
@@ -66,7 +67,7 @@ def _class_prototype(rng: np.random.Generator, config: SyntheticMnistConfig) -> 
     side = max(side, 2)
     ys, xs = np.mgrid[0:side, 0:side]
     image = np.zeros((side, side), dtype=np.float64)
-    for _ in range(config.strokes_per_class):
+    for _ in range(STROKES_PER_CLASS):
         center_y, center_x = rng.uniform(side * 0.2, side * 0.8, size=2)
         sigma_y, sigma_x = rng.uniform(side * 0.05, side * 0.18, size=2)
         angle = rng.uniform(0, np.pi)

@@ -27,6 +27,9 @@ from repro.utils.rng import make_rng
 
 ValueFunction = Callable[[Tuple[int, ...]], float]
 
+#: Most owners :func:`shapley_exact` enumerates (2^n value evaluations).
+SHAPLEY_EXACT_MAX_OWNERS = 12
+
 
 @dataclass
 class ContributionReport:
@@ -111,14 +114,14 @@ def leave_one_out(
     )
 
 
-def shapley_exact(num_owners: int, value_fn: ValueFunction, max_owners: int = 12) -> ContributionReport:
+def shapley_exact(num_owners: int, value_fn: ValueFunction) -> ContributionReport:
     """Exact Shapley values by enumerating all subsets.
 
     Complexity is ``O(2^n)`` value-function evaluations; refuse beyond
-    ``max_owners`` to avoid accidental blow-ups.
+    :data:`SHAPLEY_EXACT_MAX_OWNERS` to avoid accidental blow-ups.
     """
     _validate(num_owners)
-    if num_owners > max_owners:
+    if num_owners > SHAPLEY_EXACT_MAX_OWNERS:
         raise IncentiveError(
             f"exact Shapley over {num_owners} owners would need 2^{num_owners} evaluations; "
             f"use shapley_monte_carlo instead"

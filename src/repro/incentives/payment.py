@@ -42,7 +42,6 @@ def allocate_budget(
     budget_wei: int,
     reserve_fraction: float = 0.0,
     min_payment_wei: int = 0,
-    clip_negative: bool = True,
 ) -> PaymentPlan:
     """Split ``budget_wei`` across owners proportionally to their contribution.
 
@@ -60,8 +59,8 @@ def allocate_budget(
     min_payment_wei:
         A floor paid to every participating owner regardless of contribution,
         taken out of the distributable budget before the proportional split.
-    clip_negative:
-        Treat negative contributions as zero (an owner can never owe money).
+
+    Negative contributions count as zero: an owner can never owe money.
     """
     if budget_wei <= 0:
         raise BudgetError(f"budget must be positive, got {budget_wei}")
@@ -83,12 +82,7 @@ def allocate_budget(
             f"({distributable} wei)"
         )
 
-    scores = []
-    for index in range(num_owners):
-        score = report.scores[index]
-        if clip_negative:
-            score = max(score, 0.0)
-        scores.append(score)
+    scores = [max(report.scores[index], 0.0) for index in range(num_owners)]
     total_score = sum(scores)
 
     proportional_pool = distributable - floor_total

@@ -157,10 +157,6 @@ class Swarm:
 
     # -- statistics -----------------------------------------------------------------
 
-    def transfer_stats(self) -> Dict[tuple, TransferStats]:
-        """Per (provider, requester) transfer counters."""
-        return dict(self._transfers)
-
     def total_bytes_transferred(self) -> int:
         """Total bytes exchanged across the swarm."""
         return sum(stats.bytes for stats in self._transfers.values())

@@ -2,7 +2,7 @@
 
 Replaces the PyTorch dependency of the original demo with a small, fully
 deterministic MLP stack: dense layers, ReLU/softmax activations, cross-entropy
-loss, SGD/momentum/Adam optimizers, a minibatch trainer and model
+loss, the Adam optimizer, a minibatch trainer and model
 (de)serialization.  The paper's model -- a three-layer MLP (784, 100, 10)
 trained with batch size 64, learning rate 0.001 and 10 local epochs -- is
 expressed directly with these pieces.  It trains, aggregates and evaluates in
@@ -16,7 +16,7 @@ from repro.ml.layers import DenseLayer
 from repro.ml.losses import cross_entropy_loss, cross_entropy_with_softmax
 from repro.ml.metrics import accuracy
 from repro.ml.mlp import MLP
-from repro.ml.optimizers import SGD, Adam, Optimizer
+from repro.ml.optimizers import Adam, Optimizer
 from repro.ml.serialization import deserialize_model, model_payload_size, serialize_model
 from repro.ml.trainer import EvalResult, Trainer, TrainingConfig, TrainingHistory
 
@@ -30,7 +30,6 @@ __all__ = [
     "cross_entropy_with_softmax",
     "accuracy",
     "MLP",
-    "SGD",
     "Adam",
     "Optimizer",
     "deserialize_model",

@@ -15,8 +15,8 @@ def relu_grad(x: np.ndarray) -> np.ndarray:
     return (x > 0.0).astype(x.dtype)
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``."""
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax along the last axis."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    return exp / np.sum(exp, axis=-1, keepdims=True)

@@ -14,14 +14,10 @@ def batch_iterator(
     features: np.ndarray,
     labels: np.ndarray,
     batch_size: int,
-    shuffle: bool = True,
     rng=None,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(features, labels)`` minibatches; the last may be partial.
-
-    Parameters mirror a typical deep-learning ``DataLoader``: optional
-    shuffling with an explicit RNG for reproducibility.
-    """
+    """Yield shuffled ``(features, labels)`` minibatches; the last may be
+    partial.  The shuffle draws from ``rng``, so a seed reproduces it."""
     features = np.asarray(features)
     labels = np.asarray(labels)
     if features.shape[0] != labels.shape[0]:
@@ -32,8 +28,7 @@ def batch_iterator(
         raise ValueError(f"batch size must be positive, got {batch_size}")
     count = features.shape[0]
     indices = np.arange(count)
-    if shuffle:
-        make_rng(rng).shuffle(indices)
+    make_rng(rng).shuffle(indices)
     for start in range(0, count, batch_size):
         batch = indices[start:start + batch_size]
         yield features[batch], labels[batch]

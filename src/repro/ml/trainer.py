@@ -11,7 +11,7 @@ from repro.ml.dataloader import batch_iterator
 from repro.ml.losses import cross_entropy_with_softmax
 from repro.ml.metrics import accuracy
 from repro.ml.mlp import MLP
-from repro.ml.optimizers import Adam, Optimizer, SGD
+from repro.ml.optimizers import Adam
 from repro.utils.rng import make_rng
 
 
@@ -26,24 +26,7 @@ class TrainingConfig:
     batch_size: int = 64
     learning_rate: float = 0.001
     epochs: int = 10
-    optimizer: str = "adam"
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    shuffle: bool = True
     seed: Optional[int] = None
-
-    def build_optimizer(self) -> Optimizer:
-        """Instantiate the configured optimizer."""
-        name = self.optimizer.lower()
-        if name == "adam":
-            return Adam(learning_rate=self.learning_rate)
-        if name == "sgd":
-            return SGD(
-                learning_rate=self.learning_rate,
-                momentum=self.momentum,
-                weight_decay=self.weight_decay,
-            )
-        raise ValueError(f"unknown optimizer {self.optimizer!r} (expected 'adam' or 'sgd')")
 
 
 @dataclass
@@ -58,7 +41,7 @@ class EpochRecord:
 class TrainingHistory:
     """Per-epoch records of a training run."""
 
-    epochs: List[EpochRecord] = field(default_factory=list)
+    epochs: List[EpochRecord] = field(default_factory=list, init=False)
     #: Training accuracy after the last epoch.
     final_accuracy: float = float("nan")
 
@@ -88,7 +71,7 @@ class Trainer:
     def __init__(self, model: MLP, config: Optional[TrainingConfig] = None) -> None:
         self.model = model
         self.config = config or TrainingConfig()
-        self.optimizer = self.config.build_optimizer()
+        self.optimizer = Adam(learning_rate=self.config.learning_rate)
 
     def train(self, features: np.ndarray, labels: np.ndarray) -> TrainingHistory:
         """Run the configured number of epochs; returns the loss history."""
@@ -97,7 +80,7 @@ class Trainer:
         for epoch in range(self.config.epochs):
             epoch_losses: List[float] = []
             for batch_x, batch_y in batch_iterator(
-                features, labels, self.config.batch_size, shuffle=self.config.shuffle, rng=rng
+                features, labels, self.config.batch_size, rng=rng
             ):
                 logits = self.model.forward(batch_x)
                 loss, grad = cross_entropy_with_softmax(logits, batch_y)

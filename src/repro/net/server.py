@@ -133,10 +133,10 @@ class ServerStats:
     open_connections: int = 0
     ws_connections_total: int = 0
     open_ws_connections: int = 0
-    http_requests: Dict[str, int] = field(default_factory=dict)
+    http_requests: Dict[str, int] = field(default_factory=dict, init=False)
     ws_messages_total: int = 0
     notifications_total: int = 0
-    rejections: Dict[str, int] = field(default_factory=dict)
+    rejections: Dict[str, int] = field(default_factory=dict, init=False)
     slow_consumer_disconnects_total: int = 0
     dropped_subscriptions_total: int = 0
 
@@ -635,6 +635,10 @@ class RpcHttpServer:
         self.pump_subscriptions()
 
 
+#: How long :meth:`ServerThread.stop` waits for the server thread to exit.
+STOP_TIMEOUT_SECONDS = 30.0
+
+
 class ServerThread:
     """Host an :class:`RpcHttpServer` on a dedicated event-loop thread.
 
@@ -661,14 +665,15 @@ class ServerThread:
             raise NetworkError(f"server failed to start: {self._error}")
         return self.server.port
 
-    def stop(self, timeout: float = 30.0) -> None:
-        """Request a graceful drain and join the thread."""
+    def stop(self) -> None:
+        """Request a graceful drain and join the thread (for at most
+        :data:`STOP_TIMEOUT_SECONDS`)."""
         if self._loop is not None and self._stop is not None:
             try:
                 self._loop.call_soon_threadsafe(self._stop.set)
             except RuntimeError:
                 pass  # loop already closed
-        self._thread.join(timeout=timeout)
+        self._thread.join(timeout=STOP_TIMEOUT_SECONDS)
 
     def _run(self) -> None:
         try:

@@ -30,6 +30,9 @@ OP_CLOSE = 0x8
 OP_PING = 0x9
 OP_PONG = 0xA
 
+#: Socket timeout :meth:`WebSocketClient.next_notification` waits under.
+NOTIFICATION_TIMEOUT_SECONDS = 10.0
+
 
 def accept_key(client_key: str) -> str:
     """The ``Sec-WebSocket-Accept`` value for a client's handshake key."""
@@ -114,15 +117,14 @@ class WebSocketClient:
     request and then collect the push events it caused, in order.
     """
 
-    def __init__(self, host: str, port: int, path: str = "/ws",
-                 timeout: float = 10.0) -> None:
+    def __init__(self, host: str, port: int, timeout: float = 10.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._buffer = bytearray()
         self._next_id = 1
         self._notifications: List[Dict[str, Any]] = []
         key = base64.b64encode(os.urandom(16)).decode("ascii")
         handshake = (
-            f"GET {path} HTTP/1.1\r\n"
+            "GET /ws HTTP/1.1\r\n"
             f"Host: {host}:{port}\r\n"
             "Upgrade: websocket\r\n"
             "Connection: Upgrade\r\n"
@@ -200,11 +202,12 @@ class WebSocketClient:
             if message.get("method") == "eth_subscription":
                 self._notifications.append(message["params"])
 
-    def next_notification(self, timeout: float = 10.0) -> Dict[str, Any]:
-        """The next ``eth_subscription`` push: ``{"subscription", "result"}``."""
+    def next_notification(self) -> Dict[str, Any]:
+        """The next ``eth_subscription`` push: ``{"subscription", "result"}``;
+        waits at most :data:`NOTIFICATION_TIMEOUT_SECONDS` on the socket."""
         if self._notifications:
             return self._notifications.pop(0)
-        self._sock.settimeout(timeout)
+        self._sock.settimeout(NOTIFICATION_TIMEOUT_SECONDS)
         while True:
             message = self._read_message()
             if message.get("method") == "eth_subscription":

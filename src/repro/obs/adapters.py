@@ -58,7 +58,7 @@ def collect_rpc(reg: MetricsRegistry, metrics: Any) -> None:
 
 def collect_cache(reg: MetricsRegistry, name: str, cache: Any) -> None:
     """Sample one ``LRUCache``-shaped object under the ``cache=<name>`` label."""
-    stats = cache.stats()
+    stats = cache.snapshot()
     labels = {"cache": name}
     reg.gauge("repro_cache_entries", "Entries currently cached.",
               ("cache",)).labels(**labels).set(stats["entries"])

@@ -17,13 +17,17 @@ from typing import Any, Dict, List, Optional, Union
 from repro.utils.clock import SimulatedClock
 
 
+#: Events an :class:`ObsEventLog` keeps before it drops (and counts) the rest.
+MAX_EVENTS = 100_000
+
+
 class ObsEventLog:
     """Bounded in-memory event buffer with deterministic JSONL export."""
 
-    def __init__(self, clock: Optional[SimulatedClock] = None,
-                 max_events: int = 100_000) -> None:
+    def __init__(self, clock: Optional[SimulatedClock] = None) -> None:
         self.clock = clock
-        self.max_events = int(max_events)
+        #: Events kept; past it, events are dropped and counted.
+        self.max_events = MAX_EVENTS
         self.dropped = 0
         self._events: List[Dict[str, Any]] = []
 

@@ -36,12 +36,11 @@ class Observability:
     """Tracing + events + profiling over a stack's registry, as one ``.obs``."""
 
     def __init__(self, registry: MetricsRegistry,
-                 clock: Optional[SimulatedClock] = None, *,
-                 max_spans: int = 50_000, max_events: int = 100_000) -> None:
+                 clock: Optional[SimulatedClock] = None) -> None:
         self.clock = clock
         self.registry = registry
-        self.tracer = Tracer(clock=clock, max_spans=max_spans)
-        self.event_log = ObsEventLog(clock=clock, max_events=max_events)
+        self.tracer = Tracer(clock=clock)
+        self.event_log = ObsEventLog(clock=clock)
         self.profiler = PhaseProfiler()
 
     # -- hot-path helpers (what instrumented call sites use) ----------------

@@ -12,7 +12,7 @@ Two usage styles coexist:
 
 * **push** -- a hot path calls ``registry.histogram(...).child.observe()``;
 * **pull** -- ``register_collector(fn)`` registers an adapter that samples
-  an existing stat source (``RequestMetrics``, ``LRUCache.stats()``,
+  an existing stat source (``RequestMetrics``, ``LRUCache.snapshot()``,
   ``Mempool.stats()``, ``GossipStats``) right before a snapshot or render,
   which keeps instrumented hot paths free of any metric bookkeeping.
 
@@ -253,13 +253,11 @@ class MetricsRegistry:
         return self._family(name, "gauge", help_text, labelnames)
 
     def histogram(self, name: str, help_text: str = "",
-                  labelnames: Iterable[str] = (),
                   buckets: Tuple[float, ...] = DEFAULT_SECONDS_BUCKETS,
                   ) -> MetricFamily:
-        """Get or create a histogram family; duration histograms are named
-        ``*_seconds`` and bucketed in seconds."""
-        return self._family(name, "histogram", help_text, labelnames,
-                            tuple(buckets))
+        """Get or create an unlabelled histogram family; duration histograms
+        are named ``*_seconds`` and bucketed in seconds."""
+        return self._family(name, "histogram", help_text, (), tuple(buckets))
 
     # -- collection ---------------------------------------------------------
 

@@ -119,13 +119,17 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+#: Spans a :class:`Tracer` keeps before it drops (and counts) the rest.
+MAX_SPANS = 50_000
+
+
 class Tracer:
     """Records spans, threads parent/child links, and renders trace trees."""
 
-    def __init__(self, clock: Optional[SimulatedClock] = None,
-                 max_spans: int = 50_000) -> None:
+    def __init__(self, clock: Optional[SimulatedClock] = None) -> None:
         self.clock = clock
-        self.max_spans = int(max_spans)
+        #: Spans kept; past it, spans are dropped and counted.
+        self.max_spans = MAX_SPANS
         self.spans: List[Span] = []
         self.dropped = 0
         self._by_trace: Dict[str, List[Span]] = {}
@@ -220,7 +224,7 @@ class Tracer:
                 roots.append(node)
         return roots
 
-    def render(self, trace_id: str, include_wall: bool = False) -> str:
+    def render(self, trace_id: str) -> str:
         """ASCII rendering of the span tree (what ``repro obs trace`` prints)."""
         lines = [f"trace {trace_id}"]
 
@@ -230,8 +234,6 @@ class Tracer:
             timing = f"sim {span['sim_start']:.3f}s"
             if span["sim_end"] != span["sim_start"]:
                 timing += f" +{span['sim_end'] - span['sim_start']:.3f}s"
-            if include_wall:
-                timing += f", wall {span.get('wall_ms', 0.0):.3f}ms"
             extra = ""
             if span["attrs"]:
                 rendered = " ".join(
@@ -242,6 +244,6 @@ class Tracer:
             for child in node["children"]:
                 walk(child, depth + 1)
 
-        for root in self.tree(trace_id, include_wall=include_wall):
+        for root in self.tree(trace_id, include_wall=False):
             walk(root, 0)
         return "\n".join(lines)

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Union
 import repro.errors as repro_errors
 from repro.errors import ReproError, RpcError, UnknownTransactionError
 from repro.chain.events import EventLog, LogFilter, LogPage
-from repro.chain.node import EthereumNode
+from repro.chain.node import RECEIPT_WAIT_BLOCKS, EthereumNode
 from repro.chain.receipts import TransactionReceipt
 from repro.chain.transaction import Transaction, encode_call
 from repro.ipfs.node import IpfsNode
@@ -174,8 +174,8 @@ class EthClient:
     def block_number(self) -> int:
         return from_quantity(self._rpc.call("eth_blockNumber"))
 
-    def get_balance(self, address: str, block: Union[str, int] = "latest") -> int:
-        return from_quantity(self._rpc.call("eth_getBalance", address, block))
+    def get_balance(self, address: str) -> int:
+        return from_quantity(self._rpc.call("eth_getBalance", address, "latest"))
 
     def get_transaction_count(self, address: str, block: Union[str, int] = "latest") -> int:
         return from_quantity(self._rpc.call("eth_getTransactionCount", address, block))
@@ -202,14 +202,14 @@ class EthClient:
             return None
         return TransactionReceipt.from_dict(payload)
 
-    def wait_for_receipt(self, tx_hash: str, max_blocks: int = 25) -> TransactionReceipt:
+    def wait_for_receipt(self, tx_hash: str) -> TransactionReceipt:
         """Poll for the receipt, mining a block per empty poll.
 
         Mirrors :meth:`EthereumNode.wait_for_receipt` call for call (check,
         then mine), so the submit-then-wait rhythm -- and with it the Fig. 7
         latency attribution -- is identical through the gateway.
         """
-        for _ in range(max_blocks):
+        for _ in range(RECEIPT_WAIT_BLOCKS):
             receipt = self.get_receipt(tx_hash)
             if receipt is not None:
                 return receipt
@@ -218,7 +218,7 @@ class EthClient:
         if receipt is not None:
             return receipt
         raise UnknownTransactionError(
-            f"transaction {tx_hash} not included after {max_blocks} blocks"
+            f"transaction {tx_hash} not included after {RECEIPT_WAIT_BLOCKS} blocks"
         )
 
     def mine(self, blocks: int = 1) -> List[str]:
@@ -243,9 +243,8 @@ class EthClient:
 
     # -- blocks / logs -----------------------------------------------------------
 
-    def get_block(self, block: Union[str, int] = "latest",
-                  full_transactions: bool = False) -> Dict[str, Any]:
-        return self._rpc.call("eth_getBlockByNumber", block, full_transactions)
+    def get_block(self, block: Union[str, int] = "latest") -> Dict[str, Any]:
+        return self._rpc.call("eth_getBlockByNumber", block, False)
 
     def get_logs(self, log_filter: Optional[LogFilter] = None,
                  limit: Optional[int] = None,
@@ -315,22 +314,19 @@ class IpfsClient:
     def _node(self, node: Optional[str]) -> Optional[str]:
         return node if node is not None else self.default_node
 
-    def add(self, payload: bytes, node: Optional[str] = None,
-            pin: bool = True) -> Dict[str, Any]:
-        """Add bytes; returns ``{"cid", "size", "num_blocks"}``."""
-        return self._rpc.call(
-            "ipfs_add", to_hex(bytes(payload)), self._node(node), pin
-        )
+    def add(self, payload: bytes, node: Optional[str] = None) -> Dict[str, Any]:
+        """Add and pin bytes; returns ``{"cid", "size", "num_blocks"}``."""
+        return self._rpc.call("ipfs_add", to_hex(bytes(payload)), self._node(node), True)
 
     def cat(self, cid: str, node: Optional[str] = None) -> bytes:
         # In process the result is a HexString: its bytes, never made text.
         return self._rpc.call("ipfs_cat", cid, self._node(node)).data
 
-    def pin(self, cid: str, node: Optional[str] = None) -> Dict[str, Any]:
-        return self._rpc.call("ipfs_pin", cid, self._node(node))
+    def pin(self, cid: str) -> Dict[str, Any]:
+        return self._rpc.call("ipfs_pin", cid, self.default_node)
 
-    def stat(self, cid: str, node: Optional[str] = None) -> Dict[str, Any]:
-        return self._rpc.call("ipfs_stat", cid, self._node(node))
+    def stat(self, cid: str) -> Dict[str, Any]:
+        return self._rpc.call("ipfs_stat", cid, self.default_node)
 
 
 class Oflw3Client:
@@ -376,9 +372,6 @@ class Oflw3Client:
         return self._call("oflw3_payOwners", address=address,
                           reserve_fraction=reserve_fraction,
                           min_payment_wei=min_payment_wei)
-
-    def report(self, address: str) -> Dict[str, Any]:
-        return self._call("oflw3_report", address=address)
 
 
 class MarketplaceClient:

@@ -729,7 +729,7 @@ class ObsNamespace:
 
     def cache_stats(self) -> Dict[str, Any]:
         """Unified statistics for every registered cache (the one spelling)."""
-        return {name: cache.stats()
+        return {name: cache.snapshot()
                 for name, cache in sorted(self._caches().items())}
 
     def methods(self) -> MethodTable:

@@ -6,10 +6,10 @@ implicitly experiences the jump.  That is fine for one sequential workflow
 but cannot express *concurrent* tasks racing for one mempool.  The scheduler
 introduces the standard discrete-event loop:
 
-* events are ``(timestamp, priority, seq)``-ordered in a priority queue;
-  ``seq`` is a monotonically increasing insertion counter, so ties are broken
-  deterministically by priority first and scheduling order second -- two runs
-  with the same seed execute events in exactly the same order;
+* events are ``(timestamp, seq)``-ordered in a priority queue; ``seq`` is a
+  monotonically increasing insertion counter, so ties are broken
+  deterministically by scheduling order -- two runs with the same seed
+  execute events in exactly the same order;
 * generator-based *processes* wait by yielding a delay in simulated seconds
   (or ``None`` to just yield control, or another :class:`SimProcess` to join
   it) instead of advancing the clock themselves;
@@ -30,12 +30,11 @@ from repro.utils.clock import SimulatedClock
 class ScheduledEvent:
     """One pending callback in the event queue."""
 
-    __slots__ = ("time", "priority", "seq", "action", "name", "cancelled")
+    __slots__ = ("time", "seq", "action", "name", "cancelled")
 
-    def __init__(self, time: float, priority: int, seq: int,
+    def __init__(self, time: float, seq: int,
                  action: Callable[[], Any], name: str = "") -> None:
         self.time = float(time)
-        self.priority = int(priority)
         self.seq = int(seq)
         self.action = action
         self.name = name
@@ -43,15 +42,15 @@ class ScheduledEvent:
 
     @property
     def sort_key(self) -> tuple:
-        """Deterministic total order: time, then priority, then insertion."""
-        return (self.time, self.priority, self.seq)
+        """Deterministic total order: time, then insertion."""
+        return (self.time, self.seq)
 
     def __lt__(self, other: "ScheduledEvent") -> bool:
         return self.sort_key < other.sort_key
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
-        return f"ScheduledEvent(t={self.time:.3f}, prio={self.priority}, seq={self.seq}, name={self.name!r}, {state})"
+        return f"ScheduledEvent(t={self.time:.3f}, seq={self.seq}, name={self.name!r}, {state})"
 
 
 class SimProcess:
@@ -109,22 +108,21 @@ class EventScheduler:
     # -- scheduling ------------------------------------------------------------
 
     def schedule(self, delay: float, action: Callable[[], Any], *,
-                 priority: int = 0, name: str = "") -> ScheduledEvent:
+                 name: str = "") -> ScheduledEvent:
         """Schedule ``action`` to run ``delay`` simulated seconds from now."""
         if delay < 0:
             raise SchedulerError(f"cannot schedule an event in the past (delay={delay})")
-        return self.schedule_at(self.clock.now + float(delay), action,
-                                priority=priority, name=name)
+        return self.schedule_at(self.clock.now + float(delay), action, name=name)
 
     def schedule_at(self, timestamp: float, action: Callable[[], Any], *,
-                    priority: int = 0, name: str = "") -> ScheduledEvent:
+                    name: str = "") -> ScheduledEvent:
         """Schedule ``action`` at an absolute simulated ``timestamp``.
 
         Timestamps already in the past are allowed (the event fires at the
         current clock time): legacy components may advance the shared clock
         past pending events, and refusing would deadlock their processes.
         """
-        event = ScheduledEvent(timestamp, priority, self._seq, action, name=name)
+        event = ScheduledEvent(timestamp, self._seq, action, name=name)
         self._seq += 1
         heapq.heappush(self._queue, event)
         return event
@@ -136,14 +134,13 @@ class EventScheduler:
     # -- processes -------------------------------------------------------------
 
     def spawn(self, generator: Generator, *, delay: float = 0.0,
-              priority: int = 0, name: str = "") -> SimProcess:
+              name: str = "") -> SimProcess:
         """Start a generator process after ``delay`` simulated seconds."""
         process = SimProcess(generator, name=name)
-        self.schedule(delay, lambda: self._resume(process, priority),
-                      priority=priority, name=name or "process")
+        self.schedule(delay, lambda: self._resume(process), name=name or "process")
         return process
 
-    def _resume(self, process: SimProcess, priority: int) -> None:
+    def _resume(self, process: SimProcess) -> None:
         """Advance a process by one step and reschedule its continuation."""
         if process.done:
             return
@@ -157,22 +154,17 @@ class EventScheduler:
             self._finish(process, result=None)
             raise
         if yielded is None:
-            self.schedule(0.0, lambda: self._resume(process, priority),
-                          priority=priority, name=process.name)
+            self.schedule(0.0, lambda: self._resume(process), name=process.name)
         elif isinstance(yielded, SimProcess):
             if yielded.done:
-                self.schedule(0.0, lambda: self._resume(process, priority),
-                              priority=priority, name=process.name)
+                self.schedule(0.0, lambda: self._resume(process), name=process.name)
             else:
-                yielded._joiners.append(process)
-                # Joiners are resumed by _finish; remember the priority.
-                process._join_priority = priority  # type: ignore[attr-defined]
+                yielded._joiners.append(process)  # resumed by _finish
         elif isinstance(yielded, (int, float)):
             if yielded < 0:
                 raise SchedulerError(
                     f"process {process.name!r} yielded a negative delay: {yielded}")
-            self.schedule(float(yielded), lambda: self._resume(process, priority),
-                          priority=priority, name=process.name)
+            self.schedule(float(yielded), lambda: self._resume(process), name=process.name)
         else:
             raise SchedulerError(
                 f"process {process.name!r} yielded {yielded!r}; expected a "
@@ -183,9 +175,7 @@ class EventScheduler:
         process.result = result
         joiners, process._joiners = process._joiners, []
         for joiner in joiners:
-            priority = getattr(joiner, "_join_priority", 0)
-            self.schedule(0.0, lambda j=joiner, p=priority: self._resume(j, p),
-                          priority=priority, name=joiner.name)
+            self.schedule(0.0, lambda j=joiner: self._resume(j), name=joiner.name)
 
     # -- the loop --------------------------------------------------------------
 

@@ -43,9 +43,12 @@ NETWORK_PROFILES: Dict[str, Optional[LinkProfile]] = {
 }
 
 
-def make_network(profile_name: str, seed: SeedLike = 0,
-                 retry_timeout_seconds: float = 1.0,
-                 max_retransmissions: int = 5) -> Optional[NetworkModel]:
+#: What a profile's senders wait for a lost message, and how often they resend.
+RETRY_TIMEOUT_SECONDS = 1.0
+MAX_RETRANSMISSIONS = 5
+
+
+def make_network(profile_name: str, seed: SeedLike = 0) -> Optional[NetworkModel]:
     """Build a :class:`NetworkModel` for a named profile (None for "ideal")."""
     if profile_name not in NETWORK_PROFILES:
         raise SimulationError(
@@ -55,5 +58,5 @@ def make_network(profile_name: str, seed: SeedLike = 0,
     if profile is None:
         return None
     return NetworkModel(default_profile=profile, seed=seed,
-                        retry_timeout_seconds=retry_timeout_seconds,
-                        max_retransmissions=max_retransmissions)
+                        retry_timeout_seconds=RETRY_TIMEOUT_SECONDS,
+                        max_retransmissions=MAX_RETRANSMISSIONS)

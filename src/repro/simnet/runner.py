@@ -117,16 +117,12 @@ class ScenarioRunner:
         self,
         scenario: Union[ScenarioSpec, str],
         config: Optional[OFLW3Config] = None,
-        seed: Optional[int] = None,
         storage: Optional[Any] = None,
         observability: Any = False,
     ) -> None:
         self.spec = build_scenario(scenario) if isinstance(scenario, str) else scenario
-        base = config or quick_config()
-        if seed is not None:
-            base = base.with_overrides(seed=seed)
-        self.base_config = base
-        self.seed = base.seed
+        self.base_config = config or quick_config()
+        self.seed = self.base_config.seed
 
         # Shared infrastructure: one stack (``repro.system.stack``) and one
         # storage engine under every task.  The chain write-ahead logs through
@@ -673,13 +669,10 @@ class ScenarioRunner:
 def run_scenario(
     scenario: Union[ScenarioSpec, str],
     config: Optional[OFLW3Config] = None,
-    seed: Optional[int] = None,
-    observability: Any = False,
     **spec_overrides,
 ) -> ScenarioReport:
     """One-call convenience: build a runner, apply overrides, run, report."""
     spec = build_scenario(scenario) if isinstance(scenario, str) else scenario
     if spec_overrides:
         spec = spec.with_overrides(**spec_overrides)
-    return ScenarioRunner(spec, config=config, seed=seed,
-                          observability=observability).run()
+    return ScenarioRunner(spec, config=config).run()

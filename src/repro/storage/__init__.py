@@ -10,7 +10,7 @@ See ``docs/architecture.md`` for the write and read paths.
 """
 
 from repro.storage.backend import LogBackend, MemoryBackend, StorageBackend
-from repro.storage.cache import LRUCache
+from repro.utils.cache import LRUCache
 from repro.storage.engine import (
     BlobSpace,
     ChainStore,

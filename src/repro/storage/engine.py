@@ -4,7 +4,7 @@
 owns a :class:`~repro.storage.backend.StorageBackend` (memory or log), the
 chain's :class:`~repro.storage.wal.WriteAheadLog`, a
 :class:`~repro.storage.snapshot.SnapshotManager` and one shared
-:class:`~repro.storage.cache.LRUCache` for blob reads.  From it hang:
+:class:`~repro.utils.cache.LRUCache` for blob reads.  From it hang:
 
 * :class:`ChainStore` -- the adapter a :class:`~repro.chain.chain.Blockchain`
   calls on every mint / transaction / block, which also triggers the
@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ReproError, StorageCorruptionError, StorageError
 from repro.storage.backend import LogBackend, MemoryBackend, StorageBackend
-from repro.storage.cache import LRUCache
+from repro.utils.cache import LRUCache
 from repro.storage.snapshot import SnapshotManager, restore_state, state_digest
 from repro.storage.wal import WriteAheadLog
 
@@ -251,7 +251,6 @@ def recover_chain(
     storage: Union[StorageEngine, StorageConfig],
     backend: Any = None,
     clock: Any = None,
-    validators: Any = None,
 ):
     """Rebuild a :class:`Blockchain` from snapshot + WAL.
 
@@ -287,15 +286,12 @@ def recover_chain(
         block_gas_limit=int(meta["block_gas_limit"]),
         slot_seconds=float(meta["slot_seconds"]),
     )
-    recovered_validators = validators
-    if recovered_validators is None and meta.get("validators"):
-        recovered_validators = [Address(v) for v in meta["validators"]]
 
     chain = Blockchain(
         config=config,
         backend=backend,
         clock=clock,
-        validators=recovered_validators,
+        validators=[Address(v) for v in meta.get("validators") or []],
         genesis_timestamp=float(meta["genesis_timestamp"]),
     )
 
@@ -373,7 +369,6 @@ def recover_node(
     backend: Any = None,
     clock: Any = None,
     network: Any = None,
-    validators: Any = None,
 ):
     """Rebuild an :class:`~repro.chain.node.EthereumNode` from a store.
 
@@ -385,8 +380,7 @@ def recover_node(
 
     # The node reads its engine off the recovered chain's store, so it
     # shares the engine the chain writes through, never a second one.
-    chain = recover_chain(storage, backend=backend, clock=clock,
-                          validators=validators)
+    chain = recover_chain(storage, backend=backend, clock=clock)
     return EthereumNode(chain=chain, network=network)
 
 

@@ -48,9 +48,11 @@ def block_archive_key(number: int) -> str:
 class WriteAheadLog:
     """Typed, checksummed, truncatable log over one backend topic."""
 
-    def __init__(self, backend: Any, topic: str = "chain") -> None:
+    #: The backend topic the log lives on.
+    topic = "chain"
+
+    def __init__(self, backend: Any) -> None:
         self.backend = backend
-        self.topic = topic
         #: Compaction epoch: bumped by every :meth:`compact` so tailing
         #: readers (the analytics feeder) know entries may have moved into
         #: the block archive since their last read and can reconcile.

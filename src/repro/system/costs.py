@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.chain.chain import Blockchain
 from repro.chain.explorer import Explorer
+from repro.chain.gas import CALLDATA_NONZERO_BYTE, SSTORE_SET, TX_BASE
 from repro.utils.units import format_ether
 
 
@@ -124,21 +125,16 @@ def build_gas_cost_report(chain: Blockchain) -> GasCostReport:
     return GasCostReport(rows=rows, transactions=transactions)
 
 
-def estimate_onchain_model_storage_gas(chain: Blockchain, model_bytes: int) -> dict:
+def estimate_onchain_model_storage_gas(model_bytes: int) -> dict:
     """Estimate the gas to store a whole model on-chain vs storing its CID.
 
     Supports the paper's Step 4 argument: a 32-byte CID occupies one storage
     slot, while a ~317 KB model would need ~10,000 slots plus calldata,
     which is impractical on Ethereum.
     """
-    schedule = chain.config.schedule
     slots = (model_bytes + 31) // 32
-    model_gas = (
-        schedule.tx_base
-        + slots * schedule.sstore_set
-        + model_bytes * schedule.calldata_nonzero_byte
-    )
-    cid_gas = schedule.tx_base + schedule.sstore_set + 64 * schedule.calldata_nonzero_byte
+    model_gas = TX_BASE + slots * SSTORE_SET + model_bytes * CALLDATA_NONZERO_BYTE
+    cid_gas = TX_BASE + SSTORE_SET + 64 * CALLDATA_NONZERO_BYTE
     return {
         "model_bytes": model_bytes,
         "storage_slots": slots,

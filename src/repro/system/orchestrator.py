@@ -79,7 +79,8 @@ class MarketplaceEnvironment:
 
     @property
     def cluster(self) -> Optional[Any]:
-        """The replication cluster behind ``node`` (``cluster=N``), else ``None``."""
+        """The replication cluster behind ``node`` (a stack built with a
+        cluster), else ``None``."""
         return self.stack.cluster
 
 
@@ -190,7 +191,6 @@ def build_environment(
     label_prefix: str = "",
     behaviors: Optional[List[Any]] = None,
     storage: Optional[Any] = None,
-    cluster: Optional[int] = None,
 ) -> MarketplaceEnvironment:
     """Construct (but do not run) the full marketplace environment.
 
@@ -213,24 +213,11 @@ def build_environment(
     log-backed config (CLI: ``python -m repro run --store DIR``) to persist
     the chain WAL, periodic snapshots and every IPFS block under a
     directory that survives the process.
-
-    ``cluster=N`` replaces the single chain node with an N-replica
-    replication cluster (``repro.cluster``): the environment's ``node``
-    becomes a :class:`~repro.cluster.ClusterNode` gateway that load-balances
-    caught-up reads across replicas and routes every write to the current
-    rotation leader, and ``env.cluster`` exposes the cluster control plane.
     """
     config = config or OFLW3Config()
     if stack is None:
-        cluster_config = None
-        if cluster is not None:
-            from repro.cluster import ClusterConfig
-
-            cluster_config = ClusterConfig(replicas=cluster, seed=config.seed)
-        stack = build_stack(
-            storage=storage if storage is not None else StorageEngine(),
-            cluster=cluster_config)
-    elif storage is not None or cluster is not None or stack.engine is None:
+        stack = build_stack(storage=storage if storage is not None else StorageEngine())
+    elif storage is not None or stack.engine is None:
         raise ValueError(
             "a pre-built stack brings its own cluster and engine (pass them to "
             "build_stack), and needs an engine: IPFS blocks live on it")

@@ -274,9 +274,3 @@ class ModelBuyer:
         )
         self.last_payments = result
         return result
-
-    # -- reporting ---------------------------------------------------------------------
-
-    def results(self) -> Dict[str, Any]:
-        """Consolidated results screen from the backend."""
-        return self.dapp.results()

@@ -74,7 +74,7 @@ class TimeBreakdown:
     """Accumulated simulated durations per phase for one participant."""
 
     role: str
-    phases: Dict[str, float] = field(default_factory=dict)
+    phases: Dict[str, float] = field(default_factory=dict, init=False)
 
     def add(self, phase: str, seconds: float) -> None:
         """Attribute ``seconds`` to ``phase``."""

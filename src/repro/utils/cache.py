@@ -1,8 +1,8 @@
 """A small LRU read cache with hit/miss accounting.
 
-Historically ``repro.storage.cache`` (which still re-exports it): IPFS
-block fetches and snapshot loads go through one shared :class:`LRUCache` so
-that a disk-backed store serves hot content at memory speed.  It lives in
+IPFS block fetches and snapshot loads go through one shared
+:class:`LRUCache` so that a disk-backed store serves hot content at memory
+speed.  It lives in
 ``repro.utils`` because lower layers front hot paths with it too -- the
 chain's address-checksum interning, for one -- and the chain package must
 not depend on the storage package (storage imports the chain for recovery).
@@ -59,10 +59,10 @@ class LRUCache:
             self.misses += 1
             return default
 
-    def peek(self, key: Hashable, default: Any = None) -> Any:
-        """Look up without touching recency or statistics: re-read an entry
-        a counted lookup just returned."""
-        return self._entries.get(key, default)
+    def peek(self, key: Hashable) -> Any:
+        """Look up without touching recency or statistics (``None`` when
+        absent): re-read an entry a counted lookup just returned."""
+        return self._entries.get(key)
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert or refresh ``key``; evicts the LRU entry when full."""
@@ -88,15 +88,9 @@ class LRUCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def stats(self) -> Dict[str, Any]:
-        """Canonical statistics spelling (alias of :meth:`snapshot`).
-
-        ``repro.obs`` samples every registered cache through this one name.
-        """
-        return self.snapshot()
-
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-friendly statistics dump (deterministic across runs)."""
+        """JSON-friendly statistics dump (deterministic across runs);
+        ``repro.obs`` samples every registered cache through this one name."""
         return {
             "capacity": self.capacity,
             "entries": len(self._entries),

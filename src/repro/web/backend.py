@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -38,9 +38,6 @@ from repro.ml.trainer import evaluate_model
 from repro.utils.units import format_ether
 from repro.web.http import HttpRequest, HttpResponse, Router
 from repro.web.wallet import MetaMaskWallet
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.rpc.client import MarketplaceClient
 
 
 @dataclass
@@ -91,14 +88,13 @@ class BuyerBackend:
         test_dataset: Dataset,
         aggregator_name: str = "pfnm",
         aggregator_kwargs: Optional[Dict[str, Any]] = None,
-        rpc: Optional["MarketplaceClient"] = None,
     ) -> None:
         self.wallet = wallet
         self.ipfs = ipfs
         #: The backend's own door to the stack: chain reads go out as
         #: ``eth_call`` and model retrieval as ``ipfs_cat``, through the same
         #: gateway the wallet transacts on.
-        self.rpc = (rpc or wallet.rpc).bound_to_ipfs(ipfs)
+        self.rpc = wallet.rpc.bound_to_ipfs(ipfs)
         self.test_dataset = test_dataset
         self.aggregator_name = aggregator_name
         self.aggregator_kwargs = dict(aggregator_kwargs or {})

@@ -15,7 +15,7 @@ surface programmatically:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, TYPE_CHECKING
+from typing import Any, Dict, Optional
 
 from repro.errors import WorkflowError
 from repro.data.dataset import Dataset
@@ -26,9 +26,6 @@ from repro.utils.units import format_ether
 from repro.web.backend import BuyerBackend
 from repro.web.client import RestClient
 from repro.web.wallet import MetaMaskWallet
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.rpc.client import MarketplaceClient
 
 
 @dataclass
@@ -49,11 +46,10 @@ class OwnerDApp:
     the JSON-RPC gateway is the one door for every button.
     """
 
-    def __init__(self, wallet: MetaMaskWallet, ipfs: IpfsNode,
-                 rpc: Optional["MarketplaceClient"] = None) -> None:
+    def __init__(self, wallet: MetaMaskWallet, ipfs: IpfsNode) -> None:
         self.wallet = wallet
         self.ipfs = ipfs
-        self.rpc = (rpc or wallet.rpc).bound_to_ipfs(ipfs)
+        self.rpc = wallet.rpc.bound_to_ipfs(ipfs)
         self.session = OwnerSession()
 
     # -- buttons -------------------------------------------------------------------
@@ -81,11 +77,11 @@ class OwnerDApp:
                 "fee_eth": format_ether(receipt.fee_wei)}
 
     def train_local_model(self, dataset: Dataset, config: Optional[TrainingConfig] = None,
-                          layer_sizes=None, seed: Optional[int] = None) -> Dict[str, Any]:
+                          seed: Optional[int] = None) -> Dict[str, Any]:
         """"Train model" button: run local training on the owner's private data."""
         self._require_task()
         spec = self.wallet.read_contract(self.session.task_address, "spec")
-        sizes = tuple(layer_sizes or spec.get("model", (784, 100, 10)))
+        sizes = tuple(spec.get("model", (784, 100, 10)))
         client = FLClient(self.wallet.address, dataset, layer_sizes=sizes,
                           config=config, seed=seed)
         self.session.local_result = client.train_local()
@@ -145,11 +141,10 @@ class BuyerDApp:
     REST client around for callers that poke routes by path.
     """
 
-    def __init__(self, backend: BuyerBackend,
-                 rpc: Optional["MarketplaceClient"] = None) -> None:
+    def __init__(self, backend: BuyerBackend) -> None:
         self.backend = backend
         self.client = RestClient(backend)
-        self.rpc = (rpc or backend.wallet.rpc).bound_to_backend(backend)
+        self.rpc = backend.wallet.rpc.bound_to_backend(backend)
         self.task_address: Optional[str] = None
 
     # -- buttons -------------------------------------------------------------------
@@ -189,11 +184,6 @@ class BuyerDApp:
         """Step 7c: execute the on-chain payments."""
         self._require_task()
         return self.rpc.oflw3.pay_owners(self.task_address, reserve_fraction, min_payment_wei)
-
-    def results(self) -> Dict[str, Any]:
-        """Consolidated report for the results screen."""
-        self._require_task()
-        return self.rpc.oflw3.report(self.task_address)
 
     def _require_task(self) -> None:
         """Guard used by buttons that need a deployed task."""

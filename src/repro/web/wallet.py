@@ -22,7 +22,7 @@ from typing import Any, List, Optional, TYPE_CHECKING
 
 from repro.chain.account import Address
 from repro.chain.keys import KeyPair
-from repro.chain.node import EthereumNode
+from repro.chain.node import GAS_LIMIT, EthereumNode
 from repro.chain.receipts import TransactionReceipt
 from repro.chain.transaction import Transaction, encode_call, encode_create
 from repro.utils.units import format_ether, gwei_to_wei
@@ -129,9 +129,9 @@ class MetaMaskWallet:
         )
 
     def preview(self, description: str, to: Optional[str], value: int = 0,
-                data: bytes = b"", gas_limit: int = 3_000_000) -> TransactionPreview:
+                data: bytes = b"") -> TransactionPreview:
         """Estimate gas and build the confirmation-screen preview."""
-        tx = self._build_transaction(to, value, data, gas_limit)
+        tx = self._build_transaction(to, value, data, GAS_LIMIT)
         estimated = self.rpc.eth.estimate_gas(tx)
         return TransactionPreview(
             description=description,
@@ -168,18 +168,17 @@ class MetaMaskWallet:
         )
 
     def call_contract(self, contract_address: str, method: str,
-                      args: Optional[List[Any]] = None, value_wei: int = 0,
+                      args: Optional[List[Any]] = None,
                       description: Optional[str] = None) -> TransactionReceipt:
         """State-changing contract interaction (Fig. 5c / 5d)."""
         data = encode_call(method, args or [])
         return self._confirm_and_send(
-            description or f"Call {method}", contract_address, value_wei, data
+            description or f"Call {method}", contract_address, 0, data
         )
 
-    def read_contract(self, contract_address: str, method: str,
-                      args: Optional[List[Any]] = None) -> Any:
+    def read_contract(self, contract_address: str, method: str) -> Any:
         """Gas-free read-only call (Step 5: downloading CIDs)."""
-        return self.rpc.eth.call(contract_address, method, args or [], caller=self.address)
+        return self.rpc.eth.call(contract_address, method, [], caller=self.address)
 
     # -- reporting ---------------------------------------------------------------------
 

@@ -208,6 +208,10 @@ class TestStaticCallAndEstimate:
         assert state.nonce_of(ALICE.address) == nonce_before
         assert state.balance_of(ALICE.address) == balance_before
 
+    def test_estimate_gas_adds_a_ten_percent_margin(self, executor, state):
+        # A plain transfer uses exactly its 21 000 intrinsic gas.
+        assert executor.estimate_gas(signed_transfer(100), state) == 23_100
+
     def test_estimate_gas_accepts_an_unsigned_probe(self, executor, state):
         # eth_estimateGas takes a call object, not a signed transaction: gas
         # does not depend on the signature, so the estimate must match the

@@ -51,6 +51,18 @@ class TestFaucet:
         assert faucet.total_dripped == 20
         assert len(faucet.history) == 2
 
+    def test_a_node_mint_is_write_ahead_logged(self, tmp_path):
+        from repro.storage import StorageConfig, StorageEngine, recover_node
+
+        config = StorageConfig(backend="log", directory=str(tmp_path / "s"))
+        engine = StorageEngine(config)
+        node = EthereumNode(backend=default_registry(), storage=engine)
+        node.mint(ALICE.address, 5)
+        assert node.get_balance(ALICE.address) == 5
+        engine.close()
+        revived = recover_node(config, backend=default_registry())
+        assert revived.get_balance(ALICE.address) == 5
+
     def test_non_positive_drip_rejected(self):
         node = EthereumNode(backend=default_registry())
         with pytest.raises(ValueError):

@@ -3,36 +3,32 @@
 import pytest
 
 from repro.errors import OutOfGasError
-from repro.chain.gas import GasMeter, GasSchedule, SEPOLIA_GAS_SCHEDULE
+from repro.chain import gas
+from repro.chain.gas import GasMeter
 
 
 class TestGasSchedule:
     def test_calldata_gas_distinguishes_zero_bytes(self):
-        schedule = GasSchedule()
-        assert schedule.calldata_gas(b"\x00\x00") == 2 * schedule.calldata_zero_byte
-        assert schedule.calldata_gas(b"\x01\x02") == 2 * schedule.calldata_nonzero_byte
+        assert gas.calldata_gas(b"\x00\x00") == 2 * gas.CALLDATA_ZERO_BYTE
+        assert gas.calldata_gas(b"\x01\x02") == 2 * gas.CALLDATA_NONZERO_BYTE
 
     def test_intrinsic_gas_plain_transfer(self):
-        schedule = GasSchedule()
-        assert schedule.intrinsic_gas(b"", is_create=False) == 21_000
+        assert gas.intrinsic_gas(b"", is_create=False) == 21_000
 
     def test_intrinsic_gas_creation_surcharge(self):
-        schedule = GasSchedule()
-        assert schedule.intrinsic_gas(b"", is_create=True) == 21_000 + 32_000
+        assert gas.intrinsic_gas(b"", is_create=True) == 21_000 + 32_000
 
     def test_code_deposit_gas(self):
-        schedule = GasSchedule()
-        assert schedule.code_deposit_gas(100) == 100 * schedule.code_deposit_byte
+        assert gas.code_deposit_gas(100) == 100 * gas.CODE_DEPOSIT_BYTE
 
     def test_log_gas(self):
-        schedule = GasSchedule()
-        expected = schedule.log_base + 2 * schedule.log_topic + 10 * schedule.log_data_byte
-        assert schedule.log_gas(num_topics=2, data_size=10) == expected
+        expected = gas.LOG_BASE + 2 * gas.LOG_TOPIC + 10 * gas.LOG_DATA_BYTE
+        assert gas.log_gas(num_topics=2, data_size=10) == expected
 
     def test_default_schedule_matches_mainnet_values(self):
-        assert SEPOLIA_GAS_SCHEDULE.tx_base == 21_000
-        assert SEPOLIA_GAS_SCHEDULE.calldata_nonzero_byte == 16
-        assert SEPOLIA_GAS_SCHEDULE.code_deposit_byte == 200
+        assert gas.TX_BASE == 21_000
+        assert gas.CALLDATA_NONZERO_BYTE == 16
+        assert gas.CODE_DEPOSIT_BYTE == 200
 
 
 class TestGasMeter:

@@ -587,9 +587,9 @@ class TestAddressInterning:
     def test_lowercase_and_checksummed_forms_share_a_slot(self):
         keypair = KeyPair.from_label("intern-fold")
         checksummed = Address(keypair.address)
-        misses_after_first = checksum_cache().stats()["misses"]
+        misses_after_first = checksum_cache().snapshot()["misses"]
         lowered = Address(keypair.address.lower())
-        stats = checksum_cache().stats()
+        stats = checksum_cache().snapshot()
         assert stats["misses"] == misses_after_first  # second form was a hit
         assert lowered == checksummed
 
@@ -604,9 +604,9 @@ class TestAddressInterning:
     def test_cache_accumulates_hits(self):
         keypair = KeyPair.from_label("intern-hits")
         Address(keypair.address)
-        before = checksum_cache().stats()["hits"]
+        before = checksum_cache().snapshot()["hits"]
         Address(keypair.address)
-        assert checksum_cache().stats()["hits"] > before
+        assert checksum_cache().snapshot()["hits"] > before
 
 
 class TestMempoolIndexes:

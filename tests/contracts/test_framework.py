@@ -5,7 +5,8 @@ import pytest
 from repro.errors import ContractRevert
 from repro.chain.account import Address
 from repro.chain.executor import BlockContext, CallContext
-from repro.chain.gas import GasMeter, GasSchedule
+from repro.chain import gas
+from repro.chain.gas import GasMeter
 from repro.chain.keys import KeyPair
 from repro.chain.state import WorldState
 from repro.contracts import framework
@@ -55,7 +56,6 @@ def make_ctx(value=0, gas_limit=1_000_000):
         contract_address=CONTRACT_ADDRESS,
         value=value,
         block=BlockContext(number=1, timestamp=12.0),
-        schedule=GasSchedule(),
     )
 
 
@@ -194,8 +194,7 @@ class TestGasMetering:
         before = ctx.meter.gas_used
         registry.call(contract, "increment", [1], ctx)  # updates existing slot
         first_call = ctx.meter.gas_used - before
-        schedule = ctx.schedule
-        assert first_call >= schedule.sstore_update + schedule.sload
+        assert first_call >= gas.SSTORE_UPDATE + gas.SLOAD
 
     def test_storage_clear_adds_refund(self):
         ctx = make_ctx()
@@ -203,7 +202,7 @@ class TestGasMetering:
         contract.sstore(ctx, "temp", 1)
         assert ctx.meter.refund_counter == 0
         contract.sstore(ctx, "temp", None)
-        assert ctx.meter.refund_counter == ctx.schedule.sstore_clear_refund
+        assert ctx.meter.refund_counter == gas.SSTORE_CLEAR_REFUND
         assert "temp" not in ctx.storage
 
     def test_emit_charges_log_gas(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import PartitionError
 from repro.data.dataset import Dataset
 from repro.data.partition import (
+    DIRICHLET_MAX_DRAWS,
     DIRICHLET_MIN_SAMPLES,
     dirichlet_partition,
     iid_partition,
@@ -73,6 +74,11 @@ class TestDirichlet:
     def test_invalid_alpha_rejected(self, dataset):
         with pytest.raises(PartitionError):
             dirichlet_partition(dataset, 5, alpha=0.0)
+
+    def test_gives_up_after_the_draw_limit(self, dataset):
+        # 120 clients cannot each hold DIRICHLET_MIN_SAMPLES of 1 000 rows.
+        with pytest.raises(PartitionError, match=f"after {DIRICHLET_MAX_DRAWS} draws"):
+            dirichlet_partition(dataset, 120, alpha=0.5, rng=0)
 
     def test_reproducible_with_seed(self, dataset):
         a = dirichlet_partition(dataset, 6, alpha=0.5, rng=9)

@@ -103,6 +103,12 @@ class TestShapleyExact:
         with pytest.raises(IncentiveError):
             shapley_exact(20, additive_value([1] * 20))
 
+    def test_twelve_owners_are_enumerated_and_thirteen_refused(self):
+        report = shapley_exact(12, additive_value([1.0] * 12))
+        assert report.scores == pytest.approx({owner: 1.0 for owner in range(12)})
+        with pytest.raises(IncentiveError):
+            shapley_exact(13, additive_value([1.0] * 13))
+
     def test_duplicated_contributions_split_evenly(self):
         # Two identical owners sharing the same information should split credit;
         # LOO gives both zero, Shapley gives both half.

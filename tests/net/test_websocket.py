@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro.errors import NetworkError, ProtocolViolationError
-from repro.net import NetConfig, ServerThread, WebSocketClient, build_serve_stack
+from repro.net import NetConfig, ServerThread, WebSocketClient, build_serve_stack, websocket
 from repro.net.websocket import (
     OP_BINARY,
     OP_CLOSE,
@@ -101,6 +101,12 @@ class TestHandshakeAndSession:
             ws._sock.sendall(encode_frame(OP_TEXT, b"{nope", mask=True))
             message = ws._read_message()
             assert message["error"]["code"] == -32700
+
+    def test_next_notification_times_out_when_nothing_is_pushed(self, server, monkeypatch):
+        monkeypatch.setattr(websocket, "NOTIFICATION_TIMEOUT_SECONDS", 0.2)
+        with WebSocketClient("127.0.0.1", server.port) as ws:
+            with pytest.raises(socket.timeout):
+                ws.next_notification()
 
     def test_unsubscribe_of_unknown_id_returns_false(self, server):
         with WebSocketClient("127.0.0.1", server.port) as ws:

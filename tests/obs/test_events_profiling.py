@@ -59,7 +59,8 @@ class TestEventLog:
         assert list(counts) == ["aa", "zz"]
 
     def test_cap_drops_and_counts(self):
-        log = ObsEventLog(max_events=1)
+        log = ObsEventLog()
+        log.max_events = 1
         assert log.emit("kept") is not None
         assert log.emit("dropped") is None
         assert log.dropped == 1

@@ -53,7 +53,8 @@ class TestContextPropagation:
         assert execute.parent_id == deliver.span_id
 
     def test_null_span_has_no_context(self):
-        tracer = Tracer(max_spans=0)
+        tracer = Tracer()
+        tracer.max_spans = 0
         span = tracer.start_span("tx.submit", "t1")
         assert span is NULL_SPAN
         assert tracer.context(span) is None
@@ -123,6 +124,12 @@ class TestTrees:
                           "tx.execute": 1, "tx.mempool": 1, "tx.submit": 1}
         assert list(counts) == sorted(counts)
 
+    def test_render_leaves_wall_time_out(self):
+        tracer = Tracer()
+        self._tx_trace(tracer)
+        assert all("wall_ms" in span.to_dict() for span in tracer.spans)
+        assert "wall" not in tracer.render("t1")
+
     def test_render_mentions_every_span_and_replica(self):
         tracer = Tracer()
         self._tx_trace(tracer)
@@ -134,7 +141,8 @@ class TestTrees:
 
 class TestCaps:
     def test_cap_returns_null_spans_and_counts_drops(self):
-        tracer = Tracer(max_spans=2)
+        tracer = Tracer()
+        tracer.max_spans = 2
         tracer.start_span("a", "t1")
         tracer.start_span("b", "t1")
         third = tracer.start_span("c", "t1")

@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from repro.chain.account import Address
 from repro.chain.executor import BlockContext, TransactionExecutor
-from repro.chain.gas import GasSchedule
+from repro.chain import gas
 from repro.chain.keys import KeyPair, recover_address, verify_signature
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
 from repro.utils.hashing import keccak256
 
-SCHEDULE = GasSchedule()
 SENDER = KeyPair.from_label("prop-sender")
 RECIPIENT = KeyPair.from_label("prop-recipient")
 GAS_PRICE = 10**9
@@ -37,12 +36,12 @@ class TestSignatureProperties:
 class TestCalldataGasProperties:
     @given(st.binary(max_size=512))
     def test_calldata_gas_bounds(self, data):
-        gas = SCHEDULE.calldata_gas(data)
-        assert SCHEDULE.calldata_zero_byte * len(data) <= gas <= SCHEDULE.calldata_nonzero_byte * len(data)
+        used = gas.calldata_gas(data)
+        assert gas.CALLDATA_ZERO_BYTE * len(data) <= used <= gas.CALLDATA_NONZERO_BYTE * len(data)
 
     @given(st.binary(max_size=256), st.binary(max_size=256))
     def test_calldata_gas_is_additive(self, a, b):
-        assert SCHEDULE.calldata_gas(a + b) == SCHEDULE.calldata_gas(a) + SCHEDULE.calldata_gas(b)
+        assert gas.calldata_gas(a + b) == gas.calldata_gas(a) + gas.calldata_gas(b)
 
 
 class TestTransferProperties:

@@ -94,10 +94,10 @@ class TestUnifiedCacheStats:
         stats = gateway.call("obs_cacheStats")
         assert set(stats) == {"address_checksum", "schnorr_inverse", "storage",
                               "rpc_reply"}
-        assert stats["storage"] == engine.cache.stats()
-        assert stats["rpc_reply"] == gateway.replies.stats()
-        assert stats["address_checksum"] == checksum_cache().stats()
-        assert stats["schnorr_inverse"] == inverse_cache().stats()
+        assert stats["storage"] == engine.cache.snapshot()
+        assert stats["rpc_reply"] == gateway.replies.snapshot()
+        assert stats["address_checksum"] == checksum_cache().snapshot()
+        assert stats["schnorr_inverse"] == inverse_cache().snapshot()
 
     def test_storage_stats_has_the_same_cache_counters(self, observed_gateway):
         gateway, _, _ = observed_gateway

@@ -1,7 +1,7 @@
 """Tests for the discrete-event scheduler (repro.simnet.events).
 
 Includes the property tests required for the clock + scheduler pair: events
-fire in timestamp order with deterministic (priority, insertion) tie-breaking
+fire in timestamp order with deterministic insertion-order tie-breaking
 regardless of the order they were scheduled in.
 """
 
@@ -25,27 +25,9 @@ class TestScheduling:
         assert fired == ["early", "middle", "late"]
         assert scheduler.now == 5.0
 
-    def test_ties_break_by_priority_then_insertion(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.schedule(1.0, lambda: fired.append("b"), priority=1)
-        scheduler.schedule(1.0, lambda: fired.append("c"), priority=2)
-        scheduler.schedule(1.0, lambda: fired.append("a"), priority=0)
-        scheduler.schedule(1.0, lambda: fired.append("b2"), priority=1)
-        scheduler.run()
-        assert fired == ["a", "b", "b2", "c"]
-
     def test_negative_delay_rejected(self):
         with pytest.raises(SchedulerError):
             EventScheduler().schedule(-1.0, lambda: None)
-
-    def test_sort_key_is_time_priority_insertion(self):
-        scheduler = EventScheduler()
-        later = scheduler.schedule(2.0, lambda: None)
-        urgent = scheduler.schedule(2.0, lambda: None, priority=-1)
-        assert urgent.sort_key == (2.0, -1, 1)
-        assert later.sort_key == (2.0, 0, 0)
-        assert urgent < later
 
     def test_events_executed_skips_cancelled_events(self):
         scheduler = EventScheduler()
@@ -99,43 +81,34 @@ class TestScheduling:
 
 
 class TestOrderingProperties:
-    @given(st.lists(
-        st.tuples(st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-                  st.integers(min_value=-5, max_value=5)),
-        max_size=60))
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=60))
     @settings(max_examples=80, deadline=None)
-    def test_events_fire_sorted_by_time_priority_insertion(self, specs):
+    def test_events_fire_sorted_by_time_then_insertion(self, specs):
         scheduler = EventScheduler()
         fired = []
-        for index, (time, priority) in enumerate(specs):
-            scheduler.schedule_at(
-                time, (lambda i=index: fired.append(i)), priority=priority)
+        for index, time in enumerate(specs):
+            scheduler.schedule_at(time, (lambda i=index: fired.append(i)))
         scheduler.run()
         expected = [
-            index for index, _ in sorted(
-                enumerate(specs), key=lambda item: (item[1][0], item[1][1], item[0]))
+            index for index, _ in sorted(enumerate(specs), key=lambda item: (item[1], item[0]))
         ]
         assert fired == expected
 
-    @given(st.lists(
-        st.tuples(st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
-                  st.integers(min_value=-5, max_value=5)),
-        max_size=40),
-        st.randoms(use_true_random=False))
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=40),
+           st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_scheduling_order_of_distinct_keys_is_irrelevant(self, specs, shuffler):
         # Deterministic replay: shuffling the schedule() calls must not change
-        # the execution order of events whose (time, priority) keys differ;
-        # equal keys keep their original insertion (seq) order.
+        # the execution order of events whose times differ; equal times keep
+        # their original insertion (seq) order.
         def run(ordering):
             scheduler = EventScheduler()
             fired = []
             for original_index in ordering:
-                time, priority = specs[original_index]
                 scheduler.schedule_at(
-                    time, (lambda i=original_index: fired.append(i)), priority=priority)
+                    specs[original_index], (lambda i=original_index: fired.append(i)))
             scheduler.run()
-            return [(specs[i][0], specs[i][1]) for i in fired]
+            return [specs[i] for i in fired]
 
         ordering = list(range(len(specs)))
         shuffled = list(ordering)

@@ -73,7 +73,7 @@ class TestGasCostReport:
 
 class TestOnChainStorageAblation:
     def test_cid_storage_orders_of_magnitude_cheaper(self, populated_chain):
-        estimate = estimate_onchain_model_storage_gas(populated_chain, model_bytes=317 * 1024)
+        estimate = estimate_onchain_model_storage_gas(model_bytes=317 * 1024)
         assert estimate["storage_slots"] == (317 * 1024 + 31) // 32
         assert estimate["gas_ratio"] > 1000
         assert estimate["cid_storage_gas"] < 100_000

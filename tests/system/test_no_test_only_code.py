@@ -27,15 +27,18 @@ list cannot rot.
 
 The option pass applies the same rule to options: every defaulted
 parameter (positional or keyword-only) of a public function, a public
-method or a public class's ``__init__``, and every defaulted field of a
-public ``@dataclass``.  An option is set by
+method or a public class's ``__init__``, and every defaulted ``__init__``
+field of a public ``@dataclass``.  A ``_``-prefixed name is private state,
+not an option, and so is a ``field(init=False)``.  An option is set by
 
 - a call whose callee is the function's or method's name, or the class's
   name for ``__init__`` and fields (``cls`` inside the class,
   ``__init__`` from a subclass), that passes it by keyword or by
   position;
 - for a field, a ``replace`` or ``with_overrides`` call that passes it by
-  keyword, or an attribute store ``obj.field = ...``;
+  keyword, or an attribute store ``obj.field = ...`` on another object
+  (``self.field = ...`` sets an attribute of the storing class, which
+  says nothing about a dataclass that shares the name);
 - a call through a dispatch table (``AGGREGATORS[name](...)``) that passes
   it by keyword, for each callable the table's dict literal holds;
 - a ``*``/``**`` splat into such a callee, which sets every option of it
@@ -44,13 +47,17 @@ public ``@dataclass``.  An option is set by
   ``**kwargs`` splatted on makes the function's callers the callee's
   callers (``quick_config(seed=...)`` sets ``OFLW3Config.seed``).  An
   unread splat into ``replace``, ``with_overrides`` or a dispatch table
-  sets nothing: each serves many callables, so it says nothing about one.
+  sets nothing: each serves many callables, so it says nothing about one;
+- the wire, for a parameter of a method of a ``*Namespace`` class: those
+  methods are JSON-RPC methods, whose params the client names.
 
 Like the symbol pass it matches by name, so it errs towards keeping.  An
 option that ``tests/`` sets and nothing in ``src/``, ``bench/``,
 ``benchmarks/`` or ``examples/`` sets keeps a code path alive for tests
-only.  Each one that stays is in :data:`ALLOWED_OPTIONS` with one of three
-reasons:
+only.  An option that nothing sets at all, not even a test, only ever
+holds its default: it is a constant, or a branch that never runs.  Each
+one of either kind that stays is in :data:`ALLOWED_OPTIONS` with one of
+three reasons:
 
 - ``api``: README.md or a hand-written ``docs/`` page names the option
   (an auto-generated page such as docs/cli.md does not count);
@@ -60,9 +67,7 @@ reasons:
   the keyword.
 
 An entry whose option is gone, or that something outside ``tests/`` now
-sets, fails as for symbols.  Options that nothing sets at all are out of
-scope (most are JSON-RPC params the wire sets by name).  CI runs this file
-as its own step.
+sets, fails as for symbols.  CI runs this file as its own step.
 """
 
 from __future__ import annotations
@@ -125,6 +130,7 @@ ALLOWED_OPTIONS = {
     # api: named in README.md or a hand-written docs/ page.
     "repro/chain/node.py::EthereumNode(validators)": "api",
     "repro/cluster/config.py::ClusterConfig(finality_depth)": "api",
+    "repro/cluster/config.py::ClusterConfig(fork_snapshot_interval)": "api",
     "repro/fl/oneshot/pfnm.py::PFNMAggregator(config)": "api",
     "repro/fl/oneshot/pfnm.py::PFNMConfig(max_global_neurons_factor)": "api",
     "repro/fl/oneshot/pfnm.py::PFNMConfig(sigma)": "api",
@@ -135,10 +141,23 @@ ALLOWED_OPTIONS = {
     "repro/simnet/behaviors.py::FreeRiderBehavior(mode)": "api",
     "repro/simnet/behaviors.py::LabelFlipPoisonerBehavior(flip_fraction)": "api",
     "repro/simnet/behaviors.py::StragglerBehavior(mean_delay_seconds)": "api",
-    # pending: an open ROADMAP item deletes it.
+    # pending: an open ROADMAP item deletes it, or sets it.
+    "repro/analytics/feeder.py::attach_analytics(store)": "pending #8",
     "repro/chain/chain.py::Blockchain(batch_verify)": "pending #2",
+    "repro/fl/oneshot/pfnm.py::PFNMConfig(gamma)": "pending #6",
+    "repro/fl/oneshot/pfnm.py::PFNMConfig(sigma0)": "pending #6",
+    "repro/storage/engine.py::StorageConfig(fsync)": "pending #28",
+    "repro/system/timing.py::LatencyModel(aggregation_seconds_per_update)": "pending #20",
+    "repro/system/timing.py::LatencyModel(incentive_seconds_per_evaluation)": "pending #20",
+    "repro/system/timing.py::LatencyModel(ipfs_overhead_seconds)": "pending #20",
+    "repro/system/timing.py::LatencyModel(lan_bandwidth_bytes_per_second)": "pending #20",
+    "repro/system/timing.py::LatencyModel(metamask_confirmation_seconds)": "pending #20",
+    "repro/system/timing.py::LatencyModel(payment_calculation_seconds)": "pending #20",
+    "repro/system/timing.py::LatencyModel(training_sample_passes_per_second)": "pending #20",
+    "repro/web/client.py::RestClient.get_json(query)": "pending #17",
     "repro/web/client.py::RestClient.post_json(json_body)": "pending #17",
     "repro/web/http.py::HttpRequest.param(default)": "pending #17",
+    "repro/web/http.py::HttpResponse(headers)": "pending #17",
     # scale: the named test shrinks the limit so its path runs in milliseconds.
     "repro/chain/mempool.py::Mempool(max_size)": "scale tests/chain/test_mempool.py",
     "repro/data/synthetic_mnist.py::SyntheticMnistConfig(num_features)":
@@ -154,6 +173,7 @@ WORD = re.compile(r"[A-Za-z_]\w*")
 NOT_CALLERS = {"__all__", "_HOME"}
 FIELD_UPDATERS = ("replace", "with_overrides")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+WIRE = re.compile(r"^\w+Namespace\.\w+$")  # a JSON-RPC method: the wire sets its params
 
 
 def names_in(tree: ast.Module, init: bool):
@@ -228,14 +248,15 @@ def census(root: Path = ROOT):
 
 
 def defaulted(args: ast.arguments, skip: int):
-    """Yield ``(name, index)`` per defaulted parameter; ``index`` is its place
-    among positional arguments after ``skip`` (``self``), or None."""
+    """Yield ``(name, index)`` per public defaulted parameter; ``index`` is its
+    place among positional arguments after ``skip`` (``self``), or None."""
     positional = [*args.posonlyargs, *args.args]
     first = len(positional) - len(args.defaults)
     for index, arg in enumerate(positional[first:], first):
-        yield arg.arg, index - skip
+        if not arg.arg.startswith("_"):
+            yield arg.arg, index - skip
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        if default is not None:
+        if default is not None and not arg.arg.startswith("_"):
             yield arg.arg, None
 
 
@@ -248,8 +269,8 @@ def decorated(node, name: str) -> bool:
 
 
 def dataclass_fields(node: ast.ClassDef):
-    """Yield ``(name, index)`` per defaulted field; ``index`` is its place
-    among ``__init__``'s arguments, or None for ``field(init=False)``."""
+    """Yield ``(name, index)`` per public defaulted ``__init__`` field;
+    ``index`` is its place among ``__init__``'s arguments."""
     index = 0
     for member in node.body:
         if not (isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)):
@@ -259,8 +280,8 @@ def dataclass_fields(node: ast.ClassDef):
         init = not (isinstance(member.value, ast.Call) and any(
             keyword.arg == "init" and getattr(keyword.value, "value", True) is False
             for keyword in member.value.keywords))
-        if member.value is not None:
-            yield member.target.id, index if init else None
+        if member.value is not None and init and not member.target.id.startswith("_"):
+            yield member.target.id, index
         index += init
 
 
@@ -340,7 +361,8 @@ def setters_in(tree: ast.Module, sets, forwarders, tables):
         elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             for target in getattr(node, "targets", [getattr(node, "target", None)]):
                 sets["="].update(store.attr for store in ast.walk(target)
-                                 if isinstance(store, ast.Attribute))
+                                 if isinstance(store, ast.Attribute)
+                                 and getattr(store.value, "id", None) != "self")
                 if isinstance(target, ast.Name) and isinstance(node.value, ast.Dict) and all(
                         isinstance(value, ast.Name) for value in node.value.values):
                     tables[target.id].update(value.id for value in node.value.values)
@@ -413,7 +435,8 @@ def is_set(sets, forwarders, option, callees, index, field, generic):
 @lru_cache(maxsize=None)
 def option_census(root: Path = ROOT):
     """``(defined, test_only, unset)``: every public option, those only
-    ``tests/`` sets, and those nothing sets."""
+    ``tests/`` sets, and those nothing sets (the wire sets every param of
+    a ``*Namespace`` method)."""
     outside, inside = defaultdict(set), defaultdict(set)
     forwarders, tables = defaultdict(set), defaultdict(set)
     for top in (*SCANNED, "tests"):
@@ -424,6 +447,8 @@ def option_census(root: Path = ROOT):
         for qualname, option, callees, index, field in public_options(tree):
             key = f"{path.relative_to(root / 'src').as_posix()}::{qualname}({option})"
             defined.add(key)
+            if WIRE.match(qualname):
+                continue
             generic = {f"[{table}]" for table, entries in tables.items() if callees[0] in entries}
             generic.update(FIELD_UPDATERS if field else ())
             if is_set(outside, forwarders, option, callees, index, field, generic):
@@ -437,9 +462,9 @@ def option_census(root: Path = ROOT):
 
 def stale_options(allowed, root: Path = ROOT):
     """``(gone, reached)``: entries naming no option, and entries whose option
-    is no longer set by tests alone."""
-    defined, test_only, _ = option_census(root)
-    return sorted(set(allowed) - defined), sorted(set(allowed) & (defined - test_only))
+    something outside ``tests/`` now sets."""
+    defined, test_only, unset = option_census(root)
+    return sorted(set(allowed) - defined), sorted(set(allowed) & (defined - test_only - unset))
 
 
 # -- the checks ----------------------------------------------------------------
@@ -469,7 +494,15 @@ def test_every_test_only_option_has_a_reason():
         f"it an ALLOWED_OPTIONS entry with a reason: {unexplained}")
 
 
-def test_every_allowlisted_option_exists_and_is_still_test_only():
+def test_every_option_nothing_sets_has_a_reason():
+    _, _, unset = option_census()
+    unexplained = sorted(unset - set(ALLOWED_OPTIONS))
+    assert not unexplained, (
+        "nothing sets these options; make each a constant or delete it with its "
+        f"branch, or give it an ALLOWED_OPTIONS entry with a reason: {unexplained}")
+
+
+def test_every_allowlisted_option_exists_and_is_still_unset_outside_tests():
     gone, reached = stale_options(ALLOWED_OPTIONS)
     assert not gone, f"these ALLOWED_OPTIONS entries name no option: {gone}"
     assert not reached, f"code outside tests/ sets these; drop their entries: {reached}"
@@ -541,3 +574,35 @@ def test_the_option_pass_flags_a_test_only_keyword_until_code_sets_it(tmp_path):
     assert stale_options({key: "api"}, cleared) == ([], [key])
     assert stale_options({"pkg/mod.py::scale(gone)": "api"}, cleared) == (
         ["pkg/mod.py::scale(gone)"], [])
+
+
+def test_the_option_pass_flags_an_option_nothing_sets_but_not_state_or_wire_params(tmp_path):
+    module = tmp_path / "src" / "pkg" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        "from dataclasses import dataclass, field\n\n\n"
+        "def scale(values, factor=2):\n    return [v * factor for v in values]\n\n\n"
+        "@dataclass\nclass Config:\n    size: int = 1\n"
+        "    _cache: dict = field(default_factory=dict)\n"
+        "    seen: list = field(default_factory=list, init=False)\n\n\n"
+        "class Holder:\n    def __init__(self, _depth=0):\n        self.size = 3\n\n\n"
+        "class EthNamespace:\n    def get_balance(self, address, block='latest'):\n"
+        "        return address, block\n\n\n"
+        "def run():\n    return scale([1]), Config(), Holder()\n")
+    (tmp_path / "tests").mkdir()
+    defined, test_only, unset = option_census(tmp_path)
+    assert defined == {"pkg/mod.py::scale(factor)", "pkg/mod.py::Config(size)",
+                       "pkg/mod.py::EthNamespace.get_balance(block)"}
+    assert test_only == set()
+    assert unset == {"pkg/mod.py::scale(factor)", "pkg/mod.py::Config(size)"}
+    assert stale_options({"pkg/mod.py::Config(size)": "api"}, tmp_path) == ([], [])
+
+    cleared = tmp_path / "cleared"
+    (cleared / "examples").mkdir(parents=True)
+    for top in ("src", "tests"):
+        (cleared / top).symlink_to(tmp_path / top)
+    (cleared / "examples" / "demo.py").write_text(
+        "from pkg.mod import Config\n\nconfig = Config()\nconfig.size = 4\n")
+    assert option_census(cleared)[2] == {"pkg/mod.py::scale(factor)"}
+    assert stale_options({"pkg/mod.py::Config(size)": "api"}, cleared) == (
+        [], ["pkg/mod.py::Config(size)"])

@@ -236,7 +236,7 @@ class TestTheOneRegistry:
         assert value_of(stack.registry, "repro_storage_wal_records_total",
                         kind="block") == 1
         assert value_of(stack.registry, "repro_cache_capacity",
-                        cache="storage") == stack.engine.cache.stats()["capacity"]
+                        cache="storage") == stack.engine.cache.snapshot()["capacity"]
         assert value_of(stack.registry, "repro_mempool_added_total",
                         replica="node") == 4
 

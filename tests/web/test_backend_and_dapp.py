@@ -48,6 +48,11 @@ def marketplace(tiny_client_datasets, tiny_split):
     return buyer, owners, tiny_client_datasets
 
 
+def report_of(buyer):
+    """The backend's consolidated report of the buyer's task (the results screen)."""
+    return buyer.client.get_json(f"/api/task/{buyer.task_address}/report")
+
+
 def _deploy_and_submit(buyer, owners, datasets):
     """Steps 1-4: the buyer deploys the task, every owner trains and submits."""
     deployment = buyer.deploy_task(SPEC, BUDGET)
@@ -154,7 +159,7 @@ class TestFullExchange:
         for owner in owners:
             assert int(owner.check_payment()["payment_eth"].replace(".", "")) >= 0
 
-        results = buyer.results()
+        results = report_of(buyer)
         assert results["num_models"] == 2
         assert results["aggregate_accuracy"] is not None
 
@@ -293,10 +298,10 @@ class TestGrandCoalitionIsAggregatedOnce:
     def test_a_second_retrieve_forgets_what_was_computed_from_the_first(self, retrieved):
         retrieved.aggregate()
         retrieved.compute_incentives("leave_one_out")
-        before = retrieved.results()
+        before = report_of(retrieved)
         assert before["aggregate_accuracy"] is not None and before["contribution"] is not None
         retrieved.retrieve_models()
-        after = retrieved.results()
+        after = report_of(retrieved)
         assert after["num_models"] == 2
         assert after["aggregate_accuracy"] is None
         assert after["contribution"] is None
@@ -388,10 +393,10 @@ def test_a_caller_mistake_in_steps_6_and_7_is_a_400_naming_the_field(priced, met
     owner = priced.backend.tasks[priced.task_address].uploaders[0]
     params = [{owner: param["OWNER"]} if isinstance(param, dict) and "OWNER" in param
               else param for param in params]
-    before = priced.results()
+    before = report_of(priced)
     request = make_request(method, [priced.task_address, *params], request_id=1)
     error = json.loads(priced.rpc.gateway.handle_raw(json.dumps(request)))["error"]
     assert error["code"] == SERVER_ERROR
     assert error["data"] == {"http_status": 400, "error_class": "WebError"}
     assert repr(field) in error["message"]
-    assert priced.results() == before
+    assert report_of(priced) == before
