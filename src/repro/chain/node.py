@@ -279,22 +279,10 @@ class EthereumNode:
 
     # -- logs ------------------------------------------------------------------
 
-    def get_logs(
-        self,
-        log_filter: Optional[LogFilter] = None,
-        limit: Optional[int] = None,
-        cursor: Optional[str] = None,
-    ) -> List[EventLog]:
-        """Query event logs on the canonical chain.
-
-        Without ``limit``/``cursor`` this returns every matching log (the
-        seed behaviour).  With either set it returns at most ``limit`` logs
-        starting from ``cursor``; use :meth:`get_logs_page` to also receive
-        the continuation cursor.
-        """
-        if limit is None and cursor is None:
-            return self.chain.logs(log_filter)
-        return self.chain.logs_page(log_filter, limit=limit, cursor=cursor).logs
+    def get_logs(self, log_filter: Optional[LogFilter] = None) -> List[EventLog]:
+        """Every matching event log on the canonical chain; a page of them,
+        with its continuation cursor, is :meth:`get_logs_page`."""
+        return self.chain.logs(log_filter)
 
     def get_logs_page(
         self,
@@ -317,6 +305,10 @@ class EthereumNode:
         The one door of the cadence producers: a server's wall-clock tick
         advances the simulated clock a slot; a scenario's
         :func:`~repro.simnet.runner.slot_producer` mines at the current time.
+        A cluster's facade must not come through here: it would mine on one
+        replica outside leader rotation and gossip.  The server refuses a
+        cluster stack, and ``slot_producer`` calls the cluster's
+        ``produce_now`` instead.
         """
         if len(self.chain.mempool) == 0:
             return 0

@@ -103,17 +103,9 @@ class ClusterNode(EthereumNode):
         """Whether a contract is deployed at ``address``."""
         return self._read_chain().state.get_account(address).is_contract
 
-    def get_logs(
-        self,
-        log_filter: Optional[LogFilter] = None,
-        limit: Optional[int] = None,
-        cursor: Optional[str] = None,
-    ) -> List[EventLog]:
+    def get_logs(self, log_filter: Optional[LogFilter] = None) -> List[EventLog]:
         """Query event logs from a caught-up replica."""
-        chain = self._read_chain()
-        if limit is None and cursor is None:
-            return chain.logs(log_filter)
-        return chain.logs_page(log_filter, limit=limit, cursor=cursor).logs
+        return self._read_chain().logs(log_filter)
 
     def get_logs_page(
         self,

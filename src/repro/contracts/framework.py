@@ -86,11 +86,6 @@ class Contract:
         if not condition:
             raise ContractRevert(reason)
 
-    @staticmethod
-    def revert(reason: str = "execution reverted") -> None:
-        """Unconditionally revert the call (Solidity ``revert``)."""
-        raise ContractRevert(reason)
-
     def constructor(self, ctx: CallContext) -> None:
         """Default constructor: records the deployer as the contract owner."""
         self.sstore(ctx, "owner", str(ctx.caller))
@@ -165,11 +160,11 @@ class ContractRegistry:
     def __init__(self) -> None:
         self._contracts: Dict[str, Type[Contract]] = {}
 
-    def register(self, contract_class: Type[Contract], name: Optional[str] = None) -> None:
-        """Register ``contract_class`` under ``name`` (default: class name)."""
+    def register(self, contract_class: Type[Contract]) -> None:
+        """Register ``contract_class`` under its class name."""
         if not (inspect.isclass(contract_class) and issubclass(contract_class, Contract)):
             raise TypeError("register expects a Contract subclass")
-        self._contracts[name or contract_class.__name__] = contract_class
+        self._contracts[contract_class.__name__] = contract_class
 
     def contract_class(self, name: str) -> Optional[Type[Contract]]:
         """The registered class for ``name`` (``None`` if unknown).

@@ -26,14 +26,12 @@ class ObsEventLog:
 
     def __init__(self, clock: Optional[SimulatedClock] = None) -> None:
         self.clock = clock
-        #: Events kept; past it, events are dropped and counted.
-        self.max_events = MAX_EVENTS
         self.dropped = 0
         self._events: List[Dict[str, Any]] = []
 
     def emit(self, kind: str, **fields: Any) -> Optional[Dict[str, Any]]:
         """Append one event stamped with a sequence number and sim time."""
-        if len(self._events) >= self.max_events:
+        if len(self._events) >= MAX_EVENTS:
             self.dropped += 1
             return None
         event: Dict[str, Any] = {

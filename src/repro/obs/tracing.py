@@ -128,8 +128,6 @@ class Tracer:
 
     def __init__(self, clock: Optional[SimulatedClock] = None) -> None:
         self.clock = clock
-        #: Spans kept; past it, spans are dropped and counted.
-        self.max_spans = MAX_SPANS
         self.spans: List[Span] = []
         self.dropped = 0
         self._by_trace: Dict[str, List[Span]] = {}
@@ -152,7 +150,7 @@ class Tracer:
         (used for fire-and-forget sends like gossip fan-out, whose children
         live on the *receiving* replica instead).
         """
-        if len(self.spans) >= self.max_spans:
+        if len(self.spans) >= MAX_SPANS:
             self.dropped += 1
             return NULL_SPAN
         if parent_id is None:

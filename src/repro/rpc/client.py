@@ -243,9 +243,6 @@ class EthClient:
 
     # -- blocks / logs -----------------------------------------------------------
 
-    def get_block(self, block: Union[str, int] = "latest") -> Dict[str, Any]:
-        return self._rpc.call("eth_getBlockByNumber", block, False)
-
     def get_logs(self, log_filter: Optional[LogFilter] = None,
                  limit: Optional[int] = None,
                  cursor: Optional[str] = None) -> Union[List[EventLog], LogPage]:
@@ -314,9 +311,9 @@ class IpfsClient:
     def _node(self, node: Optional[str]) -> Optional[str]:
         return node if node is not None else self.default_node
 
-    def add(self, payload: bytes, node: Optional[str] = None) -> Dict[str, Any]:
+    def add(self, payload: bytes) -> Dict[str, Any]:
         """Add and pin bytes; returns ``{"cid", "size", "num_blocks"}``."""
-        return self._rpc.call("ipfs_add", to_hex(bytes(payload)), self._node(node), True)
+        return self._rpc.call("ipfs_add", to_hex(bytes(payload)), self.default_node, True)
 
     def cat(self, cid: str, node: Optional[str] = None) -> bytes:
         # In process the result is a HexString: its bytes, never made text.

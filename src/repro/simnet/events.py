@@ -27,6 +27,11 @@ from repro.errors import SchedulerError
 from repro.utils.clock import SimulatedClock
 
 
+#: Events one :meth:`EventScheduler.run` executes before it calls the run a
+#: runaway process and raises.
+EVENT_BUDGET = 1_000_000
+
+
 class ScheduledEvent:
     """One pending callback in the event queue."""
 
@@ -191,12 +196,12 @@ class EventScheduler:
             return event
         return None
 
-    def run(self, until: Optional[float] = None, max_events: int = 1_000_000) -> int:
+    def run(self, until: Optional[float] = None) -> int:
         """Drain the queue; returns the number of events executed.
 
         ``until`` bounds simulated time (events scheduled later stay queued);
-        ``max_events`` bounds work so a buggy self-rescheduling process cannot
-        spin forever.
+        :data:`EVENT_BUDGET` bounds work so a buggy self-rescheduling process
+        cannot spin forever.
         """
         executed = 0
         while self._queue:
@@ -206,9 +211,9 @@ class EventScheduler:
                 continue
             if until is not None and head.time > until and head.time > self.clock.now:
                 break
-            if executed >= max_events:
+            if executed >= EVENT_BUDGET:
                 raise SchedulerError(
-                    f"event budget exhausted after {max_events} events "
+                    f"event budget exhausted after {EVENT_BUDGET} events "
                     f"(simulated t={self.clock.now:.1f}s); likely a runaway process")
             self.step()
             executed += 1

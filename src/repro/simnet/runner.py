@@ -560,7 +560,7 @@ class ScenarioRunner:
 
     # -- execution --------------------------------------------------------------
 
-    def run(self, max_events: int = 1_000_000) -> ScenarioReport:
+    def run(self) -> ScenarioReport:
         """Build every task, drive the scenario to completion, report."""
         if self.tasks:
             raise SimulationError("a ScenarioRunner instance runs exactly once")
@@ -593,7 +593,7 @@ class ScenarioRunner:
                                      name="analytics-reads")
             if self.spec.background_load is not None:
                 self._install_background_load()
-            self.scheduler.run(max_events=max_events)
+            self.scheduler.run()
         finally:
             self.clock.unsubscribe(self._sample_mempool)
 

@@ -49,15 +49,16 @@ class LRUCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Look up ``key``, counting a hit or miss and freshening on hit."""
+    def get(self, key: Hashable) -> Any:
+        """Look up ``key`` (``None`` when absent), counting a hit or miss and
+        freshening on hit."""
         with self._lock:
             if key in self._entries:
                 self.hits += 1
                 self._entries.move_to_end(key)
                 return self._entries[key]
             self.misses += 1
-            return default
+            return None
 
     def peek(self, key: Hashable) -> Any:
         """Look up without touching recency or statistics (``None`` when

@@ -11,7 +11,10 @@ from repro.cluster import ChainCluster, ClusterConfig, ClusterNode
 from repro.contracts.registry import default_registry
 from repro.errors import ClusterError, UnknownTransactionError
 from repro.loadgen.driver import presigned_transfers
+from repro.simnet.events import EventScheduler
+from repro.simnet.runner import slot_producer
 from repro.storage.snapshot import state_digest
+from repro.system.stack import build_stack
 from repro.utils.units import ether_to_wei
 
 
@@ -145,9 +148,9 @@ class TestFacadeReads:
         criteria = LogFilter(event_name="CidUploaded")
         assert [log.args["cid"] for log in node.get_logs(criteria)] == \
             ["QmClusterOne", "QmClusterTwo", "QmClusterThree"]
-        assert [log.args["cid"] for log in node.get_logs(criteria, limit=2)] == \
+        assert [log.args["cid"] for log in node.get_logs_page(criteria, limit=2).logs] == \
             ["QmClusterOne", "QmClusterTwo"]
-        assert [log.args["cid"] for log in node.get_logs(criteria, cursor="2")] == \
+        assert [log.args["cid"] for log in node.get_logs_page(criteria, cursor="2").logs] == \
             ["QmClusterThree"]
 
     def test_wait_for_receipt_gives_up_after_max_blocks(self):
@@ -283,6 +286,28 @@ class TestClusterNodeFacade:
         assert all(tx_hash in replica.chain.mempool for replica in cluster.replicas)
         # Only the lone replica had anything pending, and it had two peers cut off.
         assert cluster.gossip.stats.tx_floods == floods + 2
+
+    def test_a_cluster_slot_producer_mines_by_rotation_never_through_the_node(
+            self, monkeypatch):
+        """``ClusterNode`` inherits ``EthereumNode.produce_pending``, which would
+        mine on one replica outside rotation and gossip.  Its two cadence
+        producers keep clear of it: the server refuses a cluster stack
+        (tests/net/test_http_server.py) and ``slot_producer`` rotates."""
+        stack = build_stack(cluster=ClusterConfig(replicas=2))
+        try:
+            def refuse(advance_clock):
+                raise AssertionError("a cluster mined through node.produce_pending")
+
+            monkeypatch.setattr(stack.node, "produce_pending", refuse)
+            scheduler = EventScheduler(stack.clock)
+            slots = iter(range(3))
+            scheduler.spawn(slot_producer(stack, lambda: next(slots, None) is not None))
+            scheduler.run()
+            stack.cluster.pump()
+            assert [replica.height for replica in stack.cluster.replicas] == [3, 3]
+            assert states_identical(stack.cluster)
+        finally:
+            stack.close()
 
     def test_status_document_shape(self):
         cluster = make_cluster(3)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.obs import ObsEventLog, PhaseProfiler
+from repro.obs import events
 from repro.utils.clock import SimulatedClock
 
 
@@ -58,9 +59,9 @@ class TestEventLog:
         assert counts == {"aa": 1, "zz": 2}
         assert list(counts) == ["aa", "zz"]
 
-    def test_cap_drops_and_counts(self):
+    def test_cap_drops_and_counts(self, monkeypatch):
+        monkeypatch.setattr(events, "MAX_EVENTS", 1)
         log = ObsEventLog()
-        log.max_events = 1
         assert log.emit("kept") is not None
         assert log.emit("dropped") is None
         assert log.dropped == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.obs import NULL_SPAN, Tracer
+from repro.obs import tracing
 from repro.utils.clock import SimulatedClock
 
 
@@ -52,9 +53,9 @@ class TestContextPropagation:
         execute = tracer.start_span("tx.execute", "t1", replica="r1")
         assert execute.parent_id == deliver.span_id
 
-    def test_null_span_has_no_context(self):
+    def test_null_span_has_no_context(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_SPANS", 0)
         tracer = Tracer()
-        tracer.max_spans = 0
         span = tracer.start_span("tx.submit", "t1")
         assert span is NULL_SPAN
         assert tracer.context(span) is None
@@ -140,9 +141,9 @@ class TestTrees:
 
 
 class TestCaps:
-    def test_cap_returns_null_spans_and_counts_drops(self):
+    def test_cap_returns_null_spans_and_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_SPANS", 2)
         tracer = Tracer()
-        tracer.max_spans = 2
         tracer.start_span("a", "t1")
         tracer.start_span("b", "t1")
         third = tracer.start_span("c", "t1")

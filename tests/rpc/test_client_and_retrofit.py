@@ -161,8 +161,7 @@ class TestIpfsClient:
     def test_node_selection_by_name(self, stack):
         node, ipfs, client = stack
         other = IpfsNode("sdk-node-2", ipfs.swarm)
-        client.gateway.serve_ipfs_node(other)
-        added = client.ipfs.add(b"routed", node="sdk-node-2")
+        added = client.bound_to_ipfs(other).ipfs.add(b"routed")
         assert other.has_local(added["cid"])
         assert not ipfs.has_local(added["cid"])
 

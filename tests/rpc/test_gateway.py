@@ -356,7 +356,7 @@ class TestNodeLevelPagination:
         node, contract = busy_node
         log_filter = LogFilter(event_name="CidUploaded")
         assert len(node.get_logs(log_filter)) == 7
-        assert len(node.get_logs(log_filter, limit=3)) == 3
+        assert len(node.get_logs_page(log_filter, limit=3).logs) == 3
 
     def test_get_logs_page_walks_the_stream(self, busy_node):
         node, contract = busy_node

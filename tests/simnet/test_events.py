@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchedulerError
+from repro.simnet import events
 from repro.simnet.events import EventScheduler
 from repro.utils.clock import SimulatedClock
 
@@ -68,7 +69,8 @@ class TestScheduling:
         assert fired == ["first", "second"]
         assert clock.now == 100.0  # never moves backwards
 
-    def test_event_budget_guards_runaway_processes(self):
+    def test_event_budget_guards_runaway_processes(self, monkeypatch):
+        monkeypatch.setattr(events, "EVENT_BUDGET", 50)
         scheduler = EventScheduler()
 
         def forever():
@@ -77,7 +79,7 @@ class TestScheduling:
 
         scheduler.spawn(forever())
         with pytest.raises(SchedulerError):
-            scheduler.run(max_events=50)
+            scheduler.run()
 
 
 class TestOrderingProperties:

@@ -49,8 +49,10 @@ def marketplace(tiny_client_datasets, tiny_split):
 
 
 def report_of(buyer):
-    """The backend's consolidated report of the buyer's task (the results screen)."""
-    return buyer.client.get_json(f"/api/task/{buyer.task_address}/report")
+    """The consolidated report of the buyer's task (the results screen), fetched
+    over the wire through the gateway's served ``oflw3_report`` method."""
+    request = make_request("oflw3_report", [buyer.task_address], request_id=1)
+    return json.loads(buyer.rpc.gateway.handle_raw(json.dumps(request)))["result"]
 
 
 def _deploy_and_submit(buyer, owners, datasets):
