@@ -10,9 +10,8 @@ reports comparable run over run.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Optional
-
-import numpy as np
 
 from repro.errors import SimulationError
 from repro.utils.rng import SeedLike, make_rng
@@ -113,7 +112,9 @@ class ZipfSelector:
 
     Sampling is a binary search over the precomputed CDF, so a draw costs
     ``O(log n)`` even for thousands of keys, and is fully determined by the
-    seed.
+    seed.  NumPy is imported here, where the weights are built, so a process
+    that only imports the package (the chain-only ``presigned_transfers``
+    fixture) never loads it.
     """
 
     def __init__(self, n: int, exponent: float = 1.1, seed: SeedLike = None) -> None:
@@ -123,15 +124,18 @@ class ZipfSelector:
             raise SimulationError(f"zipf exponent must be non-negative, got {exponent}")
         self.n = int(n)
         self.exponent = float(exponent)
+        import numpy as np
+
         weights = (1.0 / np.arange(1, self.n + 1, dtype=np.float64) ** self.exponent)
-        self._probabilities = weights / weights.sum()
-        self._cdf = np.cumsum(self._probabilities)
+        probabilities = weights / weights.sum()
+        self._probabilities = probabilities.tolist()
+        self._cdf = np.cumsum(probabilities).tolist()
         self._rng = make_rng(seed, "zipf-selector")
 
     @property
     def probabilities(self) -> List[float]:
         """The rank -> probability table (rank 0 is the most popular)."""
-        return [float(p) for p in self._probabilities]
+        return list(self._probabilities)
 
     def sample(self) -> int:
         """Draw one index.
@@ -140,5 +144,4 @@ class ZipfSelector:
         1.0, and a draw in that sliver would otherwise index one past the
         end.
         """
-        index = int(np.searchsorted(self._cdf, self._rng.random(), side="right"))
-        return min(index, self.n - 1)
+        return min(bisect_right(self._cdf, self._rng.random()), self.n - 1)

@@ -20,9 +20,9 @@ the traffic, as in any real marketplace.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, List
-
-import numpy as np
 
 from repro.chain.account import Address
 from repro.chain.keys import KeyPair
@@ -51,12 +51,12 @@ class RequestMix:
         total = sum(positive.values())
         self.weights = {kind: weight / total for kind, weight in sorted(positive.items())}
         self._kinds = list(self.weights)
-        self._cdf = np.cumsum([self.weights[kind] for kind in self._kinds])
+        self._cdf = list(accumulate(self.weights[kind] for kind in self._kinds))
         self._rng = make_rng(seed, "request-mix")
 
     def sample(self) -> str:
         """Draw one operation kind."""
-        index = int(np.searchsorted(self._cdf, self._rng.random(), side="right"))
+        index = bisect_right(self._cdf, self._rng.random())
         return self._kinds[min(index, len(self._kinds) - 1)]
 
 

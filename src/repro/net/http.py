@@ -32,12 +32,14 @@ REASONS = {
 
 @dataclass
 class HttpRequest:
-    """One parsed request: method, target path, lower-cased headers, body."""
+    """One parsed request: method, target path, lower-cased headers, body,
+    and the request line's protocol version."""
 
     method: str
     target: str
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    version: str = "HTTP/1.1"
 
     @property
     def path(self) -> str:
@@ -45,8 +47,13 @@ class HttpRequest:
         return self.target.split("?", 1)[0]
 
     def wants_keep_alive(self) -> bool:
-        """HTTP/1.1 default is keep-alive unless the client says close."""
-        return self.headers.get("connection", "").lower() != "close"
+        """HTTP/1.1 default is keep-alive unless the client says close; an
+        HTTP/1.0 connection stays open only when the client asks (RFC 9112
+        section 9.3)."""
+        connection = self.headers.get("connection", "").lower()
+        if self.version == "HTTP/1.0":
+            return connection == "keep-alive"
+        return connection != "close"
 
     def is_websocket_upgrade(self) -> bool:
         """Whether this is an RFC 6455 upgrade request."""
@@ -73,7 +80,7 @@ def parse_head(data: Union[bytes, bytearray], max_bytes: int,
         return None
     try:
         request_line, *header_lines = data[:end].decode("latin-1").split("\r\n")
-        method, target, _version = request_line.split(" ", 2)
+        method, target, version = request_line.split(" ", 2)
     except ValueError:
         raise ProtocolViolationError("malformed HTTP request line") from None
     headers: Dict[str, str] = {}
@@ -94,7 +101,8 @@ def parse_head(data: Union[bytes, bytearray], max_bytes: int,
     if len(length_text) > 18 or int(length_text) > max_bytes:
         raise PayloadTooLargeError(
             f"request body of {length_text} bytes exceeds the {max_bytes}-byte cap")
-    return (HttpRequest(method=method.upper(), target=target, headers=headers),
+    return (HttpRequest(method=method.upper(), target=target, headers=headers,
+                        version=version),
             end + 4, end + 4 + int(length_text))
 
 

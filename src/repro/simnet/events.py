@@ -196,10 +196,9 @@ class EventScheduler:
             return event
         return None
 
-    def run(self, until: Optional[float] = None) -> int:
+    def run(self) -> int:
         """Drain the queue; returns the number of events executed.
 
-        ``until`` bounds simulated time (events scheduled later stay queued);
         :data:`EVENT_BUDGET` bounds work so a buggy self-rescheduling process
         cannot spin forever.
         """
@@ -209,8 +208,6 @@ class EventScheduler:
             if head.cancelled:
                 heapq.heappop(self._queue)
                 continue
-            if until is not None and head.time > until and head.time > self.clock.now:
-                break
             if executed >= EVENT_BUDGET:
                 raise SchedulerError(
                     f"event budget exhausted after {EVENT_BUDGET} events "

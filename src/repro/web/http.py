@@ -27,7 +27,6 @@ class HttpRequest:
     json_body: Optional[Dict[str, Any]] = None
     query: Dict[str, str] = field(default_factory=dict)
     path_params: Dict[str, str] = field(default_factory=dict)
-    headers: Dict[str, str] = field(default_factory=dict)
 
     def param(self, name: str, default: Any = None) -> Any:
         """Look up ``name`` in path params, then query, then the JSON body."""

@@ -6,15 +6,19 @@ processes are seeded, so these tests are fully deterministic in practice.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.loadgen import (
+    DEFAULT_MIX,
     FlashCrowdArrivals,
     PoissonArrivals,
+    RequestMix,
     ZipfSelector,
     make_arrivals,
 )
+from repro.utils.rng import make_rng
 
 
 def draw_gaps(process, count, start=0.0):
@@ -153,3 +157,30 @@ class TestZipfSelector:
 
         selector._rng = TopDraw()
         assert selector.sample() == 999
+
+
+class TestDrawsEqualNumpysSearch:
+    """The samplers bisect a list CDF.  Each draw must be the index numpy's
+    ``searchsorted(cumsum(p), u, side="right")`` gives for the same ``u``,
+    so a seeded load replays exactly as it did when they drew through numpy."""
+
+    @staticmethod
+    def reference(probabilities, label, count):
+        rng, cdf = make_rng(5, label), np.cumsum(probabilities)
+        return [min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("n, exponent", [(1, 1.1), (7, 0.0), (64, 1.1), (1000, 2.0)])
+    def test_zipf_selector(self, n, exponent):
+        weights = 1.0 / np.arange(1, n + 1, dtype=np.float64) ** exponent
+        expected = self.reference(weights / weights.sum(), "zipf-selector", 3_000)
+        assert draws(ZipfSelector(n, exponent, seed=5), 3_000) == expected
+
+    @pytest.mark.parametrize("weights", [
+        DEFAULT_MIX, {"transfer": 1, "read": 1, "ipfs": 1, "analytics": 1},
+        {"read": 0.1, "analytics": 0.7}])
+    def test_request_mix(self, weights):
+        mix = RequestMix(weights, seed=5)
+        kinds = list(mix.weights)
+        expected = self.reference([mix.weights[kind] for kind in kinds], "request-mix", 3_000)
+        assert [mix.sample() for _ in range(3_000)] == [kinds[index] for index in expected]

@@ -151,9 +151,10 @@ class TestLoad:
             start = stack.clock.now
             generator.install(delay=30.0)
             scheduler.spawn(slot_producer(stack, generator.busy), name="block-producer")
-            scheduler.run(until=start + 29.0)
-            assert generator.offered == 0
+            offered_before_start = []
+            scheduler.schedule(29.0, lambda: offered_before_start.append(generator.offered))
             scheduler.run()
+            assert offered_before_start == [0]
             report = generator.finalize()
         finally:
             stack.close()

@@ -88,12 +88,17 @@ class TestParseHead:
 
 
 class TestHttpRequest:
-    @pytest.mark.parametrize("connection, keep_alive", [
-        (None, True), ("keep-alive", True), ("close", False), ("Close", False),
+    @pytest.mark.parametrize("version, connection, keep_alive", [
+        ("HTTP/1.1", None, True), ("HTTP/1.1", "keep-alive", True),
+        ("HTTP/1.1", "close", False), ("HTTP/1.1", "Close", False),
+        # HTTP/1.0 stays open only when asked (RFC 9112 section 9.3).
+        ("HTTP/1.0", None, False), ("HTTP/1.0", "keep-alive", True),
+        ("HTTP/1.0", "Keep-Alive", True), ("HTTP/1.0", "close", False),
     ])
-    def test_keep_alive_is_the_default(self, connection, keep_alive):
+    def test_keep_alive_is_the_default(self, version, connection, keep_alive):
         headers = {} if connection is None else {"connection": connection}
-        assert HttpRequest("GET", "/", headers).wants_keep_alive() is keep_alive
+        request = HttpRequest("GET", "/", headers, version=version)
+        assert request.wants_keep_alive() is keep_alive
 
     def test_websocket_upgrade_needs_both_headers(self):
         upgrade = {"upgrade": "WebSocket", "connection": "keep-alive, Upgrade"}
@@ -138,8 +143,9 @@ def padded_post(length: int) -> bytes:
     return b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body
 
 
-def feed(server, data: bytes):
-    """What one connection handed ``data`` writes."""
+def serve(server, data: bytes) -> FakeTransport:
+    """The transport one connection handed ``data`` wrote to (and closed,
+    if it did)."""
     async def drive():
         connection = _Connection(server)
         connection.connection_made(transport)
@@ -148,7 +154,12 @@ def feed(server, data: bytes):
 
     transport = FakeTransport()
     asyncio.run(drive())
-    return transport.written
+    return transport
+
+
+def feed(server, data: bytes):
+    """What one connection handed ``data`` writes."""
+    return serve(server, data).written
 
 
 class TestEveryCapIsInclusive:
@@ -177,6 +188,37 @@ class TestEveryCapIsInclusive:
     def test_a_body_one_byte_over_max_request_bytes_is_a_413(self, capped_server):
         (reply,) = feed(capped_server, padded_post(CAP + 1))
         assert reply.startswith(b"HTTP/1.1 413 Payload Too Large\r\n")
+
+
+class TestHttp10KeepAlive:
+    """An HTTP/1.0 connection stays open only when the request carries
+    ``Connection: keep-alive`` (RFC 9112 section 9.3)."""
+
+    @staticmethod
+    def post(version: str, *headers: str) -> bytes:
+        body = json.dumps(call("eth_chainId", [], 1)).encode()
+        return head(f"POST / {version}", f"Content-Length: {len(body)}",
+                    *headers) + body
+
+    def test_parse_head_keeps_the_version(self):
+        request, _, _ = parse_head(self.post("HTTP/1.0"), CAP)
+        assert request.version == "HTTP/1.0"
+
+    def test_without_keep_alive_the_reply_says_close_and_the_socket_closes(
+            self, capped_server):
+        transport = serve(capped_server, self.post("HTTP/1.0") * 2)
+        (reply,) = transport.written
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"\r\nConnection: close\r\n" in reply
+        assert transport.closing
+
+    def test_with_keep_alive_the_socket_stays_open(self, capped_server):
+        request = self.post("HTTP/1.0", "Connection: keep-alive")
+        transport = serve(capped_server, request * 2)
+        assert len(transport.written) == 2
+        assert all(b"\r\nConnection: keep-alive\r\n" in reply
+                   for reply in transport.written)
+        assert not transport.closing
 
 
 def test_a_malformed_request_is_answered_400_bad_request(capped_server):

@@ -483,6 +483,55 @@ class TestShutdownClosesTheStack:
             assert not index.exists()  # indexes flush lazily
         assert "update-0" in json.loads(index.read_text())
 
+    def test_a_graceful_stop_leaves_a_restart_nothing_to_replay(self, tmp_path):
+        """Below ``snapshot_interval_blocks`` only the stop's own snapshot
+        compacts the WAL: recovery restores the head, state and receipts from
+        it and re-queues the one pending transfer, with no block to replay."""
+        from repro.chain.account import Address
+        from repro.chain.keys import KeyPair
+        from repro.chain.transaction import Transaction
+        from repro.contracts.registry import default_registry
+        from repro.storage import StorageConfig, recover_node, state_digest
+
+        server = build_serve_stack(
+            NetConfig(port=0, block_interval_seconds=0), store=str(tmp_path))
+        keypair = KeyPair.from_label("graceful-restart")
+        transfers = [Transaction(
+            sender=Address(keypair.address), to=Address("0x" + "55" * 20),
+            value=1, nonce=nonce, gas_limit=21_000,
+            gas_price=10**9).sign(keypair) for nonce in range(4)]
+        with ServerThread(server):
+            post(server.port, {"jsonrpc": "2.0", "id": 0,
+                               "method": "dev_fundAccount",
+                               "params": [keypair.address]})
+            for index, tx in enumerate(transfers):
+                _, reply = post(server.port, {
+                    "jsonrpc": "2.0", "id": index,
+                    "method": "eth_sendRawTransaction",
+                    "params": [tx.serialize_raw()]})
+                assert "result" in reply
+                if index < 3:
+                    post(server.port, {"jsonrpc": "2.0", "id": index,
+                                       "method": "evm_mine", "params": []})
+            chain = server.node.chain
+            assert 0 < chain.height < StorageConfig().snapshot_interval_blocks
+            head, digest = chain.latest_block.hash, state_digest(chain.state)
+            receipts = {tx.hash_hex: chain.get_receipt(tx.hash_hex).to_dict()
+                        for tx in transfers[:3]}
+
+        node = recover_node(StorageConfig(backend="log", directory=str(tmp_path)),
+                            backend=default_registry())
+        try:
+            assert node.chain.latest_block.hash == head
+            assert state_digest(node.chain.state) == digest
+            assert {tx_hash: node.chain.get_receipt(tx_hash).to_dict()
+                    for tx_hash in receipts} == receipts
+            assert [tx.hash_hex for tx in node.chain.mempool.pending()] == [
+                transfers[3].hash_hex]
+            assert "block" not in {entry.kind for entry in node.storage.wal.entries()}
+        finally:
+            node.storage.close()
+
 
 class TestServeStack:
     def test_the_server_refuses_a_cluster_stack(self):

@@ -47,15 +47,6 @@ class TestScheduling:
         scheduler.run()
         assert fired == ["kept"]
 
-    def test_run_until_leaves_later_events_queued(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.schedule(1.0, lambda: fired.append(1))
-        scheduler.schedule(10.0, lambda: fired.append(10))
-        scheduler.run(until=5.0)
-        assert fired == [1]
-        assert len(scheduler) == 1
-
     def test_external_clock_jump_fires_events_late_but_in_order(self):
         # A legacy component advancing the shared clock past pending events
         # must not deadlock or reorder the queue.

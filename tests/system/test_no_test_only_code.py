@@ -51,8 +51,17 @@ not an option, and so is a ``field(init=False)``.  An option is set by
 - the wire, for a parameter of a method of a ``*Namespace`` class: those
   methods are JSON-RPC methods, whose params the client names.
 
-Like the symbol pass it matches by name, so it errs towards keeping.  An
-option that ``tests/`` sets and nothing in ``src/``, ``bench/``,
+A callee is resolved where the call says which one it is: ``self.x(...)``
+and ``cls.x(...)`` name the enclosing class's ``x`` (or an override or a
+base's, along the class hierarchy), ``module.x(...)`` the imported module's
+``x`` (or a name its package re-exports), a bare ``x(...)`` the ``x`` its
+module defines or imports, ``K(...).x(...)`` class ``K``'s ``x``, and
+``self.a.x(...)`` the ``x`` of the one class whose instance the enclosing
+class stores in ``self.a``.  So ``asyncio.run(...)`` sets nothing of a
+``run`` method, and a method of another class that shares the name sets
+nothing of this one.  Any other receiver (a local, a parameter, a chain of
+attributes) is matched by name alone, so the pass still errs towards
+keeping.  An option that ``tests/`` sets and nothing in ``src/``, ``bench/``,
 ``benchmarks/`` or ``examples/`` sets keeps a code path alive for tests
 only.  An option that nothing sets at all, not even a test, only ever
 holds its default: it is a constant, or a branch that never runs.  Each
@@ -129,6 +138,7 @@ ALLOWED = {
 ALLOWED_OPTIONS = {
     # api: named in README.md or a hand-written docs/ page.
     "repro/chain/node.py::EthereumNode(validators)": "api",
+    "repro/cli.py::main(argv)": "api",
     "repro/cluster/config.py::ClusterConfig(finality_depth)": "api",
     "repro/cluster/config.py::ClusterConfig(fork_snapshot_interval)": "api",
     "repro/fl/oneshot/pfnm.py::PFNMAggregator(config)": "api",
@@ -138,6 +148,8 @@ ALLOWED_OPTIONS = {
     "repro/net/server.py::NetConfig(keepalive_timeout_seconds)": "api",
     "repro/net/server.py::NetConfig(max_request_bytes)": "api",
     "repro/net/websocket.py::WebSocketClient(timeout)": "api",
+    "repro/net/websocket.py::WebSocketClient.request(params)": "api",
+    "repro/rpc/client.py::EthClient.new_log_filter(log_filter)": "api",
     "repro/simnet/behaviors.py::FreeRiderBehavior(mode)": "api",
     "repro/simnet/behaviors.py::LabelFlipPoisonerBehavior(flip_fraction)": "api",
     "repro/simnet/behaviors.py::StragglerBehavior(mean_delay_seconds)": "api",
@@ -342,24 +354,122 @@ def splat_keys(function, name: str):
     return (keys, forwards) if built else (None, False)
 
 
-def setters_in(tree: ast.Module, sets, forwarders, tables):
+def module_name(root: Path, top: str, path: Path) -> str:
+    """The dotted name ``path`` imports as (``src/repro/cli.py`` is
+    ``repro.cli``; a file of another tree is named from that tree's root)."""
+    parts = path.relative_to(root / top).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def bindings_in(tree: ast.Module, module: str, package: bool, modules):
+    """``{name: {(kind, module, original)}}``: what each imported or top-level
+    defined name of the file is.  ``kind`` is ``"module"`` for an imported
+    module and ``"object"`` for anything a module defines; an import inside a
+    function binds the name too (the codebase imports lazily)."""
+    bound = defaultdict(set)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bound[alias.asname].add(("module", alias.name, alias.name))
+                else:
+                    first = alias.name.split(".")[0]
+                    bound[first].add(("module", first, first))
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = module if package else module.rpartition(".")[0]
+                for _ in range(node.level - 1):
+                    parent = parent.rpartition(".")[0]
+                base = f"{parent}.{base}".strip(".")
+            for alias in node.names:
+                kind = "module" if f"{base}.{alias.name}" in modules else "object"
+                target = f"{base}.{alias.name}" if kind == "module" else base
+                bound[alias.asname or alias.name].add((kind, target, alias.name))
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            bound[node.name].add(("object", module, node.name))
+    return bound
+
+
+def original(name, bound):
+    """The names ``name`` is imported or defined as (``import x as y``)."""
+    return {source for kind, _, source in bound.get(name, ()) if kind == "object"} or {name}
+
+
+def callee_keys(func, owner, bound):
+    """The keys a call through ``func`` is recorded under.
+
+    ``("module", M, x)`` is module ``M``'s ``x``; ``("class", C, x)`` a
+    ``self.x`` or ``cls.x`` inside class ``C``.  Two keys wait for every
+    class to be seen (:func:`settle`): ``("new", K, x)`` for ``K(...).x``
+    and ``("attr", C, a, x)`` for ``self.a.x`` inside ``C``.  Any other call
+    is the bare name ``x``.
+    """
+    if isinstance(func, ast.Name):
+        targets = [(target, source) for kind, target, source in bound.get(func.id, ())
+                   if kind == "object"]
+        return [("module", target, source) for target, source in targets] or [func.id]
+    if not isinstance(func, ast.Attribute):
+        return []
+    receiver, name = func.value, func.attr
+    if name in FIELD_UPDATERS:
+        return [name]  # generic: matched by name for every dataclass
+    if isinstance(receiver, ast.Name):
+        if receiver.id in ("self", "cls") and owner:
+            return [("class", owner, name)]
+        targets = [target for kind, target, _ in bound.get(receiver.id, ()) if kind == "module"]
+        return [("module", target, name) for target in targets] or [name]
+    if isinstance(receiver, ast.Call) and isinstance(receiver.func, ast.Name):
+        return [("new", cls, name) for cls in original(receiver.func.id, bound)]
+    if (isinstance(receiver, ast.Attribute) and getattr(receiver.value, "id", None) == "self"
+            and owner):
+        return [("attr", owner, receiver.attr, name)]
+    return [name]
+
+
+def settle(table, bases, attributes):
+    """Resolve ``table``'s waiting keys now that every class is known: a
+    ``K(...).x`` is class ``K``'s ``x`` when ``K`` is a class, and a
+    ``self.a.x`` is ``K``'s ``x`` when the class stores ``self.a = K(...)``
+    and nothing else; otherwise each is the bare name ``x``."""
+    for key in [key for key in table if isinstance(key, tuple) and key[0] in ("new", "attr")]:
+        classes = {key[1]} if key[0] == "new" else attributes.get(key[1:3], ())
+        cls = next(iter(classes)) if len(classes) == 1 else None
+        table[("class", cls, key[-1]) if cls in bases else key[-1]] |= table.pop(key)
+
+
+def setters_in(tree: ast.Module, module: str, bound, sets, forwarders, tables, bases,
+               attributes):
     """Record each option setter of the module's code.
 
-    ``sets[callee]`` collects the keywords passed to ``callee``, each count
-    of positional arguments (an int) and ``"*"`` for an unread splat;
-    ``sets["="]`` the attributes stored.  ``forwarders[callee]`` collects the
-    functions that pass their own ``**kwargs`` on to ``callee``.  A call
-    through a dispatch table (``AGGREGATORS[name](...)``) is recorded under
+    ``sets[key]`` collects the keywords passed to the callee ``key`` names
+    (see :func:`callee_keys`), each count of positional arguments (an int)
+    and ``"*"`` for an unread splat; ``sets["="]`` the attributes stored.
+    ``forwarders[key]`` collects ``(name, module, class)`` for each function
+    that passes its own ``**kwargs`` on to that callee.  A call through a
+    dispatch table (``AGGREGATORS[name](...)``) is recorded under
     ``"[AGGREGATORS]"``, and ``tables["AGGREGATORS"]`` collects the names of
-    the callables a dict literal assigned to it holds.
+    the callables a dict literal assigned to it holds.  ``bases[C]``
+    collects the base-class names of each class ``C``, and
+    ``attributes[(C, a)]`` the class names ``C`` stores in ``self.a``
+    (``None`` for a value that is no constructor call).
     """
     def visit(node, owner, function):
         if isinstance(node, ast.ClassDef):
             owner = node.name
+            bases[owner].update(getattr(base, "attr", getattr(base, "id", None))
+                                for base in node.bases)
         elif isinstance(node, FUNCTIONS):
             function = node
         elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if owner and isinstance(target, ast.Attribute) and getattr(
+                        target.value, "id", None) == "self":
+                    made = isinstance(node.value, ast.Call) and isinstance(
+                        node.value.func, ast.Name)
+                    attributes[(owner, target.attr)].update(
+                        original(node.value.func.id, bound) if made else {None})
                 sets["="].update(store.attr for store in ast.walk(target)
                                  if isinstance(store, ast.Attribute)
                                  and getattr(store.value, "id", None) != "self")
@@ -367,17 +477,18 @@ def setters_in(tree: ast.Module, sets, forwarders, tables):
                         isinstance(value, ast.Name) for value in node.value.values):
                     tables[target.id].update(value.id for value in node.value.values)
         elif isinstance(node, ast.Call):
-            callee = getattr(node.func, "attr", getattr(node.func, "id", None))
             if isinstance(node.func, ast.Subscript) and isinstance(node.func.value, ast.Name):
-                callee = f"[{node.func.value.id}]"
-            if callee == "cls" and owner:
-                callee = owner
-            if callee is not None:
-                record(node, callee, function)
+                callees = [f"[{node.func.value.id}]"]
+            elif getattr(node.func, "id", None) == "cls" and owner:
+                callees = [owner]
+            else:
+                callees = callee_keys(node.func, owner, bound)
+            for callee in callees:
+                record(node, callee, function, owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner, function)
 
-    def record(call: ast.Call, callee: str, function):
+    def record(call: ast.Call, callee, function, owner):
         own = function and function.args
         positional = 0
         for arg in call.args:
@@ -393,30 +504,61 @@ def setters_in(tree: ast.Module, sets, forwarders, tables):
                 continue
             name = getattr(keyword.value, "id", None)
             if own and own.kwarg and name == own.kwarg.arg:
-                forwarders[callee].add(function.name)
+                forwarders[callee].add((function.name, module, owner))
                 continue
             keys, forwards = splat_keys(function, name)
             sets[callee].update({"*"} if keys is None else keys)
             if forwards:
-                forwarders[callee].add(function.name)
+                forwarders[callee].add((function.name, module, owner))
 
     visit(tree, None, None)
 
 
-def reaches(callees, forwarders):
-    """``callees`` and every function that forwards its ``**kwargs`` to one."""
-    seen, todo = set(callees), list(callees)
+def key_resolver(bases):
+    """``keys_of(name, module, owner)``: every key a call of ``module``'s
+    ``name`` (a method of class ``owner``, if given) can be recorded under."""
+    children = defaultdict(set)
+    for child, parents in bases.items():
+        for parent in parents:
+            children[parent].add(child)
+
+    def lineage(start, links):
+        seen, todo = {start}, [start]
+        while todo:
+            for linked in links.get(todo.pop(), ()):
+                if linked not in seen:
+                    seen.add(linked)
+                    todo.append(linked)
+        return seen
+
+    def keys_of(name, module, owner):
+        if owner:
+            family = lineage(owner, bases) | lineage(owner, children)
+            return {name, *(("class", cls, name) for cls in family)}
+        parts = module.split(".")
+        return {name, *(("module", ".".join(parts[:end]), name)
+                        for end in range(1, len(parts) + 1))}
+
+    return keys_of
+
+
+def reaches(keys, forwarders, keys_of):
+    """``keys`` and the keys of every function that forwards its
+    ``**kwargs`` to one."""
+    seen, todo = set(keys), list(keys)
     while todo:
         for caller in forwarders.get(todo.pop(), ()):
-            if caller not in seen:
-                seen.add(caller)
-                todo.append(caller)
+            for key in keys_of(*caller) - seen:
+                seen.add(key)
+                todo.append(key)
     return seen
 
 
-def is_set(sets, forwarders, option, callees, index, field, generic):
+def is_set(sets, forwarders, keys_of, option, callees, index, field, generic):
     """Whether ``sets`` holds a setter of ``option``.
 
+    ``callees`` is one set of keys per callee that sets it (the function, or
+    the class and ``__init__``); a positional count is read on the first.
     ``generic`` names the callees that serve more than this one callable
     (``replace``, a dispatch table): only their keywords are read, since an
     unread splat into one says nothing about this callable's options.
@@ -424,12 +566,14 @@ def is_set(sets, forwarders, option, callees, index, field, generic):
     if field and option in sets.get("=", ()):
         return True
     if any(option in sets.get(callee, ()) or "*" in sets.get(callee, ())
-           for callee in reaches(callees, forwarders)):
+           for callee in reaches(set().union(*callees), forwarders, keys_of)):
         return True
-    if any(option in sets.get(callee, ()) for callee in reaches(generic, forwarders)):
+    if any(option in sets.get(callee, ())
+           for callee in reaches(generic, forwarders, keys_of)):
         return True
     return index is not None and any(
-        isinstance(count, int) and count > index for count in sets.get(callees[0], ()))
+        isinstance(count, int) and count > index
+        for callee in callees[0] for count in sets.get(callee, ()))
 
 
 @lru_cache(maxsize=None)
@@ -438,22 +582,32 @@ def option_census(root: Path = ROOT):
     ``tests/`` sets, and those nothing sets (the wire sets every param of
     a ``*Namespace`` method)."""
     outside, inside = defaultdict(set), defaultdict(set)
-    forwarders, tables = defaultdict(set), defaultdict(set)
+    forwarders, tables, bases, attributes = (defaultdict(set) for _ in range(4))
+    modules = {module_name(root, "src", path) for path in parsed(root, "src")}
     for top in (*SCANNED, "tests"):
-        for tree in parsed(root, top).values():
-            setters_in(tree, inside if top == "tests" else outside, forwarders, tables)
+        for path, tree in parsed(root, top).items():
+            module = module_name(root, top, path)
+            bound = bindings_in(tree, module, path.name == "__init__.py", modules)
+            setters_in(tree, module, bound, inside if top == "tests" else outside,
+                       forwarders, tables, bases, attributes)
+    for table in (outside, inside, forwarders):
+        settle(table, bases, attributes)
+    keys_of = key_resolver(bases)
     defined, test_only, unset = set(), set(), set()
     for path, tree in parsed(root, "src").items():
+        module = module_name(root, "src", path)
         for qualname, option, callees, index, field in public_options(tree):
             key = f"{path.relative_to(root / 'src').as_posix()}::{qualname}({option})"
             defined.add(key)
             if WIRE.match(qualname):
                 continue
+            owner = qualname.split(".")[0] if "." in qualname else None
+            keys = [keys_of(callees[0], module, owner), set(callees[1:])]
             generic = {f"[{table}]" for table, entries in tables.items() if callees[0] in entries}
             generic.update(FIELD_UPDATERS if field else ())
-            if is_set(outside, forwarders, option, callees, index, field, generic):
+            if is_set(outside, forwarders, keys_of, option, keys, index, field, generic):
                 continue
-            if is_set(inside, forwarders, option, callees, index, field, generic):
+            if is_set(inside, forwarders, keys_of, option, keys, index, field, generic):
                 test_only.add(key)
             else:
                 unset.add(key)
@@ -606,3 +760,35 @@ def test_the_option_pass_flags_an_option_nothing_sets_but_not_state_or_wire_para
     assert option_census(cleared)[2] == {"pkg/mod.py::scale(factor)"}
     assert stale_options({"pkg/mod.py::Config(size)": "api"}, cleared) == (
         [], ["pkg/mod.py::Config(size)"])
+
+
+def test_the_option_pass_resolves_a_callee_that_says_which_one_it_is(tmp_path):
+    """A call through ``self``, ``cls``, a module, a constructor or an
+    attribute the class builds sets only that callee's options; a shared
+    bare name (another class's method, ``asyncio.run``, a script's own
+    ``main``) sets nothing of them."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "sched.py").write_text(
+        "import asyncio\n\n\n"
+        "class Scheduler:\n    def run(self, until=None):\n        return until\n\n"
+        "    def step(self, count=1):\n        return count\n\n\n"
+        "class Fast(Scheduler):\n    def go(self):\n        return self.step(count=2)\n\n\n"
+        "class Other:\n    def run(self, until=None):\n        return until\n\n"
+        "    def go(self):\n        return self.run(until=5), asyncio.run(pause())\n\n\n"
+        "async def pause():\n    return None\n")
+    (package / "client.py").write_text(
+        "class Client:\n    def request(self, method, params=None):\n"
+        "        return method, params\n\n\n"
+        "class Rest:\n    def request(self, method, body=None):\n        return method, body\n\n\n"
+        "class Facade:\n    def __init__(self):\n        self.rest = Rest()\n\n"
+        "    def call(self):\n        return self.rest.request('m', 1), Rest().request('n', 2)\n")
+    (package / "cli.py").write_text("def main(argv=None):\n    return argv\n")
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "def main(argv):\n    return argv\n\n\nmain(['x'])\n")
+    (tmp_path / "tests").mkdir()
+    assert option_census(tmp_path)[2] == {
+        "pkg/sched.py::Scheduler.run(until)", "pkg/client.py::Client.request(params)",
+        "pkg/cli.py::main(argv)"}
