@@ -89,11 +89,6 @@ class Address:
         return hash(self._lower)
 
     @property
-    def checksummed(self) -> str:
-        """The EIP-55 checksummed string form."""
-        return self._checksummed
-
-    @property
     def lower(self) -> str:
         """The all-lowercase string form (canonical dictionary key)."""
         return self._lower

@@ -179,10 +179,6 @@ class Blockchain:
             raise UnknownBlockError(f"no block with hash {number_or_hash}")
         return block
 
-    def blocks(self) -> List[Block]:
-        """All blocks from genesis to the tip."""
-        return list(self._blocks)
-
     def iter_blocks(self):
         """Iterate blocks from genesis to the tip without a list copy.
 

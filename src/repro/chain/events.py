@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.chain.account import Address
-from repro.utils.hashing import hash_json
 
 
 @dataclass(frozen=True)
@@ -43,11 +42,6 @@ class EventLog:
         # back from key-sorted canonical storage -- so a recovered chain
         # serves the reply bytes the live one did.
         object.__setattr__(self, "args", dict(sorted(self.args.items())))
-
-    @property
-    def topic(self) -> str:
-        """A stable identifier for the event signature (hash of its name)."""
-        return "0x" + hash_json({"event": self.name}).hex()
 
     def to_dict(self) -> dict:
         """JSON-friendly representation."""

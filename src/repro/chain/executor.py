@@ -94,10 +94,6 @@ class CallContext:
         except InsufficientFundsError as exc:
             raise ContractRevert(f"insufficient contract balance: {exc}") from exc
 
-    def self_balance(self) -> int:
-        """Balance of the executing contract."""
-        return self.state.balance_of(self.contract_address)
-
 
 @dataclass
 class CreateResult:

@@ -8,8 +8,7 @@ drips for auditability in experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
 
 from repro.chain.account import Address
 from repro.chain.node import EthereumNode
@@ -25,7 +24,6 @@ class Faucet:
     """Credits test ETH to accounts on the simulated chain."""
 
     node: EthereumNode
-    _history: List[Tuple[str, int]] = field(default_factory=list, init=False)
 
     def drip(self, address: Address | str, amount_wei: int | None = None) -> int:
         """Credit ``amount_wei`` (default one ether) to ``address``."""
@@ -36,15 +34,4 @@ class Faucet:
         # lands in the write-ahead log and survives a crash/recovery cycle; a
         # cluster facade fans the mint out to every replica.
         self.node.mint(Address(address), amount)
-        self._history.append((str(Address(address)), amount))
         return amount
-
-    @property
-    def history(self) -> List[Tuple[str, int]]:
-        """All (address, amount) drips performed so far."""
-        return list(self._history)
-
-    @property
-    def total_dripped(self) -> int:
-        """Total wei created by this faucet."""
-        return sum(amount for _, amount in self._history)

@@ -37,9 +37,6 @@ SSTORE_SET = 22_100
 SSTORE_UPDATE = 5_000
 """Overwriting an existing non-zero storage slot."""
 
-SSTORE_CLEAR_REFUND = 4_800
-"""Refund for clearing a storage slot to zero."""
-
 SLOAD = 2_100
 """Reading a storage slot (cold access)."""
 
@@ -57,9 +54,6 @@ CALL_VALUE_TRANSFER = 9_000
 
 COMPUTE_STEP = 3
 """Cost charged per abstract computation step inside contract methods."""
-
-MAX_REFUND_QUOTIENT = 5
-"""At most 1/quotient of gas used may be refunded (EIP-3529)."""
 
 
 def calldata_gas(data: bytes) -> int:
@@ -100,22 +94,6 @@ class GasMeter:
             raise ValueError(f"gas limit must be positive, got {gas_limit}")
         self.gas_limit = int(gas_limit)
         self._used = 0
-        self._refund = 0
-
-    @property
-    def gas_used(self) -> int:
-        """Gas consumed so far (before refunds)."""
-        return self._used
-
-    @property
-    def gas_remaining(self) -> int:
-        """Gas still available under the limit."""
-        return self.gas_limit - self._used
-
-    @property
-    def refund_counter(self) -> int:
-        """Accumulated refund (capped at settlement time)."""
-        return self._refund
 
     def consume(self, amount: int, reason: str = "") -> None:
         """Charge ``amount`` gas; raise :class:`OutOfGasError` beyond the limit."""
@@ -129,13 +107,6 @@ class GasMeter:
             )
         self._used += amount
 
-    def add_refund(self, amount: int) -> None:
-        """Accumulate a gas refund (e.g. for clearing storage)."""
-        if amount < 0:
-            raise ValueError(f"cannot refund negative gas: {amount}")
-        self._refund += amount
-
     def settle(self) -> int:
-        """Return the final gas used after applying the capped refund."""
-        max_refund = self._used // MAX_REFUND_QUOTIENT
-        return self._used - min(self._refund, max_refund)
+        """Return the final gas used."""
+        return self._used

@@ -38,11 +38,6 @@ class TransactionReceipt:
         """Total fee paid in wei (``gas_used * gas_price``)."""
         return self.gas_used * self.gas_price
 
-    @property
-    def succeeded(self) -> bool:
-        """Alias of :attr:`status` for readability at call sites."""
-        return self.status
-
     def to_dict(self) -> dict:
         """JSON-friendly representation (as returned by the node API)."""
         return {

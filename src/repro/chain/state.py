@@ -111,10 +111,6 @@ class WorldState:
 
     # -- reporting ----------------------------------------------------------
 
-    def total_supply(self) -> int:
-        """Sum of all balances (conserved by execution except for fees/mint)."""
-        return sum(account.balance for account in self._accounts.values())
-
     def to_dict(self) -> dict:
         """JSON-friendly dump of account summaries."""
         return {key: account.to_dict() for key, account in sorted(self._accounts.items())}

@@ -290,11 +290,6 @@ class Transaction:
             raise InvalidTransactionError("raw transaction must decode to an object")
         return cls.from_dict(payload)
 
-    @property
-    def size_bytes(self) -> int:
-        """Approximate wire size of the transaction in bytes."""
-        return len(self.signing_payload()) + (3 * 32 if self.signature else 0)
-
     def decoded_payload(self) -> Dict[str, Any]:
         """Decode the calldata envelope (empty dict for plain transfers)."""
         return decode_payload(self.data)

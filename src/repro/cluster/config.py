@@ -9,7 +9,7 @@ topology), and how often replicas snapshot their state for reorg rollback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ClusterError
@@ -66,10 +66,6 @@ class ClusterConfig:
         if self.finality_depth < 1:
             raise ClusterError(
                 f"finality_depth must be positive, got {self.finality_depth}")
-
-    def with_overrides(self, **kwargs: Any) -> "ClusterConfig":
-        """A copy of this config with the given fields replaced."""
-        return replace(self, **kwargs)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly form (embedded in cluster status and reports)."""

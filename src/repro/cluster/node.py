@@ -20,14 +20,11 @@ without knowing it.  Routing policy:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.errors import UnknownTransactionError
 from repro.chain.block import Block
 from repro.chain.chain import Blockchain
-from repro.chain.events import EventLog, LogFilter, LogPage
-from repro.chain.node import RECEIPT_WAIT_BLOCKS, EthereumNode
-from repro.chain.receipts import TransactionReceipt
+from repro.chain.node import EthereumNode
 from repro.chain.transaction import Transaction
 from repro.cluster.cluster import ChainCluster
 
@@ -91,32 +88,6 @@ class ClusterNode(EthereumNode):
         """Height of the latest block (any caught-up replica)."""
         return self._read_chain().height
 
-    def get_block(self, number_or_hash) -> Block:
-        """Fetch a block by number or hash from a caught-up replica."""
-        return self._read_chain().get_block(number_or_hash)
-
-    def get_balance(self, address) -> int:
-        """Balance of ``address`` in wei (any caught-up replica)."""
-        return self._read_chain().state.balance_of(address)
-
-    def is_contract(self, address) -> bool:
-        """Whether a contract is deployed at ``address``."""
-        return self._read_chain().state.get_account(address).is_contract
-
-    def get_logs(self, log_filter: Optional[LogFilter] = None) -> List[EventLog]:
-        """Query event logs from a caught-up replica."""
-        return self._read_chain().logs(log_filter)
-
-    def get_logs_page(
-        self,
-        log_filter: Optional[LogFilter] = None,
-        limit: Optional[int] = None,
-        cursor: Optional[str] = None,
-    ) -> LogPage:
-        """Paginated log query from a caught-up replica."""
-        return self._read_chain().logs_page(log_filter, limit=limit,
-                                            cursor=cursor)
-
     # -- writes ----------------------------------------------------------------------
 
     def send_transaction(self, tx: Transaction) -> str:
@@ -157,17 +128,6 @@ class ClusterNode(EthereumNode):
         self.cluster.mint(address, amount_wei)
 
     # -- block production ------------------------------------------------------------
-
-    def wait_for_receipt(self, tx_hash: str) -> TransactionReceipt:
-        """Tick the cluster until ``tx_hash`` is included on the leader side."""
-        for _ in range(RECEIPT_WAIT_BLOCKS):
-            if self.chain.has_receipt(tx_hash):
-                return self.chain.get_receipt(tx_hash)
-            self.cluster.tick(force=True)
-        if self.chain.has_receipt(tx_hash):
-            return self.chain.get_receipt(tx_hash)
-        raise UnknownTransactionError(
-            f"transaction {tx_hash} not included after {RECEIPT_WAIT_BLOCKS} blocks")
 
     def mine(self, blocks: int = 1) -> List[Block]:
         """Produce ``blocks`` cluster ticks (empty blocks included)."""

@@ -64,7 +64,6 @@ class Contract:
         if value is None:
             if exists:
                 ctx.meter.consume(gas.SSTORE_UPDATE, reason=f"SSTORE clear {key}")
-                ctx.meter.add_refund(gas.SSTORE_CLEAR_REFUND)
                 del storage[key]
             return
         if exists:
@@ -85,10 +84,6 @@ class Contract:
         """Revert the call unless ``condition`` holds (Solidity ``require``)."""
         if not condition:
             raise ContractRevert(reason)
-
-    def constructor(self, ctx: CallContext) -> None:
-        """Default constructor: records the deployer as the contract owner."""
-        self.sstore(ctx, "owner", str(ctx.caller))
 
     # -- introspection ----------------------------------------------------------
 

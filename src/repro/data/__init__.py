@@ -8,19 +8,15 @@ low-rank within-class variation.  What the evaluation needs from the dataset
 -- that a well-trained global model is far better than models trained on
 label-skewed local shards -- is preserved.
 
-:mod:`repro.data.partition` provides the federated splits (IID, Dirichlet,
-label-skew, shards) and :mod:`repro.data.stats` quantifies their
-heterogeneity.
+:mod:`repro.data.partition` provides the federated (Dirichlet) split and
+:mod:`repro.data.stats` quantifies its heterogeneity.
 """
 
 from repro.data.dataset import Dataset, split_indices, train_test_split
 from repro.data.partition import (
     dirichlet_partition,
-    iid_partition,
-    label_skew_partition,
     partition_dataset,
     partition_indices,
-    shard_partition,
 )
 from repro.data.stats import label_distribution, label_entropy, partition_summary
 from repro.data.synthetic_mnist import (
@@ -34,11 +30,8 @@ __all__ = [
     "split_indices",
     "train_test_split",
     "dirichlet_partition",
-    "iid_partition",
-    "label_skew_partition",
     "partition_dataset",
     "partition_indices",
-    "shard_partition",
     "label_distribution",
     "label_entropy",
     "partition_summary",

@@ -46,11 +46,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def num_features(self) -> int:
-        """Dimensionality of each sample."""
-        return self.features.shape[1]
-
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """A new dataset restricted to ``indices`` (order preserved)."""
         index_array = np.asarray(indices, dtype=np.int64)

@@ -1,19 +1,9 @@
 """Federated data partitioning.
 
 The paper follows PFNM's non-IID partitioning of MNIST across ten model
-owners.  Four schemes are provided:
-
-* :func:`iid_partition` -- uniform random split (the homogeneous baseline);
-* :func:`dirichlet_partition` -- per-client class proportions drawn from a
-  Dirichlet(alpha) distribution, the scheme used by PFNM and most follow-up
-  work (small alpha = highly skewed);
-* :func:`label_skew_partition` -- each client holds only ``classes_per_client``
-  classes (the "#C=k" pathological split);
-* :func:`shard_partition` -- the original FedAvg shard scheme (sort by label,
-  deal out two shards per client).
-
-All functions return a list of index arrays into the given dataset, one per
-client.
+owners: :func:`dirichlet_partition` draws per-client class proportions from a
+Dirichlet(alpha) distribution (small alpha = highly skewed).  It returns a
+list of index arrays into the given dataset, one per client.
 """
 
 from __future__ import annotations
@@ -32,10 +22,6 @@ DIRICHLET_MIN_SAMPLES = 10
 #: Draws :func:`dirichlet_partition` makes before it gives up.
 DIRICHLET_MAX_DRAWS = 100
 
-#: Shards each client is dealt by :func:`shard_partition`, as in FedAvg.
-SHARDS_PER_CLIENT = 2
-
-
 def _validate(dataset: Dataset, num_clients: int) -> None:
     """Shared argument validation."""
     if num_clients <= 0:
@@ -44,14 +30,6 @@ def _validate(dataset: Dataset, num_clients: int) -> None:
         raise PartitionError(
             f"cannot split {len(dataset)} samples across {num_clients} clients"
         )
-
-
-def iid_partition(dataset: Dataset, num_clients: int, rng=None) -> List[np.ndarray]:
-    """Shuffle and deal samples round-robin, giving near-equal IID shards."""
-    _validate(dataset, num_clients)
-    indices = np.arange(len(dataset))
-    make_rng(rng).shuffle(indices)
-    return [np.sort(part) for part in np.array_split(indices, num_clients)]
 
 
 def dirichlet_partition(
@@ -90,83 +68,7 @@ def dirichlet_partition(
     )
 
 
-def label_skew_partition(
-    dataset: Dataset,
-    num_clients: int,
-    classes_per_client: int = 2,
-    rng=None,
-) -> List[np.ndarray]:
-    """Give each client samples from only ``classes_per_client`` classes.
-
-    Class assignments rotate so that every class is covered by roughly the
-    same number of clients; each class's samples are split evenly among the
-    clients that hold it.
-    """
-    _validate(dataset, num_clients)
-    if not 1 <= classes_per_client <= dataset.num_classes:
-        raise PartitionError(
-            f"classes_per_client must be in [1, {dataset.num_classes}], got {classes_per_client}"
-        )
-    generator = make_rng(rng)
-    # Rotate class assignments: client i holds classes i, i+1, ... (mod C).
-    assignments = [
-        [(client + offset) % dataset.num_classes for offset in range(classes_per_client)]
-        for client in range(num_clients)
-    ]
-    holders: List[List[int]] = [[] for _ in range(dataset.num_classes)]
-    for client, classes in enumerate(assignments):
-        for cls in classes:
-            holders[cls].append(client)
-
-    client_indices: List[List[int]] = [[] for _ in range(num_clients)]
-    for cls in range(dataset.num_classes):
-        class_indices = np.where(dataset.labels == cls)[0]
-        generator.shuffle(class_indices)
-        cls_holders = holders[cls]
-        if not cls_holders:
-            continue
-        for holder, chunk in zip(cls_holders, np.array_split(class_indices, len(cls_holders))):
-            client_indices[holder].extend(chunk.tolist())
-
-    sizes = [len(chunk) for chunk in client_indices]
-    if min(sizes) == 0:
-        raise PartitionError(
-            "label-skew partition left a client with no data; "
-            "increase classes_per_client or the dataset size"
-        )
-    return [np.sort(np.asarray(chunk, dtype=np.int64)) for chunk in client_indices]
-
-
-def shard_partition(
-    dataset: Dataset,
-    num_clients: int,
-    rng=None,
-) -> List[np.ndarray]:
-    """The FedAvg shard scheme: sort by label, cut into shards, deal them out."""
-    _validate(dataset, num_clients)
-    num_shards = num_clients * SHARDS_PER_CLIENT
-    if num_shards > len(dataset):
-        raise PartitionError(
-            f"{num_shards} shards requested but the dataset has only {len(dataset)} samples"
-        )
-    sorted_indices = np.argsort(dataset.labels, kind="stable")
-    shards = np.array_split(sorted_indices, num_shards)
-    order = np.arange(num_shards)
-    make_rng(rng).shuffle(order)
-    client_indices = [
-        np.sort(np.concatenate([shards[order[client * SHARDS_PER_CLIENT + s]]
-                                for s in range(SHARDS_PER_CLIENT)]))
-        for client in range(num_clients)
-    ]
-    return client_indices
-
-
-_SCHEMES = {
-    "iid": iid_partition,
-    "dirichlet": dirichlet_partition,
-    "label_skew": label_skew_partition,
-    "shard": shard_partition,
-}
+_SCHEMES = {"dirichlet": dirichlet_partition}
 
 
 def partition_indices(
@@ -179,8 +81,7 @@ def partition_indices(
 ) -> List[np.ndarray]:
     """One sorted index array per client into ``labels``, from labels alone.
 
-    ``scheme`` selects one of the index-level partitioners above:
-    ``"iid"``, ``"dirichlet"``, ``"label_skew"`` or ``"shard"``.  The arrays
+    ``scheme`` names the partitioner: ``"dirichlet"`` is the only one.  The arrays
     are disjoint (no sample goes to two clients), so the clients' rows can
     be laid out side by side in one array.
     """

@@ -277,3 +277,8 @@ class ProtocolViolationError(NetworkError):
 class PayloadTooLargeError(ProtocolViolationError):
     """An HTTP request head or body exceeds the server's byte cap (the
     violation answered ``413`` rather than ``400``)."""
+
+
+class HttpVersionNotSupportedError(ProtocolViolationError):
+    """A well-framed request line names a version other than HTTP/1.0 or
+    HTTP/1.1 (the violation answered ``505`` rather than ``400``)."""

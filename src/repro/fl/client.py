@@ -7,7 +7,7 @@ from typing import Optional
 
 from repro.data.dataset import Dataset
 from repro.ml.mlp import MLP
-from repro.ml.trainer import EvalResult, Trainer, TrainingConfig, TrainingHistory, evaluate_model
+from repro.ml.trainer import Trainer, TrainingConfig, TrainingHistory
 from repro.fl.model_update import ModelUpdate
 from repro.utils.rng import derive_seed
 
@@ -71,9 +71,3 @@ class FLClient:
             history=history,
             train_accuracy=history.final_accuracy,
         )
-
-    def evaluate(self, dataset: Dataset) -> EvalResult:
-        """Evaluate the most recently trained local model on ``dataset``."""
-        if self.model is None:
-            raise RuntimeError(f"client {self.client_id} has not trained a model yet")
-        return evaluate_model(self.model, dataset.features, dataset.labels)

@@ -33,8 +33,7 @@ aggregates the grand coalition and then every coalition short of one owner,
 and each of those folds reads the grand coalition's blocks.
 
 This implementation follows the single-hidden-layer formulation used for the
-paper's (784, 100, 10) MLP and extends to deeper MLPs by matching hidden
-layers sequentially (in the spirit of the follow-up FedMA work).
+paper's (784, 100, 10) MLP, and refuses any other depth.
 """
 
 from __future__ import annotations
@@ -107,8 +106,7 @@ class _Client:
     """One client's neurons in float64, their squared norms, and whose they are.
 
     ``owner`` is the client's position in the aggregation's owner list, or -1
-    when the neurons are no owner's own (a deep layer re-expresses them in
-    the previous layer's global coordinates).
+    when the neurons are no owner's own.
     """
 
     def __init__(self, neurons: np.ndarray, owner: int = -1) -> None:
@@ -123,7 +121,7 @@ class _Atoms:
     While ``owner[a] >= 0``, atom ``a`` is still exactly row ``index[a]`` of
     ``owners[owner[a]]``'s model and is read from that update's parameters.
     Otherwise it has a float64 row of its own, ``rows[index[a]]``: a merged
-    atom, or any atom of a deep layer.  ``counts`` is how many client
+    atom.  ``counts`` is how many client
     neurons each atom holds, ``sq`` its squared norm.
     """
 
@@ -370,15 +368,12 @@ class PFNMAggregator(OneShotAggregator):
         updates = list(updates)
         layer_sizes = check_compatible(updates)
         num_hidden_layers = len(layer_sizes) - 2
-        if num_hidden_layers < 1:
+        if num_hidden_layers != 1:
             raise AggregationError(
-                "PFNM requires at least one hidden layer; "
+                "PFNM matches exactly one hidden layer; "
                 f"got architecture {layer_sizes}"
             )
-        if num_hidden_layers == 1:
-            model, global_width = self._aggregate_single_hidden(updates, layer_sizes)
-        else:
-            model, global_width = self._aggregate_deep(updates, layer_sizes)
+        model, global_width = self._aggregate_single_hidden(updates, layer_sizes)
         return AggregationResult(
             predictor=model,
             algorithm=self.name,
@@ -443,74 +438,3 @@ class PFNMAggregator(OneShotAggregator):
             DenseLayer.holding(outgoing, (output_bias_sum / total_weight).astype(dtype)),
         ])
         return model, width
-
-    # -- deeper MLPs (layer-wise extension) ------------------------------------------------
-
-    def _aggregate_deep(
-        self, updates: List[ModelUpdate], layer_sizes: Tuple[int, ...]
-    ) -> Tuple[MLP, int]:
-        """Layer-wise matching for MLPs with more than one hidden layer.
-
-        Hidden layers are matched one at a time, re-expressing each client's
-        incoming weights in the global coordinates of the previously matched
-        layer (FedMA-style), so every atom has a row of its own.  The output
-        layer is averaged through the final matching.
-        """
-        num_layers = len(layer_sizes) - 1
-        ordered = sorted(updates, key=lambda u: -u.num_samples)
-        # Per-client permutation of the previous layer: maps client unit -> global unit.
-        prev_maps: Dict[int, np.ndarray] = {
-            i: np.arange(layer_sizes[0]) for i in range(len(ordered))
-        }
-        prev_global_width = layer_sizes[0]
-        global_parameters: List[Dict[str, np.ndarray]] = []
-
-        for layer_index in range(num_layers - 1):
-            width = layer_sizes[layer_index + 1]
-            max_global = int(np.ceil(width * self.config.max_global_neurons_factor))
-            atoms = _Atoms(prev_global_width + 1)
-            assignments: Dict[int, np.ndarray] = {}
-            for client_index, update in enumerate(ordered):
-                layer = update.parameters[layer_index]
-                incoming = np.zeros((width, prev_global_width))
-                incoming[:, prev_maps[client_index]] = layer["weights"].T
-                client_neurons = np.concatenate(
-                    [incoming, layer["biases"].reshape(-1, 1)], axis=1, dtype=np.float64
-                )
-                assignments[client_index] = _fold_in_client(
-                    _Client(client_neurons), atoms, self.config, max_global
-                )
-            global_neurons = atoms.neurons(np.arange(len(atoms)))
-            global_parameters.append(
-                {
-                    "weights": global_neurons[:, :prev_global_width].T,
-                    "biases": global_neurons[:, prev_global_width],
-                }
-            )
-            prev_maps = assignments
-            prev_global_width = len(atoms)
-
-        # Output layer: scatter each client's outgoing weights into global
-        # coordinates and average with sample weights.
-        output_dim = layer_sizes[-1]
-        weight_sum = np.zeros((prev_global_width, output_dim))
-        count_sum = np.zeros((prev_global_width, 1))
-        bias_sum = np.zeros(output_dim)
-        total_weight = 0.0
-        for client_index, update in enumerate(ordered):
-            weights, biases = (np.asarray(update.parameters[-1][key], dtype=np.float64)
-                               for key in ("weights", "biases"))
-            mapping = prev_maps[client_index]
-            weight_sum[mapping] += weights * update.num_samples
-            count_sum[mapping] += update.num_samples
-            bias_sum += biases * update.num_samples
-            total_weight += update.num_samples
-        count_sum[count_sum == 0] = 1.0
-        global_parameters.append(
-            {"weights": weight_sum / count_sum, "biases": bias_sum / total_weight}
-        )
-        dtype = _fused_dtype(updates)
-        model = MLP.from_parameters([{key: values.astype(dtype, copy=False)
-                                      for key, values in layer.items()}
-                                     for layer in global_parameters])
-        return model, prev_global_width

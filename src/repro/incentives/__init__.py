@@ -10,7 +10,6 @@ and are compared against LOO in the incentive ablation benchmark.
 from repro.incentives.contribution import (
     ContributionReport,
     leave_one_out,
-    shapley_exact,
     shapley_monte_carlo,
 )
 from repro.incentives.payment import PaymentPlan, allocate_budget
@@ -19,7 +18,6 @@ from repro.incentives.report import format_payment_table
 __all__ = [
     "ContributionReport",
     "leave_one_out",
-    "shapley_exact",
     "shapley_monte_carlo",
     "PaymentPlan",
     "allocate_budget",

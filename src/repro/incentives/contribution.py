@@ -9,16 +9,11 @@ test set".
 * :func:`leave_one_out` -- the paper's mechanism: owner *i*'s contribution is
   ``v(N) - v(N \\ {i})``.  Figure 6 of the paper plots ``v(N \\ {i})`` for each
   *i* (high drop accuracy = low contribution).
-* :func:`shapley_exact` -- the Shapley value, averaging marginal
-  contributions over all subsets (exponential; fine for 10 owners when the
-  value function is cheap, and used in the ablation with a cache).
 * :func:`shapley_monte_carlo` -- permutation-sampling approximation.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -26,10 +21,6 @@ from repro.errors import IncentiveError
 from repro.utils.rng import make_rng
 
 ValueFunction = Callable[[Tuple[int, ...]], float]
-
-#: Most owners :func:`shapley_exact` enumerates (2^n value evaluations).
-SHAPLEY_EXACT_MAX_OWNERS = 12
-
 
 @dataclass
 class ContributionReport:
@@ -40,10 +31,6 @@ class ContributionReport:
     full_value: float
     drop_values: Dict[int, float] = field(default_factory=dict)
     num_evaluations: int = 0
-
-    def ranked(self) -> List[Tuple[int, float]]:
-        """Owner indices sorted by decreasing contribution."""
-        return sorted(self.scores.items(), key=lambda item: -item[1])
 
     def least_useful(self) -> int:
         """Index of the owner with the smallest contribution (paper: model 7)."""
@@ -110,41 +97,6 @@ def leave_one_out(
         scores=scores,
         full_value=full_value,
         drop_values=drop_values,
-        num_evaluations=cached.calls,
-    )
-
-
-def shapley_exact(num_owners: int, value_fn: ValueFunction) -> ContributionReport:
-    """Exact Shapley values by enumerating all subsets.
-
-    Complexity is ``O(2^n)`` value-function evaluations; refuse beyond
-    :data:`SHAPLEY_EXACT_MAX_OWNERS` to avoid accidental blow-ups.
-    """
-    _validate(num_owners)
-    if num_owners > SHAPLEY_EXACT_MAX_OWNERS:
-        raise IncentiveError(
-            f"exact Shapley over {num_owners} owners would need 2^{num_owners} evaluations; "
-            f"use shapley_monte_carlo instead"
-        )
-    cached = _CachedValue(value_fn)
-    everyone = tuple(range(num_owners))
-    full_value = cached(everyone)
-    scores = {owner: 0.0 for owner in range(num_owners)}
-    factorial_n = math.factorial(num_owners)
-    others = list(range(num_owners))
-    for owner in range(num_owners):
-        remaining = [i for i in others if i != owner]
-        for size in range(len(remaining) + 1):
-            weight = (
-                math.factorial(size) * math.factorial(num_owners - size - 1) / factorial_n
-            )
-            for subset in itertools.combinations(remaining, size):
-                marginal = cached(subset + (owner,)) - cached(subset)
-                scores[owner] += weight * marginal
-    return ContributionReport(
-        method="shapley_exact",
-        scores=scores,
-        full_value=full_value,
         num_evaluations=cached.calls,
     )
 

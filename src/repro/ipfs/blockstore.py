@@ -14,7 +14,7 @@ one body over one substrate, which is either
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import BlockNotFoundError, InvalidCidError
 from repro.ipfs.cid import CID, DAG_PB_CODEC
@@ -123,10 +123,6 @@ class BlockStore:
             return self._space.has(self._key(cid))
         except InvalidCidError:
             return False
-
-    def cids(self) -> Iterator[str]:
-        """Iterate over the CIDs of all stored blocks."""
-        return iter(self._space.keys())
 
     def total_bytes(self) -> int:
         """Total stored payload size in bytes."""

@@ -78,10 +78,6 @@ class CID:
         body = bytes([self.version, self.codec]) + self.multihash.encode()
         return "b" + b32_encode(body)
 
-    def to_v1(self) -> "CID":
-        """Return the CIDv1 equivalent (same hash, same codec)."""
-        return CID(version=1, codec=self.codec, multihash=self.multihash)
-
     @property
     def codec_name(self) -> str:
         """Human-readable codec name."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.ipfs.cid import CID, DAG_PB_CODEC
+from repro.ipfs.cid import CID
 from repro.utils.serialization import canonical_dumps, canonical_loads
 
 
@@ -47,10 +47,6 @@ class DagNode:
         decoded = canonical_loads(payload.decode("utf-8"))
         links = [DagLink(**link) for link in decoded.get("links", [])]
         return cls(data=decoded.get("data", b""), links=links)
-
-    def cid(self) -> CID:
-        """CID of this node (dag-pb codec, CIDv0-compatible)."""
-        return CID.from_bytes_payload(self.serialize(), version=0, codec=DAG_PB_CODEC)
 
     @property
     def total_size(self) -> int:

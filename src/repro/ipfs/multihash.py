@@ -34,11 +34,6 @@ class Multihash:
         object.__setattr__(self, "digest", bytes(self.digest))
 
     @property
-    def function_name(self) -> str:
-        """Human-readable hash function name."""
-        return _KNOWN_CODES[self.code]
-
-    @property
     def length(self) -> int:
         """Digest length in bytes."""
         return len(self.digest)

@@ -112,10 +112,6 @@ class IpfsNode:
             "blocks": 1 + len(node.links),
         }
 
-    def has_local(self, cid: CID | str) -> bool:
-        """Whether the root block is available without asking peers."""
-        return self.blockstore.has(cid)
-
     # -- pinning ----------------------------------------------------------------------
 
     def pin(self, cid: CID | str) -> None:

@@ -23,7 +23,10 @@ class PinSet:
         return len(self._pins)
 
     def __contains__(self, cid: CID | str) -> bool:
-        return self.is_pinned(cid)
+        try:
+            return self._key(cid) in self._pins
+        except Exception:
+            return False
 
     @staticmethod
     def _key(cid: CID | str) -> str:
@@ -32,10 +35,3 @@ class PinSet:
     def pin(self, cid: CID | str) -> None:
         """Pin a CID."""
         self._pins.add(self._key(cid))
-
-    def is_pinned(self, cid: CID | str) -> bool:
-        """Whether the CID is pinned."""
-        try:
-            return self._key(cid) in self._pins
-        except Exception:
-            return False

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, MutableMapping, Optional, Sequence, Set, TYPE_CHECKING
+from typing import Dict, List, MutableMapping, Optional, Set, TYPE_CHECKING
 
 from repro.errors import BlockNotFoundError
 from repro.ipfs.cid import CID
@@ -124,36 +124,6 @@ class Swarm:
         )
 
     # -- network dynamics -------------------------------------------------------
-
-    def partition(self, groups: Sequence[Iterable["IpfsNode | str"]]) -> None:
-        """Partition the swarm: nodes in different groups stop exchanging blocks.
-
-        Groups may mix :class:`IpfsNode` instances, node names and raw peer
-        ids.  Requires a network model (the seed's ideal swarm has no notion
-        of reachability).
-        """
-        if self.network is None:
-            raise ValueError("partition requires a swarm built with a network model")
-        self.network.partition([
-            [self._resolve_peer_id(member) for member in group] for group in groups
-        ])
-
-    def heal(self) -> None:
-        """Heal a partition created with :meth:`partition`."""
-        if self.network is None:
-            raise ValueError("heal requires a swarm built with a network model")
-        self.network.heal()
-
-    def _resolve_peer_id(self, node_or_id: "IpfsNode | str") -> str:
-        """Accept a node object, node name or peer id; return the peer id."""
-        if not isinstance(node_or_id, str):
-            return node_or_id.peer_id
-        if node_or_id in self._nodes:
-            return node_or_id
-        for node in self._nodes.values():
-            if node.name == node_or_id:
-                return node.peer_id
-        raise KeyError(f"unknown swarm member {node_or_id!r}")
 
     # -- statistics -----------------------------------------------------------------
 

@@ -11,7 +11,7 @@ reports comparable run over run.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import SimulationError
 from repro.utils.rng import SeedLike, make_rng
@@ -26,10 +26,6 @@ class ArrivalProcess:
 
     def next_gap(self, now: float) -> float:
         raise NotImplementedError
-
-    def describe(self) -> dict:
-        """JSON-friendly description for reports."""
-        return {"kind": type(self).__name__}
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -131,11 +127,6 @@ class ZipfSelector:
         self._probabilities = probabilities.tolist()
         self._cdf = np.cumsum(probabilities).tolist()
         self._rng = make_rng(seed, "zipf-selector")
-
-    @property
-    def probabilities(self) -> List[float]:
-        """The rank -> probability table (rank 0 is the most popular)."""
-        return list(self._probabilities)
 
     def sample(self) -> int:
         """Draw one index.

@@ -57,10 +57,6 @@ class LatencyStats:
     def mean(self) -> float:
         return self._total / len(self._values) if self._values else 0.0
 
-    @property
-    def max(self) -> float:
-        return self._max
-
     def percentile(self, q: float) -> float:
         return percentile(self._values, q)
 

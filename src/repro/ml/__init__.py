@@ -17,7 +17,7 @@ from repro.ml.losses import cross_entropy_loss, cross_entropy_with_softmax
 from repro.ml.metrics import accuracy
 from repro.ml.mlp import MLP
 from repro.ml.optimizers import Adam, Optimizer
-from repro.ml.serialization import deserialize_model, model_payload_size, serialize_model
+from repro.ml.serialization import model_payload_size, serialize_model
 from repro.ml.trainer import EvalResult, Trainer, TrainingConfig, TrainingHistory
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "MLP",
     "Adam",
     "Optimizer",
-    "deserialize_model",
     "model_payload_size",
     "serialize_model",
     "EvalResult",

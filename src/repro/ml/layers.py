@@ -94,11 +94,6 @@ class DenseLayer:
 
     # -- parameter access -----------------------------------------------------------
 
-    @property
-    def num_parameters(self) -> int:
-        """Number of trainable scalars in this layer."""
-        return self.weights.size + self.biases.size
-
     def get_parameters(self) -> Dict[str, np.ndarray]:
         """Copies of the layer parameters."""
         return {"weights": self.weights.copy(), "biases": self.biases.copy()}

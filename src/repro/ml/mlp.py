@@ -85,21 +85,9 @@ class MLP:
 
     # -- parameters ----------------------------------------------------------------
 
-    @property
-    def num_parameters(self) -> int:
-        """Total number of trainable scalars."""
-        return sum(layer.num_parameters for layer in self.layers)
-
     def get_parameters(self) -> List[Dict[str, np.ndarray]]:
         """Copies of every layer's parameters, input to output order."""
         return [layer.get_parameters() for layer in self.layers]
-
-    def copy(self) -> "MLP":
-        """A deep copy with identical parameters."""
-        clone = MLP.from_parameters(
-            [{"weights": layer.weights, "biases": layer.biases} for layer in self.layers])
-        clone.seed = self.seed
-        return clone
 
     @classmethod
     def from_parameters(cls, parameters: List[Dict[str, np.ndarray]]) -> "MLP":
@@ -126,4 +114,5 @@ class MLP:
         return model
 
     def __repr__(self) -> str:
-        return f"MLP(layer_sizes={self.layer_sizes}, parameters={self.num_parameters})"
+        parameters = sum(layer.weights.size + layer.biases.size for layer in self.layers)
+        return f"MLP(layer_sizes={self.layer_sizes}, parameters={parameters})"

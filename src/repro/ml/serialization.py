@@ -126,17 +126,6 @@ def deserialize_parameters(payload: bytes) -> List[Dict[str, np.ndarray]]:
     return parameters
 
 
-def deserialize_model(payload: bytes) -> MLP:
-    """Rebuild a model from :func:`serialize_model` output.
-
-    Raises
-    ------
-    SerializationError
-        As :func:`deserialize_parameters` does.
-    """
-    return MLP.from_parameters(deserialize_parameters(payload))  # the model's own float32 copy
-
-
 def model_payload_size(layer_sizes: Sequence[int]) -> int:
     """Predicted serialized size in bytes for an architecture (header excluded)."""
     values = sum(

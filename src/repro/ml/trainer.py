@@ -50,11 +50,6 @@ class TrainingHistory:
         """Training loss after the last epoch."""
         return self.epochs[-1].loss if self.epochs else float("nan")
 
-    @property
-    def losses(self) -> List[float]:
-        """Loss values in epoch order."""
-        return [record.loss for record in self.epochs]
-
 
 @dataclass
 class EvalResult:
@@ -96,10 +91,6 @@ class Trainer:
         if history.epochs:
             history.final_accuracy = accuracy(self.model.predict(features), labels)
         return history
-
-    def evaluate(self, features: np.ndarray, labels: np.ndarray) -> EvalResult:
-        """Compute loss and accuracy on held-out data."""
-        return evaluate_model(self.model, features, labels)
 
 
 def evaluate_model(model: MLP, features: np.ndarray, labels: np.ndarray) -> EvalResult:

@@ -11,9 +11,13 @@ smaller than a framework shim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
-from repro.errors import PayloadTooLargeError, ProtocolViolationError
+from repro.errors import (
+    HttpVersionNotSupportedError,
+    PayloadTooLargeError,
+    ProtocolViolationError,
+)
 
 #: Response reason phrases for the status codes the server actually emits.
 REASONS = {
@@ -27,19 +31,25 @@ REASONS = {
     426: "Upgrade Required",
     500: "Internal Server Error",
     503: "Service Unavailable",
+    505: "HTTP Version Not Supported",
 }
+
+#: The request-line versions the server speaks; any other is answered 505.
+VERSIONS = ("HTTP/1.1", "HTTP/1.0")
 
 
 @dataclass
 class HttpRequest:
     """One parsed request: method, target path, lower-cased headers, body,
-    and the request line's protocol version."""
+    the request line's protocol version, and the lower-cased tokens of every
+    ``Connection`` field line (RFC 9110 section 7.6.1)."""
 
     method: str
     target: str
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
     version: str = "HTTP/1.1"
+    connection: FrozenSet[str] = field(default=frozenset(), init=False)
 
     @property
     def path(self) -> str:
@@ -50,15 +60,14 @@ class HttpRequest:
         """HTTP/1.1 default is keep-alive unless the client says close; an
         HTTP/1.0 connection stays open only when the client asks (RFC 9112
         section 9.3)."""
-        connection = self.headers.get("connection", "").lower()
-        if self.version == "HTTP/1.0":
-            return connection == "keep-alive"
-        return connection != "close"
+        if "close" in self.connection:
+            return False
+        return self.version != "HTTP/1.0" or "keep-alive" in self.connection
 
     def is_websocket_upgrade(self) -> bool:
         """Whether this is an RFC 6455 upgrade request."""
-        return ("websocket" in self.headers.get("upgrade", "").lower()
-                and "upgrade" in self.headers.get("connection", "").lower())
+        return ("upgrade" in self.connection
+                and "websocket" in self.headers.get("upgrade", "").lower())
 
 
 def parse_head(data: Union[bytes, bytearray], max_bytes: int,
@@ -67,10 +76,14 @@ def parse_head(data: Union[bytes, bytearray], max_bytes: int,
 
     ``None`` while the blank line has not arrived (``scan_from`` skips bytes
     an earlier call searched); else the request, body still empty, and the
-    offsets in ``data`` where its declared body starts and ends.  Framing is
-    strict: ``Content-Length`` is ASCII digits only, duplicates must agree,
-    any ``Transfer-Encoding`` is refused.  Raises :class:`ProtocolViolationError`
-    on malformed bytes, :class:`PayloadTooLargeError` past ``max_bytes``.
+    offsets in ``data`` where its declared body starts and ends.  The head
+    follows RFC 9112's grammar: a request line of exactly ``method SP target
+    SP version``, no whitespace before a field line's colon or at its start
+    (obs-fold), no empty field name.  Framing is strict: ``Content-Length`` is
+    ASCII digits only, duplicates must agree, any ``Transfer-Encoding`` is
+    refused.  Raises :class:`ProtocolViolationError` on malformed bytes,
+    :class:`HttpVersionNotSupportedError` for a version other than HTTP/1.0
+    or HTTP/1.1, :class:`PayloadTooLargeError` past ``max_bytes``.
     """
     end = data.find(b"\r\n\r\n", scan_from)
     if end > max_bytes - 4 or (end < 0 and len(data) > max_bytes):
@@ -78,18 +91,26 @@ def parse_head(data: Union[bytes, bytearray], max_bytes: int,
             f"request head exceeds the {max_bytes}-byte cap")
     if end < 0:
         return None
+    request_line, *header_lines = data[:end].decode("latin-1").split("\r\n")
     try:
-        request_line, *header_lines = data[:end].decode("latin-1").split("\r\n")
-        method, target, version = request_line.split(" ", 2)
+        method, target, version = request_line.split(" ")
     except ValueError:
         raise ProtocolViolationError("malformed HTTP request line") from None
+    if not (method and target and version):
+        raise ProtocolViolationError("malformed HTTP request line")
+    if version not in VERSIONS:
+        raise HttpVersionNotSupportedError(f"HTTP version {version[:16]!r} is not supported")
     headers: Dict[str, str] = {}
+    connection = frozenset()
     for line in header_lines:
         name, colon, value = line.partition(":")
-        if not colon:
+        if not colon or not name or name != name.strip():
             raise ProtocolViolationError(f"malformed HTTP header {line!r}")
-        name, value = name.strip().lower(), value.strip()
-        if name == "content-length" and headers.get(name, value) != value:
+        name, value = name.lower(), value.strip()
+        if name == "connection":
+            connection = connection.union(
+                token.strip().lower() for token in value.split(","))
+        elif name == "content-length" and headers.get(name, value) != value:
             raise ProtocolViolationError("conflicting content-length headers")
         headers[name] = value
     if "transfer-encoding" in headers:
@@ -101,9 +122,10 @@ def parse_head(data: Union[bytes, bytearray], max_bytes: int,
     if len(length_text) > 18 or int(length_text) > max_bytes:
         raise PayloadTooLargeError(
             f"request body of {length_text} bytes exceeds the {max_bytes}-byte cap")
-    return (HttpRequest(method=method.upper(), target=target, headers=headers,
-                        version=version),
-            end + 4, end + 4 + int(length_text))
+    request = HttpRequest(method=method.upper(), target=target, headers=headers,
+                          version=version)
+    request.connection = connection
+    return request, end + 4, end + 4 + int(length_text)
 
 
 def format_response(status: int, body: bytes = b"",

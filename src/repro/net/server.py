@@ -38,6 +38,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.errors import (
+    HttpVersionNotSupportedError,
     NetworkError,
     PayloadTooLargeError,
     ProtocolViolationError,
@@ -435,12 +436,14 @@ class _Connection(asyncio.Protocol):
         self._refuse(408, "read timeout")
 
     def _reject(self, exc: ProtocolViolationError) -> None:
-        """Hostile or broken bytes: a typed, counted 400 (413 when too large)."""
+        """Hostile or broken bytes: a typed, counted 400 (413 when too large,
+        505 for an HTTP version other than 1.0 and 1.1)."""
         too_large = isinstance(exc, PayloadTooLargeError)
         self.server.stats.count_rejection("protocol")
         if too_large:
             self.server.stats.count_rejection("too_large")
-        self._refuse(413 if too_large else 400, str(exc))
+        status = 505 if isinstance(exc, HttpVersionNotSupportedError) else 400
+        self._refuse(413 if too_large else status, str(exc))
 
     def _refuse(self, status: int, message: str) -> None:
         self.transport.write(format_response(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import ObservabilityError
 
@@ -357,7 +357,3 @@ class MetricsRegistry:
                     lines.append(
                         f"{family.name}{suffix} {_format_value(child.value)}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def get(self, name: str) -> Optional[MetricFamily]:
-        """Look up a family by name (``None`` when absent; no collectors run)."""
-        return self._families.get(name)

@@ -69,16 +69,6 @@ class Span:
         self.status = status
         return self
 
-    @property
-    def wall_ms(self) -> float:
-        """Wall-clock duration in milliseconds (non-deterministic)."""
-        return (self.end_wall - self.start_wall) * 1000.0
-
-    @property
-    def sim_seconds(self) -> float:
-        """Simulated duration in seconds (deterministic)."""
-        return self.end_sim - self.start_sim
-
     def to_dict(self, include_wall: bool = True) -> Dict[str, Any]:
         """JSON-friendly dump; drop ``include_wall`` for deterministic output."""
         payload: Dict[str, Any] = {
@@ -93,7 +83,7 @@ class Span:
             "trace_id": self.trace_id,
         }
         if include_wall:
-            payload["wall_ms"] = round(self.wall_ms, 4)
+            payload["wall_ms"] = round((self.end_wall - self.start_wall) * 1000.0, 4)
         return payload
 
 
@@ -194,11 +184,6 @@ class Tracer:
         for span in self.spans:
             counts[span.name] = counts.get(span.name, 0) + 1
         return {name: counts[name] for name in sorted(counts)}
-
-    def replicas_for(self, trace_id: str) -> List[str]:
-        """Sorted replica labels that recorded at least one span."""
-        return sorted({s.replica for s in self._by_trace.get(trace_id, [])
-                       if s.replica is not None})
 
     def tree(self, trace_id: str,
              include_wall: bool = True) -> List[Dict[str, Any]]:

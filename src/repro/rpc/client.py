@@ -65,11 +65,6 @@ class BatchCall:
         self._result = result
         self._error = error
 
-    @property
-    def error(self) -> Optional[ReproError]:
-        """The call's rehydrated error, if it failed."""
-        return self._error
-
     def result(self) -> Any:
         """The call's result; raises its rehydrated error if it failed."""
         if not self._resolved:
@@ -180,9 +175,6 @@ class EthClient:
     def get_transaction_count(self, address: str, block: Union[str, int] = "latest") -> int:
         return from_quantity(self._rpc.call("eth_getTransactionCount", address, block))
 
-    def is_contract(self, address: str) -> bool:
-        return bool(self._rpc.call("eth_getCode", address))
-
     # -- transactions ---------------------------------------------------------
 
     def send_raw_transaction(self, raw: str) -> str:
@@ -191,9 +183,6 @@ class EthClient:
     def send_transaction(self, tx: Transaction) -> str:
         """Serialize a signed transaction and broadcast it."""
         return self.send_raw_transaction(tx.serialize_raw())
-
-    def get_transaction(self, tx_hash: str) -> Transaction:
-        return Transaction.from_dict(self._rpc.call("eth_getTransactionByHash", tx_hash))
 
     def get_receipt(self, tx_hash: str) -> Optional[TransactionReceipt]:
         """The transaction's receipt, or ``None`` while it is unmined."""
@@ -266,21 +255,11 @@ class EthClient:
     def new_block_filter(self) -> str:
         return self._rpc.call("eth_newBlockFilter")
 
-    def new_pending_transaction_filter(self) -> str:
-        return self._rpc.call("eth_newPendingTransactionFilter")
-
     def new_log_filter(self, log_filter: Optional[LogFilter] = None) -> str:
         return self._rpc.call("eth_newFilter", _criteria_from_filter(log_filter))
 
     def get_filter_changes(self, filter_id: str) -> List[Any]:
         return self._rpc.call("eth_getFilterChanges", filter_id)
-
-    def get_filter_logs(self, filter_id: str) -> List[EventLog]:
-        payload = self._rpc.call("eth_getFilterLogs", filter_id)
-        return [EventLog.from_dict(entry) for entry in payload]
-
-    def uninstall_filter(self, filter_id: str) -> bool:
-        return self._rpc.call("eth_uninstallFilter", filter_id)
 
 
 def _criteria_from_filter(log_filter: Optional[LogFilter]) -> Dict[str, Any]:
@@ -319,12 +298,6 @@ class IpfsClient:
         # In process the result is a HexString: its bytes, never made text.
         return self._rpc.call("ipfs_cat", cid, self._node(node)).data
 
-    def pin(self, cid: str) -> Dict[str, Any]:
-        return self._rpc.call("ipfs_pin", cid, self.default_node)
-
-    def stat(self, cid: str) -> Dict[str, Any]:
-        return self._rpc.call("ipfs_stat", cid, self.default_node)
-
 
 class Oflw3Client:
     """Typed ``oflw3_*`` sub-client bound to a default buyer backend."""
@@ -338,9 +311,6 @@ class Oflw3Client:
         if self.default_backend is not None and "backend" not in named:
             named["backend"] = self.default_backend
         return self._rpc.call(rpc_method, **named)
-
-    def health(self) -> Dict[str, Any]:
-        return self._call("oflw3_health")
 
     def deploy_task(self, spec: Dict[str, Any], budget_wei: int) -> Dict[str, Any]:
         return self._call("oflw3_deployTask", spec=spec, budget_wei=budget_wei)
@@ -420,7 +390,3 @@ class MarketplaceClient:
     def batch(self) -> RpcBatch:
         """Start a batch; use as a context manager or call ``execute()``."""
         return RpcBatch(self.gateway)
-
-    def methods(self) -> List[str]:
-        """Every method the gateway serves (for discovery/CLI)."""
-        return self.gateway.methods()

@@ -39,7 +39,7 @@ from repro.rpc.namespaces import (
 )
 from repro.rpc.protocol import (
     INTERNAL_ERROR, INVALID_PARAMS, INVALID_REQUEST, JSONRPC_VERSION, METHOD_NOT_FOUND,
-    PARSE_ERROR, SERVER_ERROR, JsonRpcError, error_response, make_request, success_response,
+    PARSE_ERROR, SERVER_ERROR, JsonRpcError, error_response, success_response,
 )
 from repro.utils.cache import LRUCache
 from repro.utils.encoding import HexString
@@ -439,19 +439,3 @@ class JsonRpcGateway:
         return b"[" + b", ".join(map(_encode_envelope, response)) + b"]"
 
     # -- convenience -------------------------------------------------------------
-
-    def call(self, method: str, /, *params: Any, **named: Any) -> Any:
-        """In-process convenience: dispatch one call, returning the raw result.
-
-        Raises :class:`JsonRpcError` with the reply's error member on failure
-        -- used by the gateway's own tests; SDK users go through
-        :class:`repro.rpc.client.MarketplaceClient`, which rehydrates library
-        exceptions.
-        """
-        if params and named:
-            raise ValueError("pass positional or named params, not both")
-        response = self._call(make_request(method, dict(named) if named else list(params), 0),
-                              None)
-        if "error" in response:
-            raise JsonRpcError(**response["error"])
-        return response["result"]

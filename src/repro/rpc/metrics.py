@@ -69,14 +69,6 @@ class RequestMetrics:
         self.latency_total_ms += elapsed_ms
         self.latency_bucket_counts[bisect_left(LATENCY_BUCKETS_MS, elapsed_ms)] += 1
 
-    @property
-    def mean_latency_ms(self) -> float:
-        """Average handler latency in milliseconds."""
-        with self.lock:
-            if self.requests_total == 0:
-                return 0.0
-            return self.latency_total_ms / self.requests_total
-
     def top_methods(self, count: int = 5) -> List[Any]:
         """The ``count`` most-called methods as (method, calls) pairs."""
         with self.lock:

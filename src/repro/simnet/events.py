@@ -35,7 +35,7 @@ EVENT_BUDGET = 1_000_000
 class ScheduledEvent:
     """One pending callback in the event queue."""
 
-    __slots__ = ("time", "seq", "action", "name", "cancelled")
+    __slots__ = ("time", "seq", "action", "name")
 
     def __init__(self, time: float, seq: int,
                  action: Callable[[], Any], name: str = "") -> None:
@@ -43,7 +43,6 @@ class ScheduledEvent:
         self.seq = int(seq)
         self.action = action
         self.name = name
-        self.cancelled = False
 
     @property
     def sort_key(self) -> tuple:
@@ -54,8 +53,7 @@ class ScheduledEvent:
         return self.sort_key < other.sort_key
 
     def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return f"ScheduledEvent(t={self.time:.3f}, seq={self.seq}, name={self.name!r}, {state})"
+        return f"ScheduledEvent(t={self.time:.3f}, seq={self.seq}, name={self.name!r})"
 
 
 class SimProcess:
@@ -93,22 +91,12 @@ class EventScheduler:
     # -- introspection ---------------------------------------------------------
 
     @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self.clock.now
-
-    @property
     def events_executed(self) -> int:
         """Number of events executed so far."""
         return self._executed
 
     def __len__(self) -> int:
-        return sum(1 for event in self._queue if not event.cancelled)
-
-    @property
-    def empty(self) -> bool:
-        """Whether no live events remain."""
-        return len(self) == 0
+        return len(self._queue)
 
     # -- scheduling ------------------------------------------------------------
 
@@ -131,10 +119,6 @@ class EventScheduler:
         self._seq += 1
         heapq.heappush(self._queue, event)
         return event
-
-    def cancel(self, event: ScheduledEvent) -> None:
-        """Cancel a pending event (no-op if it already ran)."""
-        event.cancelled = True
 
     # -- processes -------------------------------------------------------------
 
@@ -188,8 +172,6 @@ class EventScheduler:
         """Pop and execute the next live event; returns it (or None if idle)."""
         while self._queue:
             event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
             self.clock.advance_to(event.time)
             event.action()
             self._executed += 1
@@ -204,10 +186,6 @@ class EventScheduler:
         """
         executed = 0
         while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                continue
             if executed >= EVENT_BUDGET:
                 raise SchedulerError(
                     f"event budget exhausted after {EVENT_BUDGET} events "

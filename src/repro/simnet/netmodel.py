@@ -53,12 +53,6 @@ class LinkProfile:
         if self.bandwidth_bytes_per_second is not None and self.bandwidth_bytes_per_second <= 0:
             raise ValueError("bandwidth must be positive (or None for infinite)")
 
-    @property
-    def is_ideal(self) -> bool:
-        """Whether the link adds no delay and never drops."""
-        return (self.latency_seconds == 0.0 and self.jitter_seconds == 0.0
-                and self.drop_probability == 0.0 and self.bandwidth_bytes_per_second is None)
-
 
 @dataclass
 class NetworkStats:

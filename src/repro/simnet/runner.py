@@ -660,11 +660,6 @@ class ScenarioRunner:
 
     # -- results access ----------------------------------------------------------
 
-    @property
-    def marketplace_reports(self) -> List[Optional[MarketplaceReport]]:
-        """Per-task :class:`MarketplaceReport` (None for failed tasks)."""
-        return [task.report for task in self.tasks]
-
 
 def run_scenario(
     scenario: Union[ScenarioSpec, str],

@@ -220,16 +220,6 @@ class ScenarioSpec:
                     "partitions need a real cluster network profile "
                     "(the ideal wire cannot be split)")
 
-    @property
-    def is_seed_exact(self) -> bool:
-        """Whether this spec stays on the seed's exact code path."""
-        return (self.num_tasks == 1 and not self.behavior_fractions
-                and self.network_profile == "ideal" and not self.async_submissions
-                and self.node_restart_at_seconds is None
-                and self.background_load is None
-                and self.cluster is None
-                and self.analytics is None)
-
     def with_overrides(self, **kwargs) -> "ScenarioSpec":
         """A copy of this spec with the given fields replaced."""
         return replace(self, **kwargs)

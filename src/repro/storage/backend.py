@@ -48,9 +48,6 @@ class StorageBackend(Protocol):
     def records(self, topic: str, start: int = 0) -> Iterator[Tuple[int, Dict[str, Any]]]:
         """Yield ``(seq, record)`` pairs with ``seq >= start``, in order."""
 
-    def record_count(self, topic: str) -> int:
-        """Number of records currently retained in ``topic``."""
-
     def next_seq(self, topic: str) -> int:
         """The sequence number the next append to ``topic`` will receive."""
 
@@ -131,9 +128,6 @@ class MemoryBackend:
         for seq, record in list(self._topics.get(topic, [])):
             if seq >= start:
                 yield seq, canonical_loads(canonical_dumps(record))
-
-    def record_count(self, topic: str) -> int:
-        return len(self._topics.get(topic, []))
 
     def next_seq(self, topic: str) -> int:
         return self._next_seq.get(topic, 0)
@@ -408,9 +402,6 @@ class LogBackend:
         for seq, record, _line in self._checked_lines(topic):
             if seq >= start:
                 yield seq, decode_canonical(record)
-
-    def record_count(self, topic: str) -> int:
-        return sum(1 for _ in self.records(topic))
 
     def next_seq(self, topic: str) -> int:
         return self._load_next_seq(topic)

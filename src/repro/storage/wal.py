@@ -21,7 +21,7 @@ snapshot already captures, keeping only still-pending ``tx`` entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List
 
 from repro.errors import StorageError
 
@@ -84,9 +84,6 @@ class WriteAheadLog:
         for seq, record in self.backend.records(self.topic, start=start):
             yield _entry(seq, record)
 
-    def __len__(self) -> int:
-        return self.backend.record_count(self.topic)
-
     def last_seq(self) -> int:
         """Sequence number of the most recently appended entry (-1 if none).
 
@@ -99,14 +96,6 @@ class WriteAheadLog:
     def counts_by_kind(self) -> Dict[str, int]:
         """How many live entries of each kind the log currently holds."""
         return dict(self._live)
-
-    def last_block_entry(self) -> Optional[WalEntry]:
-        """The most recent ``block`` entry still in the log, if any."""
-        last = None
-        for entry in self.entries():
-            if entry.kind == "block":
-                last = entry
-        return last
 
     # -- compaction -------------------------------------------------------------
 

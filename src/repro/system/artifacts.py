@@ -9,7 +9,7 @@ benchmark runs, CLI invocations and notebooks can persist and reload results
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, Union
 
@@ -17,17 +17,6 @@ from repro.system.config import OFLW3Config
 from repro.system.orchestrator import MarketplaceReport
 
 PathLike = Union[str, Path]
-
-
-def _json_default(value: Any) -> Any:
-    """Fallback encoder for dataclasses, NumPy scalars and bytes."""
-    if is_dataclass(value) and not isinstance(value, type):
-        return asdict(value)
-    if isinstance(value, (bytes, bytearray)):
-        return "0x" + bytes(value).hex()
-    if hasattr(value, "tolist"):  # NumPy scalar or array
-        return value.tolist()
-    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
 
 def report_to_dict(report: MarketplaceReport) -> Dict[str, Any]:
@@ -71,7 +60,7 @@ def save_json(payload: Dict[str, Any], path: PathLike) -> Path:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
     return target
 

@@ -43,6 +43,8 @@ class OFLW3Config:
     # Partitioning
     partition_scheme: str = "dirichlet"
     partition_alpha: float = 0.35
+    #: Read by no partitioner since the label-skew scheme was deleted; the
+    #: saved report still carries it until the pinned reports are re-pinned.
     classes_per_client: int = 2
 
     # Model and local training

@@ -77,12 +77,6 @@ class MarketplaceEnvironment:
     def storage(self) -> StorageEngine:
         return self.stack.engine
 
-    @property
-    def cluster(self) -> Optional[Any]:
-        """The replication cluster behind ``node`` (a stack built with a
-        cluster), else ``None``."""
-        return self.stack.cluster
-
 
 @dataclass
 class MarketplaceReport:
@@ -166,23 +160,6 @@ class MarketplaceReport:
         """Average owner-side time breakdown."""
         return merge_breakdowns(self.owner_breakdowns, role="owner")
 
-    def to_dict(self) -> dict:
-        """JSON-friendly summary (used by the examples to print reports)."""
-        return {
-            "aggregate_accuracy": self.aggregate_accuracy,
-            "aggregate_algorithm": self.aggregate_algorithm,
-            "local_accuracies": self.local_accuracies,
-            "accuracy_margin_over_worst": self.accuracy_margin_over_worst,
-            "drop_accuracies": self.drop_accuracies,
-            "payments": {a: format_ether(w) for a, w in self.payments_wei.items()},
-            "gas": self.gas_report.to_dict(),
-            "owner_time": self.owner_time_breakdown().to_dict(),
-            "buyer_time": self.buyer_breakdown.to_dict(),
-            "model_payload_bytes": self.model_payload_bytes,
-            "model_payload_bytes_by_owner": dict(self.model_payload_bytes_by_owner),
-            "total_model_payload_bytes": self.total_model_payload_bytes,
-        }
-
 
 def build_environment(
     config: Optional[OFLW3Config] = None,
@@ -247,18 +224,13 @@ def build_environment(
     train_rows, test_rows = split_indices(
         len(labels), config.test_fraction, rng=derive_seed(config.seed, "split")
     )
-    partition_kwargs: Dict[str, Any] = {}
-    if config.partition_scheme == "dirichlet":
-        partition_kwargs["alpha"] = config.partition_alpha
-    elif config.partition_scheme == "label_skew":
-        partition_kwargs["classes_per_client"] = config.classes_per_client
     shards = partition_indices(
         labels[train_rows],
         NUM_CLASSES,
         config.num_owners,
         scheme=config.partition_scheme,
         rng=derive_seed(config.seed, "partition"),
-        **partition_kwargs,
+        alpha=config.partition_alpha,
     )
     unheld = np.ones(len(train_rows), dtype=bool)
     unheld[np.concatenate(shards)] = False

@@ -211,11 +211,6 @@ class ModelBuyer:
         """The buyer's wallet address."""
         return self.wallet.address
 
-    @property
-    def task_address(self) -> Optional[str]:
-        """Address of the deployed task contract (after Step 1)."""
-        return self.dapp.task_address
-
     def _timed_chain(self, phase: str, fn, *args, **kwargs):
         """Attribute chain-clock movement plus a confirmation to ``phase``."""
         clock = self.wallet.node.clock

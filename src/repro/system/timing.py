@@ -87,13 +87,6 @@ class TimeBreakdown:
         """Total simulated seconds across phases."""
         return sum(self.phases.values())
 
-    def fractions(self) -> Dict[str, float]:
-        """Share of the total attributable to each phase."""
-        total = self.total
-        if total == 0:
-            return {phase: 0.0 for phase in self.phases}
-        return {phase: seconds / total for phase, seconds in self.phases.items()}
-
     def blockchain_fraction(self, blockchain_phases: Tuple[str, ...]) -> float:
         """Fraction of total time spent in the given blockchain phases."""
         total = self.total

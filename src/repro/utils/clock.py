@@ -69,7 +69,3 @@ class SimulatedClock:
         if timestamp > self._now:
             self._move_to(timestamp)
         return self._now
-
-    def sleep(self, seconds: float) -> None:
-        """Alias of :meth:`advance`, mirroring ``time.sleep`` call sites."""
-        self.advance(seconds)

@@ -39,14 +39,5 @@ def hash_json(obj: Any) -> bytes:
     Keys are sorted and separators fixed so that logically equal objects hash
     to the same digest regardless of insertion order.
     """
-    payload = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_default)
+    payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return keccak256(payload.encode("utf-8"))
-
-
-def _default(obj: Any) -> Any:
-    """JSON fallback encoder for bytes and objects exposing ``to_dict``."""
-    if isinstance(obj, (bytes, bytearray)):
-        return "0x" + bytes(obj).hex()
-    if hasattr(obj, "to_dict"):
-        return obj.to_dict()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, List, Sequence, Union
+from typing import Any, Sequence, Union
 
 RlpItem = Union[bytes, Sequence["RlpItem"]]
 
@@ -114,50 +114,3 @@ def rlp_encode(item: RlpItem) -> bytes:
         payload = b"".join(rlp_encode(sub) for sub in item)
         return _encode_length(len(payload), 0xC0) + payload
     raise TypeError(f"rlp_encode cannot encode {type(item).__name__}")
-
-
-def rlp_decode(data: bytes) -> RlpItem:
-    """Decode RLP-encoded bytes back into nested bytes/lists."""
-    item, consumed = _decode_item(bytes(data), 0)
-    if consumed != len(data):
-        raise ValueError("trailing bytes after RLP item")
-    return item
-
-
-def _decode_item(data: bytes, offset: int) -> tuple:
-    """Decode one RLP item starting at ``offset``; return (item, next offset)."""
-    if offset >= len(data):
-        raise ValueError("unexpected end of RLP data")
-    prefix = data[offset]
-    if prefix < 0x80:
-        return bytes([prefix]), offset + 1
-    if prefix < 0xB8:
-        length = prefix - 0x80
-        start = offset + 1
-        return data[start:start + length], start + length
-    if prefix < 0xC0:
-        length_size = prefix - 0xB7
-        start = offset + 1
-        length = int.from_bytes(data[start:start + length_size], "big")
-        start += length_size
-        return data[start:start + length], start + length
-    if prefix < 0xF8:
-        length = prefix - 0xC0
-        return _decode_list(data, offset + 1, length)
-    length_size = prefix - 0xF7
-    start = offset + 1
-    length = int.from_bytes(data[start:start + length_size], "big")
-    return _decode_list(data, start + length_size, length)
-
-
-def _decode_list(data: bytes, start: int, length: int) -> tuple:
-    """Decode a list payload of ``length`` bytes starting at ``start``."""
-    end = start + length
-    items: List[RlpItem] = []
-    cursor = start
-    while cursor < end:
-        item, cursor = _decode_item(data, cursor)
-        items.append(item)
-    if cursor != end:
-        raise ValueError("malformed RLP list payload")
-    return items, end

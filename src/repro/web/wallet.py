@@ -41,29 +41,6 @@ class TransactionPreview:
     estimated_gas: int
     gas_price: int
 
-    @property
-    def max_fee_wei(self) -> int:
-        """Maximum fee the transaction can cost."""
-        return self.estimated_gas * self.gas_price
-
-    @property
-    def total_wei(self) -> int:
-        """Value plus maximum fee (the number the user squints at)."""
-        return self.value_wei + self.max_fee_wei
-
-    def to_dict(self) -> dict:
-        """JSON-friendly representation (used by the DApp UI layer)."""
-        return {
-            "description": self.description,
-            "from": self.sender,
-            "to": self.to,
-            "value_eth": format_ether(self.value_wei),
-            "estimated_gas": self.estimated_gas,
-            "gas_price_wei": self.gas_price,
-            "max_fee_eth": format_ether(self.max_fee_wei),
-            "total_eth": format_ether(self.total_wei),
-        }
-
 
 @dataclass
 class WalletActivity:
@@ -181,19 +158,3 @@ class MetaMaskWallet:
         return self.rpc.eth.call(contract_address, method, [], caller=self.address)
 
     # -- reporting ---------------------------------------------------------------------
-
-    def total_fees_paid_wei(self) -> int:
-        """Sum of fees across all confirmed transactions from this wallet."""
-        return sum(a.receipt.fee_wei for a in self.activity if a.receipt is not None)
-
-    def activity_summary(self) -> List[dict]:
-        """MetaMask-style activity list."""
-        return [
-            {
-                "description": a.description,
-                "transaction_hash": a.transaction_hash,
-                "status": (a.receipt.status if a.receipt else None),
-                "fee_eth": (format_ether(a.receipt.fee_wei) if a.receipt else None),
-            }
-            for a in self.activity
-        ]

@@ -10,6 +10,7 @@ from repro.cluster import ChainCluster, ClusterConfig, ClusterNode
 from repro.contracts import default_registry
 from repro.rpc import INVALID_PARAMS, JsonRpcError, JsonRpcGateway
 from repro.utils.units import ether_to_wei, gwei_to_wei
+from tests.oracles import rpc_call
 
 GAS_PRICE = gwei_to_wei(1)
 
@@ -84,42 +85,42 @@ class TestRpcRouting:
             assert method in gateway.methods()
 
     def test_status_reports_freshness(self, gateway):
-        status = gateway.call("analytics_status")
+        status = rpc_call(gateway, "analytics_status")
         assert status["lag_entries"] == 0
         assert status["height"] == gateway.eth.node.chain.height
 
     def test_query_is_parity_identical_to_eth_get_logs(self, gateway):
         criteria = {"event": PAYMENT_EVENT}
-        assert gateway.call("analytics_query", criteria) == \
-            gateway.call("eth_getLogs", criteria)
+        assert rpc_call(gateway, "analytics_query", criteria) == \
+            rpc_call(gateway, "eth_getLogs", criteria)
 
     def test_paged_query_matches_eth_get_logs_paging(self, gateway):
         criteria = {"event": PAYMENT_EVENT, "limit": 2}
-        assert gateway.call("analytics_query", criteria) == \
-            gateway.call("eth_getLogs", criteria)
+        assert rpc_call(gateway, "analytics_query", criteria) == \
+            rpc_call(gateway, "eth_getLogs", criteria)
 
     def test_eth_get_logs_itself_is_replica_served(self, gateway):
         """The transparent routing: eth_getLogs rides chain.logs -> feeder."""
         queries_before = gateway.analytics.queries
-        gateway.call("eth_getLogs", {"event": PAYMENT_EVENT})
+        rpc_call(gateway, "eth_getLogs", {"event": PAYMENT_EVENT})
         assert gateway.analytics.queries == queries_before + 1
 
     def test_leaderboard_over_rpc(self, gateway):
-        rows = gateway.call("analytics_leaderboard", name="payments", limit=2)
+        rows = rpc_call(gateway, "analytics_leaderboard", name="payments", limit=2)
         assert len(rows) == 2
         assert rows[0]["total_wei"] >= rows[1]["total_wei"]
 
     def test_bad_leaderboard_params_are_invalid_params(self, gateway):
         with pytest.raises(JsonRpcError) as excinfo:
-            gateway.call("analytics_leaderboard", name="bogus")
+            rpc_call(gateway, "analytics_leaderboard", name="bogus")
         assert excinfo.value.code == INVALID_PARAMS
         with pytest.raises(JsonRpcError) as excinfo:
-            gateway.call("analytics_leaderboard", name="payments", limit=0)
+            rpc_call(gateway, "analytics_leaderboard", name="payments", limit=0)
         assert excinfo.value.code == INVALID_PARAMS
 
     def test_fee_summary_matches_the_scan_path(self, gateway):
         node = gateway.eth.node
-        replica = gateway.call("analytics_feeSummary")
+        replica = rpc_call(gateway, "analytics_feeSummary")
         feeder = node.chain.analytics
         node.chain.analytics = None
         try:
@@ -128,7 +129,7 @@ class TestRpcRouting:
             node.chain.analytics = feeder
 
     def test_series_over_rpc(self, gateway):
-        series = gateway.call("analytics_series", event=PAYMENT_EVENT)
+        series = rpc_call(gateway, "analytics_series", event=PAYMENT_EVENT)
         assert len(series) == 3
         assert all("block_number" in point for point in series)
 

@@ -52,7 +52,7 @@ class TestGenesisAndBlocks:
 
     def test_blocks_link_to_parents(self, funded_node):
         funded_node.mine(3)
-        blocks = funded_node.chain.blocks()
+        blocks = list(funded_node.chain.iter_blocks())
         for parent, child in zip(blocks, blocks[1:]):
             assert child.header.parent_hash == parent.hash
 

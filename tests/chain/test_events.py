@@ -15,11 +15,6 @@ def make_log(name="CidUploaded", block=1, **args):
 
 
 class TestEventLog:
-    def test_topic_is_stable_per_name(self):
-        assert make_log().topic == make_log(cid="different").topic
-
-    def test_topic_differs_across_names(self):
-        assert make_log("A").topic != make_log("B").topic
 
     def test_to_dict(self):
         payload = make_log(cid="Qm1", index=0).to_dict()

@@ -43,13 +43,13 @@ class TestFaucet:
         Faucet(node).drip(ALICE.address)
         assert node.get_balance(ALICE.address) == ether_to_wei(1)
 
-    def test_drips_and_history(self):
+    def test_drips_credit_each_address(self):
         node = EthereumNode(backend=default_registry())
         faucet = Faucet(node)
         faucet.drip(ALICE.address, 10)
         faucet.drip(BOB.address, 10)
-        assert faucet.total_dripped == 20
-        assert len(faucet.history) == 2
+        assert node.chain.state.balance_of(ALICE.address) == 10
+        assert node.chain.state.balance_of(BOB.address) == 10
 
     def test_a_node_mint_is_write_ahead_logged(self, tmp_path):
         from repro.storage import StorageConfig, StorageEngine, recover_node

@@ -36,8 +36,7 @@ class TestGasMeter:
         meter = GasMeter(100_000)
         meter.consume(21_000)
         meter.consume(5_000)
-        assert meter.gas_used == 26_000
-        assert meter.gas_remaining == 74_000
+        assert meter.settle() == 26_000
 
     def test_exceeding_limit_raises(self):
         meter = GasMeter(10_000)
@@ -48,24 +47,12 @@ class TestGasMeter:
         meter = GasMeter(10_000)
         with pytest.raises(OutOfGasError):
             meter.consume(50_000)
-        assert meter.gas_used == 10_000
+        assert meter.settle() == 10_000
 
     def test_negative_consumption_rejected(self):
         meter = GasMeter(10_000)
         with pytest.raises(ValueError):
             meter.consume(-1)
-
-    def test_refund_capped_at_one_fifth(self):
-        meter = GasMeter(1_000_000)
-        meter.consume(100_000)
-        meter.add_refund(90_000)
-        assert meter.settle() == 100_000 - 20_000
-
-    def test_refund_below_cap_applied_fully(self):
-        meter = GasMeter(1_000_000)
-        meter.consume(100_000)
-        meter.add_refund(5_000)
-        assert meter.settle() == 95_000
 
     def test_zero_gas_limit_rejected(self):
         with pytest.raises(ValueError):

@@ -117,11 +117,6 @@ class TestPayloadEncoding:
         assert info["sender"] == ALICE.address
         assert info["signature"] is not None
 
-    def test_size_bytes_grows_with_data(self):
-        small = make_tx()
-        big = make_tx(data=encode_call("method", ["x" * 500]), gas_limit=100_000)
-        assert big.size_bytes > small.size_bytes
-
 
 class TestRawWireForm:
     def test_signed_transaction_round_trips(self):

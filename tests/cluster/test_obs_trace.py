@@ -13,6 +13,7 @@ import pytest
 
 from repro.simnet import ScenarioRunner, build_scenario
 from repro.system import quick_config
+from tests.oracles import replicas_for
 
 
 def tiny_config(**overrides):
@@ -34,7 +35,7 @@ class TestClusterTracePropagation:
         obs, report = observed_partition_heal
         trace_id = obs.sample_trace_id()
         assert trace_id is not None and trace_id.startswith("0x")
-        replicas = obs.tracer.replicas_for(trace_id)
+        replicas = replicas_for(obs.tracer, trace_id)
         alive = sorted(row["name"] for row in
                        report.cluster_stats["replicas"] if row["alive"])
         assert replicas == alive, (

@@ -19,6 +19,7 @@ from repro.errors import SimulationError
 from repro.simnet import run_scenario
 from repro.simnet.scenario import SCENARIOS, ScenarioSpec, build_scenario
 from repro.system import quick_config, run_marketplace
+from tests.oracles import is_seed_exact
 
 
 def tiny_config(**overrides):
@@ -100,12 +101,13 @@ class TestSingleNodePathUnchanged:
             self, quick_marketplace_report):
         """The other half of the acceptance bar: no cluster tax on the seed."""
         from repro.simnet import ScenarioRunner
+        from repro.system.artifacts import report_to_dict
 
         runner = ScenarioRunner("ideal", config=quick_config(seed=13))
         runner.run()
         assert runner.cluster is None
-        task_report = runner.marketplace_reports[0]
-        assert task_report.to_dict() == quick_marketplace_report.to_dict()
+        task_report = runner.tasks[0].report
+        assert report_to_dict(task_report) == report_to_dict(quick_marketplace_report)
         assert task_report.payments_wei == quick_marketplace_report.payments_wei
 
     def test_single_node_marketplace_has_no_fork_choice_enabled(self):
@@ -116,11 +118,11 @@ class TestSingleNodePathUnchanged:
 
         env = build_environment(tiny_config())
         assert not hasattr(env.node.chain, "apply_block")
-        assert env.cluster is None
+        assert env.stack.cluster is None
 
     def test_cluster_scenarios_are_not_seed_exact(self):
         for name in ("partition_heal", "leader_crash", "geo"):
-            assert not SCENARIOS[name].is_seed_exact
+            assert not is_seed_exact(SCENARIOS[name])
 
 
 class TestClientLinkModel:
@@ -128,6 +130,7 @@ class TestClientLinkModel:
         """Regression: spec.network_profile must reach the cluster facade
         (wallet -> cluster RPC pays the client link), not be dropped."""
         from repro.simnet import ScenarioRunner
+        from repro.system.artifacts import report_to_dict
 
         runner = ScenarioRunner(
             build_scenario("leader_crash").with_overrides(

@@ -15,7 +15,6 @@ from repro.contracts import default_registry
 from repro.data import (
     SyntheticMnistConfig,
     generate_synthetic_mnist,
-    partition_dataset,
     train_test_split,
 )
 from repro.fl import FLClient
@@ -23,6 +22,7 @@ from repro.ml import TrainingConfig
 from repro.system import quick_config, run_marketplace
 from repro.utils.clock import SimulatedClock
 from repro.utils.units import ether_to_wei, gwei_to_wei
+from tests.oracles import label_skew_partition
 
 
 @pytest.fixture()
@@ -80,7 +80,8 @@ def tiny_split(tiny_dataset):
 def tiny_client_datasets(tiny_split):
     """Three label-skewed client shards of the tiny training set."""
     train, _ = tiny_split
-    return partition_dataset(train, 3, scheme="label_skew", classes_per_client=4, rng=5)
+    return [train.subset(chunk)
+            for chunk in label_skew_partition(train, 3, classes_per_client=4, rng=5)]
 
 
 @pytest.fixture(scope="session")

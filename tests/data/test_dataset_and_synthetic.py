@@ -28,7 +28,7 @@ class TestDataset:
     def test_length_and_dimensions(self):
         ds = small_dataset(40)
         assert len(ds) == 40
-        assert ds.num_features == 8
+        assert ds.features.shape[1] == 8
 
     def test_subset_preserves_pairing(self):
         ds = small_dataset(30)
@@ -103,7 +103,7 @@ class TestTrainTestSplit:
 class TestSyntheticMnist:
     def test_shapes_and_ranges(self):
         ds = generate_synthetic_mnist(SyntheticMnistConfig(num_samples=300, seed=1))
-        assert ds.num_features == 784
+        assert ds.features.shape[1] == 784
         assert ds.num_classes == 10
         assert len(ds) == 300
         assert ds.features.min() >= 0.0
@@ -159,7 +159,7 @@ class TestSyntheticMnist:
 
     def test_non_square_feature_count_supported(self):
         ds = generate_synthetic_mnist(SyntheticMnistConfig(num_samples=50, num_features=100, seed=1))
-        assert ds.num_features == 100
+        assert ds.features.shape[1] == 100
 
 
 def _sha256(dataset) -> str:

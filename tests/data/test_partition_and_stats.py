@@ -9,10 +9,7 @@ from repro.data.partition import (
     DIRICHLET_MAX_DRAWS,
     DIRICHLET_MIN_SAMPLES,
     dirichlet_partition,
-    iid_partition,
-    label_skew_partition,
     partition_dataset,
-    shard_partition,
 )
 from repro.data.stats import label_distribution, label_entropy, partition_summary
 
@@ -35,24 +32,6 @@ def assert_valid_partition(indices, dataset, num_clients):
     assert len(combined) == len(set(combined.tolist()))
     assert all(len(chunk) > 0 for chunk in indices)
     assert combined.max() < len(dataset)
-
-
-class TestIid:
-    def test_partition_is_valid_and_balanced(self, dataset):
-        parts = iid_partition(dataset, 10, rng=1)
-        assert_valid_partition(parts, dataset, 10)
-        sizes = [len(p) for p in parts]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_covers_all_samples(self, dataset):
-        parts = iid_partition(dataset, 7, rng=1)
-        assert sum(len(p) for p in parts) == len(dataset)
-
-    def test_label_distribution_close_to_uniform(self, dataset):
-        parts = iid_partition(dataset, 5, rng=1)
-        clients = [dataset.subset(p) for p in parts]
-        entropies = [label_entropy(c) for c in clients]
-        assert min(entropies) > 2.0  # close to ln(10) ~ 2.30
 
 
 class TestDirichlet:
@@ -86,55 +65,21 @@ class TestDirichlet:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-class TestLabelSkew:
-    def test_each_client_has_exactly_k_classes(self, dataset):
-        parts = label_skew_partition(dataset, 10, classes_per_client=2, rng=5)
-        assert_valid_partition(parts, dataset, 10)
-        for part in parts:
-            client = dataset.subset(part)
-            assert np.count_nonzero(client.class_counts()) == 2
-
-    def test_all_classes_covered_overall(self, dataset):
-        parts = label_skew_partition(dataset, 10, classes_per_client=2, rng=5)
-        union = dataset.subset(np.concatenate(parts))
-        assert np.count_nonzero(union.class_counts()) == 10
-
-    def test_invalid_classes_per_client_rejected(self, dataset):
-        with pytest.raises(PartitionError):
-            label_skew_partition(dataset, 5, classes_per_client=0)
-        with pytest.raises(PartitionError):
-            label_skew_partition(dataset, 5, classes_per_client=11)
-
-
-class TestShard:
-    def test_partition_is_valid(self, dataset):
-        parts = shard_partition(dataset, 10, rng=6)
-        assert_valid_partition(parts, dataset, 10)
-
-    def test_clients_see_few_classes(self, dataset):
-        parts = shard_partition(dataset, 10, rng=6)
-        classes = [np.count_nonzero(dataset.subset(p).class_counts()) for p in parts]
-        assert np.mean(classes) <= 4
-
-    def test_too_many_shards_rejected(self, dataset):
-        with pytest.raises(PartitionError):
-            shard_partition(dataset, 600)
-
-
 class TestPartitionDataset:
     def test_returns_dataset_objects(self, dataset):
-        clients = partition_dataset(dataset, 4, scheme="iid", rng=1)
+        clients = partition_dataset(dataset, 4, scheme="dirichlet", alpha=0.5, rng=1)
         assert all(isinstance(client, Dataset) for client in clients)
         assert sum(len(client) for client in clients) == len(dataset)
 
-    def test_unknown_scheme_rejected(self, dataset):
+    @pytest.mark.parametrize("scheme", ["quantum", "iid", "label_skew", "shard"])
+    def test_unknown_scheme_rejected(self, dataset, scheme):
         with pytest.raises(PartitionError):
-            partition_dataset(dataset, 4, scheme="quantum")
+            partition_dataset(dataset, 4, scheme=scheme)
 
     def test_more_clients_than_samples_rejected(self):
         tiny = Dataset(features=np.ones((3, 2)), labels=np.array([0, 1, 2]), num_classes=3)
         with pytest.raises(PartitionError):
-            partition_dataset(tiny, 10, scheme="iid")
+            partition_dataset(tiny, 10)
 
 
 class TestStats:

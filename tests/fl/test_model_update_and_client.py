@@ -75,11 +75,6 @@ class TestFLClient:
         result = client.train_local()
         assert result.train_accuracy > baseline
 
-    def test_evaluate_requires_training_first(self, tiny_client_datasets):
-        client = FLClient("owner-0", tiny_client_datasets[0])
-        with pytest.raises(RuntimeError):
-            client.evaluate(tiny_client_datasets[0])
-
     def test_different_clients_produce_different_models(self, tiny_client_datasets):
         results = []
         for index, dataset in enumerate(tiny_client_datasets[:2]):

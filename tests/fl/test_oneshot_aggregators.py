@@ -113,15 +113,13 @@ class TestPFNM:
         with pytest.raises(AggregationError):
             PFNMAggregator().aggregate(updates)
 
-    def test_deep_mlp_supported(self):
+    def test_a_deeper_mlp_is_refused(self):
         updates = [
             ModelUpdate.from_model(MLP((16, 8, 6, 4), seed=i), num_samples=5, client_id=f"c{i}")
             for i in range(3)
         ]
-        result = PFNMAggregator().aggregate(updates)
-        assert result.predictor.layer_sizes[0] == 16
-        assert result.predictor.layer_sizes[-1] == 4
-        assert len(result.predictor.layer_sizes) == 4
+        with pytest.raises(AggregationError, match="exactly one hidden layer"):
+            PFNMAggregator().aggregate(updates)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,9 @@ from repro.errors import (
 from repro.chain import EthereumNode, Faucet, KeyPair
 from repro.contracts import default_registry
 from repro.ipfs import IpfsNode, Swarm
-from repro.ml import MLP, deserialize_model, serialize_model
+from repro.ml import MLP, serialize_model
 from repro.utils.units import ether_to_wei, gwei_to_wei
+from tests.oracles import deserialize_model
 
 GAS_PRICE = gwei_to_wei(1)
 

@@ -56,7 +56,6 @@ class TestBlockStore:
     def test_cids_and_find(self, store):
         first, second = store.add(b"one", version=1, codec=RAW_CODEC), \
             store.add(b"two", version=1, codec=RAW_CODEC)
-        assert sorted(store.cids()) == sorted([first.encode(), second.encode()])
         assert store.find(first) == b"one" and store.find(second.encode()) == b"two"
         assert store.find(cid_of(b"missing")) is None
 
@@ -111,7 +110,7 @@ class TestAddHashesEachBlockOnce:
     def test_cat_resolves_a_non_canonical_leaf_cid(self):
         node = IpfsNode("n", chunk_size=1_024)
         node.add_bytes(os.urandom(3_000))
-        leaf = next(cid for cid in node.blockstore.cids() if cid.startswith("b"))
+        leaf = next(cid for cid in node.blockstore._space.keys() if cid.startswith("b"))
         assert node.cat("b" + leaf[1:].upper()) == node.blockstore.get(leaf)
 
 
@@ -120,9 +119,8 @@ class TestPinSet:
         pins = PinSet()
         cid = cid_of(b"model")
         pins.pin(cid)
-        assert pins.is_pinned(cid)
         assert cid in pins
-        assert not pins.is_pinned(cid_of(b"missing"))
+        assert cid_of(b"missing") not in pins
 
     def test_len_counts_pins(self):
         pins = PinSet()
@@ -140,10 +138,9 @@ class TestPinSet:
         pins.pin(text)
         pins.pin("b" + text[1:].upper())
         assert len(pins) == 1
-        assert pins.is_pinned("b" + text[1:].upper())
+        assert "b" + text[1:].upper() in pins
 
     def test_a_malformed_cid_is_not_pinned(self):
         pins = PinSet()
         pins.pin(cid_of(b"model"))
-        assert not pins.is_pinned("not-a-cid")
         assert "not-a-cid" not in pins

@@ -49,13 +49,6 @@ class TestDag:
         node = DagNode(data=b"hello")
         assert DagNode.deserialize(node.serialize()).data == b"hello"
 
-    def test_cid_changes_with_content(self):
-        assert DagNode(data=b"a").cid() != DagNode(data=b"b").cid()
-
-    def test_cid_changes_with_links(self):
-        link = DagLink(cid=raw_cid(b"chunk"), size=5)
-        assert DagNode(links=[link]).cid() != DagNode(links=[]).cid()
-
     def test_total_size_sums_links_and_data(self):
         links = [DagLink(cid=raw_cid(b"aa"), size=2),
                  DagLink(cid=raw_cid(b"bbb"), size=3)]

@@ -41,7 +41,7 @@ class TestAdd:
     def test_add_pins_by_default(self):
         node = IpfsNode("solo")
         result = node.add_bytes(b"content")
-        assert node.pins.is_pinned(result.cid)
+        assert result.cid in node.pins
 
     def test_empty_payload(self):
         node = IpfsNode("solo")
@@ -62,17 +62,17 @@ class TestSwarmRetrieval:
         swarm, provider, consumer = swarm_pair
         payload = b"\x07" * 5000
         result = provider.add_bytes(payload)
-        assert not consumer.has_local(result.cid)
+        assert not consumer.blockstore.has(result.cid)
         assert consumer.cat(result.cid) == payload
-        assert consumer.has_local(result.cid)  # cached after retrieval
+        assert consumer.blockstore.has(result.cid)  # cached after retrieval
         assert swarm.total_bytes_transferred() > 0
 
     def test_pin_fetches_remote_content_first(self, swarm_pair):
         _, provider, consumer = swarm_pair
         result = provider.add_bytes(b"model")
         consumer.pin(result.cid)
-        assert consumer.pins.is_pinned(result.cid)
-        assert consumer.has_local(result.cid)
+        assert result.cid in consumer.pins
+        assert consumer.blockstore.has(result.cid)
 
     def test_offline_node_cannot_fetch(self):
         node = IpfsNode("offline")

@@ -15,8 +15,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SerializationError
-from repro.ml import MLP, deserialize_model, serialize_model
+from repro.ml import MLP, serialize_model
 from repro.ml.serialization import _MAGIC, deserialize_parameters
+from tests.oracles import deserialize_model
 
 SIZES = [10, 5, 2]
 VALUES = 10 * 5 + 5 + 5 * 2 + 2

@@ -5,8 +5,12 @@ import json
 
 import pytest
 
-from repro.errors import PayloadTooLargeError, ProtocolViolationError
-from repro.net.http import HttpRequest, format_response, parse_head
+from repro.errors import (
+    HttpVersionNotSupportedError,
+    PayloadTooLargeError,
+    ProtocolViolationError,
+)
+from repro.net.http import format_response, parse_head
 from repro.net.server import _Connection
 
 from .test_connection import FakeTransport, call
@@ -87,6 +91,52 @@ class TestParseHead:
             parse_head(head("GET / HTTP/1.1", "X: " + "a" * CAP), CAP)
 
 
+class TestHeadGrammar:
+    """RFC 9112's head grammar, not only its framing: each of these was once
+    accepted, and a proxy in front may frame the body differently."""
+
+    @pytest.mark.parametrize("lines", [
+        # Whitespace between the field name and the colon (section 5.1).
+        ("POST / HTTP/1.1", "Content-Length : 2"),
+        # An obs-fold line (section 5.2), even one that looks like a header.
+        ("POST / HTTP/1.1", "Host: x", " Content-Length: 2"),
+        ("POST / HTTP/1.1", "Host: x", "\tContent-Length: 2"),
+        # An empty field name.
+        ("POST / HTTP/1.1", ": x"),
+        # A request line that is not method SP target SP version.
+        ("POST  / HTTP/1.1",),
+        ("POST /  HTTP/1.1",),
+        ("POST / HTTP/1.1 ",),
+        ("POST /",),
+    ])
+    def test_a_malformed_head_is_refused(self, lines):
+        with pytest.raises(ProtocolViolationError) as caught:
+            parse_head(head(*lines) + b"{}", CAP)
+        assert type(caught.value) is ProtocolViolationError
+
+    @pytest.mark.parametrize("version", ["FOO/9", "HTTP/2.0", "HTTP/1.2", "http/1.1"])
+    def test_a_version_other_than_1_0_or_1_1_is_not_supported(self, version):
+        with pytest.raises(HttpVersionNotSupportedError, match="version"):
+            parse_head(head(f"POST / {version}", "Content-Length: 2") + b"{}", CAP)
+
+    @pytest.mark.parametrize("data, status", [
+        (head("POST / HTTP/1.1", "Content-Length : 2") + b"{}", 400),
+        (head("POST / HTTP/1.1", "Host: x", " Content-Length: 2") + b"{}", 400),
+        (head("POST / HTTP/1.1", ": x"), 400),
+        (head("POST  / HTTP/1.1"), 400),
+        (head("POST / FOO/9", "Content-Length: 2") + b"{}", 505),
+    ])
+    def test_the_server_answers_once_and_closes(self, capped_server, data, status):
+        transport = serve(capped_server, data)
+        (reply,) = transport.written
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert transport.closing
+
+    def test_the_505_has_its_reason_phrase(self, capped_server):
+        (reply,) = feed(capped_server, head("GET /healthz HTTP/2.0"))
+        assert reply.startswith(b"HTTP/1.1 505 HTTP Version Not Supported\r\n")
+
+
 class TestHttpRequest:
     @pytest.mark.parametrize("version, connection, keep_alive", [
         ("HTTP/1.1", None, True), ("HTTP/1.1", "keep-alive", True),
@@ -94,17 +144,36 @@ class TestHttpRequest:
         # HTTP/1.0 stays open only when asked (RFC 9112 section 9.3).
         ("HTTP/1.0", None, False), ("HTTP/1.0", "keep-alive", True),
         ("HTTP/1.0", "Keep-Alive", True), ("HTTP/1.0", "close", False),
+        # Connection is a list of tokens (RFC 9110 section 7.6.1).
+        ("HTTP/1.1", "close, TE", False), ("HTTP/1.1", "TE,Close", False),
+        ("HTTP/1.1", "TE", True), ("HTTP/1.0", "keep-alive, TE", True),
+        ("HTTP/1.0", "TE , Keep-Alive", True), ("HTTP/1.0", "keep-alive, close", False),
     ])
     def test_keep_alive_is_the_default(self, version, connection, keep_alive):
-        headers = {} if connection is None else {"connection": connection}
-        request = HttpRequest("GET", "/", headers, version=version)
+        lines = [f"GET / {version}"] + ([] if connection is None else [f"Connection: {connection}"])
+        request, _, _ = parse_head(head(*lines), CAP)
         assert request.wants_keep_alive() is keep_alive
 
-    def test_websocket_upgrade_needs_both_headers(self):
-        upgrade = {"upgrade": "WebSocket", "connection": "keep-alive, Upgrade"}
-        assert HttpRequest("GET", "/", upgrade).is_websocket_upgrade()
-        assert not HttpRequest("GET", "/", {"upgrade": "websocket"}).is_websocket_upgrade()
-        assert not HttpRequest("GET", "/", {"connection": "upgrade"}).is_websocket_upgrade()
+    def test_every_connection_line_counts(self):
+        request, _, _ = parse_head(head("GET / HTTP/1.1", "Connection: TE",
+                                        "Connection: close"), CAP)
+        assert request.connection == {"te", "close"}
+        assert not request.wants_keep_alive()
+
+    @pytest.mark.parametrize("connection, upgrade", [
+        ("keep-alive, Upgrade", True), ("Upgrade", True), ("upgrade,te", True),
+        (None, False), ("notupgraded", False), ("upgrade-insecure", False),
+    ])
+    def test_websocket_upgrade_needs_the_upgrade_token(self, connection, upgrade):
+        lines = ["GET /ws HTTP/1.1", "Upgrade: WebSocket"]
+        if connection is not None:
+            lines.append(f"Connection: {connection}")
+        request, _, _ = parse_head(head(*lines), CAP)
+        assert request.is_websocket_upgrade() is upgrade
+
+    def test_websocket_upgrade_needs_the_upgrade_header(self):
+        request, _, _ = parse_head(head("GET /ws HTTP/1.1", "Connection: upgrade"), CAP)
+        assert not request.is_websocket_upgrade()
 
 
 class TestFormatResponse:

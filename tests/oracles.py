@@ -1,0 +1,184 @@
+"""References the tests compare the product against.
+
+No entry point of the product runs any of these: each is a slower or more
+direct way to compute what the product computes (exact Shapley values, an
+RLP decoder, a model rebuilt from its payload), or a read of state that only
+a test asks for.  They live here, not in ``src/``, so that the reach ledger
+(``tests/tools/reach.py``) counts only code a user path enters.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Any, List, Sequence, Tuple, Union
+
+import numpy as np
+
+from repro.data.dataset import Dataset
+from repro.errors import IncentiveError, PartitionError
+from repro.incentives.contribution import (
+    ContributionReport,
+    ValueFunction,
+    _CachedValue,
+    _validate,
+)
+from repro.ml.mlp import MLP
+from repro.ml.serialization import deserialize_parameters
+from repro.rpc.protocol import JsonRpcError, make_request
+from repro.utils.rng import make_rng
+
+RlpItem = Union[bytes, Sequence["RlpItem"]]
+
+#: Most owners :func:`shapley_exact` enumerates (2^n value evaluations).
+SHAPLEY_EXACT_MAX_OWNERS = 12
+
+
+def shapley_exact(num_owners: int, value_fn: ValueFunction) -> ContributionReport:
+    """Exact Shapley values by enumerating all subsets.
+
+    Complexity is ``O(2^n)`` value-function evaluations; refuse beyond
+    :data:`SHAPLEY_EXACT_MAX_OWNERS` to avoid accidental blow-ups.
+    """
+    _validate(num_owners)
+    if num_owners > SHAPLEY_EXACT_MAX_OWNERS:
+        raise IncentiveError(
+            f"exact Shapley over {num_owners} owners would need 2^{num_owners} evaluations; "
+            f"use shapley_monte_carlo instead"
+        )
+    cached = _CachedValue(value_fn)
+    everyone = tuple(range(num_owners))
+    full_value = cached(everyone)
+    scores = {owner: 0.0 for owner in range(num_owners)}
+    factorial_n = math.factorial(num_owners)
+    for owner in range(num_owners):
+        remaining = [i for i in everyone if i != owner]
+        for size in range(len(remaining) + 1):
+            weight = math.factorial(size) * math.factorial(num_owners - size - 1) / factorial_n
+            for subset in itertools.combinations(remaining, size):
+                scores[owner] += weight * (cached(subset + (owner,)) - cached(subset))
+    return ContributionReport(method="shapley_exact", scores=scores, full_value=full_value,
+                              num_evaluations=cached.calls)
+
+
+def deserialize_model(payload: bytes) -> MLP:
+    """Rebuild a model from ``serialize_model`` output (raises as
+    ``deserialize_parameters`` does)."""
+    return MLP.from_parameters(deserialize_parameters(payload))
+
+
+def rlp_decode(data: bytes) -> RlpItem:
+    """Decode RLP-encoded bytes back into nested bytes/lists."""
+    item, consumed = _decode_item(bytes(data), 0)
+    if consumed != len(data):
+        raise ValueError("trailing bytes after RLP item")
+    return item
+
+
+def _decode_item(data: bytes, offset: int) -> Tuple[Any, int]:
+    """Decode one RLP item starting at ``offset``; return (item, next offset)."""
+    if offset >= len(data):
+        raise ValueError("unexpected end of RLP data")
+    prefix = data[offset]
+    if prefix < 0x80:
+        return bytes([prefix]), offset + 1
+    if prefix < 0xB8:
+        length = prefix - 0x80
+        start = offset + 1
+        return data[start:start + length], start + length
+    if prefix < 0xC0:
+        length_size = prefix - 0xB7
+        start = offset + 1
+        length = int.from_bytes(data[start:start + length_size], "big")
+        start += length_size
+        return data[start:start + length], start + length
+    if prefix < 0xF8:
+        return _decode_list(data, offset + 1, prefix - 0xC0)
+    length_size = prefix - 0xF7
+    start = offset + 1
+    length = int.from_bytes(data[start:start + length_size], "big")
+    return _decode_list(data, start + length_size, length)
+
+
+def _decode_list(data: bytes, start: int, length: int) -> Tuple[List[Any], int]:
+    """Decode a list payload of ``length`` bytes starting at ``start``."""
+    end = start + length
+    items: List[RlpItem] = []
+    cursor = start
+    while cursor < end:
+        item, cursor = _decode_item(data, cursor)
+        items.append(item)
+    if cursor != end:
+        raise ValueError("malformed RLP list payload")
+    return items, end
+
+
+def label_skew_partition(dataset: Dataset, num_clients: int, classes_per_client: int,
+                         rng=None) -> List[np.ndarray]:
+    """Give each client samples from only ``classes_per_client`` classes (the
+    "#C=k" pathological split), a harder non-IID shape than the product's
+    Dirichlet partition for the FL fixtures.
+
+    Class assignments rotate so that every class is covered by roughly the
+    same number of clients; each class's samples are split evenly among the
+    clients that hold it.
+    """
+    generator = make_rng(rng)
+    holders: List[List[int]] = [[] for _ in range(dataset.num_classes)]
+    for client in range(num_clients):
+        for offset in range(classes_per_client):
+            holders[(client + offset) % dataset.num_classes].append(client)
+    client_indices: List[List[int]] = [[] for _ in range(num_clients)]
+    for cls in range(dataset.num_classes):
+        class_indices = np.where(dataset.labels == cls)[0]
+        generator.shuffle(class_indices)
+        if not holders[cls]:
+            continue
+        for holder, chunk in zip(holders[cls], np.array_split(class_indices, len(holders[cls]))):
+            client_indices[holder].extend(chunk.tolist())
+    if min(len(chunk) for chunk in client_indices) == 0:
+        raise PartitionError("label-skew partition left a client with no data")
+    return [np.sort(np.asarray(chunk, dtype=np.int64)) for chunk in client_indices]
+
+
+def total_supply(state) -> int:
+    """Sum of all balances of a ``WorldState`` (conserved by execution
+    except for fees and mints)."""
+    return sum(account.balance for account in state.accounts())
+
+
+def is_seed_exact(spec) -> bool:
+    """Whether a ``ScenarioSpec`` stays on the seed's exact code path."""
+    return (spec.num_tasks == 1 and not spec.behavior_fractions
+            and spec.network_profile == "ideal" and not spec.async_submissions
+            and spec.node_restart_at_seconds is None
+            and spec.background_load is None
+            and spec.cluster is None
+            and spec.analytics is None)
+
+
+def last_block_entry(wal):
+    """The most recent ``block`` entry still in a ``WriteAheadLog``, if any."""
+    last = None
+    for entry in wal.entries():
+        if entry.kind == "block":
+            last = entry
+    return last
+
+
+def replicas_for(tracer, trace_id: str) -> List[str]:
+    """Sorted replica labels that recorded at least one span of a trace."""
+    return sorted({span.replica for span in tracer.spans_for(trace_id)
+                   if span.replica is not None})
+
+
+def rpc_call(gateway, method: str, /, *params: Any, **named: Any) -> Any:
+    """Dispatch one call in process and return its raw result, raising
+    :class:`JsonRpcError` with the reply's error member on failure."""
+    if params and named:
+        raise ValueError("pass positional or named params, not both")
+    request = make_request(method, dict(named) if named else list(params), 0)
+    response = gateway._call(request, None)
+    if "error" in response:
+        raise JsonRpcError(**response["error"])
+    return response["result"]

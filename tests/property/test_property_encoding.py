@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from repro.utils.encoding import b32_decode, b32_encode, b58_decode, b58_encode, from_hex, to_hex
 from repro.utils.hashing import keccak256, sha256
-from repro.utils.serialization import canonical_dumps, canonical_loads, rlp_decode, rlp_encode
+from repro.utils.serialization import canonical_dumps, canonical_loads, rlp_encode
+from tests.oracles import rlp_decode
 
 binary = st.binary(max_size=256)
 

@@ -9,8 +9,8 @@ Derandomised, with a fixed example budget:
   (:class:`PayloadTooLargeError` past the cap) -- never another exception;
 * pipelined keep-alive requests fed to ``_Connection.data_received`` in
   arbitrary segments write the same replies as the same stream fed whole;
-* a stream with one framing violation gets the replies to the requests
-  before it, then one typed 400 or 413, and a close.
+* a stream with one framing or grammar violation gets the replies to the
+  requests before it, then one typed 400, 413 or 505, and a close.
 """
 
 import asyncio
@@ -21,7 +21,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PayloadTooLargeError, ProtocolViolationError
+from repro.errors import (
+    HttpVersionNotSupportedError,
+    PayloadTooLargeError,
+    ProtocolViolationError,
+)
 from repro.net.http import parse_head
 from repro.net.server import _Connection
 from tests.net.test_connection import FakeTransport, call
@@ -75,6 +79,12 @@ VIOLATIONS = [
     (b"POST / HTTP/1.1\r\nContent-Length: 1234567890123456789012\r\n\r\n", 413),
     (b"POST / HTTP/1.1\r\nX-Pad: " + b"a" * CAP + b"\r\n\r\n", 413),
     (b"POST / HTTP/1.1\r\nX-Pad: " + b"a" * CAP, 413),  # and no blank line yet
+    # RFC 9112's head grammar: each of these once framed a body or was served.
+    (b"POST / HTTP/1.1\r\nContent-Length : 2\r\n\r\n{}", 400),
+    (b"POST / HTTP/1.1\r\nHost: x\r\n Content-Length: 2\r\n\r\n{}", 400),
+    (b"POST / HTTP/1.1\r\n: x\r\n\r\n", 400),
+    (b"POST  / HTTP/1.1\r\n\r\n", 400),
+    (b"POST / FOO/9\r\nContent-Length: 2\r\n\r\n{}", 505),
 ]
 
 HEADER_LINES = st.one_of(
@@ -82,7 +92,9 @@ HEADER_LINES = st.one_of(
                      b"Content-Length: -1", b"Content-Length: \xb2", b"Content-Length: ",
                      b"Content-Length: 99999999999999999999", b"Content-Length: 4097",
                      b"Transfer-Encoding: chunked", b"Connection: close", b"NoColon",
-                     b":", b" : ", b"X: \x00\xff"]),
+                     b":", b" : ", b"X: \x00\xff", b"Content-Length : 5",
+                     b" Content-Length: 5", b"\tX: y", b": x",
+                     b"Connection: close, TE", b"Connection: keep-alive, TE"]),
     st.binary(max_size=40).filter(lambda line: b"\r\n" not in line),
 )
 
@@ -92,7 +104,8 @@ def mangled_heads(draw):
     """A head of drawn header lines and body bytes, kept, cut short, or
     with one byte flipped."""
     data = b"\r\n".join([draw(st.sampled_from([b"POST / HTTP/1.1", b"GET /healthz HTTP/1.0",
-                                                b"POST", b"get  /x  y"])),
+                                                b"POST", b"get  /x  y", b"POST  / HTTP/1.1",
+                                                b"POST / FOO/9", b"POST / HTTP/1.1 "])),
                           *draw(st.lists(HEADER_LINES, max_size=4))])
     data += b"\r\n\r\n" + draw(st.binary(max_size=64))
     how = draw(st.sampled_from(["keep", "cut", "flip"]))
@@ -127,6 +140,8 @@ def test_any_head_parses_within_the_cap_or_is_a_typed_refusal(data, cap, searche
         assert len(data) <= cap
     elif parsed[0] is PayloadTooLargeError:
         assert f"the {cap}-byte cap" in parsed[1]
+    elif parsed[0] is HttpVersionNotSupportedError:
+        assert data.split(b"\r\n", 1)[0].count(b" ") == 2
     elif parsed[0] is not ProtocolViolationError:
         request, start, end = parsed
         assert data[start - 4:start] == b"\r\n\r\n"

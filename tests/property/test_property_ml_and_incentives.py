@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from repro.fl.oneshot.mean import weighted_average_parameters
 from repro.fl.model_update import ModelUpdate
-from repro.incentives import allocate_budget, leave_one_out, shapley_exact
-from repro.ml import MLP, deserialize_model, serialize_model
+from repro.incentives import allocate_budget, leave_one_out
+from repro.ml import MLP, serialize_model
 from repro.ml.activations import softmax
+from tests.oracles import deserialize_model, shapley_exact
 
 architectures = st.lists(st.integers(min_value=2, max_value=20), min_size=2, max_size=4)
 

@@ -175,12 +175,12 @@ class TestCostMatrixAgainstBroadcastOracle:
 
 
 class TestAggregateCallsAgainstOracle:
-    """Every cost matrix the aggregator really asks for, single-hidden and deep:
-    the grand coalition's folds, which compute the owner-pair blocks, and then
+    """Every cost matrix the aggregator really asks for: the grand coalition's
+    folds, which compute the owner-pair blocks, and then
     every leave-one-out drop's, which read them back."""
 
     @given(
-        st.sampled_from([(9, 5, 3), (7, 6, 4, 3), (6, 4, 5, 4, 2)]),
+        st.sampled_from([(9, 5, 3), (7, 6, 3), (6, 4, 2)]),
         st.lists(st.integers(0, 3), min_size=2, max_size=5),
         st.sampled_from([1.0, 1.5, 8.0]),
         st.booleans(),

@@ -19,6 +19,7 @@ from repro.chain.keys import KeyPair
 from repro.chain.transaction import Transaction
 from repro.net import NetConfig, build_serve_stack
 from repro.utils.serialization import reply_json
+from tests.oracles import rpc_call
 
 KEYS = [KeyPair.from_label(f"reply-cache-{index}") for index in range(2)]
 SINK = "0x" + "5c" * 20
@@ -70,7 +71,7 @@ def write(stack, step, hashes):
     gateway = stack.gateway
     if step.startswith("send"):
         keys = KEYS[int(step[-1])]
-        nonce = int(gateway.call("eth_getTransactionCount", keys.address, "pending"), 16)
+        nonce = int(rpc_call(gateway, "eth_getTransactionCount", keys.address, "pending"), 16)
         tx = Transaction(sender=Address(keys.address), to=Address(SINK), value=1,
                          nonce=nonce, gas_limit=21_000, gas_price=10**9).sign(keys)
         reply = json.loads(gateway.handle_raw(json.dumps(

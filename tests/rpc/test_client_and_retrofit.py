@@ -102,7 +102,7 @@ class TestEthClient:
         client = MarketplaceClient.for_node(node)
         assert client.gateway.eth.node is node
         assert client.eth.get_balance(ALICE.address) == ether_to_wei(2)
-        assert not [name for name in client.methods()
+        assert not [name for name in client.gateway.methods()
                     if name.startswith(("ipfs_", "oflw3_"))]
 
 
@@ -154,16 +154,16 @@ class TestIpfsClient:
         assert added["cid"].startswith("Qm")
         assert added["size"] == len(payload)
         assert client.ipfs.cat(added["cid"]) == payload
-        stat = client.ipfs.stat(added["cid"])
+        stat = client.call("ipfs_stat", added["cid"])
         assert stat["blocks"] == added["num_blocks"]
-        assert client.ipfs.pin(added["cid"]) == {"pinned": added["cid"]}
+        assert client.call("ipfs_pin", added["cid"]) == {"pinned": added["cid"]}
 
     def test_node_selection_by_name(self, stack):
         node, ipfs, client = stack
         other = IpfsNode("sdk-node-2", ipfs.swarm)
         added = client.bound_to_ipfs(other).ipfs.add(b"routed")
-        assert other.has_local(added["cid"])
-        assert not ipfs.has_local(added["cid"])
+        assert other.blockstore.has(added["cid"])
+        assert not ipfs.blockstore.has(added["cid"])
 
 
 class TestBatch:
@@ -175,7 +175,6 @@ class TestBatch:
             broken = batch.add("eth_noSuchMethod")
         assert balance.result() == hex(ether_to_wei(5))
         assert height.result() == "0x0"
-        assert broken.error is not None
         with pytest.raises(RpcError):
             broken.result()
 

@@ -28,6 +28,7 @@ from repro.rpc import (
     make_request,
 )
 from repro.utils.units import ether_to_wei
+from tests.oracles import rpc_call
 
 ALICE = KeyPair.from_label("rpc-gw-alice")
 BOB = KeyPair.from_label("rpc-gw-bob")
@@ -137,33 +138,33 @@ class TestBatches:
 
 class TestEthNamespace:
     def test_block_number_balance_and_nonce(self, gateway):
-        assert gateway.call("eth_blockNumber") == "0x0"
-        assert from_quantity(gateway.call("eth_getBalance", ALICE.address)) == ether_to_wei(5)
-        assert gateway.call("eth_getTransactionCount", ALICE.address, "latest") == "0x0"
+        assert rpc_call(gateway, "eth_blockNumber") == "0x0"
+        assert from_quantity(rpc_call(gateway, "eth_getBalance", ALICE.address)) == ether_to_wei(5)
+        assert rpc_call(gateway, "eth_getTransactionCount", ALICE.address, "latest") == "0x0"
 
     def test_send_raw_transaction_and_receipt_lifecycle(self, gateway):
         tx = signed_transfer(gateway)
-        tx_hash = gateway.call("eth_sendRawTransaction", tx.serialize_raw())
+        tx_hash = rpc_call(gateway, "eth_sendRawTransaction", tx.serialize_raw())
         assert tx_hash == tx.hash_hex
-        assert gateway.call("eth_getTransactionReceipt", tx_hash) is None  # unmined
-        assert gateway.call("eth_getTransactionCount", ALICE.address, "pending") == "0x1"
-        gateway.call("evm_mine", 1)
-        receipt = gateway.call("eth_getTransactionReceipt", tx_hash)
+        assert rpc_call(gateway, "eth_getTransactionReceipt", tx_hash) is None  # unmined
+        assert rpc_call(gateway, "eth_getTransactionCount", ALICE.address, "pending") == "0x1"
+        rpc_call(gateway, "evm_mine", 1)
+        receipt = rpc_call(gateway, "eth_getTransactionReceipt", tx_hash)
         assert receipt["status"] == 1
         assert receipt["gas_used"] >= 21_000
 
     def test_get_block_by_number_with_transaction_hashes(self, gateway):
         tx = signed_transfer(gateway)
-        gateway.call("eth_sendRawTransaction", tx.serialize_raw())
-        gateway.call("evm_mine")
-        block = gateway.call("eth_getBlockByNumber", "latest")
+        rpc_call(gateway, "eth_sendRawTransaction", tx.serialize_raw())
+        rpc_call(gateway, "evm_mine")
+        block = rpc_call(gateway, "eth_getBlockByNumber", "latest")
         assert block["transactions"] == [tx.hash_hex]
 
     def test_get_block_by_number_with_full_transactions(self, gateway):
         tx = signed_transfer(gateway)
-        gateway.call("eth_sendRawTransaction", tx.serialize_raw())
-        gateway.call("evm_mine")
-        block = gateway.call("eth_getBlockByNumber", "latest", True)
+        rpc_call(gateway, "eth_sendRawTransaction", tx.serialize_raw())
+        rpc_call(gateway, "evm_mine")
+        block = rpc_call(gateway, "eth_getBlockByNumber", "latest", True)
         assert block["transactions"] == [tx.to_dict()]
         reply = gateway.handle_raw(json.dumps(
             make_request("eth_getBlockByNumber", ["latest", True], request_id=7)))
@@ -172,7 +173,7 @@ class TestEthNamespace:
 
     def test_estimate_gas_matches_node(self, gateway):
         tx = signed_transfer(gateway)
-        estimated = from_quantity(gateway.call("eth_estimateGas", tx.to_dict()))
+        estimated = from_quantity(rpc_call(gateway, "eth_estimateGas", tx.to_dict()))
         assert estimated == gateway.eth.node.estimate_gas(tx)
 
     def test_call_and_logs_against_a_contract(self, gateway):
@@ -183,9 +184,9 @@ class TestEthNamespace:
             nonce=node.pending_nonce(ALICE.address),
             gas_limit=3_000_000, gas_price=10**9,
         ).sign(ALICE)
-        gateway.call("eth_sendRawTransaction", deploy.serialize_raw())
-        gateway.call("evm_mine")
-        contract = gateway.call("eth_getTransactionReceipt", deploy.hash_hex)["contract_address"]
+        rpc_call(gateway, "eth_sendRawTransaction", deploy.serialize_raw())
+        rpc_call(gateway, "evm_mine")
+        contract = rpc_call(gateway, "eth_getTransactionReceipt", deploy.hash_hex)["contract_address"]
 
         upload = Transaction(
             sender=Address(ALICE.address), to=Address(contract),
@@ -193,16 +194,16 @@ class TestEthNamespace:
             nonce=node.pending_nonce(ALICE.address),
             gas_limit=1_000_000, gas_price=10**9,
         ).sign(ALICE)
-        gateway.call("eth_sendRawTransaction", upload.serialize_raw())
-        gateway.call("evm_mine")
+        rpc_call(gateway, "eth_sendRawTransaction", upload.serialize_raw())
+        rpc_call(gateway, "evm_mine")
 
         from repro.chain.transaction import encode_call as enc
         from repro.utils.encoding import to_hex
-        result = gateway.call(
+        result = rpc_call(gateway, 
             "eth_call", {"to": contract, "data": to_hex(enc("getAllCids", []))}
         )
         assert result == ["QmGateway"]
-        logs = gateway.call("eth_getLogs", {"address": contract, "event": "CidUploaded"})
+        logs = rpc_call(gateway, "eth_getLogs", {"address": contract, "event": "CidUploaded"})
         assert len(logs) == 1
         assert logs[0]["args"]["cid"] == "QmGateway"
 
@@ -214,9 +215,9 @@ class TestEthNamespace:
             nonce=node.pending_nonce(ALICE.address),
             gas_limit=3_000_000, gas_price=10**9,
         ).sign(ALICE)
-        gateway.call("eth_sendRawTransaction", deploy.serialize_raw())
-        gateway.call("evm_mine")
-        contract = gateway.call("eth_getTransactionReceipt", deploy.hash_hex)["contract_address"]
+        rpc_call(gateway, "eth_sendRawTransaction", deploy.serialize_raw())
+        rpc_call(gateway, "evm_mine")
+        contract = rpc_call(gateway, "eth_getTransactionReceipt", deploy.hash_hex)["contract_address"]
         for index in range(5):
             tx = Transaction(
                 sender=Address(ALICE.address), to=Address(contract),
@@ -224,15 +225,15 @@ class TestEthNamespace:
                 nonce=node.pending_nonce(ALICE.address),
                 gas_limit=1_000_000, gas_price=10**9,
             ).sign(ALICE)
-            gateway.call("eth_sendRawTransaction", tx.serialize_raw())
-        gateway.call("evm_mine")
+            rpc_call(gateway, "eth_sendRawTransaction", tx.serialize_raw())
+        rpc_call(gateway, "evm_mine")
 
         collected, cursor, pages = [], None, 0
         while True:
             criteria = {"event": "CidUploaded", "limit": 2}
             if cursor is not None:
                 criteria["cursor"] = cursor
-            page = gateway.call("eth_getLogs", criteria)
+            page = rpc_call(gateway, "eth_getLogs", criteria)
             collected.extend(log["args"]["cid"] for log in page["logs"])
             pages += 1
             cursor = page["next_cursor"]
@@ -252,7 +253,7 @@ class TestBlockParams:
 
     @pytest.fixture()
     def mined(self, gateway):
-        gateway.call("evm_mine", self.HEIGHT)
+        rpc_call(gateway, "evm_mine", self.HEIGHT)
         return gateway
 
     @pytest.mark.parametrize("field, value, expected", [
@@ -294,7 +295,7 @@ class TestBlockParams:
         (None, HEIGHT), ("latest", HEIGHT), (2, 2), ("0x2", 2), ("earliest", 0),
     ])
     def test_get_block_by_number_reads_the_block_named(self, mined, block, height):
-        assert mined.call("eth_getBlockByNumber", block)["header"]["number"] == height
+        assert rpc_call(mined, "eth_getBlockByNumber", block)["header"]["number"] == height
 
     @pytest.mark.parametrize("block, message", [
         ("0xzz", "unknown block tag '0xzz'"),
@@ -314,26 +315,26 @@ class TestBlockParams:
             node.wait_for_receipt(
                 node.transact_contract(ALICE, contract, "uploadCid", [f"Qm{index}"]))
         gateway, head = JsonRpcGateway(node=node), node.block_number
-        every = gateway.call("eth_getLogs", {"from_block": "0x0", "to_block": "latest"})
+        every = rpc_call(gateway, "eth_getLogs", {"from_block": "0x0", "to_block": "latest"})
         assert [log["args"]["cid"] for log in every] == ["Qm0", "Qm1", "Qm2"]
-        assert every == gateway.call("eth_getLogs", {"from_block": 0, "to_block": head})
-        assert gateway.call("eth_getLogs", {"from_block": "latest"}) == every[-1:]
+        assert every == rpc_call(gateway, "eth_getLogs", {"from_block": 0, "to_block": head})
+        assert rpc_call(gateway, "eth_getLogs", {"from_block": "latest"}) == every[-1:]
 
 
 class TestParallelStatus:
     def test_default_node_reports_disabled_and_no_counters(self, gateway):
-        assert gateway.call("parallel_status") == {
+        assert rpc_call(gateway, "parallel_status") == {
             "batch_verify": {"enabled": False}}
 
     def test_deferred_verify_counters_move_after_one_block(self, gateway):
         gateway.eth.node.chain.enable_batch_verify(0)
-        before = gateway.call("parallel_status")["batch_verify"]
+        before = rpc_call(gateway, "parallel_status")["batch_verify"]
         assert before["enabled"] is True
         assert (before["deferred_admissions"], before["blocks_settled"]) == (0, 0)
-        gateway.call("eth_sendRawTransaction",
+        rpc_call(gateway, "eth_sendRawTransaction",
                      signed_transfer(gateway).serialize_raw())
-        gateway.call("evm_mine", 1)
-        after = gateway.call("parallel_status")["batch_verify"]
+        rpc_call(gateway, "evm_mine", 1)
+        after = rpc_call(gateway, "parallel_status")["batch_verify"]
         assert (after["deferred_admissions"], after["blocks_settled"]) == (1, 1)
         assert after["deferred_rejections"] == 0
 

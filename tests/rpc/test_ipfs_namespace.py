@@ -22,6 +22,7 @@ from repro.ipfs import IpfsNode, Swarm
 from repro.rpc import INVALID_PARAMS, JsonRpcGateway, MarketplaceClient, make_request
 from repro.rpc.protocol import SERVER_ERROR
 from repro.utils.encoding import HexString
+from tests.oracles import rpc_call
 
 PAYLOAD = os.urandom(5_000)
 ADDRESS = "0x" + "11" * 20
@@ -47,7 +48,7 @@ class TestPayloadsStayBytes:
 
     def test_gateway_call_returns_the_hex_string(self, gateway, ipfs):
         cid = ipfs.add_bytes(PAYLOAD).cid_string
-        result = gateway.call("ipfs_cat", cid)
+        result = rpc_call(gateway, "ipfs_cat", cid)
         assert type(result) is HexString and result.data == PAYLOAD
         assert str(result) == "0x" + PAYLOAD.hex()
 
@@ -115,10 +116,10 @@ def test_malformed_hex_is_named_not_echoed(gateway, method, params, code, messag
 
 class TestPin:
     def test_pin_defaults_to_true_and_false_means_false(self, gateway, ipfs):
-        pinned = gateway.call("ipfs_add", "0xabcd")["cid"]
-        loose = gateway.call("ipfs_add", "0xabcdef", None, False)["cid"]
-        assert ipfs.pins.is_pinned(pinned)
-        assert not ipfs.pins.is_pinned(loose)
+        pinned = rpc_call(gateway, "ipfs_add", "0xabcd")["cid"]
+        loose = rpc_call(gateway, "ipfs_add", "0xabcdef", None, False)["cid"]
+        assert pinned in ipfs.pins
+        assert loose not in ipfs.pins
 
     def test_a_string_false_stores_nothing(self, gateway, ipfs):
         reply = gateway.handle(make_request("ipfs_add", ["0xabcd", None, "false"]))
@@ -133,8 +134,8 @@ class TestNodeChoice:
         swarm = Swarm()
         first, second = IpfsNode("first", swarm), IpfsNode("second", swarm)
         gateway = JsonRpcGateway(swarm=swarm)
-        gateway.call("ipfs_add", "0xabcd", "second")
-        gateway.call("ipfs_add", "0xabcdef", second.peer_id)
+        rpc_call(gateway, "ipfs_add", "0xabcd", "second")
+        rpc_call(gateway, "ipfs_add", "0xabcdef", second.peer_id)
         assert len(first.blockstore) == 0 and len(second.blockstore) == 2
 
     def test_an_unknown_node_is_invalid_params(self, gateway):

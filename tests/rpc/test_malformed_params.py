@@ -24,6 +24,7 @@ from repro.rpc.protocol import (
 )
 from repro.storage import StorageEngine
 from repro.system.stack import build_stack
+from tests.oracles import rpc_call
 
 
 @pytest.fixture()
@@ -105,7 +106,7 @@ def test_evm_mine_refuses_a_count_out_of_range(gateway, blocks):
 
 
 def test_evm_mine_takes_the_largest_count(gateway):
-    assert len(gateway.call("evm_mine", MAX_MINE_BLOCKS)) == MAX_MINE_BLOCKS
+    assert len(rpc_call(gateway, "evm_mine", MAX_MINE_BLOCKS)) == MAX_MINE_BLOCKS
 
 
 @pytest.mark.parametrize("blocks", ["2", 1.5, True])

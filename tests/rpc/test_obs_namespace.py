@@ -15,6 +15,7 @@ from repro.rpc import INVALID_PARAMS, JsonRpcError
 from repro.storage import StorageEngine
 from repro.system.stack import build_stack
 from repro.utils.units import ether_to_wei
+from tests.oracles import rpc_call
 
 KEYS = KeyPair.from_label("rpc-obs-alice")
 
@@ -38,14 +39,14 @@ class TestObsMethods:
 
     def test_metrics_renders_prometheus_text(self, observed_gateway):
         gateway, _, _ = observed_gateway
-        text = gateway.call("obs_metrics")
+        text = rpc_call(gateway, "obs_metrics")
         assert "# TYPE repro_rpc_requests_total counter" in text
         assert "repro_cache_hits_total" in text
         assert "repro_chain_height" in text
 
     def test_metrics_json_matches_the_registry_snapshot(self, observed_gateway):
         gateway, obs, _ = observed_gateway
-        result = gateway.call("obs_metricsJson")
+        result = rpc_call(gateway, "obs_metricsJson")
         snapshot = obs.registry.snapshot()
         assert list(result) == list(snapshot)
         # the dispatch itself is metered, so the repro_rpc_* families move
@@ -58,16 +59,16 @@ class TestObsMethods:
 
     def test_trace_and_traces_surface_the_sampled_tx(self, observed_gateway):
         gateway, obs, _ = observed_gateway
-        traces = gateway.call("obs_traces")
+        traces = rpc_call(gateway, "obs_traces")
         assert traces and traces[0]["spans"] > 0
-        tree = gateway.call("obs_trace")
+        tree = rpc_call(gateway, "obs_trace")
         assert tree[0]["span"]["trace_id"] == obs.sample_trace_id()
         names = {node["span"]["name"] for node in _walk(tree)}
         assert {"tx.submit", "tx.execute", "tx.receipt"} <= names
 
     def test_top_returns_the_phase_cost_table(self, observed_gateway):
         gateway, _, _ = observed_gateway
-        rows = gateway.call("obs_top")
+        rows = rpc_call(gateway, "obs_top")
         assert {row["phase"] for row in rows} >= {"chain.verify",
                                                   "chain.execute",
                                                   "chain.persist"}
@@ -75,7 +76,7 @@ class TestObsMethods:
 
     def test_events_defaults_to_the_empty_quiet_run(self, observed_gateway):
         gateway, _, _ = observed_gateway
-        assert gateway.call("obs_events") == []
+        assert rpc_call(gateway, "obs_events") == []
 
     @pytest.mark.parametrize("method,param", [
         ("obs_traces", "limit"), ("obs_top", "count"), ("obs_events", "limit"),
@@ -84,14 +85,14 @@ class TestObsMethods:
                                                     method, param):
         gateway, _, _ = observed_gateway
         with pytest.raises(JsonRpcError) as excinfo:
-            gateway.call(method, **{param: 0})
+            rpc_call(gateway, method, **{param: 0})
         assert excinfo.value.code == INVALID_PARAMS
 
 
 class TestUnifiedCacheStats:
     def test_obs_cache_stats_is_the_one_spelling(self, observed_gateway):
         gateway, _, engine = observed_gateway
-        stats = gateway.call("obs_cacheStats")
+        stats = rpc_call(gateway, "obs_cacheStats")
         assert set(stats) == {"address_checksum", "schnorr_inverse", "storage",
                               "rpc_reply"}
         assert stats["storage"] == engine.cache.snapshot()
@@ -102,8 +103,8 @@ class TestUnifiedCacheStats:
     def test_storage_stats_has_the_same_cache_counters(self, observed_gateway):
         gateway, _, _ = observed_gateway
         assert "storage_cacheStats" not in gateway.methods()
-        assert gateway.call("storage_stats")["cache"] == \
-            gateway.call("obs_cacheStats")["storage"]
+        assert rpc_call(gateway, "storage_stats")["cache"] == \
+            rpc_call(gateway, "obs_cacheStats")["storage"]
 
 
 def _walk(nodes):

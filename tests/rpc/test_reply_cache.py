@@ -19,6 +19,7 @@ from repro.net import NetConfig, build_serve_stack
 from repro.rpc.gateway import CACHED_READS, REPLY_CACHE_ENTRIES, REPLY_CACHE_MAX_BYTES
 from repro.system.stack import build_stack
 from repro.utils.serialization import reply_json
+from tests.oracles import rpc_call
 
 KEYS = KeyPair.from_label("reply-cache-unit")
 SINK = "0x" + "6d" * 20
@@ -93,7 +94,7 @@ class TestWhatIsKept:
     def test_in_process_dispatch_never_touches_it(self, stack):
         for _ in range(3):
             stack.gateway.handle(BALANCE)
-        stack.gateway.call("eth_blockNumber")
+        rpc_call(stack.gateway, "eth_blockNumber")
         replies = stack.gateway.replies
         assert (replies.hits, replies.misses, replies.puts) == (0, 0, 0)
 
@@ -217,7 +218,7 @@ class TestCounted:
         observed = build_stack(observability=True)
         raw(observed.gateway, call("eth_chainId", []))
         raw(observed.gateway, call("eth_chainId", []))
-        stats = observed.gateway.call("obs_cacheStats")["rpc_reply"]
+        stats = rpc_call(observed.gateway, "obs_cacheStats")["rpc_reply"]
         assert (stats["hits"], stats["misses"], stats["capacity"]) == \
             (1, 1, REPLY_CACHE_ENTRIES)
         assert stats["version_clears"] == 0

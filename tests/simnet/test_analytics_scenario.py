@@ -6,6 +6,7 @@ from repro.errors import SimulationError
 from repro.simnet import ScenarioRunner, build_scenario
 from repro.simnet.scenario import SCENARIOS, ScenarioSpec
 from repro.system import quick_config
+from tests.oracles import is_seed_exact
 
 
 def tiny_config(**overrides):
@@ -28,10 +29,10 @@ class TestSpec:
         assert spec.background_load["mix"]["analytics"] == 0.3
 
     def test_analytics_breaks_seed_exactness(self):
-        assert not build_scenario("analytics_storm").is_seed_exact
+        assert not is_seed_exact(build_scenario("analytics_storm"))
         spec = build_scenario("ideal", analytics={"interval_seconds": 10.0})
-        assert not spec.is_seed_exact
-        assert build_scenario("ideal").is_seed_exact
+        assert not is_seed_exact(spec)
+        assert is_seed_exact(build_scenario("ideal"))
 
     def test_to_dict_key_is_conditional(self):
         """The obs_stats byte-stability pattern: no key on seed specs."""

@@ -7,7 +7,7 @@ from repro.chain.node import EthereumNode
 from repro.chain.faucet import Faucet
 from repro.chain.keys import KeyPair
 from repro.contracts.registry import default_registry
-from repro.errors import BlockNotFoundError, MempoolError
+from repro.errors import MempoolError
 from repro.ipfs.node import IpfsNode
 from repro.ipfs.swarm import Swarm
 from repro.simnet.netmodel import CHAIN_ENDPOINT, LinkProfile, NetworkModel
@@ -25,10 +25,6 @@ class TestLinkProfile:
         with pytest.raises(ValueError):
             LinkProfile(bandwidth_bytes_per_second=0)
 
-    def test_ideal_detection(self):
-        assert LinkProfile().is_ideal
-        assert not LinkProfile(latency_seconds=0.1).is_ideal
-
 
 class TestNetworkModel:
     def test_transfer_delay_includes_latency_and_serialisation(self):
@@ -41,7 +37,7 @@ class TestNetworkModel:
         slow = LinkProfile(latency_seconds=1.0)
         network.set_link("a", "b", slow)
         assert network.profile_for("b", "a") is slow
-        assert network.profile_for("a", "c").is_ideal
+        assert network.profile_for("a", "c") == LinkProfile()
 
     def test_drops_are_deterministic_given_a_seed(self):
         def draws(seed):
@@ -101,16 +97,6 @@ class TestSwarmIntegration:
         # One block of ~200+ bytes: 1s latency + serialisation time.
         assert clock.now > 1.0
 
-    def test_partitioned_provider_is_unreachable(self):
-        clock, swarm, a, b = self._swarm(LinkProfile())
-        added = a.add_bytes(b"hello world")
-        swarm.partition([["a"], ["b"]])
-        with pytest.raises(BlockNotFoundError):
-            b.cat(added.cid)
-        assert swarm.failed_fetch_attempts > 0
-        swarm.heal()
-        assert b.cat(added.cid) == b"hello world"
-
     def test_swarm_without_network_is_the_seed_swarm(self):
         swarm = Swarm()
         a = IpfsNode("a", swarm)
@@ -118,8 +104,6 @@ class TestSwarmIntegration:
         swarm.connect_all()
         added = a.add_bytes(b"payload")
         assert b.cat(added.cid) == b"payload"
-        with pytest.raises(ValueError):
-            swarm.partition([["a"], ["b"]])
 
 
 class TestChainIngressIntegration:

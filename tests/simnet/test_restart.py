@@ -16,6 +16,8 @@ import pytest
 from repro.simnet import ScenarioRunner, build_scenario, run_scenario
 from repro.storage import StorageConfig, StorageEngine
 from repro.system import quick_config
+from repro.system.artifacts import report_to_dict
+from tests.oracles import is_seed_exact
 
 TINY = dict(num_owners=2, num_samples=400, local_epochs=1)
 
@@ -66,9 +68,9 @@ class TestRestartScenario:
             config=quick_config(**TINY))
         restart_runner.run()
         assert restart_runner.node_restarts == 1
-        baseline = ideal_runner.marketplace_reports[0]
-        rebooted = restart_runner.marketplace_reports[0]
-        assert rebooted.to_dict() == baseline.to_dict()
+        baseline = ideal_runner.tasks[0].report
+        rebooted = restart_runner.tasks[0].report
+        assert report_to_dict(rebooted) == report_to_dict(baseline)
 
     def test_report_carries_storage_stats_and_serializes(self, restart_report):
         payload = restart_report.to_dict()
@@ -78,8 +80,8 @@ class TestRestartScenario:
         assert "node restart" in restart_report.summary()
 
     def test_restart_spec_is_not_seed_exact(self):
-        assert build_scenario("restart").is_seed_exact is False
-        assert build_scenario("ideal").is_seed_exact is True
+        assert is_seed_exact(build_scenario("restart")) is False
+        assert is_seed_exact(build_scenario("ideal")) is True
 
     def test_late_restart_is_a_no_op(self):
         report = run_scenario("restart", config=quick_config(**TINY),

@@ -13,6 +13,8 @@ import pytest
 from repro.simnet import ScenarioRunner, run_scenario
 from repro.simnet.scenario import SCENARIOS, build_scenario
 from repro.system import quick_config, run_marketplace
+from repro.system.artifacts import report_to_dict
+from tests.oracles import is_seed_exact
 
 
 def tiny_config(**overrides):
@@ -33,20 +35,20 @@ class TestIdealExactness:
     def test_ideal_scenario_matches_run_marketplace_exactly(
             self, ideal_runner, quick_marketplace_report):
         """The acceptance bar: identical Fig. 4-7 numbers under "ideal"."""
-        task_report = ideal_runner.marketplace_reports[0]
+        task_report = ideal_runner.tasks[0].report
         seed_report = quick_marketplace_report
-        # to_dict covers Fig. 4 (accuracies), Fig. 5 (gas), Fig. 6 (LOO),
-        # Table 1 (payments) and Fig. 7 (time breakdowns).
-        assert task_report.to_dict() == seed_report.to_dict()
+        # report_to_dict covers Fig. 4 (accuracies), Fig. 5 (gas), Fig. 6
+        # (LOO), Table 1 (payments) and Fig. 7 (time breakdowns).
+        assert report_to_dict(task_report) == report_to_dict(seed_report)
         assert task_report.payments_wei == seed_report.payments_wei
         assert task_report.contributions == seed_report.contributions
         assert (task_report.model_payload_bytes_by_owner
                 == seed_report.model_payload_bytes_by_owner)
 
     def test_ideal_spec_is_flagged_seed_exact(self):
-        assert SCENARIOS["ideal"].is_seed_exact
-        assert not SCENARIOS["concurrent"].is_seed_exact
-        assert not SCENARIOS["adversarial"].is_seed_exact
+        assert is_seed_exact(SCENARIOS["ideal"])
+        assert not is_seed_exact(SCENARIOS["concurrent"])
+        assert not is_seed_exact(SCENARIOS["adversarial"])
 
 
 class TestConcurrentScenario:
@@ -124,9 +126,8 @@ class TestChurnScenario:
         assert task.total_paid_wei > 0
         # The per-task MarketplaceReport must stay renderable with partial
         # participation: dropped owners simply have no Fig. 4/6 bars.
-        marketplace = runner.marketplace_reports[0]
-        payload = marketplace.to_dict()
-        assert len(payload["local_accuracies"]) == 2
+        marketplace = runner.tasks[0].report
+        assert len(marketplace.local_accuracies) == 2
         assert len(marketplace.drop_accuracies) == 2
         # The default churner vanishes *before submitting*: it still uploaded
         # to IPFS, so all four payloads exist but only two CIDs landed.
@@ -138,9 +139,10 @@ class TestChurnScenario:
             config=tiny_config())
         report_runner.run()
         for owner in report_runner.tasks[0].env.owners:
-            descriptions = [a["description"] for a in owner.wallet.activity_summary()]
+            descriptions = [activity.description for activity in owner.wallet.activity]
             assert "Submit model CID" in descriptions
-            assert owner.wallet.total_fees_paid_wei() > 0
+            assert sum(activity.receipt.fee_wei for activity in owner.wallet.activity
+                       if activity.receipt is not None) > 0
 
 
 class TestRunnerMechanics:

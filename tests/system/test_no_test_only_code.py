@@ -14,13 +14,16 @@ symbols that share a name; it errs towards keeping code, never towards
 flagging it.
 
 The symbols that are reached only from tests and stay are in
-:data:`ALLOWED`, each with one of four reasons:
+:data:`ALLOWED`, each with one of three reasons:
 
 - ``dispatch``: called by name at run time (a contract's ABI method);
-- ``oracle``: a reference a test compares the product against, or a
-  side-effect-free read of state the product keeps;
 - ``pending #N``: open ROADMAP item N deletes it;
 - ``api``: documented as public API in README.md or ``docs/``.
+
+A reference that only tests compare the product against is not a reason to
+keep code in ``src/``: it lives in ``tests/oracles.py``.  Which functions
+an entry point actually runs is the dynamic question ``tests/tools/reach.py``
+answers; this census is its static first pass.
 
 An entry that gains a caller, or whose symbol is gone, fails too, so the
 list cannot rot.
@@ -92,42 +95,19 @@ ROOT = Path(__file__).resolve().parents[2]
 SCANNED = ("src", "bench", "benchmarks", "examples")
 
 ALLOWED = {
-    # dispatch: contract ABI methods that no workflow step calls yet.
+    # dispatch: a contract ABI method that a served eth_call reaches by name.
     "repro/contracts/cid_storage.py::CidStorage.getCid": "dispatch",
-    "repro/contracts/fl_task.py::FLTask.getCid": "dispatch",
-    "repro/contracts/fl_task.py::FLTask.getSubmissions": "dispatch",
-    "repro/contracts/fl_task.py::FLTask.paidTotal": "dispatch",
-    # oracle: references the tests compare the product against.
-    "repro/incentives/contribution.py::shapley_exact": "oracle",
-    "repro/ipfs/cid.py::CID.to_v1": "oracle",
-    "repro/ml/serialization.py::deserialize_model": "oracle",
-    "repro/utils/serialization.py::rlp_decode": "oracle",
-    # oracle: side-effect-free reads of state the product keeps.
-    "repro/chain/account.py::Address.checksummed": "oracle",
-    "repro/chain/chain.py::Blockchain.iter_logs": "oracle",
-    "repro/chain/executor.py::CallContext.self_balance": "oracle",
-    "repro/chain/faucet.py::Faucet.total_dripped": "oracle",
-    "repro/chain/gas.py::GasMeter.gas_remaining": "oracle",
-    "repro/chain/gas.py::GasMeter.refund_counter": "oracle",
-    "repro/chain/receipts.py::TransactionReceipt.succeeded": "oracle",
-    "repro/chain/state.py::WorldState.total_supply": "oracle",
-    "repro/chain/transaction.py::Transaction.size_bytes": "oracle",
-    "repro/ipfs/multihash.py::Multihash.function_name": "oracle",
-    "repro/ipfs/node.py::IpfsNode.has_local": "oracle",
-    "repro/ml/trainer.py::TrainingHistory.losses": "oracle",
-    "repro/obs/tracing.py::Span.sim_seconds": "oracle",
-    "repro/obs/tracing.py::Tracer.replicas_for": "oracle",
-    "repro/simnet/netmodel.py::LinkProfile.is_ideal": "oracle",
-    "repro/simnet/runner.py::ScenarioRunner.marketplace_reports": "oracle",
-    "repro/simnet/scenario.py::ScenarioSpec.is_seed_exact": "oracle",
-    "repro/storage/wal.py::WriteAheadLog.last_block_entry": "oracle",
-    "repro/web/wallet.py::MetaMaskWallet.activity_summary": "oracle",
-    # pending: an open ROADMAP item deletes it.
+    # pending: an open ROADMAP item deletes it, or a user path reads it.
     "repro/chain/chain.py::Blockchain.batchverify_stats": "pending #2",
     "repro/analytics/feeder.py::detach_analytics": "pending #8",
+    "repro/analytics/store.py::AnalyticsStore.record_count": "pending #8",
+    "repro/chain/chain.py::Blockchain.iter_logs": "pending #8",
     "repro/web/client.py::RestClient.get_json": "pending #17",
     "repro/web/client.py::RestClient.post_json": "pending #17",
     "repro/web/dapp.py::BuyerDApp.task_status": "pending #17",
+    "repro/contracts/fl_task.py::FLTask.getCid": "pending #32",
+    "repro/contracts/fl_task.py::FLTask.getSubmissions": "pending #32",
+    "repro/contracts/fl_task.py::FLTask.paidTotal": "pending #32",
     # api: documented in docs/ (analytics.md, networking.md).
     "repro/chain/explorer.py::Explorer.account_activity": "api",
     "repro/net/websocket.py::WebSocketClient": "api",
@@ -179,7 +159,7 @@ ALLOWED_OPTIONS = {
     "repro/storage/engine.py::StorageConfig(cache_capacity)": "scale tests/storage/test_engine.py",
 }
 
-REASON = re.compile(r"^(dispatch|oracle|api|pending #(\d+))$")
+REASON = re.compile(r"^(dispatch|api|pending #(\d+))$")
 OPTION_REASON = re.compile(r"^(api|pending #(\d+)|scale (tests/\S+\.py))$")
 WORD = re.compile(r"[A-Za-z_]\w*")
 NOT_CALLERS = {"__all__", "_HOME"}
@@ -674,12 +654,12 @@ def hand_written_documents():
     return "\n".join(text for text in texts if "**Auto-generated**" not in text)
 
 
-def test_every_reason_is_one_of_four_and_holds():
+def test_every_reason_is_one_of_three_and_holds():
     documents = hand_written_documents()
     items = open_roadmap_items()
     for key, reason in ALLOWED.items():
         match = REASON.match(reason)
-        assert match, f"{key}: {reason!r} is not dispatch, oracle, api or pending #N"
+        assert match, f"{key}: {reason!r} is not dispatch, api or pending #N"
         name = key.rsplit("::", 1)[1].rsplit(".", 1)[-1]
         if match.group(2):
             assert int(match.group(2)) in items, f"{key}: ROADMAP item {match.group(2)} is not open"
@@ -704,6 +684,23 @@ def test_every_option_reason_is_one_of_three_and_holds():
             assert test_file.is_file(), f"{key}: {match.group(3)} does not exist"
             assert re.search(rf"\b{option}\s*=", test_file.read_text(encoding="utf-8")), (
                 f"{key}: {match.group(3)} never passes {option}=")
+
+
+def test_the_symbol_pass_flags_a_test_only_symbol_and_refuses_oracle(tmp_path):
+    module = tmp_path / "src" / "pkg" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("def used():\n    return 1\n\n\ndef reference():\n    return 1\n\n\n"
+                      "def run():\n    return used()\n")
+    for top in ("bench", "benchmarks", "examples"):
+        (tmp_path / top).mkdir()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from pkg.mod import reference, run\n\n\ndef test_run():\n"
+        "    assert run() == reference()\n")
+    defined, caller_less = census(tmp_path)
+    assert "pkg/mod.py::reference" in defined
+    assert caller_less == {"pkg/mod.py::reference", "pkg/mod.py::run"}
+    assert not REASON.match("oracle")
 
 
 def test_the_option_pass_flags_a_test_only_keyword_until_code_sets_it(tmp_path):

@@ -108,7 +108,9 @@ class TestMarketplaceReport:
         assert report.ipfs_bytes_transferred >= expected
 
     def test_report_serializes(self, quick_marketplace_report):
-        payload = quick_marketplace_report.to_dict()
+        from repro.system.artifacts import report_to_dict
+
+        payload = report_to_dict(quick_marketplace_report)
         assert "aggregate_accuracy" in payload
         assert "gas" in payload
         assert "owner_time" in payload

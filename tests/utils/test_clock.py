@@ -31,8 +31,3 @@ class TestSimulatedClock:
         clock = SimulatedClock(start_time=10)
         clock.advance_to(5)
         assert clock.now == 10
-
-    def test_sleep_is_alias_for_advance(self):
-        clock = SimulatedClock()
-        clock.sleep(3)
-        assert clock.now == 3

@@ -5,9 +5,9 @@ import pytest
 from repro.utils.serialization import (
     canonical_dumps,
     canonical_loads,
-    rlp_decode,
     rlp_encode,
 )
+from tests.oracles import rlp_decode
 
 
 class TestCanonicalJson:
