@@ -119,6 +119,11 @@ class TestPayloadEncoding:
 
 
 class TestRawWireForm:
+    def test_raw_form_grows_with_data(self):
+        small = make_tx().sign(ALICE)
+        big = make_tx(data=encode_call("method", ["x" * 500]), gas_limit=100_000).sign(ALICE)
+        assert len(big.serialize_raw()) > len(small.serialize_raw())
+
     def test_signed_transaction_round_trips(self):
         tx = make_tx(data=encode_call("uploadCid", ["QmABC"]), gas_limit=60_000).sign(ALICE)
         decoded = Transaction.deserialize_raw(tx.serialize_raw())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ipfs.blockstore import BlockStore
 from repro.ipfs.chunker import DEFAULT_CHUNK_SIZE, chunk_bytes, iter_chunks
 from repro.ipfs.cid import CID, RAW_CODEC
 from repro.ipfs.dag import DagLink, DagNode
@@ -48,6 +49,17 @@ class TestDag:
     def test_leaf_node_roundtrip(self):
         node = DagNode(data=b"hello")
         assert DagNode.deserialize(node.serialize()).data == b"hello"
+
+    def test_stored_cid_changes_with_content(self):
+        # A node is stored under the dag-pb CID of its serialised form.
+        store = BlockStore()
+        assert store.add(DagNode(data=b"a").serialize()) != store.add(DagNode(data=b"b").serialize())
+
+    def test_stored_cid_changes_with_links(self):
+        store = BlockStore()
+        link = DagLink(cid=raw_cid(b"chunk"), size=5)
+        assert (store.add(DagNode(links=[link]).serialize())
+                != store.add(DagNode(links=[]).serialize()))
 
     def test_total_size_sums_links_and_data(self):
         links = [DagLink(cid=raw_cid(b"aa"), size=2),

@@ -29,7 +29,11 @@ from repro.system.config import quick_config
 from repro.system.orchestrator import build_environment
 from repro.utils.rng import derive_seed
 
-SCHEMES = ["dirichlet"]
+# The quick config's Dirichlet concentration, a skewed one (most owners see a
+# few classes) and a near-uniform one (every owner sees every class).
+ALPHAS = [pytest.param(0.5, id="dirichlet"),
+          pytest.param(0.1, id="dirichlet-skewed"),
+          pytest.param(100.0, id="dirichlet-near-uniform")]
 
 
 def copied_out(config):
@@ -47,9 +51,9 @@ def copied_out(config):
     return dataset, train, test, owners
 
 
-@pytest.fixture(scope="module", params=SCHEMES)
+@pytest.fixture(scope="module", params=ALPHAS)
 def built(request):
-    config = quick_config(seed=3, partition_scheme=request.param)
+    config = quick_config(seed=3, partition_alpha=request.param)
     build_environment(config).stack.close()  # imports and first-call caches
     tracemalloc.start()
     try:

@@ -1,8 +1,8 @@
 """The Web3 stack carries one-shot FL without changing its result.
 
 Each owner trains in memory; the buyer gets its model only through IPFS, the
-contract's CID list and the backend.  For every partition scheme, the
-updates the buyer retrieved must equal the owners' own, byte for byte and in
+contract's CID list and the backend.  For a skewed, the quick config's and a
+near-uniform Dirichlet partition, the updates the buyer retrieved must equal the owners' own, byte for byte and in
 owner order, and aggregating and leaving one out over the owners' updates
 directly, with no chain, IPFS or backend in between, must reproduce the
 report's accuracies exactly.
@@ -18,9 +18,11 @@ from repro.system import quick_config, run_marketplace
 from repro.system.orchestrator import build_environment
 
 
-@pytest.mark.parametrize("scheme", ["dirichlet"])
-def test_stack_leaves_the_ml_result_bit_identical(scheme):
-    environment = build_environment(quick_config(seed=1, partition_scheme=scheme))
+@pytest.mark.parametrize("alpha", [pytest.param(0.5, id="dirichlet"),
+                                   pytest.param(0.1, id="dirichlet-skewed"),
+                                   pytest.param(100.0, id="dirichlet-near-uniform")])
+def test_stack_leaves_the_ml_result_bit_identical(alpha):
+    environment = build_environment(quick_config(seed=1, partition_alpha=alpha))
     report = run_marketplace(environment=environment)
     retrieved = environment.buyer.backend.tasks[report.workflow_result.task_address].updates
     local = [owner.dapp.session.local_result.update for owner in environment.owners]

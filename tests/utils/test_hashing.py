@@ -45,6 +45,11 @@ class TestHashJson:
     def test_value_change_changes_hash(self):
         assert hash_json({"a": 1}) != hash_json({"a": 2})
 
+    def test_bytes_values_are_refused(self):
+        # No fallback encoder: bytes must be hex-encoded by the caller.
+        with pytest.raises(TypeError):
+            hash_json({"payload": b"\x01\x02"})
+
     def test_nested_structures(self):
         obj = {"list": [1, 2, {"inner": "x"}], "num": 3.5}
         assert hash_json(obj) == hash_json({"num": 3.5, "list": [1, 2, {"inner": "x"}]})

@@ -78,6 +78,13 @@ class TestSendFlow:
         assert call.status
         assert wallet.read_contract(address, "getAllCids") == ["QmWallet"]
 
+    def test_activity_keeps_each_description_in_order(self, env):
+        _, wallet = env
+        wallet.deploy_contract("CidStorage", description="first")
+        wallet.deploy_contract("CidStorage", description="second")
+        assert [entry.description for entry in wallet.activity] == ["first", "second"]
+        assert all(entry.receipt.status for entry in wallet.activity)
+
     def test_read_contract_is_free(self, env):
         _, wallet = env
         deployment = wallet.deploy_contract("CidStorage", [])
