@@ -46,7 +46,7 @@ def main() -> None:
                              variation_scale=0.8, seed=11)
     )
     train, test = train_test_split(dataset, test_fraction=0.2, rng=11)
-    shards = partition_dataset(train, NUM_OWNERS, scheme="dirichlet", alpha=0.5, rng=11)
+    shards = partition_dataset(train, NUM_OWNERS, alpha=0.5, rng=11)
 
     buyer_keys = KeyPair.from_label("example-buyer")
     faucet.drip(buyer_keys.address, ether_to_wei(1))

@@ -18,8 +18,7 @@ Python/NumPy:
 ``repro.ml``
     A NumPy neural-network substrate (MLPs, optimizers, training loop).
 ``repro.data``
-    A synthetic MNIST-like dataset plus IID / Dirichlet / label-skew
-    partitioners.
+    A synthetic MNIST-like dataset plus PFNM's Dirichlet partitioner.
 ``repro.fl``
     The federated-learning client and the one-shot aggregators (PFNM
     neuron matching, ensembles, naive averaging).

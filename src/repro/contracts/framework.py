@@ -58,15 +58,15 @@ class Contract:
     # -- storage access (gas metered) ----------------------------------------
 
     def sstore(self, ctx: CallContext, key: str, value: Any) -> None:
-        """Write ``value`` to storage slot ``key``, charging SSTORE gas."""
-        storage = ctx.storage
-        exists = key in storage and storage[key] is not None
+        """Write ``value`` to storage slot ``key``, charging SSTORE gas.
+
+        Slots are written, never cleared: ``None`` is refused, since clearing
+        would be owed the refund that this gas schedule does not model.
+        """
         if value is None:
-            if exists:
-                ctx.meter.consume(gas.SSTORE_UPDATE, reason=f"SSTORE clear {key}")
-                del storage[key]
-            return
-        if exists:
+            raise ContractRevert(f"SSTORE {key}: a slot cannot be cleared")
+        storage = ctx.storage
+        if key in storage:
             ctx.meter.consume(gas.SSTORE_UPDATE, reason=f"SSTORE update {key}")
         else:
             ctx.meter.consume(gas.SSTORE_SET, reason=f"SSTORE set {key}")
@@ -159,6 +159,8 @@ class ContractRegistry:
         """Register ``contract_class`` under its class name."""
         if not (inspect.isclass(contract_class) and issubclass(contract_class, Contract)):
             raise TypeError("register expects a Contract subclass")
+        if not callable(getattr(contract_class, "constructor", None)):
+            raise TypeError(f"{contract_class.__name__} defines no constructor")
         self._contracts[contract_class.__name__] = contract_class
 
     def contract_class(self, name: str) -> Optional[Type[Contract]]:

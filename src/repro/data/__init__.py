@@ -13,11 +13,7 @@ label-skewed local shards -- is preserved.
 """
 
 from repro.data.dataset import Dataset, split_indices, train_test_split
-from repro.data.partition import (
-    dirichlet_partition,
-    partition_dataset,
-    partition_indices,
-)
+from repro.data.partition import dirichlet_partition, partition_dataset
 from repro.data.stats import label_distribution, label_entropy, partition_summary
 from repro.data.synthetic_mnist import (
     SyntheticMnistConfig,
@@ -31,7 +27,6 @@ __all__ = [
     "train_test_split",
     "dirichlet_partition",
     "partition_dataset",
-    "partition_indices",
     "label_distribution",
     "label_entropy",
     "partition_summary",

@@ -123,8 +123,6 @@ class Swarm:
             f"no connected peer of {requester.peer_id} provides {cid_obj.encode()}"
         )
 
-    # -- network dynamics -------------------------------------------------------
-
     # -- statistics -----------------------------------------------------------------
 
     def total_bytes_transferred(self) -> int:

@@ -40,7 +40,8 @@ class OFLW3Config:
     variation_rank: int = 24
     label_noise: float = 0.0
 
-    # Partitioning
+    # Partitioning.  Dirichlet is the only scheme; the field stays because
+    # the saved report carries it until the pinned reports are re-pinned.
     partition_scheme: str = "dirichlet"
     partition_alpha: float = 0.35
     #: Read by no partitioner since the label-skew scheme was deleted; the
@@ -80,6 +81,9 @@ class OFLW3Config:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if self.partition_scheme != "dirichlet":
+            raise ConfigError(
+                f"partition_scheme must be 'dirichlet', got {self.partition_scheme!r}")
         if len(self.layer_sizes) < 2:
             raise ConfigError(f"layer_sizes needs at least two entries, got {self.layer_sizes}")
         if not 0.0 <= self.participation_floor_fraction < 1.0:

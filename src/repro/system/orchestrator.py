@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.chain.node import EthereumNode
 from repro.data.dataset import Dataset, split_indices
-from repro.data.partition import partition_indices
+from repro.data.partition import dirichlet_partition
 from repro.data.synthetic_mnist import (
     NUM_CLASSES,
     SyntheticMnistConfig,
@@ -224,13 +224,13 @@ def build_environment(
     train_rows, test_rows = split_indices(
         len(labels), config.test_fraction, rng=derive_seed(config.seed, "split")
     )
-    shards = partition_indices(
-        labels[train_rows],
-        NUM_CLASSES,
+    # The partition reads labels only: a zero-width dataset carries them.
+    shards = dirichlet_partition(
+        Dataset(features=np.empty((len(train_rows), 0)), labels=labels[train_rows],
+                num_classes=NUM_CLASSES),
         config.num_owners,
-        scheme=config.partition_scheme,
-        rng=derive_seed(config.seed, "partition"),
         alpha=config.partition_alpha,
+        rng=derive_seed(config.seed, "partition"),
     )
     unheld = np.ones(len(train_rows), dtype=bool)
     unheld[np.concatenate(shards)] = False

@@ -128,6 +128,14 @@ class TestRegistry:
         with pytest.raises(TypeError):
             registry.register(object)
 
+    def test_register_rejects_contract_without_constructor(self, registry):
+        class NoConstructor(Contract):
+            pass
+
+        with pytest.raises(TypeError, match="no constructor"):
+            registry.register(NoConstructor)
+        assert registry.contract_class("NoConstructor") is None
+
     def test_create_runs_constructor(self, registry):
         ctx = make_ctx()
         result = registry.create("Counter", [5], ctx)
@@ -196,14 +204,15 @@ class TestGasMetering:
         first_call = ctx.meter.settle() - before
         assert first_call >= gas.SSTORE_UPDATE + gas.SLOAD
 
-    def test_storage_clear_deletes_the_slot(self):
+    def test_storing_none_is_refused(self):
         ctx = make_ctx()
         contract = Counter()
         contract.sstore(ctx, "temp", 1)
         before = ctx.meter.settle()
-        contract.sstore(ctx, "temp", None)
-        assert ctx.meter.settle() - before == gas.SSTORE_UPDATE
-        assert "temp" not in ctx.storage
+        with pytest.raises(ContractRevert, match="cannot be cleared"):
+            contract.sstore(ctx, "temp", None)
+        assert ctx.meter.settle() == before
+        assert ctx.storage["temp"] == 1
 
     def test_emit_charges_log_gas(self):
         ctx = make_ctx()

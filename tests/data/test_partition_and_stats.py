@@ -67,14 +67,9 @@ class TestDirichlet:
 
 class TestPartitionDataset:
     def test_returns_dataset_objects(self, dataset):
-        clients = partition_dataset(dataset, 4, scheme="dirichlet", alpha=0.5, rng=1)
+        clients = partition_dataset(dataset, 4, alpha=0.5, rng=1)
         assert all(isinstance(client, Dataset) for client in clients)
         assert sum(len(client) for client in clients) == len(dataset)
-
-    @pytest.mark.parametrize("scheme", ["quantum", "iid", "label_skew", "shard"])
-    def test_unknown_scheme_rejected(self, dataset, scheme):
-        with pytest.raises(PartitionError):
-            partition_dataset(dataset, 4, scheme=scheme)
 
     def test_more_clients_than_samples_rejected(self):
         tiny = Dataset(features=np.ones((3, 2)), labels=np.array([0, 1, 2]), num_classes=3)
@@ -96,7 +91,7 @@ class TestStats:
         assert np.isclose(label_entropy(uniform), np.log(10))
 
     def test_partition_summary_fields(self, dataset):
-        clients = partition_dataset(dataset, 5, scheme="dirichlet", alpha=0.5, rng=1)
+        clients = partition_dataset(dataset, 5, alpha=0.5, rng=1)
         summary = partition_summary(clients)
         assert summary["num_clients"] == 5
         assert summary["total_samples"] == len(dataset)

@@ -7,7 +7,7 @@ from repro.chain.node import EthereumNode
 from repro.chain.faucet import Faucet
 from repro.chain.keys import KeyPair
 from repro.contracts.registry import default_registry
-from repro.errors import MempoolError
+from repro.errors import BlockNotFoundError, MempoolError
 from repro.ipfs.node import IpfsNode
 from repro.ipfs.swarm import Swarm
 from repro.simnet.netmodel import CHAIN_ENDPOINT, LinkProfile, NetworkModel
@@ -96,6 +96,16 @@ class TestSwarmIntegration:
         assert payload == b"x" * 200
         # One block of ~200+ bytes: 1s latency + serialisation time.
         assert clock.now > 1.0
+
+    def test_partitioned_provider_is_unreachable(self):
+        clock, swarm, a, b = self._swarm(LinkProfile())
+        added = a.add_bytes(b"hello world")
+        swarm.network.partition([[a.peer_id], [b.peer_id]])
+        with pytest.raises(BlockNotFoundError):
+            b.cat(added.cid)
+        assert swarm.failed_fetch_attempts > 0
+        swarm.network.heal()
+        assert b.cat(added.cid) == b"hello world"
 
     def test_swarm_without_network_is_the_seed_swarm(self):
         swarm = Swarm()

@@ -52,6 +52,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             OFLW3Config(layer_sizes=(784,))
 
+    @pytest.mark.parametrize("scheme", ["quantum", "iid", "label_skew", "shard"])
+    def test_a_scheme_other_than_dirichlet_is_refused(self, scheme):
+        with pytest.raises(ConfigError, match="partition_scheme"):
+            OFLW3Config(partition_scheme=scheme)
+
 
 class TestLatencyModel:
     def test_training_time_scales_with_work(self):

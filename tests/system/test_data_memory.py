@@ -16,15 +16,11 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    Dataset,
     SyntheticMnistConfig,
     generate_synthetic_mnist,
     partition_dataset,
-    partition_indices,
     train_test_split,
 )
-from repro.data import partition as partition_module
-from repro.errors import PartitionError
 from repro.system.config import quick_config
 from repro.system.orchestrator import build_environment
 from repro.utils.rng import derive_seed
@@ -45,9 +41,8 @@ def copied_out(config):
         seed=config.seed))
     train, test = train_test_split(dataset, config.test_fraction,
                                    rng=derive_seed(config.seed, "split"))
-    owners = partition_dataset(train, config.num_owners, scheme=config.partition_scheme,
-                               rng=derive_seed(config.seed, "partition"),
-                               alpha=config.partition_alpha)
+    owners = partition_dataset(train, config.num_owners, alpha=config.partition_alpha,
+                               rng=derive_seed(config.seed, "partition"))
     return dataset, train, test, owners
 
 
@@ -131,14 +126,3 @@ def test_building_peaks_under_one_point_six_datasets(built):
     assert peak <= 1.6 * dataset_bytes, (
         f"build_environment peaked at {peak / dataset_bytes:.2f}x the dataset's bytes")
 
-
-def test_an_overlapping_scheme_is_refused(monkeypatch):
-    def overlapping(dataset, num_clients, rng=None):
-        return [np.arange(len(dataset))] * num_clients
-
-    monkeypatch.setitem(partition_module._SCHEMES, "iid", overlapping)
-    labels = np.arange(20) % 4
-    with pytest.raises(PartitionError, match="more than one client"):
-        partition_indices(labels, 4, 2, scheme="iid")
-    with pytest.raises(PartitionError):
-        partition_dataset(Dataset(np.zeros((20, 3)), labels, 4), 2, scheme="iid")

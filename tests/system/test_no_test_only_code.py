@@ -13,7 +13,10 @@ name occurs anywhere outside its own definition.  So it is blind to two
 symbols that share a name; it errs towards keeping code, never towards
 flagging it.
 
-The symbols that are reached only from tests and stay are in
+A function reached only from tests stays when the entry-point reach
+ledger (``tests/tools/reach_ledger.txt``) lists it, with the reason the
+ledger gives it.  What the ledger cannot hold -- a class, or a function an
+entry point enters though no code outside ``tests/`` names it -- is in
 :data:`ALLOWED`, each with one of three reasons:
 
 - ``dispatch``: called by name at run time (a contract's ABI method);
@@ -25,8 +28,8 @@ keep code in ``src/``: it lives in ``tests/oracles.py``.  Which functions
 an entry point actually runs is the dynamic question ``tests/tools/reach.py``
 answers; this census is its static first pass.
 
-An entry that gains a caller, or whose symbol is gone, fails too, so the
-list cannot rot.
+An entry that gains a caller, whose symbol is gone, or that the ledger
+lists as well, fails too, so the list cannot rot.
 
 The option pass applies the same rule to options: every defaulted
 parameter (positional or keyword-only) of a public function, a public
@@ -91,25 +94,15 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 from pathlib import Path
 
+from tests.tools import reach
+
 ROOT = Path(__file__).resolve().parents[2]
 SCANNED = ("src", "bench", "benchmarks", "examples")
 
 ALLOWED = {
     # dispatch: a contract ABI method that a served eth_call reaches by name.
     "repro/contracts/cid_storage.py::CidStorage.getCid": "dispatch",
-    # pending: an open ROADMAP item deletes it, or a user path reads it.
-    "repro/chain/chain.py::Blockchain.batchverify_stats": "pending #2",
-    "repro/analytics/feeder.py::detach_analytics": "pending #8",
-    "repro/analytics/store.py::AnalyticsStore.record_count": "pending #8",
-    "repro/chain/chain.py::Blockchain.iter_logs": "pending #8",
-    "repro/web/client.py::RestClient.get_json": "pending #17",
-    "repro/web/client.py::RestClient.post_json": "pending #17",
-    "repro/web/dapp.py::BuyerDApp.task_status": "pending #17",
-    "repro/contracts/fl_task.py::FLTask.getCid": "pending #32",
-    "repro/contracts/fl_task.py::FLTask.getSubmissions": "pending #32",
-    "repro/contracts/fl_task.py::FLTask.paidTotal": "pending #32",
-    # api: documented in docs/ (analytics.md, networking.md).
-    "repro/chain/explorer.py::Explorer.account_activity": "api",
+    # api: documented in docs/networking.md.
     "repro/net/websocket.py::WebSocketClient": "api",
     "repro/net/websocket.py::WebSocketClient.drain_notifications": "api",
     "repro/net/websocket.py::WebSocketClient.next_notification": "api",
@@ -606,18 +599,21 @@ def stale_options(allowed, root: Path = ROOT):
 
 def test_every_public_symbol_has_a_caller_or_a_reason():
     _, caller_less = census()
-    unexplained = sorted(caller_less - set(ALLOWED))
+    unexplained = sorted(caller_less - set(ALLOWED) - set(reach.read_ledger(reach.LEDGER)))
     assert not unexplained, (
-        "only tests reach these; delete them, or give each an ALLOWED entry "
-        f"with a reason: {unexplained}")
+        "only tests reach these; delete them, list each function in "
+        "tests/tools/reach_ledger.txt with a reason, or give a class an ALLOWED "
+        f"entry: {unexplained}")
 
 
 def test_every_allowlisted_symbol_exists_and_is_still_caller_less():
     defined, caller_less = census()
     gone = sorted(set(ALLOWED) - defined)
     reached = sorted(set(ALLOWED) & (defined - caller_less))
+    twice = sorted(set(ALLOWED) & set(reach.read_ledger(reach.LEDGER)))
     assert not gone, f"these ALLOWED entries name no symbol: {gone}"
     assert not reached, f"these now have a caller; drop their ALLOWED entries: {reached}"
+    assert not twice, f"the reach ledger gives these a reason; drop their ALLOWED entries: {twice}"
 
 
 def test_every_test_only_option_has_a_reason():

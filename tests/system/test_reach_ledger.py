@@ -3,9 +3,10 @@
 Driving every entry point of the table under the profiler takes about a
 minute, so that runs as CI's ``reach`` job.  Here the committed ledger is
 checked against ``src/`` as it stands -- every line names a function that
-exists, with one reason that holds -- and the check itself runs on a planted
-tree: it must flag an unentered function the ledger does not list, and a
-listed one that an entry point enters.
+exists, with one reason that holds, and every defaulted parameter of the
+second section exists -- and the check itself runs on a planted tree: it
+must flag an unentered function the ledger does not list, a listed one that
+an entry point enters, and a second section that differs from the drive.
 """
 
 import sys
@@ -28,6 +29,14 @@ def test_every_ledger_line_names_a_function_with_a_reason_that_holds():
     problems = {key: reach.reason_problem(key, reason, found, ROOT, items)
                 for key, reason in reasons.items()}
     assert not {key: problem for key, problem in problems.items() if problem}
+
+
+def test_every_listed_default_names_a_defaulted_parameter():
+    options = reach.public_options(ROOT / "src", "repro")
+    defined = {key for rows in options.values() for key, _, _ in rows}
+    listed = reach.read_defaults(reach.LEDGER)
+    assert listed, "the ledger's second section lists no parameter"
+    assert not sorted(listed - defined), "the ledger names parameters src/ no longer defaults"
 
 
 def test_the_ledger_lists_each_function_once_in_sorted_order():
@@ -149,3 +158,20 @@ def test_the_recorder_sees_a_default_passed_off_its_value(planted):
         "reachplant/mod.py::used(factor)"}
     assert recorder.set_off == {"reachplant/mod.py::used(factor)"}
     assert sys.getprofile() is None
+
+
+def test_the_second_section_must_match_what_the_drive_saw(planted, tmp_path):
+    _, _, options, recorder = drive_planted(planted)
+    defined = {key for rows in options.values() for key, _, _ in rows}
+    unset = defined - recorder.set_off
+    assert unset == set()
+    key, gone = "reachplant/mod.py::used(factor)", "reachplant/mod.py::used(scheme)"
+    ledger = tmp_path / "ledger.txt"
+    ledger.write_text(reach.render_ledger({}, [key, gone]))
+    assert reach.check_defaults(reach.read_defaults(ledger), unset, defined) == [
+        f"listed but not defined: {gone} (drop its line)",
+        f"listed but an entry point set it off its default: {key} (drop its line)"]
+    assert reach.check_defaults(set(), {key}, defined) == [
+        f"never set off its default and unlisted: {key} (list it)"]
+    ledger.write_text(reach.render_ledger({}, []))
+    assert reach.check_defaults(reach.read_defaults(ledger), unset, defined) == []

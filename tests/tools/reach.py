@@ -32,8 +32,8 @@ each with exactly one reason:
 The check fails on an unentered function the ledger does not list, on a
 listed function that an entry point now enters or that no longer exists, and
 on a reason that does not hold.  The ledger's second section lists the
-defaulted parameters no entry point set off their default; it is regenerated
-with the first and is not checked.  Standard library only (``benchmarks/``
+defaulted parameters no entry point set off their default; the check fails
+when it differs from what the drive saw, either way.  Standard library only (``benchmarks/``
 is driven through the repository's own pytest); not collected by pytest.
 """
 
@@ -243,19 +243,33 @@ def entered_keys(found: Dict[str, Definition], codes: Iterable[Any]) -> Set[str]
 # -- the ledger ------------------------------------------------------------------
 
 
-def read_ledger(path: Path) -> Dict[str, str]:
-    """``{key: reason}`` of a ledger file's first section (empty when there
-    is no file yet)."""
-    reasons: Dict[str, str] = {}
+def read_sections(path: Path) -> Dict[str, List[str]]:
+    """``{section header: its lines}`` of a ledger file, blank and comment
+    lines left out (empty when there is no file yet)."""
+    sections: Dict[str, List[str]] = {}
     section = None
     lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
     for line in lines:
         if line.startswith("## "):
             section = line
-        elif section == UNENTERED and line.strip() and not line.startswith("#"):
-            key, _, reason = line.partition(" ")
-            reasons[key] = reason.strip()
+            sections[section] = []
+        elif section is not None and line.strip() and not line.startswith("#"):
+            sections[section].append(line)
+    return sections
+
+
+def read_ledger(path: Path) -> Dict[str, str]:
+    """``{key: reason}`` of a ledger file's first section."""
+    reasons: Dict[str, str] = {}
+    for line in read_sections(path).get(UNENTERED, []):
+        key, _, reason = line.partition(" ")
+        reasons[key] = reason.strip()
     return reasons
+
+
+def read_defaults(path: Path) -> Set[str]:
+    """The option keys of a ledger file's second section."""
+    return {line.strip() for line in read_sections(path).get(DEFAULTS, [])}
 
 
 def render_ledger(reasons: Dict[str, str], options: Iterable[str]) -> str:
@@ -331,6 +345,17 @@ def check(found: Dict[str, Definition], entered: Set[str], reasons: Dict[str, st
         if problem:
             problems.append(f"{key}: {problem}")
     return problems
+
+
+def check_defaults(listed: Set[str], unset: Set[str], defined: Set[str]) -> List[str]:
+    """Every way the ledger's second section disagrees with the drive:
+    ``listed`` against the ``unset`` of the ``defined`` option keys."""
+    return ([f"never set off its default and unlisted: {key} (list it)"
+             for key in sorted(unset - listed)]
+            + [f"listed but not defined: {key} (drop its line)"
+               for key in sorted(listed - defined)]
+            + [f"listed but an entry point set it off its default: {key} (drop its line)"
+               for key in sorted(listed & defined - unset)])
 
 
 # -- the entry-point table -------------------------------------------------------
@@ -637,7 +662,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     timings = drive(entry_points(), recorder)
     wall = time.perf_counter() - began
     entered = entered_keys(found, recorder.entered)
-    unset = sorted({key for rows in options.values() for key, _, _ in rows} - recorder.set_off)
+    defined = {key for rows in options.values() for key, _, _ in rows}
+    unset = sorted(defined - recorder.set_off)
 
     reasons = read_ledger(LEDGER)
     regenerated = {key: reasons.get(key, "pending #?")
@@ -654,6 +680,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"{len(found) - len(entered)} unentered; {len(unset)} defaulted parameters "
           f"never set off their default; drive {wall:.1f} s")
     problems = check(found, entered, read_ledger(LEDGER), ROOT, open_roadmap_items(ROOT))
+    problems += check_defaults(read_defaults(LEDGER), set(unset), defined)
     for problem in problems:
         print(problem)
     return 1 if problems else 0
