@@ -45,10 +45,12 @@ class FLClient:
         return len(self.dataset)
 
     def _model_seed(self) -> Optional[int]:
-        """Derive a per-client model seed so clients start from different weights."""
+        """The model's initial-weight seed, a function of the owner's seed
+        alone: each owner is handed its own seed, so clients still start from
+        different weights, and no key or address reaches the ML values."""
         if self.seed is None:
             return None
-        return derive_seed(self.seed, f"client-model-{self.client_id}")
+        return derive_seed(self.seed, "client-model")
 
     def train_local(self) -> LocalTrainingResult:
         """Train a fresh local model.

@@ -83,3 +83,16 @@ class TestFLClient:
             )
             results.append(client.train_local().update.parameters[0]["weights"])
         assert not np.allclose(results[0], results[1])
+
+    def test_the_initial_weights_follow_the_seed_not_the_client_id(self, tiny_client_datasets):
+        # The client id is the owner's wallet address in the marketplace; the
+        # weights must not move when the key scheme moves the address.
+        dataset = tiny_client_datasets[0]
+
+        def weights(client_id, seed):
+            client = FLClient(client_id, dataset, config=TrainingConfig(epochs=1, seed=0),
+                              seed=seed)
+            return client.train_local().update.parameters[0]["weights"]
+
+        assert np.array_equal(weights("0x" + "aa" * 20, 3), weights("0x" + "bb" * 20, 3))
+        assert not np.array_equal(weights("0x" + "aa" * 20, 3), weights("0x" + "aa" * 20, 4))

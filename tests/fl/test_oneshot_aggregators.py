@@ -99,13 +99,14 @@ class TestPFNM:
         x = np.random.default_rng(0).normal(size=(5, 12))
         assert np.array_equal(result.predictor.predict(x), model.predict(x))
 
-    def test_aggregation_beats_worst_local_model(self, trained_updates, tiny_split):
-        _, test = tiny_split
-        local_accuracies = [
-            (u.to_model().predict(test.features) == test.labels).mean() for u in trained_updates
-        ]
-        result = PFNMAggregator().aggregate(trained_updates)
-        assert result.evaluate(test) > min(local_accuracies)
+    def test_aggregation_beats_worst_local_model(self, quick_marketplace_report):
+        # At the quick preset's scale (four owners, 1 600 samples), not on
+        # the three 150-sample shards above: there, two epochs leave every
+        # model within a few test samples of the others, and the aggregate
+        # beat the worst local model in only 7 of 12 initial-weight draws.
+        report = quick_marketplace_report
+        assert report.aggregate_algorithm == "pfnm"
+        assert report.aggregate_accuracy > min(report.local_accuracies)
 
     def test_requires_hidden_layer(self):
         shallow = MLP((10, 3), seed=0)  # no hidden layer
@@ -150,17 +151,18 @@ class TestPFNMPins:
     form, so they said that change left every assignment and every averaged
     atom where it was; re-taken when the model moved to float32 (local
     training in float32 moves the clients, and the fused model is rounded to
-    their dtype; the widths did not move).  They cover local training too
-    (Adam).
+    their dtype; the widths did not move), and again when each owner's
+    initial weights stopped depending on its wallet address (the widths
+    did not move).  They cover local training too (Adam).
     """
 
     @pytest.mark.parametrize(
         "config, width, expected",
         [
-            (quick_config(seed=7), 400, "318d22510d19a7abaee43af89f40ab70"),
-            (quick_config(seed=8), 400, "c722b42ad08f42eaa93705dfb177395b"),
-            (quick_config(seed=9), 400, "ac29cb0d170edf9bcd008b876e6822ef"),
-            (paper_config(seed=7), 800, "dc79e267f29f64a3b7ab81c7ca20c344"),
+            (quick_config(seed=7), 400, "96562448ea17bf0ee6ae9777b868b915"),
+            (quick_config(seed=8), 400, "9541e1eb44f592a6d743b2fa558116f9"),
+            (quick_config(seed=9), 400, "b78bfe83f5e4f51cb9f6cfb640194bf6"),
+            (paper_config(seed=7), 800, "bb15ce1c90da987e0e8e60025901b097"),
         ],
         ids=["quick-7", "quick-8", "quick-9", "paper-7"],
     )

@@ -27,14 +27,14 @@ import pytest
 from repro.system import quick_config, run_marketplace
 from repro.system.artifacts import save_report
 
-#: sha256 of each quick-preset seed's saved report, recorded while the model
-#: still computed in float64; the move to float32 left every one in place.
+#: sha256 of each quick-preset seed's saved report, re-recorded when each
+#: owner's initial weights stopped depending on its wallet address.
 QUICK_REPORT_SHA256 = {
-    1: "e85faa3d65e8868be47838136e76728c9270525772374de27edeb572c1840bcb",
-    2: "e2a86f151d5ba96b8de32192de5440db78660d53bf6d5147ae53cf6d3177620a",
-    3: "2ad5de3ed1d7a9d35b314247ba42ece5030dabc6fdaf7cd341a17e075698270c",
-    7: "b00d252a1e716661b7015cffc490e302bf2d7ff023c30030bf4f43ff40e9db58",
-    9: "55e04d920eeb69b0bc8c542c6f1ebc11370006a54860422ce4b4f27f5237c95d",
+    1: "d1a52db2cdca79637db3c5518cf2f66f682d358df09455c5331bc4f98426f50b",
+    2: "1fa7c8c4a7028961eaf7c1f37041040832eb00fb9934724a115fc68aaeb5fe82",
+    3: "72589ebcfe411d0c79cddb87cecc64e229497867a1af0c500545dc5b26461238",
+    7: "e61e1e864d05a085485a6884b4f6d04cf59039763805aff08cd82559f6f8a5f2",
+    9: "003d4bf0974b6e4d98e4c392148c3f4615e3242c456e74abc88f873926dfee72",
 }
 
 
