@@ -1,6 +1,6 @@
 """Deferred signature verification: the block producer's settle engine.
 
-:class:`BatchVerifyEngine` (:mod:`repro.batchverify.engine`) moves Schnorr
+:class:`BatchVerifyEngine` (:mod:`repro.batchverify.engine`) moves Ed25519
 verification from submission to the top of block production -- structural
 checks at admission, one settle per block with mempool eviction -- on the
 signature worker pool (:mod:`repro.parallel.verify`).  It adds no

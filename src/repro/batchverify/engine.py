@@ -5,7 +5,7 @@ the caller's thread, before the transaction may enter the mempool.  With
 this engine enabled the chain defers that work: submission performs only
 the *structural* checks (a signature is present, its public key is in range
 and hashes to the claimed sender -- anything else raises the exact
-``InvalidSignatureError`` the default path would), and the Schnorr check of
+``InvalidSignatureError`` the default path would), and the Ed25519 check of
 everything admitted settles at the top of block production.
 
 Settling happens *before* mempool selection and evicts every transaction
@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence
 
 from repro.chain.account import Address
-from repro.chain.keys import GROUP_PRIME, address_from_public_key
+from repro.chain.keys import acceptable_public_key, address_from_public_key
 from repro.chain.transaction import Transaction
 from repro.errors import InvalidSignatureError
 from repro.parallel.verify import SignatureVerifyPool, _memoized_verdict
@@ -76,19 +76,20 @@ class BatchVerifyEngine:
     # -- admission -----------------------------------------------------------
 
     def admission_check(self, tx: Transaction) -> None:
-        """Structural checks at submission; Schnorr math is deferred.
+        """Structural checks at submission; curve arithmetic is deferred.
 
         Raises the scalar path's exact ``InvalidSignatureError`` for
-        everything decidable without exponentiation: a missing signature, an
-        out-of-range public key, or a key that does not hash to the claimed
-        sender (which is how a wrong-key forgery fails the scalar address
-        recovery).  A transaction whose verify memo is already warm is
-        judged by it -- deferral never un-rejects a known-bad signature.
+        everything decidable without curve arithmetic: a missing signature,
+        a public key ``acceptable_public_key`` refuses, or a key that does
+        not hash to the claimed sender (which is how a wrong-key forgery
+        fails the scalar address recovery).  A transaction whose verify
+        memo is already warm is judged by it -- deferral never un-rejects a
+        known-bad signature.
         """
         verdict = _memoized_verdict(tx)
         if verdict is None:
             public_key = tx.signature.public_key
-            if 1 < public_key < GROUP_PRIME and Address(
+            if acceptable_public_key(public_key) and Address(
                     address_from_public_key(public_key)) == tx.sender:
                 self.deferred_admissions += 1
                 return

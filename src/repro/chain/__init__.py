@@ -1,7 +1,7 @@
 """An Ethereum-like blockchain substrate.
 
 This package implements the pieces of Ethereum that OFL-W3's evaluation
-depends on: externally-owned accounts with Schnorr signatures, transactions
+depends on: externally-owned accounts with Ed25519 signatures, transactions
 with an EVM-compatible gas schedule (intrinsic gas, calldata gas, storage
 gas), a world state with snapshot/revert, a mempool, proof-of-authority block
 production on a 12-second slot clock (Sepolia's cadence), receipts with event

@@ -270,7 +270,7 @@ class Blockchain:
         With deferred verification (:meth:`enable_batch_verify`) the
         engine's :meth:`~repro.batchverify.BatchVerifyEngine.admission_check`
         raises the scalar path's exact ``InvalidSignatureError`` for anything
-        decidable without the expensive exponentiation; what passes is
+        decidable without the expensive curve arithmetic; what passes is
         queued unverified and settled (or evicted) as one batch at the top
         of the next block production.  Funds/gas validation is unchanged.
         """

@@ -138,7 +138,7 @@ class TransactionExecutor:
                  check_signature: bool = True) -> None:
         """Raise if ``tx`` cannot be included against ``state``.
 
-        ``check_signature=False`` skips the Schnorr verify (the most
+        ``check_signature=False`` skips the signature verify (the most
         expensive step): deferred verification (``repro.batchverify``) has
         already structurally vetted the transaction at submission and
         settles the real verdict at block production.
@@ -365,7 +365,7 @@ class TransactionExecutor:
         reverted (including nonce and balance changes), mirroring
         ``eth_estimateGas``.  As there, the probe need not be signed: gas
         does not depend on the signature, so an unsigned probe skips the
-        Schnorr verify; a probe that does carry a signature must verify.
+        signature verify; a probe that does carry a signature must verify.
         """
         snapshot_id = state.snapshot()
         try:

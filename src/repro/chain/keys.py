@@ -1,77 +1,177 @@
-"""Key pairs, addresses and Schnorr signatures.
+"""Key pairs, addresses and Ed25519 signatures.
 
-Ethereum uses secp256k1 ECDSA; implementing elliptic-curve arithmetic from
-scratch adds no value to the reproduction, so accounts here use **Schnorr
-signatures over a multiplicative group modulo a safe prime** (the 2048-bit
-MODP group from RFC 3526).  The scheme provides what the system actually
-relies on:
+Ethereum signs with ECDSA over secp256k1; accounts here sign with Ed25519
+(RFC 8032), a Schnorr scheme over a twisted Edwards curve.  The scheme
+provides what the system actually relies on:
 
 * a private key that only its holder knows,
 * a public key and a 20-byte Ethereum-style address derived from it,
 * signatures over transaction hashes that anyone can verify against the
   sender's address without the private key.
 
-Signing is deterministic (the nonce is derived from the key and message), so
-test vectors are stable.
+Signing is deterministic (RFC 8032 derives the nonce from the key and the
+message), so test vectors are stable.
 
-Group powers run on the ``libcrypto`` CPython's ``_hashlib`` loaded, or on the
-builtin ``pow`` if it cannot be bound; :func:`schnorr_backend` says which.  A
-verify's ``g^s`` is a product of entries of a fixed-base table of ``g``'s
-powers (Brickell-Gordon-McCurley-Wilson), built once per process on the first
-verify; secret exponents (key generation, signing nonces) never index it.
+Signatures are made and checked by the ``libcrypto`` CPython's ``_hashlib``
+loaded, or by the pure-Python RFC 8032 code below if it cannot be bound;
+:func:`ed25519_backend` says which.  Both see only what
+:func:`verify_signature` lets through: a key that
+:func:`acceptable_public_key` accepts and a response ``S`` below the group
+order ``L``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.errors import InvalidSignatureError
-from repro.utils.cache import LRUCache
 from repro.utils.encoding import from_hex, to_hex
 from repro.utils.hashing import keccak256
 
-# RFC 3526 group 14 (2048-bit MODP).  P is a safe prime: P = 2*Q + 1.
-_P_HEX = (
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
-    "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
-    "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
-    "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
-    "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF"
-)
-
-GROUP_PRIME = int(_P_HEX, 16)
-GROUP_ORDER = (GROUP_PRIME - 1) // 2
-GENERATOR = 2
-
 ADDRESS_BYTES = 20
 
-#: The width of keccak-256, hence of an honest challenge ``e``, nonce and
-#: private key: an honest ``s = k + x*e`` is about twice as wide.
-_HASH_BITS = 256
+#: The field prime, the prime order of the base point, and the curve's ``d``.
+_P = 2**255 - 19
+_L = 2**252 + 27742317777372353535851937790883648493
+_D = -121665 * pow(121666, -1, _P) % _P
+_SQRT_M1 = pow(2, (_P - 1) // 4, _P)
+#: A 32-byte encoding is ``y`` in its low 255 bits and the sign of ``x`` on top.
+_Y_BITS = (1 << 255) - 1
 
-#: ``g``'s fixed-base table reads ``s mod q`` in digits of this many bits...
-_WINDOW_BITS = 6
-#: ...over enough windows to cover an honest ``s < 2^513``: 86, so 516 bits.
-_WINDOWS = -(-(2 * _HASH_BITS + 1) // _WINDOW_BITS)
-_TABLE_BITS = _WINDOWS * _WINDOW_BITS
+#: The ``y`` of a point of order 8.  It, ``_P`` minus it, 0 (order 4), 1 (the
+#: identity) and ``_P - 1`` (order 2) are the ``y`` of every point of small
+#: order, whose keys libsodium refuses (its blocklist, either sign bit).
+_ORDER_8_Y = 2707385501144840649318225287225658788936804267575313519463743609750303402022
+_SMALL_ORDER_Y = frozenset((0, 1, _P - 1, _ORDER_8_Y, _P - _ORDER_8_Y))
+
+#: OpenSSL's ``EVP_PKEY_ED25519`` (``NID_ED25519``).
+_EVP_PKEY_ED25519 = 1087
 
 
-def _int_to_bytes(value: int) -> bytes:
-    """Minimal big-endian byte representation of a non-negative integer."""
-    if value == 0:
-        return b"\x00"
-    return value.to_bytes((value.bit_length() + 7) // 8, "big")
+def _encoded(value: int) -> bytes:
+    """The 32 little-endian bytes RFC 8032 writes for a key, ``R`` or ``S``."""
+    return value.to_bytes(32, "little")  # OverflowError outside [0, 2^256)
 
 
-def _hash_to_int(*parts: bytes) -> int:
-    """Hash arbitrary byte strings to an integer modulo the group order."""
-    return int.from_bytes(keccak256(b"".join(parts)), "big") % GROUP_ORDER
+def _decoded(data: bytes) -> int:
+    """The integer :class:`Signature` keeps for 32 encoded bytes."""
+    if len(data) != 32:
+        raise ValueError(f"an Ed25519 key or scalar is 32 bytes, got {len(data)}")
+    return int.from_bytes(data, "little")
 
+
+def acceptable_public_key(public_key: int) -> bool:
+    """Whether a key may reach either backend: 32 bytes, a canonical ``y``
+    (below ``_P``), and not a small-order point.  OpenSSL's verify, like the
+    bare RFC 8032 equation, accepts the identity key (``01`` then 31 zero
+    bytes) with ``R`` the identity and ``S = 0`` for any message, so without
+    this check anyone could sign for that key's address."""
+    if not 0 <= public_key < 1 << 256:
+        return False
+    y = public_key & _Y_BITS
+    return y < _P and y not in _SMALL_ORDER_Y
+
+
+# -- the pure-Python fallback (RFC 8032, section 5.1) --------------------------
+
+#: A point in extended coordinates ``(X, Y, Z, T)``: ``x = X/Z``, ``y = Y/Z``,
+#: ``x*y = T/Z``.
+_Point = Tuple[int, int, int, int]
+
+
+def _add(first: _Point, second: _Point) -> _Point:
+    """The sum of two points (RFC 8032 5.1.4; also doubles)."""
+    x1, y1, z1, t1 = first
+    x2, y2, z2, t2 = second
+    a, b = (y1 - x1) * (y2 - x2) % _P, (y1 + x1) * (y2 + x2) % _P
+    c, d = 2 * t1 * t2 * _D % _P, 2 * z1 * z2 % _P
+    e, f, g, h = b - a, d - c, d + c, b + a
+    return e * f % _P, g * h % _P, f * g % _P, e * h % _P
+
+
+def _multiply(scalar: int, point: _Point) -> _Point:
+    """``[scalar] point`` by double-and-add: not constant-time."""
+    result = (0, 1, 1, 0)
+    while scalar:
+        if scalar & 1:
+            result = _add(result, point)
+        point = _add(point, point)
+        scalar >>= 1
+    return result
+
+
+def _compress(point: _Point) -> bytes:
+    x, y, z, _ = point
+    inverse = pow(z, -1, _P)
+    x, y = x * inverse % _P, y * inverse % _P
+    return _encoded(y | (x & 1) << 255)
+
+
+def _decompress(encoded: int) -> Optional[_Point]:
+    """The point an encoding with a canonical ``y`` names, or ``None``."""
+    y, sign = encoded & _Y_BITS, encoded >> 255
+    square = (y * y - 1) * pow(_D * y * y + 1, -1, _P) % _P
+    x = pow(square, (_P + 3) // 8, _P)
+    if (x * x - square) % _P:
+        x = x * _SQRT_M1 % _P
+    if (x * x - square) % _P or (x == 0 and sign):
+        return None
+    if x & 1 != sign:
+        x = _P - x
+    return x, y, 1, x * y % _P
+
+
+_BASE = _decompress(4 * pow(5, -1, _P) % _P)
+
+
+def _scalar(*parts: bytes) -> int:
+    """SHA-512 of ``parts``, little-endian, mod ``_L``."""
+    return int.from_bytes(hashlib.sha512(b"".join(parts)).digest(), "little") % _L
+
+
+class _PurePython:
+    """RFC 8032 in Python integers: the fallback when libcrypto cannot be
+    bound, and the oracle of the differential test.  Exact, but two orders
+    of magnitude slower, and not constant-time."""
+
+    def __init__(self, reason: str) -> None:
+        self.name = f"pure python ({reason})"
+
+    @staticmethod
+    def _expand(seed: bytes) -> Tuple[int, bytes]:
+        """The secret scalar (clamped) and the nonce prefix of a seed."""
+        digest = hashlib.sha512(seed).digest()
+        secret = int.from_bytes(digest[:32], "little") & ((1 << 254) - 8) | 1 << 254
+        return secret, digest[32:]
+
+    def public_key(self, seed: bytes) -> bytes:
+        return _compress(_multiply(self._expand(seed)[0], _BASE))
+
+    def sign(self, seed: bytes, message: bytes) -> bytes:
+        secret, prefix = self._expand(seed)
+        public_key = _compress(_multiply(secret, _BASE))
+        nonce = _scalar(prefix, message)
+        commitment = _compress(_multiply(nonce, _BASE))
+        response = (nonce + _scalar(commitment, public_key, message) * secret) % _L
+        return commitment + _encoded(response)
+
+    def verify(self, public_key: bytes, signature: bytes, message: bytes) -> bool:
+        """``[S]B - [k]A``, compressed, against ``R``'s bytes, as OpenSSL's
+        ``ossl_ed25519_verify`` compares them."""
+        point = _decompress(int.from_bytes(public_key, "little"))
+        if point is None:
+            return False
+        x, y, z, t = point
+        challenge = _scalar(signature[:32], public_key, message)
+        check = _add(_multiply(int.from_bytes(signature[32:], "little"), _BASE),
+                     _multiply(challenge, (_P - x, y, z, _P - t)))
+        return _compress(check) == signature[:32]
+
+
+# -- libcrypto ------------------------------------------------------------------
 
 def _checked(result, func, args):
     """``errcheck`` of the bound calls: NULL or 0 means libcrypto failed."""
@@ -80,236 +180,126 @@ def _checked(result, func, args):
     return result
 
 
-class _Scratch:
-    """One thread's ``BN_CTX``, ``BIGNUM`` s and output buffer."""
+class _Context:
+    """One thread's ``EVP_MD_CTX``, freed with the thread's local storage."""
 
-    def __init__(self, lib, out) -> None:
-        self._lib, self.out, self.ctx = lib, out, lib.BN_CTX_new()
-        self.result, self.partial = lib.BN_new(), lib.BN_new()
-        self.operands = tuple(lib.BN_new() for _ in range(5))
+    def __init__(self, lib) -> None:
+        self._lib, self.pointer = lib, lib.EVP_MD_CTX_new()
 
     def __del__(self) -> None:
-        for bignum in (self.result, self.partial, *self.operands):
-            self._lib.BN_free(bignum)
-        self._lib.BN_CTX_free(self.ctx)
-
-
-class _BuiltinPow:
-    """The fallback when libcrypto cannot be bound: exact, ~14x slower."""
-
-    def __init__(self, reason: str) -> None:
-        self.name = f"builtin pow ({reason})"
-
-    def generator_power(self, exponent: int) -> int:
-        return pow(GENERATOR, exponent, GROUP_PRIME)
-
-    def inverse(self, value: int) -> int:
-        return pow(value, -1, GROUP_PRIME)
-
-    def power(self, base: int, exponent: int) -> int:
-        return pow(base, exponent, GROUP_PRIME)
-
-    def commitment(self, s: int, e: int, inverse: int, inverse_high: int) -> int:
-        # Splitting the exponents saves builtin ``pow`` no squaring.
-        return pow(GENERATOR, s, GROUP_PRIME) * pow(inverse, e, GROUP_PRIME) % GROUP_PRIME
+        self._lib.EVP_MD_CTX_free(self.pointer)
 
 
 class _Libcrypto:
-    """OpenSSL's Montgomery powers mod ``GROUP_PRIME``.  Only the calling
-    thread's :class:`_Scratch` is written after the bind, except for the
-    fixed-base table of ``g`` that the first verify builds under a lock and
-    publishes whole, so ``ctypes`` may release the GIL and a forked child
-    inherits both.  Generator exponents are reduced mod ``GROUP_ORDER``
-    (exact: ``g``'s order divides it) first."""
+    """Ed25519 through OpenSSL's ``EVP`` one-shot calls.  Every call parses
+    its key (one ``EVP_PKEY`` a call, freed before it returns: no per-key
+    state) and runs on the calling thread's ``EVP_MD_CTX``, so ``ctypes``
+    may release the GIL and a forked child inherits nothing half-written."""
 
     def __init__(self) -> None:
         import _hashlib
         import ctypes
 
         lib = ctypes.CDLL(_hashlib.__file__)  # AttributeError if built in
-        ptr, num, buf = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
+        ptr, num, buf, size = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_size_t
         for name, restype, argtypes in (
-                ("BN_new", ptr, ()), ("BN_CTX_new", ptr, ()), ("BN_MONT_CTX_new", ptr, ()),
-                ("BN_bin2bn", ptr, (buf, num, ptr)), ("BN_bn2binpad", num, (ptr, buf, num)),
-                ("BN_copy", ptr, (ptr,) * 2), ("BN_MONT_CTX_set", num, (ptr,) * 3),
-                ("BN_to_montgomery", num, (ptr,) * 4), ("BN_mod_mul_montgomery", num, (ptr,) * 5),
-                ("BN_mod_exp2_mont", num, (ptr,) * 8), ("BN_mod_exp_mont", num, (ptr,) * 6),
-                ("BN_mod_inverse", ptr, (ptr,) * 4),
-                ("BN_mod_exp_mont_consttime", num, (ptr,) * 6), ("OpenSSL_version", buf, (num,)),
-                ("BN_free", None, (ptr,)), ("BN_CTX_free", None, (ptr,))):
+                ("EVP_PKEY_new_raw_private_key", ptr, (num, ptr, buf, size)),
+                ("EVP_PKEY_new_raw_public_key", ptr, (num, ptr, buf, size)),
+                ("EVP_PKEY_get_raw_public_key", num, (ptr, buf, ctypes.POINTER(size))),
+                ("EVP_MD_CTX_new", ptr, ()), ("EVP_MD_CTX_reset", num, (ptr,)),
+                ("EVP_DigestSignInit", num, (ptr,) * 5),
+                ("EVP_DigestSign", num, (ptr, buf, ctypes.POINTER(size), buf, size)),
+                ("EVP_DigestVerifyInit", num, (ptr,) * 5),
+                ("EVP_DigestVerify", num, (ptr, buf, size, buf, size)),
+                ("OpenSSL_version", buf, (num,)), ("ERR_clear_error", None, ()),
+                ("EVP_PKEY_free", None, (ptr,)), ("EVP_MD_CTX_free", None, (ptr,))):
             func = getattr(lib, name)
             func.restype, func.argtypes = restype, argtypes
-            if restype is not None:
+            if restype is not None and name != "EVP_DigestVerify":
                 func.errcheck = _checked
-        self._lib, self._local, self._buffer = lib, threading.local(), ctypes.create_string_buffer
+        self._lib, self._local = lib, threading.local()
+        self._buffer, self._size, self._reference = \
+            ctypes.create_string_buffer, ctypes.c_size_t, ctypes.byref
         self.name = f"libcrypto ({lib.OpenSSL_version(0).decode()})"
-        self._modulus, self._generator = self._load(None, GROUP_PRIME), self._load(None, GENERATOR)
-        self._mont, ctx = lib.BN_MONT_CTX_new(), lib.BN_CTX_new()
+
+    def _context(self):
+        """This thread's ``EVP_MD_CTX``, reset: a context initialised again
+        without a reset keeps the key it was first given."""
+        context = getattr(self._local, "context", None)
+        if context is None:
+            context = self._local.context = _Context(self._lib)
+        self._lib.EVP_MD_CTX_reset(context.pointer)
+        return context.pointer
+
+    def public_key(self, seed: bytes) -> bytes:
+        lib = self._lib
+        key = lib.EVP_PKEY_new_raw_private_key(_EVP_PKEY_ED25519, None, seed, 32)
         try:
-            lib.BN_MONT_CTX_set(self._mont, self._modulus, ctx)
+            out, length = self._buffer(32), self._size(32)
+            lib.EVP_PKEY_get_raw_public_key(key, out, self._reference(length))
+            return out.raw
         finally:
-            lib.BN_CTX_free(ctx)
-        #: ``None`` until the first verify, then :meth:`_build_table`'s entries
-        #: and ``g^(2^_TABLE_BITS)``.
-        self._table: Optional[Sequence[int]] = None
-        self._table_lock = threading.Lock()
-        self._generator_beyond = None
+            lib.EVP_PKEY_free(key)
 
-    def _load(self, bignum, value: int):
-        data = _int_to_bytes(value)
-        return self._lib.BN_bin2bn(data, len(data), bignum)
-
-    def _scratch(self, *values: int) -> _Scratch:
-        """This thread's scratch, its first operands loaded with ``values``."""
-        if not hasattr(self._local, "scratch"):
-            self._local.scratch = _Scratch(self._lib, self._buffer(GROUP_PRIME.bit_length() // 8))
-        t = self._local.scratch
-        for bignum, value in zip(t.operands, values):
-            self._load(bignum, value)
-        return t
-
-    def _result(self, t: _Scratch) -> int:
-        self._lib.BN_bn2binpad(t.result, t.out, len(t.out))
-        return int.from_bytes(t.out.raw, "big")
-
-    def _build_table(self) -> Tuple[Sequence[int], int]:
-        """``g^(d * 2^(6k))`` in Montgomery form at index ``64k + d`` for each
-        window ``k`` and digit ``d`` in 1..63 (one ``BN_mod_mul_montgomery``
-        apiece) and Montgomery one at index 0; and ``g^(2^516)``, for the bits
-        of ``s`` beyond them."""
-        lib, mont, ctx = self._lib, self._mont, self._lib.BN_CTX_new()
-        digits = 1 << _WINDOW_BITS
-        table = tuple(lib.BN_new() for _ in range(_WINDOWS * digits))
+    def sign(self, seed: bytes, message: bytes) -> bytes:
+        lib = self._lib
+        key = lib.EVP_PKEY_new_raw_private_key(_EVP_PKEY_ED25519, None, seed, 32)
         try:
-            lib.BN_to_montgomery(table[0], self._load(table[0], 1), mont, ctx)
-            lib.BN_to_montgomery(table[1], self._generator, mont, ctx)
-            for row in range(0, _WINDOWS * digits, digits):
-                if row:  # g^(2^(6k)) = g^(63 * 2^(6k-6)) * g^(2^(6k-6))
-                    lib.BN_mod_mul_montgomery(table[row + 1], table[row - 1],
-                                              table[row - digits + 1], mont, ctx)
-                for index in range(row + 2, row + digits):
-                    lib.BN_mod_mul_montgomery(table[index], table[index - 1], table[row + 1],
-                                              mont, ctx)
+            context = self._context()
+            lib.EVP_DigestSignInit(context, None, None, None, key)
+            out, length = self._buffer(64), self._size(64)
+            lib.EVP_DigestSign(context, out, self._reference(length), message, len(message))
+            return out.raw
         finally:
-            lib.BN_CTX_free(ctx)
-        return table, self._load(None, self.power(GENERATOR, 1 << _TABLE_BITS))
+            lib.EVP_PKEY_free(key)
 
-    def generator_power(self, exponent: int) -> int:
-        """``g^exponent`` in constant time: the exponent may be secret."""
-        t = self._scratch(exponent % GROUP_ORDER)
-        self._lib.BN_mod_exp_mont_consttime(
-            t.result, self._generator, t.operands[0], self._modulus, t.ctx, self._mont)
-        return self._result(t)
-
-    def inverse(self, value: int) -> int:
-        """``value^-1`` for a public ``value`` in ``(0, P)``."""
-        t = self._scratch(value)
-        self._lib.BN_mod_inverse(t.result, t.operands[0], self._modulus, t.ctx)
-        return self._result(t)
-
-    def power(self, base: int, exponent: int) -> int:
-        """``base^exponent`` for public ``base, exponent >= 0``."""
-        t = self._scratch(base, exponent)
-        self._lib.BN_mod_exp_mont(t.result, *t.operands[:2], self._modulus, t.ctx, self._mont)
-        return self._result(t)
-
-    def commitment(self, s: int, e: int, inverse: int, inverse_high: int) -> int:
-        """``g^s * inverse^e`` for public ``s`` and ``e >= 0``, given
-        ``inverse_high = inverse^(2^128)``.  ``g^(s mod q)`` is one Montgomery
-        product per non-zero 6-bit digit of its low 516 bits with the table
-        (times one ``BN_mod_exp_mont`` of ``g^(2^516)`` for the bits above,
-        which no honest signer sets); ``e`` splits at bit 128 over the two
-        inverses into one ``BN_mod_exp2_mont`` of 128 squarings, and one more
-        product joins the halves and leaves Montgomery form."""
-        table = self._table
-        if table is None:
-            with self._table_lock:
-                if self._table is None:
-                    table, self._generator_beyond = self._build_table()
-                    self._table = table  # published last: who sees it sees both
-            table = self._table
-        s %= GROUP_ORDER
-        half = _HASH_BITS // 2
-        t = self._scratch(s >> _TABLE_BITS, inverse, inverse_high, e & ((1 << half) - 1),
-                          e >> half)
-        s_beyond, base, base_high, e_low, e_high = t.operands
-        lib, modulus, ctx, mont = self._lib, self._modulus, t.ctx, self._mont
-        product, digits = lib.BN_mod_mul_montgomery, 1 << _WINDOW_BITS
-        if s >> _TABLE_BITS:
-            lib.BN_mod_exp_mont(t.result, self._generator_beyond, s_beyond, modulus, ctx, mont)
-            lib.BN_to_montgomery(t.result, t.result, mont, ctx)
-        else:
-            lib.BN_copy(t.result, table[0])
-        for row in range(0, _WINDOWS * digits, digits):
-            digit = s & (digits - 1)
-            if digit:
-                product(t.result, t.result, table[row + digit], mont, ctx)
-            s >>= _WINDOW_BITS
-        lib.BN_mod_exp2_mont(t.partial, base, e_low, base_high, e_high, modulus, ctx, mont)
-        product(t.result, t.result, t.partial, mont, ctx)
-        return self._result(t)
+    def verify(self, public_key: bytes, signature: bytes, message: bytes) -> bool:
+        lib = self._lib
+        key = lib.EVP_PKEY_new_raw_public_key(_EVP_PKEY_ED25519, None, public_key, 32)
+        try:
+            context = self._context()
+            lib.EVP_DigestVerifyInit(context, None, None, None, key)
+            if lib.EVP_DigestVerify(context, signature, 64, message, len(message)) == 1:
+                return True
+            lib.ERR_clear_error()  # a refusal leaves its reason queued
+            return False
+        finally:
+            lib.EVP_PKEY_free(key)
 
 
-#: ``None`` until the first power, then the kernel every power runs on.
-_backend: Union[None, _Libcrypto, _BuiltinPow] = None
+#: ``None`` until the first key, signature or verify, then the backend every
+#: one runs on.
+_backend: Union[None, _Libcrypto, _PurePython] = None
 _BIND_LOCK = threading.Lock()
 
 
-def _kernel() -> Union[_Libcrypto, _BuiltinPow]:
-    """The power kernel, bound on first use."""
+def _kernel() -> Union[_Libcrypto, _PurePython]:
+    """The Ed25519 backend, bound on first use."""
     global _backend
     if _backend is None:
         with _BIND_LOCK:
             try:
                 _backend = _backend or _Libcrypto()
             except (ImportError, OSError, AttributeError) as exc:
-                _backend = _BuiltinPow(f"{type(exc).__name__}: {exc}")
+                _backend = _PurePython(f"{type(exc).__name__}: {exc}")
     return _backend
 
 
-def schnorr_backend() -> str:
-    """``libcrypto (<OpenSSL version>)``, or ``builtin pow (<why not>)``."""
+def ed25519_backend() -> str:
+    """``libcrypto (<OpenSSL version>)``, or ``pure python (<why not>)``."""
     return _kernel().name
-
-
-class _SenderKey(NamedTuple):
-    """What a verify needs of a public key ``y`` besides ``y`` itself."""
-
-    inverse: int  # y^-1 mod P
-    inverse_high: int  # (y^-1)^(2^128) mod P, the base of e's high 128 bits
-    address: str  # the checksummed address y hashes to
-
-
-#: A :class:`_SenderKey` per public key: every verify needs one, senders
-#: repeat, and one costs ~0.41 ms (the inverse 0.28 ms of it).  Its counters
-#: surface through ``obs_cacheStats`` as ``schnorr_inverse``.
-_INVERSE_CACHE = LRUCache(capacity=16384)
-
-
-def inverse_cache() -> LRUCache:
-    """The per-public-key inverse cache (for obs cache-stats registration)."""
-    return _INVERSE_CACHE
-
-
-def _sender_key(public_key: int) -> _SenderKey:
-    """``public_key``'s :class:`_SenderKey`, memoized per key."""
-    cached = _INVERSE_CACHE.get(public_key)
-    if cached is None:
-        kernel = _kernel()
-        inverse = kernel.inverse(public_key)
-        cached = _SenderKey(inverse, kernel.power(inverse, 1 << (_HASH_BITS // 2)),
-                            address_from_public_key(public_key))
-        _INVERSE_CACHE.put(public_key, cached)
-    return cached
 
 
 @dataclass(frozen=True)
 class Signature:
-    """A Schnorr signature ``(commitment e, response s)`` plus the public key.
+    """An Ed25519 signature ``(commitment e, response s)`` plus the public key.
 
-    The public key travels with the signature (as it does implicitly with
-    ECDSA recovery in Ethereum) so that the verifier can both check the
-    signature and confirm that the key hashes to the claimed sender address.
+    ``e`` is the commitment point ``R`` and ``public_key`` the point ``A``,
+    each as the little-endian integer of its 32-byte RFC 8032 encoding; ``s``
+    is the scalar ``S``.  The public key travels with the signature (as it
+    does implicitly with ECDSA recovery in Ethereum) so that the verifier can
+    both check the signature and confirm that the key hashes to the claimed
+    sender address.
     """
 
     e: int
@@ -317,30 +307,31 @@ class Signature:
     public_key: int
 
     def to_dict(self) -> dict:
-        """JSON-serializable representation (hex-encoded components)."""
+        """JSON-serializable representation: each part's 32 RFC 8032 bytes
+        in hex.  Raises ``OverflowError`` for a part outside ``[0, 2^256)``."""
         return {
-            "e": to_hex(_int_to_bytes(self.e)),
-            "s": to_hex(_int_to_bytes(self.s)),
-            "public_key": to_hex(_int_to_bytes(self.public_key)),
+            "e": to_hex(_encoded(self.e)),
+            "s": to_hex(_encoded(self.s)),
+            "public_key": to_hex(_encoded(self.public_key)),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Signature":
         """Reconstruct a signature from :meth:`to_dict` output."""
         return cls(
-            e=int.from_bytes(from_hex(payload["e"]), "big"),
-            s=int.from_bytes(from_hex(payload["s"]), "big"),
-            public_key=int.from_bytes(from_hex(payload["public_key"]), "big"),
+            e=_decoded(from_hex(payload["e"])),
+            s=_decoded(from_hex(payload["s"])),
+            public_key=_decoded(from_hex(payload["public_key"])),
         )
 
 
 def address_from_public_key(public_key: int) -> str:
     """Derive a checksummed 20-byte address from a public key.
 
-    Mirrors Ethereum: the address is the last 20 bytes of the hash of the
-    public key, rendered with an EIP-55-style mixed-case checksum.
+    Mirrors Ethereum: the address is the last 20 bytes of the keccak of the
+    32-byte public key, rendered with an EIP-55-style mixed-case checksum.
     """
-    digest = keccak256(_int_to_bytes(public_key))
+    digest = keccak256(_encoded(public_key))
     return to_checksum_address(to_hex(digest[-ADDRESS_BYTES:]))
 
 
@@ -364,16 +355,15 @@ class KeyPair:
     Parameters
     ----------
     private_key:
-        The private seed bytes; :meth:`from_label` derives one from a
-        human-readable label.
+        The private bytes; the Ed25519 seed is their keccak, so any length
+        will do.  :meth:`from_label` derives them from a human-readable label.
     """
 
     def __init__(self, private_key: bytes) -> None:
         if len(private_key) == 0:
             raise ValueError("private key must be non-empty bytes")
-        self._private_seed = bytes(private_key)
-        self._x = _hash_to_int(b"oflw3-priv", self._private_seed) or 1
-        self.public_key = _kernel().generator_power(self._x)
+        self._seed = keccak256(b"oflw3-priv" + bytes(private_key))
+        self.public_key = _decoded(_kernel().public_key(self._seed))
         self.address = address_from_public_key(self.public_key)
 
     # -- construction -------------------------------------------------------
@@ -390,35 +380,28 @@ class KeyPair:
     # -- signing ------------------------------------------------------------
 
     def sign(self, message_hash: bytes) -> Signature:
-        """Produce a deterministic Schnorr signature over a 32-byte hash."""
+        """Produce a deterministic Ed25519 signature over a 32-byte hash."""
         if len(message_hash) != 32:
             raise ValueError("sign expects a 32-byte message hash")
-        nonce = _hash_to_int(b"oflw3-nonce", self._private_seed, message_hash) or 1
-        commitment = _kernel().generator_power(nonce)
-        challenge = _hash_to_int(_int_to_bytes(commitment), message_hash)
-        response = (nonce + challenge * self._x) % GROUP_ORDER
-        return Signature(e=challenge, s=response, public_key=self.public_key)
+        signed = _kernel().sign(self._seed, message_hash)
+        return Signature(e=_decoded(signed[:32]), s=_decoded(signed[32:]),
+                         public_key=self.public_key)
 
 
 def verify_signature(signature: Signature, message_hash: bytes) -> bool:
-    """Verify a Schnorr signature.
+    """Verify an Ed25519 signature over a 32-byte hash.
 
-    Returns ``True`` when ``g^s == r * y^e`` for the reconstructed commitment
-    ``r``; :func:`recover_address` names the key's address.
+    A key :func:`acceptable_public_key` refuses, an ``S`` at or above ``L``
+    or an ``e`` wider than 32 bytes is rejected before any curve
+    arithmetic; :func:`recover_address` names the key's address.
     """
     if len(message_hash) != 32:
         raise ValueError("verify expects a 32-byte message hash")
-    y, e = signature.public_key, signature.e
-    if not (1 < y < GROUP_PRIME):
+    if not (acceptable_public_key(signature.public_key) and 0 <= signature.s < _L
+            and 0 <= signature.e < 1 << 256):
         return False
-    if not (0 <= e < 1 << _HASH_BITS):
-        # Never equal to a keccak-256 digest (< 2^256 < q, so reducing it mod
-        # GROUP_ORDER is a no-op): reject before any arithmetic.
-        return False
-    key = _sender_key(y)
-    # g^s = g^(k + x*e) = r * y^e  =>  r = g^s * (y^-1)^e.
-    r = _kernel().commitment(signature.s, e, key.inverse, key.inverse_high)
-    return _hash_to_int(_int_to_bytes(r), message_hash) == e
+    return _kernel().verify(_encoded(signature.public_key),
+                            _encoded(signature.e) + _encoded(signature.s), message_hash)
 
 
 def recover_address(signature: Signature, message_hash: bytes) -> str:
@@ -431,6 +414,4 @@ def recover_address(signature: Signature, message_hash: bytes) -> str:
     """
     if not verify_signature(signature, message_hash):
         raise InvalidSignatureError("signature does not verify")
-    # The entry the verify just read, unless another thread has evicted it.
-    key = _INVERSE_CACHE.peek(signature.public_key)
-    return address_from_public_key(signature.public_key) if key is None else key.address
+    return address_from_public_key(signature.public_key)

@@ -65,7 +65,7 @@ class Mempool:
     def add(self, tx: Transaction, verify: bool = True) -> str:
         """Queue a signed transaction; returns its hash.
 
-        ``verify=False`` admits the transaction without the Schnorr check
+        ``verify=False`` admits the transaction without the signature check
         (it must still carry *a* signature): deferred batch verification
         settles the verdict at block production and evicts failures before
         selection ever sees them.

@@ -180,7 +180,7 @@ class Transaction:
 
         The verdict is memoized per (signature, identity-fields) pair: a
         transaction is verified on submission, again by the mempool and a
-        third time at block execution, and the Schnorr check is by far the
+        third time at block execution, and the Ed25519 check is by far the
         most expensive step on the ingest path.  Mutating any identity field
         or the signature drops the memo.
         """

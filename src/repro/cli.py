@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default: 8545)")
     serve_parser.add_argument("--batch-verify", type=int, nargs="?", const=4,
                               default=None, metavar="W",
-                              help="deferred Schnorr verification with W "
+                              help="deferred signature verification with W "
                                    "verify workers (default W: 4; 0 = "
                                    "inline)")
     serve_parser.add_argument("--store", default=None, metavar="DIR",
@@ -823,7 +823,7 @@ def _command_show(path: str) -> int:
 
 def _command_info() -> int:
     """Implement the ``info`` subcommand."""
-    from repro.chain.keys import schnorr_backend
+    from repro.chain.keys import ed25519_backend
 
     print(f"repro {__version__} - OFL-W3 reproduction")
     print("subsystems: chain, contracts, ipfs, ml, data, fl, incentives, web, rpc, "
@@ -835,7 +835,7 @@ def _command_info() -> int:
     print("docs: README.md, docs/architecture.md, docs/rpc.md, docs/simnet.md, "
           "docs/cli.md, docs/performance.md, docs/observability.md, "
           "docs/analytics.md, docs/networking.md")
-    print(f"schnorr: {schnorr_backend()}")
+    print(f"ed25519: {ed25519_backend()}")
     return 0
 
 

@@ -1,10 +1,10 @@
-"""Out-of-process Schnorr signature verification.
+"""Out-of-process Ed25519 signature verification.
 
-Signature checks are pure CPU (modular exponentiation in the 2048-bit RFC
-3526 group, see ``repro.chain.keys``) and touch no chain state, so they are
-the one phase that genuinely benefits from *processes* rather than threads.
-Every worker runs the one authoritative check, :func:`_verify_job` ->
-``verify_signature``, and keeps its own ``schnorr_inverse`` entries.  The owner
+Signature checks are pure CPU (curve arithmetic in libcrypto, see
+``repro.chain.keys``) and touch no chain state, so they are the one phase
+that genuinely benefits from *processes* rather than threads.  Every worker
+runs the one authoritative check, :func:`_verify_job` ->
+``verify_signature``, which keeps no per-key state.  The owner
 (``repro.batchverify``) dispatches every cold (not-yet-memoized) signature
 and joins the handle before it evicts anything, so a failed verify is
 decided before any shared-state write.
@@ -46,7 +46,7 @@ def _verify_job(job: VerifyJob) -> bool:
     """Worker-side verify: rebuild the signature and check it (picklable).
 
     Mirrors :meth:`Transaction.verify_signature` exactly -- recover the
-    signer address from the Schnorr signature and compare to the claimed
+    signer address from the Ed25519 signature and compare to the claimed
     sender -- so the memoized verdict is indistinguishable from an inline
     verify.
     """
@@ -74,7 +74,7 @@ def _memoized_verdict(tx: Transaction) -> Optional[bool]:
     """The memoized verify verdict, or ``None`` when the memo is cold.
 
     An unsigned transaction is "warm" with verdict ``False``: there is no
-    Schnorr work to farm out, and :meth:`Transaction.verify_signature`
+    curve work to farm out, and :meth:`Transaction.verify_signature`
     short-circuits to ``False`` before consulting its memo anyway.
     """
     signature = tx.signature
@@ -95,7 +95,7 @@ SENDER_CHUNK_TARGET = 64
 
 
 class SignatureVerifyPool:
-    """Lazily-started process pool for Schnorr signature verification."""
+    """Lazily-started process pool for Ed25519 signature verification."""
 
     def __init__(self, workers: int) -> None:
         self.workers = max(0, int(workers))
@@ -129,10 +129,10 @@ class SignatureVerifyPool:
         """Like :meth:`prewarm_async`, with chunks packed by sender.
 
         A sender's signatures (senders in first-seen order) land in one
-        chunk, hence on one worker, so the sender's memoized ``y^-1``,
-        ``(y^-1)^(2^128)`` and address (one ``repro.chain.keys.inverse_cache``
-        entry) are computed once per pool instead of once per worker.
-        Groups are packed up to :data:`SENDER_CHUNK_TARGET` but never split.
+        chunk, hence on one worker.  A verify keeps no per-key state, so
+        this buys no arithmetic; it keeps one sender's transactions, which
+        settle together, on one worker.  Groups are packed up to
+        :data:`SENDER_CHUNK_TARGET` but never split.
         """
         grouped: Dict[str, List[Transaction]] = {}
         for tx in _cold(transactions):

@@ -31,7 +31,7 @@ from repro.chain.receipts import TransactionReceipt
 from repro.chain.transaction import Transaction, encode_call
 from repro.ipfs.node import IpfsNode
 from repro.rpc.gateway import JsonRpcGateway
-from repro.rpc.protocol import from_quantity, make_request
+from repro.rpc.protocol import from_quantity, make_request, to_quantity
 from repro.utils.encoding import to_hex
 
 
@@ -228,7 +228,12 @@ class EthClient:
         return self._rpc.call("eth_call", call_object)
 
     def estimate_gas(self, tx: Transaction) -> int:
-        return from_quantity(self._rpc.call("eth_estimateGas", tx.to_dict()))
+        call_object = {"from": str(tx.sender), "value": to_quantity(tx.value),
+                       "data": to_hex(tx.data), "gas": to_quantity(tx.gas_limit),
+                       "gasPrice": to_quantity(tx.gas_price)}
+        if tx.to is not None:
+            call_object["to"] = str(tx.to)
+        return from_quantity(self._rpc.call("eth_estimateGas", call_object))
 
     # -- blocks / logs -----------------------------------------------------------
 

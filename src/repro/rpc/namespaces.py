@@ -28,6 +28,7 @@ from repro.chain.account import Address
 from repro.chain.events import LogFilter
 from repro.chain.node import EthereumNode
 from repro.chain.transaction import Transaction, decode_payload
+from repro.errors import ReproError
 from repro.ipfs.node import IpfsNode
 from repro.ipfs.swarm import Swarm
 from repro.rpc.filters import FilterManager
@@ -36,6 +37,7 @@ from repro.rpc.protocol import (
     JsonRpcError,
     METHOD_NOT_ALLOWED,
     SERVER_ERROR,
+    from_quantity,
     to_quantity,
 )
 from repro.utils.encoding import HexString, from_hex
@@ -139,6 +141,34 @@ def _log_query(node: Any, criteria: Any) -> Tuple[Optional[LogFilter], Any, Any]
     return _log_filter_from_params(node, criteria), limit, cursor
 
 
+def _probe(node: Any, call_object: Dict[str, Any]) -> Transaction:
+    """The unsigned transaction ``eth_estimateGas`` prices for a web3 call
+    object: ``from`` (default the zero address), ``to``, ``value``,
+    ``data``, ``gas`` (default the block gas limit) and ``gasPrice``
+    (default 0), at the sender's current nonce.  A field that does not
+    parse is a ``-32602`` naming it, never echoing its value."""
+    def field(name: str, parse: Callable[[Any], Any], default: Any) -> Any:
+        value = call_object.get(name)
+        if value is None:
+            return default
+        try:
+            return parse(value)
+        except (ReproError, TypeError, ValueError):
+            raise JsonRpcError(INVALID_PARAMS, f"invalid params for eth_estimateGas: "
+                                               f"{name} is malformed") from None
+
+    sender = field("from", Address, Address("0x" + "00" * 20))
+    return Transaction(
+        sender=sender,
+        to=field("to", Address, None),
+        value=field("value", from_quantity, 0),
+        data=field("data", from_hex, b""),
+        nonce=node.get_transaction_count(sender),
+        gas_limit=field("gas", from_quantity, node.chain.config.block_gas_limit),
+        gas_price=field("gasPrice", from_quantity, 0),
+    )
+
+
 class EthNamespace:
     """``eth_*`` handlers over one node, plus subscription filters."""
 
@@ -219,11 +249,16 @@ class EthNamespace:
             caller=call_object.get("from"),
         )
 
-    def estimate_gas(self, transaction: Dict[str, Any]) -> str:
-        """Estimated gas for a transaction object, as a hex quantity."""
-        if not isinstance(transaction, dict):
+    def estimate_gas(self, call_object: Dict[str, Any]) -> str:
+        """Estimated gas for a web3 call object (``{"from", "to", "value", ...}``).
+
+        Returned as a hex quantity.  The object needs no signature or nonce;
+        :func:`_probe` reads ``from``, ``to``, ``value``, ``data``, ``gas``
+        and ``gasPrice``.
+        """
+        if not isinstance(call_object, dict):
             raise JsonRpcError(INVALID_PARAMS, "eth_estimateGas needs a transaction object")
-        return to_quantity(self.node.estimate_gas(Transaction.from_dict(transaction)))
+        return to_quantity(self.node.estimate_gas(_probe(self.node, call_object)))
 
     # -- logs ------------------------------------------------------------------
 

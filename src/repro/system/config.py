@@ -14,7 +14,7 @@ experiment.  Two presets are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.errors import ConfigError
 from repro.utils.units import ether_to_wei, gwei_to_wei
@@ -40,13 +40,8 @@ class OFLW3Config:
     variation_rank: int = 24
     label_noise: float = 0.0
 
-    # Partitioning.  Dirichlet is the only scheme; the field stays because
-    # the saved report carries it until the pinned reports are re-pinned.
-    partition_scheme: str = "dirichlet"
+    # Partitioning: PFNM's heterogeneous Dirichlet split, its concentration.
     partition_alpha: float = 0.35
-    #: Read by no partitioner since the label-skew scheme was deleted; the
-    #: saved report still carries it until the pinned reports are re-pinned.
-    classes_per_client: int = 2
 
     # Model and local training
     layer_sizes: Tuple[int, ...] = (784, 100, 10)
@@ -68,10 +63,6 @@ class OFLW3Config:
     # Reproducibility
     seed: int = 7
 
-    # Set by no caller.  It stays because asdict() writes it into every saved
-    # report, so removing it re-pins tests/system/test_report_pin.py.
-    samples_per_owner: Optional[int] = None
-
     def __post_init__(self) -> None:
         if self.num_owners <= 0:
             raise ConfigError(f"num_owners must be positive, got {self.num_owners}")
@@ -81,9 +72,6 @@ class OFLW3Config:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if self.partition_scheme != "dirichlet":
-            raise ConfigError(
-                f"partition_scheme must be 'dirichlet', got {self.partition_scheme!r}")
         if len(self.layer_sizes) < 2:
             raise ConfigError(f"layer_sizes needs at least two entries, got {self.layer_sizes}")
         if not 0.0 <= self.participation_floor_fraction < 1.0:
@@ -91,10 +79,6 @@ class OFLW3Config:
                 "participation_floor_fraction must be in [0, 1), "
                 f"got {self.participation_floor_fraction}"
             )
-        if self.samples_per_owner is not None:
-            # Convenience: interpret samples_per_owner as a total-sample override.
-            total = int(self.samples_per_owner) * self.num_owners
-            object.__setattr__(self, "num_samples", max(total, self.num_owners * 20))
 
     # -- derived quantities ---------------------------------------------------------
 

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 from repro.chain.account import checksum_cache
 from repro.chain.chain import ChainConfig
 from repro.chain.faucet import Faucet
-from repro.chain.keys import inverse_cache
 from repro.chain.node import EthereumNode
 from repro.contracts.registry import default_registry
 from repro.errors import ConfigError
@@ -125,11 +124,9 @@ class Stack:
 
 
 def _caches(replies: Any, engine: Optional[Any]) -> Dict[str, Any]:
-    """Every ``LRUCache`` by its ``cache=`` label: the two process-wide chain
-    caches, the gateway's reply cache and the engine's read cache."""
-    caches = {"address_checksum": checksum_cache(),
-              "schnorr_inverse": inverse_cache(),
-              "rpc_reply": replies}
+    """Every ``LRUCache`` by its ``cache=`` label: the process-wide address
+    checksum cache, the gateway's reply cache and the engine's read cache."""
+    caches = {"address_checksum": checksum_cache(), "rpc_reply": replies}
     if engine is not None:
         caches["storage"] = engine.cache
     return caches

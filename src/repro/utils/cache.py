@@ -60,11 +60,6 @@ class LRUCache:
             self.misses += 1
             return None
 
-    def peek(self, key: Hashable) -> Any:
-        """Look up without touching recency or statistics (``None`` when
-        absent): re-read an entry a counted lookup just returned."""
-        return self._entries.get(key)
-
     def put(self, key: Hashable, value: Any) -> None:
         """Insert or refresh ``key``; evicts the LRU entry when full."""
         with self._lock:

@@ -18,7 +18,8 @@ from repro.batchverify.engine import zero_stats
 from repro.chain import EthereumNode, Faucet
 from repro.chain.account import Address
 from repro.chain.chain import Blockchain, ChainConfig
-from repro.chain.keys import GROUP_ORDER, GROUP_PRIME, KeyPair, Signature
+from repro.chain import keys
+from repro.chain.keys import KeyPair, Signature
 from repro.chain.transaction import Transaction
 from repro.contracts.registry import default_registry
 from repro.errors import InvalidSignatureError
@@ -88,8 +89,10 @@ class TestAdmission:
             nonce=0, gas_limit=21_000, gas_price=10**9), id="unsigned"),
         pytest.param(lambda: transfer(public_key=0), id="key-zero"),
         pytest.param(lambda: transfer(public_key=1), id="key-one"),
-        pytest.param(lambda: transfer(public_key=GROUP_PRIME),
-                     id="key-prime"),
+        pytest.param(lambda: transfer(public_key=keys._P + 2),
+                     id="key-non-canonical"),
+        pytest.param(lambda: transfer(public_key=1 << 256),
+                     id="key-wider-than-32-bytes"),
         pytest.param(lambda: transfer(public_key=BOB.public_key),
                      id="wrong-sender"),
     ])
@@ -126,21 +129,21 @@ class TestSettle:
             transfer(nonce=1, s=honest.signature.s ^ 1),
             transfer(BOB, nonce=0),
             transfer(BOB, nonce=1, e=0),
-            transfer(nonce=2, s=transfer(nonce=2).signature.s + GROUP_ORDER),
+            transfer(nonce=2, s=transfer(nonce=2).signature.s + keys._L),
         ]
 
     def test_evicts_exactly_the_scalar_invalid_set(self, engine):
         pending = self.pending()
         expected = [tx.hash_hex for tx in scalar_invalid(pending)]
-        assert len(expected) == 2
+        assert len(expected) == 3
         assert [tx.hash_hex for tx in engine.settle(pending)] == expected
-        assert engine.deferred_rejections == 2
+        assert engine.deferred_rejections == 3
         assert engine.blocks_settled == 1
         assert engine.pipeline_fallbacks == 0
         assert engine.verify_jobs_offloaded == \
             (len(pending) if engine.verify_workers else 0)
         # A second settle of the same transactions is all memo hits.
-        assert len(engine.settle(pending)) == 2
+        assert len(engine.settle(pending)) == 3
         assert engine.verify_jobs_offloaded == \
             (len(pending) if engine.verify_workers else 0)
 
@@ -160,15 +163,15 @@ class TestSettle:
         assert stats["pipeline_fallbacks"] == 0
 
     def test_a_signature_the_wire_cannot_carry_settles_inline(self):
-        # s - q is the same group element as s, so the signature is valid,
-        # but Signature.to_dict has no encoding for a negative integer: the
-        # dispatch fails, is counted, and the verdict comes from inline.
+        # Signature.to_dict has no encoding for a negative integer (s - L
+        # here, the same scalar mod L): the dispatch fails, is counted, and
+        # the verdicts come from inline, which refuses it.
         subject = BatchVerifyEngine(2)
         try:
             good = transfer()
             negative = transfer(nonce=1,
-                                s=transfer(nonce=1).signature.s - GROUP_ORDER)
-            assert subject.settle([good, negative]) == []
+                                s=transfer(nonce=1).signature.s - keys._L)
+            assert subject.settle([good, negative]) == [negative]
             assert subject.fallback_reasons == {"OverflowError": 1}
             assert subject.pipeline_fallbacks == 1
         finally:

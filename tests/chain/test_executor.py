@@ -215,7 +215,7 @@ class TestStaticCallAndEstimate:
     def test_estimate_gas_accepts_an_unsigned_probe(self, executor, state):
         # eth_estimateGas takes a call object, not a signed transaction: gas
         # does not depend on the signature, so the estimate must match the
-        # signed probe's and must not need a Schnorr verify to get there.
+        # signed probe's and must not need a signature verify to get there.
         signed = signed_transfer(100)
         unsigned = Transaction.from_dict({**signed.to_dict(), "signature": None})
         assert unsigned.signature is None

@@ -1,6 +1,6 @@
 """Correctness guards for the ingest hot-path optimizations.
 
-The fast paths (libcrypto group arithmetic, memoized verification,
+The fast paths (libcrypto signatures, memoized verification,
 cached hashes, mempool indexes) must be behaviour-preserving: these tests
 pin the equivalences and the cache-invalidation edges that keep them safe.
 """
@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import types
 import weakref
 
@@ -19,14 +18,7 @@ import pytest
 from repro.chain import EthereumNode, Faucet, KeyPair
 from repro.chain.account import Address, checksum_cache
 from repro.chain import keys
-from repro.chain.keys import (
-    GENERATOR,
-    GROUP_ORDER,
-    GROUP_PRIME,
-    Signature,
-    address_from_public_key,
-    verify_signature,
-)
+from repro.chain.keys import Signature, verify_signature
 from repro.chain.mempool import Mempool
 from repro.chain.state import WorldState
 from repro.chain.transaction import Transaction
@@ -68,307 +60,21 @@ def run_threads(worker, count, switch_interval):
     assert not any(thread.is_alive() for thread in threads)
 
 
-#: The signature the pure-Python arithmetic produced for one label and message.
-VECTOR_ADDRESS = "0x109a36E06b3C276e7930e15EAA30001e25F0341B"
-VECTOR_E = 0xd0c2434ba5114d4ea39d2c2740c543692027ef9d6a4ffc58cf15040bb08f977a
-VECTOR_S = int(
-    "27543e1d844e599430fdf390ca5d413ddad59d8f121785dab67b42dd0139e6c6"
-    "0c9570163fd337bc12737dc00c5ae9c5a2a202393eda7ee26b896be0a91e8800", 16)
+#: One label's address and signature, as RFC 8032 fixes them.
+VECTOR_ADDRESS = "0x8Ee100eb06ffDA6C483B84cBB92ebD213cdb5708"
+VECTOR_E = 0x1941bc6f74d166b2fae81088d7edfa6dc07d79e14e053c54d59a91bc504e5170
+VECTOR_S = 0x1411053e9307c891c2649390ab0627856aa0d4969ae2b8e90f3692a624b8ef
 
-#: Byte and word edges, the honest sizes, the points a verify splits its
-#: exponents at (``e`` at 2^128, ``s mod q`` at 2^256, and 2^512 where the
-#: high half of ``s`` crosses a word), the group order, negatives, a hostile
-#: ``s`` that had a huge multiple of the order added, and the edges of ``g``'s
-#: fixed-base table: an honest ``s`` is below 2^513, the table covers 516
-#: bits, and the bits above them take a power of ``g^(2^516)``.
-EXPONENTS = [0, 1, 255, 256, 2**128 - 1, 2**128, 2**128 + 1,
-             2**256 - 1, 2**256, 2**256 + 1, 2**512 - 1, 2**512, 2**512 + 1,
-             GROUP_ORDER - 1, GROUP_ORDER, GROUP_ORDER + 1, -1, -(2**300 + 7),
-             VECTOR_S + GROUP_ORDER * (1 << 4096),
-             2**513 - 1, 2**513 + 1, 2**516 - 1, 2**516, 2**516 + 1, -(2**516)]
-
-#: The bound kernel, and the builtin-``pow`` fallback forced in its place.
-KERNELS = ["libcrypto", "builtin pow"]
+#: The bound backend, and the pure-Python fallback forced in its place.
+BACKENDS = ["libcrypto", "pure python"]
 
 
-def kernel_named(name):
-    if name == "libcrypto":
-        return keys._kernel()
-    return keys._BuiltinPow("forced for this test")
-
-
-def base_named(name):
-    """An honest key's inverse, or a base outside the order-``q`` subgroup."""
-    if name == "honest inverse":
-        return pow(KeyPair.from_label("comb-vector").public_key, -1, GROUP_PRIME)
-    base = GROUP_PRIME - 2
-    assert pow(base, GROUP_ORDER, GROUP_PRIME) != 1
-    return base
-
-
-def _forked_verdict(signature, message):
-    """Run in a forked child: was the binding inherited, and the verdict."""
-    inherited = keys._backend is not None
-    return inherited, keys.schnorr_backend(), \
-        verify_signature(signature, message)
-
-
-class TestSchnorrKernel:
-    """The libcrypto kernel against the builtin ``pow`` it replaces."""
-
-    def test_the_kernel_is_libcrypto(self):
-        # A silent fallback would still be exact, only slower: name it here.
-        assert keys.schnorr_backend().startswith("libcrypto (OpenSSL")
-
-    @pytest.mark.parametrize("exponent", EXPONENTS)
-    def test_generator_power_matches_builtin_pow(self, exponent):
-        assert keys._kernel().generator_power(exponent) == \
-            pow(GENERATOR, exponent, GROUP_PRIME)
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("value", [2, 3, GROUP_ORDER, GROUP_PRIME - 2, GROUP_PRIME - 1,
-                                       "honest inverse", "outside the subgroup"])
-    def test_inverse_matches_builtin_pow(self, value, kernel):
-        if isinstance(value, str):
-            value = base_named(value)
-        assert kernel_named(kernel).inverse(value) == pow(value, -1, GROUP_PRIME)
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("base", ["honest inverse", "outside the subgroup"])
-    @pytest.mark.parametrize("exponent", EXPONENTS)
-    def test_power_matches_builtin_pow(self, exponent, base, kernel):
-        # Public powers (the constant g^(2^516), each key's (y^-1)^(2^128))
-        # take exponents >= 0 only.
-        base, exponent = base_named(base), abs(exponent)
-        assert kernel_named(kernel).power(base, exponent) == \
-            pow(base, exponent, GROUP_PRIME)
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("base", ["honest inverse", "outside the subgroup"])
-    @pytest.mark.parametrize("exponent", EXPONENTS)
-    def test_commitment_matches_builtin_pow(self, exponent, base, kernel):
-        base = base_named(base)
-        # verify range-checks ``e`` first, so the kernel takes ``e >= 0``.
-        e = abs(exponent)
-        assert kernel_named(kernel).commitment(
-            exponent, e, base, pow(base, 2**128, GROUP_PRIME)) == \
-            pow(GENERATOR, exponent, GROUP_PRIME) * pow(base, e, GROUP_PRIME) \
-            % GROUP_PRIME
-
-    @pytest.mark.parametrize("e", [2**256, GROUP_ORDER - 1])
-    def test_a_challenge_no_hash_can_equal_never_reaches_the_kernel(
-            self, monkeypatch, e):
-        # A keccak-256 digest is below 2^256, and 2^256 < q: both are
-        # rejected before the key's cache entry or any power.
-        keypair = KeyPair.from_label(f"kernel-wide-e-{e.bit_length()}")
-        message = keccak256(b"wide e")
-        signature = Signature(e=e, s=keypair.sign(message).s,
-                              public_key=keypair.public_key)
-        calls = []
-        monkeypatch.setattr(keys, "_kernel", lambda: calls.append("kernel"))
-        assert not verify_signature(signature, message)
-        with pytest.raises(InvalidSignatureError):
-            keys.recover_address(signature, message)
-        assert calls == []
-        assert keys.inverse_cache().peek(keypair.public_key) is None
-
-    def test_a_warm_key_recovers_its_address_without_hashing_the_key(
-            self, monkeypatch):
-        keypair = KeyPair.from_label("kernel-warm-address")
-        message = keccak256(b"warm address")
-        signature = keypair.sign(message)
-        assert keys.recover_address(signature, message) == keypair.address
-        cached = keys.inverse_cache().peek(keypair.public_key)
-        assert cached.address == address_from_public_key(keypair.public_key)
-        hashed = []
-
-        def spy(data):
-            hashed.append(data)
-            return keccak256(data)
-
-        monkeypatch.setattr(keys, "keccak256", spy)
-        assert keys.recover_address(signature, message) == keypair.address
-        assert verify_signature(signature, message)
-        # Only the challenge, ``keccak(r || message)``, is hashed.
-        assert len(hashed) == 2
-        assert all(data.endswith(message) for data in hashed)
-
-    def test_an_entry_evicted_after_its_verify_still_gives_the_address(
-            self, monkeypatch):
-        keypair = KeyPair.from_label("kernel-evicted-address")
-        message = keccak256(b"evicted address")
-        signature = keypair.sign(message)
-        verify = keys.verify_signature
-
-        def verify_then_evict(*args):
-            verdict = verify(*args)
-            keys.inverse_cache().clear()  # as another thread's misses might
-            return verdict
-
-        monkeypatch.setattr(keys, "verify_signature", verify_then_evict)
-        assert keys.recover_address(signature, message) == keypair.address
-
-    def test_signature_vectors_unchanged(self):
-        # Signing is deterministic; the kernel must not move a vector the
-        # pure-Python arithmetic produced.
-        keypair = KeyPair.from_label("comb-vector")
-        message = keccak256(b"comb-vector-message")
-        signature = keypair.sign(message)
-        assert keypair.address == VECTOR_ADDRESS
-        assert (signature.e, signature.s) == (VECTOR_E, VECTOR_S)
-        assert keys._kernel().generator_power(signature.s) == \
-            pow(GENERATOR, signature.s, GROUP_PRIME)
-        assert verify_signature(signature, message)
-
-    def test_generator_order_divides_group_order(self):
-        # Generator exponents are reduced mod GROUP_ORDER before they reach
-        # libcrypto; that is exact only because the generator's
-        # multiplicative order divides it.
-        assert pow(GENERATOR, GROUP_ORDER, GROUP_PRIME) == 1
-
-    def test_huge_hostile_exponent_is_reduced_exactly(self):
-        # A wire signature can carry an arbitrarily large or negative 's'.
-        keypair = KeyPair.from_label("comb-huge")
-        message = keccak256(b"huge")
-        signature = keypair.sign(message)
-        # g^(s + k*order) == g^s: these still *verify* (the same group
-        # element), which is standard for Schnorr -- the point is the exact
-        # result.
-        for congruent in (signature.s + GROUP_ORDER * (1 << 4096),
-                          signature.s - GROUP_ORDER):
-            forged = Signature(e=signature.e, s=congruent,
-                               public_key=signature.public_key)
-            assert verify_signature(forged, message)
-        hostile = Signature(e=signature.e, s=(1 << 1_000_000) + 12345,
-                            public_key=signature.public_key)
-        assert not verify_signature(hostile, message)
-
-    def test_tampered_signature_still_rejected(self):
-        keypair = KeyPair.from_label("comb-tamper")
-        message = keccak256(b"payload")
-        signature = keypair.sign(message)
-        forged = Signature(e=signature.e, s=(signature.s + 1) % GROUP_ORDER,
-                           public_key=signature.public_key)
-        assert not verify_signature(forged, message)
-        assert not verify_signature(signature, keccak256(b"other payload"))
-
-    def test_concurrent_signing_and_verifying_stay_exact(self):
-        # ctypes releases the GIL inside every libcrypto call: eight threads
-        # derive keys, sign and verify at once, each on its own scratch
-        # BIGNUMs, against answers computed one at a time beforehand.
-        labels = [f"kernel-thread-{index}" for index in range(8)]
-        messages = [keccak256(b"kernel-thread-%d" % index) for index in range(4)]
-        expected = {label: [KeyPair.from_label(label).sign(message)
-                            for message in messages] for label in labels}
-        pending = list(labels)
-        scratches = []
-        failures = []
-
-        def worker():
-            label = pending.pop()
-            keypair = KeyPair.from_label(label)
-            for message, want in zip(messages, expected[label]):
-                signature = keypair.sign(message)
-                tampered = Signature(e=want.e, s=want.s + 1,
-                                     public_key=want.public_key)
-                if (signature != want
-                        or not verify_signature(signature, message)
-                        or verify_signature(tampered, message)):
-                    failures.append((label, message))
-            scratches.append(weakref.ref(keys._kernel()._local.scratch))
-
-        run_threads(worker, 8, 1e-6)
-        assert failures == []
-        # Each thread's scratch was its own and was freed when it ended.
-        assert len(scratches) == 8
-        assert all(ref() is None for ref in scratches)
-
-    def test_a_forked_child_inherits_the_binding(self):
-        keypair = KeyPair.from_label("kernel-fork")
-        message = keccak256(b"fork")
-        signature = keypair.sign(message)
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            inherited, backend, verdict = pool.apply(
-                _forked_verdict, (signature, message))
-        assert inherited and verdict
-        assert backend == keys.schnorr_backend()
-
-    def test_forced_fallback_gives_the_same_verdicts(self, monkeypatch):
-        keypair = KeyPair.from_label("kernel-fallback")
-        message = keccak256(b"fallback")
-        signature = keypair.sign(message)
-        forged = Signature(e=signature.e, s=signature.s + 1,
-                           public_key=signature.public_key)
-        monkeypatch.setattr(keys, "_backend", keys._BuiltinPow("unbound for this test"))
-        assert keys.schnorr_backend() == "builtin pow (unbound for this test)"
-        assert KeyPair.from_label("kernel-fallback").public_key == \
-            keypair.public_key
-        assert keypair.sign(message) == signature
-        assert verify_signature(signature, message)
-        assert not verify_signature(forged, message)
-
-    def test_a_hashlib_without_a_file_is_the_named_reason(self, monkeypatch):
-        # An interpreter with ``_hashlib`` built in has no file to open.
-        monkeypatch.setitem(sys.modules, "_hashlib", types.ModuleType("_hashlib"))
-        monkeypatch.setattr(keys, "_backend", None)
-        assert isinstance(keys._kernel(), keys._BuiltinPow)
-        assert keys.schnorr_backend() == ("builtin pow (AttributeError: module "
-                                          "'_hashlib' has no attribute '__file__')")
-
-    def test_an_unresolved_symbol_is_the_named_reason(self, monkeypatch):
-        import ctypes
-
-        monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
-        monkeypatch.setattr(keys, "_backend", None)
-        assert isinstance(keys._kernel(), keys._BuiltinPow)
-        assert "'BN_new'" in keys.schnorr_backend()
-        assert keys.schnorr_backend().startswith("builtin pow (AttributeError: ")
-        keypair = KeyPair.from_label("kernel-no-symbol")
-        message = keccak256(b"no symbol")
-        assert verify_signature(keypair.sign(message), message)
-
-    def test_a_failed_libcrypto_call_raises(self):
-        with pytest.raises(MemoryError, match="libcrypto BN_new failed"):
-            keys._checked(None, types.SimpleNamespace(__name__="BN_new"), ())
-
-
-def _forked_table_verdict(signature, message):
-    """Run in a forked child: was a table inherited, did the child build one,
-    and the verdict."""
-    kernel = keys._kernel()
-    inherited = kernel._table
-    built = []
-
-    def build():
-        built.append("table")
-        raise AssertionError("the child built a table")
-
-    kernel._build_table = build
-    verdict = verify_signature(signature, message)
-    return inherited is not None, kernel._table is inherited, built, verdict
-
-
-class _UnreadableTable:
-    """A fixed-base table whose every entry read fails."""
-
-    def __getitem__(self, index):
-        raise LookupError(f"the table was read at {index}")
-
-
-class _RecordingLibrary:
-    """A libcrypto handle that names every function called through it."""
-
-    def __init__(self, lib):
-        self._lib, self.names = lib, []
-
-    def __getattr__(self, name):
-        function = getattr(self._lib, name)
-
-        def call(*args):
-            self.names.append(name)
-            return function(*args)
-
-        return call
+@pytest.fixture(params=BACKENDS)
+def backend(request, monkeypatch):
+    """Run the test on each backend; yields its name."""
+    if request.param == "pure python":
+        monkeypatch.setattr(keys, "_backend", keys._PurePython("forced for this test"))
+    yield keys.ed25519_backend()
 
 
 def honest_signature(label):
@@ -377,61 +83,193 @@ def honest_signature(label):
     return keypair, message, keypair.sign(message)
 
 
-class TestFixedBaseTable:
-    """``g^s`` of a verify reads ``g``'s table; nothing secret ever does."""
+def _forked_verdict(signature, message):
+    """Run in a forked child: was the binding inherited, and the verdict."""
+    inherited = keys._backend is not None
+    return inherited, keys.ed25519_backend(), \
+        verify_signature(signature, message)
 
-    def test_secret_exponents_never_read_the_table(self, monkeypatch):
-        keypair, message, signature = honest_signature("table-secret")
-        fresh = KeyPair(b"table-secret-seed").sign(message)
-        kernel = keys._kernel()
-        assert isinstance(kernel, keys._Libcrypto)
-        monkeypatch.setattr(kernel, "_table", _UnreadableTable())
-        # Key generation and signing run with every entry unreadable...
-        assert KeyPair(b"table-secret-seed").sign(message) == fresh
-        assert keypair.sign(message) == signature
-        # ...and a verify is refused at its first read.
-        with pytest.raises(LookupError, match="the table was read"):
-            verify_signature(signature, message)
 
-    def test_secret_powers_stay_constant_time(self, monkeypatch):
-        keypair, message, signature = honest_signature("table-consttime")
-        assert verify_signature(signature, message)  # the key and table are warm
-        kernel = keys._kernel()
-        library = _RecordingLibrary(kernel._lib)
-        monkeypatch.setattr(kernel, "_lib", library)
-        KeyPair.from_label("table-consttime").sign(message)
-        powers = [name for name in library.names if name.startswith("BN_mod")]
-        assert powers == ["BN_mod_exp_mont_consttime"] * 2  # the key, the nonce
-        del library.names[:]
+class TestEd25519Refusals:
+    """One test apiece for what either backend must refuse."""
+
+    def test_a_tampered_signature_is_refused(self, backend):
+        keypair, message, signature = honest_signature("refuse-tampered")
         assert verify_signature(signature, message)
-        # One product per non-zero 6-bit digit of an honest s, one more to
-        # join the key half; no power of g.
-        digits = sum(1 for shift in range(0, 516, 6) if signature.s >> shift & 63)
-        assert library.names.count("BN_mod_mul_montgomery") == digits + 1
-        assert library.names.count("BN_mod_exp2_mont") == 1
-        assert "BN_mod_exp_mont" not in library.names
-        assert "BN_mod_exp_mont_consttime" not in library.names
+        for tampered in (Signature(e=signature.e, s=signature.s ^ 1,
+                                   public_key=signature.public_key),
+                         Signature(e=signature.e ^ 1, s=signature.s,
+                                   public_key=signature.public_key)):
+            assert not verify_signature(tampered, message)
+        assert not verify_signature(signature, keccak256(b"another message"))
 
-    def test_an_s_beyond_the_table_takes_one_more_power(self, monkeypatch):
-        # No honest signer's s reaches 2^516, but a nonce of 1 001 bits
-        # still makes a valid signature.
-        keypair = KeyPair.from_label("table-beyond")
-        message = keccak256(b"table-beyond")
-        nonce = (1 << 1000) + 12345
-        e = keys._hash_to_int(keys._int_to_bytes(pow(GENERATOR, nonce, GROUP_PRIME)), message)
-        wide = Signature(e=e, s=(nonce + e * keypair._x) % GROUP_ORDER,
-                         public_key=keypair.public_key)
-        assert wide.s.bit_length() > 516
-        assert verify_signature(wide, message)  # warm the key
-        kernel = keys._kernel()
-        library = _RecordingLibrary(kernel._lib)
-        monkeypatch.setattr(kernel, "_lib", library)
-        assert verify_signature(wide, message)
-        assert library.names.count("BN_mod_exp_mont") == 1
-        del library.names[:]
-        forged = Signature(e=e, s=wide.s + 1, public_key=keypair.public_key)
-        assert not verify_signature(forged, message)
-        assert library.names.count("BN_mod_exp_mont") == 1
+    def test_a_foreign_signature_is_refused(self, backend):
+        # Another key's valid signature over the same message, under this key,
+        # and this key's signature claimed by another key.
+        _, message, signature = honest_signature("refuse-foreign")
+        foreign = KeyPair.from_label("refuse-foreign-other").sign(message)
+        assert not verify_signature(Signature(e=foreign.e, s=foreign.s,
+                                              public_key=signature.public_key), message)
+        assert not verify_signature(Signature(e=signature.e, s=signature.s,
+                                              public_key=foreign.public_key), message)
+
+    def test_a_small_order_key_is_refused(self, backend):
+        # R = the identity and S = 0 satisfy the group equation under the
+        # identity key for any message.
+        message = keccak256(b"refuse-small-order")
+        for key in (1, 0, keys._P - 1, keys._ORDER_8_Y, 1 | 1 << 255):
+            assert not keys.acceptable_public_key(key)
+            assert not verify_signature(Signature(e=1, s=0, public_key=key), message)
+
+    def test_a_non_canonical_key_is_refused(self, backend):
+        # y at or above P, under either sign bit: P and P + 1 name small-order
+        # points, P + 2 upwards the points of y = 2 upwards.
+        _, message, signature = honest_signature("refuse-non-canonical")
+        for key in (keys._P, keys._P + 1, keys._P + 2, (1 << 255) - 1,
+                    keys._P + 2 | 1 << 255):
+            assert not keys.acceptable_public_key(key)
+            assert not verify_signature(Signature(e=signature.e, s=signature.s,
+                                                  public_key=key), message)
+
+    def test_an_s_at_or_above_l_is_refused(self, backend):
+        _, message, signature = honest_signature("refuse-wide-s")
+        for s in (signature.s + keys._L, keys._L, (1 << 256) - 1):
+            assert not verify_signature(Signature(e=signature.e, s=s,
+                                                  public_key=signature.public_key),
+                                        message)
+
+
+class TestEd25519Backend:
+    """The libcrypto binding, and the pure-Python fallback in its place."""
+
+    def test_the_backend_is_libcrypto(self):
+        # A silent fallback would still be exact, only slower: name it here.
+        assert keys.ed25519_backend().startswith("libcrypto (OpenSSL")
+
+    def test_refused_inputs_never_reach_the_backend(self, monkeypatch):
+        keypair, message, signature = honest_signature("kernel-refused")
+        calls = []
+        monkeypatch.setattr(keys, "_kernel", lambda: calls.append("kernel"))
+        for refused in (Signature(e=signature.e, s=signature.s, public_key=1),
+                        Signature(e=signature.e, s=signature.s, public_key=keys._P + 2),
+                        Signature(e=signature.e, s=signature.s + keys._L,
+                                  public_key=signature.public_key),
+                        Signature(e=signature.e + (1 << 256), s=signature.s,
+                                  public_key=signature.public_key),
+                        Signature(e=-1, s=signature.s, public_key=signature.public_key)):
+            assert not verify_signature(refused, message)
+            with pytest.raises(InvalidSignatureError):
+                keys.recover_address(refused, message)
+        assert calls == []
+
+    def test_signature_vector_unchanged(self, backend):
+        # Signing is deterministic, and both backends sign alike.
+        keypair, message, signature = honest_signature("ed25519-vector")
+        assert keypair.address == VECTOR_ADDRESS
+        assert (signature.e, signature.s) == (VECTOR_E, VECTOR_S)
+        assert keys.recover_address(signature, message) == VECTOR_ADDRESS
+
+    def test_the_address_hashes_the_32_key_bytes(self):
+        keypair = KeyPair.from_label("address-bytes")
+        digest = keccak256(keypair.public_key.to_bytes(32, "little"))
+        assert keypair.address.lower() == "0x" + digest[-20:].hex()
+
+    def test_one_context_takes_each_calls_key(self):
+        # An EVP_MD_CTX initialised again without a reset keeps the key it
+        # was first given: every call on this thread's context must still
+        # judge by its own key, after a refusal and after a signature.
+        signed = [honest_signature(f"context-{index}") for index in range(3)]
+        for _ in range(2):
+            for keypair, message, signature in signed:
+                assert verify_signature(signature, message)
+                assert not verify_signature(
+                    Signature(e=signature.e, s=signature.s ^ 1,
+                              public_key=signature.public_key), message)
+                assert keypair.sign(message) == signature
+
+    def test_a_refusal_leaves_no_openssl_error_queued(self):
+        _, message, signature = honest_signature("kernel-error-queue")
+        assert not verify_signature(Signature(e=signature.e, s=signature.s ^ 1,
+                                              public_key=signature.public_key), message)
+        assert keys._kernel()._lib.ERR_peek_error() == 0
+
+    def test_concurrent_signing_and_verifying_stay_exact(self):
+        # ctypes releases the GIL inside every libcrypto call: eight threads
+        # derive keys, sign and verify at once, each on its own context,
+        # against answers computed one at a time beforehand.
+        labels = [f"kernel-thread-{index}" for index in range(8)]
+        messages = [keccak256(b"kernel-thread-%d" % index) for index in range(4)]
+        expected = {label: [KeyPair.from_label(label).sign(message)
+                            for message in messages] for label in labels}
+        pending = list(labels)
+        contexts = []
+        failures = []
+
+        def worker():
+            label = pending.pop()
+            keypair = KeyPair.from_label(label)
+            for message, want in zip(messages, expected[label]):
+                signature = keypair.sign(message)
+                tampered = Signature(e=want.e, s=want.s ^ 1,
+                                     public_key=want.public_key)
+                if (signature != want
+                        or not verify_signature(signature, message)
+                        or verify_signature(tampered, message)):
+                    failures.append((label, message))
+            contexts.append(weakref.ref(keys._kernel()._local.context))
+
+        run_threads(worker, 8, 1e-6)
+        assert failures == []
+        # Each thread's context was its own and was freed when it ended.
+        assert len(contexts) == 8
+        assert all(ref() is None for ref in contexts)
+
+    def test_a_forked_child_inherits_the_binding(self):
+        keypair, message, signature = honest_signature("kernel-fork")
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inherited, backend, verdict = pool.apply(
+                _forked_verdict, (signature, message))
+        assert inherited and verdict
+        assert backend == keys.ed25519_backend()
+
+    def test_forced_fallback_gives_the_same_keys_and_signatures(self, monkeypatch):
+        keypair, message, signature = honest_signature("kernel-fallback")
+        monkeypatch.setattr(keys, "_backend", keys._PurePython("unbound for this test"))
+        assert keys.ed25519_backend() == "pure python (unbound for this test)"
+        again = KeyPair.from_label("kernel-fallback")
+        assert (again.public_key, again.address) == (keypair.public_key, keypair.address)
+        assert again.sign(message) == signature
+        assert verify_signature(signature, message)
+
+    def test_a_hashlib_without_a_file_is_the_named_reason(self, monkeypatch):
+        # An interpreter with ``_hashlib`` built in has no file to open.
+        monkeypatch.setitem(sys.modules, "_hashlib", types.ModuleType("_hashlib"))
+        monkeypatch.setattr(keys, "_backend", None)
+        assert isinstance(keys._kernel(), keys._PurePython)
+        assert keys.ed25519_backend() == ("pure python (AttributeError: module "
+                                          "'_hashlib' has no attribute '__file__')")
+
+    def test_an_unresolved_symbol_is_the_named_reason(self, monkeypatch):
+        import ctypes
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
+        monkeypatch.setattr(keys, "_backend", None)
+        assert isinstance(keys._kernel(), keys._PurePython)
+        assert "'EVP_PKEY_new_raw_private_key'" in keys.ed25519_backend()
+        assert keys.ed25519_backend().startswith("pure python (AttributeError: ")
+        keypair, message, signature = honest_signature("kernel-no-symbol")
+        assert verify_signature(signature, message)
+
+    def test_a_failed_libcrypto_call_raises(self):
+        with pytest.raises(MemoryError, match="libcrypto EVP_MD_CTX_new failed"):
+            keys._checked(None, types.SimpleNamespace(__name__="EVP_MD_CTX_new"), ())
+
+    def test_the_module_keeps_no_cache(self):
+        # No per-key state: each verify parses its key.
+        from repro.utils.cache import LRUCache
+
+        assert not [name for name, value in vars(keys).items()
+                    if isinstance(value, LRUCache)]
 
     def test_importing_the_module_binds_nothing(self):
         done = subprocess.run(
@@ -440,53 +278,6 @@ class TestFixedBaseTable:
             env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.PIPE, text=True,
             timeout=60, check=True)
         assert done.stdout.split() == ["False", "None"]
-
-    def test_binding_builds_no_table_and_the_first_verify_one(self, monkeypatch):
-        monkeypatch.setattr(keys, "_backend", None)
-        kernel = keys._kernel()
-        assert isinstance(kernel, keys._Libcrypto)
-        assert kernel._table is None
-        keypair, message, signature = honest_signature("table-lazy")
-        assert kernel._table is None  # key generation and signing built none
-        assert verify_signature(signature, message)
-        assert len(kernel._table) == 86 * 64
-
-    def test_two_first_verifies_build_one_table(self, monkeypatch):
-        kernel = keys._Libcrypto()
-        monkeypatch.setattr(keys, "_backend", kernel)
-        signed = [honest_signature(f"table-race-{index}") for index in range(2)]
-        build, built = kernel._build_table, []
-
-        def slow_build():
-            built.append(threading.get_ident())
-            time.sleep(0.05)  # the other thread arrives while this one builds
-            return build()
-
-        kernel._build_table = slow_build
-        barrier = threading.Barrier(len(signed))
-        verdicts = []
-
-        def first_verify(keypair, message, signature):
-            barrier.wait(timeout=30)
-            verdicts.append(verify_signature(signature, message))
-
-        threads = [threading.Thread(target=first_verify, args=item) for item in signed]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert verdicts == [True, True]
-        assert len(built) == 1
-
-    def test_a_forked_child_verifies_with_the_inherited_table(self):
-        keypair, message, signature = honest_signature("table-fork")
-        assert verify_signature(signature, message)
-        assert keys._kernel()._table is not None
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            inherited, same, built, verdict = pool.apply(
-                _forked_table_verdict, (signature, message))
-        assert inherited and same and verdict
-        assert built == []
 
 
 class TestTransactionCaches:

@@ -1,8 +1,9 @@
-"""Tests for repro.chain.keys (key pairs, addresses, Schnorr signatures)."""
+"""Tests for repro.chain.keys (key pairs, addresses, Ed25519 signatures)."""
 
 import pytest
 
 from repro.errors import InvalidSignatureError
+from repro.chain import keys
 from repro.chain.keys import (
     KeyPair,
     Signature,
@@ -12,6 +13,39 @@ from repro.chain.keys import (
     verify_signature,
 )
 from repro.utils.hashing import keccak256
+
+
+#: RFC 8032 section 7.1, TEST 1-3: (secret seed, public key, message,
+#: signature), in hex.
+RFC8032_VECTORS = [
+    ("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
+     "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a", "",
+     "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
+     "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"),
+    ("4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
+     "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c", "72",
+     "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
+     "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"),
+    ("c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7",
+     "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025", "af82",
+     "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac"
+     "18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"),
+]
+
+
+def backend_named(name):
+    return keys._kernel() if name == "libcrypto" else keys._PurePython("forced for this test")
+
+
+@pytest.mark.parametrize("name", ["libcrypto", "pure python"])
+@pytest.mark.parametrize("seed, public_key, message, signature", RFC8032_VECTORS,
+                         ids=["TEST 1", "TEST 2", "TEST 3"])
+def test_rfc8032_vectors(name, seed, public_key, message, signature):
+    backend = backend_named(name)
+    seed, message = bytes.fromhex(seed), bytes.fromhex(message)
+    assert backend.public_key(seed).hex() == public_key
+    assert backend.sign(seed, message).hex() == signature
+    assert backend.verify(bytes.fromhex(public_key), bytes.fromhex(signature), message)
 
 
 class TestKeyPair:
@@ -83,6 +117,24 @@ class TestSignatures:
         keys = KeyPair.from_label("signer")
         signature = keys.sign(keccak256(b"m"))
         assert Signature.from_dict(signature.to_dict()) == signature
+        # Each part is its 32 RFC 8032 bytes.
+        assert signature.to_dict()["public_key"] == \
+            "0x" + keys.public_key.to_bytes(32, "little").hex()
+
+    @pytest.mark.parametrize("part", ["e", "s", "public_key"])
+    @pytest.mark.parametrize("length", [0, 31, 33, 64])
+    def test_a_part_of_another_length_does_not_parse(self, part, length):
+        payload = KeyPair.from_label("signer").sign(keccak256(b"m")).to_dict()
+        payload[part] = "0x" + "01" * length
+        with pytest.raises(ValueError, match="32 bytes"):
+            Signature.from_dict(payload)
+
+    @pytest.mark.parametrize("part", ["e", "s", "public_key"])
+    def test_a_part_outside_32_bytes_has_no_wire_form(self, part):
+        signature = KeyPair.from_label("signer").sign(keccak256(b"m"))
+        for value in (-1, 1 << 256):
+            with pytest.raises(OverflowError):
+                Signature(**{**signature.__dict__, part: value}).to_dict()
 
     def test_recover_address(self):
         keys = KeyPair.from_label("signer")

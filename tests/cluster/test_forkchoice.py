@@ -95,16 +95,20 @@ class TestForkTracking:
         shared = a.produce_block()
         b.apply_block(shared.to_record())
 
-        # a mines one block with a tx; b (partitioned) mines two without it.
+        # Partitioned, a mines one block with a tx and b one without it.  A
+        # tie on height goes to the lower hash, so the replica whose block
+        # lost it mines once more: the winner then holds that branch's first
+        # block as a side block, and its second, longer, forces the reorg.
         transfer(a, key, nonce=0)
-        a.produce_block()
-        b_blocks = [b.produce_block() for _ in range(2)]
+        a_tip, b_tip = a.produce_block(), b.produce_block()
+        winner, loser = (a, b) if a_tip.hash < b_tip.hash else (b, a)
+        branch = [loser.chain.latest_block, loser.produce_block()]
 
-        statuses = [a.apply_block(block.to_record()) for block in b_blocks]
+        statuses = [winner.apply_block(block.to_record()) for block in branch]
         assert statuses == ["side", "reorged"]
-        assert a.chain.latest_block.hash == b.chain.latest_block.hash
-        assert a.stats()["reorgs"] == 1
-        assert state_digest(a.chain.state) == state_digest(b.chain.state)
+        assert winner.chain.latest_block.hash == loser.chain.latest_block.hash
+        assert winner.stats()["reorgs"] == 1
+        assert state_digest(winner.chain.state) == state_digest(loser.chain.state)
 
     def test_reorg_requeues_abandoned_transactions(self):
         clock = SimulatedClock()

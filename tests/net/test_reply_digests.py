@@ -14,6 +14,8 @@ answering transaction hashes.  The undecodable body in ``errors`` is one
 invalid UTF-8 byte, recorded in the same build as the rest of its group; it
 replaced a bare UTF-16 byte-order mark, which is no longer decoded as UTF-16
 (``tests/rpc/test_envelope_pins.py`` pins what such a body answers now).
+Every group was re-recorded when accounts moved to Ed25519, which moved
+each address, signature and hash the replies carry.
 """
 
 import hashlib
@@ -36,13 +38,13 @@ SINK = Address(KeyPair.from_label("reply-pin-sink").address)
 BLOCKS = 6
 
 DIGESTS = {
-    "setup": "f6c840f769bfea64e03f7959897f3b5815863541e95ae352ed53d3b0f202d5da",
-    "pushes": "4a6b84d21783be4b29a8d1595d135f519253d5a1ab3f870ed35da209292d8272",
-    "singles": "3d45e19d490bc189bc35e3bddd6d7e1e8211be050a9fc9c762d89c07b2fa7f10",
-    "batches": "6f3052bb27e4e2fd9998fa8dcad23a0994700ba7d57372a4f09b6e0a208f523a",
-    "errors": "fac82a6d1ed997afcdf6c06713adf91ed0e5b3d7bbfb9b34e5984aab3b4874f2",
-    "ipfs": "0101893698fd9421f6df51f9a3e3da328d7455bac560a61711b7ab5f95cab508",
-    "full_blocks": "513b7a7828de85d29df3be622e3bdd3f1b4af32b1fc062c95f08a0cd9ecd7530",
+    "setup": "72d648642dcb8805dc3d02481a54e9a4c16301cc6412683c6a58b36414240113",
+    "pushes": "3147167398274689756978b8d9c0997db24b75ded7ac8aaeb7f1cd54fc242556",
+    "singles": "859277fc73b5c53155f628c4ea53e097009ae53cdaf9cdb201c013b7f4ecfa9e",
+    "batches": "e53b494613cc8403d34071b26675dd8f01bdaaa91279835073402605d0c80ccf",
+    "errors": "c76f0125e9f168a05af086d64ca7b87318307121ec759ce01dc2e32297112a95",
+    "ipfs": "d9d3d02599071794bcff6fe243953f588d6de4e8e1a664ae86d8fa7f908667f1",
+    "full_blocks": "4d2976e3d19c05ab5cdd3209ad794f715b1304adfc33a26fdeb844a45aac849f",
 }
 
 

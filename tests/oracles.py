@@ -141,6 +141,12 @@ def label_skew_partition(dataset: Dataset, num_clients: int, classes_per_client:
     return [np.sort(np.asarray(chunk, dtype=np.int64)) for chunk in client_indices]
 
 
+def cache_peek(cache, key) -> Any:
+    """An ``LRUCache`` entry (``None`` when absent), read without touching
+    its recency or statistics."""
+    return cache._entries.get(key)
+
+
 def total_supply(state) -> int:
     """Sum of all balances of a ``WorldState`` (conserved by execution
     except for fees and mints)."""

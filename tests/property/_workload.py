@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 from repro.chain.account import Address
 from repro.chain.chain import Blockchain, ChainConfig
 from repro.chain.executor import contract_address_for
+from repro.chain import keys
 from repro.chain.keys import (
-    GROUP_ORDER,
-    GROUP_PRIME,
     KeyPair,
     Signature,
     address_from_public_key,
@@ -78,22 +77,24 @@ def _signature(sender: int, message: int) -> Signature:
     return signature
 
 
+#: The response bound and the order-8 point's ``y`` (for a small-order key).
+_L, _ORDER_8_Y = keys._L, keys._ORDER_8_Y
+
 #: One verify item, possibly sabotaged.  Every mutation the verifier can
-#: encounter: honest items, bit-flipped s / e, a swapped public key, the
-#: challenge forced to 0 / GROUP_ORDER - 1 / GROUP_ORDER / beyond / below
-#: zero, a negated response, a bit-flipped or out-of-group key, and a wrong
-#: claimed address.
+#: encounter that still fits the pool's 32-byte wire fields (or, negative,
+#: cannot go on it): honest items, bit-flipped s / e, a swapped public key,
+#: the commitment zeroed or made the identity, a negative commitment, the
+#: response zeroed, pushed past L or made negative, a bit-flipped,
+#: small-order, non-canonical or negative key, and a wrong claimed address.
+ITEM_MUTATIONS = [
+    "valid", "flip_s", "flip_e", "swap_key", "e_zero", "e_identity",
+    "e_negative", "s_zero", "s_plus_l", "s_negative", "flip_y",
+    "y_zero", "y_identity", "y_order_8", "y_non_canonical",
+    "y_negative", "wrong_address",
+]
 ITEM_SPECS = st.lists(
-    st.tuples(
-        sender_idx,
-        st.integers(min_value=0, max_value=11),
-        st.sampled_from([
-            "valid", "flip_s", "flip_e", "swap_key", "e_zero", "e_order_m1",
-            "e_order", "e_above_order", "e_negative", "s_zero", "s_order",
-            "s_negative", "flip_y", "y_zero", "y_one", "y_prime",
-            "y_above_prime", "y_negative", "wrong_address",
-        ]),
-    ),
+    st.tuples(sender_idx, st.integers(min_value=0, max_value=11),
+              st.sampled_from(ITEM_MUTATIONS)),
     min_size=1,
     max_size=8,
 )
@@ -120,30 +121,26 @@ def build_item(spec: Tuple[int, int, str]):
         y = _signature((sender + 1) % N_SENDERS, message).public_key
     elif mutation == "e_zero":
         e = 0
-    elif mutation == "e_order_m1":
-        e = GROUP_ORDER - 1
-    elif mutation == "e_order":
-        e = GROUP_ORDER
-    elif mutation == "e_above_order":
-        e = 2 * GROUP_ORDER + 1 + e
+    elif mutation == "e_identity":
+        e = 1
     elif mutation == "e_negative":
         e = -e - 1
     elif mutation == "s_zero":
         s = 0
-    elif mutation == "s_order":
-        s = s + GROUP_ORDER  # same group element: must still verify
+    elif mutation == "s_plus_l":
+        s += _L  # the same scalar mod L: refused all the same
     elif mutation == "s_negative":
-        s = s - GROUP_ORDER  # ditto, via the negative representative
+        s -= _L  # ditto, via the negative representative
     elif mutation == "flip_y":
         y ^= 1 << (message % 64)
     elif mutation == "y_zero":
         y = 0
-    elif mutation == "y_one":
+    elif mutation == "y_identity":
         y = 1
-    elif mutation == "y_prime":
-        y = GROUP_PRIME
-    elif mutation == "y_above_prime":
-        y += GROUP_PRIME
+    elif mutation == "y_order_8":
+        y = _ORDER_8_Y
+    elif mutation == "y_non_canonical":
+        y = keys._P + 2 + message  # y - P is 2..13
     elif mutation == "y_negative":
         y = -y
     elif mutation == "wrong_address":

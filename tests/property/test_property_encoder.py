@@ -156,8 +156,8 @@ receipts = st.builds(
     transaction_index=st.integers(0, 100), contract_address=st.none() | addresses,
     logs=st.lists(event_logs, max_size=3), return_value=json_values,
     revert_reason=st.none() | texts, cumulative_gas_used=quantities)
-signatures = st.builds(Signature, e=st.integers(0, 2**256), s=st.integers(0, 2**256),
-                       public_key=st.integers(1, 2**2048))
+signatures = st.builds(Signature, e=st.integers(0, 2**256 - 1), s=st.integers(0, 2**256 - 1),
+                       public_key=st.integers(0, 2**256 - 1))
 transactions = st.builds(
     Transaction, sender=addresses, to=st.none() | addresses, value=quantities,
     data=st.binary(max_size=40), nonce=st.integers(0, 2**32),

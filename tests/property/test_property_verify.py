@@ -1,126 +1,162 @@
-"""Property pin for the default scalar ``verify_signature``.
+"""Differential pin for ``verify_signature``: libcrypto against RFC 8032.
 
-The default path computes ``g^s * (y^-1)^e`` in libcrypto, after reducing
-``s`` modulo the group order: ``g^s`` as a product of entries of a fixed-base
-table over 516 bits (and a power of ``g^(2^516)`` for any bits above), and
-``(y^-1)^e`` split at bit 128, with the inverse and its 2^128-th power
-memoized per key; without a binding it computes the same through the builtin
-``pow``.  Either
-way the verdict must equal a reference that knows nothing of kernels,
-caches or reductions: two builtin ``pow`` calls and the challenge hash.
-Hypothesis drives the adversarial items of ``_workload`` (honest, forged,
-tampered ``e`` / ``s`` / key, out-of-range and negative values, keys outside
-``(1, P)``) through both.
+The default backend is OpenSSL's Ed25519 through ``EVP``; the fallback is
+the pure-Python RFC 8032 code in ``repro.chain.keys``, which knows nothing
+of libcrypto and is the oracle here.  For every signature -- honest ones
+over generated keys and messages, and each way ``_workload`` and this module
+sabotage them -- both must give the same verdict through
+``verify_signature``, and agree with what the item is: only an untouched
+honest signature verifies.  The hostile keys are enumerated rather than
+drawn: every small-order point's encoding under either sign bit, the
+non-canonical ``y`` from ``P`` up, and values wider than 32 bytes.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chain import keys
-from repro.chain.keys import (
-    GENERATOR,
-    GROUP_ORDER,
-    GROUP_PRIME,
-    Signature,
-    address_from_public_key,
-    to_checksum_address,
-)
-from repro.utils.hashing import keccak256
+from repro.chain.keys import KeyPair, Signature, verify_signature
 
-from ._workload import ITEM_SPECS, SENDERS, build_item, sender_verdict
+from ._workload import ITEM_MUTATIONS, ITEM_SPECS, build_item, sender_verdict
 
+P, L = keys._P, keys._L
+ORACLE = keys._PurePython("the oracle of this test")
 
-def reference_verify(signature: Signature, message_hash: bytes,
-                     address: Optional[str] = None) -> bool:
-    """``g^s == r * y^e`` with builtin ``pow`` only -- the seed's check."""
-    y = signature.public_key
-    if not (1 < y < GROUP_PRIME):
-        return False
-    r = (pow(GENERATOR, signature.s, GROUP_PRIME)
-         * pow(pow(y, -1, GROUP_PRIME), signature.e, GROUP_PRIME)) % GROUP_PRIME
-    commitment = r.to_bytes(max(1, (r.bit_length() + 7) // 8), "big")
-    challenge = int.from_bytes(
-        keccak256(commitment + message_hash), "big") % GROUP_ORDER
-    if challenge != signature.e:
-        return False
-    return address is None or \
-        address_from_public_key(y) == to_checksum_address(address)
+#: Every small-order point's y (libsodium's blocklist, non-canonical p and
+#: p + 1 included) under both sign bits.
+SMALL_ORDER_KEYS = [y | sign << 255 for y in (0, 1, P - 1, keys._ORDER_8_Y,
+                                              P - keys._ORDER_8_Y, P, P + 1)
+                    for sign in (0, 1)]
+#: Every non-canonical y (P .. 2^255 - 1), under both sign bits.
+NON_CANONICAL_KEYS = [y | sign << 255 for y in range(P, 1 << 255) for sign in (0, 1)]
+#: Integers no 32-byte field holds.
+WRONG_LENGTH = [-1, 1 << 256, (1 << 256) + 1, 1 << 264]
 
 
-class TestScalarVerdictsEqualBuiltinPowReference:
+def both_verdicts(signature: Signature, message: bytes):
+    """``verify_signature`` on the bound libcrypto, then on the oracle."""
+    assert keys.ed25519_backend().startswith("libcrypto (OpenSSL")
+    default = verify_signature(signature, message)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(keys, "_backend", ORACLE)
+        return default, verify_signature(signature, message)
+
+
+def mutated(signature: Signature, mutation: str, bit: int, other: Signature) -> Signature:
+    e, s, key = signature.e, signature.s, signature.public_key
+    if mutation == "flip_e":
+        e ^= 1 << bit
+    elif mutation == "flip_s":
+        s ^= 1 << bit
+    elif mutation == "flip_key":
+        key ^= 1 << bit
+    elif mutation == "s_plus_l":
+        s += L
+    elif mutation == "foreign_key":
+        key = other.public_key
+    elif mutation == "foreign_signature":
+        e, s = other.e, other.s
+    return Signature(e=e, s=s, public_key=key)
+
+
+MUTATIONS = ["valid", "flip_e", "flip_s", "flip_key", "s_plus_l", "foreign_key",
+             "foreign_signature"]
+
+
+class TestLibcryptoAgreesWithRfc8032:
+    @given(seeds=st.lists(st.binary(min_size=1, max_size=40), min_size=2, max_size=2,
+                          unique=True),
+           message=st.binary(min_size=32, max_size=32),
+           mutation=st.sampled_from(MUTATIONS), bit=st.integers(0, 255))
+    @example(seeds=[b"a", b"b"], message=bytes(32), mutation="s_plus_l", bit=0)
+    @example(seeds=[b"a", b"b"], message=bytes(32), mutation="flip_key", bit=255)
+    @settings(max_examples=60, deadline=None)
+    def test_generated_keys_and_messages(self, seeds, message, mutation, bit):
+        signer, other = (KeyPair(seed) for seed in seeds)
+        signature = mutated(signer.sign(message), mutation, bit, other.sign(message))
+        default, oracle = both_verdicts(signature, message)
+        assert default == oracle
+        # Every mutation changes the signature, and a changed one never
+        # verifies (a flipped key bit can name another valid key, whose
+        # signature this is not).
+        assert default == (mutation == "valid")
+
     @given(specs=ITEM_SPECS)
-    @settings(max_examples=40, deadline=None)
-    @pytest.mark.parametrize("backend", ["libcrypto", "builtin pow"])
-    def test_verdicts_equal_the_reference(self, specs, backend):
-        items = [build_item(spec) for spec in specs]
-        with pytest.MonkeyPatch.context() as patch:
-            if backend == "builtin pow":
-                patch.setattr(keys, "_backend", keys._BuiltinPow("forced for this test"))
-            for signature, message, address in items:
-                assert sender_verdict(signature, message, address) == \
-                    reference_verify(signature, message, address)
+    @settings(max_examples=25, deadline=None)
+    def test_the_workload_items(self, specs):
+        for signature, message, address in map(build_item, specs):
+            default = sender_verdict(signature, message, address)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(keys, "_backend", ORACLE)
+                assert sender_verdict(signature, message, address) == default
+
+    @pytest.mark.parametrize("backend", ["libcrypto", "pure python"])
+    @pytest.mark.parametrize("key", SMALL_ORDER_KEYS + NON_CANONICAL_KEYS + WRONG_LENGTH,
+                             ids=hex)
+    def test_hostile_keys(self, key, backend, monkeypatch):
+        # R = the identity and S = 0 satisfy the group equation for any
+        # message under the identity key, on either raw backend.
+        if backend == "pure python":
+            monkeypatch.setattr(keys, "_backend", ORACLE)
+        message = bytes(range(32))
+        for signature in (Signature(e=1, s=0, public_key=key),
+                          Signature(e=KeyPair(b"k").sign(message).e, s=1, public_key=key)):
+            assert not verify_signature(signature, message)
+
+    @pytest.mark.parametrize("index", range(96), ids=lambda index: (
+        f"R[{index}]" if index < 32 else f"S[{index - 32}]" if index < 64
+        else f"key[{index - 64}]"))
+    def test_every_byte_is_bound(self, index):
+        # One bit flipped in any byte of R, S or the key: both refuse.
+        keypair, message = KeyPair(b"every byte"), bytes(range(32, 64))
+        signature = keypair.sign(message)
+        part, offset = ("e", "s", "public_key")[index // 32], index % 32
+        flipped = getattr(signature, part) ^ 1 << (8 * offset + index % 8)
+        assert both_verdicts(Signature(**{**signature.__dict__, part: flipped}),
+                             message) == (False, False)
+
+    @pytest.mark.parametrize("mutation", ITEM_MUTATIONS)
+    def test_each_workload_mutation(self, mutation):
+        for sender in range(2):
+            signature, message, address = build_item((sender, 3 + sender, mutation))
+            default = sender_verdict(signature, message, address)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(keys, "_backend", ORACLE)
+                assert sender_verdict(signature, message, address) == default
+            assert default == (mutation == "valid")
+
+    @pytest.mark.parametrize("e, s", [(e, 1) for e in WRONG_LENGTH] +
+                             [(1, s) for s in WRONG_LENGTH + [L, L + 1]])
+    def test_out_of_range_signatures(self, e, s):
+        keypair, message = KeyPair(b"range"), bytes(32)
+        assert both_verdicts(Signature(e=e, s=s, public_key=keypair.public_key),
+                             message) == (False, False)
 
     def test_both_verdicts_occur(self):
-        # The property above compares verdicts; this pins that both really
-        # occur through the kernel.
-        assert sender_verdict(*build_item((0, 0, "valid"))) is True
-        assert sender_verdict(*build_item((0, 0, "flip_s"))) is False
+        # The properties above compare verdicts; this pins that both really
+        # occur through both backends.
+        assert both_verdicts(*build_item((0, 0, "valid"))[:2]) == (True, True)
+        assert both_verdicts(*build_item((0, 0, "flip_s"))[:2]) == (False, False)
 
 
-#: One base inside the prime-order subgroup (an honest key's inverse) and
-#: one outside it -- public keys are attacker-supplied, so the kernel must be
-#: exact without assuming anything about the base's order.
-BASES = [pow(SENDERS[0].public_key, -1, GROUP_PRIME), GROUP_PRIME - 2]
+class TestOracleAlone:
+    def test_the_raw_backends_accept_the_identity_key(self):
+        # Why verify_signature refuses small-order keys before either
+        # backend runs: both raw equations hold for R = identity, S = 0.
+        identity = keys._encoded(1)
+        for backend in (keys._kernel(), ORACLE):
+            assert backend.verify(identity, identity + bytes(32), b"any message")
 
+    def test_an_order_8_point_has_order_8(self):
+        point = keys._decompress(keys._ORDER_8_Y)
+        identity = keys._compress((0, 1, 1, 0))
+        assert keys._compress(keys._multiply(8, point)) == identity
+        assert keys._compress(keys._multiply(4, point)) != identity
 
-class TestKernelExactness:
-    @given(which=st.integers(0, len(BASES) - 1),
-           s=st.one_of(st.integers(0, (1 << 512) - 1),
-                       st.integers(-(1 << 64), 1 << 4200)),
-           e=st.one_of(
-               st.integers(0, (1 << 256) - 1),
-               st.integers(0, 255).map(lambda bit: 1 << bit),
-               st.integers(0, 1 << 300)))
-    @example(which=0, s=0, e=0)
-    @example(which=0, s=1, e=1)
-    @example(which=1, s=-1, e=(1 << 256) - 1)
-    @example(which=1, s=GROUP_ORDER, e=1 << 256)
-    @example(which=0, s=GROUP_ORDER + 1, e=(1 << 256) + 1)
-    @example(which=0, s=GROUP_ORDER - 1, e=GROUP_ORDER)
-    # Either side of where ``s mod q`` and ``e`` are split.
-    @example(which=0, s=(1 << 256) - 1, e=(1 << 128) - 1)
-    @example(which=1, s=(1 << 256) + 1, e=(1 << 128) + 1)
-    @example(which=0, s=(1 << 512) - 1, e=(1 << 128) + 1)
-    @example(which=1, s=(1 << 512) + 1, e=(1 << 128) - 1)
-    # The edges of g's fixed-base table: an honest s is below 2^513, the
-    # table covers 516 bits, and the bits above take a power of g^(2^516).
-    @example(which=0, s=(1 << 513) - 1, e=(1 << 256) - 1)
-    @example(which=1, s=(1 << 513) + 1, e=(1 << 128))
-    @example(which=0, s=(1 << 516) - 1, e=(1 << 128) - 1)
-    @example(which=1, s=1 << 516, e=0)
-    @example(which=0, s=(1 << 516) + 1, e=1)
-    @example(which=1, s=GROUP_ORDER - 1, e=(1 << 256) - 1)
-    @example(which=0, s=-(1 << 516), e=(1 << 128) + 1)
-    @settings(max_examples=60, deadline=None)
-    @pytest.mark.parametrize("backend", ["libcrypto", "builtin pow"])
-    def test_commitment_is_bit_identical_to_builtin_pow(self, backend, which, s, e):
-        base = BASES[which]
-        kernel = keys._kernel() if backend == "libcrypto" else \
-            keys._BuiltinPow("forced for this test")
-        assert kernel.commitment(s, e, base, pow(base, 1 << 128, GROUP_PRIME)) == \
-            pow(GENERATOR, s, GROUP_PRIME) * pow(base, e, GROUP_PRIME) % GROUP_PRIME
-
-    @given(exponent=st.sampled_from([1, 8, 256, 510, 512, 513, 2047, 4100])
-           .flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
-           .flatmap(lambda value: st.sampled_from([value, -value])))
-    @settings(max_examples=80, deadline=None)
-    def test_generator_power_is_bit_identical_to_builtin_pow(self, exponent):
-        # Either side of one byte, the honest sizes, 2^512, the group
-        # order, and beyond, positive and negative.
-        assert keys._kernel().generator_power(exponent) == \
-            pow(GENERATOR, exponent, GROUP_PRIME)
+    def test_the_base_point_has_order_l(self):
+        identity = keys._compress((0, 1, 1, 0))
+        assert keys._compress(keys._multiply(L, keys._BASE)) == identity
+        assert keys._compress(keys._BASE).hex() == "58" + "66" * 31

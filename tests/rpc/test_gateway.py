@@ -173,7 +173,9 @@ class TestEthNamespace:
 
     def test_estimate_gas_matches_node(self, gateway):
         tx = signed_transfer(gateway)
-        estimated = from_quantity(rpc_call(gateway, "eth_estimateGas", tx.to_dict()))
+        estimated = from_quantity(rpc_call(gateway, "eth_estimateGas", {
+            "from": str(tx.sender), "to": str(tx.to), "value": hex(tx.value),
+            "gas": hex(tx.gas_limit), "gasPrice": hex(tx.gas_price)}))
         assert estimated == gateway.eth.node.estimate_gas(tx)
 
     def test_call_and_logs_against_a_contract(self, gateway):

@@ -1,8 +1,9 @@
 """Malformed transaction objects are the caller's mistake, not a server bug.
 
 ``Transaction.from_dict`` is the one reader of a transaction object, behind
-both ``eth_sendRawTransaction`` (after the hex and JSON decode) and
-``eth_estimateGas``.  A missing ``sender`` or a field that does not parse
+``eth_sendRawTransaction`` (after the hex and JSON decode; ``eth_estimateGas``
+reads a web3 call object instead, ``tests/rpc/test_estimate_gas.py``).  A
+missing ``sender`` or a field that does not parse
 must come back as a ``-32000`` whose ``error_class`` is
 ``InvalidTransactionError`` and whose message names the field without
 echoing its value -- never as a ``-32603``.
@@ -64,12 +65,10 @@ def test_from_dict_names_the_bad_field(payload, name, missing):
     assert str(caught.value) == expected_message(name, missing)
 
 
-@pytest.mark.parametrize("method", ["eth_sendRawTransaction", "eth_estimateGas"])
 @pytest.mark.parametrize("payload, name, missing", MALFORMED)
-def test_both_methods_answer_a_typed_server_error(gateway, method, payload, name,
-                                                  missing):
-    params = [raw(payload)] if method == "eth_sendRawTransaction" else [payload]
-    reply = gateway.handle_raw(json.dumps(make_request(method, params, request_id=1)))
+def test_a_raw_transaction_answers_a_typed_server_error(gateway, payload, name, missing):
+    reply = gateway.handle_raw(json.dumps(
+        make_request("eth_sendRawTransaction", [raw(payload)], request_id=1)))
     assert json.loads(reply)["error"] == {
         "code": SERVER_ERROR,
         "message": expected_message(name, missing),

@@ -10,7 +10,6 @@ import pytest
 
 from repro.chain import KeyPair
 from repro.chain.account import checksum_cache
-from repro.chain.keys import inverse_cache
 from repro.rpc import INVALID_PARAMS, JsonRpcError
 from repro.storage import StorageEngine
 from repro.system.stack import build_stack
@@ -93,12 +92,10 @@ class TestUnifiedCacheStats:
     def test_obs_cache_stats_is_the_one_spelling(self, observed_gateway):
         gateway, _, engine = observed_gateway
         stats = rpc_call(gateway, "obs_cacheStats")
-        assert set(stats) == {"address_checksum", "schnorr_inverse", "storage",
-                              "rpc_reply"}
+        assert set(stats) == {"address_checksum", "storage", "rpc_reply"}
         assert stats["storage"] == engine.cache.snapshot()
         assert stats["rpc_reply"] == gateway.replies.snapshot()
         assert stats["address_checksum"] == checksum_cache().snapshot()
-        assert stats["schnorr_inverse"] == inverse_cache().snapshot()
 
     def test_storage_stats_has_the_same_cache_counters(self, observed_gateway):
         gateway, _, _ = observed_gateway

@@ -38,15 +38,6 @@ class TestLRUCache:
         assert cache.get("a") == 10
         assert "b" not in cache
 
-    def test_peek_does_not_touch_stats_or_recency(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.peek("a")
-        cache.put("c", 3)       # "a" is still LRU: peek did not freshen
-        assert "a" not in cache
-        assert cache.hits == 0 and cache.misses == 0
-
     def test_clear(self):
         cache = LRUCache(4)
         cache.put("a", 1)

@@ -14,7 +14,7 @@ from repro.ipfs.blockstore import BlockStore
 from repro.rpc import JsonRpcGateway
 from repro.storage import StorageConfig, StorageEngine, compact_store, ensure_engine
 from repro.utils.units import ether_to_wei
-from tests.oracles import rpc_call
+from tests.oracles import cache_peek, rpc_call
 
 
 class TestStorageConfig:
@@ -45,7 +45,7 @@ class TestBlobSpaces:
         engine = StorageEngine()
         space = engine.blob_space("ns")
         space.put("k", b"payload")
-        assert engine.cache.peek(("ns", "k")) == b"payload"
+        assert cache_peek(engine.cache, ("ns", "k")) == b"payload"
         assert space.get("k") == b"payload"
         assert engine.cache.hits == 1  # served from cache, not the backend
 
@@ -56,7 +56,7 @@ class TestBlobSpaces:
         space.put("b", b"2")  # evicts ("ns", "a")
         assert space.get("a") == b"1"  # backend read
         assert engine.cache.misses == 1
-        assert engine.cache.peek(("ns", "a")) == b"1"
+        assert cache_peek(engine.cache, ("ns", "a")) == b"1"
 
     def test_namespaces_are_isolated(self):
         engine = StorageEngine()

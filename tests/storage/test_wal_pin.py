@@ -27,10 +27,11 @@ from repro.storage import StorageConfig, StorageEngine
 from repro.utils.clock import SimulatedClock
 from repro.utils.units import ether_to_wei, gwei_to_wei
 
-#: sha256 of each WAL file the workload below writes, recorded when the pin
-#: was introduced, before ``_encode_line`` stopped re-parsing each record.
+#: sha256 of each WAL file the workload below writes, recorded before
+#: ``_encode_line`` stopped re-parsing each record; ``chain.log`` was
+#: re-recorded when accounts moved to Ed25519 (its addresses and signatures).
 WAL_SHA256 = {
-    "chain.log": "4f8761662365836d725d06336a8d129aa4523ff677e154671d3e884cef81ab9b",
+    "chain.log": "0dcd02885640945f6fd37005661a40d4ce8355bf26ffea2043b9730d434813a4",
     "edge.log": "ffb8d894923a4e6b011afa30f19f3c9232c98798a83e97f84821d18fc344fa60",
 }
 

@@ -45,6 +45,20 @@ class TestSaveAndLoad:
             k: int(v) for k, v in quick_marketplace_report.payments_wei.items()
         }
 
+    def test_an_older_report_loads_through_the_raw_dict_path(
+            self, quick_marketplace_report, tmp_path):
+        # Reports saved before partition_scheme, classes_per_client and
+        # samples_per_owner left OFLW3Config carry them in their config.
+        target = save_report(quick_marketplace_report, tmp_path / "report.json")
+        payload = json.loads(target.read_text())
+        payload["config"].update(partition_scheme="dirichlet", classes_per_client=2,
+                                 samples_per_owner=None)
+        target.write_text(json.dumps(payload))
+        loaded = load_report(target)
+        assert loaded["config"] == payload["config"]
+        assert loaded["aggregate_accuracy"] == payload["aggregate_accuracy"]
+        assert "aggregate accuracy" in summarize_report(loaded)
+
     def test_nested_directories_created(self, quick_marketplace_report, tmp_path):
         target = save_report(quick_marketplace_report, tmp_path / "deep" / "dir" / "report.json")
         assert target.exists()

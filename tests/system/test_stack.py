@@ -227,7 +227,12 @@ class TestTheOneRegistry:
         assert value_of(stack.registry, "repro_rpc_requests_total",
                         method="eth_blockNumber") == 1
         value_of(stack.registry, "repro_cache_hits_total",
-                 cache="schnorr_inverse")
+                 cache="address_checksum")
+        # The checksum and reply caches; a stack with storage adds its read
+        # cache (three in all).  A verify keeps no per-key state.
+        caches = {row["labels"]["cache"] for row in
+                  stack.registry.snapshot()["repro_cache_entries"]["series"]}
+        assert caches == {"address_checksum", "rpc_reply"}
 
     def test_a_stack_with_storage_also_exports_its_wal_and_read_cache(self):
         stack = build_stack(storage=StorageEngine())
@@ -237,6 +242,8 @@ class TestTheOneRegistry:
                         kind="block") == 1
         assert value_of(stack.registry, "repro_cache_capacity",
                         cache="storage") == stack.engine.cache.snapshot()["capacity"]
+        assert {row["labels"]["cache"] for row in stack.registry.snapshot()[
+            "repro_cache_entries"]["series"]} == {"address_checksum", "rpc_reply", "storage"}
         assert value_of(stack.registry, "repro_mempool_added_total",
                         replica="node") == 4
 
@@ -248,7 +255,7 @@ class TestTheOneRegistry:
         text = server.stack.registry.render_prometheus()
         for line in ('repro_chain_height{replica="node"} 0',
                      'repro_mempool_depth{replica="node"} 0',
-                     'repro_cache_hits_total{cache="schnorr_inverse"}',
+                     'repro_cache_hits_total{cache="address_checksum"}',
                      "# TYPE repro_rpc_requests_total counter",
                      "repro_net_open_connections 0"):
             assert line in text

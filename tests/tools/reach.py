@@ -511,7 +511,8 @@ def serve_over_a_socket(work: Path) -> None:
         tx = Transaction(sender=address, to=to, value=value, nonce=nonce, data=data,
                          gas_limit=2_000_000, gas_price=10**9)
         tx.sign(sender)
-        call("eth_estimateGas", tx.to_dict())
+        call("eth_estimateGas", {"from": str(address), "to": to, "value": hex(value),
+                                 "data": "0x" + data.hex()})
         tx_hash = call("eth_sendRawTransaction", tx.serialize_raw())
         call("eth_getTransactionByHash", tx_hash)  # pending, then mined
         call("evm_mine", 1)

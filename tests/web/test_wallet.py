@@ -41,7 +41,7 @@ class TestPreview:
 
     def test_send_verifies_one_signature_not_two(self, env, monkeypatch):
         # The draft behind the gas estimate is never broadcast, so it is not
-        # signed and costs no Schnorr verify: only the transaction that is
+        # signed and costs no signature verify: only the transaction that is
         # sent gets one (block production then hits its memo).
         from repro.chain import keys
 
