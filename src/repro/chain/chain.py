@@ -67,7 +67,7 @@ class NullChainStore:
     def record_block(self, chain: "Blockchain", block: Block) -> None:
         return None
 
-    def snapshot(self, chain: "Blockchain", compact: bool = True) -> None:
+    def snapshot(self, chain: "Blockchain") -> None:
         return None
 
 

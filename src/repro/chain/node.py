@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, TYPE_CHECKING
 
-from repro.errors import MempoolError, UnknownTransactionError
+from repro.errors import MempoolError, StorageError, UnknownTransactionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.simnet.netmodel import NetworkModel
@@ -50,37 +50,35 @@ class EthereumNode:
         validators: Optional[List[Address]] = None,
         network: Optional["NetworkModel"] = None,
         storage: Optional[Any] = None,
-        chain: Optional[Blockchain] = None,
         batch_verify: Optional[int] = None,
     ) -> None:
-        if chain is not None:
-            # Wrap an existing chain (crash recovery hands over a replayed
-            # one); its clock and store are authoritative, so competing
-            # construction arguments are a caller bug, not a preference.
-            if any(arg is not None for arg in (config, backend, clock, validators, storage)):
-                raise ValueError(
-                    "pass either a pre-built chain or config/backend/clock/"
-                    "validators/storage, not both")
-            self.clock = chain.clock
-            self.chain = chain
-        else:
-            self.clock = clock or SimulatedClock()
-            store = None
-            if storage is not None:
-                from repro.storage.engine import ensure_engine
+        engine = None
+        if storage is not None:
+            from repro.storage.engine import ensure_engine, recover_chain
 
-                store = ensure_engine(storage).chain_store()
-            self.chain = Blockchain(config=config, backend=backend, clock=self.clock,
-                                    validators=validators, store=store)
+            engine = ensure_engine(storage)
+        if engine is not None and engine.holds_history():
+            # The one door onto a store: its history is recovered, never
+            # overwritten, and its stored parameters win.
+            self.chain = recover_chain(engine, backend=backend, clock=clock)
+            stored = [str(v) for v in self.chain.consensus.validators]
+            if config not in (None, self.chain.config) or (
+                    validators is not None and [str(v) for v in validators] != stored):
+                raise StorageError(f"the caller's config or validators contradict the "
+                                   f"stored chain's ({self.chain.config}, {stored})")
+        else:
+            self.chain = Blockchain(config=config, backend=backend, clock=clock,
+                                    validators=validators,
+                                    store=None if engine is None else engine.chain_store())
+        self.clock = self.chain.clock
         #: The ``repro.storage`` engine persisting this node's chain: every
         #: mint/transaction/block is write-ahead logged and periodically
-        #: snapshotted, enabling crash recovery via
-        #: ``repro.storage.recover_node``.  ``None`` (the chain holds the null
-        #: store) keeps the seed's purely in-process behaviour.
+        #: snapshotted, and a later node over the same store recovers it.
+        #: ``None`` (the null store) keeps the seed's in-process behaviour.
         self.storage = self.chain.store.engine
         #: Deferred signature verification (``repro.batchverify``): a
         #: verify-worker count; ``None`` (the seed default) keeps the
-        #: verify-at-submission path.  Applied to pre-built chains too.
+        #: verify-at-submission path.  Applied to a recovered chain too.
         if batch_verify is not None:
             self.chain.enable_batch_verify(batch_verify)
         #: Optional ``repro.simnet`` network model governing the client->node

@@ -142,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "inline)")
     serve_parser.add_argument("--store", default=None, metavar="DIR",
                               help="persist the chain (WAL + snapshots) "
-                                   "under DIR")
+                                   "and IPFS blocks under DIR; a DIR that "
+                                   "holds history is reopened")
     serve_parser.add_argument("--obs", action="store_true",
                               help="enable the repro.obs observability layer "
                                    "(GET /metrics then serves the full "

@@ -759,9 +759,9 @@ def build_serve_stack(
     What ``repro serve`` boots and ``bench/`` embeds: a stack from
     :func:`repro.system.stack.build_stack` plus what only a server needs -- a
     log-backed engine for ``store``, one ``serve-ipfs`` daemon so ``ipfs_add``
-    works out of the box, the :class:`DevNamespace`, and the server.
+    works out of the box, the :class:`DevNamespace`, and the server.  A
+    ``store`` that holds history is reopened, chain and IPFS blocks alike.
     """
-    from repro.ipfs.node import IpfsNode
     from repro.system.stack import build_stack
 
     storage = None
@@ -771,7 +771,13 @@ def build_serve_stack(
         storage = StorageConfig(backend="log", directory=store)
     stack = build_stack(storage=storage, batch_verify=batch_verify,
                         observability=obs)
-    stack.gateway.serve_ipfs_node(IpfsNode("serve-ipfs", swarm=stack.swarm))
+    ipfs = stack.ipfs_node("serve-ipfs")
+    stack.gateway.serve_ipfs_node(ipfs)
+    if store is not None and logger is not None:
+        repo = ipfs.repo_stat()
+        logger(f"store {store}: chain at height {stack.node.block_number}, "
+               f"{len(stack.node.chain.mempool)} pending transaction(s) re-queued, "
+               f"{repo['num_blocks']} IPFS block(s) ({repo['repo_size_bytes']} bytes)")
     dev = DevNamespace(stack)
     stack.gateway.register_namespace(dev.methods())
     server = RpcHttpServer(stack, config, logger=logger)

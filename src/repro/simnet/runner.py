@@ -41,7 +41,7 @@ from repro.chain.node import EthereumNode
 from repro.chain.transaction import Transaction, encode_call
 from repro.contracts.registry import default_registry
 from repro.errors import ReproError, SimulationError
-from repro.storage.engine import StorageEngine, ensure_engine, recover_node
+from repro.storage.engine import StorageEngine, ensure_engine
 from repro.simnet.behaviors import (
     OwnerBehavior,
     adversary_fraction,
@@ -475,19 +475,15 @@ class ScenarioRunner:
 
         This is the simulated ``kill -9``: the old node object -- its chain,
         state, mempool and receipt index -- is discarded wholesale, and a
-        replacement is recovered purely from the storage engine (snapshot +
-        WAL replay, pending transactions re-queued).  Every wallet and
-        facade reaches the chain through the shared JSON-RPC gateway, so
-        re-pointing the gateway's ``eth_*`` namespace at the recovered node
-        is all the rewiring the marketplace needs.
+        new node over the storage engine recovers it (snapshot + WAL replay,
+        pending transactions re-queued).  Every wallet and facade reaches the
+        chain through the shared JSON-RPC gateway, so re-pointing the
+        gateway's ``eth_*`` namespace is all the rewiring the marketplace
+        needs.
         """
         dead = self.node
-        recovered = recover_node(
-            self.storage,
-            backend=default_registry(),
-            clock=self.clock,
-            network=self.chain_network,
-        )
+        recovered = EthereumNode(backend=default_registry(), clock=self.clock,
+                                 network=self.chain_network, storage=self.storage)
         recovered.dropped_submissions = dead.dropped_submissions
         # Scenario metrics describe the whole run, not one process lifetime:
         # carry the dead node's admission counters over (recovery's re-queued

@@ -11,9 +11,9 @@ chain's :class:`~repro.storage.wal.WriteAheadLog`, a
   periodic snapshot + WAL compaction cycle;
 * :class:`BlobSpace` -- a namespaced, cache-fronted byte store handed to
   each IPFS node's block store;
-* :func:`recover_chain` / :func:`recover_node` -- replay-based crash
-  recovery that rebuilds a node to the identical chain head from snapshot +
-  WAL.
+* :func:`recover_chain` -- replay-based crash recovery to the identical
+  head, which ``EthereumNode(storage=...)`` runs over a store that
+  :meth:`StorageEngine.holds_history`.
 """
 
 from __future__ import annotations
@@ -113,6 +113,10 @@ class StorageEngine:
         """Whether this engine survives process death."""
         return self.config.backend == "log"
 
+    def holds_history(self) -> bool:
+        """Whether a chain already wrote here: a WAL entry or a snapshot."""
+        return self.wal.last_seq() >= 0 or self.snapshots.latest_pointer() is not None
+
     def blob_space(self, namespace: str) -> BlobSpace:
         """A cache-fronted blob namespace (e.g. one IPFS node's blocks)."""
         return BlobSpace(self, namespace)
@@ -179,19 +183,16 @@ class ChainStore:
         and persist its static parameters so recovery can rebuild an
         identical instance.
 
-        A *fresh* chain refuses to attach to a store that already holds
-        history: appending a new run's genesis-rooted blocks after another
-        run's WAL would interleave two incompatible chains and make both
-        unrecoverable.  Recovery (:func:`recover_chain`) is the one legitimate
-        way to mount existing history; it binds the store without attaching.
+        A fresh chain refuses a store that already holds history: its
+        genesis-rooted blocks after another run's WAL would make both chains
+        unrecoverable.  ``EthereumNode(storage=...)`` is the way in: it
+        recovers (:func:`recover_chain`), which binds without attaching.
         """
-        if chain.height == 0 and (
-                self.engine.wal.last_seq() >= 0
-                or self.engine.snapshots.latest_pointer() is not None):
+        if self.engine.holds_history():
             raise StorageError(
-                "this store already holds chain history; recover it "
-                "(repro.storage.recover_node / `python -m repro storage "
-                "verify`) or point the new run at an empty directory")
+                "this store already holds chain history; open it through "
+                "EthereumNode(storage=...), which recovers it, or give the "
+                "new chain an empty store")
         if self.engine.backend.get_meta(CHAIN_META_KEY) is None:
             config = chain.config
             self.engine.backend.put_meta(CHAIN_META_KEY, {
@@ -222,8 +223,8 @@ class ChainStore:
 
     # -- snapshots ---------------------------------------------------------------
 
-    def snapshot(self, chain: Any, compact: bool = True) -> Dict[str, Any]:
-        """Write a snapshot at ``chain``'s head; optionally compact the WAL.
+    def snapshot(self, chain: Any) -> Dict[str, Any]:
+        """Write a snapshot at ``chain``'s head and compact the WAL behind it.
 
         The snapshot's ``wal_seq`` is the *last appended* WAL sequence: every
         entry at or below it is already reflected in the snapshotted state
@@ -232,7 +233,7 @@ class ChainStore:
         """
         wal_seq = self.engine.wal.last_seq()
         pointer = self.engine.snapshots.write(chain, wal_seq=wal_seq)
-        if compact and wal_seq >= 0:
+        if wal_seq >= 0:
             self.engine.wal.compact(
                 wal_seq,
                 is_pending_tx=lambda payload: not chain.has_receipt(
@@ -305,8 +306,8 @@ def recover_chain(
         for number in engine.wal.archived_block_numbers():
             if number <= snapshot_height:
                 chain.import_block(engine.wal.archived_block(number))
-        # ... but blocks <= H may still sit un-compacted in the live WAL
-        # when the snapshot was written with compaction disabled.
+        # ... but blocks <= H still sit in the live WAL when a crash fell
+        # between the snapshot and the compaction behind it.
         for entry in engine.wal.entries():
             if entry.kind == "block" and \
                     int(entry.payload["header"]["number"]) <= snapshot_height and \
@@ -367,21 +368,15 @@ def recover_chain(
 def recover_node(
     storage: Union[StorageEngine, StorageConfig],
     backend: Any = None,
-    clock: Any = None,
-    network: Any = None,
 ):
-    """Rebuild an :class:`~repro.chain.node.EthereumNode` from a store.
-
-    Convenience over :func:`recover_chain`: the node wraps the recovered
-    chain and shares its clock, so callers can resume serving RPC traffic
-    exactly where the dead process stopped.
-    """
+    """``EthereumNode(storage=...)`` over a store that must hold history: an
+    empty one is refused rather than given a fresh chain."""
     from repro.chain.node import EthereumNode
 
-    # The node reads its engine off the recovered chain's store, so it
-    # shares the engine the chain writes through, never a second one.
-    chain = recover_chain(storage, backend=backend, clock=clock)
-    return EthereumNode(chain=chain, network=network)
+    engine = ensure_engine(storage)
+    if not engine.holds_history():
+        raise StorageError("this store holds no chain history to recover")
+    return EthereumNode(backend=backend, storage=engine)
 
 
 def verify_store(
@@ -410,7 +405,7 @@ def compact_store(
     engine = ensure_engine(storage)
     before = engine.wal.counts_by_kind()
     chain = recover_chain(engine, backend=backend)
-    pointer = chain.store.snapshot(chain, compact=True)
+    pointer = chain.store.snapshot(chain)
     engine.snapshots.prune(keep=2)
     return {
         "before": before,

@@ -28,13 +28,12 @@ from repro.data.synthetic_mnist import (
     generate_synthetic_mnist,
     synthetic_mnist_labels,
 )
-from repro.ipfs.blockstore import BlockStore
-from repro.ipfs.node import IpfsNode
 from repro.ipfs.swarm import Swarm
 from repro.ml.trainer import TrainingConfig
 from repro.rpc.client import MarketplaceClient
 from repro.rpc.gateway import JsonRpcGateway
-from repro.storage.engine import StorageEngine
+from repro.errors import StorageError
+from repro.storage.engine import StorageEngine, ensure_engine
 from repro.system.stack import Stack, build_stack
 from repro.system.config import OFLW3Config
 from repro.system.costs import GasCostReport, build_gas_cost_report
@@ -74,7 +73,7 @@ class MarketplaceEnvironment:
         return self.stack.gateway
 
     @property
-    def storage(self) -> StorageEngine:
+    def storage(self) -> Optional[StorageEngine]:
         return self.stack.engine
 
 
@@ -189,17 +188,20 @@ def build_environment(
     engine, which is bit-for-bit invisible to the experiment; pass a
     log-backed config (CLI: ``python -m repro run --store DIR``) to persist
     the chain WAL, periodic snapshots and every IPFS block under a
-    directory that survives the process.
+    directory that survives the process.  A store that already holds chain
+    history is refused: a report is one fresh task.
     """
     config = config or OFLW3Config()
     if stack is None:
-        stack = build_stack(storage=storage if storage is not None else StorageEngine())
-    elif storage is not None or stack.engine is None:
-        raise ValueError(
-            "a pre-built stack brings its own cluster and engine (pass them to "
-            "build_stack), and needs an engine: IPFS blocks live on it")
-    engine, node, faucet, swarm, gateway = (
-        stack.engine, stack.node, stack.faucet, stack.swarm, stack.gateway)
+        engine = ensure_engine(storage) or StorageEngine()
+        if engine.holds_history():
+            raise StorageError("this store already holds chain history; a report "
+                               "is one fresh task, so give the run an empty directory")
+        stack = build_stack(storage=engine)
+    elif storage is not None:
+        raise ValueError("a pre-built stack brings its own cluster and engine "
+                         "(pass them to build_stack)")
+    node, faucet, swarm, gateway = stack.node, stack.faucet, stack.swarm, stack.gateway
     latency = LatencyModel()
     if behaviors is not None and len(behaviors) != config.num_owners:
         raise ValueError(
@@ -247,15 +249,9 @@ def build_environment(
     # IPFS swarm: one node for the buyer, one per owner, fully meshed (LAN).
     # Each node's block store sits on its own blob namespace of the storage
     # engine, fronted by the engine's shared LRU read cache.
-    def _ipfs_node(name: str) -> IpfsNode:
-        return IpfsNode(
-            name, swarm,
-            blockstore=BlockStore(space=engine.blob_space(f"ipfs/{name}")),
-        )
-
-    buyer_ipfs = _ipfs_node(f"{label_prefix}buyer")
+    buyer_ipfs = stack.ipfs_node(f"{label_prefix}buyer")
     owner_ipfs_nodes = [
-        _ipfs_node(f"{label_prefix}owner-{i}") for i in range(config.num_owners)
+        stack.ipfs_node(f"{label_prefix}owner-{i}") for i in range(config.num_owners)
     ]
     swarm.connect_all()
 

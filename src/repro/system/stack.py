@@ -31,11 +31,12 @@ from functools import cached_property, partial
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.chain.account import checksum_cache
-from repro.chain.chain import ChainConfig
 from repro.chain.faucet import Faucet
 from repro.chain.node import EthereumNode
 from repro.contracts.registry import default_registry
 from repro.errors import ConfigError
+from repro.ipfs.blockstore import BlockStore
+from repro.ipfs.node import IpfsNode
 from repro.ipfs.swarm import Swarm
 from repro.obs import MetricsRegistry, Observability, adapters, ensure_observability
 from repro.rpc.gateway import JsonRpcGateway
@@ -83,10 +84,16 @@ class Stack:
         """
         return _analytics(self.node, self.cluster)
 
+    def ipfs_node(self, name: str) -> IpfsNode:
+        """A new IPFS daemon on the swarm, its blocks on the engine's blob
+        space ``ipfs/<name>`` if the stack has an engine, else in memory."""
+        space = None if self.engine is None else self.engine.blob_space(f"ipfs/{name}")
+        return IpfsNode(name, self.swarm, blockstore=BlockStore(space=space))
+
     # -- lifecycle -----------------------------------------------------------------
 
     def replace_node(self, recovered: EthereumNode) -> None:
-        """Swap in a node recovered from storage (the simulated ``kill -9``).
+        """Swap in a node recovered from the engine (the simulated ``kill -9``).
 
         What held the dead node is re-pointed -- the gateway's ``eth_*``
         namespace, the faucet, the facade's chain hooks -- and the analytics
@@ -182,12 +189,13 @@ def build_stack(
     """Assemble one stack.
 
     ``storage`` is a ``StorageEngine`` / ``StorageConfig`` (the chain, or a
-    cluster's first replica, write-ahead logs through it); ``cluster`` a
-    ``ClusterConfig``; ``batch_verify`` a verify-worker count (single node
-    only: replicas re-verify blocks on the scalar path); ``chain_network`` /
-    ``ipfs_network`` simnet link models for the client->node and bitswap
-    links; ``observability`` ``True`` or an ``Observability`` (whose registry
-    the stack then shares); ``analytics`` a columnar replica over the WAL.
+    cluster's first replica, write-ahead logs through it; a node recovers
+    what it holds); ``cluster`` a ``ClusterConfig``; ``batch_verify`` a
+    verify-worker count (single node only: replicas re-verify blocks on the
+    scalar path); ``chain_network`` / ``ipfs_network`` simnet link models
+    for the client->node and bitswap links; ``observability`` ``True`` or an
+    ``Observability`` (whose registry the stack then shares); ``analytics``
+    a columnar replica over the WAL.
     """
     if batch_verify is not None and batch_verify < 0:
         raise ConfigError(f"batch_verify needs >= 0 workers, got {batch_verify}")
@@ -212,8 +220,8 @@ def build_stack(
                                      registry=default_registry())
         node: EthereumNode = ClusterNode(chain_cluster, network=chain_network)
     else:
-        node = EthereumNode(config=ChainConfig(), backend=default_registry(),
-                            clock=clock, network=chain_network, storage=engine,
+        node = EthereumNode(backend=default_registry(), clock=clock,
+                            network=chain_network, storage=engine,
                             batch_verify=batch_verify)
     swarm = Swarm(network=ipfs_network, clock=clock)
     gateway = JsonRpcGateway(node=node, swarm=swarm)

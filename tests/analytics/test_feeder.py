@@ -112,7 +112,7 @@ class TestCompactionCatchUp:
             send_transfer(node, keys)
         # Snapshot + compact: the three new block entries move from the live
         # log into the cold block archive before the feeder tails them.
-        node.chain.store.snapshot(node.chain, compact=True)
+        node.chain.store.snapshot(node.chain)
         assert feeder.store.height == node.chain.height - 3
         feeder.drain()
         assert feeder.store.height == node.chain.height
@@ -122,7 +122,7 @@ class TestCompactionCatchUp:
     def test_backfill_rebuilds_from_scratch(self, marketplace_node):
         node, _ = marketplace_node
         feeder = attach_analytics(node.chain)
-        node.chain.store.snapshot(node.chain, compact=True)
+        node.chain.store.snapshot(node.chain)
         result = feeder.backfill()
         assert result["height"] == node.chain.height
         assert result["blocks_applied"] == node.chain.height

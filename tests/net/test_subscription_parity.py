@@ -42,6 +42,14 @@ def make_fork_chain(validator_label, clock):
     return ForkChoice(chain, default_registry(), snapshot_interval=2)
 
 
+def node_over(chain):
+    """A node whose chain is a fork choice's: the reorg tests drive the fork
+    choice and read through the node."""
+    node = EthereumNode(clock=chain.clock)
+    node.chain = chain
+    return node
+
+
 def send_transfer(node, nonce):
     tx = Transaction(sender=Address(ALICE.address),
                      to=Address("0x" + "66" * 20), value=1, nonce=nonce,
@@ -131,7 +139,7 @@ class TestReorgParity:
         key = KeyPair.from_label("net-parity-bob")
         for chain in (ours, theirs):
             chain.mint(key.address, 10**18)
-        node = EthereumNode(chain=ours.chain)
+        node = node_over(ours.chain)
 
         filters, subs = FilterManager(node), SubscriptionManager(node)
         filter_id = filters.new_block_filter()
@@ -182,7 +190,7 @@ class TestReorgParity:
         key = KeyPair.from_label("net-parity-carol")
         for chain in (ours, theirs):
             chain.mint(key.address, 10**18)
-        node = EthereumNode(chain=ours.chain)
+        node = node_over(ours.chain)
 
         filters, subs = FilterManager(node), SubscriptionManager(node)
         filter_id = filters.new_pending_transaction_filter()

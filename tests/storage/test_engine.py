@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.chain import EthereumNode, Faucet, KeyPair
+from repro.chain.chain import Blockchain, ChainConfig
 from repro.contracts import default_registry
 from repro.errors import StorageError
 from repro.ipfs import IpfsNode, Swarm
@@ -160,33 +161,53 @@ class TestGatewayIntegration:
 class TestReviewRegressions:
     """Regression tests for issues found in code review."""
 
-    def test_fresh_chain_refuses_a_store_with_history(self, tmp_path):
+    def test_a_new_node_on_a_store_with_history_recovers_it(self, tmp_path):
         directory = str(tmp_path / "s")
         engine = StorageEngine(StorageConfig(backend="log", directory=directory))
         node = EthereumNode(backend=default_registry(), storage=engine)
         keys = KeyPair.from_label("history-sender")
         Faucet(node).drip(keys.address, ether_to_wei(1))
         node.wait_for_receipt(node.sign_and_send(keys, to="0x" + "88" * 20, value=1))
+        head = node.chain.latest_block.hash
         engine.close()
 
-        # A second, brand-new run pointed at the same directory must refuse
-        # instead of interleaving two incompatible chains.
+        # A brand-new node over the same directory is the one door in: it
+        # recovers the first node's chain instead of interleaving a second.
         reopened = StorageEngine(StorageConfig(backend="log", directory=directory))
+        revived = EthereumNode(backend=default_registry(), storage=reopened)
+        assert revived.chain.height == 1
+        assert revived.chain.latest_block.hash == head
+        assert revived.storage is reopened
+
+        # A bare fresh chain still refuses to write after that history.
         with pytest.raises(StorageError, match="already holds chain history"):
-            EthereumNode(backend=default_registry(), storage=reopened)
+            Blockchain(backend=default_registry(), store=reopened.chain_store())
         reopened.close()
 
-        # Recovery remains the legitimate way in.
-        from repro.storage import recover_node
-        revived = recover_node(StorageConfig(backend="log", directory=directory),
-                               backend=default_registry())
-        assert revived.chain.height == 1
+    def test_stored_chain_parameters_win_over_a_contradicting_caller(self, tmp_path):
+        directory = str(tmp_path / "s")
+        engine = StorageEngine(StorageConfig(backend="log", directory=directory))
+        node = EthereumNode(config=ChainConfig(chain_id=7), backend=default_registry(),
+                            storage=engine)
+        Faucet(node).drip(KeyPair.from_label("params-owner").address, 1)
+        engine.close()
+
+        config = StorageConfig(backend="log", directory=directory)
+        with pytest.raises(StorageError, match="contradict"):
+            EthereumNode(config=ChainConfig(), backend=default_registry(), storage=config)
+        with pytest.raises(StorageError, match="contradict"):
+            EthereumNode(backend=default_registry(), storage=config,
+                         validators=[KeyPair.from_label("params-validator").address])
+        revived = EthereumNode(config=ChainConfig(chain_id=7),
+                               backend=default_registry(), storage=config)
+        assert revived.chain_id == 7
         revived.storage.close()
 
-    def test_node_rejects_chain_plus_construction_args(self):
-        donor = EthereumNode(backend=default_registry())
-        with pytest.raises(ValueError):
-            EthereumNode(chain=donor.chain, backend=default_registry())
+    def test_recover_node_refuses_an_empty_store(self, tmp_path):
+        from repro.storage import recover_node
+
+        with pytest.raises(StorageError, match="no chain history"):
+            recover_node(StorageConfig(backend="log", directory=str(tmp_path / "s")))
 
     def test_blockstore_total_bytes_via_stat(self, tmp_path):
         engine = StorageEngine(StorageConfig(backend="log",

@@ -39,7 +39,7 @@ HOOKS = {
     "record_mint": ((str(SENDER.address), 5), {}),
     "record_transaction": ((Blockchain(), _transfer()), {}),
     "record_block": ((Blockchain(), Blockchain().latest_block), {}),
-    "snapshot": ((Blockchain(),), {"compact": True}),
+    "snapshot": ((Blockchain(),), {}),
 }
 
 #: Where a chain's store is reached, and how each file spells the receiver.

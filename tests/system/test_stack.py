@@ -26,6 +26,7 @@ import pytest
 import repro
 from repro.chain.account import Address
 from repro.chain.keys import KeyPair
+from repro.chain.node import EthereumNode
 from repro.chain.transaction import Transaction
 from repro.cluster import ClusterConfig
 from repro.contracts.registry import default_registry
@@ -166,8 +167,8 @@ class TestReplaceNode:
         assert dead_feeder.queries == 2
         balance = stack.rpc.eth.get_balance(SENDERS[0].address)
 
-        recovered = recover_node(stack.engine, backend=default_registry(),
-                                 clock=stack.clock)
+        recovered = EthereumNode(backend=default_registry(), clock=stack.clock,
+                                 storage=stack.engine)
         collectors = list(stack.registry._collectors)
         stack.replace_node(recovered)
 
@@ -197,8 +198,8 @@ class TestReplaceNode:
     def test_a_bare_stack_swaps_with_nothing_else_attached(self):
         stack = build_stack(storage=StorageEngine())
         head = drive(stack)
-        recovered = recover_node(stack.engine, backend=default_registry(),
-                                 clock=stack.clock)
+        recovered = EthereumNode(backend=default_registry(), clock=stack.clock,
+                                 storage=stack.engine)
         stack.replace_node(recovered)
         assert stack.analytics is None and stack.obs is None
         assert stack.rpc.eth.block_number == 1

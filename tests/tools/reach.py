@@ -433,31 +433,34 @@ def benchmarks(work: Path) -> None:
 
 def serve_until_sigterm(work: Path) -> None:
     """``repro serve`` itself, in this process's main thread: one request once
-    it listens, then SIGTERM and its graceful shutdown."""
+    it listens, then SIGTERM and its graceful shutdown; then again on the same
+    ``--store``, whose shutdown snapshot the second boot recovers."""
     import signal
 
     from repro.cli import main
 
-    log = io.StringIO()
+    for boot in range(2):
+        log = io.StringIO()
 
-    def client() -> None:
-        deadline = time.monotonic() + 30
-        while "listening on " not in log.getvalue() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        url = log.getvalue().split("listening on ", 1)[1].split()[0]
-        try:
-            with urllib.request.urlopen(url.rstrip("/") + "/healthz", timeout=30) as response:
-                assert response.status == 200
-        finally:
-            os.kill(os.getpid(), signal.SIGTERM)
+        def client() -> None:
+            deadline = time.monotonic() + 30
+            while "listening on " not in log.getvalue() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            url = log.getvalue().split("listening on ", 1)[1].split()[0]
+            try:
+                with urllib.request.urlopen(url.rstrip("/") + "/healthz",
+                                            timeout=30) as response:
+                    assert response.status == 200
+            finally:
+                os.kill(os.getpid(), signal.SIGTERM)
 
-    helper = threading.Thread(target=client)
-    with contextlib.redirect_stdout(log):
-        helper.start()
-        code = main(["serve", "--port", "0", "--block-interval", "0.05", "--obs",
-                     "--store", str(work / "served")])
-    helper.join()
-    assert code == 0 and "graceful shutdown complete" in log.getvalue(), log.getvalue()
+        helper = threading.Thread(target=client)
+        with contextlib.redirect_stdout(log):
+            helper.start()
+            code = main(["serve", "--port", "0", "--block-interval", "0.05", "--obs",
+                         "--store", str(work / "served")])
+        helper.join()
+        assert code == 0 and "graceful shutdown complete" in log.getvalue(), log.getvalue()
 
 
 def cli_reference(work: Path) -> None:
