@@ -118,23 +118,6 @@ class Account:
         """Whether a contract is deployed at this account."""
         return self.contract is not None
 
-    def copy(self) -> "Account":
-        """Shallow-copy the account for snapshotting.
-
-        Contract objects hold their persistent data exclusively in
-        ``storage`` (enforced by the contract framework), so a shallow copy
-        of the object reference plus a copied storage dict is a faithful
-        snapshot.
-        """
-        return Account(
-            address=self.address,
-            balance=self.balance,
-            nonce=self.nonce,
-            contract=self.contract,
-            code_size=self.code_size,
-            storage=dict(self.storage),
-        )
-
     def to_dict(self) -> dict:
         """JSON-friendly summary (omits the live contract object)."""
         return {

@@ -72,7 +72,11 @@ class CallContext:
 
     @property
     def storage(self) -> dict:
-        """Persistent storage dictionary of the executing contract."""
+        """Persistent storage dictionary of the executing contract, to read.
+
+        Writes go through :meth:`WorldState.set_storage`, which journals them
+        for a revert.
+        """
         return self.state.get_account(self.contract_address).storage
 
     def emit(self, event_name: str, **args: Any) -> EventLog:
@@ -270,9 +274,7 @@ class TransactionExecutor:
                 state.transfer(tx.sender, contract_address, tx.value)
             result = self.backend.create(name, payload.get("args", []), ctx)
             meter.consume(gas.code_deposit_gas(result.code_size), reason="code deposit")
-            account = state.get_account(contract_address)
-            account.contract = result.contract
-            account.code_size = result.code_size
+            state.install_contract(contract_address, result.contract, result.code_size)
             return None, contract_address, ctx.logs
 
         destination = state.get_account(tx.to)

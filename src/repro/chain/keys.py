@@ -22,8 +22,10 @@ order ``L``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -147,6 +149,13 @@ class _PurePython:
         secret = int.from_bytes(digest[:32], "little") & ((1 << 254) - 8) | 1 << 254
         return secret, digest[32:]
 
+    def private_key(self, seed: bytes) -> bytes:
+        """The key a :class:`KeyPair` signs with: the seed itself."""
+        return seed
+
+    def free(self, key: bytes) -> None:
+        """Nothing to free: the key is the seed."""
+
     def public_key(self, seed: bytes) -> bytes:
         return _compress(_multiply(self._expand(seed)[0], _BASE))
 
@@ -191,10 +200,11 @@ class _Context:
 
 
 class _Libcrypto:
-    """Ed25519 through OpenSSL's ``EVP`` one-shot calls.  Every call parses
-    its key (one ``EVP_PKEY`` a call, freed before it returns: no per-key
-    state) and runs on the calling thread's ``EVP_MD_CTX``, so ``ctypes``
-    may release the GIL and a forked child inherits nothing half-written."""
+    """Ed25519 through OpenSSL's ``EVP`` one-shot calls.  A verify parses its
+    key (one ``EVP_PKEY`` a call, freed before it returns: no per-key state);
+    a :class:`KeyPair` parses its private key once and signs with it.  Every
+    call runs on the calling thread's ``EVP_MD_CTX``, so ``ctypes`` may
+    release the GIL and a forked child inherits nothing half-written."""
 
     def __init__(self) -> None:
         import _hashlib
@@ -231,27 +241,26 @@ class _Libcrypto:
         self._lib.EVP_MD_CTX_reset(context.pointer)
         return context.pointer
 
-    def public_key(self, seed: bytes) -> bytes:
-        lib = self._lib
-        key = lib.EVP_PKEY_new_raw_private_key(_EVP_PKEY_ED25519, None, seed, 32)
-        try:
-            out, length = self._buffer(32), self._size(32)
-            lib.EVP_PKEY_get_raw_public_key(key, out, self._reference(length))
-            return out.raw
-        finally:
-            lib.EVP_PKEY_free(key)
+    def private_key(self, seed: bytes) -> int:
+        """A new ``EVP_PKEY`` for ``seed``: the caller frees it with :meth:`free`."""
+        return self._lib.EVP_PKEY_new_raw_private_key(_EVP_PKEY_ED25519, None, seed, 32)
 
-    def sign(self, seed: bytes, message: bytes) -> bytes:
-        lib = self._lib
-        key = lib.EVP_PKEY_new_raw_private_key(_EVP_PKEY_ED25519, None, seed, 32)
-        try:
-            context = self._context()
-            lib.EVP_DigestSignInit(context, None, None, None, key)
-            out, length = self._buffer(64), self._size(64)
-            lib.EVP_DigestSign(context, out, self._reference(length), message, len(message))
-            return out.raw
-        finally:
-            lib.EVP_PKEY_free(key)
+    def free(self, key: int) -> None:
+        self._lib.EVP_PKEY_free(key)
+
+    def public_key(self, key: int) -> bytes:
+        """The raw public key of a :meth:`private_key`."""
+        out, length = self._buffer(32), self._size(32)
+        self._lib.EVP_PKEY_get_raw_public_key(key, out, self._reference(length))
+        return out.raw
+
+    def sign(self, key: int, message: bytes) -> bytes:
+        """Sign ``message`` with a :meth:`private_key`."""
+        lib, context = self._lib, self._context()
+        lib.EVP_DigestSignInit(context, None, None, None, key)
+        out, length = self._buffer(64), self._size(64)
+        lib.EVP_DigestSign(context, out, self._reference(length), message, len(message))
+        return out.raw
 
     def verify(self, public_key: bytes, signature: bytes, message: bytes) -> bool:
         lib = self._lib
@@ -362,9 +371,19 @@ class KeyPair:
     def __init__(self, private_key: bytes) -> None:
         if len(private_key) == 0:
             raise ValueError("private key must be non-empty bytes")
-        self._seed = keccak256(b"oflw3-priv" + bytes(private_key))
-        self.public_key = _decoded(_kernel().public_key(self._seed))
+        self._private_key = bytes(private_key)
+        seed = keccak256(b"oflw3-priv" + self._private_key)
+        backend = _kernel()
+        # Parsed once, here, and freed when this key pair is collected.
+        key = backend.private_key(seed)
+        weakref.finalize(self, backend.free, key)
+        self._sign = functools.partial(backend.sign, key)
+        self.public_key = _decoded(backend.public_key(key))
         self.address = address_from_public_key(self.public_key)
+
+    def __reduce__(self):
+        """Copy and pickle by private key: a copy parses its own ``EVP_PKEY``."""
+        return type(self), (self._private_key,)
 
     # -- construction -------------------------------------------------------
 
@@ -383,7 +402,7 @@ class KeyPair:
         """Produce a deterministic Ed25519 signature over a 32-byte hash."""
         if len(message_hash) != 32:
             raise ValueError("sign expects a 32-byte message hash")
-        signed = _kernel().sign(self._seed, message_hash)
+        signed = self._sign(message_hash)
         return Signature(e=_decoded(signed[:32]), s=_decoded(signed[32:]),
                          public_key=self.public_key)
 
@@ -402,6 +421,17 @@ def verify_signature(signature: Signature, message_hash: bytes) -> bool:
         return False
     return _kernel().verify(_encoded(signature.public_key),
                             _encoded(signature.e) + _encoded(signature.s), message_hash)
+
+
+def signed_by(signature: Signature, message_hash: bytes, address: str) -> bool:
+    """Whether ``signature`` verifies over ``message_hash`` under a key whose
+    address is ``address``, given in lowercase (``0x`` then 40 hex digits).
+
+    The sender check of a transaction: the key's keccak is compared with the
+    address's bytes, so no checksum is rendered.
+    """
+    return (verify_signature(signature, message_hash) and
+            keccak256(_encoded(signature.public_key))[-ADDRESS_BYTES:].hex() == address[2:])
 
 
 def recover_address(signature: Signature, message_hash: bytes) -> str:

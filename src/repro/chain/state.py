@@ -2,15 +2,25 @@
 
 The state supports nested snapshot/revert so that a reverted contract call
 (``require`` failure, out-of-gas) rolls back every balance change, nonce
-bump and storage write it made, exactly as the EVM does.
+bump, account creation, contract install and storage write it made, exactly
+as the EVM does.
+
+Snapshots are marks in an undo journal.  While one is open, every write
+appends the value it replaces, so :meth:`WorldState.snapshot` costs the same
+at any number of accounts and :meth:`WorldState.revert` costs what was
+written since the mark.  Writes made with no snapshot open are not
+journaled, and the journal empties when the outermost snapshot closes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.errors import InsufficientFundsError
 from repro.chain.account import Account, Address
+
+#: The prior value of a dictionary key that was not there.
+_ABSENT = object()
 
 
 class WorldState:
@@ -18,7 +28,26 @@ class WorldState:
 
     def __init__(self) -> None:
         self._accounts: Dict[str, Account] = {}
-        self._snapshots: List[Dict[str, Account]] = []
+        #: Undo entries ``(target, name, prior)`` since the outermost open
+        #: snapshot, oldest first: ``target`` is an account (``name`` an
+        #: attribute) or a dictionary (``name`` a key).
+        self._journal: List[Tuple[Any, str, Any]] = []
+        #: The journal's length when each open snapshot was taken.
+        self._marks: List[int] = []
+
+    # -- journaled writes ---------------------------------------------------
+
+    def _assign(self, account: Account, name: str, value: Any) -> None:
+        """Set ``account.<name>``, journaling the value it replaces."""
+        if self._marks:
+            self._journal.append((account, name, getattr(account, name)))
+        setattr(account, name, value)
+
+    def _put(self, mapping: Dict[str, Any], key: str, value: Any) -> None:
+        """Set ``mapping[key]``, journaling the value it replaces."""
+        if self._marks:
+            self._journal.append((mapping, key, mapping.get(key, _ABSENT)))
+        mapping[key] = value
 
     # -- account access -----------------------------------------------------
 
@@ -26,9 +55,11 @@ class WorldState:
         """Return the account at ``address``, creating an empty one if absent."""
         addr = Address(address)
         key = addr.lower
-        if key not in self._accounts:
-            self._accounts[key] = Account(address=addr)
-        return self._accounts[key]
+        account = self._accounts.get(key)
+        if account is None:
+            account = Account(address=addr)
+            self._put(self._accounts, key, account)
+        return account
 
     def accounts(self) -> Iterator[Account]:
         """Iterate over all known accounts."""
@@ -36,7 +67,17 @@ class WorldState:
 
     def load_account(self, account: Account) -> None:
         """Install a fully formed account record (snapshot restoration)."""
-        self._accounts[account.address.lower] = account
+        self._put(self._accounts, account.address.lower, account)
+
+    def install_contract(self, address: Address | str, contract: Any, code_size: int) -> None:
+        """Deploy ``contract`` (with its code size) at ``address``."""
+        account = self.get_account(address)
+        self._assign(account, "contract", contract)
+        self._assign(account, "code_size", code_size)
+
+    def set_storage(self, address: Address | str, slot: str, value: Any) -> None:
+        """Write ``value`` to storage slot ``slot`` of the account at ``address``."""
+        self._put(self.get_account(address).storage, slot, value)
 
     # -- balances -----------------------------------------------------------
 
@@ -50,7 +91,8 @@ class WorldState:
         """Add ``amount`` wei to an account balance."""
         if amount < 0:
             raise ValueError(f"credit amount must be non-negative: {amount}")
-        self.get_account(address).balance += amount
+        account = self.get_account(address)
+        self._assign(account, "balance", account.balance + amount)
 
     def debit(self, address: Address | str, amount: int) -> None:
         """Remove ``amount`` wei from an account balance.
@@ -67,7 +109,7 @@ class WorldState:
             raise InsufficientFundsError(
                 f"{address} has {account.balance} wei, needs {amount}"
             )
-        account.balance -= amount
+        self._assign(account, "balance", account.balance - amount)
 
     def transfer(self, sender: Address | str, recipient: Address | str, amount: int) -> None:
         """Move ``amount`` wei from ``sender`` to ``recipient`` atomically."""
@@ -85,29 +127,41 @@ class WorldState:
     def increment_nonce(self, address: Address | str) -> int:
         """Bump and return the new nonce."""
         account = self.get_account(address)
-        account.nonce += 1
+        self._assign(account, "nonce", account.nonce + 1)
         return account.nonce
 
     # -- snapshots ----------------------------------------------------------
 
     def snapshot(self) -> int:
         """Take a snapshot; returns an identifier for :meth:`revert`."""
-        frame = {key: account.copy() for key, account in self._accounts.items()}
-        self._snapshots.append(frame)
-        return len(self._snapshots) - 1
+        self._marks.append(len(self._journal))
+        return len(self._marks) - 1
+
+    def _mark(self, snapshot_id: int) -> int:
+        if not 0 <= snapshot_id < len(self._marks):
+            raise ValueError(f"unknown snapshot id {snapshot_id}")
+        return self._marks[snapshot_id]
 
     def revert(self, snapshot_id: int) -> None:
         """Restore the state captured by ``snapshot_id`` and drop later ones."""
-        if not 0 <= snapshot_id < len(self._snapshots):
-            raise ValueError(f"unknown snapshot id {snapshot_id}")
-        self._accounts = self._snapshots[snapshot_id]
-        del self._snapshots[snapshot_id:]
+        mark = self._mark(snapshot_id)
+        journal = self._journal
+        while len(journal) > mark:
+            target, name, prior = journal.pop()
+            if isinstance(target, Account):
+                setattr(target, name, prior)
+            elif prior is _ABSENT:
+                del target[name]
+            else:
+                target[name] = prior
+        del self._marks[snapshot_id:]
 
     def commit(self, snapshot_id: int) -> None:
         """Discard the snapshot (changes since it are kept)."""
-        if not 0 <= snapshot_id < len(self._snapshots):
-            raise ValueError(f"unknown snapshot id {snapshot_id}")
-        del self._snapshots[snapshot_id:]
+        self._mark(snapshot_id)
+        del self._marks[snapshot_id:]
+        if not self._marks:
+            self._journal.clear()
 
     # -- reporting ----------------------------------------------------------
 

@@ -19,7 +19,7 @@ from typing import Any, Callable, ClassVar, Dict, List, Optional
 from repro.errors import InvalidSignatureError, InvalidTransactionError, ReproError
 from repro.chain.account import Address
 from repro.chain import gas
-from repro.chain.keys import KeyPair, Signature, recover_address
+from repro.chain.keys import KeyPair, Signature, signed_by
 from repro.utils.encoding import from_hex, to_hex
 from repro.utils.hashing import keccak256
 from repro.utils.serialization import canonical_dumps, canonical_loads, rlp_encode
@@ -189,11 +189,7 @@ class Transaction:
             return False
         if self._verified_signature is signature:
             return self._verified_ok
-        try:
-            recovered = recover_address(signature, self.hash)
-            verdict = Address(recovered) == self.sender
-        except InvalidSignatureError:
-            verdict = False
+        verdict = signed_by(signature, self.hash, self.sender.lower)
         object.__setattr__(self, "_verified_ok", verdict)
         object.__setattr__(self, "_verified_signature", signature)
         return verdict

@@ -65,12 +65,11 @@ class Contract:
         """
         if value is None:
             raise ContractRevert(f"SSTORE {key}: a slot cannot be cleared")
-        storage = ctx.storage
-        if key in storage:
+        if key in ctx.storage:
             ctx.meter.consume(gas.SSTORE_UPDATE, reason=f"SSTORE update {key}")
         else:
             ctx.meter.consume(gas.SSTORE_SET, reason=f"SSTORE set {key}")
-        storage[key] = value
+        ctx.state.set_storage(ctx.contract_address, key, value)
 
     def sload(self, ctx: CallContext, key: str, default: Any = None) -> Any:
         """Read storage slot ``key``, charging SLOAD gas."""

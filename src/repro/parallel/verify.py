@@ -33,10 +33,8 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.chain.account import Address
-from repro.chain.keys import Signature, recover_address
+from repro.chain.keys import Signature, signed_by
 from repro.chain.transaction import Transaction
-from repro.errors import InvalidSignatureError
 
 #: One verify job: (signature dict, transaction hash bytes, sender address).
 VerifyJob = Tuple[Dict[str, Any], bytes, str]
@@ -45,18 +43,13 @@ VerifyJob = Tuple[Dict[str, Any], bytes, str]
 def _verify_job(job: VerifyJob) -> bool:
     """Worker-side verify: rebuild the signature and check it (picklable).
 
-    Mirrors :meth:`Transaction.verify_signature` exactly -- recover the
-    signer address from the Ed25519 signature and compare to the claimed
+    Mirrors :meth:`Transaction.verify_signature` exactly -- the same
+    ``signed_by`` check of the Ed25519 signature against the claimed
     sender -- so the memoized verdict is indistinguishable from an inline
     verify.
     """
     sig_dict, tx_hash, sender = job
-    signature = Signature.from_dict(sig_dict)
-    try:
-        recovered = recover_address(signature, tx_hash)
-    except InvalidSignatureError:
-        return False
-    return Address(recovered) == Address(sender)
+    return signed_by(Signature.from_dict(sig_dict), tx_hash, sender.lower())
 
 
 def _verify_jobs(jobs: Sequence[VerifyJob]) -> List[bool]:

@@ -56,14 +56,6 @@ class TestAccount:
         assert account.nonce == 0
         assert not account.is_contract
 
-    def test_copy_is_independent_for_storage(self):
-        account = Account(address=ZERO_ADDRESS, balance=5, storage={"k": 1})
-        clone = account.copy()
-        clone.storage["k"] = 2
-        clone.balance = 10
-        assert account.storage["k"] == 1
-        assert account.balance == 5
-
     def test_to_dict_summarizes(self):
         account = Account(address=ZERO_ADDRESS, balance=7, nonce=3)
         summary = account.to_dict()

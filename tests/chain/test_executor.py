@@ -88,14 +88,14 @@ class TestTransfers:
 
 
 class TestContractLifecycle:
-    def deploy(self, executor, state, value=0):
+    def deploy(self, executor, state, value=0, gas_limit=3_000_000):
         tx = Transaction(
             sender=Address(ALICE.address),
             to=None,
             value=value,
             data=encode_create("CidStorage", []),
             nonce=state.nonce_of(ALICE.address),
-            gas_limit=3_000_000,
+            gas_limit=gas_limit,
             gas_price=GAS_PRICE,
         ).sign(ALICE)
         return executor.apply(tx, state)
@@ -113,6 +113,20 @@ class TestContractLifecycle:
     def test_deployment_charges_code_deposit(self, executor, state):
         receipt = self.deploy(executor, state)
         assert receipt.gas_used > 21_000 + 32_000
+
+    def test_a_reverted_deploy_leaves_no_account_and_no_contract(self, executor, state):
+        # One gas short: the constructor runs (creating the account, moving
+        # the value, writing two slots) and the code deposit runs out.
+        probe = WorldState()
+        probe.credit(ALICE.address, ether_to_wei(5))
+        needed = self.deploy(executor, probe).gas_used
+        address = contract_address_for(Address(ALICE.address), 0)
+        before = [account.address for account in state.accounts()]
+        receipt = self.deploy(executor, state, value=777, gas_limit=needed - 1)
+        assert not receipt.status and receipt.gas_used == needed - 1
+        assert [account.address for account in state.accounts()] == before
+        assert address.lower not in state.to_dict()
+        assert state.balance_of(address) == 0
 
     def test_unknown_contract_reverts(self, executor, state):
         tx = Transaction(

@@ -1,18 +1,25 @@
 """Tests for repro.chain.keys (key pairs, addresses, Ed25519 signatures)."""
 
+import copy
+import gc
+import pickle
+
 import pytest
 
 from repro.errors import InvalidSignatureError
 from repro.chain import keys
+from repro.chain.account import Address
 from repro.chain.keys import (
     KeyPair,
     Signature,
     address_from_public_key,
     recover_address,
+    signed_by,
     to_checksum_address,
     verify_signature,
 )
 from repro.utils.hashing import keccak256
+from tests.property._workload import ITEM_MUTATIONS, build_item, sender_verdict
 
 
 #: RFC 8032 section 7.1, TEST 1-3: (secret seed, public key, message,
@@ -42,9 +49,12 @@ def backend_named(name):
                          ids=["TEST 1", "TEST 2", "TEST 3"])
 def test_rfc8032_vectors(name, seed, public_key, message, signature):
     backend = backend_named(name)
-    seed, message = bytes.fromhex(seed), bytes.fromhex(message)
-    assert backend.public_key(seed).hex() == public_key
-    assert backend.sign(seed, message).hex() == signature
+    key, message = backend.private_key(bytes.fromhex(seed)), bytes.fromhex(message)
+    try:
+        assert backend.public_key(key).hex() == public_key
+        assert backend.sign(key, message).hex() == signature
+    finally:
+        backend.free(key)
     assert backend.verify(bytes.fromhex(public_key), bytes.fromhex(signature), message)
 
 
@@ -148,6 +158,65 @@ class TestSignatures:
         bad = Signature(e=signature.e + 1, s=signature.s, public_key=signature.public_key)
         with pytest.raises(InvalidSignatureError):
             recover_address(bad, digest)
+
+
+def native_key(keypair):
+    """The ``EVP_PKEY`` a key pair signs with (its seed on the fallback)."""
+    return keypair._sign.args[0]
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda keypair: pickle.loads(pickle.dumps(keypair)),
+}
+
+
+class TestKeyPairKey:
+    @pytest.mark.parametrize("how", COPIES)
+    def test_a_copy_derives_its_own_key(self, how):
+        original = KeyPair.from_label("copied")
+        digest = keccak256(b"m")
+        clone = COPIES[how](original)
+        assert (clone.public_key, clone.address) == (original.public_key, original.address)
+        assert native_key(clone) != native_key(original)
+        signature = original.sign(digest)
+        # Freeing the original's key leaves the copy's working.
+        del original
+        gc.collect()
+        assert clone.sign(digest) == signature
+
+    @pytest.mark.parametrize("how", COPIES)
+    def test_a_copy_on_the_fallback_signs_alike(self, how, monkeypatch):
+        monkeypatch.setattr(keys, "_backend", keys._PurePython("forced for this test"))
+        original = KeyPair.from_label("copied on the fallback")
+        digest = keccak256(b"m")
+        assert COPIES[how](original).sign(digest) == original.sign(digest)
+
+    def test_the_key_is_freed_once_with_its_key_pair(self, monkeypatch):
+        freed = []
+        free = keys._Libcrypto.free
+
+        def recording(backend, key):
+            freed.append(key)
+            free(backend, key)
+
+        monkeypatch.setattr(keys._Libcrypto, "free", recording)
+        keypair = KeyPair.from_label("freed")
+        key = native_key(keypair)
+        assert freed == []
+        del keypair
+        gc.collect()
+        assert freed == [key]
+
+
+@pytest.mark.parametrize("mutation", ITEM_MUTATIONS)
+def test_signed_by_gives_the_sender_check_verdict(mutation):
+    # The checksum-free comparison against the checksummed one.
+    for sender in range(3):
+        signature, message, address = build_item((sender, 5 + sender, mutation))
+        assert signed_by(signature, message, Address(address).lower) == \
+            sender_verdict(signature, message, address)
 
 
 class TestChecksumAddress:

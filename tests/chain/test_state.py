@@ -3,12 +3,41 @@
 import pytest
 
 from repro.errors import InsufficientFundsError
+from repro.chain.account import Address
 from repro.chain.keys import KeyPair
 from repro.chain.state import WorldState
 from tests.oracles import total_supply
 
 ALICE = KeyPair.from_label("alice").address
 BOB = KeyPair.from_label("bob").address
+
+
+class CountingDict(dict):
+    """A dict that counts whole-map reads (iteration and copies)."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+    def values(self):
+        self.reads += 1
+        return super().values()
+
+
+class CountingList(list):
+    """A list that counts pops."""
+
+    pops = 0
+
+    def pop(self, *args):
+        self.pops += 1
+        return super().pop(*args)
 
 
 class TestBalances:
@@ -72,7 +101,7 @@ class TestSnapshots:
         account = state.get_account(ALICE)
         account.storage["key"] = "before"
         snapshot = state.snapshot()
-        state.get_account(ALICE).storage["key"] = "after"
+        state.set_storage(ALICE, "key", "after")
         state.revert(snapshot)
         assert state.get_account(ALICE).storage["key"] == "before"
 
@@ -95,6 +124,27 @@ class TestSnapshots:
         assert state.balance_of(ALICE) == 90
         state.revert(outer)
         assert state.balance_of(ALICE) == 100
+
+    def test_snapshot_and_revert_touch_only_what_was_written(self):
+        # 10 000 accounts: a snapshot reads none of them, and the revert
+        # undoes the four entries written since the mark (two balances,
+        # one account created, one nonce) and nothing else.
+        state = WorldState()
+        addresses = [Address("0x%040x" % (index + 1)) for index in range(10_000)]
+        for address in addresses:
+            state.credit(address, 100)
+        state._accounts = CountingDict(state._accounts)
+        state._journal = CountingList()
+        before = state.to_dict()
+        state._accounts.reads = 0
+        snapshot = state.snapshot()
+        state.transfer(addresses[0], BOB, 60)
+        state.increment_nonce(addresses[1])
+        assert len(state._journal) == 4
+        state.revert(snapshot)
+        assert state._journal.pops == 4 and state._journal == []
+        assert state._accounts.reads == 0
+        assert state.to_dict() == before
 
     def test_unknown_snapshot_id_rejected(self):
         with pytest.raises(ValueError):

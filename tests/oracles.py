@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, List, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.chain.account import Account, Address
 from repro.data.dataset import Dataset
-from repro.errors import IncentiveError, PartitionError
+from repro.errors import IncentiveError, InsufficientFundsError, PartitionError
 from repro.incentives.contribution import (
     ContributionReport,
     ValueFunction,
@@ -151,6 +152,94 @@ def total_supply(state) -> int:
     """Sum of all balances of a ``WorldState`` (conserved by execution
     except for fees and mints)."""
     return sum(account.balance for account in state.accounts())
+
+
+class CopySnapshotState:
+    """The world state as it was before the undo journal: each snapshot
+    copies every account and its storage dict, and a revert puts the copies
+    back.  The property suite holds ``repro.chain.state.WorldState`` to it.
+    Contract installs and storage writes assign the fields directly, as the
+    executor and ``Contract.sstore`` did then.
+    """
+
+    def __init__(self) -> None:
+        self._accounts: Dict[str, Account] = {}
+        self._snapshots: List[Dict[str, Account]] = []
+
+    def get_account(self, address) -> Account:
+        addr = Address(address)
+        key = addr.lower
+        if key not in self._accounts:
+            self._accounts[key] = Account(address=addr)
+        return self._accounts[key]
+
+    def accounts(self) -> Iterator[Account]:
+        return iter(list(self._accounts.values()))
+
+    def load_account(self, account: Account) -> None:
+        self._accounts[account.address.lower] = account
+
+    def install_contract(self, address, contract: Any, code_size: int) -> None:
+        account = self.get_account(address)
+        account.contract = contract
+        account.code_size = code_size
+
+    def set_storage(self, address, slot: str, value: Any) -> None:
+        self.get_account(address).storage[slot] = value
+
+    def balance_of(self, address) -> int:
+        account = self._accounts.get(Address(address).lower)
+        return account.balance if account else 0
+
+    def credit(self, address, amount: int) -> None:
+        if amount < 0:
+            raise ValueError(f"credit amount must be non-negative: {amount}")
+        self.get_account(address).balance += amount
+
+    def debit(self, address, amount: int) -> None:
+        if amount < 0:
+            raise ValueError(f"debit amount must be non-negative: {amount}")
+        account = self.get_account(address)
+        if account.balance < amount:
+            raise InsufficientFundsError(
+                f"{address} has {account.balance} wei, needs {amount}")
+        account.balance -= amount
+
+    def transfer(self, sender, recipient, amount: int) -> None:
+        self.debit(sender, amount)
+        self.credit(recipient, amount)
+
+    def nonce_of(self, address) -> int:
+        account = self._accounts.get(Address(address).lower)
+        return account.nonce if account else 0
+
+    def increment_nonce(self, address) -> int:
+        account = self.get_account(address)
+        account.nonce += 1
+        return account.nonce
+
+    def snapshot(self) -> int:
+        frame = {
+            key: Account(address=account.address, balance=account.balance,
+                         nonce=account.nonce, contract=account.contract,
+                         code_size=account.code_size, storage=dict(account.storage))
+            for key, account in self._accounts.items()}
+        self._snapshots.append(frame)
+        return len(self._snapshots) - 1
+
+    def revert(self, snapshot_id: int) -> None:
+        if not 0 <= snapshot_id < len(self._snapshots):
+            raise ValueError(f"unknown snapshot id {snapshot_id}")
+        self._accounts = self._snapshots[snapshot_id]
+        del self._snapshots[snapshot_id:]
+
+    def commit(self, snapshot_id: int) -> None:
+        if not 0 <= snapshot_id < len(self._snapshots):
+            raise ValueError(f"unknown snapshot id {snapshot_id}")
+        del self._snapshots[snapshot_id:]
+
+    def to_dict(self) -> dict:
+        return {key: account.to_dict() for key, account in sorted(self._accounts.items())}
 
 
 def is_seed_exact(spec) -> bool:
