@@ -43,7 +43,7 @@ from repro.errors import (
     PayloadTooLargeError,
     ProtocolViolationError,
 )
-from repro.net.http import HttpRequest, format_response, parse_head
+from repro.net.http import CONTENT_TYPES, HttpRequest, format_response, parse_head
 from repro.net.subscriptions import SubscriptionManager
 from repro.net.websocket import (
     OP_CLOSE,
@@ -56,6 +56,11 @@ from repro.net.websocket import (
 )
 from repro.obs.adapters import collect_net_server
 from repro.rpc.protocol import INVALID_REQUEST, JsonRpcError
+
+_JSON, _PROMETHEUS = CONTENT_TYPES
+#: The paths ``POST`` JSON-RPC is served on, and every path served at all.
+_RPC_PATHS = ("/", "/rpc")
+_ROUTES = (*_RPC_PATHS, "/metrics", "/healthz", "/ws")
 
 
 @dataclass(frozen=True)
@@ -318,7 +323,8 @@ class _Connection(asyncio.Protocol):
     def _process(self, scan_from: int = 0) -> None:
         """Answer every complete request in the buffer, then set the deadline."""
         server, config, buffer = self.server, self.server.config, self.buffer
-        while not self.write_paused and not self.transport.is_closing():
+        transport = self.transport
+        while not self.write_paused and not transport.is_closing():
             pending = self.pending
             if pending is None:
                 try:
@@ -336,17 +342,16 @@ class _Connection(asyncio.Protocol):
                     self._arm(config.read_timeout_seconds)
                 return
             self.pending = None
-            with memoryview(buffer) as view:
-                request.body = bytes(view[start:total])
+            request.body = buffer[start:total]  # the body's one copy
             del buffer[:total]
             scan_from = 0  # it counted bytes of the request just removed
             if request.method == "GET" and request.path == "/ws":
                 self._upgrade(request)
                 return
             keep_alive = request.wants_keep_alive() and not server._draining
-            self.transport.write(server._respond_http(request, keep_alive))
+            transport.write(server._respond_http(request, keep_alive))
             if not keep_alive:
-                self.transport.close()
+                transport.close()
                 return
             self.idle = True
             if not buffer:
@@ -478,6 +483,8 @@ class RpcHttpServer:
         self._ws_sessions: Set[_WsSession] = set()
         self._block_tick_task: Optional[asyncio.Task] = None
         self._draining = False
+        #: The gateway's batch check, bound once for every request.
+        self._admit = self._admit_batch
         self.port = self.config.port
         stack.registry.register_collector(
             lambda reg: collect_net_server(reg, self))
@@ -591,33 +598,30 @@ class RpcHttpServer:
     # -- connection handling -------------------------------------------------
 
     def _respond_http(self, request: HttpRequest, keep_alive: bool) -> bytes:
-        path, method = request.path, request.method
-        if method == "POST" and path in ("/", "/rpc"):
+        method, path = request.method, request.path
+        if method == "POST" and path in _RPC_PATHS:
             self.stats.count_request("rpc")
-            reply = self.gateway.handle_raw(request.body, self._admit_batch)
-            self.pump_subscriptions()
+            reply = self.gateway.handle_raw(request.body, self._admit)
+            if self._ws_sessions:
+                self.pump_subscriptions()
             # A notification-only payload has no reply; HTTP still needs a body.
-            return format_response(200, reply, keep_alive=keep_alive)
+            return format_response(200, reply, _JSON, keep_alive)
         if method == "GET" and path == "/metrics":
             self.stats.count_request("metrics")
             text = self.stack.registry.render_prometheus().encode("utf-8")
-            return format_response(
-                200, text, content_type="text/plain; version=0.0.4",
-                keep_alive=keep_alive)
+            return format_response(200, text, _PROMETHEUS, keep_alive)
         if method == "GET" and path == "/healthz":
             self.stats.count_request("healthz")
             body = json.dumps({
                 "status": "draining" if self._draining else "ok",
                 "height": self.node.block_number,
             }).encode("utf-8")
-            return format_response(200, body, keep_alive=keep_alive)
-        if path in ("/", "/rpc", "/metrics", "/healthz", "/ws"):
+            return format_response(200, body, _JSON, keep_alive)
+        if path in _ROUTES:
             self.stats.count_rejection("method_not_allowed")
-            return format_response(405, b'{"error": "method not allowed"}',
-                                   keep_alive=keep_alive)
+            return format_response(405, b'{"error": "method not allowed"}', _JSON, keep_alive)
         self.stats.count_rejection("not_found")
-        return format_response(404, b'{"error": "not found"}',
-                               keep_alive=keep_alive)
+        return format_response(404, b'{"error": "not found"}', _JSON, keep_alive)
 
     def _admit_batch(self, payload: Any) -> None:
         """The gateway's pre-dispatch check: a counted error past ``max_batch``."""

@@ -63,14 +63,6 @@ REPLY_CACHE_MAX_BYTES = 8 * 1024
 class _Kept(bytes):
     """Reply text the reply cache holds, standing in for a result."""
 
-    def reply_pieces(self) -> tuple:
-        return (self,)
-
-
-#: Results that arrive with their reply JSON: ``ipfs_cat``'s payload bytes
-#: and a reply the reply cache kept.
-_PRE_RENDERED = (HexString, _Kept)
-
 
 class ReplyCache(LRUCache):
     """Reply text of :data:`CACHED_READS` calls, by method and params, all
@@ -99,11 +91,6 @@ class ReplyCache(LRUCache):
         return {**super().snapshot(), "version_clears": self.version_clears}
 
 
-def _is_cached_read(entry: Any) -> bool:
-    method = entry.get("method") if type(entry) is dict else None
-    return type(method) is str and method in CACHED_READS
-
-
 _DECODER = json.JSONDecoder()
 _SCAN = _DECODER.scan_once
 _WHITESPACE = json.decoder.WHITESPACE.match
@@ -127,16 +114,36 @@ def _parse(text: str) -> Any:
 _BEFORE_ID, _BEFORE_RESULT = (
     part.encode() for part in reply_json(success_response("\0", None))
     .removesuffix("null}").split(reply_json("\0")))
+#: The same envelope with a slot for the rendered id and one for the result.
+_SUCCESS = _BEFORE_ID + b"%s" + _BEFORE_RESULT + b"%s}"
 
 
 def _encode_envelope(response: Dict[str, Any]) -> bytes:
     """One envelope, byte for byte ``json.dumps(response, default=str)`` as
-    UTF-8.  A pre-rendered result goes in as the bytes it already has."""
+    UTF-8.  An ``ipfs_cat`` payload goes in as the reply bytes it renders
+    to."""
     result = response.get("result")
-    if type(result) not in _PRE_RENDERED:
+    if type(result) is not HexString:
         return reply_json(response).encode()
     return b"".join((_BEFORE_ID, reply_json(response["id"]).encode(), _BEFORE_RESULT,
                      *result.reply_pieces(), b"}"))
+
+
+def _success_reply(request_id: Any, result: Any) -> bytes:
+    """What ``_encode_envelope(success_response(request_id, result))``
+    gives, with no envelope dict: a kept result goes straight into
+    :data:`_SUCCESS`, beside its id (an ``int`` id rendered without the
+    encoder)."""
+    if type(result) is not _Kept:
+        return _encode_envelope(success_response(request_id, result))
+    return _SUCCESS % (b"%d" % request_id if type(request_id) is int
+                       else reply_json(request_id).encode(), result)
+
+
+def _rendered(response: Dict[str, Any], stamp: Optional[int]) -> Any:
+    """A response as :meth:`JsonRpcGateway.handle` returns it: the envelope
+    dict, or with a ``stamp`` its reply bytes."""
+    return response if stamp is None else _encode_envelope(response)
 
 
 class _Arity(NamedTuple):
@@ -286,8 +293,13 @@ class JsonRpcGateway:
 
     # -- dispatch ---------------------------------------------------------------
 
-    def _call(self, entry: Any, stamp: Optional[int]) -> Optional[Dict[str, Any]]:
+    def _call(self, entry: Any, stamp: Optional[int]) -> Any:
         """One envelope in one pass: its response, ``None`` for a notification.
+
+        Without a ``stamp`` the response is the envelope dict.  With one (a
+        body :meth:`handle_raw` answers from the reply cache) it is the
+        envelope's reply bytes: a kept result is joined to its id with no
+        dict in between.
 
         An envelope that is not a valid request answers ``-32600`` (its id
         echoed only when it is one) and is not counted.  A valid call runs
@@ -295,7 +307,8 @@ class JsonRpcGateway:
         reply cache and handler -- are recorded under one lock acquisition.
         """
         if not isinstance(entry, dict):
-            return error_response(None, INVALID_REQUEST, "request must be an object")
+            return _rendered(error_response(None, INVALID_REQUEST, "request must be an object"),
+                             stamp)
         request_id, method, params = entry.get("id"), entry.get("method"), entry.get("params")
         valid_id = request_id is None or (isinstance(request_id, (str, int, float))
                                           and type(request_id) is not bool)
@@ -310,8 +323,8 @@ class JsonRpcGateway:
         else:
             invalid = None
         if invalid is not None:
-            return error_response(request_id if valid_id else None, INVALID_REQUEST, invalid)
-        notification = "id" not in entry
+            return _rendered(error_response(request_id if valid_id else None,
+                                            INVALID_REQUEST, invalid), stamp)
         error = None
         started = perf_counter()
         try:
@@ -321,11 +334,14 @@ class JsonRpcGateway:
         finally:
             self.metrics.record(method, None if error is None else error.code,
                                 (perf_counter() - started) * 1000.0)
-        if notification:
+        if "id" not in entry:  # a notification
             return None
-        if error is None:
+        if error is not None:
+            return _rendered({"jsonrpc": JSONRPC_VERSION, "id": request_id,
+                              "error": error.to_error_object()}, stamp)
+        if stamp is None:
             return success_response(request_id, result)
-        return {"jsonrpc": JSONRPC_VERSION, "id": request_id, "error": error.to_error_object()}
+        return _success_reply(request_id, result)
 
     def _result(self, method: str, params: Any, stamp: Optional[int]) -> Any:
         """A call's result: with a ``stamp``, its reply text from the reply
@@ -340,7 +356,7 @@ class JsonRpcGateway:
         kept = self.replies.get(key)
         if kept is None:
             result = self._invoke(method, params)
-            kept = _Kept(b"".join(result.reply_pieces()) if type(result) in _PRE_RENDERED
+            kept = _Kept(b"".join(result.reply_pieces()) if type(result) is HexString
                          else reply_json(result).encode())
             if len(key[1]) + len(kept) <= REPLY_CACHE_MAX_BYTES:
                 self.replies.put(key, kept)
@@ -378,18 +394,20 @@ class JsonRpcGateway:
             raise JsonRpcError(INTERNAL_ERROR, f"internal error: {exc}") from exc
 
     def handle(self, payload: Any, stamp: Optional[int] = None
-               ) -> Union[Dict[str, Any], List[Dict[str, Any]], None]:
+               ) -> Union[Dict[str, Any], List[Dict[str, Any]], bytes, List[bytes], None]:
         """Process a single request or a batch (a list of requests).
 
         Batch semantics follow JSON-RPC 2.0: responses come back in request
         order (minus notifications), an empty batch is an invalid request,
         and a batch of only notifications yields ``None``.  ``stamp`` is for
         :meth:`handle_raw` alone: the node version its calls may be answered
-        from the reply cache at.
+        from the reply cache at, and each response then comes back as its
+        reply bytes.
         """
         if isinstance(payload, list):
             if not payload:
-                return error_response(None, INVALID_REQUEST, "batch must not be empty")
+                return _rendered(error_response(None, INVALID_REQUEST, "batch must not be empty"),
+                                 stamp)
             responses = [response for response in map(self._call, payload, repeat(stamp))
                          if response is not None]
             return responses or None
@@ -401,8 +419,14 @@ class JsonRpcGateway:
         in a batch would leave the reads after it a stale stamp.)"""
         if self.eth is None:
             return None
-        if not (all(map(_is_cached_read, payload)) if type(payload) is list
-                else _is_cached_read(payload)):
+        try:  # one scan of the methods, in C for a batch
+            if type(payload) is list:
+                reads_only = CACHED_READS.issuperset(map(dict.get, payload, repeat("method")))
+            else:
+                reads_only = type(payload) is dict and payload.get("method") in CACHED_READS
+        except TypeError:  # an entry that is not an object, or an unhashable method
+            return None
+        if not reads_only:
             return None
         stamp = self.eth.node.version
         self.replies.serve(stamp)
@@ -429,13 +453,18 @@ class JsonRpcGateway:
             return _encode_envelope(error_response(None, exc.code, exc.message, exc.data))
         except (TypeError, ValueError, RecursionError) as exc:
             return _encode_envelope(error_response(None, PARSE_ERROR, f"parse error: {exc}"))
+        stamp = self._stamp(payload)
         # Positional: ``handle`` is traced, and the tracer weighs its
         # positional arguments.
-        response = self.handle(payload, self._stamp(payload))
+        response = self.handle(payload, stamp)
         if response is None:
             return b""
-        if isinstance(response, dict):
-            return _encode_envelope(response)
-        return b"[" + b", ".join(map(_encode_envelope, response)) + b"]"
+        if stamp is None:  # envelope dicts
+            if isinstance(response, dict):
+                return _encode_envelope(response)
+            response = map(_encode_envelope, response)
+        elif type(response) is bytes:
+            return response
+        return b"[" + b", ".join(response) + b"]"
 
     # -- convenience -------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.chain.account import checksum_cache
 from repro.chain.faucet import Faucet
 from repro.chain.node import EthereumNode
 from repro.contracts.registry import default_registry
-from repro.errors import ConfigError
+from repro.errors import ConfigError, StorageError
 from repro.ipfs.blockstore import BlockStore
 from repro.ipfs.node import IpfsNode
 from repro.ipfs.swarm import Swarm
@@ -212,6 +212,12 @@ def build_stack(
         from repro.storage.engine import ensure_engine
 
         engine = ensure_engine(storage)
+        if cluster is not None and engine.holds_history():
+            # Replicas start at genesis, and only a single node recovers a
+            # store; refused before any replica writes to it.
+            raise StorageError(
+                "this store already holds chain history, and a cluster opens "
+                "only an empty store; give the cluster an empty store")
     chain_cluster = None
     if cluster is not None:
         from repro.cluster import ChainCluster, ClusterNode

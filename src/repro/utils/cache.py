@@ -52,13 +52,19 @@ class LRUCache:
     def get(self, key: Hashable) -> Any:
         """Look up ``key`` (``None`` when absent), counting a hit or miss and
         freshening on hit."""
-        with self._lock:
-            if key in self._entries:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return self._entries[key]
+        # ``acquire``/``release`` rather than ``with``: half the cost on the
+        # reply cache's one-lookup-per-call path.
+        self._lock.acquire()
+        try:
+            self._entries.move_to_end(key)
+        except KeyError:
             self.misses += 1
             return None
+        else:
+            self.hits += 1
+            return self._entries[key]
+        finally:
+            self._lock.release()
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert or refresh ``key``; evicts the LRU entry when full."""

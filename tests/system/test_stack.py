@@ -20,6 +20,7 @@ import re
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -30,7 +31,7 @@ from repro.chain.node import EthereumNode
 from repro.chain.transaction import Transaction
 from repro.cluster import ClusterConfig
 from repro.contracts.registry import default_registry
-from repro.errors import ConfigError
+from repro.errors import ConfigError, StorageError
 from repro.storage import StorageConfig, StorageEngine, recover_node
 from repro.system.stack import build_stack
 from repro.utils.units import ether_to_wei
@@ -132,6 +133,21 @@ class TestConstructionMatrix:
                 StorageConfig(backend="log", directory=str(tmp_path)),
                 backend=default_registry())
             assert recovered.chain.latest_block.hash == bare_heads[cluster]
+
+    def test_a_cluster_refuses_a_store_with_history_before_building_a_replica(self):
+        engine = StorageEngine()
+        stack = build_stack(storage=engine)
+        stack.faucet.drip(SINK, ether_to_wei(1))
+        stack.close()
+        assert engine.holds_history()
+        before = engine.describe()
+        with mock.patch("repro.cluster.ChainCluster",
+                        side_effect=AssertionError("a replica was built")):
+            with pytest.raises(StorageError, match="a cluster opens only an empty store"):
+                build_stack(storage=engine, cluster=ClusterConfig())
+        assert engine.describe() == before
+        # An empty store still opens for a cluster.
+        build_stack(storage=StorageEngine(), cluster=ClusterConfig()).close()
 
     def test_negative_worker_count_is_the_same_error(self):
         with pytest.raises(ConfigError, match="batch_verify"):
